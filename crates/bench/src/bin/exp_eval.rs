@@ -34,7 +34,7 @@
 //! so per-scale readings are cumulative up to that rung of the ladder.
 
 use criterion::{black_box, Criterion};
-use lira_bench::{peak_rss_bytes, ChurnWorkload};
+use lira_bench::peak_rss_bytes;
 use lira_core::geometry::{Point, Rect};
 use lira_core::plan::{PlanRegion, SheddingPlan};
 use lira_core::telemetry::json::Json;

@@ -11,7 +11,7 @@ use lira_bench::{print_header, ExpArgs};
 use lira_core::prelude::*;
 use lira_mobility::prelude::*;
 use lira_server::prelude::*;
-use lira_sim::prelude::{Policy, SimSetup};
+use lira_sim::prelude::{Policy, Scenario, SimSetup};
 use rand::rngs::SmallRng;
 use rand::{Rng, SeedableRng};
 
@@ -61,7 +61,7 @@ fn main() {
 }
 
 /// Returns (mean recall@K, mean extra distance per suggestion).
-fn run_knn(sc: &lira_sim::scenario::Scenario, policy: Policy) -> (f64, f64) {
+fn run_knn(sc: &Scenario, policy: Policy) -> (f64, f64) {
     let SimSetup {
         config,
         bounds,
@@ -93,7 +93,7 @@ fn run_knn(sc: &lira_sim::scenario::Scenario, policy: Policy) -> (f64, f64) {
     }
     grid.commit_snapshot();
 
-    let mut shedding = policy.build(sc, &config, &model);
+    let mut shedding = policy.build(&config, &model);
     let plan = shedding.adapt(&grid, sc.throttle).unwrap();
     let admission = shedding.admission(sc.throttle);
 

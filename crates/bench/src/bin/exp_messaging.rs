@@ -11,7 +11,7 @@
 use lira_bench::{print_header, snapshot_grid, ExpArgs};
 use lira_core::prelude::*;
 use lira_server::prelude::*;
-use lira_sim::prelude::SimSetup;
+use lira_sim::prelude::{Scenario, SimSetup};
 
 fn main() {
     let args = ExpArgs::parse();
@@ -57,7 +57,7 @@ struct Measured {
     regions_per_node: f64,
 }
 
-fn measure(sc: &lira_sim::scenario::Scenario) -> Measured {
+fn measure(sc: &Scenario) -> Measured {
     let SimSetup {
         config,
         bounds,

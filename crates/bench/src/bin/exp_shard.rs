@@ -63,11 +63,11 @@
 //! mark, cumulative up to that rung of the ladder.
 
 use criterion::{black_box, Criterion};
-use lira_bench::{peak_rss_bytes, ChurnWorkload};
+use lira_bench::peak_rss_bytes;
 use lira_core::geometry::{Point, Rect};
 use lira_core::telemetry::json::Json;
 use lira_server::prelude::*;
-use lira_workload::churn::HotspotSpec;
+use lira_workload::churn::{ChurnWorkload, HotspotSpec};
 use lira_workload::{generate_queries, QueryDistribution, WorkloadConfig};
 
 /// Monitored space at the reference scale (10 000 nodes): the paper's

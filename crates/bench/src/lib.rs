@@ -18,10 +18,8 @@
 
 use lira_sim::prelude::*;
 
-pub mod churn;
 pub mod sweep;
 
-pub use churn::ChurnWorkload;
 pub use sweep::{average_outcomes, run_averaged, run_sweep, AveragedOutcome};
 
 /// Command-line options shared by all experiment binaries.

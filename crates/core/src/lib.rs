@@ -97,8 +97,8 @@ pub mod prelude {
     };
     pub use crate::plan::{PlanRegion, SheddingPlan};
     pub use crate::policy::{
-        AdaptCost, LiraGridPolicy, LiraPolicy, RandomDropPolicy, RoundFeedback, SheddingPolicy,
-        UniformDeltaPolicy,
+        AdaptCost, LiraGridPolicy, LiraPolicy, Policy, RandomDropPolicy, RoundFeedback,
+        SheddingPolicy, UniformDeltaPolicy,
     };
     pub use crate::quadtree::{NodeId, RegionTree};
     pub use crate::reduction::ReductionModel;

@@ -36,6 +36,7 @@ use crate::plan::{PlanRegion, SheddingPlan};
 use crate::reduction::ReductionModel;
 use crate::shedder::LiraShedder;
 use crate::stats_grid::StatsGrid;
+use crate::utility::{UtilityGreedy, UtilityModel};
 
 /// Deterministic work counters from one [`SheddingPolicy::adapt`] call,
 /// surfaced for telemetry. Equal inputs always produce equal costs —
@@ -111,6 +112,91 @@ pub trait SheddingPolicy: Send {
     /// policies without a utility model. Surfaced for telemetry.
     fn utility_scores(&self) -> Option<&[f64]> {
         None
+    }
+}
+
+/// The policy roster: every shedding policy the simulator, the CLI and
+/// `lira-serve` can run. This is only a *roster* — construction happens
+/// in [`Policy::build`], and everything after construction goes through
+/// the [`SheddingPolicy`] trait.
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Default)]
+pub enum Policy {
+    /// Full LIRA: GRIDREDUCE partitioning + GREEDYINCREMENT throttlers.
+    #[default]
+    Lira,
+    /// Equal-size `l`-partitioning + GREEDYINCREMENT (no GRIDREDUCE).
+    LiraGrid,
+    /// One system-wide inaccuracy threshold.
+    UniformDelta,
+    /// No source-side shedding; the server randomly drops the excess.
+    RandomDrop,
+    /// eSPICE-style utility shedding: greedy budget assignment in
+    /// utility-per-budget-unit order.
+    UtilityGreedy,
+    /// gSPICE-style utility shedding: realized-loss EWMA model steering a
+    /// proportional water-fill.
+    UtilityModel,
+}
+
+impl Policy {
+    /// All six policies: the paper's four (comparison order preserved)
+    /// followed by the SPICE-line utility family.
+    pub const ALL: [Policy; 6] = [
+        Policy::Lira,
+        Policy::LiraGrid,
+        Policy::UniformDelta,
+        Policy::RandomDrop,
+        Policy::UtilityGreedy,
+        Policy::UtilityModel,
+    ];
+
+    /// Display name used in experiment output, delegated to the policy
+    /// implementations (the single source of these strings).
+    pub fn name(self) -> &'static str {
+        match self {
+            Policy::Lira => LiraPolicy::NAME,
+            Policy::LiraGrid => LiraGridPolicy::NAME,
+            Policy::UniformDelta => UniformDeltaPolicy::NAME,
+            Policy::RandomDrop => RandomDropPolicy::NAME,
+            Policy::UtilityGreedy => UtilityGreedy::NAME,
+            Policy::UtilityModel => UtilityModel::NAME,
+        }
+    }
+
+    /// The command-line spelling (`lira-cli --policies`, `lira-serve
+    /// --policy`).
+    pub fn flag(self) -> &'static str {
+        match self {
+            Policy::Lira => "lira",
+            Policy::LiraGrid => "lira-grid",
+            Policy::UniformDelta => "uniform",
+            Policy::RandomDrop => "random-drop",
+            Policy::UtilityGreedy => "utility-greedy",
+            Policy::UtilityModel => "utility-model",
+        }
+    }
+
+    /// Parses a command-line spelling (inverse of [`Self::flag`]).
+    pub fn from_flag(flag: &str) -> Option<Policy> {
+        Policy::ALL.into_iter().find(|p| p.flag() == flag)
+    }
+
+    /// Constructs the policy implementation for a validated configuration
+    /// and reduction model. The one place that matches on the roster;
+    /// drivers only see `dyn SheddingPolicy`.
+    pub fn build(self, config: &LiraConfig, model: &ReductionModel) -> Box<dyn SheddingPolicy> {
+        match self {
+            Policy::Lira => Box::new(LiraPolicy::from_shedder(
+                LiraShedder::new(config.clone(), 1000)
+                    .expect("validated config")
+                    .with_model(model.clone()),
+            )),
+            Policy::LiraGrid => Box::new(LiraGridPolicy::new(config.clone(), model.clone())),
+            Policy::UniformDelta => Box::new(UniformDeltaPolicy::new(config.bounds, model.clone())),
+            Policy::RandomDrop => Box::new(RandomDropPolicy::new(config.bounds, config.delta_min)),
+            Policy::UtilityGreedy => Box::new(UtilityGreedy::new(config.clone(), model.clone())),
+            Policy::UtilityModel => Box::new(UtilityModel::new(config.clone(), model.clone())),
+        }
     }
 }
 
@@ -327,7 +413,6 @@ impl SheddingPolicy for RandomDropPolicy {
 mod tests {
     use super::*;
     use crate::geometry::Point;
-    use crate::utility::{UtilityGreedy, UtilityModel};
 
     fn grid() -> StatsGrid {
         let mut g = StatsGrid::new(16, Rect::from_coords(0.0, 0.0, 1600.0, 1600.0)).unwrap();
@@ -356,19 +441,20 @@ mod tests {
     }
 
     #[test]
-    fn names_are_distinct() {
+    fn roster_builds_every_policy_under_its_own_name() {
         let g = grid();
         let cfg = config_for(&g);
         let model = ReductionModel::analytic(5.0, 100.0, 95);
-        let policies: Vec<Box<dyn SheddingPolicy>> = vec![
-            Box::new(LiraPolicy::new(cfg.clone(), 100).unwrap()),
-            Box::new(LiraGridPolicy::new(cfg.clone(), model.clone())),
-            Box::new(UniformDeltaPolicy::new(cfg.bounds, model.clone())),
-            Box::new(RandomDropPolicy::new(cfg.bounds, cfg.delta_min)),
-            Box::new(UtilityGreedy::new(cfg.clone(), model.clone())),
-            Box::new(UtilityModel::new(cfg.clone(), model)),
-        ];
-        let names: Vec<&str> = policies.iter().map(|p| p.name()).collect();
+        let names: Vec<&str> = Policy::ALL
+            .iter()
+            .map(|p| {
+                assert_eq!(Policy::from_flag(p.flag()), Some(*p));
+                let built = p.build(&cfg, &model);
+                assert_eq!(built.name(), p.name());
+                built.name()
+            })
+            .collect();
+        assert_eq!(Policy::from_flag("nope"), None);
         assert_eq!(
             names,
             [
@@ -436,14 +522,9 @@ mod tests {
         let g = grid();
         let cfg = config_for(&g);
         let model = ReductionModel::analytic(5.0, 100.0, 95);
-        let mut policies: Vec<Box<dyn SheddingPolicy>> = vec![
-            Box::new(LiraPolicy::new(cfg.clone(), 100).unwrap()),
-            Box::new(LiraGridPolicy::new(cfg.clone(), model.clone())),
-            Box::new(UniformDeltaPolicy::new(cfg.bounds, model)),
-            Box::new(RandomDropPolicy::new(cfg.bounds, cfg.delta_min)),
-        ];
-        for p in policies.iter_mut() {
-            let expect = if p.name() == RandomDropPolicy::NAME {
+        for policy in Policy::ALL {
+            let mut p = policy.build(&cfg, &model);
+            let expect = if policy == Policy::RandomDrop {
                 0.4
             } else {
                 1.0

@@ -5,7 +5,7 @@
 //! lira-serve [--port P] [--space M] [--nodes N] [--shards S] [--slices L]
 //!            [--queue-capacity B] [--service-rate U] [--adapt-every W]
 //!            [--regions l] [--delta-min D] [--delta-max D]
-//!            [--policy lira|utility-greedy|utility-model]
+//!            [--policy lira|lira-grid|uniform|utility-greedy|utility-model]
 //!            [--rebalance] [--conns K] [--report FILE] [--no-telemetry]
 //!            [--verbose]
 //! ```
@@ -17,15 +17,16 @@
 
 use std::net::TcpListener;
 
+use lira_core::policy::Policy;
 use lira_serve::server::{serve, ServeOptions};
-use lira_serve::session::{ServeConfig, ServePolicy, SessionCore};
+use lira_serve::session::{ServeConfig, SessionCore};
 
 fn usage() -> ! {
     eprintln!(
         "usage: lira-serve [--port P] [--space M] [--nodes N] [--shards S] [--slices L]\n\
          \x20                 [--queue-capacity B] [--service-rate U] [--adapt-every W]\n\
          \x20                 [--regions l] [--delta-min D] [--delta-max D]\n\
-         \x20                 [--policy lira|utility-greedy|utility-model]\n\
+         \x20                 [--policy lira|lira-grid|uniform|utility-greedy|utility-model]\n\
          \x20                 [--rebalance] [--conns K] [--report FILE] [--no-telemetry]\n\
          \x20                 [--verbose]"
     );
@@ -43,7 +44,7 @@ fn main() {
     let mut telemetry = true;
     let mut verbose = false;
     let mut rebalance: Option<bool> = None;
-    let mut policy = ServePolicy::default();
+    let mut policy = Policy::default();
 
     let mut i = 0;
     while i < args.len() {
@@ -61,7 +62,7 @@ fn main() {
                 let v = val(&mut i);
                 cfg_overrides.push((flag.to_string(), v));
             }
-            "--policy" => policy = ServePolicy::from_flag(&val(&mut i)).unwrap_or_else(|| usage()),
+            "--policy" => policy = Policy::from_flag(&val(&mut i)).unwrap_or_else(|| usage()),
             "--conns" => conns = Some(val(&mut i).parse().unwrap_or_else(|_| usage())),
             "--report" => report_path = Some(val(&mut i)),
             "--rebalance" => rebalance = Some(true),
@@ -97,8 +98,8 @@ fn main() {
             usage();
         }
     }
-    if let Err(e) = cfg.lira_config().validate() {
-        eprintln!("lira-serve: invalid configuration: {e:?}");
+    if let Err(e) = cfg.shedding_policy() {
+        eprintln!("lira-serve: invalid configuration: {e}");
         std::process::exit(2);
     }
 

@@ -19,13 +19,12 @@ use std::time::Instant;
 use lira_core::config::LiraConfig;
 use lira_core::geometry::{Point, Rect};
 use lira_core::plan::SheddingPlan;
-use lira_core::policy::{LiraPolicy, SheddingPolicy};
+use lira_core::policy::{Policy, SheddingPolicy};
 use lira_core::reduction::ReductionModel;
 use lira_core::stats_grid::StatsGrid;
 use lira_core::telemetry::json::Json;
 use lira_core::telemetry::{Counter, Gauge, Histogram, MetricSpec, Telemetry};
 use lira_core::throt_loop::{QueueObservation, ThrotLoop};
-use lira_core::utility::{UtilityGreedy, UtilityModel};
 use lira_server::cq_engine::{rebalance_from_env, CqServer, EvalEngine};
 use lira_server::query::{QueryResult, RangeQuery};
 use lira_server::queue::UpdateQueue;
@@ -34,54 +33,14 @@ use std::sync::Arc;
 use crate::protocol::{self, digest_round, kind, Frame, WireUpdate};
 use crate::slices::SliceTable;
 
-/// Which shedding policy drives the session's plan broadcasts (CLI
-/// `--policy`). Only source-actuated policies are offered: the serving
-/// path has no server-side random-drop stage, and every listed policy
-/// emits ordinary [`SheddingPlan`]s over the unchanged 16 B/region wire
-/// format.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
-pub enum ServePolicy {
-    /// Full LIRA: GRIDREDUCE + GREEDYINCREMENT (the default).
-    #[default]
-    Lira,
-    /// eSPICE-style utility-greedy shedding (`lira-core`'s
-    /// [`UtilityGreedy`]).
-    UtilityGreedy,
-    /// gSPICE-style model-based utility shedding (`lira-core`'s
-    /// [`UtilityModel`]).
-    UtilityModel,
-}
-
-impl ServePolicy {
-    /// Parses a CLI policy name (`lira`, `utility-greedy`,
-    /// `utility-model`).
-    pub fn from_flag(name: &str) -> Option<Self> {
-        match name {
-            "lira" => Some(ServePolicy::Lira),
-            "utility-greedy" => Some(ServePolicy::UtilityGreedy),
-            "utility-model" => Some(ServePolicy::UtilityModel),
-            _ => None,
-        }
-    }
-
-    /// The CLI flag spelling (inverse of [`Self::from_flag`]).
-    pub fn flag_name(self) -> &'static str {
-        match self {
-            ServePolicy::Lira => "lira",
-            ServePolicy::UtilityGreedy => "utility-greedy",
-            ServePolicy::UtilityModel => "utility-model",
-        }
-    }
-}
-
 /// Configuration of one serving session (CLI flags map onto this 1:1;
 /// see `docs/OPERATIONS.md`).
 #[derive(Debug, Clone)]
 pub struct ServeConfig {
     /// Monitored space (must be square — LIRA's grids require it).
     pub bounds: Rect,
-    /// Node-id capacity of the engine (ids ≥ this are still accepted by
-    /// the store's growable path, but sizing it right avoids rehashing).
+    /// Node-id capacity of the engine: the node store is sized to this
+    /// once, and a `Batch` naming an id ≥ this is rejected whole.
     pub num_nodes: usize,
     /// Engine shards (spatial stripes of the unified engine).
     pub shards: usize,
@@ -113,8 +72,10 @@ pub struct ServeConfig {
     /// variable (off when unset).
     pub rebalance: bool,
     /// The shedding policy behind the plan broadcasts (CLI `--policy`;
-    /// LIRA by default).
-    pub policy: ServePolicy,
+    /// LIRA by default). Must be source-actuated — see
+    /// [`Self::shedding_policy`]; every such policy emits ordinary
+    /// [`SheddingPlan`]s over the unchanged 16 B/region wire format.
+    pub policy: Policy,
 }
 
 impl ServeConfig {
@@ -135,7 +96,7 @@ impl ServeConfig {
             delta_max: 100.0,
             telemetry: true,
             rebalance: rebalance_from_env(false),
-            policy: ServePolicy::default(),
+            policy: Policy::default(),
         }
     }
 
@@ -150,6 +111,24 @@ impl ServeConfig {
         };
         c.alpha = LiraConfig::alpha_for(c.num_regions, 2.0);
         c
+    }
+
+    /// Builds the configured shedding policy, or says why this session
+    /// cannot run it: the LIRA configuration must validate, and the
+    /// policy must admit every arrival (the serving path has no
+    /// server-side drop stage, which rules out Random Drop).
+    pub fn shedding_policy(&self) -> Result<Box<dyn SheddingPolicy>, String> {
+        let lira = self.lira_config();
+        lira.validate().map_err(|e| e.to_string())?;
+        let model = ReductionModel::analytic(self.delta_min, self.delta_max, lira.kappa());
+        let policy = self.policy.build(&lira, &model);
+        if policy.admission(0.5) < 1.0 {
+            return Err(format!(
+                "policy {} sheds at the server; lira-serve runs source-actuated policies only",
+                self.policy.flag()
+            ));
+        }
+        Ok(policy)
     }
 }
 
@@ -299,23 +278,14 @@ impl SessionCore {
     /// Builds a session core. Panics on invalid configuration (the
     /// binaries validate flags first; tests construct valid configs).
     pub fn new(cfg: ServeConfig) -> Self {
+        let policy = cfg.shedding_policy().expect("valid serve config");
         let lira = cfg.lira_config();
-        lira.validate()
-            .expect("serve config produces a valid LiraConfig");
         let per_shard = (cfg.queue_capacity / cfg.shards).max(1);
         let server = CqServer::new(cfg.bounds, cfg.num_nodes, cfg.index_side)
             .with_engine(EvalEngine::Unified { shards: cfg.shards })
             .with_rebalance(cfg.rebalance);
         let mut grid = StatsGrid::new(lira.alpha, cfg.bounds).expect("alpha/bounds validated");
         grid.begin_snapshot();
-        let model = ReductionModel::analytic(cfg.delta_min, cfg.delta_max, lira.kappa());
-        let policy: Box<dyn SheddingPolicy> = match cfg.policy {
-            ServePolicy::Lira => Box::new(
-                LiraPolicy::new(lira, cfg.queue_capacity.max(2)).expect("validated config"),
-            ),
-            ServePolicy::UtilityGreedy => Box::new(UtilityGreedy::new(lira, model)),
-            ServePolicy::UtilityModel => Box::new(UtilityModel::new(lira, model)),
-        };
         SessionCore {
             table: SliceTable::new(cfg.slices, cfg.shards),
             queues: (0..cfg.shards)
@@ -438,6 +408,19 @@ impl SessionCore {
                 out.replies.push(Frame::Ack { of: kind::REGISTER });
             }
             Frame::Batch { t, updates } => {
+                // The engine indexes its node store by id and keeps NaN
+                // as the never-reported time, so neither may get past
+                // here; a frame is accepted or refused whole.
+                let bad_id = updates.iter().find(|u| u.id as usize >= self.cfg.num_nodes);
+                if !t.is_finite() || bad_id.is_some() {
+                    let why = match bad_id {
+                        Some(u) => format!("node id {} ≥ capacity {}", u.id, self.cfg.num_nodes),
+                        None => format!("batch time must be finite, got {t}"),
+                    };
+                    out.replies
+                        .push(self.reject(conn, protocol::ERR_INVALID, why));
+                    return out;
+                }
                 self.batches_rx += 1;
                 self.updates_rx += updates.len() as u64;
                 self.tel.rx_updates.add(updates.len() as u64);
@@ -818,19 +801,18 @@ mod tests {
 
     #[test]
     fn utility_policies_drive_the_plan_broadcast_path() {
-        assert_eq!(
-            ServePolicy::from_flag("utility-greedy"),
-            Some(ServePolicy::UtilityGreedy)
-        );
-        assert_eq!(ServePolicy::from_flag("nope"), None);
-        for policy in [ServePolicy::UtilityGreedy, ServePolicy::UtilityModel] {
-            assert_eq!(ServePolicy::from_flag(policy.flag_name()), Some(policy));
+        for policy in Policy::ALL {
             let mut cfg = ServeConfig::new(1000.0, 100);
             cfg.shards = 2;
             cfg.slices = 8;
             cfg.queue_capacity = 64;
             cfg.service_rate = 50.0;
             cfg.policy = policy;
+            if policy == Policy::RandomDrop {
+                // No server-side drop stage to run it on.
+                assert!(cfg.shedding_policy().is_err());
+                continue;
+            }
             let mut s = SessionCore::new(cfg);
             let conn = s.open_conn();
             s.handle(conn, Frame::Hello { flags: 1 });
@@ -914,7 +896,7 @@ mod tests {
         let mut s = tiny(); // capacity 64 over 2 shards = 32 each
         let conn = s.open_conn();
         s.handle(conn, Frame::Hello { flags: 0 });
-        let updates: Vec<WireUpdate> = (0..500).map(|i| upd(i, 10.0, 10.0)).collect();
+        let updates: Vec<WireUpdate> = (0..500).map(|i| upd(i % 100, 10.0, 10.0)).collect();
         s.handle(conn, Frame::Batch { t: 0.0, updates });
         let out = s.handle(
             conn,
@@ -974,6 +956,54 @@ mod tests {
                 of: kind::SET_SLICE
             }]
         );
+    }
+
+    /// Sends one good batch, then `bad`, and checks the session refused
+    /// the bad frame whole and stayed consistent.
+    fn assert_batch_rejected(bad: Frame) {
+        let mut s = tiny(); // 100 nodes
+        let conn = s.open_conn();
+        s.handle(conn, Frame::Hello { flags: 0 });
+        s.handle(
+            conn,
+            Frame::Batch {
+                t: 0.0,
+                updates: vec![upd(1, 100.0, 100.0), upd(2, 900.0, 900.0)],
+            },
+        );
+        let out = s.handle(conn, bad);
+        // Draining must neither panic nor apply any part of the frame.
+        s.handle(conn, Frame::EvalReq { t: 1.0 });
+        assert_eq!(s.server.store().reported_count(), 2);
+        let [Frame::Error { code, .. }] = &out.replies[..] else {
+            panic!("expected one Error reply, got {:?}", out.replies);
+        };
+        assert_eq!(*code, protocol::ERR_INVALID);
+        assert_eq!(s.protocol_errors(), 1);
+        assert_eq!(s.conns[conn as usize].errors, 1);
+        let report = Json::parse(&s.deterministic_json()).unwrap();
+        let field = |k: &str| report.get(k).unwrap().as_u64().unwrap();
+        assert_eq!(field("protocol_errors"), 1);
+        assert_eq!(field("updates_rx"), 2, "only accepted frames count");
+        assert_eq!(field("updates_admitted") + field("updates_dropped"), 2);
+    }
+
+    #[test]
+    fn batch_with_an_out_of_range_node_id_is_rejected_whole() {
+        assert_batch_rejected(Frame::Batch {
+            t: 0.5,
+            updates: vec![upd(3, 10.0, 10.0), upd(100, 10.0, 10.0)],
+        });
+    }
+
+    #[test]
+    fn batch_with_a_non_finite_time_is_rejected_whole() {
+        for t in [f64::NAN, f64::INFINITY] {
+            assert_batch_rejected(Frame::Batch {
+                t,
+                updates: vec![upd(3, 10.0, 10.0)],
+            });
+        }
     }
 
     #[test]

@@ -281,12 +281,18 @@ struct Driver<'a, T: Transport> {
     batches: u64,
     eval_rounds: u64,
     digest: u64,
+    /// One dead reckoner per node id.
+    reckoners: Vec<DeadReckoner>,
+    /// Observations offered to the reckoners.
+    considered: u64,
+    /// Observations the reckoners suppressed.
+    shed: u64,
 }
 
 impl<'a, T: Transport> Driver<'a, T> {
-    /// Hello/Welcome handshake; seeds the local plan with the server's
-    /// default Δ.
-    fn open(t: &'a mut T, batch_cap: usize) -> Result<Self, StormError> {
+    /// Hello/Welcome handshake for a fleet of `nodes`; seeds the local
+    /// plan with the server's default Δ.
+    fn open(t: &'a mut T, batch_cap: usize, nodes: usize) -> Result<Self, StormError> {
         t.send(&Frame::Hello {
             flags: HELLO_SUBSCRIBE_PLANS,
         })?;
@@ -315,7 +321,43 @@ impl<'a, T: Transport> Driver<'a, T> {
             batches: 0,
             eval_rounds: 0,
             digest: 0,
+            reckoners: vec![DeadReckoner::new(); nodes],
+            considered: 0,
+            shed: 0,
         })
+    }
+
+    /// The mobile-side body: node `id` observes its own motion at
+    /// `t_sim`, looks its threshold up in the installed plan at its
+    /// position (or reports under `raw_delta` when source-side shedding
+    /// is off), and puts an update on the wire if dead reckoning has
+    /// drifted past it.
+    fn observe(
+        &mut self,
+        id: u32,
+        t_sim: f64,
+        p: Point,
+        v: (f64, f64),
+        raw_delta: Option<f64>,
+    ) -> Result<(), StormError> {
+        self.considered += 1;
+        let delta = raw_delta.unwrap_or_else(|| self.plan.throttler_at(&p));
+        match self.reckoners[id as usize].observe(id, t_sim, p, v, delta) {
+            Some(rep) => self.push(
+                t_sim,
+                WireUpdate {
+                    id: rep.node,
+                    x: rep.model.origin.x,
+                    y: rep.model.origin.y,
+                    vx: rep.model.velocity.0,
+                    vy: rep.model.velocity.1,
+                },
+            ),
+            None => {
+                self.shed += 1;
+                Ok(())
+            }
+        }
     }
 
     fn register(&mut self, queries: Vec<WireQuery>) -> Result<(), StormError> {
@@ -326,30 +368,33 @@ impl<'a, T: Transport> Driver<'a, T> {
         }
     }
 
-    /// Receives one frame, transparently installing any plan broadcasts
-    /// that arrive first.
+    /// Receives one frame; a plan broadcast is installed on the way and
+    /// yields `None`.
+    fn recv_installing(&mut self) -> Result<Option<Frame>, StormError> {
+        match self.t.recv()? {
+            Frame::Plan {
+                epoch,
+                default_delta,
+                regions,
+                ..
+            } => {
+                self.plans_received += 1;
+                self.plan_epoch = epoch;
+                self.plan = decode_plan(self.bounds, &regions, default_delta).map_err(|_| {
+                    StormError::Mismatch("server broadcast an undecodable plan".into())
+                })?;
+                Ok(None)
+            }
+            other => Ok(Some(other)),
+        }
+    }
+
+    /// Receives the next non-plan frame, transparently installing any
+    /// plan broadcasts that arrive first.
     fn recv_filtered(&mut self) -> Result<Frame, StormError> {
         loop {
-            let f = self.t.recv()?;
-            match f {
-                Frame::Plan {
-                    epoch,
-                    default_delta,
-                    regions,
-                    ..
-                } => {
-                    self.plans_received += 1;
-                    self.plan_epoch = epoch;
-                    match decode_plan(self.bounds, &regions, default_delta) {
-                        Ok(p) => self.plan = p,
-                        Err(_) => {
-                            return Err(StormError::Mismatch(
-                                "server broadcast an undecodable plan".into(),
-                            ))
-                        }
-                    }
-                }
-                other => return Ok(other),
+            if let Some(frame) = self.recv_installing()? {
+                return Ok(frame);
             }
         }
     }
@@ -407,32 +452,14 @@ impl<'a, T: Transport> Driver<'a, T> {
     /// Blocks until a plan with epoch ≥ `min_epoch` has been installed.
     fn wait_plan(&mut self, min_epoch: u64) -> Result<(), StormError> {
         while self.plan_epoch < min_epoch {
-            match self.t.recv()? {
-                Frame::Plan {
-                    epoch,
-                    default_delta,
-                    regions,
-                    ..
-                } => {
-                    self.plans_received += 1;
-                    self.plan_epoch = epoch;
-                    self.plan =
-                        decode_plan(self.bounds, &regions, default_delta).map_err(|_| {
-                            StormError::Mismatch("server broadcast an undecodable plan".into())
-                        })?;
-                }
-                other => return Err(StormError::Unexpected("Plan broadcast", other)),
+            if let Some(other) = self.recv_installing()? {
+                return Err(StormError::Unexpected("Plan broadcast", other));
             }
         }
         Ok(())
     }
 
-    fn finish(
-        mut self,
-        wall_s: f64,
-        considered: u64,
-        shed: u64,
-    ) -> Result<StormReport, StormError> {
+    fn finish(mut self, wall_s: f64) -> Result<StormReport, StormError> {
         self.flush(0.0)?;
         self.t.send(&Frame::ReportReq)?;
         let server_json = match self.recv_filtered()? {
@@ -443,8 +470,8 @@ impl<'a, T: Transport> Driver<'a, T> {
         let sent = self.updates_sent;
         Ok(StormReport {
             updates_sent: sent,
-            updates_considered: considered,
-            shed_at_source: shed,
+            updates_considered: self.considered,
+            shed_at_source: self.shed,
             batches: self.batches,
             eval_rounds: self.eval_rounds,
             digest: self.digest,
@@ -464,7 +491,7 @@ impl<'a, T: Transport> Driver<'a, T> {
 /// Runs the churn workload through a transport. Deterministic given
 /// `cfg` (the wall-clock fields of the report aside).
 pub fn run_storm<T: Transport>(t: &mut T, cfg: &StormConfig) -> Result<StormReport, StormError> {
-    let mut d = Driver::open(t, cfg.batch_cap)?;
+    let mut d = Driver::open(t, cfg.batch_cap, cfg.nodes)?;
     let mut w = ChurnWorkload::new(cfg.nodes, cfg.seed, cfg.churn_frac, cfg.space_m);
 
     let queries = generate_queries(
@@ -480,65 +507,22 @@ pub fn run_storm<T: Transport>(t: &mut T, cfg: &StormConfig) -> Result<StormRepo
     d.register(queries.iter().map(WireQuery::from_query).collect())?;
 
     let started = Instant::now();
-    let mut considered = 0u64;
-    let mut shed = 0u64;
-    let mut reckoners: Vec<DeadReckoner> = vec![DeadReckoner::new(); cfg.nodes];
+    let raw_delta = (!cfg.shed).then_some(d.default_delta);
+    let mut pending: Vec<(u32, Point, (f64, f64))> = Vec::new();
 
     // Prime: every node reports once at t = 0 (first observation always
     // passes the reckoner).
-    {
-        let mut pending: Vec<(u32, Point, (f64, f64))> = Vec::new();
-        w.prime_with(|id, p, v| pending.push((id, p, v)));
-        for (id, p, v) in pending {
-            considered += 1;
-            let delta = if cfg.shed {
-                d.plan.throttler_at(&p)
-            } else {
-                d.default_delta
-            };
-            if let Some(rep) = reckoners[id as usize].observe(id, 0.0, p, v, delta) {
-                d.push(
-                    0.0,
-                    WireUpdate {
-                        id: rep.node,
-                        x: rep.model.origin.x,
-                        y: rep.model.origin.y,
-                        vx: rep.model.velocity.0,
-                        vy: rep.model.velocity.1,
-                    },
-                )?;
-            } else {
-                shed += 1;
-            }
-        }
-        d.flush(0.0)?;
+    w.prime_with(|id, p, v| pending.push((id, p, v)));
+    for (id, p, v) in pending.drain(..) {
+        d.observe(id, 0.0, p, v, raw_delta)?;
     }
+    d.flush(0.0)?;
 
     for round in 1..=cfg.rounds {
         let t_sim = round as f64 * cfg.dt;
-        let mut pending: Vec<(u32, Point, (f64, f64))> = Vec::new();
         w.step_with(|id, p, v| pending.push((id, p, v)));
-        for (id, p, v) in pending {
-            considered += 1;
-            let delta = if cfg.shed {
-                d.plan.throttler_at(&p)
-            } else {
-                d.default_delta
-            };
-            if let Some(rep) = reckoners[id as usize].observe(id, t_sim, p, v, delta) {
-                d.push(
-                    t_sim,
-                    WireUpdate {
-                        id: rep.node,
-                        x: rep.model.origin.x,
-                        y: rep.model.origin.y,
-                        vx: rep.model.velocity.0,
-                        vy: rep.model.velocity.1,
-                    },
-                )?;
-            } else {
-                shed += 1;
-            }
+        for (id, p, v) in pending.drain(..) {
+            d.observe(id, t_sim, p, v, raw_delta)?;
         }
         // Flush at the round boundary: a `Batch` frame's `t` stamps every
         // update it carries, so updates must never straddle rounds (the
@@ -552,8 +536,7 @@ pub fn run_storm<T: Transport>(t: &mut T, cfg: &StormConfig) -> Result<StormRepo
             d.eval(t_sim)?;
         }
     }
-    let wall = started.elapsed().as_secs_f64();
-    d.finish(wall, considered, shed)
+    d.finish(started.elapsed().as_secs_f64())
 }
 
 /// Options for [`run_storm_trace`].
@@ -595,7 +578,7 @@ pub fn run_storm_trace<T: Transport>(
         batch_cap,
         expected_bounds,
     } = cfg.clone();
-    let mut d = Driver::open(t, batch_cap)?;
+    let mut d = Driver::open(t, batch_cap, trace.num_cars())?;
     if let Some(want) = expected_bounds {
         if d.bounds != want {
             return Err(StormError::Mismatch(format!(
@@ -607,35 +590,12 @@ pub fn run_storm_trace<T: Transport>(
     d.register(queries)?;
 
     let started = Instant::now();
-    let mut considered = 0u64;
-    let mut shed_count = 0u64;
-    let mut reckoners: Vec<DeadReckoner> = vec![DeadReckoner::new(); trace.num_cars()];
+    let raw_delta = (!shed).then_some(delta_min);
 
     for tick in 1..=trace.ticks() {
         let t_sim = trace.time(tick);
         for (i, car) in trace.cars(tick).iter().enumerate() {
-            considered += 1;
-            let delta = if shed {
-                d.plan.throttler_at(&car.position)
-            } else {
-                delta_min
-            };
-            if let Some(rep) =
-                reckoners[i].observe(i as u32, t_sim, car.position, car.velocity, delta)
-            {
-                d.push(
-                    t_sim,
-                    WireUpdate {
-                        id: rep.node,
-                        x: rep.model.origin.x,
-                        y: rep.model.origin.y,
-                        vx: rep.model.velocity.0,
-                        vy: rep.model.velocity.1,
-                    },
-                )?;
-            } else {
-                shed_count += 1;
-            }
+            d.observe(i as u32, t_sim, car.position, car.velocity, raw_delta)?;
         }
         // Same per-tick flush as the churn driver: batch `t` must equal
         // the observation time of every update it carries — that is what
@@ -651,6 +611,5 @@ pub fn run_storm_trace<T: Transport>(
             d.eval(t_sim)?;
         }
     }
-    let wall = started.elapsed().as_secs_f64();
-    d.finish(wall, considered, shed_count)
+    d.finish(started.elapsed().as_secs_f64())
 }

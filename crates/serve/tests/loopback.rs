@@ -16,7 +16,7 @@ use lira_serve::storm::{
     TraceStormConfig,
 };
 use lira_server::cq_engine::EvalEngine;
-use lira_sim::pipeline::{ReferenceTimeline, SimSetup};
+use lira_sim::pipeline::{SimPipeline, SimSetup};
 use lira_workload::catalog::NamedScenario;
 
 /// Spawns a one-connection server on an ephemeral port, runs `storm`
@@ -128,12 +128,9 @@ fn scenario_raw_replay_digest_ties_to_the_reference_timeline() {
         run_storm_trace(&mut inproc_t, &trace, queries.clone(), &tcfg).expect("inproc trace storm");
 
     // The reference pipeline on the same trace, same engine family.
-    let reference = ReferenceTimeline::compute_with(
-        &trace,
-        &setup,
-        &sc,
-        EvalEngine::Unified { shards: cfg.shards },
-    );
+    let reference = SimPipeline::new()
+        .with_engine(EvalEngine::Unified { shards: cfg.shards })
+        .reference(&trace, &setup, &sc);
     assert_eq!(
         report.updates_sent, reference.reference_updates,
         "raw mode sends exactly the reference's unshed update volume"

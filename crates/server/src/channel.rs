@@ -199,8 +199,8 @@ impl RetryPolicy {
 
 /// A composed uplink fault configuration. The building block every
 /// networking scenario shares; thread one through
-/// `sim::scenario::Scenario` to exercise a whole policy comparison under
-/// channel faults.
+/// `lira_workload::scenario::Scenario` to exercise a whole policy
+/// comparison under channel faults.
 #[derive(Debug, Clone, PartialEq)]
 pub struct FaultProfile {
     /// Per-transmission loss model.

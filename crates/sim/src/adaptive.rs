@@ -2,29 +2,24 @@
 //! live input-queue observations (Section 3.4), end to end.
 //!
 //! Unlike [`run_scenario`](crate::runner::run_scenario), which evaluates
-//! policies at a *fixed* `z`, this runner gives the shedding server a
+//! policies at a *fixed* `z`, the closed loop gives the shedding server a
 //! bounded input queue and a finite service rate. Every control window the
-//! controller observes `(λ, μ)`, recomputes `z`, and LIRA re-plans; the
-//! reference server remains infinitely provisioned (it defines correctness,
-//! not feasibility).
+//! controller observes `(λ, μ)`, recomputes `z`, and the policy re-plans;
+//! the reference server remains infinitely provisioned (it defines
+//! correctness, not feasibility).
+//!
+//! The loop itself is the pipeline's policy lane
+//! ([`SimPipeline::run_adaptive`]); this module holds what the closed
+//! loop adds to it — the capacity model, the queue and controller state
+//! and the report.
 
-use lira_core::plan::SheddingPlan;
-use lira_core::policy::RoundFeedback;
-use lira_core::shedder::LiraShedder;
-use lira_core::stats_grid::StatsGrid;
+use lira_core::policy::Policy;
 use lira_core::throt_loop::ThrotLoop;
-use lira_mobility::motion::{DeadReckoner, MotionReport};
-use lira_server::channel::FaultyChannel;
 use lira_server::queue::UpdateQueue;
-use rand::rngs::SmallRng;
-use rand::{Rng, SeedableRng};
+use lira_workload::scenario::Scenario;
 
-use lira_server::cq_engine::{rebalance_from_env, EvalEngine};
-
-use crate::metrics::{FaultReport, MetricsAccumulator, MetricsReport};
-use crate::pipeline::SimSetup;
-use crate::runner::Policy;
-use crate::scenario::Scenario;
+use crate::metrics::{FaultReport, MetricsReport};
+use crate::pipeline::{SimPipeline, UplinkPayload};
 use crate::telemetry::AdaptiveTelemetry;
 
 /// Server capacity model for the closed loop.
@@ -82,382 +77,114 @@ pub struct AdaptiveReport {
     pub telemetry: lira_core::telemetry::TelemetrySnapshot,
 }
 
-/// Runs the closed loop for `sc.duration_s` seconds with the default
-/// [`EvalEngine`].
+/// Runs LIRA in the closed loop for `sc.duration_s` seconds with the
+/// default pipeline options (see [`SimPipeline::run_adaptive`] for other
+/// policies and engines).
 pub fn run_adaptive(sc: &Scenario, cfg: &AdaptiveConfig) -> AdaptiveReport {
-    run_adaptive_with_engine(sc, cfg, EvalEngine::default())
+    SimPipeline::new().run_adaptive(sc, cfg, Policy::Lira)
 }
 
-/// Runs the closed loop with an explicit evaluation engine for both the
-/// reference and the shedding server. Engines are result-equivalent, so
-/// the report is bit-identical either way (asserted by
-/// `tests/pipeline.rs`).
-pub fn run_adaptive_with_engine(
-    sc: &Scenario,
-    cfg: &AdaptiveConfig,
-    engine: EvalEngine,
-) -> AdaptiveReport {
-    run_adaptive_opts(sc, cfg, engine, rebalance_from_env(false))
+/// An update waiting for service: its send time and what it carries.
+type Queued = (f64, UplinkPayload);
+
+/// What the closed loop puts between a policy lane's admission stage and
+/// its server: a bounded input queue drained at the configured service
+/// rate, and the THROTLOOP controller that turns each control window's
+/// queue observation into the next throttle fraction.
+pub(crate) struct ClosedLoop {
+    cfg: AdaptiveConfig,
+    controller: ThrotLoop,
+    queue: UpdateQueue<Queued>,
+    service_per_tick: usize,
+    windows: Vec<WindowStats>,
+    dropped_before: u64,
+    tel: AdaptiveTelemetry,
 }
 
-/// [`run_adaptive_with_engine`] with the unified engine's load-aware
-/// striping and online re-striper switchable explicitly (`rebalance` —
-/// bit-identical either way, see `restripe_equiv.rs`). The plain
-/// variants default it from the `LIRA_REBALANCE` environment variable.
-pub fn run_adaptive_opts(
-    sc: &Scenario,
-    cfg: &AdaptiveConfig,
-    engine: EvalEngine,
-    rebalance: bool,
-) -> AdaptiveReport {
-    // The closed loop always uses the analytic f(Δ): the controller is
-    // being tested against the model the paper derives, not a calibrated
-    // refinement of it.
-    let mut setup = SimSetup::build(sc, false);
-    let bounds = setup.bounds;
-    let queries = setup.queries.clone();
-
-    let mut reference = setup.new_server_opts(sc, engine, false, rebalance);
-    let mut shed = setup.new_server_opts(sc, engine, false, rebalance);
-    let mut ref_reckoners = vec![DeadReckoner::new(); sc.num_cars];
-    let mut shed_reckoners = vec![DeadReckoner::new(); sc.num_cars];
-
-    let mut shedder = LiraShedder::new(setup.config.clone(), cfg.queue_capacity)
-        .expect("validated config")
-        .with_model(setup.model.clone());
-    let sim = &mut setup.sim;
-    let phases = &mut setup.phases;
-    let delta_caps = sc.fleet_delta_caps();
-    let mut grid = StatsGrid::new(sc.alpha, bounds).expect("valid grid");
-    let mut queue: UpdateQueue<MotionReport> = UpdateQueue::new(cfg.queue_capacity);
-    let mut plan = SheddingPlan::uniform(bounds, sc.delta_min);
-    let mut accumulator = MetricsAccumulator::new(queries.len());
-    // Evaluation-round buffers, reused across rounds.
-    let mut ref_results = Vec::new();
-    let mut shed_results = Vec::new();
-    // The uplink sits between the shedding reckoners and the input queue;
-    // the reference server keeps its perfect feed (it defines the right
-    // answer, so channel faults must not corrupt the yardstick). Seeded
-    // with the single-lane channel rule (`seed + 2000`).
-    let mut channel: Option<FaultyChannel<MotionReport>> = sc
-        .faults
-        .clone()
-        .map(|profile| FaultyChannel::new(profile, sc.seed.wrapping_add(2000)));
-
-    let tel = AdaptiveTelemetry::new(true);
-    let total_ticks = (sc.duration_s / sc.dt).round() as usize;
-    let control_every = (cfg.control_period_s / sc.dt).round().max(1.0) as usize;
-    let eval_every = (sc.eval_period_s / sc.dt).round().max(1.0) as usize;
-    let service_per_tick = (cfg.service_rate * sc.dt).round() as usize;
-
-    let mut windows = Vec::new();
-    let mut dropped_before = 0u64;
-    for tick in 1..=total_ticks {
-        phases.apply_due(sim);
-        sim.step(sc.dt);
-        let t = sim.time();
-        for (i, car) in sim.cars().iter().enumerate() {
-            let (pos, vel) = (car.position(), car.velocity());
-            if let Some(rep) = ref_reckoners[i].observe(i as u32, t, pos, vel, sc.delta_min) {
-                reference.ingest(rep.node, t, rep.model.origin, rep.model.velocity);
-            }
-            let delta = plan.throttler_at(&pos);
-            let delta = match &delta_caps {
-                Some(caps) => delta.min(caps[i]),
-                None => delta,
-            };
-            if let Some(rep) = shed_reckoners[i].observe(i as u32, t, pos, vel, delta) {
-                match &mut channel {
-                    None => {
-                        queue.offer_at(t, rep);
-                    }
-                    Some(ch) => ch.send_from(t, pos, rep),
-                }
-            }
-        }
-        if let Some(ch) = &mut channel {
-            for d in ch.poll(t) {
-                // The report's own model time is the send time, so stale
-                // arrivals are rejected downstream by the node store.
-                // The queue timestamp is the *delivery* time: service
-                // latency measures queueing, not the wireless hop.
-                queue.offer_at(t, d.payload);
-            }
-        }
-        // The server drains at its fixed capacity.
-        for (arrived_at, rep) in queue.service_at(service_per_tick) {
-            tel.on_serviced(t - arrived_at);
-            shed.ingest(
-                rep.node,
-                rep.model.time,
-                rep.model.origin,
-                rep.model.velocity,
-            );
-        }
-
-        if tick % control_every == 0 {
-            let obs = queue.window_observation(cfg.control_period_s, cfg.service_rate);
-            grid.begin_snapshot();
-            for car in sim.cars() {
-                grid.observe_node(&car.position(), car.speed(), 1.0);
-            }
-            for q in &queries {
-                grid.observe_query(&q.range);
-            }
-            grid.commit_snapshot();
-            let adaptation = shedder.adapt(&grid, obs).expect("adaptation succeeds");
-            plan = adaptation.plan;
-            let dropped_in_window = queue.dropped() - dropped_before;
-            tel.on_window(
-                t,
-                queue.len(),
-                dropped_in_window,
-                obs.arrival_rate,
-                obs.service_rate,
-                shedder.controller(),
-            );
-            windows.push(WindowStats {
-                time: t,
-                arrival_rate: obs.arrival_rate,
-                throttle: adaptation.throttle,
-                queue_len: queue.len(),
-                dropped: dropped_in_window,
-            });
-            dropped_before = queue.dropped();
-        }
-
-        if tick % eval_every == 0 {
-            reference.evaluate_into(t, &mut ref_results);
-            shed.evaluate_into(t, &mut shed_results);
-            accumulator.record_round(
-                &ref_results,
-                &shed_results,
-                |n| reference.predict(n, t),
-                |n| shed.predict(n, t),
-            );
+impl ClosedLoop {
+    pub(crate) fn new(cfg: &AdaptiveConfig, sc: &Scenario, tel: AdaptiveTelemetry) -> Self {
+        ClosedLoop {
+            cfg: *cfg,
+            controller: ThrotLoop::new(cfg.queue_capacity).expect("valid queue capacity"),
+            queue: UpdateQueue::new(cfg.queue_capacity),
+            service_per_tick: (cfg.service_rate * sc.dt).round() as usize,
+            windows: Vec::new(),
+            dropped_before: 0,
+            tel,
         }
     }
 
-    let faults = match &channel {
-        Some(ch) => {
-            tel.on_channel(&ch.stats());
-            FaultReport::from_channel(ch.stats(), ch.pending())
-        }
-        None => FaultReport::default(),
-    };
-    // Per-shard accounting for the capacity-limited server (the reference
-    // is infinitely provisioned, so only the shed side is interesting).
-    if let Some(stats) = shed.shard_stats() {
-        tel.on_shards(&stats);
-    }
-    if let Some(rs) = shed.restripe_stats() {
-        tel.on_restripe(&rs);
-    }
-    AdaptiveReport {
-        windows,
-        final_throttle: shedder.throttle(),
-        drop_fraction: queue.drop_fraction(),
-        metrics: accumulator.report(),
-        faults,
-        telemetry: tel.snapshot(),
-    }
-}
-
-/// Runs the closed loop with an arbitrary roster [`Policy`] in place of
-/// the built-in LIRA shedder: THROTLOOP still drives `z` from the same
-/// queue observations, but the plan comes from the policy's
-/// [`adapt`](lira_core::policy::SheddingPolicy::adapt), server-actuated
-/// policies (Random Drop) shed at the input queue via
-/// [`admission`](lira_core::policy::SheddingPolicy::admission) (drawn
-/// from the lane RNG rule, `seed + 1000`), and feedback-aware policies
-/// receive [`RoundFeedback`] after every evaluation round.
-///
-/// This is a separate entry point rather than a generalization of
-/// [`run_adaptive`]: the historical runner's outputs are pinned by
-/// regression goldens and stay byte-for-byte untouched.
-pub fn run_adaptive_policy(sc: &Scenario, cfg: &AdaptiveConfig, policy: Policy) -> AdaptiveReport {
-    let engine = EvalEngine::default();
-    let rebalance = rebalance_from_env(false);
-    let mut setup = SimSetup::build(sc, false);
-    let bounds = setup.bounds;
-    let queries = setup.queries.clone();
-
-    let mut reference = setup.new_server_opts(sc, engine, false, rebalance);
-    let mut shed = setup.new_server_opts(sc, engine, false, rebalance);
-    let mut ref_reckoners = vec![DeadReckoner::new(); sc.num_cars];
-    let mut shed_reckoners = vec![DeadReckoner::new(); sc.num_cars];
-
-    let mut shedding = policy.build(sc, &setup.config, &setup.model);
-    let mut controller = ThrotLoop::new(cfg.queue_capacity).expect("valid queue capacity");
-    let mut drop_rng = SmallRng::seed_from_u64(sc.seed.wrapping_add(1000));
-    let sim = &mut setup.sim;
-    let phases = &mut setup.phases;
-    let delta_caps = sc.fleet_delta_caps();
-    let mut grid = StatsGrid::new(sc.alpha, bounds).expect("valid grid");
-    // The queue payload carries the sender's plan-region index so
-    // per-region feedback accounting survives the uplink.
-    let mut queue: UpdateQueue<(MotionReport, u32)> = UpdateQueue::new(cfg.queue_capacity);
-    let mut plan = SheddingPlan::uniform(bounds, sc.delta_min);
-    let mut accumulator = MetricsAccumulator::new(queries.len());
-    let mut ref_results = Vec::new();
-    let mut shed_results = Vec::new();
-    let mut channel: Option<FaultyChannel<(MotionReport, u32)>> = sc
-        .faults
-        .clone()
-        .map(|profile| FaultyChannel::new(profile, sc.seed.wrapping_add(2000)));
-
-    let tel = AdaptiveTelemetry::new(true);
-    let total_ticks = (sc.duration_s / sc.dt).round() as usize;
-    let control_every = (cfg.control_period_s / sc.dt).round().max(1.0) as usize;
-    let eval_every = (sc.eval_period_s / sc.dt).round().max(1.0) as usize;
-    let service_per_tick = (cfg.service_rate * sc.dt).round() as usize;
-
-    // Per-plan-region epoch counters (cumulative within a plan epoch,
-    // reset at every adaptation) plus the accumulator totals at the
-    // previous round, mirroring the fixed-`z` pipeline's feedback path.
-    let mut region_admitted: Vec<u64> = vec![0; plan.len()];
-    let mut region_shed: Vec<u64> = vec![0; plan.len()];
-    let mut prev_totals = (0.0f64, 0.0f64);
-    let mut admission = shedding.admission(controller.throttle());
-
-    let bump = |counts: &mut Vec<u64>, region: u32| {
-        if let Some(slot) = counts.get_mut(region as usize) {
-            *slot += 1;
-        }
-    };
-
-    let mut windows = Vec::new();
-    let mut dropped_before = 0u64;
-    for tick in 1..=total_ticks {
-        phases.apply_due(sim);
-        sim.step(sc.dt);
-        let t = sim.time();
-        for (i, car) in sim.cars().iter().enumerate() {
-            let (pos, vel) = (car.position(), car.velocity());
-            if let Some(rep) = ref_reckoners[i].observe(i as u32, t, pos, vel, sc.delta_min) {
-                reference.ingest(rep.node, t, rep.model.origin, rep.model.velocity);
-            }
-            let (region, delta) = plan.region_at(&pos);
-            let region = region.map_or(u32::MAX, |r| r as u32);
-            let delta = match &delta_caps {
-                Some(caps) => delta.min(caps[i]),
-                None => delta,
-            };
-            if let Some(rep) = shed_reckoners[i].observe(i as u32, t, pos, vel, delta) {
-                match &mut channel {
-                    None => {
-                        // Server-actuated shedding happens at the input
-                        // queue, before the update is enqueued.
-                        if admission >= 1.0 || drop_rng.gen_bool(admission) {
-                            bump(&mut region_admitted, region);
-                            queue.offer_at(t, (rep, region));
-                        } else {
-                            bump(&mut region_shed, region);
-                        }
-                    }
-                    Some(ch) => ch.send_from(t, pos, (rep, region)),
-                }
-            }
-        }
-        if let Some(ch) = &mut channel {
-            for d in ch.poll(t) {
-                let (rep, region) = d.payload;
-                if admission >= 1.0 || drop_rng.gen_bool(admission) {
-                    bump(&mut region_admitted, region);
-                    queue.offer_at(t, (rep, region));
-                } else {
-                    bump(&mut region_shed, region);
-                }
-            }
-        }
-        for (arrived_at, (rep, _region)) in queue.service_at(service_per_tick) {
-            tel.on_serviced(t - arrived_at);
-            shed.ingest(
-                rep.node,
-                rep.model.time,
-                rep.model.origin,
-                rep.model.velocity,
-            );
-        }
-
-        if tick % control_every == 0 {
-            let obs = queue.window_observation(cfg.control_period_s, cfg.service_rate);
-            let z = controller.observe(obs);
-            grid.begin_snapshot();
-            for car in sim.cars() {
-                grid.observe_node(&car.position(), car.speed(), 1.0);
-            }
-            for q in &queries {
-                grid.observe_query(&q.range);
-            }
-            grid.commit_snapshot();
-            plan = shedding.adapt(&grid, z).expect("adaptation succeeds");
-            admission = shedding.admission(z);
-            region_admitted.clear();
-            region_admitted.resize(plan.len(), 0);
-            region_shed.clear();
-            region_shed.resize(plan.len(), 0);
-            let dropped_in_window = queue.dropped() - dropped_before;
-            tel.on_window(
-                t,
-                queue.len(),
-                dropped_in_window,
-                obs.arrival_rate,
-                obs.service_rate,
-                &controller,
-            );
-            windows.push(WindowStats {
-                time: t,
-                arrival_rate: obs.arrival_rate,
-                throttle: z,
-                queue_len: queue.len(),
-                dropped: dropped_in_window,
-            });
-            dropped_before = queue.dropped();
-        }
-
-        if tick % eval_every == 0 {
-            reference.evaluate_into(t, &mut ref_results);
-            shed.evaluate_into(t, &mut shed_results);
-            accumulator.record_round(
-                &ref_results,
-                &shed_results,
-                |n| reference.predict(n, t),
-                |n| shed.predict(n, t),
-            );
-            let (c_tot, p_tot) = accumulator.totals();
-            let round_queries = ref_results.len().max(1) as f64;
-            shedding.observe_round(&RoundFeedback {
-                position_error: (p_tot - prev_totals.1) / round_queries,
-                containment_error: (c_tot - prev_totals.0) / round_queries,
-                region_admitted: &region_admitted,
-                region_shed: &region_shed,
-                regions: plan.regions(),
-            });
-            prev_totals = (c_tot, p_tot);
-        }
+    /// Seconds between control windows.
+    pub(crate) fn period_s(&self) -> f64 {
+        self.cfg.control_period_s
     }
 
-    let faults = match &channel {
-        Some(ch) => {
-            tel.on_channel(&ch.stats());
-            FaultReport::from_channel(ch.stats(), ch.pending())
+    /// Offers an admitted update to the queue (tail-dropped when full).
+    /// The queue timestamp is the *delivery* time: service latency
+    /// measures queueing, not the wireless hop.
+    pub(crate) fn offer(&mut self, now: f64, sent_at: f64, update: UplinkPayload) {
+        self.queue.offer_at(now, (sent_at, update));
+    }
+
+    /// The updates the server gets to at its fixed capacity this tick,
+    /// each with its queue-entry time.
+    pub(crate) fn service(&mut self, now: f64) -> Vec<(f64, Queued)> {
+        let due = self.queue.service_at(self.service_per_tick);
+        for (arrived_at, _) in &due {
+            self.tel.on_serviced(now - arrived_at);
         }
-        None => FaultReport::default(),
-    };
-    if let Some(stats) = shed.shard_stats() {
-        tel.on_shards(&stats);
+        due
     }
-    if let Some(rs) = shed.restripe_stats() {
-        tel.on_restripe(&rs);
+
+    /// Closes a control window at `t`: THROTLOOP observes the window's
+    /// `(λ, μ)` and returns the throttle fraction to re-plan under.
+    pub(crate) fn close_window(&mut self, t: f64) -> f64 {
+        let obs = self
+            .queue
+            .window_observation(self.cfg.control_period_s, self.cfg.service_rate);
+        let z = self.controller.observe(obs);
+        let dropped = self.queue.dropped() - self.dropped_before;
+        self.dropped_before = self.queue.dropped();
+        self.tel.on_window(
+            t,
+            self.queue.len(),
+            dropped,
+            obs.arrival_rate,
+            obs.service_rate,
+            &self.controller,
+        );
+        self.windows.push(WindowStats {
+            time: t,
+            arrival_rate: obs.arrival_rate,
+            throttle: z,
+            queue_len: self.queue.len(),
+            dropped,
+        });
+        z
     }
-    AdaptiveReport {
-        windows,
-        final_throttle: controller.throttle(),
-        drop_fraction: queue.drop_fraction(),
-        metrics: accumulator.report(),
-        faults,
-        telemetry: tel.snapshot(),
+
+    /// The run's report around the lane's accuracy, fault and telemetry
+    /// books. With no window ever closed the throttle in force is still
+    /// the scenario's configured one.
+    pub(crate) fn report(
+        self,
+        sc: &Scenario,
+        metrics: MetricsReport,
+        faults: FaultReport,
+        telemetry: lira_core::telemetry::TelemetrySnapshot,
+    ) -> AdaptiveReport {
+        AdaptiveReport {
+            final_throttle: if self.windows.is_empty() {
+                sc.throttle
+            } else {
+                self.controller.throttle()
+            },
+            windows: self.windows,
+            drop_fraction: self.queue.drop_fraction(),
+            metrics,
+            faults,
+            telemetry,
+        }
     }
 }
 
@@ -537,7 +264,7 @@ mod tests {
             Policy::UtilityModel,
             Policy::RandomDrop,
         ] {
-            let report = run_adaptive_policy(&sc, &cfg, policy);
+            let report = SimPipeline::new().run_adaptive(&sc, &cfg, policy);
             assert!(!report.windows.is_empty(), "{policy:?}");
             assert!(
                 report.final_throttle > 0.0 && report.final_throttle <= 1.0,
@@ -547,8 +274,8 @@ mod tests {
             assert!(report.metrics.mean_containment.is_finite(), "{policy:?}");
         }
         // Determinism: the policy runner is a pure function of its inputs.
-        let a = run_adaptive_policy(&sc, &cfg, Policy::UtilityGreedy);
-        let b = run_adaptive_policy(&sc, &cfg, Policy::UtilityGreedy);
+        let a = SimPipeline::new().run_adaptive(&sc, &cfg, Policy::UtilityGreedy);
+        let b = SimPipeline::new().run_adaptive(&sc, &cfg, Policy::UtilityGreedy);
         assert_eq!(a.metrics, b.metrics);
         assert_eq!(a.final_throttle, b.final_throttle);
     }

@@ -19,24 +19,22 @@ pub mod adaptive;
 pub mod metrics;
 pub mod pipeline;
 pub mod runner;
-pub mod scenario;
 pub mod telemetry;
 
 /// Convenient re-exports of the most used types.
 pub mod prelude {
-    pub use crate::adaptive::{
-        run_adaptive, run_adaptive_opts, run_adaptive_policy, run_adaptive_with_engine,
-        AdaptiveConfig, AdaptiveReport, WindowStats,
-    };
+    pub use crate::adaptive::{run_adaptive, AdaptiveConfig, AdaptiveReport, WindowStats};
     pub use crate::metrics::{
         evaluation_errors, FaultReport, MetricsAccumulator, MetricsReport, QueryErrors,
     };
     pub use crate::pipeline::{
         CarState, Parallelism, ReferenceTimeline, SimPipeline, SimSetup, TrafficTrace,
     };
-    pub use crate::runner::{run_scenario, Policy, PolicyOutcome, RunReport};
-    pub use crate::scenario::{DemandPhase, NamedScenario, PhaseSchedule, Scenario, SpeedClass};
+    pub use crate::runner::{run_scenario, PolicyOutcome, RunReport};
     pub use crate::telemetry::{AdaptiveTelemetry, LaneTelemetry, PipelineTelemetry};
+    pub use lira_core::policy::Policy;
     pub use lira_core::telemetry::TelemetrySnapshot;
     pub use lira_server::cq_engine::EvalEngine;
+    pub use lira_workload::catalog::NamedScenario;
+    pub use lira_workload::scenario::{DemandPhase, PhaseSchedule, Scenario, SpeedClass};
 }

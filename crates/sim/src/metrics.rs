@@ -20,6 +20,40 @@ pub struct QueryErrors {
     pub position: f64,
 }
 
+/// Errors of one query's shed result `s` against its reference `r` — the
+/// one place the Section 4.1.1 arithmetic lives, so every caller sums in
+/// the same order and gets the same bits.
+fn query_errors(
+    r: &QueryResult,
+    s: &QueryResult,
+    ref_pos: &mut impl FnMut(u32) -> Option<Point>,
+    shed_pos: &mut impl FnMut(u32) -> Option<Point>,
+) -> QueryErrors {
+    debug_assert_eq!(r.query, s.query);
+    let missing = r.missing_from(s);
+    let extra = s.missing_from(r);
+    let denom = r.nodes.len().max(1) as f64;
+    let containment = (missing + extra) as f64 / denom;
+
+    let mut pos_sum = 0.0;
+    let mut pos_count = 0usize;
+    for &node in &s.nodes {
+        if let (Some(p), Some(p_star)) = (shed_pos(node), ref_pos(node)) {
+            pos_sum += p.distance(&p_star);
+            pos_count += 1;
+        }
+    }
+    let position = if pos_count > 0 {
+        pos_sum / pos_count as f64
+    } else {
+        0.0
+    };
+    QueryErrors {
+        containment,
+        position,
+    }
+}
+
 /// Computes per-query errors for one evaluation round.
 ///
 /// `reference` and `shed` must be index-aligned (same query in the same
@@ -39,31 +73,7 @@ pub fn evaluation_errors(
     reference
         .iter()
         .zip(shed)
-        .map(|(r, s)| {
-            debug_assert_eq!(r.query, s.query);
-            let missing = r.missing_from(s);
-            let extra = s.missing_from(r);
-            let denom = r.nodes.len().max(1) as f64;
-            let containment = (missing + extra) as f64 / denom;
-
-            let mut pos_sum = 0.0;
-            let mut pos_count = 0usize;
-            for &node in &s.nodes {
-                if let (Some(p), Some(p_star)) = (shed_pos(node), ref_pos(node)) {
-                    pos_sum += p.distance(&p_star);
-                    pos_count += 1;
-                }
-            }
-            let position = if pos_count > 0 {
-                pos_sum / pos_count as f64
-            } else {
-                0.0
-            };
-            QueryErrors {
-                containment,
-                position,
-            }
-        })
+        .map(|(r, s)| query_errors(r, s, &mut ref_pos, &mut shed_pos))
         .collect()
 }
 
@@ -110,11 +120,9 @@ impl MetricsAccumulator {
     }
 
     /// Records one evaluation round straight from the two result sets,
-    /// accumulating in place — no per-round `Vec<QueryErrors>` and no
-    /// per-query allocations, with arithmetic identical (same operations,
-    /// same order, bit-identical sums) to
-    /// [`evaluation_errors`] followed by [`record`](Self::record). This is
-    /// the steady-state entry point for simulation lanes.
+    /// accumulating in place — [`evaluation_errors`] followed by
+    /// [`record`](Self::record) without the per-round `Vec<QueryErrors>`.
+    /// This is the steady-state entry point for simulation lanes.
     pub fn record_round(
         &mut self,
         reference: &[QueryResult],
@@ -129,27 +137,9 @@ impl MetricsAccumulator {
         );
         assert_eq!(reference.len(), self.containment_sums.len());
         for (i, (r, s)) in reference.iter().zip(shed).enumerate() {
-            debug_assert_eq!(r.query, s.query);
-            let missing = r.missing_from(s);
-            let extra = s.missing_from(r);
-            let denom = r.nodes.len().max(1) as f64;
-            let containment = (missing + extra) as f64 / denom;
-
-            let mut pos_sum = 0.0;
-            let mut pos_count = 0usize;
-            for &node in &s.nodes {
-                if let (Some(p), Some(p_star)) = (shed_pos(node), ref_pos(node)) {
-                    pos_sum += p.distance(&p_star);
-                    pos_count += 1;
-                }
-            }
-            let position = if pos_count > 0 {
-                pos_sum / pos_count as f64
-            } else {
-                0.0
-            };
-            self.containment_sums[i] += containment;
-            self.position_sums[i] += position;
+            let e = query_errors(r, s, &mut ref_pos, &mut shed_pos);
+            self.containment_sums[i] += e.containment;
+            self.position_sums[i] += e.position;
         }
         self.rounds += 1;
     }

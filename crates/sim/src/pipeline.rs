@@ -5,8 +5,7 @@
 //!
 //! 1. [`SimSetup`] — road network, traffic demand, a warmed-up (and
 //!    optionally model-calibrating) [`TrafficSimulator`], and the query
-//!    workload. Shared by the fixed-`z` runner and the closed-loop
-//!    [`run_adaptive`](crate::adaptive::run_adaptive).
+//!    workload.
 //! 2. [`TrafficTrace`] — the measured window's car states, recorded once.
 //!    The trace is the *only* coupling between the traffic model and the
 //!    servers, so every downstream lane sees byte-identical inputs.
@@ -20,6 +19,14 @@
 //!    policies they run on scoped threads ([`std::thread::scope`], no
 //!    extra dependencies).
 //!
+//! There is one lane loop under two controls: [`SimPipeline::run`] holds
+//! `z` fixed and re-plans on the scenario's adaptation period;
+//! [`SimPipeline::run_adaptive`] puts a bounded queue, a finite service
+//! rate and THROTLOOP in front of the same lane (Section 3.4). The
+//! pipeline is also the only place an engine, re-striping or parallelism
+//! option is named: every server of a run comes from
+//! [`SimPipeline::server`].
+//!
 //! Lane results are deterministic regardless of execution mode: each lane
 //! derives its RNG from the scenario seed and its policy index
 //! (`seed + 1000 + index`, the same rule the sequential runner always
@@ -32,7 +39,7 @@ use std::time::Instant;
 use lira_core::config::LiraConfig;
 use lira_core::geometry::{Point, Rect};
 use lira_core::plan::SheddingPlan;
-use lira_core::policy::{RoundFeedback, SheddingPolicy};
+use lira_core::policy::{Policy, RoundFeedback, SheddingPolicy};
 use lira_core::reduction::ReductionModel;
 use lira_core::stats_grid::StatsGrid;
 use lira_mobility::generator::{generate_network, NetworkConfig};
@@ -41,14 +48,14 @@ use lira_mobility::simulator::{TrafficConfig, TrafficSimulator};
 use lira_server::channel::FaultyChannel;
 use lira_server::cq_engine::{rebalance_from_env, CqServer, EvalEngine};
 use lira_server::query::{QueryResult, RangeQuery};
-use lira_workload::scenario::PhaseSchedule;
+use lira_workload::scenario::{PhaseSchedule, Scenario};
 use lira_workload::{generate_queries, WorkloadConfig};
 use rand::rngs::SmallRng;
 use rand::{Rng, SeedableRng};
 
+use crate::adaptive::{AdaptiveConfig, AdaptiveReport, ClosedLoop};
 use crate::metrics::{FaultReport, MetricsAccumulator};
-use crate::runner::{Policy, PolicyOutcome, RunReport};
-use crate::scenario::Scenario;
+use crate::runner::{PolicyOutcome, RunReport};
 use crate::telemetry::{LaneTelemetry, PipelineTelemetry};
 
 /// How policy lanes are executed.
@@ -173,40 +180,6 @@ impl SimSetup {
             phases.apply_due(sim)
         })
     }
-
-    /// A CQ server over this setup's space with the workload registered,
-    /// using the default [`EvalEngine`].
-    pub fn new_server(&self, sc: &Scenario) -> CqServer {
-        self.new_server_with(sc, EvalEngine::default())
-    }
-
-    /// A CQ server with the workload registered and an explicit engine.
-    pub fn new_server_with(&self, sc: &Scenario, engine: EvalEngine) -> CqServer {
-        self.new_server_opts(sc, engine, false, false)
-    }
-
-    /// [`new_server_with`](Self::new_server_with), optionally forcing
-    /// every evaluation phase onto the calling thread and/or enabling
-    /// the online re-striper. [`Parallelism::Sequential`] passes
-    /// `sequential_eval = true` so a "sequential" pipeline run spawns no
-    /// threads anywhere — not even inside the unified engine (which is
-    /// bit-identical either way); `rebalance` switches the unified
-    /// engine to load-aware boundaries plus online re-striping (also
-    /// bit-identical — see `restripe_equiv.rs`).
-    pub fn new_server_opts(
-        &self,
-        sc: &Scenario,
-        engine: EvalEngine,
-        sequential_eval: bool,
-        rebalance: bool,
-    ) -> CqServer {
-        let mut s = CqServer::new(self.bounds, sc.num_cars, 64)
-            .with_engine(engine)
-            .with_sequential_eval(sequential_eval)
-            .with_rebalance(rebalance);
-        s.register_queries(self.queries.iter().copied());
-        s
-    }
 }
 
 /// One car's kinematic state at one trace tick.
@@ -319,66 +292,10 @@ pub struct ReferenceTimeline {
 
 impl ReferenceTimeline {
     /// Replays the reference server (threshold `Δ⊢` everywhere) over the
-    /// trace, evaluating every `sc.eval_period_s`.
+    /// trace, evaluating every `sc.eval_period_s`, with the default
+    /// pipeline options (see [`SimPipeline::reference`]).
     pub fn compute(trace: &TrafficTrace, setup: &SimSetup, sc: &Scenario) -> Self {
-        Self::compute_with(trace, setup, sc, EvalEngine::default())
-    }
-
-    /// [`compute`](Self::compute) with an explicit evaluation engine.
-    pub fn compute_with(
-        trace: &TrafficTrace,
-        setup: &SimSetup,
-        sc: &Scenario,
-        engine: EvalEngine,
-    ) -> Self {
-        Self::compute_opts(trace, setup, sc, engine, false, false)
-    }
-
-    /// [`compute_with`](Self::compute_with), optionally forcing the
-    /// reference server's evaluation onto the calling thread and/or
-    /// enabling the online re-striper (see
-    /// [`SimSetup::new_server_opts`]).
-    pub fn compute_opts(
-        trace: &TrafficTrace,
-        setup: &SimSetup,
-        sc: &Scenario,
-        engine: EvalEngine,
-        sequential_eval: bool,
-        rebalance: bool,
-    ) -> Self {
-        let mut server = setup.new_server_opts(sc, engine, sequential_eval, rebalance);
-        let mut reckoners = vec![DeadReckoner::new(); trace.num_cars()];
-        let eval_every = (sc.eval_period_s / sc.dt).round().max(1.0) as usize;
-        let mut reference_updates = 0u64;
-        let mut frames = Vec::new();
-
-        for tick in 1..=trace.ticks() {
-            let t = trace.time(tick);
-            for (i, car) in trace.cars(tick).iter().enumerate() {
-                if let Some(rep) =
-                    reckoners[i].observe(i as u32, t, car.position, car.velocity, sc.delta_min)
-                {
-                    reference_updates += 1;
-                    server.ingest(rep.node, t, rep.model.origin, rep.model.velocity);
-                }
-            }
-            if tick % eval_every == 0 {
-                let results = server.evaluate(t);
-                let predictions = (0..trace.num_cars() as u32)
-                    .map(|n| server.predict(n, t))
-                    .collect();
-                frames.push(EvalFrame {
-                    tick,
-                    time: t,
-                    results,
-                    predictions,
-                });
-            }
-        }
-        ReferenceTimeline {
-            reference_updates,
-            frames,
-        }
+        SimPipeline::new().reference(trace, setup, sc)
     }
 }
 
@@ -387,24 +304,43 @@ impl ReferenceTimeline {
 /// in (`u32::MAX` when the plan resolved no region) — the last field
 /// exists so per-region admission accounting survives the channel's
 /// delay. Send time rides on the channel envelope.
-type UplinkPayload = (u32, Point, (f64, f64), u32);
+pub(crate) type UplinkPayload = (u32, Point, (f64, f64), u32);
 
 /// Region sentinel for "the plan had no region covering this position".
 const NO_REGION: u32 = u32::MAX;
+
+/// What sets a lane's throttle fraction, and what sits between admission
+/// and the lane's server.
+enum Control {
+    /// `sc.throttle` throughout (the paper's system-parameter mode),
+    /// re-planned every `sc.adapt_period_s` starting at tick 0. Admitted
+    /// updates reach the server as they arrive.
+    Fixed,
+    /// THROTLOOP re-derives `z` every control window from a bounded input
+    /// queue that the server drains at a finite rate (Section 3.4). No
+    /// plan exists until the first window closes.
+    Closed(Box<ClosedLoop>),
+}
 
 /// Stage 4: one policy's isolated simulation state. Owns everything it
 /// mutates, so lanes can run on separate threads.
 struct PolicyLane {
     policy: Policy,
     shedding: Box<dyn SheddingPolicy>,
+    control: Control,
     server: CqServer,
     reckoners: Vec<DeadReckoner>,
     grid: StatsGrid,
     plan: SheddingPlan,
+    /// Probability that the server admits an arriving update under the
+    /// plan in force ([`SheddingPolicy::admission`]); 1 until the first
+    /// plan.
+    admission: f64,
     drop_rng: SmallRng,
     /// The uplink between this lane's dead reckoners and its server;
     /// `None` is the historical perfect channel.
     channel: Option<FaultyChannel<UplinkPayload>>,
+    faults: FaultReport,
     updates_sent: u64,
     updates_processed: u64,
     adapt_micros: Vec<u64>,
@@ -465,43 +401,56 @@ fn coefficient_of_variation(values: impl Iterator<Item = f64> + Clone) -> f64 {
     var.sqrt() / mean
 }
 
+/// Ticks per `period_s` (at least one).
+fn ticks_per(period_s: f64, sc: &Scenario) -> usize {
+    (period_s / sc.dt).round().max(1.0) as usize
+}
+
 impl PolicyLane {
-    /// Builds the lane for `policy` at position `index` in the run. The
-    /// lane RNG seed is `scenario seed + 1000 + index`, matching the
-    /// historical sequential runner so results stay reproducible; the
-    /// channel RNG extends the same rule at offset 2000, keeping fault
-    /// draws out of the admission stream (a faulty run perturbs traffic,
-    /// never the drop decisions of an identically-seeded perfect run).
-    #[allow(clippy::too_many_arguments)]
+    /// Builds the lane for `policy` at position `index` in the run, with
+    /// its server taken from `pipeline`. The lane RNG seed is `scenario
+    /// seed + 1000 + index`, matching the historical sequential runner so
+    /// results stay reproducible; the channel RNG extends the same rule
+    /// at offset 2000, keeping fault draws out of the admission stream (a
+    /// faulty run perturbs traffic, never the drop decisions of an
+    /// identically-seeded perfect run).
     fn new(
+        pipeline: &SimPipeline,
         policy: Policy,
         index: usize,
         setup: &SimSetup,
         sc: &Scenario,
-        telemetry: bool,
-        engine: EvalEngine,
-        sequential_eval: bool,
-        rebalance: bool,
+        closed: Option<&AdaptiveConfig>,
     ) -> Self {
+        let tel = LaneTelemetry::new(pipeline.telemetry);
+        let plan = SheddingPlan::uniform(setup.bounds, sc.delta_min);
         PolicyLane {
             policy,
-            shedding: policy.build(sc, &setup.config, &setup.model),
-            server: setup.new_server_opts(sc, engine, sequential_eval, rebalance),
+            shedding: policy.build(&setup.config, &setup.model),
+            control: match closed {
+                None => Control::Fixed,
+                Some(cfg) => Control::Closed(Box::new(ClosedLoop::new(cfg, sc, tel.closed_loop()))),
+            },
+            server: pipeline.server(setup, sc),
             reckoners: vec![DeadReckoner::new(); sc.num_cars],
             grid: StatsGrid::new(sc.alpha, setup.bounds).expect("valid grid"),
-            plan: SheddingPlan::uniform(setup.bounds, sc.delta_min),
+            admission: 1.0,
             drop_rng: SmallRng::seed_from_u64(sc.seed.wrapping_add(1000 + index as u64)),
             channel: sc.faults.clone().map(|profile| {
                 FaultyChannel::new(profile, sc.seed.wrapping_add(2000 + index as u64))
             }),
+            faults: FaultReport::default(),
             updates_sent: 0,
             updates_processed: 0,
             adapt_micros: Vec::new(),
             accumulator: MetricsAccumulator::new(setup.queries.len()),
             shed_results: Vec::new(),
-            tel: LaneTelemetry::new(telemetry),
-            region_admitted: Vec::new(),
-            region_shed: Vec::new(),
+            tel,
+            // The default plan's one region: feedback before the first
+            // adaptation is indexed by it.
+            region_admitted: vec![0; plan.len()],
+            region_shed: vec![0; plan.len()],
+            plan,
             prev_totals: (0.0, 0.0),
             delta_caps: sc.fleet_delta_caps(),
             skew_cells: vec![0; SKEW_GRID * SKEW_GRID],
@@ -544,9 +493,12 @@ impl PolicyLane {
     fn adapt(&mut self, cars: &[CarState], queries: &[RangeQuery], z: f64) {
         // Close out the outgoing plan's per-region epoch before replacing
         // it (the region indices are only meaningful against one plan).
-        self.tel
-            .flush_regions(&self.region_admitted, &self.region_shed);
-        self.flush_shed_skew();
+        // The default plan a lane starts under is not an epoch.
+        if self.plan_epochs > 0 {
+            self.tel
+                .flush_regions(&self.region_admitted, &self.region_shed);
+            self.flush_shed_skew();
+        }
         self.grid.begin_snapshot();
         for car in cars {
             self.grid.observe_node(&car.position, car.speed(), 1.0);
@@ -561,6 +513,7 @@ impl PolicyLane {
             .adapt(&self.grid, z)
             .expect("adaptation succeeds on a committed snapshot");
         let micros = started.elapsed().as_micros() as u64;
+        self.admission = self.shedding.admission(z);
         self.adapt_micros.push(micros);
         self.plan_skew_sum +=
             coefficient_of_variation(self.plan.regions().iter().map(|r| r.throttler));
@@ -582,19 +535,67 @@ impl PolicyLane {
         }
     }
 
-    /// Replays the lane over the whole trace and produces its outcome.
+    /// One update reaches the server's input at `now`, having been sent
+    /// at `sent_at`. Admission is drawn per arrival: server-actuated
+    /// policies (Random Drop) shed here, after the wireless cost is paid.
+    /// On the perfect channel and under a zero-fault profile alike,
+    /// arrivals come same-tick in send order, so the draw sequence is the
+    /// same.
+    fn arrive(&mut self, now: f64, sent_at: f64, update: UplinkPayload) {
+        let (_, origin, _, region) = update;
+        if self.admission < 1.0 && !self.drop_rng.gen_bool(self.admission) {
+            self.tel.on_shed();
+            Self::bump_region(&mut self.region_shed, region);
+            self.bump_skew_cell(&origin);
+            return;
+        }
+        match &mut self.control {
+            // A region is credited with what its senders got applied.
+            Control::Fixed => {
+                if self.ingest(sent_at, update) {
+                    Self::bump_region(&mut self.region_admitted, region);
+                }
+            }
+            // A region is credited with what passed admission, whether
+            // or not the bounded queue then has room for it.
+            Control::Closed(cl) => {
+                Self::bump_region(&mut self.region_admitted, region);
+                cl.offer(now, sent_at, update);
+            }
+        }
+    }
+
+    /// Applies one update at its *send* time: delayed copies arrive
+    /// stale, and the node store's per-node reorder guard (not this lane)
+    /// decides what still applies — duplicates and overtaken reports fall
+    /// out there.
+    fn ingest(&mut self, sent_at: f64, (node, origin, velocity, _): UplinkPayload) -> bool {
+        let applied = self.server.ingest(node, sent_at, origin, velocity);
+        if applied {
+            self.updates_processed += 1;
+            self.tel.on_admitted();
+        }
+        applied
+    }
+
+    /// Replays the lane over the whole trace: the one loop that drives a
+    /// shedding server tick by tick.
     fn run(
-        mut self,
+        &mut self,
         trace: &TrafficTrace,
         reference: &ReferenceTimeline,
         queries: &[RangeQuery],
         sc: &Scenario,
-    ) -> PolicyOutcome {
+    ) {
         let total_ticks = trace.ticks();
-        let adapt_every = (sc.adapt_period_s / sc.dt).round().max(1.0) as usize;
-        let admission = self.shedding.admission(sc.throttle);
-
-        self.adapt(trace.cars(0), queries, sc.throttle);
+        let adapt_every = match &self.control {
+            Control::Fixed => {
+                self.adapt(trace.cars(0), queries, sc.throttle);
+                ticks_per(sc.adapt_period_s, sc)
+            }
+            Control::Closed(cl) => ticks_per(cl.period_s(), sc),
+        };
+        let mut channel = self.channel.take();
         let mut next_frame = 0usize;
 
         for tick in 1..=total_ticks {
@@ -615,77 +616,41 @@ impl PolicyLane {
                 {
                     self.updates_sent += 1;
                     self.tel.on_sent();
-                    match &mut self.channel {
-                        // Perfect channel: the historical inline path.
-                        // Server-actuated policies (Random Drop) admit
-                        // only a fraction of the arrivals; the wireless
-                        // cost is already paid at this point.
-                        None => {
-                            if admission >= 1.0 || self.drop_rng.gen_bool(admission) {
-                                self.updates_processed += 1;
-                                self.tel.on_admitted();
-                                Self::bump_region(&mut self.region_admitted, region);
-                                self.server.ingest(
-                                    rep.node,
-                                    t,
-                                    rep.model.origin,
-                                    rep.model.velocity,
-                                );
-                            } else {
-                                self.tel.on_shed();
-                                Self::bump_region(&mut self.region_shed, region);
-                                self.bump_skew_cell(&rep.model.origin);
-                            }
-                        }
+                    let update = (rep.node, rep.model.origin, rep.model.velocity, region);
+                    match &mut channel {
+                        None => self.arrive(t, t, update),
                         // The sender's true position is declared so
                         // regional outages (failed base stations) can
                         // match it; without regional outages in the
                         // profile this is bit-identical to plain `send`.
-                        Some(ch) => ch.send_from(
-                            t,
-                            car.position,
-                            (rep.node, rep.model.origin, rep.model.velocity, region),
-                        ),
+                        Some(ch) => ch.send_from(t, car.position, update),
                     }
                 }
             }
-            if let Some(ch) = &mut self.channel {
+            if let Some(ch) = &mut channel {
                 for d in ch.poll(t) {
-                    // Admission is drawn per arrival: server-actuated
-                    // drops happen at the input queue, after the wireless
-                    // hop. A zero-fault profile delivers same-tick in
-                    // send order, so the draw sequence is identical to
-                    // the perfect-channel path above.
-                    let (node, origin, velocity, region) = d.payload;
-                    if admission >= 1.0 || self.drop_rng.gen_bool(admission) {
-                        // Ingest at *send* time: delayed copies arrive
-                        // stale, and the node store's per-node reorder
-                        // guard (not this loop) decides what still
-                        // applies — duplicates and overtaken reports
-                        // fall out there.
-                        if self.server.ingest(node, d.sent_at, origin, velocity) {
-                            self.updates_processed += 1;
-                            self.tel.on_admitted();
-                            Self::bump_region(&mut self.region_admitted, region);
-                        }
-                    } else {
-                        self.tel.on_shed();
-                        Self::bump_region(&mut self.region_shed, region);
-                        self.bump_skew_cell(&origin);
-                    }
+                    self.arrive(t, d.sent_at, d.payload);
+                }
+            }
+            if let Control::Closed(cl) = &mut self.control {
+                for (_, (sent_at, update)) in cl.service(t) {
+                    self.ingest(sent_at, update);
                 }
             }
 
-            if tick % adapt_every == 0 && tick != total_ticks {
-                self.adapt(trace.cars(tick), queries, sc.throttle);
+            if tick % adapt_every == 0 {
+                let z = match &mut self.control {
+                    // A plan installed at the last tick would shed nothing.
+                    Control::Fixed => (tick != total_ticks).then_some(sc.throttle),
+                    Control::Closed(cl) => Some(cl.close_window(t)),
+                };
+                if let Some(z) = z {
+                    self.adapt(trace.cars(tick), queries, z);
+                }
             }
 
-            if reference
-                .frames
-                .get(next_frame)
-                .is_some_and(|f| f.tick == tick)
-            {
-                let frame = &reference.frames[next_frame];
+            let due = reference.frames.get(next_frame);
+            if let Some(frame) = due.filter(|f| f.tick == tick) {
                 self.server.evaluate_into(t, &mut self.shed_results);
                 let server = &self.server;
                 self.accumulator.record_round(
@@ -711,35 +676,27 @@ impl PolicyLane {
             }
         }
 
-        let faults = match &self.channel {
-            Some(ch) => FaultReport::from_channel(ch.stats(), ch.pending()),
-            None => FaultReport::default(),
-        };
         self.tel
             .flush_regions(&self.region_admitted, &self.region_shed);
         self.flush_shed_skew();
-        if let Some(ch) = &self.channel {
-            self.tel.on_channel(&ch.stats());
+        if let Some(ch) = &channel {
+            self.faults = FaultReport::from_channel(ch.stats(), ch.pending());
         }
-        // End-of-run per-shard accounting (unified engine): final
-        // node ownership, cumulative round wall time, total handoffs,
-        // and the online re-striper's migration counters.
-        if let Some(stats) = self.server.shard_stats() {
-            self.tel.on_shards(&stats);
-        }
-        if let Some(rs) = self.server.restripe_stats() {
-            self.tel.on_restripe(&rs);
-        }
-        let telemetry = self.tel.snapshot(&format!("lane:{}", self.policy.name()));
+        self.tel
+            .on_run_end(channel.as_ref().map(|ch| ch.stats()), &self.server);
+    }
+
+    /// The fixed-`z` lane's outcome against the reference's unshed volume.
+    fn outcome(self, reference_updates: u64) -> PolicyOutcome {
         PolicyOutcome {
             policy: self.policy,
             metrics: self.accumulator.report(),
-            faults,
-            telemetry,
+            faults: self.faults,
+            telemetry: self.tel.snapshot(&format!("lane:{}", self.policy.name())),
             updates_sent: self.updates_sent,
             updates_processed: self.updates_processed,
-            processed_fraction: if reference.reference_updates > 0 {
-                self.updates_processed as f64 / reference.reference_updates as f64
+            processed_fraction: if reference_updates > 0 {
+                self.updates_processed as f64 / reference_updates as f64
             } else {
                 0.0
             },
@@ -756,6 +713,19 @@ impl PolicyLane {
                 0.0
             },
         }
+    }
+
+    /// The closed-loop lane's report.
+    fn adaptive_report(self, sc: &Scenario) -> AdaptiveReport {
+        let Control::Closed(cl) = self.control else {
+            unreachable!("adaptive_report is only called on a lane built with a closed loop");
+        };
+        cl.report(
+            sc,
+            self.accumulator.report(),
+            self.faults,
+            self.tel.snapshot("adaptive"),
+        )
     }
 }
 
@@ -822,7 +792,66 @@ impl SimPipeline {
         self
     }
 
-    /// Runs the scenario for the given policies and reports the comparison.
+    /// A CQ server over `setup`'s space with the workload registered,
+    /// under this pipeline's engine options — the reference server and
+    /// every lane's server come from here. [`Parallelism::Sequential`]
+    /// also inlines the unified engine's evaluation phases, so a
+    /// sequential run spawns no threads anywhere; every option leaves
+    /// results bit-identical (`tests/pipeline.rs`, `restripe_equiv.rs`).
+    pub fn server(&self, setup: &SimSetup, sc: &Scenario) -> CqServer {
+        let mut s = CqServer::new(setup.bounds, sc.num_cars, 64)
+            .with_engine(self.engine)
+            .with_sequential_eval(self.parallelism == Parallelism::Sequential)
+            .with_rebalance(self.rebalance);
+        s.register_queries(setup.queries.iter().copied());
+        s
+    }
+
+    /// Replays the reference server (threshold `Δ⊢` everywhere) over the
+    /// trace, evaluating every `sc.eval_period_s`.
+    pub fn reference(
+        &self,
+        trace: &TrafficTrace,
+        setup: &SimSetup,
+        sc: &Scenario,
+    ) -> ReferenceTimeline {
+        let mut server = self.server(setup, sc);
+        let mut reckoners = vec![DeadReckoner::new(); trace.num_cars()];
+        let eval_every = ticks_per(sc.eval_period_s, sc);
+        let mut reference_updates = 0u64;
+        let mut frames = Vec::new();
+
+        for tick in 1..=trace.ticks() {
+            let t = trace.time(tick);
+            for (i, car) in trace.cars(tick).iter().enumerate() {
+                if let Some(rep) =
+                    reckoners[i].observe(i as u32, t, car.position, car.velocity, sc.delta_min)
+                {
+                    reference_updates += 1;
+                    server.ingest(rep.node, t, rep.model.origin, rep.model.velocity);
+                }
+            }
+            if tick % eval_every == 0 {
+                let results = server.evaluate(t);
+                let predictions = (0..trace.num_cars() as u32)
+                    .map(|n| server.predict(n, t))
+                    .collect();
+                frames.push(EvalFrame {
+                    tick,
+                    time: t,
+                    results,
+                    predictions,
+                });
+            }
+        }
+        ReferenceTimeline {
+            reference_updates,
+            frames,
+        }
+    }
+
+    /// Runs the scenario for the given policies at the fixed throttle
+    /// fraction `sc.throttle` and reports the comparison.
     pub fn run(&self, sc: &Scenario, policies: &[Policy]) -> RunReport {
         let ptel = PipelineTelemetry::new(self.telemetry);
         let stage = Instant::now();
@@ -831,65 +860,66 @@ impl SimPipeline {
         let stage = Instant::now();
         let trace = setup.record_trace(sc);
         ptel.on_trace(stage.elapsed().as_micros() as u64);
-        // Sequential mode means *no* spawned threads at all: lanes on the
-        // calling thread, and unified evaluation phases inlined too.
-        let sequential_eval = self.parallelism == Parallelism::Sequential;
         let stage = Instant::now();
-        let reference = ReferenceTimeline::compute_opts(
-            &trace,
-            &setup,
-            sc,
-            self.engine,
-            sequential_eval,
-            self.rebalance,
-        );
+        let reference = self.reference(&trace, &setup, sc);
         ptel.on_reference(stage.elapsed().as_micros() as u64);
 
-        let lanes: Vec<PolicyLane> = policies
+        let mut lanes: Vec<PolicyLane> = policies
             .iter()
             .enumerate()
-            .map(|(i, &policy)| {
-                PolicyLane::new(
-                    policy,
-                    i,
-                    &setup,
-                    sc,
-                    self.telemetry,
-                    self.engine,
-                    sequential_eval,
-                    self.rebalance,
-                )
-            })
+            .map(|(i, &policy)| PolicyLane::new(self, policy, i, &setup, sc, None))
             .collect();
 
         let stage = Instant::now();
-        let run_parallel = self.parallelism == Parallelism::Auto && lanes.len() >= 2;
-        let outcomes: Vec<PolicyOutcome> = if run_parallel {
+        if self.parallelism == Parallelism::Auto && lanes.len() >= 2 {
             let (trace, reference, queries) = (&trace, &reference, &setup.queries[..]);
             std::thread::scope(|scope| {
                 let handles: Vec<_> = lanes
-                    .into_iter()
+                    .iter_mut()
                     .map(|lane| scope.spawn(move || lane.run(trace, reference, queries, sc)))
                     .collect();
-                handles
-                    .into_iter()
-                    .map(|h| h.join().expect("policy lane panicked"))
-                    .collect()
-            })
+                for h in handles {
+                    h.join().expect("policy lane panicked");
+                }
+            });
         } else {
-            lanes
-                .into_iter()
-                .map(|lane| lane.run(&trace, &reference, &setup.queries, sc))
-                .collect()
-        };
+            for lane in &mut lanes {
+                lane.run(&trace, &reference, &setup.queries, sc);
+            }
+        }
         ptel.on_lanes(stage.elapsed().as_micros() as u64);
 
         RunReport {
             reference_updates: reference.reference_updates,
             num_queries: setup.queries.len(),
             num_cars: sc.num_cars,
-            outcomes,
+            outcomes: lanes
+                .into_iter()
+                .map(|lane| lane.outcome(reference.reference_updates))
+                .collect(),
             pipeline_telemetry: ptel.snapshot(),
         }
+    }
+
+    /// Runs `policy` in the closed loop of [`crate::adaptive`] for
+    /// `sc.duration_s` seconds; server-actuated policies (Random Drop)
+    /// shed at the queue's input. The reference keeps its perfect feed
+    /// under faulty uplinks (it defines the right answer).
+    ///
+    /// The closed loop always uses the analytic `f(Δ)`: the controller is
+    /// being tested against the model the paper derives, not a calibrated
+    /// refinement of it.
+    pub fn run_adaptive(
+        &self,
+        sc: &Scenario,
+        cfg: &AdaptiveConfig,
+        policy: Policy,
+    ) -> AdaptiveReport {
+        let mut setup = SimSetup::build(sc, false);
+        let trace = setup.record_trace(sc);
+        let reference = self.reference(&trace, &setup, sc);
+        let mut lane = PolicyLane::new(self, policy, 0, &setup, sc, Some(cfg));
+        lane.run(&trace, &reference, &setup.queries, sc);
+        lane.adaptive_report(sc)
     }
 }

@@ -5,91 +5,14 @@
 //! round.
 //!
 //! The actual staging (trace recording, reference replay, per-policy
-//! lanes on scoped threads) lives in [`crate::pipeline`]; this module
-//! holds the policy roster and the report types.
+//! lanes on scoped threads) lives in [`crate::pipeline`] and the policy
+//! roster in [`lira_core::policy`]; this module holds the report types.
 
-use lira_core::config::LiraConfig;
-use lira_core::policy::{
-    LiraGridPolicy, LiraPolicy, RandomDropPolicy, SheddingPolicy, UniformDeltaPolicy,
-};
-use lira_core::reduction::ReductionModel;
-use lira_core::shedder::LiraShedder;
-use lira_core::utility::{UtilityGreedy, UtilityModel};
+use lira_core::policy::Policy;
+use lira_workload::scenario::Scenario;
 
 use crate::metrics::{FaultReport, MetricsReport};
 use crate::pipeline::SimPipeline;
-use crate::scenario::Scenario;
-
-/// A load-shedding policy under evaluation (Section 4.2). This is only a
-/// *roster* — construction happens in [`Policy::build`], and everything
-/// after construction goes through the
-/// [`SheddingPolicy`] trait.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
-pub enum Policy {
-    /// Full LIRA: GRIDREDUCE partitioning + GREEDYINCREMENT throttlers.
-    Lira,
-    /// Equal-size `l`-partitioning + GREEDYINCREMENT (no GRIDREDUCE).
-    LiraGrid,
-    /// One system-wide inaccuracy threshold.
-    UniformDelta,
-    /// No source-side shedding; the server randomly drops the excess.
-    RandomDrop,
-    /// eSPICE-style utility shedding: greedy budget assignment in
-    /// utility-per-budget-unit order.
-    UtilityGreedy,
-    /// gSPICE-style utility shedding: realized-loss EWMA model steering a
-    /// proportional water-fill.
-    UtilityModel,
-}
-
-impl Policy {
-    /// All six policies: the paper's four (comparison order preserved)
-    /// followed by the SPICE-line utility family.
-    pub const ALL: [Policy; 6] = [
-        Policy::Lira,
-        Policy::LiraGrid,
-        Policy::UniformDelta,
-        Policy::RandomDrop,
-        Policy::UtilityGreedy,
-        Policy::UtilityModel,
-    ];
-
-    /// Display name used in experiment output, delegated to the policy
-    /// implementations (the single source of these strings).
-    pub fn name(self) -> &'static str {
-        match self {
-            Policy::Lira => LiraPolicy::NAME,
-            Policy::LiraGrid => LiraGridPolicy::NAME,
-            Policy::UniformDelta => UniformDeltaPolicy::NAME,
-            Policy::RandomDrop => RandomDropPolicy::NAME,
-            Policy::UtilityGreedy => UtilityGreedy::NAME,
-            Policy::UtilityModel => UtilityModel::NAME,
-        }
-    }
-
-    /// Constructs the policy implementation for a scenario. The one place
-    /// that matches on the roster; the simulation loop itself only sees
-    /// `dyn SheddingPolicy`.
-    pub fn build(
-        self,
-        sc: &Scenario,
-        config: &LiraConfig,
-        model: &ReductionModel,
-    ) -> Box<dyn SheddingPolicy> {
-        match self {
-            Policy::Lira => Box::new(LiraPolicy::from_shedder(
-                LiraShedder::new(config.clone(), 1000)
-                    .expect("validated config")
-                    .with_model(model.clone()),
-            )),
-            Policy::LiraGrid => Box::new(LiraGridPolicy::new(config.clone(), model.clone())),
-            Policy::UniformDelta => Box::new(UniformDeltaPolicy::new(config.bounds, model.clone())),
-            Policy::RandomDrop => Box::new(RandomDropPolicy::new(config.bounds, sc.delta_min)),
-            Policy::UtilityGreedy => Box::new(UtilityGreedy::new(config.clone(), model.clone())),
-            Policy::UtilityModel => Box::new(UtilityModel::new(config.clone(), model.clone())),
-        }
-    }
-}
 
 /// Per-policy outcome of a run.
 #[derive(Debug, Clone)]
@@ -256,21 +179,5 @@ mod tests {
             b.outcomes[0].metrics.mean_containment
         );
         assert_eq!(a.outcomes[0].updates_sent, b.outcomes[0].updates_sent);
-    }
-
-    #[test]
-    fn names_come_from_the_policy_impls() {
-        let names: Vec<&str> = Policy::ALL.iter().map(|p| p.name()).collect();
-        assert_eq!(
-            names,
-            [
-                "LIRA",
-                "Lira-Grid",
-                "Uniform Delta",
-                "Random Drop",
-                "Utility Greedy",
-                "Utility Model"
-            ]
-        );
     }
 }

@@ -1,6 +1,6 @@
 //! Telemetry wiring for the simulation harness: pre-registered metric
-//! handles for the hot paths of a policy lane and of the closed-loop
-//! adaptive runner.
+//! handles for the hot paths of a policy lane and, registered on the
+//! same lane registry, of the closed loop's queue and controller.
 //!
 //! The core algorithms stay telemetry-free — they return plain counters
 //! ([`GridReduceStats`](lira_core::grid_reduce::GridReduceStats),
@@ -24,7 +24,7 @@ use lira_core::telemetry::{
 };
 use lira_core::throt_loop::ThrotLoop;
 use lira_server::channel::ChannelStats;
-use lira_server::unified::{RestripeStats, ShardStats};
+use lira_server::cq_engine::CqServer;
 
 // Lane metrics (component "sim.lane").
 const LANE_UPDATES_SENT: MetricSpec = MetricSpec::new("lane.updates_sent", "sim.lane", "updates");
@@ -82,7 +82,7 @@ const SHARD_RESTRIPE_MOVED: MetricSpec =
 const SHARD_RESTRIPE_PAUSE: MetricSpec =
     MetricSpec::new("shard.restripe.pause_ns", "server.sharded", "ns");
 
-// Adaptive-runner metrics (component "sim.adaptive").
+// Closed-loop metrics.
 const QUEUE_DEPTH: MetricSpec = MetricSpec::new("queue.depth", "server.queue", "updates");
 const QUEUE_OVERFLOW: MetricSpec =
     MetricSpec::new("queue.overflow_drops", "server.queue", "updates");
@@ -107,37 +107,13 @@ const STAGE_REFERENCE_US: MetricSpec =
     MetricSpec::new("pipeline.reference_us", "sim.pipeline", "us");
 const STAGE_LANES_US: MetricSpec = MetricSpec::new("pipeline.lanes_us", "sim.pipeline", "us");
 
-/// Shared recorder for [`ShardStats`] slices (lane and adaptive
-/// registries expose the same three keys).
-fn record_shards(registry: &Telemetry, stats: &[ShardStats]) {
-    let nodes = registry.histogram(SHARD_NODES);
-    let round_ns = registry.histogram(SHARD_ROUND_NS);
-    let handoffs = registry.counter(SHARD_HANDOFFS);
-    for s in stats {
-        nodes.record(s.nodes as u64);
-        round_ns.record(s.round_ns);
-        handoffs.add(s.handoffs);
-    }
-}
-
-/// Shared recorder for [`RestripeStats`] (lane and adaptive registries
-/// expose the same four keys).
-fn record_restripe(registry: &Telemetry, rs: &RestripeStats) {
-    registry.gauge(SHARD_IMBALANCE).set(rs.imbalance);
-    registry.counter(SHARD_RESTRIPE_COUNT).add(rs.restripes);
-    registry.counter(SHARD_RESTRIPE_MOVED).add(rs.moved_cols);
-    registry.counter(SHARD_RESTRIPE_PAUSE).add(rs.pause_ns);
-}
-
-/// Journal target for lane-level events.
-pub const TARGET_LANE: &str = "sim.lane";
 /// Journal target for the closed-loop controller.
 pub const TARGET_ADAPTIVE: &str = "sim.adaptive";
 
 /// Pre-registered handles for one policy lane. Creation locks the
 /// registry once; every recording after that is lock-free.
 pub struct LaneTelemetry {
-    registry: Telemetry,
+    registry: Arc<Telemetry>,
     updates_sent: Arc<Counter>,
     updates_admitted: Arc<Counter>,
     updates_shed: Arc<Counter>,
@@ -159,7 +135,7 @@ impl LaneTelemetry {
     /// Creates the lane's registry; `enabled = false` produces inert
     /// handles (every record is a dropped branch).
     pub fn new(enabled: bool) -> Self {
-        let registry = Telemetry::toggled(enabled);
+        let registry = Arc::new(Telemetry::toggled(enabled));
         LaneTelemetry {
             updates_sent: registry.counter(LANE_UPDATES_SENT),
             updates_admitted: registry.counter(LANE_UPDATES_ADMITTED),
@@ -249,45 +225,47 @@ impl LaneTelemetry {
         }
     }
 
-    /// Copies the uplink channel's end-of-run accounting into counters.
-    pub fn on_channel(&self, stats: &ChannelStats) {
-        self.registry
-            .counter(CHANNEL_RNG_DRAWS)
-            .add(stats.rng_draws);
-        self.registry
-            .counter(CHANNEL_TRANSMISSIONS)
-            .add(stats.transmissions);
-        self.registry.counter(CHANNEL_RETRIES).add(stats.retries);
-        self.registry.counter(CHANNEL_LOST).add(stats.lost);
-        self.registry
-            .counter(CHANNEL_DUPLICATES)
-            .add(stats.duplicates);
+    /// Closed-loop handles (`queue.*`, `throtloop.*`) registered on this
+    /// lane's registry, so a closed-loop lane still exports one snapshot.
+    pub fn closed_loop(&self) -> AdaptiveTelemetry {
+        AdaptiveTelemetry::on(Arc::clone(&self.registry))
     }
 
-    /// Copies the unified engine's end-of-run per-shard accounting: one
-    /// `shard.nodes` / `shard.round_ns` sample per shard (final
-    /// ownership, cumulative round wall time) and the total cross-stripe
-    /// handoff count.
-    pub fn on_shards(&self, stats: &[ShardStats]) {
+    /// Copies the end-of-run accounting into the registry: the uplink
+    /// channel's counters (lanes with a faulty uplink only), and for the
+    /// unified engine one `shard.nodes` / `shard.round_ns` sample per
+    /// shard (final ownership, cumulative round wall time), the total
+    /// cross-stripe handoff count, and — with rebalancing on — the online
+    /// re-striper's final ownership imbalance (`shard.imbalance`) and
+    /// cumulative `shard.restripe.*` counters.
+    pub fn on_run_end(&self, channel: Option<ChannelStats>, server: &CqServer) {
         if !self.registry.is_enabled() {
             return;
         }
-        record_shards(&self.registry, stats);
-    }
-
-    /// Copies the online re-striper's end-of-run accounting: final
-    /// ownership imbalance (`shard.imbalance`) and the cumulative
-    /// `shard.restripe.*` counters.
-    pub fn on_restripe(&self, rs: &RestripeStats) {
-        if !self.registry.is_enabled() {
-            return;
+        let r = &self.registry;
+        if let Some(stats) = channel {
+            r.counter(CHANNEL_RNG_DRAWS).add(stats.rng_draws);
+            r.counter(CHANNEL_TRANSMISSIONS).add(stats.transmissions);
+            r.counter(CHANNEL_RETRIES).add(stats.retries);
+            r.counter(CHANNEL_LOST).add(stats.lost);
+            r.counter(CHANNEL_DUPLICATES).add(stats.duplicates);
         }
-        record_restripe(&self.registry, rs);
-    }
-
-    /// Records a journal event stamped with sim time.
-    pub fn event(&self, level: Level, sim_time_s: f64, message: String) {
-        self.registry.event(level, TARGET_LANE, sim_time_s, message);
+        if let Some(shards) = server.shard_stats() {
+            let nodes = r.histogram(SHARD_NODES);
+            let round_ns = r.histogram(SHARD_ROUND_NS);
+            let handoffs = r.counter(SHARD_HANDOFFS);
+            for s in &shards {
+                nodes.record(s.nodes as u64);
+                round_ns.record(s.round_ns);
+                handoffs.add(s.handoffs);
+            }
+        }
+        if let Some(rs) = server.restripe_stats() {
+            r.gauge(SHARD_IMBALANCE).set(rs.imbalance);
+            r.counter(SHARD_RESTRIPE_COUNT).add(rs.restripes);
+            r.counter(SHARD_RESTRIPE_MOVED).add(rs.moved_cols);
+            r.counter(SHARD_RESTRIPE_PAUSE).add(rs.pause_ns);
+        }
     }
 
     /// Exports the lane's snapshot labelled `component` (conventionally
@@ -346,9 +324,10 @@ impl PipelineTelemetry {
     }
 }
 
-/// Pre-registered handles for the closed-loop adaptive runner.
+/// Pre-registered handles for the closed loop's queue and controller,
+/// on the registry of the lane it controls ([`LaneTelemetry::closed_loop`]).
 pub struct AdaptiveTelemetry {
-    registry: Telemetry,
+    registry: Arc<Telemetry>,
     queue_depth: Arc<Gauge>,
     queue_overflow: Arc<Counter>,
     queue_latency_us: Arc<Histogram>,
@@ -364,9 +343,7 @@ pub struct AdaptiveTelemetry {
 }
 
 impl AdaptiveTelemetry {
-    /// Creates the runner's registry.
-    pub fn new(enabled: bool) -> Self {
-        let registry = Telemetry::toggled(enabled);
+    fn on(registry: Arc<Telemetry>) -> Self {
         AdaptiveTelemetry {
             queue_depth: registry.gauge(QUEUE_DEPTH),
             queue_overflow: registry.counter(QUEUE_OVERFLOW),
@@ -381,11 +358,6 @@ impl AdaptiveTelemetry {
             seen: std::cell::Cell::new((0, 0, 0)),
             registry,
         }
-    }
-
-    /// Whether recording is live.
-    pub fn is_enabled(&self) -> bool {
-        self.registry.is_enabled()
     }
 
     /// Records one serviced update's queueing latency (seconds; skipped
@@ -465,44 +437,6 @@ impl AdaptiveTelemetry {
             );
         }
     }
-
-    /// Copies the uplink channel's end-of-run accounting into counters.
-    pub fn on_channel(&self, stats: &ChannelStats) {
-        self.registry
-            .counter(CHANNEL_RNG_DRAWS)
-            .add(stats.rng_draws);
-        self.registry
-            .counter(CHANNEL_TRANSMISSIONS)
-            .add(stats.transmissions);
-        self.registry.counter(CHANNEL_RETRIES).add(stats.retries);
-        self.registry.counter(CHANNEL_LOST).add(stats.lost);
-        self.registry
-            .counter(CHANNEL_DUPLICATES)
-            .add(stats.duplicates);
-    }
-
-    /// Copies the shedding server's end-of-run per-shard accounting
-    /// (see [`LaneTelemetry::on_shards`]).
-    pub fn on_shards(&self, stats: &[ShardStats]) {
-        if !self.registry.is_enabled() {
-            return;
-        }
-        record_shards(&self.registry, stats);
-    }
-
-    /// Copies the shedding server's online re-striper accounting (see
-    /// [`LaneTelemetry::on_restripe`]).
-    pub fn on_restripe(&self, rs: &RestripeStats) {
-        if !self.registry.is_enabled() {
-            return;
-        }
-        record_restripe(&self.registry, rs);
-    }
-
-    /// Exports the runner's snapshot.
-    pub fn snapshot(&self) -> TelemetrySnapshot {
-        self.registry.snapshot("adaptive")
-    }
 }
 
 #[cfg(test)]
@@ -555,7 +489,8 @@ mod tests {
     #[test]
     fn adaptive_window_deltas_track_controller() {
         use lira_core::throt_loop::QueueObservation;
-        let tel = AdaptiveTelemetry::new(true);
+        let lane = LaneTelemetry::new(true);
+        let tel = lane.closed_loop();
         let mut ctl = ThrotLoop::new(100).unwrap();
         // Overload window: mu = 0 counts as overload + clamp.
         ctl.observe(QueueObservation {
@@ -569,7 +504,7 @@ mod tests {
             service_rate: 100.0,
         });
         tel.on_window(40.0, 0, 0, 10.0, 100.0, &ctl);
-        let snap = tel.snapshot();
+        let snap = lane.snapshot("adaptive");
         if cfg!(feature = "telemetry-off") || lira_core::telemetry::COMPILED_OUT {
             assert!(!snap.enabled);
             return;

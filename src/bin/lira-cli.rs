@@ -119,14 +119,9 @@ impl Options {
                 "policies" => {
                     policies = value
                         .split(',')
-                        .map(|p| match p.trim() {
-                            "lira" => Ok(Policy::Lira),
-                            "lira-grid" => Ok(Policy::LiraGrid),
-                            "uniform" => Ok(Policy::UniformDelta),
-                            "random-drop" => Ok(Policy::RandomDrop),
-                            "utility-greedy" => Ok(Policy::UtilityGreedy),
-                            "utility-model" => Ok(Policy::UtilityModel),
-                            other => Err(format!("unknown policy {other:?}")),
+                        .map(|p| {
+                            Policy::from_flag(p.trim())
+                                .ok_or_else(|| format!("unknown policy {:?}", p.trim()))
                         })
                         .collect::<std::result::Result<_, String>>()?;
                 }
@@ -240,64 +235,22 @@ fn cmd_adaptive(opts: &Options) -> ExitCode {
 
 fn cmd_plan(opts: &Options) -> ExitCode {
     let sc = &opts.scenario;
-    let bounds = sc.bounds();
-    let config = sc.lira_config();
-    let network = generate_network(&NetworkConfig {
-        bounds,
-        spacing: sc.road_spacing,
-        arterial_period: sc.arterial_period,
-        expressway_period: sc.expressway_period,
-        jitter_frac: 0.2,
-        dead_zones: sc.dead_zones.clone(),
-        seed: sc.seed,
-    });
-    let demand = TrafficDemand::random_hotspots(&bounds, sc.hotspots, sc.seed);
-    let mut sim = TrafficSimulator::new(
-        network,
-        &demand,
-        TrafficConfig {
-            num_cars: sc.num_cars,
-            seed: sc.seed,
-        },
-    );
-    for _ in 0..(sc.warmup_s as usize) {
-        sim.step(1.0);
-    }
-    let positions: Vec<Point> = sim.cars().iter().map(|c| c.position()).collect();
-    let queries = generate_queries(
-        &bounds,
-        &positions,
-        &WorkloadConfig::from_ratio(
-            sc.query_distribution,
-            sc.num_cars,
-            sc.query_ratio,
-            sc.query_side,
-            sc.seed,
-        ),
-    );
-    let mut grid = match StatsGrid::new(config.alpha, bounds) {
-        Ok(g) => g,
-        Err(e) => {
-            eprintln!("{e}");
-            return ExitCode::FAILURE;
+    // The world every run of this scenario starts from: network, warmed-up
+    // traffic and the query workload.
+    let setup = SimSetup::build(sc, false);
+    let adapt = || {
+        let mut grid = StatsGrid::new(setup.config.alpha, setup.bounds)?;
+        grid.begin_snapshot();
+        for car in setup.sim.cars() {
+            grid.observe_node(&car.position(), car.speed(), 1.0);
         }
-    };
-    grid.begin_snapshot();
-    for car in sim.cars() {
-        grid.observe_node(&car.position(), car.speed(), 1.0);
-    }
-    for q in &queries {
-        grid.observe_query(&q.range);
-    }
-    grid.commit_snapshot();
-    let shedder = match LiraShedder::new(config, 1000) {
-        Ok(s) => s,
-        Err(e) => {
-            eprintln!("{e}");
-            return ExitCode::FAILURE;
+        for q in &setup.queries {
+            grid.observe_query(&q.range);
         }
+        grid.commit_snapshot();
+        LiraShedder::new(setup.config.clone(), 1000)?.adapt_with_throttle(&grid, sc.throttle)
     };
-    let adaptation = match shedder.adapt_with_throttle(&grid, sc.throttle) {
+    let adaptation = match adapt() {
         Ok(a) => a,
         Err(e) => {
             eprintln!("{e}");

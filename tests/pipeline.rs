@@ -3,6 +3,7 @@
 //! trips between mobile and server state.
 
 use lira::prelude::*;
+use lira_core::telemetry::COMPILED_OUT;
 
 /// A deterministic heterogeneous statistics grid for plan construction.
 fn demo_grid(bounds: Rect, alpha: usize) -> StatsGrid {
@@ -367,9 +368,14 @@ fn adaptive_report_is_bit_identical_across_engines() {
         queue_capacity: 300,
         control_period_s: 20.0,
     };
-    let unified = run_adaptive_with_engine(&sc, &cfg, EvalEngine::Unified { shards: 1 });
-    let legacy = run_adaptive_with_engine(&sc, &cfg, EvalEngine::Legacy);
-    let striped = run_adaptive_with_engine(&sc, &cfg, EvalEngine::Unified { shards: 4 });
+    let with_engine = |engine| {
+        SimPipeline::new()
+            .with_engine(engine)
+            .run_adaptive(&sc, &cfg, Policy::Lira)
+    };
+    let unified = with_engine(EvalEngine::Unified { shards: 1 });
+    let legacy = with_engine(EvalEngine::Legacy);
+    let striped = with_engine(EvalEngine::Unified { shards: 4 });
 
     assert_eq!(unified.windows, legacy.windows);
     assert_eq!(
@@ -515,4 +521,325 @@ fn uncertain_evaluation_guarantees_hold_end_to_end() {
             }
         }
     }
+}
+
+/// The stormy profile of `tests/faults.rs`: every fault model at once.
+fn stormy_profile() -> FaultProfile {
+    FaultProfile {
+        loss: LossModel::GilbertElliott {
+            p_g2b: 0.05,
+            p_b2g: 0.3,
+            loss_good: 0.02,
+            loss_bad: 0.8,
+        },
+        delay: DelayModel::Uniform {
+            min_s: 0.0,
+            max_s: 3.0,
+        },
+        duplicate_prob: 0.05,
+        outages: vec![Outage::window(50.0, 60.0)],
+        retry: RetryPolicy {
+            max_retries: 2,
+            backoff_s: 1.0,
+        },
+    }
+}
+
+/// One closed-loop run pinned bit for bit (captured at the commit before
+/// the closed loop became a `SimPipeline` lane).
+struct AdaptiveGolden {
+    /// Per window: `(arrival_rate, throttle)` bits, `queue_len`, `dropped`.
+    windows: &'static [(u64, u64, usize, u64)],
+    final_throttle: u64,
+    drop_fraction: u64,
+    /// `MetricsReport` bits: E^C_rr, E^P_rr, D^C_ev, C^C_ov.
+    metrics: [u64; 4],
+    /// `FaultReport`: sent, transmissions, retries, delivered, duplicates,
+    /// lost, pending, rng_draws.
+    faults: [u64; 8],
+    staleness: u64,
+    /// `queue.service_latency_us` `(count, sum)`.
+    latency: (u64, u64),
+}
+
+/// `Scenario::small(29)` at 300 cars x 200 s, in the order (mu, B) =
+/// (25, 200) perfect, stormy; (10 000, 10 000) perfect, stormy.
+const ADAPTIVE_GOLDENS: [AdaptiveGolden; 4] = [
+    // LIRA mu=25 B=200 stormy=false
+    AdaptiveGolden {
+        windows: &[
+            (0x4052833333333333, 0x3fe0000000000000, 175, 806),
+            (0x4041533333333333, 0x3fd6f8fb329be3ed, 175, 193),
+            (0x403ba66666666666, 0x3fd4aac194fe96a9, 175, 53),
+            (0x403b400000000000, 0x3fd2dda29e521672, 175, 45),
+            (0x40398ccccccccccd, 0x3fd25e0ac8baa09f, 175, 11),
+            (0x403919999999999a, 0x3fd233e470bf12f1, 168, 9),
+            (0x4038e66666666666, 0x3fd22f36b792ac5e, 158, 8),
+            (0x40388ccccccccccd, 0x3fd26cd73ef4cf7f, 149, 0),
+            (0x40398ccccccccccd, 0x3fd1f03a438e27b2, 160, 0),
+            (0x4036b33333333333, 0x3fd3a83b55de9854, 114, 0),
+        ],
+        final_throttle: 0x3fd3a83b55de9854,
+        drop_fraction: 0x3fc714a3a2f05de2,
+        metrics: [
+            0x3fdd7830197b33fc,
+            0x4049ad8c04162fa8,
+            0x3fc5234cf82965d9,
+            0x3fd6f3f6bc5623e6,
+        ],
+        faults: [0, 0, 0, 0, 0, 0, 0, 0],
+        staleness: 0x0000000000000000,
+        latency: (5000, 32322000000),
+    },
+    // LIRA mu=25 B=200 stormy=true
+    AdaptiveGolden {
+        windows: &[
+            (0x4051533333333333, 0x3fe0000000000000, 175, 736),
+            (0x4038266666666666, 0x3fe07af6fd5992d1, 173, 10),
+            (0x4044c00000000000, 0x3fd3c1acb76cec26, 175, 328),
+            (0x403b266666666666, 0x3fd219df8a5a9a22, 175, 43),
+            (0x403959999999999a, 0x3fd1c30b929e1477, 175, 7),
+            (0x403a666666666666, 0x3fd0bc626b5c389d, 175, 28),
+            (0x4037666666666666, 0x3fd1ca7278250af4, 143, 0),
+            (0x403959999999999a, 0x3fd1751b7efb7304, 150, 0),
+            (0x4038cccccccccccd, 0x3fd1829f733cb9d1, 146, 0),
+            (0x4037266666666666, 0x3fd2d0a424bd6160, 109, 0),
+        ],
+        final_throttle: 0x3fd2d0a424bd6160,
+        drop_fraction: 0x3fc7bdb90624304e,
+        metrics: [
+            0x3fe31edcc4cbe103,
+            0x4051fc38b0fe0eaf,
+            0x3fc94f04bfab6c6d,
+            0x3fd52d9d79dbc95c,
+        ],
+        faults: [6297, 7785, 1488, 5920, 291, 321, 56, 25790],
+        staleness: 0x3ffa42ab1ebd7053,
+        latency: (4950, 29982000000),
+    },
+    // LIRA mu=10000 B=10000 stormy=false
+    AdaptiveGolden {
+        windows: &[
+            (0x4052833333333333, 0x3ff0000000000000, 0, 0),
+            (0x405089999999999a, 0x3ff0000000000000, 0, 0),
+            (0x4050566666666666, 0x3ff0000000000000, 0, 0),
+            (0x40507ccccccccccd, 0x3ff0000000000000, 0, 0),
+            (0x4050966666666666, 0x3ff0000000000000, 0, 0),
+            (0x4050c66666666666, 0x3ff0000000000000, 0, 0),
+            (0x4050400000000000, 0x3ff0000000000000, 0, 0),
+            (0x4050633333333333, 0x3ff0000000000000, 0, 0),
+            (0x4050a9999999999a, 0x3ff0000000000000, 0, 0),
+            (0x4050e33333333333, 0x3ff0000000000000, 0, 0),
+        ],
+        final_throttle: 0x3ff0000000000000,
+        drop_fraction: 0x0000000000000000,
+        metrics: [
+            0x0000000000000000,
+            0x0000000000000000,
+            0x0000000000000000,
+            0x0000000000000000,
+        ],
+        faults: [0, 0, 0, 0, 0, 0, 0, 0],
+        staleness: 0x0000000000000000,
+        latency: (13394, 0),
+    },
+    // LIRA mu=10000 B=10000 stormy=true
+    AdaptiveGolden {
+        windows: &[
+            (0x4051533333333333, 0x3ff0000000000000, 0, 0),
+            (0x4043cccccccccccd, 0x3ff0000000000000, 0, 0),
+            (0x4050d9999999999a, 0x3ff0000000000000, 0, 0),
+            (0x4051533333333333, 0x3ff0000000000000, 0, 0),
+            (0x4051d9999999999a, 0x3ff0000000000000, 0, 0),
+            (0x4051666666666666, 0x3ff0000000000000, 0, 0),
+            (0x4050e9999999999a, 0x3ff0000000000000, 0, 0),
+            (0x4051533333333333, 0x3ff0000000000000, 0, 0),
+            (0x4051500000000000, 0x3ff0000000000000, 0, 0),
+            (0x4051966666666666, 0x3ff0000000000000, 0, 0),
+        ],
+        final_throttle: 0x3ff0000000000000,
+        drop_fraction: 0x0000000000000000,
+        metrics: [
+            0x3fb7f215fe4f0abc,
+            0x401f064f3fa4abe3,
+            0x3fab210ac492118a,
+            0x3fe220898c115856,
+        ],
+        faults: [13394, 16369, 2975, 12632, 631, 604, 158, 55182],
+        staleness: 0x3ffa32f7925290f3,
+        latency: (13263, 0),
+    },
+];
+
+/// `(policy, stormy, [final_throttle, drop_fraction, E^C_rr, E^P_rr] bits,
+/// queue.service_latency_us sum)` at (mu, B) = (25, 200).
+const ADAPTIVE_POLICY_GOLDENS: [(Policy, bool, [u64; 4], u64); 4] = [
+    (
+        Policy::UtilityModel,
+        false,
+        [
+            0x3fd3e1ced2290cb2,
+            0x3fc71882800a7e13,
+            0x3fddfa557ea9536c,
+            0x40493d7663c6e1cc,
+        ],
+        30550000000,
+    ),
+    (
+        Policy::RandomDrop,
+        false,
+        [
+            0x3fd67598a83b4d0c,
+            0x3fc4c5e4c5e4c5e5,
+            0x3fe6028844730ccb,
+            0x4057f3a4b233bead,
+        ],
+        29142000000,
+    ),
+    (
+        Policy::UtilityModel,
+        true,
+        [
+            0x3fd10c8ea8866890,
+            0x3fc6f96f96f96f97,
+            0x3fe3945afef44085,
+            0x4052863aadfcb9fc,
+        ],
+        30741000000,
+    ),
+    (
+        Policy::RandomDrop,
+        true,
+        [
+            0x3fd58e13bd8fb79e,
+            0x3fc65f5f949c9b9d,
+            0x3feaa1dfcf3ee7f9,
+            0x405ebbed6c68a29c,
+        ],
+        27763000000,
+    ),
+];
+fn adaptive_golden_scenario(stormy: bool) -> Scenario {
+    let mut sc = Scenario::small(29);
+    sc.num_cars = 300;
+    sc.duration_s = 200.0;
+    if stormy {
+        sc.with_faults(stormy_profile())
+    } else {
+        sc
+    }
+}
+
+fn latency(report: &AdaptiveReport) -> (u64, u64) {
+    let h = report
+        .telemetry
+        .histogram("queue.service_latency_us")
+        .expect("closed loop records service latency");
+    (h.count, h.sum)
+}
+
+#[test]
+fn run_adaptive_matches_the_pre_lane_goldens() {
+    let configs = [(25.0, 200usize), (10_000.0, 10_000)];
+    for (i, golden) in ADAPTIVE_GOLDENS.iter().enumerate() {
+        let (service_rate, queue_capacity) = configs[i / 2];
+        let stormy = i % 2 == 1;
+        let ctx = format!("mu = {service_rate}, B = {queue_capacity}, stormy = {stormy}");
+        let cfg = AdaptiveConfig {
+            service_rate,
+            queue_capacity,
+            control_period_s: 20.0,
+        };
+        let r = run_adaptive(&adaptive_golden_scenario(stormy), &cfg);
+        let windows: Vec<_> = r
+            .windows
+            .iter()
+            .map(|w| {
+                (
+                    w.arrival_rate.to_bits(),
+                    w.throttle.to_bits(),
+                    w.queue_len,
+                    w.dropped,
+                )
+            })
+            .collect();
+        assert_eq!(windows, golden.windows, "{ctx}: windows");
+        assert_eq!(r.final_throttle.to_bits(), golden.final_throttle, "{ctx}");
+        assert_eq!(r.drop_fraction.to_bits(), golden.drop_fraction, "{ctx}");
+        let m = &r.metrics;
+        assert_eq!(
+            [
+                m.mean_containment,
+                m.mean_position,
+                m.stddev_containment,
+                m.cov_containment
+            ]
+            .map(f64::to_bits),
+            golden.metrics,
+            "{ctx}: metrics"
+        );
+        let f = &r.faults;
+        assert_eq!(
+            [
+                f.sent,
+                f.transmissions,
+                f.retries,
+                f.delivered,
+                f.duplicates,
+                f.lost,
+                f.pending,
+                f.rng_draws
+            ],
+            golden.faults,
+            "{ctx}: faults"
+        );
+        assert_eq!(f.mean_staleness_s.to_bits(), golden.staleness, "{ctx}");
+        if !COMPILED_OUT {
+            assert_eq!(latency(&r), golden.latency, "{ctx}: service latency");
+        }
+    }
+}
+
+#[test]
+fn closed_loop_policies_match_the_pre_lane_goldens() {
+    let cfg = AdaptiveConfig {
+        service_rate: 25.0,
+        queue_capacity: 200,
+        control_period_s: 20.0,
+    };
+    for (policy, stormy, bits, latency_sum) in ADAPTIVE_POLICY_GOLDENS {
+        let r = SimPipeline::new().run_adaptive(&adaptive_golden_scenario(stormy), &cfg, policy);
+        assert_eq!(
+            [
+                r.final_throttle,
+                r.drop_fraction,
+                r.metrics.mean_containment,
+                r.metrics.mean_position
+            ]
+            .map(f64::to_bits),
+            bits,
+            "{policy:?}, stormy = {stormy}"
+        );
+        if !COMPILED_OUT {
+            assert_eq!(latency(&r).1, latency_sum, "{policy:?}, stormy = {stormy}");
+        }
+    }
+}
+
+#[test]
+fn closed_loop_without_a_window_keeps_the_configured_throttle() {
+    // `duration_s < control_period_s`: THROTLOOP never observes, so the
+    // throttle in force is the scenario's configured one.
+    let mut sc = adaptive_golden_scenario(false);
+    sc.duration_s = 10.0;
+    let cfg = AdaptiveConfig {
+        service_rate: 25.0,
+        queue_capacity: 200,
+        control_period_s: 20.0,
+    };
+    let r = run_adaptive(&sc, &cfg);
+    assert!(r.windows.is_empty());
+    assert_eq!(r.final_throttle, sc.throttle);
+    assert_eq!(r.drop_fraction.to_bits(), 0x3fdfcf86d10a9a82);
+    assert_eq!(r.metrics.mean_position.to_bits(), 0x40405ef0f016a64e);
 }
