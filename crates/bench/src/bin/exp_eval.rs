@@ -1,11 +1,14 @@
 //! `exp_eval` — perf trajectory of the unified CQ evaluation engine.
 //!
-//! Benchmarks the unified engine (dirty-round tracking on, the default)
-//! against its own sweep-round baseline (`with_dirty_tracking(false)` —
-//! the round structure of the retired inverted engine, which walked
-//! every stored node each round) on the same churning node population,
-//! across node × query scales, for all three server operations:
-//! `evaluate`, `evaluate_uncertain` and `nearest`. At small scales the
+//! Benchmarks the unified engine (work skipping on, the default) against
+//! its own sweep-round baseline (`with_dirty_tracking(false)` — the
+//! round structure of the retired inverted engine, which walked every
+//! stored node each round) on the same churning node population, across
+//! node × query scales, for the server operations: `evaluate_advancing`
+//! (`t += 1` per round, reports stamped `t` — the round a served
+//! `EvalReq` or a simulated tick pays, and the headline), `evaluate` (the
+//! same churn at a fixed `t`: re-reported nodes only, a round no server
+//! pays), `evaluate_uncertain` and `nearest`. At small scales the
 //! legacy per-query oracle is timed too. Before timing, each scale
 //! cross-checks the engines for equal results — a benchmark of a wrong
 //! engine is worthless.
@@ -17,24 +20,31 @@
 //! * default: the full scale ladder up to 1 000 000 nodes × 10 000
 //!   queries (the monitored space grows with √nodes so density stays at
 //!   the paper's 100 nodes/km²);
-//! * `--quick` — two small scales, for the CI perf-smoke step;
+//! * `--quick` — two scales that run in seconds, for the CI perf-smoke
+//!   step (the larger, 20 000 × 200, sparse enough that the engine
+//!   stays on the wheel, so the gate below bites);
 //! * `--churn F` — fraction of nodes re-reporting between evaluation
 //!   rounds (default 0.10);
 //! * `--out PATH` — where to write the JSON report (default
 //!   `BENCH_eval.json` in the current directory);
 //! * `--assert` — exit nonzero unless, at *every* scale, unified
-//!   `evaluate` is at least `--min-speedup`× (default 1.0×) faster than
-//!   the sweep baseline.
+//!   `evaluate_advancing` and `evaluate` are each at least
+//!   `--min-speedup`× (default 1.0×, i.e. no slower) the sweep baseline,
+//!   and `evaluate_advancing` is strictly faster at the largest. A rung
+//!   on which the engine itself fell back to sweeping every round
+//!   (`unified_stepped_per_round` ≥ half the fleet) is held to parity
+//!   within 15 % instead — both columns then time the same code path.
 //!
 //! Output: the shim's one-line-per-benchmark timings, machine-readable
-//! `key=value` lines per scale, and a `BENCH_eval.json` report with the
-//! mean ns/iter of every (operation, engine, scale) cell plus the peak
-//! RSS after each scale — the perf trajectory of the repo's evaluation
+//! `key=value` lines per scale, and a `BENCH_eval.json` report with a
+//! `host` block (cores, CPU model, rustc, commit), the mean ns/iter of
+//! every (operation, engine, scale) cell plus the peak RSS after each
+//! scale — the perf trajectory of the repo's evaluation
 //! core (see EXPERIMENTS.md). Peak RSS is the process high-water mark,
 //! so per-scale readings are cumulative up to that rung of the ladder.
 
 use criterion::{black_box, Criterion};
-use lira_bench::peak_rss_bytes;
+use lira_bench::{host_json, peak_rss_bytes};
 use lira_core::geometry::{Point, Rect};
 use lira_core::plan::{PlanRegion, SheddingPlan};
 use lira_core::telemetry::json::Json;
@@ -53,6 +63,10 @@ const CHURN_FRAC: f64 = 0.10;
 const MAX_DELTA: f64 = 320.0;
 /// k for the nearest-neighbor benchmark (Ride Finder's "10 nearby taxis").
 const NEAREST_K: usize = 10;
+/// `--assert` floor on a rung where the unified engine swept every round
+/// (see `main`): the sweep baseline's own code path, so parity, less the
+/// run-to-run noise of timing the same code twice.
+const SWEPT_FLOOR: f64 = 0.85;
 /// The legacy per-query oracle is only timed up to this many nodes —
 /// beyond it a single legacy round takes longer than the whole scale's
 /// budget, and the equivalence battery already covers correctness.
@@ -175,6 +189,10 @@ struct OpResult {
     baseline_ns: f64,
     /// `None` above [`LEGACY_MAX_NODES`].
     legacy_ns: Option<f64>,
+    /// Mean nodes the unified engine placed or re-placed per iteration
+    /// (`CqServer::stepped_nodes`): the fleet when it sweeps, the
+    /// re-reported and due nodes when it does not.
+    unified_stepped: f64,
 }
 
 /// One rung of the ladder.
@@ -213,8 +231,14 @@ fn bench_scale(
     };
     let tag = format!("{num_nodes}x{num_queries}");
     let mut ops = Vec::new();
-    for op in ["evaluate", "evaluate_uncertain", "nearest"] {
+    for op in [
+        "evaluate_advancing",
+        "evaluate",
+        "evaluate_uncertain",
+        "nearest",
+    ] {
         let mut per_engine = vec![0.0f64; engines.len()];
+        let mut unified_stepped = 0.0;
         for (slot, &name) in engines.iter().enumerate() {
             let mut server = match name {
                 "unified" => make_server(num_nodes, space_m, &queries, EvalEngine::default()),
@@ -227,12 +251,28 @@ fn bench_scale(
             let mut results = Vec::new();
             let mut uresults = Vec::new();
             let mut centers = node_positions.iter().cycle().copied();
+            // The advancing rung starts from a placed fleet, as a served
+            // session does after its set-up evaluation.
+            let mut t = 0.0;
+            server.evaluate_into(t, &mut results);
+            let stepped_before = server.stepped_nodes();
+            let mut iterations = 0u64;
             per_engine[slot] = bench_one(
                 c,
                 format!("{op}/{name}/{tag}"),
                 |b: &mut criterion::Bencher| {
                     b.iter(|| match op {
+                        "evaluate_advancing" => {
+                            t += 1.0;
+                            iterations += 1;
+                            workload.step_with(|id, p, v| {
+                                server.ingest(id, t, p, v);
+                            });
+                            server.evaluate_into(t, &mut results);
+                            black_box(results.len())
+                        }
                         "evaluate" => {
+                            iterations += 1;
                             workload.step(&mut server);
                             server.evaluate_into(0.5, &mut results);
                             black_box(results.len())
@@ -254,16 +294,25 @@ fn bench_scale(
                     });
                 },
             );
+            if name == "unified" {
+                unified_stepped =
+                    (server.stepped_nodes() - stepped_before) as f64 / iterations.max(1) as f64;
+            }
         }
-        println!(
-            "{op}_speedup_{tag}={:.2}",
-            per_engine[1] / per_engine[0].max(1e-9)
-        );
+        let speedup = per_engine[1] / per_engine[0].max(1e-9);
+        if unified_stepped > 0.0 {
+            println!(
+                "{op}_speedup_{tag}={speedup:.2} (unified stepping {unified_stepped:.0} nodes/round)"
+            );
+        } else {
+            println!("{op}_speedup_{tag}={speedup:.2}");
+        }
         ops.push(OpResult {
             op,
             unified_ns: per_engine[0],
             baseline_ns: per_engine[1],
             legacy_ns: per_engine.get(2).copied(),
+            unified_stepped,
         });
     }
     let peak_rss = peak_rss_bytes();
@@ -280,6 +329,7 @@ fn bench_scale(
 fn report_json(mode: &str, churn_frac: f64, scales: &[ScaleResult]) -> Json {
     Json::Obj(vec![
         ("experiment".into(), Json::Str("exp_eval".into())),
+        ("host".into(), host_json()),
         ("mode".into(), Json::Str(mode.into())),
         ("churn_frac".into(), Json::Float(churn_frac)),
         ("max_delta".into(), Json::Float(MAX_DELTA)),
@@ -298,6 +348,10 @@ fn report_json(mode: &str, churn_frac: f64, scales: &[ScaleResult]) -> Json {
                         ];
                         for r in &s.ops {
                             let mut cell = vec![
+                                (
+                                    "unified_stepped_per_round".into(),
+                                    Json::Float(r.unified_stepped),
+                                ),
                                 ("unified_ns".into(), Json::Float(r.unified_ns)),
                                 ("baseline_ns".into(), Json::Float(r.baseline_ns)),
                                 (
@@ -356,7 +410,7 @@ fn main() {
     }
 
     let (mode, ladder): (&str, &[(usize, usize)]) = if quick {
-        ("quick", &[(500, 50), (2_000, 200)])
+        ("quick", &[(500, 50), (20_000, 200)])
     } else {
         (
             "full",
@@ -382,25 +436,37 @@ fn main() {
 
     if do_assert {
         let mut failed = false;
-        for s in &scales {
-            let r = s
-                .ops
-                .iter()
-                .find(|r| r.op == "evaluate")
-                .expect("evaluate benched");
-            let speedup = r.baseline_ns / r.unified_ns.max(1e-9);
-            if speedup < min_speedup {
-                eprintln!(
-                    "FAIL: unified evaluate speedup {speedup:.2}x below required \
-                     {min_speedup:.2}x at {}x{}",
-                    s.nodes, s.queries
-                );
-                failed = true;
-            } else {
-                println!(
-                    "PASS: unified evaluate {speedup:.2}x faster than the sweep baseline at {}x{}",
-                    s.nodes, s.queries
-                );
+        for (i, s) in scales.iter().enumerate() {
+            for op in ["evaluate_advancing", "evaluate"] {
+                let r = s.ops.iter().find(|r| r.op == op).expect("op benched");
+                let speedup = r.baseline_ns / r.unified_ns.max(1e-9);
+                // "No slower" everywhere; the round every server pays
+                // must actually win where the fleet is largest. On a
+                // rung so dense that the engine itself chose to sweep
+                // (it stepped most of the fleet every round — tiny cells
+                // against the distance a round moves a node) the two
+                // columns time the same code path, so the floor there is
+                // parity to within the noise of two such runs.
+                let swept = r.unified_stepped * 2.0 >= s.nodes as f64;
+                let floor = if swept {
+                    min_speedup.min(SWEPT_FLOOR)
+                } else {
+                    min_speedup
+                };
+                let largest = op == "evaluate_advancing" && i + 1 == scales.len();
+                if speedup < floor || (largest && speedup <= 1.0) {
+                    eprintln!(
+                        "FAIL: unified {op} speedup {speedup:.2}x below required \
+                         {floor:.2}x at {}x{}",
+                        s.nodes, s.queries
+                    );
+                    failed = true;
+                } else {
+                    println!(
+                        "PASS: unified {op} {speedup:.2}x the sweep baseline at {}x{}",
+                        s.nodes, s.queries
+                    );
+                }
             }
         }
         if failed {

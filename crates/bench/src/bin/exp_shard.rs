@@ -44,14 +44,22 @@
 //!   it absorbs timing noise at the sub-10 µs scales), and
 //!   (b) at the largest
 //!   scale of each scenario, unified `evaluate` at 4 shards is at least
-//!   `--min-speedup`× (default 1.0×) faster than the sweep baseline.
+//!   `--min-speedup`× (default 1.0×) faster than the sweep baseline, and
+//!   (c) on the advancing round the default engine (1 shard) is at least
+//!   `--min-speedup`× the sweep baseline at every scale and strictly
+//!   faster at each scenario's largest.
 //!
-//! What the numbers mean: a benchmark round is churn-ingest + evaluate
-//! at an unchanged evaluation time, the steady-state round of a CQ
-//! server between timestamp advances. The baseline's sweep round walks
-//! every stored node; the unified engine's dirty round touches only the
-//! re-reported ones (plus the emit copy), which is where the single-core
-//! speedup comes from. Worker threads add parallelism on multi-core
+//! What the numbers mean: every cell is timed on two rounds. The
+//! **advancing** round (`advancing_ns`) is churn-ingest stamped `t`, then
+//! evaluate at `t`, with `t += 1` per round — what a served `EvalReq` or
+//! a simulated tick pays, and the headline. The **same-`t`** round
+//! (`evaluate_ns`) is the same churn evaluated at a fixed time: only the
+//! re-reported nodes can change, a round no server pays, kept because it
+//! isolates the engine's floor (emit copy + churn). The baseline's sweep
+//! round walks every stored node on both; the unified engine steps the
+//! re-reported nodes plus, when `t` advances, the nodes its time wheel
+//! has due (DESIGN.md §13), which is where the single-core speedup comes
+//! from. Worker threads add parallelism on multi-core
 //! hosts but are *not* required for the win — on a single-core host the
 //! engine detects the core count and stays sequential, so the
 //! `speedup_vs_shard1` curve is flat (≈1.0) rather than monotonically
@@ -63,7 +71,7 @@
 //! mark, cumulative up to that rung of the ladder.
 
 use criterion::{black_box, Criterion};
-use lira_bench::peak_rss_bytes;
+use lira_bench::{host_json, peak_rss_bytes};
 use lira_core::geometry::{Point, Rect};
 use lira_core::telemetry::json::Json;
 use lira_server::prelude::*;
@@ -169,13 +177,20 @@ fn verify_engines_agree(
             (s, server, w)
         })
         .collect();
-    for round in 0..5 {
-        w_base.step(&mut base);
-        let want = base.evaluate(0.5);
+    // Five same-`t` rounds, then five advancing ones.
+    for round in 0..10 {
+        let t = (round as f64 - 4.0).max(0.5);
+        let stamp = if round < 5 { 0.0 } else { t };
+        w_base.step_with(|id, p, v| {
+            base.ingest(id, stamp, p, v);
+        });
+        let want = base.evaluate(t);
         for (s, server, w) in &mut striped {
-            w.step(server);
+            w.step_with(|id, p, v| {
+                server.ingest(id, stamp, p, v);
+            });
             assert_eq!(
-                server.evaluate(0.5),
+                server.evaluate(t),
                 want,
                 "unified({s}) disagrees with the sweep baseline ({} {num_nodes} nodes, round \
                  {round})",
@@ -191,33 +206,75 @@ fn bench_one(c: &mut Criterion, label: String, mut f: impl FnMut(&mut criterion:
     c.results().last().expect("benchmark just ran").1
 }
 
-/// Times the steady-state round (churn + evaluate) for one server.
+/// What one server was timed at.
+struct Timed {
+    /// Same-`t` round: churn + evaluate at a fixed time, ns/iter.
+    ns: f64,
+    /// Advancing round: churn stamped `t` + evaluate at `t`, `t += 1`.
+    advancing_ns: f64,
+    /// Mean nodes the engine stepped per advancing round (the fleet for
+    /// the sweep baseline).
+    advancing_stepped: f64,
+    stats: Option<Vec<ShardStats>>,
+    restripe: Option<RestripeStats>,
+}
+
+/// Times both rounds (see the module docs) for one server: the same-`t`
+/// rung first, then the advancing one on the fleet it leaves placed.
 fn bench_engine(
     c: &mut Criterion,
-    label: String,
+    label: &str,
     scen: Scen,
     num_nodes: usize,
     space_m: f64,
     server: CqServer,
     churn_frac: f64,
-) -> (f64, Option<Vec<ShardStats>>, Option<RestripeStats>) {
+) -> Timed {
     let mut server = server;
     let mut workload = scen.workload(num_nodes, churn_frac, space_m);
     workload.prime(&mut server);
     let mut results = Vec::new();
-    let ns = bench_one(c, label, |b: &mut criterion::Bencher| {
-        b.iter(|| {
-            workload.step(&mut server);
-            server.evaluate_into(0.5, &mut results);
-            black_box(results.len())
-        });
-    });
-    (ns, server.shard_stats(), server.restripe_stats())
+    let ns = bench_one(
+        c,
+        format!("evaluate/{label}"),
+        |b: &mut criterion::Bencher| {
+            b.iter(|| {
+                workload.step(&mut server);
+                server.evaluate_into(0.5, &mut results);
+                black_box(results.len())
+            });
+        },
+    );
+    let mut t = 0.5;
+    let stepped_before = server.stepped_nodes();
+    let advancing_ns = bench_one(
+        c,
+        format!("advancing/{label}"),
+        |b: &mut criterion::Bencher| {
+            b.iter(|| {
+                t += 1.0;
+                workload.step_with(|id, p, v| {
+                    server.ingest(id, t, p, v);
+                });
+                server.evaluate_into(t, &mut results);
+                black_box(results.len())
+            });
+        },
+    );
+    Timed {
+        ns,
+        advancing_ns,
+        advancing_stepped: (server.stepped_nodes() - stepped_before) as f64 / (t - 0.5),
+        stats: server.shard_stats(),
+        restripe: server.restripe_stats(),
+    }
 }
 
 struct StripedRow {
     shards: usize,
     ns: f64,
+    advancing_ns: f64,
+    advancing_stepped: f64,
     handoffs: u64,
     restripes: u64,
     moved_cols: u64,
@@ -229,19 +286,23 @@ struct ScaleResult {
     queries: usize,
     space_m: f64,
     peak_rss_bytes: u64,
-    /// Sweep-baseline round time (kept under its historical JSON name
-    /// `inverted_ns`).
+    /// Sweep-baseline round times (the same-`t` one kept under its
+    /// historical JSON name `inverted_ns`).
     baseline_ns: f64,
+    baseline_advancing_ns: f64,
     striped: Vec<StripedRow>,
 }
 
 impl ScaleResult {
-    fn shard1_ns(&self) -> f64 {
+    fn shard1(&self) -> &StripedRow {
         self.striped
             .iter()
             .find(|r| r.shards == 1)
-            .map(|r| r.ns)
-            .unwrap_or(f64::NAN)
+            .expect("1-shard cell benched")
+    }
+
+    fn shard1_ns(&self) -> f64 {
+        self.shard1().ns
     }
 }
 
@@ -265,21 +326,28 @@ fn bench_scale(
     verify_engines_agree(scen, num_nodes, space_m, &queries, churn_frac);
 
     let tag = format!("{}/{num_nodes}x{num_queries}", scen.name());
-    let (baseline_ns, _, _) = bench_engine(
+    let baseline = bench_engine(
         c,
-        format!("evaluate/baseline/{tag}"),
+        &format!("baseline/{tag}"),
         scen,
         num_nodes,
         space_m,
         make_server(num_nodes, space_m, &queries, EvalEngine::default()).with_dirty_tracking(false),
         churn_frac,
     );
+    let (baseline_ns, baseline_advancing_ns) = (baseline.ns, baseline.advancing_ns);
     let striped: Vec<StripedRow> = SHARD_COUNTS
         .iter()
         .map(|&s| {
-            let (ns, stats, restripe) = bench_engine(
+            let Timed {
+                ns,
+                advancing_ns,
+                advancing_stepped,
+                stats,
+                restripe,
+            } = bench_engine(
                 c,
-                format!("evaluate/unified{s}/{tag}"),
+                &format!("unified{s}/{tag}"),
                 scen,
                 num_nodes,
                 space_m,
@@ -298,14 +366,20 @@ fn bench_scale(
                 .sum();
             let rs = restripe.expect("unified engine reports restripe stats");
             println!(
-                "evaluate_speedup_{}_{num_nodes}x{num_queries}_shards{s}={:.2} restripes={}",
+                "advancing_speedup_{0}_{num_nodes}x{num_queries}_shards{s}={1:.2} \
+                 (stepping {4:.0} nodes/round) \
+                 evaluate_speedup_{0}_{num_nodes}x{num_queries}_shards{s}={2:.2} restripes={3}",
                 scen.name(),
+                baseline_advancing_ns / advancing_ns.max(1e-9),
                 baseline_ns / ns.max(1e-9),
-                rs.restripes
+                rs.restripes,
+                advancing_stepped
             );
             StripedRow {
                 shards: s,
                 ns,
+                advancing_ns,
+                advancing_stepped,
                 handoffs,
                 restripes: rs.restripes,
                 moved_cols: rs.moved_cols,
@@ -324,6 +398,7 @@ fn bench_scale(
         space_m,
         peak_rss_bytes: peak_rss,
         baseline_ns,
+        baseline_advancing_ns,
         striped,
     }
 }
@@ -331,6 +406,7 @@ fn bench_scale(
 fn report_json(mode: &str, churn_frac: f64, scales: &[ScaleResult]) -> Json {
     Json::Obj(vec![
         ("experiment".into(), Json::Str("exp_shard".into())),
+        ("host".into(), host_json()),
         ("mode".into(), Json::Str(mode.into())),
         ("churn_frac".into(), Json::Float(churn_frac)),
         ("query_side_m".into(), Json::Float(QUERY_SIDE)),
@@ -349,6 +425,10 @@ fn report_json(mode: &str, churn_frac: f64, scales: &[ScaleResult]) -> Json {
                             ("peak_rss_bytes".into(), Json::UInt(s.peak_rss_bytes)),
                             ("inverted_ns".into(), Json::Float(s.baseline_ns)),
                             (
+                                "inverted_advancing_ns".into(),
+                                Json::Float(s.baseline_advancing_ns),
+                            ),
+                            (
                                 "sharded".into(),
                                 Json::Arr(
                                     s.striped
@@ -356,6 +436,21 @@ fn report_json(mode: &str, churn_frac: f64, scales: &[ScaleResult]) -> Json {
                                         .map(|r| {
                                             Json::Obj(vec![
                                                 ("shards".into(), Json::UInt(r.shards as u64)),
+                                                (
+                                                    "advancing_ns".into(),
+                                                    Json::Float(r.advancing_ns),
+                                                ),
+                                                (
+                                                    "advancing_stepped_per_round".into(),
+                                                    Json::Float(r.advancing_stepped),
+                                                ),
+                                                (
+                                                    "advancing_speedup_vs_inverted".into(),
+                                                    Json::Float(
+                                                        s.baseline_advancing_ns
+                                                            / r.advancing_ns.max(1e-9),
+                                                    ),
+                                                ),
                                                 ("evaluate_ns".into(), Json::Float(r.ns)),
                                                 (
                                                     "speedup_vs_inverted".into(),
@@ -382,9 +477,28 @@ fn report_json(mode: &str, churn_frac: f64, scales: &[ScaleResult]) -> Json {
 }
 
 /// The `--assert` gates: per-scale monotonicity of `speedup_vs_shard1`
-/// within tolerance, plus the historical 4-shard floor against the sweep
-/// baseline at each scenario's largest scale.
+/// within tolerance, the historical 4-shard floor against the sweep
+/// baseline at each scenario's largest scale, and the advancing round's
+/// floor for the default engine at every scale.
 fn run_asserts(scales: &[ScaleResult], min_speedup: f64, mono_tol: f64) -> Result<(), String> {
+    for s in scales {
+        let largest = scales
+            .iter()
+            .rfind(|l| l.scenario == s.scenario)
+            .is_some_and(|l| std::ptr::eq(l, s));
+        let speedup = s.baseline_advancing_ns / s.shard1().advancing_ns.max(1e-9);
+        if speedup < min_speedup || (largest && speedup <= 1.0) {
+            return Err(format!(
+                "unified(1) advancing-t speedup {speedup:.2}x below required {min_speedup:.2}x at \
+                 {} {}x{}",
+                s.scenario, s.nodes, s.queries
+            ));
+        }
+        println!(
+            "PASS: unified(1) advancing-t round {speedup:.2}x the sweep baseline at {} {}x{}",
+            s.scenario, s.nodes, s.queries
+        );
+    }
     for s in scales {
         let shard1_ns = s.shard1_ns();
         let mut prev: Option<(usize, f64)> = None;

@@ -146,6 +146,56 @@ pub fn peak_rss_bytes() -> u64 {
     0
 }
 
+/// The `host` block a `BENCH_*.json` carries so its numbers can be read
+/// against the machine and the code that produced them: logical cores,
+/// CPU model, `rustc -V`, the commit of the checkout in the current
+/// directory with a dirty flag (`"unknown"` / `null` outside a git
+/// checkout), and the cargo profile. The same fields `benchmark/` stamps
+/// on its results.
+pub fn host_json() -> lira_core::telemetry::json::Json {
+    use lira_core::telemetry::json::Json;
+    let run = |program: &str, args: &[&str]| {
+        let out = std::process::Command::new(program)
+            .args(args)
+            .output()
+            .ok()?;
+        out.status
+            .success()
+            .then(|| String::from_utf8_lossy(&out.stdout).trim().to_string())
+    };
+    let cpu_model = std::fs::read_to_string("/proc/cpuinfo")
+        .ok()
+        .and_then(|info| {
+            let line = info.lines().find(|l| l.starts_with("model name"))?;
+            Some(line.split_once(':')?.1.trim().to_string())
+        })
+        .unwrap_or_else(|| "unknown".into());
+    let unknown = || "unknown".to_string();
+    let dirty = run("git", &["status", "--porcelain"]).map(|s| !s.is_empty());
+    let profile = if cfg!(debug_assertions) {
+        "debug"
+    } else {
+        "release"
+    };
+    Json::Obj(vec![
+        (
+            "logical_cores".into(),
+            Json::UInt(std::thread::available_parallelism().map_or(0, |n| n.get() as u64)),
+        ),
+        ("cpu_model".into(), Json::Str(cpu_model)),
+        (
+            "rustc".into(),
+            Json::Str(run("rustc", &["-V"]).unwrap_or_else(unknown)),
+        ),
+        (
+            "commit".into(),
+            Json::Str(run("git", &["rev-parse", "HEAD"]).unwrap_or_else(unknown)),
+        ),
+        ("dirty".into(), dirty.map_or(Json::Null, Json::Bool)),
+        ("profile".into(), Json::Str(profile.into())),
+    ])
+}
+
 /// Writes labelled telemetry snapshots to `results/telemetry/<id>.json`
 /// (created if missing) and returns the path. The file is a JSON array of
 /// `{"label": ..., "snapshot": ...}` objects, each snapshot in the schema

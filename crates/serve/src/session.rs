@@ -168,6 +168,7 @@ pub struct ServeTelemetry {
     queue_depth: Arc<Gauge>,
     queue_wait_us: Arc<Histogram>,
     eval_us: Arc<Histogram>,
+    eval_stepped: Arc<Histogram>,
     adapt_us: Arc<Histogram>,
     batch_updates: Arc<Histogram>,
 }
@@ -208,6 +209,11 @@ impl ServeTelemetry {
                 "us",
             )),
             eval_us: registry.histogram(MetricSpec::new("serve.eval.round_us", "serve", "us")),
+            eval_stepped: registry.histogram(MetricSpec::new(
+                "serve.eval.stepped_nodes",
+                "serve",
+                "nodes",
+            )),
             adapt_us: registry.histogram(MetricSpec::new("serve.adapt.us", "serve", "us")),
             batch_updates: registry.histogram(MetricSpec::new(
                 "serve.rx.batch_updates",
@@ -408,15 +414,28 @@ impl SessionCore {
                 out.replies.push(Frame::Ack { of: kind::REGISTER });
             }
             Frame::Batch { t, updates } => {
-                // The engine indexes its node store by id and keeps NaN
-                // as the never-reported time, so neither may get past
-                // here; a frame is accepted or refused whole.
-                let bad_id = updates.iter().find(|u| u.id as usize >= self.cfg.num_nodes);
-                if !t.is_finite() || bad_id.is_some() {
-                    let why = match bad_id {
-                        Some(u) => format!("node id {} ≥ capacity {}", u.id, self.cfg.num_nodes),
-                        None => format!("batch time must be finite, got {t}"),
-                    };
+                // The engine indexes its node store by id, keeps NaN as
+                // the never-reported time, and predicts, places and
+                // schedules a node from its coordinates, so none of
+                // these may get past here; a frame is accepted or
+                // refused whole.
+                let finite = |u: &WireUpdate| [u.x, u.y, u.vx, u.vy].iter().all(|v| v.is_finite());
+                let capacity = self.cfg.num_nodes;
+                let bad = updates
+                    .iter()
+                    .find(|u| u.id as usize >= capacity || !finite(u));
+                let why = if !t.is_finite() {
+                    Some(format!("batch time must be finite, got {t}"))
+                } else {
+                    bad.map(|u| {
+                        if u.id as usize >= capacity {
+                            format!("node id {} ≥ capacity {capacity}", u.id)
+                        } else {
+                            format!("node {}: position and velocity must be finite", u.id)
+                        }
+                    })
+                };
+                if let Some(why) = why {
                     out.replies
                         .push(self.reject(conn, protocol::ERR_INVALID, why));
                     return out;
@@ -439,10 +458,25 @@ impl SessionCore {
                 }
             }
             Frame::EvalReq { t } => {
+                // A non-finite `t` would place every node at a NaN
+                // position and fold the result into the digest. A finite
+                // `t` below the last one is legal (the engine sweeps).
+                if !t.is_finite() {
+                    out.replies.push(self.reject(
+                        conn,
+                        protocol::ERR_INVALID,
+                        format!("evaluation time must be finite, got {t}"),
+                    ));
+                    return out;
+                }
                 self.drain();
                 let t0 = Instant::now();
                 let mut buf = std::mem::take(&mut self.results_buf);
+                let stepped = self.server.stepped_nodes();
                 self.server.evaluate_into(t, &mut buf);
+                self.tel
+                    .eval_stepped
+                    .record(self.server.stepped_nodes() - stepped);
                 self.eval_rounds += 1;
                 self.digest = digest_round(self.digest, t, &buf);
                 self.last_results = buf.len() as u64;
@@ -456,11 +490,13 @@ impl SessionCore {
                 });
             }
             Frame::WindowClose { t, window_s } => {
-                if !(window_s.is_finite() && window_s > 0.0) {
+                if !(t.is_finite() && window_s.is_finite() && window_s > 0.0) {
                     out.replies.push(self.reject(
                         conn,
                         protocol::ERR_INVALID,
-                        format!("window_s must be positive and finite, got {window_s}"),
+                        format!(
+                            "t must be finite and window_s positive and finite, got {t}, {window_s}"
+                        ),
                     ));
                     return out;
                 }
@@ -1003,6 +1039,88 @@ mod tests {
                 t,
                 updates: vec![upd(3, 10.0, 10.0)],
             });
+        }
+    }
+
+    #[test]
+    fn batch_with_a_non_finite_coordinate_is_rejected_whole() {
+        for bad in [f64::NAN, f64::INFINITY, f64::NEG_INFINITY] {
+            for field in 0..4 {
+                let mut u = upd(3, 10.0, 10.0);
+                *[&mut u.x, &mut u.y, &mut u.vx, &mut u.vy][field] = bad;
+                assert_batch_rejected(Frame::Batch {
+                    t: 0.5,
+                    updates: vec![upd(4, 20.0, 20.0), u],
+                });
+            }
+        }
+    }
+
+    /// Sends a batch and one good evaluation, then `bad`, and checks the
+    /// session refused it without draining, evaluating or closing
+    /// anything — and still serves the next good request.
+    fn assert_request_rejected(bad: Frame) {
+        let mut s = tiny();
+        let conn = s.open_conn();
+        s.handle(conn, Frame::Hello { flags: 0 });
+        let batch = |t: f64| Frame::Batch {
+            t,
+            updates: vec![upd(1, 100.0, 100.0), upd(2, 900.0, 900.0)],
+        };
+        s.handle(conn, batch(0.0));
+        s.handle(conn, Frame::EvalReq { t: 0.0 });
+        s.handle(conn, batch(1.0));
+        let before = s.deterministic_json();
+        let queued: usize = s.queues.iter().map(|q| q.len()).sum();
+        assert_eq!(queued, 2);
+
+        let out = s.handle(conn, bad);
+        let [Frame::Error { code, .. }] = &out.replies[..] else {
+            panic!("expected one Error reply, got {:?}", out.replies);
+        };
+        assert_eq!(*code, protocol::ERR_INVALID);
+        assert!(out.broadcast.is_empty());
+        assert_eq!(s.queues.iter().map(|q| q.len()).sum::<usize>(), queued);
+        assert_eq!(s.server.evaluations(), 1, "nothing evaluated");
+        assert_eq!(s.conns[conn as usize].errors, 1);
+        let report = |json: &str, k: &str| {
+            let v = Json::parse(json).unwrap();
+            v.get(k).map(|f| f.to_string()).unwrap()
+        };
+        let after = s.deterministic_json();
+        for k in [
+            "eval_rounds",
+            "digest",
+            "windows",
+            "z",
+            "plan_epoch",
+            "updates_rx",
+            "updates_admitted",
+            "updates_dropped",
+        ] {
+            assert_eq!(report(&after, k), report(&before, k), "{k} moved");
+        }
+        assert_eq!(report(&after, "protocol_errors"), "1");
+
+        // A finite `t` below the last one stays legal.
+        let out = s.handle(conn, Frame::EvalReq { t: -3.0 });
+        assert!(matches!(out.replies[0], Frame::EvalRes { round: 2, .. }));
+        let report = Json::parse(&s.deterministic_json()).unwrap();
+        let field = |k: &str| report.get(k).unwrap().as_u64().unwrap();
+        assert_eq!(field("updates_admitted") + field("updates_dropped"), 4);
+    }
+
+    #[test]
+    fn eval_req_with_a_non_finite_time_is_rejected() {
+        for t in [f64::NAN, f64::INFINITY, f64::NEG_INFINITY] {
+            assert_request_rejected(Frame::EvalReq { t });
+        }
+    }
+
+    #[test]
+    fn window_close_with_a_non_finite_time_is_rejected() {
+        for t in [f64::NAN, f64::INFINITY, f64::NEG_INFINITY] {
+            assert_request_rejected(Frame::WindowClose { t, window_s: 1.0 });
         }
     }
 

@@ -28,9 +28,11 @@ const CANDIDATE_PAD: f64 = 1e-6;
 pub enum EvalEngine {
     /// The production engine (`crate::unified`; DESIGN.md §13): a
     /// cell→queries index with per-query member sets maintained
-    /// incrementally across rounds, O(churn) rounds at an unchanged
-    /// evaluation time via dirty tracking, cut into `shards` contiguous
-    /// column stripes evaluated on a persistent worker pool. `shards =
+    /// incrementally across rounds; a round steps only the nodes that
+    /// re-reported and the nodes a time wheel has due at the new `t`
+    /// (those about to cross a cell or query edge), not the fleet; cut
+    /// into `shards` contiguous column stripes evaluated on a persistent
+    /// worker pool. `shards =
     /// 1` is the degenerate single-stripe case and runs entirely on the
     /// calling thread with no pool. Results are bit-identical at every
     /// shard count. `shards` is clamped to
@@ -108,8 +110,8 @@ pub struct CqServer<I: MovingIndex = PredictedGrid> {
     /// Force evaluation rounds onto the calling thread (no worker pool);
     /// see [`CqServer::with_sequential_eval`].
     sequential_eval: bool,
-    /// Whether unified rounds at an unchanged evaluation time may skip
-    /// clean nodes; see [`CqServer::with_dirty_tracking`].
+    /// Whether unified rounds may skip the nodes whose answer cannot
+    /// have changed; see [`CqServer::with_dirty_tracking`].
     dirty_tracking: bool,
     /// Whether the unified engine's online re-striper is enabled; see
     /// [`CqServer::with_rebalance`].
@@ -198,11 +200,15 @@ impl<I: MovingIndex> CqServer<I> {
         self
     }
 
-    /// Enables or disables the unified engine's unchanged-time dirty
-    /// shortcut (builder-style; on by default). With it off, every round
-    /// re-places every owned node — the retired inverted engine's
-    /// incremental round, kept reachable as the benchmark baseline
-    /// (`exp_eval`/`exp_shard`). Results are bit-identical either way.
+    /// Enables or disables the unified engine's work skipping
+    /// (builder-style; on by default): with it on, a round re-places
+    /// only the nodes whose answer can have changed — re-reported ones,
+    /// and the ones whose `safe_until` the evaluation time has passed.
+    /// With it off, every round re-places every owned node — the retired
+    /// inverted engine's incremental round, kept reachable as the
+    /// benchmark baseline (`exp_eval`/`exp_shard`) and as the oracle the
+    /// equivalence batteries compare the default against, round for
+    /// round. Results are bit-identical either way.
     pub fn with_dirty_tracking(mut self, enabled: bool) -> Self {
         self.dirty_tracking = enabled;
         self.unified.set_dirty_tracking(enabled);
@@ -292,7 +298,10 @@ impl<I: MovingIndex> CqServer<I> {
     }
 
     /// Evaluates every registered query at time `t` against the predicted
-    /// node positions. Results are sorted by node id.
+    /// node positions. Results are sorted by node id. Any `t` is legal;
+    /// rounds at a `t` at or after the previous one are the cheap ones
+    /// (a `t` below it, or far past it, makes the unified engine sweep
+    /// the fleet once).
     pub fn evaluate(&mut self, t: f64) -> Vec<QueryResult> {
         let mut results = Vec::with_capacity(self.queries.len());
         self.evaluate_into(t, &mut results);
@@ -493,14 +502,28 @@ impl<I: MovingIndex> CqServer<I> {
     }
 
     /// Per-shard telemetry of the unified engine — node count, columns,
-    /// cumulative round wall time and handoff count per stripe (one
-    /// entry at `shards = 1`). `None` while the legacy oracle is
+    /// cumulative round wall time, handoffs, nodes stepped and wheel
+    /// entries fired / dropped stale per stripe (one entry at
+    /// `shards = 1`). `None` while the legacy oracle is
     /// selected; empty until the first evaluation builds the stripes.
     pub fn shard_stats(&self) -> Option<Vec<ShardStats>> {
         if self.engine.is_unified() {
             Some(self.unified.stats())
         } else {
             None
+        }
+    }
+
+    /// Cumulative nodes the unified engine has placed or re-placed — the
+    /// sum of [`ShardStats::stepped`] — so the difference across one
+    /// [`evaluate_into`](Self::evaluate_into) is what that round stepped:
+    /// the fleet in a rebuild or a sweep, the re-reported and due nodes
+    /// in a kinetic round. 0 on the legacy oracle.
+    pub fn stepped_nodes(&self) -> u64 {
+        if self.engine.is_unified() {
+            self.unified.stepped()
+        } else {
+            0
         }
     }
 

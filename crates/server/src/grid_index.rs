@@ -12,7 +12,10 @@ pub struct GridIndex {
     side: usize,
     cells: Vec<Vec<u32>>,
     /// Per node: the cell it currently occupies (`usize::MAX` = absent).
+    /// Sized on first use — an index nobody updates costs no per-node
+    /// memory.
     locations: Vec<usize>,
+    num_nodes: usize,
 }
 
 impl GridIndex {
@@ -25,7 +28,8 @@ impl GridIndex {
             bounds,
             side,
             cells: vec![Vec::new(); side * side],
-            locations: vec![usize::MAX; num_nodes],
+            locations: Vec::new(),
+            num_nodes,
         }
     }
 
@@ -47,6 +51,9 @@ impl GridIndex {
 
     /// Inserts or moves `node` to position `p`. Constant expected time.
     pub fn update(&mut self, node: u32, p: &Point) {
+        if self.locations.is_empty() {
+            self.locations = vec![usize::MAX; self.num_nodes];
+        }
         let new_cell = self.cell_index(p);
         let old_cell = self.locations[node as usize];
         if old_cell == new_cell {
@@ -64,7 +71,9 @@ impl GridIndex {
 
     /// Removes `node` from the index.
     pub fn remove(&mut self, node: u32) {
-        let cell = self.locations[node as usize];
+        let Some(&cell) = self.locations.get(node as usize) else {
+            return; // never updated: nothing is indexed
+        };
         if cell != usize::MAX {
             let bucket = &mut self.cells[cell];
             if let Some(pos) = bucket.iter().position(|&n| n == node) {

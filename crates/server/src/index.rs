@@ -20,6 +20,9 @@ use crate::tpr_tree::{MovingPoint, TprTree};
 /// `lira-sim` pipeline).
 pub trait MovingIndex: Send {
     /// Applies a position update (a fresh motion model) for `node`.
+    /// `CqServer::ingest` calls this once per applied update, so it is
+    /// on the ingest path: an index that can rebuild its view from the
+    /// store in [`prepare`](Self::prepare) should do nothing here.
     fn apply(&mut self, node: u32, t: f64, origin: Point, velocity: (f64, f64));
 
     /// Removes `node` from the index.
@@ -28,6 +31,13 @@ pub trait MovingIndex: Send {
     /// Called once before a batch of range queries at time `t`.
     /// Implementations indexing static positions refresh here; indexes that
     /// are natively time-parameterized do nothing.
+    ///
+    /// **Contract:** every caller of
+    /// [`candidates_into`](Self::candidates_into) calls `prepare` for the
+    /// same `t` first (`CqServer::nearest` and both legacy-oracle
+    /// evaluation arms do), and `store` is the store every applied update
+    /// went into. A refresh-based index may therefore treat `prepare` as
+    /// its only source of positions and ignore [`apply`](Self::apply).
     fn prepare(&mut self, t: f64, store: &NodeStore);
 
     /// Appends candidate node ids for a range query at time `t`. May
@@ -58,10 +68,12 @@ impl PredictedGrid {
 }
 
 impl MovingIndex for PredictedGrid {
-    fn apply(&mut self, node: u32, _t: f64, origin: Point, _velocity: (f64, f64)) {
-        // Index the report origin; `prepare` moves entries to predictions.
-        self.grid.update(node, &origin);
-    }
+    /// Does nothing: `prepare` re-places every reported node from the
+    /// store before any candidate is read (see the [`MovingIndex::prepare`]
+    /// contract), so indexing the report origin here never had an
+    /// observable effect — it only put a second spatial structure on the
+    /// ingest path of a server whose unified engine never reads it.
+    fn apply(&mut self, _node: u32, _t: f64, _origin: Point, _velocity: (f64, f64)) {}
 
     fn remove(&mut self, node: u32) {
         self.grid.remove(node);

@@ -151,6 +151,13 @@ impl NodeStore {
         ))
     }
 
+    /// The node's last reported velocity (m/s per axis); meaningless
+    /// until it reports.
+    #[inline]
+    pub fn velocity(&self, node: u32) -> (f64, f64) {
+        (self.vx[node as usize], self.vy[node as usize])
+    }
+
     /// Number of nodes that currently have a model.
     #[inline]
     pub fn reported_count(&self) -> usize {

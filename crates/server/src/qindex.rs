@@ -52,6 +52,9 @@ pub(crate) struct QueryIndex {
     width: f64,
     height: f64,
     side: usize,
+    /// Cell width and height, `extent / side`.
+    cw: f64,
+    ch: f64,
     /// First grid column this index stores (0 for a full-width index).
     col_lo: usize,
     /// Number of stored columns (`side` for a full-width index). The
@@ -78,6 +81,8 @@ impl QueryIndex {
             width: 1.0,
             height: 1.0,
             side: 1,
+            cw: 1.0,
+            ch: 1.0,
             col_lo: 0,
             stripe_w: 1,
             full_off: vec![0; 2],
@@ -119,6 +124,8 @@ impl QueryIndex {
             width: bounds.width(),
             height: bounds.height(),
             side,
+            cw: bounds.width() / side as f64,
+            ch: bounds.height() / side as f64,
             col_lo: cols.start,
             stripe_w,
             full_off: Vec::new(),
@@ -126,14 +133,13 @@ impl QueryIndex {
             partial_off: Vec::new(),
             partial_ids: Vec::new(),
         };
-        let cw = index.width / side as f64;
-        let ch = index.height / side as f64;
+        let (cw, ch) = (index.cw, index.ch);
         // Full-cover tests compare against the cell rect shrunk by a
         // safety margin: the cell's floating-point corner can differ from
         // the true `axis_cell` breakpoint by an ulp, and misclassifying a
         // covered cell as partial merely costs an exact test (the reverse
         // would be unsound).
-        let eps = 1e-9 * (index.width + index.height);
+        let eps = index.edge_margin();
         for (qi, q) in queries.iter().enumerate() {
             let r = if expand > 0.0 {
                 q.range.expand(expand)
@@ -189,6 +195,42 @@ impl QueryIndex {
     #[inline]
     pub(crate) fn side(&self) -> usize {
         self.side
+    }
+
+    /// The distance by which a computed cell or query edge may differ
+    /// from where [`axis_cell`] and the range comparisons actually break:
+    /// a cell corner is `min + k·extent/side` in floating point, an ulp or
+    /// so off the true breakpoint, and this margin is millions of ulps at
+    /// the scale of the space. Every closed form that must err to one
+    /// side (the full-cover test in [`build_cols`](Self::build_cols), the
+    /// unified engine's `safe_until`) shrinks by it.
+    #[inline]
+    pub(crate) fn edge_margin(&self) -> f64 {
+        1e-9 * (self.width + self.height)
+    }
+
+    /// The edge coordinates `(x0, x1, y0, y1)` of global cell
+    /// `(row, col)`, from the same `min + k·extent/side` breakpoints
+    /// [`axis_cell`] floors at (to within [`edge_margin`](Self::edge_margin)).
+    /// The outer edges of grid-border cells are ±∞: `axis_cell` clamps,
+    /// so a point never leaves the grid through them.
+    #[inline]
+    pub(crate) fn cell_edges(&self, row: usize, col: usize) -> (f64, f64, f64, f64) {
+        let edge = |k: usize, lo: f64, cell: f64| {
+            if k == 0 {
+                f64::NEG_INFINITY
+            } else if k == self.side {
+                f64::INFINITY
+            } else {
+                lo + k as f64 * cell
+            }
+        };
+        (
+            edge(col, self.min.x, self.cw),
+            edge(col + 1, self.min.x, self.cw),
+            edge(row, self.min.y, self.ch),
+            edge(row + 1, self.min.y, self.ch),
+        )
     }
 
     /// The `(row, col)` of the *global* grid cell a predicted position

@@ -1,4 +1,4 @@
-//! The unified evaluation engine: one SoA-backed, dirty-tracking core
+//! The unified evaluation engine: one SoA-backed, work-skipping core
 //! for every shard count, with `shards = 1` as the degenerate
 //! (single-stripe, no-pool) case (DESIGN.md §13).
 //!
@@ -15,16 +15,18 @@
 //! across rounds), with the pool join acting as the inter-phase barrier
 //! — and each phase is dispatched *only to the shards with work*:
 //!
-//! 1. **Step** — re-reported (dirty) nodes are bucketed by owning shard
-//!    on the coordinating thread; each active shard re-places its
-//!    bucket (or sweeps all owned nodes when the evaluation time
-//!    advanced), routing stripe-leavers to per-`(src, dst)` outboxes.
-//!    Shards with nothing dirty and nothing owned are never woken.
+//! 1. **Step** — the nodes whose answer may have changed (see *The one
+//!    skip rule* below) are bucketed by owning shard on the coordinating
+//!    thread, in ascending id order; each active shard re-places its
+//!    bucket (or sweeps all owned nodes when the rule cannot name
+//!    them), routing stripe-leavers to per-`(src, dst)` outboxes.
+//!    Shards with nothing to step are never woken.
 //! 2. **Integrate** — pending first reports are pre-routed to their
 //!    destination stripe by the coordinator; each *receiving* shard
 //!    drains its inbound outboxes and claims its pending arrivals. The
 //!    phase is skipped outright when nothing crossed a stripe and
-//!    nothing is pending.
+//!    nothing is pending. The member-list edits both phases asked for
+//!    are queued, and applied per list in one merge pass before…
 //! 3. **Emit** — per-shard disjoint sorted member lists are k-way
 //!    merged into the caller's buffers (a plain copy at `shards = 1`).
 //!
@@ -41,14 +43,69 @@
 //!   sets, shards own disjoint node sets, and the k-way merge emits the
 //!   ascending union, independent of thread scheduling.
 //!
-//! Dirty tracking is where the single-core win lives: a round at an
-//! unchanged evaluation time re-places only re-reported + handed-off +
-//! pending nodes — `O(churn)`, not `O(nodes)`. Rounds at a new
-//! evaluation time sweep every owned node (every prediction moved).
-//! `UnifiedEval::set_dirty_tracking(false)` disables the
-//! unchanged-time shortcut, reproducing the retired inverted engine's
-//! every-node incremental round — the benchmarks' baseline.
+//! # The one skip rule
+//!
+//! A node's stored answer is its `(cell, partial_hits)`: the grid cell
+//! its prediction fell in when it was last placed, and which of that
+//! cell's partial-cover queries contained it. A round at `t` must
+//! re-place exactly the nodes for which that pair, recomputed at `t`
+//! from the node's current model, could differ. Those are
+//!
+//! > *re-reported ∪ handed-off ∪ pending ∪ due(t)*
+//!
+//! — the nodes whose model changed (or vanished) since they were placed,
+//! and the nodes whose model did not but whose prediction has moved far
+//! enough. `due(t)` comes from a bucketed time wheel (`Wheel`): whenever a
+//! node is placed, `Shard::safe_until` gives a conservative instant up to
+//! which its pair provably stays what it is, and the node is filed under
+//! that instant's tick. The invariant the engine holds between rounds:
+//!
+//! > *the stored pair is exact for every owned node that has not
+//! > re-reported and whose `safe_until ≥ t`.*
+//!
+//! So a round drains the ticks up to `t`'s, steps what it finds, and
+//! leaves everyone else untouched; at `t == last_t` nothing is due, which
+//! is the old "same evaluation time" shortcut as a special case rather
+//! than a separate path. Stepping goes through `Shard::replace`, the
+//! single exact arbiter, whatever the reason a node was stepped: a wheel
+//! entry that fires early finds nothing changed and re-files. Correctness
+//! therefore never depends on the closed form being *right*, only on it
+//! being *early*, and it is early by construction:
+//!
+//! * The floating-point chain from `t` to the pair — `predict`
+//!   (`fl(t − t₀)`, times `v`, plus the origin), `axis_cell` (minus
+//!   `lo`, over the extent, times `side`, floor, clamp) and the range
+//!   comparisons — is monotone in `t` stage by stage, per axis. A
+//!   monotone step function that reads the same at both ends of an
+//!   interval is constant on it.
+//! * `safe_until` proposes an instant from real arithmetic — distance to
+//!   the nearest cell or query edge ahead, shrunk by the same
+//!   `1e-9·(w+h)` margin the full-cover test uses, over the speed — and
+//!   then *checks* it with that very chain: same cell, nearest edge on
+//!   each axis not reached. It returns the proposal only if the check
+//!   passes, and `t` itself (due at every later round) otherwise. The
+//!   margin is what makes the check pass instead of landing within an
+//!   ulp of an edge; it can only make a node fire early.
+//! * Ticks order entries through one monotone function of time, and a
+//!   round drains the whole tick `t` falls in, so `safe_until < t`
+//!   implies "drained".
+//!
+//! What the wheel costs: one `u32` tick word per node plus one `u32` per
+//! live entry (about one per moving node: a re-report leaves the old
+//! entry in place unless the new safe time is *earlier*), allocated at
+//! the first round that schedules and global like the other per-node
+//! arrays, so a column migration moves nothing. A rebuild files nothing
+//! and leaves the engine unscheduled; the first advancing round after it
+//! is a sweep that files everyone (`Wheel::reschedule`, `Wheel::fill`).
+//! The sweep is also the fallback whenever the wheel cannot name the due
+//! nodes (`t < last_t`, a jump past the ring) or would name too many of
+//! them to be worth asking (`BUSY`, `CALM`: a world that moves a node a
+//! good part of a cell per round sweeps as it always did) — and, with
+//! `CqServer::with_dirty_tracking(false)`, every round: the benchmarks'
+//! baseline and the in-tree oracle the equivalence batteries hold the
+//! kinetic rounds to.
 
+use std::cmp::Ordering;
 use std::fmt;
 use std::ops::Range;
 use std::sync::mpsc::{channel, Receiver, Sender};
@@ -71,6 +128,42 @@ pub const MAX_SHARDS: usize = 32;
 /// Sentinel for "this node is owned by no shard" in the global per-node
 /// arrays (`side ≤ 256`, so real cell ids stay far below it).
 const UNOWNED: u32 = u32::MAX;
+
+/// Buckets in the kinetic time wheel's ring, and so how many ticks
+/// ahead a node can be filed. A node that stays safe past the horizon is
+/// filed inside it and re-files when it fires (nothing changed, one step),
+/// which costs `owned / (WHEEL_TICKS / TICKS_PER_ROUND)` spurious steps a
+/// round at worst.
+const WHEEL_TICKS: u64 = 4096;
+/// A tick is this fraction of the evaluation period seen when the wheel
+/// was scheduled. A round drains the whole tick `t` falls in, so nodes
+/// fire up to one tick early: finer ticks waste fewer steps, coarser ones
+/// reach further ahead (the horizon is `WHEEL_TICKS / TICKS_PER_ROUND` =
+/// 512 rounds).
+const TICKS_PER_ROUND: f64 = 8.0;
+/// A kinetic round that would have to step more than this share of the
+/// fleet (`BUSY.0 / BUSY.1`) falls back to the sweep. A step through the
+/// wheel costs about three of a sweep's — it also computes a
+/// `safe_until`, and it walks the node arrays in gaps rather than in
+/// order — and `exp_eval`'s ladder puts the break-even between 31 % of
+/// the fleet (still 1.2× ahead) and 47 % (0.7×).
+const BUSY: (usize, usize) = (2, 5);
+/// A sweep schedules the wheel only if the sweep before it changed less
+/// than this share of the fleet — half the rate at which a kinetic round
+/// gives up, so a world near the threshold does not flip back and forth
+/// paying for a whole-fleet filing each time.
+const CALM: (usize, usize) = (1, 5);
+/// Nodes a kinetic round steps between two warm-up passes (see
+/// `Shard::dirty_round`): enough for their misses to overlap, few
+/// enough that the lines are still in L1/L2 when the steps read them.
+const WARM_CHUNK: usize = 64;
+/// A drained wheel bucket keeps its buffer if it holds at most this many
+/// entries (a small world then never allocates in a round); a larger one
+/// is freed, and buckets grow by at least this much.
+const BUCKET_KEEP: usize = 32;
+/// Sentinel in the per-node tick word for "no live wheel entry": never
+/// filed, already fired, torn down, or safe forever.
+const NO_TICK: u32 = u32::MAX;
 
 /// Adaptive-dispatch gate for the per-node phases (step/sweep/rebuild
 /// and the uncertain classify): waking the pool costs two channel hops
@@ -128,6 +221,18 @@ pub struct ShardStats {
     /// Cumulative nodes handed off *out of* this shard on stripe
     /// crossings.
     pub handoffs: u64,
+    /// Cumulative nodes this shard placed or re-placed: every owned node
+    /// in a rebuild or a sweep; re-reported, due and first-reporting
+    /// nodes in a kinetic round (a node handed to another stripe counts
+    /// once, here). The per-round difference is what the round cost.
+    pub stepped: u64,
+    /// Cumulative wheel entries that came due for nodes of this shard
+    /// and sent them through a step (DESIGN.md §13).
+    pub due_fired: u64,
+    /// Cumulative wheel entries dropped on pop because the node had been
+    /// re-filed, handed off or removed since. Entries of nodes no shard
+    /// owns any more are charged to shard 0.
+    pub due_stale: u64,
 }
 
 /// A snapshot of the online re-striper's accounting, exposed through
@@ -309,6 +414,9 @@ struct NodeRefs {
     cell: SendMutPtr<u32>,
     hits: SendMutPtr<Vec<u32>>,
     pos: SendMutPtr<u32>,
+    /// The wheel's per-node tick words; dangling unless the round files
+    /// (only touched under a [`Filing`]).
+    tick: SendMutPtr<u32>,
 }
 
 impl NodeRefs {
@@ -348,6 +456,149 @@ impl NodeRefs {
         // SAFETY: per-node disjoint access, see the struct docs.
         unsafe { *self.pos.ptr().add(n) = v }
     }
+
+    /// The tick node `n`'s live wheel entry is filed under ([`NO_TICK`]
+    /// when it has none). Only valid in a round that files.
+    #[inline]
+    fn tick(&self, n: usize) -> u32 {
+        // SAFETY: per-node disjoint access, see the struct docs.
+        unsafe { *self.tick.ptr().add(n) }
+    }
+
+    #[inline]
+    fn set_tick(&self, n: usize, v: u32) {
+        // SAFETY: per-node disjoint access, see the struct docs.
+        unsafe { *self.tick.ptr().add(n) = v }
+    }
+}
+
+/// What a shard needs to file the nodes it places in a round at `t`
+/// into the coordinator's [`Wheel`]: the wheel's time base and the tick
+/// `t` falls in. `None` in a round that does not file (a rebuild, a
+/// sweep with dirty tracking off, a same-`t` round on an unscheduled
+/// engine).
+#[derive(Clone, Copy)]
+struct Filing {
+    /// Time of tick 0.
+    origin: f64,
+    /// Seconds per tick.
+    width: f64,
+    /// The tick the round's `t` falls in: the earliest a node can be
+    /// filed under, and the first the next advancing round drains.
+    first: u64,
+    /// Whether this is the sweep that (re)schedules every owned node:
+    /// the coordinator then fills the ring from the tick words in one
+    /// counted pass, and the shards keep no list of what they filed.
+    bulk: bool,
+}
+
+impl Filing {
+    /// The tick time `s ≥ origin` falls in. Monotone in `s` — every
+    /// step is (subtract, divide by a positive width, truncate,
+    /// saturate) — which is all the wheel's "never late" argument needs:
+    /// `s < t` implies `tick_of(s) ≤ tick_of(t)`.
+    #[inline]
+    fn tick_of(&self, s: f64) -> u64 {
+        ((s - self.origin) / self.width) as u64
+    }
+
+    /// The tick to file node `n` under when its answer is safe until
+    /// `s`: the tick of `s`, or — past the horizon — a tick in the far
+    /// half of the ring picked by node id, so the nodes that are safe
+    /// for a long time come back a few per round instead of all at
+    /// once. [`NO_TICK`] when `s` is `+∞`.
+    #[inline]
+    fn tick_for(&self, s: f64, n: usize) -> u32 {
+        if s == f64::INFINITY {
+            return NO_TICK;
+        }
+        let last = self.first + WHEEL_TICKS - 1;
+        let k = self.tick_of(s);
+        let k = if k > last {
+            last - n as u64 % (WHEEL_TICKS / 2)
+        } else {
+            k.max(self.first)
+        };
+        k as u32
+    }
+}
+
+/// The kinetic schedule (module docs, *The one skip rule*): a bucketed
+/// time wheel over the owned nodes, owned by the coordinator. Global
+/// rather than per-shard, like the other per-node arrays, so a column
+/// migration moves nothing here.
+#[derive(Debug, Clone, Default)]
+struct Wheel {
+    /// Whether the wheel covers every owned node: each has a live entry
+    /// at or before the tick of its `safe_until`, or is safe forever.
+    /// False until the first advancing round after a rebuild (which is a
+    /// sweep that files), and whenever dirty tracking is off.
+    scheduled: bool,
+    /// Time of tick 0 and seconds per tick, set when scheduled.
+    origin: f64,
+    width: f64,
+    /// `ring[k % WHEEL_TICKS]` holds the ids filed under tick `k`. Live
+    /// ticks span less than one turn, so slots never mix ticks. Empty
+    /// until first scheduled.
+    ring: Vec<Vec<u32>>,
+    /// Per node: the tick of its live entry, [`NO_TICK`] if none. An
+    /// entry popped from tick `k` is live iff this word says `k`. Empty
+    /// until first scheduled.
+    tick: Vec<u32>,
+}
+
+impl Wheel {
+    /// The filing context for a round at `t` on a scheduled wheel.
+    fn filing(&self, t: f64) -> Option<Filing> {
+        let base = Filing {
+            origin: self.origin,
+            width: self.width,
+            first: 0,
+            bulk: false,
+        };
+        self.scheduled.then(|| Filing {
+            first: base.tick_of(t),
+            ..base
+        })
+    }
+
+    /// Empties the wheel and restarts it at `t` with ticks sized from
+    /// the step `last_t → t`, for a sweep that files every owned node.
+    /// Leaves the wheel unscheduled (and returns `None`) when the step
+    /// gives no usable tick width.
+    fn reschedule(&mut self, last_t: f64, t: f64, num_nodes: usize) -> Option<Filing> {
+        let width = (t - last_t).abs() / TICKS_PER_ROUND;
+        self.scheduled = width > 0.0 && width.is_finite() && t.is_finite();
+        if !self.scheduled {
+            return None;
+        }
+        self.origin = t;
+        self.width = width;
+        // Fresh buckets, so `fill` sizes each to what it holds.
+        self.ring.clear();
+        self.ring.resize_with(WHEEL_TICKS as usize, Vec::new);
+        self.tick.clear();
+        self.tick.resize(num_nodes, NO_TICK);
+        self.filing(t).map(|f| Filing { bulk: true, ..f })
+    }
+
+    /// Fills the emptied ring from the tick words after a sweep that
+    /// filed every owned node, each bucket allocated to its exact size.
+    fn fill(&mut self) {
+        let slot = |k: u32| (k as u64 % WHEEL_TICKS) as usize;
+        let mut sizes = vec![0usize; WHEEL_TICKS as usize];
+        for &k in self.tick.iter().filter(|&&k| k != NO_TICK) {
+            sizes[slot(k)] += 1;
+        }
+        for (bucket, &size) in self.ring.iter_mut().zip(&sizes) {
+            bucket.reserve_exact(size);
+        }
+        for (n, &k) in self.tick.iter().enumerate() {
+            if k != NO_TICK {
+                self.ring[slot(k)].push(n as u32);
+            }
+        }
+    }
 }
 
 /// One stripe's evaluation state: the per-query member lists restricted
@@ -375,6 +626,25 @@ struct Shard {
     round_ns: u64,
     /// Cumulative nodes handed off out of this shard.
     handoffs: u64,
+    /// Member-list edits the round's steps and claims asked for, as
+    /// [`member_op`] words; [`flush_ops`](Self::flush_ops) applies them
+    /// per list before the emit phase reads any.
+    ops: Vec<u64>,
+    /// Merge buffer of `flush_ops`, usually swapped with the list it
+    /// rebuilt.
+    ops_scratch: Vec<u32>,
+    /// Nodes whose tick word this shard set during the round; the
+    /// coordinator moves them into the wheel's buckets after the phases
+    /// (the ring is its alone to write).
+    filed: Vec<u32>,
+    /// Cumulative steps that found a node's `(cell, partial_hits)`
+    /// different from what was stored, or the node gone: over a sweep,
+    /// how much of the fleet a round at this cadence really changes.
+    changed: u64,
+    /// Cumulative counts behind [`ShardStats`].
+    stepped: u64,
+    due_fired: u64,
+    due_stale: u64,
 }
 
 impl Shard {
@@ -390,6 +660,13 @@ impl Shard {
             maybe: Vec::new(),
             round_ns: 0,
             handoffs: 0,
+            ops: Vec::new(),
+            ops_scratch: Vec::new(),
+            filed: Vec::new(),
+            changed: 0,
+            stepped: 0,
+            due_fired: 0,
+            due_stale: 0,
         }
     }
 
@@ -432,10 +709,14 @@ impl Shard {
             refs.set_pos(n, owned.len() as u32);
             owned.push(n as u32);
         }
+        self.stepped += self.owned.len() as u64;
     }
 
-    /// Incremental sweep over every owned node (evaluation time moved, so
-    /// every prediction must be refreshed).
+    /// Incremental sweep over every owned node: the fallback when the
+    /// wheel cannot say which nodes are due (module docs), and every
+    /// round of the dirty-tracking-off baseline. With a `filing` it also
+    /// (re)schedules every node it places.
+    #[allow(clippy::too_many_arguments)]
     fn sweep_round(
         &mut self,
         queries: &[RangeQuery],
@@ -444,11 +725,13 @@ impl Shard {
         routes_row: &mut [Vec<u32>],
         col_owner: &[u32],
         refs: NodeRefs,
+        filing: Option<&Filing>,
     ) {
+        self.stepped += self.owned.len() as u64;
         let mut k = 0;
         while k < self.owned.len() {
             let n = self.owned[k] as usize;
-            if self.step_node(n, queries, store, t, routes_row, col_owner, refs) {
+            if self.step_node(n, queries, store, t, routes_row, col_owner, refs, filing) {
                 k += 1;
             } else {
                 self.unown_at(k, refs);
@@ -456,10 +739,11 @@ impl Shard {
         }
     }
 
-    /// Work-skipping round at an unchanged evaluation time: `dirty` is
-    /// this shard's bucket of owned nodes that re-reported (or were
-    /// removed) since the last round — same model + same `t` ⇒ same
-    /// prediction ⇒ same memberships for everyone else.
+    /// Work-skipping round: `dirty` is this shard's bucket of owned
+    /// nodes whose stored answer may be wrong at `t` — they re-reported
+    /// or were removed since the last round, or their wheel entry came
+    /// due. Everyone else has the same model and a `safe_until ≥ t`,
+    /// hence the same cell and the same memberships.
     #[allow(clippy::too_many_arguments)]
     fn dirty_round(
         &mut self,
@@ -470,12 +754,35 @@ impl Shard {
         routes_row: &mut [Vec<u32>],
         col_owner: &[u32],
         refs: NodeRefs,
+        filing: Option<&Filing>,
     ) {
-        for &n in dirty {
-            let n = n as usize;
-            debug_assert_ne!(refs.cell(n), UNOWNED, "dirty node routed to a non-owner");
-            if !self.step_node(n, queries, store, t, routes_row, col_owner, refs) {
-                self.unown_at(refs.pos(n) as usize, refs);
+        self.stepped += dirty.len() as u64;
+        for chunk in dirty.chunks(WARM_CHUNK) {
+            // A step reads nine scattered cache lines of per-node state
+            // (five store columns, cell, hit list and its buffer, tick)
+            // and is too branchy for the core to run ahead into the
+            // next node's. Reading one word of each first,
+            // in a loop with nothing else in it, lets those misses
+            // overlap: a third off the round at a million nodes.
+            let mut touched = 0u64;
+            for &n in chunk {
+                let n = n as usize;
+                touched ^= store
+                    .predict(n as u32, t)
+                    .map_or(0, |p| p.x.to_bits() ^ p.y.to_bits())
+                    ^ refs.cell(n) as u64
+                    ^ refs.hits(n).first().map_or(0, |&q| q as u64);
+                if filing.is_some() {
+                    touched ^= refs.tick(n) as u64;
+                }
+            }
+            std::hint::black_box(touched);
+            for &n in chunk {
+                let n = n as usize;
+                debug_assert_ne!(refs.cell(n), UNOWNED, "dirty node routed to a non-owner");
+                if !self.step_node(n, queries, store, t, routes_row, col_owner, refs, filing) {
+                    self.unown_at(refs.pos(n) as usize, refs);
+                }
             }
         }
     }
@@ -490,27 +797,27 @@ impl Shard {
     }
 
     /// Removes every membership node `n` holds on this shard and marks
-    /// it unplaced (stripe crossing or node removal).
-    fn tear_down(&mut self, n: usize, refs: NodeRefs) {
-        let Shard {
-            qindex, members, ..
-        } = self;
-        let old_slot = qindex.slot_of_cell(refs.cell(n) as usize);
-        for &q in qindex.full_at(old_slot) {
-            remove_member(members, q, n as u32);
+    /// it unplaced (stripe crossing or node removal). Its wheel entry, if
+    /// any, goes stale.
+    fn tear_down(&mut self, n: usize, refs: NodeRefs, filing: Option<&Filing>) {
+        self.changed += 1;
+        if filing.is_some() {
+            refs.set_tick(n, NO_TICK);
         }
+        let Shard { qindex, ops, .. } = self;
+        let old_slot = qindex.slot_of_cell(refs.cell(n) as usize);
         let hits = refs.hits(n);
-        for &q in hits.iter() {
-            remove_member(members, q, n as u32);
+        for &q in qindex.full_at(old_slot).iter().chain(hits.iter()) {
+            ops.push(member_op(q, n as u32, false));
         }
         hits.clear();
         refs.set_cell(n, UNOWNED);
     }
 
-    /// Re-places one owned node at time `t`. Returns false when the node
-    /// left this shard: removed from the store (memberships torn down,
-    /// node forgotten) or crossed into another stripe (torn down and
-    /// routed to the new owner's inbox).
+    /// Re-places one owned node at time `t`, and files it when the round
+    /// files. Returns false when the node left this shard: removed from
+    /// the store (memberships torn down, node forgotten) or crossed into
+    /// another stripe (torn down and routed to the new owner's inbox).
     #[allow(clippy::too_many_arguments)]
     fn step_node(
         &mut self,
@@ -521,94 +828,209 @@ impl Shard {
         routes_row: &mut [Vec<u32>],
         col_owner: &[u32],
         refs: NodeRefs,
+        filing: Option<&Filing>,
     ) -> bool {
         debug_assert_ne!(refs.cell(n), UNOWNED, "stepping an unowned node");
         let Some(p) = store.predict(n as u32, t) else {
             // The node was removed since the last round.
-            self.tear_down(n, refs);
+            self.tear_down(n, refs, filing);
             return false;
         };
         let (row, col) = self.qindex.rc_of(&p);
         if !self.cols.contains(&col) {
             // Stripe crossing: remove every membership held here and hand
             // the node to the stripe that owns its new column.
-            self.tear_down(n, refs);
+            self.tear_down(n, refs, filing);
             self.handoffs += 1;
             routes_row[col_owner[col] as usize].push(n as u32);
             return false;
         }
+        self.changed += self.replace(n, &p, row, col, queries, refs) as u64;
+        if let Some(f) = filing {
+            self.file(n, &p, row, col, queries, store, t, f, refs);
+        }
+        true
+    }
+
+    /// Moves owned node `n`'s memberships to what position `p` in
+    /// in-stripe cell `(row, col)` implies. This is the single exact
+    /// arbiter of a node's answer: whatever made the node step — a
+    /// report, a sweep, a wheel entry firing early — the stored
+    /// `(cell, partial_hits)` afterwards is the one `p` has. Returns
+    /// whether that differs from what was stored.
+    fn replace(
+        &mut self,
+        n: usize,
+        p: &Point,
+        row: usize,
+        col: usize,
+        queries: &[RangeQuery],
+        refs: NodeRefs,
+    ) -> bool {
         let cell = row * self.qindex.side() + col;
         let slot = self.qindex.slot(row, col);
         let old_cell = refs.cell(n) as usize;
         let Shard {
             qindex,
-            members,
+            ops,
             hits_scratch,
             ..
         } = self;
-        if cell == old_cell {
-            let partial = qindex.partial_at(slot);
-            if partial.is_empty() {
-                // Full-cover membership depends on the cell alone:
-                // nothing can have changed for this node.
-                return true;
-            }
-            hits_scratch.clear();
-            for &q in partial {
-                if queries[q as usize].range.contains(&p) {
-                    hits_scratch.push(q);
-                }
-            }
-            let old_hits = refs.hits(n);
-            if *hits_scratch == *old_hits {
-                return true;
-            }
-            let (mut i, mut j) = (0, 0);
-            while i < old_hits.len() || j < hits_scratch.len() {
-                match (old_hits.get(i), hits_scratch.get(j)) {
-                    (Some(&a), Some(&b)) if a == b => {
-                        i += 1;
-                        j += 1;
-                    }
-                    (Some(&a), b) if b.is_none() || a < *b.unwrap() => {
-                        remove_member(members, a, n as u32);
-                        i += 1;
-                    }
-                    (_, Some(&b)) => {
-                        insert_member(members, b, n as u32);
-                        j += 1;
-                    }
-                    _ => unreachable!(),
-                }
-            }
-            old_hits.clear();
-            old_hits.extend_from_slice(hits_scratch);
-        } else {
-            let old_slot = qindex.slot_of_cell(old_cell);
-            for &q in qindex.full_at(old_slot) {
-                remove_member(members, q, n as u32);
-            }
-            let hits = refs.hits(n);
-            for &q in hits.iter() {
-                remove_member(members, q, n as u32);
-            }
-            hits.clear();
-            for &q in qindex.full_at(slot) {
-                insert_member(members, q, n as u32);
-            }
-            for &q in qindex.partial_at(slot) {
-                if queries[q as usize].range.contains(&p) {
-                    insert_member(members, q, n as u32);
-                    hits.push(q);
-                }
-            }
-            refs.set_cell(n, cell as u32);
+        let partial = qindex.partial_at(slot);
+        if cell == old_cell && partial.is_empty() {
+            // Full-cover membership depends on the cell alone: nothing
+            // can have changed for this node.
+            return false;
         }
+        hits_scratch.clear();
+        for &q in partial {
+            if queries[q as usize].range.contains(p) {
+                hits_scratch.push(q);
+            }
+        }
+        let old_hits = refs.hits(n);
+        if cell == old_cell && *hits_scratch == *old_hits {
+            return false;
+        }
+        // A node's memberships are its cell's full covers plus its
+        // partial hits; only the difference touches a member list. A
+        // node that crosses between two cells the same query covers —
+        // most crossings — stays where it is in that query's list.
+        let old_slot = qindex.slot_of_cell(old_cell);
+        sync_members(
+            ops,
+            n as u32,
+            merged(qindex.full_at(old_slot), old_hits),
+            merged(qindex.full_at(slot), hits_scratch),
+        );
+        old_hits.clear();
+        old_hits.extend_from_slice(hits_scratch);
+        refs.set_cell(n, cell as u32);
         true
+    }
+
+    /// A conservative `safe_until` for node `n`, just placed at `p` in
+    /// cell `(row, col)` at time `t`: an instant up to which its
+    /// floating-point `(cell, partial_hits)` provably equals what is
+    /// stored now. `+∞` for a node that can reach nothing; `t` itself
+    /// when nothing better can be proved (the node is then due at every
+    /// later `t`).
+    ///
+    /// The closed form only *proposes*: per axis, the distance to the
+    /// nearest coordinate ahead at which any comparison can flip — the
+    /// cell edge, and each edge line of each partial-cover query of the
+    /// cell, whether or not the node will be inside the query's other
+    /// axis when it gets there — shrunk by [`QueryIndex::edge_margin`],
+    /// over the speed. The floating-point chain *disposes*: the node is
+    /// predicted at the proposed instant with the very `predict` /
+    /// `axis_cell` / `<` a step would use, and the proposal stands only
+    /// if the cell is the same and neither nearest coordinate has been
+    /// reached. Each stage of that chain is monotone in `t`
+    /// (`fl(t − t₀)`, times a constant, plus a constant, minus `lo`,
+    /// over a positive extent, floor, clamp, compare against a
+    /// constant), so a comparison that reads the same at both ends of
+    /// an interval reads the same throughout, and the farther edges
+    /// cannot flip before the nearest. The margin is therefore not what
+    /// makes the bound sound — it is what makes the check pass instead
+    /// of landing within an ulp of the edge — and erring by it only
+    /// ever fires a node early.
+    #[allow(clippy::too_many_arguments)]
+    fn safe_until(
+        &self,
+        n: usize,
+        p: &Point,
+        row: usize,
+        col: usize,
+        queries: &[RangeQuery],
+        store: &NodeStore,
+        t: f64,
+    ) -> f64 {
+        let (vx, vy) = store.velocity(n as u32);
+        let (x0, x1, y0, y1) = self.qindex.cell_edges(row, col);
+        // The nearest flip coordinate ahead on each axis. A coordinate
+        // moving up can only flip `p < e` for `e > p`; moving down, for
+        // `e ≤ p` (both `min ≤ p` and `p < max` are functions of `p < e`).
+        let mut ex = if vx > 0.0 { x1 } else { x0 };
+        let mut ey = if vy > 0.0 { y1 } else { y0 };
+        let nearer = |near: &mut f64, e: f64, p: f64, v: f64| {
+            if v > 0.0 && e > p {
+                *near = near.min(e);
+            } else if v < 0.0 && e <= p {
+                *near = near.max(e);
+            }
+        };
+        for &q in self.qindex.partial_at(self.qindex.slot(row, col)) {
+            let r = &queries[q as usize].range;
+            nearer(&mut ex, r.min.x, p.x, vx);
+            nearer(&mut ex, r.max.x, p.x, vx);
+            nearer(&mut ey, r.min.y, p.y, vy);
+            nearer(&mut ey, r.max.y, p.y, vy);
+        }
+        let eps = self.qindex.edge_margin();
+        let time_to = |e: f64, p: f64, v: f64| {
+            if v == 0.0 {
+                f64::INFINITY
+            } else {
+                ((e - p).abs() - eps) / v.abs()
+            }
+        };
+        let dt = time_to(ex, p.x, vx).min(time_to(ey, p.y, vy));
+        if dt == f64::INFINITY {
+            return f64::INFINITY;
+        }
+        let s = t + dt;
+        // No headroom, an overflow, or a NaN from non-finite inputs.
+        if s.is_nan() || s <= t || s == f64::INFINITY {
+            return t;
+        }
+        let Some(ps) = store.predict(n as u32, s) else {
+            return t;
+        };
+        let unchanged = self.qindex.rc_of(&ps) == (row, col)
+            && (ps.x < ex) == (p.x < ex)
+            && (ps.y < ey) == (p.y < ey);
+        if unchanged {
+            s
+        } else {
+            t
+        }
+    }
+
+    /// Files node `n`, just placed at `p`, under the tick of its
+    /// [`safe_until`](Self::safe_until) — lazily: a live entry at an
+    /// earlier tick is left to fire early (it finds nothing changed and
+    /// re-files), so a node that re-reports every round still has one
+    /// entry, not one per report. Only a node whose safe time moved
+    /// *earlier* gets a second entry, and the first goes stale.
+    #[allow(clippy::too_many_arguments)]
+    fn file(
+        &mut self,
+        n: usize,
+        p: &Point,
+        row: usize,
+        col: usize,
+        queries: &[RangeQuery],
+        store: &NodeStore,
+        t: f64,
+        filing: &Filing,
+        refs: NodeRefs,
+    ) {
+        let s = self.safe_until(n, p, row, col, queries, store, t);
+        let k = filing.tick_for(s, n);
+        // Covers "live entry at or before `k`" and "none wanted, none
+        // there" (`NO_TICK` is the largest word).
+        if refs.tick(n) <= k {
+            return;
+        }
+        refs.set_tick(n, k);
+        if !filing.bulk {
+            self.filed.push(n as u32);
+        }
     }
 
     /// Claims a node routed here by another shard (its new position is
     /// guaranteed to lie in this stripe).
+    #[allow(clippy::too_many_arguments)]
     fn claim(
         &mut self,
         n: usize,
@@ -616,17 +1038,22 @@ impl Shard {
         store: &NodeStore,
         t: f64,
         refs: NodeRefs,
+        filing: Option<&Filing>,
     ) {
         let p = store.predict(n as u32, t).expect("routed node has a model");
         let (row, col) = self.qindex.rc_of(&p);
         debug_assert!(self.cols.contains(&col), "node routed to the wrong stripe");
         self.insert_node(n, row, col, &p, queries, refs);
+        if let Some(f) = filing {
+            self.file(n, &p, row, col, queries, store, t, f, refs);
+        }
     }
 
     /// Claims a pending first report the coordinator routed to this
     /// stripe. Skips nodes that are already owned (a node can be pending
     /// *and* re-placed in the step phase after a remove/re-ingest pair)
     /// or were removed again before the round.
+    #[allow(clippy::too_many_arguments)]
     fn claim_pending(
         &mut self,
         n: usize,
@@ -634,6 +1061,7 @@ impl Shard {
         store: &NodeStore,
         t: f64,
         refs: NodeRefs,
+        filing: Option<&Filing>,
     ) {
         if refs.cell(n) != UNOWNED {
             return;
@@ -646,7 +1074,13 @@ impl Shard {
             self.cols.contains(&col),
             "pending node routed to the wrong stripe"
         );
+        // A first placement is a step; a hand-off was counted where the
+        // node was stepped out of its old stripe.
+        self.stepped += 1;
         self.insert_node(n, row, col, &p, queries, refs);
+        if let Some(f) = filing {
+            self.file(n, &p, row, col, queries, store, t, f, refs);
+        }
     }
 
     fn insert_node(
@@ -660,25 +1094,79 @@ impl Shard {
     ) {
         let slot = self.qindex.slot(row, col);
         let Shard {
-            qindex,
-            members,
-            owned,
-            ..
+            qindex, ops, owned, ..
         } = self;
         for &q in qindex.full_at(slot) {
-            insert_member(members, q, n as u32);
+            ops.push(member_op(q, n as u32, true));
         }
         let hits = refs.hits(n);
         debug_assert!(hits.is_empty(), "claimed node carries stale partial hits");
         for &q in qindex.partial_at(slot) {
             if queries[q as usize].range.contains(p) {
-                insert_member(members, q, n as u32);
+                ops.push(member_op(q, n as u32, true));
                 hits.push(q);
             }
         }
         refs.set_cell(n, (row * qindex.side() + col) as u32);
         refs.set_pos(n, owned.len() as u32);
         owned.push(n as u32);
+    }
+
+    /// Applies the round's queued member-list edits. A sorted `Vec`
+    /// pays a memmove of half the list per single insert or remove; a
+    /// round at a million nodes queues dozens of edits against each
+    /// list, so a list with more than a couple is instead rebuilt in one
+    /// merge pass over it and its (sorted) edits.
+    fn flush_ops(&mut self) {
+        let Shard {
+            members,
+            ops,
+            ops_scratch,
+            ..
+        } = self;
+        ops.sort_unstable();
+        let mut rest = ops.as_slice();
+        while let Some(&first) = rest.first() {
+            let q = (first >> 33) as u32;
+            let (group, tail) = rest.split_at(rest.partition_point(|&op| (op >> 33) as u32 == q));
+            rest = tail;
+            let edit = |op: u64| ((op >> 1) as u32, op & 1 == 1);
+            if group.len() <= 2 {
+                for &op in group {
+                    match edit(op) {
+                        (n, true) => insert_member(members, q, n),
+                        (n, false) => remove_member(members, q, n),
+                    }
+                }
+                continue;
+            }
+            let list = &mut members[q as usize];
+            ops_scratch.clear();
+            let mut kept = list.as_slice();
+            for &op in group {
+                let (n, insert) = edit(op);
+                let (below, from) = kept.split_at(kept.partition_point(|&m| m < n));
+                ops_scratch.extend_from_slice(below);
+                let present = from.first() == Some(&n);
+                debug_assert_ne!(present, insert, "node {n} vs query slot {q}");
+                kept = if present { &from[1..] } else { from };
+                if insert {
+                    ops_scratch.push(n);
+                }
+            }
+            ops_scratch.extend_from_slice(kept);
+            // Swap the rebuilt list in, unless that would leave a short
+            // list holding a long one's old buffer: buffers circulate
+            // through the scratch slot, and unchecked every list would in
+            // time hold the capacity of the largest.
+            if ops_scratch.capacity() <= 2 * ops_scratch.len() {
+                std::mem::swap(list, ops_scratch);
+            } else {
+                list.clear();
+                list.extend_from_slice(ops_scratch);
+            }
+        }
+        ops.clear();
     }
 
     /// One uncertain classification pass over the stripe. Not
@@ -722,6 +1210,58 @@ impl Shard {
                     self.maybe[q as usize].push(n as u32);
                 }
             }
+        }
+    }
+}
+
+/// The ascending union of two sorted, disjoint id lists.
+fn merged<'a>(a: &'a [u32], b: &'a [u32]) -> impl Iterator<Item = u32> + 'a {
+    let (mut a, mut b) = (a.iter().peekable(), b.iter().peekable());
+    std::iter::from_fn(move || match (a.peek(), b.peek()) {
+        (Some(&&x), Some(&&y)) if y < x => {
+            debug_assert_ne!(x, y);
+            b.next();
+            Some(y)
+        }
+        (Some(_), _) => a.next().copied(),
+        (None, _) => b.next().copied(),
+    })
+}
+
+/// One deferred member-list edit as a sortable word: query slot, then
+/// node, then remove (0) before insert (1). A round steps or claims a
+/// node at most once per shard, so a `(slot, node)` pair occurs at most
+/// once among a shard's pending edits.
+#[inline]
+fn member_op(q: u32, n: u32, insert: bool) -> u64 {
+    (q as u64) << 33 | (n as u64) << 1 | insert as u64
+}
+
+/// Queues the edits that move node `n` from the query slots in `old` to
+/// those in `new` (both ascending): one per slot in exactly one of them.
+fn sync_members(
+    ops: &mut Vec<u64>,
+    n: u32,
+    old: impl Iterator<Item = u32>,
+    new: impl Iterator<Item = u32>,
+) {
+    let (mut old, mut new) = (old.peekable(), new.peekable());
+    loop {
+        match (old.peek().copied(), new.peek().copied()) {
+            (None, None) => break,
+            (Some(a), Some(b)) if a == b => {
+                old.next();
+                new.next();
+            }
+            (Some(a), b) if b.is_none_or(|b| a < b) => {
+                ops.push(member_op(a, n, false));
+                old.next();
+            }
+            (_, Some(b)) => {
+                ops.push(member_op(b, n, true));
+                new.next();
+            }
+            (Some(_), None) => unreachable!("covered by the guard above"),
         }
     }
 }
@@ -855,14 +1395,25 @@ pub(crate) struct UnifiedEval {
     indexed: bool,
     /// Whether shard state describes a completed exact round.
     primed: bool,
-    /// Bit pattern of the last exact round's evaluation time.
-    last_t: u64,
-    /// Whether rounds at an unchanged evaluation time may skip clean
-    /// nodes (true in production; false reproduces the every-node
-    /// incremental baseline for benchmarking).
+    /// The last exact round's evaluation time.
+    last_t: f64,
+    /// Whether a round may skip the nodes whose answer cannot have
+    /// changed (true in production; false sweeps every owned node every
+    /// round — the benchmarks' baseline and the in-tree oracle).
     dirty_tracking: bool,
+    /// The kinetic schedule: which owned nodes come due when.
+    wheel: Wheel,
+    /// Whether the next sweep should (re)schedule the wheel: true after a
+    /// rebuild and while rounds are kinetic; false once a round had to
+    /// step more than the [`BUSY`] share of the fleet, until a sweep
+    /// finds less than the [`CALM`] share of it changed. Filing the
+    /// whole fleet doubles a sweep's cost, so a world that moves too
+    /// fast for the wheel to pay — long evaluation periods, tiny cells,
+    /// everyone re-reporting — just sweeps, as it always did.
+    calm: bool,
     /// Nodes that re-reported (or were removed) since the last exact
-    /// round, deduplicated via `dirty_flag`.
+    /// round — plus, from the coordinator's prep to the end of a kinetic
+    /// round, the nodes the wheel fired — deduplicated via `dirty_flag`.
     dirty: Vec<u32>,
     dirty_flag: Vec<bool>,
     /// Nodes whose *first* report arrived since the last exact round —
@@ -923,6 +1474,8 @@ impl Clone for UnifiedEval {
             primed: self.primed,
             last_t: self.last_t,
             dirty_tracking: self.dirty_tracking,
+            wheel: self.wheel.clone(),
+            calm: self.calm,
             dirty: self.dirty.clone(),
             dirty_flag: self.dirty_flag.clone(),
             pending: self.pending.clone(),
@@ -961,8 +1514,10 @@ impl UnifiedEval {
             owned_pos: Vec::new(),
             indexed: false,
             primed: false,
-            last_t: 0,
+            last_t: 0.0,
             dirty_tracking: true,
+            wheel: Wheel::default(),
+            calm: true,
             dirty: Vec::new(),
             dirty_flag: vec![false; num_nodes],
             pending: Vec::new(),
@@ -988,10 +1543,12 @@ impl UnifiedEval {
         }
     }
 
-    /// Enables or disables the unchanged-time dirty shortcut (see the
-    /// module docs; benchmarking baseline).
+    /// Enables or disables work skipping (see the module docs; off is
+    /// the benchmarking baseline and the oracle). Sweeps with it off do
+    /// not maintain the wheel, so it starts over unscheduled.
     pub(crate) fn set_dirty_tracking(&mut self, enabled: bool) {
         self.dirty_tracking = enabled;
+        self.wheel.scheduled = false;
     }
 
     /// Marks every derived structure stale (query-set change).
@@ -1001,10 +1558,11 @@ impl UnifiedEval {
         self.uindexed = false;
     }
 
-    /// Ingest hook: tracks which nodes can change membership at an
-    /// unchanged evaluation time. `first_report` nodes are not owned by
-    /// any shard yet and are claimed at the next round's integrate
-    /// phase.
+    /// Ingest hook: tracks which nodes' stored answer a new model may
+    /// have invalidated. Flag and push, nothing else — the node's new
+    /// `safe_until` is computed when the next round steps it anyway.
+    /// `first_report` nodes are not owned by any shard yet and are
+    /// claimed at the next round's integrate phase.
     pub(crate) fn on_ingest(&mut self, node: u32, first_report: bool) {
         let n = node as usize;
         if n >= self.dirty_flag.len() {
@@ -1019,7 +1577,7 @@ impl UnifiedEval {
     }
 
     /// Removal hook: the node must be re-placed (torn down) at the next
-    /// round even if the evaluation time does not advance.
+    /// round whether or not the wheel has it due.
     pub(crate) fn on_remove(&mut self, node: u32) {
         let n = node as usize;
         if n >= self.dirty_flag.len() {
@@ -1029,6 +1587,12 @@ impl UnifiedEval {
             self.dirty_flag[n] = true;
             self.dirty.push(node);
         }
+    }
+
+    /// Cumulative nodes placed or re-placed, over all shards (the sum of
+    /// [`ShardStats::stepped`], without the snapshot).
+    pub(crate) fn stepped(&self) -> u64 {
+        self.shards.iter().map(|shard| shard.stepped).sum()
     }
 
     /// Per-shard telemetry snapshot.
@@ -1042,6 +1606,9 @@ impl UnifiedEval {
                 nodes: shard.owned.len(),
                 round_ns: shard.round_ns,
                 handoffs: shard.handoffs,
+                stepped: shard.stepped,
+                due_fired: shard.due_fired,
+                due_stale: shard.due_stale,
             })
             .collect()
     }
@@ -1359,6 +1926,82 @@ impl UnifiedEval {
         moved
     }
 
+    /// `due(t)`: moves every node whose wheel entry could have a
+    /// `safe_until < t` onto the dirty list, and says whether the wheel
+    /// could tell. False — sweep instead — for a `t` below the last
+    /// round's, for an advancing `t` on an unscheduled engine, for a
+    /// jump past the ring, and when the round would step more than two
+    /// fifths of the fleet (everything is due anyway).
+    ///
+    /// Every live entry has a `safe_until ≥ last_t`, so nothing is due at
+    /// `t == last_t` and no tick is read. For a later `t` the ticks
+    /// `tick_of(last_t) ..= tick_of(t)` are drained whole — the first
+    /// again because nodes filed during the last round may sit in it, the
+    /// last in full because `tick_of` is all that orders entries, so a
+    /// node fires up to one tick early and never late.
+    fn collect_due(&mut self, t: f64) -> bool {
+        match t.partial_cmp(&self.last_t) {
+            Some(Ordering::Equal) => return true,
+            Some(Ordering::Greater) => {}
+            // Backwards, or a NaN on either side.
+            _ => return false,
+        }
+        let (Some(from), Some(to)) = (self.wheel.filing(self.last_t), self.wheel.filing(t)) else {
+            return false;
+        };
+        // The second bound keeps every tick a round can file under
+        // below `NO_TICK`.
+        if to.first - from.first >= WHEEL_TICKS || to.first + WHEEL_TICKS >= NO_TICK as u64 {
+            return false;
+        }
+        let side = self.col_owner.len();
+        for k in from.first..=to.first {
+            let slot = (k % WHEEL_TICKS) as usize;
+            let mut bucket = std::mem::take(&mut self.wheel.ring[slot]);
+            for &node in bucket.iter() {
+                let n = node as usize;
+                let cell = self.node_cell[n];
+                let owner = if cell == UNOWNED {
+                    0
+                } else {
+                    self.col_owner[cell as usize % side] as usize
+                };
+                if self.wheel.tick[n] as u64 != k {
+                    self.shards[owner].due_stale += 1;
+                    continue;
+                }
+                self.wheel.tick[n] = NO_TICK;
+                self.shards[owner].due_fired += 1;
+                if !self.dirty_flag[n] {
+                    self.dirty_flag[n] = true;
+                    self.dirty.push(node);
+                }
+            }
+            // A bucket is at its fullest when it comes due, and 4096
+            // buckets that each kept that capacity would hold a hundred
+            // times what is live: only a small one is kept for reuse.
+            if bucket.capacity() <= BUCKET_KEEP {
+                bucket.clear();
+                self.wheel.ring[slot] = bucket;
+            }
+        }
+        // A round this busy is cheaper as a sweep, and a wheel this busy
+        // is not earning its keep: its ticks are too coarse for the
+        // cadence `t` now moves at (they were sized from one long step),
+        // or the fleet really does change that fast. The sweep does not
+        // re-file; a later one does once the world has calmed down.
+        self.calm = self.dirty.len() * BUSY.1 <= self.owned_total() * BUSY.0;
+        if !self.calm {
+            self.wheel.scheduled = false;
+        }
+        self.calm
+    }
+
+    /// Nodes owned over all shards.
+    fn owned_total(&self) -> usize {
+        self.shards.iter().map(|shard| shard.owned.len()).sum()
+    }
+
     /// One exact evaluation round at time `t`, writing sorted
     /// [`QueryResult`]s into `out`. With `sequential`, every phase of
     /// every shard runs on the calling thread in shard order — same
@@ -1377,7 +2020,23 @@ impl UnifiedEval {
         }
         let s = self.num_shards;
         let rebuild = !self.primed;
-        let same_t = self.dirty_tracking && self.primed && self.last_t == t.to_bits();
+        // The one skip rule: step only the nodes whose answer can have
+        // changed, whenever the wheel can name them.
+        let kinetic = !rebuild && self.dirty_tracking && self.collect_due(t);
+        let filing = if rebuild {
+            // A rebuild files nothing, so set-up pays nothing for the
+            // wheel: the next advancing round is a sweep that files.
+            self.wheel.scheduled = false;
+            self.calm = true;
+            None
+        } else if kinetic {
+            self.wheel.filing(t)
+        } else if self.dirty_tracking && self.calm {
+            self.wheel.reschedule(self.last_t, t, store.len())
+        } else {
+            None
+        };
+        let changed_before: u64 = self.shards.iter().map(|shard| shard.changed).sum();
         let nq = queries.len();
         out.resize_with(nq, QueryResult::default);
         out.truncate(nq);
@@ -1399,7 +2058,7 @@ impl UnifiedEval {
             }
             step_targets.extend(0..s);
         } else {
-            if same_t {
+            if kinetic {
                 // Bucket dirty nodes by owning shard (derived from the
                 // node's current cell — columns map to shards).
                 let side = self.col_owner.len();
@@ -1410,6 +2069,9 @@ impl UnifiedEval {
                     }
                     let owner = self.col_owner[cell as usize % side] as usize;
                     self.dirty_by_shard[owner].push(node);
+                }
+                for bucket in &mut self.dirty_by_shard {
+                    bucket.sort_unstable();
                 }
                 step_targets.extend((0..s).filter(|&i| !self.dirty_by_shard[i].is_empty()));
             } else {
@@ -1433,7 +2095,7 @@ impl UnifiedEval {
         // host — run on the calling thread. The decision is free to vary
         // per round because pooled and sequential execution are
         // state-identical (the equivalence suite pins this).
-        let step_work = if same_t {
+        let step_work = if kinetic {
             self.dirty.len()
         } else {
             store.len()
@@ -1467,7 +2129,9 @@ impl UnifiedEval {
             cell: SendMutPtr(self.node_cell.as_mut_ptr()),
             hits: SendMutPtr(self.partial_hits.as_mut_ptr()),
             pos: SendMutPtr(self.owned_pos.as_mut_ptr()),
+            tick: SendMutPtr(self.wheel.tick.as_mut_ptr()),
         };
+        let filing = filing.as_ref();
         let col_owner = &self.col_owner;
         let dirty_by_shard = &self.dirty_by_shard;
         let pending_by_shard = &self.pending_by_shard;
@@ -1482,7 +2146,7 @@ impl UnifiedEval {
             let start = Instant::now();
             if rebuild {
                 shard.rebuild(queries, store, t, refs);
-            } else if same_t {
+            } else if kinetic {
                 shard.dirty_round(
                     &dirty_by_shard[i],
                     queries,
@@ -1491,9 +2155,10 @@ impl UnifiedEval {
                     routes_row,
                     col_owner,
                     refs,
+                    filing,
                 );
             } else {
-                shard.sweep_round(queries, store, t, routes_row, col_owner, refs);
+                shard.sweep_round(queries, store, t, routes_row, col_owner, refs, filing);
             }
             shard.round_ns += start.elapsed().as_nanos() as u64;
         });
@@ -1518,16 +2183,28 @@ impl UnifiedEval {
                 for src in 0..s {
                     let outbox = unsafe { &mut *routes.ptr().add(src * s + i) };
                     for &n in outbox.iter() {
-                        shard.claim(n as usize, queries, store, t, refs);
+                        shard.claim(n as usize, queries, store, t, refs, filing);
                     }
                     outbox.clear();
                 }
                 for &n in &pending_by_shard[i] {
-                    shard.claim_pending(n as usize, queries, store, t, refs);
+                    shard.claim_pending(n as usize, queries, store, t, refs, filing);
                 }
                 shard.round_ns += start.elapsed().as_nanos() as u64;
             });
         }
+
+        // Every edit the two phases queued lands in the member lists
+        // now, shard by shard, before anything reads them.
+        let flush_targets: Vec<usize> =
+            (0..s).filter(|&i| !self.shards[i].ops.is_empty()).collect();
+        run_on(&flush_targets, &|i: usize| {
+            // SAFETY: exclusive per-index access, see SendMutPtr.
+            let shard = unsafe { &mut *shards.ptr().add(i) };
+            let start = Instant::now();
+            shard.flush_ops();
+            shard.round_ns += start.elapsed().as_nanos() as u64;
+        });
 
         // Phase 3 — emit: shards are read-only. At one shard this is a
         // straight copy of the member lists; otherwise each worker
@@ -1566,9 +2243,32 @@ impl UnifiedEval {
             });
         }
 
+        if !rebuild && !kinetic {
+            // What a sweep saw decides whether the next one files.
+            let changed = self.shards.iter().map(|shard| shard.changed).sum::<u64>();
+            self.calm = (changed - changed_before) as usize * CALM.1 <= self.owned_total() * CALM.0;
+        }
+        // Move what the shards filed into the wheel's buckets (the ring
+        // is the coordinator's alone, and nothing reads it mid-round).
+        if filing.is_some_and(|f| f.bulk) {
+            self.wheel.fill();
+        }
+        for shard in &mut self.shards {
+            for node in shard.filed.drain(..) {
+                let k = self.wheel.tick[node as usize];
+                let bucket = &mut self.wheel.ring[(k as u64 % WHEEL_TICKS) as usize];
+                // Grow by an eighth, not by doubling: the buckets are
+                // the wheel's whole footprint and there are thousands.
+                if bucket.len() == bucket.capacity() {
+                    bucket.reserve_exact((bucket.len() / 8).max(BUCKET_KEEP));
+                }
+                bucket.push(node);
+            }
+        }
+
         self.emit_entries = out.iter().map(|r| r.nodes.len()).sum();
         self.primed = true;
-        self.last_t = t.to_bits();
+        self.last_t = t;
         let round_ns = round_start.elapsed().as_nanos() as f64;
         self.round_ns_ewma += EWMA_ALPHA * (round_ns - self.round_ns_ewma);
         self.maybe_restripe(queries);

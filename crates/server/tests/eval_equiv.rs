@@ -19,13 +19,10 @@ use lira_core::geometry::{Point, Rect};
 use lira_server::prelude::*;
 use proptest::prelude::*;
 
-/// The coordinate lattice unit (m); binary-exact, half a 125 m index cell.
-const U: f64 = 62.5;
-const NUM_NODES: usize = 24;
+mod common;
+use common::{bounds, query_set, U};
 
-fn bounds() -> Rect {
-    Rect::from_coords(0.0, 0.0, 1000.0, 1000.0)
-}
+const NUM_NODES: usize = 24;
 
 #[derive(Clone, Debug)]
 struct Update {
@@ -53,30 +50,6 @@ fn updates(max: usize) -> impl Strategy<Value = Vec<Update>> {
             }),
         1..max,
     )
-}
-
-fn query_set(max: usize) -> impl Strategy<Value = Vec<RangeQuery>> {
-    prop::collection::vec(
-        (-1i32..17, -1i32..17, 1i32..8, 1i32..8).prop_map(|(i, j, w, h)| {
-            Rect::from_coords(
-                i as f64 * U,
-                j as f64 * U,
-                (i + w) as f64 * U,
-                (j + h) as f64 * U,
-            )
-        }),
-        1..max,
-    )
-    .prop_map(|rects| {
-        rects
-            .into_iter()
-            .enumerate()
-            .map(|(id, range)| RangeQuery {
-                id: id as u32,
-                range,
-            })
-            .collect()
-    })
 }
 
 /// `(model time, origin, velocity)` — the oracle's motion model.
@@ -250,6 +223,53 @@ proptest! {
         let want = oracle.evaluate(&qs2, t);
         prop_assert_eq!(&quad.grid_uni.evaluate(t), &want, "grid/unified after swap");
         prop_assert_eq!(&quad.tpr_uni.evaluate(t), &want, "tpr/unified after swap");
+    }
+
+    /// Advancing-`t` histories (see `common`): the default engine steps
+    /// only re-reported and due nodes, and must agree round for round
+    /// with the sweep-every-round baseline, the legacy oracle on both
+    /// indexes, and brute force — through churn, removals, query swaps,
+    /// `dt = 0`, jumps past the wheel and time running backwards.
+    #[test]
+    fn advancing_t_histories_equivalent_across_engines(
+        steps in common::history(120),
+        qs in common::query_set(8),
+        qs2 in common::query_set(5),
+    ) {
+        let b = bounds();
+        let engine = EvalEngine::unified_from_env(1);
+        let rb = rebalance_from_env(false);
+        let mut kinetic = common::Subject::new(
+            "grid/unified",
+            CqServer::new(b, NUM_NODES, 8).with_engine(engine).with_rebalance(rb),
+        );
+        let mut sweep = common::Subject::new(
+            "grid/unified sweep",
+            CqServer::new(b, NUM_NODES, 8)
+                .with_engine(engine)
+                .with_rebalance(rb)
+                .with_dirty_tracking(false),
+        );
+        let mut grid_leg = common::Subject::new(
+            "grid/legacy",
+            CqServer::new(b, NUM_NODES, 8).with_engine(EvalEngine::Legacy),
+        );
+        let mut tpr_uni = common::Subject::new(
+            "tpr/unified",
+            CqServer::with_index(b, NUM_NODES, TprTree::new(60.0))
+                .with_engine(engine)
+                .with_rebalance(rb),
+        );
+        let mut tpr_leg = common::Subject::new(
+            "tpr/legacy",
+            CqServer::with_index(b, NUM_NODES, TprTree::new(60.0)).with_engine(EvalEngine::Legacy),
+        );
+        common::replay(
+            &steps,
+            &qs,
+            &qs2,
+            &mut [&mut kinetic, &mut sweep, &mut grid_leg, &mut tpr_uni, &mut tpr_leg],
+        );
     }
 
     #[test]

@@ -13,13 +13,10 @@ use lira_core::geometry::{Point, Rect};
 use lira_server::prelude::*;
 use proptest::prelude::*;
 
-/// The coordinate lattice unit (m); binary-exact.
-const U: f64 = 62.5;
-const NUM_NODES: usize = 24;
+mod common;
+use common::{bounds, query_set, U};
 
-fn bounds() -> Rect {
-    Rect::from_coords(0.0, 0.0, 1000.0, 1000.0)
-}
+const NUM_NODES: usize = 24;
 
 #[derive(Clone, Debug)]
 struct Update {
@@ -47,30 +44,6 @@ fn updates(max: usize) -> impl Strategy<Value = Vec<Update>> {
             }),
         1..max,
     )
-}
-
-fn query_set(max: usize) -> impl Strategy<Value = Vec<RangeQuery>> {
-    prop::collection::vec(
-        (-1i32..17, -1i32..17, 1i32..8, 1i32..8).prop_map(|(i, j, w, h)| {
-            Rect::from_coords(
-                i as f64 * U,
-                j as f64 * U,
-                (i + w) as f64 * U,
-                (j + h) as f64 * U,
-            )
-        }),
-        1..max,
-    )
-    .prop_map(|rects| {
-        rects
-            .into_iter()
-            .enumerate()
-            .map(|(id, range)| RangeQuery {
-                id: id as u32,
-                range,
-            })
-            .collect()
-    })
 }
 
 /// The deterministic per-node Δ for uncertain rounds (multiples of U/4).
@@ -197,6 +170,48 @@ proptest! {
         for (s, server) in &mut fleet.rebalanced {
             prop_assert_eq!(&server.evaluate(t), &want, "rebalanced({}) after swap", *s);
         }
+    }
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(32))]
+
+    /// Advancing-`t` histories (see `common`) with forced migrations in
+    /// the mix: the wheel's per-node words are global, so moving a
+    /// column's nodes to another shard must leave every pending entry
+    /// valid — due nodes then step on their *new* owner. Rebalanced
+    /// servers at every shard count stay identical to `shards = 1`, to
+    /// its sweep-every-round twin, and to brute force.
+    #[test]
+    fn advancing_t_histories_survive_forced_restripes(
+        steps in common::history(120),
+        qs in common::query_set(8),
+        qs2 in common::query_set(5),
+    ) {
+        let Fleet { oracle, rebalanced } = Fleet::new(&qs);
+        let mut subjects: Vec<common::Subject> = vec![
+            common::Subject::new("shards=1", oracle),
+            common::Subject::new(
+                "shards=1 sweep",
+                CqServer::new(bounds(), NUM_NODES, 8).with_dirty_tracking(false),
+            ),
+            common::Subject::new(
+                "env",
+                CqServer::new(bounds(), NUM_NODES, 8)
+                    .with_engine(EvalEngine::unified_from_env(4))
+                    .with_rebalance(rebalance_from_env(true)),
+            ),
+        ];
+        subjects.extend(
+            rebalanced
+                .into_iter()
+                .map(|(s, server)| common::Subject::new(format!("rebalanced({s})"), server)),
+        );
+        let mut refs: Vec<&mut dyn common::Replayed> = subjects
+            .iter_mut()
+            .map(|s| s as &mut dyn common::Replayed)
+            .collect();
+        common::replay(&steps, &qs, &qs2, &mut refs);
     }
 }
 

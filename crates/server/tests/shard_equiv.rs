@@ -20,17 +20,14 @@ use lira_core::geometry::{Point, Rect};
 use lira_server::prelude::*;
 use proptest::prelude::*;
 
-/// The coordinate lattice unit (m); binary-exact.
-const U: f64 = 62.5;
+mod common;
+use common::{bounds, query_set, U};
+
 const NUM_NODES: usize = 24;
 /// Shard counts under test: degenerate (1), even splits (2, 8 — at 8 the
 /// boundary test's grid gives every shard exactly one column), uneven
 /// splits that leave stripes of different widths (3, 7).
 const SHARD_COUNTS: [usize; 5] = [1, 2, 3, 7, 8];
-
-fn bounds() -> Rect {
-    Rect::from_coords(0.0, 0.0, 1000.0, 1000.0)
-}
 
 #[derive(Clone, Debug)]
 struct Update {
@@ -60,30 +57,6 @@ fn updates(max: usize) -> impl Strategy<Value = Vec<Update>> {
             }),
         1..max,
     )
-}
-
-fn query_set(max: usize) -> impl Strategy<Value = Vec<RangeQuery>> {
-    prop::collection::vec(
-        (-1i32..17, -1i32..17, 1i32..8, 1i32..8).prop_map(|(i, j, w, h)| {
-            Rect::from_coords(
-                i as f64 * U,
-                j as f64 * U,
-                (i + w) as f64 * U,
-                (j + h) as f64 * U,
-            )
-        }),
-        1..max,
-    )
-    .prop_map(|rects| {
-        rects
-            .into_iter()
-            .enumerate()
-            .map(|(id, range)| RangeQuery {
-                id: id as u32,
-                range,
-            })
-            .collect()
-    })
 }
 
 /// `(model time, origin, velocity)` — the oracle's motion model.
@@ -309,6 +282,34 @@ proptest! {
         for (s, server) in &mut fleet.unified {
             prop_assert_eq!(&server.evaluate(t), &want, "unified({}) after swap", *s);
         }
+    }
+
+    /// Advancing-`t` histories (see `common`) on the whole fleet: every
+    /// shard count, pooled and sequential, with and without the
+    /// re-striper, against the sweep-every-round baseline, the legacy
+    /// oracle and brute force. Due nodes cross stripes like any stepped
+    /// node, and a forced restripe moves nodes under a live wheel.
+    #[test]
+    fn advancing_t_histories_equivalent_across_shard_counts(
+        steps in common::history(120),
+        qs in common::query_set(8),
+        qs2 in common::query_set(5),
+    ) {
+        let Fleet { baseline, legacy, unified } = Fleet::new(&qs);
+        let mut subjects: Vec<common::Subject> = vec![
+            common::Subject::new("baseline", baseline),
+            common::Subject::new("legacy", legacy),
+        ];
+        subjects.extend(
+            unified
+                .into_iter()
+                .map(|(s, server)| common::Subject::new(format!("unified({s})"), server)),
+        );
+        let mut refs: Vec<&mut dyn common::Replayed> = subjects
+            .iter_mut()
+            .map(|s| s as &mut dyn common::Replayed)
+            .collect();
+        common::replay(&steps, &qs, &qs2, &mut refs);
     }
 
     #[test]

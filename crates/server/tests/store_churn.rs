@@ -19,13 +19,10 @@ use lira_core::geometry::{Point, Rect};
 use lira_server::prelude::*;
 use proptest::prelude::*;
 
-/// The coordinate lattice unit (m); binary-exact.
-const U: f64 = 62.5;
-const NUM_NODES: usize = 16;
+mod common;
+use common::{bounds, query_set, U};
 
-fn bounds() -> Rect {
-    Rect::from_coords(0.0, 0.0, 1000.0, 1000.0)
-}
+const NUM_NODES: usize = 16;
 
 /// One step of the churn script.
 #[derive(Clone, Debug)]
@@ -126,30 +123,6 @@ impl Oracle {
     }
 }
 
-fn query_set(max: usize) -> impl Strategy<Value = Vec<RangeQuery>> {
-    prop::collection::vec(
-        (-1i32..17, -1i32..17, 1i32..8, 1i32..8).prop_map(|(i, j, w, h)| {
-            Rect::from_coords(
-                i as f64 * U,
-                j as f64 * U,
-                (i + w) as f64 * U,
-                (j + h) as f64 * U,
-            )
-        }),
-        1..max,
-    )
-    .prop_map(|rects| {
-        rects
-            .into_iter()
-            .enumerate()
-            .map(|(id, range)| RangeQuery {
-                id: id as u32,
-                range,
-            })
-            .collect()
-    })
-}
-
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(48))]
 
@@ -223,6 +196,43 @@ proptest! {
         for (label, s) in &servers {
             prop_assert_eq!(s.store().reported_count(), alive, "{} reported_count", label);
         }
+    }
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(48))]
+
+    /// Advancing-`t` histories (see `common`), removal-heavy: a removed
+    /// node's wheel entry goes stale, a re-registered one files afresh,
+    /// a rejected stale report must not disturb either — with the result
+    /// buffers reused across every round. The default engine (at the CI
+    /// leg's shard count and at 3), its sweep-every-round twin and the
+    /// legacy path against brute force.
+    #[test]
+    fn advancing_t_histories_with_removals_match_the_oracle(
+        steps in common::history(160),
+        qs in common::query_set(7),
+        qs2 in common::query_set(4),
+    ) {
+        let b = bounds();
+        let rb = rebalance_from_env(false);
+        let server = |engine: EvalEngine| {
+            CqServer::new(b, common::NUM_NODES, 8).with_engine(engine).with_rebalance(rb)
+        };
+        let mut subjects = [
+            common::Subject::new("unified(env)", server(EvalEngine::unified_from_env(1))),
+            common::Subject::new("unified(3)", server(EvalEngine::Unified { shards: 3 })),
+            common::Subject::new(
+                "unified(env) sweep",
+                server(EvalEngine::unified_from_env(1)).with_dirty_tracking(false),
+            ),
+            common::Subject::new("legacy", server(EvalEngine::Legacy)),
+        ];
+        let mut refs: Vec<&mut dyn common::Replayed> = subjects
+            .iter_mut()
+            .map(|s| s as &mut dyn common::Replayed)
+            .collect();
+        common::replay(&steps, &qs, &qs2, &mut refs);
     }
 }
 

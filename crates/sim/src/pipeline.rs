@@ -651,7 +651,9 @@ impl PolicyLane {
 
             let due = reference.frames.get(next_frame);
             if let Some(frame) = due.filter(|f| f.tick == tick) {
+                let stepped = self.server.stepped_nodes();
                 self.server.evaluate_into(t, &mut self.shed_results);
+                self.tel.on_evaluated(self.server.stepped_nodes() - stepped);
                 let server = &self.server;
                 self.accumulator.record_round(
                     &frame.results,

@@ -69,6 +69,10 @@ const CHANNEL_DUPLICATES: MetricSpec =
 const SHARD_NODES: MetricSpec = MetricSpec::new("shard.nodes", "server.sharded", "nodes");
 const SHARD_ROUND_NS: MetricSpec = MetricSpec::new("shard.round_ns", "server.sharded", "ns");
 const SHARD_HANDOFFS: MetricSpec = MetricSpec::new("shard.handoffs", "server.sharded", "nodes");
+const SHARD_STEPPED_NODES: MetricSpec =
+    MetricSpec::new("shard.stepped_nodes", "server.sharded", "nodes");
+const SHARD_DUE_FIRED: MetricSpec = MetricSpec::new("shard.due_fired", "server.sharded", "entries");
+const SHARD_DUE_STALE: MetricSpec = MetricSpec::new("shard.due_stale", "server.sharded", "entries");
 // Online re-striper accounting (DESIGN.md §15): end-of-run ownership
 // imbalance (CoV over per-shard node counts) plus cumulative migration
 // counters. `shard.restripe.pause_ns` is wall clock, hence excluded
@@ -129,6 +133,7 @@ pub struct LaneTelemetry {
     region_shed: Arc<Histogram>,
     utility_score: Arc<Histogram>,
     utility_score_max: Arc<Gauge>,
+    stepped_nodes: Arc<Histogram>,
 }
 
 impl LaneTelemetry {
@@ -152,6 +157,7 @@ impl LaneTelemetry {
             region_shed: registry.histogram(REGION_SHED),
             utility_score: registry.histogram(UTILITY_SCORE),
             utility_score_max: registry.gauge(UTILITY_SCORE_MAX),
+            stepped_nodes: registry.histogram(SHARD_STEPPED_NODES),
             registry,
         }
     }
@@ -172,6 +178,13 @@ impl LaneTelemetry {
     #[inline]
     pub fn on_shed(&self) {
         self.updates_shed.incr();
+    }
+
+    /// One evaluation round placed or re-placed `stepped` nodes (the
+    /// difference of `CqServer::stepped_nodes` across it).
+    #[inline]
+    pub fn on_evaluated(&self, stepped: u64) {
+        self.stepped_nodes.record(stepped);
     }
 
     /// Records one adaptation round: wall time, the throttle in force,
@@ -235,7 +248,8 @@ impl LaneTelemetry {
     /// channel's counters (lanes with a faulty uplink only), and for the
     /// unified engine one `shard.nodes` / `shard.round_ns` sample per
     /// shard (final ownership, cumulative round wall time), the total
-    /// cross-stripe handoff count, and — with rebalancing on — the online
+    /// cross-stripe handoff count and wheel entries fired / dropped
+    /// stale, and — with rebalancing on — the online
     /// re-striper's final ownership imbalance (`shard.imbalance`) and
     /// cumulative `shard.restripe.*` counters.
     pub fn on_run_end(&self, channel: Option<ChannelStats>, server: &CqServer) {
@@ -254,10 +268,14 @@ impl LaneTelemetry {
             let nodes = r.histogram(SHARD_NODES);
             let round_ns = r.histogram(SHARD_ROUND_NS);
             let handoffs = r.counter(SHARD_HANDOFFS);
+            let due_fired = r.counter(SHARD_DUE_FIRED);
+            let due_stale = r.counter(SHARD_DUE_STALE);
             for s in &shards {
                 nodes.record(s.nodes as u64);
                 round_ns.record(s.round_ns);
                 handoffs.add(s.handoffs);
+                due_fired.add(s.due_fired);
+                due_stale.add(s.due_stale);
             }
         }
         if let Some(rs) = server.restripe_stats() {
