@@ -8,7 +8,6 @@ use std::hint::black_box;
 
 use lira_core::prelude::*;
 use lira_mobility::motion::DeadReckoner;
-use lira_server::grid_index::GridIndex;
 use lira_server::queue::UpdateQueue;
 use rand::rngs::SmallRng;
 use rand::{Rng, SeedableRng};
@@ -178,28 +177,6 @@ fn bench_tpr_tree(c: &mut Criterion) {
     });
 }
 
-/// The server's hot path: a position update through the grid index.
-fn bench_grid_index_update(c: &mut Criterion) {
-    let mut index = GridIndex::new(bounds(), 64, 10_000);
-    let mut rng = SmallRng::seed_from_u64(9);
-    let moves: Vec<(u32, Point)> = (0..10_000u32)
-        .map(|n| {
-            (
-                n % 10_000,
-                Point::new(rng.gen_range(0.0..14_142.0), rng.gen_range(0.0..14_142.0)),
-            )
-        })
-        .collect();
-    c.bench_function("grid_index/update", |b| {
-        let mut i = 0usize;
-        b.iter(|| {
-            i = (i + 1) % moves.len();
-            let (n, p) = moves[i];
-            index.update(black_box(n), black_box(&p));
-        })
-    });
-}
-
 /// The mobile node's per-tick cost: one dead-reckoning observation.
 fn bench_dead_reckoning(c: &mut Criterion) {
     let mut reckoner = DeadReckoner::new();
@@ -250,7 +227,6 @@ criterion_group!(
     bench_grid_reduce,
     bench_greedy_increment,
     bench_plan_lookup,
-    bench_grid_index_update,
     bench_tpr_tree,
     bench_dead_reckoning,
     bench_queue,

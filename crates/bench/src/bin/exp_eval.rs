@@ -8,10 +8,10 @@
 //! (`t += 1` per round, reports stamped `t` — the round a served
 //! `EvalReq` or a simulated tick pays, and the headline), `evaluate` (the
 //! same churn at a fixed `t`: re-reported nodes only, a round no server
-//! pays), `evaluate_uncertain` and `nearest`. At small scales the
-//! legacy per-query oracle is timed too. Before timing, each scale
-//! cross-checks the engines for equal results — a benchmark of a wrong
-//! engine is worthless.
+//! pays), `evaluate_uncertain` and `nearest` (a scan of the node store,
+//! the same code in both columns). Before timing, each scale
+//! cross-checks the two configurations for equal results — a benchmark
+//! of a wrong engine is worthless.
 //!
 //! ```text
 //! exp_eval [--quick] [--assert] [--min-speedup X] [--churn F] [--out PATH]
@@ -67,10 +67,9 @@ const NEAREST_K: usize = 10;
 /// (see `main`): the sweep baseline's own code path, so parity, less the
 /// run-to-run noise of timing the same code twice.
 const SWEPT_FLOOR: f64 = 0.85;
-/// The legacy per-query oracle is only timed up to this many nodes —
-/// beyond it a single legacy round takes longer than the whole scale's
-/// budget, and the equivalence battery already covers correctness.
-const LEGACY_MAX_NODES: usize = 10_000;
+/// The timed configurations: the default engine and its
+/// sweep-every-round baseline.
+const ENGINES: [&str; 2] = ["unified", "baseline"];
 
 /// Space side for a node count: constant density from the reference
 /// scale up (√nodes growth), never below the paper's 10 km.
@@ -113,8 +112,7 @@ fn bench_plan(space_m: f64) -> SheddingPlan {
     SheddingPlan::new(bounds, regions, 20.0)
 }
 
-/// Cross-checks the engines before timing them: unified vs the sweep
-/// baseline at every scale, plus the legacy oracle where it is timed.
+/// Cross-checks unified against the sweep baseline before timing them.
 fn verify_engines_agree(
     num_nodes: usize,
     space_m: f64,
@@ -133,12 +131,6 @@ fn verify_engines_agree(
                 .with_dirty_tracking(false),
         ),
     ];
-    if num_nodes <= LEGACY_MAX_NODES {
-        servers.push((
-            "legacy",
-            make_server(num_nodes, space_m, queries, EvalEngine::Legacy),
-        ));
-    }
     let mut workloads: Vec<ChurnWorkload> = servers
         .iter()
         .map(|_| ChurnWorkload::new(num_nodes, 7, churn_frac, space_m))
@@ -182,13 +174,11 @@ fn bench_one(c: &mut Criterion, label: String, mut f: impl FnMut(&mut criterion:
     c.results().last().expect("benchmark just ran").1
 }
 
-/// Mean ns/iter for one operation across the timed engines.
+/// Mean ns/iter for one operation across [`ENGINES`].
 struct OpResult {
     op: &'static str,
     unified_ns: f64,
     baseline_ns: f64,
-    /// `None` above [`LEGACY_MAX_NODES`].
-    legacy_ns: Option<f64>,
     /// Mean nodes the unified engine placed or re-placed per iteration
     /// (`CqServer::stepped_nodes`): the fleet when it sweeps, the
     /// re-reported and due nodes when it does not.
@@ -224,11 +214,6 @@ fn bench_scale(
     let plan = bench_plan(space_m);
     verify_engines_agree(num_nodes, space_m, &queries, &plan, churn_frac);
 
-    let engines: &[&str] = if num_nodes <= LEGACY_MAX_NODES {
-        &["unified", "baseline", "legacy"]
-    } else {
-        &["unified", "baseline"]
-    };
     let tag = format!("{num_nodes}x{num_queries}");
     let mut ops = Vec::new();
     for op in [
@@ -237,15 +222,11 @@ fn bench_scale(
         "evaluate_uncertain",
         "nearest",
     ] {
-        let mut per_engine = vec![0.0f64; engines.len()];
+        let mut per_engine = [0.0f64; ENGINES.len()];
         let mut unified_stepped = 0.0;
-        for (slot, &name) in engines.iter().enumerate() {
-            let mut server = match name {
-                "unified" => make_server(num_nodes, space_m, &queries, EvalEngine::default()),
-                "baseline" => make_server(num_nodes, space_m, &queries, EvalEngine::default())
-                    .with_dirty_tracking(false),
-                _ => make_server(num_nodes, space_m, &queries, EvalEngine::Legacy),
-            };
+        for (slot, name) in ENGINES.into_iter().enumerate() {
+            let mut server = make_server(num_nodes, space_m, &queries, EvalEngine::default())
+                .with_dirty_tracking(name == "unified");
             let mut workload = ChurnWorkload::new(num_nodes, 7, churn_frac, space_m);
             workload.prime(&mut server);
             let mut results = Vec::new();
@@ -311,7 +292,6 @@ fn bench_scale(
             op,
             unified_ns: per_engine[0],
             baseline_ns: per_engine[1],
-            legacy_ns: per_engine.get(2).copied(),
             unified_stepped,
         });
     }
@@ -347,7 +327,7 @@ fn report_json(mode: &str, churn_frac: f64, scales: &[ScaleResult]) -> Json {
                             ("peak_rss_bytes".into(), Json::UInt(s.peak_rss_bytes)),
                         ];
                         for r in &s.ops {
-                            let mut cell = vec![
+                            let cell = vec![
                                 (
                                     "unified_stepped_per_round".into(),
                                     Json::Float(r.unified_stepped),
@@ -359,13 +339,6 @@ fn report_json(mode: &str, churn_frac: f64, scales: &[ScaleResult]) -> Json {
                                     Json::Float(r.baseline_ns / r.unified_ns.max(1e-9)),
                                 ),
                             ];
-                            if let Some(leg) = r.legacy_ns {
-                                cell.push(("legacy_ns".into(), Json::Float(leg)));
-                                cell.push((
-                                    "speedup_vs_legacy".into(),
-                                    Json::Float(leg / r.unified_ns.max(1e-9)),
-                                ));
-                            }
                             members.push((r.op.into(), Json::Obj(cell)));
                         }
                         Json::Obj(members)
@@ -418,8 +391,8 @@ fn main() {
         )
     };
     println!(
-        "== exp_eval: unified engine vs sweep baseline (and legacy oracle ≤ {LEGACY_MAX_NODES} \
-         nodes), {mode} ladder ({} scales, {:.0}% churn/round)",
+        "== exp_eval: unified engine vs sweep baseline, {mode} ladder ({} scales, \
+         {:.0}% churn/round)",
         ladder.len(),
         churn_frac * 100.0
     );

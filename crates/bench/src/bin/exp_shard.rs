@@ -215,8 +215,8 @@ struct Timed {
     /// Mean nodes the engine stepped per advancing round (the fleet for
     /// the sweep baseline).
     advancing_stepped: f64,
-    stats: Option<Vec<ShardStats>>,
-    restripe: Option<RestripeStats>,
+    stats: Vec<ShardStats>,
+    restripe: RestripeStats,
 }
 
 /// Times both rounds (see the module docs) for one server: the same-`t`
@@ -344,7 +344,7 @@ fn bench_scale(
                 advancing_ns,
                 advancing_stepped,
                 stats,
-                restripe,
+                restripe: rs,
             } = bench_engine(
                 c,
                 &format!("unified{s}/{tag}"),
@@ -359,12 +359,7 @@ fn bench_scale(
                 ),
                 churn_frac,
             );
-            let handoffs = stats
-                .expect("unified engine reports stats")
-                .iter()
-                .map(|st| st.handoffs)
-                .sum();
-            let rs = restripe.expect("unified engine reports restripe stats");
+            let handoffs = stats.iter().map(|st| st.handoffs).sum();
             println!(
                 "advancing_speedup_{0}_{num_nodes}x{num_queries}_shards{s}={1:.2} \
                  (stepping {4:.0} nodes/round) \

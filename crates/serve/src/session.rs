@@ -54,7 +54,10 @@ pub struct ServeConfig {
     pub service_rate: f64,
     /// Run a plan adaptation every this many closed windows.
     pub adapt_every_windows: u32,
-    /// Grid-index cells per side in the engine.
+    /// Ignored: it sized the server's second spatial index, which is
+    /// gone. The field survives only because the frozen `benchmark/`
+    /// crate reads it — to be dropped by the next `benchmark` PR
+    /// (ROADMAP item 2).
     pub index_side: usize,
     /// LIRA region budget `l` (`l mod 3 == 1`).
     pub num_regions: usize,

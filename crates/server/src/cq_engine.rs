@@ -3,52 +3,40 @@
 //! the *predicted* node positions, in the style of SINA-like periodic
 //! evaluation over a grid index.
 
+use std::cmp::Ordering;
+use std::collections::BinaryHeap;
+
 use lira_core::geometry::{Point, Rect};
 
-use crate::index::{MovingIndex, PredictedGrid};
 use crate::node_store::NodeStore;
 use crate::query::{QueryResult, RangeQuery, UncertainResult};
 use crate::unified::{RestripeStats, ShardStats, UnifiedEval};
 
-/// Safety padding added to the *candidate-gathering* rectangle of the
-/// legacy uncertain path: when a query's expanded edge lands exactly on a
-/// grid-cell boundary, a node sitting at distance exactly `Δ⊣` could fall
-/// outside the half-open candidate rect. Classification afterwards uses
-/// the real range and real `Δ`, so over-approximating candidates never
-/// changes results.
-#[cfg(feature = "legacy-oracle")]
-const CANDIDATE_PAD: f64 = 1e-6;
-
-/// Which evaluation strategy [`CqServer`] uses.
+/// How many stripes [`CqServer`]'s engine evaluates in.
 ///
-/// Every engine produces identical results (`tests/eval_equiv.rs` and
-/// `tests/shard_equiv.rs` prove the equivalence property-style); they
-/// differ only in cost.
+/// There is one engine; the enum and its single variant survive only
+/// because the frozen `benchmark/` crate names
+/// `EvalEngine::Unified { shards }` — to be reduced to a plain shard
+/// count by the next `benchmark` PR (ROADMAP item 2). Results are
+/// identical at every shard count (`tests/eval_equiv.rs` and
+/// `tests/shard_equiv.rs` hold them to brute force property-style).
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum EvalEngine {
-    /// The production engine (`crate::unified`; DESIGN.md §13): a
-    /// cell→queries index with per-query member sets maintained
-    /// incrementally across rounds; a round steps only the nodes that
-    /// re-reported and the nodes a time wheel has due at the new `t`
-    /// (those about to cross a cell or query edge), not the fleet; cut
-    /// into `shards` contiguous column stripes evaluated on a persistent
-    /// worker pool. `shards =
-    /// 1` is the degenerate single-stripe case and runs entirely on the
-    /// calling thread with no pool. Results are bit-identical at every
-    /// shard count. `shards` is clamped to
+    /// The engine (`crate::unified`; DESIGN.md §13): a cell→queries
+    /// index with per-query member sets maintained incrementally across
+    /// rounds; a round steps only the nodes that re-reported and the
+    /// nodes a time wheel has due at the new `t` (those about to cross a
+    /// cell or query edge), not the fleet; cut into `shards` contiguous
+    /// column stripes evaluated on a persistent worker pool.
+    /// `shards = 1` is the degenerate single-stripe case and runs
+    /// entirely on the calling thread with no pool. Results are
+    /// bit-identical at every shard count. `shards` is clamped to
     /// `1..=`[`MAX_SHARDS`](crate::unified::MAX_SHARDS).
     Unified {
         /// Number of spatial stripes; stripes are evaluated on
         /// `shards − 1` worker threads plus the calling thread.
         shards: usize,
     },
-    /// The original per-query engine: each query gathers candidates from
-    /// the [`MovingIndex`] and filters them. Kept only as the
-    /// [`MovingIndex`]-generic equivalence oracle for the test batteries,
-    /// behind the default-on `legacy-oracle` feature — production builds
-    /// can compile it out with `--no-default-features`.
-    #[cfg(feature = "legacy-oracle")]
-    Legacy,
 }
 
 impl Default for EvalEngine {
@@ -71,12 +59,6 @@ impl EvalEngine {
             .unwrap_or(default_shards);
         EvalEngine::Unified { shards }
     }
-
-    /// Whether this engine is the unified one (at any shard count).
-    #[inline]
-    fn is_unified(self) -> bool {
-        matches!(self, EvalEngine::Unified { .. })
-    }
 }
 
 /// Whether the unified engine's online re-striper should be enabled,
@@ -91,21 +73,17 @@ pub fn rebalance_from_env(default: bool) -> bool {
     }
 }
 
-/// A mobile CQ server instance, generic over the moving-object index (the
-/// SINA-style [`PredictedGrid`] by default; see
-/// [`TprTree`](crate::tpr_tree::TprTree) for the update-efficient
-/// alternative the paper cites).
+/// A mobile CQ server instance: the node store, the registered queries
+/// and the evaluation engine that keeps their member sets.
 #[derive(Debug, Clone)]
-pub struct CqServer<I: MovingIndex = PredictedGrid> {
+pub struct CqServer {
     bounds: Rect,
     store: NodeStore,
-    index: I,
     queries: Vec<RangeQuery>,
     evaluations: u64,
     engine: EvalEngine,
-    /// Unified-engine state (boxed: it carries per-shard state, global
-    /// per-node arrays and a lazily-created worker pool). Always present
-    /// — unused (and empty) while the legacy oracle is selected.
+    /// Engine state (boxed: it carries per-shard state, global per-node
+    /// arrays and a lazily-created worker pool).
     unified: Box<UnifiedEval>,
     /// Force evaluation rounds onto the calling thread (no worker pool);
     /// see [`CqServer::with_sequential_eval`].
@@ -116,39 +94,57 @@ pub struct CqServer<I: MovingIndex = PredictedGrid> {
     /// Whether the unified engine's online re-striper is enabled; see
     /// [`CqServer::with_rebalance`].
     rebalance: bool,
-    /// Legacy-path candidate scratch, reused across queries and rounds.
-    #[cfg(feature = "legacy-oracle")]
-    scratch: Vec<u32>,
 }
 
 // The simulation pipeline moves whole servers into per-policy lane
 // threads; keep that property from regressing (e.g. by an Rc sneaking
-// into the store or an index).
+// into the store or the engine).
 const _: () = {
     const fn assert_send<T: Send>() {}
-    assert_send::<CqServer<PredictedGrid>>();
-    assert_send::<CqServer<crate::tpr_tree::TprTree>>();
+    assert_send::<CqServer>();
 };
 
-impl CqServer<PredictedGrid> {
-    /// Creates a server for `num_nodes` nodes over `bounds`, with an
-    /// `index_side × index_side` grid index.
-    pub fn new(bounds: Rect, num_nodes: usize, index_side: usize) -> Self {
-        CqServer::with_index(
-            bounds,
-            num_nodes,
-            PredictedGrid::new(bounds, index_side, num_nodes),
-        )
+/// A k-NN candidate ordered by `(distance, node)`. `f64::total_cmp`
+/// makes the order total: a non-finite distance sorts after every finite
+/// one instead of being a panic path.
+struct Hit {
+    distance: f64,
+    node: u32,
+}
+
+impl Ord for Hit {
+    fn cmp(&self, other: &Self) -> Ordering {
+        self.distance
+            .total_cmp(&other.distance)
+            .then(self.node.cmp(&other.node))
     }
 }
 
-impl<I: MovingIndex> CqServer<I> {
-    /// Creates a server using a custom moving-object index.
-    pub fn with_index(bounds: Rect, num_nodes: usize, index: I) -> Self {
+impl PartialOrd for Hit {
+    fn partial_cmp(&self, other: &Self) -> Option<Ordering> {
+        Some(self.cmp(other))
+    }
+}
+
+impl PartialEq for Hit {
+    fn eq(&self, other: &Self) -> bool {
+        self.cmp(other) == Ordering::Equal
+    }
+}
+
+impl Eq for Hit {}
+
+impl CqServer {
+    /// Creates a server for `num_nodes` nodes over `bounds`.
+    ///
+    /// `_index_side` is ignored: it sized the second spatial index the
+    /// server no longer has, and the parameter survives only because the
+    /// frozen `benchmark/` crate passes it — to be dropped by the next
+    /// `benchmark` PR (ROADMAP item 2).
+    pub fn new(bounds: Rect, num_nodes: usize, _index_side: usize) -> Self {
         CqServer {
             bounds,
             store: NodeStore::new(num_nodes),
-            index,
             queries: Vec::new(),
             evaluations: 0,
             engine: EvalEngine::default(),
@@ -156,39 +152,33 @@ impl<I: MovingIndex> CqServer<I> {
             sequential_eval: false,
             dirty_tracking: true,
             rebalance: false,
-            #[cfg(feature = "legacy-oracle")]
-            scratch: Vec::new(),
         }
     }
 
-    /// Selects the evaluation engine (builder-style; the default is
-    /// [`EvalEngine::Unified`] with one shard).
+    /// Selects the shard count (builder-style; the default is one shard).
     pub fn with_engine(mut self, engine: EvalEngine) -> Self {
+        let EvalEngine::Unified { shards } = engine;
         self.engine = engine;
-        // Irrefutable when the legacy oracle is compiled out.
-        #[allow(irrefutable_let_patterns)]
-        if let EvalEngine::Unified { shards } = engine {
-            self.unified = Box::new(UnifiedEval::new(self.bounds, self.store.len(), shards));
-            self.unified.set_dirty_tracking(self.dirty_tracking);
-            self.unified.set_rebalance(self.rebalance);
-        }
+        self.unified = Box::new(UnifiedEval::new(self.bounds, self.store.len(), shards));
+        self.unified.set_dirty_tracking(self.dirty_tracking);
+        self.unified.set_rebalance(self.rebalance);
         self
     }
 
-    /// Enables the unified engine's load-aware striping and online
+    /// Enables the engine's load-aware striping and online
     /// re-striper (builder-style; off by default, DESIGN.md §15). With it
     /// on, stripe boundaries are solved from the per-column load model at
     /// index-build time and a rebalance controller migrates whole cell
     /// columns between shards when sustained imbalance is detected —
     /// results stay bit-identical at every shard count either way. No
-    /// effect at one shard or on the legacy oracle.
+    /// effect at one shard.
     pub fn with_rebalance(mut self, enabled: bool) -> Self {
         self.rebalance = enabled;
         self.unified.set_rebalance(enabled);
         self
     }
 
-    /// Forces unified evaluation rounds to run every shard on the
+    /// Forces evaluation rounds to run every shard on the
     /// calling thread, in shard order, with no worker pool
     /// (builder-style). The state transitions are identical, so results
     /// stay bit-identical — this is what lets
@@ -200,7 +190,7 @@ impl<I: MovingIndex> CqServer<I> {
         self
     }
 
-    /// Enables or disables the unified engine's work skipping
+    /// Enables or disables the engine's work skipping
     /// (builder-style; on by default): with it on, a round re-places
     /// only the nodes whose answer can have changed — re-reported ones,
     /// and the ones whose `safe_until` the evaluation time has passed.
@@ -215,7 +205,7 @@ impl<I: MovingIndex> CqServer<I> {
         self
     }
 
-    /// The active evaluation engine.
+    /// The configured shard count, as the [`EvalEngine`] it was set by.
     #[inline]
     pub fn engine(&self) -> EvalEngine {
         self.engine
@@ -260,14 +250,11 @@ impl<I: MovingIndex> CqServer<I> {
 
     /// Ingests one position update (a new motion model for `node`). Stale
     /// (reordered) updates are rejected by the store and never reach the
-    /// index. Returns whether the update was applied.
+    /// engine. Returns whether the update was applied.
     pub fn ingest(&mut self, node: u32, t: f64, position: Point, velocity: (f64, f64)) -> bool {
         let first_report = !self.store.has(node);
         if self.store.apply(node, t, position, velocity) {
-            self.index.apply(node, t, position, velocity);
-            if self.engine.is_unified() {
-                self.unified.on_ingest(node, first_report);
-            }
+            self.unified.on_ingest(node, first_report);
             true
         } else {
             false
@@ -281,27 +268,18 @@ impl<I: MovingIndex> CqServer<I> {
     /// time-stamped before the removed model — removal forgets history).
     pub fn remove_node(&mut self, node: u32) -> bool {
         if self.store.remove(node) {
-            self.index.remove(node);
-            if self.engine.is_unified() {
-                self.unified.on_remove(node);
-            }
+            self.unified.on_remove(node);
             true
         } else {
             false
         }
     }
 
-    /// Prepares the index for queries at time `t` (for refresh-based
-    /// indexes, moves entries to predicted positions).
-    pub fn refresh_index(&mut self, t: f64) {
-        self.index.prepare(t, &self.store);
-    }
-
     /// Evaluates every registered query at time `t` against the predicted
     /// node positions. Results are sorted by node id. Any `t` is legal;
     /// rounds at a `t` at or after the previous one are the cheap ones
-    /// (a `t` below it, or far past it, makes the unified engine sweep
-    /// the fleet once).
+    /// (a `t` below it, or far past it, makes the engine sweep the fleet
+    /// once).
     pub fn evaluate(&mut self, t: f64) -> Vec<QueryResult> {
         let mut results = Vec::with_capacity(self.queries.len());
         self.evaluate_into(t, &mut results);
@@ -313,39 +291,8 @@ impl<I: MovingIndex> CqServer<I> {
     /// lanes, which evaluate every round.
     pub fn evaluate_into(&mut self, t: f64, out: &mut Vec<QueryResult>) {
         self.evaluations += 1;
-        match self.engine {
-            EvalEngine::Unified { .. } => {
-                // The unified engine reads the node store directly; the
-                // moving-object index needs no per-round refresh.
-                self.unified.evaluate_into(
-                    &self.queries,
-                    &self.store,
-                    t,
-                    out,
-                    self.sequential_eval,
-                );
-            }
-            #[cfg(feature = "legacy-oracle")]
-            EvalEngine::Legacy => {
-                self.index.prepare(t, &self.store);
-                out.resize_with(self.queries.len(), QueryResult::default);
-                out.truncate(self.queries.len());
-                for (slot, q) in out.iter_mut().zip(&self.queries) {
-                    self.scratch.clear();
-                    self.index.candidates_into(&q.range, t, &mut self.scratch);
-                    slot.query = q.id;
-                    slot.nodes.clear();
-                    slot.nodes.extend(self.scratch.iter().copied().filter(|&n| {
-                        self.store
-                            .predict(n, t)
-                            .is_some_and(|p| q.range.contains(&p))
-                    }));
-                    // Candidates are unique by the `MovingIndex` contract,
-                    // so a sort suffices — no dedup.
-                    slot.nodes.sort_unstable();
-                }
-            }
-        }
+        self.unified
+            .evaluate_into(&self.queries, &self.store, t, out, self.sequential_eval);
     }
 
     /// Evaluates every query at time `t` with three-valued membership:
@@ -359,11 +306,10 @@ impl<I: MovingIndex> CqServer<I> {
     /// which the server only knows to within Δ — use
     /// [`SheddingPlan::max_throttler_within`](lira_core::plan::SheddingPlan::max_throttler_within)
     /// with radius `Δ⊣` for a sound bound near region borders.
-    /// `delta_of` must be a pure function of `(node, position)`: the
-    /// engines call it in different orders (legacy per query × candidate,
-    /// unified once per node from whichever worker owns the node's
-    /// stripe — hence the `Sync` bound), so a stateful closure would
-    /// diverge.
+    /// `delta_of` must be a pure function of `(node, position)`: it is
+    /// called once per node from whichever worker owns the node's stripe
+    /// (hence the `Sync` bound), so a stateful closure would make results
+    /// depend on the shard count.
     pub fn evaluate_uncertain(
         &mut self,
         t: f64,
@@ -386,101 +332,55 @@ impl<I: MovingIndex> CqServer<I> {
     ) {
         assert!(max_delta >= 0.0);
         self.evaluations += 1;
-        match self.engine {
-            EvalEngine::Unified { .. } => {
-                self.unified.evaluate_uncertain_into(
-                    &self.queries,
-                    &self.store,
-                    t,
-                    max_delta,
-                    &delta_of,
-                    out,
-                    self.sequential_eval,
-                );
-            }
-            #[cfg(feature = "legacy-oracle")]
-            EvalEngine::Legacy => {
-                self.index.prepare(t, &self.store);
-                out.resize_with(self.queries.len(), UncertainResult::default);
-                out.truncate(self.queries.len());
-                for (slot, q) in out.iter_mut().zip(&self.queries) {
-                    // Candidates from the range expanded by the worst-case
-                    // bound (padded — see [`CANDIDATE_PAD`]).
-                    let expanded = q.range.expand(max_delta + CANDIDATE_PAD);
-                    self.scratch.clear();
-                    self.index.candidates_into(&expanded, t, &mut self.scratch);
-                    slot.query = q.id;
-                    slot.must.clear();
-                    slot.maybe.clear();
-                    for &n in &self.scratch {
-                        let Some(p) = self.store.predict(n, t) else {
-                            continue;
-                        };
-                        let delta = delta_of(n, p).clamp(0.0, max_delta);
-                        if q.range.contains(&p) && q.range.interior_depth(&p) >= delta {
-                            slot.must.push(n);
-                        } else if q.range.distance_to_point(&p) <= delta {
-                            slot.maybe.push(n);
-                        }
-                    }
-                    slot.must.sort_unstable();
-                    slot.maybe.sort_unstable();
-                }
-            }
-        }
+        self.unified.evaluate_uncertain_into(
+            &self.queries,
+            &self.store,
+            t,
+            max_delta,
+            &delta_of,
+            out,
+            self.sequential_eval,
+        );
     }
 
     /// The `k` nodes nearest to `center` at time `t` (by predicted
-    /// position), as `(node, distance)` sorted by ascending distance —
-    /// the paper's motivating Ride Finder query ("monitor nearby taxis").
+    /// position), as `(node, distance)` sorted by ascending
+    /// `(distance, node)` — the paper's motivating Ride Finder query
+    /// ("monitor nearby taxis"). Returns fewer than `k` entries only when
+    /// fewer nodes have reported.
     ///
-    /// Works on any [`MovingIndex`] by searching expanding boxes around
-    /// `center`: a box of side `s` guarantees every unseen node is farther
-    /// than `s/2`, so the search stops as soon as the k-th hit is within
-    /// that bound. Returns fewer than `k` entries when fewer nodes have
-    /// reported. All engines share this path (which makes unified ≡
-    /// legacy trivial here) — the moving-object index is maintained on
-    /// ingest regardless of engine, and the local box probe beats a full
-    /// store scan at every benchmarked scale (`exp_eval`).
+    /// One pass over the store keeping the best `k`: no spatial structure
+    /// is consulted, so the answer is the brute-force one by construction
+    /// and costs a few nanoseconds per node (`exp_eval`).
     pub fn nearest(&mut self, center: Point, k: usize, t: f64) -> Vec<(u32, f64)> {
         if k == 0 {
             return Vec::new();
         }
         self.evaluations += 1;
-        self.index.prepare(t, &self.store);
-        let max_side = 2.0 * (self.bounds.width() + self.bounds.height());
-        let mut side = (self.bounds.width() / 16.0).max(1.0);
-        let mut candidates = Vec::new();
-        loop {
-            let range = Rect::new(
-                Point::new(center.x - side / 2.0, center.y - side / 2.0),
-                Point::new(center.x + side / 2.0, center.y + side / 2.0),
-            );
-            candidates.clear();
-            self.index.candidates_into(&range, t, &mut candidates);
-            let mut hits: Vec<(u32, f64)> = candidates
-                .iter()
-                .copied()
-                .filter_map(|n| self.store.predict(n, t).map(|p| (n, p.distance(&center))))
-                .filter(|(_, d)| *d <= side / 2.0)
-                .collect();
-            // Candidates are unique by the `MovingIndex` contract.
-            hits.sort_by(|a, b| {
-                a.1.partial_cmp(&b.1)
-                    .expect("finite distances")
-                    .then(a.0.cmp(&b.0))
-            });
-            if hits.len() >= k {
-                hits.truncate(k);
-                return hits;
+        let mut best: BinaryHeap<Hit> = BinaryHeap::with_capacity(k.min(self.store.len()));
+        for node in 0..self.store.len() as u32 {
+            let Some(p) = self.store.predict(node, t) else {
+                continue;
+            };
+            // `abs` is a no-op on a distance except that it clears a
+            // NaN's sign bit, which is what puts NaN last (and not first)
+            // under `total_cmp`.
+            let hit = Hit {
+                distance: p.distance(&center).abs(),
+                node,
+            };
+            if best.len() < k {
+                best.push(hit);
+            } else if let Some(mut worst) = best.peek_mut() {
+                if hit < *worst {
+                    *worst = hit;
+                }
             }
-            if side >= max_side {
-                // The box covers every reported node: return what exists.
-                hits.truncate(k);
-                return hits;
-            }
-            side *= 2.0;
         }
+        best.into_sorted_vec()
+            .into_iter()
+            .map(|hit| (hit.node, hit.distance))
+            .collect()
     }
 
     /// Predicted position of `node` at `t` (`None` until it reports).
@@ -501,56 +401,40 @@ impl<I: MovingIndex> CqServer<I> {
         self.evaluations
     }
 
-    /// Per-shard telemetry of the unified engine — node count, columns,
+    /// Per-shard telemetry of the engine — node count, columns,
     /// cumulative round wall time, handoffs, nodes stepped and wheel
     /// entries fired / dropped stale per stripe (one entry at
-    /// `shards = 1`). `None` while the legacy oracle is
-    /// selected; empty until the first evaluation builds the stripes.
-    pub fn shard_stats(&self) -> Option<Vec<ShardStats>> {
-        if self.engine.is_unified() {
-            Some(self.unified.stats())
-        } else {
-            None
-        }
+    /// `shards = 1`). Empty until the first evaluation builds the
+    /// stripes.
+    pub fn shard_stats(&self) -> Vec<ShardStats> {
+        self.unified.stats()
     }
 
-    /// Cumulative nodes the unified engine has placed or re-placed — the
-    /// sum of [`ShardStats::stepped`] — so the difference across one
+    /// Cumulative nodes the engine has placed or re-placed — the sum of
+    /// [`ShardStats::stepped`] — so the difference across one
     /// [`evaluate_into`](Self::evaluate_into) is what that round stepped:
     /// the fleet in a rebuild or a sweep, the re-reported and due nodes
-    /// in a kinetic round. 0 on the legacy oracle.
+    /// in a kinetic round.
     pub fn stepped_nodes(&self) -> u64 {
-        if self.engine.is_unified() {
-            self.unified.stepped()
-        } else {
-            0
-        }
+        self.unified.stepped()
     }
 
-    /// The unified engine's re-striper accounting — rebalances performed,
+    /// The engine's re-striper accounting — rebalances performed,
     /// columns migrated, cumulative migration pause, and the live
-    /// per-shard load CoV. `None` while the legacy oracle is selected.
-    /// Counters stay zero unless [`with_rebalance`](Self::with_rebalance)
-    /// (or [`force_restripe`](Self::force_restripe)) is used.
-    pub fn restripe_stats(&self) -> Option<RestripeStats> {
-        if self.engine.is_unified() {
-            Some(self.unified.restripe_stats())
-        } else {
-            None
-        }
+    /// per-shard load CoV. Counters stay zero unless
+    /// [`with_rebalance`](Self::with_rebalance) (or
+    /// [`force_restripe`](Self::force_restripe)) is used.
+    pub fn restripe_stats(&self) -> RestripeStats {
+        self.unified.restripe_stats()
     }
 
     /// Forces one boundary re-solve + column migration from live
     /// occupancy, bypassing the imbalance trigger (test/benchmark hook;
     /// works even without [`with_rebalance`](Self::with_rebalance)).
     /// Returns the number of columns that changed owner — 0 before the
-    /// first evaluation, at one shard, or on the legacy oracle.
+    /// first evaluation or at one shard.
     pub fn force_restripe(&mut self) -> usize {
-        if self.engine.is_unified() {
-            self.unified.force_restripe(&self.queries)
-        } else {
-            0
-        }
+        self.unified.force_restripe(&self.queries)
     }
 }
 
@@ -742,11 +626,9 @@ mod tests {
     }
 
     #[test]
-    fn nearest_matches_brute_force_on_both_indexes() {
-        use crate::tpr_tree::TprTree;
+    fn nearest_matches_brute_force() {
         let bounds = Rect::from_coords(0.0, 0.0, 1000.0, 1000.0);
-        let mut grid = CqServer::new(bounds, 80, 10);
-        let mut tpr = CqServer::with_index(bounds, 80, TprTree::new(60.0));
+        let mut server = CqServer::new(bounds, 80, 10);
         let mut truth = Vec::new();
         for i in 0..80u32 {
             let p = Point::new(
@@ -754,8 +636,7 @@ mod tests {
                 ((i as f64 * 77.3) % 983.0) + 1.0,
             );
             let v = ((i % 5) as f64 - 2.0, (i % 3) as f64 - 1.0);
-            grid.ingest(i, 0.0, p, v);
-            tpr.ingest(i, 0.0, p, v);
+            server.ingest(i, 0.0, p, v);
             truth.push((i, p, v));
         }
         for (t, cx, cy, k) in [
@@ -771,117 +652,30 @@ mod tests {
                     (*n, q.distance(&center))
                 })
                 .collect();
-            expected.sort_by(|a, b| a.1.partial_cmp(&b.1).unwrap().then(a.0.cmp(&b.0)));
+            expected.sort_by(|a, b| a.1.total_cmp(&b.1).then(a.0.cmp(&b.0)));
             expected.truncate(k);
-            let got_grid = grid.nearest(center, k, t);
-            let got_tpr = tpr.nearest(center, k, t);
-            for (got, label) in [(&got_grid, "grid"), (&got_tpr, "tpr")] {
-                assert_eq!(got.len(), k, "{label} at t={t}");
-                for ((gn, gd), (en, ed)) in got.iter().zip(&expected) {
-                    assert_eq!(gn, en, "{label} at t={t}");
-                    assert!((gd - ed).abs() < 1e-9, "{label} at t={t}");
-                }
-            }
+            assert_eq!(server.nearest(center, k, t), expected, "t={t}");
         }
     }
 
     #[test]
-    #[cfg(feature = "legacy-oracle")]
-    fn tpr_backed_server_matches_grid_backed() {
-        use crate::tpr_tree::TprTree;
-        let bounds = Rect::from_coords(0.0, 0.0, 1000.0, 1000.0);
-        let queries = [
-            RangeQuery {
-                id: 0,
-                range: Rect::from_coords(100.0, 100.0, 400.0, 400.0),
-            },
-            RangeQuery {
-                id: 1,
-                range: Rect::from_coords(500.0, 0.0, 1000.0, 500.0),
-            },
-        ];
-        let mut grid = CqServer::new(bounds, 50, 10);
-        let mut tpr = CqServer::with_index(bounds, 50, TprTree::new(60.0));
-        let mut grid_legacy = CqServer::new(bounds, 50, 10).with_engine(EvalEngine::Legacy);
-        let mut tpr_legacy =
-            CqServer::with_index(bounds, 50, TprTree::new(60.0)).with_engine(EvalEngine::Legacy);
-        for s in [&mut grid, &mut grid_legacy] {
-            s.register_queries(queries);
+    fn nearest_orders_non_finite_distances_last_instead_of_panicking() {
+        let mut s = server();
+        s.ingest(0, 0.0, Point::new(300.0, 500.0), (0.0, 0.0));
+        s.ingest(1, 0.0, Point::new(100.0, 500.0), (0.0, 0.0));
+        // An infinite velocity at dt = 0 predicts to ∞·0 = NaN.
+        s.ingest(2, 0.0, Point::new(200.0, 500.0), (f64::INFINITY, 0.0));
+        let ids = |knn: Vec<(u32, f64)>| knn.iter().map(|(n, _)| *n).collect::<Vec<_>>();
+        // Every reported node is returned when k allows, the NaN one last.
+        let knn = s.nearest(Point::new(0.0, 500.0), 3, 0.0);
+        assert!(knn[2].1.is_nan());
+        assert_eq!(ids(knn), vec![1, 0, 2]);
+        assert_eq!(ids(s.nearest(Point::new(0.0, 500.0), 2, 0.0)), vec![1, 0]);
+        // A non-finite centre makes every distance non-finite: ties fall
+        // back to node id.
+        for c in [f64::NAN, f64::INFINITY, f64::NEG_INFINITY] {
+            assert_eq!(ids(s.nearest(Point::new(c, 500.0), 2, 0.0)), vec![0, 1]);
         }
-        tpr.register_queries(queries);
-        tpr_legacy.register_queries(queries);
-        // A deterministic swirl of updates.
-        for i in 0..50u32 {
-            let x = 50.0 + (i as f64 * 37.0) % 900.0;
-            let y = 50.0 + (i as f64 * 91.0) % 900.0;
-            let v = ((i % 7) as f64 - 3.0, (i % 5) as f64 - 2.0);
-            for s in [&mut grid, &mut grid_legacy] {
-                s.ingest(i, 0.0, Point::new(x, y), v);
-            }
-            tpr.ingest(i, 0.0, Point::new(x, y), v);
-            tpr_legacy.ingest(i, 0.0, Point::new(x, y), v);
-        }
-        for t in [0.0, 10.0, 30.0, 75.0] {
-            let want = grid.evaluate(t);
-            assert_eq!(want, tpr.evaluate(t), "tpr unified, t = {t}");
-            assert_eq!(want, grid_legacy.evaluate(t), "grid legacy, t = {t}");
-            assert_eq!(want, tpr_legacy.evaluate(t), "tpr legacy, t = {t}");
-        }
-    }
-
-    #[test]
-    #[cfg(feature = "legacy-oracle")]
-    fn engines_agree_across_incremental_rounds() {
-        // Several consecutive rounds with interleaved updates exercise the
-        // incremental path (cell crossings, partial-cell retests, the
-        // skip fast path) against the legacy oracle.
-        let bounds = Rect::from_coords(0.0, 0.0, 1000.0, 1000.0);
-        let mut inv = CqServer::new(bounds, 60, 10);
-        let mut leg = CqServer::new(bounds, 60, 10).with_engine(EvalEngine::Legacy);
-        let queries = [
-            RangeQuery {
-                id: 7,
-                range: Rect::from_coords(0.0, 0.0, 300.0, 1000.0),
-            },
-            RangeQuery {
-                id: 8,
-                range: Rect::from_coords(250.0, 250.0, 750.0, 750.0),
-            },
-            RangeQuery {
-                id: 9,
-                range: Rect::from_coords(900.0, 0.0, 1000.0, 100.0),
-            },
-        ];
-        inv.register_queries(queries);
-        leg.register_queries(queries);
-        for i in 0..60u32 {
-            let p = Point::new((i as f64 * 83.0) % 1000.0, (i as f64 * 41.0) % 1000.0);
-            let v = ((i % 9) as f64 - 4.0, (i % 11) as f64 - 5.0);
-            inv.ingest(i, 0.0, p, v);
-            leg.ingest(i, 0.0, p, v);
-        }
-        for round in 1..20 {
-            let t = round as f64 * 3.0;
-            // A few nodes re-report between rounds.
-            for i in (round % 7..60).step_by(7) {
-                let i = i as u32;
-                let p = Point::new((i as f64 * 59.0 + t * 13.0) % 1000.0, (t * 29.0) % 1000.0);
-                inv.ingest(i, t, p, (1.0, -1.0));
-                leg.ingest(i, t, p, (1.0, -1.0));
-            }
-            assert_eq!(inv.evaluate(t), leg.evaluate(t), "round {round}");
-            let u_inv = inv.evaluate_uncertain(t, 50.0, |n, _| (n % 5) as f64 * 12.0);
-            let u_leg = leg.evaluate_uncertain(t, 50.0, |n, _| (n % 5) as f64 * 12.0);
-            assert_eq!(u_inv, u_leg, "uncertain round {round}");
-        }
-        // Swapping the workload invalidates and re-primes the query index.
-        let swapped = [RangeQuery {
-            id: 1,
-            range: Rect::from_coords(100.0, 600.0, 900.0, 1000.0),
-        }];
-        inv.replace_queries(swapped);
-        leg.replace_queries(swapped);
-        assert_eq!(inv.evaluate(60.0), leg.evaluate(60.0));
     }
 
     #[test]

@@ -1,10 +1,11 @@
 //! # lira-server
 //!
 //! Mobile CQ server substrate for the LIRA reproduction: the last-report
-//! node store with dead-reckoning prediction, a grid spatial index, the
-//! continual range-query engine, the bounded position-update input queue
-//! (with the λ/μ observations THROTLOOP consumes), the base-station layer,
-//! and the mobile-node-side shedder with its tiny 5×5 lookup grid.
+//! node store with dead-reckoning prediction, the continual range-query
+//! engine over it (one cell grid, owned by the engine — DESIGN.md §13),
+//! the bounded position-update input queue (with the λ/μ observations
+//! THROTLOOP consumes), the base-station layer, and the mobile-node-side
+//! shedder with its tiny 5×5 lookup grid.
 //!
 //! ```
 //! use lira_server::prelude::*;
@@ -20,9 +21,7 @@
 pub mod base_station;
 pub mod channel;
 pub mod cq_engine;
-pub mod grid_index;
 pub mod history;
-pub mod index;
 pub mod mobile;
 pub mod node_store;
 mod qindex;
@@ -42,9 +41,7 @@ pub mod prelude {
         RetryPolicy,
     };
     pub use crate::cq_engine::{rebalance_from_env, CqServer, EvalEngine};
-    pub use crate::grid_index::GridIndex;
     pub use crate::history::HistoryStore;
-    pub use crate::index::{MovingIndex, PredictedGrid};
     pub use crate::mobile::{MobileShedder, LOCAL_GRID_SIDE};
     pub use crate::node_store::{NodeStore, StoredModel};
     pub use crate::query::{sorted_difference_count, QueryResult, RangeQuery, UncertainResult};

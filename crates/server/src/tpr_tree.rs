@@ -210,8 +210,7 @@ impl TprTree {
 
     /// `query`, reusing an output buffer. Each node id is appended at most
     /// once: [`update`](Self::update) removes any previous entry first, so
-    /// a node lives in exactly one leaf (the `MovingIndex` uniqueness
-    /// contract).
+    /// a node lives in exactly one leaf.
     pub fn query_into(&self, range: &Rect, t: f64, out: &mut Vec<u32>) {
         let mut stack = vec![self.root];
         while let Some(idx) = stack.pop() {

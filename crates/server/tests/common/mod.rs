@@ -6,7 +6,8 @@
 //! wrong — none, one ulp-ish, one period, a jump past many events, a jump
 //! past the whole time wheel, and backwards. Every server under test is
 //! compared, round for round, against a brute-force [`World`] with the
-//! node store's exact staleness and removal rules.
+//! node store's exact staleness and removal rules — the one oracle of
+//! every battery, for `evaluate`, `evaluate_uncertain` and `nearest`.
 //!
 //! Coordinates are multiples of 62.5 m (binary-exact) over a 1 km² space
 //! and velocities multiples of 6.25 m/s, so nodes sit *exactly* on cell,
@@ -161,6 +162,51 @@ impl World {
             .collect()
     }
 
+    /// The uncertain-membership specification: `must` ⇔ the prediction is
+    /// inside with interior depth ≥ the node's Δ; `maybe` ⇔ not must but
+    /// within Δ of the range.
+    pub fn evaluate_uncertain(
+        &self,
+        queries: &[RangeQuery],
+        t: f64,
+        max_delta: f64,
+        delta_of: impl Fn(u32, Point) -> f64,
+    ) -> Vec<UncertainResult> {
+        queries
+            .iter()
+            .map(|q| {
+                let mut must = Vec::new();
+                let mut maybe = Vec::new();
+                for n in 0..self.models.len() {
+                    let Some(p) = self.predict(n, t) else {
+                        continue;
+                    };
+                    let delta = delta_of(n as u32, p).clamp(0.0, max_delta);
+                    if q.range.contains(&p) && q.range.interior_depth(&p) >= delta {
+                        must.push(n as u32);
+                    } else if q.range.distance_to_point(&p) <= delta {
+                        maybe.push(n as u32);
+                    }
+                }
+                UncertainResult {
+                    query: q.id,
+                    must,
+                    maybe,
+                }
+            })
+            .collect()
+    }
+
+    /// The `k` nearest reported nodes by `(distance, id)`: sort everyone.
+    pub fn nearest(&self, center: Point, k: usize, t: f64) -> Vec<(u32, f64)> {
+        let mut hits: Vec<(u32, f64)> = (0..self.models.len())
+            .filter_map(|n| self.predict(n, t).map(|p| (n as u32, p.distance(&center))))
+            .collect();
+        hits.sort_by(|a, b| a.1.total_cmp(&b.1).then(a.0.cmp(&b.0)));
+        hits.truncate(k);
+        hits
+    }
+
     pub fn reported_count(&self) -> usize {
         self.models.iter().filter(|m| m.is_some()).count()
     }
@@ -168,14 +214,14 @@ impl World {
 
 /// One server under test with the result buffer it reuses across rounds
 /// (a node that vanishes must vanish from the reused vectors too).
-pub struct Subject<I: MovingIndex = PredictedGrid> {
+pub struct Subject {
     pub label: String,
-    pub server: CqServer<I>,
+    pub server: CqServer,
     buf: Vec<QueryResult>,
 }
 
-impl<I: MovingIndex> Subject<I> {
-    pub fn new(label: impl Into<String>, server: CqServer<I>) -> Self {
+impl Subject {
+    pub fn new(label: impl Into<String>, server: CqServer) -> Self {
         Subject {
             label: label.into(),
             server,
@@ -184,55 +230,20 @@ impl<I: MovingIndex> Subject<I> {
     }
 }
 
-/// What [`replay`] drives: object-safe, so one fleet can mix index types.
-pub trait Replayed {
-    fn label(&self) -> &str;
-    fn report(&mut self, node: u32, t: f64, pos: Point, vel: (f64, f64));
-    fn remove(&mut self, node: u32) -> bool;
-    fn replace_queries(&mut self, queries: &[RangeQuery]);
-    fn restripe(&mut self);
-    fn evaluate(&mut self, t: f64) -> &[QueryResult];
-    fn reported_count(&self) -> usize;
-}
-
-impl<I: MovingIndex> Replayed for Subject<I> {
-    fn label(&self) -> &str {
-        &self.label
-    }
-    fn report(&mut self, node: u32, t: f64, pos: Point, vel: (f64, f64)) {
-        self.server.ingest(node, t, pos, vel);
-    }
-    fn remove(&mut self, node: u32) -> bool {
-        self.server.remove_node(node)
-    }
-    fn replace_queries(&mut self, queries: &[RangeQuery]) {
-        self.server.replace_queries(queries.iter().copied());
-    }
-    fn restripe(&mut self) {
-        self.server.force_restripe();
-    }
-    fn evaluate(&mut self, t: f64) -> &[QueryResult] {
-        self.server.evaluate_into(t, &mut self.buf);
-        &self.buf
-    }
-    fn reported_count(&self) -> usize {
-        self.server.store().reported_count()
-    }
-}
-
 /// Replays `steps` against every subject and the brute-force world,
 /// starting from query set `qs` (a `ReplaceQueries` step toggles between
 /// `qs` and `qs2`), and asserts after every evaluation — plus three
 /// settling rounds one period apart at the end — that each subject's
-/// result equals the world's. Returns the number of rounds compared.
+/// result, and its `k` nearest nodes to a lattice point that moves with
+/// the round, equal the world's. Returns the number of rounds compared.
 pub fn replay(
     steps: &[Step],
     qs: &[RangeQuery],
     qs2: &[RangeQuery],
-    subjects: &mut [&mut dyn Replayed],
+    subjects: &mut [Subject],
 ) -> usize {
     for s in subjects.iter_mut() {
-        s.replace_queries(qs);
+        s.server.replace_queries(qs.iter().copied());
     }
     let mut world = World::new(NUM_NODES);
     let (mut active, mut other) = (qs, qs2);
@@ -253,45 +264,64 @@ pub fn replay(
             } => {
                 world.report(*node, t - age, *pos, *vel);
                 for s in subjects.iter_mut() {
-                    s.report(*node, t - age, *pos, *vel);
+                    s.server.ingest(*node, t - age, *pos, *vel);
                 }
             }
             Step::Remove { node } => {
                 let had = world.models[*node as usize].is_some();
                 world.remove(*node);
                 for s in subjects.iter_mut() {
-                    assert_eq!(s.remove(*node), had, "{} remove {node}", s.label());
+                    assert_eq!(
+                        s.server.remove_node(*node),
+                        had,
+                        "{} remove {node}",
+                        s.label
+                    );
                 }
             }
             Step::ReplaceQueries => {
                 std::mem::swap(&mut active, &mut other);
                 for s in subjects.iter_mut() {
-                    s.replace_queries(active);
+                    s.server.replace_queries(active.iter().copied());
                 }
             }
             Step::Restripe => {
                 for s in subjects.iter_mut() {
-                    s.restripe();
+                    s.server.force_restripe();
                 }
             }
             Step::Eval { dt } => {
                 t += dt;
                 rounds += 1;
                 let want = world.evaluate(active, t);
+                // Lattice points −1..18 per axis, so centres sit on
+                // nodes, between them and outside the bounds, and ties
+                // in distance (broken by id) are routine.
+                let center = Point::new(
+                    ((rounds * 5) % 20) as f64 * U - U,
+                    ((rounds * 7) % 20) as f64 * U - U,
+                );
+                let k = rounds % 7;
+                let near = world.nearest(center, k, t);
                 for s in subjects.iter_mut() {
-                    let label = s.label().to_owned();
-                    let got = s.evaluate(t);
-                    assert_eq!(got, &want[..], "{label} step {i} round {rounds} t={t}");
+                    s.server.evaluate_into(t, &mut s.buf);
+                    assert_eq!(s.buf, want, "{} step {i} round {rounds} t={t}", s.label);
+                    assert_eq!(
+                        s.server.nearest(center, k, t),
+                        near,
+                        "{} nearest k={k} step {i} round {rounds} t={t}",
+                        s.label
+                    );
                 }
             }
         }
     }
     for s in subjects.iter() {
         assert_eq!(
-            s.reported_count(),
+            s.server.store().reported_count(),
             world.reported_count(),
             "{} reported_count",
-            s.label()
+            s.label
         );
     }
     rounds

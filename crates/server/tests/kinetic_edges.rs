@@ -37,7 +37,7 @@ fn four_queries() -> Vec<RangeQuery> {
 
 /// `(stepped, due_fired, due_stale)` summed over the shards.
 fn counts(server: &CqServer) -> (u64, u64, u64) {
-    let stats = server.shard_stats().expect("unified engine");
+    let stats = server.shard_stats();
     (
         stats.iter().map(|s| s.stepped).sum(),
         stats.iter().map(|s| s.due_fired).sum(),
@@ -320,7 +320,6 @@ fn a_cloned_server_continues_bit_identically() {
     let mut twin = trio.kinetic.clone();
     let shape = |s: &CqServer| -> Vec<(usize, usize, u64, u64, u64, u64)> {
         s.shard_stats()
-            .unwrap()
             .iter()
             .map(|st| {
                 (

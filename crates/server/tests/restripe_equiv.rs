@@ -207,11 +207,7 @@ proptest! {
                 .into_iter()
                 .map(|(s, server)| common::Subject::new(format!("rebalanced({s})"), server)),
         );
-        let mut refs: Vec<&mut dyn common::Replayed> = subjects
-            .iter_mut()
-            .map(|s| s as &mut dyn common::Replayed)
-            .collect();
-        common::replay(&steps, &qs, &qs2, &mut refs);
+        common::replay(&steps, &qs, &qs2, &mut subjects);
     }
 }
 
@@ -253,7 +249,7 @@ fn sustained_hotspot_triggers_the_restriper() {
         assert_eq!(server.evaluate(t), oracle.evaluate(t), "warmup t={t}");
     }
     assert_eq!(
-        server.restripe_stats().expect("unified").restripes,
+        server.restripe_stats().restripes,
         0,
         "a balanced world must not restripe"
     );
@@ -269,13 +265,13 @@ fn sustained_hotspot_triggers_the_restriper() {
         }
         assert_eq!(server.evaluate(t), oracle.evaluate(t), "hotspot t={t}");
     }
-    let rs = server.restripe_stats().expect("unified");
+    let rs = server.restripe_stats();
     assert!(
         rs.restripes >= 1,
         "sustained imbalance must trigger: {rs:?}"
     );
     assert!(rs.moved_cols > 0, "a rebalance moves columns: {rs:?}");
-    let stats = server.shard_stats().expect("unified");
+    let stats = server.shard_stats();
     let peak = stats.iter().map(|s| s.nodes).max().unwrap();
     assert!(
         peak <= NUM_NODES / 2,
@@ -288,13 +284,13 @@ fn sustained_hotspot_triggers_the_restriper() {
     );
 }
 
-/// Accounting edges: nothing to migrate before the first round, at one
-/// shard, or on the legacy oracle; stats start zeroed.
+/// Accounting edges: nothing to migrate before the first round or at
+/// one shard; stats start zeroed.
 #[test]
 fn restripe_accounting_edges() {
     let mut fresh = CqServer::new(bounds(), 8, 8).with_engine(EvalEngine::Unified { shards: 4 });
     assert_eq!(fresh.force_restripe(), 0, "unprimed engine has no columns");
-    let rs = fresh.restripe_stats().expect("unified");
+    let rs = fresh.restripe_stats();
     assert_eq!(rs, RestripeStats::default());
 
     let mut single = CqServer::new(bounds(), 8, 8).with_rebalance(true);
@@ -306,15 +302,8 @@ fn restripe_accounting_edges() {
     single.evaluate(0.0);
     assert_eq!(single.force_restripe(), 0, "one shard never migrates");
     assert_eq!(
-        single.restripe_stats().expect("unified").imbalance,
+        single.restripe_stats().imbalance,
         0.0,
         "one shard is never imbalanced"
     );
-
-    #[cfg(feature = "legacy-oracle")]
-    {
-        let mut legacy = CqServer::new(bounds(), 8, 8).with_engine(EvalEngine::Legacy);
-        assert_eq!(legacy.restripe_stats(), None);
-        assert_eq!(legacy.force_restripe(), 0);
-    }
 }

@@ -1,8 +1,8 @@
 //! Property-based equivalence suite for the unified engine across shard
 //! counts: unified at shards ∈ {1, 2, 3, 7, 8} (plus a pool-free
 //! sequential run and the `LIRA_TEST_SHARDS` CI count) ≡ the
-//! dirty-tracking-off baseline ≡ legacy ≡ brute force, for `evaluate`,
-//! `evaluate_uncertain`, and `nearest`.
+//! dirty-tracking-off baseline ≡ brute force (`common::World`), for
+//! `evaluate`, `evaluate_uncertain`, and `nearest`.
 //!
 //! Coordinates reuse the lattice trick from `eval_equiv.rs` — every
 //! generated coordinate is a multiple of 62.5 m (binary-exact) over a
@@ -13,15 +13,12 @@
 //! after more ingests) so the engine's work-skipping dirty rounds are
 //! exercised as hard as its full sweeps and handoffs.
 
-// The whole battery compares against the legacy oracle.
-#![cfg(feature = "legacy-oracle")]
-
 use lira_core::geometry::{Point, Rect};
 use lira_server::prelude::*;
 use proptest::prelude::*;
 
 mod common;
-use common::{bounds, query_set, U};
+use common::{bounds, query_set, World, U};
 
 const NUM_NODES: usize = 24;
 /// Shard counts under test: degenerate (1), even splits (2, 8 — at 8 the
@@ -59,106 +56,16 @@ fn updates(max: usize) -> impl Strategy<Value = Vec<Update>> {
     )
 }
 
-/// `(model time, origin, velocity)` — the oracle's motion model.
-type Model = (f64, Point, (f64, f64));
-
-/// The brute-force oracle: last-writer-wins motion models with the node
-/// store's exact staleness rule and the same prediction arithmetic,
-/// evaluated by full scans.
-#[derive(Clone)]
-struct Oracle {
-    models: Vec<Option<Model>>,
-}
-
-impl Oracle {
-    fn new() -> Self {
-        Oracle {
-            models: vec![None; NUM_NODES],
-        }
-    }
-
-    fn apply(&mut self, u: &Update) {
-        let slot = &mut self.models[u.node as usize];
-        if let Some((time, _, _)) = slot {
-            if *time > u.t {
-                return;
-            }
-        }
-        *slot = Some((u.t, u.pos, u.vel));
-    }
-
-    fn predict(&self, node: usize, t: f64) -> Option<Point> {
-        self.models[node].map(|(time, origin, vel)| {
-            let dt = t - time;
-            Point::new(origin.x + vel.0 * dt, origin.y + vel.1 * dt)
-        })
-    }
-
-    fn evaluate(&self, queries: &[RangeQuery], t: f64) -> Vec<QueryResult> {
-        queries
-            .iter()
-            .map(|q| QueryResult {
-                query: q.id,
-                nodes: (0..NUM_NODES)
-                    .filter(|&n| self.predict(n, t).is_some_and(|p| q.range.contains(&p)))
-                    .map(|n| n as u32)
-                    .collect(),
-            })
-            .collect()
-    }
-
-    fn evaluate_uncertain(
-        &self,
-        queries: &[RangeQuery],
-        t: f64,
-        max_delta: f64,
-        delta_of: impl Fn(u32, Point) -> f64,
-    ) -> Vec<UncertainResult> {
-        queries
-            .iter()
-            .map(|q| {
-                let mut must = Vec::new();
-                let mut maybe = Vec::new();
-                for n in 0..NUM_NODES {
-                    let Some(p) = self.predict(n, t) else {
-                        continue;
-                    };
-                    let delta = delta_of(n as u32, p).clamp(0.0, max_delta);
-                    if q.range.contains(&p) && q.range.interior_depth(&p) >= delta {
-                        must.push(n as u32);
-                    } else if q.range.distance_to_point(&p) <= delta {
-                        maybe.push(n as u32);
-                    }
-                }
-                UncertainResult {
-                    query: q.id,
-                    must,
-                    maybe,
-                }
-            })
-            .collect()
-    }
-
-    fn nearest(&self, center: Point, k: usize, t: f64) -> Vec<(u32, f64)> {
-        let mut hits: Vec<(u32, f64)> = (0..NUM_NODES)
-            .filter_map(|n| self.predict(n, t).map(|p| (n as u32, p.distance(&center))))
-            .collect();
-        hits.sort_by(|a, b| a.1.partial_cmp(&b.1).unwrap().then(a.0.cmp(&b.0)));
-        hits.truncate(k);
-        hits
-    }
-}
-
-/// Every engine configuration under test, fed identically: the two
-/// reference servers (the dirty-tracking-off baseline — the retired
-/// inverted engine's every-node incremental round — and the legacy
-/// oracle), one pooled unified server per count in `SHARD_COUNTS`, one
-/// forced onto the calling thread (sequential ≡ parallel), and one with
-/// the CI matrix's `LIRA_TEST_SHARDS` count.
+/// Every engine configuration under test, fed identically, with the
+/// brute-force world they are held to: the dirty-tracking-off baseline
+/// (the retired inverted engine's every-node incremental round), one
+/// pooled unified server per count in `SHARD_COUNTS`, one forced onto
+/// the calling thread (sequential ≡ parallel), and one with the CI
+/// matrix's `LIRA_TEST_SHARDS` count.
 struct Fleet {
     baseline: CqServer,
-    legacy: CqServer,
     unified: Vec<(usize, CqServer)>,
+    world: World,
 }
 
 impl Fleet {
@@ -203,11 +110,10 @@ impl Fleet {
         ));
         let mut fleet = Fleet {
             baseline: CqServer::new(b, NUM_NODES, 8).with_dirty_tracking(false),
-            legacy: CqServer::new(b, NUM_NODES, 8).with_engine(EvalEngine::Legacy),
             unified,
+            world: World::new(NUM_NODES),
         };
         fleet.baseline.register_queries(queries.iter().copied());
-        fleet.legacy.register_queries(queries.iter().copied());
         for (_, s) in &mut fleet.unified {
             s.register_queries(queries.iter().copied());
         }
@@ -216,15 +122,14 @@ impl Fleet {
 
     fn ingest(&mut self, u: &Update) {
         self.baseline.ingest(u.node, u.t, u.pos, u.vel);
-        self.legacy.ingest(u.node, u.t, u.pos, u.vel);
         for (_, s) in &mut self.unified {
             s.ingest(u.node, u.t, u.pos, u.vel);
         }
+        self.world.report(u.node, u.t, u.pos, u.vel);
     }
 
     fn replace(&mut self, queries: &[RangeQuery]) {
         self.baseline.replace_queries(queries.iter().copied());
-        self.legacy.replace_queries(queries.iter().copied());
         for (_, s) in &mut self.unified {
             s.replace_queries(queries.iter().copied());
         }
@@ -247,18 +152,15 @@ proptest! {
         qs2 in query_set(5),
     ) {
         let mut fleet = Fleet::new(&qs);
-        let mut oracle = Oracle::new();
         for (round, chunk) in ups.chunks(8).enumerate() {
             let (head, tail) = chunk.split_at(chunk.len() / 2);
             for u in head {
                 fleet.ingest(u);
-                oracle.apply(u);
             }
             // Advancing-t round: full sweeps, stripe handoffs.
             let t = round as f64 + 0.5;
-            let want = oracle.evaluate(&qs, t);
+            let want = fleet.world.evaluate(&qs, t);
             prop_assert_eq!(&fleet.baseline.evaluate(t), &want, "baseline t={}", t);
-            prop_assert_eq!(&fleet.legacy.evaluate(t), &want, "legacy t={}", t);
             for (s, server) in &mut fleet.unified {
                 prop_assert_eq!(&server.evaluate(t), &want, "unified({}) t={}", *s, t);
             }
@@ -266,9 +168,8 @@ proptest! {
             // dirty path re-places only the re-reported nodes.
             for u in tail {
                 fleet.ingest(u);
-                oracle.apply(u);
             }
-            let want = oracle.evaluate(&qs, t);
+            let want = fleet.world.evaluate(&qs, t);
             prop_assert_eq!(&fleet.baseline.evaluate(t), &want, "baseline same-t {}", t);
             for (s, server) in &mut fleet.unified {
                 prop_assert_eq!(&server.evaluate(t), &want, "unified({}) same-t {}", *s, t);
@@ -277,7 +178,7 @@ proptest! {
         // Workload swap: stripe indexes must invalidate and rebuild.
         fleet.replace(&qs2);
         let t = 9.0;
-        let want = oracle.evaluate(&qs2, t);
+        let want = fleet.world.evaluate(&qs2, t);
         prop_assert_eq!(&fleet.baseline.evaluate(t), &want, "baseline after swap");
         for (s, server) in &mut fleet.unified {
             prop_assert_eq!(&server.evaluate(t), &want, "unified({}) after swap", *s);
@@ -286,30 +187,23 @@ proptest! {
 
     /// Advancing-`t` histories (see `common`) on the whole fleet: every
     /// shard count, pooled and sequential, with and without the
-    /// re-striper, against the sweep-every-round baseline, the legacy
-    /// oracle and brute force. Due nodes cross stripes like any stepped
-    /// node, and a forced restripe moves nodes under a live wheel.
+    /// re-striper, against the sweep-every-round baseline and brute
+    /// force. Due nodes cross stripes like any stepped node, and a forced
+    /// restripe moves nodes under a live wheel.
     #[test]
     fn advancing_t_histories_equivalent_across_shard_counts(
         steps in common::history(120),
         qs in common::query_set(8),
         qs2 in common::query_set(5),
     ) {
-        let Fleet { baseline, legacy, unified } = Fleet::new(&qs);
-        let mut subjects: Vec<common::Subject> = vec![
-            common::Subject::new("baseline", baseline),
-            common::Subject::new("legacy", legacy),
-        ];
+        let Fleet { baseline, unified, .. } = Fleet::new(&qs);
+        let mut subjects = vec![common::Subject::new("baseline", baseline)];
         subjects.extend(
             unified
                 .into_iter()
                 .map(|(s, server)| common::Subject::new(format!("unified({s})"), server)),
         );
-        let mut refs: Vec<&mut dyn common::Replayed> = subjects
-            .iter_mut()
-            .map(|s| s as &mut dyn common::Replayed)
-            .collect();
-        common::replay(&steps, &qs, &qs2, &mut refs);
+        common::replay(&steps, &qs, &qs2, &mut subjects);
     }
 
     #[test]
@@ -322,21 +216,15 @@ proptest! {
         // covers also align with cell (and stripe) boundaries.
         let max_delta = dmax_step as f64 * 31.25;
         let mut fleet = Fleet::new(&qs);
-        let mut oracle = Oracle::new();
         for (round, chunk) in ups.chunks(10).enumerate() {
             for u in chunk {
                 fleet.ingest(u);
-                oracle.apply(u);
             }
             let t = round as f64 + 0.25;
-            let want = oracle.evaluate_uncertain(&qs, t, max_delta, delta_of);
+            let want = fleet.world.evaluate_uncertain(&qs, t, max_delta, delta_of);
             prop_assert_eq!(
                 &fleet.baseline.evaluate_uncertain(t, max_delta, delta_of),
                 &want, "baseline t={}", t
-            );
-            prop_assert_eq!(
-                &fleet.legacy.evaluate_uncertain(t, max_delta, delta_of),
-                &want, "legacy t={}", t
             );
             for (s, server) in &mut fleet.unified {
                 prop_assert_eq!(
@@ -357,13 +245,11 @@ proptest! {
     ) {
         let center = Point::new(ci as f64 * U, cj as f64 * U);
         let mut fleet = Fleet::new(&qs);
-        let mut oracle = Oracle::new();
         for u in &ups {
             fleet.ingest(u);
-            oracle.apply(u);
         }
         let t = 4.0;
-        let want = oracle.nearest(center, k, t);
+        let want = fleet.world.nearest(center, k, t);
         prop_assert_eq!(&fleet.baseline.nearest(center, k, t), &want, "baseline");
         for (s, server) in &mut fleet.unified {
             prop_assert_eq!(&server.nearest(center, k, t), &want, "unified({})", *s);
@@ -391,7 +277,6 @@ fn stripe_boundary_alignment_is_exact() {
     })
     .collect();
     let mut fleet = Fleet::new(&qs);
-    let mut oracle = Oracle::new();
     // Nodes pinned to stripe-boundary columns (x ∈ {125·k}) with
     // velocities that push them back and forth across the boundaries.
     for n in 0..NUM_NODES as u32 {
@@ -402,19 +287,17 @@ fn stripe_boundary_alignment_is_exact() {
             vel: (if n % 2 == 0 { 125.0 } else { -125.0 }, 6.25),
         };
         fleet.ingest(&u);
-        oracle.apply(&u);
     }
     for round in 0..8 {
         // t advances by exactly one cell width per round: every moving
         // node lands on the next boundary, many crossing stripes.
         let t = round as f64;
-        let want = oracle.evaluate(&qs, t);
+        let want = fleet.world.evaluate(&qs, t);
         assert_eq!(fleet.baseline.evaluate(t), want, "baseline t={t}");
-        assert_eq!(fleet.legacy.evaluate(t), want, "legacy t={t}");
         for (s, server) in &mut fleet.unified {
             assert_eq!(server.evaluate(t), want, "unified({s}) t={t}");
         }
-        let wantu = oracle.evaluate_uncertain(&qs, t, 125.0, delta_of);
+        let wantu = fleet.world.evaluate_uncertain(&qs, t, 125.0, delta_of);
         for (s, server) in &mut fleet.unified {
             assert_eq!(
                 server.evaluate_uncertain(t, 125.0, delta_of),
@@ -426,7 +309,7 @@ fn stripe_boundary_alignment_is_exact() {
     // The crossing traffic must actually have exercised handoffs, and
     // ownership must still cover every node exactly once.
     for (s, server) in &fleet.unified {
-        let stats = server.shard_stats().expect("unified engine");
+        let stats = server.shard_stats();
         let owned: usize = stats.iter().map(|st| st.nodes).sum();
         assert_eq!(owned, NUM_NODES, "unified({s}): every node owned once");
         if *s > 1 {
@@ -447,14 +330,14 @@ fn shard_stats_reflect_layout_and_occupancy() {
         .collect();
     let mut server =
         CqServer::new(bounds(), NUM_NODES, 8).with_engine(EvalEngine::Unified { shards: 3 });
-    assert_eq!(server.shard_stats(), Some(Vec::new()), "no stripes yet");
+    assert_eq!(server.shard_stats(), Vec::new(), "no stripes yet");
     server.register_queries(qs);
     // All nodes in the westmost column.
     for n in 0..NUM_NODES as u32 {
         server.ingest(n, 0.0, Point::new(10.0, 10.0 + n as f64), (0.0, 0.0));
     }
     server.evaluate(0.0);
-    let stats = server.shard_stats().unwrap();
+    let stats = server.shard_stats();
     assert_eq!(stats.len(), 3);
     // side_for(4) = 8 columns split 2/3/3.
     assert_eq!(stats[0].columns, (0, 2));
@@ -462,22 +345,15 @@ fn shard_stats_reflect_layout_and_occupancy() {
     assert_eq!(stats[2].columns, (5, 8));
     assert_eq!(stats[0].nodes, NUM_NODES, "west stripe owns everything");
     assert_eq!(stats[1].nodes + stats[2].nodes, 0);
-    // The unified engine always has stripes — the default server reports
-    // its single degenerate one; only the legacy oracle has none.
+    // The engine always has stripes — the default server reports its
+    // single degenerate one.
     let mut default_server = CqServer::new(bounds(), 4, 8);
     default_server.register_query(RangeQuery {
         id: 0,
         range: Rect::from_coords(0.0, 0.0, 1000.0, 1000.0),
     });
     default_server.evaluate(0.0);
-    let stats = default_server.shard_stats().expect("unified default");
+    let stats = default_server.shard_stats();
     assert_eq!(stats.len(), 1, "shards = 1 is one degenerate stripe");
     assert_eq!(stats[0].columns, (0, 4), "side_for(1) = 4 columns");
-    assert_eq!(
-        CqServer::new(bounds(), 4, 8)
-            .with_engine(EvalEngine::Legacy)
-            .shard_stats(),
-        None,
-        "the legacy oracle has no shards"
-    );
 }

@@ -1,9 +1,9 @@
 //! Property-based churn suite for the SoA `NodeStore` under the unified
 //! engine: random interleavings of first reports, re-reports (including
 //! stale ones), *removals*, and re-registrations, with evaluate rounds
-//! in between — results must stay bit-identical to a brute-force oracle
-//! that models the store's exact staleness and removal semantics, and to
-//! the legacy per-query path. Rounds reuse the same output buffers
+//! in between — results must stay bit-identical to the brute-force
+//! `common::World`, which models the store's exact staleness and removal
+//! semantics. Rounds reuse the same output buffers
 //! throughout (the membership/result buffer-reuse contract): a node that
 //! vanishes must vanish from the *reused* vectors too, not merely from
 //! freshly-allocated ones.
@@ -12,15 +12,12 @@
 //! so removals and re-insertions land exactly on cell and stripe
 //! boundaries.
 
-// The battery compares against the legacy oracle.
-#![cfg(feature = "legacy-oracle")]
-
 use lira_core::geometry::{Point, Rect};
 use lira_server::prelude::*;
 use proptest::prelude::*;
 
 mod common;
-use common::{bounds, query_set, U};
+use common::{bounds, query_set, World, U};
 
 const NUM_NODES: usize = 16;
 
@@ -70,59 +67,6 @@ fn ops(max: usize) -> impl Strategy<Value = Vec<Op>> {
     )
 }
 
-/// `(report time, origin, velocity)`.
-type Model = (f64, Point, (f64, f64));
-
-/// Brute-force oracle with the store's exact semantics: reject strictly
-/// older reports (ties accepted), and removal *forgets history* — a
-/// later report re-registers the node even with an older timestamp.
-#[derive(Clone)]
-struct Oracle {
-    models: Vec<Option<Model>>,
-}
-
-impl Oracle {
-    fn new() -> Self {
-        Oracle {
-            models: vec![None; NUM_NODES],
-        }
-    }
-
-    fn report(&mut self, node: u32, t: f64, pos: Point, vel: (f64, f64)) {
-        let slot = &mut self.models[node as usize];
-        if let Some((time, _, _)) = slot {
-            if *time > t {
-                return;
-            }
-        }
-        *slot = Some((t, pos, vel));
-    }
-
-    fn remove(&mut self, node: u32) {
-        self.models[node as usize] = None;
-    }
-
-    fn predict(&self, node: usize, t: f64) -> Option<Point> {
-        self.models[node].map(|(time, origin, vel)| {
-            let dt = t - time;
-            Point::new(origin.x + vel.0 * dt, origin.y + vel.1 * dt)
-        })
-    }
-
-    fn evaluate(&self, queries: &[RangeQuery], t: f64) -> Vec<QueryResult> {
-        queries
-            .iter()
-            .map(|q| QueryResult {
-                query: q.id,
-                nodes: (0..NUM_NODES)
-                    .filter(|&n| self.predict(n, t).is_some_and(|p| q.range.contains(&p)))
-                    .map(|n| n as u32)
-                    .collect(),
-            })
-            .collect()
-    }
-}
-
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(48))]
 
@@ -132,8 +76,8 @@ proptest! {
         qs in query_set(7),
     ) {
         let b = bounds();
-        // Unified at 1 and 3 shards plus the legacy path; output buffers
-        // created once and reused across every round below.
+        // Unified at 1 and 3 shards plus the sweep-every-round twin;
+        // output buffers created once and reused across every round below.
         let mut servers: Vec<(String, CqServer)> = vec![
             ("unified(1)".into(), CqServer::new(b, NUM_NODES, 8)),
             (
@@ -141,14 +85,14 @@ proptest! {
                 CqServer::new(b, NUM_NODES, 8).with_engine(EvalEngine::Unified { shards: 3 }),
             ),
             (
-                "legacy".into(),
-                CqServer::new(b, NUM_NODES, 8).with_engine(EvalEngine::Legacy),
+                "sweep".into(),
+                CqServer::new(b, NUM_NODES, 8).with_dirty_tracking(false),
             ),
         ];
         for (_, s) in &mut servers {
             s.register_queries(qs.iter().copied());
         }
-        let mut oracle = Oracle::new();
+        let mut oracle = World::new(NUM_NODES);
         let mut bufs: Vec<Vec<QueryResult>> = vec![Vec::new(); servers.len()];
         let mut t = 0.5;
         let mut rounds = 0u32;
@@ -192,7 +136,7 @@ proptest! {
             prop_assert_eq!(&*buf, &want, "{} final", label);
         }
         // And the store agrees with the oracle on who exists.
-        let alive = oracle.models.iter().filter(|m| m.is_some()).count();
+        let alive = oracle.reported_count();
         for (label, s) in &servers {
             prop_assert_eq!(s.store().reported_count(), alive, "{} reported_count", label);
         }
@@ -206,8 +150,8 @@ proptest! {
     /// node's wheel entry goes stale, a re-registered one files afresh,
     /// a rejected stale report must not disturb either — with the result
     /// buffers reused across every round. The default engine (at the CI
-    /// leg's shard count and at 3), its sweep-every-round twin and the
-    /// legacy path against brute force.
+    /// leg's shard count and at 3) and its sweep-every-round twin
+    /// against brute force.
     #[test]
     fn advancing_t_histories_with_removals_match_the_oracle(
         steps in common::history(160),
@@ -226,13 +170,8 @@ proptest! {
                 "unified(env) sweep",
                 server(EvalEngine::unified_from_env(1)).with_dirty_tracking(false),
             ),
-            common::Subject::new("legacy", server(EvalEngine::Legacy)),
         ];
-        let mut refs: Vec<&mut dyn common::Replayed> = subjects
-            .iter_mut()
-            .map(|s| s as &mut dyn common::Replayed)
-            .collect();
-        common::replay(&steps, &qs, &qs2, &mut refs);
+        common::replay(&steps, &qs, &qs2, &mut subjects);
     }
 }
 
@@ -240,8 +179,8 @@ proptest! {
 /// west half's base stations are dark (`[10, 20)`), every west-side
 /// report is silently lost on the uplink, some of those same nodes are
 /// removed server-side, and after the window they re-register through
-/// the recovered channel. The unified engine (1 and 3 shards) and the
-/// legacy path must agree bit for bit at every round — losses arriving
+/// the recovered channel. The engine at 1 and 3 shards and its
+/// sweep-every-round twin must agree bit for bit at every round — losses arriving
 /// as *gaps* (a removal with no subsequent report) exercise a different
 /// store path than the usual stale-rejection churn.
 #[test]
@@ -262,8 +201,8 @@ fn churn_across_a_regional_outage_window_stays_engine_identical() {
             CqServer::new(bounds(), NUM_NODES, 8).with_engine(EvalEngine::Unified { shards: 3 }),
         ),
         (
-            "legacy".into(),
-            CqServer::new(bounds(), NUM_NODES, 8).with_engine(EvalEngine::Legacy),
+            "sweep".into(),
+            CqServer::new(bounds(), NUM_NODES, 8).with_dirty_tracking(false),
         ),
     ];
     let qs = [
@@ -311,7 +250,7 @@ fn churn_across_a_regional_outage_window_stays_engine_identical() {
                 s.ingest(node, rt, p, v);
             }
         }
-        // Evaluate every tick; all three engines must agree exactly.
+        // Evaluate every tick; all three servers must agree exactly.
         for ((_, s), buf) in servers.iter_mut().zip(&mut bufs) {
             s.evaluate_into(t + 0.5, buf);
         }

@@ -773,10 +773,9 @@ impl SimPipeline {
         self
     }
 
-    /// Selects the CQ evaluation engine used by the reference server and
-    /// every policy lane. Every engine configuration yields bit-identical
-    /// reports (asserted by `tests/pipeline.rs`); the legacy oracle
-    /// exists behind the default-on `legacy-oracle` feature.
+    /// Selects the shard count of the CQ engine in the reference server
+    /// and every policy lane. Every shard count yields bit-identical
+    /// reports (asserted by `tests/pipeline.rs`).
     #[must_use]
     pub fn with_engine(mut self, engine: EvalEngine) -> Self {
         self.engine = engine;

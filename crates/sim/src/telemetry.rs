@@ -264,26 +264,23 @@ impl LaneTelemetry {
             r.counter(CHANNEL_LOST).add(stats.lost);
             r.counter(CHANNEL_DUPLICATES).add(stats.duplicates);
         }
-        if let Some(shards) = server.shard_stats() {
-            let nodes = r.histogram(SHARD_NODES);
-            let round_ns = r.histogram(SHARD_ROUND_NS);
-            let handoffs = r.counter(SHARD_HANDOFFS);
-            let due_fired = r.counter(SHARD_DUE_FIRED);
-            let due_stale = r.counter(SHARD_DUE_STALE);
-            for s in &shards {
-                nodes.record(s.nodes as u64);
-                round_ns.record(s.round_ns);
-                handoffs.add(s.handoffs);
-                due_fired.add(s.due_fired);
-                due_stale.add(s.due_stale);
-            }
+        let nodes = r.histogram(SHARD_NODES);
+        let round_ns = r.histogram(SHARD_ROUND_NS);
+        let handoffs = r.counter(SHARD_HANDOFFS);
+        let due_fired = r.counter(SHARD_DUE_FIRED);
+        let due_stale = r.counter(SHARD_DUE_STALE);
+        for s in &server.shard_stats() {
+            nodes.record(s.nodes as u64);
+            round_ns.record(s.round_ns);
+            handoffs.add(s.handoffs);
+            due_fired.add(s.due_fired);
+            due_stale.add(s.due_stale);
         }
-        if let Some(rs) = server.restripe_stats() {
-            r.gauge(SHARD_IMBALANCE).set(rs.imbalance);
-            r.counter(SHARD_RESTRIPE_COUNT).add(rs.restripes);
-            r.counter(SHARD_RESTRIPE_MOVED).add(rs.moved_cols);
-            r.counter(SHARD_RESTRIPE_PAUSE).add(rs.pause_ns);
-        }
+        let rs = server.restripe_stats();
+        r.gauge(SHARD_IMBALANCE).set(rs.imbalance);
+        r.counter(SHARD_RESTRIPE_COUNT).add(rs.restripes);
+        r.counter(SHARD_RESTRIPE_MOVED).add(rs.moved_cols);
+        r.counter(SHARD_RESTRIPE_PAUSE).add(rs.pause_ns);
     }
 
     /// Exports the lane's snapshot labelled `component` (conventionally

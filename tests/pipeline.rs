@@ -217,66 +217,127 @@ fn parallel_lanes_are_bit_identical_to_sequential() {
     }
 }
 
+/// `SimPipeline::new().run(&Scenario::small(31) @ 90 s, &Policy::ALL)`,
+/// per policy: `updates_sent`, `updates_processed`, `plan_regions`, then
+/// the bits of E^C_rr, E^P_rr, D^C_ev, C^C_ov and the processed fraction.
+/// Captured at commit 9438966 (PR 17), where the unified engine and the
+/// since-deleted legacy per-query evaluator both produced exactly these.
+const RUN_GOLDENS: [(Policy, u64, u64, usize, [u64; 5]); 6] = [
+    (
+        Policy::Lira,
+        3258,
+        3258,
+        13,
+        [
+            0x3f9b62a5194082f6,
+            0x3ffcca1871ca0ca5,
+            0x3fa05b1f54364ec6,
+            0x3ff31cb06e15f009,
+            0x3fe408a86fc42e70,
+        ],
+    ),
+    (
+        Policy::LiraGrid,
+        3220,
+        3220,
+        9,
+        [
+            0x3f98e671f5583912,
+            0x400b853f42ac7ac3,
+            0x3fa05c2e27ac1920,
+            0x3ff5065cbc9db0e2,
+            0x3fe3ccd6dfed1c23,
+        ],
+    ),
+    (
+        Policy::UniformDelta,
+        3075,
+        3075,
+        1,
+        [
+            0x3fa9903b619becae,
+            0x4012adaf998489a4,
+            0x3f9d89754a9f3c64,
+            0x3fe27cad2dc08c87,
+            0x3fe2e8958be799ae,
+        ],
+    ),
+    (
+        Policy::RandomDrop,
+        5204,
+        2625,
+        1,
+        [
+            0x3fcec4007e04790d,
+            0x40395e8b0e6769e0,
+            0x3fb582e760effaa2,
+            0x3fd65fd98d25414c,
+            0x3fe02434bc1d1f49,
+        ],
+    ),
+    (
+        Policy::UtilityGreedy,
+        3365,
+        3365,
+        9,
+        [
+            0x3fa0438b340bb071,
+            0x40183b55ed636cfa,
+            0x3fa7f65f7beac963,
+            0x3ff792db6c935ef7,
+            0x3fe4b11833f29e99,
+        ],
+    ),
+    (
+        Policy::UtilityModel,
+        3248,
+        3248,
+        9,
+        [
+            0x3f9aee9277605993,
+            0x400a120e229574ce,
+            0x3fa0ffb660588aff,
+            0x3ff4329f4b6bfea3,
+            0x3fe3f8ea8d483719,
+        ],
+    ),
+];
+
 #[test]
-fn unified_engine_run_report_is_bit_identical_to_legacy() {
-    // The acceptance bar for the unified engine: for a fixed-seed
-    // scenario, the whole multi-policy report must match the legacy
-    // per-query oracle bit for bit — policy outcomes, update counts,
-    // fault accounting, plan sizes. Only wall-clock fields
-    // (`adapt_micros`, telemetry snapshots) are exempt.
+fn run_report_matches_the_pre_deletion_goldens() {
+    // The acceptance bar the engine was admitted on, kept after the
+    // legacy per-query evaluator it was compared to is gone: for a
+    // fixed-seed scenario the whole multi-policy report must match the
+    // captured one bit for bit — policy outcomes, update counts, fault
+    // accounting, plan sizes. Only wall-clock fields (`adapt_micros`,
+    // telemetry snapshots) are exempt.
     let mut sc = Scenario::small(31);
     sc.duration_s = 90.0;
-    let unified = SimPipeline::new()
-        .with_engine(EvalEngine::Unified { shards: 1 })
-        .run(&sc, &Policy::ALL);
-    let legacy = SimPipeline::new()
-        .with_engine(EvalEngine::Legacy)
-        .run(&sc, &Policy::ALL);
+    let report = SimPipeline::new().run(&sc, &Policy::ALL);
 
-    assert_eq!(unified.reference_updates, legacy.reference_updates);
-    assert_eq!(unified.num_queries, legacy.num_queries);
-    assert_eq!(unified.num_cars, legacy.num_cars);
-    assert_eq!(unified.outcomes.len(), legacy.outcomes.len());
-    for (i, l) in unified.outcomes.iter().zip(&legacy.outcomes) {
-        assert_eq!(i.policy, l.policy);
-        assert_eq!(i.updates_sent, l.updates_sent, "{:?} sent", i.policy);
+    assert_eq!(report.reference_updates, 5204);
+    assert_eq!(report.num_queries, 10);
+    assert_eq!(report.num_cars, 250);
+    assert_eq!(report.outcomes.len(), RUN_GOLDENS.len());
+    for (o, (policy, sent, processed, regions, bits)) in report.outcomes.iter().zip(RUN_GOLDENS) {
+        assert_eq!(o.policy, policy);
+        assert_eq!(o.updates_sent, sent, "{policy:?} sent");
+        assert_eq!(o.updates_processed, processed, "{policy:?} processed");
+        assert_eq!(o.plan_regions, regions, "{policy:?} regions");
+        // A perfect channel: nothing sent through it, nothing drawn.
+        assert_eq!(o.faults, FaultReport::default(), "{policy:?} faults");
         assert_eq!(
-            i.updates_processed, l.updates_processed,
-            "{:?} processed",
-            i.policy
+            [
+                o.metrics.mean_containment,
+                o.metrics.mean_position,
+                o.metrics.stddev_containment,
+                o.metrics.cov_containment,
+                o.processed_fraction,
+            ]
+            .map(f64::to_bits),
+            bits,
+            "{policy:?} E^C_rr / E^P_rr / D^C_ev / C^C_ov / processed fraction"
         );
-        assert_eq!(i.plan_regions, l.plan_regions, "{:?} regions", i.policy);
-        assert_eq!(i.faults, l.faults, "{:?} faults", i.policy);
-        for (label, a, b) in [
-            (
-                "E^C_rr",
-                i.metrics.mean_containment,
-                l.metrics.mean_containment,
-            ),
-            ("E^P_rr", i.metrics.mean_position, l.metrics.mean_position),
-            (
-                "D^C_ev",
-                i.metrics.stddev_containment,
-                l.metrics.stddev_containment,
-            ),
-            (
-                "C^C_ov",
-                i.metrics.cov_containment,
-                l.metrics.cov_containment,
-            ),
-            (
-                "processed fraction",
-                i.processed_fraction,
-                l.processed_fraction,
-            ),
-        ] {
-            assert_eq!(
-                a.to_bits(),
-                b.to_bits(),
-                "{:?} {label}: unified {a} vs legacy {b}",
-                i.policy
-            );
-        }
     }
 }
 
@@ -359,7 +420,9 @@ fn sequential_parallelism_inlines_striped_evaluation() {
 fn adaptive_report_is_bit_identical_across_engines() {
     // Same bar for the closed loop: THROTLOOP's whole trajectory (window
     // stats, final throttle, drop fraction) and the accuracy metrics must
-    // not move when the engine changes.
+    // match the run captured at commit 9438966 (PR 17, where the unified
+    // engine and the since-deleted legacy evaluator agreed on it), and
+    // must not move with the shard count.
     let mut sc = Scenario::small(37);
     sc.num_cars = 200;
     sc.duration_s = 120.0;
@@ -368,26 +431,41 @@ fn adaptive_report_is_bit_identical_across_engines() {
         queue_capacity: 300,
         control_period_s: 20.0,
     };
-    let with_engine = |engine| {
+    let with_shards = |shards| {
         SimPipeline::new()
-            .with_engine(engine)
+            .with_engine(EvalEngine::Unified { shards })
             .run_adaptive(&sc, &cfg, Policy::Lira)
     };
-    let unified = with_engine(EvalEngine::Unified { shards: 1 });
-    let legacy = with_engine(EvalEngine::Legacy);
-    let striped = with_engine(EvalEngine::Unified { shards: 4 });
+    let unified = with_shards(1);
+    let striped = with_shards(4);
 
-    assert_eq!(unified.windows, legacy.windows);
+    // At μ = 60 /s this world never overloads: six windows at z = 1 with
+    // an empty queue, told apart by their arrival rates.
+    let arrival_rates: Vec<u64> = unified
+        .windows
+        .iter()
+        .map(|w| w.arrival_rate.to_bits())
+        .collect();
     assert_eq!(
-        unified.final_throttle.to_bits(),
-        legacy.final_throttle.to_bits()
+        arrival_rates,
+        [
+            0x404a200000000000,
+            0x4046b9999999999a,
+            0x4046b33333333333,
+            0x4047a66666666666,
+            0x4046d33333333333,
+            0x404699999999999a,
+        ]
     );
-    assert_eq!(
-        unified.drop_fraction.to_bits(),
-        legacy.drop_fraction.to_bits()
-    );
-    assert_eq!(unified.metrics, legacy.metrics);
-    assert_eq!(unified.faults, legacy.faults);
+    for (i, w) in unified.windows.iter().enumerate() {
+        assert_eq!(w.time, 50.0 + 20.0 * i as f64);
+        assert_eq!((w.throttle, w.queue_len, w.dropped), (1.0, 0, 0));
+    }
+    assert_eq!(unified.final_throttle, 1.0);
+    assert_eq!(unified.drop_fraction, 0.0);
+    assert_eq!(unified.metrics, MetricsReport::default());
+    assert_eq!(unified.faults, FaultReport::default());
+
     assert_eq!(striped.windows, unified.windows);
     assert_eq!(
         striped.final_throttle.to_bits(),

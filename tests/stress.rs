@@ -125,7 +125,7 @@ fn crossing_heavy_traffic_conserves_memberships_across_stripes() {
             "round {round}: memberships lost or duplicated"
         );
     }
-    let stats = server.shard_stats().expect("unified engine");
+    let stats = server.shard_stats();
     let owned: usize = stats.iter().map(|s| s.nodes).sum();
     assert_eq!(owned, NUM, "every node owned by exactly one shard");
     let handoffs: u64 = stats.iter().map(|s| s.handoffs).sum();
