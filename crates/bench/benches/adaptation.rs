@@ -7,7 +7,11 @@ use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
 use std::hint::black_box;
 
 use lira_core::prelude::*;
+use lira_mobility::generator::{generate_network, NetworkConfig};
 use lira_mobility::motion::DeadReckoner;
+use lira_mobility::router::{shortest_path, RouteCache};
+use lira_mobility::simulator::{TrafficConfig, TrafficSimulator};
+use lira_mobility::traffic::TrafficDemand;
 use lira_server::queue::UpdateQueue;
 use rand::rngs::SmallRng;
 use rand::{Rng, SeedableRng};
@@ -191,6 +195,73 @@ fn bench_dead_reckoning(c: &mut Criterion) {
     });
 }
 
+/// The trace substrate's per-tick cost: the paper's fleet (10 000 cars,
+/// 3 249 intersections) advanced one second, re-tripping arrivals, after a
+/// warm-up long enough that every origin's shortest-path tree is cached.
+fn bench_traffic_step(c: &mut Criterion) {
+    let network = generate_network(&NetworkConfig::default());
+    let demand = TrafficDemand::random_hotspots(network.bounds(), 5, 42);
+    let cfg = TrafficConfig {
+        num_cars: 10_000,
+        seed: 42,
+    };
+    let mut sim = TrafficSimulator::new(network, &demand, cfg);
+    for _ in 0..300 {
+        sim.step(1.0);
+    }
+    c.bench_function("traffic_step/10k_cars_paper_network", |b| {
+        b.iter(|| {
+            sim.step(1.0);
+            black_box(sim.time())
+        })
+    });
+}
+
+/// One trip's route on the paper network: read off a cached shortest-path
+/// tree (what the simulator does), the full search that grows one tree,
+/// and the point-to-point Dijkstra kept as the reference.
+fn bench_route_lookup(c: &mut Criterion) {
+    let network = generate_network(&NetworkConfig::default());
+    let n = network.num_nodes() as u32;
+    let mut rng = SmallRng::seed_from_u64(19);
+    let pairs: Vec<(u32, u32)> = (0..4096)
+        .map(|_| (rng.gen_range(0..n), rng.gen_range(0..n)))
+        .collect();
+    let mut group = c.benchmark_group("route_lookup");
+    let mut warm = RouteCache::new(&network);
+    for &(from, _) in &pairs {
+        warm.route(from, from);
+    }
+    group.bench_function("tree_walk", |b| {
+        let mut i = 0usize;
+        b.iter(|| {
+            i = (i + 1) & 4095;
+            let (from, to) = pairs[i];
+            black_box(warm.route(black_box(from), to))
+        })
+    });
+    // Cloning an empty cache copies two small vectors (≈ 80 KB); the
+    // search it then runs is the cost being measured.
+    let empty = RouteCache::new(&network);
+    group.bench_function("tree_grow", |b| {
+        let mut i = 0usize;
+        b.iter(|| {
+            i = (i + 1) & 4095;
+            let (from, to) = pairs[i];
+            black_box(empty.clone().route(black_box(from), to))
+        })
+    });
+    group.bench_function("shortest_path", |b| {
+        let mut i = 0usize;
+        b.iter(|| {
+            i = (i + 1) & 4095;
+            let (from, to) = pairs[i];
+            black_box(shortest_path(&network, black_box(from), to))
+        })
+    });
+    group.finish();
+}
+
 /// The input queue under load: offer + drain batches.
 fn bench_queue(c: &mut Criterion) {
     c.bench_function("queue/offer_service_100", |b| {
@@ -229,6 +300,8 @@ criterion_group!(
     bench_plan_lookup,
     bench_tpr_tree,
     bench_dead_reckoning,
+    bench_traffic_step,
+    bench_route_lookup,
     bench_queue,
     bench_stats_grid,
 );

@@ -10,6 +10,7 @@ use lira_core::geometry::Point;
 use rand::Rng;
 
 use crate::road::RoadNetwork;
+use crate::router::find_edge;
 
 /// Probability of having to wait when entering a new segment.
 const WAIT_PROBABILITY: f64 = 0.25;
@@ -30,6 +31,10 @@ pub struct Car {
     /// Route as intersection indices; the car travels `path[leg] -> path[leg+1]`.
     path: Vec<u32>,
     leg: usize,
+    /// Edge id of the current leg, `path[leg] -> path[leg + 1]`: resolved
+    /// when a path is handed over and when the leg changes, so the per-tick
+    /// arithmetic reads the segment without scanning adjacency lists.
+    edge: u32,
     /// Meters traveled along the current segment.
     offset: f64,
     /// Personal speed factor relative to the segment speed limit.
@@ -48,15 +53,18 @@ impl Car {
     /// Creates a car at the start of `path`.
     ///
     /// # Panics
-    /// Panics if `path` has fewer than 2 intersections.
+    /// Panics if `path` has fewer than 2 intersections, or if two
+    /// consecutive intersections are not joined by a road.
     pub fn new<R: Rng>(id: u32, path: Vec<u32>, network: &RoadNetwork, rng: &mut R) -> Self {
         assert!(path.len() >= 2, "a trip needs at least two intersections");
+        let edge = first_edge(&path, network);
         let position = network.node(path[0]);
         let speed_factor = rng.gen_range(0.8..1.15);
         let mut car = Car {
             id,
             path,
             leg: 0,
+            edge,
             offset: 0.0,
             speed_factor,
             current_speed: 0.0,
@@ -69,14 +77,16 @@ impl Car {
     }
 
     /// Replaces the car's route (used when a trip completes). The new path
-    /// must start where the car currently is.
-    pub fn assign_trip(&mut self, path: Vec<u32>) {
+    /// must start where the car currently is, and every consecutive pair
+    /// of its intersections must be joined by a road.
+    pub fn assign_trip(&mut self, path: Vec<u32>, network: &RoadNetwork) {
         assert!(path.len() >= 2, "a trip needs at least two intersections");
         assert_eq!(
             path[0],
             *self.path.last().expect("non-empty path"),
             "new trip must start at the current intersection"
         );
+        self.edge = first_edge(&path, network);
         self.path = path;
         self.leg = 0;
         self.offset = 0.0;
@@ -89,7 +99,7 @@ impl Car {
     /// any pending wait — it finishes the segment it is on, then follows
     /// the new route. This is how flash-crowd scenarios turn a whole fleet
     /// around without teleporting anyone.
-    pub fn redirect(&mut self, path_from_next: Vec<u32>) {
+    pub fn redirect(&mut self, path_from_next: Vec<u32>, network: &RoadNetwork) {
         assert!(
             !path_from_next.is_empty(),
             "redirect path must not be empty"
@@ -102,6 +112,7 @@ impl Car {
         let mut new_path = Vec::with_capacity(path_from_next.len() + 1);
         new_path.push(self.path[self.leg]);
         new_path.extend(path_from_next);
+        self.edge = first_edge(&new_path, network);
         self.path = new_path;
         self.leg = 0;
         // `offset` is kept: it still measures progress along the same
@@ -164,14 +175,8 @@ impl Car {
         route
     }
 
-    fn current_edge_speed_limit(&self, network: &RoadNetwork) -> f64 {
-        let (a, b) = (self.path[self.leg], self.path[self.leg + 1]);
-        let (edge, _) = crate::router::find_edge(network, a, b).expect("route nodes are adjacent");
-        network.edge(edge).class.speed_limit()
-    }
-
     fn target_speed(&self, network: &RoadNetwork) -> f64 {
-        self.current_edge_speed_limit(network) * self.speed_factor
+        network.edge(self.edge).class.speed_limit() * self.speed_factor
     }
 
     /// Advances the car by `dt` seconds. Returns `true` when the trip's
@@ -199,10 +204,7 @@ impl Car {
                 remaining -= w;
                 continue;
             }
-            let (a, b) = (self.path[self.leg], self.path[self.leg + 1]);
-            let (edge, _) =
-                crate::router::find_edge(network, a, b).expect("route nodes are adjacent");
-            let length = network.edge(edge).length;
+            let length = network.edge(self.edge).length;
             let room = length - self.offset;
             let advance = self.current_speed * remaining;
             if advance < room {
@@ -216,9 +218,10 @@ impl Car {
                 if self.leg + 1 >= self.path.len() {
                     arrived = true;
                     self.leg = self.path.len() - 2; // Park on the last segment's end.
-                    self.offset = network.edge(edge).length;
+                    self.offset = length;
                     break;
                 }
+                self.edge = edge_between(network, self.path[self.leg], self.path[self.leg + 1]);
                 if rng.gen_bool(WAIT_PROBABILITY) {
                     self.wait_s = rng.gen_range(0.0..MAX_WAIT_S);
                 }
@@ -235,10 +238,7 @@ impl Car {
         let len = a.distance(&b).max(1e-9);
         // Offset is measured in road meters; project onto the straight
         // segment geometry.
-        let (edge, _) =
-            crate::router::find_edge(network, self.path[self.leg], self.path[self.leg + 1])
-                .expect("route nodes are adjacent");
-        let t = (self.offset / network.edge(edge).length).clamp(0.0, 1.0);
+        let t = (self.offset / network.edge(self.edge).length).clamp(0.0, 1.0);
         self.position = Point::new(a.x + (b.x - a.x) * t, a.y + (b.y - a.y) * t);
         if self.wait_s > 0.0 {
             self.velocity = (0.0, 0.0);
@@ -247,6 +247,25 @@ impl Car {
             self.velocity = (ux * self.current_speed, uy * self.current_speed);
         }
     }
+}
+
+/// The edge joining adjacent intersections `a` and `b`.
+fn edge_between(network: &RoadNetwork, a: u32, b: u32) -> u32 {
+    match find_edge(network, a, b) {
+        Some((edge, _)) => edge,
+        None => panic!("route nodes are not adjacent: no road {a} -> {b}"),
+    }
+}
+
+/// Checks that every leg of `path` follows a road — so a broken route fails
+/// where it is handed over, not ticks later when the car reaches the gap —
+/// and returns the first leg's edge.
+fn first_edge(path: &[u32], network: &RoadNetwork) -> u32 {
+    let first = edge_between(network, path[0], path[1]);
+    for w in path[1..].windows(2) {
+        edge_between(network, w[0], w[1]);
+    }
+    first
 }
 
 /// Standard normal sample via Box–Muller (avoids a `rand_distr` dependency).
@@ -336,7 +355,7 @@ mod tests {
         let dest = *path.last().unwrap();
         let mut car = Car::new(1, path, &net, &mut rng);
         let next = shortest_path(&net, dest, 40).unwrap();
-        car.assign_trip(next);
+        car.assign_trip(next, &net);
         assert_eq!(car.destination(), 40);
     }
 
@@ -347,7 +366,7 @@ mod tests {
         let path = shortest_path(&net, 0, 11).unwrap();
         let mut car = Car::new(1, path, &net, &mut rng);
         let bad = shortest_path(&net, 55, 60).unwrap();
-        car.assign_trip(bad);
+        car.assign_trip(bad, &net);
     }
 
     #[test]
@@ -362,7 +381,7 @@ mod tests {
         let vel_before = car.velocity();
         let next = car.next_intersection();
         let new_tail = shortest_path(&net, next, 7).unwrap();
-        car.redirect(new_tail);
+        car.redirect(new_tail, &net);
         assert_eq!(car.position(), pos_before, "redirect must not teleport");
         assert_eq!(car.velocity(), vel_before);
         assert_eq!(car.destination(), 7);
@@ -382,7 +401,33 @@ mod tests {
         let mut car = Car::new(1, path, &net, &mut rng);
         let next = car.next_intersection();
         let bad = shortest_path(&net, next + 7, 3).unwrap();
-        car.redirect(bad);
+        car.redirect(bad, &net);
+    }
+
+    // The three hand-over points reject a route with a gap — 0 -> 1 -> 2 and
+    // 11 -> 12 follow the 11 × 11 grid's roads, nothing joins them to the
+    // far corner 120 — before any `step` reaches it.
+    #[test]
+    #[should_panic(expected = "no road 1 -> 120")]
+    fn new_rejects_a_gapped_route() {
+        let (net, mut rng) = setup();
+        Car::new(1, vec![0, 1, 120], &net, &mut rng);
+    }
+
+    #[test]
+    #[should_panic(expected = "no road 12 -> 120")]
+    fn assign_trip_rejects_a_gapped_route() {
+        let (net, mut rng) = setup();
+        let mut car = Car::new(1, vec![0, 11], &net, &mut rng);
+        car.assign_trip(vec![11, 12, 120], &net);
+    }
+
+    #[test]
+    #[should_panic(expected = "no road 2 -> 120")]
+    fn redirect_rejects_a_gapped_route() {
+        let (net, mut rng) = setup();
+        let mut car = Car::new(1, vec![0, 1, 2], &net, &mut rng);
+        car.redirect(vec![1, 2, 120], &net);
     }
 
     #[test]

@@ -8,7 +8,7 @@ use rand::SeedableRng;
 
 use crate::agent::Car;
 use crate::road::RoadNetwork;
-use crate::router::shortest_path;
+use crate::router::RouteCache;
 use crate::traffic::{NodeSampler, TrafficDemand};
 
 /// Simulation parameters.
@@ -29,14 +29,20 @@ impl Default for TrafficConfig {
     }
 }
 
-/// A running traffic simulation.
+/// A running traffic simulation. Cloning it (a calibration probe, say)
+/// shares the shortest-path trees built so far instead of copying them.
 #[derive(Debug, Clone)]
 pub struct TrafficSimulator {
     network: RoadNetwork,
     sampler: NodeSampler,
+    /// Every trip's route comes from here; the trees depend on the network
+    /// only, so a demand change never invalidates them.
+    routes: RouteCache,
     cars: Vec<Car>,
     rng: SmallRng,
     time: f64,
+    /// Scratch for [`Self::step`]: indices of the cars that arrived.
+    arrived: Vec<usize>,
 }
 
 impl TrafficSimulator {
@@ -44,19 +50,22 @@ impl TrafficSimulator {
     /// demand-weighted destination.
     pub fn new(network: RoadNetwork, demand: &TrafficDemand, cfg: TrafficConfig) -> Self {
         assert!(cfg.num_cars > 0, "need at least one car");
+        let mut routes = RouteCache::new(&network);
         let sampler = demand.node_sampler(&network);
         let mut rng = SmallRng::seed_from_u64(cfg.seed);
         let mut cars = Vec::with_capacity(cfg.num_cars);
         for id in 0..cfg.num_cars {
-            let path = sample_trip(&network, &sampler, None, &mut rng);
+            let path = sample_trip(&network, &sampler, &mut routes, None, &mut rng);
             cars.push(Car::new(id as u32, path, &network, &mut rng));
         }
         TrafficSimulator {
             network,
             sampler,
+            routes,
             cars,
             rng,
             time: 0.0,
+            arrived: Vec::new(),
         }
     }
 
@@ -64,17 +73,25 @@ impl TrafficSimulator {
     /// immediately receive a fresh demand-weighted trip.
     pub fn step(&mut self, dt: f64) {
         self.time += dt;
-        // Collect arrivals first, then route (routing borrows the network).
-        let mut arrived: Vec<usize> = Vec::new();
+        // Every car steps before any arrival draws its next trip: the two
+        // share one RNG stream, and its order is part of the determinism
+        // contract.
+        self.arrived.clear();
         for (i, car) in self.cars.iter_mut().enumerate() {
             if car.step(dt, &self.network, &mut self.rng) {
-                arrived.push(i);
+                self.arrived.push(i);
             }
         }
-        for i in arrived {
+        for &i in &self.arrived {
             let origin = self.cars[i].destination();
-            let path = sample_trip(&self.network, &self.sampler, Some(origin), &mut self.rng);
-            self.cars[i].assign_trip(path);
+            let path = sample_trip(
+                &self.network,
+                &self.sampler,
+                &mut self.routes,
+                Some(origin),
+                &mut self.rng,
+            );
+            self.cars[i].assign_trip(path, &self.network);
         }
     }
 
@@ -94,8 +111,14 @@ impl TrafficSimulator {
     pub fn reroute_all(&mut self) {
         for i in 0..self.cars.len() {
             let next = self.cars[i].next_intersection();
-            let path = sample_trip(&self.network, &self.sampler, Some(next), &mut self.rng);
-            self.cars[i].redirect(path);
+            let path = sample_trip(
+                &self.network,
+                &self.sampler,
+                &mut self.routes,
+                Some(next),
+                &mut self.rng,
+            );
+            self.cars[i].redirect(path, &self.network);
         }
     }
 
@@ -144,6 +167,7 @@ impl TrafficSimulator {
 fn sample_trip(
     network: &RoadNetwork,
     sampler: &NodeSampler,
+    routes: &mut RouteCache,
     from: Option<u32>,
     rng: &mut SmallRng,
 ) -> Vec<u32> {
@@ -154,7 +178,7 @@ fn sample_trip(
         if dest == origin {
             continue;
         }
-        if let Some(path) = shortest_path(network, origin, dest) {
+        if let Some(path) = routes.route(origin, dest) {
             if path.len() >= 2 {
                 return path;
             }
@@ -310,6 +334,75 @@ mod tests {
         let b = make();
         for (ca, cb) in a.cars().iter().zip(b.cars()) {
             assert_eq!(ca.position(), cb.position());
+        }
+    }
+
+    fn assert_same_bits(a: &TrafficSimulator, b: &TrafficSimulator, when: &str) {
+        let bits = |sim: &TrafficSimulator| -> Vec<[u64; 4]> {
+            sim.cars()
+                .iter()
+                .map(|c| {
+                    let (p, v) = (c.position(), c.velocity());
+                    [p.x, p.y, v.0, v.1].map(f64::to_bits)
+                })
+                .collect()
+        };
+        assert_eq!(bits(a), bits(b), "{when}");
+    }
+
+    #[test]
+    fn overflowing_route_budget_changes_nothing() {
+        let (mut plenty, mut tight) = (small_sim(60, 27), small_sim(60, 27));
+        // Room for four trees: with 60 cars re-tripping from ever new
+        // origins the cache starts over again and again.
+        let budget = 4 * tight.network.num_nodes();
+        tight.routes = RouteCache::with_budget(&tight.network, budget);
+        for tick in 0..300 {
+            plenty.step(1.0);
+            tight.step(1.0);
+            assert_same_bits(&plenty, &tight, &format!("tick {tick}"));
+            assert!(tight.routes.trees_held() <= 4);
+        }
+        assert!(plenty.routes.trees_held() > 4, "the budget never bound");
+    }
+
+    #[test]
+    fn demand_change_keeps_the_trees_and_the_bits() {
+        use crate::traffic::Hotspot;
+        let corner = TrafficDemand::new(
+            vec![Hotspot {
+                center: Point::new(1900.0, 1900.0),
+                sigma: 120.0,
+                weight: 50.0,
+            }],
+            0.01,
+        );
+        let replay = || {
+            let mut sim = small_sim(40, 33);
+            for _ in 0..60 {
+                sim.step(1.0);
+            }
+            sim
+        };
+        // One simulator turns the fleet with the trees its first minute
+        // grew, the other with none.
+        let (mut warm, mut cold) = (replay(), replay());
+        cold.routes = RouteCache::new(&cold.network);
+        let held = warm.routes.trees_held();
+        assert!(held > 0);
+        warm.set_demand(&corner);
+        assert_eq!(warm.routes.trees_held(), held, "set_demand dropped trees");
+        warm.reroute_all();
+        assert!(
+            warm.routes.trees_held() >= held,
+            "reroute_all dropped trees"
+        );
+        cold.set_demand(&corner);
+        cold.reroute_all();
+        for tick in 0..50 {
+            warm.step(1.0);
+            cold.step(1.0);
+            assert_same_bits(&warm, &cold, &format!("tick {tick} after the switch"));
         }
     }
 

@@ -9,7 +9,12 @@
 //!    and [`Trace::record`] captures it identically.
 //! 2. **Spatial containment** — simulated cars and recorded trace
 //!    samples never leave the network's bounds.
-//! 3. **Model determinism** — [`TrafficDemand`] sampling and
+//! 3. **Pinned goldens** — an FNV-1a digest of every car's kinematic
+//!    state after N ticks, captured while the simulator still ran one
+//!    point-to-point `shortest_path` per trip: a routing or stepping
+//!    change that alters one path, one RNG draw or one rounding fails
+//!    here, not only in `benchmark/expected.json`.
+//! 4. **Model determinism** — [`TrafficDemand`] sampling and
 //!    [`RouteReckoner`] reporting are pure functions of their seeds and
 //!    inputs, and route predictions honor the Δ deviation bound between
 //!    reports.
@@ -49,6 +54,48 @@ fn simulator_replays_bit_identically_with_same_seed() {
             );
         }
     }
+}
+
+/// FNV-1a over every car's `(x, y, vx, vy).to_bits()`, in id order.
+fn fleet_digest(sim: &TrafficSimulator) -> u64 {
+    let mut h = 0xcbf2_9ce4_8422_2325u64;
+    for car in sim.cars() {
+        let (p, v) = (car.position(), car.velocity());
+        for bits in [p.x, p.y, v.0, v.1].map(f64::to_bits) {
+            for byte in bits.to_le_bytes() {
+                h = (h ^ u64::from(byte)).wrapping_mul(0x0000_0100_0000_01b3);
+            }
+        }
+    }
+    h
+}
+
+#[test]
+fn small_network_fleet_digest_is_pinned() {
+    let mut sim = build_sim(11, 60);
+    for _ in 0..400 {
+        sim.step(1.0);
+    }
+    assert_eq!(fleet_digest(&sim), 0x2f67_0d07_7369_fded);
+}
+
+/// The paper's world: 10 000 cars on the 3 249-intersection default
+/// network, through a 300-tick warm-up.
+#[test]
+#[ignore = "paper scale; CI's stress job runs it in release"]
+fn paper_scale_fleet_digest_is_pinned() {
+    let network = generate_network(&NetworkConfig::default());
+    assert_eq!(network.num_nodes(), 3249);
+    let demand = TrafficDemand::random_hotspots(network.bounds(), 5, 42);
+    let cfg = TrafficConfig {
+        num_cars: 10_000,
+        seed: 42,
+    };
+    let mut sim = TrafficSimulator::new(network, &demand, cfg);
+    for _ in 0..300 {
+        sim.step(1.0);
+    }
+    assert_eq!(fleet_digest(&sim), 0x680a_c356_5fa0_d823);
 }
 
 #[test]
