@@ -1,25 +1,21 @@
 //! `exp_shard` — scaling of the unified engine's column stripes.
 //!
-//! Benchmarks `EvalEngine::Unified` at shard counts 1/2/4/8 — with
-//! load-aware striping and the online re-striper enabled — against the
+//! Benchmarks `EvalEngine::Unified` at shard counts 1/2/4/8 against the
 //! sweep baseline (`with_dirty_tracking(false)` — the round structure of
 //! the retired inverted engine, which walked every stored node each
 //! round; the JSON keeps its `inverted` keys for schema stability) on
 //! two churning populations:
 //!
 //! * **uniform** — the classic seeded scatter with uniformly placed
-//!   queries; stripes carry near-equal load and the re-striper should
-//!   stay quiet;
+//!   queries; stripes carry near-equal load;
 //! * **hotspot** — 80 % of the fleet squeezed into a drifting band a
-//!   tenth of the space wide, with Proportional query placement
-//!   (DESIGN.md §15). Uniform stripe boundaries collapse to one hot
-//!   shard here; this is the scenario the load model and the online
-//!   re-striper exist for.
+//!   tenth of the space wide, with Proportional query placement. The
+//!   uniform stripe boundaries (DESIGN.md §12) leave one shard with most
+//!   of the fleet here; this scenario shows what that skew costs.
 //!
 //! Before timing, each scale cross-checks every shard count against the
 //! baseline for equal results — a benchmark of a wrong engine is
-//! worthless (and this doubles as a rebalance-on bit-identity check at
-//! benchmark scale).
+//! worthless.
 //!
 //! ```text
 //! exp_shard [--quick] [--assert] [--min-speedup X] [--mono-tol X] [--churn F] [--out PATH]
@@ -38,10 +34,10 @@
 //!   `speedup_vs_shard1` is monotone in the shard count within
 //!   `--mono-tol` (default 0.6 — each rung must keep at least that
 //!   fraction of the previous rung's speedup; the slack absorbs the
-//!   stripe-maintenance and budgeted rebalance-pause overhead a
-//!   single-core host pays with no parallel win to offset it — measured
-//!   up to ~0.65 on the 1→2-shard rung at mid scales — and on any host
-//!   it absorbs timing noise at the sub-10 µs scales), and
+//!   stripe-maintenance and pool wake-up overhead the 2-vCPU reference
+//!   host pays with little parallel win to offset it — measured up to
+//!   ~0.65 on the 1→2-shard rung at mid scales — and on any host it
+//!   absorbs timing noise at the sub-10 µs scales), and
 //!   (b) at the largest
 //!   scale of each scenario, unified `evaluate` at 4 shards is at least
 //!   `--min-speedup`× (default 1.0×) faster than the sweep baseline, and
@@ -58,17 +54,17 @@
 //! isolates the engine's floor (emit copy + churn). The baseline's sweep
 //! round walks every stored node on both; the unified engine steps the
 //! re-reported nodes plus, when `t` advances, the nodes its time wheel
-//! has due (DESIGN.md §13), which is where the single-core speedup comes
-//! from. Worker threads add parallelism on multi-core
-//! hosts but are *not* required for the win — on a single-core host the
-//! engine detects the core count and stays sequential, so the
-//! `speedup_vs_shard1` curve is flat (≈1.0) rather than monotonically
-//! rising, which the `--mono-tol` gate still accepts. `shards = 1`
-//! measures the pure dirty-tracking gain (`speedup_vs_shard1` isolates
-//! the striping gain on top of it). Results are bit-identical across
-//! shard counts and across rebalances (`shard_equiv.rs`,
-//! `restripe_equiv.rs`). Peak RSS per scale is the process high-water
-//! mark, cumulative up to that rung of the ladder.
+//! has due (DESIGN.md §13), which is where the speedup comes from.
+//! Worker threads add parallelism on multi-core hosts but are *not*
+//! required for the win — on the 2-vCPU reference host the
+//! `speedup_vs_shard1` curve is flat or falling (≤ 1.0 in most cells)
+//! rather than monotonically rising, which the `--mono-tol` gate still
+//! accepts, and on a single-core host the engine detects the core count
+//! and stays sequential. `shards = 1` measures the pure dirty-tracking
+//! gain (`speedup_vs_shard1` isolates the striping gain on top of it).
+//! Results are bit-identical across shard counts (`shard_equiv.rs`).
+//! Peak RSS per scale is the process high-water mark, cumulative up to
+//! that rung of the ladder.
 
 use criterion::{black_box, Criterion};
 use lira_bench::{host_json, peak_rss_bytes};
@@ -142,15 +138,13 @@ fn make_server(
     engine: EvalEngine,
 ) -> CqServer {
     let bounds = Rect::from_coords(0.0, 0.0, space_m, space_m);
-    let mut server = CqServer::new(bounds, num_nodes, 64)
-        .with_engine(engine)
-        .with_rebalance(rebalance_from_env(true));
+    let mut server = CqServer::new(bounds, num_nodes, 64).with_engine(engine);
     server.register_queries(queries.iter().copied());
     server
 }
 
-/// Cross-checks every shard count (rebalance on) against the sweep
-/// baseline before timing, on the exact workload pattern the timing loop
+/// Cross-checks every shard count against the sweep baseline before
+/// timing, on the exact workload pattern the timing loop
 /// replays.
 fn verify_engines_agree(
     scen: Scen,
@@ -208,6 +202,8 @@ fn bench_one(c: &mut Criterion, label: String, mut f: impl FnMut(&mut criterion:
 
 /// What one server was timed at.
 struct Timed {
+    /// Stripes the server evaluated in.
+    shards: usize,
     /// Same-`t` round: churn + evaluate at a fixed time, ns/iter.
     ns: f64,
     /// Advancing round: churn stamped `t` + evaluate at `t`, `t += 1`.
@@ -215,8 +211,8 @@ struct Timed {
     /// Mean nodes the engine stepped per advancing round (the fleet for
     /// the sweep baseline).
     advancing_stepped: f64,
-    stats: Vec<ShardStats>,
-    restripe: RestripeStats,
+    /// Nodes handed from stripe to stripe over both rungs.
+    handoffs: u64,
 }
 
 /// Times both rounds (see the module docs) for one server: the same-`t`
@@ -261,23 +257,14 @@ fn bench_engine(
             });
         },
     );
+    let stats = server.shard_stats();
     Timed {
+        shards: stats.len(),
         ns,
         advancing_ns,
         advancing_stepped: (server.stepped_nodes() - stepped_before) as f64 / (t - 0.5),
-        stats: server.shard_stats(),
-        restripe: server.restripe_stats(),
+        handoffs: stats.iter().map(|st| st.handoffs).sum(),
     }
-}
-
-struct StripedRow {
-    shards: usize,
-    ns: f64,
-    advancing_ns: f64,
-    advancing_stepped: f64,
-    handoffs: u64,
-    restripes: u64,
-    moved_cols: u64,
 }
 
 struct ScaleResult {
@@ -290,11 +277,11 @@ struct ScaleResult {
     /// historical JSON name `inverted_ns`).
     baseline_ns: f64,
     baseline_advancing_ns: f64,
-    striped: Vec<StripedRow>,
+    striped: Vec<Timed>,
 }
 
 impl ScaleResult {
-    fn shard1(&self) -> &StripedRow {
+    fn shard1(&self) -> &Timed {
         self.striped
             .iter()
             .find(|r| r.shards == 1)
@@ -336,16 +323,10 @@ fn bench_scale(
         churn_frac,
     );
     let (baseline_ns, baseline_advancing_ns) = (baseline.ns, baseline.advancing_ns);
-    let striped: Vec<StripedRow> = SHARD_COUNTS
+    let striped: Vec<Timed> = SHARD_COUNTS
         .iter()
         .map(|&s| {
-            let Timed {
-                ns,
-                advancing_ns,
-                advancing_stepped,
-                stats,
-                restripe: rs,
-            } = bench_engine(
+            let row = bench_engine(
                 c,
                 &format!("unified{s}/{tag}"),
                 scen,
@@ -359,26 +340,16 @@ fn bench_scale(
                 ),
                 churn_frac,
             );
-            let handoffs = stats.iter().map(|st| st.handoffs).sum();
             println!(
                 "advancing_speedup_{0}_{num_nodes}x{num_queries}_shards{s}={1:.2} \
-                 (stepping {4:.0} nodes/round) \
-                 evaluate_speedup_{0}_{num_nodes}x{num_queries}_shards{s}={2:.2} restripes={3}",
+                 (stepping {3:.0} nodes/round) \
+                 evaluate_speedup_{0}_{num_nodes}x{num_queries}_shards{s}={2:.2}",
                 scen.name(),
-                baseline_advancing_ns / advancing_ns.max(1e-9),
-                baseline_ns / ns.max(1e-9),
-                rs.restripes,
-                advancing_stepped
+                baseline_advancing_ns / row.advancing_ns.max(1e-9),
+                baseline_ns / row.ns.max(1e-9),
+                row.advancing_stepped
             );
-            StripedRow {
-                shards: s,
-                ns,
-                advancing_ns,
-                advancing_stepped,
-                handoffs,
-                restripes: rs.restripes,
-                moved_cols: rs.moved_cols,
-            }
+            row
         })
         .collect();
     let peak_rss = peak_rss_bytes();
@@ -456,8 +427,6 @@ fn report_json(mode: &str, churn_frac: f64, scales: &[ScaleResult]) -> Json {
                                                     Json::Float(shard1_ns / r.ns.max(1e-9)),
                                                 ),
                                                 ("handoffs".into(), Json::UInt(r.handoffs)),
-                                                ("restripes".into(), Json::UInt(r.restripes)),
-                                                ("moved_cols".into(), Json::UInt(r.moved_cols)),
                                             ])
                                         })
                                         .collect(),
@@ -579,10 +548,10 @@ fn main() {
         }
     }
 
-    // Quick mode runs the skewed scenario only (that's the hard case the
-    // re-striper must win), and must keep a 100 000-node rung — below
-    // ~100k the dirty set is too small for the parallel step path to
-    // engage at all.
+    // Quick mode runs the skewed scenario only (the hard case for
+    // uniform stripes), and must keep a 100 000-node rung — below ~100k
+    // the dirty set is too small for the parallel step path to engage at
+    // all.
     let (mode, runs): (&str, Vec<(Scen, usize, usize)>) = if quick {
         (
             "quick",
@@ -604,8 +573,8 @@ fn main() {
         )
     };
     println!(
-        "== exp_shard: load-aware unified stripes vs sweep baseline, {mode} ladder ({} runs, \
-         shards {:?}, {:.0}% churn/round, rebalance on)",
+        "== exp_shard: unified stripes vs sweep baseline, {mode} ladder ({} runs, shards {:?}, \
+         {:.0}% churn/round)",
         runs.len(),
         SHARD_COUNTS,
         churn_frac * 100.0

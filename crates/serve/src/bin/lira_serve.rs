@@ -6,8 +6,7 @@
 //!            [--queue-capacity B] [--service-rate U] [--adapt-every W]
 //!            [--regions l] [--delta-min D] [--delta-max D]
 //!            [--policy lira|lira-grid|uniform|utility-greedy|utility-model]
-//!            [--rebalance] [--conns K] [--report FILE] [--no-telemetry]
-//!            [--verbose]
+//!            [--conns K] [--report FILE] [--no-telemetry] [--verbose]
 //! ```
 //!
 //! With `--port 0` (the default) an ephemeral port is chosen and printed
@@ -27,8 +26,7 @@ fn usage() -> ! {
          \x20                 [--queue-capacity B] [--service-rate U] [--adapt-every W]\n\
          \x20                 [--regions l] [--delta-min D] [--delta-max D]\n\
          \x20                 [--policy lira|lira-grid|uniform|utility-greedy|utility-model]\n\
-         \x20                 [--rebalance] [--conns K] [--report FILE] [--no-telemetry]\n\
-         \x20                 [--verbose]"
+         \x20                 [--conns K] [--report FILE] [--no-telemetry] [--verbose]"
     );
     std::process::exit(2);
 }
@@ -43,7 +41,6 @@ fn main() {
     let mut report_path: Option<String> = None;
     let mut telemetry = true;
     let mut verbose = false;
-    let mut rebalance: Option<bool> = None;
     let mut policy = Policy::default();
 
     let mut i = 0;
@@ -65,7 +62,6 @@ fn main() {
             "--policy" => policy = Policy::from_flag(&val(&mut i)).unwrap_or_else(|| usage()),
             "--conns" => conns = Some(val(&mut i).parse().unwrap_or_else(|_| usage())),
             "--report" => report_path = Some(val(&mut i)),
-            "--rebalance" => rebalance = Some(true),
             "--no-telemetry" => telemetry = false,
             "--verbose" => verbose = true,
             "--help" | "-h" => usage(),
@@ -77,11 +73,6 @@ fn main() {
     let mut cfg = ServeConfig::new(space, nodes);
     cfg.telemetry = telemetry;
     cfg.policy = policy;
-    // ServeConfig::new already honoured LIRA_REBALANCE; the flag only
-    // overrides it on.
-    if let Some(rb) = rebalance {
-        cfg.rebalance = rb;
-    }
     for (flag, v) in &cfg_overrides {
         let ok = match flag.as_str() {
             "--shards" => v.parse().map(|x| cfg.shards = x).is_ok(),
@@ -98,7 +89,7 @@ fn main() {
             usage();
         }
     }
-    if let Err(e) = cfg.shedding_policy() {
+    if let Err(e) = cfg.validate() {
         eprintln!("lira-serve: invalid configuration: {e}");
         std::process::exit(2);
     }

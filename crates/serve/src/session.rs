@@ -25,7 +25,7 @@ use lira_core::stats_grid::StatsGrid;
 use lira_core::telemetry::json::Json;
 use lira_core::telemetry::{Counter, Gauge, Histogram, MetricSpec, Telemetry};
 use lira_core::throt_loop::{QueueObservation, ThrotLoop};
-use lira_server::cq_engine::{rebalance_from_env, CqServer, EvalEngine};
+use lira_server::cq_engine::{CqServer, EvalEngine};
 use lira_server::query::{QueryResult, RangeQuery};
 use lira_server::queue::UpdateQueue;
 use std::sync::Arc;
@@ -67,12 +67,10 @@ pub struct ServeConfig {
     pub delta_max: f64,
     /// Enable the telemetry registry (histograms, counters, gauges).
     pub telemetry: bool,
-    /// Load-aware rebalancing: the unified engine stripes by load and
-    /// re-stripes online (see `lira-server`'s DESIGN.md §15), and the
-    /// session rewrites the slice→shard routing table at window close
-    /// when per-window admission counts leave the shard queues
-    /// imbalanced. Defaults from the `LIRA_REBALANCE` environment
-    /// variable (off when unset).
+    /// Ignored, like `index_side`: it switched on load-aware striping
+    /// and automatic slice moves, which are gone (DESIGN.md §12), and
+    /// survives only because the frozen `benchmark/` crate assigns it —
+    /// to be dropped by the next `benchmark` PR (ROADMAP item 2).
     pub rebalance: bool,
     /// The shedding policy behind the plan broadcasts (CLI `--policy`;
     /// LIRA by default). Must be source-actuated — see
@@ -98,7 +96,7 @@ impl ServeConfig {
             delta_min: 5.0,
             delta_max: 100.0,
             telemetry: true,
-            rebalance: rebalance_from_env(false),
+            rebalance: false,
             policy: Policy::default(),
         }
     }
@@ -114,6 +112,23 @@ impl ServeConfig {
         };
         c.alpha = LiraConfig::alpha_for(c.num_regions, 2.0);
         c
+    }
+
+    /// Says why no session can run under this configuration: no shard
+    /// or slice to route to, a service rate THROTLOOP cannot divide by,
+    /// or anything [`Self::shedding_policy`] refuses. The binary checks
+    /// before it binds; [`SessionCore::new`] panics on a refusal.
+    pub fn validate(&self) -> Result<(), String> {
+        if self.shards < 1 || self.slices < 1 {
+            return Err("shards and slices must each be at least 1".into());
+        }
+        if !(self.service_rate.is_finite() && self.service_rate > 0.0) {
+            return Err(format!(
+                "service rate must be positive and finite, got {}",
+                self.service_rate
+            ));
+        }
+        self.shedding_policy().map(drop)
     }
 
     /// Builds the configured shedding policy, or says why this session
@@ -266,12 +281,7 @@ pub struct SessionCore {
     updates_rx: u64,
     updates_admitted: u64,
     batches_rx: u64,
-    /// Updates admitted per routing slice in the current window (reset
-    /// at every `WindowClose`) — the load signal the slice rebalancer
-    /// acts on.
-    slice_admits: Vec<u64>,
-    /// Slice→shard reassignments applied over the session, external
-    /// (`SetSlice`) and automatic alike.
+    /// Slice→shard reassignments (`SetSlice`) applied over the session.
     slice_rewrites: u64,
     plan_broadcasts: u64,
     plan_bytes: u64,
@@ -287,12 +297,12 @@ impl SessionCore {
     /// Builds a session core. Panics on invalid configuration (the
     /// binaries validate flags first; tests construct valid configs).
     pub fn new(cfg: ServeConfig) -> Self {
-        let policy = cfg.shedding_policy().expect("valid serve config");
+        cfg.validate().expect("valid serve config");
+        let policy = cfg.shedding_policy().expect("validated above");
         let lira = cfg.lira_config();
         let per_shard = (cfg.queue_capacity / cfg.shards).max(1);
         let server = CqServer::new(cfg.bounds, cfg.num_nodes, cfg.index_side)
-            .with_engine(EvalEngine::Unified { shards: cfg.shards })
-            .with_rebalance(cfg.rebalance);
+            .with_engine(EvalEngine::Unified { shards: cfg.shards });
         let mut grid = StatsGrid::new(lira.alpha, cfg.bounds).expect("alpha/bounds validated");
         grid.begin_snapshot();
         SessionCore {
@@ -314,7 +324,6 @@ impl SessionCore {
             updates_rx: 0,
             updates_admitted: 0,
             batches_rx: 0,
-            slice_admits: vec![0; cfg.slices],
             slice_rewrites: 0,
             plan_broadcasts: 0,
             plan_bytes: 0,
@@ -449,11 +458,9 @@ impl SessionCore {
                 self.tel.batch_updates.record(updates.len() as u64);
                 let wall = self.wall();
                 for u in updates {
-                    let slice = self.table.slice_of(u.id);
-                    let shard = self.table.assignments()[slice] as usize;
+                    let shard = self.table.shard_of(u.id);
                     if self.queues[shard].offer_at(wall, Pending { u, t }) {
                         self.updates_admitted += 1;
-                        self.slice_admits[slice] += 1;
                         self.tel.queue_admitted.incr();
                     } else {
                         self.tel.queue_dropped.incr();
@@ -505,15 +512,6 @@ impl SessionCore {
                 }
                 let depth: u64 = self.queues.iter().map(|q| q.len() as u64).sum();
                 self.drain();
-                // The queues are empty here, so moving slices between
-                // shards cannot reorder a node's in-flight updates — the
-                // only safe point to actuate a rebalance.
-                if self.cfg.rebalance {
-                    self.auto_rebalance();
-                }
-                for a in &mut self.slice_admits {
-                    *a = 0;
-                }
                 let lambda: f64 = self
                     .queues
                     .iter_mut()
@@ -631,54 +629,6 @@ impl SessionCore {
     /// Total updates dropped at the bounded queues since session start.
     fn dropped(&self) -> u64 {
         self.queues.iter().map(|q| q.dropped()).sum()
-    }
-
-    /// Greedy slice rebalancer: using the window's per-slice admission
-    /// counts as the load signal, repeatedly moves the heaviest slice off
-    /// the most loaded shard onto the least loaded one while that
-    /// strictly lowers the peak. Runs only at window close, after
-    /// [`Self::drain`] — empty queues make the slice→shard rewrite
-    /// invisible to per-node FIFO order, so the report digest is
-    /// unchanged (asserted by `tests/loopback.rs`).
-    fn auto_rebalance(&mut self) {
-        let shards = self.cfg.shards;
-        if shards < 2 {
-            return;
-        }
-        let mut asg = self.table.assignments().to_vec();
-        let mut load = vec![0u64; shards];
-        for (&w, &owner) in self.slice_admits.iter().zip(asg.iter()) {
-            load[owner as usize] += w;
-        }
-        for _ in 0..self.cfg.slices {
-            let h = (0..shards).max_by_key(|&s| load[s]).unwrap();
-            let l = (0..shards).min_by_key(|&s| load[s]).unwrap();
-            if h == l || load[h] == load[l] {
-                break;
-            }
-            // Heaviest non-empty slice on the hot shard whose move
-            // strictly improves the peak (lowest index breaks ties, so
-            // the outcome is a pure function of the admission counts).
-            let mut pick: Option<(usize, u64)> = None;
-            for (slice, &owner) in asg.iter().enumerate() {
-                if owner as usize != h {
-                    continue;
-                }
-                let w = self.slice_admits[slice];
-                if w == 0 || load[l] + w >= load[h] {
-                    continue;
-                }
-                if pick.map(|(_, pw)| w > pw).unwrap_or(true) {
-                    pick = Some((slice, w));
-                }
-            }
-            let Some((slice, w)) = pick else { break };
-            asg[slice] = l as u32;
-            load[h] -= w;
-            load[l] += w;
-            self.table.set(slice, l);
-            self.slice_rewrites += 1;
-        }
     }
 
     /// Drains every shard queue into the engine, in shard order. Within a
@@ -836,6 +786,77 @@ mod tests {
         }
         // Node 1 is inside the query, node 2 outside.
         assert_eq!(s.server.evaluate(0.0)[0].nodes, vec![1]);
+    }
+
+    #[test]
+    fn validate_refuses_what_a_session_cannot_run() {
+        let base = || ServeConfig::new(1000.0, 100);
+        assert_eq!(base().validate(), Ok(()));
+        let refused = |edit: fn(&mut ServeConfig), needle: &str| {
+            let mut cfg = base();
+            edit(&mut cfg);
+            let why = cfg.validate().expect_err(needle);
+            assert!(why.contains(needle), "{why:?} should mention {needle:?}");
+        };
+        refused(|c| c.shards = 0, "shards");
+        refused(|c| c.slices = 0, "slices");
+        refused(|c| c.service_rate = 0.0, "service rate");
+        refused(|c| c.service_rate = -5.0, "service rate");
+        refused(|c| c.service_rate = f64::NAN, "service rate");
+        refused(|c| c.service_rate = f64::INFINITY, "service rate");
+        // What `shedding_policy` already refused is refused here too.
+        refused(|c| c.policy = Policy::RandomDrop, "sheds at the server");
+        refused(|c| c.num_regions = 251, "l mod 3");
+    }
+
+    #[test]
+    #[should_panic(expected = "shards and slices must each be at least 1")]
+    fn a_session_over_zero_shards_is_refused_at_construction() {
+        let mut cfg = ServeConfig::new(1000.0, 100);
+        cfg.shards = 0;
+        SessionCore::new(cfg);
+    }
+
+    /// The out-of-bounds contract (docs/WIRE.md, OPERATIONS.md §5): a
+    /// finite position outside `bounds` is admitted with its frame, sits
+    /// in a border cell of the engine's grid and the stats grid, and
+    /// matches only the queries that geometrically contain it — so no
+    /// in-bounds query.
+    #[test]
+    fn a_finite_out_of_bounds_position_is_admitted_and_matches_no_in_bounds_query() {
+        let mut s = tiny(); // 1 km², 100 nodes
+        let conn = s.open_conn();
+        s.handle(conn, Frame::Hello { flags: 0 });
+        // The whole space, its north-east corner cell, and one that
+        // overhangs that corner.
+        let queries = [(0.0, 1000.0), (900.0, 1000.0), (900.0, 1300.0)]
+            .iter()
+            .zip(0..)
+            .map(|(&(min, max), id)| {
+                let range = Rect::from_coords(min, min, max, max);
+                crate::protocol::WireQuery::from_query(&RangeQuery { id, range })
+            })
+            .collect();
+        s.handle(conn, Frame::Register { queries });
+        let updates = vec![
+            upd(1, 100.0, 100.0),
+            upd(2, 1100.0, 1100.0),
+            upd(3, -50.0, 500.0),
+            upd(4, 950.0, 1e12),
+        ];
+        let out = s.handle(conn, Frame::Batch { t: 0.0, updates });
+        assert!(out.replies.is_empty(), "admitted, not refused");
+        s.handle(conn, Frame::EvalReq { t: 0.0 });
+        let (t, window_s) = (1.0, 1.0);
+        s.handle(conn, Frame::WindowClose { t, window_s });
+        assert_eq!(s.protocol_errors(), 0);
+        let members: Vec<Vec<u32>> = s.results_buf.iter().map(|r| r.nodes.clone()).collect();
+        assert_eq!(members, vec![vec![1], vec![], vec![2]]);
+        let report = Json::parse(&s.deterministic_json()).unwrap();
+        let field = |k: &str| report.get(k).unwrap().as_u64().unwrap();
+        assert_eq!(field("updates_rx"), 4);
+        assert_eq!(field("updates_admitted"), 4);
+        assert_eq!(field("updates_dropped"), 0);
     }
 
     #[test]

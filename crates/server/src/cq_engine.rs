@@ -10,7 +10,7 @@ use lira_core::geometry::{Point, Rect};
 
 use crate::node_store::NodeStore;
 use crate::query::{QueryResult, RangeQuery, UncertainResult};
-use crate::unified::{RestripeStats, ShardStats, UnifiedEval};
+use crate::unified::{ShardStats, UnifiedEval};
 
 /// How many stripes [`CqServer`]'s engine evaluates in.
 ///
@@ -46,33 +46,6 @@ impl Default for EvalEngine {
     }
 }
 
-impl EvalEngine {
-    /// The unified engine with the shard count taken from the
-    /// `LIRA_TEST_SHARDS` environment variable (the CI matrix hook used
-    /// by the cross-engine test battery), falling back to
-    /// `default_shards` when unset or unparsable.
-    pub fn unified_from_env(default_shards: usize) -> EvalEngine {
-        let shards = std::env::var("LIRA_TEST_SHARDS")
-            .ok()
-            .and_then(|v| v.parse().ok())
-            .filter(|&s| s >= 1)
-            .unwrap_or(default_shards);
-        EvalEngine::Unified { shards }
-    }
-}
-
-/// Whether the unified engine's online re-striper should be enabled,
-/// taken from the `LIRA_REBALANCE` environment variable (the CI matrix
-/// hook, mirroring [`EvalEngine::unified_from_env`]): `1`/`true` ⇒ on,
-/// `0`/`false` ⇒ off, unset or unparsable ⇒ `default`.
-pub fn rebalance_from_env(default: bool) -> bool {
-    match std::env::var("LIRA_REBALANCE").ok().as_deref() {
-        Some("1") | Some("true") => true,
-        Some("0") | Some("false") => false,
-        _ => default,
-    }
-}
-
 /// A mobile CQ server instance: the node store, the registered queries
 /// and the evaluation engine that keeps their member sets.
 #[derive(Debug, Clone)]
@@ -91,9 +64,6 @@ pub struct CqServer {
     /// Whether unified rounds may skip the nodes whose answer cannot
     /// have changed; see [`CqServer::with_dirty_tracking`].
     dirty_tracking: bool,
-    /// Whether the unified engine's online re-striper is enabled; see
-    /// [`CqServer::with_rebalance`].
-    rebalance: bool,
 }
 
 // The simulation pipeline moves whole servers into per-policy lane
@@ -151,7 +121,6 @@ impl CqServer {
             unified: Box::new(UnifiedEval::new(bounds, num_nodes, 1)),
             sequential_eval: false,
             dirty_tracking: true,
-            rebalance: false,
         }
     }
 
@@ -161,20 +130,6 @@ impl CqServer {
         self.engine = engine;
         self.unified = Box::new(UnifiedEval::new(self.bounds, self.store.len(), shards));
         self.unified.set_dirty_tracking(self.dirty_tracking);
-        self.unified.set_rebalance(self.rebalance);
-        self
-    }
-
-    /// Enables the engine's load-aware striping and online
-    /// re-striper (builder-style; off by default, DESIGN.md §15). With it
-    /// on, stripe boundaries are solved from the per-column load model at
-    /// index-build time and a rebalance controller migrates whole cell
-    /// columns between shards when sustained imbalance is detected —
-    /// results stay bit-identical at every shard count either way. No
-    /// effect at one shard.
-    pub fn with_rebalance(mut self, enabled: bool) -> Self {
-        self.rebalance = enabled;
-        self.unified.set_rebalance(enabled);
         self
     }
 
@@ -417,24 +372,6 @@ impl CqServer {
     /// in a kinetic round.
     pub fn stepped_nodes(&self) -> u64 {
         self.unified.stepped()
-    }
-
-    /// The engine's re-striper accounting — rebalances performed,
-    /// columns migrated, cumulative migration pause, and the live
-    /// per-shard load CoV. Counters stay zero unless
-    /// [`with_rebalance`](Self::with_rebalance) (or
-    /// [`force_restripe`](Self::force_restripe)) is used.
-    pub fn restripe_stats(&self) -> RestripeStats {
-        self.unified.restripe_stats()
-    }
-
-    /// Forces one boundary re-solve + column migration from live
-    /// occupancy, bypassing the imbalance trigger (test/benchmark hook;
-    /// works even without [`with_rebalance`](Self::with_rebalance)).
-    /// Returns the number of columns that changed owner — 0 before the
-    /// first evaluation or at one shard.
-    pub fn force_restripe(&mut self) -> usize {
-        self.unified.force_restripe(&self.queries)
     }
 }
 

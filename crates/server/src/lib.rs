@@ -40,12 +40,12 @@ pub mod prelude {
         ChannelStats, DelayModel, Delivery, FaultProfile, FaultyChannel, LossModel, Outage,
         RetryPolicy,
     };
-    pub use crate::cq_engine::{rebalance_from_env, CqServer, EvalEngine};
+    pub use crate::cq_engine::{CqServer, EvalEngine};
     pub use crate::history::HistoryStore;
     pub use crate::mobile::{MobileShedder, LOCAL_GRID_SIDE};
     pub use crate::node_store::{NodeStore, StoredModel};
     pub use crate::query::{sorted_difference_count, QueryResult, RangeQuery, UncertainResult};
     pub use crate::queue::UpdateQueue;
     pub use crate::tpr_tree::{MovingPoint, TprTree};
-    pub use crate::unified::{RestripeStats, ShardStats, MAX_SHARDS};
+    pub use crate::unified::{ShardStats, MAX_SHARDS};
 }

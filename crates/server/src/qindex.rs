@@ -271,24 +271,6 @@ impl QueryIndex {
     }
 }
 
-/// Per-column query pressure for the load-aware boundary solver
-/// (DESIGN.md §15): for each grid column, how many queries' closed cell
-/// covers include it. Uses the same `axis_cell` span as
-/// [`QueryIndex::build_cols`], so a column's weight counts exactly the
-/// queries a node residing there can be tested against.
-pub(crate) fn col_query_covers(bounds: &Rect, queries: &[RangeQuery]) -> Vec<u32> {
-    let side = side_for(queries.len());
-    let mut covers = vec![0u32; side];
-    for q in queries {
-        let c0 = axis_cell(q.range.min.x, bounds.min.x, bounds.width(), side);
-        let c1 = axis_cell(q.range.max.x, bounds.min.x, bounds.width(), side);
-        for c in &mut covers[c0..=c1] {
-            *c += 1;
-        }
-    }
-    covers
-}
-
 /// Flattens per-cell lists into a CSR (offsets, ids) pair.
 fn flatten(lists: &[Vec<u32>]) -> (Vec<u32>, Vec<u32>) {
     let mut offsets = Vec::with_capacity(lists.len() + 1);

@@ -94,13 +94,13 @@
 //! live entry (about one per moving node: a re-report leaves the old
 //! entry in place unless the new safe time is *earlier*), allocated at
 //! the first round that schedules and global like the other per-node
-//! arrays, so a column migration moves nothing. A rebuild files nothing
-//! and leaves the engine unscheduled; the first advancing round after it
-//! is a sweep that files everyone (`Wheel::reschedule`, `Wheel::fill`).
-//! The sweep is also the fallback whenever the wheel cannot name the due
-//! nodes (`t < last_t`, a jump past the ring) or would name too many of
-//! them to be worth asking (`BUSY`, `CALM`: a world that moves a node a
-//! good part of a cell per round sweeps as it always did) — and, with
+//! arrays. A rebuild files nothing and leaves the engine unscheduled;
+//! the first advancing round after it is a sweep that files everyone
+//! (`Wheel::reschedule`, `Wheel::fill`). The sweep is also the fallback
+//! whenever the wheel cannot name the due nodes (`t < last_t`, a jump
+//! past the ring) or would name too many of them to be worth asking
+//! (`BUSY`, `CALM`: a world that moves a node a good part of a cell per
+//! round sweeps as it always did) — and, with
 //! `CqServer::with_dirty_tracking(false)`, every round: the benchmarks'
 //! baseline and the in-tree oracle the equivalence batteries hold the
 //! kinetic rounds to.
@@ -115,9 +115,7 @@ use std::time::Instant;
 use lira_core::geometry::{Point, Rect};
 
 use crate::node_store::NodeStore;
-use crate::qindex::{
-    axis_cell, col_query_covers, insert_member, remove_member, side_for, QueryIndex,
-};
+use crate::qindex::{axis_cell, insert_member, remove_member, side_for, QueryIndex};
 use crate::query::{QueryResult, RangeQuery, UncertainResult};
 
 /// Hard cap on the shard count: the emit merge keeps one cursor per
@@ -174,36 +172,6 @@ const PAR_STEP_MIN: usize = 1024;
 /// (measured on the previous round — emit volume is stable between
 /// adjacent rounds).
 const PAR_EMIT_MIN: usize = 8192;
-/// Re-striper trigger: per-shard load CoV above this…
-const COV_HI: f64 = 0.25;
-/// …for this many consecutive rounds fires a rebalance…
-const RESTRIPE_SUSTAIN: u32 = 3;
-/// …followed by this many quiet rounds of cooldown (hysteresis: a fresh
-/// migration must not immediately retrigger on its own transient).
-const RESTRIPE_COOLDOWN: u32 = 8;
-/// A triggered rebalance migrates only if the solver's predicted peak
-/// shard load improves on the current assignment by at least this
-/// factor. When the hot columns are already as split as column
-/// granularity allows, the CoV alarm never clears — without this guard
-/// the controller would pay a full migration (and its clipped-index
-/// rebuilds) every cooldown expiry for no balance gain.
-const RESTRIPE_MIN_GAIN: f64 = 0.9;
-/// Amortized migration-overhead budget: after a triggered restripe the
-/// cooldown stretches until the pause just paid amounts to at most this
-/// fraction of steady-state round time. A slowly drifting hotspot is
-/// tracked promptly (pauses are tiny next to rounds); a fast-drifting
-/// one is tracked as fast as the budget allows instead of spending more
-/// time migrating than evaluating.
-const RESTRIPE_PAUSE_BUDGET: f64 = 0.05;
-/// Smoothing factor of the per-shard load EWMA the trigger watches.
-const EWMA_ALPHA: f64 = 0.3;
-/// Weight of one re-reported (dirty) node relative to one merely
-/// resident node in the load signal — churn costs a retest per round,
-/// residency mostly costs emit bandwidth.
-const DIRTY_WEIGHT: f64 = 4.0;
-/// Base load of an empty grid column, so the boundary solver degrades
-/// to the uniform split on an empty (or not-yet-populated) world.
-const COL_EPS: f64 = 1e-3;
 
 /// A snapshot of one shard's telemetry, exposed through
 /// [`CqServer::shard_stats`](crate::cq_engine::CqServer::shard_stats).
@@ -233,24 +201,6 @@ pub struct ShardStats {
     /// re-filed, handed off or removed since. Entries of nodes no shard
     /// owns any more are charged to shard 0.
     pub due_stale: u64,
-}
-
-/// A snapshot of the online re-striper's accounting, exposed through
-/// [`CqServer::restripe_stats`](crate::cq_engine::CqServer::restripe_stats)
-/// (DESIGN.md §15).
-#[derive(Debug, Clone, Copy, PartialEq, Default)]
-pub struct RestripeStats {
-    /// Rebalances performed (boundary recomputations that moved at least
-    /// one column).
-    pub restripes: u64,
-    /// Cumulative grid columns migrated between shards.
-    pub moved_cols: u64,
-    /// Cumulative wall time spent inside migrations, nanoseconds (the
-    /// "pause" a rebalance adds to its round).
-    pub pause_ns: u64,
-    /// Coefficient of variation of the current per-shard load (0 at one
-    /// shard; recomputed from live ownership on every read).
-    pub imbalance: f64,
 }
 
 /// One dispatched unit: run `f(idx)`. The erased borrow is kept alive by
@@ -525,8 +475,7 @@ impl Filing {
 
 /// The kinetic schedule (module docs, *The one skip rule*): a bucketed
 /// time wheel over the owned nodes, owned by the coordinator. Global
-/// rather than per-shard, like the other per-node arrays, so a column
-/// migration moves nothing here.
+/// rather than per-shard, like the other per-node arrays.
 #[derive(Debug, Clone, Default)]
 struct Wheel {
     /// Whether the wheel covers every owned node: each has a live entry
@@ -1338,45 +1287,6 @@ fn merge_into(srcs: &[&[u32]], out: &mut Vec<u32>) {
     }
 }
 
-/// Contiguous-partition boundary solver: splits `load` into `s` stripes
-/// of near-equal cumulative weight, returning `s + 1` boundary columns
-/// (`b[0] = 0`, `b[s] = load.len()`). Each boundary lands where the
-/// load prefix crosses its `i·total/s` target, rounding a column to
-/// whichever side its midpoint falls on — deterministic, monotone, and
-/// degenerating to the uniform split when the load is uniform. Empty
-/// stripes are legal (a shard may own zero columns).
-fn solve_boundaries(load: &[f64], s: usize) -> Vec<usize> {
-    let side = load.len();
-    let total: f64 = load.iter().sum();
-    let mut b = vec![side; s + 1];
-    b[0] = 0;
-    let mut j = 0usize;
-    let mut prefix = 0.0;
-    for (i, slot) in b.iter_mut().enumerate().take(s).skip(1) {
-        let target = total * i as f64 / s as f64;
-        while j < side && prefix + load[j] / 2.0 <= target {
-            prefix += load[j];
-            j += 1;
-        }
-        *slot = j;
-    }
-    b
-}
-
-/// Coefficient of variation (σ/µ) of a load vector; 0 for fewer than
-/// two shards or an all-idle fleet.
-fn cov(loads: &[f64]) -> f64 {
-    if loads.len() < 2 {
-        return 0.0;
-    }
-    let mean = loads.iter().sum::<f64>() / loads.len() as f64;
-    if mean <= 0.0 {
-        return 0.0;
-    }
-    let var = loads.iter().map(|&l| (l - mean) * (l - mean)).sum::<f64>() / loads.len() as f64;
-    var.sqrt() / mean
-}
-
 /// All state of the unified engine. See the module docs for the round
 /// protocol and the bit-identity argument.
 #[derive(Debug)]
@@ -1439,25 +1349,6 @@ pub(crate) struct UnifiedEval {
     /// Result entries emitted by the last exact round (drives the emit
     /// phase's pool-dispatch decision for the next one).
     emit_entries: usize,
-    /// Whether the online re-striper is active (opt-in; also switches
-    /// the *initial* boundaries from uniform to load-aware).
-    rebalance: bool,
-    /// Per grid column: query-cover weight normalized by the mean cover
-    /// count, rebuilt with the indexes (DESIGN.md §15).
-    col_qw: Vec<f64>,
-    /// Per-shard load EWMA the rebalance trigger watches.
-    load_ewma: Vec<f64>,
-    /// Consecutive rounds the load CoV stayed above [`COV_HI`].
-    hot_rounds: u32,
-    /// Rounds left before the trigger may fire again.
-    cooldown: u32,
-    /// EWMA of exact-round wall time (excluding restripe pauses), the
-    /// denominator of the migration-overhead budget.
-    round_ns_ewma: f64,
-    /// Cumulative re-striper accounting (see [`RestripeStats`]).
-    restripes: u64,
-    moved_cols: u64,
-    pause_ns: u64,
 }
 
 impl Clone for UnifiedEval {
@@ -1487,15 +1378,6 @@ impl Clone for UnifiedEval {
             pool: None,
             hw: self.hw,
             emit_entries: self.emit_entries,
-            rebalance: self.rebalance,
-            col_qw: self.col_qw.clone(),
-            load_ewma: self.load_ewma.clone(),
-            hot_rounds: self.hot_rounds,
-            cooldown: self.cooldown,
-            round_ns_ewma: self.round_ns_ewma,
-            restripes: self.restripes,
-            moved_cols: self.moved_cols,
-            pause_ns: self.pause_ns,
         }
     }
 }
@@ -1531,15 +1413,6 @@ impl UnifiedEval {
                 .map(|n| n.get())
                 .unwrap_or(1),
             emit_entries: 0,
-            rebalance: false,
-            col_qw: Vec::new(),
-            load_ewma: Vec::new(),
-            hot_rounds: 0,
-            cooldown: 0,
-            round_ns_ewma: 0.0,
-            restripes: 0,
-            moved_cols: 0,
-            pause_ns: 0,
         }
     }
 
@@ -1613,56 +1486,20 @@ impl UnifiedEval {
             .collect()
     }
 
-    /// The per-column load model (DESIGN.md §15): a base epsilon (so an
-    /// empty world splits uniformly) plus the column's node count scaled
-    /// by its normalized query weight — a node in a query-dense column
-    /// is tested against proportionally more queries per step and emits
-    /// into more member lists.
-    fn col_load(&self, nodes: &[u32]) -> Vec<f64> {
-        nodes
-            .iter()
-            .zip(&self.col_qw)
-            .map(|(&n, &qw)| COL_EPS + n as f64 * (1.0 + qw))
-            .collect()
-    }
-
     /// (Re)builds the stripe layout and per-shard exact indexes for the
-    /// current query set. Boundaries are the uniform `side·i/s` split by
-    /// default; with the re-striper enabled they come from the load
-    /// model over the store's current occupancy, so the first round
-    /// already starts balanced under skew.
-    fn build_indexes(&mut self, queries: &[RangeQuery], store: &NodeStore, t: f64) {
+    /// current query set. Stripe `i` of `s` owns columns
+    /// `side·i/s .. side·(i+1)/s`: contiguous, near-even, and the same
+    /// split for any query set of the same size, so a node's stripe is a
+    /// pure function of `(query count, shard count, x)`. A stripe may own
+    /// no column at all (`s > side`); it then never owns a node.
+    fn build_indexes(&mut self, queries: &[RangeQuery], num_nodes: usize) {
         let side = side_for(queries.len());
         let s = self.num_shards;
-        let num_nodes = store.len();
-        // Per-column query weight, normalized by the mean cover count
-        // (dimensionless, ~1 on average) so node count stays the
-        // dominant term of the load model.
-        let covers = col_query_covers(&self.bounds, queries);
-        let mean = covers.iter().map(|&c| c as f64).sum::<f64>() / side as f64;
-        self.col_qw = covers
-            .iter()
-            .map(|&c| if mean > 0.0 { c as f64 / mean } else { 0.0 })
-            .collect();
-        let bcols: Vec<usize> = if self.rebalance && s > 1 {
-            let mut nodes = vec![0u32; side];
-            for n in 0..num_nodes {
-                if let Some(p) = store.predict(n as u32, t) {
-                    nodes[axis_cell(p.x, self.bounds.min.x, self.bounds.width(), side)] += 1;
-                }
-            }
-            solve_boundaries(&self.col_load(&nodes), s)
-        } else {
-            // Contiguous, near-even stripes over the cell columns (the
-            // same split for any query set of the same size, so a given
-            // node deterministically maps to a shard).
-            (0..=s).map(|i| side * i / s).collect()
-        };
         self.shards.resize_with(s, Shard::new);
         self.col_owner.clear();
         self.col_owner.resize(side, 0);
         for (i, shard) in self.shards.iter_mut().enumerate() {
-            let (lo, hi) = (bcols[i], bcols[i + 1]);
+            let (lo, hi) = (side * i / s, side * (i + 1) / s);
             for owner in &mut self.col_owner[lo..hi] {
                 *owner = i as u32;
             }
@@ -1671,9 +1508,6 @@ impl UnifiedEval {
             shard.members.resize_with(queries.len(), Vec::new);
             shard.members.truncate(queries.len());
         }
-        self.load_ewma.clear();
-        self.load_ewma.resize(s, 0.0);
-        self.hot_rounds = 0;
         self.node_cell.resize(num_nodes, UNOWNED);
         self.partial_hits.resize_with(num_nodes, Vec::new);
         self.owned_pos.resize(num_nodes, UNOWNED);
@@ -1712,218 +1546,6 @@ impl UnifiedEval {
         let side = self.col_owner.len();
         let col = axis_cell(p.x, self.bounds.min.x, self.bounds.width(), side);
         self.col_owner[col] as usize
-    }
-
-    /// Enables or disables the online re-striper. Takes effect at the
-    /// next index build; toggling mid-run forces one (the initial
-    /// boundary policy changes with it).
-    pub(crate) fn set_rebalance(&mut self, enabled: bool) {
-        if self.rebalance != enabled {
-            self.rebalance = enabled;
-            self.invalidate();
-        }
-    }
-
-    /// Re-striper accounting snapshot; `imbalance` is recomputed from
-    /// live shard ownership on every call.
-    pub(crate) fn restripe_stats(&self) -> RestripeStats {
-        let loads: Vec<f64> = self.shards.iter().map(|sh| sh.owned.len() as f64).collect();
-        RestripeStats {
-            restripes: self.restripes,
-            moved_cols: self.moved_cols,
-            pause_ns: self.pause_ns,
-            imbalance: cov(&loads),
-        }
-    }
-
-    /// Test/benchmark hook: re-solve boundaries from live occupancy and
-    /// migrate immediately, bypassing the CoV trigger. No-op before the
-    /// first exact round (there is nothing to migrate). Returns the
-    /// number of columns that changed owner.
-    pub(crate) fn force_restripe(&mut self, queries: &[RangeQuery]) -> usize {
-        if !self.indexed || !self.primed || self.num_shards < 2 {
-            return 0;
-        }
-        self.restripe(queries, f64::INFINITY)
-    }
-
-    /// The rebalance controller, run at the end of every exact round
-    /// (before the round's change feeds are cleared — it reads the
-    /// per-shard dirty buckets): folds this round's activity into the
-    /// load EWMA, and once the CoV has stayed above [`COV_HI`] for
-    /// [`RESTRIPE_SUSTAIN`] consecutive rounds, re-solves the boundaries
-    /// and migrates the difference, then holds off for at least
-    /// [`RESTRIPE_COOLDOWN`] rounds — longer if the migration pause
-    /// exceeded the [`RESTRIPE_PAUSE_BUDGET`] fraction of round time.
-    fn maybe_restripe(&mut self, queries: &[RangeQuery]) {
-        if !self.rebalance || self.num_shards < 2 {
-            return;
-        }
-        for (i, ewma) in self.load_ewma.iter_mut().enumerate() {
-            let inst = self.shards[i].owned.len() as f64
-                + DIRTY_WEIGHT * self.dirty_by_shard[i].len() as f64;
-            *ewma += EWMA_ALPHA * (inst - *ewma);
-        }
-        if self.cooldown > 0 {
-            self.cooldown -= 1;
-            return;
-        }
-        if cov(&self.load_ewma) <= COV_HI {
-            self.hot_rounds = 0;
-            return;
-        }
-        self.hot_rounds += 1;
-        if self.hot_rounds < RESTRIPE_SUSTAIN {
-            return;
-        }
-        self.hot_rounds = 0;
-        let pause_before = self.pause_ns;
-        self.restripe(queries, RESTRIPE_MIN_GAIN);
-        // Stretch the cooldown until the pause just paid fits the
-        // amortized budget (never below the hysteresis floor).
-        let pause = (self.pause_ns - pause_before) as f64;
-        let budget_rounds = if self.round_ns_ewma > 0.0 {
-            (pause / (RESTRIPE_PAUSE_BUDGET * self.round_ns_ewma)).ceil()
-        } else {
-            0.0
-        };
-        self.cooldown = (budget_rounds as u32).max(RESTRIPE_COOLDOWN);
-    }
-
-    /// One rebalance: count live nodes per column, re-solve the
-    /// boundaries over the load model, and migrate whatever moved —
-    /// unless the solver's predicted peak load is not below `min_gain` ×
-    /// the current assignment's (pass `f64::INFINITY` to migrate
-    /// unconditionally, as [`force_restripe`](Self::force_restripe)
-    /// does).
-    fn restripe(&mut self, queries: &[RangeQuery], min_gain: f64) -> usize {
-        let start = Instant::now();
-        let side = self.col_owner.len();
-        let mut nodes = vec![0u32; side];
-        for shard in &self.shards {
-            for &n in &shard.owned {
-                nodes[self.node_cell[n as usize] as usize % side] += 1;
-            }
-        }
-        let load = self.col_load(&nodes);
-        let bcols = solve_boundaries(&load, self.num_shards);
-        let mut cur = vec![0.0f64; self.num_shards];
-        for (c, &l) in load.iter().enumerate() {
-            cur[self.col_owner[c] as usize] += l;
-        }
-        let cur_peak = cur.iter().fold(0.0f64, |a, &b| a.max(b));
-        let new_peak = (0..self.num_shards)
-            .map(|i| load[bcols[i]..bcols[i + 1]].iter().sum::<f64>())
-            .fold(0.0f64, f64::max);
-        if new_peak > cur_peak * min_gain {
-            self.pause_ns += start.elapsed().as_nanos() as u64;
-            return 0;
-        }
-        let moved = self.apply_boundaries(&bcols, queries);
-        if moved > 0 {
-            self.restripes += 1;
-            self.moved_cols += moved as u64;
-        }
-        self.pause_ns += start.elapsed().as_nanos() as u64;
-        moved
-    }
-
-    /// Migrates whole cell columns to a new boundary vector, between
-    /// rounds, on the coordinating thread. A moving node's SoA entries,
-    /// member-list entries, and index rows move together, and the
-    /// resulting state is exactly what a fresh rebuild at the new
-    /// boundaries would produce — per-cell index lists are
-    /// stripe-invariant (boundary replication, see the module docs), and
-    /// a node's partial-hit list depends only on its position, so
-    /// re-registering `full_at(cell) + hits` on the new owner
-    /// reconstructs its memberships without a single geometry retest.
-    /// Returns the number of columns that changed owner.
-    fn apply_boundaries(&mut self, bcols: &[usize], queries: &[RangeQuery]) -> usize {
-        let s = self.num_shards;
-        let side = self.col_owner.len();
-        let mut new_owner = vec![0u32; side];
-        for i in 0..s {
-            for owner in &mut new_owner[bcols[i]..bcols[i + 1]] {
-                *owner = i as u32;
-            }
-        }
-        let moved = (0..side)
-            .filter(|&c| new_owner[c] != self.col_owner[c])
-            .count();
-        if moved == 0 {
-            return 0;
-        }
-        // Pass A — extract: every node whose column changes owner drops
-        // its member-list entries on the old shard, scanned in
-        // deterministic (shard, owned-position) order. The node's cell
-        // and partial-hit list are left intact — they are exactly what
-        // the new owner re-registers.
-        let mut movers: Vec<(u32, u32)> = Vec::new();
-        for (src, shard) in self.shards.iter_mut().enumerate() {
-            let Shard {
-                qindex,
-                members,
-                owned,
-                ..
-            } = shard;
-            let mut k = 0;
-            while k < owned.len() {
-                let n = owned[k] as usize;
-                let cell = self.node_cell[n] as usize;
-                let dst = new_owner[cell % side];
-                if dst as usize == src {
-                    k += 1;
-                    continue;
-                }
-                let slot = qindex.slot_of_cell(cell);
-                for &q in qindex.full_at(slot) {
-                    remove_member(members, q, n as u32);
-                }
-                for &q in self.partial_hits[n].iter() {
-                    remove_member(members, q, n as u32);
-                }
-                owned.swap_remove(k);
-                self.owned_pos[n] = UNOWNED;
-                if let Some(&m) = owned.get(k) {
-                    self.owned_pos[m as usize] = k as u32;
-                }
-                movers.push((dst, n as u32));
-            }
-        }
-        // Pass B — re-clip: rebuild the stripe index of every shard
-        // whose column range changed and install the new ownership map.
-        for (i, shard) in self.shards.iter_mut().enumerate() {
-            let cols = bcols[i]..bcols[i + 1];
-            if shard.cols != cols {
-                shard.qindex =
-                    QueryIndex::build_cols(&self.bounds, queries, 0.0, true, cols.clone());
-                shard.cols = cols;
-            }
-        }
-        self.col_owner = new_owner;
-        // The stripe-clipped Δ⊣ covers are stale for resized shards.
-        self.uindexed = false;
-        // Pass C — insert: register each mover on its new owner (whose
-        // index was just rebuilt to include the node's column).
-        for &(dst, node) in &movers {
-            let n = node as usize;
-            let Shard {
-                qindex,
-                members,
-                owned,
-                ..
-            } = &mut self.shards[dst as usize];
-            let slot = qindex.slot_of_cell(self.node_cell[n] as usize);
-            for &q in qindex.full_at(slot) {
-                insert_member(members, q, node);
-            }
-            for &q in self.partial_hits[n].iter() {
-                insert_member(members, q, node);
-            }
-            self.owned_pos[n] = owned.len() as u32;
-            owned.push(node);
-        }
-        moved
     }
 
     /// `due(t)`: moves every node whose wheel entry could have a
@@ -2014,9 +1636,8 @@ impl UnifiedEval {
         out: &mut Vec<QueryResult>,
         sequential: bool,
     ) {
-        let round_start = Instant::now();
         if !self.indexed {
-            self.build_indexes(queries, store, t);
+            self.build_indexes(queries, store.len());
         }
         let s = self.num_shards;
         let rebuild = !self.primed;
@@ -2034,6 +1655,9 @@ impl UnifiedEval {
         } else if self.dirty_tracking && self.calm {
             self.wheel.reschedule(self.last_t, t, store.len())
         } else {
+            // A sweep that does not file re-places nodes behind the
+            // wheel's back: whatever it held is not a schedule any more.
+            self.wheel.scheduled = false;
             None
         };
         let changed_before: u64 = self.shards.iter().map(|shard| shard.changed).sum();
@@ -2269,9 +1893,6 @@ impl UnifiedEval {
         self.emit_entries = out.iter().map(|r| r.nodes.len()).sum();
         self.primed = true;
         self.last_t = t;
-        let round_ns = round_start.elapsed().as_nanos() as f64;
-        self.round_ns_ewma += EWMA_ALPHA * (round_ns - self.round_ns_ewma);
-        self.maybe_restripe(queries);
         self.clear_round_inputs();
     }
 
@@ -2291,7 +1912,7 @@ impl UnifiedEval {
         sequential: bool,
     ) {
         if !self.indexed {
-            self.build_indexes(queries, store, t);
+            self.build_indexes(queries, store.len());
         }
         if !self.uindexed || self.umax_delta.to_bits() != max_delta.to_bits() {
             for shard in &mut self.shards {
@@ -2397,48 +2018,6 @@ mod tests {
         out.clear();
         merge_into(&[&[2, 8], &[1, 5, 9], &[0, 10]], &mut out);
         assert_eq!(out, vec![0, 1, 2, 5, 8, 9, 10]);
-    }
-
-    #[test]
-    fn boundary_solver_splits_uniform_load_evenly() {
-        let load = vec![1.0; 8];
-        assert_eq!(solve_boundaries(&load, 4), vec![0, 2, 4, 6, 8]);
-        assert_eq!(solve_boundaries(&load, 1), vec![0, 8]);
-        // An all-epsilon (empty-world) load behaves the same.
-        let empty = vec![COL_EPS; 8];
-        assert_eq!(solve_boundaries(&empty, 4), vec![0, 2, 4, 6, 8]);
-    }
-
-    #[test]
-    fn boundary_solver_narrows_the_hot_stripe() {
-        // All weight on columns 0..2: the first shards own single hot
-        // columns and the tail shards split the cold remainder.
-        let mut load = vec![COL_EPS; 8];
-        load[0] = 100.0;
-        load[1] = 100.0;
-        let b = solve_boundaries(&load, 4);
-        assert_eq!(b[0], 0);
-        assert_eq!(*b.last().unwrap(), 8);
-        assert!(b.windows(2).all(|w| w[0] <= w[1]), "monotone: {b:?}");
-        assert_eq!(b[1], 1, "first shard owns exactly the first hot column");
-        assert!(
-            b[1..4].contains(&1),
-            "some boundary separates the two hot columns: {b:?}"
-        );
-        // No shard owns both hot columns.
-        let owner_of = |c: usize| b.iter().take_while(|&&x| x <= c).count();
-        assert_ne!(owner_of(0), owner_of(1), "{b:?}");
-    }
-
-    #[test]
-    fn cov_is_zero_when_balanced_and_grows_with_skew() {
-        assert_eq!(cov(&[]), 0.0);
-        assert_eq!(cov(&[5.0]), 0.0);
-        assert_eq!(cov(&[3.0, 3.0, 3.0]), 0.0);
-        assert_eq!(cov(&[0.0, 0.0]), 0.0);
-        let mild = cov(&[4.0, 5.0, 6.0]);
-        let wild = cov(&[0.0, 1.0, 14.0]);
-        assert!(mild > 0.0 && wild > mild, "mild {mild} wild {wild}");
     }
 
     #[test]

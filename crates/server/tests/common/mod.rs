@@ -1,13 +1,14 @@
-//! The advancing-`t` history every equivalence battery replays
-//! (`eval_equiv`, `shard_equiv`, `restripe_equiv`, `store_churn`): random
-//! interleavings of reports (fresh and stale), removals, re-registrations,
-//! query-set replacement and forced restripes with evaluation rounds at
-//! `t += dt`, where `dt` is drawn from the steps a kinetic engine can get
-//! wrong — none, one ulp-ish, one period, a jump past many events, a jump
-//! past the whole time wheel, and backwards. Every server under test is
-//! compared, round for round, against a brute-force [`World`] with the
-//! node store's exact staleness and removal rules — the one oracle of
-//! every battery, for `evaluate`, `evaluate_uncertain` and `nearest`.
+//! The advancing-`t` history every equivalence battery replays (`eval_equiv`,
+//! `shard_equiv`, `store_churn`): random interleavings of reports (fresh and
+//! stale), removals, re-registrations and query-set replacement with
+//! evaluation rounds at `t += dt`, where `dt` is drawn from the steps a
+//! kinetic engine can get wrong — none, one ulp-ish, one period, a jump past
+//! many events, a jump past the whole time wheel, and backwards. Every server
+//! under test is compared, round for round, against a brute-force [`World`]
+//! with the node store's exact staleness and removal rules — the one oracle
+//! of every battery, for `evaluate`, `evaluate_uncertain` and `nearest` —
+//! and, after every round, for which stripe owns which node
+//! ([`assert_stripes`]).
 //!
 //! Coordinates are multiples of 62.5 m (binary-exact) over a 1 km² space
 //! and velocities multiples of 6.25 m/s, so nodes sit *exactly* on cell,
@@ -29,6 +30,18 @@ pub const NUM_NODES: usize = 24;
 
 pub fn bounds() -> Rect {
     Rect::from_coords(0.0, 0.0, 1000.0, 1000.0)
+}
+
+/// The engine at the shard count of the CI matrix leg: the
+/// `LIRA_TEST_SHARDS` environment variable, or `default_shards` when it
+/// is unset or not a count.
+pub fn unified_from_env(default_shards: usize) -> EvalEngine {
+    let shards = std::env::var("LIRA_TEST_SHARDS")
+        .ok()
+        .and_then(|v| v.parse().ok())
+        .filter(|&s| s >= 1)
+        .unwrap_or(default_shards);
+    EvalEngine::Unified { shards }
 }
 
 /// The evaluation steps a history draws from. One period dominates so
@@ -55,13 +68,11 @@ pub enum Step {
     Eval { dt: f64 },
     /// Swap the registered query set for the other one.
     ReplaceQueries,
-    /// Force a column migration (multi-shard unified servers only).
-    Restripe,
 }
 
 pub fn history(max: usize) -> impl Strategy<Value = Vec<Step>> {
-    // Selector 0..20 — 9 parts report, 2 remove, 7 evaluate, 1 query
-    // swap, 1 restripe (the vendored proptest has no `prop_oneof`).
+    // Selector 0..20 — 9 parts report, 2 remove, 8 evaluate, 1 query
+    // swap (the vendored proptest has no `prop_oneof`).
     prop::collection::vec(
         (
             0u32..20,
@@ -79,9 +90,8 @@ pub fn history(max: usize) -> impl Strategy<Value = Vec<Step>> {
                     vel: (vi as f64 * 6.25, vj as f64 * 6.25),
                 },
                 9 | 10 => Step::Remove { node },
-                11..=17 => Step::Eval { dt: DTS[dt] },
                 18 => Step::ReplaceQueries,
-                _ => Step::Restripe,
+                _ => Step::Eval { dt: DTS[dt] },
             }),
         1..max,
     )
@@ -212,6 +222,39 @@ impl World {
     }
 }
 
+/// What is left of striping, held after an exact round at `t`: the
+/// stripes tile the grid's `⌈4·√Q⌉` columns contiguously as `side·i/s`
+/// (some own one column or none once `s` reaches `side`), and each owns
+/// exactly the reported nodes whose predicted `x` falls in its columns —
+/// a node's stripe is a pure function of `(Q, s, x)`.
+pub fn assert_stripes(label: &str, server: &CqServer, world: &World, t: f64) {
+    let stats = server.shard_stats();
+    let s = stats.len();
+    let side = ((4.0 * (server.queries().len() as f64).sqrt()).ceil() as usize).clamp(1, 256);
+    let b = server.bounds();
+    let mut per_col = vec![0usize; side];
+    for n in 0..world.models.len() {
+        if let Some(p) = world.predict(n, t) {
+            let col = ((p.x - b.min.x) / b.width() * side as f64).floor();
+            per_col[col.clamp(0.0, (side - 1) as f64) as usize] += 1;
+        }
+    }
+    for (i, st) in stats.iter().enumerate() {
+        let (lo, hi) = (side * i / s, side * (i + 1) / s);
+        assert_eq!(st.columns, (lo, hi), "{label} stripe {i} of {s} t={t}");
+        assert_eq!(
+            st.nodes,
+            per_col[lo..hi].iter().sum::<usize>(),
+            "{label} stripe {i} of {s} occupancy t={t}"
+        );
+    }
+    assert_eq!(
+        stats.iter().map(|st| st.nodes).sum::<usize>(),
+        world.reported_count(),
+        "{label} owned nodes t={t}"
+    );
+}
+
 /// One server under test with the result buffer it reuses across rounds
 /// (a node that vanishes must vanish from the reused vectors too).
 pub struct Subject {
@@ -234,8 +277,9 @@ impl Subject {
 /// starting from query set `qs` (a `ReplaceQueries` step toggles between
 /// `qs` and `qs2`), and asserts after every evaluation — plus three
 /// settling rounds one period apart at the end — that each subject's
-/// result, and its `k` nearest nodes to a lattice point that moves with
-/// the round, equal the world's. Returns the number of rounds compared.
+/// result, its `k` nearest nodes to a lattice point that moves with the
+/// round, and its stripes' occupancy equal the world's. Returns the
+/// number of rounds compared.
 pub fn replay(
     steps: &[Step],
     qs: &[RangeQuery],
@@ -285,11 +329,6 @@ pub fn replay(
                     s.server.replace_queries(active.iter().copied());
                 }
             }
-            Step::Restripe => {
-                for s in subjects.iter_mut() {
-                    s.server.force_restripe();
-                }
-            }
             Step::Eval { dt } => {
                 t += dt;
                 rounds += 1;
@@ -312,6 +351,7 @@ pub fn replay(
                         "{} nearest k={k} step {i} round {rounds} t={t}",
                         s.label
                     );
+                    assert_stripes(&s.label, &s.server, &world, t);
                 }
             }
         }

@@ -3,8 +3,7 @@
 //! (`with_dirty_tracking(false)`) ≡ brute force (`common::World`), for
 //! `evaluate`, `evaluate_uncertain`, and `nearest`. Both servers run at
 //! the shard count the CI matrix selects via `LIRA_TEST_SHARDS` (default
-//! 1, the degenerate single-stripe case) and with the re-striper as
-//! `LIRA_REBALANCE` says.
+//! 1, the degenerate single-stripe case).
 //!
 //! Every generated coordinate is a multiple of 62.5 m (exactly
 //! representable in binary) over a 1 km² space with 8×8 index cells of
@@ -60,9 +59,8 @@ struct Pair {
 impl Pair {
     fn new(queries: &[RangeQuery]) -> Self {
         let server = || {
-            let mut s = CqServer::new(bounds(), NUM_NODES, 8)
-                .with_engine(EvalEngine::unified_from_env(1))
-                .with_rebalance(rebalance_from_env(false));
+            let mut s =
+                CqServer::new(bounds(), NUM_NODES, 8).with_engine(common::unified_from_env(1));
             s.register_queries(queries.iter().copied());
             s
         };

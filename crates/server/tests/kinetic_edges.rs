@@ -58,9 +58,8 @@ struct Trio {
 impl Trio {
     fn new(num_nodes: usize, queries: Vec<RangeQuery>) -> Self {
         let server = || {
-            let mut s = CqServer::new(bounds(), num_nodes, 8)
-                .with_engine(EvalEngine::unified_from_env(1))
-                .with_rebalance(rebalance_from_env(false));
+            let mut s =
+                CqServer::new(bounds(), num_nodes, 8).with_engine(common::unified_from_env(1));
             s.register_queries(queries.iter().copied());
             s
         };
@@ -300,6 +299,33 @@ fn time_running_backwards_and_a_jump_past_the_ring_take_the_sweep() {
         stepped < 60 * 8 / 2,
         "ticks re-sized from the new step: {stepped}"
     );
+}
+
+/// A sweep that does not file — here a backwards round right after a
+/// sweep that saw a fifth of the fleet change cell — re-places nodes
+/// behind the wheel's back, so the wheel must not be believed afterwards:
+/// node 9 re-reports into that sweep and would never step into the query.
+#[test]
+fn a_sweep_that_does_not_file_leaves_no_wheel_behind() {
+    let mut trio = Trio::new(10, four_queries());
+    // Three nodes cross a cell a second, so the scheduling sweep at t = 1
+    // finds 3 of 10 changed and the next sweep would not file; seven
+    // stand still and are safe forever.
+    for n in 0..3u32 {
+        let p = Point::new(62.5, 62.5 + 125.0 * n as f64);
+        trio.report(n, 0.0, p, (125.0, 0.0));
+    }
+    for n in 3..10u32 {
+        trio.report(n, 0.0, Point::new(562.5, 62.5 * n as f64), (0.0, 0.0));
+    }
+    trio.eval(0.0);
+    assert_eq!(trio.eval(1.0), 10, "the scheduling sweep");
+    // Node 9 starts towards `[250, 500)²`, 10 m short of it.
+    trio.report(9, 1.0, Point::new(240.0, 300.0), (12.5, 0.0));
+    assert_eq!(trio.eval(0.5), 10, "backwards: a sweep, and not a calm one");
+    assert_eq!(trio.eval(1.5), 10, "nothing was filed, so this sweeps too");
+    let (_, stepped) = trio.run(1.5, 1.0, 30); // node 9 crosses the query
+    assert!(stepped < 30 * 10 / 2, "kinetic again: {stepped} steps");
 }
 
 #[test]

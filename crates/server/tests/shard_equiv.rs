@@ -2,7 +2,8 @@
 //! counts: unified at shards ∈ {1, 2, 3, 7, 8} (plus a pool-free
 //! sequential run and the `LIRA_TEST_SHARDS` CI count) ≡ the
 //! dirty-tracking-off baseline ≡ brute force (`common::World`), for
-//! `evaluate`, `evaluate_uncertain`, and `nearest`.
+//! `evaluate`, `evaluate_uncertain`, `nearest` and the stripe layout
+//! itself (`common::assert_stripes`).
 //!
 //! Coordinates reuse the lattice trick from `eval_equiv.rs` — every
 //! generated coordinate is a multiple of 62.5 m (binary-exact) over a
@@ -71,17 +72,12 @@ struct Fleet {
 impl Fleet {
     fn new(queries: &[RangeQuery]) -> Self {
         let b = bounds();
-        // The CI matrix's LIRA_REBALANCE leg runs the whole battery with
-        // the online re-striper enabled on every unified server.
-        let rb = rebalance_from_env(false);
         let mut unified: Vec<(usize, CqServer)> = SHARD_COUNTS
             .iter()
             .map(|&s| {
                 (
                     s,
-                    CqServer::new(b, NUM_NODES, 8)
-                        .with_engine(EvalEngine::Unified { shards: s })
-                        .with_rebalance(rb),
+                    CqServer::new(b, NUM_NODES, 8).with_engine(EvalEngine::Unified { shards: s }),
                 )
             })
             .collect();
@@ -91,22 +87,12 @@ impl Fleet {
             4,
             CqServer::new(b, NUM_NODES, 8)
                 .with_engine(EvalEngine::Unified { shards: 4 })
-                .with_rebalance(rb)
                 .with_sequential_eval(true),
         ));
         // The CI matrix leg (LIRA_TEST_SHARDS ∈ {4, 8}) widens coverage.
         unified.push((
             0, // label: env-selected
-            CqServer::new(b, NUM_NODES, 8).with_engine(EvalEngine::unified_from_env(4)),
-        ));
-        // Re-striper always on regardless of the environment (builder
-        // order deliberately reversed vs the servers above: the flag must
-        // survive `with_engine`'s state reset).
-        unified.push((
-            33, // label: shards = 3 with load-aware striping forced on
-            CqServer::new(b, NUM_NODES, 8)
-                .with_rebalance(true)
-                .with_engine(EvalEngine::Unified { shards: 3 }),
+            CqServer::new(b, NUM_NODES, 8).with_engine(common::unified_from_env(4)),
         ));
         let mut fleet = Fleet {
             baseline: CqServer::new(b, NUM_NODES, 8).with_dirty_tracking(false),
@@ -163,6 +149,7 @@ proptest! {
             prop_assert_eq!(&fleet.baseline.evaluate(t), &want, "baseline t={}", t);
             for (s, server) in &mut fleet.unified {
                 prop_assert_eq!(&server.evaluate(t), &want, "unified({}) t={}", *s, t);
+                common::assert_stripes(&format!("unified({s})"), server, &fleet.world, t);
             }
             // Same-t round after more ingests: the unified engine's
             // dirty path re-places only the re-reported nodes.
@@ -173,6 +160,7 @@ proptest! {
             prop_assert_eq!(&fleet.baseline.evaluate(t), &want, "baseline same-t {}", t);
             for (s, server) in &mut fleet.unified {
                 prop_assert_eq!(&server.evaluate(t), &want, "unified({}) same-t {}", *s, t);
+                common::assert_stripes(&format!("unified({s})"), server, &fleet.world, t);
             }
         }
         // Workload swap: stripe indexes must invalidate and rebuild.
@@ -186,10 +174,9 @@ proptest! {
     }
 
     /// Advancing-`t` histories (see `common`) on the whole fleet: every
-    /// shard count, pooled and sequential, with and without the
-    /// re-striper, against the sweep-every-round baseline and brute
-    /// force. Due nodes cross stripes like any stepped node, and a forced
-    /// restripe moves nodes under a live wheel.
+    /// shard count, pooled and sequential, against the sweep-every-round
+    /// baseline and brute force. Due nodes cross stripes like any stepped
+    /// node.
     #[test]
     fn advancing_t_histories_equivalent_across_shard_counts(
         steps in common::history(120),
@@ -258,9 +245,11 @@ proptest! {
 }
 
 /// Four queries make `side_for(4) = 8` grid columns of 125 m, so stripe
-/// boundaries for shards ∈ {1, 2, 3, 7} all fall on multiples of 125 m
-/// — and the lattice nodes below sit *exactly* on them. Crossing
-/// traffic shuttles nodes across the boundaries round after round.
+/// boundaries for every count in `SHARD_COUNTS` fall on multiples of
+/// 125 m — at 7 one stripe owns two columns and six own one, at 8 each
+/// owns exactly one — and the lattice nodes below sit *exactly* on them.
+/// Crossing traffic shuttles nodes across the boundaries round after
+/// round.
 #[test]
 fn stripe_boundary_alignment_is_exact() {
     let qs: Vec<RangeQuery> = [
@@ -296,6 +285,7 @@ fn stripe_boundary_alignment_is_exact() {
         assert_eq!(fleet.baseline.evaluate(t), want, "baseline t={t}");
         for (s, server) in &mut fleet.unified {
             assert_eq!(server.evaluate(t), want, "unified({s}) t={t}");
+            common::assert_stripes(&format!("unified({s})"), server, &fleet.world, t);
         }
         let wantu = fleet.world.evaluate_uncertain(&qs, t, 125.0, delta_of);
         for (s, server) in &mut fleet.unified {
@@ -306,14 +296,10 @@ fn stripe_boundary_alignment_is_exact() {
             );
         }
     }
-    // The crossing traffic must actually have exercised handoffs, and
-    // ownership must still cover every node exactly once.
+    // The crossing traffic must actually have exercised handoffs.
     for (s, server) in &fleet.unified {
-        let stats = server.shard_stats();
-        let owned: usize = stats.iter().map(|st| st.nodes).sum();
-        assert_eq!(owned, NUM_NODES, "unified({s}): every node owned once");
         if *s > 1 {
-            let handoffs: u64 = stats.iter().map(|st| st.handoffs).sum();
+            let handoffs: u64 = server.shard_stats().iter().map(|st| st.handoffs).sum();
             assert!(handoffs > 0, "unified({s}): crossing traffic hands off");
         }
     }

@@ -159,16 +159,14 @@ proptest! {
         qs2 in common::query_set(4),
     ) {
         let b = bounds();
-        let rb = rebalance_from_env(false);
-        let server = |engine: EvalEngine| {
-            CqServer::new(b, common::NUM_NODES, 8).with_engine(engine).with_rebalance(rb)
-        };
+        let server =
+            |engine: EvalEngine| CqServer::new(b, common::NUM_NODES, 8).with_engine(engine);
         let mut subjects = [
-            common::Subject::new("unified(env)", server(EvalEngine::unified_from_env(1))),
+            common::Subject::new("unified(env)", server(common::unified_from_env(1))),
             common::Subject::new("unified(3)", server(EvalEngine::Unified { shards: 3 })),
             common::Subject::new(
                 "unified(env) sweep",
-                server(EvalEngine::unified_from_env(1)).with_dirty_tracking(false),
+                server(common::unified_from_env(1)).with_dirty_tracking(false),
             ),
         ];
         common::replay(&steps, &qs, &qs2, &mut subjects);

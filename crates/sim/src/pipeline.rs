@@ -46,7 +46,7 @@ use lira_mobility::generator::{generate_network, NetworkConfig};
 use lira_mobility::motion::DeadReckoner;
 use lira_mobility::simulator::{TrafficConfig, TrafficSimulator};
 use lira_server::channel::FaultyChannel;
-use lira_server::cq_engine::{rebalance_from_env, CqServer, EvalEngine};
+use lira_server::cq_engine::{CqServer, EvalEngine};
 use lira_server::query::{QueryResult, RangeQuery};
 use lira_workload::scenario::{PhaseSchedule, Scenario};
 use lira_workload::{generate_queries, WorkloadConfig};
@@ -737,7 +737,6 @@ pub struct SimPipeline {
     parallelism: Parallelism,
     telemetry: bool,
     engine: EvalEngine,
-    rebalance: bool,
 }
 
 impl Default for SimPipeline {
@@ -746,7 +745,6 @@ impl Default for SimPipeline {
             parallelism: Parallelism::default(),
             telemetry: true,
             engine: EvalEngine::default(),
-            rebalance: rebalance_from_env(false),
         }
     }
 }
@@ -782,28 +780,16 @@ impl SimPipeline {
         self
     }
 
-    /// Enables or disables the unified engine's load-aware striping and
-    /// online re-striper for the reference server and every policy lane
-    /// (bit-identical either way — `restripe_equiv.rs`). The default
-    /// follows the `LIRA_REBALANCE` environment variable (off when
-    /// unset).
-    #[must_use]
-    pub fn with_rebalance(mut self, rebalance: bool) -> Self {
-        self.rebalance = rebalance;
-        self
-    }
-
     /// A CQ server over `setup`'s space with the workload registered,
     /// under this pipeline's engine options — the reference server and
     /// every lane's server come from here. [`Parallelism::Sequential`]
     /// also inlines the unified engine's evaluation phases, so a
     /// sequential run spawns no threads anywhere; every option leaves
-    /// results bit-identical (`tests/pipeline.rs`, `restripe_equiv.rs`).
+    /// results bit-identical (`tests/pipeline.rs`).
     pub fn server(&self, setup: &SimSetup, sc: &Scenario) -> CqServer {
         let mut s = CqServer::new(setup.bounds, sc.num_cars, 64)
             .with_engine(self.engine)
-            .with_sequential_eval(self.parallelism == Parallelism::Sequential)
-            .with_rebalance(self.rebalance);
+            .with_sequential_eval(self.parallelism == Parallelism::Sequential);
         s.register_queries(setup.queries.iter().copied());
         s
     }

@@ -73,18 +73,10 @@ const SHARD_STEPPED_NODES: MetricSpec =
     MetricSpec::new("shard.stepped_nodes", "server.sharded", "nodes");
 const SHARD_DUE_FIRED: MetricSpec = MetricSpec::new("shard.due_fired", "server.sharded", "entries");
 const SHARD_DUE_STALE: MetricSpec = MetricSpec::new("shard.due_stale", "server.sharded", "entries");
-// Online re-striper accounting (DESIGN.md §15): end-of-run ownership
-// imbalance (CoV over per-shard node counts) plus cumulative migration
-// counters. `shard.restripe.pause_ns` is wall clock, hence excluded
-// from the determinism contract like `shard.round_ns`.
+// End-of-run ownership imbalance: the coefficient of variation (σ/µ) of
+// the per-shard node counts, 0 when the stripes own equal shares.
 const SHARD_IMBALANCE: MetricSpec =
     MetricSpec::new("shard.imbalance", "server.sharded", "fraction");
-const SHARD_RESTRIPE_COUNT: MetricSpec =
-    MetricSpec::new("shard.restripe.count", "server.sharded", "migrations");
-const SHARD_RESTRIPE_MOVED: MetricSpec =
-    MetricSpec::new("shard.restripe.moved_cols", "server.sharded", "columns");
-const SHARD_RESTRIPE_PAUSE: MetricSpec =
-    MetricSpec::new("shard.restripe.pause_ns", "server.sharded", "ns");
 
 // Closed-loop metrics.
 const QUEUE_DEPTH: MetricSpec = MetricSpec::new("queue.depth", "server.queue", "updates");
@@ -249,9 +241,10 @@ impl LaneTelemetry {
     /// unified engine one `shard.nodes` / `shard.round_ns` sample per
     /// shard (final ownership, cumulative round wall time), the total
     /// cross-stripe handoff count and wheel entries fired / dropped
-    /// stale, and — with rebalancing on — the online
-    /// re-striper's final ownership imbalance (`shard.imbalance`) and
-    /// cumulative `shard.restripe.*` counters.
+    /// stale, and how lopsided the final ownership is
+    /// (`shard.imbalance`: σ/µ of the per-shard node counts — 0 at one
+    /// shard, on an empty fleet, and whenever the stripes own equal
+    /// shares).
     pub fn on_run_end(&self, channel: Option<ChannelStats>, server: &CqServer) {
         if !self.registry.is_enabled() {
             return;
@@ -269,18 +262,23 @@ impl LaneTelemetry {
         let handoffs = r.counter(SHARD_HANDOFFS);
         let due_fired = r.counter(SHARD_DUE_FIRED);
         let due_stale = r.counter(SHARD_DUE_STALE);
-        for s in &server.shard_stats() {
+        let stats = server.shard_stats();
+        for s in &stats {
             nodes.record(s.nodes as u64);
             round_ns.record(s.round_ns);
             handoffs.add(s.handoffs);
             due_fired.add(s.due_fired);
             due_stale.add(s.due_stale);
         }
-        let rs = server.restripe_stats();
-        r.gauge(SHARD_IMBALANCE).set(rs.imbalance);
-        r.counter(SHARD_RESTRIPE_COUNT).add(rs.restripes);
-        r.counter(SHARD_RESTRIPE_MOVED).add(rs.moved_cols);
-        r.counter(SHARD_RESTRIPE_PAUSE).add(rs.pause_ns);
+        let shards = stats.len().max(1) as f64;
+        let mean = stats.iter().map(|s| s.nodes as f64).sum::<f64>() / shards;
+        let var = stats
+            .iter()
+            .map(|s| (s.nodes as f64 - mean) * (s.nodes as f64 - mean))
+            .sum::<f64>()
+            / shards;
+        r.gauge(SHARD_IMBALANCE)
+            .set(if mean > 0.0 { var.sqrt() / mean } else { 0.0 });
     }
 
     /// Exports the lane's snapshot labelled `component` (conventionally

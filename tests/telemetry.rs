@@ -164,3 +164,37 @@ fn sweep_merges_lane_telemetry_across_seeds() {
         .sum();
     assert_eq!(merged.counter("lane.updates_sent"), Some(total));
 }
+
+/// `shard.imbalance` is the coefficient of variation of the per-shard
+/// node counts at end of run (docs/TELEMETRY.md): always exported, 0 when
+/// there is one stripe, positive exactly when the stripes own unequal
+/// shares of the fleet.
+#[test]
+fn shard_imbalance_is_zero_at_one_shard_and_reported_at_four() {
+    if COMPILED_OUT {
+        return;
+    }
+    let sc = tiny(53);
+    let run = |shards: usize| {
+        SimPipeline::new()
+            .with_engine(EvalEngine::Unified { shards })
+            .run(&sc, &[Policy::Lira])
+            .outcomes
+            .remove(0)
+            .telemetry
+    };
+    let one = run(1);
+    assert_eq!(one.histogram("shard.nodes").unwrap().count, 1);
+    assert_eq!(one.gauge("shard.imbalance"), Some(0.0));
+
+    let four = run(4);
+    let nodes = four.histogram("shard.nodes").unwrap();
+    assert_eq!(nodes.count, 4);
+    assert_eq!(nodes.sum, sc.num_cars as u64, "stripes own the fleet");
+    let imbalance = four
+        .gauge("shard.imbalance")
+        .expect("exported at every shard count");
+    // σ/µ of four non-negative counts lies in [0, √3].
+    assert!((0.0..=3f64.sqrt()).contains(&imbalance), "{imbalance}");
+    assert_eq!(imbalance > 0.0, nodes.min != nodes.max);
+}
