@@ -12,7 +12,10 @@ use lira_mobility::motion::DeadReckoner;
 use lira_mobility::router::{shortest_path, RouteCache};
 use lira_mobility::simulator::{TrafficConfig, TrafficSimulator};
 use lira_mobility::traffic::TrafficDemand;
+use lira_server::cq_engine::CqServer;
 use lira_server::queue::UpdateQueue;
+use lira_workload::churn::ChurnWorkload;
+use lira_workload::{generate_queries, QueryDistribution, WorkloadConfig};
 use rand::rngs::SmallRng;
 use rand::{Rng, SeedableRng};
 
@@ -142,43 +145,65 @@ fn bench_plan_lookup(c: &mut Criterion) {
     });
 }
 
-/// Update-efficiency comparison: TPR-tree vs grid for position updates
-/// and range queries (the paper cites the TPR-tree as the update-efficient
-/// index family LIRA complements).
-fn bench_tpr_tree(c: &mut Criterion) {
-    use lira_server::tpr_tree::{MovingPoint, TprTree};
-    let mut rng = SmallRng::seed_from_u64(13);
-    let points: Vec<MovingPoint> = (0..10_000u32)
-        .map(|n| MovingPoint {
-            node: n,
-            time: 0.0,
-            origin: Point::new(rng.gen_range(0.0..14_142.0), rng.gen_range(0.0..14_142.0)),
-            velocity: (rng.gen_range(-20.0..20.0), rng.gen_range(-20.0..20.0)),
+/// Regression tripwire for the two `CqServer` operations that are plain
+/// scans of the node store and have no ladder of their own: `nearest`
+/// (k = 10) and `evaluate_uncertain` (Δ⊣ = 320 m, per-node Δ read off a
+/// 16-region plan through `max_throttler_within`), each after a 10 %
+/// churn step, on 100 000 nodes × 3 000 one-kilometre queries at the
+/// paper's 100 nodes/km².
+fn bench_cq_server(c: &mut Criterion) {
+    const NODES: usize = 100_000;
+    const MAX_DELTA: f64 = 320.0;
+    let space_m = 10_000.0 * (NODES as f64 / 10_000.0).sqrt();
+    let bounds = Rect::from_coords(0.0, 0.0, space_m, space_m);
+    let mut workload = ChurnWorkload::new(NODES, 7, 0.10, space_m);
+    let cfg = WorkloadConfig {
+        distribution: QueryDistribution::Random,
+        count: 3_000,
+        side_length: 1_000.0,
+        seed: 11,
+    };
+    let mut server = CqServer::new(bounds, NODES, 64);
+    server.register_queries(generate_queries(&bounds, &workload.positions, &cfg));
+    workload.prime(&mut server);
+    // A 4×4 tiling with varied throttlers, so the Δ lookup crosses real
+    // region borders instead of a uniform plan's trivial answer.
+    let cell = space_m / 4.0;
+    let regions = (0..16)
+        .map(|i| PlanRegion {
+            area: Rect::square(
+                Point::new((i % 4) as f64 * cell, (i / 4) as f64 * cell),
+                cell,
+            ),
+            throttler: 20.0 * (i % 5 + 1) as f64,
         })
         .collect();
-    let mut tree = TprTree::new(60.0);
-    for p in &points {
-        tree.update(*p);
-    }
-    c.bench_function("tpr_tree/update", |b| {
+    let plan = SheddingPlan::new(bounds, regions, 20.0);
+
+    let mut group = c.benchmark_group("cq_server");
+    group.sample_size(20);
+    let centers = &workload.positions;
+    group.bench_function("nearest_100k", |b| {
         let mut i = 0usize;
         b.iter(|| {
-            i = (i + 1) % points.len();
-            tree.update(black_box(points[i]));
+            i = (i + 1) % centers.len();
+            black_box(server.nearest(black_box(centers[i]), 10, 0.5).len())
         })
     });
-    let mut out = Vec::new();
-    c.bench_function("tpr_tree/range_query_1km", |b| {
-        let mut i = 0usize;
+    let mut results = Vec::new();
+    group.bench_function("evaluate_uncertain_100k", |b| {
         b.iter(|| {
-            i = (i + 1) % points.len();
-            let p = points[i].origin;
-            let range = Rect::from_coords(p.x, p.y, p.x + 1000.0, p.y + 1000.0);
-            out.clear();
-            tree.query_into(black_box(&range), 30.0, &mut out);
-            black_box(out.len())
+            workload.step(&mut server);
+            server.evaluate_uncertain_into(
+                0.5,
+                MAX_DELTA,
+                |_, p| plan.max_throttler_within(&p, MAX_DELTA),
+                &mut results,
+            );
+            black_box(results.len())
         })
     });
+    group.finish();
 }
 
 /// The mobile node's per-tick cost: one dead-reckoning observation.
@@ -298,7 +323,7 @@ criterion_group!(
     bench_grid_reduce,
     bench_greedy_increment,
     bench_plan_lookup,
-    bench_tpr_tree,
+    bench_cq_server,
     bench_dead_reckoning,
     bench_traffic_step,
     bench_route_lookup,

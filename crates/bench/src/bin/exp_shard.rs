@@ -3,8 +3,7 @@
 //! Benchmarks `EvalEngine::Unified` at shard counts 1/2/4/8 against the
 //! sweep baseline (`with_dirty_tracking(false)` — the round structure of
 //! the retired inverted engine, which walked every stored node each
-//! round; the JSON keeps its `inverted` keys for schema stability) on
-//! two churning populations:
+//! round; the JSON's `baseline_*` keys) on two churning populations:
 //!
 //! * **uniform** — the classic seeded scatter with uniformly placed
 //!   queries; stripes carry near-equal load;
@@ -21,9 +20,11 @@
 //! exp_shard [--quick] [--assert] [--min-speedup X] [--mono-tol X] [--churn F] [--out PATH]
 //! ```
 //!
-//! * default: the full ladder up to 1 000 000 nodes × 10 000 queries
-//!   (the monitored space grows with √nodes so density stays constant),
-//!   both scenarios per scale;
+//! * default: the full ladder 10 000 × 100 → 1 000 000 × 10 000, one
+//!   query per hundred nodes on every rung (the monitored space grows
+//!   with √nodes so node density stays constant too — what changes up
+//!   the ladder is the size of the fleet, not the depth of the cover
+//!   over a node), both scenarios per scale;
 //! * `--quick` — the hotspot scenario at two scales (including the
 //!   100 000-node rung), for the CI perf-smoke step;
 //! * `--churn F` — fraction of nodes re-reporting between evaluation
@@ -54,7 +55,11 @@
 //! isolates the engine's floor (emit copy + churn). The baseline's sweep
 //! round walks every stored node on both; the unified engine steps the
 //! re-reported nodes plus, when `t` advances, the nodes its time wheel
-//! has due (DESIGN.md §13), which is where the speedup comes from.
+//! has due (DESIGN.md §13), which is where the speedup comes from. A
+//! cell on which the engine itself swept — `advancing_stepped_per_round`
+//! at least half the fleet, a world that moves a node a good part of a
+//! cell per round (`BUSY`) — timed the baseline's own code path, and is
+//! reported as such beside its speedup.
 //! Worker threads add parallelism on multi-core hosts but are *not*
 //! required for the win — on the 2-vCPU reference host the
 //! `speedup_vs_shard1` curve is flat or falling (≤ 1.0 in most cells)
@@ -273,8 +278,7 @@ struct ScaleResult {
     queries: usize,
     space_m: f64,
     peak_rss_bytes: u64,
-    /// Sweep-baseline round times (the same-`t` one kept under its
-    /// historical JSON name `inverted_ns`).
+    /// Sweep-baseline round times, same-`t` and advancing.
     baseline_ns: f64,
     baseline_advancing_ns: f64,
     striped: Vec<Timed>,
@@ -286,10 +290,6 @@ impl ScaleResult {
             .iter()
             .find(|r| r.shards == 1)
             .expect("1-shard cell benched")
-    }
-
-    fn shard1_ns(&self) -> f64 {
-        self.shard1().ns
     }
 }
 
@@ -342,12 +342,18 @@ fn bench_scale(
             );
             println!(
                 "advancing_speedup_{0}_{num_nodes}x{num_queries}_shards{s}={1:.2} \
-                 (stepping {3:.0} nodes/round) \
+                 (stepping {3:.0} nodes/round{4}) \
                  evaluate_speedup_{0}_{num_nodes}x{num_queries}_shards{s}={2:.2}",
                 scen.name(),
                 baseline_advancing_ns / row.advancing_ns.max(1e-9),
                 baseline_ns / row.ns.max(1e-9),
-                row.advancing_stepped
+                row.advancing_stepped,
+                // `BUSY` (DESIGN.md §13): the engine gave up on the wheel.
+                if row.advancing_stepped * 2.0 >= num_nodes as f64 {
+                    ": the engine swept, both columns time one code path"
+                } else {
+                    ""
+                }
             );
             row
         })
@@ -382,16 +388,16 @@ fn report_json(mode: &str, churn_frac: f64, scales: &[ScaleResult]) -> Json {
                 scales
                     .iter()
                     .map(|s| {
-                        let shard1_ns = s.shard1_ns();
+                        let shard1_ns = s.shard1().ns;
                         Json::Obj(vec![
                             ("scenario".into(), Json::Str(s.scenario.into())),
                             ("nodes".into(), Json::UInt(s.nodes as u64)),
                             ("queries".into(), Json::UInt(s.queries as u64)),
                             ("space_m".into(), Json::Float(s.space_m)),
                             ("peak_rss_bytes".into(), Json::UInt(s.peak_rss_bytes)),
-                            ("inverted_ns".into(), Json::Float(s.baseline_ns)),
+                            ("baseline_ns".into(), Json::Float(s.baseline_ns)),
                             (
-                                "inverted_advancing_ns".into(),
+                                "baseline_advancing_ns".into(),
                                 Json::Float(s.baseline_advancing_ns),
                             ),
                             (
@@ -411,7 +417,7 @@ fn report_json(mode: &str, churn_frac: f64, scales: &[ScaleResult]) -> Json {
                                                     Json::Float(r.advancing_stepped),
                                                 ),
                                                 (
-                                                    "advancing_speedup_vs_inverted".into(),
+                                                    "advancing_speedup_vs_baseline".into(),
                                                     Json::Float(
                                                         s.baseline_advancing_ns
                                                             / r.advancing_ns.max(1e-9),
@@ -419,7 +425,7 @@ fn report_json(mode: &str, churn_frac: f64, scales: &[ScaleResult]) -> Json {
                                                 ),
                                                 ("evaluate_ns".into(), Json::Float(r.ns)),
                                                 (
-                                                    "speedup_vs_inverted".into(),
+                                                    "speedup_vs_baseline".into(),
                                                     Json::Float(s.baseline_ns / r.ns.max(1e-9)),
                                                 ),
                                                 (
@@ -464,7 +470,7 @@ fn run_asserts(scales: &[ScaleResult], min_speedup: f64, mono_tol: f64) -> Resul
         );
     }
     for s in scales {
-        let shard1_ns = s.shard1_ns();
+        let shard1_ns = s.shard1().ns;
         let mut prev: Option<(usize, f64)> = None;
         for r in &s.striped {
             let sp = shard1_ns / r.ns.max(1e-9);
@@ -558,10 +564,11 @@ fn main() {
             vec![(Scen::Hotspot, 2_000, 100), (Scen::Hotspot, 100_000, 2_000)],
         )
     } else {
+        // One query per hundred nodes on every rung.
         let ladder = [
-            (10_000, 400),
-            (100_000, 2_000),
-            (250_000, 4_000),
+            (10_000, 100),
+            (100_000, 1_000),
+            (250_000, 2_500),
             (1_000_000, 10_000),
         ];
         (

@@ -141,6 +141,7 @@ fn run_one(named: NamedScenario, seed: u64, quick: bool) -> ScenarioRow {
 fn report_json(mode: &str, seed: u64, rows: &[ScenarioRow]) -> Json {
     Json::Obj(vec![
         ("experiment".into(), Json::Str("exp_utility".into())),
+        ("host".into(), lira_bench::host_json()),
         ("mode".into(), Json::Str(mode.into())),
         ("seed".into(), Json::UInt(seed)),
         (

@@ -68,10 +68,22 @@ impl Default for LiraConfig {
 impl LiraConfig {
     /// Validates the configuration against the domains stated in the paper.
     pub fn validate(&self) -> Result<()> {
-        if !(self.bounds.width() > 0.0 && self.bounds.height() > 0.0) {
+        let b = &self.bounds;
+        if !(b.width() > 0.0 && b.height() > 0.0) {
             return Err(LiraError::InvalidConfig(
                 "bounds must have positive area".into(),
             ));
+        }
+        // An infinite square passes both the area test above and the
+        // squareness test below (`∞ − ∞` is NaN, which compares false).
+        if ![b.min.x, b.min.y, b.max.x, b.max.y]
+            .iter()
+            .all(|c| c.is_finite())
+        {
+            return Err(LiraError::InvalidConfig(format!(
+                "bounds must be finite: ({}, {}) to ({}, {})",
+                b.min.x, b.min.y, b.max.x, b.max.y
+            )));
         }
         // The broadcast wire format encodes regions as squares (3 floats +
         // throttler, Section 4.3.2), which requires a square space.
@@ -137,8 +149,10 @@ impl LiraConfig {
     /// The paper's rule for configuring the statistics grid (Section 3.2.5):
     /// `α = 2^⌊log2(x·√l)⌋`, giving about `x²` area flexibility between
     /// `(α,l)`-partitioning and plain `l`-partitioning. The paper uses `x = 10`.
+    /// Total in `l`, which arrives from command lines: `l = 0` gives `α = 1`
+    /// and is [`validate`](Self::validate)'s to refuse.
     pub fn alpha_for(l: usize, x: f64) -> usize {
-        assert!(l > 0 && x > 0.0);
+        assert!(x > 0.0);
         let target = x * (l as f64).sqrt();
         let exp = target.log2().floor().max(0.0) as u32;
         1usize << exp
@@ -205,6 +219,9 @@ mod tests {
         assert_eq!(LiraConfig::alpha_for(250, 10.0), 128);
         // Paper: l = 4000 gives alpha = 512.
         assert_eq!(LiraConfig::alpha_for(4000, 10.0), 512);
+        // No region count panics; `validate` refuses the ones that are wrong.
+        assert_eq!(LiraConfig::alpha_for(0, 10.0), 1);
+        assert!(LiraConfig::default().with_regions(0).validate().is_err());
     }
 
     #[test]
@@ -212,6 +229,28 @@ mod tests {
         let mut c = LiraConfig::default();
         c.bounds = Rect::new(Point::new(0.0, 0.0), Point::new(1000.0, 2000.0));
         assert!(c.validate().is_err());
+    }
+
+    #[test]
+    fn rejects_bounds_without_finite_positive_area() {
+        let inf = f64::INFINITY;
+        for (min, max, needle) in [
+            (0.0, 0.0, "positive area"),
+            (5.0, -5.0, "positive area"),
+            (0.0, f64::NAN, "positive area"),
+            (0.0, inf, "finite"),
+            (-inf, 0.0, "finite"),
+            (-inf, inf, "finite"),
+        ] {
+            let mut c = LiraConfig::default();
+            // A literal: `Rect::new` debug-asserts `min <= max`.
+            c.bounds = Rect {
+                min: Point::new(min, min),
+                max: Point::new(max, max),
+            };
+            let why = c.validate().expect_err("refused").to_string();
+            assert!(why.contains(needle), "[{min}, {max}]²: {why:?}");
+        }
     }
 
     #[test]

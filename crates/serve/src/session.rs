@@ -807,6 +807,12 @@ mod tests {
         // What `shedding_policy` already refused is refused here too.
         refused(|c| c.policy = Policy::RandomDrop, "sheds at the server");
         refused(|c| c.num_regions = 251, "l mod 3");
+        refused(|c| c.num_regions = 0, "l mod 3");
+        refused(|c| c.bounds.max = c.bounds.min, "positive area");
+        refused(
+            |c| c.bounds.max = Point::new(f64::INFINITY, f64::INFINITY),
+            "finite",
+        );
     }
 
     #[test]

@@ -9,6 +9,7 @@ use std::collections::BinaryHeap;
 use lira_core::geometry::{Point, Rect};
 
 use crate::node_store::NodeStore;
+use crate::qindex::{side_for, QueryIndex};
 use crate::query::{QueryResult, RangeQuery, UncertainResult};
 use crate::unified::{ShardStats, UnifiedEval};
 
@@ -64,6 +65,11 @@ pub struct CqServer {
     /// Whether unified rounds may skip the nodes whose answer cannot
     /// have changed; see [`CqServer::with_dirty_tracking`].
     dirty_tracking: bool,
+    /// The full-width Δ⊣-expanded cover
+    /// [`evaluate_uncertain_into`](CqServer::evaluate_uncertain_into)
+    /// scans against, keyed by the bits of the Δ⊣ it was built for;
+    /// dropped when the query set changes.
+    uncertain_cover: Option<(u64, QueryIndex)>,
 }
 
 // The simulation pipeline moves whole servers into per-policy lane
@@ -121,6 +127,7 @@ impl CqServer {
             unified: Box::new(UnifiedEval::new(bounds, num_nodes, 1)),
             sequential_eval: false,
             dirty_tracking: true,
+            uncertain_cover: None,
         }
     }
 
@@ -151,7 +158,7 @@ impl CqServer {
     /// and the ones whose `safe_until` the evaluation time has passed.
     /// With it off, every round re-places every owned node — the retired
     /// inverted engine's incremental round, kept reachable as the
-    /// benchmark baseline (`exp_eval`/`exp_shard`) and as the oracle the
+    /// benchmark baseline (`exp_shard`) and as the oracle the
     /// equivalence batteries compare the default against, round for
     /// round. Results are bit-identical either way.
     pub fn with_dirty_tracking(mut self, enabled: bool) -> Self {
@@ -187,6 +194,7 @@ impl CqServer {
     /// Marks the engine's derived query structures stale.
     fn invalidate_engines(&mut self) {
         self.unified.invalidate();
+        self.uncertain_cover = None;
     }
 
     /// The registered queries.
@@ -261,15 +269,18 @@ impl CqServer {
     /// which the server only knows to within Δ — use
     /// [`SheddingPlan::max_throttler_within`](lira_core::plan::SheddingPlan::max_throttler_within)
     /// with radius `Δ⊣` for a sound bound near region borders.
-    /// `delta_of` must be a pure function of `(node, position)`: it is
-    /// called once per node from whichever worker owns the node's stripe
-    /// (hence the `Sync` bound), so a stateful closure would make results
-    /// depend on the shard count.
+    ///
+    /// One ascending pass over the store against a Δ⊣-expanded cover of
+    /// the queries, like [`nearest`](Self::nearest) and unlike
+    /// [`evaluate`](Self::evaluate) stateless and independent of the
+    /// shard count: `delta_of` is called on the calling thread, in
+    /// ascending node order, at most once per node, and never for a node
+    /// whose cell no expanded query reaches.
     pub fn evaluate_uncertain(
         &mut self,
         t: f64,
         max_delta: f64,
-        delta_of: impl Fn(u32, Point) -> f64 + Sync,
+        delta_of: impl Fn(u32, Point) -> f64,
     ) -> Vec<UncertainResult> {
         let mut results = Vec::with_capacity(self.queries.len());
         self.evaluate_uncertain_into(t, max_delta, delta_of, &mut results);
@@ -282,20 +293,52 @@ impl CqServer {
         &mut self,
         t: f64,
         max_delta: f64,
-        delta_of: impl Fn(u32, Point) -> f64 + Sync,
+        delta_of: impl Fn(u32, Point) -> f64,
         out: &mut Vec<UncertainResult>,
     ) {
         assert!(max_delta >= 0.0);
         self.evaluations += 1;
-        self.unified.evaluate_uncertain_into(
-            &self.queries,
-            &self.store,
-            t,
-            max_delta,
-            &delta_of,
-            out,
-            self.sequential_eval,
-        );
+        let key = max_delta.to_bits();
+        if self
+            .uncertain_cover
+            .as_ref()
+            .is_some_and(|(k, _)| *k != key)
+        {
+            self.uncertain_cover = None;
+        }
+        // Every covered cell goes to the cover's `partial` list: membership
+        // also depends on the node's own Δ, so it always takes the exact
+        // tests.
+        let (_, cover) = self.uncertain_cover.get_or_insert_with(|| {
+            let cols = 0..side_for(self.queries.len());
+            let cover = QueryIndex::build_cols(&self.bounds, &self.queries, max_delta, false, cols);
+            (key, cover)
+        });
+        out.resize_with(self.queries.len(), UncertainResult::default);
+        for (slot, query) in out.iter_mut().zip(&self.queries) {
+            slot.query = query.id;
+            slot.must.clear();
+            slot.maybe.clear();
+        }
+        for node in 0..self.store.len() as u32 {
+            let Some(p) = self.store.predict(node, t) else {
+                continue;
+            };
+            let (row, col) = cover.rc_of(&p);
+            let reaching = cover.partial_at(cover.slot(row, col));
+            if reaching.is_empty() {
+                continue;
+            }
+            let delta = delta_of(node, p).clamp(0.0, max_delta);
+            for &q in reaching {
+                let range = &self.queries[q as usize].range;
+                if range.contains(&p) && range.interior_depth(&p) >= delta {
+                    out[q as usize].must.push(node);
+                } else if range.distance_to_point(&p) <= delta {
+                    out[q as usize].maybe.push(node);
+                }
+            }
+        }
     }
 
     /// The `k` nodes nearest to `center` at time `t` (by predicted
@@ -306,7 +349,8 @@ impl CqServer {
     ///
     /// One pass over the store keeping the best `k`: no spatial structure
     /// is consulted, so the answer is the brute-force one by construction
-    /// and costs a few nanoseconds per node (`exp_eval`).
+    /// and costs a few nanoseconds per node (criterion row
+    /// `cq_server/nearest_100k`).
     pub fn nearest(&mut self, center: Point, k: usize, t: f64) -> Vec<(u32, f64)> {
         if k == 0 {
             return Vec::new();

@@ -27,7 +27,6 @@ pub mod node_store;
 mod qindex;
 pub mod query;
 pub mod queue;
-pub mod tpr_tree;
 pub mod unified;
 
 /// Convenient re-exports of the most used types.
@@ -46,6 +45,5 @@ pub mod prelude {
     pub use crate::node_store::{NodeStore, StoredModel};
     pub use crate::query::{sorted_difference_count, QueryResult, RangeQuery, UncertainResult};
     pub use crate::queue::UpdateQueue;
-    pub use crate::tpr_tree::{MovingPoint, TprTree};
     pub use crate::unified::{ShardStats, MAX_SHARDS};
 }

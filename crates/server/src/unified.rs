@@ -116,7 +116,7 @@ use lira_core::geometry::{Point, Rect};
 
 use crate::node_store::NodeStore;
 use crate::qindex::{axis_cell, insert_member, remove_member, side_for, QueryIndex};
-use crate::query::{QueryResult, RangeQuery, UncertainResult};
+use crate::query::{QueryResult, RangeQuery};
 
 /// Hard cap on the shard count: the emit merge keeps one cursor per
 /// shard on the stack, and stripe parallelism past this point is far
@@ -143,8 +143,9 @@ const TICKS_PER_ROUND: f64 = 8.0;
 /// fleet (`BUSY.0 / BUSY.1`) falls back to the sweep. A step through the
 /// wheel costs about three of a sweep's — it also computes a
 /// `safe_until`, and it walks the node arrays in gaps rather than in
-/// order — and `exp_eval`'s ladder puts the break-even between 31 % of
-/// the fleet (still 1.2× ahead) and 47 % (0.7×).
+/// order — and the churn ladder of EXPERIMENTS.md (*PR 17*) puts the
+/// break-even between 31 % of the fleet (still 1.2× ahead) and 47 %
+/// (0.7×).
 const BUSY: (usize, usize) = (2, 5);
 /// A sweep schedules the wheel only if the sweep before it changed less
 /// than this share of the fleet — half the rate at which a kinetic round
@@ -163,10 +164,9 @@ const BUCKET_KEEP: usize = 32;
 /// filed, already fired, torn down, or safe forever.
 const NO_TICK: u32 = u32::MAX;
 
-/// Adaptive-dispatch gate for the per-node phases (step/sweep/rebuild
-/// and the uncertain classify): waking the pool costs two channel hops
-/// per worker, so rounds below this much per-node work stay on the
-/// calling thread.
+/// Adaptive-dispatch gate for the per-node phases (step/sweep/rebuild):
+/// waking the pool costs two channel hops per worker, so rounds below
+/// this much per-node work stay on the calling thread.
 const PAR_STEP_MIN: usize = 1024;
 /// Adaptive-dispatch gate for the emit phase, in result entries
 /// (measured on the previous round — emit volume is stable between
@@ -277,30 +277,6 @@ impl WorkerPool {
         }
         f(head);
         for _ in tail {
-            self.done.recv().expect("shard worker finished");
-        }
-    }
-
-    /// Runs `f(0), …, f(n-1)` concurrently (a full-width
-    /// [`run_on`](Self::run_on) without the target-list allocation).
-    fn broadcast(&self, n: usize, f: &(dyn Fn(usize) + Sync)) {
-        assert!(n <= self.senders.len() + 1, "pool too small for {n} shards");
-        // SAFETY: as in `run_on` — the join below outlives every worker's
-        // use of `f`.
-        let f_erased: &'static (dyn Fn(usize) + Sync) = unsafe { std::mem::transmute(f) };
-        let jobs = n.saturating_sub(1);
-        for w in 0..jobs {
-            self.senders[w]
-                .send(Job {
-                    f: f_erased,
-                    idx: w + 1,
-                })
-                .expect("shard worker alive");
-        }
-        if n > 0 {
-            f(0);
-        }
-        for _ in 0..jobs {
             self.done.recv().expect("shard worker finished");
         }
     }
@@ -566,11 +542,6 @@ struct Shard {
     /// node → position in this list).
     owned: Vec<u32>,
     hits_scratch: Vec<u32>,
-    /// Stripe-restricted Δ⊣-expanded cover for the uncertain path.
-    ucover: QueryIndex,
-    /// Per query slot: must/maybe members of the last uncertain round.
-    must: Vec<Vec<u32>>,
-    maybe: Vec<Vec<u32>>,
     /// Cumulative step+integrate wall time, nanoseconds.
     round_ns: u64,
     /// Cumulative nodes handed off out of this shard.
@@ -604,9 +575,6 @@ impl Shard {
             members: Vec::new(),
             owned: Vec::new(),
             hits_scratch: Vec::new(),
-            ucover: QueryIndex::unbuilt(),
-            must: Vec::new(),
-            maybe: Vec::new(),
             round_ns: 0,
             handoffs: 0,
             ops: Vec::new(),
@@ -1117,50 +1085,6 @@ impl Shard {
         }
         ops.clear();
     }
-
-    /// One uncertain classification pass over the stripe. Not
-    /// incremental (per-node Δ changes freely between calls), but each
-    /// node is classified by exactly one shard against exactly the
-    /// queries a full-width cover would list, with `delta_of` called at
-    /// most once per node.
-    fn uncertain_round(
-        &mut self,
-        queries: &[RangeQuery],
-        store: &NodeStore,
-        t: f64,
-        max_delta: f64,
-        delta_of: &(dyn Fn(u32, Point) -> f64 + Sync),
-    ) {
-        self.must.resize_with(queries.len(), Vec::new);
-        self.must.truncate(queries.len());
-        self.maybe.resize_with(queries.len(), Vec::new);
-        self.maybe.truncate(queries.len());
-        for list in self.must.iter_mut().chain(self.maybe.iter_mut()) {
-            list.clear();
-        }
-        for n in 0..store.len() {
-            let Some(p) = store.predict(n as u32, t) else {
-                continue;
-            };
-            let (row, col) = self.ucover.rc_of(&p);
-            if !self.cols.contains(&col) {
-                continue;
-            }
-            let cover = self.ucover.partial_at(self.ucover.slot(row, col));
-            if cover.is_empty() {
-                continue;
-            }
-            let delta = delta_of(n as u32, p).clamp(0.0, max_delta);
-            for &q in cover {
-                let range = &queries[q as usize].range;
-                if range.contains(&p) && range.interior_depth(&p) >= delta {
-                    self.must[q as usize].push(n as u32);
-                } else if range.distance_to_point(&p) <= delta {
-                    self.maybe[q as usize].push(n as u32);
-                }
-            }
-        }
-    }
 }
 
 /// The ascending union of two sorted, disjoint id lists.
@@ -1337,9 +1261,6 @@ pub(crate) struct UnifiedEval {
     /// (dirty nodes by owner; pending first reports by destination).
     dirty_by_shard: Vec<Vec<u32>>,
     pending_by_shard: Vec<Vec<u32>>,
-    /// Whether the stripe Δ⊣-covers match the current query set and Δ⊣.
-    uindexed: bool,
-    umax_delta: f64,
     /// Lazily-created worker pool (`num_shards − 1` threads). Not
     /// cloned: a cloned engine rebuilds its own pool on first use.
     pool: Option<WorkerPool>,
@@ -1373,8 +1294,6 @@ impl Clone for UnifiedEval {
             routes: self.routes.clone(),
             dirty_by_shard: self.dirty_by_shard.clone(),
             pending_by_shard: self.pending_by_shard.clone(),
-            uindexed: self.uindexed,
-            umax_delta: self.umax_delta,
             pool: None,
             hw: self.hw,
             emit_entries: self.emit_entries,
@@ -1406,8 +1325,6 @@ impl UnifiedEval {
             routes: Vec::new(),
             dirty_by_shard: Vec::new(),
             pending_by_shard: Vec::new(),
-            uindexed: false,
-            umax_delta: f64::NAN,
             pool: None,
             hw: std::thread::available_parallelism()
                 .map(|n| n.get())
@@ -1428,7 +1345,6 @@ impl UnifiedEval {
     pub(crate) fn invalidate(&mut self) {
         self.indexed = false;
         self.primed = false;
-        self.uindexed = false;
     }
 
     /// Ingest hook: tracks which nodes' stored answer a new model may
@@ -1520,7 +1436,6 @@ impl UnifiedEval {
         self.pending_by_shard.resize_with(s, Vec::new);
         self.indexed = true;
         self.primed = false;
-        self.uindexed = false;
     }
 
     /// Clears the per-round change feeds after an exact round consumed
@@ -1841,13 +1756,10 @@ impl UnifiedEval {
                 slot.nodes.extend_from_slice(members);
             }
         } else {
+            let all: Vec<usize> = (0..s).collect();
             let run_all = |f: &(dyn Fn(usize) + Sync)| match pool {
-                Some(p) if par_emit => p.broadcast(s, f),
-                _ => {
-                    for i in 0..s {
-                        f(i);
-                    }
-                }
+                Some(p) if par_emit => p.run_on(&all, f),
+                _ => all.iter().for_each(|&i| f(i)),
             };
             run_all(&|i: usize| {
                 // SAFETY: shards read-only for the whole phase; out slots
@@ -1895,106 +1807,6 @@ impl UnifiedEval {
         self.last_t = t;
         self.clear_round_inputs();
     }
-
-    /// One uncertain evaluation round: every shard classifies its
-    /// stripe's nodes against the Δ⊣-expanded covers, then the per-shard
-    /// must/maybe lists are merged per query. Stateless between rounds
-    /// (per-node Δ changes freely).
-    #[allow(clippy::too_many_arguments)]
-    pub(crate) fn evaluate_uncertain_into(
-        &mut self,
-        queries: &[RangeQuery],
-        store: &NodeStore,
-        t: f64,
-        max_delta: f64,
-        delta_of: &(dyn Fn(u32, Point) -> f64 + Sync),
-        out: &mut Vec<UncertainResult>,
-        sequential: bool,
-    ) {
-        if !self.indexed {
-            self.build_indexes(queries, store.len());
-        }
-        if !self.uindexed || self.umax_delta.to_bits() != max_delta.to_bits() {
-            for shard in &mut self.shards {
-                shard.ucover = QueryIndex::build_cols(
-                    &self.bounds,
-                    queries,
-                    max_delta,
-                    false,
-                    shard.cols.clone(),
-                );
-            }
-            self.umax_delta = max_delta;
-            self.uindexed = true;
-        }
-        let s = self.num_shards;
-        let nq = queries.len();
-        out.resize_with(nq, UncertainResult::default);
-        out.truncate(nq);
-
-        // Adaptive dispatch, as in the exact round: the classify phase
-        // scans the store per shard, so its work measure is store size.
-        let pool: Option<&WorkerPool> =
-            if sequential || s == 1 || self.hw <= 1 || store.len() < PAR_STEP_MIN {
-                None
-            } else {
-                Some(self.pool.get_or_insert_with(|| WorkerPool::new(s - 1)))
-            };
-        let run = |f: &(dyn Fn(usize) + Sync)| match pool {
-            Some(p) => p.broadcast(s, f),
-            None => {
-                for i in 0..s {
-                    f(i);
-                }
-            }
-        };
-
-        let shards = SendMutPtr(self.shards.as_mut_ptr());
-        let out_ptr = SendMutPtr(out.as_mut_ptr());
-
-        // Classify: each worker exclusively owns shard i.
-        run(&|i: usize| {
-            // SAFETY: exclusive per-index access, see SendMutPtr.
-            let shard = unsafe { &mut *shards.ptr().add(i) };
-            let start = Instant::now();
-            shard.uncertain_round(queries, store, t, max_delta, delta_of);
-            shard.round_ns += start.elapsed().as_nanos() as u64;
-        });
-
-        // Emit: a copy at one shard, else shards read-only with disjoint
-        // query chunks per worker.
-        if s == 1 {
-            let shard = &self.shards[0];
-            for (q, (slot, query)) in out.iter_mut().zip(queries).enumerate() {
-                slot.query = query.id;
-                slot.must.clear();
-                slot.must.extend_from_slice(&shard.must[q]);
-                slot.maybe.clear();
-                slot.maybe.extend_from_slice(&shard.maybe[q]);
-            }
-            return;
-        }
-        run(&|i: usize| {
-            // SAFETY: see the exact emit phase.
-            let shards_ro: &[Shard] = unsafe { std::slice::from_raw_parts(shards.ptr(), s) };
-            let mut srcs: Vec<&[u32]> = vec![&[]; s];
-            let chunk = nq * i / s..nq * (i + 1) / s;
-            for (q, query) in queries.iter().enumerate().take(chunk.end).skip(chunk.start) {
-                let slot = unsafe { &mut *out_ptr.ptr().add(q) };
-                slot.query = query.id;
-                slot.must.clear();
-                for (si, shard) in shards_ro.iter().enumerate() {
-                    srcs[si] = &shard.must[q];
-                }
-                merge_into(&srcs, &mut slot.must);
-                slot.maybe.clear();
-                for (si, shard) in shards_ro.iter().enumerate() {
-                    srcs[si] = &shard.maybe[q];
-                }
-                merge_into(&srcs, &mut slot.maybe);
-            }
-        });
-    }
 }
 
 // The simulation pipeline moves whole servers (and therefore engines)
@@ -2021,17 +1833,17 @@ mod tests {
     }
 
     #[test]
-    fn pool_broadcast_runs_every_index_and_reuses_workers() {
+    fn pool_runs_every_index_and_reuses_workers() {
         use std::sync::atomic::{AtomicU64, Ordering};
         let pool = WorkerPool::new(3);
         let sum = AtomicU64::new(0);
-        pool.broadcast(4, &|i| {
+        pool.run_on(&[0, 1, 2, 3], &|i| {
             sum.fetch_add(1 << (8 * i), Ordering::Relaxed);
         });
         assert_eq!(sum.load(Ordering::Relaxed), 0x01010101);
         // Reuse across rounds: same workers, fresh closure.
         for _ in 0..100 {
-            pool.broadcast(4, &|i| {
+            pool.run_on(&[0, 1, 2, 3], &|i| {
                 sum.fetch_add(i as u64, Ordering::Relaxed);
             });
         }
@@ -2039,10 +1851,10 @@ mod tests {
     }
 
     #[test]
-    fn pool_smaller_broadcasts_are_fine() {
+    fn pool_dispatches_fewer_targets_than_workers() {
         let pool = WorkerPool::new(7);
         let hits = std::sync::Mutex::new(Vec::new());
-        pool.broadcast(2, &|i| hits.lock().unwrap().push(i));
+        pool.run_on(&[0, 1], &|i| hits.lock().unwrap().push(i));
         let mut got = hits.into_inner().unwrap();
         got.sort_unstable();
         assert_eq!(got, vec![0, 1]);

@@ -222,6 +222,46 @@ proptest! {
         }
     }
 
+    /// The Δ⊣-expanded cover is cached between calls: a call with a
+    /// different Δ⊣, and a call after the query set changed, must both
+    /// answer from a cover built for what they were asked.
+    #[test]
+    fn uncertain_cover_follows_max_delta_and_the_query_set(
+        ups in updates(50),
+        qs in query_set(6),
+        qs2 in query_set(5),
+        dmax_steps in (1i32..5, 1i32..5),
+    ) {
+        let narrow = dmax_steps.0 as f64 * 31.25;
+        let wide = narrow + dmax_steps.1 as f64 * 31.25;
+        // Per-node Δ up to the wider Δ⊣, so the narrower one clamps.
+        let delta_of = |n: u32, _p: Point| (n % 9) as f64 * 31.25;
+        let mut fleet = Fleet::new(&qs);
+        for u in &ups {
+            fleet.ingest(u);
+        }
+        let t = 2.25;
+        for max_delta in [narrow, wide, narrow] {
+            let want = fleet.world.evaluate_uncertain(&qs, t, max_delta, delta_of);
+            for (s, server) in &mut fleet.unified {
+                prop_assert_eq!(
+                    &server.evaluate_uncertain(t, max_delta, delta_of),
+                    &want, "unified({}) Δ⊣={}", *s, max_delta
+                );
+            }
+        }
+        // Same Δ⊣ as the last call: only the query-set change can tell
+        // the server its cover is stale.
+        fleet.replace(&qs2);
+        let want = fleet.world.evaluate_uncertain(&qs2, t, narrow, delta_of);
+        for (s, server) in &mut fleet.unified {
+            prop_assert_eq!(
+                &server.evaluate_uncertain(t, narrow, delta_of),
+                &want, "unified({}) after swap", *s
+            );
+        }
+    }
+
     #[test]
     fn nearest_equivalent_across_shard_counts(
         ups in updates(40),
@@ -303,6 +343,84 @@ fn stripe_boundary_alignment_is_exact() {
             assert!(handoffs > 0, "unified({s}): crossing traffic hands off");
         }
     }
+}
+
+/// `evaluate_uncertain` is one ascending pass over the store, whatever
+/// the shard count: `delta_of` (a stateful, non-`Sync` closure here) is
+/// called once per node some Δ⊣-expanded query's cover reaches, in
+/// ascending id order, and never for a node nothing can reach or one that
+/// has not reported — the same call sequence on every server.
+#[test]
+fn uncertain_is_one_ascending_pass_at_every_shard_count() {
+    use std::cell::RefCell;
+    // Four queries: an 8 × 8 grid of 125 m cells. All of them lie west
+    // of x = 500, so expanded by Δ⊣ = 62.5 they reach no cell east of
+    // column 4.
+    let qs: Vec<RangeQuery> = [
+        Rect::from_coords(125.0, 125.0, 375.0, 375.0),
+        Rect::from_coords(0.0, 500.0, 250.0, 750.0),
+        Rect::from_coords(250.0, 250.0, 437.5, 500.0),
+        Rect::from_coords(62.5, 62.5, 125.0, 125.0),
+    ]
+    .into_iter()
+    .enumerate()
+    .map(|(id, range)| RangeQuery {
+        id: id as u32,
+        range,
+    })
+    .collect();
+    let max_delta = 62.5;
+    let mut fleet = Fleet::new(&qs);
+    // Odd nodes report, descending so ingest order is not id order: most
+    // on a diagonal through the queries, nodes 19 and 23 far to the east
+    // where no expanded query reaches. Even nodes never report.
+    for n in (1..NUM_NODES as u32).rev().step_by(2) {
+        let pos = if n == 19 || n == 23 {
+            Point::new(937.5, 62.5 * (n % 16) as f64)
+        } else {
+            Point::new(31.25 * n as f64, 31.25 * n as f64)
+        };
+        fleet.ingest(&Update {
+            node: n,
+            t: 0.0,
+            pos,
+            vel: (0.0, 0.0),
+        });
+    }
+    let t = 1.0;
+    let want = fleet.world.evaluate_uncertain(&qs, t, max_delta, delta_of);
+    let mut sequences: Vec<Vec<u32>> = Vec::new();
+    for (s, server) in &mut fleet.unified {
+        let calls = RefCell::new(Vec::new());
+        let got = server.evaluate_uncertain(t, max_delta, |n, p| {
+            calls.borrow_mut().push(n);
+            delta_of(n, p)
+        });
+        assert_eq!(got, want, "unified({s})");
+        let calls = calls.into_inner();
+        assert!(
+            calls.windows(2).all(|w| w[0] < w[1]),
+            "unified({s}): calls {calls:?} not strictly ascending"
+        );
+        assert!(
+            calls.iter().all(|n| n % 2 == 1 && ![19, 23].contains(n)),
+            "unified({s}): called for an unreported or unreachable node: {calls:?}"
+        );
+        for r in &got {
+            for n in r.must.iter().chain(&r.maybe) {
+                assert!(
+                    calls.contains(n),
+                    "unified({s}): node {n} reported uncalled"
+                );
+            }
+        }
+        sequences.push(calls);
+    }
+    assert!(!sequences[0].is_empty(), "the diagonal crosses the queries");
+    assert!(
+        sequences.iter().all(|calls| *calls == sequences[0]),
+        "call sequences differ across shard counts: {sequences:?}"
+    );
 }
 
 /// `shard_stats` reports the stripe layout and node occupancy.

@@ -2,9 +2,9 @@
 //! networked load generator replay: a seeded uniform scatter of nodes
 //! with random velocities, of which a fixed fraction re-reports (after
 //! one reflecting random-walk step) between evaluation rounds.
-//! `exp_eval`, `exp_shard`, `exp_serve` and `lira-storm` all drive the
-//! same workload so their numbers are comparable points on one perf
-//! trajectory.
+//! `exp_shard`, the criterion `cq_server/*` rows, `lira-storm` and the
+//! repo benchmark (`benchmark/`) all drive the same workload so their
+//! numbers are comparable points on one perf trajectory.
 
 use lira_core::geometry::Point;
 use lira_server::cq_engine::CqServer;

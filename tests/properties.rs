@@ -488,64 +488,8 @@ proptest! {
     }
 }
 
-/// Strategy for a batch of moving points with ids drawn from a small pool
-/// (so updates overwrite and deletes hit existing entries).
-fn moving_points(max: usize) -> impl Strategy<Value = Vec<(u32, f64, f64, f64, f64, f64)>> {
-    prop::collection::vec(
-        (
-            0u32..64,
-            0.0f64..100.0,
-            0.0f64..4096.0,
-            0.0f64..4096.0,
-            -25.0f64..25.0,
-            -25.0f64..25.0,
-        ),
-        1..max,
-    )
-}
-
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(48))]
-
-    #[test]
-    fn tpr_tree_matches_brute_force(
-        ops in moving_points(150),
-        qx in 0.0f64..3000.0,
-        qy in 0.0f64..3000.0,
-        side in 100.0f64..1500.0,
-        t in 0.0f64..200.0,
-    ) {
-        let mut tree = TprTree::new(30.0);
-        let mut latest: std::collections::HashMap<u32, MovingPoint> =
-            std::collections::HashMap::new();
-        // Apply updates in non-decreasing time order (dead-reckoning reports
-        // are monotone per node; the store rejects reordered ones upstream).
-        let mut ops = ops;
-        ops.sort_by(|a, b| a.1.partial_cmp(&b.1).expect("finite times"));
-        for (node, time, x, y, vx, vy) in ops {
-            let p = MovingPoint {
-                node,
-                time,
-                origin: Point::new(x, y),
-                velocity: (vx, vy),
-            };
-            tree.update(p);
-            latest.insert(node, p);
-        }
-        tree.check_invariants();
-        prop_assert_eq!(tree.len(), latest.len());
-
-        let range = Rect::from_coords(qx, qy, qx + side, qy + side);
-        let mut got = tree.query(&range, t);
-        got.sort_unstable();
-        let mut want: Vec<u32> = latest
-            .values()
-            .filter(|p| range.contains(&p.position_at(t)))
-            .map(|p| p.node)
-            .collect();
-        want.sort_unstable();
-        prop_assert_eq!(got, want);
-    }
 
     #[test]
     fn history_reconstruction_matches_last_model(

@@ -187,44 +187,3 @@ fn paper_scale_adaptation_stays_lightweight() {
         );
     }
 }
-
-#[test]
-#[ignore = "TPR-tree at 100k moving points, run with --ignored"]
-fn tpr_tree_scales_to_large_fleets() {
-    use rand::rngs::SmallRng;
-    use rand::{Rng, SeedableRng};
-    let mut tree = TprTree::new(60.0);
-    let mut rng = SmallRng::seed_from_u64(3);
-    for n in 0..100_000u32 {
-        tree.update(MovingPoint {
-            node: n,
-            time: 0.0,
-            origin: Point::new(rng.gen_range(0.0..14_142.0), rng.gen_range(0.0..14_142.0)),
-            velocity: (rng.gen_range(-20.0..20.0), rng.gen_range(-20.0..20.0)),
-        });
-    }
-    assert_eq!(tree.len(), 100_000);
-    tree.check_invariants();
-    // A second full round of updates (every node re-reports).
-    for n in 0..100_000u32 {
-        tree.update(MovingPoint {
-            node: n,
-            time: 30.0,
-            origin: Point::new(rng.gen_range(0.0..14_142.0), rng.gen_range(0.0..14_142.0)),
-            velocity: (rng.gen_range(-20.0..20.0), rng.gen_range(-20.0..20.0)),
-        });
-    }
-    assert_eq!(tree.len(), 100_000);
-    tree.check_invariants();
-    // Queries stay correct after churn (spot-check against brute force by
-    // counting through the public getter).
-    let range = Rect::from_coords(3000.0, 3000.0, 5000.0, 5000.0);
-    let hits = tree.query(&range, 45.0);
-    let brute = (0..100_000u32)
-        .filter(|&n| {
-            tree.get(n)
-                .is_some_and(|p| range.contains(&p.position_at(45.0)))
-        })
-        .count();
-    assert_eq!(hits.len(), brute);
-}
