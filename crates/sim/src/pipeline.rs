@@ -1,39 +1,48 @@
 //! The composable simulation pipeline behind
 //! [`run_scenario`](crate::runner::run_scenario).
 //!
-//! A scenario run decomposes into stages with explicit data products:
+//! A scenario run is [`SimSetup`] — road network, traffic demand, a
+//! warmed-up (and optionally model-calibrating) [`TrafficSimulator`], and
+//! the query workload — followed by one streamed stage of three parts:
 //!
-//! 1. [`SimSetup`] — road network, traffic demand, a warmed-up (and
-//!    optionally model-calibrating) [`TrafficSimulator`], and the query
-//!    workload.
-//! 2. [`TrafficTrace`] — the measured window's car states, recorded once.
-//!    The trace is the *only* coupling between the traffic model and the
-//!    servers, so every downstream lane sees byte-identical inputs.
-//! 3. [`ReferenceTimeline`] — the `Δ⊢` reference server replayed over the
-//!    trace: its update count, and per evaluation round its query results
-//!    and per-node predicted positions (the paper's `R*(q)` and `p*(o)`).
-//! 4. N independent policy lanes — each owns its CQ server, dead
-//!    reckoners, statistics grid, policy (a
-//!    [`SheddingPolicy`] trait object), and metrics accumulator. Lanes
-//!    share the trace and reference read-only, so with two or more
-//!    policies they run on scoped threads ([`std::thread::scope`], no
-//!    extra dependencies).
+//! 1. the **recorder** steps the simulator through the measured window
+//!    and sends every tick's car states, once, to each consumer over a
+//!    bounded channel. The tick stream is the *only* coupling between the
+//!    traffic model and the servers, so every consumer sees
+//!    byte-identical inputs;
+//! 2. the **reference replay** — the `Δ⊢` reference server — consumes the
+//!    ticks and sends each evaluation round's frame (the paper's `R*(q)`
+//!    and `p*(o)`) to every lane;
+//! 3. N independent **policy lanes** — each owns its CQ server, dead
+//!    reckoners, statistics grid, policy (a [`SheddingPolicy`] trait
+//!    object), and metrics accumulator — consume the ticks and frames.
+//!
+//! Under [`Parallelism::Auto`] the three run on scoped threads
+//! ([`std::thread::scope`], no extra dependencies) and at most a few dozen
+//! ticks are in memory at once; [`Parallelism::Sequential`] calls the same
+//! three functions on the calling thread in order, with every channel deep
+//! enough for the whole run. Callers that replay one trace more than once
+//! (`lira-storm`, the loopback battery) materialise it instead:
+//! [`SimSetup::record_trace`] gives the [`TrafficTrace`] and
+//! [`SimPipeline::reference`] the [`ReferenceTimeline`], built from the
+//! same per-tick snapshot and reference step the streamed stage uses.
 //!
 //! There is one lane loop under two controls: [`SimPipeline::run`] holds
 //! `z` fixed and re-plans on the scenario's adaptation period;
 //! [`SimPipeline::run_adaptive`] puts a bounded queue, a finite service
 //! rate and THROTLOOP in front of the same lane (Section 3.4). The
-//! pipeline is also the only place an engine, re-striping or parallelism
-//! option is named: every server of a run comes from
-//! [`SimPipeline::server`].
+//! pipeline is also the only place an engine or parallelism option is
+//! named: every server of a run comes from [`SimPipeline::server`].
 //!
 //! Lane results are deterministic regardless of execution mode: each lane
 //! derives its RNG from the scenario seed and its policy index
 //! (`seed + 1000 + index`, the same rule the sequential runner always
-//! used), and touches no shared mutable state — so a parallel run is
-//! bit-identical to [`Parallelism::Sequential`], which exists for tests
-//! and debugging.
+//! used), reads its ticks and frames in order from its own channels, and
+//! touches no shared mutable state — so a parallel run is bit-identical
+//! to [`Parallelism::Sequential`], which exists for tests and debugging.
 
+use std::sync::mpsc::{self, Receiver, Sender, SyncSender};
+use std::sync::Arc;
 use std::time::Instant;
 
 use lira_core::config::LiraConfig;
@@ -58,16 +67,34 @@ use crate::metrics::{FaultReport, MetricsAccumulator};
 use crate::runner::{PolicyOutcome, RunReport};
 use crate::telemetry::{LaneTelemetry, PipelineTelemetry};
 
-/// How policy lanes are executed.
+/// How the streamed stage is executed.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub enum Parallelism {
-    /// One scoped thread per lane when two or more policies are evaluated.
+    /// The recorder, the reference replay and every lane each run on a
+    /// scoped thread, handing ticks over bounded channels.
     #[default]
     Auto,
-    /// Lanes run one after another on the calling thread. Produces
-    /// bit-identical results to [`Parallelism::Auto`]; useful for tests
-    /// and single-threaded profiling.
+    /// Recording, then the reference replay, then the lanes one after
+    /// another, all on the calling thread. Produces bit-identical results
+    /// to [`Parallelism::Auto`]; useful for tests and single-threaded
+    /// profiling.
     Sequential,
+}
+
+/// Ticks a consumer may fall behind the recorder before the recorder
+/// blocks. The recorder steps a tick in less time than a lane takes to
+/// consume it, so the depth only caps memory (≈ depth × cars × 32 B, about
+/// 10 MB at 10 k cars); it changes no result, so there is nothing for a
+/// caller to tune.
+const STREAM_DEPTH: usize = 32;
+
+/// One tick of the measured window as the recorder streams it: the
+/// simulation time and every car's state.
+type Tick = (f64, Arc<[CarState]>);
+
+/// Measured-window length in ticks (the `record_trace` rule).
+fn measured_ticks(sc: &Scenario) -> usize {
+    (sc.duration_s / sc.dt).round() as usize
 }
 
 /// Stage 1: everything the measured window depends on — validated config,
@@ -83,7 +110,7 @@ pub struct SimSetup {
     /// The traffic simulator, already past `warmup_s`.
     pub sim: TrafficSimulator,
     /// The scenario's demand-phase schedule, advanced through warmup and
-    /// consumed by [`record_trace`](Self::record_trace) (or by a caller
+    /// consumed by the measured window's recording (or by a caller
     /// driving `sim` itself — apply before every step).
     pub phases: PhaseSchedule,
     /// The registered continual queries.
@@ -100,7 +127,7 @@ impl SimSetup {
             .validate()
             .expect("scenario produces a valid LiraConfig");
         sc.validate()
-            .expect("scenario extensions (phases/fleet/dead zones) validate");
+            .expect("scenario timing and extensions (phases/fleet/dead zones) validate");
         let bounds = sc.bounds();
         let model = ReductionModel::analytic(sc.delta_min, sc.delta_max, config.kappa());
 
@@ -170,16 +197,76 @@ impl SimSetup {
         }
     }
 
-    /// Advances the setup's simulator through the measured window,
-    /// recording the traffic trace every downstream stage replays.
+    /// Advances the setup's simulator through the measured window and
+    /// keeps the whole trace in memory — for callers that replay it more
+    /// than once; [`SimPipeline::run`] streams the same ticks instead.
     /// Demand-phase switches scheduled inside the window fire here.
     pub fn record_trace(&mut self, sc: &Scenario) -> TrafficTrace {
-        let total_ticks = (sc.duration_s / sc.dt).round() as usize;
         let phases = &mut self.phases;
-        TrafficTrace::record_with(&mut self.sim, total_ticks, sc.dt, |sim| {
+        TrafficTrace::record_with(&mut self.sim, measured_ticks(sc), sc.dt, |sim| {
             phases.apply_due(sim)
         })
     }
+}
+
+/// The one recording loop: `emit` sees the starting state, then the
+/// state after each of `total_ticks` steps of `dt`, with `before_step`
+/// run immediately before every step.
+fn record_ticks(
+    sim: &mut TrafficSimulator,
+    total_ticks: usize,
+    dt: f64,
+    mut before_step: impl FnMut(&mut TrafficSimulator),
+    mut emit: impl FnMut(&TrafficSimulator),
+) {
+    emit(sim);
+    for _ in 0..total_ticks {
+        before_step(sim);
+        sim.step(dt);
+        emit(sim);
+    }
+}
+
+/// Every car's state at the simulator's current tick — the one snapshot
+/// behind both [`TrafficTrace`] and the streamed ticks.
+fn car_states(sim: &TrafficSimulator) -> impl Iterator<Item = CarState> + '_ {
+    sim.cars().iter().map(|c| CarState {
+        position: c.position(),
+        velocity: c.velocity(),
+    })
+}
+
+/// The recorder of the streamed stage: advances `sim` through `sc`'s
+/// measured window (firing `phases` before every step) and sends each
+/// tick, from the starting snapshot on, to every feed. A feed whose
+/// consumer has hung up is skipped, so one failed lane cannot stall the
+/// rest; the feeds close when this returns.
+fn record_stream(
+    sim: &mut TrafficSimulator,
+    phases: &mut PhaseSchedule,
+    sc: &Scenario,
+    feeds: Vec<SyncSender<Tick>>,
+) {
+    record_ticks(
+        sim,
+        measured_ticks(sc),
+        sc.dt,
+        |sim| phases.apply_due(sim),
+        |sim| {
+            let tick: Tick = (sim.time(), car_states(sim).collect());
+            for feed in &feeds {
+                let _ = feed.send(tick.clone());
+            }
+        },
+    );
+}
+
+/// Receives tick `tick` of a streamed run. A feed that ends early means
+/// its recorder stopped (panicked): fail loudly instead of blocking or
+/// scoring a short run.
+fn next_tick(feed: &Receiver<Tick>, tick: usize) -> Tick {
+    feed.recv()
+        .unwrap_or_else(|_| panic!("trace feed ended before tick {tick}"))
 }
 
 /// One car's kinematic state at one trace tick.
@@ -198,9 +285,10 @@ impl CarState {
     }
 }
 
-/// Stage 2: the recorded traffic of the measured window, tick-major.
-/// Tick 0 is the post-warmup snapshot (where the initial adaptation runs);
-/// ticks `1..=ticks()` follow each simulation step.
+/// The recorded traffic of the measured window, tick-major — the ticks
+/// the streamed stage hands its consumers, kept whole for replaying more
+/// than once. Tick 0 is the post-warmup snapshot (where the initial
+/// adaptation runs); ticks `1..=ticks()` follow each simulation step.
 pub struct TrafficTrace {
     num_cars: usize,
     times: Vec<f64>,
@@ -221,25 +309,15 @@ impl TrafficTrace {
         sim: &mut TrafficSimulator,
         total_ticks: usize,
         dt: f64,
-        mut before_step: F,
+        before_step: F,
     ) -> Self {
         let num_cars = sim.cars().len();
         let mut times = Vec::with_capacity(total_ticks + 1);
         let mut states = Vec::with_capacity((total_ticks + 1) * num_cars);
-        let snapshot =
-            |sim: &TrafficSimulator, times: &mut Vec<f64>, states: &mut Vec<CarState>| {
-                times.push(sim.time());
-                states.extend(sim.cars().iter().map(|c| CarState {
-                    position: c.position(),
-                    velocity: c.velocity(),
-                }));
-            };
-        snapshot(sim, &mut times, &mut states);
-        for _ in 0..total_ticks {
-            before_step(sim);
-            sim.step(dt);
-            snapshot(sim, &mut times, &mut states);
-        }
+        record_ticks(sim, total_ticks, dt, before_step, |sim| {
+            times.push(sim.time());
+            states.extend(car_states(sim));
+        });
         TrafficTrace {
             num_cars,
             times,
@@ -280,9 +358,9 @@ pub struct EvalFrame {
     pub predictions: Vec<Option<Point>>,
 }
 
-/// Stage 3: the `Δ⊢` reference server replayed over the trace — the
-/// paper's definition of the correct answer, computed once and shared
-/// read-only by every policy lane.
+/// The `Δ⊢` reference server replayed over a recorded trace — the paper's
+/// definition of the correct answer, with every frame the streamed stage
+/// hands its lanes kept whole.
 pub struct ReferenceTimeline {
     /// Updates the reference server received (the unshed volume).
     pub reference_updates: u64,
@@ -297,6 +375,75 @@ impl ReferenceTimeline {
     pub fn compute(trace: &TrafficTrace, setup: &SimSetup, sc: &Scenario) -> Self {
         SimPipeline::new().reference(trace, setup, sc)
     }
+}
+
+/// The `Δ⊢` reference server fed one tick at a time — the one replay body
+/// behind both [`SimPipeline::reference`] and the streamed stage.
+struct ReferenceReplay {
+    server: CqServer,
+    reckoners: Vec<DeadReckoner>,
+    delta: f64,
+    eval_every: usize,
+    /// Updates the reference server has received so far.
+    updates: u64,
+}
+
+impl ReferenceReplay {
+    fn new(pipeline: &SimPipeline, setup: &SimSetup, sc: &Scenario) -> Self {
+        ReferenceReplay {
+            server: pipeline.server(setup, sc),
+            reckoners: vec![DeadReckoner::new(); setup.sim.cars().len()],
+            delta: sc.delta_min,
+            eval_every: ticks_per(sc.eval_period_s, sc),
+            updates: 0,
+        }
+    }
+
+    /// Feeds tick `tick` (at time `t`) to the reference server and, when
+    /// the tick is an evaluation round (a multiple of `eval_every`, the
+    /// rule lanes follow too), returns the round's frame.
+    fn step(&mut self, tick: usize, t: f64, cars: &[CarState]) -> Option<EvalFrame> {
+        for (i, car) in cars.iter().enumerate() {
+            if let Some(rep) =
+                self.reckoners[i].observe(i as u32, t, car.position, car.velocity, self.delta)
+            {
+                self.updates += 1;
+                self.server
+                    .ingest(rep.node, t, rep.model.origin, rep.model.velocity);
+            }
+        }
+        tick.is_multiple_of(self.eval_every).then(|| EvalFrame {
+            tick,
+            time: t,
+            results: self.server.evaluate(t),
+            predictions: (0..cars.len() as u32)
+                .map(|n| self.server.predict(n, t))
+                .collect(),
+        })
+    }
+}
+
+/// The reference replay of the streamed stage: replays every tick of
+/// `feed` and sends each evaluation frame to every lane (a lane that has
+/// hung up is skipped). Returns the reference's update count.
+fn replay_stream(
+    mut replay: ReferenceReplay,
+    feed: Receiver<Tick>,
+    sc: &Scenario,
+    lanes: Vec<Sender<Arc<EvalFrame>>>,
+) -> u64 {
+    // The starting snapshot: the reference only replays steps.
+    next_tick(&feed, 0);
+    for tick in 1..=measured_ticks(sc) {
+        let (t, cars) = next_tick(&feed, tick);
+        if let Some(frame) = replay.step(tick, t, &cars) {
+            let frame = Arc::new(frame);
+            for lane in &lanes {
+                let _ = lane.send(Arc::clone(&frame));
+            }
+        }
+    }
+    replay.updates
 }
 
 /// What one position update carries across the uplink: node id, motion
@@ -578,29 +725,33 @@ impl PolicyLane {
         applied
     }
 
-    /// Replays the lane over the whole trace: the one loop that drives a
-    /// shedding server tick by tick.
+    /// Runs the lane over the measured window, reading each tick from
+    /// `ticks` and, on every evaluation tick, the reference's frame from
+    /// `frames`: the one loop that drives a shedding server tick by tick.
     fn run(
         &mut self,
-        trace: &TrafficTrace,
-        reference: &ReferenceTimeline,
+        ticks: Receiver<Tick>,
+        frames: Receiver<Arc<EvalFrame>>,
         queries: &[RangeQuery],
         sc: &Scenario,
     ) {
-        let total_ticks = trace.ticks();
-        let adapt_every = match &self.control {
-            Control::Fixed => {
-                self.adapt(trace.cars(0), queries, sc.throttle);
-                ticks_per(sc.adapt_period_s, sc)
+        let total_ticks = measured_ticks(sc);
+        let eval_every = ticks_per(sc.eval_period_s, sc);
+        let adapt_every = {
+            let (_, start) = next_tick(&ticks, 0);
+            match &self.control {
+                Control::Fixed => {
+                    self.adapt(&start, queries, sc.throttle);
+                    ticks_per(sc.adapt_period_s, sc)
+                }
+                Control::Closed(cl) => ticks_per(cl.period_s(), sc),
             }
-            Control::Closed(cl) => ticks_per(cl.period_s(), sc),
         };
         let mut channel = self.channel.take();
-        let mut next_frame = 0usize;
 
         for tick in 1..=total_ticks {
-            let t = trace.time(tick);
-            for (i, car) in trace.cars(tick).iter().enumerate() {
+            let (t, cars) = next_tick(&ticks, tick);
+            for (i, car) in cars.iter().enumerate() {
                 // One lookup resolves both the throttler and the region
                 // index (identical cost to the old `throttler_at` path).
                 let (region, delta) = self.plan.region_at(&car.position);
@@ -645,12 +796,15 @@ impl PolicyLane {
                     Control::Closed(cl) => Some(cl.close_window(t)),
                 };
                 if let Some(z) = z {
-                    self.adapt(trace.cars(tick), queries, z);
+                    self.adapt(&cars, queries, z);
                 }
             }
 
-            let due = reference.frames.get(next_frame);
-            if let Some(frame) = due.filter(|f| f.tick == tick) {
+            if tick.is_multiple_of(eval_every) {
+                let frame = frames
+                    .recv()
+                    .unwrap_or_else(|_| panic!("reference feed ended before tick {tick}"));
+                assert_eq!(frame.tick, tick, "reference frame out of step");
                 let stepped = self.server.stepped_nodes();
                 self.server.evaluate_into(t, &mut self.shed_results);
                 self.tel.on_evaluated(self.server.stepped_nodes() - stepped);
@@ -674,7 +828,6 @@ impl PolicyLane {
                     regions: self.plan.regions(),
                 });
                 self.prev_totals = (c_tot, p_tot);
-                next_frame += 1;
             }
         }
 
@@ -731,7 +884,8 @@ impl PolicyLane {
     }
 }
 
-/// The composed pipeline: setup → trace → reference → policy lanes.
+/// The composed pipeline: setup, then the streamed stage (recorder →
+/// reference replay → policy lanes).
 #[derive(Debug, Clone, Copy)]
 pub struct SimPipeline {
     parallelism: Parallelism,
@@ -755,7 +909,7 @@ impl SimPipeline {
         SimPipeline::default()
     }
 
-    /// Overrides how policy lanes are executed.
+    /// Overrides how the streamed stage is executed.
     #[must_use]
     pub fn with_parallelism(mut self, parallelism: Parallelism) -> Self {
         self.parallelism = parallelism;
@@ -802,39 +956,85 @@ impl SimPipeline {
         setup: &SimSetup,
         sc: &Scenario,
     ) -> ReferenceTimeline {
-        let mut server = self.server(setup, sc);
-        let mut reckoners = vec![DeadReckoner::new(); trace.num_cars()];
-        let eval_every = ticks_per(sc.eval_period_s, sc);
-        let mut reference_updates = 0u64;
-        let mut frames = Vec::new();
-
-        for tick in 1..=trace.ticks() {
-            let t = trace.time(tick);
-            for (i, car) in trace.cars(tick).iter().enumerate() {
-                if let Some(rep) =
-                    reckoners[i].observe(i as u32, t, car.position, car.velocity, sc.delta_min)
-                {
-                    reference_updates += 1;
-                    server.ingest(rep.node, t, rep.model.origin, rep.model.velocity);
-                }
-            }
-            if tick % eval_every == 0 {
-                let results = server.evaluate(t);
-                let predictions = (0..trace.num_cars() as u32)
-                    .map(|n| server.predict(n, t))
-                    .collect();
-                frames.push(EvalFrame {
-                    tick,
-                    time: t,
-                    results,
-                    predictions,
-                });
-            }
-        }
+        let mut replay = ReferenceReplay::new(self, setup, sc);
+        let frames = (1..=trace.ticks())
+            .filter_map(|tick| replay.step(tick, trace.time(tick), trace.cars(tick)))
+            .collect();
         ReferenceTimeline {
-            reference_updates,
+            reference_updates: replay.updates,
             frames,
         }
+    }
+
+    /// The streamed stage: records `setup`'s measured window while the
+    /// reference replay and every lane consume it tick by tick (see the
+    /// module docs). Records the recorder's and the reference's walls on
+    /// `ptel` and returns the reference's update count.
+    fn stream(
+        &self,
+        setup: &mut SimSetup,
+        sc: &Scenario,
+        lanes: &mut [PolicyLane],
+        ptel: &PipelineTelemetry,
+    ) -> u64 {
+        let depth = match self.parallelism {
+            Parallelism::Auto => STREAM_DEPTH,
+            // Nothing reads a tick until every tick has been recorded.
+            Parallelism::Sequential => measured_ticks(sc).saturating_add(1),
+        };
+        let replay = ReferenceReplay::new(self, setup, sc);
+        let (feeds, mut tick_rxs): (Vec<SyncSender<Tick>>, Vec<_>) =
+            (0..=lanes.len()).map(|_| mpsc::sync_channel(depth)).unzip();
+        let reference_ticks = tick_rxs.remove(0);
+        let (frame_txs, frame_rxs): (Vec<Sender<Arc<EvalFrame>>>, Vec<_>) =
+            lanes.iter().map(|_| mpsc::channel()).unzip();
+
+        let SimSetup {
+            sim,
+            phases,
+            queries,
+            ..
+        } = setup;
+        let queries: &[RangeQuery] = queries;
+        let record = move || {
+            let started = Instant::now();
+            record_stream(sim, phases, sc, feeds);
+            started.elapsed().as_micros() as u64
+        };
+        let reference = move || {
+            let started = Instant::now();
+            let updates = replay_stream(replay, reference_ticks, sc, frame_txs);
+            (updates, started.elapsed().as_micros() as u64)
+        };
+        let lane_jobs = lanes
+            .iter_mut()
+            .zip(tick_rxs)
+            .zip(frame_rxs)
+            .map(|((lane, ticks), frames)| move || lane.run(ticks, frames, queries, sc));
+
+        let (trace_us, (reference_updates, reference_us)) = match self.parallelism {
+            Parallelism::Sequential => {
+                let trace_us = record();
+                let reference = reference();
+                lane_jobs.for_each(|job| job());
+                (trace_us, reference)
+            }
+            Parallelism::Auto => std::thread::scope(|scope| {
+                let recorder = scope.spawn(record);
+                let reference = scope.spawn(reference);
+                let lanes: Vec<_> = lane_jobs.map(|job| scope.spawn(job)).collect();
+                for lane in lanes {
+                    lane.join().expect("policy lane panicked");
+                }
+                (
+                    recorder.join().expect("trace recorder panicked"),
+                    reference.join().expect("reference replay panicked"),
+                )
+            }),
+        };
+        ptel.on_trace(trace_us);
+        ptel.on_reference(reference_us);
+        reference_updates
     }
 
     /// Runs the scenario for the given policies at the fixed throttle
@@ -844,45 +1044,23 @@ impl SimPipeline {
         let stage = Instant::now();
         let mut setup = SimSetup::build(sc, sc.calibrate_model);
         ptel.on_setup(stage.elapsed().as_micros() as u64);
-        let stage = Instant::now();
-        let trace = setup.record_trace(sc);
-        ptel.on_trace(stage.elapsed().as_micros() as u64);
-        let stage = Instant::now();
-        let reference = self.reference(&trace, &setup, sc);
-        ptel.on_reference(stage.elapsed().as_micros() as u64);
 
         let mut lanes: Vec<PolicyLane> = policies
             .iter()
             .enumerate()
             .map(|(i, &policy)| PolicyLane::new(self, policy, i, &setup, sc, None))
             .collect();
-
         let stage = Instant::now();
-        if self.parallelism == Parallelism::Auto && lanes.len() >= 2 {
-            let (trace, reference, queries) = (&trace, &reference, &setup.queries[..]);
-            std::thread::scope(|scope| {
-                let handles: Vec<_> = lanes
-                    .iter_mut()
-                    .map(|lane| scope.spawn(move || lane.run(trace, reference, queries, sc)))
-                    .collect();
-                for h in handles {
-                    h.join().expect("policy lane panicked");
-                }
-            });
-        } else {
-            for lane in &mut lanes {
-                lane.run(&trace, &reference, &setup.queries, sc);
-            }
-        }
+        let reference_updates = self.stream(&mut setup, sc, &mut lanes, &ptel);
         ptel.on_lanes(stage.elapsed().as_micros() as u64);
 
         RunReport {
-            reference_updates: reference.reference_updates,
+            reference_updates,
             num_queries: setup.queries.len(),
             num_cars: sc.num_cars,
             outcomes: lanes
                 .into_iter()
-                .map(|lane| lane.outcome(reference.reference_updates))
+                .map(|lane| lane.outcome(reference_updates))
                 .collect(),
             pipeline_telemetry: ptel.snapshot(),
         }
@@ -903,10 +1081,186 @@ impl SimPipeline {
         policy: Policy,
     ) -> AdaptiveReport {
         let mut setup = SimSetup::build(sc, false);
-        let trace = setup.record_trace(sc);
-        let reference = self.reference(&trace, &setup, sc);
         let mut lane = PolicyLane::new(self, policy, 0, &setup, sc, Some(cfg));
-        lane.run(&trace, &reference, &setup.queries, sc);
+        self.stream(
+            &mut setup,
+            sc,
+            std::slice::from_mut(&mut lane),
+            &PipelineTelemetry::new(false),
+        );
         lane.adaptive_report(sc)
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use std::panic::{self, AssertUnwindSafe};
+    use std::time::Duration;
+
+    /// Runs `f` on its own thread and returns how it ended; a stage that
+    /// hangs fails the test at the deadline instead of stalling the suite.
+    fn within_deadline<T: Send + 'static>(
+        f: impl FnOnce() -> T + Send + 'static,
+    ) -> std::thread::Result<T> {
+        let (done, ended) = mpsc::channel();
+        let worker = std::thread::spawn(move || {
+            let _ = done.send(panic::catch_unwind(AssertUnwindSafe(f)));
+        });
+        let outcome = ended
+            .recv_timeout(Duration::from_secs(120))
+            .expect("a streamed stage hung past its deadline");
+        worker
+            .join()
+            .expect("the deadline worker reports, not panics");
+        outcome
+    }
+
+    fn panic_message(payload: Box<dyn std::any::Any + Send>) -> String {
+        payload
+            .downcast_ref::<String>()
+            .cloned()
+            .or_else(|| payload.downcast_ref::<&str>().map(|s| s.to_string()))
+            .unwrap_or_default()
+    }
+
+    fn car_bits(c: &CarState) -> [u64; 4] {
+        [c.position.x, c.position.y, c.velocity.0, c.velocity.1].map(f64::to_bits)
+    }
+
+    #[test]
+    fn streamed_ticks_and_frames_match_the_recorded_stages() {
+        let sc = Scenario::small(5);
+        let pipeline = SimPipeline::new();
+        let mut recorded = SimSetup::build(&sc, false);
+        let trace = recorded.record_trace(&sc);
+        let timeline = pipeline.reference(&trace, &recorded, &sc);
+
+        let mut streamed = SimSetup::build(&sc, false);
+        let replay = ReferenceReplay::new(&pipeline, &streamed, &sc);
+        let (to_reference, reference_feed) = mpsc::sync_channel(STREAM_DEPTH);
+        let (to_tap, tap) = mpsc::sync_channel(STREAM_DEPTH);
+        let (to_lane, lane_frames) = mpsc::channel();
+        let SimSetup { sim, phases, .. } = &mut streamed;
+        let (ticks, updates) = std::thread::scope(|scope| {
+            scope.spawn(|| record_stream(sim, phases, &sc, vec![to_reference, to_tap]));
+            let reference =
+                scope.spawn(|| replay_stream(replay, reference_feed, &sc, vec![to_lane]));
+            let ticks: Vec<Tick> = tap.iter().collect();
+            (ticks, reference.join().expect("reference replay"))
+        });
+        let frames: Vec<Arc<EvalFrame>> = lane_frames.iter().collect();
+
+        assert_eq!(updates, timeline.reference_updates);
+        assert_eq!(ticks.len(), trace.ticks() + 1);
+        for (tick, (t, cars)) in ticks.iter().enumerate() {
+            assert_eq!(t.to_bits(), trace.time(tick).to_bits(), "tick {tick} time");
+            assert_eq!(cars.len(), trace.num_cars());
+            for (s, r) in cars.iter().zip(trace.cars(tick)) {
+                assert_eq!(car_bits(s), car_bits(r), "tick {tick} car state");
+            }
+        }
+        assert!(!frames.is_empty());
+        assert_eq!(frames.len(), timeline.frames.len());
+        for (s, r) in frames.iter().zip(&timeline.frames) {
+            assert_eq!(s.tick, r.tick);
+            assert_eq!(s.time.to_bits(), r.time.to_bits());
+            assert_eq!(s.results, r.results, "tick {} results", s.tick);
+            let bits = |p: &[Option<Point>]| -> Vec<_> {
+                p.iter()
+                    .map(|p| p.map(|p| (p.x.to_bits(), p.y.to_bits())))
+                    .collect()
+            };
+            assert_eq!(bits(&s.predictions), bits(&r.predictions));
+        }
+    }
+
+    #[test]
+    fn a_consumer_that_hangs_up_stalls_neither_the_recorder_nor_the_others() {
+        // More ticks than the channel holds, so a recorder that waited on
+        // the consumer that left would block for good.
+        let sc = Scenario::small(6);
+        let total_ticks = measured_ticks(&sc);
+        assert!(total_ticks > 2 * STREAM_DEPTH);
+        let received = within_deadline(move || {
+            let mut setup = SimSetup::build(&sc, false);
+            let (to_quitter, quitter) = mpsc::sync_channel(STREAM_DEPTH);
+            let (to_stayer, stayer) = mpsc::sync_channel(STREAM_DEPTH);
+            let SimSetup { sim, phases, .. } = &mut setup;
+            std::thread::scope(|scope| {
+                let recorder =
+                    scope.spawn(|| record_stream(sim, phases, &sc, vec![to_quitter, to_stayer]));
+                scope.spawn(move || {
+                    for tick in 0..5 {
+                        next_tick(&quitter, tick);
+                    }
+                });
+                let received = stayer.iter().count();
+                recorder
+                    .join()
+                    .expect("the recorder ignores a hung-up feed");
+                received
+            })
+        })
+        .expect("no stage panics");
+        assert_eq!(received, total_ticks + 1);
+    }
+
+    #[test]
+    fn a_feed_that_ends_early_panics_its_consumers() {
+        let sc = Scenario::small(7);
+        let setup = Arc::new(SimSetup::build(&sc, false));
+        let start: Arc<[CarState]> = car_states(&setup.sim).collect();
+        // Five ticks, then the recorder is gone.
+        let short_feed = move || {
+            let (feed, ticks) = mpsc::sync_channel(STREAM_DEPTH);
+            for tick in 0..5 {
+                feed.send((tick as f64, Arc::clone(&start)))
+                    .expect("open feed");
+            }
+            ticks
+        };
+
+        let (reference_sc, reference_setup, ticks) = (sc.clone(), Arc::clone(&setup), short_feed());
+        let reference = within_deadline(move || {
+            let replay = ReferenceReplay::new(&SimPipeline::new(), &reference_setup, &reference_sc);
+            replay_stream(replay, ticks, &reference_sc, Vec::new())
+        });
+        let message = panic_message(reference.expect_err("the reference panics"));
+        assert_eq!(message, "trace feed ended before tick 5");
+
+        let (lane_sc, lane_setup, ticks) = (sc.clone(), Arc::clone(&setup), short_feed());
+        let lane = within_deadline(move || {
+            let mut lane = PolicyLane::new(
+                &SimPipeline::new(),
+                Policy::Lira,
+                0,
+                &lane_setup,
+                &lane_sc,
+                None,
+            );
+            let (_, frames) = mpsc::channel();
+            lane.run(ticks, frames, &lane_setup.queries, &lane_sc);
+        });
+        let message = panic_message(lane.expect_err("the lane panics"));
+        assert_eq!(message, "trace feed ended before tick 5");
+
+        // A whole trace but no reference: the lane stops at its first
+        // evaluation round.
+        let first_eval = ticks_per(sc.eval_period_s, &sc);
+        let lane = within_deadline(move || {
+            let mut setup = SimSetup::build(&sc, false);
+            let mut lane = PolicyLane::new(&SimPipeline::new(), Policy::Lira, 0, &setup, &sc, None);
+            let (feed, ticks) = mpsc::sync_channel(measured_ticks(&sc) + 1);
+            let SimSetup { sim, phases, .. } = &mut setup;
+            record_stream(sim, phases, &sc, vec![feed]);
+            let (_, frames) = mpsc::channel();
+            lane.run(ticks, frames, &setup.queries, &sc);
+        });
+        let message = panic_message(lane.expect_err("the lane panics"));
+        assert_eq!(
+            message,
+            format!("reference feed ended before tick {first_eval}")
+        );
     }
 }

@@ -4,8 +4,8 @@
 //! the accuracy metrics of Section 4.1 accumulated at every evaluation
 //! round.
 //!
-//! The actual staging (trace recording, reference replay, per-policy
-//! lanes on scoped threads) lives in [`crate::pipeline`] and the policy
+//! The actual staging (the streamed recorder, reference replay and
+//! per-policy lanes) lives in [`crate::pipeline`] and the policy
 //! roster in [`lira_core::policy`]; this module holds the report types.
 
 use lira_core::policy::Policy;
@@ -68,8 +68,8 @@ pub struct RunReport {
     pub num_cars: usize,
     /// Per-policy outcomes, in the order requested.
     pub outcomes: Vec<PolicyOutcome>,
-    /// Stage wall-time telemetry for the whole pipeline run (setup,
-    /// trace, reference replay, lanes).
+    /// Stage wall-time telemetry for the whole pipeline run (setup, then
+    /// the streamed stage with its recorder and reference replay).
     pub pipeline_telemetry: lira_core::telemetry::TelemetrySnapshot,
 }
 

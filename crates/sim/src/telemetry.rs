@@ -288,8 +288,9 @@ impl LaneTelemetry {
     }
 }
 
-/// Wall-time accounting for the four pipeline stages (setup → trace →
-/// reference → lanes). One sample per stage per run.
+/// Wall-time accounting for the pipeline: setup, then the streamed stage
+/// and the recorder and reference replay inside it. One sample per key
+/// per run; the last three overlap, so they do not sum to the job.
 pub struct PipelineTelemetry {
     registry: Telemetry,
     setup_us: Arc<Histogram>,
@@ -316,17 +317,19 @@ impl PipelineTelemetry {
         self.setup_us.record(us);
     }
 
-    /// Records the trace-recording stage's wall time.
+    /// Records the recorder's wall time, time blocked on a full channel
+    /// included.
     pub fn on_trace(&self, us: u64) {
         self.trace_us.record(us);
     }
 
-    /// Records the reference-replay stage's wall time.
+    /// Records the reference replay's wall time.
     pub fn on_reference(&self, us: u64) {
         self.reference_us.record(us);
     }
 
-    /// Records the policy-lane stage's wall time (all lanes).
+    /// Records the wall time of the whole streamed stage (recorder,
+    /// reference replay and every lane).
     pub fn on_lanes(&self, us: u64) {
         self.lanes_us.record(us);
     }

@@ -317,10 +317,30 @@ impl Scenario {
         )
     }
 
-    /// Validates the catalog-facing extensions (phases, fleet, dead
-    /// zones). The base parameters are covered by
+    /// Validates the run's timing (every period finite and positive, the
+    /// warmup finite and non-negative — a run that would never end or
+    /// never measure is refused) and the catalog-facing extensions
+    /// (phases, fleet, dead zones). The base parameters are covered by
     /// [`LiraConfig::validate`] via [`Self::lira_config`].
     pub fn validate(&self) -> Result<()> {
+        for (name, value) in [
+            ("dt", self.dt),
+            ("duration_s", self.duration_s),
+            ("eval_period_s", self.eval_period_s),
+            ("adapt_period_s", self.adapt_period_s),
+        ] {
+            if !(value.is_finite() && value > 0.0) {
+                return Err(LiraError::InvalidConfig(format!(
+                    "{name} must be finite and positive, got {value}"
+                )));
+            }
+        }
+        if !(self.warmup_s.is_finite() && self.warmup_s >= 0.0) {
+            return Err(LiraError::InvalidConfig(format!(
+                "warmup_s must be finite and non-negative, got {}",
+                self.warmup_s
+            )));
+        }
         if let Some(first) = self.phases.first() {
             if first.start_s != 0.0 {
                 return Err(LiraError::InvalidConfig(format!(
@@ -522,6 +542,32 @@ mod tests {
             delta_cap: 20.0,
         }];
         assert!(sc.validate().is_ok());
+    }
+
+    #[test]
+    fn validate_rejects_degenerate_timing() {
+        let bad = [f64::INFINITY, f64::NAN, -5.0, 0.0];
+        let periods: [fn(&mut Scenario) -> &mut f64; 4] = [
+            |sc| &mut sc.dt,
+            |sc| &mut sc.duration_s,
+            |sc| &mut sc.eval_period_s,
+            |sc| &mut sc.adapt_period_s,
+        ];
+        for field in periods {
+            for value in bad {
+                let mut sc = Scenario::small(1);
+                *field(&mut sc) = value;
+                assert!(sc.validate().is_err(), "period {value} accepted");
+            }
+        }
+        for value in [f64::INFINITY, f64::NAN, -1.0] {
+            let mut sc = Scenario::small(1);
+            sc.warmup_s = value;
+            assert!(sc.validate().is_err(), "warmup {value} accepted");
+        }
+        let mut sc = Scenario::small(1);
+        sc.warmup_s = 0.0;
+        assert!(sc.validate().is_ok(), "no warmup is a valid run");
     }
 
     #[test]

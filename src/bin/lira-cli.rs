@@ -133,6 +133,7 @@ impl Options {
         }
         sc.lira_config()
             .validate()
+            .and_then(|()| sc.validate())
             .map_err(|e| format!("invalid configuration: {e}"))?;
         Ok(Options {
             scenario: sc,
@@ -285,4 +286,28 @@ fn cmd_plan(opts: &Options) -> ExitCode {
         );
     }
     ExitCode::SUCCESS
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    fn parse_args(args: &[&str]) -> std::result::Result<Options, String> {
+        Options::parse(&args.iter().map(|a| a.to_string()).collect::<Vec<_>>())
+    }
+
+    #[test]
+    fn degenerate_durations_are_invalid_configurations() {
+        // `inf` used to run until killed; the others printed an all-zero
+        // policy table and exited 0.
+        for duration in ["inf", "nan", "-5", "0"] {
+            let err =
+                parse_args(&["--scale", "small", "--duration", duration]).expect_err(duration);
+            assert!(
+                err.starts_with("invalid configuration: "),
+                "--duration {duration}: {err}"
+            );
+        }
+        assert!(parse_args(&["--scale", "small", "--duration", "60"]).is_ok());
+    }
 }

@@ -217,6 +217,61 @@ fn parallel_lanes_are_bit_identical_to_sequential() {
     }
 }
 
+#[test]
+fn run_adaptive_parallel_is_bit_identical_to_sequential() {
+    // The same contract for the closed loop, whose one lane streams
+    // alongside the recorder and the reference under `Auto`: an
+    // overloaded run (z < 1, tail drops) over a stormy uplink, so every
+    // book the report keeps is non-trivial.
+    let sc = adaptive_golden_scenario(true);
+    let cfg = AdaptiveConfig {
+        service_rate: 25.0,
+        queue_capacity: 200,
+        control_period_s: 20.0,
+    };
+    let parallel = SimPipeline::new().run_adaptive(&sc, &cfg, Policy::Lira);
+    let sequential = SimPipeline::new()
+        .with_parallelism(Parallelism::Sequential)
+        .run_adaptive(&sc, &cfg, Policy::Lira);
+
+    let timeline = |r: &AdaptiveReport| -> Vec<_> {
+        r.windows
+            .iter()
+            .map(|w| {
+                (
+                    w.time.to_bits(),
+                    w.arrival_rate.to_bits(),
+                    w.throttle.to_bits(),
+                    w.queue_len,
+                    w.dropped,
+                )
+            })
+            .collect()
+    };
+    let metrics = |r: &AdaptiveReport| {
+        let m = &r.metrics;
+        [
+            m.mean_containment,
+            m.mean_position,
+            m.stddev_containment,
+            m.cov_containment,
+        ]
+        .map(f64::to_bits)
+    };
+    assert!(parallel.drop_fraction > 0.0, "the run must shed");
+    assert_eq!(timeline(&parallel), timeline(&sequential));
+    assert_eq!(
+        parallel.final_throttle.to_bits(),
+        sequential.final_throttle.to_bits()
+    );
+    assert_eq!(
+        parallel.drop_fraction.to_bits(),
+        sequential.drop_fraction.to_bits()
+    );
+    assert_eq!(metrics(&parallel), metrics(&sequential));
+    assert_eq!(parallel.faults, sequential.faults);
+}
+
 /// `SimPipeline::new().run(&Scenario::small(31) @ 90 s, &Policy::ALL)`,
 /// per policy: `updates_sent`, `updates_processed`, `plan_regions`, then
 /// the bits of E^C_rr, E^P_rr, D^C_ev, C^C_ov and the processed fraction.
