@@ -160,6 +160,23 @@ impl Histogram {
         let _ = v;
     }
 
+    /// Records `n` samples of the value `v` at once: the snapshot is
+    /// identical to `n` calls of [`Self::record`] (`sum` grows by `v·n`,
+    /// wrapping), at the cost of one. `n = 0` records nothing.
+    #[inline]
+    pub fn record_n(&self, v: u64, n: u64) {
+        #[cfg(not(feature = "telemetry-off"))]
+        if self.active && n > 0 {
+            self.count.fetch_add(n, Ordering::Relaxed);
+            self.sum.fetch_add(v.wrapping_mul(n), Ordering::Relaxed);
+            self.min.fetch_min(v, Ordering::Relaxed);
+            self.max.fetch_max(v, Ordering::Relaxed);
+            self.buckets[bucket_index(v)].fetch_add(n, Ordering::Relaxed);
+        }
+        #[cfg(feature = "telemetry-off")]
+        let _ = (v, n);
+    }
+
     /// Number of recorded samples.
     pub fn count(&self) -> u64 {
         self.count.load(Ordering::Relaxed)
@@ -280,6 +297,61 @@ mod tests {
         assert_eq!(buckets[7], 1); // 100
     }
 
+    /// Everything a snapshot reads off a histogram.
+    fn aggregates(h: &Histogram) -> (u64, u64, Option<u64>, Option<u64>, [u64; HISTOGRAM_BUCKETS]) {
+        (h.count(), h.sum(), h.min(), h.max(), h.bucket_counts())
+    }
+
+    #[cfg(not(feature = "telemetry-off"))]
+    #[test]
+    fn record_n_matches_n_single_records() {
+        // (v, n) runs, interleaved with single records: a zero run, a
+        // zero value, and a run whose v·n wraps the sum.
+        let runs = [
+            (7u64, 3u64),
+            (0, 4),
+            (5, 0),
+            (u64::MAX, 3),
+            (1, 1),
+            (300, 2),
+        ];
+        let (batched, single) = (Histogram::new(true), Histogram::new(true));
+        for (i, &(v, n)) in runs.iter().enumerate() {
+            batched.record_n(v, n);
+            for _ in 0..n {
+                single.record(v);
+            }
+            batched.record(i as u64);
+            single.record(i as u64);
+            assert_eq!(aggregates(&batched), aggregates(&single), "after run {i}");
+        }
+        assert_eq!(batched.count(), 19);
+        assert_eq!(
+            batched.sum(),
+            634,
+            "7·3 + 1 + 300·2 + Σ0..6, less 3 for u64::MAX·3"
+        );
+    }
+
+    #[test]
+    fn record_n_of_nothing_leaves_a_histogram_empty() {
+        let h = Histogram::new(true);
+        h.record_n(9, 0);
+        assert_eq!(aggregates(&h), aggregates(&Histogram::new(true)));
+        assert_eq!((h.min(), h.max()), (None, None));
+    }
+
+    /// With the feature on, a live histogram records nothing either way.
+    #[cfg(feature = "telemetry-off")]
+    #[test]
+    fn record_n_is_compiled_out() {
+        let h = Histogram::new(true);
+        h.record_n(9, 4);
+        h.record(9);
+        assert_eq!(h.count(), 0);
+        assert_eq!(h.bucket_counts(), [0; HISTOGRAM_BUCKETS]);
+    }
+
     #[cfg(not(feature = "telemetry-off"))]
     #[test]
     fn gauge_ignores_non_finite() {
@@ -297,6 +369,7 @@ mod tests {
         assert_eq!(c.get(), 0);
         let h = Histogram::new(false);
         h.record(7);
+        h.record_n(7, 3);
         assert_eq!(h.count(), 0);
         let g = Gauge::new(false);
         g.set(1.0);

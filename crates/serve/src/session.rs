@@ -115,12 +115,24 @@ impl ServeConfig {
     }
 
     /// Says why no session can run under this configuration: no shard
-    /// or slice to route to, a service rate THROTLOOP cannot divide by,
-    /// or anything [`Self::shedding_policy`] refuses. The binary checks
-    /// before it binds; [`SessionCore::new`] panics on a refusal.
+    /// or slice to route to, a queue capacity `B` the session would not
+    /// honour as given (fewer slots than shards, fewer than THROTLOOP's
+    /// two, or more than `Welcome` can advertise), a service rate
+    /// THROTLOOP cannot divide by, or anything [`Self::shedding_policy`]
+    /// refuses. The binary checks before it binds; [`SessionCore::new`]
+    /// panics on a refusal.
     pub fn validate(&self) -> Result<(), String> {
         if self.shards < 1 || self.slices < 1 {
             return Err("shards and slices must each be at least 1".into());
+        }
+        let least = self.shards.max(2);
+        if self.queue_capacity < least || self.queue_capacity > u32::MAX as usize {
+            return Err(format!(
+                "queue capacity must be between {least} (one slot per shard, two for THROTLOOP) \
+                 and {} (the Welcome frame's u32), got {}",
+                u32::MAX,
+                self.queue_capacity
+            ));
         }
         if !(self.service_rate.is_finite() && self.service_rate > 0.0) {
             return Err(format!(
@@ -300,7 +312,8 @@ impl SessionCore {
         cfg.validate().expect("valid serve config");
         let policy = cfg.shedding_policy().expect("validated above");
         let lira = cfg.lira_config();
-        let per_shard = (cfg.queue_capacity / cfg.shards).max(1);
+        // `B` split evenly; `validate` guarantees every shard a slot.
+        let per_shard = cfg.queue_capacity / cfg.shards;
         let server = CqServer::new(cfg.bounds, cfg.num_nodes, cfg.index_side)
             .with_engine(EvalEngine::Unified { shards: cfg.shards });
         let mut grid = StatsGrid::new(lira.alpha, cfg.bounds).expect("alpha/bounds validated");
@@ -310,7 +323,7 @@ impl SessionCore {
             queues: (0..cfg.shards)
                 .map(|_| UpdateQueue::new(per_shard))
                 .collect(),
-            throt: ThrotLoop::new(cfg.queue_capacity.max(2)).expect("capacity ≥ 2"),
+            throt: ThrotLoop::new(cfg.queue_capacity).expect("validated above"),
             grid,
             policy,
             plan: SheddingPlan::uniform(cfg.bounds, cfg.delta_min),
@@ -452,20 +465,20 @@ impl SessionCore {
                         .push(self.reject(conn, protocol::ERR_INVALID, why));
                     return out;
                 }
+                let sent = updates.len() as u64;
                 self.batches_rx += 1;
-                self.updates_rx += updates.len() as u64;
-                self.tel.rx_updates.add(updates.len() as u64);
-                self.tel.batch_updates.record(updates.len() as u64);
+                self.updates_rx += sent;
+                self.tel.rx_updates.add(sent);
+                self.tel.batch_updates.record(sent);
                 let wall = self.wall();
+                let mut admitted = 0u64;
                 for u in updates {
                     let shard = self.table.shard_of(u.id);
-                    if self.queues[shard].offer_at(wall, Pending { u, t }) {
-                        self.updates_admitted += 1;
-                        self.tel.queue_admitted.incr();
-                    } else {
-                        self.tel.queue_dropped.incr();
-                    }
+                    admitted += u64::from(self.queues[shard].offer_at(wall, Pending { u, t }));
                 }
+                self.updates_admitted += admitted;
+                self.tel.queue_admitted.add(admitted);
+                self.tel.queue_dropped.add(sent - admitted);
             }
             Frame::EvalReq { t } => {
                 // A non-finite `t` would place every node at a NaN
@@ -636,22 +649,30 @@ impl SessionCore {
     /// shard, so per-node update order is preserved — and updates of
     /// distinct nodes commute in the engine, making the drain order
     /// equivalent to arrival order.
+    ///
+    /// The updates are ingested in place, straight out of the queue's
+    /// buffer. Telemetry is charged per run, not per update: the wall
+    /// clock is read once per drain and a `Batch`'s updates share one
+    /// offer time, so equal waits come in runs, each recorded once.
     fn drain(&mut self) {
         let wall = self.wall();
-        for qi in 0..self.queues.len() {
-            let n = self.queues[qi].len();
-            if n == 0 {
-                continue;
-            }
-            for (offered, p) in self.queues[qi].service_at(n) {
+        for queue in &mut self.queues {
+            let n = queue.len();
+            self.observed_since_adapt += n as u64;
+            let (mut wait_us, mut run) = (0, 0);
+            for (offered, p) in queue.service_at(n) {
                 let origin = Point::new(p.u.x, p.u.y);
                 let speed = (p.u.vx * p.u.vx + p.u.vy * p.u.vy).sqrt();
                 self.server.ingest(p.u.id, p.t, origin, (p.u.vx, p.u.vy));
                 self.grid.observe_node(&origin, speed, 1.0);
-                self.observed_since_adapt += 1;
-                let wait_us = ((wall - offered).max(0.0) * 1e6) as u64;
-                self.tel.queue_wait_us.record(wait_us);
+                let wait = ((wall - offered).max(0.0) * 1e6) as u64;
+                if wait != wait_us {
+                    self.tel.queue_wait_us.record_n(wait_us, run);
+                    (wait_us, run) = (wait, 0);
+                }
+                run += 1;
             }
+            self.tel.queue_wait_us.record_n(wait_us, run);
         }
     }
 
@@ -804,6 +825,23 @@ mod tests {
         refused(|c| c.service_rate = -5.0, "service rate");
         refused(|c| c.service_rate = f64::NAN, "service rate");
         refused(|c| c.service_rate = f64::INFINITY, "service rate");
+        // A `B` the session would not honour as advertised: fewer slots
+        // than shards, fewer than THROTLOOP's two, or more than a u32.
+        refused(|c| c.queue_capacity = 0, "queue capacity");
+        refused(|c| c.queue_capacity = c.shards - 1, "one slot per shard");
+        refused(
+            |c| (c.shards, c.queue_capacity) = (1, 1),
+            "two for THROTLOOP",
+        );
+        refused(|c| c.queue_capacity = u32::MAX as usize + 1, "u32");
+        let edge = |shards, queue_capacity| ServeConfig {
+            shards,
+            queue_capacity,
+            ..base()
+        };
+        assert_eq!(edge(1, 2).validate(), Ok(()));
+        assert_eq!(edge(8, 8).validate(), Ok(()));
+        assert_eq!(edge(4, u32::MAX as usize).validate(), Ok(()));
         // What `shedding_policy` already refused is refused here too.
         refused(|c| c.policy = Policy::RandomDrop, "sheds at the server");
         refused(|c| c.num_regions = 251, "l mod 3");
@@ -984,6 +1022,45 @@ mod tests {
             Some(500 - 64)
         );
         assert_eq!(parsed.get("updates_admitted").unwrap().as_u64(), Some(64));
+    }
+
+    /// The batched telemetry charges (one `Counter::add` per frame, one
+    /// `record_n` per run of equal waits) count what the report counts.
+    #[test]
+    fn queue_telemetry_agrees_with_the_report_under_overload() {
+        let mut s = tiny(); // capacity 64 over 2 shards = 32 each
+        let conn = s.open_conn();
+        s.handle(conn, Frame::Hello { flags: 0 });
+        let batch = |r: u32| Frame::Batch {
+            t: r as f64,
+            updates: (0..45)
+                .map(|i| upd((i * 7 + r) % 100, 20.0 * i as f64, 500.0))
+                .collect(),
+        };
+        for r in 0..6 {
+            // 90 arrivals per drain into 64 slots: the tails drop.
+            s.handle(conn, batch(r));
+            s.handle(conn, batch(r + 10));
+            let t = r as f64;
+            let drain = if r % 2 == 0 {
+                Frame::WindowClose { t, window_s: 1.0 }
+            } else {
+                Frame::EvalReq { t }
+            };
+            s.handle(conn, drain);
+        }
+        let report = Json::parse(&s.deterministic_json()).unwrap();
+        let field = |k: &str| report.get(k).unwrap().as_u64().unwrap();
+        let (admitted, dropped) = (field("updates_admitted"), field("updates_dropped"));
+        assert!(dropped > 0, "the queues must overflow");
+        assert_eq!(admitted + dropped, field("updates_rx"));
+        let snap = s.telemetry_snapshot();
+        assert_eq!(snap.counter("serve.queue.admitted"), Some(admitted));
+        assert_eq!(snap.counter("serve.queue.dropped"), Some(dropped));
+        let drained: u64 = s.queues.iter().map(|q| q.serviced()).sum();
+        assert_eq!(drained, admitted, "every admitted update was drained");
+        let waits = snap.histogram("serve.queue.wait_us").unwrap();
+        assert_eq!(waits.count, drained);
     }
 
     #[test]

@@ -78,21 +78,21 @@ impl<T> UpdateQueue<T> {
 
     /// Dequeues up to `n` updates for processing (FIFO order).
     pub fn service(&mut self, n: usize) -> Vec<T> {
-        self.service_at(n)
-            .into_iter()
-            .map(|(_, item)| item)
-            .collect()
+        self.service_at(n).map(|(_, item)| item).collect()
     }
 
-    /// Dequeues up to `n` updates with their arrival timestamps (the
-    /// value passed to [`Self::offer_at`]; NaN for untimed offers). The
-    /// caller computes queueing latency as `now − arrived_at`.
-    pub fn service_at(&mut self, n: usize) -> Vec<(f64, T)> {
+    /// Dequeues the first `min(n, len)` updates with their arrival
+    /// timestamps (the value passed to [`Self::offer_at`]; NaN for
+    /// untimed offers), in FIFO order and in place: the iterator lends
+    /// them out of the queue's own buffer, so a drain copies nothing.
+    /// The service counters are charged here, and dropping the iterator
+    /// early still dequeues all of them. The caller computes queueing
+    /// latency as `now − arrived_at`.
+    pub fn service_at(&mut self, n: usize) -> std::collections::vec_deque::Drain<'_, (f64, T)> {
         let take = n.min(self.items.len());
-        let out: Vec<(f64, T)> = self.items.drain(..take).collect();
-        self.serviced += out.len() as u64;
-        self.window_serviced += out.len() as u64;
-        out
+        self.serviced += take as u64;
+        self.window_serviced += take as u64;
+        self.items.drain(..take)
     }
 
     /// Lifetime arrivals.
@@ -285,7 +285,7 @@ mod tests {
             "c", // untimed: arrival timestamp is NaN
         );
         let now = 12.5;
-        let served = q.service_at(3);
+        let served: Vec<_> = q.service_at(3).collect();
         let latencies: Vec<f64> = served.iter().map(|(t, _)| now - t).collect();
         assert_eq!(served[0].1, "a");
         assert!((latencies[0] - 2.5).abs() < 1e-12);
@@ -293,6 +293,38 @@ mod tests {
         assert!(latencies[2].is_nan(), "untimed offers carry no latency");
         // Mixed-API use keeps the counters coherent.
         assert_eq!((q.arrived(), q.serviced(), q.dropped()), (3, 3, 0));
+    }
+
+    #[test]
+    fn service_at_lends_a_fifo_prefix_and_charges_at_the_call() {
+        let mut q = UpdateQueue::new(8);
+        for i in 0..3 {
+            q.offer_at(i as f64, i);
+        }
+        let first: Vec<_> = q.service_at(2).collect();
+        assert_eq!(first, vec![(0.0, 0), (1.0, 1)]);
+        for i in 3..6 {
+            q.offer_at(i as f64, i);
+        }
+        // Asking for more than is queued takes what is there, in order.
+        let ids: Vec<i32> = q.service_at(100).map(|(_, i)| i).collect();
+        assert_eq!(ids, vec![2, 3, 4, 5]);
+        assert!(q.is_empty());
+
+        for i in 6..10 {
+            q.offer_at(i as f64, i);
+        }
+        // A half-consumed iterator still dequeues and charges all three...
+        let mut lent = q.service_at(3);
+        assert_eq!(lent.next(), Some((6.0, 6)));
+        drop(lent);
+        assert_eq!((q.serviced(), q.len()), (9, 1));
+        // ...and one never consumed at all still takes `min(n, len)`.
+        drop(q.service_at(5));
+        assert_eq!((q.serviced(), q.len(), q.arrived()), (10, 0, 10));
+        // The window counts arrivals, however they were drained.
+        let obs = q.window_observation(2.0, 4.0);
+        assert_eq!((obs.arrival_rate, obs.service_rate), (5.0, 4.0));
     }
 
     #[test]

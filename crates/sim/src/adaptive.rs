@@ -129,7 +129,7 @@ impl ClosedLoop {
     /// The updates the server gets to at its fixed capacity this tick,
     /// each with its queue-entry time.
     pub(crate) fn service(&mut self, now: f64) -> Vec<(f64, Queued)> {
-        let due = self.queue.service_at(self.service_per_tick);
+        let due: Vec<_> = self.queue.service_at(self.service_per_tick).collect();
         for (arrived_at, _) in &due {
             self.tel.on_serviced(now - arrived_at);
         }
