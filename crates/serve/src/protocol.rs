@@ -142,7 +142,8 @@ pub enum Frame {
         /// The updates, in send order.
         updates: Vec<WireUpdate>,
     },
-    /// Drain the input queues and evaluate all queries at sim-time `t`.
+    /// Drain the input queues' books and evaluate all queries at
+    /// sim-time `t`.
     EvalReq {
         /// Evaluation timestamp.
         t: f64,
@@ -179,7 +180,8 @@ pub enum Frame {
         lambda: f64,
         /// Provisioned service rate µ (updates/s).
         mu: f64,
-        /// Queue depth after the pre-observation drain (updates).
+        /// Updates admitted since the last drain point: the input
+        /// queues' depth when the `WindowClose` arrived.
         depth: u64,
         /// Total updates dropped at the queues since session start.
         dropped: u64,

@@ -1,8 +1,9 @@
 //! The transport-agnostic session core: everything `lira-serve` does
 //! *between* the socket and the engine. One [`SessionCore`] owns the CQ
-//! server, the slice-routing table, the per-shard bounded input queues,
-//! the THROTLOOP controller, the statistics grid and the LIRA shedder —
-//! and turns incoming [`Frame`]s into reply/broadcast frames.
+//! server, the slice-routing table, the per-shard bounded input queues
+//! (admission ledgers: the engine ingests an update when it is
+//! admitted), the THROTLOOP controller, the statistics grid and the LIRA
+//! shedder — and turns incoming [`Frame`]s into reply/broadcast frames.
 //!
 //! Splitting the core from the socket loop is what makes the acceptance
 //! criterion *testable*: the TCP transport and the in-process transport
@@ -266,19 +267,15 @@ pub struct Output {
     pub broadcast: Vec<Frame>,
 }
 
-/// One queued update: the wire record plus the sim-time of its batch.
-#[derive(Debug, Clone, Copy)]
-struct Pending {
-    u: WireUpdate,
-    t: f64,
-}
-
 /// The session core. See the module docs for the determinism contract.
 pub struct SessionCore {
     cfg: ServeConfig,
     server: CqServer,
     table: SliceTable,
-    queues: Vec<UpdateQueue<Pending>>,
+    /// The per-shard admission ledgers: capacity, tail drop, depth, λ and
+    /// wait. An admitted update is already in the engine; its slot only
+    /// holds the wall time it was admitted at.
+    queues: Vec<UpdateQueue<()>>,
     throt: ThrotLoop,
     grid: StatsGrid,
     policy: Box<dyn SheddingPolicy>,
@@ -434,6 +431,25 @@ impl SessionCore {
                 });
             }
             Frame::Register { queries } => {
+                // A query must be finite with `min ≤ max` on both axes
+                // (zero width is legal): a NaN or inverted rectangle
+                // matches nothing and trips `Rect::new`'s debug
+                // assertion, and none of them may reach the engine's
+                // index or `StatsGrid::observe_query`. The frame is
+                // accepted or refused whole.
+                let bad = queries.iter().find(|q| {
+                    let corners = [q.min_x, q.min_y, q.max_x, q.max_y];
+                    !corners.iter().all(|v| v.is_finite()) || q.min_x > q.max_x || q.min_y > q.max_y
+                });
+                if let Some(q) = bad {
+                    let why = format!(
+                        "query {}: corners must be finite with min ≤ max, got ({}, {})–({}, {})",
+                        q.id, q.min_x, q.min_y, q.max_x, q.max_y
+                    );
+                    out.replies
+                        .push(self.reject(conn, protocol::ERR_INVALID, why));
+                    return out;
+                }
                 self.queries = queries.iter().map(|q| q.to_query()).collect();
                 self.server.replace_queries(self.queries.iter().copied());
                 out.replies.push(Frame::Ack { of: kind::REGISTER });
@@ -470,11 +486,20 @@ impl SessionCore {
                 self.updates_rx += sent;
                 self.tel.rx_updates.add(sent);
                 self.tel.batch_updates.record(sent);
+                // Ingest on admission: the shard's ledger decides, and an
+                // admitted update goes straight into the engine and the
+                // stats grid, in arrival order.
                 let wall = self.wall();
                 let mut admitted = 0u64;
                 for u in updates {
                     let shard = self.table.shard_of(u.id);
-                    admitted += u64::from(self.queues[shard].offer_at(wall, Pending { u, t }));
+                    if self.queues[shard].offer_at(wall, ()) {
+                        let origin = Point::new(u.x, u.y);
+                        let speed = (u.vx * u.vx + u.vy * u.vy).sqrt();
+                        self.server.ingest(u.id, t, origin, (u.vx, u.vy));
+                        self.grid.observe_node(&origin, speed, 1.0);
+                        admitted += 1;
+                    }
                 }
                 self.updates_admitted += admitted;
                 self.tel.queue_admitted.add(admitted);
@@ -644,27 +669,22 @@ impl SessionCore {
         self.queues.iter().map(|q| q.dropped()).sum()
     }
 
-    /// Drains every shard queue into the engine, in shard order. Within a
-    /// shard the queue is FIFO and a node always routes to the same
-    /// shard, so per-node update order is preserved — and updates of
-    /// distinct nodes commute in the engine, making the drain order
-    /// equivalent to arrival order.
+    /// Services every shard ledger: the books only, since `Batch`
+    /// already put each admitted update into the engine and the stats
+    /// grid. Called at the drain points (`EvalReq`, `WindowClose`,
+    /// `ReportReq`), which empty the ledgers so that `WindowAck.depth` is
+    /// the count admitted since the previous drain point.
     ///
-    /// The updates are ingested in place, straight out of the queue's
-    /// buffer. Telemetry is charged per run, not per update: the wall
-    /// clock is read once per drain and a `Batch`'s updates share one
-    /// offer time, so equal waits come in runs, each recorded once.
+    /// Telemetry is charged per run, not per update: the wall clock is
+    /// read once per drain and a `Batch`'s updates share one offer time,
+    /// so equal waits come in runs, each recorded once.
     fn drain(&mut self) {
         let wall = self.wall();
         for queue in &mut self.queues {
             let n = queue.len();
             self.observed_since_adapt += n as u64;
             let (mut wait_us, mut run) = (0, 0);
-            for (offered, p) in queue.service_at(n) {
-                let origin = Point::new(p.u.x, p.u.y);
-                let speed = (p.u.vx * p.u.vx + p.u.vy * p.u.vy).sqrt();
-                self.server.ingest(p.u.id, p.t, origin, (p.u.vx, p.u.vy));
-                self.grid.observe_node(&origin, speed, 1.0);
+            for (offered, ()) in queue.service_at(n) {
                 let wait = ((wall - offered).max(0.0) * 1e6) as u64;
                 if wait != wait_us {
                     self.tel.queue_wait_us.record_n(wait_us, run);
@@ -1161,6 +1181,167 @@ mod tests {
                 });
             }
         }
+    }
+
+    fn wire_query(id: u32, min: (f64, f64), max: (f64, f64)) -> crate::protocol::WireQuery {
+        crate::protocol::WireQuery {
+            id,
+            min_x: min.0,
+            min_y: min.1,
+            max_x: max.0,
+            max_y: max.1,
+        }
+    }
+
+    #[test]
+    fn register_with_an_impossible_rectangle_is_rejected_whole() {
+        let good = wire_query(0, (0.0, 0.0), (500.0, 500.0));
+        let (nan, inf) = (f64::NAN, f64::INFINITY);
+        let bad = [
+            wire_query(1, (nan, 0.0), (10.0, 10.0)),
+            wire_query(1, (0.0, 0.0), (10.0, nan)),
+            wire_query(1, (20.0, 0.0), (10.0, 10.0)),
+            wire_query(1, (0.0, 20.0), (10.0, 10.0)),
+            wire_query(1, (-inf, 0.0), (10.0, 10.0)),
+            wire_query(1, (0.0, 0.0), (10.0, inf)),
+            wire_query(1, (-inf, -inf), (inf, inf)),
+        ];
+        let register = |queries| Frame::Register { queries };
+        for q in bad {
+            let mut s = tiny();
+            let conn = s.open_conn();
+            s.handle(conn, Frame::Hello { flags: 0 });
+            s.handle(conn, register(vec![good]));
+            let updates = vec![upd(1, 100.0, 100.0), upd(2, 900.0, 900.0)];
+            s.handle(conn, Frame::Batch { t: 0.0, updates });
+
+            let out = s.handle(conn, register(vec![good, q]));
+            let [Frame::Error { code, .. }] = &out.replies[..] else {
+                panic!("{q:?}: expected one Error reply, got {:?}", out.replies);
+            };
+            assert_eq!(*code, protocol::ERR_INVALID);
+            assert_eq!(s.conns[conn as usize].errors, 1);
+            assert_eq!(s.server.queries(), &[good.to_query()], "{q:?}");
+            // The session still serves the good query alone.
+            s.handle(conn, Frame::EvalReq { t: 0.0 });
+            let members: Vec<Vec<u32>> = s.results_buf.iter().map(|r| r.nodes.clone()).collect();
+            assert_eq!(members, vec![vec![1]], "{q:?}");
+            let report = Json::parse(&s.deterministic_json()).unwrap();
+            let field = |k: &str| report.get(k).unwrap().as_u64().unwrap();
+            assert_eq!(field("registered_queries"), 1);
+            assert_eq!(field("protocol_errors"), 1);
+        }
+
+        // Zero width and zero height stay legal: a point and a segment,
+        // registered and evaluated, though under the half-open
+        // convention they contain no position.
+        let mut s = tiny();
+        let conn = s.open_conn();
+        s.handle(conn, Frame::Hello { flags: 0 });
+        let queries = vec![
+            wire_query(0, (100.0, 100.0), (100.0, 100.0)),
+            wire_query(1, (0.0, 900.0), (1000.0, 900.0)),
+        ];
+        let out = s.handle(conn, register(queries));
+        assert_eq!(out.replies, vec![Frame::Ack { of: kind::REGISTER }]);
+        let updates = vec![upd(1, 100.0, 100.0), upd(2, 900.0, 900.0)];
+        s.handle(conn, Frame::Batch { t: 0.0, updates });
+        let out = s.handle(conn, Frame::EvalReq { t: 0.0 });
+        assert!(matches!(out.replies[0], Frame::EvalRes { results: 2, .. }));
+        assert_eq!(s.protocol_errors(), 0);
+    }
+
+    /// The evaluation digest after `script`, run against a fresh session
+    /// at `shards`.
+    fn digest_after(shards: usize, script: &[Frame]) -> u64 {
+        let mut cfg = ServeConfig::new(1000.0, 100);
+        cfg.shards = shards;
+        cfg.slices = 8;
+        cfg.queue_capacity = 1024;
+        let mut s = SessionCore::new(cfg);
+        let conn = s.open_conn();
+        s.handle(conn, Frame::Hello { flags: 0 });
+        for frame in script {
+            let out = s.handle(conn, frame.clone());
+            assert!(
+                !matches!(out.replies.first(), Some(Frame::Error { .. })),
+                "{:?}",
+                out.replies
+            );
+        }
+        assert_eq!(s.protocol_errors(), 0);
+        s.digest
+    }
+
+    /// Ingest on admission puts a `Batch` into the engine before a
+    /// `Register` that follows it, where the drain used to put it after:
+    /// the two commute, so either order gives the same digest.
+    #[test]
+    fn ingest_and_register_commute() {
+        let register = |side: f64| Frame::Register {
+            queries: vec![
+                wire_query(0, (0.0, 0.0), (side, side)),
+                wire_query(1, (side, 0.0), (1000.0, side)),
+                wire_query(2, (250.0, 250.0), (750.0, 750.0)),
+            ],
+        };
+        let batch = |t: f64| Frame::Batch {
+            t,
+            updates: (0..100)
+                .map(|i| {
+                    let x = (i as f64 * 37.0 + t * 11.0) % 1000.0;
+                    let y = (i as f64 * 53.0 + t * 7.0) % 1000.0;
+                    WireUpdate {
+                        vx: (i % 7) as f64 - 3.0,
+                        ..upd(i, x, y)
+                    }
+                })
+                .collect(),
+        };
+        for shards in [1, 3] {
+            let script = |batch_first: bool| {
+                let mut frames = vec![register(400.0), batch(0.0), Frame::EvalReq { t: 0.0 }];
+                let (a, b) = (batch(1.0), register(600.0));
+                frames.extend(if batch_first { [a, b] } else { [b, a] });
+                frames.extend([Frame::EvalReq { t: 1.0 }, Frame::EvalReq { t: 2.5 }]);
+                frames
+            };
+            let digest = digest_after(shards, &script(true));
+            assert_ne!(digest, 0);
+            assert_eq!(
+                digest,
+                digest_after(shards, &script(false)),
+                "{shards} shards"
+            );
+        }
+    }
+
+    /// A `SetSlice` between two reports of one node at one `t`, with no
+    /// drain point between them, keeps the later report: the engine
+    /// ingests in arrival order, whichever shard a report was admitted to.
+    #[test]
+    fn a_slice_rewrite_between_reports_keeps_the_later_one() {
+        let table = SliceTable::new(8, 2);
+        let node = (0..100).find(|&id| table.shard_of(id) == 1).unwrap();
+        let query = Frame::Register {
+            queries: vec![wire_query(0, (0.0, 0.0), (100.0, 100.0))],
+        };
+        let report = |x: f64| Frame::Batch {
+            t: 0.0,
+            updates: vec![upd(node, x, 50.0)],
+        };
+        let eval = Frame::EvalReq { t: 0.0 };
+        // Inside, then outside, with every slice moved to shard 0 between.
+        let mut script = vec![query.clone(), report(50.0)];
+        script.extend((0..8).map(|slice| Frame::SetSlice { slice, shard: 0 }));
+        script.extend([report(500.0), eval.clone()]);
+        // The same two reports with no rewrite between them, and the
+        // other way round, which the digest tells apart.
+        let plain = [query.clone(), report(50.0), report(500.0), eval.clone()];
+        let reversed = [query, report(500.0), report(50.0), eval];
+        assert_eq!(digest_after(2, &script), digest_after(2, &plain));
+        assert_eq!(digest_after(2, &script), digest_after(1, &plain));
+        assert_ne!(digest_after(2, &script), digest_after(2, &reversed));
     }
 
     /// Sends a batch and one good evaluation, then `bad`, and checks the

@@ -1,12 +1,23 @@
-//! The served drain works in place: closing a window over a deep queue
-//! allocates nothing sized by the queue. A test of the mechanism, not
-//! the clock — a counting global allocator sees a depth-sized copy
-//! (≈ 11 MB for the 200 000 updates here) whatever the host's speed.
-//! One test in a binary of its own, so no other test's allocations land
-//! in the count.
+//! What the served queues cost, counted by a global allocator that
+//! tallies every byte it hands out — tests of the mechanism, not the
+//! clock, so they read the same whatever the host's speed:
+//!
+//! * A session's queues are admission ledgers. `UpdateQueue::new`
+//!   preallocates its `B` slots, and a ledger slot holds only an admit
+//!   time (8 B), so building a session with `B = 1 000 000` must stay
+//!   under 12 MB. A queue that held the updates (56 B a slot) allocates
+//!   ≈ 56 MB there.
+//! * Closing a window over a deep ledger allocates nothing sized by its
+//!   depth (< 1 MiB for 200 000 queued updates; a depth-sized copy of the
+//!   queue is ≈ 11 MB).
+//!
+//! Both live in a binary of their own, so no other test's allocations
+//! land in the count, and they take turns on [`SERIAL`] so neither
+//! counts the other's.
 
 use std::alloc::{GlobalAlloc, Layout, System};
 use std::sync::atomic::{AtomicU64, Ordering};
+use std::sync::Mutex;
 
 use lira_serve::protocol::{Frame, WireUpdate};
 use lira_serve::session::{ServeConfig, SessionCore};
@@ -17,6 +28,11 @@ struct Counting;
 /// Bytes handed out since the process started; a statistic only, so
 /// `Relaxed` publishes nothing else.
 static ALLOCATED: AtomicU64 = AtomicU64::new(0);
+
+/// Held for the whole of each test: the count is process-wide. It guards
+/// no data, so a test that panicked holding it leaves nothing to repair
+/// and the next one takes it over (`into_inner`).
+static SERIAL: Mutex<()> = Mutex::new(());
 
 // SAFETY: every method forwards its arguments unchanged to `System`,
 // so the caller's guarantees to this allocator are the ones `System`
@@ -43,7 +59,25 @@ static GLOBAL: Counting = Counting;
 const NODES: u32 = 200_000;
 
 #[test]
+fn a_session_ledger_costs_eight_bytes_a_slot() {
+    let _turn = SERIAL.lock().unwrap_or_else(|e| e.into_inner());
+    let slots = 1_000_000;
+    let mut cfg = ServeConfig::new(10_000.0, 1_000);
+    cfg.queue_capacity = slots;
+    let before = ALLOCATED.load(Ordering::Relaxed);
+    let s = SessionCore::new(cfg);
+    let allocated = ALLOCATED.load(Ordering::Relaxed) - before;
+    drop(s);
+    assert!(
+        allocated < 12_000_000,
+        "a session with B = {slots} allocated {allocated} B at construction; \
+         its queues must hold admission books (8 B a slot), not updates"
+    );
+}
+
+#[test]
 fn a_window_close_over_a_deep_queue_allocates_nothing_depth_sized() {
+    let _turn = SERIAL.lock().unwrap_or_else(|e| e.into_inner());
     let mut cfg = ServeConfig::new(10_000.0, NODES as usize);
     cfg.shards = 1;
     cfg.num_regions = 49;
@@ -65,7 +99,8 @@ fn a_window_close_over_a_deep_queue_allocates_nothing_depth_sized() {
     };
     // Prime every node with a first report and a re-report, each round
     // evaluated, so the engine's node and dirty lists are already at
-    // full size when the measured drain re-reports them all again.
+    // full size when the measured window closes over a re-report of all
+    // of them.
     for t in [0.0, 0.5] {
         s.handle(conn, batch(t, 0..NODES));
         s.handle(conn, Frame::EvalReq { t });

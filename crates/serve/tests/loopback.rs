@@ -4,26 +4,34 @@
 //! (`shed = false`) scenario replay must digest-match the in-process
 //! `ReferenceTimeline` on the same seed, tying the networked façade to
 //! the pipeline the rest of the repo trusts.
+//!
+//! The session ingests an update when its shard's queue admits it, so
+//! the last two tests hold the moved ingest to the queue books: under
+//! tail drop the books conserve and the wire agrees, and with no drop
+//! the digest chain depends neither on the shard count nor on how often
+//! the client drains.
 
+use std::collections::VecDeque;
 use std::net::{TcpListener, TcpStream};
 
 use lira_core::telemetry::json::Json;
-use lira_serve::protocol::{digest_round, WireQuery};
+use lira_core::telemetry::TelemetrySnapshot;
+use lira_serve::protocol::{digest_round, Frame, WireQuery};
 use lira_serve::server::{serve, ServeOptions};
 use lira_serve::session::{ServeConfig, SessionCore};
 use lira_serve::storm::{
-    run_storm, run_storm_trace, InprocTransport, StormConfig, StormReport, TcpTransport,
-    TraceStormConfig,
+    run_storm, run_storm_trace, InprocTransport, StormConfig, TcpTransport, TraceStormConfig,
+    Transport,
 };
 use lira_server::cq_engine::EvalEngine;
 use lira_sim::pipeline::{SimPipeline, SimSetup};
 use lira_workload::catalog::NamedScenario;
 
 /// Spawns a one-connection server on an ephemeral port, runs `storm`
-/// against it over TCP, and returns the storm's report.
-fn run_over_tcp<F>(cfg: ServeConfig, storm: F) -> StormReport
+/// against it over TCP, and returns what the storm returned.
+fn run_over_tcp<F, R>(cfg: ServeConfig, storm: F) -> R
 where
-    F: FnOnce(&mut TcpTransport) -> StormReport + Send,
+    F: FnOnce(&mut TcpTransport) -> R + Send,
 {
     let listener = TcpListener::bind("127.0.0.1:0").expect("bind ephemeral");
     let addr = listener.local_addr().expect("bound addr");
@@ -167,7 +175,7 @@ fn run_skewed_script<F>(cfg: ServeConfig, mut between_windows: F) -> Json
 where
     F: FnMut(&mut SessionCore, u32, u64),
 {
-    use lira_serve::protocol::{Frame, WireUpdate};
+    use lira_serve::protocol::WireUpdate;
     // Two hot ids that the FNV slice hash routes to the *same* shard
     // under the initial round-robin table, so the skew piles onto one
     // queue instead of cancelling out.
@@ -230,7 +238,6 @@ where
 
 #[test]
 fn digest_is_unchanged_across_live_setslice_rewrites() {
-    use lira_serve::protocol::Frame;
     let mut cfg = ServeConfig::new(1_000.0, 100);
     cfg.shards = 2;
     cfg.slices = 8;
@@ -296,4 +303,216 @@ fn welcome_bounds_mismatch_fails_fast() {
         err.to_string().contains("mismatch"),
         "unexpected error: {err}"
     );
+}
+
+/// Wraps a transport and keeps what the server answered at each drain
+/// point: every `WindowAck.depth` and every `EvalRes.digest`, in order.
+/// With `report_after_batches`, it also follows every `Batch` with a
+/// `ReportReq` — one more drain point the storm never sees.
+struct Recording<'a, T> {
+    inner: &'a mut T,
+    report_after_batches: bool,
+    held: VecDeque<Frame>,
+    depths: Vec<u64>,
+    digests: Vec<u64>,
+}
+
+impl<'a, T: Transport> Recording<'a, T> {
+    fn new(inner: &'a mut T, report_after_batches: bool) -> Self {
+        Recording {
+            inner,
+            report_after_batches,
+            held: VecDeque::new(),
+            depths: Vec::new(),
+            digests: Vec::new(),
+        }
+    }
+}
+
+impl<T: Transport> Transport for Recording<'_, T> {
+    fn send(&mut self, frame: &Frame) -> std::io::Result<()> {
+        self.inner.send(frame)?;
+        if self.report_after_batches && matches!(frame, Frame::Batch { .. }) {
+            self.inner.send(&Frame::ReportReq)?;
+            loop {
+                match self.inner.recv()? {
+                    Frame::ReportRes { .. } => break,
+                    other => self.held.push_back(other),
+                }
+            }
+        }
+        Ok(())
+    }
+
+    fn recv(&mut self) -> std::io::Result<Frame> {
+        let frame = match self.held.pop_front() {
+            Some(frame) => frame,
+            None => self.inner.recv()?,
+        };
+        match &frame {
+            Frame::WindowAck { depth, .. } => self.depths.push(*depth),
+            Frame::EvalRes { digest, .. } => self.digests.push(*digest),
+            _ => {}
+        }
+        Ok(frame)
+    }
+}
+
+/// An in-process transport that, at every drain point it forwards, notes
+/// how many updates the session admitted since the previous drain point
+/// — what the next `WindowAck.depth` must say.
+struct Ledger {
+    inner: InprocTransport,
+    admitted_at_drain: u64,
+    expected_depths: Vec<u64>,
+}
+
+impl Transport for Ledger {
+    fn send(&mut self, frame: &Frame) -> std::io::Result<()> {
+        if matches!(
+            frame,
+            Frame::EvalReq { .. } | Frame::WindowClose { .. } | Frame::ReportReq
+        ) {
+            let report = Json::parse(&self.inner.session().deterministic_json()).unwrap();
+            let admitted = report.get("updates_admitted").unwrap().as_u64().unwrap();
+            if matches!(frame, Frame::WindowClose { .. }) {
+                self.expected_depths.push(admitted - self.admitted_at_drain);
+            }
+            self.admitted_at_drain = admitted;
+        }
+        self.inner.send(frame)
+    }
+
+    fn recv(&mut self) -> std::io::Result<Frame> {
+        self.inner.recv()
+    }
+}
+
+/// A report's deterministic core and its `serve.queue.wait_us` count.
+fn core_and_waits(server_json: &str) -> (Json, u64) {
+    let report = Json::parse(server_json).expect("report parses");
+    let core = report.get("deterministic").unwrap().clone();
+    let tel = TelemetrySnapshot::from_json(&report.get("telemetry").unwrap().to_string())
+        .expect("telemetry parses");
+    let waits = tel
+        .histogram("serve.queue.wait_us")
+        .expect("wait histogram");
+    (core, waits.count)
+}
+
+/// Under tail drop, at one shard and at three, the books are the
+/// paper's queue books however the engine ingests: every received update
+/// is admitted or dropped, each `WindowAck.depth` is what was admitted
+/// since the previous drain point, one wait sample is taken per
+/// admitted update — and TCP and in-process runs agree on all of it.
+///
+/// The pins were captured when the session still ingested at the drain
+/// points: the same books and the same digests, whenever the engine
+/// takes the update.
+#[test]
+fn tail_drop_books_conserve_and_tcp_matches_inproc() {
+    let pins = [
+        (1, "350c5d9a72d33574", 2_838, 4_775),
+        (3, "2a7516b6d663ca2d", 2_839, 4_744),
+    ];
+    for (shards, digest, admitted, dropped) in pins {
+        let mut cfg = ServeConfig::new(2_000.0, 2_000);
+        cfg.shards = shards;
+        cfg.num_regions = 49;
+        cfg.queue_capacity = 256;
+        cfg.service_rate = 150.0;
+        let mut storm_cfg = StormConfig::new(2_000, 2_000.0);
+        storm_cfg.rounds = 24;
+        storm_cfg.churn_frac = 0.2;
+        storm_cfg.eval_every = 2;
+        storm_cfg.window_every = 4;
+        storm_cfg.batch_cap = 150;
+        storm_cfg.seed = 5;
+
+        let (tcp, tcp_depths, tcp_digests) = run_over_tcp(cfg.clone(), |t| {
+            let mut rec = Recording::new(t, false);
+            let report = run_storm(&mut rec, &storm_cfg).expect("tcp storm");
+            (report, rec.depths, rec.digests)
+        });
+        let mut ledger = Ledger {
+            inner: InprocTransport::new(SessionCore::new(cfg)),
+            admitted_at_drain: 0,
+            expected_depths: Vec::new(),
+        };
+        let mut rec = Recording::new(&mut ledger, false);
+        let inproc = run_storm(&mut rec, &storm_cfg).expect("inproc storm");
+        let (depths, digests) = (rec.depths, rec.digests);
+
+        assert_eq!(tcp.deterministic_core(), inproc.deterministic_core());
+        assert_eq!((&tcp_depths, &tcp_digests), (&depths, &digests));
+        assert_eq!(depths, ledger.expected_depths, "{shards} shards");
+        assert_eq!(depths.len(), 24 / 4);
+        assert_eq!(format!("{:016x}", inproc.digest), digest);
+
+        for json in [&tcp.server_json, &inproc.server_json] {
+            let (core, waits) = core_and_waits(json);
+            let field = |k: &str| core.get(k).unwrap().as_u64().unwrap();
+            assert_eq!(
+                (field("updates_admitted"), field("updates_dropped")),
+                (admitted, dropped),
+                "{shards} shards"
+            );
+            assert_eq!(field("updates_rx"), admitted + dropped);
+            assert_eq!(waits, admitted, "one wait sample per admitted update");
+            assert!(core.get("z").unwrap().as_f64().unwrap() < 1.0);
+        }
+    }
+}
+
+/// With `B` never binding, the engine and the stats grid see every update
+/// in arrival order whatever the shard count, so the digest chain — and
+/// with it the plans the storm sheds under — is the same at 1, 2 and 4
+/// shards. Extra drain points change the books' timing, not their sums:
+/// a `ReportReq` after every `Batch` leaves the chain where it was.
+#[test]
+fn digest_chain_is_independent_of_shards_and_extra_drain_points() {
+    let mut storm_cfg = StormConfig::new(1_500, 2_000.0);
+    storm_cfg.rounds = 16;
+    storm_cfg.churn_frac = 0.3;
+    storm_cfg.eval_every = 2;
+    // λ is summed over the shards' window counts divided by `window_s`;
+    // a power of two keeps each quotient, and so the sum, exact.
+    storm_cfg.window_every = 4;
+    storm_cfg.batch_cap = 300;
+    let run = |shards: usize, report_after_batches: bool| {
+        let mut cfg = ServeConfig::new(2_000.0, 1_500);
+        cfg.shards = shards;
+        cfg.num_regions = 49;
+        cfg.queue_capacity = 1 << 20;
+        let mut inproc = InprocTransport::new(SessionCore::new(cfg));
+        let mut rec = Recording::new(&mut inproc, report_after_batches);
+        let report = run_storm(&mut rec, &storm_cfg).expect("inproc storm");
+        let core = Json::parse(&report.deterministic_core()).unwrap();
+        let books: Vec<String> = [
+            "digest",
+            "eval_rounds",
+            "last_results",
+            "updates_rx",
+            "updates_admitted",
+            "updates_dropped",
+            "windows",
+            "z",
+            "plan_epoch",
+            "plan_bytes",
+        ]
+        .iter()
+        .map(|k| format!("{k}={}", core.get(k).unwrap()))
+        .collect();
+        (rec.digests, books, report.plans_received)
+    };
+    let (digests, books, plans) = run(1, false);
+    assert_eq!(digests.len(), 16 / 2);
+    assert!(plans > 0, "the storm must shed under broadcast plans");
+    assert!(books.contains(&"updates_dropped=0".to_string()));
+    for (shards, extra) in [(2, false), (4, false), (1, true), (4, true)] {
+        let (d, b, p) = run(shards, extra);
+        assert_eq!(d, digests, "{shards} shards, extra drain points: {extra}");
+        assert_eq!(b, books, "{shards} shards, extra drain points: {extra}");
+        assert_eq!(p, plans);
+    }
 }
