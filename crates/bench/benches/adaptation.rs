@@ -293,9 +293,9 @@ fn bench_queue(c: &mut Criterion) {
         let mut queue: UpdateQueue<u64> = UpdateQueue::new(10_000);
         b.iter(|| {
             for i in 0..100u64 {
-                queue.offer(black_box(i));
+                queue.offer_at(0.0, black_box(i));
             }
-            black_box(queue.service(100).len())
+            black_box(queue.service_at(100).len())
         })
     });
 }

@@ -1,9 +1,10 @@
 //! The transport-agnostic session core: everything `lira-serve` does
 //! *between* the socket and the engine. One [`SessionCore`] owns the CQ
-//! server, the slice-routing table, the per-shard bounded input queues
-//! (admission ledgers: the engine ingests an update when it is
-//! admitted), the THROTLOOP controller, the statistics grid and the LIRA
-//! shedder — and turns incoming [`Frame`]s into reply/broadcast frames.
+//! server, the slice-routing table, the [`Governor`] (per-shard bounded
+//! input queues — admission ledgers: the engine ingests an update when it
+//! is admitted — and the THROTLOOP controller over them), the statistics
+//! grid and the LIRA shedder — and turns incoming [`Frame`]s into
+//! reply/broadcast frames.
 //!
 //! Splitting the core from the socket loop is what makes the acceptance
 //! criterion *testable*: the TCP transport and the in-process transport
@@ -25,10 +26,9 @@ use lira_core::reduction::ReductionModel;
 use lira_core::stats_grid::StatsGrid;
 use lira_core::telemetry::json::Json;
 use lira_core::telemetry::{Counter, Gauge, Histogram, MetricSpec, Telemetry};
-use lira_core::throt_loop::{QueueObservation, ThrotLoop};
 use lira_server::cq_engine::{CqServer, EvalEngine};
+use lira_server::governor::Governor;
 use lira_server::query::{QueryResult, RangeQuery};
-use lira_server::queue::UpdateQueue;
 use std::sync::Arc;
 
 use crate::protocol::{self, digest_round, kind, Frame, WireUpdate};
@@ -116,31 +116,24 @@ impl ServeConfig {
     }
 
     /// Says why no session can run under this configuration: no shard
-    /// or slice to route to, a queue capacity `B` the session would not
-    /// honour as given (fewer slots than shards, fewer than THROTLOOP's
-    /// two, or more than `Welcome` can advertise), a service rate
-    /// THROTLOOP cannot divide by, or anything [`Self::shedding_policy`]
-    /// refuses. The binary checks before it binds; [`SessionCore::new`]
-    /// panics on a refusal.
+    /// or slice to route to, a queue capacity `B` more than `Welcome` can
+    /// advertise, whatever [`Governor::check`] refuses (fewer slots than
+    /// shards, fewer than THROTLOOP's two, a service rate it cannot
+    /// divide by), or anything [`Self::shedding_policy`] refuses. The
+    /// binary checks before it binds; [`SessionCore::new`] panics on a
+    /// refusal.
     pub fn validate(&self) -> Result<(), String> {
         if self.shards < 1 || self.slices < 1 {
             return Err("shards and slices must each be at least 1".into());
         }
-        let least = self.shards.max(2);
-        if self.queue_capacity < least || self.queue_capacity > u32::MAX as usize {
+        if self.queue_capacity > u32::MAX as usize {
             return Err(format!(
-                "queue capacity must be between {least} (one slot per shard, two for THROTLOOP) \
-                 and {} (the Welcome frame's u32), got {}",
+                "queue capacity must be at most {} (the Welcome frame's u32), got {}",
                 u32::MAX,
                 self.queue_capacity
             ));
         }
-        if !(self.service_rate.is_finite() && self.service_rate > 0.0) {
-            return Err(format!(
-                "service rate must be positive and finite, got {}",
-                self.service_rate
-            ));
-        }
+        Governor::<()>::check(self.queue_capacity, self.shards, self.service_rate)?;
         self.shedding_policy().map(drop)
     }
 
@@ -272,30 +265,24 @@ pub struct SessionCore {
     cfg: ServeConfig,
     server: CqServer,
     table: SliceTable,
-    /// The per-shard admission ledgers: capacity, tail drop, depth, λ and
-    /// wait. An admitted update is already in the engine; its slot only
-    /// holds the wall time it was admitted at.
-    queues: Vec<UpdateQueue<()>>,
-    throt: ThrotLoop,
+    /// One admission ledger per shard (capacity, tail drop, depth, λ and
+    /// wait) and THROTLOOP over them. An admitted update is already in
+    /// the engine; its slot only holds the wall time it was admitted at.
+    governor: Governor<()>,
     grid: StatsGrid,
     policy: Box<dyn SheddingPolicy>,
     plan: SheddingPlan,
     plan_epoch: u64,
     queries: Vec<RangeQuery>,
-    z: f64,
-    windows: u64,
     eval_rounds: u64,
     digest: u64,
     last_results: u64,
-    updates_rx: u64,
-    updates_admitted: u64,
     batches_rx: u64,
     /// Slice→shard reassignments (`SetSlice`) applied over the session.
     slice_rewrites: u64,
     plan_broadcasts: u64,
     plan_bytes: u64,
     protocol_errors: u64,
-    observed_since_adapt: u64,
     conns: Vec<ConnStats>,
     results_buf: Vec<QueryResult>,
     tel: ServeTelemetry,
@@ -309,36 +296,32 @@ impl SessionCore {
         cfg.validate().expect("valid serve config");
         let policy = cfg.shedding_policy().expect("validated above");
         let lira = cfg.lira_config();
-        // `B` split evenly; `validate` guarantees every shard a slot.
-        let per_shard = cfg.queue_capacity / cfg.shards;
         let server = CqServer::new(cfg.bounds, cfg.num_nodes, cfg.index_side)
             .with_engine(EvalEngine::Unified { shards: cfg.shards });
         let mut grid = StatsGrid::new(lira.alpha, cfg.bounds).expect("alpha/bounds validated");
         grid.begin_snapshot();
         SessionCore {
             table: SliceTable::new(cfg.slices, cfg.shards),
-            queues: (0..cfg.shards)
-                .map(|_| UpdateQueue::new(per_shard))
-                .collect(),
-            throt: ThrotLoop::new(cfg.queue_capacity).expect("validated above"),
+            governor: Governor::new(
+                cfg.queue_capacity,
+                cfg.shards,
+                cfg.service_rate,
+                cfg.adapt_every_windows,
+            )
+            .expect("validated above"),
             grid,
             policy,
             plan: SheddingPlan::uniform(cfg.bounds, cfg.delta_min),
             plan_epoch: 0,
             queries: Vec::new(),
-            z: 1.0,
-            windows: 0,
             eval_rounds: 0,
             digest: 0,
             last_results: 0,
-            updates_rx: 0,
-            updates_admitted: 0,
             batches_rx: 0,
             slice_rewrites: 0,
             plan_broadcasts: 0,
             plan_bytes: 0,
             protocol_errors: 0,
-            observed_since_adapt: 0,
             conns: Vec::new(),
             results_buf: Vec::new(),
             tel: ServeTelemetry::new(cfg.telemetry),
@@ -483,7 +466,6 @@ impl SessionCore {
                 }
                 let sent = updates.len() as u64;
                 self.batches_rx += 1;
-                self.updates_rx += sent;
                 self.tel.rx_updates.add(sent);
                 self.tel.batch_updates.record(sent);
                 // Ingest on admission: the shard's ledger decides, and an
@@ -493,7 +475,7 @@ impl SessionCore {
                 let mut admitted = 0u64;
                 for u in updates {
                     let shard = self.table.shard_of(u.id);
-                    if self.queues[shard].offer_at(wall, ()) {
+                    if self.governor.offer_at(shard, wall, ()) {
                         let origin = Point::new(u.x, u.y);
                         let speed = (u.vx * u.vx + u.vy * u.vy).sqrt();
                         self.server.ingest(u.id, t, origin, (u.vx, u.vy));
@@ -501,7 +483,6 @@ impl SessionCore {
                         admitted += 1;
                     }
                 }
-                self.updates_admitted += admitted;
                 self.tel.queue_admitted.add(admitted);
                 self.tel.queue_dropped.add(sent - admitted);
             }
@@ -548,34 +529,18 @@ impl SessionCore {
                     ));
                     return out;
                 }
-                let depth: u64 = self.queues.iter().map(|q| q.len() as u64).sum();
+                let decision = self.governor.close_window(t, window_s);
                 self.drain();
-                let lambda: f64 = self
-                    .queues
-                    .iter_mut()
-                    .map(|q| q.window_observation(window_s, 0.0).arrival_rate)
-                    .sum();
-                let mu = self.cfg.service_rate;
-                self.z = self.throt.observe(QueueObservation {
-                    arrival_rate: lambda,
-                    service_rate: mu,
-                });
-                self.windows += 1;
-                self.tel.ctl_z.set(self.z);
-                self.tel.queue_depth.set(depth as f64);
-                let adapt_due = self.cfg.adapt_every_windows > 0
-                    && self
-                        .windows
-                        .is_multiple_of(self.cfg.adapt_every_windows as u64)
-                    && self.observed_since_adapt > 0;
+                self.tel.ctl_z.set(decision.throttle);
+                self.tel.queue_depth.set(decision.queue_len as f64);
                 let mut adapted = 0u8;
-                if adapt_due {
+                if decision.adapt_due {
                     let t0 = Instant::now();
                     for q in &self.queries {
                         self.grid.observe_query(&q.range);
                     }
                     self.grid.commit_snapshot();
-                    match self.policy.adapt(&self.grid, self.z) {
+                    match self.policy.adapt(&self.grid, decision.throttle) {
                         Ok(plan) => {
                             self.plan = plan;
                             self.plan_epoch += 1;
@@ -599,16 +564,15 @@ impl SessionCore {
                         }
                     }
                     self.grid.begin_snapshot();
-                    self.observed_since_adapt = 0;
                     self.tel.adapt_us.record(t0.elapsed().as_micros() as u64);
                 }
                 out.replies.push(Frame::WindowAck {
                     t,
-                    z: self.z,
-                    lambda,
-                    mu,
-                    depth,
-                    dropped: self.dropped(),
+                    z: decision.throttle,
+                    lambda: decision.arrival_rate,
+                    mu: decision.service_rate,
+                    depth: decision.queue_len as u64,
+                    dropped: self.governor.dropped(),
                     adapted,
                 });
             }
@@ -664,27 +628,22 @@ impl SessionCore {
         Frame::Error { code, message }
     }
 
-    /// Total updates dropped at the bounded queues since session start.
-    fn dropped(&self) -> u64 {
-        self.queues.iter().map(|q| q.dropped()).sum()
-    }
-
     /// Services every shard ledger: the books only, since `Batch`
     /// already put each admitted update into the engine and the stats
     /// grid. Called at the drain points (`EvalReq`, `WindowClose`,
     /// `ReportReq`), which empty the ledgers so that `WindowAck.depth` is
-    /// the count admitted since the previous drain point.
+    /// the count admitted since the previous drain point — and so that
+    /// the governor's "admitted since the last re-plan" is what the
+    /// re-plan's statistics grid has seen.
     ///
     /// Telemetry is charged per run, not per update: the wall clock is
     /// read once per drain and a `Batch`'s updates share one offer time,
     /// so equal waits come in runs, each recorded once.
     fn drain(&mut self) {
         let wall = self.wall();
-        for queue in &mut self.queues {
-            let n = queue.len();
-            self.observed_since_adapt += n as u64;
+        for shard in 0..self.cfg.shards {
             let (mut wait_us, mut run) = (0, 0);
-            for (offered, ()) in queue.service_at(n) {
+            for (offered, ()) in self.governor.service_at(shard, usize::MAX) {
                 let wait = ((wall - offered).max(0.0) * 1e6) as u64;
                 if wait != wait_us {
                     self.tel.queue_wait_us.record_n(wait_us, run);
@@ -729,14 +688,20 @@ impl SessionCore {
                 Json::UInt(self.conns.iter().map(|c| c.frames).sum()),
             ),
             ("batches_rx".into(), Json::UInt(self.batches_rx)),
-            ("updates_rx".into(), Json::UInt(self.updates_rx)),
-            ("updates_admitted".into(), Json::UInt(self.updates_admitted)),
-            ("updates_dropped".into(), Json::UInt(self.dropped())),
+            ("updates_rx".into(), Json::UInt(self.governor.arrived())),
+            (
+                "updates_admitted".into(),
+                Json::UInt(self.governor.admitted()),
+            ),
+            (
+                "updates_dropped".into(),
+                Json::UInt(self.governor.dropped()),
+            ),
             ("eval_rounds".into(), Json::UInt(self.eval_rounds)),
             ("last_results".into(), Json::UInt(self.last_results)),
             ("digest".into(), Json::Str(format!("{:016x}", self.digest))),
-            ("windows".into(), Json::UInt(self.windows)),
-            ("z".into(), Json::Float(self.z)),
+            ("windows".into(), Json::UInt(self.governor.windows())),
+            ("z".into(), Json::Float(self.governor.throttle())),
             ("plan_epoch".into(), Json::UInt(self.plan_epoch)),
             ("plan_broadcasts".into(), Json::UInt(self.plan_broadcasts)),
             ("plan_bytes".into(), Json::UInt(self.plan_bytes)),
@@ -848,7 +813,7 @@ mod tests {
         // A `B` the session would not honour as advertised: fewer slots
         // than shards, fewer than THROTLOOP's two, or more than a u32.
         refused(|c| c.queue_capacity = 0, "queue capacity");
-        refused(|c| c.queue_capacity = c.shards - 1, "one slot per shard");
+        refused(|c| c.queue_capacity = c.shards - 1, "one slot per queue");
         refused(
             |c| (c.shards, c.queue_capacity) = (1, 1),
             "two for THROTLOOP",
@@ -1077,10 +1042,9 @@ mod tests {
         let snap = s.telemetry_snapshot();
         assert_eq!(snap.counter("serve.queue.admitted"), Some(admitted));
         assert_eq!(snap.counter("serve.queue.dropped"), Some(dropped));
-        let drained: u64 = s.queues.iter().map(|q| q.serviced()).sum();
-        assert_eq!(drained, admitted, "every admitted update was drained");
+        assert_eq!(s.governor.depth(), 0, "every admitted update was drained");
         let waits = snap.histogram("serve.queue.wait_us").unwrap();
-        assert_eq!(waits.count, drained);
+        assert_eq!(waits.count, admitted);
     }
 
     #[test]
@@ -1359,8 +1323,7 @@ mod tests {
         s.handle(conn, Frame::EvalReq { t: 0.0 });
         s.handle(conn, batch(1.0));
         let before = s.deterministic_json();
-        let queued: usize = s.queues.iter().map(|q| q.len()).sum();
-        assert_eq!(queued, 2);
+        assert_eq!(s.governor.depth(), 2);
 
         let out = s.handle(conn, bad);
         let [Frame::Error { code, .. }] = &out.replies[..] else {
@@ -1368,7 +1331,7 @@ mod tests {
         };
         assert_eq!(*code, protocol::ERR_INVALID);
         assert!(out.broadcast.is_empty());
-        assert_eq!(s.queues.iter().map(|q| q.len()).sum::<usize>(), queued);
+        assert_eq!(s.governor.depth(), 2);
         assert_eq!(s.server.evaluations(), 1, "nothing evaluated");
         assert_eq!(s.conns[conn as usize].errors, 1);
         let report = |json: &str, k: &str| {

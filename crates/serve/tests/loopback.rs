@@ -305,15 +305,21 @@ fn welcome_bounds_mismatch_fails_fast() {
     );
 }
 
+/// One `WindowAck`'s controller output: `(z bits, λ bits, µ, dropped,
+/// adapted)`.
+type AckChain = Vec<(u64, u64, f64, u64, u8)>;
+
 /// Wraps a transport and keeps what the server answered at each drain
-/// point: every `WindowAck.depth` and every `EvalRes.digest`, in order.
-/// With `report_after_batches`, it also follows every `Batch` with a
-/// `ReportReq` — one more drain point the storm never sees.
+/// point: every `WindowAck` (its depth, and its controller output) and
+/// every `EvalRes.digest`, in order. With `report_after_batches`, it also
+/// follows every `Batch` with a `ReportReq` — one more drain point the
+/// storm never sees.
 struct Recording<'a, T> {
     inner: &'a mut T,
     report_after_batches: bool,
     held: VecDeque<Frame>,
     depths: Vec<u64>,
+    acks: AckChain,
     digests: Vec<u64>,
 }
 
@@ -324,6 +330,7 @@ impl<'a, T: Transport> Recording<'a, T> {
             report_after_batches,
             held: VecDeque::new(),
             depths: Vec::new(),
+            acks: Vec::new(),
             digests: Vec::new(),
         }
     }
@@ -350,7 +357,19 @@ impl<T: Transport> Transport for Recording<'_, T> {
             None => self.inner.recv()?,
         };
         match &frame {
-            Frame::WindowAck { depth, .. } => self.depths.push(*depth),
+            Frame::WindowAck {
+                depth,
+                z,
+                lambda,
+                mu,
+                dropped,
+                adapted,
+                ..
+            } => {
+                self.depths.push(*depth);
+                self.acks
+                    .push((z.to_bits(), lambda.to_bits(), *mu, *dropped, *adapted));
+            }
             Frame::EvalRes { digest, .. } => self.digests.push(*digest),
             _ => {}
         }
@@ -408,14 +427,33 @@ fn core_and_waits(server_json: &str) -> (Json, u64) {
 ///
 /// The pins were captured when the session still ingested at the drain
 /// points: the same books and the same digests, whenever the engine
-/// takes the update.
+/// takes the update. The `WindowAck` chains — `(z bits, λ bits, µ,
+/// lifetime drops, adapted)` per window — were captured while the
+/// session still ran its own copy of the THROTLOOP window, before it
+/// moved onto the shared governor.
 #[test]
 fn tail_drop_books_conserve_and_tcp_matches_inproc() {
-    let pins = [
-        (1, "350c5d9a72d33574", 2_838, 4_775),
-        (3, "2a7516b6d663ca2d", 2_839, 4_744),
+    let one_shard: AckChain = vec![
+        (0x3fe0000000000000, 0x4088a20000000000, 150.0, 2641, 1),
+        (0x3fd13acf914c1bad, 0x4071580000000000, 150.0, 3239, 1),
+        (0x3fc9a5c003dc30c4, 0x4069180000000000, 150.0, 3530, 1),
+        (0x3fc01e3f68fcc6b9, 0x406db80000000000, 150.0, 3969, 1),
+        (0x3fd01e3f68fcc6b9, 0x4051600000000000, 150.0, 3969, 1),
+        (0x3fc01e3f68fcc6b9, 0x4074980000000000, 150.0, 4775, 1),
     ];
-    for (shards, digest, admitted, dropped) in pins {
+    let three_shards: AckChain = vec![
+        (0x3fe0000000000000, 0x4088a20000000000, 150.0, 2643, 1),
+        (0x3fd12af91b1ddfd4, 0x4071680000000000, 150.0, 3247, 1),
+        (0x3fca1bac0cd74378, 0x4068900000000000, 150.0, 3523, 1),
+        (0x3fc04e05740e8f47, 0x406de80000000000, 150.0, 3970, 1),
+        (0x3fd04e05740e8f47, 0x4052100000000000, 150.0, 3970, 1),
+        (0x3fc04e05740e8f47, 0x4074100000000000, 150.0, 4744, 1),
+    ];
+    let pins = [
+        (1, "350c5d9a72d33574", 2_838, 4_775, one_shard),
+        (3, "2a7516b6d663ca2d", 2_839, 4_744, three_shards),
+    ];
+    for (shards, digest, admitted, dropped, chain) in pins {
         let mut cfg = ServeConfig::new(2_000.0, 2_000);
         cfg.shards = shards;
         cfg.num_regions = 49;
@@ -429,10 +467,10 @@ fn tail_drop_books_conserve_and_tcp_matches_inproc() {
         storm_cfg.batch_cap = 150;
         storm_cfg.seed = 5;
 
-        let (tcp, tcp_depths, tcp_digests) = run_over_tcp(cfg.clone(), |t| {
+        let (tcp, tcp_depths, tcp_acks, tcp_digests) = run_over_tcp(cfg.clone(), |t| {
             let mut rec = Recording::new(t, false);
             let report = run_storm(&mut rec, &storm_cfg).expect("tcp storm");
-            (report, rec.depths, rec.digests)
+            (report, rec.depths, rec.acks, rec.digests)
         });
         let mut ledger = Ledger {
             inner: InprocTransport::new(SessionCore::new(cfg)),
@@ -441,10 +479,12 @@ fn tail_drop_books_conserve_and_tcp_matches_inproc() {
         };
         let mut rec = Recording::new(&mut ledger, false);
         let inproc = run_storm(&mut rec, &storm_cfg).expect("inproc storm");
-        let (depths, digests) = (rec.depths, rec.digests);
+        let (depths, acks, digests) = (rec.depths, rec.acks, rec.digests);
 
         assert_eq!(tcp.deterministic_core(), inproc.deterministic_core());
         assert_eq!((&tcp_depths, &tcp_digests), (&depths, &digests));
+        assert_eq!(tcp_acks, acks);
+        assert_eq!(acks, chain, "{shards} shards");
         assert_eq!(depths, ledger.expected_depths, "{shards} shards");
         assert_eq!(depths.len(), 24 / 4);
         assert_eq!(format!("{:016x}", inproc.digest), digest);

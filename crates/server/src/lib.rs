@@ -3,9 +3,9 @@
 //! Mobile CQ server substrate for the LIRA reproduction: the last-report
 //! node store with dead-reckoning prediction, the continual range-query
 //! engine over it (one cell grid, owned by the engine — DESIGN.md §13),
-//! the bounded position-update input queue (with the λ/μ observations
-//! THROTLOOP consumes), the base-station layer, and the mobile-node-side
-//! shedder with its tiny 5×5 lookup grid.
+//! the bounded position-update input queue and the governor that runs
+//! THROTLOOP over a set of them, the base-station layer, and the
+//! mobile-node-side shedder with its tiny 5×5 lookup grid.
 //!
 //! ```
 //! use lira_server::prelude::*;
@@ -21,6 +21,7 @@
 pub mod base_station;
 pub mod channel;
 pub mod cq_engine;
+pub mod governor;
 pub mod history;
 pub mod mobile;
 pub mod node_store;
@@ -40,6 +41,7 @@ pub mod prelude {
         RetryPolicy,
     };
     pub use crate::cq_engine::{CqServer, EvalEngine};
+    pub use crate::governor::{Governor, StepClass, WindowDecision};
     pub use crate::history::HistoryStore;
     pub use crate::mobile::{MobileShedder, LOCAL_GRID_SIDE};
     pub use crate::node_store::{NodeStore, StoredModel};

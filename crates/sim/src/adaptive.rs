@@ -9,18 +9,15 @@
 //! correctness, not feasibility).
 //!
 //! The loop itself is the pipeline's policy lane
-//! ([`SimPipeline::run_adaptive`]); this module holds what the closed
-//! loop adds to it — the capacity model, the queue and controller state
-//! and the report.
+//! ([`SimPipeline::run_adaptive`]) around a one-queue
+//! [`Governor`]; this module holds the capacity model and the report.
 
 use lira_core::policy::Policy;
-use lira_core::throt_loop::ThrotLoop;
-use lira_server::queue::UpdateQueue;
+use lira_server::governor::{Governor, WindowDecision};
 use lira_workload::scenario::Scenario;
 
 use crate::metrics::{FaultReport, MetricsReport};
-use crate::pipeline::{SimPipeline, UplinkPayload};
-use crate::telemetry::AdaptiveTelemetry;
+use crate::pipeline::SimPipeline;
 
 /// Server capacity model for the closed loop.
 #[derive(Debug, Clone, Copy, PartialEq)]
@@ -43,26 +40,29 @@ impl Default for AdaptiveConfig {
     }
 }
 
-/// One control window's observations.
-#[derive(Debug, Clone, Copy, PartialEq)]
-pub struct WindowStats {
-    /// Simulation time at the end of the window.
-    pub time: f64,
-    /// Observed arrival rate λ (updates/s).
-    pub arrival_rate: f64,
-    /// Throttle fraction in force *after* the window's adaptation.
-    pub throttle: f64,
-    /// Queue length at the window end.
-    pub queue_len: usize,
-    /// Updates dropped (tail-drop) during the window.
-    pub dropped: u64,
+impl AdaptiveConfig {
+    /// Says why no closed loop can run under this model: whatever
+    /// [`Governor::check`] refuses for one queue (`B < 2`, a service rate
+    /// that is not positive and finite), or a control period that is not
+    /// positive and finite. [`SimPipeline::run_adaptive`] panics on a
+    /// refusal.
+    pub fn validate(&self) -> Result<(), String> {
+        Governor::<()>::check(self.queue_capacity, 1, self.service_rate)?;
+        if !(self.control_period_s.is_finite() && self.control_period_s > 0.0) {
+            return Err(format!(
+                "control period must be positive and finite, got {}",
+                self.control_period_s
+            ));
+        }
+        Ok(())
+    }
 }
 
 /// Result of a closed-loop run.
 #[derive(Debug, Clone)]
 pub struct AdaptiveReport {
     /// Per-window timeline.
-    pub windows: Vec<WindowStats>,
+    pub windows: Vec<WindowDecision>,
     /// Final throttle fraction.
     pub final_throttle: f64,
     /// Fraction of all arrivals dropped over the whole run.
@@ -84,110 +84,6 @@ pub fn run_adaptive(sc: &Scenario, cfg: &AdaptiveConfig) -> AdaptiveReport {
     SimPipeline::new().run_adaptive(sc, cfg, Policy::Lira)
 }
 
-/// An update waiting for service: its send time and what it carries.
-type Queued = (f64, UplinkPayload);
-
-/// What the closed loop puts between a policy lane's admission stage and
-/// its server: a bounded input queue drained at the configured service
-/// rate, and the THROTLOOP controller that turns each control window's
-/// queue observation into the next throttle fraction.
-pub(crate) struct ClosedLoop {
-    cfg: AdaptiveConfig,
-    controller: ThrotLoop,
-    queue: UpdateQueue<Queued>,
-    service_per_tick: usize,
-    windows: Vec<WindowStats>,
-    dropped_before: u64,
-    tel: AdaptiveTelemetry,
-}
-
-impl ClosedLoop {
-    pub(crate) fn new(cfg: &AdaptiveConfig, sc: &Scenario, tel: AdaptiveTelemetry) -> Self {
-        ClosedLoop {
-            cfg: *cfg,
-            controller: ThrotLoop::new(cfg.queue_capacity).expect("valid queue capacity"),
-            queue: UpdateQueue::new(cfg.queue_capacity),
-            service_per_tick: (cfg.service_rate * sc.dt).round() as usize,
-            windows: Vec::new(),
-            dropped_before: 0,
-            tel,
-        }
-    }
-
-    /// Seconds between control windows.
-    pub(crate) fn period_s(&self) -> f64 {
-        self.cfg.control_period_s
-    }
-
-    /// Offers an admitted update to the queue (tail-dropped when full).
-    /// The queue timestamp is the *delivery* time: service latency
-    /// measures queueing, not the wireless hop.
-    pub(crate) fn offer(&mut self, now: f64, sent_at: f64, update: UplinkPayload) {
-        self.queue.offer_at(now, (sent_at, update));
-    }
-
-    /// The updates the server gets to at its fixed capacity this tick,
-    /// each with its queue-entry time.
-    pub(crate) fn service(&mut self, now: f64) -> Vec<(f64, Queued)> {
-        let due: Vec<_> = self.queue.service_at(self.service_per_tick).collect();
-        for (arrived_at, _) in &due {
-            self.tel.on_serviced(now - arrived_at);
-        }
-        due
-    }
-
-    /// Closes a control window at `t`: THROTLOOP observes the window's
-    /// `(λ, μ)` and returns the throttle fraction to re-plan under.
-    pub(crate) fn close_window(&mut self, t: f64) -> f64 {
-        let obs = self
-            .queue
-            .window_observation(self.cfg.control_period_s, self.cfg.service_rate);
-        let z = self.controller.observe(obs);
-        let dropped = self.queue.dropped() - self.dropped_before;
-        self.dropped_before = self.queue.dropped();
-        self.tel.on_window(
-            t,
-            self.queue.len(),
-            dropped,
-            obs.arrival_rate,
-            obs.service_rate,
-            &self.controller,
-        );
-        self.windows.push(WindowStats {
-            time: t,
-            arrival_rate: obs.arrival_rate,
-            throttle: z,
-            queue_len: self.queue.len(),
-            dropped,
-        });
-        z
-    }
-
-    /// The run's report around the lane's accuracy, fault and telemetry
-    /// books. With no window ever closed the throttle in force is still
-    /// the scenario's configured one.
-    pub(crate) fn report(
-        self,
-        sc: &Scenario,
-        metrics: MetricsReport,
-        faults: FaultReport,
-        telemetry: lira_core::telemetry::TelemetrySnapshot,
-    ) -> AdaptiveReport {
-        AdaptiveReport {
-            final_throttle: if self.windows.is_empty() {
-                sc.throttle
-            } else {
-                self.controller.throttle()
-            },
-            windows: self.windows,
-            drop_fraction: self.queue.drop_fraction(),
-            metrics,
-            faults,
-            telemetry,
-        }
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -197,6 +93,87 @@ mod tests {
         sc.num_cars = 300;
         sc.duration_s = 200.0;
         sc
+    }
+
+    #[test]
+    fn validate_refuses_a_control_period_that_is_not_positive_and_finite() {
+        assert_eq!(AdaptiveConfig::default().validate(), Ok(()));
+        for control_period_s in [0.0, -20.0, f64::NAN, f64::INFINITY] {
+            let cfg = AdaptiveConfig {
+                control_period_s,
+                ..AdaptiveConfig::default()
+            };
+            let why = cfg.validate().expect_err("refused");
+            assert!(why.contains("control period"), "{why}");
+        }
+    }
+
+    #[test]
+    #[should_panic(expected = "two for THROTLOOP")]
+    fn run_adaptive_refuses_a_one_slot_queue() {
+        let cfg = AdaptiveConfig {
+            queue_capacity: 1,
+            ..AdaptiveConfig::default()
+        };
+        run_adaptive(&scenario(), &cfg);
+    }
+
+    #[test]
+    fn a_fractional_service_rate_drains_at_its_declared_average() {
+        // µ·dt = 0.25: the server earns one update every fourth tick, so
+        // 100 ticks of an overloaded queue service exactly 25.
+        let mut sc = scenario();
+        sc.duration_s = 100.0;
+        let cfg = AdaptiveConfig {
+            service_rate: 0.25,
+            queue_capacity: 200,
+            control_period_s: 20.0,
+        };
+        let report = run_adaptive(&sc, &cfg);
+        assert!(report.drop_fraction > 0.5, "the queue must stay full");
+        if lira_core::telemetry::COMPILED_OUT {
+            return;
+        }
+        let serviced = report
+            .telemetry
+            .histogram("queue.service_latency_us")
+            .expect("the closed loop records service latency")
+            .count;
+        assert_eq!(serviced, 25);
+    }
+
+    #[test]
+    fn windows_that_admit_nothing_do_not_re_plan() {
+        // Through a total outage THROTLOOP still relaxes z, but with
+        // nothing admitted since the last re-plan the lane keeps its plan
+        // — the served session's rule, now the one rule.
+        use lira_server::channel::{FaultProfile, Outage};
+        let mut outage = FaultProfile::none();
+        outage.outages.push(Outage::window(40.0, 70.0));
+        let mut sc = Scenario::small(42).with_faults(outage);
+        sc.num_cars = 300;
+        sc.duration_s = 100.0;
+        let cfg = AdaptiveConfig {
+            service_rate: 30.0,
+            queue_capacity: 200,
+            control_period_s: 10.0,
+        };
+        let report = run_adaptive(&sc, &cfg);
+        let silent: Vec<f64> = report
+            .windows
+            .iter()
+            .filter(|w| !w.adapt_due)
+            .map(|w| w.time)
+            .collect();
+        assert_eq!(silent, [50.0, 60.0]);
+        for w in &report.windows {
+            assert_eq!(w.adapt_due, w.arrival_rate > 0.0, "t = {}", w.time);
+        }
+        if lira_core::telemetry::COMPILED_OUT {
+            return;
+        }
+        let adaptations = report.telemetry.histogram("lane.adapt_us").unwrap().count;
+        assert_eq!(adaptations as usize, report.windows.len() - silent.len());
     }
 
     #[test]

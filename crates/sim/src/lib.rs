@@ -23,7 +23,7 @@ pub mod telemetry;
 
 /// Convenient re-exports of the most used types.
 pub mod prelude {
-    pub use crate::adaptive::{run_adaptive, AdaptiveConfig, AdaptiveReport, WindowStats};
+    pub use crate::adaptive::{run_adaptive, AdaptiveConfig, AdaptiveReport};
     pub use crate::metrics::{
         evaluation_errors, FaultReport, MetricsAccumulator, MetricsReport, QueryErrors,
     };

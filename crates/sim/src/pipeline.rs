@@ -56,16 +56,17 @@ use lira_mobility::motion::DeadReckoner;
 use lira_mobility::simulator::{TrafficConfig, TrafficSimulator};
 use lira_server::channel::FaultyChannel;
 use lira_server::cq_engine::{CqServer, EvalEngine};
+use lira_server::governor::{Governor, WindowDecision};
 use lira_server::query::{QueryResult, RangeQuery};
 use lira_workload::scenario::{PhaseSchedule, Scenario};
 use lira_workload::{generate_queries, WorkloadConfig};
 use rand::rngs::SmallRng;
 use rand::{Rng, SeedableRng};
 
-use crate::adaptive::{AdaptiveConfig, AdaptiveReport, ClosedLoop};
+use crate::adaptive::{AdaptiveConfig, AdaptiveReport};
 use crate::metrics::{FaultReport, MetricsAccumulator};
 use crate::runner::{PolicyOutcome, RunReport};
-use crate::telemetry::{LaneTelemetry, PipelineTelemetry};
+use crate::telemetry::{AdaptiveTelemetry, LaneTelemetry, PipelineTelemetry};
 
 /// How the streamed stage is executed.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
@@ -465,8 +466,20 @@ enum Control {
     Fixed,
     /// THROTLOOP re-derives `z` every control window from a bounded input
     /// queue that the server drains at a finite rate (Section 3.4). No
-    /// plan exists until the first window closes.
-    Closed(Box<ClosedLoop>),
+    /// plan exists until the first window closes, and a window that
+    /// admitted nothing keeps the plan it found.
+    Closed {
+        /// The one queue, holding each update's send time and payload
+        /// stamped with its *delivery* time (so service latency measures
+        /// queueing, not the wireless hop), and THROTLOOP over it.
+        governor: Box<Governor<(f64, UplinkPayload)>>,
+        cfg: AdaptiveConfig,
+        /// Service earned and not yet spent (under one update), so a
+        /// fractional `µ·dt` still drains at the declared rate.
+        credit: f64,
+        windows: Vec<WindowDecision>,
+        tel: AdaptiveTelemetry,
+    },
 }
 
 /// Stage 4: one policy's isolated simulation state. Owns everything it
@@ -576,7 +589,16 @@ impl PolicyLane {
             shedding: policy.build(&setup.config, &setup.model),
             control: match closed {
                 None => Control::Fixed,
-                Some(cfg) => Control::Closed(Box::new(ClosedLoop::new(cfg, sc, tel.closed_loop()))),
+                Some(cfg) => Control::Closed {
+                    governor: Box::new(
+                        Governor::new(cfg.queue_capacity, 1, cfg.service_rate, 1)
+                            .expect("a validated adaptive config"),
+                    ),
+                    cfg: *cfg,
+                    credit: 0.0,
+                    windows: Vec::new(),
+                    tel: tel.closed_loop(),
+                },
             },
             server: pipeline.server(setup, sc),
             reckoners: vec![DeadReckoner::new(); sc.num_cars],
@@ -705,9 +727,9 @@ impl PolicyLane {
             }
             // A region is credited with what passed admission, whether
             // or not the bounded queue then has room for it.
-            Control::Closed(cl) => {
+            Control::Closed { governor, .. } => {
                 Self::bump_region(&mut self.region_admitted, region);
-                cl.offer(now, sent_at, update);
+                governor.offer_at(0, now, (sent_at, update));
             }
         }
     }
@@ -744,7 +766,7 @@ impl PolicyLane {
                     self.adapt(&start, queries, sc.throttle);
                     ticks_per(sc.adapt_period_s, sc)
                 }
-                Control::Closed(cl) => ticks_per(cl.period_s(), sc),
+                Control::Closed { cfg, .. } => ticks_per(cfg.control_period_s, sc),
             }
         };
         let mut channel = self.channel.take();
@@ -783,8 +805,24 @@ impl PolicyLane {
                     self.arrive(t, d.sent_at, d.payload);
                 }
             }
-            if let Control::Closed(cl) = &mut self.control {
-                for (_, (sent_at, update)) in cl.service(t) {
+            // The closed loop's server takes what this tick's service
+            // earns off the queue and ingests it.
+            if let Control::Closed {
+                governor,
+                cfg,
+                credit,
+                tel,
+                ..
+            } = &mut self.control
+            {
+                *credit += cfg.service_rate * sc.dt;
+                let n = credit.floor();
+                *credit -= n;
+                let due: Vec<_> = governor.service_at(0, n as usize).collect();
+                for (arrived_at, _) in &due {
+                    tel.on_serviced(t - arrived_at);
+                }
+                for (_, (sent_at, update)) in due {
                     self.ingest(sent_at, update);
                 }
             }
@@ -793,7 +831,18 @@ impl PolicyLane {
                 let z = match &mut self.control {
                     // A plan installed at the last tick would shed nothing.
                     Control::Fixed => (tick != total_ticks).then_some(sc.throttle),
-                    Control::Closed(cl) => Some(cl.close_window(t)),
+                    Control::Closed {
+                        governor,
+                        cfg,
+                        windows,
+                        tel,
+                        ..
+                    } => {
+                        let decision = governor.close_window(t, cfg.control_period_s);
+                        tel.on_window(&decision);
+                        windows.push(decision);
+                        decision.adapt_due.then_some(decision.throttle)
+                    }
                 };
                 if let Some(z) = z {
                     self.adapt(&cars, queries, z);
@@ -870,17 +919,23 @@ impl PolicyLane {
         }
     }
 
-    /// The closed-loop lane's report.
+    /// The closed-loop lane's report. With no window ever closed the
+    /// throttle in force is still the scenario's configured one.
     fn adaptive_report(self, sc: &Scenario) -> AdaptiveReport {
-        let Control::Closed(cl) = self.control else {
+        let Control::Closed {
+            governor, windows, ..
+        } = self.control
+        else {
             unreachable!("adaptive_report is only called on a lane built with a closed loop");
         };
-        cl.report(
-            sc,
-            self.accumulator.report(),
-            self.faults,
-            self.tel.snapshot("adaptive"),
-        )
+        AdaptiveReport {
+            final_throttle: windows.last().map_or(sc.throttle, |w| w.throttle),
+            windows,
+            drop_fraction: governor.drop_fraction(),
+            metrics: self.accumulator.report(),
+            faults: self.faults,
+            telemetry: self.tel.snapshot("adaptive"),
+        }
     }
 }
 
@@ -1074,12 +1129,15 @@ impl SimPipeline {
     /// The closed loop always uses the analytic `f(Δ)`: the controller is
     /// being tested against the model the paper derives, not a calibrated
     /// refinement of it.
+    ///
+    /// Panics on a configuration [`AdaptiveConfig::validate`] refuses.
     pub fn run_adaptive(
         &self,
         sc: &Scenario,
         cfg: &AdaptiveConfig,
         policy: Policy,
     ) -> AdaptiveReport {
+        cfg.validate().expect("valid adaptive config");
         let mut setup = SimSetup::build(sc, false);
         let mut lane = PolicyLane::new(self, policy, 0, &setup, sc, Some(cfg));
         self.stream(

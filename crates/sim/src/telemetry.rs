@@ -4,7 +4,7 @@
 //!
 //! The core algorithms stay telemetry-free — they return plain counters
 //! ([`GridReduceStats`](lira_core::grid_reduce::GridReduceStats),
-//! [`AdaptCost`], the THROTLOOP step classification) that this module
+//! [`AdaptCost`], the governor's [`WindowDecision`]) that this module
 //! copies into per-lane [`Telemetry`] registries at adaptation
 //! boundaries. Recording is a relaxed atomic per call, so the lane loop
 //! pays the same instructions whether telemetry is enabled, runtime
@@ -22,9 +22,9 @@ use lira_core::policy::AdaptCost;
 use lira_core::telemetry::{
     Counter, Gauge, Histogram, Level, MetricSpec, Telemetry, TelemetrySnapshot,
 };
-use lira_core::throt_loop::ThrotLoop;
 use lira_server::channel::ChannelStats;
 use lira_server::cq_engine::CqServer;
+use lira_server::governor::{StepClass, WindowDecision};
 
 // Lane metrics (component "sim.lane").
 const LANE_UPDATES_SENT: MetricSpec = MetricSpec::new("lane.updates_sent", "sim.lane", "updates");
@@ -354,8 +354,6 @@ pub struct AdaptiveTelemetry {
     clamped: Arc<Counter>,
     held: Arc<Counter>,
     overload: Arc<Counter>,
-    /// Last-seen controller totals, for per-window deltas.
-    seen: std::cell::Cell<(u64, u64, u64)>,
 }
 
 impl AdaptiveTelemetry {
@@ -371,13 +369,12 @@ impl AdaptiveTelemetry {
             clamped: registry.counter(THROT_CLAMPED),
             held: registry.counter(THROT_HELD),
             overload: registry.counter(THROT_OVERLOAD),
-            seen: std::cell::Cell::new((0, 0, 0)),
             registry,
         }
     }
 
-    /// Records one serviced update's queueing latency (seconds; skipped
-    /// for untimed NaN arrivals).
+    /// Records one serviced update's queueing latency (seconds; a
+    /// non-finite latency is skipped).
     #[inline]
     pub fn on_serviced(&self, latency_s: f64) {
         if latency_s.is_finite() {
@@ -386,70 +383,53 @@ impl AdaptiveTelemetry {
     }
 
     /// Records one control window: queue state, the `(λ, μ, ρ, z)`
-    /// operating point, and the controller's step classification since
-    /// the previous window. Degenerate windows (holds, overload clamps)
-    /// produce `Warn` journal entries — the operator-facing signals in
-    /// docs/TELEMETRY.md.
-    #[allow(clippy::too_many_arguments)]
-    pub fn on_window(
-        &self,
-        time_s: f64,
-        queue_len: usize,
-        dropped_in_window: u64,
-        lambda: f64,
-        mu: f64,
-        controller: &ThrotLoop,
-    ) {
-        self.queue_depth.set(queue_len as f64);
-        self.queue_overflow.add(dropped_in_window);
+    /// operating point, and the step's classification. Degenerate windows
+    /// (holds, overload clamps) produce `Warn` journal entries — the
+    /// operator-facing signals in docs/TELEMETRY.md.
+    pub fn on_window(&self, w: &WindowDecision) {
+        let (lambda, mu) = (w.arrival_rate, w.service_rate);
+        self.queue_depth.set(w.queue_len as f64);
+        self.queue_overflow.add(w.dropped);
         self.lambda.set(lambda);
         self.mu.set(mu);
         self.rho
             .set(if mu > 0.0 { lambda / mu } else { f64::INFINITY });
-        self.z.set(controller.throttle());
-        let now = (
-            controller.clamped_steps(),
-            controller.held_steps(),
-            controller.overload_steps(),
-        );
-        let prev = self.seen.replace(now);
-        self.clamped.add(now.0 - prev.0);
-        self.held.add(now.1 - prev.1);
-        self.overload.add(now.2 - prev.2);
+        self.z.set(w.throttle);
+        // An overload step is also a clamped one.
+        let clamped = matches!(w.step, StepClass::Clamped | StepClass::Overload);
+        self.clamped.add(u64::from(clamped));
+        self.held.add(u64::from(w.step == StepClass::Held));
+        self.overload.add(u64::from(w.step == StepClass::Overload));
         if !self.registry.is_enabled() {
             return;
         }
-        if now.2 > prev.2 {
-            self.registry.event(
+        let event = match w.step {
+            StepClass::Overload => Some((
                 Level::Warn,
-                TARGET_ADAPTIVE,
-                time_s,
                 format!(
                     "overload window: mu <= 0, z stepped at clamp (z = {:.4})",
-                    controller.throttle()
+                    w.throttle
                 ),
-            );
-        } else if now.1 > prev.1 {
-            self.registry.event(
+            )),
+            StepClass::Held => Some((
                 Level::Warn,
-                TARGET_ADAPTIVE,
-                time_s,
                 "degenerate window held: non-finite rate observation".to_string(),
-            );
-        } else if now.0 > prev.0 {
-            self.registry.event(
+            )),
+            StepClass::Clamped => Some((
                 Level::Info,
-                TARGET_ADAPTIVE,
-                time_s,
-                format!("step factor clamped (z = {:.4})", controller.throttle()),
-            );
+                format!("step factor clamped (z = {:.4})", w.throttle),
+            )),
+            StepClass::Tracked => None,
+        };
+        if let Some((level, message)) = event {
+            self.registry.event(level, TARGET_ADAPTIVE, w.time, message);
         }
-        if dropped_in_window > 0 {
+        if w.dropped > 0 {
             self.registry.event(
                 Level::Warn,
                 TARGET_ADAPTIVE,
-                time_s,
-                format!("queue overflow: {dropped_in_window} updates tail-dropped"),
+                w.time,
+                format!("queue overflow: {} updates tail-dropped", w.dropped),
             );
         }
     }
@@ -503,34 +483,42 @@ mod tests {
     }
 
     #[test]
-    fn adaptive_window_deltas_track_controller() {
-        use lira_core::throt_loop::QueueObservation;
+    fn adaptive_windows_are_recorded_by_their_step_class() {
         let lane = LaneTelemetry::new(true);
         let tel = lane.closed_loop();
-        let mut ctl = ThrotLoop::new(100).unwrap();
+        let window = |time, step, throttle, queue_len, dropped, lambda, mu| WindowDecision {
+            time,
+            arrival_rate: lambda,
+            throttle,
+            queue_len,
+            dropped,
+            service_rate: mu,
+            throttle_before: 1.0,
+            step,
+            adapt_due: true,
+        };
         // Overload window: mu = 0 counts as overload + clamp.
-        ctl.observe(QueueObservation {
-            arrival_rate: 50.0,
-            service_rate: 0.0,
-        });
-        tel.on_window(20.0, 3, 2, 50.0, 0.0, &ctl);
+        tel.on_window(&window(20.0, StepClass::Overload, 0.5, 3, 2, 50.0, 0.0));
         // Healthy window: no new degenerate steps.
-        ctl.observe(QueueObservation {
-            arrival_rate: 10.0,
-            service_rate: 100.0,
-        });
-        tel.on_window(40.0, 0, 0, 10.0, 100.0, &ctl);
+        tel.on_window(&window(40.0, StepClass::Tracked, 0.75, 0, 0, 10.0, 100.0));
+        tel.on_window(&window(60.0, StepClass::Held, 0.75, 0, 0, f64::NAN, 100.0));
         let snap = lane.snapshot("adaptive");
         if cfg!(feature = "telemetry-off") || lira_core::telemetry::COMPILED_OUT {
             assert!(!snap.enabled);
             return;
         }
         assert_eq!(snap.counter("throtloop.overload_steps"), Some(1));
+        assert_eq!(snap.counter("throtloop.clamped_steps"), Some(1));
+        assert_eq!(snap.counter("throtloop.held_steps"), Some(1));
         assert_eq!(snap.counter("queue.overflow_drops"), Some(2));
-        assert_eq!(snap.gauge("throtloop.z"), Some(ctl.throttle()));
-        assert!(snap
-            .events
-            .iter()
-            .any(|e| e.message.contains("overload window")));
+        assert_eq!(snap.gauge("throtloop.z"), Some(0.75));
+        let messages: Vec<&str> = snap.events.iter().map(|e| e.message.as_str()).collect();
+        assert!(messages[0].starts_with("overload window"), "{messages:?}");
+        assert!(messages[1].starts_with("queue overflow: 2"), "{messages:?}");
+        assert!(
+            messages[2].starts_with("degenerate window held"),
+            "{messages:?}"
+        );
+        assert_eq!(messages.len(), 3);
     }
 }

@@ -34,10 +34,12 @@ fn main() -> Result<()> {
     let mut config = LiraConfig::default();
     config.bounds = bounds;
     config = config.with_regions(25);
-    let mut shedder = LiraShedder::new(config.clone(), QUEUE_CAPACITY)?;
+    let shedder = LiraShedder::new(config.clone(), QUEUE_CAPACITY)?;
 
     let mut grid = StatsGrid::new(config.alpha, bounds)?;
-    let mut queue: UpdateQueue<MotionReport> = UpdateQueue::new(QUEUE_CAPACITY);
+    // The server's one input queue, with THROTLOOP over it.
+    let mut governor: Governor<MotionReport> =
+        Governor::new(QUEUE_CAPACITY, 1, SERVICE_RATE, 1).map_err(LiraError::InvalidConfig)?;
     let mut reckoners = vec![DeadReckoner::new(); sim.cars().len()];
     let mut plan = SheddingPlan::uniform(bounds, config.delta_min);
 
@@ -45,7 +47,6 @@ fn main() -> Result<()> {
     println!("\n  time |  cars |  λ (upd/s) |     z | queue | dropped");
     println!("-------+-------+------------+-------+-------+--------");
 
-    let mut dropped_before = 0u64;
     for window in 0..12 {
         // A traffic surge: the fleet grows by 50% at t = 80 s and again at
         // t = 160 s (modeled by shrinking every node's threshold budget —
@@ -67,43 +68,40 @@ fn main() -> Result<()> {
                     // The surge: each physical update stands for
                     // `surge_factor` nodes' worth of load.
                     for _ in 0..surge_factor {
-                        queue.offer(rep);
+                        governor.offer_at(0, t, rep);
                     }
                 }
             }
             // The server drains at its fixed service rate.
-            queue.service(SERVICE_RATE as usize);
+            drop(governor.service_at(0, SERVICE_RATE as usize));
         }
 
         // End of window: THROTLOOP observes and LIRA re-plans.
-        let obs = queue.window_observation(WINDOW_S, SERVICE_RATE);
+        let decision = governor.close_window(sim.time(), WINDOW_S);
         grid.begin_snapshot();
         for car in sim.cars() {
             grid.observe_node(&car.position(), car.speed(), surge_factor as f64);
         }
         grid.commit_snapshot();
-        let adaptation = shedder.adapt(&grid, obs)?;
-        plan = adaptation.plan;
+        plan = shedder.adapt_with_throttle(&grid, decision.throttle)?.plan;
 
-        let dropped_now = queue.dropped() - dropped_before;
-        dropped_before = queue.dropped();
         println!(
             "{:>5.0}s | {:>5} | {:>10.1} | {:>5.3} | {:>5} | {:>7}",
-            sim.time(),
+            decision.time,
             sim.cars().len() * surge_factor,
-            obs.arrival_rate,
-            adaptation.throttle,
-            queue.len(),
-            dropped_now,
+            decision.arrival_rate,
+            decision.throttle,
+            decision.queue_len,
+            decision.dropped,
         );
     }
 
     println!(
         "\nTHROTLOOP settled at z = {:.3}; total drops {} of {} arrivals ({:.2}%).",
-        shedder.throttle(),
-        queue.dropped(),
-        queue.arrived(),
-        100.0 * queue.drop_fraction()
+        governor.throttle(),
+        governor.dropped(),
+        governor.arrived(),
+        100.0 * governor.drop_fraction()
     );
     println!("Each surge causes one burst of drops; the controller then cuts z until the");
     println!("source-side budget absorbs the load and the queue stops overflowing.");

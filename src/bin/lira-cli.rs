@@ -61,8 +61,7 @@ fn main() -> ExitCode {
 struct Options {
     scenario: Scenario,
     policies: Vec<Policy>,
-    service_rate: f64,
-    capacity: usize,
+    adaptive: AdaptiveConfig,
     telemetry_json: Option<String>,
 }
 
@@ -93,8 +92,7 @@ impl Options {
             other => return Err(format!("unknown scale {other:?}")),
         };
         let mut policies = Policy::ALL.to_vec();
-        let mut service_rate = 200.0;
-        let mut capacity = 500usize;
+        let mut adaptive = AdaptiveConfig::default();
         let mut telemetry_json = None;
 
         for (key, value) in kv {
@@ -125,8 +123,8 @@ impl Options {
                         })
                         .collect::<std::result::Result<_, String>>()?;
                 }
-                "service-rate" => service_rate = parse(&key, &value)?,
-                "capacity" => capacity = parse(&key, &value)?,
+                "service-rate" => adaptive.service_rate = parse(&key, &value)?,
+                "capacity" => adaptive.queue_capacity = parse(&key, &value)?,
                 "telemetry-json" => telemetry_json = Some(value),
                 other => return Err(format!("unknown option --{other}")),
             }
@@ -134,12 +132,13 @@ impl Options {
         sc.lira_config()
             .validate()
             .and_then(|()| sc.validate())
+            .map_err(|e| e.to_string())
+            .and_then(|()| adaptive.validate())
             .map_err(|e| format!("invalid configuration: {e}"))?;
         Ok(Options {
             scenario: sc,
             policies,
-            service_rate,
-            capacity,
+            adaptive,
             telemetry_json,
         })
     }
@@ -199,11 +198,7 @@ fn write_snapshots(path: &str, snapshots: &[&TelemetrySnapshot]) -> std::io::Res
 }
 
 fn cmd_adaptive(opts: &Options) -> ExitCode {
-    let cfg = AdaptiveConfig {
-        service_rate: opts.service_rate,
-        queue_capacity: opts.capacity,
-        control_period_s: 20.0,
-    };
+    let cfg = opts.adaptive;
     println!(
         "closed loop: μ = {} upd/s, B = {}, control every {} s",
         cfg.service_rate, cfg.queue_capacity, cfg.control_period_s
@@ -309,5 +304,40 @@ mod tests {
             );
         }
         assert!(parse_args(&["--scale", "small", "--duration", "60"]).is_ok());
+    }
+
+    #[test]
+    fn closed_loops_that_cannot_run_are_invalid_configurations() {
+        // `--capacity 0` and `1` used to panic; a service rate that is not
+        // positive and finite used to run a server that never serviced,
+        // or one THROTLOOP could not steer by.
+        let refused = [
+            ("--capacity", "0"),
+            ("--capacity", "1"),
+            ("--service-rate", "nan"),
+            ("--service-rate", "inf"),
+            ("--service-rate", "0"),
+            ("--service-rate", "-5"),
+        ];
+        for (flag, value) in refused {
+            let err = parse_args(&["--scale", "small", flag, value]).expect_err(value);
+            assert!(
+                err.starts_with("invalid configuration: "),
+                "{flag} {value}: {err}"
+            );
+        }
+        let opts = parse_args(&[
+            "--scale",
+            "small",
+            "--capacity",
+            "2",
+            "--service-rate",
+            "0.3",
+        ])
+        .expect("B = 2 and a fractional rate are runnable");
+        assert_eq!(
+            (opts.adaptive.queue_capacity, opts.adaptive.service_rate),
+            (2, 0.3)
+        );
     }
 }
