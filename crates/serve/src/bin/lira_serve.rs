@@ -2,7 +2,7 @@
 //! loop, optionally write the session report on exit.
 //!
 //! ```text
-//! lira-serve [--port P] [--space M] [--nodes N] [--shards S] [--slices L]
+//! lira-serve [--port P] [--space M] [--nodes N] [--shards S]
 //!            [--queue-capacity B] [--service-rate U] [--adapt-every W]
 //!            [--regions l] [--delta-min D] [--delta-max D]
 //!            [--policy lira|lira-grid|uniform|utility-greedy|utility-model]
@@ -22,7 +22,7 @@ use lira_serve::session::{ServeConfig, SessionCore};
 
 fn usage() -> ! {
     eprintln!(
-        "usage: lira-serve [--port P] [--space M] [--nodes N] [--shards S] [--slices L]\n\
+        "usage: lira-serve [--port P] [--space M] [--nodes N] [--shards S]\n\
          \x20                 [--queue-capacity B] [--service-rate U] [--adapt-every W]\n\
          \x20                 [--regions l] [--delta-min D] [--delta-max D]\n\
          \x20                 [--policy lira|lira-grid|uniform|utility-greedy|utility-model]\n\
@@ -54,8 +54,8 @@ fn main() {
             "--port" => port = val(&mut i).parse().unwrap_or_else(|_| usage()),
             "--space" => space = val(&mut i).parse().unwrap_or_else(|_| usage()),
             "--nodes" => nodes = val(&mut i).parse().unwrap_or_else(|_| usage()),
-            "--shards" | "--slices" | "--queue-capacity" | "--service-rate" | "--adapt-every"
-            | "--regions" | "--delta-min" | "--delta-max" => {
+            "--shards" | "--queue-capacity" | "--service-rate" | "--adapt-every" | "--regions"
+            | "--delta-min" | "--delta-max" => {
                 let v = val(&mut i);
                 cfg_overrides.push((flag.to_string(), v));
             }
@@ -76,7 +76,6 @@ fn main() {
     for (flag, v) in &cfg_overrides {
         let ok = match flag.as_str() {
             "--shards" => v.parse().map(|x| cfg.shards = x).is_ok(),
-            "--slices" => v.parse().map(|x| cfg.slices = x).is_ok(),
             "--queue-capacity" => v.parse().map(|x| cfg.queue_capacity = x).is_ok(),
             "--service-rate" => v.parse().map(|x| cfg.service_rate = x).is_ok(),
             "--adapt-every" => v.parse().map(|x| cfg.adapt_every_windows = x).is_ok(),

@@ -12,9 +12,9 @@
 //! * [`protocol`] — the length-prefixed binary frame codec
 //!   (specified byte-by-byte in `docs/WIRE.md`, which doc-tests against
 //!   this crate via the [`wire_spec`] module);
-//! * [`slices`] — `hash(id) % slices` routing with a live-rewritable
-//!   slice→shard table;
-//! * [`session`] — the transport-agnostic session core (engine, queues,
+//! * [`slices`] — `hash(id) % slices` routing, kept only for the
+//!   frozen benchmark's replica (the session routes nothing);
+//! * [`session`] — the transport-agnostic session core (engine, queue,
 //!   controller, shedder, report);
 //! * [`server`] — the hand-rolled non-blocking socket loop (no async
 //!   runtime: the build is offline and single-threaded determinism is a

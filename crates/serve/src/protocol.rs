@@ -118,11 +118,12 @@ pub enum Frame {
     Welcome {
         /// Server-assigned session id (connection ordinal).
         session: u32,
-        /// Number of routing slices in the slice table.
+        /// Always 1: the session has one admission ledger and routes
+        /// nothing (the field stays until the next protocol version).
         slices: u32,
-        /// Number of engine shards slices map onto.
+        /// Number of engine shards (spatial stripes).
         shards: u32,
-        /// Total bounded-queue capacity `B` (updates), across shards.
+        /// Bounded-queue capacity `B` (updates).
         queue_capacity: u32,
         /// The plan default Δ (meters): the throttler clients assume
         /// before the first plan broadcast.
@@ -142,7 +143,7 @@ pub enum Frame {
         /// The updates, in send order.
         updates: Vec<WireUpdate>,
     },
-    /// Drain the input queues' books and evaluate all queries at
+    /// Drain the input queue's books and evaluate all queries at
     /// sim-time `t`.
     EvalReq {
         /// Evaluation timestamp.
@@ -181,9 +182,9 @@ pub enum Frame {
         /// Provisioned service rate µ (updates/s).
         mu: f64,
         /// Updates admitted since the last drain point: the input
-        /// queues' depth when the `WindowClose` arrived.
+        /// queue's depth when the `WindowClose` arrived.
         depth: u64,
-        /// Total updates dropped at the queues since session start.
+        /// Total updates dropped at the queue since session start.
         dropped: u64,
         /// 1 if this window triggered a plan adaptation (a `Plan` frame
         /// follows to subscribers), else 0.
@@ -202,12 +203,13 @@ pub enum Frame {
         /// `16·n` bytes of region records.
         regions: Vec<u8>,
     },
-    /// Rewrite one slice→shard routing entry (live, takes effect on the
-    /// next batch).
+    /// A no-op, always acknowledged: it once rewrote a slice→shard
+    /// routing entry, and stays on the wire until the next protocol
+    /// version deletes it.
     SetSlice {
-        /// Slice index (`< slices`).
+        /// Slice index (ignored).
         slice: u32,
-        /// Target shard (`< shards`).
+        /// Target shard (ignored).
         shard: u32,
     },
     /// Positive acknowledgement of the frame kind `of`.

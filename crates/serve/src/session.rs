@@ -1,10 +1,9 @@
 //! The transport-agnostic session core: everything `lira-serve` does
 //! *between* the socket and the engine. One [`SessionCore`] owns the CQ
-//! server, the slice-routing table, the [`Governor`] (per-shard bounded
-//! input queues — admission ledgers: the engine ingests an update when it
-//! is admitted — and the THROTLOOP controller over them), the statistics
-//! grid and the LIRA shedder — and turns incoming [`Frame`]s into
-//! reply/broadcast frames.
+//! server, the [`Governor`] (the one bounded input queue — an admission
+//! ledger: the engine ingests an update when it is admitted — and the
+//! THROTLOOP controller over it), the statistics grid and the LIRA
+//! shedder — and turns incoming [`Frame`]s into reply/broadcast frames.
 //!
 //! Splitting the core from the socket loop is what makes the acceptance
 //! criterion *testable*: the TCP transport and the in-process transport
@@ -32,7 +31,6 @@ use lira_server::query::{QueryResult, RangeQuery};
 use std::sync::Arc;
 
 use crate::protocol::{self, digest_round, kind, Frame, WireUpdate};
-use crate::slices::SliceTable;
 
 /// Configuration of one serving session (CLI flags map onto this 1:1;
 /// see `docs/OPERATIONS.md`).
@@ -43,12 +41,19 @@ pub struct ServeConfig {
     /// Node-id capacity of the engine: the node store is sized to this
     /// once, and a `Batch` naming an id ≥ this is rejected whole.
     pub num_nodes: usize,
-    /// Engine shards (spatial stripes of the unified engine).
+    /// Engine shards (spatial stripes of the unified engine): the host's
+    /// parallelism, at most 4, by default. Nothing in the deterministic
+    /// report but its `shards` key depends on it.
     pub shards: usize,
-    /// Routing slices (≥ shards; 64 by default).
+    /// Ignored, like `index_side`: it sized the slice table that routed
+    /// updates to per-shard queues, which are gone (the session has one
+    /// admission ledger). The field survives only because the frozen
+    /// `benchmark/` crate reads it (ROADMAP item 11).
     pub slices: usize,
-    /// Total bounded input-queue capacity `B`, split evenly across
-    /// shards.
+    /// Bounded input-queue capacity `B`: one admission ledger of `B`
+    /// slots, `2 × num_nodes` (at least 64) by default, so a client that
+    /// primes the whole fleet and then re-reports it before its first
+    /// drain point is not tail-dropped.
     pub queue_capacity: usize,
     /// Provisioned service rate µ in updates/sec — the capacity THROTLOOP
     /// steers arrivals toward.
@@ -87,9 +92,9 @@ impl ServeConfig {
         ServeConfig {
             bounds: Rect::from_coords(0.0, 0.0, space_m, space_m),
             num_nodes,
-            shards: 4,
+            shards: std::thread::available_parallelism().map_or(1, |n| n.get().min(4)),
             slices: 64,
-            queue_capacity: (num_nodes / 10).max(64),
+            queue_capacity: (2 * num_nodes).max(64),
             service_rate: (num_nodes as f64).max(1000.0),
             adapt_every_windows: 1,
             index_side: 64,
@@ -115,16 +120,15 @@ impl ServeConfig {
         c
     }
 
-    /// Says why no session can run under this configuration: no shard
-    /// or slice to route to, a queue capacity `B` more than `Welcome` can
-    /// advertise, whatever [`Governor::check`] refuses (fewer slots than
-    /// shards, fewer than THROTLOOP's two, a service rate it cannot
-    /// divide by), or anything [`Self::shedding_policy`] refuses. The
-    /// binary checks before it binds; [`SessionCore::new`] panics on a
-    /// refusal.
+    /// Says why no session can run under this configuration: no engine
+    /// shard, a queue capacity `B` more than `Welcome` can advertise,
+    /// whatever [`Governor::check`] refuses (fewer than THROTLOOP's two
+    /// slots, a service rate it cannot divide by), or anything
+    /// [`Self::shedding_policy`] refuses. The binary checks before it
+    /// binds; [`SessionCore::new`] panics on a refusal.
     pub fn validate(&self) -> Result<(), String> {
-        if self.shards < 1 || self.slices < 1 {
-            return Err("shards and slices must each be at least 1".into());
+        if self.shards < 1 {
+            return Err("shards must be at least 1".into());
         }
         if self.queue_capacity > u32::MAX as usize {
             return Err(format!(
@@ -133,7 +137,7 @@ impl ServeConfig {
                 self.queue_capacity
             ));
         }
-        Governor::<()>::check(self.queue_capacity, self.shards, self.service_rate)?;
+        Governor::<()>::check(self.queue_capacity, self.service_rate)?;
         self.shedding_policy().map(drop)
     }
 
@@ -264,10 +268,9 @@ pub struct Output {
 pub struct SessionCore {
     cfg: ServeConfig,
     server: CqServer,
-    table: SliceTable,
-    /// One admission ledger per shard (capacity, tail drop, depth, λ and
-    /// wait) and THROTLOOP over them. An admitted update is already in
-    /// the engine; its slot only holds the wall time it was admitted at.
+    /// The admission ledger (capacity, tail drop, depth, λ and wait) and
+    /// THROTLOOP over it. An admitted update is already in the engine;
+    /// its slot only holds the wall time it was admitted at.
     governor: Governor<()>,
     grid: StatsGrid,
     policy: Box<dyn SheddingPolicy>,
@@ -278,8 +281,6 @@ pub struct SessionCore {
     digest: u64,
     last_results: u64,
     batches_rx: u64,
-    /// Slice→shard reassignments (`SetSlice`) applied over the session.
-    slice_rewrites: u64,
     plan_broadcasts: u64,
     plan_bytes: u64,
     protocol_errors: u64,
@@ -301,10 +302,8 @@ impl SessionCore {
         let mut grid = StatsGrid::new(lira.alpha, cfg.bounds).expect("alpha/bounds validated");
         grid.begin_snapshot();
         SessionCore {
-            table: SliceTable::new(cfg.slices, cfg.shards),
             governor: Governor::new(
                 cfg.queue_capacity,
-                cfg.shards,
                 cfg.service_rate,
                 cfg.adapt_every_windows,
             )
@@ -318,7 +317,6 @@ impl SessionCore {
             digest: 0,
             last_results: 0,
             batches_rx: 0,
-            slice_rewrites: 0,
             plan_broadcasts: 0,
             plan_bytes: 0,
             protocol_errors: 0,
@@ -401,7 +399,7 @@ impl SessionCore {
             Frame::Hello { .. } => {
                 out.replies.push(Frame::Welcome {
                     session: conn,
-                    slices: self.cfg.slices as u32,
+                    slices: 1,
                     shards: self.cfg.shards as u32,
                     queue_capacity: self.cfg.queue_capacity as u32,
                     default_delta: self.cfg.delta_min,
@@ -468,14 +466,13 @@ impl SessionCore {
                 self.batches_rx += 1;
                 self.tel.rx_updates.add(sent);
                 self.tel.batch_updates.record(sent);
-                // Ingest on admission: the shard's ledger decides, and an
-                // admitted update goes straight into the engine and the
-                // stats grid, in arrival order.
+                // Ingest on admission: the ledger decides, and an admitted
+                // update goes straight into the engine and the stats
+                // grid, in arrival order.
                 let wall = self.wall();
                 let mut admitted = 0u64;
                 for u in updates {
-                    let shard = self.table.shard_of(u.id);
-                    if self.governor.offer_at(shard, wall, ()) {
+                    if self.governor.offer_at(wall, ()) {
                         let origin = Point::new(u.x, u.y);
                         let speed = (u.vx * u.vx + u.vy * u.vy).sqrt();
                         self.server.ingest(u.id, t, origin, (u.vx, u.vy));
@@ -576,23 +573,11 @@ impl SessionCore {
                     adapted,
                 });
             }
-            Frame::SetSlice { slice, shard } => {
-                if self.table.set(slice as usize, shard as usize) {
-                    self.slice_rewrites += 1;
-                    out.replies.push(Frame::Ack {
-                        of: kind::SET_SLICE,
-                    });
-                } else {
-                    out.replies.push(self.reject(
-                        conn,
-                        protocol::ERR_INVALID,
-                        format!(
-                            "slice {slice} or shard {shard} out of range ({}×{})",
-                            self.cfg.slices, self.cfg.shards
-                        ),
-                    ));
-                }
-            }
+            // A no-op, kept on the wire until the next version: there is
+            // one admission ledger and nothing left to route.
+            Frame::SetSlice { .. } => out.replies.push(Frame::Ack {
+                of: kind::SET_SLICE,
+            }),
             Frame::ReportReq => {
                 self.drain();
                 out.replies.push(Frame::ReportRes {
@@ -628,31 +613,29 @@ impl SessionCore {
         Frame::Error { code, message }
     }
 
-    /// Services every shard ledger: the books only, since `Batch`
-    /// already put each admitted update into the engine and the stats
-    /// grid. Called at the drain points (`EvalReq`, `WindowClose`,
-    /// `ReportReq`), which empty the ledgers so that `WindowAck.depth` is
-    /// the count admitted since the previous drain point — and so that
-    /// the governor's "admitted since the last re-plan" is what the
-    /// re-plan's statistics grid has seen.
+    /// Services the ledger: the books only, since `Batch` already put
+    /// each admitted update into the engine and the stats grid. Called
+    /// at the drain points (`EvalReq`, `WindowClose`, `ReportReq`), which
+    /// empty the ledger so that `WindowAck.depth` is the count admitted
+    /// since the previous drain point — and so that the governor's
+    /// "admitted since the last re-plan" is what the re-plan's statistics
+    /// grid has seen.
     ///
     /// Telemetry is charged per run, not per update: the wall clock is
     /// read once per drain and a `Batch`'s updates share one offer time,
     /// so equal waits come in runs, each recorded once.
     fn drain(&mut self) {
         let wall = self.wall();
-        for shard in 0..self.cfg.shards {
-            let (mut wait_us, mut run) = (0, 0);
-            for (offered, ()) in self.governor.service_at(shard, usize::MAX) {
-                let wait = ((wall - offered).max(0.0) * 1e6) as u64;
-                if wait != wait_us {
-                    self.tel.queue_wait_us.record_n(wait_us, run);
-                    (wait_us, run) = (wait, 0);
-                }
-                run += 1;
+        let (mut wait_us, mut run) = (0, 0);
+        for (offered, ()) in self.governor.service_at(usize::MAX) {
+            let wait = ((wall - offered).max(0.0) * 1e6) as u64;
+            if wait != wait_us {
+                self.tel.queue_wait_us.record_n(wait_us, run);
+                (wait_us, run) = (wait, 0);
             }
-            self.tel.queue_wait_us.record_n(wait_us, run);
+            run += 1;
         }
+        self.tel.queue_wait_us.record_n(wait_us, run);
     }
 
     /// The deterministic report core: a pure function of the frame
@@ -677,7 +660,6 @@ impl SessionCore {
                 "protocol_version".into(),
                 Json::UInt(protocol::VERSION as u64),
             ),
-            ("slices".into(), Json::UInt(self.cfg.slices as u64)),
             ("shards".into(), Json::UInt(self.cfg.shards as u64)),
             (
                 "queue_capacity".into(),
@@ -710,7 +692,6 @@ impl SessionCore {
                 "registered_queries".into(),
                 Json::UInt(self.queries.len() as u64),
             ),
-            ("slice_rewrites".into(), Json::UInt(self.slice_rewrites)),
             ("protocol_errors".into(), Json::UInt(self.protocol_errors)),
             ("connections".into(), Json::Arr(conns)),
         ])
@@ -738,7 +719,6 @@ mod tests {
     fn tiny() -> SessionCore {
         let mut cfg = ServeConfig::new(1000.0, 100);
         cfg.shards = 2;
-        cfg.slices = 8;
         cfg.queue_capacity = 64;
         cfg.service_rate = 50.0;
         SessionCore::new(cfg)
@@ -759,7 +739,14 @@ mod tests {
         let mut s = tiny();
         let conn = s.open_conn();
         let out = s.handle(conn, Frame::Hello { flags: 1 });
-        assert!(matches!(out.replies[0], Frame::Welcome { session: 0, .. }));
+        assert!(matches!(
+            out.replies[0],
+            Frame::Welcome {
+                session: 0,
+                slices: 1,
+                ..
+            }
+        ));
 
         let out = s.handle(
             conn,
@@ -805,19 +792,14 @@ mod tests {
             assert!(why.contains(needle), "{why:?} should mention {needle:?}");
         };
         refused(|c| c.shards = 0, "shards");
-        refused(|c| c.slices = 0, "slices");
         refused(|c| c.service_rate = 0.0, "service rate");
         refused(|c| c.service_rate = -5.0, "service rate");
         refused(|c| c.service_rate = f64::NAN, "service rate");
         refused(|c| c.service_rate = f64::INFINITY, "service rate");
-        // A `B` the session would not honour as advertised: fewer slots
-        // than shards, fewer than THROTLOOP's two, or more than a u32.
+        // A `B` the session would not honour as advertised: fewer than
+        // THROTLOOP's two slots, or more than a u32.
         refused(|c| c.queue_capacity = 0, "queue capacity");
-        refused(|c| c.queue_capacity = c.shards - 1, "one slot per queue");
-        refused(
-            |c| (c.shards, c.queue_capacity) = (1, 1),
-            "two for THROTLOOP",
-        );
+        refused(|c| c.queue_capacity = 1, "two for THROTLOOP");
         refused(|c| c.queue_capacity = u32::MAX as usize + 1, "u32");
         let edge = |shards, queue_capacity| ServeConfig {
             shards,
@@ -825,8 +807,17 @@ mod tests {
             ..base()
         };
         assert_eq!(edge(1, 2).validate(), Ok(()));
-        assert_eq!(edge(8, 8).validate(), Ok(()));
+        assert_eq!(edge(8, 2).validate(), Ok(()));
         assert_eq!(edge(4, u32::MAX as usize).validate(), Ok(()));
+        // The slice count routes nothing any more, so it is not checked.
+        assert_eq!(
+            ServeConfig {
+                slices: 0,
+                ..base()
+            }
+            .validate(),
+            Ok(())
+        );
         // What `shedding_policy` already refused is refused here too.
         refused(|c| c.policy = Policy::RandomDrop, "sheds at the server");
         refused(|c| c.num_regions = 251, "l mod 3");
@@ -839,7 +830,7 @@ mod tests {
     }
 
     #[test]
-    #[should_panic(expected = "shards and slices must each be at least 1")]
+    #[should_panic(expected = "shards must be at least 1")]
     fn a_session_over_zero_shards_is_refused_at_construction() {
         let mut cfg = ServeConfig::new(1000.0, 100);
         cfg.shards = 0;
@@ -893,7 +884,6 @@ mod tests {
         for policy in Policy::ALL {
             let mut cfg = ServeConfig::new(1000.0, 100);
             cfg.shards = 2;
-            cfg.slices = 8;
             cfg.queue_capacity = 64;
             cfg.service_rate = 50.0;
             cfg.policy = policy;
@@ -982,7 +972,7 @@ mod tests {
 
     #[test]
     fn queue_overflow_drops_and_reports() {
-        let mut s = tiny(); // capacity 64 over 2 shards = 32 each
+        let mut s = tiny(); // capacity 64
         let conn = s.open_conn();
         s.handle(conn, Frame::Hello { flags: 0 });
         let updates: Vec<WireUpdate> = (0..500).map(|i| upd(i % 100, 10.0, 10.0)).collect();
@@ -1013,7 +1003,7 @@ mod tests {
     /// `record_n` per run of equal waits) count what the report counts.
     #[test]
     fn queue_telemetry_agrees_with_the_report_under_overload() {
-        let mut s = tiny(); // capacity 64 over 2 shards = 32 each
+        let mut s = tiny(); // capacity 64
         let conn = s.open_conn();
         s.handle(conn, Frame::Hello { flags: 0 });
         let batch = |r: u32| Frame::Batch {
@@ -1052,13 +1042,7 @@ mod tests {
         let mut s = tiny();
         let conn = s.open_conn();
         s.handle(conn, Frame::Hello { flags: 0 });
-        let out = s.handle(
-            conn,
-            Frame::SetSlice {
-                slice: 999,
-                shard: 0,
-            },
-        );
+        let out = s.handle(conn, Frame::EvalReq { t: f64::NAN });
         assert!(matches!(
             out.replies[0],
             Frame::Error {
@@ -1075,14 +1059,25 @@ mod tests {
             }
         ));
         assert_eq!(s.protocol_errors(), 2);
-        // The session still works.
-        let out = s.handle(conn, Frame::SetSlice { slice: 3, shard: 1 });
+        // The session still works, and `SetSlice` is a no-op: any slice
+        // and shard is acknowledged and changes nothing.
+        let before = s.deterministic_json();
+        let out = s.handle(
+            conn,
+            Frame::SetSlice {
+                slice: 999,
+                shard: 0,
+            },
+        );
         assert_eq!(
             out.replies,
             vec![Frame::Ack {
                 of: kind::SET_SLICE
             }]
         );
+        assert_eq!(s.deterministic_json(), before);
+        let out = s.handle(conn, Frame::EvalReq { t: 0.0 });
+        assert!(matches!(out.replies[0], Frame::EvalRes { round: 1, .. }));
     }
 
     /// Sends one good batch, then `bad`, and checks the session refused
@@ -1220,7 +1215,6 @@ mod tests {
     fn digest_after(shards: usize, script: &[Frame]) -> u64 {
         let mut cfg = ServeConfig::new(1000.0, 100);
         cfg.shards = shards;
-        cfg.slices = 8;
         cfg.queue_capacity = 1024;
         let mut s = SessionCore::new(cfg);
         let conn = s.open_conn();
@@ -1278,34 +1272,6 @@ mod tests {
                 "{shards} shards"
             );
         }
-    }
-
-    /// A `SetSlice` between two reports of one node at one `t`, with no
-    /// drain point between them, keeps the later report: the engine
-    /// ingests in arrival order, whichever shard a report was admitted to.
-    #[test]
-    fn a_slice_rewrite_between_reports_keeps_the_later_one() {
-        let table = SliceTable::new(8, 2);
-        let node = (0..100).find(|&id| table.shard_of(id) == 1).unwrap();
-        let query = Frame::Register {
-            queries: vec![wire_query(0, (0.0, 0.0), (100.0, 100.0))],
-        };
-        let report = |x: f64| Frame::Batch {
-            t: 0.0,
-            updates: vec![upd(node, x, 50.0)],
-        };
-        let eval = Frame::EvalReq { t: 0.0 };
-        // Inside, then outside, with every slice moved to shard 0 between.
-        let mut script = vec![query.clone(), report(50.0)];
-        script.extend((0..8).map(|slice| Frame::SetSlice { slice, shard: 0 }));
-        script.extend([report(500.0), eval.clone()]);
-        // The same two reports with no rewrite between them, and the
-        // other way round, which the digest tells apart.
-        let plain = [query.clone(), report(50.0), report(500.0), eval.clone()];
-        let reversed = [query, report(500.0), report(50.0), eval];
-        assert_eq!(digest_after(2, &script), digest_after(2, &plain));
-        assert_eq!(digest_after(2, &script), digest_after(1, &plain));
-        assert_ne!(digest_after(2, &script), digest_after(2, &reversed));
     }
 
     /// Sends a batch and one good evaluation, then `bad`, and checks the

@@ -1,16 +1,11 @@
-//! Fixed-slice request routing: `hash(id) % slices` picks a slice, and a
-//! live-rewritable slice→shard table picks the engine shard that owns the
-//! update. Routing through an indirection table (rather than hashing
-//! straight to a shard) means rebalancing is a table rewrite — a
-//! `SetSlice` frame — not a re-hash of the world, mirroring how
-//! fixed-slice stores migrate load.
+//! Fixed-slice routing, kept only for the frozen `benchmark/` crate's
+//! in-process replica, which times the routing step the session once ran
+//! (ROADMAP item 11 deletes both). The session itself routes nothing: it
+//! has one admission ledger, and `SetSlice` is a no-op.
 //!
-//! Determinism contract: the hash is seedless FNV-1a over the node id's
-//! little-endian bytes, so a given node id *always* lands in the same
-//! slice, on every platform, in every run. While the table is unchanged
-//! a node's updates therefore form a FIFO stream into one shard queue —
-//! the property that makes the networked façade bit-identical to
-//! in-process ingestion.
+//! `hash(id) % slices` picks a slice, and a slice→shard table, assigned
+//! round-robin, names a shard. The hash is seedless FNV-1a over the node
+//! id's little-endian bytes, so a node id always lands in the same slice.
 
 use crate::protocol::{fnv1a, FNV_OFFSET};
 
@@ -18,31 +13,17 @@ use crate::protocol::{fnv1a, FNV_OFFSET};
 #[derive(Debug, Clone)]
 pub struct SliceTable {
     shard_of_slice: Vec<u32>,
-    shards: u32,
 }
 
 impl SliceTable {
-    /// A table of `slices` entries over `shards` shards, initially
-    /// assigned round-robin (`slice % shards`). Both counts must be ≥ 1;
-    /// `slices` should comfortably exceed `shards` so rebalancing has
-    /// granularity (the default façade uses 64 slices).
+    /// A table of `slices` entries over `shards` shards, assigned
+    /// round-robin (`slice % shards`). Both counts must be ≥ 1.
     pub fn new(slices: usize, shards: usize) -> Self {
         assert!(slices >= 1, "need at least one slice");
         assert!(shards >= 1, "need at least one shard");
         SliceTable {
             shard_of_slice: (0..slices).map(|s| (s % shards) as u32).collect(),
-            shards: shards as u32,
         }
-    }
-
-    /// Number of slices.
-    pub fn slices(&self) -> usize {
-        self.shard_of_slice.len()
-    }
-
-    /// Number of shards.
-    pub fn shards(&self) -> usize {
-        self.shards as usize
     }
 
     /// The slice a node id hashes into.
@@ -50,22 +31,7 @@ impl SliceTable {
         (fnv1a(FNV_OFFSET, &id.to_le_bytes()) % self.shard_of_slice.len() as u64) as usize
     }
 
-    /// The shard currently serving a node id.
-    pub fn shard_of(&self, id: u32) -> usize {
-        self.shard_of_slice[self.slice_of(id)] as usize
-    }
-
-    /// Rewrites one slice's shard assignment. Returns `false` (and
-    /// changes nothing) if either index is out of range.
-    pub fn set(&mut self, slice: usize, shard: usize) -> bool {
-        if slice >= self.shard_of_slice.len() || shard as u64 >= self.shards as u64 {
-            return false;
-        }
-        self.shard_of_slice[slice] = shard as u32;
-        true
-    }
-
-    /// Current per-slice shard assignments (diagnostics / report).
+    /// Per-slice shard assignments.
     pub fn assignments(&self) -> &[u32] {
         &self.shard_of_slice
     }
@@ -82,7 +48,7 @@ mod tests {
             let s = t.slice_of(id);
             assert!(s < 64);
             assert_eq!(s, t.slice_of(id), "stable per id");
-            assert_eq!(t.shard_of(id), (s % 4), "round-robin initial map");
+            assert_eq!(t.assignments()[s], (s % 4) as u32, "round-robin map");
         }
     }
 
@@ -97,17 +63,5 @@ mod tests {
         // 1000/slice expected; FNV-1a over sequential ids should stay
         // within a loose band.
         assert!(min > 700 && max < 1300, "min {min} max {max}");
-    }
-
-    #[test]
-    fn live_rewrite_moves_a_slice() {
-        let mut t = SliceTable::new(8, 2);
-        let id = (0..u32::MAX).find(|&i| t.slice_of(i) == 3).unwrap();
-        let before = t.shard_of(id);
-        assert!(t.set(3, 1 - before));
-        assert_eq!(t.shard_of(id), 1 - before);
-        assert!(!t.set(8, 0), "slice out of range");
-        assert!(!t.set(0, 2), "shard out of range");
-        assert_eq!(t.assignments().len(), 8);
     }
 }

@@ -5,11 +5,11 @@
 //! `ReferenceTimeline` on the same seed, tying the networked façade to
 //! the pipeline the rest of the repo trusts.
 //!
-//! The session ingests an update when its shard's queue admits it, so
-//! the last two tests hold the moved ingest to the queue books: under
-//! tail drop the books conserve and the wire agrees, and with no drop
-//! the digest chain depends neither on the shard count nor on how often
-//! the client drains.
+//! The session ingests an update when its one admission ledger admits
+//! it, so the last tests hold the ingest to the queue books: under tail
+//! drop the books conserve and the wire agrees; the deterministic core
+//! does not depend on the engine's shard count, with or without tail
+//! drop; and the default queue capacity admits a default storm whole.
 
 use std::collections::VecDeque;
 use std::net::{TcpListener, TcpStream};
@@ -165,129 +165,6 @@ fn scenario_raw_replay_digest_ties_to_the_reference_timeline() {
     assert_eq!(tcp.deterministic_core(), report.deterministic_core());
 }
 
-/// Drives a fixed Batch/EvalReq/WindowClose script against a fresh
-/// session built from `cfg`, optionally calling `between_windows` after
-/// every `WindowClose`, and returns the parsed deterministic report.
-/// Update volume is skewed (a few hot ids carry most of the traffic) so
-/// the slice→shard table starts imbalanced, and stays far below queue
-/// capacity so routing changes cannot alter the drop pattern.
-fn run_skewed_script<F>(cfg: ServeConfig, mut between_windows: F) -> Json
-where
-    F: FnMut(&mut SessionCore, u32, u64),
-{
-    use lira_serve::protocol::WireUpdate;
-    // Two hot ids that the FNV slice hash routes to the *same* shard
-    // under the initial round-robin table, so the skew piles onto one
-    // queue instead of cancelling out.
-    let table = lira_serve::slices::SliceTable::new(cfg.slices, cfg.shards);
-    let mut hot_ids = (1u32..1000).filter(|&id| table.shard_of(id) == 0);
-    let hot = [hot_ids.next().unwrap(), hot_ids.next().unwrap()];
-    let mut s = SessionCore::new(cfg);
-    let conn = s.open_conn();
-    s.handle(conn, Frame::Hello { flags: 0 });
-    s.handle(
-        conn,
-        Frame::Register {
-            queries: vec![WireQuery {
-                id: 0,
-                min_x: 0.0,
-                min_y: 0.0,
-                max_x: 600.0,
-                max_y: 600.0,
-            }],
-        },
-    );
-    for round in 0..6u64 {
-        let t = round as f64;
-        let mut updates = Vec::new();
-        // Two hot nodes send 40 updates each per round; forty cold nodes
-        // send one each — per-slice admission counts are heavily skewed.
-        for rep in 0..40u32 {
-            for hot in hot {
-                updates.push(WireUpdate {
-                    id: hot,
-                    x: 100.0 + (rep as f64),
-                    y: 100.0,
-                    vx: 1.0,
-                    vy: 0.0,
-                });
-            }
-        }
-        for cold in 10..50u32 {
-            updates.push(WireUpdate {
-                id: cold,
-                x: (cold as f64) * 18.0,
-                y: 700.0,
-                vx: 0.0,
-                vy: 1.0,
-            });
-        }
-        s.handle(conn, Frame::Batch { t, updates });
-        s.handle(conn, Frame::EvalReq { t });
-        s.handle(
-            conn,
-            Frame::WindowClose {
-                t: t + 1.0,
-                window_s: 1.0,
-            },
-        );
-        between_windows(&mut s, conn, round);
-    }
-    Json::parse(&s.deterministic_json()).expect("report parses")
-}
-
-#[test]
-fn digest_is_unchanged_across_live_setslice_rewrites() {
-    let mut cfg = ServeConfig::new(1_000.0, 100);
-    cfg.shards = 2;
-    cfg.slices = 8;
-    cfg.queue_capacity = 1 << 16; // no tail-drops: admits mirror the skew
-
-    let plain = run_skewed_script(cfg.clone(), |_, _, _| {});
-    // Same frame script, but the client live-rewrites the slice→shard
-    // table between windows — ping-ponging every slice across shards.
-    let rewritten = run_skewed_script(cfg, |s, conn, round| {
-        for slice in 0..8u32 {
-            let out = s.handle(
-                conn,
-                Frame::SetSlice {
-                    slice,
-                    shard: ((slice + round as u32) % 2),
-                },
-            );
-            assert!(
-                matches!(out.replies[0], Frame::Ack { .. }),
-                "rewrite must be accepted: {:?}",
-                out.replies[0]
-            );
-        }
-    });
-
-    // Routing moved, results did not: the evaluation digest and every
-    // load-bearing counter agree bit for bit.
-    for key in [
-        "digest",
-        "eval_rounds",
-        "last_results",
-        "updates_admitted",
-        "updates_dropped",
-        "windows",
-    ] {
-        assert_eq!(
-            plain.get(key),
-            rewritten.get(key),
-            "{key} must not change under live SetSlice rewrites"
-        );
-    }
-    assert_ne!(
-        plain.get("digest").unwrap().as_str(),
-        Some("0000000000000000"),
-        "the script must actually evaluate something"
-    );
-    assert_eq!(rewritten.get("slice_rewrites").unwrap().as_u64(), Some(48));
-    assert_eq!(plain.get("slice_rewrites").unwrap().as_u64(), Some(0));
-}
-
 #[test]
 fn welcome_bounds_mismatch_fails_fast() {
     let (cfg, trace, queries, mut tcfg, _sc, _setup) =
@@ -309,14 +186,24 @@ fn welcome_bounds_mismatch_fails_fast() {
 /// adapted)`.
 type AckChain = Vec<(u64, u64, f64, u64, u8)>;
 
+/// Frames a [`Recording`] slips in behind the storm's back.
+#[derive(Debug, Clone, Copy, PartialEq)]
+enum Extra {
+    /// None.
+    Plain,
+    /// A `SetSlice` after every `WindowClose`.
+    SetSliceAfterWindows,
+    /// A `ReportReq` after every `Batch`: one more drain point.
+    ReportAfterBatches,
+}
+
 /// Wraps a transport and keeps what the server answered at each drain
 /// point: every `WindowAck` (its depth, and its controller output) and
-/// every `EvalRes.digest`, in order. With `report_after_batches`, it also
-/// follows every `Batch` with a `ReportReq` — one more drain point the
+/// every `EvalRes.digest`, in order, while sending the `extra` frames the
 /// storm never sees.
 struct Recording<'a, T> {
     inner: &'a mut T,
-    report_after_batches: bool,
+    extra: Extra,
     held: VecDeque<Frame>,
     depths: Vec<u64>,
     acks: AckChain,
@@ -324,10 +211,10 @@ struct Recording<'a, T> {
 }
 
 impl<'a, T: Transport> Recording<'a, T> {
-    fn new(inner: &'a mut T, report_after_batches: bool) -> Self {
+    fn new(inner: &'a mut T, extra: Extra) -> Self {
         Recording {
             inner,
-            report_after_batches,
+            extra,
             held: VecDeque::new(),
             depths: Vec::new(),
             acks: Vec::new(),
@@ -339,16 +226,21 @@ impl<'a, T: Transport> Recording<'a, T> {
 impl<T: Transport> Transport for Recording<'_, T> {
     fn send(&mut self, frame: &Frame) -> std::io::Result<()> {
         self.inner.send(frame)?;
-        if self.report_after_batches && matches!(frame, Frame::Batch { .. }) {
-            self.inner.send(&Frame::ReportReq)?;
-            loop {
-                match self.inner.recv()? {
-                    Frame::ReportRes { .. } => break,
-                    other => self.held.push_back(other),
-                }
+        let extra = match (self.extra, frame) {
+            (Extra::SetSliceAfterWindows, Frame::WindowClose { .. }) => Frame::SetSlice {
+                slice: self.acks.len() as u32,
+                shard: 1,
+            },
+            (Extra::ReportAfterBatches, Frame::Batch { .. }) => Frame::ReportReq,
+            _ => return Ok(()),
+        };
+        self.inner.send(&extra)?;
+        loop {
+            match self.inner.recv()? {
+                Frame::Ack { .. } | Frame::ReportRes { .. } => return Ok(()),
+                other => self.held.push_back(other),
             }
         }
-        Ok(())
     }
 
     fn recv(&mut self) -> std::io::Result<Frame> {
@@ -419,18 +311,19 @@ fn core_and_waits(server_json: &str) -> (Json, u64) {
     (core, waits.count)
 }
 
-/// Under tail drop, at one shard and at three, the books are the
+/// Under tail drop, at one shard and at several, the books are the
 /// paper's queue books however the engine ingests: every received update
 /// is admitted or dropped, each `WindowAck.depth` is what was admitted
 /// since the previous drain point, one wait sample is taken per
 /// admitted update — and TCP and in-process runs agree on all of it.
 ///
-/// The pins were captured when the session still ingested at the drain
-/// points: the same books and the same digests, whenever the engine
-/// takes the update. The `WindowAck` chains — `(z bits, λ bits, µ,
-/// lifetime drops, adapted)` per window — were captured while the
+/// The pins were captured at one shard when the session still ingested
+/// at the drain points: the same books and the same digests, whenever
+/// the engine takes the update. The `WindowAck` chain — `(z bits, λ
+/// bits, µ, lifetime drops, adapted)` per window — was captured while the
 /// session still ran its own copy of the THROTLOOP window, before it
-/// moved onto the shared governor.
+/// moved onto the shared governor. With one admission ledger, every
+/// shard count reads the one-shard pins.
 #[test]
 fn tail_drop_books_conserve_and_tcp_matches_inproc() {
     let one_shard: AckChain = vec![
@@ -441,19 +334,8 @@ fn tail_drop_books_conserve_and_tcp_matches_inproc() {
         (0x3fd01e3f68fcc6b9, 0x4051600000000000, 150.0, 3969, 1),
         (0x3fc01e3f68fcc6b9, 0x4074980000000000, 150.0, 4775, 1),
     ];
-    let three_shards: AckChain = vec![
-        (0x3fe0000000000000, 0x4088a20000000000, 150.0, 2643, 1),
-        (0x3fd12af91b1ddfd4, 0x4071680000000000, 150.0, 3247, 1),
-        (0x3fca1bac0cd74378, 0x4068900000000000, 150.0, 3523, 1),
-        (0x3fc04e05740e8f47, 0x406de80000000000, 150.0, 3970, 1),
-        (0x3fd04e05740e8f47, 0x4052100000000000, 150.0, 3970, 1),
-        (0x3fc04e05740e8f47, 0x4074100000000000, 150.0, 4744, 1),
-    ];
-    let pins = [
-        (1, "350c5d9a72d33574", 2_838, 4_775, one_shard),
-        (3, "2a7516b6d663ca2d", 2_839, 4_744, three_shards),
-    ];
-    for (shards, digest, admitted, dropped, chain) in pins {
+    let (digest, admitted, dropped) = ("350c5d9a72d33574", 2_838, 4_775);
+    for shards in [1, 3, 7] {
         let mut cfg = ServeConfig::new(2_000.0, 2_000);
         cfg.shards = shards;
         cfg.num_regions = 49;
@@ -468,7 +350,7 @@ fn tail_drop_books_conserve_and_tcp_matches_inproc() {
         storm_cfg.seed = 5;
 
         let (tcp, tcp_depths, tcp_acks, tcp_digests) = run_over_tcp(cfg.clone(), |t| {
-            let mut rec = Recording::new(t, false);
+            let mut rec = Recording::new(t, Extra::Plain);
             let report = run_storm(&mut rec, &storm_cfg).expect("tcp storm");
             (report, rec.depths, rec.acks, rec.digests)
         });
@@ -477,14 +359,14 @@ fn tail_drop_books_conserve_and_tcp_matches_inproc() {
             admitted_at_drain: 0,
             expected_depths: Vec::new(),
         };
-        let mut rec = Recording::new(&mut ledger, false);
+        let mut rec = Recording::new(&mut ledger, Extra::Plain);
         let inproc = run_storm(&mut rec, &storm_cfg).expect("inproc storm");
         let (depths, acks, digests) = (rec.depths, rec.acks, rec.digests);
 
         assert_eq!(tcp.deterministic_core(), inproc.deterministic_core());
         assert_eq!((&tcp_depths, &tcp_digests), (&depths, &digests));
         assert_eq!(tcp_acks, acks);
-        assert_eq!(acks, chain, "{shards} shards");
+        assert_eq!(acks, one_shard, "{shards} shards");
         assert_eq!(depths, ledger.expected_depths, "{shards} shards");
         assert_eq!(depths.len(), 24 / 4);
         assert_eq!(format!("{:016x}", inproc.digest), digest);
@@ -504,55 +386,100 @@ fn tail_drop_books_conserve_and_tcp_matches_inproc() {
     }
 }
 
-/// With `B` never binding, the engine and the stats grid see every update
-/// in arrival order whatever the shard count, so the digest chain — and
-/// with it the plans the storm sheds under — is the same at 1, 2 and 4
-/// shards. Extra drain points change the books' timing, not their sums:
-/// a `ReportReq` after every `Batch` leaves the chain where it was.
-#[test]
-fn digest_chain_is_independent_of_shards_and_extra_drain_points() {
-    let mut storm_cfg = StormConfig::new(1_500, 2_000.0);
-    storm_cfg.rounds = 16;
-    storm_cfg.churn_frac = 0.3;
-    storm_cfg.eval_every = 2;
-    // λ is summed over the shards' window counts divided by `window_s`;
-    // a power of two keeps each quotient, and so the sum, exact.
-    storm_cfg.window_every = 4;
-    storm_cfg.batch_cap = 300;
-    let run = |shards: usize, report_after_batches: bool| {
-        let mut cfg = ServeConfig::new(2_000.0, 1_500);
-        cfg.shards = shards;
-        cfg.num_regions = 49;
-        cfg.queue_capacity = 1 << 20;
-        let mut inproc = InprocTransport::new(SessionCore::new(cfg));
-        let mut rec = Recording::new(&mut inproc, report_after_batches);
-        let report = run_storm(&mut rec, &storm_cfg).expect("inproc storm");
-        let core = Json::parse(&report.deterministic_core()).unwrap();
-        let books: Vec<String> = [
-            "digest",
-            "eval_rounds",
-            "last_results",
-            "updates_rx",
-            "updates_admitted",
-            "updates_dropped",
-            "windows",
-            "z",
-            "plan_epoch",
-            "plan_bytes",
-        ]
-        .iter()
-        .map(|k| format!("{k}={}", core.get(k).unwrap()))
-        .collect();
-        (rec.digests, books, report.plans_received)
+/// What one in-process storm answered: the `EvalRes` digest chain, the
+/// `WindowAck` chain, and the deterministic core without its `shards`
+/// key.
+fn storm_record(
+    cfg: ServeConfig,
+    storm_cfg: &StormConfig,
+    extra: Extra,
+) -> (Vec<u64>, AckChain, String) {
+    let mut inproc = InprocTransport::new(SessionCore::new(cfg));
+    let mut rec = Recording::new(&mut inproc, extra);
+    let report = run_storm(&mut rec, storm_cfg).expect("inproc storm");
+    let Json::Obj(fields) = Json::parse(&report.deterministic_core()).unwrap() else {
+        panic!("the deterministic core is an object");
     };
-    let (digests, books, plans) = run(1, false);
-    assert_eq!(digests.len(), 16 / 2);
-    assert!(plans > 0, "the storm must shed under broadcast plans");
-    assert!(books.contains(&"updates_dropped=0".to_string()));
-    for (shards, extra) in [(2, false), (4, false), (1, true), (4, true)] {
-        let (d, b, p) = run(shards, extra);
-        assert_eq!(d, digests, "{shards} shards, extra drain points: {extra}");
-        assert_eq!(b, books, "{shards} shards, extra drain points: {extra}");
-        assert_eq!(p, plans);
+    let core = fields.into_iter().filter(|(k, _)| k != "shards").collect();
+    (rec.digests, rec.acks, Json::Obj(core).to_string())
+}
+
+/// The served deterministic core does not depend on the engine's shard
+/// count: over a few seeds, with `B` never binding and with a 256-slot
+/// `B` that tail-drops, and with the storm's frames alone, a `SetSlice`
+/// after every window, or a `ReportReq` after every `Batch`, the runs at
+/// 1, 2, 3, 4 and 7 shards answer the same `EvalRes` digest chain, the
+/// same `WindowAck` chain and the same core but for its `shards` key.
+/// The window is 3 s, so a λ summed over per-shard quotients would show
+/// in the last bit, and 256 slots split over 3 or 7 shards would lose
+/// slots and route drops by node.
+///
+/// Across the extra frames: a `SetSlice` is a no-op, so it moves neither
+/// chain; and with no drop an extra drain point moves only the books'
+/// timing, so the `ReportReq` run's chains are the plain run's too.
+#[test]
+fn deterministic_core_is_independent_of_shards() {
+    for seed in [5, 11, 23] {
+        for queue_capacity in [1 << 20, 256] {
+            let mut plain = None;
+            for extra in [
+                Extra::Plain,
+                Extra::SetSliceAfterWindows,
+                Extra::ReportAfterBatches,
+            ] {
+                let mut storm_cfg = StormConfig::new(1_000, 2_000.0);
+                storm_cfg.rounds = 12;
+                storm_cfg.churn_frac = 0.3;
+                storm_cfg.eval_every = 2;
+                storm_cfg.window_every = 3;
+                // Above B, so a 256-slot ledger drops even when every
+                // `Batch` is followed by a drain point.
+                storm_cfg.batch_cap = 400;
+                storm_cfg.seed = seed;
+                let run = |shards| {
+                    let mut cfg = ServeConfig::new(2_000.0, 1_000);
+                    cfg.shards = shards;
+                    cfg.num_regions = 49;
+                    cfg.queue_capacity = queue_capacity;
+                    cfg.service_rate = 150.0;
+                    storm_record(cfg, &storm_cfg, extra)
+                };
+                let (digests, acks, core) = run(1);
+                let case = format!("seed {seed}, B {queue_capacity}, {extra:?}");
+                assert_eq!(digests.len(), 12 / 2, "{case}");
+                assert_eq!(acks.len(), 12 / 3, "{case}");
+                let parsed = Json::parse(&core).unwrap();
+                let dropped = parsed.get("updates_dropped").unwrap().as_u64().unwrap();
+                assert_eq!(dropped > 0, queue_capacity == 256, "{case}");
+                for shards in [2, 3, 4, 7] {
+                    let (d, a, c) = run(shards);
+                    assert_eq!(d, digests, "{case}, {shards} shards");
+                    assert_eq!(a, acks, "{case}, {shards} shards");
+                    assert_eq!(c, core, "{case}, {shards} shards");
+                }
+                let plain = plain.get_or_insert((digests.clone(), acks.clone()));
+                if extra == Extra::SetSliceAfterWindows || dropped == 0 {
+                    assert_eq!((&digests, &acks), (&plain.0, &plain.1), "{case}");
+                }
+            }
+        }
     }
+}
+
+/// A default storm against a default session over the same fleet drops
+/// nothing: the storm primes every node before its first drain point
+/// and re-reports half the fleet in the first window, and the default
+/// `B` of twice the fleet holds all of it.
+#[test]
+fn default_queue_capacity_admits_a_default_storm() {
+    let nodes = 2_000;
+    let cfg = ServeConfig::new(2_000.0, nodes);
+    let storm_cfg = StormConfig::new(nodes, 2_000.0);
+    let mut inproc = InprocTransport::new(SessionCore::new(cfg));
+    let report = run_storm(&mut inproc, &storm_cfg).expect("inproc storm");
+    let core = Json::parse(&report.deterministic_core()).unwrap();
+    let field = |k: &str| core.get(k).unwrap().as_u64().unwrap();
+    assert!(field("updates_rx") > nodes as u64);
+    assert_eq!(field("updates_dropped"), 0);
+    assert_eq!(field("updates_admitted"), field("updates_rx"));
 }

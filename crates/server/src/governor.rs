@@ -1,11 +1,11 @@
-//! The input-queue governor (Section 3.4): the bounded queues in front of
-//! a server, the THROTLOOP controller that reads them, and the books both
-//! keep. It is the one body of the control loop: the simulator's closed
-//! lane drives one queue part, the served session one part per shard.
+//! The input-queue governor (Section 3.4): the one bounded queue in front
+//! of a server, the THROTLOOP controller that reads it, and the books both
+//! keep. It is the one body of the control loop, driven by the
+//! simulator's closed lane and by the served session alike.
 //!
 //! What the two callers really differ in stays theirs, as inputs to this
-//! body: how many parts, how long a window is (`window_s`), when and how
-//! much they service (`service_at`), and which clock stamps an offer.
+//! body: how long a window is (`window_s`), when and how much they
+//! service (`service_at`), and which clock stamps an offer.
 
 use std::collections::vec_deque::Drain;
 
@@ -34,13 +34,13 @@ pub enum StepClass {
 pub struct WindowDecision {
     /// The caller's clock at the close.
     pub time: f64,
-    /// Observed arrival rate λ (updates/s): Σ over parts of each part's
-    /// arrivals in the window divided by `window_s`.
+    /// Observed arrival rate λ (updates/s): the window's arrivals divided
+    /// by `window_s`.
     pub arrival_rate: f64,
     /// Throttle fraction in force after the window.
     pub throttle: f64,
-    /// Queued updates over all parts at the close, before any service
-    /// the caller does after it.
+    /// Queued updates at the close, before any service the caller does
+    /// after it.
     pub queue_len: usize,
     /// Updates tail-dropped during the window.
     pub dropped: u64,
@@ -56,11 +56,11 @@ pub struct WindowDecision {
     pub adapt_due: bool,
 }
 
-/// Bounded input queues, the THROTLOOP controller over them, the declared
-/// service rate µ, the drop/admit books and the adapt cadence.
+/// The bounded input queue, the THROTLOOP controller over it, the
+/// declared service rate µ, the drop/admit books and the adapt cadence.
 #[derive(Debug, Clone)]
 pub struct Governor<T> {
-    parts: Vec<UpdateQueue<T>>,
+    queue: UpdateQueue<T>,
     controller: ThrotLoop,
     service_rate: f64,
     adapt_every: u32,
@@ -71,18 +71,13 @@ pub struct Governor<T> {
 }
 
 impl<T> Governor<T> {
-    /// Says why no governor can run `parts` queues over `capacity` slots
-    /// at `service_rate`: each queue needs a slot, THROTLOOP's `1 − 1/B`
-    /// needs `B ≥ 2`, and µ must be positive and finite.
-    pub fn check(capacity: usize, parts: usize, service_rate: f64) -> Result<(), String> {
-        if parts < 1 {
-            return Err("a governor needs at least one queue".into());
-        }
-        let least = parts.max(2);
-        if capacity < least {
+    /// Says why no governor can run a queue of `capacity` slots at
+    /// `service_rate`: THROTLOOP's `1 − 1/B` needs `B ≥ 2`, and µ must be
+    /// positive and finite.
+    pub fn check(capacity: usize, service_rate: f64) -> Result<(), String> {
+        if capacity < 2 {
             return Err(format!(
-                "queue capacity must be at least {least} (one slot per queue, two for THROTLOOP), \
-                 got {capacity}"
+                "queue capacity must be at least 2 (two for THROTLOOP), got {capacity}"
             ));
         }
         if !(service_rate.is_finite() && service_rate > 0.0) {
@@ -93,21 +88,17 @@ impl<T> Governor<T> {
         Ok(())
     }
 
-    /// `parts` queues splitting `capacity` evenly (THROTLOOP's `B` is the
-    /// whole of it), steering toward `service_rate`, with a re-plan due
-    /// every `adapt_every_windows` windows (never at 0). Refuses what
-    /// [`Self::check`] refuses.
+    /// A queue of `capacity` slots (THROTLOOP's `B`), steering toward
+    /// `service_rate`, with a re-plan due every `adapt_every_windows`
+    /// windows (never at 0). Refuses what [`Self::check`] refuses.
     pub fn new(
         capacity: usize,
-        parts: usize,
         service_rate: f64,
         adapt_every_windows: u32,
     ) -> Result<Self, String> {
-        Self::check(capacity, parts, service_rate)?;
+        Self::check(capacity, service_rate)?;
         Ok(Governor {
-            parts: (0..parts)
-                .map(|_| UpdateQueue::new(capacity / parts))
-                .collect(),
+            queue: UpdateQueue::new(capacity),
             controller: ThrotLoop::new(capacity).map_err(|e| e.to_string())?,
             service_rate,
             adapt_every: adapt_every_windows,
@@ -116,22 +107,22 @@ impl<T> Governor<T> {
         })
     }
 
-    /// Offers `item` to queue `part` at the caller's clock `now`; a full
-    /// queue tail-drops it and returns `false`.
+    /// Offers `item` at the caller's clock `now`; a full queue tail-drops
+    /// it and returns `false`.
     #[inline]
-    pub fn offer_at(&mut self, part: usize, now: f64, item: T) -> bool {
-        self.parts[part].offer_at(now, item)
+    pub fn offer_at(&mut self, now: f64, item: T) -> bool {
+        self.queue.offer_at(now, item)
     }
 
-    /// Dequeues up to `n` of queue `part`'s updates with their offer
-    /// times, in FIFO order ([`UpdateQueue::service_at`]).
-    pub fn service_at(&mut self, part: usize, n: usize) -> Drain<'_, (f64, T)> {
-        self.parts[part].service_at(n)
+    /// Dequeues up to `n` updates with their offer times, in FIFO order
+    /// ([`UpdateQueue::service_at`]).
+    pub fn service_at(&mut self, n: usize) -> Drain<'_, (f64, T)> {
+        self.queue.service_at(n)
     }
 
     /// Lifetime offers.
     pub fn arrived(&self) -> u64 {
-        self.parts.iter().map(|q| q.arrived()).sum()
+        self.queue.arrived()
     }
 
     /// Lifetime admissions.
@@ -141,12 +132,12 @@ impl<T> Governor<T> {
 
     /// Lifetime tail drops.
     pub fn dropped(&self) -> u64 {
-        self.parts.iter().map(|q| q.dropped()).sum()
+        self.queue.dropped()
     }
 
-    /// Queued updates over all parts.
+    /// Queued updates.
     pub fn depth(&self) -> usize {
-        self.parts.iter().map(|q| q.len()).sum()
+        self.queue.len()
     }
 
     /// Fraction of all offers dropped so far (0 before the first).
@@ -166,17 +157,8 @@ impl<T> Governor<T> {
 
     /// Closes a window of `window_s` seconds at the caller's clock
     /// `time`: THROTLOOP observes `(λ, µ)` and sets the next throttle.
-    ///
-    /// λ is the sum of each part's `arrived / window_s`, not the total
-    /// divided once: the two can differ in the last bit, and the served
-    /// session's pinned `WindowAck` chain is the sum. At one part they
-    /// are the same number.
     pub fn close_window(&mut self, time: f64, window_s: f64) -> WindowDecision {
-        let arrival_rate: f64 = self
-            .parts
-            .iter_mut()
-            .map(|q| q.window_arrival_rate(window_s))
-            .sum();
+        let arrival_rate = self.queue.window_arrival_rate(window_s);
         let c = &self.controller;
         let before = (c.overload_steps(), c.held_steps(), c.clamped_steps());
         let throttle_before = c.throttle();
@@ -223,30 +205,28 @@ mod tests {
 
     #[test]
     fn check_refuses_what_no_governor_can_run() {
-        let refused = |capacity, parts, mu: f64, needle: &str| {
-            let why = Governor::<()>::check(capacity, parts, mu).expect_err(needle);
+        let refused = |capacity, mu: f64, needle: &str| {
+            let why = Governor::<()>::check(capacity, mu).expect_err(needle);
             assert!(why.contains(needle), "{why:?} should mention {needle:?}");
-            assert!(Governor::<()>::new(capacity, parts, mu, 1).is_err());
+            assert!(Governor::<()>::new(capacity, mu, 1).is_err());
         };
-        refused(10, 0, 1.0, "at least one queue");
-        refused(0, 1, 1.0, "queue capacity");
-        refused(1, 1, 1.0, "two for THROTLOOP");
-        refused(3, 4, 1.0, "one slot per queue");
+        refused(0, 1.0, "queue capacity");
+        refused(1, 1.0, "two for THROTLOOP");
         for mu in [0.0, -5.0, f64::NAN, f64::INFINITY] {
-            refused(10, 1, mu, "service rate");
+            refused(10, mu, "service rate");
         }
-        assert!(Governor::<()>::new(2, 1, 0.25, 1).is_ok());
-        assert!(Governor::<()>::new(4, 4, 1e9, 0).is_ok());
+        assert!(Governor::<()>::new(2, 0.25, 1).is_ok());
+        assert!(Governor::<()>::new(4, 1e9, 0).is_ok());
     }
 
-    /// One part, windowed as the simulator's closed loop windowed its one
-    /// queue before the governor: λ = arrivals / period, µ the declared
-    /// rate, drops and depth off the queue — bit for bit, window after
-    /// window, through overload and recovery.
+    /// Windowed as the simulator's closed loop windowed its one queue
+    /// before the governor: λ = arrivals / period, µ the declared rate,
+    /// drops and depth off the queue — bit for bit, window after window,
+    /// through overload and recovery.
     #[test]
-    fn one_part_reproduces_the_single_queue_window_arithmetic() {
+    fn reproduces_the_bare_queue_window_arithmetic() {
         let (capacity, mu, period) = (200, 25.0, 20.0);
-        let mut g = Governor::new(capacity, 1, mu, 1).unwrap();
+        let mut g = Governor::new(capacity, mu, 1).unwrap();
         let mut queue = UpdateQueue::new(capacity);
         let mut controller = ThrotLoop::new(capacity).unwrap();
         let (mut offered_in_window, mut dropped_before) = (0u64, 0u64);
@@ -255,10 +235,10 @@ mod tests {
                 let load = [90, 10, 40, 0][(window / 3) as usize] + (tick * 7 + window) % 13;
                 for i in 0..load {
                     let now = (window * 20 + tick) as f64;
-                    assert_eq!(g.offer_at(0, now, i), queue.offer_at(now, i));
+                    assert_eq!(g.offer_at(now, i), queue.offer_at(now, i));
                     offered_in_window += 1;
                 }
-                let served: Vec<_> = g.service_at(0, 25).collect();
+                let served: Vec<_> = g.service_at(25).collect();
                 assert_eq!(served, queue.service_at(25).collect::<Vec<_>>());
             }
             let t = (window * 20 + 20) as f64;
@@ -283,31 +263,15 @@ mod tests {
         assert_eq!(g.drop_fraction().to_bits(), drop_fraction.to_bits());
     }
 
-    /// λ is Σ (arrivals_i / w), which is not (Σ arrivals_i) / w: with
-    /// 1, 2 and 2 arrivals over 3 s the two differ in the last bit.
-    #[test]
-    fn lambda_is_the_sum_of_per_part_quotients() {
-        let mut g = Governor::new(30, 3, 100.0, 1).unwrap();
-        for (part, n) in [(0, 1), (1, 2), (2, 2)] {
-            for _ in 0..n {
-                assert!(g.offer_at(part, 0.0, ()));
-            }
-        }
-        let w = g.close_window(3.0, 3.0);
-        let per_part: f64 = 1.0 / 3.0 + 2.0 / 3.0 + 2.0 / 3.0;
-        assert_ne!(per_part, 5.0 / 3.0);
-        assert_eq!(w.arrival_rate.to_bits(), per_part.to_bits());
-    }
-
     #[test]
     fn step_class_matches_the_controllers_counters() {
-        let mut g = Governor::new(100, 1, 10.0, 1).unwrap();
+        let mut g = Governor::new(100, 10.0, 1).unwrap();
         let window = |g: &mut Governor<()>, arrivals: u32, mu: f64| {
             g.service_rate = mu;
             for _ in 0..arrivals {
-                g.offer_at(0, 0.0, ());
+                g.offer_at(0.0, ());
             }
-            drop(g.service_at(0, usize::MAX));
+            drop(g.service_at(usize::MAX));
             let c = &g.controller;
             let before = (c.clamped_steps(), c.held_steps(), c.overload_steps());
             let w = g.close_window(1.0, 1.0);
@@ -344,12 +308,12 @@ mod tests {
 
     #[test]
     fn adapt_is_due_on_cadence_and_only_after_admissions() {
-        let mut g = Governor::new(20, 2, 10.0, 3).unwrap();
+        let mut g = Governor::new(20, 10.0, 3).unwrap();
         let mut due = Vec::new();
         for window in 0..12u32 {
             // The fourth to sixth windows admit nothing.
             if !(3..6).contains(&window) {
-                g.offer_at((window % 2) as usize, 0.0, ());
+                g.offer_at(0.0, ());
             }
             due.push(g.close_window(window as f64, 1.0).adapt_due);
         }
@@ -359,28 +323,28 @@ mod tests {
         assert_eq!(on, [3, 9, 12]);
         assert_eq!(g.windows(), 12);
 
-        let mut never = Governor::new(8, 1, 10.0, 0).unwrap();
-        never.offer_at(0, 0.0, ());
+        let mut never = Governor::new(8, 10.0, 0).unwrap();
+        never.offer_at(0.0, ());
         assert!(!never.close_window(1.0, 1.0).adapt_due);
     }
 
     #[test]
     fn books_conserve_and_depth_is_read_at_the_close() {
-        let mut g = Governor::new(6, 3, 10.0, 1).unwrap();
+        let mut g = Governor::new(6, 10.0, 1).unwrap();
         assert_eq!(g.drop_fraction(), 0.0);
         for i in 0..20u32 {
-            g.offer_at((i % 3) as usize, i as f64, i);
+            g.offer_at(i as f64, i);
         }
-        let taken: Vec<u32> = g.service_at(1, 1).map(|(_, i)| i).collect();
-        assert_eq!(taken, [1]);
+        let taken: Vec<u32> = g.service_at(1).map(|(_, i)| i).collect();
+        assert_eq!(taken, [0]);
         assert_eq!((g.arrived(), g.admitted(), g.dropped()), (20, 6, 14));
         assert_eq!(g.arrived(), g.admitted() + g.dropped());
         let w = g.close_window(1.0, 1.0);
         assert_eq!((w.queue_len, g.depth(), w.dropped), (5, 5, 14));
         assert_eq!(g.drop_fraction(), 14.0 / 20.0);
         // The next window's drops start from zero.
-        g.offer_at(1, 2.0, 20);
-        g.offer_at(0, 2.0, 21);
+        g.offer_at(2.0, 20);
+        g.offer_at(2.0, 21);
         let w = g.close_window(2.0, 1.0);
         assert_eq!((w.queue_len, w.dropped), (6, 1));
         assert_eq!(g.arrived(), g.admitted() + g.dropped());
@@ -388,13 +352,13 @@ mod tests {
 
     #[test]
     fn overload_drives_z_toward_the_service_rate() {
-        let mut g = Governor::new(100, 1, 100.0, 1).unwrap();
+        let mut g = Governor::new(100, 100.0, 1).unwrap();
         // 200 updates/s arriving, capacity 100/s: z falls toward 0.5.
         for _ in 0..5 {
             for i in 0..200 {
-                g.offer_at(0, 0.0, i);
+                g.offer_at(0.0, i);
             }
-            drop(g.service_at(0, 100));
+            drop(g.service_at(100));
             g.close_window(1.0, 1.0);
         }
         assert!(g.throttle() < 0.55, "z = {}", g.throttle());

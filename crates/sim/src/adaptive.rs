@@ -42,12 +42,11 @@ impl Default for AdaptiveConfig {
 
 impl AdaptiveConfig {
     /// Says why no closed loop can run under this model: whatever
-    /// [`Governor::check`] refuses for one queue (`B < 2`, a service rate
-    /// that is not positive and finite), or a control period that is not
-    /// positive and finite. [`SimPipeline::run_adaptive`] panics on a
-    /// refusal.
+    /// [`Governor::check`] refuses (`B < 2`, a service rate that is not
+    /// positive and finite), or a control period that is not positive and
+    /// finite. [`SimPipeline::run_adaptive`] panics on a refusal.
     pub fn validate(&self) -> Result<(), String> {
-        Governor::<()>::check(self.queue_capacity, 1, self.service_rate)?;
+        Governor::<()>::check(self.queue_capacity, self.service_rate)?;
         if !(self.control_period_s.is_finite() && self.control_period_s > 0.0) {
             return Err(format!(
                 "control period must be positive and finite, got {}",

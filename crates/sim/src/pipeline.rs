@@ -591,7 +591,7 @@ impl PolicyLane {
                 None => Control::Fixed,
                 Some(cfg) => Control::Closed {
                     governor: Box::new(
-                        Governor::new(cfg.queue_capacity, 1, cfg.service_rate, 1)
+                        Governor::new(cfg.queue_capacity, cfg.service_rate, 1)
                             .expect("a validated adaptive config"),
                     ),
                     cfg: *cfg,
@@ -729,7 +729,7 @@ impl PolicyLane {
             // or not the bounded queue then has room for it.
             Control::Closed { governor, .. } => {
                 Self::bump_region(&mut self.region_admitted, region);
-                governor.offer_at(0, now, (sent_at, update));
+                governor.offer_at(now, (sent_at, update));
             }
         }
     }
@@ -818,7 +818,7 @@ impl PolicyLane {
                 *credit += cfg.service_rate * sc.dt;
                 let n = credit.floor();
                 *credit -= n;
-                let due: Vec<_> = governor.service_at(0, n as usize).collect();
+                let due: Vec<_> = governor.service_at(n as usize).collect();
                 for (arrived_at, _) in &due {
                     tel.on_serviced(t - arrived_at);
                 }

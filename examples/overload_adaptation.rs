@@ -39,7 +39,7 @@ fn main() -> Result<()> {
     let mut grid = StatsGrid::new(config.alpha, bounds)?;
     // The server's one input queue, with THROTLOOP over it.
     let mut governor: Governor<MotionReport> =
-        Governor::new(QUEUE_CAPACITY, 1, SERVICE_RATE, 1).map_err(LiraError::InvalidConfig)?;
+        Governor::new(QUEUE_CAPACITY, SERVICE_RATE, 1).map_err(LiraError::InvalidConfig)?;
     let mut reckoners = vec![DeadReckoner::new(); sim.cars().len()];
     let mut plan = SheddingPlan::uniform(bounds, config.delta_min);
 
@@ -68,12 +68,12 @@ fn main() -> Result<()> {
                     // The surge: each physical update stands for
                     // `surge_factor` nodes' worth of load.
                     for _ in 0..surge_factor {
-                        governor.offer_at(0, t, rep);
+                        governor.offer_at(t, rep);
                     }
                 }
             }
             // The server drains at its fixed service rate.
-            drop(governor.service_at(0, SERVICE_RATE as usize));
+            drop(governor.service_at(SERVICE_RATE as usize));
         }
 
         // End of window: THROTLOOP observes and LIRA re-plans.

@@ -3,9 +3,9 @@
 //! Boots `lira-serve`'s session loop on an ephemeral localhost port and
 //! walks the whole wire protocol by hand — handshake, query
 //! registration, batched updates, a THROTLOOP window with a plan
-//! broadcast, an evaluation round, a live slice→shard rewrite, and the
-//! session report — then lets `lira-storm`'s churn driver loose on the
-//! same server to show sustained throughput. Byte-level protocol spec:
+//! broadcast, an evaluation round and the session report — then lets
+//! `lira-storm`'s churn driver loose on the same server to show
+//! sustained throughput. Byte-level protocol spec:
 //! docs/WIRE.md; operator's guide: docs/OPERATIONS.md.
 //!
 //! Run with: `cargo run --release --example serve_tour`
@@ -21,13 +21,8 @@ fn main() {
     // --- Boot a server on an ephemeral port, two connections' worth. --
     let cfg = ServeConfig::new(2_000.0, 5_000);
     println!(
-        "== lira-serve: {}×{} m, {} shards / {} slices, queue B = {}, µ = {}/s\n",
-        cfg.bounds.max.x,
-        cfg.bounds.max.y,
-        cfg.shards,
-        cfg.slices,
-        cfg.queue_capacity,
-        cfg.service_rate
+        "== lira-serve: {}×{} m, {} shards, queue B = {}, µ = {}/s\n",
+        cfg.bounds.max.x, cfg.bounds.max.y, cfg.shards, cfg.queue_capacity, cfg.service_rate
     );
     let listener = TcpListener::bind("127.0.0.1:0").expect("bind");
     let addr = listener.local_addr().expect("addr");
@@ -86,12 +81,14 @@ fn main() {
     assert!(matches!(t.recv().unwrap(), Frame::Ack { .. }));
     println!("Register(2 queries) → Ack");
 
-    // Overdrive the queue: λ far above µ forces THROTLOOP to throttle.
-    let updates: Vec<WireUpdate> = (0..cfg.service_rate as u32 * 3)
+    // Overdrive the queue: every node reports three times, λ far above µ
+    // forces THROTLOOP to throttle, and what exceeds B is tail-dropped.
+    let nodes = cfg.num_nodes as u32;
+    let updates: Vec<WireUpdate> = (0..nodes * 3)
         .map(|i| WireUpdate {
-            id: i,
+            id: i % nodes,
             x: (i % 40) as f64 * 50.0 + 5.0,
-            y: (i / 40) as f64 * 50.0 + 5.0,
+            y: (i / 40 % 40) as f64 * 50.0 + 5.0,
             vx: 3.0,
             vy: 0.0,
         })
@@ -147,11 +144,6 @@ fn main() {
         panic!("expected EvalRes");
     };
     println!("EvalReq → EvalRes: round {round}, {results} result sets, digest {digest:016x}");
-
-    // Live routing rewrite: slice 7 moves to shard 0.
-    t.send(&Frame::SetSlice { slice: 7, shard: 0 }).unwrap();
-    assert!(matches!(t.recv().unwrap(), Frame::Ack { .. }));
-    println!("SetSlice(7 → shard 0) → Ack");
 
     t.send(&Frame::ReportReq).unwrap();
     let Frame::ReportRes { json } = t.recv().unwrap() else {
