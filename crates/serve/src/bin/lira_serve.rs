@@ -114,11 +114,12 @@ fn main() {
     match serve(listener, &mut session, &opts) {
         Ok(summary) => {
             eprintln!(
-                "serve: done, accepted {} conns ({} protocol closes, {} overflow closes), {} protocol errors",
+                "serve: done, accepted {} conns ({} protocol closes, {} overflow closes), {} protocol errors, decoder high water {} B",
                 summary.accepted,
                 summary.protocol_closes,
                 summary.overflow_closes,
-                session.protocol_errors()
+                session.protocol_errors(),
+                summary.decoder_high_water
             );
             if let Some(path) = report_path {
                 if let Err(e) = std::fs::write(&path, session.report_json()) {

@@ -681,10 +681,13 @@ impl Decoder {
         Decoder::default()
     }
 
-    /// Appends freshly read bytes.
+    /// Appends freshly read bytes, first dropping what was decoded: the
+    /// buffer then holds the undecoded tail and `bytes`, nothing more.
+    /// What moves is the tail of a partial frame, and only after a
+    /// frame was decoded (a frame larger than a read is moved once, not
+    /// once per read).
     pub fn push(&mut self, bytes: &[u8]) {
-        // Compact lazily: only when the dead prefix dominates.
-        if self.start > 0 && self.start * 2 > self.buf.len() {
+        if self.start > 0 {
             self.buf.drain(..self.start);
             self.start = 0;
         }
@@ -747,13 +750,33 @@ pub fn fnv1a(mut h: u64, bytes: &[u8]) -> u64 {
 /// then every result's query id, node count, and node ids, in order.
 /// Equal digest chains ⇔ bit-identical evaluation histories.
 pub fn digest_round(prev: u64, t: f64, results: &[QueryResult]) -> u64 {
+    let rounds = results.iter().map(|r| (r.query, r.nodes.as_slice()));
+    fold_round(prev, t, rounds)
+}
+
+/// [`digest_round`] over a round read in place: `lists[i]` holds the
+/// members of `queries[i]` (what `CqServer::evaluate_lists` returns, in
+/// its `queries()` order). Folds the same bytes, so it returns what
+/// `digest_round` returns for the materialised results.
+pub fn digest_lists(prev: u64, t: f64, queries: &[RangeQuery], lists: &[Vec<u32>]) -> u64 {
+    assert_eq!(queries.len(), lists.len(), "one member list per query");
+    let rounds = queries.iter().zip(lists).map(|(q, l)| (q.id, l.as_slice()));
+    fold_round(prev, t, rounds)
+}
+
+/// The one digest body: `(query id, members)` per result, in order.
+fn fold_round<'a>(
+    prev: u64,
+    t: f64,
+    results: impl ExactSizeIterator<Item = (u32, &'a [u32])>,
+) -> u64 {
     let mut h = if prev == 0 { FNV_OFFSET } else { prev };
     h = fnv1a(h, &t.to_bits().to_le_bytes());
     h = fnv1a(h, &(results.len() as u64).to_le_bytes());
-    for r in results {
-        h = fnv1a(h, &r.query.to_le_bytes());
-        h = fnv1a(h, &(r.nodes.len() as u64).to_le_bytes());
-        for &n in &r.nodes {
+    for (query, nodes) in results {
+        h = fnv1a(h, &query.to_le_bytes());
+        h = fnv1a(h, &(nodes.len() as u64).to_le_bytes());
+        for &n in nodes {
             h = fnv1a(h, &n.to_le_bytes());
         }
     }

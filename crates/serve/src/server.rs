@@ -9,6 +9,14 @@
 //! to [`MAX_OUTBUF`] and is then disconnected (see
 //! `docs/OPERATIONS.md` § failure modes). A client that sends
 //! undecodable bytes gets one `Error` frame and is disconnected.
+//!
+//! Input is decoded as it is read: the loop reads one [`READ_CHUNK`],
+//! handles every complete frame in the connection's decoder, and reads
+//! again only while the last read filled the chunk. A decoder therefore
+//! never holds more than one chunk plus the tail of one frame — at most
+//! `READ_CHUNK + HEADER_LEN + MAX_PAYLOAD` bytes — however fast the
+//! client writes. ([`ServeSummary::decoder_high_water`] reports what it
+//! reached.)
 
 use std::io::{ErrorKind, Read, Write};
 use std::net::{TcpListener, TcpStream};
@@ -22,8 +30,9 @@ use crate::session::SessionCore;
 /// stuck and disconnected (a stuck subscriber must not wedge the loop).
 pub const MAX_OUTBUF: usize = 64 * 1024 * 1024;
 
-/// Read chunk size per connection per loop iteration.
-const READ_CHUNK: usize = 256 * 1024;
+/// Bytes read from a connection at a time; the frames they complete are
+/// handled before the next read.
+pub const READ_CHUNK: usize = 256 * 1024;
 
 /// Options for [`serve`].
 #[derive(Debug, Clone)]
@@ -57,6 +66,9 @@ pub struct ServeSummary {
     pub protocol_closes: usize,
     /// Connections force-closed for exceeding [`MAX_OUTBUF`].
     pub overflow_closes: usize,
+    /// The most bytes any connection's decoder held at once: read but
+    /// not yet handled (module docs).
+    pub decoder_high_water: usize,
 }
 
 struct Conn {
@@ -102,6 +114,7 @@ pub fn serve(
         accepted: 0,
         protocol_closes: 0,
         overflow_closes: 0,
+        decoder_high_water: 0,
     };
     let mut read_buf = vec![0u8; READ_CHUNK];
 
@@ -136,80 +149,36 @@ pub fn serve(
             }
         }
 
-        // Read + process, one connection at a time, in accept order.
+        // Read + process, one connection at a time, in accept order: one
+        // chunk, then every frame it completed, then the next chunk while
+        // the kernel keeps them full.
         for ci in 0..conns.len() {
-            if conns[ci].dead || conns[ci].closing {
-                continue;
-            }
-            // Pull whatever the kernel has.
-            loop {
-                match conns[ci].stream.read(&mut read_buf) {
+            while !(conns[ci].dead || conns[ci].closing) {
+                let full = match conns[ci].stream.read(&mut read_buf) {
                     Ok(0) => {
                         conns[ci].dead = true;
-                        break;
+                        false
                     }
                     Ok(n) => {
-                        conns[ci].decoder.push(&read_buf[..n]);
+                        let decoder = &mut conns[ci].decoder;
+                        decoder.push(&read_buf[..n]);
+                        summary.decoder_high_water =
+                            summary.decoder_high_water.max(decoder.buffered());
                         progressed = true;
-                        if n < read_buf.len() {
-                            break;
-                        }
+                        n == read_buf.len()
                     }
-                    Err(e) if e.kind() == ErrorKind::WouldBlock => break,
+                    Err(e) if e.kind() == ErrorKind::WouldBlock => false,
                     Err(e) if e.kind() == ErrorKind::Interrupted => continue,
                     Err(_) => {
                         conns[ci].dead = true;
-                        break;
+                        false
                     }
-                }
-            }
-            // Decode and handle complete frames.
-            loop {
-                let buffered_before = conns[ci].decoder.buffered();
-                match conns[ci].decoder.next() {
-                    Ok(Some(frame)) => {
-                        progressed = true;
-                        let wire_len = buffered_before - conns[ci].decoder.buffered();
-                        let id = conns[ci].id;
-                        session.note_frame(id, &frame, wire_len);
-                        if let Frame::Hello { flags } = &frame {
-                            conns[ci].subscribed = flags & HELLO_SUBSCRIBE_PLANS != 0;
-                        }
-                        let is_bye = matches!(frame, Frame::Bye);
-                        let out = session.handle(id, frame);
-                        for f in &out.replies {
-                            conns[ci].queue(f);
-                        }
-                        if !out.broadcast.is_empty() {
-                            for c in conns.iter_mut() {
-                                if c.subscribed && !c.dead {
-                                    for f in &out.broadcast {
-                                        c.queue(f);
-                                    }
-                                }
-                            }
-                        }
-                        if is_bye {
-                            conns[ci].closing = true;
-                            break;
-                        }
-                    }
-                    Ok(None) => break,
-                    Err(e) => {
-                        let id = conns[ci].id;
-                        session.note_protocol_error(id);
-                        let err = Frame::Error {
-                            code: ERR_PROTOCOL,
-                            message: e.to_string(),
-                        };
-                        conns[ci].queue(&err);
-                        conns[ci].closing = true;
-                        summary.protocol_closes += 1;
-                        if opts.verbose {
-                            eprintln!("serve: conn {id} protocol error: {e}");
-                        }
-                        break;
-                    }
+                };
+                // A connection that hit EOF or an error still has its
+                // complete frames handled.
+                progressed |= handle_frames(&mut conns, ci, session, &mut summary, opts);
+                if !full {
+                    break;
                 }
             }
         }
@@ -260,4 +229,62 @@ pub fn serve(
             std::thread::sleep(opts.idle_sleep);
         }
     }
+}
+
+/// Decodes and handles every complete frame in connection `ci`'s decoder,
+/// in stream order, stopping at a `Bye` or a protocol violation (which
+/// mark the connection closing). Returns whether it handled any frame.
+fn handle_frames(
+    conns: &mut [Conn],
+    ci: usize,
+    session: &mut SessionCore,
+    summary: &mut ServeSummary,
+    opts: &ServeOptions,
+) -> bool {
+    let mut handled = false;
+    while !conns[ci].closing {
+        let buffered_before = conns[ci].decoder.buffered();
+        match conns[ci].decoder.next() {
+            Ok(Some(frame)) => {
+                handled = true;
+                let wire_len = buffered_before - conns[ci].decoder.buffered();
+                let id = conns[ci].id;
+                session.note_frame(id, &frame, wire_len);
+                if let Frame::Hello { flags } = &frame {
+                    conns[ci].subscribed = flags & HELLO_SUBSCRIBE_PLANS != 0;
+                }
+                let is_bye = matches!(frame, Frame::Bye);
+                let out = session.handle(id, frame);
+                for f in &out.replies {
+                    conns[ci].queue(f);
+                }
+                if !out.broadcast.is_empty() {
+                    for c in conns.iter_mut() {
+                        if c.subscribed && !c.dead {
+                            for f in &out.broadcast {
+                                c.queue(f);
+                            }
+                        }
+                    }
+                }
+                conns[ci].closing = is_bye;
+            }
+            Ok(None) => break,
+            Err(e) => {
+                let id = conns[ci].id;
+                session.note_protocol_error(id);
+                let err = Frame::Error {
+                    code: ERR_PROTOCOL,
+                    message: e.to_string(),
+                };
+                conns[ci].queue(&err);
+                conns[ci].closing = true;
+                summary.protocol_closes += 1;
+                if opts.verbose {
+                    eprintln!("serve: conn {id} protocol error: {e}");
+                }
+            }
+        }
+    }
+    handled
 }

@@ -27,10 +27,10 @@ use lira_core::telemetry::json::Json;
 use lira_core::telemetry::{Counter, Gauge, Histogram, MetricSpec, Telemetry};
 use lira_server::cq_engine::{CqServer, EvalEngine};
 use lira_server::governor::Governor;
-use lira_server::query::{QueryResult, RangeQuery};
+use lira_server::query::RangeQuery;
 use std::sync::Arc;
 
-use crate::protocol::{self, digest_round, kind, Frame, WireUpdate};
+use crate::protocol::{self, digest_lists, kind, Frame, WireUpdate};
 
 /// Configuration of one serving session (CLI flags map onto this 1:1;
 /// see `docs/OPERATIONS.md`).
@@ -285,7 +285,6 @@ pub struct SessionCore {
     plan_bytes: u64,
     protocol_errors: u64,
     conns: Vec<ConnStats>,
-    results_buf: Vec<QueryResult>,
     tel: ServeTelemetry,
     started: Instant,
 }
@@ -321,7 +320,6 @@ impl SessionCore {
             plan_bytes: 0,
             protocol_errors: 0,
             conns: Vec::new(),
-            results_buf: Vec::new(),
             tel: ServeTelemetry::new(cfg.telemetry),
             server,
             started: Instant::now(),
@@ -497,16 +495,16 @@ impl SessionCore {
                 }
                 self.drain();
                 let t0 = Instant::now();
-                let mut buf = std::mem::take(&mut self.results_buf);
                 let stepped = self.server.stepped_nodes();
-                self.server.evaluate_into(t, &mut buf);
+                // The digest reads the engine's member lists where they
+                // are: nothing is copied out just to be hashed.
+                let lists = self.server.evaluate_lists(t);
+                self.digest = digest_lists(self.digest, t, &self.queries, lists);
+                self.last_results = lists.len() as u64;
                 self.tel
                     .eval_stepped
                     .record(self.server.stepped_nodes() - stepped);
                 self.eval_rounds += 1;
-                self.digest = digest_round(self.digest, t, &buf);
-                self.last_results = buf.len() as u64;
-                self.results_buf = buf;
                 self.tel.eval_us.record(t0.elapsed().as_micros() as u64);
                 out.replies.push(Frame::EvalRes {
                     t,
@@ -870,7 +868,9 @@ mod tests {
         let (t, window_s) = (1.0, 1.0);
         s.handle(conn, Frame::WindowClose { t, window_s });
         assert_eq!(s.protocol_errors(), 0);
-        let members: Vec<Vec<u32>> = s.results_buf.iter().map(|r| r.nodes.clone()).collect();
+        // The lists are the last round's: a second round at its `t`
+        // steps nothing.
+        let members = s.server.evaluate_lists(0.0);
         assert_eq!(members, vec![vec![1], vec![], vec![2]]);
         let report = Json::parse(&s.deterministic_json()).unwrap();
         let field = |k: &str| report.get(k).unwrap().as_u64().unwrap();
@@ -1183,7 +1183,7 @@ mod tests {
             assert_eq!(s.server.queries(), &[good.to_query()], "{q:?}");
             // The session still serves the good query alone.
             s.handle(conn, Frame::EvalReq { t: 0.0 });
-            let members: Vec<Vec<u32>> = s.results_buf.iter().map(|r| r.nodes.clone()).collect();
+            let members = s.server.evaluate_lists(0.0);
             assert_eq!(members, vec![vec![1]], "{q:?}");
             let report = Json::parse(&s.deterministic_json()).unwrap();
             let field = |k: &str| report.get(k).unwrap().as_u64().unwrap();

@@ -1,6 +1,7 @@
-//! What the served queues cost, counted by a global allocator that
-//! tallies every byte it hands out — tests of the mechanism, not the
-//! clock, so they read the same whatever the host's speed:
+//! What a served session costs, counted by a global allocator that
+//! tallies every allocation it makes, every byte it hands out and every
+//! byte still live — tests of the mechanism, not the clock, so they read
+//! the same whatever the host's speed:
 //!
 //! * A session's queues are admission ledgers. `UpdateQueue::new`
 //!   preallocates its `B` slots, and a ledger slot holds only an admit
@@ -10,24 +11,40 @@
 //! * Closing a window over a deep ledger allocates nothing sized by its
 //!   depth (< 1 MiB for 200 000 queued updates; a depth-sized copy of the
 //!   queue is ≈ 11 MB).
+//! * The engine keeps a node's partial hits as bits in one flat array,
+//!   so the rebuild that places 200 000 primed nodes allocates a few
+//!   hundred times (indexes and member lists), not once per node with a
+//!   hit.
+//! * Each answer is held once: after three rounds the session's live
+//!   heap is its node store, its ledger, the engine's per-node words and
+//!   its member lists — no per-node list headers, and no copy of the
+//!   member lists made for the digest.
 //!
-//! Both live in a binary of their own, so no other test's allocations
-//! land in the count, and they take turns on [`SERIAL`] so neither
-//! counts the other's.
+//! All live in a binary of their own, so no other test's allocations
+//! land in the counts, and they take turns on [`SERIAL`] so none counts
+//! another's.
 
 use std::alloc::{GlobalAlloc, Layout, System};
-use std::sync::atomic::{AtomicU64, Ordering};
+use std::sync::atomic::{AtomicI64, AtomicU64, Ordering};
 use std::sync::Mutex;
 
-use lira_serve::protocol::{Frame, WireUpdate};
+use lira_core::geometry::Point;
+use lira_serve::protocol::{Frame, WireQuery, WireUpdate};
 use lira_serve::session::{ServeConfig, SessionCore};
+use lira_server::cq_engine::CqServer;
 
 /// The system allocator, counting every byte it hands out.
 struct Counting;
 
 /// Bytes handed out since the process started; a statistic only, so
-/// `Relaxed` publishes nothing else.
+/// `Relaxed` publishes nothing else (nor do the other two).
 static ALLOCATED: AtomicU64 = AtomicU64::new(0);
+
+/// Calls to `alloc` and `realloc` since the process started.
+static ALLOCATIONS: AtomicU64 = AtomicU64::new(0);
+
+/// Bytes handed out and not yet given back.
+static LIVE: AtomicI64 = AtomicI64::new(0);
 
 /// Held for the whole of each test: the count is process-wide. It guards
 /// no data, so a test that panicked holding it leaves nothing to repair
@@ -40,15 +57,20 @@ static SERIAL: Mutex<()> = Mutex::new(());
 unsafe impl GlobalAlloc for Counting {
     unsafe fn alloc(&self, layout: Layout) -> *mut u8 {
         ALLOCATED.fetch_add(layout.size() as u64, Ordering::Relaxed);
+        ALLOCATIONS.fetch_add(1, Ordering::Relaxed);
+        LIVE.fetch_add(layout.size() as i64, Ordering::Relaxed);
         System.alloc(layout)
     }
 
     unsafe fn dealloc(&self, ptr: *mut u8, layout: Layout) {
+        LIVE.fetch_sub(layout.size() as i64, Ordering::Relaxed);
         System.dealloc(ptr, layout)
     }
 
     unsafe fn realloc(&self, ptr: *mut u8, layout: Layout, new_size: usize) -> *mut u8 {
         ALLOCATED.fetch_add(new_size as u64, Ordering::Relaxed);
+        ALLOCATIONS.fetch_add(1, Ordering::Relaxed);
+        LIVE.fetch_add(new_size as i64 - layout.size() as i64, Ordering::Relaxed);
         System.realloc(ptr, layout, new_size)
     }
 }
@@ -57,6 +79,61 @@ unsafe impl GlobalAlloc for Counting {
 static GLOBAL: Counting = Counting;
 
 const NODES: u32 = 200_000;
+
+/// A one-shard session for [`NODES`] nodes over a 10 km square, `B` of
+/// one slot a node, with a connection open.
+fn one_shard_session() -> (SessionCore, u32) {
+    let mut cfg = ServeConfig::new(10_000.0, NODES as usize);
+    cfg.shards = 1;
+    cfg.num_regions = 49;
+    cfg.queue_capacity = NODES as usize;
+    let mut s = SessionCore::new(cfg);
+    let conn = s.open_conn();
+    s.handle(conn, Frame::Hello { flags: 0 });
+    (s, conn)
+}
+
+/// Node `id`'s report: a 1000 × 200 lattice over the square, every node
+/// moving south-east at √2 m/s.
+fn report(id: u32) -> WireUpdate {
+    WireUpdate {
+        id,
+        x: (id % 1000) as f64 * 10.0 + 5.0,
+        y: (id / 1000) as f64 * 50.0 + 5.0,
+        vx: 1.0,
+        vy: -1.0,
+    }
+}
+
+/// A `Batch` of the reports of `ids`, sent at `t`.
+fn batch(t: f64, ids: impl Iterator<Item = u32>) -> Frame {
+    Frame::Batch {
+        t,
+        updates: ids.map(report).collect(),
+    }
+}
+
+/// Four overlapping rectangles: `side_for(4) = 8` cells of 1 250 m a
+/// side, most of them cut by a query edge, so tens of thousands of nodes
+/// hold a partial hit.
+fn four_queries() -> Vec<WireQuery> {
+    [
+        (1_000.0, 1_000.0, 6_000.0, 4_000.0),
+        (3_100.0, 2_100.0, 9_000.0, 8_300.0),
+        (500.0, 5_200.0, 4_400.0, 9_500.0),
+        (7_100.0, 600.0, 9_600.0, 3_300.0),
+    ]
+    .iter()
+    .zip(0..)
+    .map(|(&(min_x, min_y, max_x, max_y), id)| WireQuery {
+        id,
+        min_x,
+        min_y,
+        max_x,
+        max_y,
+    })
+    .collect()
+}
 
 #[test]
 fn a_session_ledger_costs_eight_bytes_a_slot() {
@@ -78,25 +155,7 @@ fn a_session_ledger_costs_eight_bytes_a_slot() {
 #[test]
 fn a_window_close_over_a_deep_queue_allocates_nothing_depth_sized() {
     let _turn = SERIAL.lock().unwrap_or_else(|e| e.into_inner());
-    let mut cfg = ServeConfig::new(10_000.0, NODES as usize);
-    cfg.shards = 1;
-    cfg.num_regions = 49;
-    cfg.queue_capacity = NODES as usize;
-    let mut s = SessionCore::new(cfg);
-    let conn = s.open_conn();
-    s.handle(conn, Frame::Hello { flags: 0 });
-    let batch = |t: f64, ids: std::ops::Range<u32>| Frame::Batch {
-        t,
-        updates: ids
-            .map(|id| WireUpdate {
-                id,
-                x: (id % 1000) as f64 * 10.0 + 5.0,
-                y: (id / 1000) as f64 * 50.0 + 5.0,
-                vx: 1.0,
-                vy: -1.0,
-            })
-            .collect(),
-    };
+    let (mut s, conn) = one_shard_session();
     // Prime every node with a first report and a re-report, each round
     // evaluated, so the engine's node and dirty lists are already at
     // full size when the measured window closes over a re-report of all
@@ -133,4 +192,89 @@ fn a_window_close_over_a_deep_queue_allocates_nothing_depth_sized() {
         "WindowClose over {NODES} queued updates allocated {allocated} B; \
          the drain must not copy the queue"
     );
+}
+
+#[test]
+fn the_rebuild_allocates_nothing_per_node() {
+    let _turn = SERIAL.lock().unwrap_or_else(|e| e.into_inner());
+    let (mut s, conn) = one_shard_session();
+    s.handle(
+        conn,
+        Frame::Register {
+            queries: four_queries(),
+        },
+    );
+    s.handle(conn, batch(0.0, 0..NODES));
+    let before = ALLOCATIONS.load(Ordering::Relaxed);
+    let out = s.handle(conn, Frame::EvalReq { t: 0.0 });
+    let allocations = ALLOCATIONS.load(Ordering::Relaxed) - before;
+    assert!(matches!(
+        out.replies[..],
+        [Frame::EvalRes { results: 4, .. }]
+    ));
+    assert!(
+        allocations < 1_000,
+        "the rebuild over {NODES} primed nodes made {allocations} allocations; \
+         a node's hits must not be a heap block of its own"
+    );
+}
+
+#[test]
+fn a_served_session_holds_each_answer_once() {
+    let _turn = SERIAL.lock().unwrap_or_else(|e| e.into_inner());
+    let live = || LIVE.load(Ordering::Relaxed);
+    let before = live();
+    let (mut s, conn) = one_shard_session();
+    let queries = four_queries();
+    s.handle(
+        conn,
+        Frame::Register {
+            queries: queries.clone(),
+        },
+    );
+    // Three rounds: the rebuild, the sweep that schedules the wheel and
+    // a kinetic one, each after a batch; the two later batches re-report
+    // every hundredth node.
+    let rounds = [0.0, 1.0, 2.0];
+    for (r, &t) in rounds.iter().enumerate() {
+        let ids: Vec<u32> = (0..NODES).filter(|id| r == 0 || id % 100 == 0).collect();
+        s.handle(conn, batch(t, ids.into_iter()));
+        let out = s.handle(conn, Frame::EvalReq { t });
+        assert!(matches!(out.replies[..], [Frame::EvalRes { .. }]));
+    }
+    let held = live() - before;
+
+    // The round's member pairs, from a server of our own fed the same
+    // reports (built after the count, so not in it).
+    let mut server = CqServer::new(*s.plan().bounds(), NODES as usize, 0);
+    server.register_queries(queries.iter().map(|q| q.to_query()));
+    for (r, &t) in rounds.iter().enumerate() {
+        for id in (0..NODES).filter(|id| r == 0 || id % 100 == 0) {
+            let u = report(id);
+            server.ingest(id, t, Point::new(u.x, u.y), (u.vx, u.vy));
+        }
+    }
+    let pairs: usize = server.evaluate(2.0).iter().map(|r| r.nodes.len()).sum();
+
+    let nodes = NODES as usize;
+    // The node store: five `f64` columns.
+    let store = 40 * nodes;
+    // The admission ledger: an admit time per slot of `B`.
+    let ledger = 8 * nodes;
+    // The engine, per node: cell, owned position and wheel tick (4 B
+    // each), one hit word (W = 1 here), the dirty flag (1 B), its entry
+    // in the owned list and in the wheel (4 B each, the owned list up to
+    // twice that after doubling), and the first-report list the priming
+    // batch grew (4 B, up to twice that too).
+    let engine = (12 + 8 + 1 + 2 * 4 + 4 + 2 * 4) * nodes;
+    // The member lists, up to twice their length after doubling.
+    let members = 2 * 4 * pairs;
+    let budget = store + ledger + engine + members + (1 << 20);
+    assert!(
+        held as usize <= budget,
+        "after three rounds the session holds {held} B, over its budget of {budget} B \
+         (store {store}, ledger {ledger}, engine {engine}, {pairs} member pairs {members}, \
+         1 MiB slack): every answer must be held once, as per-node words and member lists"
+    );
+    drop(s);
 }

@@ -10,14 +10,20 @@
 //! drop the books conserve and the wire agrees; the deterministic core
 //! does not depend on the engine's shard count, with or without tail
 //! drop; and the default queue capacity admits a default storm whole.
+//! The last one holds the socket loop to decoding as it reads: a client
+//! that writes faster than the server handles never piles up in the
+//! server's decoder.
 
 use std::collections::VecDeque;
+use std::io::{Read, Write};
 use std::net::{TcpListener, TcpStream};
 
 use lira_core::telemetry::json::Json;
 use lira_core::telemetry::TelemetrySnapshot;
-use lira_serve::protocol::{digest_round, Frame, WireQuery};
-use lira_serve::server::{serve, ServeOptions};
+use lira_serve::protocol::{
+    digest_round, Frame, WireQuery, WireUpdate, HEADER_LEN, MAX_PAYLOAD, UPDATE_WIRE_LEN,
+};
+use lira_serve::server::{serve, ServeOptions, READ_CHUNK};
 use lira_serve::session::{ServeConfig, SessionCore};
 use lira_serve::storm::{
     run_storm, run_storm_trace, InprocTransport, StormConfig, TcpTransport, TraceStormConfig,
@@ -482,4 +488,106 @@ fn default_queue_capacity_admits_a_default_storm() {
     assert!(field("updates_rx") > nodes as u64);
     assert_eq!(field("updates_dropped"), 0);
     assert_eq!(field("updates_admitted"), field("updates_rx"));
+}
+
+/// A client that writes 32 MiB of `Batch` frames before it reads a byte:
+/// the server decodes each chunk as it reads it, so its decoder never
+/// holds more than one chunk plus the tail of one frame — here a 72 kB
+/// frame, far under the general bound of two chunks and one
+/// `MAX_PAYLOAD` frame — and the wire still changes nothing: the core
+/// equals the in-process run of the same frames.
+#[test]
+fn a_fast_writer_is_decoded_as_it_is_read() {
+    let nodes = 50_000u32;
+    let mut cfg = ServeConfig::new(2_000.0, nodes as usize);
+    cfg.shards = 1;
+    cfg.num_regions = 49;
+    cfg.queue_capacity = 1 << 20;
+    let per_batch = 2_000u32;
+    let batches = (32 << 20) / (per_batch as usize * UPDATE_WIRE_LEN) + 1;
+    let frames: Vec<Frame> = [
+        Frame::Hello { flags: 0 },
+        Frame::Register {
+            queries: vec![WireQuery {
+                id: 7,
+                min_x: 250.0,
+                min_y: 500.0,
+                max_x: 1_250.0,
+                max_y: 1_750.0,
+            }],
+        },
+    ]
+    .into_iter()
+    .chain((0..batches).map(|b| {
+        Frame::Batch {
+            t: b as f64 * 0.01,
+            updates: (0..per_batch)
+                .map(|i| {
+                    let id = (b as u32 * per_batch + i) % nodes;
+                    let (x, y) = ((id * 37 % 2_000) as f64, (id * 53 % 2_000) as f64);
+                    WireUpdate {
+                        id,
+                        x,
+                        y,
+                        vx: (b % 7) as f64 - 3.0,
+                        vy: 1.5,
+                    }
+                })
+                .collect(),
+        }
+    }))
+    .chain([
+        Frame::EvalReq {
+            t: batches as f64 * 0.01,
+        },
+        Frame::ReportReq,
+        Frame::Bye,
+    ])
+    .collect();
+    let widest = frames.iter().map(|f| f.encode().len()).max().unwrap();
+
+    let listener = TcpListener::bind("127.0.0.1:0").expect("bind ephemeral");
+    let addr = listener.local_addr().expect("bound addr");
+    let server_cfg = cfg.clone();
+    let server = std::thread::spawn(move || {
+        let mut session = SessionCore::new(server_cfg);
+        let opts = ServeOptions {
+            exit_after_conns: Some(1),
+            ..ServeOptions::default()
+        };
+        let summary = serve(listener, &mut session, &opts).expect("serve loop");
+        (summary, session.deterministic_json())
+    });
+    let mut stream = TcpStream::connect(addr).expect("connect");
+    let mut written = 0;
+    for frame in &frames {
+        let bytes = frame.encode();
+        stream.write_all(&bytes).expect("write");
+        written += bytes.len();
+    }
+    assert!(written >= 32 << 20, "{written} B written");
+    let mut replies = Vec::new();
+    stream.read_to_end(&mut replies).expect("read replies");
+    let (summary, tcp_core) = server.join().expect("server thread");
+
+    assert_eq!(summary.protocol_closes, 0);
+    let high = summary.decoder_high_water;
+    assert!(
+        high <= 2 * READ_CHUNK + HEADER_LEN + MAX_PAYLOAD,
+        "the decoder held {high} B"
+    );
+    assert!(
+        high < READ_CHUNK + widest,
+        "the decoder held {high} B: more than one read and one {widest} B frame"
+    );
+
+    let mut inproc = InprocTransport::new(SessionCore::new(cfg));
+    for frame in &frames {
+        inproc.send(frame).expect("inproc send");
+    }
+    assert_eq!(tcp_core, inproc.session().deterministic_json());
+    let core = Json::parse(&tcp_core).unwrap();
+    let field = |k: &str| core.get(k).unwrap().as_u64().unwrap();
+    assert_eq!(field("updates_admitted"), batches as u64 * per_batch as u64);
+    assert_eq!(field("eval_rounds"), 1);
 }

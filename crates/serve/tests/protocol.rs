@@ -2,13 +2,17 @@
 //! encode→decode bit-exactly, under arbitrary stream chunking, back to
 //! back; truncation at any byte keeps the decoder waiting (never a wrong
 //! frame); corrupted headers and garbage are rejected, never panicked
-//! on.
+//! on. And the digest the server keeps over results read in place is the
+//! digest of the materialised results.
 
-use lira_core::geometry::Rect;
+use lira_core::geometry::{Point, Rect};
 use lira_core::plan::{PlanRegion, SheddingPlan};
 use lira_serve::protocol::{
-    decode_plan, plan_frame, Decoder, Frame, WireError, WireQuery, WireUpdate, HEADER_LEN,
+    decode_plan, digest_lists, digest_round, plan_frame, Decoder, Frame, WireError, WireQuery,
+    WireUpdate, HEADER_LEN,
 };
+use lira_server::cq_engine::{CqServer, EvalEngine};
+use lira_server::query::RangeQuery;
 use proptest::prelude::*;
 
 /// Coordinates on a binary-exact lattice (f64 round-trips are exact for
@@ -277,5 +281,74 @@ proptest! {
         let mut d = Decoder::new();
         d.push(&bytes);
         prop_assert!(matches!(d.next(), Err(WireError::Truncated { .. })));
+    }
+}
+
+/// One evaluation round of a digest history: the reports that precede
+/// it, `(node, x, y, vx, vy)`, and how far `t` advances.
+type Round = (Vec<(u32, f64, f64, f64, f64)>, f64);
+
+fn digest_history() -> impl Strategy<Value = Vec<Round>> {
+    let report = (
+        0u32..200,
+        0.0f64..1000.0,
+        0.0f64..1000.0,
+        -9.0f64..9.0,
+        -9.0f64..9.0,
+    );
+    let round = (
+        prop::collection::vec(report, 0..60),
+        (0usize..6).prop_map(|i| [0.0, 0.5, 1.0, 1.0, 1.0, 3.0][i]),
+    );
+    prop::collection::vec(round, 1..12)
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(32))]
+
+    /// The served digest folds the engine's lists read in place
+    /// (`digest_lists` over `evaluate_lists`); the frozen benchmark
+    /// replica folds materialised results (`digest_round` over
+    /// `evaluate_into`). Both chains must agree round for round, at every
+    /// shard count, over random query sets, churn and advancing `t` — and
+    /// the lists must be the results.
+    #[test]
+    fn digest_lists_folds_the_bytes_digest_round_folds(
+        rects in prop::collection::vec(query(), 1..12),
+        history in digest_history(),
+    ) {
+        let queries: Vec<RangeQuery> = rects
+            .iter()
+            .map(|q| WireQuery {
+                min_x: q.min_x.rem_euclid(1000.0),
+                min_y: q.min_y.rem_euclid(1000.0),
+                max_x: q.min_x.rem_euclid(1000.0) + (q.max_x - q.min_x) * 0.25,
+                max_y: q.min_y.rem_euclid(1000.0) + (q.max_y - q.min_y) * 0.25,
+                ..*q
+            }
+            .to_query())
+            .collect();
+        for shards in [1, 3, 7] {
+            let mut server = CqServer::new(Rect::from_coords(0.0, 0.0, 1000.0, 1000.0), 200, 0)
+                .with_engine(EvalEngine::Unified { shards });
+            server.register_queries(queries.iter().copied());
+            let mut twin = server.clone();
+            let (mut t, mut read, mut copied) = (0.0, 0, 0);
+            let mut materialised = Vec::new();
+            for (reports, dt) in &history {
+                for &(id, x, y, vx, vy) in reports {
+                    server.ingest(id, t, Point::new(x, y), (vx, vy));
+                    twin.ingest(id, t, Point::new(x, y), (vx, vy));
+                }
+                t += dt;
+                twin.evaluate_into(t, &mut materialised);
+                copied = digest_round(copied, t, &materialised);
+                let lists = server.evaluate_lists(t);
+                read = digest_lists(read, t, &queries, lists);
+                prop_assert_eq!(read, copied, "{} shards, t = {}", shards, t);
+                let nodes: Vec<&Vec<u32>> = materialised.iter().map(|r| &r.nodes).collect();
+                prop_assert_eq!(lists.iter().collect::<Vec<_>>(), nodes);
+            }
+        }
     }
 }

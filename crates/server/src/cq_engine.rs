@@ -258,6 +258,18 @@ impl CqServer {
             .evaluate_into(&self.queries, &self.store, t, out, self.sequential_eval);
     }
 
+    /// The same round as [`evaluate_into`](Self::evaluate_into), read in
+    /// place instead of copied out: each registered query's sorted member
+    /// ids, in [`queries`](Self::queries) order, borrowed from the
+    /// engine until its next round. At one shard these are the engine's
+    /// own member lists; at several, a buffer the engine keeps for the
+    /// merge. For callers that only read a round — the served digest.
+    pub fn evaluate_lists(&mut self, t: f64) -> &[Vec<u32>] {
+        self.evaluations += 1;
+        self.unified
+            .evaluate_lists(&self.queries, &self.store, t, self.sequential_eval)
+    }
+
     /// Evaluates every query at time `t` with three-valued membership:
     /// `delta_of(node, predicted_position)` supplies an *upper bound* on
     /// the node's current inaccuracy threshold, and `max_delta` caps it

@@ -269,6 +269,15 @@ impl QueryIndex {
     pub(crate) fn partial_at(&self, slot: usize) -> &[u32] {
         &self.partial_ids[self.partial_off[slot] as usize..self.partial_off[slot + 1] as usize]
     }
+
+    /// The length of the longest per-cell partial list.
+    pub(crate) fn widest_partial(&self) -> usize {
+        self.partial_off
+            .windows(2)
+            .map(|w| (w[1] - w[0]) as usize)
+            .max()
+            .unwrap_or(0)
+    }
 }
 
 /// Flattens per-cell lists into a CSR (offsets, ids) pair.

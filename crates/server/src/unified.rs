@@ -6,7 +6,7 @@
 //! contiguous column stripes, each owned by one shard that runs the same
 //! incremental membership maintenance over its own slice of the node
 //! population. Per-query member lists are per-shard; per-*node* state
-//! (current cell, partial hits, owned-list position) is global — each
+//! (current cell, hit bits, owned-list position) is global — each
 //! node is owned by exactly one shard, so the arrays are written
 //! disjointly and cost `O(nodes)` once instead of `O(nodes × shards)`.
 //!
@@ -29,6 +29,10 @@
 //!    are queued, and applied per list in one merge pass before…
 //! 3. **Emit** — per-shard disjoint sorted member lists are k-way
 //!    merged into the caller's buffers (a plain copy at `shards = 1`).
+//!    A caller that only reads the round — the served digest — takes
+//!    [`CqServer::evaluate_lists`](crate::cq_engine::CqServer::evaluate_lists)
+//!    instead: shard 0's member lists themselves at one shard, an
+//!    engine-owned merge buffer at several.
 //!
 //! Two properties make the result *bit-identical* across shard counts
 //! (and to the retired single-index inverted engine):
@@ -45,11 +49,11 @@
 //!
 //! # The one skip rule
 //!
-//! A node's stored answer is its `(cell, partial_hits)`: the grid cell
-//! its prediction fell in when it was last placed, and which of that
-//! cell's partial-cover queries contained it. A round at `t` must
-//! re-place exactly the nodes for which that pair, recomputed at `t`
-//! from the node's current model, could differ. Those are
+//! A node's stored answer is its `(cell, hit bits)`: the grid cell its
+//! prediction fell in when it was last placed, and which of that cell's
+//! partial-cover queries contained it (see *Hit bits* below). A round at
+//! `t` must re-place exactly the nodes for which that pair, recomputed
+//! at `t` from the node's current model, could differ. Those are
 //!
 //! > *re-reported ∪ handed-off ∪ pending ∪ due(t)*
 //!
@@ -104,6 +108,22 @@
 //! `CqServer::with_dirty_tracking(false)`, every round: the benchmarks'
 //! baseline and the in-tree oracle the equivalence batteries hold the
 //! kinetic rounds to.
+//!
+//! # Hit bits
+//!
+//! A node's partial hits are a subset of its cell's partial list
+//! (`QueryIndex::partial_at`), which is ascending and the same list on
+//! every stripe that stores the cell — and the shard that owns a node
+//! owns its cell. So the hits are kept as a bitset over that list: bit
+//! `i` of the node's words stands for the list's `i`-th query. Every node
+//! has `W` `u64` words in one flat array, where `W` is the widest
+//! partial list over 64, rounded up (at least 1), derived from the
+//! built indexes whenever the query set changes. On the repo
+//! benchmark's workloads the widest list is 9, so a node's hit state is
+//! one 8 B word; no node owns a heap block of its own, whatever `W`.
+//! Bits are only meaningful against the cell they were set in: a step
+//! that changes cell reads the old words through the old cell's list
+//! and writes the new words against the new one.
 
 use std::cmp::Ordering;
 use std::fmt;
@@ -338,7 +358,9 @@ unsafe impl<T> Sync for SendMutPtr<T> {}
 #[derive(Clone, Copy)]
 struct NodeRefs {
     cell: SendMutPtr<u32>,
-    hits: SendMutPtr<Vec<u32>>,
+    /// `words` hit words per node, node-major.
+    hits: SendMutPtr<u64>,
+    words: usize,
     pos: SendMutPtr<u32>,
     /// The wheel's per-node tick words; dangling unless the round files
     /// (only touched under a [`Filing`]).
@@ -360,14 +382,15 @@ impl NodeRefs {
         unsafe { *self.cell.ptr().add(n) = v }
     }
 
-    /// Node `n`'s sorted list of currently-satisfied partial queries.
+    /// Node `n`'s hit words: bit `i` set iff the `i`-th query of its
+    /// cell's partial list contains it (module docs, *Hit bits*).
     #[allow(clippy::mut_from_ref)]
     #[inline]
-    fn hits(&self, n: usize) -> &mut Vec<u32> {
+    fn hits(&self, n: usize) -> &mut [u64] {
         // SAFETY: per-node disjoint access, see the struct docs; the
         // returned borrow is used and dropped within one shard's
         // single-threaded phase code.
-        unsafe { &mut *self.hits.ptr().add(n) }
+        unsafe { std::slice::from_raw_parts_mut(self.hits.ptr().add(n * self.words), self.words) }
     }
 
     /// Node `n`'s position in its owning shard's `owned` list.
@@ -541,7 +564,9 @@ struct Shard {
     /// Owned node ids (unordered; the global `owned_pos` array maps
     /// node → position in this list).
     owned: Vec<u32>,
-    hits_scratch: Vec<u32>,
+    /// The hit words `replace` computes before it compares them with
+    /// the stored ones (`W` of them).
+    hits_scratch: Vec<u64>,
     /// Cumulative step+integrate wall time, nanoseconds.
     round_ns: u64,
     /// Cumulative nodes handed off out of this shard.
@@ -557,7 +582,7 @@ struct Shard {
     /// coordinator moves them into the wheel's buckets after the phases
     /// (the ring is its alone to write).
     filed: Vec<u32>,
-    /// Cumulative steps that found a node's `(cell, partial_hits)`
+    /// Cumulative steps that found a node's `(cell, hit bits)`
     /// different from what was stored, or the node gone: over a sweep,
     /// how much of the fleet a round at this cadence really changes.
     changed: u64,
@@ -616,10 +641,10 @@ impl Shard {
                 members[q as usize].push(n as u32);
             }
             let hits = refs.hits(n);
-            for &q in qindex.partial_at(slot) {
+            for (i, &q) in qindex.partial_at(slot).iter().enumerate() {
                 if queries[q as usize].range.contains(&p) {
                     members[q as usize].push(n as u32);
-                    hits.push(q);
+                    set_bit(hits, i);
                 }
             }
             refs.set_cell(n, (row * qindex.side() + col) as u32);
@@ -675,12 +700,12 @@ impl Shard {
     ) {
         self.stepped += dirty.len() as u64;
         for chunk in dirty.chunks(WARM_CHUNK) {
-            // A step reads nine scattered cache lines of per-node state
-            // (five store columns, cell, hit list and its buffer, tick)
-            // and is too branchy for the core to run ahead into the
-            // next node's. Reading one word of each first,
-            // in a loop with nothing else in it, lets those misses
-            // overlap: a third off the round at a million nodes.
+            // A step reads eight scattered cache lines of per-node state
+            // (five store columns, cell, hit words, tick) and is too
+            // branchy for the core to run ahead into the next node's.
+            // Reading one word of each first, in a loop with nothing
+            // else in it, lets those misses overlap: a third off the
+            // round at a million nodes.
             let mut touched = 0u64;
             for &n in chunk {
                 let n = n as usize;
@@ -688,7 +713,7 @@ impl Shard {
                     .predict(n as u32, t)
                     .map_or(0, |p| p.x.to_bits() ^ p.y.to_bits())
                     ^ refs.cell(n) as u64
-                    ^ refs.hits(n).first().map_or(0, |&q| q as u64);
+                    ^ refs.hits(n)[0];
                 if filing.is_some() {
                     touched ^= refs.tick(n) as u64;
                 }
@@ -724,10 +749,11 @@ impl Shard {
         let Shard { qindex, ops, .. } = self;
         let old_slot = qindex.slot_of_cell(refs.cell(n) as usize);
         let hits = refs.hits(n);
-        for &q in qindex.full_at(old_slot).iter().chain(hits.iter()) {
+        let held = qindex.full_at(old_slot).iter().copied();
+        for q in held.chain(hit_queries(hits, qindex.partial_at(old_slot))) {
             ops.push(member_op(q, n as u32, false));
         }
-        hits.clear();
+        hits.fill(0);
         refs.set_cell(n, UNOWNED);
     }
 
@@ -773,7 +799,7 @@ impl Shard {
     /// in-stripe cell `(row, col)` implies. This is the single exact
     /// arbiter of a node's answer: whatever made the node step — a
     /// report, a sweep, a wheel entry firing early — the stored
-    /// `(cell, partial_hits)` afterwards is the one `p` has. Returns
+    /// `(cell, hit bits)` afterwards is the one `p` has. Returns
     /// whether that differs from what was stored.
     fn replace(
         &mut self,
@@ -799,10 +825,10 @@ impl Shard {
             // can have changed for this node.
             return false;
         }
-        hits_scratch.clear();
-        for &q in partial {
+        hits_scratch.fill(0);
+        for (i, &q) in partial.iter().enumerate() {
             if queries[q as usize].range.contains(p) {
-                hits_scratch.push(q);
+                set_bit(hits_scratch, i);
             }
         }
         let old_hits = refs.hits(n);
@@ -817,18 +843,23 @@ impl Shard {
         sync_members(
             ops,
             n as u32,
-            merged(qindex.full_at(old_slot), old_hits),
-            merged(qindex.full_at(slot), hits_scratch),
+            merged(
+                qindex.full_at(old_slot).iter().copied(),
+                hit_queries(old_hits, qindex.partial_at(old_slot)),
+            ),
+            merged(
+                qindex.full_at(slot).iter().copied(),
+                hit_queries(hits_scratch, partial),
+            ),
         );
-        old_hits.clear();
-        old_hits.extend_from_slice(hits_scratch);
+        old_hits.copy_from_slice(hits_scratch);
         refs.set_cell(n, cell as u32);
         true
     }
 
     /// A conservative `safe_until` for node `n`, just placed at `p` in
     /// cell `(row, col)` at time `t`: an instant up to which its
-    /// floating-point `(cell, partial_hits)` provably equals what is
+    /// floating-point `(cell, hit bits)` provably equals what is
     /// stored now. `+∞` for a node that can reach nothing; `t` itself
     /// when nothing better can be proved (the node is then due at every
     /// later `t`).
@@ -1017,11 +1048,14 @@ impl Shard {
             ops.push(member_op(q, n as u32, true));
         }
         let hits = refs.hits(n);
-        debug_assert!(hits.is_empty(), "claimed node carries stale partial hits");
-        for &q in qindex.partial_at(slot) {
+        debug_assert!(
+            hits.iter().all(|&w| w == 0),
+            "claimed node carries stale hit bits"
+        );
+        for (i, &q) in qindex.partial_at(slot).iter().enumerate() {
             if queries[q as usize].range.contains(p) {
                 ops.push(member_op(q, n as u32, true));
-                hits.push(q);
+                set_bit(hits, i);
             }
         }
         refs.set_cell(n, (row * qindex.side() + col) as u32);
@@ -1087,17 +1121,38 @@ impl Shard {
     }
 }
 
-/// The ascending union of two sorted, disjoint id lists.
-fn merged<'a>(a: &'a [u32], b: &'a [u32]) -> impl Iterator<Item = u32> + 'a {
-    let (mut a, mut b) = (a.iter().peekable(), b.iter().peekable());
+/// Sets bit `i` of a node's hit words.
+#[inline]
+fn set_bit(words: &mut [u64], i: usize) {
+    words[i / 64] |= 1 << (i % 64);
+}
+
+/// The queries of a cell's `partial` list whose bits are set in `bits`,
+/// ascending like the list.
+#[inline]
+fn hit_queries<'a>(bits: &'a [u64], partial: &'a [u32]) -> impl Iterator<Item = u32> + 'a {
+    bits.iter().enumerate().flat_map(move |(w, &word)| {
+        let mut rest = word;
+        std::iter::from_fn(move || {
+            (rest != 0).then(|| {
+                let i = rest.trailing_zeros() as usize;
+                rest &= rest - 1;
+                partial[w * 64 + i]
+            })
+        })
+    })
+}
+
+/// The ascending union of two ascending, disjoint id sequences.
+fn merged(a: impl Iterator<Item = u32>, b: impl Iterator<Item = u32>) -> impl Iterator<Item = u32> {
+    let (mut a, mut b) = (a.peekable(), b.peekable());
     std::iter::from_fn(move || match (a.peek(), b.peek()) {
-        (Some(&&x), Some(&&y)) if y < x => {
+        (Some(&x), Some(&y)) if y < x => {
             debug_assert_ne!(x, y);
-            b.next();
-            Some(y)
+            b.next()
         }
-        (Some(_), _) => a.next().copied(),
-        (None, _) => b.next().copied(),
+        (Some(_), _) => a.next(),
+        (None, _) => b.next(),
     })
 }
 
@@ -1223,8 +1278,15 @@ pub(crate) struct UnifiedEval {
     /// Global per-node arrays (disjointly written — each node is owned
     /// by exactly one shard; see [`NodeRefs`]).
     node_cell: Vec<u32>,
-    partial_hits: Vec<Vec<u32>>,
+    /// `hit_words` words per node: each node's hit bits (module docs,
+    /// *Hit bits*).
+    hits: Vec<u64>,
+    hit_words: usize,
     owned_pos: Vec<u32>,
+    /// Per query, at several shards: the round's merged member lists,
+    /// for [`evaluate_lists`](Self::evaluate_lists) (unused at one
+    /// shard, where shard 0's lists are the answer).
+    lists: Vec<Vec<u32>>,
     /// Whether the stripe indexes match the current query set.
     indexed: bool,
     /// Whether shard state describes a completed exact round.
@@ -1280,8 +1342,10 @@ impl Clone for UnifiedEval {
             shards: self.shards.clone(),
             col_owner: self.col_owner.clone(),
             node_cell: self.node_cell.clone(),
-            partial_hits: self.partial_hits.clone(),
+            hits: self.hits.clone(),
+            hit_words: self.hit_words,
             owned_pos: self.owned_pos.clone(),
+            lists: self.lists.clone(),
             indexed: self.indexed,
             primed: self.primed,
             last_t: self.last_t,
@@ -1311,8 +1375,10 @@ impl UnifiedEval {
             shards: Vec::new(),
             col_owner: Vec::new(),
             node_cell: Vec::new(),
-            partial_hits: Vec::new(),
+            hits: Vec::new(),
+            hit_words: 1,
             owned_pos: Vec::new(),
+            lists: Vec::new(),
             indexed: false,
             primed: false,
             last_t: 0.0,
@@ -1414,6 +1480,7 @@ impl UnifiedEval {
         self.shards.resize_with(s, Shard::new);
         self.col_owner.clear();
         self.col_owner.resize(side, 0);
+        let mut widest = 0;
         for (i, shard) in self.shards.iter_mut().enumerate() {
             let (lo, hi) = (side * i / s, side * (i + 1) / s);
             for owner in &mut self.col_owner[lo..hi] {
@@ -1423,9 +1490,18 @@ impl UnifiedEval {
             shard.qindex = QueryIndex::build_cols(&self.bounds, queries, 0.0, true, lo..hi);
             shard.members.resize_with(queries.len(), Vec::new);
             shard.members.truncate(queries.len());
+            widest = widest.max(shard.qindex.widest_partial());
+        }
+        // One bit per entry of the widest partial list: a property of
+        // the query set, fixed until it changes.
+        self.hit_words = widest.div_ceil(64).max(1);
+        for shard in &mut self.shards {
+            shard.hits_scratch.resize(self.hit_words, 0);
         }
         self.node_cell.resize(num_nodes, UNOWNED);
-        self.partial_hits.resize_with(num_nodes, Vec::new);
+        // The words are laid out anew: the rebuild that must follow
+        // zeroes them.
+        self.hits.resize(num_nodes * self.hit_words, 0);
         self.owned_pos.resize(num_nodes, UNOWNED);
         if self.dirty_flag.len() < num_nodes {
             self.dirty_flag.resize(num_nodes, false);
@@ -1551,6 +1627,93 @@ impl UnifiedEval {
         out: &mut Vec<QueryResult>,
         sequential: bool,
     ) {
+        let par_emit = self.round(queries, store, t, sequential);
+        let nq = queries.len();
+        out.resize_with(nq, QueryResult::default);
+        out.truncate(nq);
+        for (slot, query) in out.iter_mut().zip(queries) {
+            slot.query = query.id;
+        }
+        if self.num_shards == 1 {
+            for (slot, members) in out.iter_mut().zip(&self.shards[0].members) {
+                slot.nodes.clear();
+                slot.nodes.extend_from_slice(members);
+            }
+        } else {
+            self.merge(out, |slot| &mut slot.nodes, par_emit);
+        }
+        self.emit_entries = out.iter().map(|r| r.nodes.len()).sum();
+    }
+
+    /// The same round as [`evaluate_into`](Self::evaluate_into), read in
+    /// place: per query, in `queries` order, its sorted member ids. At
+    /// one shard these are shard 0's own member lists and nothing is
+    /// copied; at several, the k-way merge fills the engine's per-query
+    /// buffer instead of the caller's.
+    pub(crate) fn evaluate_lists(
+        &mut self,
+        queries: &[RangeQuery],
+        store: &NodeStore,
+        t: f64,
+        sequential: bool,
+    ) -> &[Vec<u32>] {
+        let par_emit = self.round(queries, store, t, sequential);
+        if self.num_shards == 1 {
+            let lists = &self.shards[0].members;
+            self.emit_entries = lists.iter().map(Vec::len).sum();
+            return lists;
+        }
+        let mut lists = std::mem::take(&mut self.lists);
+        lists.resize_with(queries.len(), Vec::new);
+        lists.truncate(queries.len());
+        self.merge(&mut lists, |list| list, par_emit);
+        self.emit_entries = lists.iter().map(Vec::len).sum();
+        self.lists = lists;
+        &self.lists
+    }
+
+    /// Emit at several shards: k-way merges every query's per-shard
+    /// member lists into `nodes(&mut out[q])`, each worker over a
+    /// contiguous chunk of queries — on the pool when `par`.
+    fn merge<T: Send>(
+        &self,
+        out: &mut [T],
+        nodes: impl Fn(&mut T) -> &mut Vec<u32> + Sync,
+        par: bool,
+    ) {
+        let (s, nq) = (self.num_shards, out.len());
+        let shards = &self.shards;
+        let out_ptr = SendMutPtr(out.as_mut_ptr());
+        let chunk = |i: usize| {
+            let mut srcs: Vec<&[u32]> = vec![&[]; s];
+            for q in nq * i / s..nq * (i + 1) / s {
+                // SAFETY: the chunks are disjoint, so each slot is
+                // written by exactly one worker.
+                let list = nodes(unsafe { &mut *out_ptr.ptr().add(q) });
+                list.clear();
+                for (src, shard) in srcs.iter_mut().zip(shards) {
+                    *src = &shard.members[q];
+                }
+                merge_into(&srcs, list);
+            }
+        };
+        let all: Vec<usize> = (0..s).collect();
+        match &self.pool {
+            Some(pool) if par => pool.run_on(&all, &chunk),
+            _ => all.iter().for_each(|&i| chunk(i)),
+        }
+    }
+
+    /// The round itself: every phase but the emit, and the wheel's and
+    /// the change feeds' bookkeeping. Returns whether the emit should
+    /// run on the pool (which then exists).
+    fn round(
+        &mut self,
+        queries: &[RangeQuery],
+        store: &NodeStore,
+        t: f64,
+        sequential: bool,
+    ) -> bool {
         if !self.indexed {
             self.build_indexes(queries, store.len());
         }
@@ -1576,9 +1739,6 @@ impl UnifiedEval {
             None
         };
         let changed_before: u64 = self.shards.iter().map(|shard| shard.changed).sum();
-        let nq = queries.len();
-        out.resize_with(nq, QueryResult::default);
-        out.truncate(nq);
 
         // Coordinator prep: batch the round's change feed per shard.
         let mut step_targets: Vec<usize> = Vec::with_capacity(s);
@@ -1589,9 +1749,7 @@ impl UnifiedEval {
             // phase, nothing integrates.
             self.node_cell.fill(UNOWNED);
             self.owned_pos.fill(UNOWNED);
-            for hits in &mut self.partial_hits {
-                hits.clear();
-            }
+            self.hits.fill(0);
             for outbox in &mut self.routes {
                 outbox.clear();
             }
@@ -1663,10 +1821,10 @@ impl UnifiedEval {
 
         let shards = SendMutPtr(self.shards.as_mut_ptr());
         let routes = SendMutPtr(self.routes.as_mut_ptr());
-        let out_ptr = SendMutPtr(out.as_mut_ptr());
         let refs = NodeRefs {
             cell: SendMutPtr(self.node_cell.as_mut_ptr()),
-            hits: SendMutPtr(self.partial_hits.as_mut_ptr()),
+            hits: SendMutPtr(self.hits.as_mut_ptr()),
+            words: self.hit_words,
             pos: SendMutPtr(self.owned_pos.as_mut_ptr()),
             tick: SendMutPtr(self.wheel.tick.as_mut_ptr()),
         };
@@ -1745,40 +1903,7 @@ impl UnifiedEval {
             shard.round_ns += start.elapsed().as_nanos() as u64;
         });
 
-        // Phase 3 — emit: shards are read-only. At one shard this is a
-        // straight copy of the member lists; otherwise each worker
-        // k-way-merges the member lists of its contiguous query chunk.
-        if s == 1 {
-            let shard = &self.shards[0];
-            for ((slot, query), members) in out.iter_mut().zip(queries).zip(&shard.members) {
-                slot.query = query.id;
-                slot.nodes.clear();
-                slot.nodes.extend_from_slice(members);
-            }
-        } else {
-            let all: Vec<usize> = (0..s).collect();
-            let run_all = |f: &(dyn Fn(usize) + Sync)| match pool {
-                Some(p) if par_emit => p.run_on(&all, f),
-                _ => all.iter().for_each(|&i| f(i)),
-            };
-            run_all(&|i: usize| {
-                // SAFETY: shards read-only for the whole phase; out slots
-                // are written by exactly one worker (disjoint chunks).
-                let shards_ro: &[Shard] = unsafe { std::slice::from_raw_parts(shards.ptr(), s) };
-                let mut srcs: Vec<&[u32]> = vec![&[]; s];
-                let chunk = nq * i / s..nq * (i + 1) / s;
-                for (q, query) in queries.iter().enumerate().take(chunk.end).skip(chunk.start) {
-                    let slot = unsafe { &mut *out_ptr.ptr().add(q) };
-                    slot.query = query.id;
-                    slot.nodes.clear();
-                    for (si, shard) in shards_ro.iter().enumerate() {
-                        srcs[si] = &shard.members[q];
-                    }
-                    merge_into(&srcs, &mut slot.nodes);
-                }
-            });
-        }
-
+        // Phase 3, the emit, is the caller's: the member lists are final.
         if !rebuild && !kinetic {
             // What a sweep saw decides whether the next one files.
             let changed = self.shards.iter().map(|shard| shard.changed).sum::<u64>();
@@ -1802,10 +1927,10 @@ impl UnifiedEval {
             }
         }
 
-        self.emit_entries = out.iter().map(|r| r.nodes.len()).sum();
         self.primed = true;
         self.last_t = t;
         self.clear_round_inputs();
+        par_emit
     }
 }
 

@@ -81,6 +81,38 @@ impl Pair {
     }
 }
 
+/// 65 to 80 rectangles whose left edges all fall in one grid column,
+/// their right edges in another and their bottom and top edges in one
+/// row each, so every cell on that outline is partially covered by more
+/// than 64 queries and a node's hit bits there take two words. Corners
+/// and offsets are arbitrary reals: no lattice, and edges a fraction of a
+/// metre apart.
+fn wide_query_set() -> impl Strategy<Value = Vec<RangeQuery>> {
+    (
+        65usize..81,
+        (1usize..12, 1usize..12),
+        (4usize..16, 4usize..16),
+        prop::collection::vec((0.05f64..0.95, 0.05f64..0.95), 80..81),
+        prop::collection::vec((0.05f64..0.95, 0.05f64..0.95), 80..81),
+    )
+        .prop_map(|(n, (c0, r0), (cw, rh), lo, hi)| {
+            // `side_for(n)`, which is what the engine will build.
+            let side = (4.0 * (n as f64).sqrt()).ceil() as usize;
+            let w = 1000.0 / side as f64;
+            (0..n)
+                .map(|k| RangeQuery {
+                    id: k as u32,
+                    range: Rect::from_coords(
+                        (c0 as f64 + lo[k].0) * w,
+                        (r0 as f64 + lo[k].1) * w,
+                        ((c0 + cw) as f64 + hi[k].0) * w,
+                        ((r0 + rh) as f64 + hi[k].1) * w,
+                    ),
+                })
+                .collect()
+        })
+}
+
 /// The deterministic per-node Δ both the servers and the oracle use in
 /// uncertain evaluation (binary-exact multiples of U/4).
 fn delta_of(n: u32, _p: Point) -> f64 {
@@ -132,6 +164,29 @@ proptest! {
         let mut subjects = Pair::new(&[])
             .servers
             .map(|(label, server)| common::Subject::new(label, server));
+        common::replay(&steps, &qs, &qs2, &mut subjects);
+    }
+
+    /// The same histories over cells with more than 64 partial covers
+    /// (two hit words a node), swapping with an ordinary query set (one
+    /// word) and back, at 1, 3 and 7 shards whatever the CI leg.
+    #[test]
+    fn wide_cell_histories_equivalent_across_engines_and_shards(
+        steps in common::history(120),
+        qs in wide_query_set(),
+        qs2 in common::query_set(5),
+    ) {
+        let mut subjects = Vec::new();
+        for shards in [1, 3, 7] {
+            let server = || {
+                CqServer::new(bounds(), NUM_NODES, 8).with_engine(EvalEngine::Unified { shards })
+            };
+            subjects.push(common::Subject::new(format!("kinetic/{shards}"), server()));
+            subjects.push(common::Subject::new(
+                format!("sweep/{shards}"),
+                server().with_dirty_tracking(false),
+            ));
+        }
         common::replay(&steps, &qs, &qs2, &mut subjects);
     }
 

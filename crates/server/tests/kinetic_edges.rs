@@ -57,9 +57,12 @@ struct Trio {
 
 impl Trio {
     fn new(num_nodes: usize, queries: Vec<RangeQuery>) -> Self {
+        Trio::with_engine(num_nodes, queries, common::unified_from_env(1))
+    }
+
+    fn with_engine(num_nodes: usize, queries: Vec<RangeQuery>, engine: EvalEngine) -> Self {
         let server = || {
-            let mut s =
-                CqServer::new(bounds(), num_nodes, 8).with_engine(common::unified_from_env(1));
+            let mut s = CqServer::new(bounds(), num_nodes, 8).with_engine(engine);
             s.register_queries(queries.iter().copied());
             s
         };
@@ -463,4 +466,111 @@ fn a_dense_random_world_stays_identical_round_for_round() {
         kinetic_rounds > 140,
         "{kinetic_rounds} of 150 rounds skipped work"
     );
+}
+
+/// Seventy nested squares whose edges all cross the same cells: the
+/// left edges lie in column 14 of the `side_for(70) = 34` grid, the
+/// right ones in column 22, the bottom ones in row 9 and the top ones in
+/// row 20 — so every cell on the squares' outline is partially covered by
+/// all seventy queries, and a node's hit bits there take two words
+/// (module docs of `unified`, *Hit bits*). Nodes cross those cells one
+/// edge every half second or so, into and out of columns 14 and 22 —
+/// stripe boundaries at seven and at three shards — and through the
+/// corners, among parked nodes that keep the rounds kinetic; some turn
+/// back, some leave and come back. At 1, 3 and 7 shards: kinetic ≡ sweep
+/// ≡ brute force, round for round.
+#[test]
+fn a_cell_with_more_than_64_partial_covers_keeps_two_hit_words_exact() {
+    let w = 1000.0 / 34.0;
+    let step = (w - 2.0) / 70.0;
+    let squares: Vec<RangeQuery> = (0..70u32)
+        .map(|k| {
+            let grow = k as f64 * step;
+            RangeQuery {
+                id: k,
+                range: Rect::from_coords(
+                    15.0 * w - 1.0 - grow,
+                    10.0 * w - 1.0 - grow,
+                    22.0 * w + 1.0 + grow,
+                    20.0 * w + 1.0 + grow,
+                ),
+            }
+        })
+        .collect();
+    let col = |x: f64| (x / w).floor() as usize;
+    assert!(
+        squares.iter().all(|q| col(q.range.min.x) == 14),
+        "every left edge in one column"
+    );
+    assert!(squares.iter().all(|q| col(q.range.max.x) == 22));
+
+    let (moving, parked) = (48u32, 120u32);
+    let num = (moving + parked) as usize;
+    for shards in [1, 3, 7] {
+        let mut trio = Trio::with_engine(num, squares.clone(), EvalEngine::Unified { shards });
+        let mut rng = SmallRng::seed_from_u64(32);
+        // Four lanes: rightwards through the left edges, rightwards out
+        // through the right edges, diagonally through the bottom-left
+        // corner, and up through the top edges.
+        let lane = |n: u32, rng: &mut SmallRng| -> (Point, (f64, f64)) {
+            let jitter = rng.gen_range(-0.2..0.2);
+            let speed = rng.gen_range(0.5..1.5);
+            match n % 4 {
+                0 => (
+                    Point::new(rng.gen_range(380.0..405.0), rng.gen_range(300.0..580.0)),
+                    (speed, jitter),
+                ),
+                1 => (
+                    Point::new(rng.gen_range(630.0..650.0), rng.gen_range(300.0..580.0)),
+                    (speed, jitter),
+                ),
+                2 => {
+                    let d = rng.gen_range(0.0..15.0);
+                    (Point::new(395.0 + d, 250.0 + d), (speed, speed + jitter))
+                }
+                _ => (
+                    Point::new(rng.gen_range(450.0..600.0), rng.gen_range(575.0..590.0)),
+                    (jitter, speed),
+                ),
+            }
+        };
+        for n in 0..moving {
+            let (p, v) = lane(n, &mut rng);
+            trio.report(n, 0.0, p, v);
+        }
+        for n in moving..moving + parked {
+            // Inside the outline cells (two words of bits held still),
+            // inside the squares, and away from them.
+            let p = match n % 3 {
+                0 => Point::new(rng.gen_range(412.0..441.0), rng.gen_range(270.0..610.0)),
+                1 => Point::new(rng.gen_range(450.0..640.0), rng.gen_range(300.0..580.0)),
+                _ => Point::new(rng.gen_range(0.0..1000.0), rng.gen_range(700.0..1000.0)),
+            };
+            trio.report(n, 0.0, p, (0.0, 0.0));
+        }
+        trio.eval(0.0);
+        let mut t = 0.0;
+        let mut stepped = 0;
+        for round in 0..90 {
+            if round % 10 == 9 {
+                // Some turn back across the edges they just crossed;
+                // one leaves, and one that left comes back.
+                for n in (round % 4..moving).step_by(9) {
+                    if let Some(p) = trio.world.predict(n as usize, t) {
+                        let v = (rng.gen_range(-1.5..-0.5), rng.gen_range(-1.0..1.0));
+                        trio.report(n, t, p, v);
+                    }
+                }
+                trio.remove(round % moving);
+                let (p, v) = lane(round + 1, &mut rng);
+                trio.report((round + 1) % moving, t, p, v);
+            }
+            t += if round % 15 == 14 { 0.25 } else { 1.0 };
+            stepped += trio.eval(t);
+        }
+        assert!(
+            stepped < 90 * num as u64 / 2,
+            "{shards} shards: mostly kinetic rounds, {stepped} steps"
+        );
+    }
 }
