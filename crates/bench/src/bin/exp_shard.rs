@@ -13,8 +13,9 @@
 //!   of the fleet here; this scenario shows what that skew costs.
 //!
 //! Before timing, each scale cross-checks every shard count against the
-//! baseline for equal results — a benchmark of a wrong engine is
-//! worthless.
+//! baseline for equal results, and the digest a served round folds
+//! (`evaluate_digest`) against `digest_round` over those results, round
+//! by round — a benchmark of a wrong engine is worthless.
 //!
 //! ```text
 //! exp_shard [--quick] [--assert] [--min-speedup X] [--mono-tol X] [--churn F] [--out PATH]
@@ -52,7 +53,13 @@
 //! a simulated tick pays, and the headline. The **same-`t`** round
 //! (`evaluate_ns`) is the same churn evaluated at a fixed time: only the
 //! re-reported nodes can change, a round no server pays, kept because it
-//! isolates the engine's floor (emit copy + churn). The baseline's sweep
+//! isolates the engine's floor (emit copy + churn). The **served**
+//! columns time the advancing round twice more for each shard count, as
+//! the two digest paths pay it: `served_ns` is `evaluate_digest` — what
+//! `lira-serve` runs per `EvalReq`, the digest folded as the member lists
+//! are written — and `replica_ns` is `evaluate_into` followed by
+//! `digest_round` over the copied results, what the benchmark's in-process
+//! replica and any client folding materialised results pay. The baseline's sweep
 //! round walks every stored node on both; the unified engine steps the
 //! re-reported nodes plus, when `t` advances, the nodes its time wheel
 //! has due (DESIGN.md §13), which is where the speedup comes from. A
@@ -75,6 +82,7 @@ use criterion::{black_box, Criterion};
 use lira_bench::{host_json, peak_rss_bytes};
 use lira_core::geometry::{Point, Rect};
 use lira_core::telemetry::json::Json;
+use lira_server::digest::digest_round;
 use lira_server::prelude::*;
 use lira_workload::churn::{ChurnWorkload, HotspotSpec};
 use lira_workload::{generate_queries, QueryDistribution, WorkloadConfig};
@@ -162,7 +170,9 @@ fn verify_engines_agree(
         make_server(num_nodes, space_m, queries, EvalEngine::default()).with_dirty_tracking(false);
     let mut w_base = scen.workload(num_nodes, churn_frac, space_m);
     w_base.prime(&mut base);
-    let mut striped: Vec<(usize, CqServer, ChurnWorkload)> = SHARD_COUNTS
+    // Per shard count, a server whose rounds are materialised and one
+    // whose rounds are folded into the served digest.
+    let mut striped: Vec<(usize, [CqServer; 2], ChurnWorkload)> = SHARD_COUNTS
         .iter()
         .map(|&s| {
             let mut server = make_server(
@@ -173,9 +183,10 @@ fn verify_engines_agree(
             );
             let w = scen.workload(num_nodes, churn_frac, space_m);
             w.prime(&mut server);
-            (s, server, w)
+            (s, [server.clone(), server], w)
         })
         .collect();
+    let (mut replica, mut served) = (vec![0; SHARD_COUNTS.len()], vec![0; SHARD_COUNTS.len()]);
     // Five same-`t` rounds, then five advancing ones.
     for round in 0..10 {
         let t = (round as f64 - 4.0).max(0.5);
@@ -184,15 +195,25 @@ fn verify_engines_agree(
             base.ingest(id, stamp, p, v);
         });
         let want = base.evaluate(t);
-        for (s, server, w) in &mut striped {
+        for (k, (s, [server, folding], w)) in striped.iter_mut().enumerate() {
             w.step_with(|id, p, v| {
                 server.ingest(id, stamp, p, v);
+                folding.ingest(id, stamp, p, v);
             });
             assert_eq!(
                 server.evaluate(t),
                 want,
                 "unified({s}) disagrees with the sweep baseline ({} {num_nodes} nodes, round \
                  {round})",
+                scen.name()
+            );
+            replica[k] = digest_round(replica[k], t, &want);
+            served[k] = folding.evaluate_digest(t, served[k]);
+            assert_eq!(
+                served[k],
+                replica[k],
+                "unified({s})'s served digest disagrees with digest_round over its results ({} \
+                 {num_nodes} nodes, round {round})",
                 scen.name()
             );
         }
@@ -216,12 +237,19 @@ struct Timed {
     /// Mean nodes the engine stepped per advancing round (the fleet for
     /// the sweep baseline).
     advancing_stepped: f64,
+    /// Advancing round folded into the served digest (`evaluate_digest`),
+    /// and the same round copied out and then hashed (`evaluate_into` +
+    /// `digest_round`), ns/iter; `None` for the sweep baseline.
+    served: Option<(f64, f64)>,
     /// Nodes handed from stripe to stripe over both rungs.
     handoffs: u64,
 }
 
 /// Times both rounds (see the module docs) for one server: the same-`t`
-/// rung first, then the advancing one on the fleet it leaves placed.
+/// rung first, then the advancing one on the fleet it leaves placed —
+/// and then, with `served`, the advancing round as each digest path pays
+/// it.
+#[allow(clippy::too_many_arguments)]
 fn bench_engine(
     c: &mut Criterion,
     label: &str,
@@ -230,6 +258,7 @@ fn bench_engine(
     space_m: f64,
     server: CqServer,
     churn_frac: f64,
+    served: bool,
 ) -> Timed {
     let mut server = server;
     let mut workload = scen.workload(num_nodes, churn_frac, space_m);
@@ -262,12 +291,41 @@ fn bench_engine(
             });
         },
     );
+    let advancing_stepped = (server.stepped_nodes() - stepped_before) as f64 / (t - 0.5);
+    let served = served.then(|| {
+        let mut digest = 0;
+        let mut rung = |name: &str, fold: &mut dyn FnMut(&mut CqServer, f64, u64) -> u64| {
+            bench_one(
+                c,
+                format!("{name}/{label}"),
+                |b: &mut criterion::Bencher| {
+                    b.iter(|| {
+                        t += 1.0;
+                        workload.step_with(|id, p, v| {
+                            server.ingest(id, t, p, v);
+                        });
+                        digest = fold(&mut server, t, digest);
+                        black_box(digest)
+                    });
+                },
+            )
+        };
+        let served_ns = rung("served", &mut |server, t, prev| {
+            server.evaluate_digest(t, prev)
+        });
+        let replica_ns = rung("replica", &mut |server, t, prev| {
+            server.evaluate_into(t, &mut results);
+            digest_round(prev, t, &results)
+        });
+        (served_ns, replica_ns)
+    });
     let stats = server.shard_stats();
     Timed {
         shards: stats.len(),
         ns,
         advancing_ns,
-        advancing_stepped: (server.stepped_nodes() - stepped_before) as f64 / (t - 0.5),
+        advancing_stepped,
+        served,
         handoffs: stats.iter().map(|st| st.handoffs).sum(),
     }
 }
@@ -321,6 +379,7 @@ fn bench_scale(
         space_m,
         make_server(num_nodes, space_m, &queries, EvalEngine::default()).with_dirty_tracking(false),
         churn_frac,
+        false,
     );
     let (baseline_ns, baseline_advancing_ns) = (baseline.ns, baseline.advancing_ns);
     let striped: Vec<Timed> = SHARD_COUNTS
@@ -339,6 +398,7 @@ fn bench_scale(
                     EvalEngine::Unified { shards: s },
                 ),
                 churn_frac,
+                true,
             );
             println!(
                 "advancing_speedup_{0}_{num_nodes}x{num_queries}_shards{s}={1:.2} \
@@ -355,6 +415,16 @@ fn bench_scale(
                     ""
                 }
             );
+            if let Some((served_ns, replica_ns)) = row.served {
+                println!(
+                    "served_speedup_{}_{num_nodes}x{num_queries}_shards{s}={:.2} (served {:.0} \
+                     ns, replica {:.0} ns)",
+                    scen.name(),
+                    replica_ns / served_ns.max(1e-9),
+                    served_ns,
+                    replica_ns
+                );
+            }
             row
         })
         .collect();
@@ -406,6 +476,8 @@ fn report_json(mode: &str, churn_frac: f64, scales: &[ScaleResult]) -> Json {
                                     s.striped
                                         .iter()
                                         .map(|r| {
+                                            let (served_ns, replica_ns) =
+                                                r.served.expect("striped rows time both paths");
                                             Json::Obj(vec![
                                                 ("shards".into(), Json::UInt(r.shards as u64)),
                                                 (
@@ -431,6 +503,12 @@ fn report_json(mode: &str, churn_frac: f64, scales: &[ScaleResult]) -> Json {
                                                 (
                                                     "speedup_vs_shard1".into(),
                                                     Json::Float(shard1_ns / r.ns.max(1e-9)),
+                                                ),
+                                                ("served_ns".into(), Json::Float(served_ns)),
+                                                ("replica_ns".into(), Json::Float(replica_ns)),
+                                                (
+                                                    "served_speedup_vs_replica".into(),
+                                                    Json::Float(replica_ns / served_ns.max(1e-9)),
                                                 ),
                                                 ("handoffs".into(), Json::UInt(r.handoffs)),
                                             ])

@@ -18,7 +18,7 @@
 
 use lira_core::geometry::Rect;
 use lira_core::plan::SheddingPlan;
-use lira_server::query::{QueryResult, RangeQuery};
+use lira_server::query::RangeQuery;
 
 /// Frame magic: ASCII `"RL"` read little-endian as `0x4C52` ("LR").
 pub const MAGIC: u16 = 0x4C52;
@@ -732,56 +732,10 @@ impl Decoder {
 
 // ---------------------------------------------------------------- digest
 
-/// FNV-1a 64-bit offset basis.
-pub const FNV_OFFSET: u64 = 0xcbf2_9ce4_8422_2325;
-/// FNV-1a 64-bit prime.
-pub const FNV_PRIME: u64 = 0x0000_0100_0000_01b3;
-
-/// Folds `bytes` into an FNV-1a 64-bit hash state.
-pub fn fnv1a(mut h: u64, bytes: &[u8]) -> u64 {
-    for &b in bytes {
-        h ^= b as u64;
-        h = h.wrapping_mul(FNV_PRIME);
-    }
-    h
-}
-
-/// Folds one evaluation round into a rolling digest: the timestamp bits,
-/// then every result's query id, node count, and node ids, in order.
-/// Equal digest chains ⇔ bit-identical evaluation histories.
-pub fn digest_round(prev: u64, t: f64, results: &[QueryResult]) -> u64 {
-    let rounds = results.iter().map(|r| (r.query, r.nodes.as_slice()));
-    fold_round(prev, t, rounds)
-}
-
-/// [`digest_round`] over a round read in place: `lists[i]` holds the
-/// members of `queries[i]` (what `CqServer::evaluate_lists` returns, in
-/// its `queries()` order). Folds the same bytes, so it returns what
-/// `digest_round` returns for the materialised results.
-pub fn digest_lists(prev: u64, t: f64, queries: &[RangeQuery], lists: &[Vec<u32>]) -> u64 {
-    assert_eq!(queries.len(), lists.len(), "one member list per query");
-    let rounds = queries.iter().zip(lists).map(|(q, l)| (q.id, l.as_slice()));
-    fold_round(prev, t, rounds)
-}
-
-/// The one digest body: `(query id, members)` per result, in order.
-fn fold_round<'a>(
-    prev: u64,
-    t: f64,
-    results: impl ExactSizeIterator<Item = (u32, &'a [u32])>,
-) -> u64 {
-    let mut h = if prev == 0 { FNV_OFFSET } else { prev };
-    h = fnv1a(h, &t.to_bits().to_le_bytes());
-    h = fnv1a(h, &(results.len() as u64).to_le_bytes());
-    for (query, nodes) in results {
-        h = fnv1a(h, &query.to_le_bytes());
-        h = fnv1a(h, &(nodes.len() as u64).to_le_bytes());
-        for &n in nodes {
-            h = fnv1a(h, &n.to_le_bytes());
-        }
-    }
-    h
-}
+/// The rolling digest an `EvalRes` carries: FNV-1a 64 over each round's
+/// bytes, defined beside the engine that folds it
+/// ([`CqServer::evaluate_digest`](lira_server::cq_engine::CqServer::evaluate_digest)).
+pub use lira_server::digest::{digest_round, fnv1a, FNV_OFFSET, FNV_PRIME};
 
 /// Encodes a [`SheddingPlan`] as a `Plan` frame at `epoch`/`t`.
 pub fn plan_frame(plan: &SheddingPlan, epoch: u64, t: f64, default_delta: f64) -> Frame {
@@ -807,6 +761,7 @@ pub fn decode_plan(
 #[cfg(test)]
 mod tests {
     use super::*;
+    use lira_server::query::QueryResult;
 
     fn roundtrip(f: Frame) {
         let bytes = f.encode();

@@ -30,7 +30,7 @@ use lira_server::governor::Governor;
 use lira_server::query::RangeQuery;
 use std::sync::Arc;
 
-use crate::protocol::{self, digest_lists, kind, Frame, WireUpdate};
+use crate::protocol::{self, kind, Frame, WireUpdate};
 
 /// Configuration of one serving session (CLI flags map onto this 1:1;
 /// see `docs/OPERATIONS.md`).
@@ -496,11 +496,11 @@ impl SessionCore {
                 self.drain();
                 let t0 = Instant::now();
                 let stepped = self.server.stepped_nodes();
-                // The digest reads the engine's member lists where they
-                // are: nothing is copied out just to be hashed.
-                let lists = self.server.evaluate_lists(t);
-                self.digest = digest_lists(self.digest, t, &self.queries, lists);
-                self.last_results = lists.len() as u64;
+                // The engine folds the round into the digest as it
+                // writes its member lists: nothing is copied out just to
+                // be hashed.
+                self.digest = self.server.evaluate_digest(t, self.digest);
+                self.last_results = self.queries.len() as u64;
                 self.tel
                     .eval_stepped
                     .record(self.server.stepped_nodes() - stepped);
@@ -732,6 +732,14 @@ mod tests {
         }
     }
 
+    /// Each registered query's members in a round of the session's
+    /// engine at `t`.
+    fn members_at(s: &mut SessionCore, t: f64) -> Vec<Vec<u32>> {
+        let mut results = Vec::new();
+        s.server.evaluate_into(t, &mut results);
+        results.into_iter().map(|r| r.nodes).collect()
+    }
+
     #[test]
     fn hello_register_batch_eval_flow() {
         let mut s = tiny();
@@ -868,10 +876,9 @@ mod tests {
         let (t, window_s) = (1.0, 1.0);
         s.handle(conn, Frame::WindowClose { t, window_s });
         assert_eq!(s.protocol_errors(), 0);
-        // The lists are the last round's: a second round at its `t`
+        // The members are the last round's: a second round at its `t`
         // steps nothing.
-        let members = s.server.evaluate_lists(0.0);
-        assert_eq!(members, vec![vec![1], vec![], vec![2]]);
+        assert_eq!(members_at(&mut s, 0.0), vec![vec![1], vec![], vec![2]]);
         let report = Json::parse(&s.deterministic_json()).unwrap();
         let field = |k: &str| report.get(k).unwrap().as_u64().unwrap();
         assert_eq!(field("updates_rx"), 4);
@@ -1183,8 +1190,7 @@ mod tests {
             assert_eq!(s.server.queries(), &[good.to_query()], "{q:?}");
             // The session still serves the good query alone.
             s.handle(conn, Frame::EvalReq { t: 0.0 });
-            let members = s.server.evaluate_lists(0.0);
-            assert_eq!(members, vec![vec![1]], "{q:?}");
+            assert_eq!(members_at(&mut s, 0.0), vec![vec![1]], "{q:?}");
             let report = Json::parse(&s.deterministic_json()).unwrap();
             let field = |k: &str| report.get(k).unwrap().as_u64().unwrap();
             assert_eq!(field("registered_queries"), 1);

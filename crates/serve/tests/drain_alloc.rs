@@ -278,3 +278,110 @@ fn a_served_session_holds_each_answer_once() {
     );
     drop(s);
 }
+
+/// 512 squares on a 16 × 32 lattice over the square, alternately
+/// 3 000 m and 300 m a side: member lists of very different sizes side
+/// by side, so a buffer handed from a long list to a short one, or
+/// resized exactly every round, shows in the counts.
+fn mixed_queries() -> Vec<WireQuery> {
+    (0..512)
+        .map(|id| {
+            let side = if id % 2 == 0 { 3_000.0 } else { 300.0 };
+            let (min_x, min_y) = (
+                (id % 16) as f64 * 430.0 + 50.0,
+                (id / 16) as f64 * 215.0 + 50.0,
+            );
+            WireQuery {
+                id,
+                min_x,
+                min_y,
+                max_x: min_x + side,
+                max_y: min_y + side,
+            }
+        })
+        .collect()
+}
+
+/// Runs kinetic `EvalReq` rounds at one shard over [`mixed_queries`],
+/// round `r` at `t = r` after a batch of `updates(r)`, and returns the
+/// allocations a measured round made on average and how far the
+/// measured rounds grew the live heap. The first `WARM` rounds (the
+/// rebuild, the sweep that schedules the wheel, a few kinetic ones) are
+/// not measured; only `EvalReq` is, never the batches.
+fn kinetic_rounds(updates: impl Fn(u32) -> Vec<WireUpdate>) -> (f64, i64) {
+    const WARM: u32 = 8;
+    const MEASURED: u32 = 24;
+    let (mut s, conn) = one_shard_session();
+    s.handle(
+        conn,
+        Frame::Register {
+            queries: mixed_queries(),
+        },
+    );
+    let (mut allocations, mut grown) = (0, 0);
+    for r in 0..WARM + MEASURED {
+        let t = r as f64;
+        s.handle(
+            conn,
+            Frame::Batch {
+                t,
+                updates: updates(r),
+            },
+        );
+        let (count, live) = (
+            ALLOCATIONS.load(Ordering::Relaxed),
+            LIVE.load(Ordering::Relaxed),
+        );
+        let out = s.handle(conn, Frame::EvalReq { t });
+        assert!(matches!(
+            out.replies[..],
+            [Frame::EvalRes { results: 512, .. }]
+        ));
+        if r >= WARM {
+            allocations += ALLOCATIONS.load(Ordering::Relaxed) - count;
+            grown += LIVE.load(Ordering::Relaxed) - live;
+        }
+    }
+    (allocations as f64 / MEASURED as f64, grown)
+}
+
+#[test]
+fn steady_kinetic_rounds_keep_short_lists_short() {
+    let _turn = SERIAL.lock().unwrap_or_else(|e| e.into_inner());
+    // Every node reports first, then a different hundredth of the fleet
+    // re-reports each round: the lists keep their sizes.
+    let (per_round, grown) = kinetic_rounds(|r| {
+        (0..NODES)
+            .filter(|id| r == 0 || id % 100 == r % 100)
+            .map(report)
+            .collect()
+    });
+    // ≈ 150 allocations a round, nearly all the wheel's buckets, and
+    // ≈ 50 kB grown; a rebuilt list swapped in whatever its buffer's
+    // size grows the heap by ≈ 1.6 MB.
+    assert!(
+        per_round < 250.0,
+        "a steady kinetic EvalReq made {per_round} allocations a round"
+    );
+    assert!(
+        grown < 1 << 19,
+        "24 steady kinetic EvalReqs grew the live heap by {grown} B; a rebuilt member list \
+         must not keep a buffer far longer than itself"
+    );
+}
+
+#[test]
+fn growing_member_lists_grow_amortised() {
+    let _turn = SERIAL.lock().unwrap_or_else(|e| e.into_inner());
+    // The fleet joins a hundredth at a time, so every member list grows
+    // round after round.
+    let (per_round, _) =
+        kinetic_rounds(|r| (0..NODES).filter(|id| id % 100 == r).map(report).collect());
+    // ≈ 140 allocations a round; a rebuilt list's buffer sized exactly,
+    // not amortised, makes ≈ 370.
+    assert!(
+        per_round < 250.0,
+        "a kinetic EvalReq over growing lists made {per_round} allocations a round; the \
+         member lists' buffers must grow amortised, not be resized exactly every round"
+    );
+}

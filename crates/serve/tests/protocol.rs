@@ -2,14 +2,14 @@
 //! encode→decode bit-exactly, under arbitrary stream chunking, back to
 //! back; truncation at any byte keeps the decoder waiting (never a wrong
 //! frame); corrupted headers and garbage are rejected, never panicked
-//! on. And the digest the server keeps over results read in place is the
-//! digest of the materialised results.
+//! on. And the digest the engine folds as it writes its member lists is
+//! the digest of the materialised results.
 
 use lira_core::geometry::{Point, Rect};
 use lira_core::plan::{PlanRegion, SheddingPlan};
 use lira_serve::protocol::{
-    decode_plan, digest_lists, digest_round, plan_frame, Decoder, Frame, WireError, WireQuery,
-    WireUpdate, HEADER_LEN,
+    decode_plan, digest_round, plan_frame, Decoder, Frame, WireError, WireQuery, WireUpdate,
+    HEADER_LEN,
 };
 use lira_server::cq_engine::{CqServer, EvalEngine};
 use lira_server::query::RangeQuery;
@@ -286,7 +286,12 @@ proptest! {
 
 /// One evaluation round of a digest history: the reports that precede
 /// it, `(node, x, y, vx, vy)`, and how far `t` advances.
-type Round = (Vec<(u32, f64, f64, f64, f64)>, f64);
+/// One round of a digest history: the reports ingested before it
+/// (`remove` forgets the node instead), whether every node is removed
+/// first (so lists empty, and refill as reports return), whether the
+/// query set is replaced before it (the round is then a rebuild), and
+/// the step in `t` (0 is a same-`t` round).
+type Round = (Vec<(u32, f64, f64, f64, f64, bool)>, bool, bool, f64);
 
 fn digest_history() -> impl Strategy<Value = Vec<Round>> {
     let report = (
@@ -295,60 +300,87 @@ fn digest_history() -> impl Strategy<Value = Vec<Round>> {
         0.0f64..1000.0,
         -9.0f64..9.0,
         -9.0f64..9.0,
+        (0u32..8).prop_map(|k| k == 0),
     );
     let round = (
         prop::collection::vec(report, 0..60),
-        (0usize..6).prop_map(|i| [0.0, 0.5, 1.0, 1.0, 1.0, 3.0][i]),
+        (0u32..6).prop_map(|k| k == 0),
+        (0u32..8).prop_map(|k| k == 0),
+        (0usize..6).prop_map(|i| [0.0, 0.0, 0.5, 1.0, 1.0, 3.0][i]),
     );
     prop::collection::vec(round, 1..12)
 }
 
-proptest! {
-    #![proptest_config(ProptestConfig::with_cases(32))]
-
-    /// The served digest folds the engine's lists read in place
-    /// (`digest_lists` over `evaluate_lists`); the frozen benchmark
-    /// replica folds materialised results (`digest_round` over
-    /// `evaluate_into`). Both chains must agree round for round, at every
-    /// shard count, over random query sets, churn and advancing `t` — and
-    /// the lists must be the results.
-    #[test]
-    fn digest_lists_folds_the_bytes_digest_round_folds(
-        rects in prop::collection::vec(query(), 1..12),
-        history in digest_history(),
-    ) {
-        let queries: Vec<RangeQuery> = rects
-            .iter()
-            .map(|q| WireQuery {
+/// Random query rectangles a quarter of the generated size, folded into
+/// the 1 km square.
+fn folded(rects: &[WireQuery]) -> Vec<RangeQuery> {
+    rects
+        .iter()
+        .map(|q| {
+            WireQuery {
                 min_x: q.min_x.rem_euclid(1000.0),
                 min_y: q.min_y.rem_euclid(1000.0),
                 max_x: q.min_x.rem_euclid(1000.0) + (q.max_x - q.min_x) * 0.25,
                 max_y: q.min_y.rem_euclid(1000.0) + (q.max_y - q.min_y) * 0.25,
                 ..*q
             }
-            .to_query())
-            .collect();
+            .to_query()
+        })
+        .collect()
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(32))]
+
+    /// The served digest is folded by the engine as it writes its member
+    /// lists (`evaluate_digest`); the frozen benchmark replica folds
+    /// materialised results (`digest_round` over `evaluate_into`). Both
+    /// chains must agree round for round, at every shard count, over
+    /// random query sets, churn that empties lists and refills them, a
+    /// query set replaced mid-run, and same-`t` and advancing rounds.
+    #[test]
+    fn evaluate_digest_folds_the_bytes_digest_round_folds(
+        rects in prop::collection::vec(query(), 1..12),
+        others in prop::collection::vec(query(), 1..12),
+        history in digest_history(),
+    ) {
+        let (queries, others) = (folded(&rects), folded(&others));
         for shards in [1, 3, 7] {
             let mut server = CqServer::new(Rect::from_coords(0.0, 0.0, 1000.0, 1000.0), 200, 0)
                 .with_engine(EvalEngine::Unified { shards });
             server.register_queries(queries.iter().copied());
             let mut twin = server.clone();
-            let (mut t, mut read, mut copied) = (0.0, 0, 0);
+            let (mut t, mut folded, mut copied) = (0.0, 0, 0);
             let mut materialised = Vec::new();
-            for (reports, dt) in &history {
-                for &(id, x, y, vx, vy) in reports {
-                    server.ingest(id, t, Point::new(x, y), (vx, vy));
-                    twin.ingest(id, t, Point::new(x, y), (vx, vy));
+            for (r, (reports, wipe, requery, dt)) in history.iter().enumerate() {
+                for both in [&mut server, &mut twin] {
+                    if *wipe {
+                        (0..200).for_each(|id| {
+                            both.remove_node(id);
+                        });
+                    }
+                    if *requery {
+                        let next = if r % 2 == 0 { &others } else { &queries };
+                        both.replace_queries(next.iter().copied());
+                    }
+                    for &(id, x, y, vx, vy, remove) in reports {
+                        if remove {
+                            both.remove_node(id);
+                        } else {
+                            both.ingest(id, t, Point::new(x, y), (vx, vy));
+                        }
+                    }
                 }
                 t += dt;
                 twin.evaluate_into(t, &mut materialised);
                 copied = digest_round(copied, t, &materialised);
-                let lists = server.evaluate_lists(t);
-                read = digest_lists(read, t, &queries, lists);
-                prop_assert_eq!(read, copied, "{} shards, t = {}", shards, t);
-                let nodes: Vec<&Vec<u32>> = materialised.iter().map(|r| &r.nodes).collect();
-                prop_assert_eq!(lists.iter().collect::<Vec<_>>(), nodes);
+                folded = server.evaluate_digest(t, folded);
+                prop_assert_eq!(folded, copied, "{} shards, round {}, t = {}", shards, r, t);
             }
+            // The member lists the fold left behind are the results.
+            let mut after = Vec::new();
+            server.evaluate_into(t, &mut after);
+            prop_assert_eq!(after, materialised);
         }
     }
 }

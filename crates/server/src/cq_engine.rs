@@ -124,7 +124,7 @@ impl CqServer {
             queries: Vec::new(),
             evaluations: 0,
             engine: EvalEngine::default(),
-            unified: Box::new(UnifiedEval::new(bounds, num_nodes, 1)),
+            unified: Box::new(UnifiedEval::new(bounds, 1)),
             sequential_eval: false,
             dirty_tracking: true,
             uncertain_cover: None,
@@ -135,7 +135,7 @@ impl CqServer {
     pub fn with_engine(mut self, engine: EvalEngine) -> Self {
         let EvalEngine::Unified { shards } = engine;
         self.engine = engine;
-        self.unified = Box::new(UnifiedEval::new(self.bounds, self.store.len(), shards));
+        self.unified = Box::new(UnifiedEval::new(self.bounds, shards));
         self.unified.set_dirty_tracking(self.dirty_tracking);
         self
     }
@@ -258,16 +258,18 @@ impl CqServer {
             .evaluate_into(&self.queries, &self.store, t, out, self.sequential_eval);
     }
 
-    /// The same round as [`evaluate_into`](Self::evaluate_into), read in
-    /// place instead of copied out: each registered query's sorted member
-    /// ids, in [`queries`](Self::queries) order, borrowed from the
-    /// engine until its next round. At one shard these are the engine's
-    /// own member lists; at several, a buffer the engine keeps for the
-    /// merge. For callers that only read a round — the served digest.
-    pub fn evaluate_lists(&mut self, t: f64) -> &[Vec<u32>] {
+    /// The same round as [`evaluate_into`](Self::evaluate_into), folded
+    /// onto the digest chain `prev` (0 starts one) instead of copied out:
+    /// returns exactly what
+    /// [`digest_round`](crate::digest::digest_round)`(prev, t, &results)`
+    /// returns for the round's results. Nothing is materialised — at one
+    /// shard the engine hashes each member list as it applies the round's
+    /// edits to it. For callers that only fingerprint a round: the served
+    /// digest.
+    pub fn evaluate_digest(&mut self, t: f64, prev: u64) -> u64 {
         self.evaluations += 1;
         self.unified
-            .evaluate_lists(&self.queries, &self.store, t, self.sequential_eval)
+            .evaluate_digest(&self.queries, &self.store, t, prev, self.sequential_eval)
     }
 
     /// Evaluates every query at time `t` with three-valued membership:

@@ -21,6 +21,7 @@
 pub mod base_station;
 pub mod channel;
 pub mod cq_engine;
+pub mod digest;
 pub mod governor;
 pub mod history;
 pub mod mobile;

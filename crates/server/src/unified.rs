@@ -29,10 +29,12 @@
 //!    are queued, and applied per list in one merge pass before…
 //! 3. **Emit** — per-shard disjoint sorted member lists are k-way
 //!    merged into the caller's buffers (a plain copy at `shards = 1`).
-//!    A caller that only reads the round — the served digest — takes
-//!    [`CqServer::evaluate_lists`](crate::cq_engine::CqServer::evaluate_lists)
-//!    instead: shard 0's member lists themselves at one shard, an
-//!    engine-owned merge buffer at several.
+//!    A caller that only hashes the round — the served digest — takes
+//!    [`CqServer::evaluate_digest`](crate::cq_engine::CqServer::evaluate_digest)
+//!    instead, and nothing is copied out: at one shard the flush itself
+//!    folds each list as it rebuilds it (*The folded flush* below); at
+//!    several, each shard flushes and the coordinator hashes the k-way
+//!    merge id by id.
 //!
 //! Two properties make the result *bit-identical* across shard counts
 //! (and to the retired single-index inverted engine):
@@ -124,6 +126,25 @@
 //! Bits are only meaningful against the cell they were set in: a step
 //! that changes cell reads the old words through the old cell's list
 //! and writes the new words against the new one.
+//!
+//! The round's change feed is a bitmap too: one bit a node, set by the
+//! ingest and removal hooks and by the wheel, so a node is marked once
+//! however often it re-reports, and scanning the words yields the dirty
+//! nodes in ascending id order with nothing sorted.
+//!
+//! # The folded flush
+//!
+//! The served digest hashes every member id of every round, and at a
+//! million nodes that chain of multiplies costs about as much as the
+//! kinetic steps. At one shard the round therefore leaves its queued
+//! edits unapplied, and one pass over the queries in order both applies
+//! and hashes them (`Shard::flush_digest`): a list with no edits is
+//! hashed where it lies; a list with edits hashes its post-edit length,
+//! then is rebuilt by a *linear* merge with its sorted edits that writes
+//! and hashes each id in the same loop, so the copy runs in the shadow of
+//! the multiply chain. A caller that does not hash keeps
+//! `Shard::flush_ops`'s bulk body — binary searches and `memcpy`s,
+//! faster than the linear merge when nothing else is paying for the walk.
 
 use std::cmp::Ordering;
 use std::fmt;
@@ -134,6 +155,7 @@ use std::time::Instant;
 
 use lira_core::geometry::{Point, Rect};
 
+use crate::digest::{fold_ids, fold_narrow, fold_wide, open_list, open_round, NARROW};
 use crate::node_store::NodeStore;
 use crate::qindex::{axis_cell, insert_member, remove_member, side_for, QueryIndex};
 use crate::query::{QueryResult, RangeQuery};
@@ -572,11 +594,12 @@ struct Shard {
     /// Cumulative nodes handed off out of this shard.
     handoffs: u64,
     /// Member-list edits the round's steps and claims asked for, as
-    /// [`member_op`] words; [`flush_ops`](Self::flush_ops) applies them
-    /// per list before the emit phase reads any.
+    /// [`member_op`] words; [`flush_ops`](Self::flush_ops) (or, in a
+    /// hashed round at one shard, [`flush_digest`](Self::flush_digest))
+    /// applies them per list before anything reads the lists.
     ops: Vec<u64>,
-    /// Merge buffer of `flush_ops`, usually swapped with the list it
-    /// rebuilt.
+    /// Merge buffer of the flush, usually swapped with the list it
+    /// rebuilt (see [`swap_in`]).
     ops_scratch: Vec<u32>,
     /// Nodes whose tick word this shard set during the round; the
     /// coordinator moves them into the wheel's buckets after the phases
@@ -1106,19 +1129,124 @@ impl Shard {
                 }
             }
             ops_scratch.extend_from_slice(kept);
-            // Swap the rebuilt list in, unless that would leave a short
-            // list holding a long one's old buffer: buffers circulate
-            // through the scratch slot, and unchecked every list would in
-            // time hold the capacity of the largest.
-            if ops_scratch.capacity() <= 2 * ops_scratch.len() {
-                std::mem::swap(list, ops_scratch);
-            } else {
-                list.clear();
-                list.extend_from_slice(ops_scratch);
-            }
+            swap_in(list, ops_scratch);
         }
         ops.clear();
     }
+
+    /// [`flush_ops`](Self::flush_ops) fused with the digest (module
+    /// docs, *The folded flush*): applies the round's queued edits and
+    /// folds every member list, in slot order, onto the round opened in
+    /// `h`, each under the id of its query in `queries`. Returns the
+    /// chain and the member count over all lists.
+    fn flush_digest(&mut self, queries: &[RangeQuery], mut h: u64) -> (u64, usize) {
+        let Shard {
+            members,
+            ops,
+            ops_scratch,
+            ..
+        } = self;
+        ops.sort_unstable();
+        let mut rest = ops.as_slice();
+        let mut entries = 0;
+        for (q, (list, query)) in members.iter_mut().zip(queries).enumerate() {
+            let (group, tail) = rest.split_at(rest.partition_point(|&op| op >> 33 == q as u64));
+            rest = tail;
+            h = if group.is_empty() {
+                let max = list.last().copied().unwrap_or(0);
+                fold_ids(open_list(h, query.id, list.len()), list, max)
+            } else {
+                fold_edited(h, query.id, list, group, ops_scratch)
+            };
+            entries += list.len();
+        }
+        debug_assert!(rest.is_empty(), "member edits past the last query slot");
+        ops.clear();
+        (h, entries)
+    }
+}
+
+/// Moves the rebuilt list in `scratch` into `list`: a swap, unless that
+/// would leave a short list holding a long one's old buffer — buffers
+/// circulate through the scratch slot, and unchecked every list would in
+/// time hold the capacity of the largest.
+fn swap_in(list: &mut Vec<u32>, scratch: &mut Vec<u32>) {
+    if scratch.capacity() <= 2 * scratch.len() {
+        std::mem::swap(list, scratch);
+    } else {
+        list.clear();
+        list.extend_from_slice(scratch);
+    }
+}
+
+/// Folds one member list with queued edits onto `h` under query id
+/// `query` while rebuilding it: its post-edit length first, then every
+/// id of the linear merge of `list` with its sorted edits `group`, each
+/// written to `scratch` and hashed in the same loop before the rebuilt
+/// list is swapped in. As in [`Shard::flush_ops`], an insert must be
+/// absent and a remove present, and an edit is honoured by its insert
+/// bit.
+fn fold_edited(
+    h: u64,
+    query: u32,
+    list: &mut Vec<u32>,
+    group: &[u64],
+    scratch: &mut Vec<u32>,
+) -> u64 {
+    let inserts = group.iter().filter(|&&op| op & 1 == 1).count();
+    let len = list.len() + inserts - (group.len() - inserts);
+    let h = open_list(h, query, len);
+    // The rebuilt list's largest id is at most the larger of the old
+    // list's last and the last insert: an upper bound, which is all the
+    // width needs.
+    let last_insert = group.iter().rev().find(|&&op| op & 1 == 1);
+    let max = list
+        .last()
+        .copied()
+        .max(last_insert.map(|&op| (op >> 1) as u32))
+        .unwrap_or(0);
+    scratch.clear();
+    scratch.reserve(len);
+    let h = if max < NARROW {
+        merge_fold(h, list, group, scratch, fold_narrow)
+    } else {
+        merge_fold(h, list, group, scratch, fold_wide)
+    };
+    debug_assert_eq!(scratch.len(), len, "member edits against query {query}");
+    swap_in(list, scratch);
+    h
+}
+
+/// The loop of [`fold_edited`], one copy per id width.
+#[inline(always)]
+fn merge_fold(
+    mut h: u64,
+    list: &[u32],
+    group: &[u64],
+    out: &mut Vec<u32>,
+    fold: impl Fn(u64, u32) -> u64,
+) -> u64 {
+    let mut i = 0;
+    for &op in group {
+        let (n, insert) = ((op >> 1) as u32, op & 1 == 1);
+        while let Some(&m) = list.get(i).filter(|&&m| m < n) {
+            out.push(m);
+            h = fold(h, m);
+            i += 1;
+        }
+        let present = list.get(i) == Some(&n);
+        debug_assert_ne!(present, insert, "node {n} vs a member edit");
+        i += present as usize;
+        if insert {
+            out.push(n);
+            h = fold(h, n);
+        }
+    }
+    for &m in &list[i..] {
+        out.push(m);
+        h = fold(h, m);
+    }
+    h
 }
 
 /// Sets bit `i` of a node's hit words.
@@ -1127,20 +1255,71 @@ fn set_bit(words: &mut [u64], i: usize) {
     words[i / 64] |= 1 << (i % 64);
 }
 
-/// The queries of a cell's `partial` list whose bits are set in `bits`,
-/// ascending like the list.
+/// The positions of the set bits of `words`, ascending: bit `i` of word
+/// `w` is position `64·w + i`.
 #[inline]
-fn hit_queries<'a>(bits: &'a [u64], partial: &'a [u32]) -> impl Iterator<Item = u32> + 'a {
-    bits.iter().enumerate().flat_map(move |(w, &word)| {
+fn set_bits(words: &[u64]) -> impl Iterator<Item = usize> + '_ {
+    words.iter().enumerate().flat_map(|(w, &word)| {
         let mut rest = word;
         std::iter::from_fn(move || {
             (rest != 0).then(|| {
                 let i = rest.trailing_zeros() as usize;
                 rest &= rest - 1;
-                partial[w * 64 + i]
+                w * 64 + i
             })
         })
     })
+}
+
+/// The queries of a cell's `partial` list whose bits are set in `bits`,
+/// ascending like the list.
+#[inline]
+fn hit_queries<'a>(bits: &'a [u64], partial: &'a [u32]) -> impl Iterator<Item = u32> + 'a {
+    set_bits(bits).map(|i| partial[i])
+}
+
+/// A set of node ids, one bit a node (module docs, *Hit bits*): an
+/// insert is idempotent and counted, and the members come out ascending
+/// by a scan of the words.
+#[derive(Debug, Clone, Default)]
+struct NodeSet {
+    words: Vec<u64>,
+    len: usize,
+}
+
+impl NodeSet {
+    /// Makes room for ids below `nodes`.
+    fn grow(&mut self, nodes: usize) {
+        let words = nodes.div_ceil(64);
+        if self.words.len() < words {
+            self.words.resize(words, 0);
+        }
+    }
+
+    fn insert(&mut self, n: u32) {
+        let (w, bit) = (n as usize / 64, 1u64 << (n % 64));
+        self.grow(n as usize + 1);
+        if self.words[w] & bit == 0 {
+            self.words[w] |= bit;
+            self.len += 1;
+        }
+    }
+
+    fn len(&self) -> usize {
+        self.len
+    }
+
+    /// The members, ascending.
+    fn iter(&self) -> impl Iterator<Item = u32> + '_ {
+        set_bits(&self.words).map(|n| n as u32)
+    }
+
+    fn clear(&mut self) {
+        if self.len > 0 {
+            self.words.fill(0);
+            self.len = 0;
+        }
+    }
 }
 
 /// The ascending union of two ascending, disjoint id sequences.
@@ -1194,75 +1373,142 @@ fn sync_members(
     }
 }
 
-/// Merges the sorted, pairwise-disjoint per-shard lists into `out`
-/// ascending. The dedup guard keeps the merge deterministic (and loudly
-/// wrong in debug builds) even if the disjointness invariant were ever
-/// violated.
-fn merge_into(srcs: &[&[u32]], out: &mut Vec<u32>) {
+/// The non-empty lists of `srcs`, compacted to the front of a stack
+/// array: with narrow queries most lists live on a single stripe, and a
+/// k-way loop must not scan `s` cursors per element for what is usually
+/// a copy or a 2-way merge.
+fn non_empty<'a>(srcs: &[&'a [u32]]) -> ([&'a [u32]; MAX_SHARDS], usize) {
     debug_assert!(srcs.len() <= MAX_SHARDS);
-    // Compact away empty sources first: with narrow queries most lists
-    // live on a single stripe, and the k-way loop below must not scan
-    // `s` cursors per element for what is usually a copy or a 2-way
-    // merge.
     let mut lists = [&[] as &[u32]; MAX_SHARDS];
-    let mut k = 0usize;
-    let mut total = 0usize;
-    for list in srcs {
-        if !list.is_empty() {
-            lists[k] = list;
-            k += 1;
-            total += list.len();
-        }
+    let mut k = 0;
+    for list in srcs.iter().filter(|list| !list.is_empty()) {
+        lists[k] = list;
+        k += 1;
     }
-    match k {
-        0 => return,
-        1 => {
-            out.extend_from_slice(lists[0]);
-            return;
-        }
-        2 => {
+    (lists, k)
+}
+
+/// Where [`merge_each`] sends the merged ids: single ids, and runs that
+/// are already in order.
+trait Sink {
+    fn one(&mut self, n: u32);
+    fn run(&mut self, ids: &[u32]);
+}
+
+impl Sink for Vec<u32> {
+    #[inline(always)]
+    fn one(&mut self, n: u32) {
+        self.push(n);
+    }
+
+    #[inline(always)]
+    fn run(&mut self, ids: &[u32]) {
+        self.extend_from_slice(ids);
+    }
+}
+
+/// A digest chain as a [`Sink`]: every id folded with `fold`.
+struct Folding<F> {
+    h: u64,
+    fold: F,
+}
+
+impl<F: Fn(u64, u32) -> u64> Sink for Folding<F> {
+    #[inline(always)]
+    fn one(&mut self, n: u32) {
+        self.h = (self.fold)(self.h, n);
+    }
+
+    #[inline(always)]
+    fn run(&mut self, ids: &[u32]) {
+        self.h = ids.iter().fold(self.h, |h, &n| (self.fold)(h, n));
+    }
+}
+
+/// Sends the ascending union of the sorted, pairwise-disjoint `lists`
+/// (none empty) to `out`. The dedup guard keeps the merge deterministic
+/// (and loudly wrong in debug builds) even if the disjointness invariant
+/// were ever violated.
+#[inline(always)]
+fn merge_each(lists: &[&[u32]], out: &mut impl Sink) {
+    match *lists {
+        [] => {}
+        [a] => out.run(a),
+        [a, b] => {
             // Two stripes: a plain disjoint merge, no cursor array.
-            out.reserve(total);
-            let (a, b) = (lists[0], lists[1]);
             let (mut i, mut j) = (0, 0);
             while i < a.len() && j < b.len() {
                 debug_assert_ne!(a[i], b[j], "node {} owned by two shards", a[i]);
                 if a[i] < b[j] {
-                    out.push(a[i]);
+                    out.one(a[i]);
                     i += 1;
                 } else {
-                    out.push(b[j]);
+                    out.one(b[j]);
                     j += 1;
                 }
             }
-            out.extend_from_slice(&a[i..]);
-            out.extend_from_slice(&b[j..]);
-            return;
+            out.run(&a[i..]);
+            out.run(&b[j..]);
         }
-        _ => {}
-    }
-    out.reserve(total);
-    let lists = &lists[..k];
-    let mut pos = [0usize; MAX_SHARDS];
-    loop {
-        let mut best: Option<u32> = None;
-        for (i, list) in lists.iter().enumerate() {
-            if let Some(&v) = list.get(pos[i]) {
-                if best.is_none_or(|b| v < b) {
-                    best = Some(v);
+        _ => {
+            let mut pos = [0usize; MAX_SHARDS];
+            loop {
+                let mut best: Option<u32> = None;
+                for (i, list) in lists.iter().enumerate() {
+                    if let Some(&v) = list.get(pos[i]) {
+                        if best.is_none_or(|b| v < b) {
+                            best = Some(v);
+                        }
+                    }
                 }
+                let Some(b) = best else { break };
+                let mut sources = 0;
+                for (i, list) in lists.iter().enumerate() {
+                    if list.get(pos[i]) == Some(&b) {
+                        pos[i] += 1;
+                        sources += 1;
+                    }
+                }
+                debug_assert_eq!(sources, 1, "node {b} owned by {sources} shards");
+                out.one(b);
             }
         }
-        let Some(b) = best else { break };
-        let mut sources = 0;
-        for (i, list) in lists.iter().enumerate() {
-            if list.get(pos[i]) == Some(&b) {
-                pos[i] += 1;
-                sources += 1;
-            }
-        }
-        debug_assert_eq!(sources, 1, "node {b} owned by {sources} shards");
-        out.push(b);
+    }
+}
+
+/// Merges the sorted, pairwise-disjoint per-shard lists into `out`
+/// ascending (see [`merge_each`]).
+fn merge_into(srcs: &[&[u32]], out: &mut Vec<u32>) {
+    let (lists, k) = non_empty(srcs);
+    let lists = &lists[..k];
+    out.reserve(lists.iter().map(|list| list.len()).sum());
+    merge_each(lists, out);
+}
+
+/// Folds the merge of [`merge_into`] onto `h` under query id `query`
+/// without writing it anywhere: its length, then every id.
+fn merge_digest(h: u64, query: u32, srcs: &[&[u32]]) -> u64 {
+    let (lists, k) = non_empty(srcs);
+    let lists = &lists[..k];
+    let len = lists.iter().map(|list| list.len()).sum();
+    let max = lists
+        .iter()
+        .filter_map(|list| list.last())
+        .copied()
+        .max()
+        .unwrap_or(0);
+    let h = open_list(h, query, len);
+    if max < NARROW {
+        let mut sink = Folding {
+            h,
+            fold: fold_narrow,
+        };
+        merge_each(lists, &mut sink);
+        sink.h
+    } else {
+        let mut sink = Folding { h, fold: fold_wide };
+        merge_each(lists, &mut sink);
+        sink.h
     }
 }
 
@@ -1283,10 +1529,6 @@ pub(crate) struct UnifiedEval {
     hits: Vec<u64>,
     hit_words: usize,
     owned_pos: Vec<u32>,
-    /// Per query, at several shards: the round's merged member lists,
-    /// for [`evaluate_lists`](Self::evaluate_lists) (unused at one
-    /// shard, where shard 0's lists are the answer).
-    lists: Vec<Vec<u32>>,
     /// Whether the stripe indexes match the current query set.
     indexed: bool,
     /// Whether shard state describes a completed exact round.
@@ -1309,9 +1551,8 @@ pub(crate) struct UnifiedEval {
     calm: bool,
     /// Nodes that re-reported (or were removed) since the last exact
     /// round — plus, from the coordinator's prep to the end of a kinetic
-    /// round, the nodes the wheel fired — deduplicated via `dirty_flag`.
-    dirty: Vec<u32>,
-    dirty_flag: Vec<bool>,
+    /// round, the nodes the wheel fired.
+    dirty: NodeSet,
     /// Nodes whose *first* report arrived since the last exact round —
     /// not yet owned by any shard.
     pending: Vec<u32>,
@@ -1345,7 +1586,6 @@ impl Clone for UnifiedEval {
             hits: self.hits.clone(),
             hit_words: self.hit_words,
             owned_pos: self.owned_pos.clone(),
-            lists: self.lists.clone(),
             indexed: self.indexed,
             primed: self.primed,
             last_t: self.last_t,
@@ -1353,7 +1593,6 @@ impl Clone for UnifiedEval {
             wheel: self.wheel.clone(),
             calm: self.calm,
             dirty: self.dirty.clone(),
-            dirty_flag: self.dirty_flag.clone(),
             pending: self.pending.clone(),
             routes: self.routes.clone(),
             dirty_by_shard: self.dirty_by_shard.clone(),
@@ -1368,7 +1607,7 @@ impl Clone for UnifiedEval {
 impl UnifiedEval {
     /// Creates empty state for a server over `bounds` with `shards`
     /// stripes (clamped to `1..=MAX_SHARDS`).
-    pub(crate) fn new(bounds: Rect, num_nodes: usize, shards: usize) -> Self {
+    pub(crate) fn new(bounds: Rect, shards: usize) -> Self {
         UnifiedEval {
             bounds,
             num_shards: shards.clamp(1, MAX_SHARDS),
@@ -1378,15 +1617,13 @@ impl UnifiedEval {
             hits: Vec::new(),
             hit_words: 1,
             owned_pos: Vec::new(),
-            lists: Vec::new(),
             indexed: false,
             primed: false,
             last_t: 0.0,
             dirty_tracking: true,
             wheel: Wheel::default(),
             calm: true,
-            dirty: Vec::new(),
-            dirty_flag: vec![false; num_nodes],
+            dirty: NodeSet::default(),
             pending: Vec::new(),
             routes: Vec::new(),
             dirty_by_shard: Vec::new(),
@@ -1419,29 +1656,17 @@ impl UnifiedEval {
     /// `first_report` nodes are not owned by any shard yet and are
     /// claimed at the next round's integrate phase.
     pub(crate) fn on_ingest(&mut self, node: u32, first_report: bool) {
-        let n = node as usize;
-        if n >= self.dirty_flag.len() {
-            self.dirty_flag.resize(n + 1, false);
-        }
         if first_report {
             self.pending.push(node);
-        } else if !self.dirty_flag[n] {
-            self.dirty_flag[n] = true;
-            self.dirty.push(node);
+        } else {
+            self.dirty.insert(node);
         }
     }
 
     /// Removal hook: the node must be re-placed (torn down) at the next
     /// round whether or not the wheel has it due.
     pub(crate) fn on_remove(&mut self, node: u32) {
-        let n = node as usize;
-        if n >= self.dirty_flag.len() {
-            self.dirty_flag.resize(n + 1, false);
-        }
-        if !self.dirty_flag[n] {
-            self.dirty_flag[n] = true;
-            self.dirty.push(node);
-        }
+        self.dirty.insert(node);
     }
 
     /// Cumulative nodes placed or re-placed, over all shards (the sum of
@@ -1503,9 +1728,7 @@ impl UnifiedEval {
         // zeroes them.
         self.hits.resize(num_nodes * self.hit_words, 0);
         self.owned_pos.resize(num_nodes, UNOWNED);
-        if self.dirty_flag.len() < num_nodes {
-            self.dirty_flag.resize(num_nodes, false);
-        }
+        self.dirty.grow(num_nodes);
         self.routes.resize_with(s * s, Vec::new);
         self.routes.truncate(s * s);
         self.dirty_by_shard.resize_with(s, Vec::new);
@@ -1517,9 +1740,6 @@ impl UnifiedEval {
     /// Clears the per-round change feeds after an exact round consumed
     /// them.
     fn clear_round_inputs(&mut self) {
-        for &n in &self.dirty {
-            self.dirty_flag[n as usize] = false;
-        }
         self.dirty.clear();
         self.pending.clear();
         for bucket in self
@@ -1540,7 +1760,7 @@ impl UnifiedEval {
     }
 
     /// `due(t)`: moves every node whose wheel entry could have a
-    /// `safe_until < t` onto the dirty list, and says whether the wheel
+    /// `safe_until < t` into the dirty set, and says whether the wheel
     /// could tell. False — sweep instead — for a `t` below the last
     /// round's, for an advancing `t` on an unscheduled engine, for a
     /// jump past the ring, and when the round would step more than two
@@ -1585,10 +1805,7 @@ impl UnifiedEval {
                 }
                 self.wheel.tick[n] = NO_TICK;
                 self.shards[owner].due_fired += 1;
-                if !self.dirty_flag[n] {
-                    self.dirty_flag[n] = true;
-                    self.dirty.push(node);
-                }
+                self.dirty.insert(node);
             }
             // A bucket is at its fullest when it comes due, and 4096
             // buckets that each kept that capacity would hold a hundred
@@ -1627,7 +1844,7 @@ impl UnifiedEval {
         out: &mut Vec<QueryResult>,
         sequential: bool,
     ) {
-        let par_emit = self.round(queries, store, t, sequential);
+        let par_emit = self.round(queries, store, t, sequential, true);
         let nq = queries.len();
         out.resize_with(nq, QueryResult::default);
         out.truncate(nq);
@@ -1640,47 +1857,54 @@ impl UnifiedEval {
                 slot.nodes.extend_from_slice(members);
             }
         } else {
-            self.merge(out, |slot| &mut slot.nodes, par_emit);
+            self.merge(out, par_emit);
         }
         self.emit_entries = out.iter().map(|r| r.nodes.len()).sum();
     }
 
-    /// The same round as [`evaluate_into`](Self::evaluate_into), read in
-    /// place: per query, in `queries` order, its sorted member ids. At
-    /// one shard these are shard 0's own member lists and nothing is
-    /// copied; at several, the k-way merge fills the engine's per-query
-    /// buffer instead of the caller's.
-    pub(crate) fn evaluate_lists(
+    /// The same round as [`evaluate_into`](Self::evaluate_into), folded
+    /// onto the digest chain `prev` instead of copied out: returns what
+    /// `digest_round(prev, t, &results)` returns for its results. At one
+    /// shard the flush folds each list as it rebuilds it (module docs,
+    /// *The folded flush*); at several, the coordinator folds the k-way
+    /// merge of every query's per-shard lists as it goes.
+    pub(crate) fn evaluate_digest(
         &mut self,
         queries: &[RangeQuery],
         store: &NodeStore,
         t: f64,
+        prev: u64,
         sequential: bool,
-    ) -> &[Vec<u32>] {
-        let par_emit = self.round(queries, store, t, sequential);
-        if self.num_shards == 1 {
-            let lists = &self.shards[0].members;
-            self.emit_entries = lists.iter().map(Vec::len).sum();
-            return lists;
-        }
-        let mut lists = std::mem::take(&mut self.lists);
-        lists.resize_with(queries.len(), Vec::new);
-        lists.truncate(queries.len());
-        self.merge(&mut lists, |list| list, par_emit);
-        self.emit_entries = lists.iter().map(Vec::len).sum();
-        self.lists = lists;
-        &self.lists
+    ) -> u64 {
+        let fused = self.num_shards == 1;
+        self.round(queries, store, t, sequential, !fused);
+        let h = open_round(prev, t, queries.len());
+        let (h, entries) = if fused {
+            let shard = &mut self.shards[0];
+            let start = Instant::now();
+            let folded = shard.flush_digest(queries, h);
+            shard.round_ns += start.elapsed().as_nanos() as u64;
+            folded
+        } else {
+            let mut srcs: Vec<&[u32]> = vec![&[]; self.num_shards];
+            let mut entries = 0;
+            let h = queries.iter().enumerate().fold(h, |h, (q, query)| {
+                for (src, shard) in srcs.iter_mut().zip(&self.shards) {
+                    *src = &shard.members[q];
+                    entries += src.len();
+                }
+                merge_digest(h, query.id, &srcs)
+            });
+            (h, entries)
+        };
+        self.emit_entries = entries;
+        h
     }
 
     /// Emit at several shards: k-way merges every query's per-shard
-    /// member lists into `nodes(&mut out[q])`, each worker over a
-    /// contiguous chunk of queries — on the pool when `par`.
-    fn merge<T: Send>(
-        &self,
-        out: &mut [T],
-        nodes: impl Fn(&mut T) -> &mut Vec<u32> + Sync,
-        par: bool,
-    ) {
+    /// member lists into `out[q].nodes`, each worker over a contiguous
+    /// chunk of queries — on the pool when `par`.
+    fn merge(&self, out: &mut [QueryResult], par: bool) {
         let (s, nq) = (self.num_shards, out.len());
         let shards = &self.shards;
         let out_ptr = SendMutPtr(out.as_mut_ptr());
@@ -1689,7 +1913,7 @@ impl UnifiedEval {
             for q in nq * i / s..nq * (i + 1) / s {
                 // SAFETY: the chunks are disjoint, so each slot is
                 // written by exactly one worker.
-                let list = nodes(unsafe { &mut *out_ptr.ptr().add(q) });
+                let list = unsafe { &mut (*out_ptr.ptr().add(q)).nodes };
                 list.clear();
                 for (src, shard) in srcs.iter_mut().zip(shards) {
                     *src = &shard.members[q];
@@ -1705,14 +1929,17 @@ impl UnifiedEval {
     }
 
     /// The round itself: every phase but the emit, and the wheel's and
-    /// the change feeds' bookkeeping. Returns whether the emit should
-    /// run on the pool (which then exists).
+    /// the change feeds' bookkeeping — and, with `flush`, the member-list
+    /// edits applied (without, they stay queued for the caller's
+    /// [`Shard::flush_digest`]). Returns whether the emit should run on
+    /// the pool (which then exists).
     fn round(
         &mut self,
         queries: &[RangeQuery],
         store: &NodeStore,
         t: f64,
         sequential: bool,
+        flush: bool,
     ) -> bool {
         if !self.indexed {
             self.build_indexes(queries, store.len());
@@ -1757,18 +1984,16 @@ impl UnifiedEval {
         } else {
             if kinetic {
                 // Bucket dirty nodes by owning shard (derived from the
-                // node's current cell — columns map to shards).
+                // node's current cell — columns map to shards), each
+                // bucket ascending as the bitmap scan yields them.
                 let side = self.col_owner.len();
-                for &node in &self.dirty {
+                for node in self.dirty.iter() {
                     let cell = self.node_cell[node as usize];
                     if cell == UNOWNED {
                         continue; // pending or already removed, never placed
                     }
                     let owner = self.col_owner[cell as usize % side] as usize;
                     self.dirty_by_shard[owner].push(node);
-                }
-                for bucket in &mut self.dirty_by_shard {
-                    bucket.sort_unstable();
                 }
                 step_targets.extend((0..s).filter(|&i| !self.dirty_by_shard[i].is_empty()));
             } else {
@@ -1892,9 +2117,11 @@ impl UnifiedEval {
         }
 
         // Every edit the two phases queued lands in the member lists
-        // now, shard by shard, before anything reads them.
-        let flush_targets: Vec<usize> =
-            (0..s).filter(|&i| !self.shards[i].ops.is_empty()).collect();
+        // now, shard by shard, before anything reads them — unless the
+        // caller folds them in itself.
+        let flush_targets: Vec<usize> = (0..s)
+            .filter(|&i| flush && !self.shards[i].ops.is_empty())
+            .collect();
         run_on(&flush_targets, &|i: usize| {
             // SAFETY: exclusive per-index access, see SendMutPtr.
             let shard = unsafe { &mut *shards.ptr().add(i) };
@@ -1903,7 +2130,7 @@ impl UnifiedEval {
             shard.round_ns += start.elapsed().as_nanos() as u64;
         });
 
-        // Phase 3, the emit, is the caller's: the member lists are final.
+        // Phase 3, the emit, is the caller's.
         if !rebuild && !kinetic {
             // What a sweep saw decides whether the next one files.
             let changed = self.shards.iter().map(|shard| shard.changed).sum::<u64>();
@@ -1955,6 +2182,88 @@ mod tests {
         out.clear();
         merge_into(&[&[2, 8], &[1, 5, 9], &[0, 10]], &mut out);
         assert_eq!(out, vec![0, 1, 2, 5, 8, 9, 10]);
+    }
+
+    #[test]
+    fn merge_digest_folds_what_merge_into_writes() {
+        use crate::digest::{fnv1a, FNV_OFFSET};
+        let srcs: [&[u32]; 3] = [&[2, NARROW + 8], &[], &[1, 5, 9]];
+        let mut merged = Vec::new();
+        merge_into(&srcs, &mut merged);
+        let h = fnv1a(FNV_OFFSET, &4u32.to_le_bytes());
+        let h = fnv1a(h, &(merged.len() as u64).to_le_bytes());
+        let want = merged.iter().fold(h, |h, n| fnv1a(h, &n.to_le_bytes()));
+        assert_eq!(merge_digest(FNV_OFFSET, 4, &srcs), want);
+    }
+
+    /// What `fold_edited` must return for `list` under `edits`: the bytes
+    /// of query 9's id, the post-edit length and every post-edit id.
+    fn folded_bytes(list: &[u32], edits: &[(u32, bool)]) -> (Vec<u32>, u64) {
+        use crate::digest::{fnv1a, FNV_OFFSET};
+        let mut after: std::collections::BTreeSet<u32> = list.iter().copied().collect();
+        for &(n, insert) in edits {
+            if insert {
+                after.insert(n);
+            } else {
+                after.remove(&n);
+            }
+        }
+        let h = fnv1a(FNV_OFFSET, &9u32.to_le_bytes());
+        let h = fnv1a(h, &(after.len() as u64).to_le_bytes());
+        let h = after.iter().fold(h, |h, n| fnv1a(h, &n.to_le_bytes()));
+        (after.into_iter().collect(), h)
+    }
+
+    #[test]
+    fn an_edited_list_folds_what_it_becomes() {
+        type Case = (&'static [u32], &'static [(u32, bool)]);
+        let cases: [Case; 7] = [
+            (&[1, 5, 9], &[(1, false), (7, true)]),
+            // A kept tail above 2²⁴, every edit below it.
+            (&[1, 5, NARROW + 3], &[(2, true), (5, false)]),
+            // An insert above the old maximum, which sat below 2²⁴.
+            (&[1, 5, NARROW - 1], &[(NARROW, true)]),
+            (&[0, NARROW - 1], &[(u32::MAX, true), (0, false)]),
+            // A removed tail above 2²⁴: the width may stay wide.
+            (&[4, NARROW + 1], &[(NARROW + 1, false), (6, true)]),
+            // Emptied, and refilled.
+            (&[4], &[(4, false)]),
+            (&[], &[(3, true), (NARROW - 1, true), (NARROW + 2, true)]),
+        ];
+        let mut scratch = Vec::new();
+        for (old, edits) in cases {
+            let mut group: Vec<u64> = edits.iter().map(|&(n, i)| member_op(9, n, i)).collect();
+            group.sort_unstable();
+            let mut list = old.to_vec();
+            let h = fold_edited(
+                crate::digest::FNV_OFFSET,
+                9,
+                &mut list,
+                &group,
+                &mut scratch,
+            );
+            let (after, want) = folded_bytes(old, edits);
+            assert_eq!(list, after, "{old:?} under {edits:?}");
+            assert_eq!(h, want, "{old:?} under {edits:?}");
+        }
+    }
+
+    #[test]
+    fn a_node_set_yields_its_members_once_and_ascending() {
+        let mut set = NodeSet::default();
+        let ids = [700, 64, 0, 63, 65, 64, 127, 128, 1, 700, 4095, 99];
+        for n in ids {
+            set.insert(n);
+        }
+        let mut want = ids.to_vec();
+        want.sort_unstable();
+        want.dedup();
+        assert_eq!(set.iter().collect::<Vec<_>>(), want);
+        assert_eq!(set.len(), want.len());
+        set.clear();
+        assert_eq!((set.iter().count(), set.len()), (0, 0));
+        set.insert(5000);
+        assert_eq!(set.iter().collect::<Vec<_>>(), vec![5000]);
     }
 
     #[test]
