@@ -143,6 +143,19 @@ fn bench_plan_lookup(c: &mut Criterion) {
             black_box(plan.throttler_at(black_box(&points[i])))
         })
     });
+    // What a simulated car pays on most ticks: the region its previous
+    // lookup found still holds it, so the hint answers without the grid.
+    let hints: Vec<u32> = points
+        .iter()
+        .map(|p| plan.region_at(p).0.map_or(u32::MAX, |r| r as u32))
+        .collect();
+    c.bench_function("plan_lookup/1024_points_live_hint", |b| {
+        let mut i = 0usize;
+        b.iter(|| {
+            i = (i + 1) & 1023;
+            black_box(plan.region_from(black_box(&points[i]), hints[i]).1)
+        })
+    });
 }
 
 /// Regression tripwire for the two `CqServer` operations that are plain
@@ -243,8 +256,9 @@ fn bench_traffic_step(c: &mut Criterion) {
 }
 
 /// One trip's route on the paper network: read off a cached shortest-path
-/// tree (what the simulator does), the full search that grows one tree,
-/// and the point-to-point Dijkstra kept as the reference.
+/// tree (what the simulator does) and the point-to-point Dijkstra kept as
+/// the reference; and the whole route table, every origin's tree, which
+/// `RouteCache::new` grows up front on every core.
 fn bench_route_lookup(c: &mut Criterion) {
     let network = generate_network(&NetworkConfig::default());
     let n = network.num_nodes() as u32;
@@ -254,26 +268,12 @@ fn bench_route_lookup(c: &mut Criterion) {
         .collect();
     let mut group = c.benchmark_group("route_lookup");
     let mut warm = RouteCache::new(&network);
-    for &(from, _) in &pairs {
-        warm.route(from, from);
-    }
     group.bench_function("tree_walk", |b| {
         let mut i = 0usize;
         b.iter(|| {
             i = (i + 1) & 4095;
             let (from, to) = pairs[i];
             black_box(warm.route(black_box(from), to))
-        })
-    });
-    // Cloning an empty cache copies two small vectors (≈ 80 KB); the
-    // search it then runs is the cost being measured.
-    let empty = RouteCache::new(&network);
-    group.bench_function("tree_grow", |b| {
-        let mut i = 0usize;
-        b.iter(|| {
-            i = (i + 1) & 4095;
-            let (from, to) = pairs[i];
-            black_box(empty.clone().route(black_box(from), to))
         })
     });
     group.bench_function("shortest_path", |b| {
@@ -283,6 +283,9 @@ fn bench_route_lookup(c: &mut Criterion) {
             let (from, to) = pairs[i];
             black_box(shortest_path(&network, black_box(from), to))
         })
+    });
+    group.bench_function("route_table", |b| {
+        b.iter(|| black_box(RouteCache::new(black_box(&network))))
     });
     group.finish();
 }

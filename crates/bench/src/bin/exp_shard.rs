@@ -67,6 +67,12 @@
 //! at least half the fleet, a world that moves a node a good part of a
 //! cell per round (`BUSY`) — timed the baseline's own code path, and is
 //! reported as such beside its speedup.
+//! Every rung does fixed work: [`WARMUP_ROUNDS`] untimed rounds, then
+//! [`TIMED_ROUNDS`] rounds timed one at a time, and the rung reports
+//! their median (the JSON's `*_ns` keys). So every engine of a scale runs
+//! the same rounds over the same churn, and a gate compares like with
+//! like; a time-boxed mean would hold however many rounds fit in the box,
+//! each engine starting its advancing rung from a different world.
 //! Worker threads add parallelism on multi-core hosts but are *not*
 //! required for the win — on the 2-vCPU reference host the
 //! `speedup_vs_shard1` curve is flat or falling (≤ 1.0 in most cells)
@@ -78,7 +84,9 @@
 //! Peak RSS per scale is the process high-water mark, cumulative up to
 //! that rung of the ladder.
 
-use criterion::{black_box, Criterion};
+use std::hint::black_box;
+use std::time::Instant;
+
 use lira_bench::{host_json, peak_rss_bytes};
 use lira_core::geometry::{Point, Rect};
 use lira_core::telemetry::json::Json;
@@ -99,6 +107,10 @@ const SHARD_COUNTS: [usize; 4] = [1, 2, 4, 8];
 /// Query side length (m): small enough coverage per query that the emit
 /// copy does not drown the round-structure signal at the top scales.
 const QUERY_SIDE: f64 = 500.0;
+/// Rounds each rung runs untimed before it times any.
+const WARMUP_ROUNDS: usize = 10;
+/// Rounds each rung times, one at a time; the rung reports their median.
+const TIMED_ROUNDS: usize = 61;
 
 /// The two churning populations each scale runs (see module docs).
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -220,26 +232,44 @@ fn verify_engines_agree(
     }
 }
 
-/// Runs one benchmark and returns its mean ns/iter from the shim.
-fn bench_one(c: &mut Criterion, label: String, mut f: impl FnMut(&mut criterion::Bencher)) -> f64 {
-    c.bench_function(label, &mut f);
-    c.results().last().expect("benchmark just ran").1
+/// Runs `round` [`WARMUP_ROUNDS`] times, then times it [`TIMED_ROUNDS`]
+/// times one call at a time, and returns the median ns (fixed work, see
+/// the module docs).
+fn median_round_ns(label: String, mut round: impl FnMut() -> u64) -> f64 {
+    for _ in 0..WARMUP_ROUNDS {
+        black_box(round());
+    }
+    let mut ns: Vec<f64> = (0..TIMED_ROUNDS)
+        .map(|_| {
+            let started = Instant::now();
+            black_box(round());
+            started.elapsed().as_nanos() as f64
+        })
+        .collect();
+    ns.sort_by(f64::total_cmp);
+    let median = ns[TIMED_ROUNDS / 2];
+    println!(
+        "{label:<48} {:>10.1} µs/round (median of {TIMED_ROUNDS})",
+        median / 1e3
+    );
+    median
 }
 
 /// What one server was timed at.
 struct Timed {
     /// Stripes the server evaluated in.
     shards: usize,
-    /// Same-`t` round: churn + evaluate at a fixed time, ns/iter.
+    /// Same-`t` round: churn + evaluate at a fixed time, median ns.
     ns: f64,
-    /// Advancing round: churn stamped `t` + evaluate at `t`, `t += 1`.
+    /// Advancing round: churn stamped `t` + evaluate at `t`, `t += 1`,
+    /// median ns.
     advancing_ns: f64,
     /// Mean nodes the engine stepped per advancing round (the fleet for
     /// the sweep baseline).
     advancing_stepped: f64,
     /// Advancing round folded into the served digest (`evaluate_digest`),
     /// and the same round copied out and then hashed (`evaluate_into` +
-    /// `digest_round`), ns/iter; `None` for the sweep baseline.
+    /// `digest_round`), median ns; `None` for the sweep baseline.
     served: Option<(f64, f64)>,
     /// Nodes handed from stripe to stripe over both rungs.
     handoffs: u64,
@@ -249,9 +279,7 @@ struct Timed {
 /// rung first, then the advancing one on the fleet it leaves placed —
 /// and then, with `served`, the advancing round as each digest path pays
 /// it.
-#[allow(clippy::too_many_arguments)]
 fn bench_engine(
-    c: &mut Criterion,
     label: &str,
     scen: Scen,
     num_nodes: usize,
@@ -264,51 +292,33 @@ fn bench_engine(
     let mut workload = scen.workload(num_nodes, churn_frac, space_m);
     workload.prime(&mut server);
     let mut results = Vec::new();
-    let ns = bench_one(
-        c,
-        format!("evaluate/{label}"),
-        |b: &mut criterion::Bencher| {
-            b.iter(|| {
-                workload.step(&mut server);
-                server.evaluate_into(0.5, &mut results);
-                black_box(results.len())
-            });
-        },
-    );
+    let ns = median_round_ns(format!("evaluate/{label}"), || {
+        workload.step(&mut server);
+        server.evaluate_into(0.5, &mut results);
+        results.len() as u64
+    });
     let mut t = 0.5;
     let stepped_before = server.stepped_nodes();
-    let advancing_ns = bench_one(
-        c,
-        format!("advancing/{label}"),
-        |b: &mut criterion::Bencher| {
-            b.iter(|| {
-                t += 1.0;
-                workload.step_with(|id, p, v| {
-                    server.ingest(id, t, p, v);
-                });
-                server.evaluate_into(t, &mut results);
-                black_box(results.len())
-            });
-        },
-    );
+    let advancing_ns = median_round_ns(format!("advancing/{label}"), || {
+        t += 1.0;
+        workload.step_with(|id, p, v| {
+            server.ingest(id, t, p, v);
+        });
+        server.evaluate_into(t, &mut results);
+        results.len() as u64
+    });
     let advancing_stepped = (server.stepped_nodes() - stepped_before) as f64 / (t - 0.5);
     let served = served.then(|| {
         let mut digest = 0;
         let mut rung = |name: &str, fold: &mut dyn FnMut(&mut CqServer, f64, u64) -> u64| {
-            bench_one(
-                c,
-                format!("{name}/{label}"),
-                |b: &mut criterion::Bencher| {
-                    b.iter(|| {
-                        t += 1.0;
-                        workload.step_with(|id, p, v| {
-                            server.ingest(id, t, p, v);
-                        });
-                        digest = fold(&mut server, t, digest);
-                        black_box(digest)
-                    });
-                },
-            )
+            median_round_ns(format!("{name}/{label}"), || {
+                t += 1.0;
+                workload.step_with(|id, p, v| {
+                    server.ingest(id, t, p, v);
+                });
+                digest = fold(&mut server, t, digest);
+                digest
+            })
         };
         let served_ns = rung("served", &mut |server, t, prev| {
             server.evaluate_digest(t, prev)
@@ -351,13 +361,7 @@ impl ScaleResult {
     }
 }
 
-fn bench_scale(
-    c: &mut Criterion,
-    scen: Scen,
-    num_nodes: usize,
-    num_queries: usize,
-    churn_frac: f64,
-) -> ScaleResult {
+fn bench_scale(scen: Scen, num_nodes: usize, num_queries: usize, churn_frac: f64) -> ScaleResult {
     let space_m = space_for(num_nodes);
     let bounds = Rect::from_coords(0.0, 0.0, space_m, space_m);
     let node_positions: Vec<Point> = scen.workload(num_nodes, churn_frac, space_m).positions;
@@ -372,7 +376,6 @@ fn bench_scale(
 
     let tag = format!("{}/{num_nodes}x{num_queries}", scen.name());
     let baseline = bench_engine(
-        c,
         &format!("baseline/{tag}"),
         scen,
         num_nodes,
@@ -386,7 +389,6 @@ fn bench_scale(
         .iter()
         .map(|&s| {
             let row = bench_engine(
-                c,
                 &format!("unified{s}/{tag}"),
                 scen,
                 num_nodes,
@@ -452,6 +454,8 @@ fn report_json(mode: &str, churn_frac: f64, scales: &[ScaleResult]) -> Json {
         ("mode".into(), Json::Str(mode.into())),
         ("churn_frac".into(), Json::Float(churn_frac)),
         ("query_side_m".into(), Json::Float(QUERY_SIDE)),
+        ("warmup_rounds".into(), Json::UInt(WARMUP_ROUNDS as u64)),
+        ("timed_rounds".into(), Json::UInt(TIMED_ROUNDS as u64)),
         (
             "scales".into(),
             Json::Arr(
@@ -665,10 +669,9 @@ fn main() {
         churn_frac * 100.0
     );
 
-    let mut criterion = Criterion::default();
     let scales: Vec<ScaleResult> = runs
         .iter()
-        .map(|&(scen, n, q)| bench_scale(&mut criterion, scen, n, q, churn_frac))
+        .map(|&(scen, n, q)| bench_scale(scen, n, q, churn_frac))
         .collect();
 
     let json = report_json(mode, churn_frac, &scales);

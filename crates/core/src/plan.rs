@@ -48,6 +48,11 @@ pub struct SheddingPlan {
     /// grid-accelerated [`Self::max_throttler_within`].
     cell_regions_offsets: Vec<u32>,
     cell_regions: Vec<u32>,
+    /// Per region, whether no other region's closed area meets its open
+    /// interior: inside that interior the region is the only answer
+    /// [`Self::region_at`] can give, which is what lets
+    /// [`Self::region_from`] trust a hint there.
+    alone: Vec<bool>,
     /// Fallback threshold for points outside every region.
     default_delta: f64,
 }
@@ -139,6 +144,23 @@ impl SheddingPlan {
                 }
             }
         }
+        // Two regions whose closed areas share a point share that point's
+        // cell in the cover, so only regions listed together in some cell
+        // can overlap. `intersects` is the test that one's closed area
+        // meets the other's open interior (either way round); it also
+        // catches a zero-width region lying across another's interior.
+        let mut alone = vec![true; regions.len()];
+        for list in &cell_lists {
+            for (k, &a) in list.iter().enumerate() {
+                for &b in &list[k + 1..] {
+                    let (a, b) = (a as usize, b as usize);
+                    if (alone[a] || alone[b]) && regions[a].area.intersects(&regions[b].area) {
+                        alone[a] = false;
+                        alone[b] = false;
+                    }
+                }
+            }
+        }
         let mut cell_regions_offsets = Vec::with_capacity(cell_lists.len() + 1);
         cell_regions_offsets.push(0u32);
         let mut cell_regions = Vec::new();
@@ -153,6 +175,7 @@ impl SheddingPlan {
             lookup,
             cell_regions_offsets,
             cell_regions,
+            alone,
             default_delta,
         }
     }
@@ -239,6 +262,26 @@ impl SheddingPlan {
             }
         }
         (None, self.default_delta)
+    }
+
+    /// Exactly [`Self::region_at`]`(p)`, for any `hint`, answered without
+    /// the lookup grid when the hint is right: `hint` is the region index
+    /// a caller last got for this node (`u32::MAX` for none; a stale or
+    /// out-of-range index is fine). The hint is taken when `p` lies in
+    /// the hinted region's *open* interior and no other region's closed
+    /// area meets that interior, where `region_at` has no other answer to
+    /// give. A point on a shared edge goes to `region_at`, which resolves
+    /// it to the cell's assigned region, not necessarily to the hint.
+    #[inline]
+    pub fn region_from(&self, p: &Point, hint: u32) -> (Option<usize>, f64) {
+        let h = hint as usize;
+        if let Some(region) = self.regions.get(h) {
+            let a = &region.area;
+            if self.alone[h] && a.min.x < p.x && p.x < a.max.x && a.min.y < p.y && p.y < a.max.y {
+                return (Some(h), region.throttler);
+            }
+        }
+        self.region_at(p)
     }
 
     /// A sound upper bound on the throttler a node *predicted* at `p` may
@@ -648,6 +691,164 @@ mod tests {
         let p = SheddingPlan::new(bounds, vec![], 7.0);
         assert!(p.is_empty());
         assert_eq!(p.throttler_at(&Point::new(0.5, 0.5)), 7.0);
+        assert_eq!(p.region_from(&Point::new(0.5, 0.5), 0), (None, 7.0));
         assert!(p.encode().is_empty());
+    }
+
+    /// Every hint a caller can hold for `plan`: each region, one past the
+    /// last, a far index and none.
+    fn every_hint(plan: &SheddingPlan) -> impl Iterator<Item = u32> {
+        (0..=plan.len() as u32).chain([plan.len() as u32 + 7, u32::MAX])
+    }
+
+    /// Points on and around every region edge and corner: each edge
+    /// coordinate, the midpoints between neighbouring ones, and points
+    /// beyond the bounds on every side.
+    fn probe_points(plan: &SheddingPlan) -> Vec<Point> {
+        let axis = |lo: f64, hi: f64, edges: fn(&Rect) -> [f64; 2]| {
+            let mut c: Vec<f64> = plan.regions.iter().flat_map(|r| edges(&r.area)).collect();
+            c.extend([lo, hi, lo - 13.0, hi + 13.0]);
+            c.sort_by(f64::total_cmp);
+            c.dedup();
+            let mids: Vec<f64> = c.windows(2).map(|w| 0.5 * (w[0] + w[1])).collect();
+            c.extend(mids);
+            c
+        };
+        let b = plan.bounds;
+        let xs = axis(b.min.x, b.max.x, |a| [a.min.x, a.max.x]);
+        let ys = axis(b.min.y, b.max.y, |a| [a.min.y, a.max.y]);
+        xs.iter()
+            .flat_map(|&x| ys.iter().map(move |&y| Point::new(x, y)))
+            .collect()
+    }
+
+    #[test]
+    fn hints_are_taken_only_where_region_at_has_no_other_answer() {
+        // A tiling: every region is alone, and an interior point is the
+        // hinted region's whatever the lookup grid holds.
+        let quad = quad_plan();
+        assert!(quad.alone.iter().all(|&a| a));
+        assert_eq!(
+            quad.region_from(&Point::new(10.0, 10.0), 0),
+            (Some(0), 10.0)
+        );
+        // On the edge two quadrants share, `region_at` says SE (the
+        // half-open rule); a hint of SW, whose closed area holds the
+        // point, must not be taken.
+        let edge = Point::new(50.0, 10.0);
+        assert_eq!(quad.region_at(&edge), (Some(1), 20.0));
+        assert_eq!(quad.region_from(&edge, 0), (Some(1), 20.0));
+        // A region nested in another: neither is alone, so a point inside
+        // both resolves as `region_at` resolves it whatever the hint.
+        let bounds = Rect::from_coords(0.0, 0.0, 100.0, 100.0);
+        let nested = SheddingPlan::new(
+            bounds,
+            vec![
+                PlanRegion {
+                    area: bounds,
+                    throttler: 10.0,
+                },
+                PlanRegion {
+                    area: Rect::from_coords(20.0, 20.0, 40.0, 40.0),
+                    throttler: 30.0,
+                },
+            ],
+            5.0,
+        );
+        assert_eq!(nested.alone, vec![false, false]);
+        let inner = Point::new(30.0, 30.0);
+        assert_eq!(nested.region_at(&inner), (Some(1), 30.0));
+        for hint in every_hint(&nested) {
+            assert_eq!(nested.region_from(&inner, hint), (Some(1), 30.0));
+        }
+    }
+
+    /// A plan drawn from four families: the uniform plan; GRIDREDUCE and
+    /// the equal-size partitioning over a random statistics grid, through
+    /// `from_solution`; and hand-built regions on a coarse lattice, so
+    /// they overlap, nest, share edges and corners, poke outside the
+    /// bounds and are sometimes zero wide or zero high.
+    fn arbitrary_plan(family: usize, seed: u64, raw: &[(u32, u32, u32, u32, u32)]) -> SheddingPlan {
+        use crate::greedy_increment::ThrottlerSolution;
+        use crate::grid_reduce::{grid_reduce, l_partitioning, GridReduceParams};
+        use crate::reduction::ReductionModel;
+        use crate::stats_grid::StatsGrid;
+        use rand::{Rng, SeedableRng};
+
+        let bounds = Rect::from_coords(-37.5, 12.25, 962.5, 1012.25);
+        let mut rng = rand::rngs::SmallRng::seed_from_u64(seed);
+        if family == 0 {
+            return SheddingPlan::uniform(bounds, 25.0);
+        }
+        if family == 3 {
+            let regions = raw
+                .iter()
+                .map(|&(x, y, w, h, d)| {
+                    let at = |v: u32, lo: f64| lo - 125.0 + f64::from(v) * 125.0;
+                    let (x0, y0) = (at(x, bounds.min.x), at(y, bounds.min.y));
+                    let side = |v: u32| f64::from(v) * 125.0;
+                    PlanRegion {
+                        area: Rect::from_coords(x0, y0, x0 + side(w), y0 + side(h)),
+                        throttler: 5.0 + f64::from(d),
+                    }
+                })
+                .collect();
+            return SheddingPlan::new(bounds, regions, 3.0);
+        }
+        let mut grid = StatsGrid::new(8, bounds).unwrap();
+        grid.begin_snapshot();
+        for _ in 0..400 {
+            let p = Point::new(
+                rng.gen_range(bounds.min.x..bounds.max.x),
+                rng.gen_range(bounds.min.y..bounds.max.y),
+            );
+            grid.observe_node(&p, rng.gen_range(1.0..30.0), 1.0);
+        }
+        grid.commit_snapshot();
+        let l = [1, 4, 7, 16, 25][rng.gen_range(0..5)];
+        let partitioning = if family == 1 {
+            let model = ReductionModel::analytic(5.0, 100.0, 95);
+            grid_reduce(&grid, &model, &GridReduceParams::new(l, 0.5, 0.0, true)).unwrap()
+        } else {
+            l_partitioning(&grid, l)
+        };
+        let solution = ThrottlerSolution {
+            deltas: (0..partitioning.regions.len())
+                .map(|_| rng.gen_range(5.0..100.0))
+                .collect(),
+            expenditure: 0.0,
+            budget: 0.0,
+            inaccuracy: 0.0,
+            steps: 0,
+            budget_met: true,
+            final_gain: None,
+        };
+        SheddingPlan::from_solution(bounds, &partitioning, &solution, 3.0).unwrap()
+    }
+
+    proptest::proptest! {
+        #![proptest_config(proptest::prelude::ProptestConfig::with_cases(96))]
+
+        /// `region_from(p, h)` is `region_at(p)` for every hint `h` a
+        /// caller can hold, on and around every edge and corner of tilings
+        /// and of overlapping, nested and zero-width regions, inside the
+        /// bounds and out.
+        #[test]
+        fn region_from_equals_region_at_for_every_hint(
+            family in 0usize..4,
+            seed in 0u64..1_000_000,
+            raw in proptest::collection::vec(
+                (0u32..10, 0u32..10, 0u32..5, 0u32..5, 0u32..100),
+                1..9,
+            ),
+        ) {
+            let plan = arbitrary_plan(family, seed, &raw);
+            for p in probe_points(&plan) {
+                let want = plan.region_at(&p);
+                for hint in every_hint(&plan) {
+                    proptest::prop_assert_eq!(plan.region_from(&p, hint), want);
+                }
+            }
+        }
     }
 }

@@ -3,7 +3,8 @@
 //! [`shortest_path`] is the point-to-point reference. The simulator routes
 //! through a [`RouteCache`]: one full search per origin, remembered as a
 //! shortest-path tree, from which every later trip out of that origin is
-//! read by walking parents.
+//! read by walking parents. When every origin's tree fits the cache's
+//! budget the whole table is grown up front, on every core.
 
 use std::cmp::Reverse;
 use std::collections::BinaryHeap;
@@ -67,8 +68,9 @@ const NO_PARENT: u8 = u8::MAX;
 
 /// Bytes of shortest-path trees a [`RouteCache`] holds before it drops
 /// them all and starts over. A tree is one byte per intersection, so the
-/// paper's 3 249-intersection world keeps every origin (10.1 MiB) while a
-/// 10⁵-intersection one stays bounded at 167 trees.
+/// paper's 3 249-intersection world keeps every origin (10.1 MiB) and
+/// grows them all up front, while a 10⁵-intersection one grows trees on
+/// demand and stays bounded at 167 of them.
 const TREE_BUDGET_BYTES: usize = 16 << 20;
 
 /// One direction of a road, as the tree search reads it.
@@ -136,7 +138,40 @@ fn heap_key(time: f64, node: u32) -> u128 {
     (u128::from(time.to_bits()) << 32) | u128::from(node)
 }
 
-/// Shortest-path trees memoized per origin, filled lazily.
+/// Runs the full search from `from` and writes its tree into `parent`: per
+/// intersection, the slot in its own `neighbors` list that leads back
+/// toward `from` ([`NO_PARENT`] for `from` itself and for every
+/// intersection it cannot reach). `dist` and `heap` are scratch.
+fn search(
+    graph: &FlatGraph,
+    from: u32,
+    dist: &mut Vec<f64>,
+    heap: &mut BinaryHeap<Reverse<u128>>,
+    parent: &mut [u8],
+) {
+    parent.fill(NO_PARENT);
+    dist.clear();
+    dist.resize(parent.len(), f64::INFINITY);
+    dist[from as usize] = 0.0;
+    heap.clear();
+    heap.push(Reverse(heap_key(0.0, from)));
+    while let Some(Reverse(key)) = heap.pop() {
+        let (d, node) = (f64::from_bits((key >> 32) as u64), key as u32);
+        if d > dist[node as usize] {
+            continue; // Stale entry.
+        }
+        for half in graph.out(node) {
+            let nd = d + half.time;
+            if nd < dist[half.to as usize] {
+                dist[half.to as usize] = nd;
+                parent[half.to as usize] = half.back_slot;
+                heap.push(Reverse(heap_key(nd, half.to)));
+            }
+        }
+    }
+}
+
+/// Shortest-path trees memoized per origin.
 ///
 /// [`route`](Self::route) returns exactly what [`shortest_path`] returns.
 /// The tree search is that function's search without the early exit at
@@ -147,9 +182,12 @@ fn heap_key(time: f64, node: u32) -> u128 {
 ///
 /// A tree stores, per intersection, the slot in its own `neighbors` list
 /// that leads back toward the origin: one byte, not a four-byte node id.
-/// Trees depend on the network only, are shared (not copied) by `clone`,
-/// and are held within a fixed byte budget — when the next tree would
-/// overflow it they are all dropped and refilled on demand.
+/// Trees depend on the network and their origin only, and are shared (not
+/// copied) by `clone`. When every origin's tree fits the byte budget the
+/// cache grows the whole table when it is built, split over the host's
+/// cores; otherwise it grows a tree the first time a trip leaves its
+/// origin, and when the next tree would overflow the budget it drops them
+/// all and refills on demand. Either way every route is the same.
 #[derive(Clone)]
 pub struct RouteCache {
     graph: Arc<FlatGraph>,
@@ -157,7 +195,7 @@ pub struct RouteCache {
     trees: Vec<Option<Arc<[u8]>>>,
     held_bytes: usize,
     budget_bytes: usize,
-    // Search scratch, reused across tree builds.
+    // Search scratch of the lazy path, reused across tree builds.
     dist: Vec<f64>,
     heap: BinaryHeap<Reverse<u128>>,
 }
@@ -173,7 +211,12 @@ impl fmt::Debug for RouteCache {
 }
 
 impl RouteCache {
-    /// An empty cache over `network`.
+    /// A cache over `network`, holding every origin's tree already when
+    /// they all fit its budget (the paper's world does), else none yet.
+    ///
+    /// The up-front table is grown on scoped threads, one per core the
+    /// process may run on ([`std::thread::available_parallelism`]), and is
+    /// the same at any count.
     ///
     /// # Panics
     /// Panics if an intersection joins 255 or more roads, or a road's
@@ -184,13 +227,44 @@ impl RouteCache {
 
     pub(crate) fn with_budget(network: &RoadNetwork, budget_bytes: usize) -> Self {
         let n = network.num_nodes();
-        RouteCache {
+        let mut cache = RouteCache {
             graph: Arc::new(FlatGraph::new(network)),
             trees: vec![None; n],
             held_bytes: 0,
             budget_bytes,
-            dist: vec![f64::INFINITY; n],
+            dist: Vec::new(),
             heap: BinaryHeap::new(),
+        };
+        if n.saturating_mul(n) <= budget_bytes {
+            let workers = std::thread::available_parallelism().map_or(1, |w| w.get());
+            cache.grow_all(workers);
+        }
+        cache
+    }
+
+    /// Grows every origin's tree, splitting the origins into `workers`
+    /// contiguous runs. Each tree is allocated here, on the calling thread
+    /// (trees allocated on the workers would sit in per-thread malloc
+    /// arenas and raise the process's peak), and each worker fills its
+    /// run's trees with its own search scratch.
+    fn grow_all(&mut self, workers: usize) {
+        let n = self.trees.len();
+        let mut table: Vec<Arc<[u8]>> = (0..n).map(|_| vec![NO_PARENT; n].into()).collect();
+        let per = n.div_ceil(workers.max(1)).max(1);
+        let graph = &*self.graph;
+        std::thread::scope(|scope| {
+            let mut runs = table.chunks_mut(per).enumerate();
+            let first = runs.next();
+            for (w, run) in runs {
+                scope.spawn(move || fill_run(graph, w * per, run));
+            }
+            if let Some((w, run)) = first {
+                fill_run(graph, w * per, run);
+            }
+        });
+        self.held_bytes = n * n;
+        for (slot, tree) in self.trees.iter_mut().zip(table) {
+            *slot = Some(tree);
         }
     }
 
@@ -229,24 +303,13 @@ impl RouteCache {
             self.held_bytes = 0;
         }
         let mut parent = vec![NO_PARENT; n];
-        self.dist.fill(f64::INFINITY);
-        self.dist[from as usize] = 0.0;
-        self.heap.clear();
-        self.heap.push(Reverse(heap_key(0.0, from)));
-        while let Some(Reverse(key)) = self.heap.pop() {
-            let (d, node) = (f64::from_bits((key >> 32) as u64), key as u32);
-            if d > self.dist[node as usize] {
-                continue; // Stale entry.
-            }
-            for half in self.graph.out(node) {
-                let nd = d + half.time;
-                if nd < self.dist[half.to as usize] {
-                    self.dist[half.to as usize] = nd;
-                    parent[half.to as usize] = half.back_slot;
-                    self.heap.push(Reverse(heap_key(nd, half.to)));
-                }
-            }
-        }
+        search(
+            &self.graph,
+            from,
+            &mut self.dist,
+            &mut self.heap,
+            &mut parent,
+        );
         self.trees[from as usize] = Some(parent.into());
         self.held_bytes += n;
     }
@@ -255,6 +318,15 @@ impl RouteCache {
     #[cfg(test)]
     pub(crate) fn trees_held(&self) -> usize {
         self.trees.iter().flatten().count()
+    }
+}
+
+/// Fills the trees of the origins `first..first + run.len()`, in order.
+fn fill_run(graph: &FlatGraph, first: usize, run: &mut [Arc<[u8]>]) {
+    let (mut dist, mut heap) = (Vec::new(), BinaryHeap::new());
+    for (j, tree) in run.iter_mut().enumerate() {
+        let parent = Arc::get_mut(tree).expect("a tree being grown is not shared yet");
+        search(graph, (first + j) as u32, &mut dist, &mut heap, parent);
     }
 }
 
@@ -391,22 +463,50 @@ mod tests {
         )
     }
 
+    /// The budget one tree short of the whole table: the cache grows
+    /// trees on demand, as it does on networks too large to hold whole.
+    fn lazy(net: &RoadNetwork) -> RouteCache {
+        let n = net.num_nodes();
+        RouteCache::with_budget(net, n * n - 1)
+    }
+
     #[test]
     fn cache_agrees_with_the_reference_on_a_disconnected_network() {
         let net = two_islands();
-        let mut cache = RouteCache::new(&net);
-        for from in 0..4 {
-            for to in 0..4 {
+        for mut cache in [RouteCache::new(&net), lazy(&net)] {
+            for from in 0..4 {
+                for to in 0..4 {
+                    assert_eq!(
+                        cache.route(from, to),
+                        shortest_path(&net, from, to),
+                        "{from} -> {to}"
+                    );
+                }
+            }
+            assert_eq!(cache.route(0, 1), Some(vec![0, 1]));
+            assert_eq!(cache.route(3, 3), Some(vec![3]));
+            assert_eq!(cache.route(1, 2), None);
+        }
+    }
+
+    #[test]
+    fn a_table_that_fits_is_grown_up_front_and_the_same_at_any_worker_count() {
+        let net = generate_network(&NetworkConfig::small(8));
+        let n = net.num_nodes();
+        let eager = RouteCache::new(&net);
+        assert_eq!(eager.trees_held(), n);
+        assert_eq!(eager.held_bytes, n * n);
+        assert_eq!(lazy(&net).trees_held(), 0);
+        for workers in [1, 2, 3, 7, n - 1, n, n + 5] {
+            let mut cache = lazy(&net);
+            cache.grow_all(workers);
+            for origin in 0..n {
                 assert_eq!(
-                    cache.route(from, to),
-                    shortest_path(&net, from, to),
-                    "{from} -> {to}"
+                    cache.trees[origin], eager.trees[origin],
+                    "origin {origin} at {workers} workers"
                 );
             }
         }
-        assert_eq!(cache.route(0, 1), Some(vec![0, 1]));
-        assert_eq!(cache.route(3, 3), Some(vec![3]));
-        assert_eq!(cache.route(1, 2), None);
     }
 
     #[test]
@@ -429,7 +529,7 @@ mod tests {
     #[test]
     fn clone_shares_trees_instead_of_copying_them() {
         let net = generate_network(&NetworkConfig::small(4));
-        let mut cache = RouteCache::new(&net);
+        let mut cache = lazy(&net);
         cache.route(7, 90);
         let mut probe = cache.clone();
         let shared = |a: &RouteCache, b: &RouteCache, origin: usize| {
@@ -443,17 +543,22 @@ mod tests {
         // What the probe grows stays the probe's.
         probe.route(8, 90);
         assert_eq!((cache.trees_held(), probe.trees_held()), (1, 2));
+        // A table grown up front is shared whole.
+        let eager = RouteCache::new(&net);
+        let copy = eager.clone();
+        assert!((0..net.num_nodes()).all(|origin| shared(&eager, &copy, origin)));
     }
 
     proptest! {
         #![proptest_config(ProptestConfig::with_cases(64))]
 
-        /// A route read off a tree is `shortest_path`'s, node for node: on
-        /// jittered networks and on perfect grids (where most travel times
-        /// tie, so only identical relaxation order keeps the two equal),
-        /// with and without a lake carved out, for `from == to` too — and
-        /// under a three-tree budget, so the cache starts over many times
-        /// within one case.
+        /// From every origin, a table grown up front, a cache grown on
+        /// demand and `shortest_path` give the same route, node for node:
+        /// on jittered networks and on perfect grids (where most travel
+        /// times tie, so only identical relaxation order keeps them equal),
+        /// with and without a lake carved out, for `from == to` too. The
+        /// on-demand cache holds one tree short of the table, or, under a
+        /// three-tree budget, starts over many times within one case.
         #[test]
         fn tree_routes_equal_shortest_path(
             seed in 0u64..1_000_000,
@@ -461,7 +566,7 @@ mod tests {
             perfect_grid in any::<bool>(),
             lake in (200.0f64..1200.0, 200.0f64..1200.0, 0.0f64..700.0),
             tight in any::<bool>(),
-            pairs in prop::collection::vec((0usize..10_000, 0usize..10_000), 20..60),
+            dests in prop::collection::vec(0usize..10_000, 2..5),
         ) {
             let mut cfg = NetworkConfig::small(seed);
             cfg.jitter_frac = if perfect_grid { 0.0 } else { jitter };
@@ -471,16 +576,22 @@ mod tests {
             }
             let net = generate_network(&cfg);
             let n = net.num_nodes();
-            let mut cache = if tight {
+            let mut eager = RouteCache::new(&net);
+            prop_assert_eq!(eager.trees_held(), n);
+            let mut lazy = if tight {
                 RouteCache::with_budget(&net, 3 * n)
             } else {
-                RouteCache::new(&net)
+                lazy(&net)
             };
-            for (i, &(a, b)) in pairs.iter().enumerate() {
-                let from = (a % n) as u32;
-                let to = if i % 8 == 0 { from } else { (b % n) as u32 };
-                prop_assert_eq!(cache.route(from, to), shortest_path(&net, from, to));
-                prop_assert!(!tight || cache.trees_held() <= 3);
+            for from in 0..n as u32 {
+                for to in 0..n as u32 {
+                    prop_assert_eq!(eager.route(from, to), lazy.route(from, to));
+                }
+                prop_assert!(!tight || lazy.trees_held() <= 3);
+                for (i, &d) in dests.iter().enumerate() {
+                    let to = if i == 0 { from } else { (d % n) as u32 };
+                    prop_assert_eq!(eager.route(from, to), shortest_path(&net, from, to));
+                }
             }
         }
     }

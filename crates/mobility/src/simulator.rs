@@ -384,10 +384,12 @@ mod tests {
             }
             sim
         };
-        // One simulator turns the fleet with the trees its first minute
-        // grew, the other with none.
+        // One simulator turns the fleet with its whole table, the other
+        // with a cache that grows trees on demand and starts with none.
         let (mut warm, mut cold) = (replay(), replay());
-        cold.routes = RouteCache::new(&cold.network);
+        let n = cold.network.num_nodes();
+        cold.routes = RouteCache::with_budget(&cold.network, n * n - 1);
+        assert_eq!(cold.routes.trees_held(), 0);
         let held = warm.routes.trees_held();
         assert!(held > 0);
         warm.set_demand(&corner);

@@ -144,9 +144,9 @@ impl CqServer {
     /// calling thread, in shard order, with no worker pool
     /// (builder-style). The state transitions are identical, so results
     /// stay bit-identical — this is what lets
-    /// `Parallelism::Sequential` in the simulation pipeline mean
-    /// *no threads at all*, including intra-lane ones. (At `shards = 1`
-    /// rounds are pool-free already.)
+    /// `Parallelism::Sequential` in the simulation pipeline run its
+    /// streamed stage and every engine with no threads, intra-lane ones
+    /// included. (At `shards = 1` rounds are pool-free already.)
     pub fn with_sequential_eval(mut self, sequential: bool) -> Self {
         self.sequential_eval = sequential;
         self

@@ -2173,6 +2173,22 @@ mod tests {
     use super::*;
 
     #[test]
+    fn a_move_queues_only_the_membership_difference() {
+        // A node leaving slots {1, 3, 5} for {3, 5, 7}: one remove, one
+        // insert. Slots 3 and 5 hold it before and after, so their lists
+        // are left alone (a remove-then-insert there rebuilds them for
+        // nothing).
+        let mut ops = Vec::new();
+        sync_members(&mut ops, 42, [1, 3, 5].into_iter(), [3, 5, 7].into_iter());
+        assert_eq!(ops, vec![member_op(1, 42, false), member_op(7, 42, true)]);
+        ops.clear();
+        sync_members(&mut ops, 9, [2, 4].into_iter(), [2, 4].into_iter());
+        assert!(ops.is_empty());
+        sync_members(&mut ops, 9, [].into_iter(), [0, 6].into_iter());
+        assert_eq!(ops, vec![member_op(0, 9, true), member_op(6, 9, true)]);
+    }
+
+    #[test]
     fn merge_handles_empty_single_and_many() {
         let mut out = Vec::new();
         merge_into(&[&[], &[]], &mut out);

@@ -21,7 +21,10 @@
 //! ([`std::thread::scope`], no extra dependencies) and at most a few dozen
 //! ticks are in memory at once; [`Parallelism::Sequential`] calls the same
 //! three functions on the calling thread in order, with every channel deep
-//! enough for the whole run. Callers that replay one trace more than once
+//! enough for the whole run. Either way [`SimSetup::build`] grows the road
+//! network's route table on a scoped pool, one worker per core the process
+//! may use (one under `taskset -c 0`), with the same trees at any count.
+//! Callers that replay one trace more than once
 //! (`lira-storm`, the loopback battery) materialise it instead:
 //! [`SimSetup::record_trace`] gives the [`TrafficTrace`] and
 //! [`SimPipeline::reference`] the [`ReferenceTimeline`], built from the
@@ -78,7 +81,9 @@ pub enum Parallelism {
     /// Recording, then the reference replay, then the lanes one after
     /// another, all on the calling thread. Produces bit-identical results
     /// to [`Parallelism::Auto`]; useful for tests and single-threaded
-    /// profiling.
+    /// profiling. Covers the streamed stage and the engines only: world
+    /// construction fills its route table on a scoped pool either way,
+    /// with identical results.
     Sequential,
 }
 
@@ -770,14 +775,28 @@ impl PolicyLane {
             }
         };
         let mut channel = self.channel.take();
+        // Per car, the plan region its last lookup found: most ticks a car
+        // is still inside it, and `region_from` then skips the lookup grid.
+        // Forgotten whenever the plan is replaced.
+        let mut hints = vec![NO_REGION; sc.num_cars];
+        let mut hints_epoch = self.plan_epochs;
+        // Counted here and flushed once, off the per-car path.
+        let (mut lookups, mut hint_hits) = (0u64, 0u64);
 
         for tick in 1..=total_ticks {
             let (t, cars) = next_tick(&ticks, tick);
+            if hints_epoch != self.plan_epochs {
+                hints.fill(NO_REGION);
+                hints_epoch = self.plan_epochs;
+            }
+            lookups += cars.len() as u64;
             for (i, car) in cars.iter().enumerate() {
                 // One lookup resolves both the throttler and the region
-                // index (identical cost to the old `throttler_at` path).
-                let (region, delta) = self.plan.region_at(&car.position);
+                // index, exactly as `region_at` would.
+                let (region, delta) = self.plan.region_from(&car.position, hints[i]);
                 let region = region.map_or(NO_REGION, |r| r as u32);
+                hint_hits += u64::from(region == hints[i] && region != NO_REGION);
+                hints[i] = region;
                 // Heterogeneous fleets cap the plan's threshold per node
                 // (a pedestrian's consumers reject wide Δ).
                 let delta = match &self.delta_caps {
@@ -882,6 +901,7 @@ impl PolicyLane {
 
         self.tel
             .flush_regions(&self.region_admitted, &self.region_shed);
+        self.tel.on_plan_lookups(lookups, hint_hits);
         self.flush_shed_skew();
         if let Some(ch) = &channel {
             self.faults = FaultReport::from_channel(ch.stats(), ch.pending());
@@ -993,7 +1013,9 @@ impl SimPipeline {
     /// under this pipeline's engine options — the reference server and
     /// every lane's server come from here. [`Parallelism::Sequential`]
     /// also inlines the unified engine's evaluation phases, so a
-    /// sequential run spawns no threads anywhere; every option leaves
+    /// sequential run's streamed stage spawns no threads (world
+    /// construction still grows its route table on a scoped pool, with
+    /// the same trees at any worker count); every option leaves
     /// results bit-identical (`tests/pipeline.rs`).
     pub fn server(&self, setup: &SimSetup, sc: &Scenario) -> CqServer {
         let mut s = CqServer::new(setup.bounds, sc.num_cars, 64)

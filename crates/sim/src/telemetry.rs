@@ -31,6 +31,9 @@ const LANE_UPDATES_SENT: MetricSpec = MetricSpec::new("lane.updates_sent", "sim.
 const LANE_UPDATES_ADMITTED: MetricSpec =
     MetricSpec::new("lane.updates_admitted", "sim.lane", "updates");
 const LANE_UPDATES_SHED: MetricSpec = MetricSpec::new("lane.updates_shed", "sim.lane", "updates");
+const LANE_PLAN_LOOKUPS: MetricSpec = MetricSpec::new("lane.plan_lookups", "sim.lane", "lookups");
+const LANE_PLAN_HINT_HITS: MetricSpec =
+    MetricSpec::new("lane.plan_hint_hits", "sim.lane", "lookups");
 const LANE_ADAPT_US: MetricSpec = MetricSpec::new("lane.adapt_us", "sim.lane", "us");
 const LANE_THROTTLE: MetricSpec = MetricSpec::new("lane.throttle", "sim.lane", "fraction");
 const GRID_CELLS_VISITED: MetricSpec =
@@ -113,6 +116,8 @@ pub struct LaneTelemetry {
     updates_sent: Arc<Counter>,
     updates_admitted: Arc<Counter>,
     updates_shed: Arc<Counter>,
+    plan_lookups: Arc<Counter>,
+    plan_hint_hits: Arc<Counter>,
     adapt_us: Arc<Histogram>,
     throttle: Arc<Gauge>,
     grid_cells_visited: Arc<Counter>,
@@ -137,6 +142,8 @@ impl LaneTelemetry {
             updates_sent: registry.counter(LANE_UPDATES_SENT),
             updates_admitted: registry.counter(LANE_UPDATES_ADMITTED),
             updates_shed: registry.counter(LANE_UPDATES_SHED),
+            plan_lookups: registry.counter(LANE_PLAN_LOOKUPS),
+            plan_hint_hits: registry.counter(LANE_PLAN_HINT_HITS),
             adapt_us: registry.histogram(LANE_ADAPT_US),
             throttle: registry.gauge(LANE_THROTTLE),
             grid_cells_visited: registry.counter(GRID_CELLS_VISITED),
@@ -170,6 +177,13 @@ impl LaneTelemetry {
     #[inline]
     pub fn on_shed(&self) {
         self.updates_shed.incr();
+    }
+
+    /// A run's plan lookups, one per car per tick, and how many of them
+    /// found the car still in the region its previous lookup found.
+    pub fn on_plan_lookups(&self, lookups: u64, hint_hits: u64) {
+        self.plan_lookups.add(lookups);
+        self.plan_hint_hits.add(hint_hits);
     }
 
     /// One evaluation round placed or re-placed `stepped` nodes (the

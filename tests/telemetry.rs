@@ -77,6 +77,17 @@ fn lane_snapshots_round_trip_and_reconcile() {
             "{}",
             o.policy.name()
         );
+        // One plan lookup per car per tick; most find the car still in
+        // the region its previous lookup found.
+        let lookups = o.telemetry.counter("lane.plan_lookups").unwrap();
+        let hits = o.telemetry.counter("lane.plan_hint_hits").unwrap();
+        let ticks = (sc.duration_s / sc.dt).round() as u64;
+        assert_eq!(lookups, ticks * sc.num_cars as u64, "{}", o.policy.name());
+        assert!(
+            hits * 10 > lookups * 9,
+            "{}: {hits} hint hits of {lookups} lookups",
+            o.policy.name()
+        );
         // One adapt_us sample and one delta_m sample per region per
         // adaptation round.
         let adapts = o.telemetry.histogram("lane.adapt_us").unwrap();
