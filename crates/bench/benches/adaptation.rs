@@ -61,7 +61,7 @@ fn bench_adaptation(c: &mut Criterion) {
         config.bounds = bounds();
         config.num_regions = l;
         config.alpha = alpha;
-        let shedder = LiraShedder::new(config, 1000).unwrap();
+        let shedder = LiraShedder::new(config).unwrap();
         group.bench_function(BenchmarkId::from_parameter(format!("l{l}_a{alpha}")), |b| {
             b.iter(|| {
                 let a = shedder.adapt_with_throttle(black_box(&grid), 0.5).unwrap();
@@ -130,7 +130,7 @@ fn bench_plan_lookup(c: &mut Criterion) {
     let grid = build_grid(128, bounds(), 7);
     let mut config = LiraConfig::default();
     config.bounds = bounds();
-    let shedder = LiraShedder::new(config, 1000).unwrap();
+    let shedder = LiraShedder::new(config).unwrap();
     let plan = shedder.adapt_with_throttle(&grid, 0.5).unwrap().plan;
     let mut rng = SmallRng::seed_from_u64(5);
     let points: Vec<Point> = (0..1024)

@@ -91,7 +91,7 @@ fn run_churn(sc: &Scenario, adaptive: bool) -> (f64, f64) {
     shed.register_queries(queries.iter().copied());
     let mut ref_reckoners = vec![DeadReckoner::new(); sc.num_cars];
     let mut shed_reckoners = vec![DeadReckoner::new(); sc.num_cars];
-    let shedder = LiraShedder::new(config.clone(), 1000).unwrap();
+    let shedder = LiraShedder::new(config.clone()).unwrap();
     let mut grid = StatsGrid::new(config.alpha, bounds).unwrap();
 
     let adapt = |grid: &mut StatsGrid,

@@ -84,7 +84,7 @@ fn run_with_history(sc: &Scenario) -> (f64, f64, f64) {
 
     // Plan once from the warmed-up statistics.
     let grid = snapshot_grid(config.alpha, bounds, &sim, &queries);
-    let shedder = LiraShedder::new(config.clone(), 1000).unwrap();
+    let shedder = LiraShedder::new(config.clone()).unwrap();
     let plan = shedder
         .adapt_with_throttle(&grid, sc.throttle)
         .unwrap()

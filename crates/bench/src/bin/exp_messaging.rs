@@ -69,7 +69,7 @@ fn measure(sc: &Scenario) -> Measured {
     // Plan from warmed statistics.
     let positions: Vec<Point> = sim.cars().iter().map(|c| c.position()).collect();
     let grid = snapshot_grid(config.alpha, bounds, &sim, &queries);
-    let shedder = LiraShedder::new(config.clone(), 1000).unwrap();
+    let shedder = LiraShedder::new(config.clone()).unwrap();
     let plan = shedder
         .adapt_with_throttle(&grid, sc.throttle)
         .unwrap()

@@ -73,7 +73,7 @@ fn main() {
     // Panel 3: the (α, l)-partitioning — region size as resolution, and
     // panel 4: the assigned throttlers.
     let grid = snapshot_grid(config.alpha, bounds, &sim, &queries);
-    let shedder = LiraShedder::new(config.clone(), 1000).unwrap();
+    let shedder = LiraShedder::new(config.clone()).unwrap();
     let adaptation = shedder.adapt_with_throttle(&grid, sc.throttle).unwrap();
     let plan = &adaptation.plan;
 

@@ -71,7 +71,7 @@ fn main() {
             config.bounds = bounds;
             config.num_regions = l;
             config.alpha = alpha;
-            let shedder = LiraShedder::new(config, 1000).unwrap();
+            let shedder = LiraShedder::new(config).unwrap();
             // Warm up once, then report the median of 5 runs.
             let _ = shedder.adapt_with_throttle(&grid, 0.5).unwrap();
             let mut times: Vec<f64> = (0..5)

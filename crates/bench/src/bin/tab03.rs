@@ -35,7 +35,7 @@ fn main() {
     } = SimSetup::build(&sc, false);
     let positions: Vec<Point> = sim.cars().iter().map(|c| c.position()).collect();
     let grid = snapshot_grid(config.alpha, bounds, &sim, &queries);
-    let shedder = LiraShedder::new(config.clone(), 1000).unwrap();
+    let shedder = LiraShedder::new(config.clone()).unwrap();
     let plan = shedder
         .adapt_with_throttle(&grid, sc.throttle)
         .unwrap()

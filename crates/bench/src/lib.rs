@@ -9,7 +9,8 @@
 //! * `--quick` — a reduced scale for smoke runs (seconds);
 //! * `--full`  — the paper's full Table 2 scale (`l = 250`, `α = 128`,
 //!   10 000 nodes, ~200 km², 1 h trace);
-//! * `--seeds N` — number of seeds to average over (default 3);
+//! * `--seeds N` — number of seeds to average over (default 3: 17, 101
+//!   and 202; `N` takes the first `N` of 17, 101, 202, then `17 + 85·i`);
 //! * `--nodes N`, `--duration S` — explicit overrides.
 //!
 //! The default (no flags) is the *standard* scale recorded in
@@ -37,49 +38,56 @@ pub struct ExpArgs {
     pub duration: Option<f64>,
 }
 
+/// The `i`-th seed of the one seed list: the default three, then
+/// `17 + 85·i` (≡ 17 mod 85, so never one of the three). `--seeds N` runs
+/// the first `N`.
+fn seed(i: usize) -> u64 {
+    [17, 101, 202].get(i).copied().unwrap_or(17 + 85 * i as u64)
+}
+
 impl ExpArgs {
-    /// Parses `std::env::args()`. Unknown flags abort with a usage message.
+    /// Parses `std::env::args()`. Unknown flags and bad values abort with
+    /// a usage message (exit 2).
     pub fn parse() -> Self {
-        let mut args = ExpArgs {
+        Self::parse_from(std::env::args().skip(1)).unwrap_or_else(|msg| usage(&msg))
+    }
+
+    fn parse_from(args: impl IntoIterator<Item = String>) -> Result<Self, String> {
+        fn value<T: std::str::FromStr>(
+            flag: &str,
+            v: Option<String>,
+            what: &str,
+        ) -> Result<T, String> {
+            v.and_then(|v| v.parse().ok())
+                .ok_or(format!("{flag} needs {what}"))
+        }
+        let mut parsed = ExpArgs {
             full: false,
             quick: false,
-            seeds: vec![17, 101, 202],
+            seeds: (0..3).map(seed).collect(),
             nodes: None,
             duration: None,
         };
-        let mut it = std::env::args().skip(1);
+        let mut it = args.into_iter();
         while let Some(a) = it.next() {
             match a.as_str() {
-                "--full" => args.full = true,
-                "--quick" => args.quick = true,
-                "--seeds" => {
-                    let n: usize = it
-                        .next()
-                        .and_then(|v| v.parse().ok())
-                        .unwrap_or_else(|| usage("--seeds needs a count"));
-                    args.seeds = (0..n).map(|i| 17 + 85 * i as u64).collect();
-                }
-                "--nodes" => {
-                    args.nodes = Some(
-                        it.next()
-                            .and_then(|v| v.parse().ok())
-                            .unwrap_or_else(|| usage("--nodes needs a count")),
-                    );
-                }
-                "--duration" => {
-                    args.duration = Some(
-                        it.next()
-                            .and_then(|v| v.parse().ok())
-                            .unwrap_or_else(|| usage("--duration needs seconds")),
-                    );
-                }
+                "--full" => parsed.full = true,
+                "--quick" => parsed.quick = true,
+                "--seeds" => match value(&a, it.next(), "a count")? {
+                    0 => return Err("--seeds needs a count of at least 1".into()),
+                    n => parsed.seeds = (0..n).map(seed).collect(),
+                },
+                "--nodes" => parsed.nodes = Some(value(&a, it.next(), "a count")?),
+                "--duration" => parsed.duration = Some(value(&a, it.next(), "seconds")?),
                 "--help" | "-h" => {
-                    usage("options: --quick | --full | --seeds N | --nodes N | --duration S")
+                    return Err(
+                        "options: --quick | --full | --seeds N | --nodes N | --duration S".into(),
+                    )
                 }
-                other => usage(&format!("unknown flag {other}")),
+                other => return Err(format!("unknown flag {other}")),
             }
         }
-        args
+        Ok(parsed)
     }
 
     /// The base scenario at the selected scale (before per-experiment
@@ -344,6 +352,39 @@ pub fn z_sweep_experiment(id: &str, title: &str, distribution: lira_workload::Qu
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    fn seeds_of(args: &[&str]) -> Result<Vec<u64>, String> {
+        ExpArgs::parse_from(args.iter().map(|a| a.to_string())).map(|a| a.seeds)
+    }
+
+    #[test]
+    fn seeds_3_equals_the_default() {
+        assert_eq!(seeds_of(&[]).unwrap(), [17, 101, 202]);
+        assert_eq!(seeds_of(&["--seeds", "3"]).unwrap(), seeds_of(&[]).unwrap());
+    }
+
+    #[test]
+    fn seeds_1_is_the_first_default() {
+        assert_eq!(seeds_of(&["--quick", "--seeds", "1"]).unwrap(), [17]);
+    }
+
+    #[test]
+    fn seeds_10_extends_the_default_with_distinct_seeds() {
+        let ten = seeds_of(&["--seeds", "10"]).unwrap();
+        assert_eq!(ten.len(), 10);
+        assert_eq!(ten[..3], seeds_of(&[]).unwrap()[..]);
+        let mut distinct = ten.clone();
+        distinct.sort_unstable();
+        distinct.dedup();
+        assert_eq!(distinct.len(), 10, "{ten:?}");
+    }
+
+    #[test]
+    fn seeds_0_and_bad_counts_are_refused() {
+        for bad in [&["--seeds", "0"][..], &["--seeds", "x"], &["--seeds"]] {
+            assert!(seeds_of(bad).is_err(), "{bad:?}");
+        }
+    }
 
     #[test]
     fn base_scenarios_are_valid() {

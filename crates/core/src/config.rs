@@ -165,27 +165,6 @@ impl LiraConfig {
         self.alpha = Self::alpha_for(l, 10.0);
         self
     }
-
-    /// Builder-style setter for the throttle fraction.
-    pub fn with_throttle(mut self, z: f64) -> Self {
-        self.throttle = z;
-        self
-    }
-
-    /// Builder-style setter for the fairness threshold.
-    pub fn with_fairness(mut self, fairness: f64) -> Self {
-        self.fairness = fairness;
-        self
-    }
-
-    /// Nearest valid `l` (satisfying `l mod 3 = 1`) not below `l`.
-    pub fn round_regions_up(l: usize) -> usize {
-        let mut l = l.max(1);
-        while l % 3 != 1 {
-            l += 1;
-        }
-        l
-    }
 }
 
 #[cfg(test)]
@@ -291,22 +270,9 @@ mod tests {
     }
 
     #[test]
-    fn round_regions_up() {
-        assert_eq!(LiraConfig::round_regions_up(1), 1);
-        assert_eq!(LiraConfig::round_regions_up(2), 4);
-        assert_eq!(LiraConfig::round_regions_up(3), 4);
-        assert_eq!(LiraConfig::round_regions_up(4), 4);
-        assert_eq!(LiraConfig::round_regions_up(250), 250);
-        for l in [1usize, 4, 7, 10, 100, 250, 4000] {
-            assert_eq!(LiraConfig::round_regions_up(l) % 3, 1);
-        }
-    }
-
-    #[test]
     fn builders_rederive_alpha() {
-        let c = LiraConfig::default().with_regions(4000).with_throttle(0.75);
+        let c = LiraConfig::default().with_regions(4000);
         assert_eq!(c.alpha, 512);
-        assert_eq!(c.throttle, 0.75);
         c.validate().unwrap();
     }
 }

@@ -35,12 +35,6 @@ impl Point {
         let dy = self.y - other.y;
         dx * dx + dy * dy
     }
-
-    /// Component-wise translation by `(dx, dy)`.
-    #[inline]
-    pub fn translate(&self, dx: f64, dy: f64) -> Point {
-        Point::new(self.x + dx, self.y + dy)
-    }
 }
 
 impl fmt::Display for Point {
@@ -297,12 +291,6 @@ mod tests {
         assert_eq!(a.distance(&b), 5.0);
         assert_eq!(a.distance_sq(&b), 25.0);
         assert_eq!(a.distance(&a), 0.0);
-    }
-
-    #[test]
-    fn point_translate() {
-        let p = Point::new(1.0, 2.0).translate(-1.0, 3.0);
-        assert_eq!(p, Point::new(0.0, 5.0));
     }
 
     #[test]

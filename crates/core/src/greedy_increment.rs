@@ -310,12 +310,6 @@ pub fn greedy_increment(
     solution(deltas, expenditure, steps, final_gain)
 }
 
-/// The Uniform Δ baseline (Section 4.2): a single system-wide threshold,
-/// the smallest `Δ` whose reduction meets the throttle fraction.
-pub fn uniform_delta(model: &ReductionModel, throttle: f64) -> f64 {
-    model.min_delta_for_budget(throttle)
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -481,7 +475,7 @@ mod tests {
         let s = greedy_increment(&regions, &model(), &p);
         assert!(s.budget_met);
         assert_eq!(s.deltas[0], s.deltas[1]);
-        assert_eq!(s.deltas[0], uniform_delta(&model(), 0.5));
+        assert_eq!(s.deltas[0], model().min_delta_for_budget(0.5));
     }
 
     #[test]
@@ -663,15 +657,5 @@ mod tests {
         assert!(price > 0.0);
         let initial_gain = (100.0 / 5.0) * 10.0 * m.r(m.delta_min());
         assert!(price <= initial_gain + 1e-9);
-    }
-
-    #[test]
-    fn uniform_delta_matches_inverse() {
-        let m = model();
-        for z in [1.0, 0.8, 0.5, 0.2] {
-            let d = uniform_delta(&m, z);
-            assert!(m.f(d) <= z + 1e-9);
-        }
-        assert_eq!(uniform_delta(&m, 1.0), 5.0);
     }
 }

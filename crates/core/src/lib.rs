@@ -55,7 +55,7 @@
 //! config.bounds = bounds;
 //! config.num_regions = 16;
 //! config.alpha = 32;
-//! let shedder = LiraShedder::new(config, 1000).unwrap();
+//! let shedder = LiraShedder::new(config).unwrap();
 //! let adaptation = shedder.adapt_with_throttle(&grid, 0.5).unwrap();
 //!
 //! // 3. Mobile nodes look up their local update throttler.
@@ -65,7 +65,6 @@
 
 #![warn(missing_docs)]
 
-pub mod baselines;
 pub mod config;
 pub mod error;
 pub mod geometry;
@@ -83,8 +82,6 @@ pub mod utility;
 
 /// Convenient re-exports of the most used types.
 pub mod prelude {
-    #[allow(deprecated)]
-    pub use crate::baselines::{lira_grid_plan, uniform_plan};
     pub use crate::config::LiraConfig;
     pub use crate::error::{LiraError, Result};
     pub use crate::geometry::{Circle, Point, Rect};
@@ -105,8 +102,7 @@ pub mod prelude {
     pub use crate::shedder::{Adaptation, LiraShedder};
     pub use crate::stats_grid::{CellStats, StatsGrid};
     pub use crate::telemetry::{
-        Clock, Counter, Gauge, Histogram, Level, ManualClock, MetricSpec, MonotonicClock,
-        Telemetry, TelemetrySnapshot,
+        Counter, Gauge, Histogram, Level, MetricSpec, Telemetry, TelemetrySnapshot,
     };
     pub use crate::throt_loop::{QueueObservation, ThrotLoop};
     pub use crate::utility::{

@@ -187,7 +187,7 @@ impl Policy {
     pub fn build(self, config: &LiraConfig, model: &ReductionModel) -> Box<dyn SheddingPolicy> {
         match self {
             Policy::Lira => Box::new(LiraPolicy::from_shedder(
-                LiraShedder::new(config.clone(), 1000)
+                LiraShedder::new(config.clone())
                     .expect("validated config")
                     .with_model(model.clone()),
             )),
@@ -211,16 +211,21 @@ impl LiraPolicy {
     /// Display name.
     pub const NAME: &'static str = "LIRA";
 
-    /// Creates the policy from a validated configuration (see
-    /// [`LiraShedder::new`] for `queue_capacity`).
-    pub fn new(config: LiraConfig, queue_capacity: usize) -> Result<Self> {
+    /// Creates the policy from a validated configuration.
+    ///
+    /// `_queue_capacity` is ignored: it sized a second THROTLOOP the
+    /// shedder carried and nothing drove (the server's one THROTLOOP is
+    /// `lira_server::governor::Governor`). The parameter survives only
+    /// because the frozen `benchmark/` crate passes it — to be dropped by
+    /// the next `benchmark` PR (ROADMAP item 11(b)).
+    pub fn new(config: LiraConfig, _queue_capacity: usize) -> Result<Self> {
         Ok(LiraPolicy {
-            shedder: LiraShedder::new(config, queue_capacity)?,
+            shedder: LiraShedder::new(config)?,
             last_cost: None,
         })
     }
 
-    /// Wraps an existing shedder (keeps its controller state and model).
+    /// Wraps an existing shedder (keeps its model).
     pub fn from_shedder(shedder: LiraShedder) -> Self {
         LiraPolicy {
             shedder,
@@ -233,11 +238,6 @@ impl LiraPolicy {
     pub fn with_model(mut self, model: ReductionModel) -> Self {
         self.shedder = self.shedder.with_model(model);
         self
-    }
-
-    /// The underlying shedder (partitioning/solution details live there).
-    pub fn shedder(&self) -> &LiraShedder {
-        &self.shedder
     }
 }
 

@@ -1,8 +1,9 @@
-//! The LIRA load shedder: the high-level orchestrator that ties the three
-//! server-side algorithms together (Section 3). Each *adaptation step* runs
-//! THROTLOOP (when queue observations are supplied), GRIDREDUCE, and
-//! GREEDYINCREMENT, and emits a fresh [`SheddingPlan`] for distribution to
-//! base stations and mobile nodes.
+//! The LIRA load shedder: the orchestrator that ties the two planning
+//! algorithms together (Section 3). Each *adaptation step* runs GRIDREDUCE
+//! and GREEDYINCREMENT at a given throttle fraction `z` and emits a fresh
+//! [`SheddingPlan`] for distribution to base stations and mobile nodes.
+//! THROTLOOP, which picks `z`, is the caller's: the server runs it once, on
+//! its one input queue (`lira_server::governor::Governor`).
 
 use std::time::{Duration, Instant};
 
@@ -13,7 +14,6 @@ use crate::grid_reduce::{grid_reduce, GridReduceParams, Partitioning};
 use crate::plan::SheddingPlan;
 use crate::reduction::ReductionModel;
 use crate::stats_grid::StatsGrid;
-use crate::throt_loop::{QueueObservation, ThrotLoop};
 
 /// Outcome of one adaptation step, including the cost breakdown reported in
 /// Figure 14 of the paper.
@@ -27,8 +27,8 @@ pub struct Adaptation {
     pub solution: ThrottlerSolution,
     /// The throttle fraction `z` used for this step.
     pub throttle: f64,
-    /// Wall-clock cost of the whole step (THROTLOOP + GRIDREDUCE +
-    /// GREEDYINCREMENT), the server-side overhead metric of Section 4.3.2.
+    /// Wall-clock cost of the whole step (GRIDREDUCE + GREEDYINCREMENT),
+    /// the server-side overhead metric of Section 4.3.2.
     pub elapsed: Duration,
 }
 
@@ -37,21 +37,14 @@ pub struct Adaptation {
 pub struct LiraShedder {
     config: LiraConfig,
     model: ReductionModel,
-    controller: ThrotLoop,
 }
 
 impl LiraShedder {
-    /// Creates a shedder with the analytic reduction model and a
-    /// THROTLOOP controller over a queue of `queue_capacity` updates.
-    pub fn new(config: LiraConfig, queue_capacity: usize) -> Result<Self> {
+    /// Creates a shedder with the analytic reduction model.
+    pub fn new(config: LiraConfig) -> Result<Self> {
         config.validate()?;
         let model = ReductionModel::analytic(config.delta_min, config.delta_max, config.kappa());
-        let controller = ThrotLoop::new(queue_capacity)?;
-        Ok(LiraShedder {
-            config,
-            model,
-            controller,
-        })
+        Ok(LiraShedder { config, model })
     }
 
     /// Replaces the reduction model, e.g. with one calibrated from an
@@ -61,47 +54,9 @@ impl LiraShedder {
         self
     }
 
-    /// The active configuration.
-    pub fn config(&self) -> &LiraConfig {
-        &self.config
-    }
-
-    /// The active update-reduction model.
-    pub fn model(&self) -> &ReductionModel {
-        &self.model
-    }
-
-    /// The THROTLOOP controller (read-only), exposing its step counters
-    /// for telemetry.
-    pub fn controller(&self) -> &ThrotLoop {
-        &self.controller
-    }
-
-    /// The current throttle fraction: the controller's value when adaptive,
-    /// otherwise the configured constant.
-    pub fn throttle(&self) -> f64 {
-        if self.controller.iterations() > 0 {
-            self.controller.throttle()
-        } else {
-            self.config.throttle
-        }
-    }
-
-    /// Runs one adaptation step with THROTLOOP in the loop: the queue
-    /// observation updates `z` before partitioning (Section 3.4).
-    pub fn adapt(&mut self, grid: &StatsGrid, obs: QueueObservation) -> Result<Adaptation> {
-        let started = Instant::now();
-        let z = self.controller.observe(obs);
-        self.adapt_inner(grid, z, started)
-    }
-
-    /// Runs one adaptation step with a fixed, manually set throttle
-    /// fraction (the paper's system-level parameter mode).
+    /// Runs one adaptation step at the throttle fraction `throttle`.
     pub fn adapt_with_throttle(&self, grid: &StatsGrid, throttle: f64) -> Result<Adaptation> {
-        self.adapt_inner(grid, throttle, Instant::now())
-    }
-
-    fn adapt_inner(&self, grid: &StatsGrid, throttle: f64, started: Instant) -> Result<Adaptation> {
+        let started = Instant::now();
         let partitioning = grid_reduce(
             grid,
             &self.model,
@@ -170,14 +125,14 @@ mod tests {
     fn rejects_invalid_config() {
         let mut c = small_config();
         c.num_regions = 39; // 39 mod 3 = 0
-        assert!(LiraShedder::new(c, 100).is_err());
+        assert!(LiraShedder::new(c).is_err());
     }
 
     #[test]
     fn fixed_throttle_adaptation_produces_full_plan() {
         let cfg = small_config();
         let grid = stats_grid(cfg.alpha, cfg.bounds);
-        let shedder = LiraShedder::new(cfg.clone(), 100).unwrap();
+        let shedder = LiraShedder::new(cfg.clone()).unwrap();
         let a = shedder.adapt_with_throttle(&grid, 0.5).unwrap();
         assert_eq!(a.plan.len(), cfg.num_regions);
         assert_eq!(a.throttle, 0.5);
@@ -196,33 +151,10 @@ mod tests {
     }
 
     #[test]
-    fn controller_driven_adaptation_reduces_budget_under_overload() {
-        let cfg = small_config();
-        let grid = stats_grid(cfg.alpha, cfg.bounds);
-        let mut shedder = LiraShedder::new(cfg, 100).unwrap();
-        assert_eq!(
-            shedder.throttle(),
-            0.5,
-            "configured z before any observation"
-        );
-        let a = shedder
-            .adapt(
-                &grid,
-                QueueObservation {
-                    arrival_rate: 2.0 * 0.99,
-                    service_rate: 1.0,
-                },
-            )
-            .unwrap();
-        assert!((a.throttle - 0.5).abs() < 1e-9, "z halves from 1.0");
-        assert!((shedder.throttle() - 0.5).abs() < 1e-9);
-    }
-
-    #[test]
     fn z_one_plan_keeps_ideal_resolution_everywhere() {
         let cfg = small_config();
         let grid = stats_grid(cfg.alpha, cfg.bounds);
-        let shedder = LiraShedder::new(cfg.clone(), 100).unwrap();
+        let shedder = LiraShedder::new(cfg.clone()).unwrap();
         let a = shedder.adapt_with_throttle(&grid, 1.0).unwrap();
         for r in a.plan.regions() {
             assert_eq!(r.throttler, cfg.delta_min);
@@ -239,7 +171,7 @@ mod tests {
         let model =
             ReductionModel::from_samples(cfg.delta_min, cfg.delta_max, cfg.kappa(), &samples)
                 .unwrap();
-        let shedder = LiraShedder::new(cfg, 100).unwrap().with_model(model);
+        let shedder = LiraShedder::new(cfg).unwrap().with_model(model);
         let a = shedder.adapt_with_throttle(&grid, 0.5).unwrap();
         assert!(a.solution.budget_met);
     }

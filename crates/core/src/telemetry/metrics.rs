@@ -1,5 +1,5 @@
-//! Lock-free metric primitives: counters, gauges, log-scale histograms
-//! and scoped wall-clock timers.
+//! Lock-free metric primitives: counters, gauges and log-scale
+//! histograms.
 //!
 //! All recording operations are wait-free single atomic RMW ops with
 //! `Relaxed` ordering — there is no cross-metric consistency guarantee,
@@ -8,8 +8,6 @@
 //! an empty body so the instrumented binary carries zero runtime cost.
 
 use std::sync::atomic::{AtomicU64, Ordering};
-
-use super::clock::Clock;
 
 /// Number of histogram buckets: one underflow bucket for the value `0`
 /// plus one bucket per power of two up to `u64::MAX`.
@@ -219,35 +217,6 @@ impl Histogram {
     /// Copies the bucket counts out (index = [`bucket_index`]).
     pub fn bucket_counts(&self) -> [u64; HISTOGRAM_BUCKETS] {
         std::array::from_fn(|i| self.buckets[i].load(Ordering::Relaxed))
-    }
-}
-
-/// Wall-clock timer that records elapsed microseconds into a
-/// [`Histogram`] when dropped.
-///
-/// Obtained from [`super::Telemetry::timer`]. Timings are inherently
-/// nondeterministic — they never feed back into any policy decision and
-/// are excluded from determinism comparisons.
-pub struct ScopedTimer<'a> {
-    hist: &'a Histogram,
-    clock: &'a dyn Clock,
-    start_ns: u64,
-}
-
-impl<'a> ScopedTimer<'a> {
-    pub(super) fn start(hist: &'a Histogram, clock: &'a dyn Clock) -> Self {
-        Self {
-            hist,
-            clock,
-            start_ns: clock.now_ns(),
-        }
-    }
-}
-
-impl Drop for ScopedTimer<'_> {
-    fn drop(&mut self) {
-        let elapsed_ns = self.clock.now_ns().saturating_sub(self.start_ns);
-        self.hist.record(elapsed_ns / 1_000);
     }
 }
 

@@ -1,5 +1,5 @@
-//! Zero-overhead telemetry: lock-free metrics, scoped timers and a
-//! structured event journal.
+//! Zero-overhead telemetry: lock-free metrics and a structured event
+//! journal.
 //!
 //! # Architecture
 //!
@@ -10,11 +10,10 @@
 //! single relaxed atomic RMW per call, wait-free and allocation-free, so
 //! handles can be hammered from every pipeline lane thread concurrently.
 //!
-//! Wall-clock time only enters through the [`Clock`] trait:
-//! [`MonotonicClock`] backs [`ScopedTimer`]s in live runs, while sim
-//! time is threaded explicitly (journal events are stamped with sim
-//! seconds, never wall-clock), keeping instrumented simulations
-//! bit-deterministic. Timings land only in histograms that are
+//! The registry reads no clock. Sim time is threaded explicitly (journal
+//! events are stamped with sim seconds, never wall-clock), keeping
+//! instrumented simulations bit-deterministic. A wall timing is an
+//! [`std::time::Instant`] its caller reads and records into a histogram
 //! documented as nondeterministic.
 //!
 //! # Disabling
@@ -31,17 +30,13 @@
 //! Snapshots ([`TelemetrySnapshot`]) serialize to JSON; the schema is
 //! documented in `docs/TELEMETRY.md`.
 
-mod clock;
 mod journal;
 pub mod json;
 mod metrics;
 mod snapshot;
 
-pub use clock::{Clock, ManualClock, MonotonicClock};
 pub use journal::{Event, Journal, Level, DEFAULT_JOURNAL_CAPACITY};
-pub use metrics::{
-    bucket_index, bucket_upper_bound, Counter, Gauge, Histogram, ScopedTimer, HISTOGRAM_BUCKETS,
-};
+pub use metrics::{bucket_index, bucket_upper_bound, Counter, Gauge, Histogram, HISTOGRAM_BUCKETS};
 pub use snapshot::{
     CounterSnapshot, EventSnapshot, GaugeSnapshot, HistogramSnapshot, SnapshotParseError,
     TelemetrySnapshot, SNAPSHOT_SCHEMA_VERSION,
@@ -87,7 +82,6 @@ impl MetricSpec {
 /// are `Arc`s — recording never touches the registry's mutex.
 pub struct Telemetry {
     enabled: bool,
-    clock: Arc<dyn Clock>,
     counters: Mutex<Vec<(MetricSpec, Arc<Counter>)>>,
     gauges: Mutex<Vec<(MetricSpec, Arc<Gauge>)>>,
     histograms: Mutex<Vec<(MetricSpec, Arc<Histogram>)>>,
@@ -103,22 +97,16 @@ impl std::fmt::Debug for Telemetry {
 }
 
 impl Telemetry {
-    /// An enabled registry using a fresh [`MonotonicClock`] and the
-    /// default journal capacity at [`Level::Debug`].
+    /// An enabled registry with the default journal capacity at
+    /// [`Level::Debug`].
     pub fn new() -> Self {
-        Self::with_clock(Arc::new(MonotonicClock::new()))
-    }
-
-    /// An enabled registry with an explicit clock (use [`ManualClock`]
-    /// in tests for deterministic timer histograms).
-    pub fn with_clock(clock: Arc<dyn Clock>) -> Self {
-        Self::build(true, clock, Level::Debug, DEFAULT_JOURNAL_CAPACITY)
+        Self::build(true, Level::Debug, DEFAULT_JOURNAL_CAPACITY)
     }
 
     /// A registry whose handles drop every record. Snapshots come back
     /// with `enabled: false` and zeroed metrics.
     pub fn disabled() -> Self {
-        Self::build(false, Arc::new(ManualClock::new()), Level::Warn, 0)
+        Self::build(false, Level::Warn, 0)
     }
 
     /// An enabled or disabled registry depending on `enabled` — the
@@ -131,13 +119,12 @@ impl Telemetry {
         }
     }
 
-    fn build(enabled: bool, clock: Arc<dyn Clock>, min_level: Level, cap: usize) -> Self {
+    fn build(enabled: bool, min_level: Level, cap: usize) -> Self {
         // Under `telemetry-off` the handles' bodies are compiled out, so
         // the `active` flag is irrelevant; keep it consistent anyway.
         let active = enabled && cfg!(not(feature = "telemetry-off"));
         Self {
             enabled: active,
-            clock,
             counters: Mutex::new(Vec::new()),
             gauges: Mutex::new(Vec::new()),
             histograms: Mutex::new(Vec::new()),
@@ -181,17 +168,6 @@ impl Telemetry {
         let h = Arc::new(Histogram::new(self.enabled));
         metrics.push((spec, Arc::clone(&h)));
         h
-    }
-
-    /// Starts a wall-clock timer that records elapsed **microseconds**
-    /// into `hist` when dropped.
-    pub fn timer<'a>(&'a self, hist: &'a Histogram) -> ScopedTimer<'a> {
-        ScopedTimer::start(hist, self.clock.as_ref())
-    }
-
-    /// The registry's journal.
-    pub fn journal(&self) -> &Journal {
-        &self.journal
     }
 
     /// Records a journal event stamped with *sim* time (seconds).
@@ -280,7 +256,7 @@ mod tests {
     #[cfg(not(feature = "telemetry-off"))]
     #[test]
     fn registry_snapshot_reflects_recordings() {
-        let tel = Telemetry::with_clock(Arc::new(ManualClock::new()));
+        let tel = Telemetry::new();
         let c = tel.counter(MetricSpec::new("a.count", "test", "updates"));
         let g = tel.gauge(MetricSpec::new("a.level", "test", "fraction"));
         let h = tel.histogram(MetricSpec::new("a.lat", "test", "us"));
@@ -316,19 +292,5 @@ mod tests {
         assert!(!snap.enabled);
         assert_eq!(snap.counter("x"), Some(0));
         assert!(snap.events.is_empty());
-    }
-
-    #[cfg(not(feature = "telemetry-off"))]
-    #[test]
-    fn scoped_timer_records_elapsed_micros() {
-        let clock = Arc::new(ManualClock::new());
-        let tel = Telemetry::with_clock(Arc::clone(&clock) as Arc<dyn Clock>);
-        let h = tel.histogram(MetricSpec::new("t.us", "test", "us"));
-        {
-            let _t = tel.timer(&h);
-            clock.advance_ns(5_000);
-        }
-        assert_eq!(h.count(), 1);
-        assert_eq!(h.sum(), 5);
     }
 }

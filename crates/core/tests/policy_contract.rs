@@ -90,7 +90,7 @@ fn grid_for(world: &World, cfg: &LiraConfig) -> StatsGrid {
 fn registry(cfg: &LiraConfig, model: &ReductionModel) -> Vec<Box<dyn SheddingPolicy>> {
     vec![
         Box::new(LiraPolicy::from_shedder(
-            LiraShedder::new(cfg.clone(), 1_000)
+            LiraShedder::new(cfg.clone())
                 .expect("validated config")
                 .with_model(model.clone()),
         )),
@@ -215,6 +215,39 @@ proptest! {
             let pb = b.adapt(&grid, z).expect("adapt succeeds");
             prop_assert_eq!(pa.regions(), pb.regions(), "{} diverged", a.name());
             prop_assert_eq!(a.admission(z), b.admission(z), "{} admission", a.name());
+        }
+    }
+
+    /// `LiraPolicy::new`'s queue capacity is ignored: the frozen
+    /// benchmark replica builds LIRA as `LiraPolicy::new(config, B)` and
+    /// `lira-serve` through the roster, and both must run one policy —
+    /// at any `B`, including the 0 and 1 no THROTLOOP queue accepts.
+    #[test]
+    fn lira_policy_plans_the_same_at_every_queue_capacity(
+        world in world_strategy(),
+        shape in 0usize..SHAPES.len(),
+        z in 0.05..=1.0f64,
+    ) {
+        let (l, alpha) = SHAPES[shape];
+        let cfg = config_for(&world, l, alpha);
+        let grid = grid_for(&world, &cfg);
+        let bits = |plan: SheddingPlan| -> Vec<[u64; 5]> {
+            plan.regions()
+                .iter()
+                .map(|r| {
+                    let a = r.area;
+                    [a.min.x, a.min.y, a.max.x, a.max.y, r.throttler].map(f64::to_bits)
+                })
+                .collect()
+        };
+        let mut roster = Policy::Lira.build(&cfg, &model_for(&cfg));
+        let expected = bits(roster.adapt(&grid, z).expect("adapt succeeds"));
+        for capacity in [0, 1, 2, 1_000] {
+            let mut lira = LiraPolicy::new(cfg.clone(), capacity).expect("a valid config");
+            prop_assert_eq!(lira.name(), roster.name());
+            let plan = bits(lira.adapt(&grid, z).expect("adapt succeeds"));
+            prop_assert_eq!(&plan, &expected, "queue capacity {}", capacity);
+            prop_assert_eq!(lira.admission(z), roster.admission(z));
         }
     }
 }

@@ -27,7 +27,6 @@ use lira_core::telemetry::json::Json;
 use lira_core::telemetry::{Counter, Gauge, Histogram, MetricSpec, Telemetry};
 use lira_server::cq_engine::{CqServer, EvalEngine};
 use lira_server::governor::Governor;
-use lira_server::query::RangeQuery;
 use std::sync::Arc;
 
 use crate::protocol::{self, kind, Frame, WireUpdate};
@@ -276,7 +275,6 @@ pub struct SessionCore {
     policy: Box<dyn SheddingPolicy>,
     plan: SheddingPlan,
     plan_epoch: u64,
-    queries: Vec<RangeQuery>,
     eval_rounds: u64,
     digest: u64,
     last_results: u64,
@@ -311,7 +309,6 @@ impl SessionCore {
             policy,
             plan: SheddingPlan::uniform(cfg.bounds, cfg.delta_min),
             plan_epoch: 0,
-            queries: Vec::new(),
             eval_rounds: 0,
             digest: 0,
             last_results: 0,
@@ -325,11 +322,6 @@ impl SessionCore {
             started: Instant::now(),
             cfg,
         }
-    }
-
-    /// The configuration this session runs under.
-    pub fn config(&self) -> &ServeConfig {
-        &self.cfg
     }
 
     /// The current shedding plan.
@@ -429,8 +421,8 @@ impl SessionCore {
                         .push(self.reject(conn, protocol::ERR_INVALID, why));
                     return out;
                 }
-                self.queries = queries.iter().map(|q| q.to_query()).collect();
-                self.server.replace_queries(self.queries.iter().copied());
+                self.server
+                    .replace_queries(queries.iter().map(|q| q.to_query()));
                 out.replies.push(Frame::Ack { of: kind::REGISTER });
             }
             Frame::Batch { t, updates } => {
@@ -500,7 +492,7 @@ impl SessionCore {
                 // writes its member lists: nothing is copied out just to
                 // be hashed.
                 self.digest = self.server.evaluate_digest(t, self.digest);
-                self.last_results = self.queries.len() as u64;
+                self.last_results = self.server.queries().len() as u64;
                 self.tel
                     .eval_stepped
                     .record(self.server.stepped_nodes() - stepped);
@@ -531,7 +523,7 @@ impl SessionCore {
                 let mut adapted = 0u8;
                 if decision.adapt_due {
                     let t0 = Instant::now();
-                    for q in &self.queries {
+                    for q in self.server.queries() {
                         self.grid.observe_query(&q.range);
                     }
                     self.grid.commit_snapshot();
@@ -688,7 +680,7 @@ impl SessionCore {
             ("plan_regions".into(), Json::UInt(self.plan.len() as u64)),
             (
                 "registered_queries".into(),
-                Json::UInt(self.queries.len() as u64),
+                Json::UInt(self.server.queries().len() as u64),
             ),
             ("protocol_errors".into(), Json::UInt(self.protocol_errors)),
             ("connections".into(), Json::Arr(conns)),
@@ -713,6 +705,7 @@ impl SessionCore {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use lira_server::query::RangeQuery;
 
     fn tiny() -> SessionCore {
         let mut cfg = ServeConfig::new(1000.0, 100);

@@ -417,11 +417,6 @@ impl<T: Clone> FaultyChannel<T> {
         }
     }
 
-    /// The profile this channel runs.
-    pub fn profile(&self) -> &FaultProfile {
-        &self.profile
-    }
-
     /// Delivery/loss/retry accounting so far.
     pub fn stats(&self) -> ChannelStats {
         self.stats

@@ -55,7 +55,6 @@ pub struct CqServer {
     store: NodeStore,
     queries: Vec<RangeQuery>,
     evaluations: u64,
-    engine: EvalEngine,
     /// Engine state (boxed: it carries per-shard state, global per-node
     /// arrays and a lazily-created worker pool).
     unified: Box<UnifiedEval>,
@@ -123,7 +122,6 @@ impl CqServer {
             store: NodeStore::new(num_nodes),
             queries: Vec::new(),
             evaluations: 0,
-            engine: EvalEngine::default(),
             unified: Box::new(UnifiedEval::new(bounds, 1)),
             sequential_eval: false,
             dirty_tracking: true,
@@ -134,7 +132,6 @@ impl CqServer {
     /// Selects the shard count (builder-style; the default is one shard).
     pub fn with_engine(mut self, engine: EvalEngine) -> Self {
         let EvalEngine::Unified { shards } = engine;
-        self.engine = engine;
         self.unified = Box::new(UnifiedEval::new(self.bounds, shards));
         self.unified.set_dirty_tracking(self.dirty_tracking);
         self
@@ -165,12 +162,6 @@ impl CqServer {
         self.dirty_tracking = enabled;
         self.unified.set_dirty_tracking(enabled);
         self
-    }
-
-    /// The configured shard count, as the [`EvalEngine`] it was set by.
-    #[inline]
-    pub fn engine(&self) -> EvalEngine {
-        self.engine
     }
 
     /// The monitored space.

@@ -17,26 +17,16 @@ use crate::node_store::StoredModel;
 #[derive(Debug, Clone)]
 pub struct HistoryStore {
     timelines: Vec<Vec<StoredModel>>,
-    retention_s: f64,
     records: u64,
 }
 
 impl HistoryStore {
-    /// Creates a store for `num_nodes` nodes with unbounded retention.
+    /// Creates a store for `num_nodes` nodes; every model is retained.
     pub fn new(num_nodes: usize) -> Self {
         HistoryStore {
             timelines: vec![Vec::new(); num_nodes],
-            retention_s: f64::INFINITY,
             records: 0,
         }
-    }
-
-    /// Limits retention: [`prune`](Self::prune) drops models that stopped
-    /// being current more than `retention_s` seconds ago.
-    pub fn with_retention(mut self, retention_s: f64) -> Self {
-        assert!(retention_s > 0.0, "retention must be positive");
-        self.retention_s = retention_s;
-        self
     }
 
     /// Number of tracked nodes.
@@ -47,11 +37,6 @@ impl HistoryStore {
     /// Whether the store tracks no nodes.
     pub fn is_empty(&self) -> bool {
         self.timelines.is_empty()
-    }
-
-    /// Total motion models currently retained.
-    pub fn models_retained(&self) -> usize {
-        self.timelines.iter().map(|t| t.len()).sum()
     }
 
     /// Total records ever made.
@@ -99,26 +84,6 @@ impl HistoryStore {
         (0..self.timelines.len() as u32)
             .filter(|&n| self.position_at(n, t).is_some_and(|p| range.contains(&p)))
             .collect()
-    }
-
-    /// Drops models that stopped being current before `now − retention`.
-    /// The model straddling the cut is kept (it is still needed to answer
-    /// queries at the retention boundary).
-    pub fn prune(&mut self, now: f64) {
-        if !self.retention_s.is_finite() {
-            return;
-        }
-        let cutoff = now - self.retention_s;
-        for timeline in &mut self.timelines {
-            // A model stops being current when its successor starts: drop
-            // every model whose successor's time is <= cutoff.
-            let keep_from = timeline
-                .partition_point(|m| m.time <= cutoff)
-                .saturating_sub(1);
-            if keep_from > 0 {
-                timeline.drain(..keep_from);
-            }
-        }
     }
 }
 
@@ -174,26 +139,6 @@ mod tests {
     }
 
     #[test]
-    fn prune_keeps_boundary_model() {
-        let mut h = HistoryStore::new(1).with_retention(10.0);
-        h.record(0, 0.0, Point::new(0.0, 0.0), (1.0, 0.0));
-        h.record(0, 5.0, Point::new(5.0, 0.0), (1.0, 0.0));
-        h.record(0, 20.0, Point::new(20.0, 0.0), (1.0, 0.0));
-        assert_eq!(h.models_retained(), 3);
-        // now = 25, cutoff = 15: the t=0 model stopped being current at
-        // t=5 (<= 15) so it can go; the t=5 model was current until t=20
-        // (> 15) and must stay.
-        h.prune(25.0);
-        assert_eq!(h.models_retained(), 2);
-        // Queries at the boundary still work.
-        assert_eq!(h.position_at(0, 15.0).unwrap(), Point::new(15.0, 0.0));
-        // Unbounded retention never prunes.
-        let mut h2 = store_with_node_track();
-        h2.prune(1e9);
-        assert_eq!(h2.models_retained(), 2);
-    }
-
-    #[test]
     fn per_node_timelines_are_independent() {
         let mut h = HistoryStore::new(3);
         h.record(0, 0.0, Point::new(0.0, 0.0), (1.0, 0.0));
@@ -210,7 +155,6 @@ mod tests {
     fn record_counting() {
         let h = store_with_node_track();
         assert_eq!(h.records(), 2);
-        assert_eq!(h.models_retained(), 2);
         assert_eq!(h.len(), 2);
         assert!(!h.is_empty());
     }

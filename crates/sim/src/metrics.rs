@@ -97,11 +97,6 @@ impl MetricsAccumulator {
         }
     }
 
-    /// Number of queries tracked.
-    pub fn num_queries(&self) -> usize {
-        self.containment_sums.len()
-    }
-
     /// Number of evaluation rounds recorded.
     pub fn rounds(&self) -> usize {
         self.rounds

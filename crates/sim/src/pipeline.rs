@@ -664,7 +664,7 @@ impl PolicyLane {
     /// One adaptation round: snapshot statistics from the tick's car
     /// states and the workload, then let the policy re-plan. Only the
     /// policy's own computation is timed (the paper's server-side cost).
-    fn adapt(&mut self, cars: &[CarState], queries: &[RangeQuery], z: f64) {
+    fn adapt(&mut self, cars: &[CarState], z: f64) {
         // Close out the outgoing plan's per-region epoch before replacing
         // it (the region indices are only meaningful against one plan).
         // The default plan a lane starts under is not an epoch.
@@ -677,7 +677,7 @@ impl PolicyLane {
         for car in cars {
             self.grid.observe_node(&car.position, car.speed(), 1.0);
         }
-        for q in queries {
+        for q in self.server.queries() {
             self.grid.observe_query(&q.range);
         }
         self.grid.commit_snapshot();
@@ -755,20 +755,14 @@ impl PolicyLane {
     /// Runs the lane over the measured window, reading each tick from
     /// `ticks` and, on every evaluation tick, the reference's frame from
     /// `frames`: the one loop that drives a shedding server tick by tick.
-    fn run(
-        &mut self,
-        ticks: Receiver<Tick>,
-        frames: Receiver<Arc<EvalFrame>>,
-        queries: &[RangeQuery],
-        sc: &Scenario,
-    ) {
+    fn run(&mut self, ticks: Receiver<Tick>, frames: Receiver<Arc<EvalFrame>>, sc: &Scenario) {
         let total_ticks = measured_ticks(sc);
         let eval_every = ticks_per(sc.eval_period_s, sc);
         let adapt_every = {
             let (_, start) = next_tick(&ticks, 0);
             match &self.control {
                 Control::Fixed => {
-                    self.adapt(&start, queries, sc.throttle);
+                    self.adapt(&start, sc.throttle);
                     ticks_per(sc.adapt_period_s, sc)
                 }
                 Control::Closed { cfg, .. } => ticks_per(cfg.control_period_s, sc),
@@ -864,7 +858,7 @@ impl PolicyLane {
                     }
                 };
                 if let Some(z) = z {
-                    self.adapt(&cars, queries, z);
+                    self.adapt(&cars, z);
                 }
             }
 
@@ -1066,13 +1060,7 @@ impl SimPipeline {
         let (frame_txs, frame_rxs): (Vec<Sender<Arc<EvalFrame>>>, Vec<_>) =
             lanes.iter().map(|_| mpsc::channel()).unzip();
 
-        let SimSetup {
-            sim,
-            phases,
-            queries,
-            ..
-        } = setup;
-        let queries: &[RangeQuery] = queries;
+        let SimSetup { sim, phases, .. } = setup;
         let record = move || {
             let started = Instant::now();
             record_stream(sim, phases, sc, feeds);
@@ -1087,7 +1075,7 @@ impl SimPipeline {
             .iter_mut()
             .zip(tick_rxs)
             .zip(frame_rxs)
-            .map(|((lane, ticks), frames)| move || lane.run(ticks, frames, queries, sc));
+            .map(|((lane, ticks), frames)| move || lane.run(ticks, frames, sc));
 
         let (trace_us, (reference_updates, reference_us)) = match self.parallelism {
             Parallelism::Sequential => {
@@ -1320,7 +1308,7 @@ mod tests {
                 None,
             );
             let (_, frames) = mpsc::channel();
-            lane.run(ticks, frames, &lane_setup.queries, &lane_sc);
+            lane.run(ticks, frames, &lane_sc);
         });
         let message = panic_message(lane.expect_err("the lane panics"));
         assert_eq!(message, "trace feed ended before tick 5");
@@ -1335,7 +1323,7 @@ mod tests {
             let SimSetup { sim, phases, .. } = &mut setup;
             record_stream(sim, phases, &sc, vec![feed]);
             let (_, frames) = mpsc::channel();
-            lane.run(ticks, frames, &setup.queries, &sc);
+            lane.run(ticks, frames, &sc);
         });
         let message = panic_message(lane.expect_err("the lane panics"));
         assert_eq!(

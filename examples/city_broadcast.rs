@@ -47,7 +47,7 @@ fn main() -> Result<()> {
         grid.observe_query(&q.range);
     }
     grid.commit_snapshot();
-    let shedder = LiraShedder::new(config.clone(), 1000)?;
+    let shedder = LiraShedder::new(config.clone())?;
     let plan = shedder.adapt_with_throttle(&grid, 0.5)?.plan;
     println!(
         "plan: {} regions, {} bytes total",

@@ -41,7 +41,7 @@ fn main() -> Result<()> {
     let fence = Rect::from_coords(700.0, 700.0, 1400.0, 1400.0);
     grid.observe_query(&fence);
     grid.commit_snapshot();
-    let shedder = LiraShedder::new(config.clone(), 1000)?;
+    let shedder = LiraShedder::new(config.clone())?;
     let plan = shedder.adapt_with_throttle(&grid, 0.4)?.plan;
 
     let mut server = CqServer::new(bounds, 300, 64);

@@ -34,7 +34,7 @@ fn main() -> Result<()> {
     let mut config = LiraConfig::default();
     config.bounds = bounds;
     config = config.with_regions(25);
-    let shedder = LiraShedder::new(config.clone(), QUEUE_CAPACITY)?;
+    let shedder = LiraShedder::new(config.clone())?;
 
     let mut grid = StatsGrid::new(config.alpha, bounds)?;
     // The server's one input queue, with THROTLOOP over it.

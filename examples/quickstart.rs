@@ -59,7 +59,7 @@ fn main() -> Result<()> {
 
     // 4. One adaptation step at throttle fraction z = 0.5: keep only half
     //    of the position updates, placed where they hurt accuracy least.
-    let shedder = LiraShedder::new(config.clone(), 1000)?;
+    let shedder = LiraShedder::new(config.clone())?;
     let adaptation = shedder.adapt_with_throttle(&grid, 0.5)?;
 
     println!(

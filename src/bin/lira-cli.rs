@@ -244,7 +244,7 @@ fn cmd_plan(opts: &Options) -> ExitCode {
             grid.observe_query(&q.range);
         }
         grid.commit_snapshot();
-        LiraShedder::new(setup.config.clone(), 1000)?.adapt_with_throttle(&grid, sc.throttle)
+        LiraShedder::new(setup.config.clone())?.adapt_with_throttle(&grid, sc.throttle)
     };
     let adaptation = match adapt() {
         Ok(a) => a,

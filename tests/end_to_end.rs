@@ -184,7 +184,7 @@ fn fairness_threshold_bounds_plan_spread() {
         grid.observe_node(&car.position(), car.speed(), 1.0);
     }
     grid.commit_snapshot();
-    let shedder = LiraShedder::new(config, 100).unwrap();
+    let shedder = LiraShedder::new(config).unwrap();
     let plan = shedder.adapt_with_throttle(&grid, 0.3).unwrap().plan;
     let max = plan
         .regions()
@@ -232,7 +232,7 @@ fn facade_prelude_exposes_full_pipeline() {
     config.bounds = bounds;
     config.num_regions = 4;
     config.alpha = 16;
-    let shedder = LiraShedder::new(config, 100).unwrap();
+    let shedder = LiraShedder::new(config).unwrap();
     let adaptation = shedder.adapt_with_throttle(&grid, 0.5).unwrap();
     assert_eq!(adaptation.plan.len(), 4);
     let mobile = MobileShedder::install(0, adaptation.plan.regions().to_vec(), 5.0);

@@ -45,7 +45,7 @@ fn plan_distribution_round_trip_preserves_lookups() {
     let mut config = LiraConfig::default();
     config.bounds = bounds;
     config = config.with_regions(40);
-    let shedder = LiraShedder::new(config.clone(), 500).unwrap();
+    let shedder = LiraShedder::new(config.clone()).unwrap();
     let plan = shedder.adapt_with_throttle(&grid, 0.4).unwrap().plan;
 
     // Base stations on a uniform grid with 1.5 km radius.
@@ -79,7 +79,7 @@ fn station_subsets_cover_their_disks() {
     let mut config = LiraConfig::default();
     config.bounds = bounds;
     config = config.with_regions(25);
-    let shedder = LiraShedder::new(config, 500).unwrap();
+    let shedder = LiraShedder::new(config).unwrap();
     let plan = shedder.adapt_with_throttle(&grid, 0.5).unwrap().plan;
     for station in uniform_placement(&bounds, 2000.0) {
         let subset = plan.subset_for(&station.coverage);
@@ -541,7 +541,7 @@ fn table3_region_counts_grow_with_radius() {
     let grid = demo_grid(bounds, 128);
     let mut config = LiraConfig::default();
     config.bounds = bounds;
-    let shedder = LiraShedder::new(config, 500).unwrap();
+    let shedder = LiraShedder::new(config).unwrap();
     let plan = shedder.adapt_with_throttle(&grid, 0.5).unwrap().plan;
     // A fixed station growing its radius sees a superset of regions:
     // strictly monotone counts.
@@ -597,7 +597,7 @@ fn uncertain_evaluation_guarantees_hold_end_to_end() {
     }
     grid.observe_query(&Rect::from_coords(400.0, 400.0, 1200.0, 1200.0));
     grid.commit_snapshot();
-    let shedder = LiraShedder::new(config.clone(), 100).unwrap();
+    let shedder = LiraShedder::new(config.clone()).unwrap();
     let plan = shedder.adapt_with_throttle(&grid, 0.4).unwrap().plan;
 
     let mut server = CqServer::new(bounds, 120, 16);

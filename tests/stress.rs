@@ -175,7 +175,7 @@ fn paper_scale_adaptation_stays_lightweight() {
         config.bounds = bounds;
         config.num_regions = l;
         config.alpha = alpha;
-        let shedder = LiraShedder::new(config, 1000).unwrap();
+        let shedder = LiraShedder::new(config).unwrap();
         let _ = shedder.adapt_with_throttle(&grid, 0.5).unwrap(); // warm-up
         let started = Instant::now();
         let adaptation = shedder.adapt_with_throttle(&grid, 0.5).unwrap();
