@@ -10,7 +10,7 @@
 //! through the space, and a regional blackout silences the hot center.
 //!
 //! ```text
-//! exp_scenarios [--quick] [--assert] [--max-containment X] [--seed N] [--out PATH]
+//! exp_scenarios [--quick] [--assert] [--seed N] [--out PATH]
 //! ```
 //!
 //! * default: the catalog at `NamedScenario::scenario` scale (250 cars,
@@ -28,15 +28,28 @@
 //! 1. every cell's containment error is finite and in `[0, 1]`, and
 //!    every policy actually sent updates;
 //! 2. in every scenario, the best source-actuated policy keeps
-//!    `E^C_rr` at or below `--max-containment` (default 0.75) — the
-//!    catalog is adversarial, but never hopeless;
+//!    `E^C_rr` at or below [`MAX_CONTAINMENT`] — the catalog is
+//!    adversarial, but never hopeless;
 //! 3. averaged over the catalog, LIRA beats Random Drop on mean
 //!    position error (the paper's core claim must survive adversity);
 //! 4. single-threshold plans (Uniform Delta, Random Drop) report zero
 //!    `plan_skew`, and source-actuated policies report zero
 //!    `shed_skew` (nothing is dropped server-side);
 //! 5. the battery is deterministic: the first scenario, re-run under
-//!    the same seed, reproduces its metrics bit for bit.
+//!    the same seed, reproduces its metrics bit for bit;
+//! 6. in at least one scenario, a SPICE-line utility policy
+//!    ([`lira_core::utility`]) beats LIRA on mean position error *at
+//!    comparable shed volume* (processed fractions within
+//!    [`COMPARABLE_SHED`] of each other) — the utility line has to earn
+//!    its keep somewhere;
+//! 7. in at least one scenario, LIRA beats both utility policies on mean
+//!    position error — the paper's fairness-aware allocation must keep
+//!    its own niche, or something degenerated.
+//!
+//! Each scenario also prints its utility verdict (which side won, or a
+//! split decision), and the JSON records it as `utility_win` (the winning
+//! utility policy's name, or empty) and `lira_win`, with the catalog
+//! counts `utility_wins` and `lira_wins`.
 
 use std::time::Instant;
 
@@ -46,8 +59,11 @@ use lira_workload::catalog::NamedScenario;
 
 /// Default base seed for the battery.
 const DEFAULT_SEED: u64 = 42;
-/// Default ceiling on the best source-actuated containment error.
-const DEFAULT_MAX_CONTAINMENT: f64 = 0.75;
+/// Ceiling on the best source-actuated containment error (floor 2).
+const MAX_CONTAINMENT: f64 = 0.75;
+/// Two cells shed "comparably" when their processed fractions are
+/// within this much of each other (floor 6).
+const COMPARABLE_SHED: f64 = 0.1;
 
 struct Cell {
     policy: Policy,
@@ -77,6 +93,26 @@ impl ScenarioRow {
             .iter()
             .find(|c| c.policy == policy)
             .expect("all policies ran")
+    }
+
+    /// The utility policy (if any) that beats LIRA on position error at
+    /// comparable shed volume in this scenario.
+    fn utility_win(&self) -> Option<Policy> {
+        let lira = self.cell(Policy::Lira);
+        [Policy::UtilityGreedy, Policy::UtilityModel]
+            .into_iter()
+            .find(|&p| {
+                let c = self.cell(p);
+                c.mean_position < lira.mean_position
+                    && (c.processed_fraction - lira.processed_fraction).abs() <= COMPARABLE_SHED
+            })
+    }
+
+    /// True when LIRA beats both utility policies on position error.
+    fn lira_win(&self) -> bool {
+        let lira = self.cell(Policy::Lira).mean_position;
+        lira < self.cell(Policy::UtilityGreedy).mean_position
+            && lira < self.cell(Policy::UtilityModel).mean_position
     }
 }
 
@@ -122,6 +158,14 @@ fn report_json(mode: &str, seed: u64, rows: &[ScenarioRow]) -> Json {
         ("mode".into(), Json::Str(mode.into())),
         ("seed".into(), Json::UInt(seed)),
         (
+            "utility_wins".into(),
+            Json::UInt(rows.iter().filter(|r| r.utility_win().is_some()).count() as u64),
+        ),
+        (
+            "lira_wins".into(),
+            Json::UInt(rows.iter().filter(|r| r.lira_win()).count() as u64),
+        ),
+        (
             "scenarios".into(),
             Json::Arr(
                 rows.iter()
@@ -137,6 +181,11 @@ fn report_json(mode: &str, seed: u64, rows: &[ScenarioRow]) -> Json {
                             ("duration_s".into(), Json::Float(r.duration_s)),
                             ("reference_updates".into(), Json::UInt(r.reference_updates)),
                             ("wall_ms".into(), Json::UInt(r.wall_ms)),
+                            (
+                                "utility_win".into(),
+                                Json::Str(r.utility_win().map_or("", |p| p.name()).into()),
+                            ),
+                            ("lira_win".into(), Json::Bool(r.lira_win())),
                             (
                                 "policies".into(),
                                 Json::Arr(
@@ -194,7 +243,7 @@ const SOURCE_ACTUATED: [Policy; 5] = [
     Policy::UtilityModel,
 ];
 
-fn check_floors(rows: &[ScenarioRow], max_containment: f64, seed: u64, quick: bool) -> Vec<String> {
+fn check_floors(rows: &[ScenarioRow], seed: u64, quick: bool) -> Vec<String> {
     let mut failures = Vec::new();
 
     // Floor 1: sane, finite metrics everywhere.
@@ -226,9 +275,9 @@ fn check_floors(rows: &[ScenarioRow], max_containment: f64, seed: u64, quick: bo
             .iter()
             .map(|&p| r.cell(p).mean_containment)
             .fold(f64::INFINITY, f64::min);
-        if best > max_containment {
+        if best > MAX_CONTAINMENT {
             failures.push(format!(
-                "{}: best source-actuated containment {best:.3} above the {max_containment:.3} \
+                "{}: best source-actuated containment {best:.3} above the {MAX_CONTAINMENT:.3} \
                  ceiling",
                 r.scenario.name()
             ));
@@ -294,13 +343,27 @@ fn check_floors(rows: &[ScenarioRow], max_containment: f64, seed: u64, quick: bo
         }
     }
 
+    // Floor 6: the utility line earns its keep in at least one scenario.
+    if !rows.iter().any(|r| r.utility_win().is_some()) {
+        failures.push(
+            "no catalog scenario where a utility policy beats LIRA on position error at \
+             comparable shed volume"
+                .into(),
+        );
+    }
+
+    // Floor 7: LIRA keeps its own niche in at least one scenario.
+    if !rows.iter().any(|r| r.lira_win()) {
+        failures
+            .push("no catalog scenario where LIRA beats both utility policies on position".into());
+    }
+
     failures
 }
 
 fn main() {
     let mut quick = false;
     let mut do_assert = false;
-    let mut max_containment = DEFAULT_MAX_CONTAINMENT;
     let mut seed = DEFAULT_SEED;
     let mut out_path = String::from("BENCH_scenarios.json");
     let mut it = std::env::args().skip(1);
@@ -308,12 +371,6 @@ fn main() {
         match a.as_str() {
             "--quick" => quick = true,
             "--assert" => do_assert = true,
-            "--max-containment" => {
-                max_containment = it
-                    .next()
-                    .and_then(|v| v.parse().ok())
-                    .unwrap_or_else(|| usage("--max-containment needs a value"));
-            }
             "--seed" => {
                 seed = it
                     .next()
@@ -323,9 +380,7 @@ fn main() {
             "--out" => {
                 out_path = it.next().unwrap_or_else(|| usage("--out needs a path"));
             }
-            "--help" | "-h" => usage(
-                "exp_scenarios [--quick] [--assert] [--max-containment X] [--seed N] [--out PATH]",
-            ),
+            "--help" | "-h" => usage("exp_scenarios [--quick] [--assert] [--seed N] [--out PATH]"),
             other => usage(&format!("unknown flag {other}")),
         }
     }
@@ -354,6 +409,12 @@ fn main() {
                     c.plan_skew
                 );
             }
+            let verdict = match row.utility_win() {
+                Some(p) => format!("{} beats LIRA", p.name()),
+                None if row.lira_win() => "LIRA beats both utility policies".into(),
+                None => "split decision".into(),
+            };
+            println!("{}: {verdict}", row.scenario.name());
             row
         })
         .collect();
@@ -363,7 +424,7 @@ fn main() {
     println!("report={out_path}");
 
     if do_assert {
-        let failures = check_floors(&rows, max_containment, seed, quick);
+        let failures = check_floors(&rows, seed, quick);
         if failures.is_empty() {
             println!(
                 "PASS: all regression floors hold over {} scenarios",

@@ -18,7 +18,7 @@
 //! by round — a benchmark of a wrong engine is worthless.
 //!
 //! ```text
-//! exp_shard [--quick] [--assert] [--min-speedup X] [--mono-tol X] [--churn F] [--out PATH]
+//! exp_shard [--quick] [--assert] [--out PATH]
 //! ```
 //!
 //! * default: the full ladder 10 000 × 100 → 1 000 000 × 10 000, one
@@ -28,13 +28,11 @@
 //!   over a node), both scenarios per scale;
 //! * `--quick` — the hotspot scenario at two scales (including the
 //!   100 000-node rung), for the CI perf-smoke step;
-//! * `--churn F` — fraction of nodes re-reporting between evaluation
-//!   rounds (default 0.05);
 //! * `--out PATH` — where to write the JSON report (default
 //!   `BENCH_shard.json` in the current directory);
 //! * `--assert` — exit nonzero unless (a) at every scale and scenario,
 //!   `speedup_vs_shard1` is monotone in the shard count within
-//!   `--mono-tol` (default 0.6 — each rung must keep at least that
+//!   [`MONO_TOL`] (each rung must keep at least that
 //!   fraction of the previous rung's speedup; the slack absorbs the
 //!   stripe-maintenance and pool wake-up overhead the 2-vCPU reference
 //!   host pays with little parallel win to offset it — measured up to
@@ -42,10 +40,13 @@
 //!   absorbs timing noise at the sub-10 µs scales), and
 //!   (b) at the largest
 //!   scale of each scenario, unified `evaluate` at 4 shards is at least
-//!   `--min-speedup`× (default 1.0×) faster than the sweep baseline, and
+//!   [`MIN_SPEEDUP`]× faster than the sweep baseline, and
 //!   (c) on the advancing round the default engine (1 shard) is at least
-//!   `--min-speedup`× the sweep baseline at every scale and strictly
+//!   [`MIN_SPEEDUP`]× the sweep baseline at every scale and strictly
 //!   faster at each scenario's largest.
+//!
+//! Every round re-reports [`CHURN_FRAC`] of the fleet (the JSON's
+//! `churn_frac`).
 //!
 //! What the numbers mean: every cell is timed on two rounds. The
 //! **advancing** round (`advancing_ns`) is churn-ingest stamped `t`, then
@@ -76,7 +77,7 @@
 //! Worker threads add parallelism on multi-core hosts but are *not*
 //! required for the win — on the 2-vCPU reference host the
 //! `speedup_vs_shard1` curve is flat or falling (≤ 1.0 in most cells)
-//! rather than monotonically rising, which the `--mono-tol` gate still
+//! rather than monotonically rising, which the [`MONO_TOL`] gate still
 //! accepts, and on a single-core host the engine detects the core count
 //! and stays sequential. `shards = 1` measures the pure dirty-tracking
 //! gain (`speedup_vs_shard1` isolates the striping gain on top of it).
@@ -100,8 +101,14 @@ use lira_workload::{generate_queries, QueryDistribution, WorkloadConfig};
 const SPACE_M: f64 = 10_000.0;
 /// Reference node count for the space scaling.
 const REF_NODES: f64 = 10_000.0;
-/// Default churn fraction per round (see `--churn`).
+/// Fraction of nodes re-reporting between evaluation rounds.
 const CHURN_FRAC: f64 = 0.05;
+/// The `--assert` floor on the 4-shard and the advancing-round speedups
+/// over the sweep baseline.
+const MIN_SPEEDUP: f64 = 1.0;
+/// The `--assert` monotonicity tolerance: each shard count must keep at
+/// least this fraction of the previous one's `speedup_vs_shard1`.
+const MONO_TOL: f64 = 0.6;
 /// Shard counts under test.
 const SHARD_COUNTS: [usize; 4] = [1, 2, 4, 8];
 /// Query side length (m): small enough coverage per query that the emit
@@ -136,13 +143,13 @@ impl Scen {
         }
     }
 
-    fn workload(self, num_nodes: usize, churn_frac: f64, space_m: f64) -> ChurnWorkload {
+    fn workload(self, num_nodes: usize, space_m: f64) -> ChurnWorkload {
         match self {
-            Scen::Uniform => ChurnWorkload::new(num_nodes, 7, churn_frac, space_m),
+            Scen::Uniform => ChurnWorkload::new(num_nodes, 7, CHURN_FRAC, space_m),
             Scen::Hotspot => ChurnWorkload::with_hotspot(
                 num_nodes,
                 7,
-                churn_frac,
+                CHURN_FRAC,
                 space_m,
                 HotspotSpec::default(),
             ),
@@ -171,16 +178,10 @@ fn make_server(
 /// Cross-checks every shard count against the sweep baseline before
 /// timing, on the exact workload pattern the timing loop
 /// replays.
-fn verify_engines_agree(
-    scen: Scen,
-    num_nodes: usize,
-    space_m: f64,
-    queries: &[RangeQuery],
-    churn_frac: f64,
-) {
+fn verify_engines_agree(scen: Scen, num_nodes: usize, space_m: f64, queries: &[RangeQuery]) {
     let mut base =
         make_server(num_nodes, space_m, queries, EvalEngine::default()).with_dirty_tracking(false);
-    let mut w_base = scen.workload(num_nodes, churn_frac, space_m);
+    let mut w_base = scen.workload(num_nodes, space_m);
     w_base.prime(&mut base);
     // Per shard count, a server whose rounds are materialised and one
     // whose rounds are folded into the served digest.
@@ -193,7 +194,7 @@ fn verify_engines_agree(
                 queries,
                 EvalEngine::Unified { shards: s },
             );
-            let w = scen.workload(num_nodes, churn_frac, space_m);
+            let w = scen.workload(num_nodes, space_m);
             w.prime(&mut server);
             (s, [server.clone(), server], w)
         })
@@ -285,11 +286,10 @@ fn bench_engine(
     num_nodes: usize,
     space_m: f64,
     server: CqServer,
-    churn_frac: f64,
     served: bool,
 ) -> Timed {
     let mut server = server;
-    let mut workload = scen.workload(num_nodes, churn_frac, space_m);
+    let mut workload = scen.workload(num_nodes, space_m);
     workload.prime(&mut server);
     let mut results = Vec::new();
     let ns = median_round_ns(format!("evaluate/{label}"), || {
@@ -361,10 +361,10 @@ impl ScaleResult {
     }
 }
 
-fn bench_scale(scen: Scen, num_nodes: usize, num_queries: usize, churn_frac: f64) -> ScaleResult {
+fn bench_scale(scen: Scen, num_nodes: usize, num_queries: usize) -> ScaleResult {
     let space_m = space_for(num_nodes);
     let bounds = Rect::from_coords(0.0, 0.0, space_m, space_m);
-    let node_positions: Vec<Point> = scen.workload(num_nodes, churn_frac, space_m).positions;
+    let node_positions: Vec<Point> = scen.workload(num_nodes, space_m).positions;
     let cfg = WorkloadConfig {
         distribution: scen.distribution(),
         count: num_queries,
@@ -372,7 +372,7 @@ fn bench_scale(scen: Scen, num_nodes: usize, num_queries: usize, churn_frac: f64
         seed: 11,
     };
     let queries = generate_queries(&bounds, &node_positions, &cfg);
-    verify_engines_agree(scen, num_nodes, space_m, &queries, churn_frac);
+    verify_engines_agree(scen, num_nodes, space_m, &queries);
 
     let tag = format!("{}/{num_nodes}x{num_queries}", scen.name());
     let baseline = bench_engine(
@@ -381,7 +381,6 @@ fn bench_scale(scen: Scen, num_nodes: usize, num_queries: usize, churn_frac: f64
         num_nodes,
         space_m,
         make_server(num_nodes, space_m, &queries, EvalEngine::default()).with_dirty_tracking(false),
-        churn_frac,
         false,
     );
     let (baseline_ns, baseline_advancing_ns) = (baseline.ns, baseline.advancing_ns);
@@ -399,7 +398,6 @@ fn bench_scale(scen: Scen, num_nodes: usize, num_queries: usize, churn_frac: f64
                     &queries,
                     EvalEngine::Unified { shards: s },
                 ),
-                churn_frac,
                 true,
             );
             println!(
@@ -447,12 +445,12 @@ fn bench_scale(scen: Scen, num_nodes: usize, num_queries: usize, churn_frac: f64
     }
 }
 
-fn report_json(mode: &str, churn_frac: f64, scales: &[ScaleResult]) -> Json {
+fn report_json(mode: &str, scales: &[ScaleResult]) -> Json {
     Json::Obj(vec![
         ("experiment".into(), Json::Str("exp_shard".into())),
         ("host".into(), host_json()),
         ("mode".into(), Json::Str(mode.into())),
-        ("churn_frac".into(), Json::Float(churn_frac)),
+        ("churn_frac".into(), Json::Float(CHURN_FRAC)),
         ("query_side_m".into(), Json::Float(QUERY_SIDE)),
         ("warmup_rounds".into(), Json::UInt(WARMUP_ROUNDS as u64)),
         ("timed_rounds".into(), Json::UInt(TIMED_ROUNDS as u64)),
@@ -532,16 +530,16 @@ fn report_json(mode: &str, churn_frac: f64, scales: &[ScaleResult]) -> Json {
 /// within tolerance, the historical 4-shard floor against the sweep
 /// baseline at each scenario's largest scale, and the advancing round's
 /// floor for the default engine at every scale.
-fn run_asserts(scales: &[ScaleResult], min_speedup: f64, mono_tol: f64) -> Result<(), String> {
+fn run_asserts(scales: &[ScaleResult]) -> Result<(), String> {
     for s in scales {
         let largest = scales
             .iter()
             .rfind(|l| l.scenario == s.scenario)
             .is_some_and(|l| std::ptr::eq(l, s));
         let speedup = s.baseline_advancing_ns / s.shard1().advancing_ns.max(1e-9);
-        if speedup < min_speedup || (largest && speedup <= 1.0) {
+        if speedup < MIN_SPEEDUP || (largest && speedup <= 1.0) {
             return Err(format!(
-                "unified(1) advancing-t speedup {speedup:.2}x below required {min_speedup:.2}x at \
+                "unified(1) advancing-t speedup {speedup:.2}x below required {MIN_SPEEDUP:.2}x at \
                  {} {}x{}",
                 s.scenario, s.nodes, s.queries
             ));
@@ -557,10 +555,10 @@ fn run_asserts(scales: &[ScaleResult], min_speedup: f64, mono_tol: f64) -> Resul
         for r in &s.striped {
             let sp = shard1_ns / r.ns.max(1e-9);
             if let Some((ps, psp)) = prev {
-                if sp < psp * mono_tol {
+                if sp < psp * MONO_TOL {
                     return Err(format!(
                         "speedup_vs_shard1 not monotone at {} {}x{}: {ps} shards {psp:.2}x → \
-                         {} shards {sp:.2}x (tolerance {mono_tol})",
+                         {} shards {sp:.2}x (tolerance {MONO_TOL})",
                         s.scenario, s.nodes, s.queries, r.shards
                     ));
                 }
@@ -578,9 +576,9 @@ fn run_asserts(scales: &[ScaleResult], min_speedup: f64, mono_tol: f64) -> Resul
             .find(|r| r.shards == 4)
             .expect("4-shard cell benched");
         let speedup = largest.baseline_ns / four.ns.max(1e-9);
-        if speedup < min_speedup {
+        if speedup < MIN_SPEEDUP {
             return Err(format!(
-                "unified(4) evaluate speedup {speedup:.2}x below required {min_speedup:.2}x at \
+                "unified(4) evaluate speedup {speedup:.2}x below required {MIN_SPEEDUP:.2}x at \
                  {scenario} {}x{}",
                 largest.nodes, largest.queries
             ));
@@ -591,47 +589,23 @@ fn run_asserts(scales: &[ScaleResult], min_speedup: f64, mono_tol: f64) -> Resul
             largest.nodes, largest.queries
         );
     }
-    println!("PASS: speedup_vs_shard1 monotone within {mono_tol} at every scale");
+    println!("PASS: speedup_vs_shard1 monotone within {MONO_TOL} at every scale");
     Ok(())
 }
 
 fn main() {
     let mut quick = false;
     let mut do_assert = false;
-    let mut min_speedup = 1.0f64;
-    let mut mono_tol = 0.6f64;
-    let mut churn_frac = CHURN_FRAC;
     let mut out_path = String::from("BENCH_shard.json");
     let mut it = std::env::args().skip(1);
     while let Some(a) = it.next() {
         match a.as_str() {
             "--quick" => quick = true,
             "--assert" => do_assert = true,
-            "--min-speedup" => {
-                min_speedup = it
-                    .next()
-                    .and_then(|v| v.parse().ok())
-                    .unwrap_or_else(|| usage("--min-speedup needs a factor"));
-            }
-            "--mono-tol" => {
-                mono_tol = it
-                    .next()
-                    .and_then(|v| v.parse().ok())
-                    .unwrap_or_else(|| usage("--mono-tol needs a factor"));
-            }
-            "--churn" => {
-                churn_frac = it
-                    .next()
-                    .and_then(|v| v.parse().ok())
-                    .unwrap_or_else(|| usage("--churn needs a fraction"));
-            }
             "--out" => {
                 out_path = it.next().unwrap_or_else(|| usage("--out needs a path"));
             }
-            "--help" | "-h" => usage(
-                "exp_shard [--quick] [--assert] [--min-speedup X] [--mono-tol X] [--churn F] \
-                 [--out PATH]",
-            ),
+            "--help" | "-h" => usage("exp_shard [--quick] [--assert] [--out PATH]"),
             other => usage(&format!("unknown flag {other}")),
         }
     }
@@ -666,20 +640,20 @@ fn main() {
          {:.0}% churn/round)",
         runs.len(),
         SHARD_COUNTS,
-        churn_frac * 100.0
+        CHURN_FRAC * 100.0
     );
 
     let scales: Vec<ScaleResult> = runs
         .iter()
-        .map(|&(scen, n, q)| bench_scale(scen, n, q, churn_frac))
+        .map(|&(scen, n, q)| bench_scale(scen, n, q))
         .collect();
 
-    let json = report_json(mode, churn_frac, &scales);
+    let json = report_json(mode, &scales);
     std::fs::write(&out_path, format!("{json}\n")).expect("write BENCH_shard.json");
     println!("report={out_path}");
 
     if do_assert {
-        if let Err(msg) = run_asserts(&scales, min_speedup, mono_tol) {
+        if let Err(msg) = run_asserts(&scales) {
             eprintln!("FAIL: {msg}");
             std::process::exit(1);
         }

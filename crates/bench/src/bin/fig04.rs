@@ -1,6 +1,7 @@
-//! Figure 4 (and the containment companion, Figure 5's sibling rows):
-//! mean position error E^P_rr vs throttle fraction z, Proportional query
-//! distribution, four policies, absolute + relative-to-LIRA.
+//! Figures 4 and 5: mean position error E^P_rr (Figure 4) and mean
+//! containment error E^C_rr (Figure 5) vs throttle fraction z, Proportional
+//! query distribution, every policy, absolute + relative-to-LIRA. One
+//! sweep prints both figures' rows.
 
 fn main() {
     lira_bench::z_sweep_experiment(

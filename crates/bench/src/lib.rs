@@ -47,7 +47,9 @@ fn seed(i: usize) -> u64 {
 
 impl ExpArgs {
     /// Parses `std::env::args()`. Unknown flags and bad values abort with
-    /// a usage message (exit 2).
+    /// a usage message (exit 2), and so does a scale the simulator would
+    /// refuse (`--nodes 0`, a `--duration` that is not finite and
+    /// positive), before any binary prints its header.
     pub fn parse() -> Self {
         Self::parse_from(std::env::args().skip(1)).unwrap_or_else(|msg| usage(&msg))
     }
@@ -87,6 +89,10 @@ impl ExpArgs {
                 other => return Err(format!("unknown flag {other}")),
             }
         }
+        parsed
+            .base_scenario()
+            .validate()
+            .map_err(|e| format!("invalid scale: {e}"))?;
         Ok(parsed)
     }
 
@@ -354,7 +360,7 @@ mod tests {
     use super::*;
 
     fn seeds_of(args: &[&str]) -> Result<Vec<u64>, String> {
-        ExpArgs::parse_from(args.iter().map(|a| a.to_string())).map(|a| a.seeds)
+        parse(args).map(|a| a.seeds)
     }
 
     #[test]
@@ -384,6 +390,27 @@ mod tests {
         for bad in [&["--seeds", "0"][..], &["--seeds", "x"], &["--seeds"]] {
             assert!(seeds_of(bad).is_err(), "{bad:?}");
         }
+    }
+
+    fn parse(args: &[&str]) -> Result<ExpArgs, String> {
+        ExpArgs::parse_from(args.iter().map(|a| a.to_string()))
+    }
+
+    #[test]
+    fn scales_the_simulator_refuses_are_refused() {
+        for d in ["nan", "inf", "0", "-5"] {
+            assert!(
+                parse(&["--quick", "--duration", d]).is_err(),
+                "--duration {d}"
+            );
+        }
+        assert!(parse(&["--quick", "--nodes", "0"]).is_err(), "--nodes 0");
+    }
+
+    #[test]
+    fn edge_scales_the_simulator_runs_are_accepted() {
+        let a = parse(&["--quick", "--duration", "0.5", "--nodes", "1"]).unwrap();
+        assert_eq!((a.nodes, a.duration), (Some(1), Some(0.5)));
     }
 
     #[test]

@@ -29,7 +29,7 @@
 //! consumer (plan broadcast, per-node lookup, telemetry) are untouched.
 //! Both deliberately ignore the fairness threshold `Δ⇔`: concentrating
 //! the budget is the point of utility shedding, and the contrast with
-//! LIRA's fairness-constrained optimum is part of what `exp_utility`
+//! LIRA's fairness-constrained optimum is part of what `exp_scenarios`
 //! measures.
 
 use crate::config::LiraConfig;

@@ -62,7 +62,7 @@ pub struct ServeConfig {
     /// Ignored: it sized the server's second spatial index, which is
     /// gone. The field survives only because the frozen `benchmark/`
     /// crate reads it — to be dropped by the next `benchmark` PR
-    /// (ROADMAP item 2).
+    /// (ROADMAP item 11).
     pub index_side: usize,
     /// LIRA region budget `l` (`l mod 3 == 1`).
     pub num_regions: usize,
@@ -75,7 +75,7 @@ pub struct ServeConfig {
     /// Ignored, like `index_side`: it switched on load-aware striping
     /// and automatic slice moves, which are gone (DESIGN.md §12), and
     /// survives only because the frozen `benchmark/` crate assigns it —
-    /// to be dropped by the next `benchmark` PR (ROADMAP item 2).
+    /// to be dropped by the next `benchmark` PR (ROADMAP item 11).
     pub rebalance: bool,
     /// The shedding policy behind the plan broadcasts (CLI `--policy`;
     /// LIRA by default). Must be source-actuated — see

@@ -18,7 +18,7 @@ use crate::unified::{ShardStats, UnifiedEval};
 /// There is one engine; the enum and its single variant survive only
 /// because the frozen `benchmark/` crate names
 /// `EvalEngine::Unified { shards }` — to be reduced to a plain shard
-/// count by the next `benchmark` PR (ROADMAP item 2). Results are
+/// count by the next `benchmark` PR (ROADMAP item 11). Results are
 /// identical at every shard count (`tests/eval_equiv.rs` and
 /// `tests/shard_equiv.rs` hold them to brute force property-style).
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -115,7 +115,7 @@ impl CqServer {
     /// `_index_side` is ignored: it sized the second spatial index the
     /// server no longer has, and the parameter survives only because the
     /// frozen `benchmark/` crate passes it — to be dropped by the next
-    /// `benchmark` PR (ROADMAP item 2).
+    /// `benchmark` PR (ROADMAP item 11).
     pub fn new(bounds: Rect, num_nodes: usize, _index_side: usize) -> Self {
         CqServer {
             bounds,

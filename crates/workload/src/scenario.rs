@@ -317,12 +317,18 @@ impl Scenario {
         )
     }
 
-    /// Validates the run's timing (every period finite and positive, the
-    /// warmup finite and non-negative — a run that would never end or
-    /// never measure is refused) and the catalog-facing extensions
-    /// (phases, fleet, dead zones). The base parameters are covered by
-    /// [`LiraConfig::validate`] via [`Self::lira_config`].
+    /// Validates the car count (at least one), the run's timing (every
+    /// period finite and positive, the warmup finite and non-negative — a
+    /// run that would never end or never measure is refused) and the
+    /// catalog-facing extensions (phases, fleet, dead zones). The base
+    /// parameters are covered by [`LiraConfig::validate`] via
+    /// [`Self::lira_config`].
     pub fn validate(&self) -> Result<()> {
+        if self.num_cars == 0 {
+            return Err(LiraError::InvalidConfig(
+                "num_cars must be at least 1".into(),
+            ));
+        }
         for (name, value) in [
             ("dt", self.dt),
             ("duration_s", self.duration_s),
@@ -568,6 +574,8 @@ mod tests {
         let mut sc = Scenario::small(1);
         sc.warmup_s = 0.0;
         assert!(sc.validate().is_ok(), "no warmup is a valid run");
+        sc.num_cars = 0;
+        assert!(sc.validate().is_err(), "an empty fleet accepted");
     }
 
     #[test]

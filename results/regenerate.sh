@@ -4,12 +4,12 @@
 #   bash results/regenerate.sh          # rewrite the record
 #   bash results/regenerate.sh --check  # re-run and diff against it
 #
-# Runs the 21 standard-suite binaries of `lira-bench` in the order below
+# Runs the 20 standard-suite binaries of `lira-bench` in the order below
 # and writes their output, each under a `=== <binary> ===` header, to
 # `results/experiments_standard.txt`. The commit, host and wall time go to
 # `results/experiments_standard.stamp`, so the record itself holds only
-# what the code prints. `fig04`–`fig07` also rewrite
-# `results/telemetry/<id>.json`.
+# what the code prints. `fig04` (Figures 4 and 5), `fig06` and `fig07`
+# also rewrite `results/telemetry/<id>.json`.
 #
 # `--check` runs the suite in a scratch directory (the tracked files are
 # left alone) and fails if its output differs from the record anywhere
@@ -19,9 +19,9 @@ set -euo pipefail
 ROOT=$(cd "$(dirname "$0")/.." && pwd)
 cd "$ROOT"
 
-BINS=(fig01 tab01 fig03 fig04 fig05 fig06 fig07 fig08 fig09 fig10 fig11
-      fig12 fig13 fig14 tab03 ablation exp_history exp_messaging
-      exp_motion_models exp_adaptivity exp_knn)
+BINS=(fig01 tab01 fig03 fig04 fig06 fig07 fig08 fig09 fig10 fig11 fig12
+      fig13 fig14 tab03 ablation exp_history exp_messaging exp_motion_models
+      exp_adaptivity exp_knn)
 RECORD=results/experiments_standard.txt
 STAMP=results/experiments_standard.stamp
 

@@ -218,6 +218,46 @@ fn parallel_lanes_are_bit_identical_to_sequential() {
 }
 
 #[test]
+fn a_lane_does_not_depend_on_its_neighbours() {
+    // The catalog battery scores every policy from one six-lane run, so a
+    // lane must report the same cell alone as beside the other five. On
+    // the perfect channel only Random Drop draws from an RNG seeded by its
+    // roster index (`seed + 1000 + index`): it matches when it keeps that
+    // index.
+    let mut sc = Scenario::small(29);
+    sc.duration_s = 60.0;
+    let pipeline = SimPipeline::new();
+    let all = pipeline.run(&sc, &Policy::ALL);
+    let bits = |o: &PolicyOutcome| {
+        let m = &o.metrics;
+        [
+            m.mean_containment,
+            m.mean_position,
+            m.stddev_containment,
+            m.cov_containment,
+            o.processed_fraction,
+            o.plan_skew,
+        ]
+        .map(f64::to_bits)
+    };
+    for (i, cell) in all.outcomes.iter().enumerate() {
+        let roster = match cell.policy {
+            Policy::RandomDrop => &Policy::ALL[..=i],
+            _ => std::slice::from_ref(&cell.policy),
+        };
+        let lane = pipeline.run(&sc, roster).outcomes.pop().unwrap();
+        assert_eq!(lane.policy, cell.policy);
+        assert_eq!(bits(&lane), bits(cell), "{:?} metrics", cell.policy);
+        assert_eq!(
+            (lane.updates_sent, lane.updates_processed),
+            (cell.updates_sent, cell.updates_processed),
+            "{:?} updates sent and processed",
+            cell.policy
+        );
+    }
+}
+
+#[test]
 fn run_adaptive_parallel_is_bit_identical_to_sequential() {
     // The same contract for the closed loop, whose one lane streams
     // alongside the recorder and the reference under `Auto`: an
