@@ -1,36 +1,87 @@
 //! `exp_overhead` — quantifies the wall-time cost of the telemetry layer.
 //!
-//! Runs the same multi-policy scenario repeatedly, alternating telemetry
-//! *enabled* and telemetry *runtime-disabled* lanes within one process
-//! (interleaved A/B so thermal and cache drift hit both arms equally),
-//! and reports the median wall time of each arm:
+//! Runs the same multi-policy scenario repeatedly and reports the median
+//! wall time:
 //!
 //! ```text
-//! exp_overhead [--runs N] [--quick] [--assert] [--baseline-ms M]
+//! exp_overhead [--runs N] [--quick] [--assert --baseline-ms M]
 //! ```
 //!
-//! * default output: `median_ms=<on>` plus both arms and the overhead
-//!   percentage — machine-readable one-liners for CI;
-//! * `--baseline-ms M` — compare the enabled arm against an externally
-//!   measured baseline instead of the in-process disabled arm. CI uses
-//!   this to compare against a `--features telemetry-off` build of this
-//!   same binary (the compile-time no-op), closing the loop on the
-//!   "zero-overhead" claim;
-//! * `--assert` — exit nonzero when the enabled arm exceeds the baseline
-//!   by more than the 2% budget (plus a small absolute allowance for
-//!   scheduler noise on short runs).
+//! * default output: `median_ms=<median>` — a machine-readable one-liner
+//!   for CI;
+//! * `--baseline-ms M` — also print the overhead against an externally
+//!   measured median, finite and positive. CI measures it with a
+//!   `--features telemetry-off` build of this same binary (the
+//!   compile-time no-op), closing the loop on the "zero-overhead" claim;
+//! * `--assert` — exit nonzero when the median exceeds the baseline by
+//!   more than the 2% budget (plus a small absolute allowance for
+//!   scheduler noise on short runs). Requires `--baseline-ms`.
 //!
-//! Verifying identical *outcomes* (not just cost) between the modes is
-//! `tests/telemetry.rs`'s job.
+//! `--runs 0`, a `--baseline-ms` that is not finite and positive, and
+//! `--assert` without a baseline exit 2 before the first run. Verifying
+//! identical *outcomes* (not just cost) between the builds is the job of
+//! the goldens, which hold in both.
 
 use std::time::Instant;
 
+use lira_core::telemetry::COMPILED_OUT;
 use lira_sim::prelude::*;
 
-/// Overhead budget: the enabled arm may cost at most 2% more wall time.
+/// Overhead budget: the instrumented build may cost at most 2% more wall
+/// time than the baseline.
 const BUDGET_FRAC: f64 = 0.02;
 /// Absolute allowance (ms) so sub-second runs don't fail on OS jitter.
 const NOISE_ALLOWANCE_MS: f64 = 30.0;
+
+const USAGE: &str = "exp_overhead [--runs N] [--quick] [--assert --baseline-ms M]";
+
+/// One invocation's options.
+#[derive(Debug, PartialEq)]
+struct Args {
+    runs: usize,
+    quick: bool,
+    assert: bool,
+    baseline_ms: Option<f64>,
+}
+
+/// Parses the flags (without the program name). Every refusal is a
+/// message for [`usage`].
+fn parse(args: impl IntoIterator<Item = String>) -> Result<Args, String> {
+    let mut runs = 5usize;
+    let mut quick = false;
+    let mut assert = false;
+    let mut baseline_ms = None;
+    let mut it = args.into_iter();
+    while let Some(a) = it.next() {
+        match a.as_str() {
+            "--runs" => {
+                runs = match it.next().and_then(|v| v.parse().ok()) {
+                    Some(0) | None => return Err("--runs needs a count of at least 1".into()),
+                    Some(n) => n,
+                }
+            }
+            "--baseline-ms" => {
+                baseline_ms = match it.next().and_then(|v| v.parse::<f64>().ok()) {
+                    Some(ms) if ms.is_finite() && ms > 0.0 => Some(ms),
+                    _ => return Err("--baseline-ms needs finite, positive milliseconds".into()),
+                }
+            }
+            "--assert" => assert = true,
+            "--quick" => quick = true,
+            "--help" | "-h" => return Err(USAGE.into()),
+            other => return Err(format!("unknown flag {other}")),
+        }
+    }
+    if assert && baseline_ms.is_none() {
+        return Err("--assert needs --baseline-ms".into());
+    }
+    Ok(Args {
+        runs,
+        quick,
+        assert,
+        baseline_ms,
+    })
+}
 
 fn scenario() -> Scenario {
     let mut sc = Scenario::small(17);
@@ -44,12 +95,9 @@ fn median(samples: &mut [f64]) -> f64 {
     samples[samples.len() / 2]
 }
 
-fn time_run(sc: &Scenario, telemetry: bool) -> f64 {
+fn time_run(sc: &Scenario) -> f64 {
     let started = Instant::now();
-    let report = SimPipeline::new()
-        .with_parallelism(Parallelism::Sequential)
-        .with_telemetry(telemetry)
-        .run(sc, &Policy::ALL);
+    let report = SimPipeline::new().run(sc, &Policy::ALL);
     // Keep the report alive past the clock read so the work can't be
     // optimized away.
     let elapsed = started.elapsed().as_secs_f64() * 1e3;
@@ -58,46 +106,19 @@ fn time_run(sc: &Scenario, telemetry: bool) -> f64 {
 }
 
 fn main() {
-    let mut runs = 5usize;
-    let mut do_assert = false;
-    let mut baseline_ms: Option<f64> = None;
-    let mut quick = false;
-    let mut it = std::env::args().skip(1);
-    while let Some(a) = it.next() {
-        match a.as_str() {
-            "--runs" => {
-                runs = it
-                    .next()
-                    .and_then(|v| v.parse().ok())
-                    .unwrap_or_else(|| usage("--runs needs a count"));
-            }
-            "--baseline-ms" => {
-                baseline_ms = Some(
-                    it.next()
-                        .and_then(|v| v.parse().ok())
-                        .unwrap_or_else(|| usage("--baseline-ms needs milliseconds")),
-                );
-            }
-            "--assert" => do_assert = true,
-            "--quick" => quick = true,
-            "--help" | "-h" => {
-                usage("exp_overhead [--runs N] [--quick] [--assert] [--baseline-ms M]")
-            }
-            other => usage(&format!("unknown flag {other}")),
-        }
-    }
+    let args = parse(std::env::args().skip(1)).unwrap_or_else(|msg| usage(&msg));
 
     let mut sc = scenario();
-    if quick {
+    if args.quick {
         sc.num_cars = 150;
         sc.duration_s = 60.0;
     }
     println!(
-        "== exp_overhead: telemetry instrumentation cost ({} runs/arm, {} nodes, {} s, telemetry {})",
-        runs,
+        "== exp_overhead: telemetry instrumentation cost ({} runs, {} nodes, {} s, telemetry {})",
+        args.runs,
         sc.num_cars,
         sc.duration_s,
-        if cfg!(feature = "telemetry-off") {
+        if COMPILED_OUT {
             "compiled out"
         } else {
             "compiled in"
@@ -105,53 +126,83 @@ fn main() {
     );
 
     // Warm-up run: page in the binary, build the allocator arenas.
-    time_run(&sc, true);
+    time_run(&sc);
 
-    let mut on_ms = Vec::with_capacity(runs);
-    let mut off_ms = Vec::with_capacity(runs);
-    for i in 0..runs {
-        // Interleave arms; alternate which goes first per round so
-        // neither systematically benefits from a warmer cache.
-        if i % 2 == 0 {
-            on_ms.push(time_run(&sc, true));
-            off_ms.push(time_run(&sc, false));
-        } else {
-            off_ms.push(time_run(&sc, false));
-            on_ms.push(time_run(&sc, true));
-        }
-    }
-    let on = median(&mut on_ms);
-    let off = median(&mut off_ms);
-    let baseline = baseline_ms.unwrap_or(off);
-    let overhead_pct = (on - baseline) / baseline * 100.0;
+    let mut samples: Vec<f64> = (0..args.runs).map(|_| time_run(&sc)).collect();
+    let median_ms = median(&mut samples);
+    println!("median_ms={median_ms:.1}");
 
-    println!("median_ms={on:.1}");
-    println!("telemetry_on_median_ms={on:.1}");
-    println!("telemetry_disabled_median_ms={off:.1}");
+    let Some(baseline) = args.baseline_ms else {
+        return;
+    };
+    let overhead = median_ms - baseline;
     println!("baseline_ms={baseline:.1}");
-    println!("overhead_pct={overhead_pct:.2}");
-
-    if do_assert {
+    println!("overhead_pct={:.2}", overhead / baseline * 100.0);
+    if args.assert {
         let budget_ms = baseline * BUDGET_FRAC + NOISE_ALLOWANCE_MS;
-        if on - baseline > budget_ms {
+        if overhead > budget_ms {
             eprintln!(
-                "FAIL: telemetry overhead {:.1} ms exceeds budget {:.1} ms ({}% of baseline + {} ms noise allowance)",
-                on - baseline,
-                budget_ms,
+                "FAIL: telemetry overhead {overhead:.1} ms exceeds budget {budget_ms:.1} ms ({}% of baseline + {} ms noise allowance)",
                 BUDGET_FRAC * 100.0,
                 NOISE_ALLOWANCE_MS,
             );
             std::process::exit(1);
         }
-        println!(
-            "PASS: overhead {:.1} ms within budget {:.1} ms",
-            on - baseline,
-            budget_ms
-        );
+        println!("PASS: overhead {overhead:.1} ms within budget {budget_ms:.1} ms");
     }
 }
 
 fn usage(msg: &str) -> ! {
     eprintln!("{msg}");
     std::process::exit(2);
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    fn parse_args(args: &[&str]) -> Result<Args, String> {
+        parse(args.iter().map(|a| a.to_string()))
+    }
+
+    #[test]
+    fn a_gate_needs_a_finite_positive_baseline() {
+        // `nan` used to print `PASS: overhead NaN ms within budget NaN ms`
+        // and exit 0: every comparison against NaN is false.
+        for ms in ["nan", "inf", "-inf", "0", "-5", "ten"] {
+            let err = parse_args(&["--assert", "--baseline-ms", ms]).expect_err(ms);
+            assert!(err.starts_with("--baseline-ms"), "{ms}: {err}");
+        }
+        assert_eq!(
+            parse_args(&["--assert"]),
+            Err("--assert needs --baseline-ms".into())
+        );
+        assert_eq!(
+            parse_args(&["--quick", "--assert", "--baseline-ms", "31.5"]),
+            Ok(Args {
+                runs: 5,
+                quick: true,
+                assert: true,
+                baseline_ms: Some(31.5),
+            })
+        );
+    }
+
+    #[test]
+    fn a_run_count_is_at_least_one() {
+        // `--runs 0` used to panic in `median` (index out of bounds).
+        for runs in ["0", "-1", "x"] {
+            assert!(parse_args(&["--runs", runs]).is_err(), "--runs {runs}");
+        }
+        assert!(parse_args(&["--runs"]).is_err());
+        assert_eq!(
+            parse_args(&["--runs", "1"]),
+            Ok(Args {
+                runs: 1,
+                quick: false,
+                assert: false,
+                baseline_ms: None,
+            })
+        );
+    }
 }

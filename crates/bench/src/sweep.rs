@@ -7,12 +7,12 @@
 //! spreading the independent cells over the machine's cores with
 //! [`std::thread::scope`] worker threads.
 //!
-//! Inside a sweep cell the per-policy lanes run *sequentially*
-//! ([`Parallelism::Sequential`]): the sweep already saturates the cores
-//! with one cell per worker, and nested lane threads would only add
-//! oversubscription. Results are deterministic either way — cells are
-//! written to indexed slots and reduced in point-major, seed-ascending
-//! order, so a sweep is bit-identical however many workers run it.
+//! Each cell streams like any [`SimPipeline`] run: its recorder,
+//! reference replay and lanes are threads holding a few dozen ticks, so
+//! a paper-scale cell needs tens of MiB, not its whole trace. Results are
+//! deterministic — cells are written to indexed slots and reduced in
+//! point-major, seed-ascending order, so a sweep is bit-identical however
+//! many workers run it.
 
 use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::OnceLock;
@@ -99,10 +99,7 @@ pub fn run_sweep<P: Sync>(
     let results: Vec<OnceLock<RunReport>> = (0..num_jobs).map(|_| OnceLock::new()).collect();
     let run_job = |j: usize| {
         let sc = make(&points[j / seeds.len()], seeds[j % seeds.len()]);
-        let report = SimPipeline::new()
-            .with_parallelism(Parallelism::Sequential)
-            .run(&sc, policies);
-        let _ = results[j].set(report);
+        let _ = results[j].set(SimPipeline::new().run(&sc, policies));
     };
 
     let workers = std::thread::available_parallelism()

@@ -63,8 +63,6 @@ pub struct Event {
 #[derive(Debug)]
 pub struct Journal {
     #[cfg_attr(feature = "telemetry-off", allow(dead_code))]
-    active: bool,
-    #[cfg_attr(feature = "telemetry-off", allow(dead_code))]
     min_level: Level,
     #[cfg_attr(feature = "telemetry-off", allow(dead_code))]
     capacity: usize,
@@ -76,9 +74,8 @@ pub struct Journal {
 pub const DEFAULT_JOURNAL_CAPACITY: usize = 4096;
 
 impl Journal {
-    pub(super) fn new(active: bool, min_level: Level, capacity: usize) -> Self {
+    pub(super) fn new(min_level: Level, capacity: usize) -> Self {
         Self {
-            active,
             min_level,
             capacity,
             events: Mutex::new(Vec::new()),
@@ -91,7 +88,7 @@ impl Journal {
     pub fn record(&self, level: Level, target: &'static str, sim_time_s: f64, message: String) {
         #[cfg(not(feature = "telemetry-off"))]
         {
-            if !self.active || level < self.min_level {
+            if level < self.min_level {
                 return;
             }
             let mut events = self.events.lock().unwrap();
@@ -128,7 +125,7 @@ mod tests {
 
     #[test]
     fn journal_filters_below_min_level() {
-        let j = Journal::new(true, Level::Info, 16);
+        let j = Journal::new(Level::Info, 16);
         j.record(Level::Debug, "t", 0.0, "hidden".into());
         j.record(Level::Warn, "t", 1.0, "shown".into());
         let evs = j.events();
@@ -139,18 +136,11 @@ mod tests {
 
     #[test]
     fn journal_bounds_capacity_and_counts_drops() {
-        let j = Journal::new(true, Level::Debug, 2);
+        let j = Journal::new(Level::Debug, 2);
         for i in 0..5 {
             j.record(Level::Info, "t", i as f64, format!("e{i}"));
         }
         assert_eq!(j.events().len(), 2);
         assert_eq!(j.dropped(), 3);
-    }
-
-    #[test]
-    fn inactive_journal_records_nothing() {
-        let j = Journal::new(false, Level::Debug, 16);
-        j.record(Level::Warn, "t", 0.0, "x".into());
-        assert!(j.events().is_empty());
     }
 }

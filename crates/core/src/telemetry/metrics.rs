@@ -19,15 +19,12 @@ pub const HISTOGRAM_BUCKETS: usize = 65;
 /// ~5.8e11 years of nanosecond increments); overflow is not handled.
 #[derive(Debug, Default)]
 pub struct Counter {
-    #[cfg_attr(feature = "telemetry-off", allow(dead_code))]
-    active: bool,
     value: AtomicU64,
 }
 
 impl Counter {
-    pub(super) fn new(active: bool) -> Self {
+    pub(super) fn new() -> Self {
         Self {
-            active,
             value: AtomicU64::new(0),
         }
     }
@@ -42,14 +39,12 @@ impl Counter {
     #[inline]
     pub fn add(&self, n: u64) {
         #[cfg(not(feature = "telemetry-off"))]
-        if self.active {
-            self.value.fetch_add(n, Ordering::Relaxed);
-        }
+        self.value.fetch_add(n, Ordering::Relaxed);
         #[cfg(feature = "telemetry-off")]
         let _ = n;
     }
 
-    /// Current value. Always 0 when the owning registry is disabled.
+    /// Current value. Always 0 under `telemetry-off`.
     #[inline]
     pub fn get(&self) -> u64 {
         self.value.load(Ordering::Relaxed)
@@ -63,15 +58,12 @@ impl Counter {
 /// produced by a degenerate window can never poison a snapshot.
 #[derive(Debug)]
 pub struct Gauge {
-    #[cfg_attr(feature = "telemetry-off", allow(dead_code))]
-    active: bool,
     bits: AtomicU64,
 }
 
 impl Gauge {
-    pub(super) fn new(active: bool) -> Self {
+    pub(super) fn new() -> Self {
         Self {
-            active,
             bits: AtomicU64::new(0f64.to_bits()),
         }
     }
@@ -81,14 +73,14 @@ impl Gauge {
     #[inline]
     pub fn set(&self, v: f64) {
         #[cfg(not(feature = "telemetry-off"))]
-        if self.active && v.is_finite() {
+        if v.is_finite() {
             self.bits.store(v.to_bits(), Ordering::Relaxed);
         }
         #[cfg(feature = "telemetry-off")]
         let _ = v;
     }
 
-    /// Current value. Always 0.0 when the owning registry is disabled.
+    /// Current value. Always 0.0 under `telemetry-off`.
     #[inline]
     pub fn get(&self) -> f64 {
         f64::from_bits(self.bits.load(Ordering::Relaxed))
@@ -105,8 +97,6 @@ impl Gauge {
 /// construction).
 #[derive(Debug)]
 pub struct Histogram {
-    #[cfg_attr(feature = "telemetry-off", allow(dead_code))]
-    active: bool,
     count: AtomicU64,
     sum: AtomicU64,
     min: AtomicU64,
@@ -132,9 +122,8 @@ pub fn bucket_upper_bound(i: usize) -> u64 {
 }
 
 impl Histogram {
-    pub(super) fn new(active: bool) -> Self {
+    pub(super) fn new() -> Self {
         Self {
-            active,
             count: AtomicU64::new(0),
             sum: AtomicU64::new(0),
             min: AtomicU64::new(u64::MAX),
@@ -147,7 +136,7 @@ impl Histogram {
     #[inline]
     pub fn record(&self, v: u64) {
         #[cfg(not(feature = "telemetry-off"))]
-        if self.active {
+        {
             self.count.fetch_add(1, Ordering::Relaxed);
             self.sum.fetch_add(v, Ordering::Relaxed);
             self.min.fetch_min(v, Ordering::Relaxed);
@@ -164,7 +153,7 @@ impl Histogram {
     #[inline]
     pub fn record_n(&self, v: u64, n: u64) {
         #[cfg(not(feature = "telemetry-off"))]
-        if self.active && n > 0 {
+        if n > 0 {
             self.count.fetch_add(n, Ordering::Relaxed);
             self.sum.fetch_add(v.wrapping_mul(n), Ordering::Relaxed);
             self.min.fetch_min(v, Ordering::Relaxed);
@@ -250,7 +239,7 @@ mod tests {
     #[cfg(not(feature = "telemetry-off"))]
     #[test]
     fn histogram_tracks_exact_aggregates() {
-        let h = Histogram::new(true);
+        let h = Histogram::new();
         for v in [3u64, 5, 0, 100] {
             h.record(v);
         }
@@ -284,7 +273,7 @@ mod tests {
             (1, 1),
             (300, 2),
         ];
-        let (batched, single) = (Histogram::new(true), Histogram::new(true));
+        let (batched, single) = (Histogram::new(), Histogram::new());
         for (i, &(v, n)) in runs.iter().enumerate() {
             batched.record_n(v, n);
             for _ in 0..n {
@@ -304,9 +293,9 @@ mod tests {
 
     #[test]
     fn record_n_of_nothing_leaves_a_histogram_empty() {
-        let h = Histogram::new(true);
+        let h = Histogram::new();
         h.record_n(9, 0);
-        assert_eq!(aggregates(&h), aggregates(&Histogram::new(true)));
+        assert_eq!(aggregates(&h), aggregates(&Histogram::new()));
         assert_eq!((h.min(), h.max()), (None, None));
     }
 
@@ -314,7 +303,7 @@ mod tests {
     #[cfg(feature = "telemetry-off")]
     #[test]
     fn record_n_is_compiled_out() {
-        let h = Histogram::new(true);
+        let h = Histogram::new();
         h.record_n(9, 4);
         h.record(9);
         assert_eq!(h.count(), 0);
@@ -324,24 +313,10 @@ mod tests {
     #[cfg(not(feature = "telemetry-off"))]
     #[test]
     fn gauge_ignores_non_finite() {
-        let g = Gauge::new(true);
+        let g = Gauge::new();
         g.set(2.5);
         g.set(f64::NAN);
         g.set(f64::INFINITY);
         assert_eq!(g.get(), 2.5);
-    }
-
-    #[test]
-    fn inactive_metrics_record_nothing() {
-        let c = Counter::new(false);
-        c.add(10);
-        assert_eq!(c.get(), 0);
-        let h = Histogram::new(false);
-        h.record(7);
-        h.record_n(7, 3);
-        assert_eq!(h.count(), 0);
-        let g = Gauge::new(false);
-        g.set(1.0);
-        assert_eq!(g.get(), 0.0);
     }
 }

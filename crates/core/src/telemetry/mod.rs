@@ -18,14 +18,10 @@
 //!
 //! # Disabling
 //!
-//! Two independent switches, both leaving the API intact:
-//!
-//! - **Runtime**: [`Telemetry::disabled`] returns a registry whose
-//!   handles drop every record on a predictable branch — used by the
-//!   determinism test and the `exp_overhead` baseline.
-//! - **Compile time**: the `telemetry-off` cargo feature compiles every
-//!   recording body to a no-op, for measuring the cost of the
-//!   instrumentation itself.
+//! One switch, leaving the API intact: the `telemetry-off` cargo feature
+//! compiles every recording body to a no-op ([`COMPILED_OUT`]). It is
+//! the baseline of the `exp_overhead` gate, and every golden must hold
+//! in both builds.
 //!
 //! Snapshots ([`TelemetrySnapshot`]) serialize to JSON; the schema is
 //! documented in `docs/TELEMETRY.md`.
@@ -45,9 +41,8 @@ pub use snapshot::{
 use std::sync::{Arc, Mutex};
 
 /// `true` when this crate was built with the `telemetry-off` feature,
-/// i.e. every recording body is a no-op regardless of runtime toggles.
-/// Downstream crates can consult this instead of their own feature flag,
-/// which stays correct even in mixed-feature builds.
+/// i.e. every recording body is a no-op. Downstream crates consult this
+/// instead of a feature flag of their own.
 pub const COMPILED_OUT: bool = cfg!(feature = "telemetry-off");
 
 /// Static description of a metric: where it lives and what it measures.
@@ -81,7 +76,6 @@ impl MetricSpec {
 /// per pipeline lane so snapshots are naturally per-policy. All handles
 /// are `Arc`s — recording never touches the registry's mutex.
 pub struct Telemetry {
-    enabled: bool,
     counters: Mutex<Vec<(MetricSpec, Arc<Counter>)>>,
     gauges: Mutex<Vec<(MetricSpec, Arc<Gauge>)>>,
     histograms: Mutex<Vec<(MetricSpec, Arc<Histogram>)>>,
@@ -90,51 +84,19 @@ pub struct Telemetry {
 
 impl std::fmt::Debug for Telemetry {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        f.debug_struct("Telemetry")
-            .field("enabled", &self.enabled)
-            .finish_non_exhaustive()
+        f.debug_struct("Telemetry").finish_non_exhaustive()
     }
 }
 
 impl Telemetry {
-    /// An enabled registry with the default journal capacity at
-    /// [`Level::Debug`].
+    /// A registry with the default journal capacity at [`Level::Debug`].
     pub fn new() -> Self {
-        Self::build(true, Level::Debug, DEFAULT_JOURNAL_CAPACITY)
-    }
-
-    /// A registry whose handles drop every record. Snapshots come back
-    /// with `enabled: false` and zeroed metrics.
-    pub fn disabled() -> Self {
-        Self::build(false, Level::Warn, 0)
-    }
-
-    /// An enabled or disabled registry depending on `enabled` — the
-    /// runtime analogue of the `telemetry-off` feature.
-    pub fn toggled(enabled: bool) -> Self {
-        if enabled {
-            Self::new()
-        } else {
-            Self::disabled()
-        }
-    }
-
-    fn build(enabled: bool, min_level: Level, cap: usize) -> Self {
-        // Under `telemetry-off` the handles' bodies are compiled out, so
-        // the `active` flag is irrelevant; keep it consistent anyway.
-        let active = enabled && cfg!(not(feature = "telemetry-off"));
         Self {
-            enabled: active,
             counters: Mutex::new(Vec::new()),
             gauges: Mutex::new(Vec::new()),
             histograms: Mutex::new(Vec::new()),
-            journal: Journal::new(active, min_level, cap),
+            journal: Journal::new(Level::Debug, DEFAULT_JOURNAL_CAPACITY),
         }
-    }
-
-    /// Whether handles from this registry record anything.
-    pub fn is_enabled(&self) -> bool {
-        self.enabled
     }
 
     /// Registers (or retrieves) a counter.
@@ -143,7 +105,7 @@ impl Telemetry {
         if let Some((_, c)) = metrics.iter().find(|(s, _)| s.name == spec.name) {
             return Arc::clone(c);
         }
-        let c = Arc::new(Counter::new(self.enabled));
+        let c = Arc::new(Counter::new());
         metrics.push((spec, Arc::clone(&c)));
         c
     }
@@ -154,7 +116,7 @@ impl Telemetry {
         if let Some((_, g)) = metrics.iter().find(|(s, _)| s.name == spec.name) {
             return Arc::clone(g);
         }
-        let g = Arc::new(Gauge::new(self.enabled));
+        let g = Arc::new(Gauge::new());
         metrics.push((spec, Arc::clone(&g)));
         g
     }
@@ -165,7 +127,7 @@ impl Telemetry {
         if let Some((_, h)) = metrics.iter().find(|(s, _)| s.name == spec.name) {
             return Arc::clone(h);
         }
-        let h = Arc::new(Histogram::new(self.enabled));
+        let h = Arc::new(Histogram::new());
         metrics.push((spec, Arc::clone(&h)));
         h
     }
@@ -228,7 +190,7 @@ impl Telemetry {
             .collect();
         TelemetrySnapshot {
             component: component.to_string(),
-            enabled: self.enabled,
+            enabled: !COMPILED_OUT,
             counters,
             gauges,
             histograms,
@@ -280,17 +242,5 @@ mod tests {
         a.incr();
         assert_eq!(b.get(), a.get());
         assert_eq!(tel.snapshot("s").counters.len(), 1);
-    }
-
-    #[test]
-    fn disabled_registry_snapshots_empty_values() {
-        let tel = Telemetry::disabled();
-        let c = tel.counter(MetricSpec::new("x", "t", "u"));
-        c.add(100);
-        tel.event(Level::Warn, "t", 0.0, "dropped".into());
-        let snap = tel.snapshot("off");
-        assert!(!snap.enabled);
-        assert_eq!(snap.counter("x"), Some(0));
-        assert!(snap.events.is_empty());
     }
 }

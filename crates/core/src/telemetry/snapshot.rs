@@ -4,9 +4,9 @@
 //! value plus the journal, serializes to/from JSON (schema documented in
 //! `docs/TELEMETRY.md`, version [`SNAPSHOT_SCHEMA_VERSION`]), and merges
 //! with snapshots from other runs (counters and histograms accumulate;
-//! gauges are last-write-wins). Snapshots of disabled registries are
-//! empty but still valid JSON, so downstream tooling never branches on
-//! the `telemetry-off` feature.
+//! gauges are last-write-wins). Snapshots of a `telemetry-off` build
+//! read zero but are still valid JSON, so downstream tooling never
+//! branches on the feature.
 
 use super::journal::{Event, Level};
 use super::json::{Json, JsonError};
@@ -130,9 +130,8 @@ pub struct TelemetrySnapshot {
     /// Label of the run or lane this snapshot describes (e.g. a policy
     /// name like `"lira"`, or `"run"` for pipeline-level telemetry).
     pub component: String,
-    /// Whether the registry was recording. Disabled and `telemetry-off`
-    /// registries produce `enabled: false` snapshots with empty metric
-    /// lists.
+    /// Whether the registry was recording: `false` only in a
+    /// `telemetry-off` build, whose metrics all read zero.
     pub enabled: bool,
     /// All registered counters, in registration order.
     pub counters: Vec<CounterSnapshot>,

@@ -6,7 +6,7 @@
 //!            [--queue-capacity B] [--service-rate U] [--adapt-every W]
 //!            [--regions l] [--delta-min D] [--delta-max D]
 //!            [--policy lira|lira-grid|uniform|utility-greedy|utility-model]
-//!            [--conns K] [--report FILE] [--no-telemetry] [--verbose]
+//!            [--conns K] [--report FILE] [--verbose]
 //! ```
 //!
 //! With `--port 0` (the default) an ephemeral port is chosen and printed
@@ -26,7 +26,7 @@ fn usage() -> ! {
          \x20                 [--queue-capacity B] [--service-rate U] [--adapt-every W]\n\
          \x20                 [--regions l] [--delta-min D] [--delta-max D]\n\
          \x20                 [--policy lira|lira-grid|uniform|utility-greedy|utility-model]\n\
-         \x20                 [--conns K] [--report FILE] [--no-telemetry] [--verbose]"
+         \x20                 [--conns K] [--report FILE] [--verbose]"
     );
     std::process::exit(2);
 }
@@ -39,7 +39,6 @@ fn main() {
     let mut cfg_overrides: Vec<(String, String)> = Vec::new();
     let mut conns: Option<usize> = None;
     let mut report_path: Option<String> = None;
-    let mut telemetry = true;
     let mut verbose = false;
     let mut policy = Policy::default();
 
@@ -62,7 +61,6 @@ fn main() {
             "--policy" => policy = Policy::from_flag(&val(&mut i)).unwrap_or_else(|| usage()),
             "--conns" => conns = Some(val(&mut i).parse().unwrap_or_else(|_| usage())),
             "--report" => report_path = Some(val(&mut i)),
-            "--no-telemetry" => telemetry = false,
             "--verbose" => verbose = true,
             "--help" | "-h" => usage(),
             _ => usage(),
@@ -71,7 +69,6 @@ fn main() {
     }
 
     let mut cfg = ServeConfig::new(space, nodes);
-    cfg.telemetry = telemetry;
     cfg.policy = policy;
     for (flag, v) in &cfg_overrides {
         let ok = match flag.as_str() {

@@ -70,8 +70,6 @@ pub struct ServeConfig {
     pub delta_min: f64,
     /// Maximum inaccuracy threshold Δ_max (m).
     pub delta_max: f64,
-    /// Enable the telemetry registry (histograms, counters, gauges).
-    pub telemetry: bool,
     /// Ignored, like `index_side`: it switched on load-aware striping
     /// and automatic slice moves, which are gone (DESIGN.md §12), and
     /// survives only because the frozen `benchmark/` crate assigns it —
@@ -100,7 +98,6 @@ impl ServeConfig {
             num_regions: 250,
             delta_min: 5.0,
             delta_max: 100.0,
-            telemetry: true,
             rebalance: false,
             policy: Policy::default(),
         }
@@ -201,8 +198,8 @@ pub struct ServeTelemetry {
 }
 
 impl ServeTelemetry {
-    fn new(enabled: bool) -> Self {
-        let registry = Telemetry::toggled(enabled);
+    fn new() -> Self {
+        let registry = Telemetry::new();
         ServeTelemetry {
             rx_frames: registry.counter(MetricSpec::new("serve.rx.frames", "serve", "frames")),
             rx_bytes: registry.counter(MetricSpec::new("serve.rx.bytes", "serve", "bytes")),
@@ -317,7 +314,7 @@ impl SessionCore {
             plan_bytes: 0,
             protocol_errors: 0,
             conns: Vec::new(),
-            tel: ServeTelemetry::new(cfg.telemetry),
+            tel: ServeTelemetry::new(),
             server,
             started: Instant::now(),
             cfg,

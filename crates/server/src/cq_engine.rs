@@ -140,10 +140,9 @@ impl CqServer {
     /// Forces evaluation rounds to run every shard on the
     /// calling thread, in shard order, with no worker pool
     /// (builder-style). The state transitions are identical, so results
-    /// stay bit-identical — this is what lets
-    /// `Parallelism::Sequential` in the simulation pipeline run its
-    /// streamed stage and every engine with no threads, intra-lane ones
-    /// included. (At `shards = 1` rounds are pool-free already.)
+    /// stay bit-identical: it is the path a one-core host takes anyway,
+    /// and `shard_equiv.rs` holds the pooled engine to it. (At
+    /// `shards = 1` rounds are pool-free already.)
     pub fn with_sequential_eval(mut self, sequential: bool) -> Self {
         self.sequential_eval = sequential;
         self

@@ -19,7 +19,7 @@ pub mod adaptive;
 pub mod metrics;
 pub mod pipeline;
 pub mod runner;
-pub mod telemetry;
+mod telemetry;
 
 /// Convenient re-exports of the most used types.
 pub mod prelude {
@@ -27,11 +27,8 @@ pub mod prelude {
     pub use crate::metrics::{
         evaluation_errors, FaultReport, MetricsAccumulator, MetricsReport, QueryErrors,
     };
-    pub use crate::pipeline::{
-        CarState, Parallelism, ReferenceTimeline, SimPipeline, SimSetup, TrafficTrace,
-    };
+    pub use crate::pipeline::{CarState, ReferenceTimeline, SimPipeline, SimSetup, TrafficTrace};
     pub use crate::runner::{run_scenario, PolicyOutcome, RunReport};
-    pub use crate::telemetry::{AdaptiveTelemetry, LaneTelemetry, PipelineTelemetry};
     pub use lira_core::policy::Policy;
     pub use lira_core::telemetry::TelemetrySnapshot;
     pub use lira_server::cq_engine::EvalEngine;

@@ -17,13 +17,11 @@
 //!    reckoners, statistics grid, policy (a [`SheddingPolicy`] trait
 //!    object), and metrics accumulator — consume the ticks and frames.
 //!
-//! Under [`Parallelism::Auto`] the three run on scoped threads
-//! ([`std::thread::scope`], no extra dependencies) and at most a few dozen
-//! ticks are in memory at once; [`Parallelism::Sequential`] calls the same
-//! three functions on the calling thread in order, with every channel deep
-//! enough for the whole run. Either way [`SimSetup::build`] grows the road
-//! network's route table on a scoped pool, one worker per core the process
-//! may use (one under `taskset -c 0`), with the same trees at any count.
+//! The three run on scoped threads ([`std::thread::scope`], no extra
+//! dependencies) and at most a few dozen ticks are in memory at once.
+//! [`SimSetup::build`] grows the road network's route table on a scoped
+//! pool, one worker per core the process may use (one under `taskset -c
+//! 0`), with the same trees at any count.
 //! Callers that replay one trace more than once
 //! (`lira-storm`, the loopback battery) materialise it instead:
 //! [`SimSetup::record_trace`] gives the [`TrafficTrace`] and
@@ -34,15 +32,16 @@
 //! `z` fixed and re-plans on the scenario's adaptation period;
 //! [`SimPipeline::run_adaptive`] puts a bounded queue, a finite service
 //! rate and THROTLOOP in front of the same lane (Section 3.4). The
-//! pipeline is also the only place an engine or parallelism option is
-//! named: every server of a run comes from [`SimPipeline::server`].
+//! pipeline is also the only place an engine option is named: every
+//! server of a run comes from [`SimPipeline::server`].
 //!
-//! Lane results are deterministic regardless of execution mode: each lane
+//! Lane results are deterministic regardless of scheduling: each lane
 //! derives its RNG from the scenario seed and its policy index
 //! (`seed + 1000 + index`, the same rule the sequential runner always
 //! used), reads its ticks and frames in order from its own channels, and
-//! touches no shared mutable state — so a parallel run is bit-identical
-//! to [`Parallelism::Sequential`], which exists for tests and debugging.
+//! touches no shared mutable state — so a run is bit-identical on one
+//! core or many (the goldens of `tests/pipeline.rs` hold under `taskset
+//! -c 0`).
 
 use std::sync::mpsc::{self, Receiver, Sender, SyncSender};
 use std::sync::Arc;
@@ -70,22 +69,6 @@ use crate::adaptive::{AdaptiveConfig, AdaptiveReport};
 use crate::metrics::{FaultReport, MetricsAccumulator};
 use crate::runner::{PolicyOutcome, RunReport};
 use crate::telemetry::{AdaptiveTelemetry, LaneTelemetry, PipelineTelemetry};
-
-/// How the streamed stage is executed.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
-pub enum Parallelism {
-    /// The recorder, the reference replay and every lane each run on a
-    /// scoped thread, handing ticks over bounded channels.
-    #[default]
-    Auto,
-    /// Recording, then the reference replay, then the lanes one after
-    /// another, all on the calling thread. Produces bit-identical results
-    /// to [`Parallelism::Auto`]; useful for tests and single-threaded
-    /// profiling. Covers the streamed stage and the engines only: world
-    /// construction fills its route table on a scoped pool either way,
-    /// with identical results.
-    Sequential,
-}
 
 /// Ticks a consumer may fall behind the recorder before the recorder
 /// blocks. The recorder steps a tick in less time than a lane takes to
@@ -516,7 +499,7 @@ struct PolicyLane {
     tel: LaneTelemetry,
     /// Updates admitted per plan region in the current plan epoch. Kept
     /// as plain vectors — maintained identically whether telemetry is
-    /// enabled or not, so the lane does the same work either way.
+    /// compiled in or out, so the lane does the same work either way.
     region_admitted: Vec<u64>,
     /// Updates shed (server-actuated admission drop) per plan region in
     /// the current plan epoch.
@@ -587,7 +570,7 @@ impl PolicyLane {
         sc: &Scenario,
         closed: Option<&AdaptiveConfig>,
     ) -> Self {
-        let tel = LaneTelemetry::new(pipeline.telemetry);
+        let tel = LaneTelemetry::new();
         let plan = SheddingPlan::uniform(setup.bounds, sc.delta_min);
         PolicyLane {
             policy,
@@ -955,43 +938,15 @@ impl PolicyLane {
 
 /// The composed pipeline: setup, then the streamed stage (recorder →
 /// reference replay → policy lanes).
-#[derive(Debug, Clone, Copy)]
+#[derive(Debug, Clone, Copy, Default)]
 pub struct SimPipeline {
-    parallelism: Parallelism,
-    telemetry: bool,
     engine: EvalEngine,
 }
 
-impl Default for SimPipeline {
-    fn default() -> Self {
-        SimPipeline {
-            parallelism: Parallelism::default(),
-            telemetry: true,
-            engine: EvalEngine::default(),
-        }
-    }
-}
-
 impl SimPipeline {
-    /// A pipeline with automatic lane parallelism and telemetry enabled.
+    /// A pipeline on the default engine.
     pub fn new() -> Self {
         SimPipeline::default()
-    }
-
-    /// Overrides how the streamed stage is executed.
-    #[must_use]
-    pub fn with_parallelism(mut self, parallelism: Parallelism) -> Self {
-        self.parallelism = parallelism;
-        self
-    }
-
-    /// Enables or disables telemetry recording at runtime. Disabled
-    /// lanes do identical simulation work and produce bit-identical
-    /// policy outcomes; only the snapshots come back empty.
-    #[must_use]
-    pub fn with_telemetry(mut self, telemetry: bool) -> Self {
-        self.telemetry = telemetry;
-        self
     }
 
     /// Selects the shard count of the CQ engine in the reference server
@@ -1004,17 +959,11 @@ impl SimPipeline {
     }
 
     /// A CQ server over `setup`'s space with the workload registered,
-    /// under this pipeline's engine options — the reference server and
-    /// every lane's server come from here. [`Parallelism::Sequential`]
-    /// also inlines the unified engine's evaluation phases, so a
-    /// sequential run's streamed stage spawns no threads (world
-    /// construction still grows its route table on a scoped pool, with
-    /// the same trees at any worker count); every option leaves
-    /// results bit-identical (`tests/pipeline.rs`).
+    /// under this pipeline's engine — the reference server and every
+    /// lane's server come from here. Every shard count leaves results
+    /// bit-identical (`tests/pipeline.rs`).
     pub fn server(&self, setup: &SimSetup, sc: &Scenario) -> CqServer {
-        let mut s = CqServer::new(setup.bounds, sc.num_cars, 64)
-            .with_engine(self.engine)
-            .with_sequential_eval(self.parallelism == Parallelism::Sequential);
+        let mut s = CqServer::new(setup.bounds, sc.num_cars, 64).with_engine(self.engine);
         s.register_queries(setup.queries.iter().copied());
         s
     }
@@ -1048,14 +997,10 @@ impl SimPipeline {
         lanes: &mut [PolicyLane],
         ptel: &PipelineTelemetry,
     ) -> u64 {
-        let depth = match self.parallelism {
-            Parallelism::Auto => STREAM_DEPTH,
-            // Nothing reads a tick until every tick has been recorded.
-            Parallelism::Sequential => measured_ticks(sc).saturating_add(1),
-        };
         let replay = ReferenceReplay::new(self, setup, sc);
-        let (feeds, mut tick_rxs): (Vec<SyncSender<Tick>>, Vec<_>) =
-            (0..=lanes.len()).map(|_| mpsc::sync_channel(depth)).unzip();
+        let (feeds, mut tick_rxs): (Vec<SyncSender<Tick>>, Vec<_>) = (0..=lanes.len())
+            .map(|_| mpsc::sync_channel(STREAM_DEPTH))
+            .unzip();
         let reference_ticks = tick_rxs.remove(0);
         let (frame_txs, frame_rxs): (Vec<Sender<Arc<EvalFrame>>>, Vec<_>) =
             lanes.iter().map(|_| mpsc::channel()).unzip();
@@ -1077,26 +1022,18 @@ impl SimPipeline {
             .zip(frame_rxs)
             .map(|((lane, ticks), frames)| move || lane.run(ticks, frames, sc));
 
-        let (trace_us, (reference_updates, reference_us)) = match self.parallelism {
-            Parallelism::Sequential => {
-                let trace_us = record();
-                let reference = reference();
-                lane_jobs.for_each(|job| job());
-                (trace_us, reference)
+        let (trace_us, (reference_updates, reference_us)) = std::thread::scope(|scope| {
+            let recorder = scope.spawn(record);
+            let reference = scope.spawn(reference);
+            let lanes: Vec<_> = lane_jobs.map(|job| scope.spawn(job)).collect();
+            for lane in lanes {
+                lane.join().expect("policy lane panicked");
             }
-            Parallelism::Auto => std::thread::scope(|scope| {
-                let recorder = scope.spawn(record);
-                let reference = scope.spawn(reference);
-                let lanes: Vec<_> = lane_jobs.map(|job| scope.spawn(job)).collect();
-                for lane in lanes {
-                    lane.join().expect("policy lane panicked");
-                }
-                (
-                    recorder.join().expect("trace recorder panicked"),
-                    reference.join().expect("reference replay panicked"),
-                )
-            }),
-        };
+            (
+                recorder.join().expect("trace recorder panicked"),
+                reference.join().expect("reference replay panicked"),
+            )
+        });
         ptel.on_trace(trace_us);
         ptel.on_reference(reference_us);
         reference_updates
@@ -1105,7 +1042,7 @@ impl SimPipeline {
     /// Runs the scenario for the given policies at the fixed throttle
     /// fraction `sc.throttle` and reports the comparison.
     pub fn run(&self, sc: &Scenario, policies: &[Policy]) -> RunReport {
-        let ptel = PipelineTelemetry::new(self.telemetry);
+        let ptel = PipelineTelemetry::new();
         let stage = Instant::now();
         let mut setup = SimSetup::build(sc, sc.calibrate_model);
         ptel.on_setup(stage.elapsed().as_micros() as u64);
@@ -1154,7 +1091,7 @@ impl SimPipeline {
             &mut setup,
             sc,
             std::slice::from_mut(&mut lane),
-            &PipelineTelemetry::new(false),
+            &PipelineTelemetry::new(),
         );
         lane.adaptive_report(sc)
     }

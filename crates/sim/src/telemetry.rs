@@ -6,11 +6,9 @@
 //! ([`GridReduceStats`](lira_core::grid_reduce::GridReduceStats),
 //! [`AdaptCost`], the governor's [`WindowDecision`]) that this module
 //! copies into per-lane [`Telemetry`] registries at adaptation
-//! boundaries. Recording is a relaxed atomic per call, so the lane loop
-//! pays the same instructions whether telemetry is enabled, runtime
-//! disabled, or compiled out with the `telemetry-off` feature; policy
-//! outcomes are bit-identical in all three modes (see
-//! `tests/telemetry.rs`).
+//! boundaries. Recording is a relaxed atomic per call, compiled out with
+//! the `telemetry-off` feature of `lira-core`; policy outcomes are
+//! bit-identical in both builds (every golden holds in each).
 //!
 //! Metric names, units and firing points are documented in
 //! `docs/TELEMETRY.md`.
@@ -20,7 +18,7 @@ use std::sync::Arc;
 use lira_core::plan::SheddingPlan;
 use lira_core::policy::AdaptCost;
 use lira_core::telemetry::{
-    Counter, Gauge, Histogram, Level, MetricSpec, Telemetry, TelemetrySnapshot,
+    Counter, Gauge, Histogram, Level, MetricSpec, Telemetry, TelemetrySnapshot, COMPILED_OUT,
 };
 use lira_server::channel::ChannelStats;
 use lira_server::cq_engine::CqServer;
@@ -134,10 +132,9 @@ pub struct LaneTelemetry {
 }
 
 impl LaneTelemetry {
-    /// Creates the lane's registry; `enabled = false` produces inert
-    /// handles (every record is a dropped branch).
-    pub fn new(enabled: bool) -> Self {
-        let registry = Arc::new(Telemetry::toggled(enabled));
+    /// Creates the lane's registry.
+    pub fn new() -> Self {
+        let registry = Arc::new(Telemetry::new());
         LaneTelemetry {
             updates_sent: registry.counter(LANE_UPDATES_SENT),
             updates_admitted: registry.counter(LANE_UPDATES_ADMITTED),
@@ -206,8 +203,8 @@ impl LaneTelemetry {
             self.grid_regions_emitted.add(c.partitioner.regions_emitted);
             self.greedy_steps.add(c.greedy_steps);
         }
-        if !self.registry.is_enabled() {
-            return; // skip the per-region walk entirely when inert
+        if COMPILED_OUT {
+            return; // skip the per-region walk entirely when compiled out
         }
         for r in plan.regions() {
             self.delta_m.record(r.throttler.round() as u64);
@@ -218,7 +215,7 @@ impl LaneTelemetry {
     /// sample per region, milli-units) and the maximum score. A no-op
     /// for policies without a utility model (`scores = None`).
     pub fn on_utility(&self, scores: Option<&[f64]>) {
-        if !self.registry.is_enabled() {
+        if COMPILED_OUT {
             return;
         }
         let Some(scores) = scores else { return };
@@ -233,7 +230,7 @@ impl LaneTelemetry {
     /// Flushes one plan epoch's per-region admitted/shed counts into the
     /// shed-skew histograms (one sample per region per epoch).
     pub fn flush_regions(&self, admitted: &[u64], shed: &[u64]) {
-        if !self.registry.is_enabled() {
+        if COMPILED_OUT {
             return;
         }
         for &n in admitted {
@@ -260,7 +257,7 @@ impl LaneTelemetry {
     /// shard, on an empty fleet, and whenever the stripes own equal
     /// shares).
     pub fn on_run_end(&self, channel: Option<ChannelStats>, server: &CqServer) {
-        if !self.registry.is_enabled() {
+        if COMPILED_OUT {
             return;
         }
         let r = &self.registry;
@@ -315,8 +312,8 @@ pub struct PipelineTelemetry {
 
 impl PipelineTelemetry {
     /// Creates the pipeline's registry.
-    pub fn new(enabled: bool) -> Self {
-        let registry = Telemetry::toggled(enabled);
+    pub fn new() -> Self {
+        let registry = Telemetry::new();
         PipelineTelemetry {
             setup_us: registry.histogram(STAGE_SETUP_US),
             trace_us: registry.histogram(STAGE_TRACE_US),
@@ -414,7 +411,7 @@ impl AdaptiveTelemetry {
         self.clamped.add(u64::from(clamped));
         self.held.add(u64::from(w.step == StepClass::Held));
         self.overload.add(u64::from(w.step == StepClass::Overload));
-        if !self.registry.is_enabled() {
+        if COMPILED_OUT {
             return;
         }
         let event = match w.step {
@@ -457,7 +454,7 @@ mod tests {
 
     #[test]
     fn lane_telemetry_records_adapt_cost() {
-        let tel = LaneTelemetry::new(true);
+        let tel = LaneTelemetry::new();
         let plan = SheddingPlan::uniform(Rect::from_coords(0.0, 0.0, 100.0, 100.0), 12.0);
         let cost = AdaptCost {
             partitioner: GridReduceStats {
@@ -472,7 +469,7 @@ mod tests {
         tel.on_admitted();
         tel.on_adapt(42, 0.5, Some(cost), &plan);
         let snap = tel.snapshot("lane:test");
-        if cfg!(feature = "telemetry-off") || lira_core::telemetry::COMPILED_OUT {
+        if COMPILED_OUT {
             assert!(!snap.enabled);
             return;
         }
@@ -486,19 +483,8 @@ mod tests {
     }
 
     #[test]
-    fn disabled_lane_telemetry_is_inert() {
-        let tel = LaneTelemetry::new(false);
-        tel.on_sent();
-        tel.flush_regions(&[5, 6], &[1, 0]);
-        let snap = tel.snapshot("lane:off");
-        assert!(!snap.enabled);
-        assert_eq!(snap.counter("lane.updates_sent"), Some(0));
-        assert_eq!(snap.histogram("lane.region_admitted").unwrap().count, 0);
-    }
-
-    #[test]
     fn adaptive_windows_are_recorded_by_their_step_class() {
-        let lane = LaneTelemetry::new(true);
+        let lane = LaneTelemetry::new();
         let tel = lane.closed_loop();
         let window = |time, step, throttle, queue_len, dropped, lambda, mu| WindowDecision {
             time,
@@ -517,7 +503,7 @@ mod tests {
         tel.on_window(&window(40.0, StepClass::Tracked, 0.75, 0, 0, 10.0, 100.0));
         tel.on_window(&window(60.0, StepClass::Held, 0.75, 0, 0, f64::NAN, 100.0));
         let snap = lane.snapshot("adaptive");
-        if cfg!(feature = "telemetry-off") || lira_core::telemetry::COMPILED_OUT {
+        if COMPILED_OUT {
             assert!(!snap.enabled);
             return;
         }

@@ -3,9 +3,11 @@
 # breaks a named invariant, and its first line names the test that must
 # fail on it:
 #
-#   Test: <package> <test target, or `lib`> <exact test name>
+#   Test: <package> <test target> <exact test name>
 #
-# followed by a few lines of why, then a diff `git apply` takes.
+# (the target is `lib` for the library's unit tests, `bin:NAME` for the
+# unit tests of binary NAME, or an integration test's name), followed by
+# a few lines of why, then a diff `git apply` takes.
 #
 # The script copies the checkout (tracked and untracked files as they are
 # on disk, ignored files left out) into a scratch tree, checks that every
@@ -56,11 +58,19 @@ test_of() {
     sed -n '1s/^Test: //p' "$1"
 }
 
+# The `cargo test` flags that select a `Test:` line's target.
+target_args() {
+    case $1 in
+        lib) echo --lib ;;
+        bin:*) echo --bin "${1#bin:}" ;;
+        *) echo --test "$1" ;;
+    esac
+}
+
 # Runs one named test in the scratch tree; its exit status is the test's.
 run_test() {
-    local pkg=$1 target=$2 name=$3
-    local which=(--test "$target")
-    [ "$target" = lib ] && which=(--lib)
+    local pkg=$1 target=$2 name=$3 which
+    read -ra which <<<"$(target_args "$target")"
     (cd "$tree" && timeout "${MUTANT_TIMEOUT:-900}" \
         cargo test --offline --release -q -p "$pkg" "${which[@]}" -- --exact "$name") \
         >"$scratch/last.log" 2>&1
@@ -88,8 +98,7 @@ for patch in "${patches[@]}"; do
         echo "NOT APPLIED  $label"
         continue
     fi
-    which=(--test "$target")
-    [ "$target" = lib ] && which=(--lib)
+    read -ra which <<<"$(target_args "$target")"
     if ! (cd "$tree" && cargo test --offline --release -q -p "$pkg" "${which[@]}" --no-run) \
         >"$scratch/last.log" 2>&1; then
         echo "NO BUILD     $label"

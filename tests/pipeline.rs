@@ -156,68 +156,6 @@ fn reference_and_shed_servers_agree_at_z_one() {
 }
 
 #[test]
-fn parallel_lanes_are_bit_identical_to_sequential() {
-    // The pipeline's determinism contract: with two or more policies the
-    // lanes run on scoped threads, and the report must still match a
-    // forced single-threaded run bit for bit — every lane derives its RNG
-    // from the scenario seed and its policy index, and shares no mutable
-    // state. Only the wall-clock `adapt_micros` may differ between modes.
-    let mut sc = Scenario::small(23);
-    sc.duration_s = 90.0;
-    let parallel = SimPipeline::new().run(&sc, &Policy::ALL);
-    let sequential = SimPipeline::new()
-        .with_parallelism(Parallelism::Sequential)
-        .run(&sc, &Policy::ALL);
-
-    assert_eq!(parallel.reference_updates, sequential.reference_updates);
-    assert_eq!(parallel.num_queries, sequential.num_queries);
-    assert_eq!(parallel.outcomes.len(), sequential.outcomes.len());
-    for (p, s) in parallel.outcomes.iter().zip(&sequential.outcomes) {
-        assert_eq!(p.policy, s.policy);
-        assert_eq!(
-            p.updates_sent, s.updates_sent,
-            "{:?} updates sent",
-            p.policy
-        );
-        assert_eq!(
-            p.updates_processed, s.updates_processed,
-            "{:?} processed",
-            p.policy
-        );
-        for (label, a, b) in [
-            (
-                "E^C_rr",
-                p.metrics.mean_containment,
-                s.metrics.mean_containment,
-            ),
-            ("E^P_rr", p.metrics.mean_position, s.metrics.mean_position),
-            (
-                "D^C_ev",
-                p.metrics.stddev_containment,
-                s.metrics.stddev_containment,
-            ),
-            (
-                "C^C_ov",
-                p.metrics.cov_containment,
-                s.metrics.cov_containment,
-            ),
-            (
-                "processed fraction",
-                p.processed_fraction,
-                s.processed_fraction,
-            ),
-        ] {
-            assert_eq!(
-                a.to_bits(),
-                b.to_bits(),
-                "{:?} {label}: parallel {a} vs sequential {b}",
-                p.policy
-            );
-        }
-    }
-}
-
-#[test]
 fn a_lane_does_not_depend_on_its_neighbours() {
     // The catalog battery scores every policy from one six-lane run, so a
     // lane must report the same cell alone as beside the other five. On
@@ -255,61 +193,6 @@ fn a_lane_does_not_depend_on_its_neighbours() {
             cell.policy
         );
     }
-}
-
-#[test]
-fn run_adaptive_parallel_is_bit_identical_to_sequential() {
-    // The same contract for the closed loop, whose one lane streams
-    // alongside the recorder and the reference under `Auto`: an
-    // overloaded run (z < 1, tail drops) over a stormy uplink, so every
-    // book the report keeps is non-trivial.
-    let sc = adaptive_golden_scenario(true);
-    let cfg = AdaptiveConfig {
-        service_rate: 25.0,
-        queue_capacity: 200,
-        control_period_s: 20.0,
-    };
-    let parallel = SimPipeline::new().run_adaptive(&sc, &cfg, Policy::Lira);
-    let sequential = SimPipeline::new()
-        .with_parallelism(Parallelism::Sequential)
-        .run_adaptive(&sc, &cfg, Policy::Lira);
-
-    let timeline = |r: &AdaptiveReport| -> Vec<_> {
-        r.windows
-            .iter()
-            .map(|w| {
-                (
-                    w.time.to_bits(),
-                    w.arrival_rate.to_bits(),
-                    w.throttle.to_bits(),
-                    w.queue_len,
-                    w.dropped,
-                )
-            })
-            .collect()
-    };
-    let metrics = |r: &AdaptiveReport| {
-        let m = &r.metrics;
-        [
-            m.mean_containment,
-            m.mean_position,
-            m.stddev_containment,
-            m.cov_containment,
-        ]
-        .map(f64::to_bits)
-    };
-    assert!(parallel.drop_fraction > 0.0, "the run must shed");
-    assert_eq!(timeline(&parallel), timeline(&sequential));
-    assert_eq!(
-        parallel.final_throttle.to_bits(),
-        sequential.final_throttle.to_bits()
-    );
-    assert_eq!(
-        parallel.drop_fraction.to_bits(),
-        sequential.drop_fraction.to_bits()
-    );
-    assert_eq!(metrics(&parallel), metrics(&sequential));
-    assert_eq!(parallel.faults, sequential.faults);
 }
 
 /// `SimPipeline::new().run(&Scenario::small(31) @ 90 s, &Policy::ALL)`,
@@ -481,33 +364,6 @@ fn shard_counts_yield_bit_identical_run_reports() {
                 s.policy
             );
         }
-    }
-}
-
-#[test]
-fn sequential_parallelism_inlines_striped_evaluation() {
-    // `Parallelism::Sequential` must mean *no* spawned threads anywhere:
-    // the unified engine's phases run on the calling thread, and the
-    // report still matches the pooled run bit for bit.
-    let mut sc = Scenario::small(43);
-    sc.duration_s = 60.0;
-    let pooled = SimPipeline::new()
-        .with_engine(EvalEngine::Unified { shards: 4 })
-        .run(&sc, &Policy::ALL);
-    let inline = SimPipeline::new()
-        .with_engine(EvalEngine::Unified { shards: 4 })
-        .with_parallelism(Parallelism::Sequential)
-        .run(&sc, &Policy::ALL);
-    assert_eq!(pooled.reference_updates, inline.reference_updates);
-    for (p, s) in pooled.outcomes.iter().zip(&inline.outcomes) {
-        assert_eq!(p.policy, s.policy);
-        assert_eq!(p.metrics, s.metrics, "{:?} metrics", p.policy);
-        assert_eq!(p.updates_sent, s.updates_sent, "{:?} sent", p.policy);
-        assert_eq!(
-            p.updates_processed, s.updates_processed,
-            "{:?} processed",
-            p.policy
-        );
     }
 }
 

@@ -1,6 +1,11 @@
-//! Integration tests of the telemetry layer's two load-bearing promises
-//! (DESIGN.md §10, docs/TELEMETRY.md): instrumentation never changes a
-//! policy outcome, and every snapshot survives a JSON round trip.
+//! Integration tests of the telemetry layer (DESIGN.md §10,
+//! docs/TELEMETRY.md): every snapshot survives a JSON round trip, the
+//! counters agree with the reports, and the documented keys are the
+//! registered ones. That instrumentation never changes a policy outcome
+//! is held by the goldens, which pass in the default and the
+//! `telemetry-off` build alike.
+
+use std::collections::BTreeSet;
 
 use lira::prelude::*;
 use lira_core::telemetry::{Level, COMPILED_OUT};
@@ -11,44 +16,6 @@ fn tiny(seed: u64) -> Scenario {
     sc.duration_s = 40.0;
     sc.warmup_s = 10.0;
     sc
-}
-
-/// Telemetry-on and telemetry-off runs of the same scenario must produce
-/// bit-identical policy outcomes: recording observes the simulation, it
-/// never participates in it.
-#[test]
-fn telemetry_does_not_perturb_outcomes() {
-    let sc = tiny(41);
-    let on = SimPipeline::new()
-        .with_telemetry(true)
-        .run(&sc, &Policy::ALL);
-    let off = SimPipeline::new()
-        .with_telemetry(false)
-        .run(&sc, &Policy::ALL);
-
-    assert_eq!(on.reference_updates, off.reference_updates);
-    for (a, b) in on.outcomes.iter().zip(&off.outcomes) {
-        assert_eq!(a.policy, b.policy);
-        assert_eq!(a.updates_sent, b.updates_sent);
-        assert_eq!(a.updates_processed, b.updates_processed);
-        assert_eq!(a.plan_regions, b.plan_regions);
-        // Float metrics compared exactly: same bits, not just close.
-        assert_eq!(
-            a.metrics.mean_containment.to_bits(),
-            b.metrics.mean_containment.to_bits(),
-            "{}: containment differs with telemetry",
-            a.policy.name()
-        );
-        assert_eq!(
-            a.metrics.mean_position.to_bits(),
-            b.metrics.mean_position.to_bits(),
-            "{}: position error differs with telemetry",
-            a.policy.name()
-        );
-        // And the snapshots reflect the switch.
-        assert!(!b.telemetry.enabled);
-        assert_eq!(a.telemetry.enabled, !COMPILED_OUT);
-    }
 }
 
 /// Every lane snapshot of a real run round-trips through its JSON form
@@ -208,4 +175,97 @@ fn shard_imbalance_is_zero_at_one_shard_and_reported_at_four() {
     // σ/µ of four non-negative counts lies in [0, √3].
     assert!((0.0..=3f64.sqrt()).contains(&imbalance), "{imbalance}");
     assert_eq!(imbalance > 0.0, nodes.min != nodes.max);
+}
+
+/// The backticked first column of every table in docs/TELEMETRY.md §2.
+fn documented_keys() -> BTreeSet<String> {
+    let doc = include_str!("../docs/TELEMETRY.md");
+    let start = doc.find("\n## 2.").expect("TELEMETRY.md has a §2");
+    let end = start + doc[start..].find("\n## 3.").expect("and a §3");
+    doc[start..end]
+        .lines()
+        .filter_map(|line| line.strip_prefix("| `")?.split_once('`'))
+        .map(|(key, _)| key.to_string())
+        .collect()
+}
+
+/// Every metric name a snapshot carries.
+fn keys(snap: &TelemetrySnapshot) -> impl Iterator<Item = String> + '_ {
+    let counters = snap.counters.iter().map(|m| m.name.clone());
+    let gauges = snap.gauges.iter().map(|m| m.name.clone());
+    let histograms = snap.histograms.iter().map(|m| m.name.clone());
+    counters.chain(gauges).chain(histograms)
+}
+
+/// docs/TELEMETRY.md §2 lists exactly the keys the code registers: a
+/// fixed lane of every policy over a faulty channel, a closed lane, the
+/// pipeline, and a served session that has seen every data-path frame.
+#[test]
+fn the_metric_reference_is_the_registered_keys() {
+    use lira_serve::protocol::{Frame, WireQuery, WireUpdate};
+    use lira_serve::session::{ServeConfig, SessionCore};
+
+    if COMPILED_OUT {
+        // The end-of-run keys are only registered by a recording build.
+        return;
+    }
+    let mut registered = BTreeSet::new();
+    let sc = tiny(59).with_faults(FaultProfile::iid_loss(0.1));
+    let report = run_scenario(&sc, &Policy::ALL);
+    for o in &report.outcomes {
+        registered.extend(keys(&o.telemetry));
+    }
+    registered.extend(keys(&report.pipeline_telemetry));
+    let cfg = AdaptiveConfig {
+        service_rate: 40.0,
+        queue_capacity: 64,
+        control_period_s: 20.0,
+    };
+    registered.extend(keys(&run_adaptive(&tiny(61), &cfg).telemetry));
+
+    let mut session = SessionCore::new(ServeConfig::new(1000.0, 10));
+    let conn = session.open_conn();
+    let query = WireQuery {
+        id: 0,
+        min_x: 0.0,
+        min_y: 0.0,
+        max_x: 500.0,
+        max_y: 500.0,
+    };
+    let update = WireUpdate {
+        id: 1,
+        x: 100.0,
+        y: 100.0,
+        vx: 1.0,
+        vy: 0.0,
+    };
+    for frame in [
+        Frame::Register {
+            queries: vec![query],
+        },
+        Frame::Batch {
+            t: 0.0,
+            updates: vec![update],
+        },
+        Frame::EvalReq { t: 0.0 },
+        Frame::WindowClose {
+            t: 1.0,
+            window_s: 1.0,
+        },
+    ] {
+        session.handle(conn, frame);
+    }
+    registered.extend(keys(&session.telemetry_snapshot()));
+
+    let documented = documented_keys();
+    assert_eq!(
+        documented.difference(&registered).collect::<Vec<_>>(),
+        Vec::<&String>::new(),
+        "documented in TELEMETRY.md §2 but never registered"
+    );
+    assert_eq!(
+        registered.difference(&documented).collect::<Vec<_>>(),
+        Vec::<&String>::new(),
+        "registered but missing from TELEMETRY.md §2"
+    );
 }
