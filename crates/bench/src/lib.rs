@@ -21,7 +21,7 @@ use lira_sim::prelude::*;
 
 pub mod sweep;
 
-pub use sweep::{average_outcomes, run_averaged, run_sweep, AveragedOutcome};
+pub use sweep::{run_averaged, run_sweep, AveragedOutcome};
 
 /// Command-line options shared by all experiment binaries.
 #[derive(Debug, Clone)]
@@ -119,7 +119,7 @@ impl ExpArgs {
     }
 
     /// Human-readable scale label for the output header.
-    pub fn scale_label(&self) -> &'static str {
+    pub(crate) fn scale_label(&self) -> &'static str {
         if self.full {
             "full (paper Table 2)"
         } else if self.quick {
@@ -215,7 +215,7 @@ pub fn host_json() -> lira_core::telemetry::json::Json {
 /// `{"label": ..., "snapshot": ...}` objects, each snapshot in the schema
 /// of docs/TELEMETRY.md, so experiment telemetry lands next to the
 /// experiment's printed results without altering them.
-pub fn write_telemetry_json(
+pub(crate) fn write_telemetry_json(
     id: &str,
     entries: &[(String, &TelemetrySnapshot)],
 ) -> std::io::Result<std::path::PathBuf> {

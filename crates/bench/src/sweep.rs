@@ -42,7 +42,7 @@ pub struct AveragedOutcome {
 
 /// Averages each policy's outcome across the given reports (one report
 /// per seed, all evaluating the same policy roster in the same order).
-pub fn average_outcomes(
+pub(crate) fn average_outcomes(
     policies: &[Policy],
     reports: &[&RunReport],
 ) -> Vec<(Policy, AveragedOutcome)> {

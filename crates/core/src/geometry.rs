@@ -159,7 +159,7 @@ impl Rect {
 
     /// Area of the overlap between the two rectangles (0 when disjoint).
     #[inline]
-    pub fn intersection_area(&self, other: &Rect) -> f64 {
+    pub(crate) fn intersection_area(&self, other: &Rect) -> f64 {
         self.intersection(other).map_or(0.0, |r| r.area())
     }
 

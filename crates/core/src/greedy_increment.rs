@@ -19,7 +19,7 @@
 //! Two implementation notes beyond the paper's pseudocode:
 //!
 //! * Selection uses the **maximal secant** rate
-//!   ([`ReductionModel::max_secant_rate`]) instead of the immediate slope.
+//!   (`ReductionModel::max_secant_rate`) instead of the immediate slope.
 //!   On convex models the two coincide; on models with plateaus in front
 //!   of cliffs (possible after empirical calibration) the immediate slope
 //!   is 0 on the plateau and the paper's greedy would tie-break

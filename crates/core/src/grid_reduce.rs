@@ -34,7 +34,7 @@ pub struct SheddingRegion {
 
 impl SheddingRegion {
     /// The optimizer's view of this region.
-    pub fn as_input(&self) -> RegionInput {
+    pub(crate) fn as_input(&self) -> RegionInput {
         RegionInput::new(self.nodes, self.queries, self.speed)
     }
 }
@@ -87,7 +87,7 @@ pub struct GridReduceParams {
     /// Whether speeds weight the sub-problem budgets (Section 3.1.2).
     pub use_speed: bool,
     /// Whether drill-down priorities use the decayed lookahead
-    /// `P[t] = max(V[t], γ·max P[child])` (see [`drill_down`]); `false`
+    /// `P[t] = max(V[t], γ·max P[child])` (see `drill_down`); `false`
     /// reproduces the paper's literal one-level gain, kept for ablation.
     pub lookahead: bool,
     /// Whether gains are evaluated against the global marginal price
@@ -158,7 +158,7 @@ type DrillEntry = (OrdF64, std::cmp::Reverse<(u32, u32, u32)>);
 /// extra split spent reaching the deep gain), precomputed bottom-up in
 /// `O(α²)` — the same asymptotic cost as stage I. Splitting decisions and
 /// the final region set are otherwise exactly the paper's.
-pub fn drill_down(
+pub(crate) fn drill_down(
     tree: &RegionTree,
     model: &ReductionModel,
     params: &GridReduceParams,
@@ -279,7 +279,7 @@ pub fn drill_down(
 
 /// CALCERRGAIN (Algorithm 1, bottom): the expected reduction in query-result
 /// inaccuracy from splitting node `t` into its four children.
-pub fn accuracy_gain(
+pub(crate) fn accuracy_gain(
     tree: &RegionTree,
     id: NodeId,
     model: &ReductionModel,

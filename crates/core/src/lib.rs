@@ -85,27 +85,19 @@ pub mod prelude {
     pub use crate::config::LiraConfig;
     pub use crate::error::{LiraError, Result};
     pub use crate::geometry::{Circle, Point, Rect};
-    pub use crate::greedy_increment::{
-        greedy_increment, GreedyParams, RegionInput, ThrottlerSolution,
-    };
-    pub use crate::grid_reduce::{
-        grid_reduce, l_partitioning, GridReduceParams, GridReduceStats, Partitioning,
-        SheddingRegion,
-    };
+    pub use crate::greedy_increment::{greedy_increment, GreedyParams, RegionInput};
+    pub use crate::grid_reduce::{grid_reduce, l_partitioning, GridReduceParams, GridReduceStats};
     pub use crate::plan::{PlanRegion, SheddingPlan};
     pub use crate::policy::{
         AdaptCost, LiraGridPolicy, LiraPolicy, Policy, RandomDropPolicy, RoundFeedback,
         SheddingPolicy, UniformDeltaPolicy,
     };
-    pub use crate::quadtree::{NodeId, RegionTree};
     pub use crate::reduction::ReductionModel;
-    pub use crate::shedder::{Adaptation, LiraShedder};
+    pub use crate::shedder::LiraShedder;
     pub use crate::stats_grid::{CellStats, StatsGrid};
     pub use crate::telemetry::{
         Counter, Gauge, Histogram, Level, MetricSpec, Telemetry, TelemetrySnapshot,
     };
     pub use crate::throt_loop::{QueueObservation, ThrotLoop};
-    pub use crate::utility::{
-        StalenessTracker, UtilityGreedy, UtilityModel, UtilityParams, UTILITY_GRID_SIDE,
-    };
+    pub use crate::utility::{UtilityGreedy, UtilityModel};
 }

@@ -349,12 +349,6 @@ impl SheddingPlan {
         out
     }
 
-    /// Size in bytes of the encoded subset for a coverage area — the
-    /// broadcast payload size analyzed in Section 4.3.2.
-    pub fn broadcast_bytes(&self, coverage: &Circle) -> usize {
-        self.subset_for(coverage).len() * 16
-    }
-
     /// The regions of `self` that differ from `old` (new areas, or same
     /// area with a changed throttler) — the *delta broadcast* a base
     /// station can send after a re-adaptation instead of the full subset.
@@ -584,7 +578,6 @@ mod tests {
         // A circle at the center touches all four.
         let c = Circle::new(Point::new(50.0, 50.0), 5.0);
         assert_eq!(p.subset_for(&c).len(), 4);
-        assert_eq!(p.broadcast_bytes(&c), 64);
     }
 
     #[test]

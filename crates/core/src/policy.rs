@@ -30,7 +30,7 @@
 use crate::config::LiraConfig;
 use crate::error::Result;
 use crate::geometry::Rect;
-use crate::greedy_increment::{greedy_increment, GreedyParams, ThrottlerSolution};
+use crate::greedy_increment::{greedy_increment, GreedyParams};
 use crate::grid_reduce::{l_partitioning, GridReduceStats};
 use crate::plan::{PlanRegion, SheddingPlan};
 use crate::reduction::ReductionModel;
@@ -282,31 +282,6 @@ impl LiraGridPolicy {
             last_cost: None,
         }
     }
-
-    /// The full adaptation product, including the optimizer's solution.
-    pub fn plan_with_solution(
-        &self,
-        stats: &StatsGrid,
-        observed_z: f64,
-    ) -> Result<(SheddingPlan, ThrottlerSolution)> {
-        let partitioning = l_partitioning(stats, self.config.num_regions);
-        let solution = greedy_increment(
-            &partitioning.inputs(),
-            &self.model,
-            &GreedyParams {
-                throttle: observed_z,
-                fairness: self.config.fairness,
-                use_speed: self.config.use_speed_factor,
-            },
-        );
-        let plan = SheddingPlan::from_solution(
-            *stats.bounds(),
-            &partitioning,
-            &solution,
-            self.model.delta_min(),
-        )?;
-        Ok((plan, solution))
-    }
 }
 
 impl SheddingPolicy for LiraGridPolicy {
@@ -501,20 +476,6 @@ mod tests {
         // z = 1 keeps ideal resolution.
         let plan = p.adapt(&grid(), 1.0).unwrap();
         assert_eq!(plan.throttler_at(&Point::new(5.0, 5.0)), 5.0);
-    }
-
-    #[test]
-    fn lira_grid_respects_budget_and_solution() {
-        let g = grid();
-        let cfg = config_for(&g);
-        let m = ReductionModel::analytic(5.0, 100.0, 95);
-        let policy = LiraGridPolicy::new(cfg, m);
-        let (plan, sol) = policy.plan_with_solution(&g, 0.5).unwrap();
-        assert!(sol.budget_met);
-        assert_eq!(plan.len(), 225); // 15x15 for l = 250
-        for (r, d) in plan.regions().iter().zip(&sol.deltas) {
-            assert_eq!(r.throttler, *d);
-        }
     }
 
     #[test]

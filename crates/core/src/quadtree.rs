@@ -32,7 +32,7 @@ impl NodeId {
 
     /// The four children of this node, ordered `[SW, SE, NW, NE]`.
     #[inline]
-    pub fn children(&self) -> [NodeId; 4] {
+    pub(crate) fn children(&self) -> [NodeId; 4] {
         let l = self.level + 1;
         let (r, c) = (self.row * 2, self.col * 2);
         [
@@ -142,7 +142,7 @@ impl RegionTree {
 
     /// Number of levels (`log2(α) + 1`).
     #[inline]
-    pub fn levels(&self) -> u32 {
+    pub(crate) fn levels(&self) -> u32 {
         self.levels
     }
 
@@ -155,7 +155,7 @@ impl RegionTree {
     /// Whether the node is a leaf (a single statistics-grid cell), beyond
     /// which no further partitioning is possible.
     #[inline]
-    pub fn is_leaf(&self, id: NodeId) -> bool {
+    pub(crate) fn is_leaf(&self, id: NodeId) -> bool {
         id.level == self.levels - 1
     }
 
@@ -177,11 +177,6 @@ impl RegionTree {
             self.bounds.min.x + (id.col + 1) as f64 * w,
             self.bounds.min.y + (id.row + 1) as f64 * h,
         )
-    }
-
-    /// Total number of tree nodes: `α² + (α² − 1)/3`.
-    pub fn node_count(&self) -> usize {
-        self.stats.iter().map(|l| l.len()).sum()
     }
 }
 
@@ -222,7 +217,6 @@ mod tests {
         let g = grid_with_data(8);
         let t = RegionTree::build(&g).unwrap();
         assert_eq!(t.levels(), 4); // log2(8) + 1
-        assert_eq!(t.node_count(), 64 + 16 + 4 + 1); // alpha^2 + (alpha^2-1)/3
         assert!(t.is_leaf(NodeId {
             level: 3,
             row: 0,
@@ -238,7 +232,8 @@ mod tests {
         let root = t.stats(NodeId::ROOT);
         assert!((root.nodes - g.total_nodes()).abs() < 1e-9);
         assert!((root.queries - g.total_queries()).abs() < 1e-9);
-        assert!((root.speed - g.overall_mean_speed()).abs() < 1e-9);
+        let speed_sum: f64 = g.cells().iter().map(|c| c.speed_sum).sum();
+        assert!((root.speed - speed_sum / g.total_nodes()).abs() < 1e-9);
     }
 
     #[test]
@@ -311,7 +306,6 @@ mod tests {
         g.commit_snapshot();
         let t = RegionTree::build(&g).unwrap();
         assert_eq!(t.levels(), 1);
-        assert_eq!(t.node_count(), 1);
         assert!(t.is_leaf(NodeId::ROOT));
         assert_eq!(t.stats(NodeId::ROOT).nodes, 1.0);
     }

@@ -168,7 +168,7 @@ impl ReductionModel {
 
     /// Width of one segment, `(Δ⊣ − Δ⊢)/κ`.
     #[inline]
-    pub fn segment_width(&self) -> f64 {
+    pub(crate) fn segment_width(&self) -> f64 {
         (self.delta_max - self.delta_min) / self.kappa() as f64
     }
 
@@ -235,7 +235,7 @@ impl ReductionModel {
     /// the knots. This is the gain a greedy shedder can realize by
     /// committing to advance from `delta` to the maximizing knot — flat
     /// segments in front of a cliff do not hide the cliff. Zero at `Δ⊣`.
-    pub fn max_secant_rate(&self, delta: f64) -> f64 {
+    pub(crate) fn max_secant_rate(&self, delta: f64) -> f64 {
         let d = delta.clamp(self.delta_min, self.delta_max);
         let w = self.segment_width();
         let pos = (d - self.delta_min) / w;
@@ -265,7 +265,7 @@ impl ReductionModel {
     /// This is the closed-form throttler a region with gain
     /// `S(Δ) = (w/m)·rate(Δ)` settles at under a global marginal price
     /// `λ*`: pass `threshold = λ*·m/w`.
-    pub fn delta_at_rate_threshold(&self, threshold: f64) -> f64 {
+    pub(crate) fn delta_at_rate_threshold(&self, threshold: f64) -> f64 {
         for k in 0..self.kappa() {
             if self.knot_secants[k] < threshold {
                 return self.knot_delta(k);

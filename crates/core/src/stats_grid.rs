@@ -48,9 +48,6 @@ pub struct StatsGrid {
     cells: Vec<CellStats>,
     /// Scratch accumulators for the snapshot under construction.
     pending: Vec<CellStats>,
-    /// Exponential smoothing factor applied on `commit_snapshot`;
-    /// 1.0 replaces, smaller values blend with history.
-    smoothing: f64,
     snapshots_committed: u64,
 }
 
@@ -72,21 +69,8 @@ impl StatsGrid {
             bounds,
             cells: vec![CellStats::default(); alpha * alpha],
             pending: vec![CellStats::default(); alpha * alpha],
-            smoothing: 1.0,
             snapshots_committed: 0,
         })
-    }
-
-    /// Sets the exponential smoothing factor `γ ∈ (0, 1]` used when
-    /// committing snapshots: `cell = (1−γ)·cell + γ·snapshot`.
-    pub fn with_smoothing(mut self, gamma: f64) -> Result<Self> {
-        if !(gamma > 0.0 && gamma <= 1.0) {
-            return Err(LiraError::InvalidConfig(
-                "smoothing must be in (0, 1]".into(),
-            ));
-        }
-        self.smoothing = gamma;
-        Ok(self)
     }
 
     /// Grid side cell count `α`.
@@ -103,14 +87,14 @@ impl StatsGrid {
 
     /// Number of committed snapshots (0 means the grid holds no data yet).
     #[inline]
-    pub fn snapshots_committed(&self) -> u64 {
+    pub(crate) fn snapshots_committed(&self) -> u64 {
         self.snapshots_committed
     }
 
     /// `(row, col)` of the cell containing `p` (clamped to the grid edge so
     /// boundary points on the max edge still map to a cell).
     #[inline]
-    pub fn cell_of(&self, p: &Point) -> (usize, usize) {
+    pub(crate) fn cell_of(&self, p: &Point) -> (usize, usize) {
         let col = ((p.x - self.bounds.min.x) / self.bounds.width() * self.alpha as f64)
             .floor()
             .clamp(0.0, (self.alpha - 1) as f64) as usize;
@@ -182,19 +166,9 @@ impl StatsGrid {
         }
     }
 
-    /// Commits the pending snapshot into the live statistics using the
-    /// configured exponential smoothing.
+    /// Commits the pending snapshot: it replaces the live statistics.
     pub fn commit_snapshot(&mut self) {
-        let g = self.smoothing;
-        if self.snapshots_committed == 0 || g >= 1.0 {
-            self.cells.copy_from_slice(&self.pending);
-        } else {
-            for (cell, new) in self.cells.iter_mut().zip(&self.pending) {
-                cell.nodes = (1.0 - g) * cell.nodes + g * new.nodes;
-                cell.queries = (1.0 - g) * cell.queries + g * new.queries;
-                cell.speed_sum = (1.0 - g) * cell.speed_sum + g * new.speed_sum;
-            }
-        }
+        self.cells.copy_from_slice(&self.pending);
         self.snapshots_committed += 1;
     }
 
@@ -221,15 +195,6 @@ impl StatsGrid {
     /// Total (fractional) query count over all cells.
     pub fn total_queries(&self) -> f64 {
         self.cells.iter().map(|c| c.queries).sum()
-    }
-
-    /// Node-weighted overall mean speed `ŝ = Σ s_i·(n_i/n)`.
-    pub fn overall_mean_speed(&self) -> f64 {
-        let n = self.total_nodes();
-        if n <= 0.0 {
-            return 0.0;
-        }
-        self.cells.iter().map(|c| c.speed_sum).sum::<f64>() / n
     }
 
     /// Raw row-major access to all cells.
@@ -296,7 +261,6 @@ mod tests {
         assert_eq!(c.mean_speed(), 15.0);
         assert_eq!(g.cell(3, 3).nodes, 1.0);
         assert_eq!(g.total_nodes(), 3.0);
-        assert!((g.overall_mean_speed() - 20.0).abs() < 1e-12);
     }
 
     #[test]
@@ -351,25 +315,6 @@ mod tests {
     }
 
     #[test]
-    fn snapshot_smoothing_blends() {
-        let mut g = grid4().with_smoothing(0.5).unwrap();
-        g.begin_snapshot();
-        g.observe_node(&Point::new(10.0, 10.0), 10.0, 1.0);
-        g.commit_snapshot(); // First snapshot replaces regardless of gamma.
-        g.begin_snapshot();
-        g.commit_snapshot(); // Empty snapshot: blend toward zero.
-        assert_eq!(g.cell(0, 0).nodes, 0.5);
-        assert_eq!(g.cell(0, 0).speed_sum, 5.0);
-    }
-
-    #[test]
-    fn smoothing_validation() {
-        assert!(grid4().with_smoothing(0.0).is_err());
-        assert!(grid4().with_smoothing(1.5).is_err());
-        assert!(grid4().with_smoothing(1.0).is_ok());
-    }
-
-    #[test]
     fn load_cells_offline_mode() {
         let mut g = grid4();
         let mut cells = vec![CellStats::default(); 16];
@@ -389,7 +334,6 @@ mod tests {
         let g = grid4();
         assert_eq!(g.total_nodes(), 0.0);
         assert_eq!(g.total_queries(), 0.0);
-        assert_eq!(g.overall_mean_speed(), 0.0);
         assert_eq!(g.cell(0, 0).mean_speed(), 0.0);
     }
 }

@@ -67,7 +67,7 @@ impl Json {
     }
 
     /// The value as a bool.
-    pub fn as_bool(&self) -> Option<bool> {
+    pub(crate) fn as_bool(&self) -> Option<bool> {
         match self {
             Json::Bool(b) => Some(*b),
             _ => None,

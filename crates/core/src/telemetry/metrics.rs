@@ -106,12 +106,12 @@ pub struct Histogram {
 
 /// Index of the bucket that holds `v`: 0 for 0, else `64 - leading_zeros`.
 #[inline]
-pub fn bucket_index(v: u64) -> usize {
+pub(crate) fn bucket_index(v: u64) -> usize {
     (64 - v.leading_zeros()) as usize
 }
 
 /// Inclusive upper bound of bucket `i` (used when reporting quantiles).
-pub fn bucket_upper_bound(i: usize) -> u64 {
+pub(crate) fn bucket_upper_bound(i: usize) -> u64 {
     if i == 0 {
         0
     } else if i >= 64 {
@@ -204,7 +204,7 @@ impl Histogram {
     }
 
     /// Copies the bucket counts out (index = [`bucket_index`]).
-    pub fn bucket_counts(&self) -> [u64; HISTOGRAM_BUCKETS] {
+    pub(crate) fn bucket_counts(&self) -> [u64; HISTOGRAM_BUCKETS] {
         std::array::from_fn(|i| self.buckets[i].load(Ordering::Relaxed))
     }
 }

@@ -32,7 +32,7 @@ mod metrics;
 mod snapshot;
 
 pub use journal::{Event, Journal, Level, DEFAULT_JOURNAL_CAPACITY};
-pub use metrics::{bucket_index, bucket_upper_bound, Counter, Gauge, Histogram, HISTOGRAM_BUCKETS};
+pub use metrics::{Counter, Gauge, Histogram, HISTOGRAM_BUCKETS};
 pub use snapshot::{
     CounterSnapshot, EventSnapshot, GaugeSnapshot, HistogramSnapshot, SnapshotParseError,
     TelemetrySnapshot, SNAPSHOT_SCHEMA_VERSION,

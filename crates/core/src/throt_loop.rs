@@ -21,12 +21,15 @@ use crate::error::{LiraError, Result};
 /// Keeps the loop stable when λ/μ estimates degenerate during outages.
 const MAX_STEP: f64 = 2.0;
 
+/// The lower bound on `z`: a zero throttle fraction would demand zero
+/// updates, which no threshold in `[Δ⊢, Δ⊣]` attains.
+const FLOOR: f64 = 1e-3;
+
 /// The throttle-fraction controller.
 #[derive(Debug, Clone, PartialEq)]
 pub struct ThrotLoop {
     z: f64,
     queue_capacity: f64,
-    floor: f64,
     iterations: u64,
     clamped_steps: u64,
     held_steps: u64,
@@ -54,22 +57,11 @@ impl ThrotLoop {
         Ok(ThrotLoop {
             z: 1.0,
             queue_capacity: queue_capacity as f64,
-            floor: 1e-3,
             iterations: 0,
             clamped_steps: 0,
             held_steps: 0,
             overload_steps: 0,
         })
-    }
-
-    /// Sets a lower bound on `z` (default `1e-3`); a zero throttle fraction
-    /// would demand zero updates, which no threshold in `[Δ⊢, Δ⊣]` attains.
-    pub fn with_floor(mut self, floor: f64) -> Result<Self> {
-        if !(floor > 0.0 && floor <= 1.0) {
-            return Err(LiraError::InvalidConfig("floor must be in (0, 1]".into()));
-        }
-        self.floor = floor;
-        Ok(self)
     }
 
     /// The current throttle fraction `z`.
@@ -107,20 +99,20 @@ impl ThrotLoop {
 
     /// The sustainable utilization level `ρ* = 1 − 1/B`.
     #[inline]
-    pub fn target_utilization(&self) -> f64 {
+    pub(crate) fn target_utilization(&self) -> f64 {
         1.0 - 1.0 / self.queue_capacity
     }
 
     /// Performs one periodic adaptation step:
     /// `u ← ρ/(1 − B⁻¹)`, `z ← min(1, z/u)`, with `u` clamped to
-    /// `[1/MAX_STEP, MAX_STEP]` and `z` clamped to the floor.
+    /// `[1/MAX_STEP, MAX_STEP]` and `z` clamped to `FLOOR`.
     ///
     /// Degenerate windows are handled explicitly: a NaN rate estimate
     /// (e.g. a measurement window torn apart by an outage) carries no
     /// signal and leaves `z` unchanged; a window with no observed service
     /// capacity (`μ ≤ 0`, dead server or outage) is full overload and
     /// steps `z` down at the cap. `z` is therefore always finite and in
-    /// `[floor, 1]`, whatever the observation.
+    /// `[FLOOR, 1]`, whatever the observation.
     pub fn observe(&mut self, obs: QueueObservation) -> f64 {
         self.iterations += 1;
         if obs.arrival_rate.is_nan() || obs.service_rate.is_nan() {
@@ -153,7 +145,7 @@ impl ThrotLoop {
         if u != raw {
             self.clamped_steps += 1;
         }
-        self.z = (self.z / u).min(1.0).max(self.floor);
+        self.z = (self.z / u).clamp(FLOOR, 1.0);
         self.z
     }
 
@@ -182,8 +174,6 @@ mod tests {
     fn construction_validation() {
         assert!(ThrotLoop::new(1).is_err());
         assert!(ThrotLoop::new(2).is_ok());
-        assert!(ThrotLoop::new(100).unwrap().with_floor(0.0).is_err());
-        assert!(ThrotLoop::new(100).unwrap().with_floor(2.0).is_err());
     }
 
     #[test]
@@ -260,11 +250,12 @@ mod tests {
 
     #[test]
     fn floor_is_respected() {
-        let mut t = ThrotLoop::new(100).unwrap().with_floor(0.1).unwrap();
+        let mut t = ThrotLoop::new(100).unwrap();
+        // Eleven halvings would take z below 1e-3.
         for _ in 0..20 {
             t.observe(obs(100.0, 1.0));
         }
-        assert_eq!(t.throttle(), 0.1);
+        assert_eq!(t.throttle(), FLOOR);
     }
 
     #[test]

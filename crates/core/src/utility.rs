@@ -8,7 +8,7 @@
 //! accuracy-gain-per-admitted-update is highest. This module maps that
 //! idea onto LIRA's region machinery:
 //!
-//! * [`region_utilities`] scores each region of a partitioning by
+//! * `region_utilities` scores each region of a partitioning by
 //!   predicted query-result impact: overlapping-query mass × boundary
 //!   proximity (heterogeneous per-cell query coverage means query edges
 //!   cross the region, where admitted updates decide containment) ×
@@ -148,7 +148,7 @@ impl StalenessTracker {
 
     /// The staleness factor for a region: `1 + gain × mean stale rounds`
     /// over the cells the region overlaps, capped.
-    pub fn factor_for(&self, area: &Rect, params: &UtilityParams) -> f64 {
+    pub(crate) fn factor_for(&self, area: &Rect, params: &UtilityParams) -> f64 {
         let mut sum = 0.0;
         let mut count = 0usize;
         for_overlapping_cells(&self.bounds, UTILITY_GRID_SIDE, area, |idx, ov| {
@@ -169,7 +169,7 @@ impl StalenessTracker {
 /// capped. Homogeneous coverage (all cells equally queried, or none)
 /// gives 1; heterogeneous coverage means query boundaries cross the
 /// region, where admitted updates decide containment.
-pub fn boundary_factor(stats: &StatsGrid, area: &Rect, params: &UtilityParams) -> f64 {
+pub(crate) fn boundary_factor(stats: &StatsGrid, area: &Rect, params: &UtilityParams) -> f64 {
     let alpha = stats.alpha();
     let mut masses: Vec<f64> = Vec::new();
     for_overlapping_cells(stats.bounds(), alpha, area, |idx, ov| {
@@ -193,7 +193,7 @@ pub fn boundary_factor(stats: &StatsGrid, area: &Rect, params: &UtilityParams) -
 /// impact: overlapping-query mass × boundary proximity × staleness.
 /// Query-free regions score 0 — shedding there costs no query accuracy,
 /// exactly as in LIRA's gain ordering.
-pub fn region_utilities(
+pub(crate) fn region_utilities(
     stats: &StatsGrid,
     partitioning: &Partitioning,
     stale: &StalenessTracker,
@@ -239,7 +239,7 @@ fn weights(inputs: &[RegionInput], use_speed: bool) -> Vec<f64> {
 /// affords, everything else runs at `Δ⊣`. Zero-load regions keep `Δ⊢`
 /// (promoting them is free). The expenditure `Σ w_i·f(Δ_i)` never
 /// exceeds `max(z, f(Δ⊣))·Σ w_i`.
-pub fn allocate_greedy(
+pub(crate) fn allocate_greedy(
     inputs: &[RegionInput],
     utilities: &[f64],
     model: &ReductionModel,
@@ -307,7 +307,7 @@ pub fn allocate_greedy(
 /// All-zero scores degenerate to the Uniform Δ solution (nothing to
 /// differentiate on). The fairness constraint `Δ⇔` is deliberately
 /// disabled; the expenditure never exceeds `max(z, f(Δ⊣))·Σ w_i`.
-pub fn allocate_by_loss(
+pub(crate) fn allocate_by_loss(
     inputs: &[RegionInput],
     scores: &[f64],
     model: &ReductionModel,
@@ -458,7 +458,11 @@ impl UtilityGreedy {
     }
 
     /// Creates the policy with explicit tuning parameters.
-    pub fn with_params(config: LiraConfig, model: ReductionModel, params: UtilityParams) -> Self {
+    pub(crate) fn with_params(
+        config: LiraConfig,
+        model: ReductionModel,
+        params: UtilityParams,
+    ) -> Self {
         UtilityGreedy {
             core: UtilityCore::new(config, model, params),
         }
@@ -519,7 +523,11 @@ impl UtilityModel {
     }
 
     /// Creates the policy with explicit tuning parameters.
-    pub fn with_params(config: LiraConfig, model: ReductionModel, params: UtilityParams) -> Self {
+    pub(crate) fn with_params(
+        config: LiraConfig,
+        model: ReductionModel,
+        params: UtilityParams,
+    ) -> Self {
         UtilityModel {
             core: UtilityCore::new(config, model, params),
             seen_shed: Vec::new(),

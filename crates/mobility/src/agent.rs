@@ -79,7 +79,7 @@ impl Car {
     /// Replaces the car's route (used when a trip completes). The new path
     /// must start where the car currently is, and every consecutive pair
     /// of its intersections must be joined by a road.
-    pub fn assign_trip(&mut self, path: Vec<u32>, network: &RoadNetwork) {
+    pub(crate) fn assign_trip(&mut self, path: Vec<u32>, network: &RoadNetwork) {
         assert!(path.len() >= 2, "a trip needs at least two intersections");
         assert_eq!(
             path[0],
@@ -99,7 +99,7 @@ impl Car {
     /// any pending wait — it finishes the segment it is on, then follows
     /// the new route. This is how flash-crowd scenarios turn a whole fleet
     /// around without teleporting anyone.
-    pub fn redirect(&mut self, path_from_next: Vec<u32>, network: &RoadNetwork) {
+    pub(crate) fn redirect(&mut self, path_from_next: Vec<u32>, network: &RoadNetwork) {
         assert!(
             !path_from_next.is_empty(),
             "redirect path must not be empty"
@@ -124,7 +124,7 @@ impl Car {
     /// both the long-run target speed and the current speed scale, so a
     /// fleet split into classes diverges from the first step. Calling this
     /// never perturbs any RNG stream.
-    pub fn scale_speed(&mut self, factor: f64) {
+    pub(crate) fn scale_speed(&mut self, factor: f64) {
         assert!(
             factor.is_finite() && factor > 0.0,
             "speed factor must be finite and positive"
@@ -135,7 +135,7 @@ impl Car {
 
     /// The intersection the car is currently driving toward.
     #[inline]
-    pub fn next_intersection(&self) -> u32 {
+    pub(crate) fn next_intersection(&self) -> u32 {
         self.path[self.leg + 1]
     }
 

@@ -30,15 +30,14 @@ pub mod trace;
 
 /// Convenient re-exports of the most used types.
 pub mod prelude {
-    pub use crate::agent::Car;
     pub use crate::generator::{generate_network, NetworkConfig};
-    pub use crate::motion::{DeadReckoner, LinearModel, MotionReport};
-    pub use crate::road::{Edge, RoadClass, RoadNetwork};
-    pub use crate::route_motion::{RouteModel, RouteReckoner, RouteReport};
-    pub use crate::router::{find_edge, route_travel_time, shortest_path};
+    pub use crate::motion::{DeadReckoner, MotionReport};
+    pub use crate::road::Edge;
+    pub use crate::route_motion::RouteReckoner;
+    pub use crate::router::shortest_path;
     pub use crate::simulator::{TrafficConfig, TrafficSimulator};
-    pub use crate::trace::{Trace, TraceSample};
-    pub use crate::traffic::{Hotspot, NodeSampler, TrafficDemand};
+    pub use crate::trace::Trace;
+    pub use crate::traffic::{Hotspot, TrafficDemand};
 }
 
 pub mod traffic;

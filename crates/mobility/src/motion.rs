@@ -86,11 +86,6 @@ impl DeadReckoner {
         }
     }
 
-    /// The most recently reported model, if any.
-    pub fn last_model(&self) -> Option<&LinearModel> {
-        self.last.as_ref()
-    }
-
     /// Total number of reports sent.
     pub fn reports(&self) -> u64 {
         self.reports
@@ -194,7 +189,7 @@ mod tests {
             .observe(0, 1.0, Point::new(1.0, 0.0), (1.0, 0.0), 50.0)
             .is_none());
         r.reset();
-        assert!(r.last_model().is_none());
+        assert!(r.last.is_none());
         assert!(r
             .observe(0, 2.0, Point::new(2.0, 0.0), (1.0, 0.0), 50.0)
             .is_some());

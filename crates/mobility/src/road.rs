@@ -19,7 +19,7 @@ pub enum RoadClass {
 impl RoadClass {
     /// Free-flow speed in m/s.
     #[inline]
-    pub fn speed_limit(self) -> f64 {
+    pub(crate) fn speed_limit(self) -> f64 {
         match self {
             RoadClass::Expressway => 30.0,
             RoadClass::Arterial => 16.0,
@@ -31,7 +31,7 @@ impl RoadClass {
     /// routing onto bigger roads, in the spirit of the real-world traffic
     /// volume data the paper's trace generator consumed).
     #[inline]
-    pub fn volume_weight(self) -> f64 {
+    pub(crate) fn volume_weight(self) -> f64 {
         match self {
             RoadClass::Expressway => 8.0,
             RoadClass::Arterial => 3.0,
@@ -55,7 +55,7 @@ pub struct Edge {
 impl Edge {
     /// Free-flow traversal time in seconds.
     #[inline]
-    pub fn travel_time(&self) -> f64 {
+    pub(crate) fn travel_time(&self) -> f64 {
         self.length / self.class.speed_limit()
     }
 }
@@ -105,7 +105,7 @@ impl RoadNetwork {
 
     /// Number of segments.
     #[inline]
-    pub fn num_edges(&self) -> usize {
+    pub(crate) fn num_edges(&self) -> usize {
         self.edges.len()
     }
 
@@ -135,49 +135,8 @@ impl RoadNetwork {
 
     /// Neighbors of intersection `id` as `(edge, neighbor)` pairs.
     #[inline]
-    pub fn neighbors(&self, id: u32) -> &[(u32, u32)] {
+    pub(crate) fn neighbors(&self, id: u32) -> &[(u32, u32)] {
         &self.adjacency[id as usize]
-    }
-
-    /// The intersection nearest to `p` (linear scan; used only at setup).
-    pub fn nearest_node(&self, p: &Point) -> u32 {
-        assert!(!self.nodes.is_empty(), "empty network");
-        let mut best = 0u32;
-        let mut best_d = f64::INFINITY;
-        for (i, n) in self.nodes.iter().enumerate() {
-            let d = n.distance_sq(p);
-            if d < best_d {
-                best_d = d;
-                best = i as u32;
-            }
-        }
-        best
-    }
-
-    /// Whether every intersection can reach every other (BFS from node 0).
-    pub fn is_connected(&self) -> bool {
-        if self.nodes.is_empty() {
-            return true;
-        }
-        let mut seen = vec![false; self.nodes.len()];
-        let mut stack = vec![0u32];
-        seen[0] = true;
-        let mut count = 1usize;
-        while let Some(n) = stack.pop() {
-            for &(_, next) in self.neighbors(n) {
-                if !seen[next as usize] {
-                    seen[next as usize] = true;
-                    count += 1;
-                    stack.push(next);
-                }
-            }
-        }
-        count == self.nodes.len()
-    }
-
-    /// Total road length in meters.
-    pub fn total_length(&self) -> f64 {
-        self.edges.iter().map(|e| e.length).sum()
     }
 }
 
@@ -248,31 +207,6 @@ mod tests {
                     .any(|&(e2, nb2)| e2 == e && nb2 == node));
             }
         }
-    }
-
-    #[test]
-    fn nearest_node() {
-        let n = triangle();
-        assert_eq!(n.nearest_node(&Point::new(1.0, 1.0)), 0);
-        assert_eq!(n.nearest_node(&Point::new(9.0, 1.0)), 1);
-        assert_eq!(n.nearest_node(&Point::new(1.0, 9.0)), 2);
-    }
-
-    #[test]
-    fn connectivity() {
-        let n = triangle();
-        assert!(n.is_connected());
-        // Add an isolated node.
-        let mut nodes = n.nodes().to_vec();
-        nodes.push(Point::new(5.0, 5.0));
-        let m = RoadNetwork::new(*n.bounds(), nodes, n.edges().to_vec());
-        assert!(!m.is_connected());
-    }
-
-    #[test]
-    fn total_length() {
-        let n = triangle();
-        assert!((n.total_length() - 34.14).abs() < 1e-9);
     }
 
     #[test]

@@ -53,7 +53,7 @@ impl RouteModel {
     }
 
     /// Total length of the remaining route, meters.
-    pub fn route_length(&self) -> f64 {
+    pub(crate) fn route_length(&self) -> f64 {
         *self.cumulative.last().expect("non-empty route")
     }
 
@@ -127,7 +127,8 @@ impl RouteReckoner {
         }
     }
 
-    /// The last reported model, if any.
+    /// The last reported model, if any. `pub` for the crate's
+    /// `tests/determinism.rs`, its one caller.
     pub fn last_model(&self) -> Option<&RouteModel> {
         self.last.as_ref()
     }

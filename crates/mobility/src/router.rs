@@ -330,19 +330,8 @@ fn fill_run(graph: &FlatGraph, first: usize, run: &mut [Arc<[u8]>]) {
     }
 }
 
-/// The free-flow travel time of a route, in seconds.
-pub fn route_travel_time(network: &RoadNetwork, path: &[u32]) -> f64 {
-    path.windows(2)
-        .map(|w| {
-            let (edge, _) =
-                find_edge(network, w[0], w[1]).expect("consecutive route nodes adjacent");
-            network.edge(edge).travel_time()
-        })
-        .sum()
-}
-
 /// Finds the edge connecting two adjacent intersections.
-pub fn find_edge(network: &RoadNetwork, a: u32, b: u32) -> Option<(u32, u32)> {
+pub(crate) fn find_edge(network: &RoadNetwork, a: u32, b: u32) -> Option<(u32, u32)> {
     network
         .neighbors(a)
         .iter()
@@ -357,6 +346,17 @@ mod tests {
     use crate::road::{Edge, RoadClass, RoadNetwork};
     use lira_core::geometry::{Point, Rect};
     use proptest::prelude::*;
+
+    /// The free-flow travel time of a route, in seconds.
+    fn route_travel_time(network: &RoadNetwork, path: &[u32]) -> f64 {
+        path.windows(2)
+            .map(|w| {
+                let (edge, _) =
+                    find_edge(network, w[0], w[1]).expect("consecutive route nodes adjacent");
+                network.edge(edge).travel_time()
+            })
+            .sum()
+    }
 
     /// Two routes from 0 to 3: direct slow collector vs. two-hop expressway.
     fn fork() -> RoadNetwork {

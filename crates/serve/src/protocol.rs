@@ -386,7 +386,7 @@ impl Frame {
     }
 
     /// Encodes just the payload bytes (no header).
-    pub fn encode_payload(&self) -> Vec<u8> {
+    pub(crate) fn encode_payload(&self) -> Vec<u8> {
         let mut e = Enc { buf: Vec::new() };
         match self {
             Frame::Hello { flags } => e.u32(*flags),
@@ -541,7 +541,7 @@ impl<'a> Cur<'a> {
 
 /// Decodes one payload of the given kind. Rejects unknown kinds,
 /// truncated fields, inconsistent inner counts, and trailing bytes.
-pub fn decode_payload(kind_code: u8, payload: &[u8]) -> Result<Frame, WireError> {
+pub(crate) fn decode_payload(kind_code: u8, payload: &[u8]) -> Result<Frame, WireError> {
     let mut c = Cur {
         bytes: payload,
         pos: 0,

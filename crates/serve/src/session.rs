@@ -27,6 +27,7 @@ use lira_core::telemetry::json::Json;
 use lira_core::telemetry::{Counter, Gauge, Histogram, MetricSpec, Telemetry};
 use lira_server::cq_engine::{CqServer, EvalEngine};
 use lira_server::governor::Governor;
+use lira_server::unified::MAX_SHARDS;
 use std::sync::Arc;
 
 use crate::protocol::{self, kind, Frame, WireUpdate};
@@ -40,9 +41,10 @@ pub struct ServeConfig {
     /// Node-id capacity of the engine: the node store is sized to this
     /// once, and a `Batch` naming an id ≥ this is rejected whole.
     pub num_nodes: usize,
-    /// Engine shards (spatial stripes of the unified engine): the host's
-    /// parallelism, at most 4, by default. Nothing in the deterministic
-    /// report but its `shards` key depends on it.
+    /// Engine shards (spatial stripes of the unified engine), from 1 to
+    /// [`MAX_SHARDS`]: the host's parallelism, at most 4, by default.
+    /// Nothing in the deterministic report but its `shards` key depends
+    /// on it.
     pub shards: usize,
     /// Ignored, like `index_side`: it sized the slice table that routed
     /// updates to per-shard queues, which are gone (the session has one
@@ -76,9 +78,10 @@ pub struct ServeConfig {
     /// to be dropped by the next `benchmark` PR (ROADMAP item 11).
     pub rebalance: bool,
     /// The shedding policy behind the plan broadcasts (CLI `--policy`;
-    /// LIRA by default). Must be source-actuated — see
-    /// [`Self::shedding_policy`]; every such policy emits ordinary
-    /// [`SheddingPlan`]s over the unchanged 16 B/region wire format.
+    /// LIRA by default). Must be source-actuated ([`Self::validate`]
+    /// refuses a policy that sheds at the server); every such policy
+    /// emits ordinary [`SheddingPlan`]s over the unchanged 16 B/region
+    /// wire format.
     pub policy: Policy,
 }
 
@@ -117,14 +120,23 @@ impl ServeConfig {
     }
 
     /// Says why no session can run under this configuration: no engine
-    /// shard, a queue capacity `B` more than `Welcome` can advertise,
-    /// whatever [`Governor::check`] refuses (fewer than THROTLOOP's two
-    /// slots, a service rate it cannot divide by), or anything
-    /// [`Self::shedding_policy`] refuses. The binary checks before it
-    /// binds; [`SessionCore::new`] panics on a refusal.
+    /// shard or more than the engine runs, a queue capacity `B` more
+    /// than `Welcome` can advertise, whatever [`Governor::check`]
+    /// refuses (fewer than THROTLOOP's two slots, a service rate it
+    /// cannot divide by), a LIRA configuration that does not validate,
+    /// or a policy that sheds at the server. The binary checks before
+    /// it binds; [`SessionCore::new`] panics on a refusal.
     pub fn validate(&self) -> Result<(), String> {
         if self.shards < 1 {
             return Err("shards must be at least 1".into());
+        }
+        if self.shards > MAX_SHARDS {
+            // The engine would clamp, and `Welcome` and the report
+            // would advertise shards it does not run.
+            return Err(format!(
+                "shards must be at most {MAX_SHARDS}, got {}",
+                self.shards
+            ));
         }
         if self.queue_capacity > u32::MAX as usize {
             return Err(format!(
@@ -141,7 +153,7 @@ impl ServeConfig {
     /// cannot run it: the LIRA configuration must validate, and the
     /// policy must admit every arrival (the serving path has no
     /// server-side drop stage, which rules out Random Drop).
-    pub fn shedding_policy(&self) -> Result<Box<dyn SheddingPolicy>, String> {
+    pub(crate) fn shedding_policy(&self) -> Result<Box<dyn SheddingPolicy>, String> {
         let lira = self.lira_config();
         lira.validate().map_err(|e| e.to_string())?;
         let model = ReductionModel::analytic(self.delta_min, self.delta_max, lira.kappa());
@@ -367,7 +379,7 @@ impl SessionCore {
 
     /// Charges a wire-protocol violation (undecodable bytes) to a
     /// connection. The transport closes the connection afterwards.
-    pub fn note_protocol_error(&mut self, conn: u32) {
+    pub(crate) fn note_protocol_error(&mut self, conn: u32) {
         self.conns[conn as usize].errors += 1;
         self.protocol_errors += 1;
         self.tel.protocol_errors.incr();
@@ -608,21 +620,18 @@ impl SessionCore {
     /// "admitted since the last re-plan" is what the re-plan's statistics
     /// grid has seen.
     ///
-    /// Telemetry is charged per run, not per update: the wall clock is
-    /// read once per drain and a `Batch`'s updates share one offer time,
-    /// so equal waits come in runs, each recorded once.
+    /// The ledger is walked by run, not by update: a `Batch`'s updates
+    /// share the one wall-clock read that stamped their offers, so each
+    /// run of equal offer times is one wait, recorded once, and the
+    /// dequeue that follows takes the whole ledger without visiting a
+    /// slot.
     fn drain(&mut self) {
         let wall = self.wall();
-        let (mut wait_us, mut run) = (0, 0);
-        for (offered, ()) in self.governor.service_at(usize::MAX) {
+        for (offered, count) in self.governor.runs() {
             let wait = ((wall - offered).max(0.0) * 1e6) as u64;
-            if wait != wait_us {
-                self.tel.queue_wait_us.record_n(wait_us, run);
-                (wait_us, run) = (wait, 0);
-            }
-            run += 1;
+            self.tel.queue_wait_us.record_n(wait, count as u64);
         }
-        self.tel.queue_wait_us.record_n(wait_us, run);
+        drop(self.governor.service_at(usize::MAX));
     }
 
     /// The deterministic report core: a pure function of the frame
@@ -788,6 +797,9 @@ mod tests {
             assert!(why.contains(needle), "{why:?} should mention {needle:?}");
         };
         refused(|c| c.shards = 0, "shards");
+        // More stripes than the engine runs: it would clamp silently
+        // while `Welcome` and the report named the unclamped count.
+        refused(|c| c.shards = MAX_SHARDS + 1, "at most 32");
         refused(|c| c.service_rate = 0.0, "service rate");
         refused(|c| c.service_rate = -5.0, "service rate");
         refused(|c| c.service_rate = f64::NAN, "service rate");
@@ -804,6 +816,7 @@ mod tests {
         };
         assert_eq!(edge(1, 2).validate(), Ok(()));
         assert_eq!(edge(8, 2).validate(), Ok(()));
+        assert_eq!(edge(MAX_SHARDS, 2).validate(), Ok(()));
         assert_eq!(edge(4, u32::MAX as usize).validate(), Ok(()));
         // The slice count routes nothing any more, so it is not checked.
         assert_eq!(
@@ -831,6 +844,43 @@ mod tests {
         let mut cfg = ServeConfig::new(1000.0, 100);
         cfg.shards = 0;
         SessionCore::new(cfg);
+    }
+
+    /// The largest `B` `validate` accepts runs: the ledger reserves
+    /// nothing, so a `B` of `u32::MAX` slots costs what it queues.
+    #[test]
+    fn a_session_at_the_largest_queue_capacity_starts_and_admits() {
+        let mut cfg = ServeConfig::new(1000.0, 100);
+        cfg.queue_capacity = u32::MAX as usize;
+        assert_eq!(cfg.validate(), Ok(()));
+        let mut s = SessionCore::new(cfg);
+        let conn = s.open_conn();
+        let out = s.handle(conn, Frame::Hello { flags: 0 });
+        assert!(matches!(
+            out.replies[..],
+            [Frame::Welcome {
+                queue_capacity: u32::MAX,
+                ..
+            }]
+        ));
+        s.handle(
+            conn,
+            Frame::Batch {
+                t: 0.0,
+                updates: vec![upd(1, 100.0, 100.0), upd(2, 900.0, 900.0)],
+            },
+        );
+        assert_eq!(
+            (
+                s.governor.admitted(),
+                s.governor.dropped(),
+                s.governor.depth()
+            ),
+            (2, 0, 2)
+        );
+        let out = s.handle(conn, Frame::EvalReq { t: 0.0 });
+        assert!(matches!(out.replies[..], [Frame::EvalRes { round: 1, .. }]));
+        assert_eq!(s.governor.depth(), 0, "the drain point emptied the ledger");
     }
 
     /// The out-of-bounds contract (docs/WIRE.md, OPERATIONS.md §5): a

@@ -225,7 +225,8 @@ pub struct StormReport {
 
 impl StormReport {
     /// The server's deterministic report core — the string compared
-    /// bit-for-bit between transports.
+    /// bit-for-bit between transports. `pub` for the crate's
+    /// `tests/loopback.rs`, its one caller.
     pub fn deterministic_core(&self) -> String {
         use lira_core::telemetry::json::Json;
         let parsed = Json::parse(&self.server_json).expect("server JSON parses");

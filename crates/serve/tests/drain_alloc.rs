@@ -3,11 +3,15 @@
 //! byte still live — tests of the mechanism, not the clock, so they read
 //! the same whatever the host's speed:
 //!
-//! * A session's queues are admission ledgers. `UpdateQueue::new`
-//!   preallocates its `B` slots, and a ledger slot holds only an admit
-//!   time (8 B), so building a session with `B = 1 000 000` must stay
-//!   under 12 MB. A queue that held the updates (56 B a slot) allocates
-//!   ≈ 56 MB there.
+//! * A session's queue is an admission ledger that reserves nothing and
+//!   keeps its offer times as runs (16 B each, one per `Batch` between
+//!   drain points), so a slot of `B` costs nothing: building a session
+//!   with `B = 2^24` must allocate under 64 KiB (a ledger that reserved
+//!   its runs, or an admit time a slot, allocates 128–256 MiB there).
+//! * A priming `Batch` of 200 000 first reports grows the live heap by
+//!   under 64 KiB: the ledger adds one run, and the unprimed engine
+//!   records no change feed for the rebuild that places every node
+//!   anyway (the first-report list it once grew was ≈ 1 MB).
 //! * Closing a window over a deep ledger allocates nothing sized by its
 //!   depth (< 1 MiB for 200 000 queued updates; a depth-sized copy of the
 //!   queue is ≈ 11 MB).
@@ -16,9 +20,10 @@
 //!   hundred times (indexes and member lists), not once per node with a
 //!   hit.
 //! * Each answer is held once: after three rounds the session's live
-//!   heap is its node store, its ledger, the engine's per-node words and
-//!   its member lists — no per-node list headers, and no copy of the
-//!   member lists made for the digest.
+//!   heap is its node store, the engine's per-node words and its member
+//!   lists — no per-node list headers, no copy of the member lists made
+//!   for the digest, and no ledger or first-report list sized by the
+//!   fleet.
 //!
 //! All live in a binary of their own, so no other test's allocations
 //! land in the counts, and they take turns on [`SERIAL`] so none counts
@@ -136,20 +141,46 @@ fn four_queries() -> Vec<WireQuery> {
 }
 
 #[test]
-fn a_session_ledger_costs_eight_bytes_a_slot() {
+fn a_session_ledger_slot_costs_nothing() {
     let _turn = SERIAL.lock().unwrap_or_else(|e| e.into_inner());
-    let slots = 1_000_000;
-    let mut cfg = ServeConfig::new(10_000.0, 1_000);
+    let slots = 1 << 24;
+    // A small fleet: the session's fixed cost (node store, grids,
+    // registry) is ≈ 32 KB at 100 nodes, which leaves the budget to B.
+    let mut cfg = ServeConfig::new(10_000.0, 100);
     cfg.queue_capacity = slots;
     let before = ALLOCATED.load(Ordering::Relaxed);
     let s = SessionCore::new(cfg);
     let allocated = ALLOCATED.load(Ordering::Relaxed) - before;
     drop(s);
     assert!(
-        allocated < 12_000_000,
+        allocated < 64 << 10,
         "a session with B = {slots} allocated {allocated} B at construction; \
-         its queues must hold admission books (8 B a slot), not updates"
+         its ledger must reserve nothing for the slots it may never fill"
     );
+}
+
+#[test]
+fn a_priming_batch_grows_the_heap_by_nothing_node_sized() {
+    let _turn = SERIAL.lock().unwrap_or_else(|e| e.into_inner());
+    let (mut s, conn) = one_shard_session();
+    s.handle(
+        conn,
+        Frame::Register {
+            queries: four_queries(),
+        },
+    );
+    // Counted from before the frame is built: `handle` consumes and
+    // frees it, so what stays live is what the session kept.
+    let before = LIVE.load(Ordering::Relaxed);
+    s.handle(conn, batch(0.0, 0..NODES));
+    let grown = LIVE.load(Ordering::Relaxed) - before;
+    assert!(
+        grown < 64 << 10,
+        "a priming Batch of {NODES} first reports grew the live heap by {grown} B; \
+         the ledger keeps runs of offer times, not slots, and an unprimed engine \
+         records no change feed for the rebuild that places every node anyway"
+    );
+    drop(s);
 }
 
 #[test]
@@ -257,24 +288,24 @@ fn a_served_session_holds_each_answer_once() {
     let pairs: usize = server.evaluate(2.0).iter().map(|r| r.nodes.len()).sum();
 
     let nodes = NODES as usize;
-    // The node store: five `f64` columns.
+    // The node store: five `f64` columns. The admission ledger holds a
+    // run per `Batch` between drain points, and the priming batch grew
+    // no first-report list (the engine was unprimed), so neither has a
+    // per-node term.
     let store = 40 * nodes;
-    // The admission ledger: an admit time per slot of `B`.
-    let ledger = 8 * nodes;
     // The engine, per node: cell, owned position and wheel tick (4 B
-    // each), one hit word (W = 1 here), the dirty flag (1 B), its entry
-    // in the owned list and in the wheel (4 B each, the owned list up to
-    // twice that after doubling), and the first-report list the priming
-    // batch grew (4 B, up to twice that too).
-    let engine = (12 + 8 + 1 + 2 * 4 + 4 + 2 * 4) * nodes;
+    // each), one hit word (W = 1 here), the dirty flag (1 B), and its
+    // entry in the owned list and in the wheel (4 B each, the owned list
+    // up to twice that after doubling).
+    let engine = (12 + 8 + 1 + 2 * 4 + 4) * nodes;
     // The member lists, up to twice their length after doubling.
     let members = 2 * 4 * pairs;
-    let budget = store + ledger + engine + members + (1 << 20);
+    let budget = store + engine + members + (1 << 20);
     assert!(
         held as usize <= budget,
         "after three rounds the session holds {held} B, over its budget of {budget} B \
-         (store {store}, ledger {ledger}, engine {engine}, {pairs} member pairs {members}, \
-         1 MiB slack): every answer must be held once, as per-node words and member lists"
+         (store {store}, engine {engine}, {pairs} member pairs {members}, 1 MiB slack): \
+         every answer must be held once, as per-node words and member lists"
     );
     drop(s);
 }

@@ -1,6 +1,6 @@
 //! docs/OPERATIONS.md's flag tables are the binaries' flags: §2 lists
 //! exactly the `--flag`s `lira-serve --help` prints, §3 exactly those of
-//! `lira-storm --help`.
+//! `lira-storm --help`. And a value §2 bounds is refused as it says.
 
 use std::collections::BTreeSet;
 use std::process::Command;
@@ -51,4 +51,22 @@ fn the_lira_serve_table_is_its_usage() {
 fn the_lira_storm_table_is_its_usage() {
     let table = documented("## 3. `lira-storm` flags");
     assert_eq!(table, usage(env!("CARGO_BIN_EXE_lira-storm")));
+}
+
+/// A shard count the engine would clamp is refused before the server
+/// binds (OPERATIONS.md §2): `Welcome` and the report would otherwise
+/// advertise stripes that do not run.
+#[test]
+fn lira_serve_refuses_more_shards_than_the_engine_runs() {
+    let out = Command::new(env!("CARGO_BIN_EXE_lira-serve"))
+        .args(["--nodes", "10", "--shards", "33"])
+        .output()
+        .expect("the binary runs");
+    let stderr = String::from_utf8_lossy(&out.stderr);
+    assert_eq!(out.status.code(), Some(2), "{stderr}");
+    assert!(
+        stderr.contains("invalid configuration") && stderr.contains("at most 32"),
+        "{stderr}"
+    );
+    assert!(out.stdout.is_empty(), "nothing listens");
 }

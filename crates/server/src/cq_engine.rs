@@ -142,7 +142,8 @@ impl CqServer {
     /// (builder-style). The state transitions are identical, so results
     /// stay bit-identical: it is the path a one-core host takes anyway,
     /// and `shard_equiv.rs` holds the pooled engine to it. (At
-    /// `shards = 1` rounds are pool-free already.)
+    /// `shards = 1` rounds are pool-free already.) `pub` for that
+    /// integration test, its one caller.
     pub fn with_sequential_eval(mut self, sequential: bool) -> Self {
         self.sequential_eval = sequential;
         self

@@ -7,11 +7,9 @@
 //! body: how long a window is (`window_s`), when and how much they
 //! service (`service_at`), and which clock stamps an offer.
 
-use std::collections::vec_deque::Drain;
-
 use lira_core::throt_loop::{QueueObservation, ThrotLoop};
 
-use crate::queue::UpdateQueue;
+use crate::queue::{Drain, UpdateQueue};
 
 /// How THROTLOOP classified one window's step; the first that applies,
 /// in the order overload, held, clamped.
@@ -115,8 +113,9 @@ impl<T> Governor<T> {
     }
 
     /// Dequeues up to `n` updates with their offer times, in FIFO order
-    /// ([`UpdateQueue::service_at`]).
-    pub fn service_at(&mut self, n: usize) -> Drain<'_, (f64, T)> {
+    /// and in place ([`UpdateQueue::service_at`]): dropping the iterator
+    /// early still dequeues all of them.
+    pub fn service_at(&mut self, n: usize) -> Drain<'_, T> {
         self.queue.service_at(n)
     }
 
@@ -196,6 +195,14 @@ impl<T> Governor<T> {
             step,
             adapt_due,
         }
+    }
+}
+
+impl Governor<()> {
+    /// The queued offer times as `(time, count)` runs, oldest first
+    /// ([`UpdateQueue::runs`]). Dequeues nothing.
+    pub fn runs(&self) -> impl Iterator<Item = (f64, usize)> + '_ {
+        self.queue.runs()
     }
 }
 

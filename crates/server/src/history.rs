@@ -65,7 +65,7 @@ impl HistoryStore {
 
     /// The model that was current at time `t` for `node` (the latest model
     /// with `model.time <= t`), or `None` if the node had not reported yet.
-    pub fn model_at(&self, node: u32, t: f64) -> Option<&StoredModel> {
+    pub(crate) fn model_at(&self, node: u32, t: f64) -> Option<&StoredModel> {
         let timeline = &self.timelines[node as usize];
         let idx = timeline.partition_point(|m| m.time <= t);
         idx.checked_sub(1).map(|i| &timeline[i])

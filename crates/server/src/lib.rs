@@ -35,7 +35,7 @@ pub mod unified;
 pub mod prelude {
     pub use crate::base_station::{
         density_dependent_placement, mean_broadcast_bytes, mean_regions_per_station, station_for,
-        uniform_placement, BaseStation,
+        uniform_placement,
     };
     pub use crate::channel::{
         ChannelStats, DelayModel, Delivery, FaultProfile, FaultyChannel, LossModel, Outage,
@@ -44,8 +44,8 @@ pub mod prelude {
     pub use crate::cq_engine::{CqServer, EvalEngine};
     pub use crate::governor::{Governor, StepClass, WindowDecision};
     pub use crate::history::HistoryStore;
-    pub use crate::mobile::{MobileShedder, LOCAL_GRID_SIDE};
-    pub use crate::node_store::{NodeStore, StoredModel};
+    pub use crate::mobile::MobileShedder;
+    pub use crate::node_store::NodeStore;
     pub use crate::query::{sorted_difference_count, QueryResult, RangeQuery, UncertainResult};
     pub use crate::queue::UpdateQueue;
     pub use crate::unified::{ShardStats, MAX_SHARDS};

@@ -3,14 +3,25 @@
 //! LIRA prevents, plus the windowed arrival rate THROTLOOP needs (the
 //! [`Governor`](crate::governor::Governor) reads it).
 
+use std::collections::{vec_deque, VecDeque};
+
 /// A bounded FIFO of position updates with drop accounting.
 ///
-/// Each entry carries the time at which it was offered, so
-/// [`UpdateQueue::service_at`] can report per-update queueing latency
-/// without a second bookkeeping structure.
+/// Each queued update keeps the time at which it was offered, so
+/// [`UpdateQueue::service_at`] can report per-update queueing latency.
+/// The times are stored run-length: consecutive admissions offered at
+/// bit-identical times share one `(time, count)` run of 16 B, so a burst
+/// stamped by one clock read costs one run, whatever its size. The items
+/// live in a deque of their own, which never allocates for `T = ()` (the
+/// served session's books-only ledger). Nothing is reserved up front:
+/// any capacity `B` costs nothing until updates queue.
 #[derive(Debug, Clone)]
 pub struct UpdateQueue<T> {
-    items: std::collections::VecDeque<(f64, T)>,
+    /// Offer times of the queued items, oldest first, as `(time, count)`
+    /// runs. Adjacent runs differ in their time's bits, and the counts
+    /// sum to `items.len()`.
+    runs: VecDeque<(f64, usize)>,
+    items: VecDeque<T>,
     capacity: usize,
     arrived: u64,
     dropped: u64,
@@ -19,11 +30,13 @@ pub struct UpdateQueue<T> {
 }
 
 impl<T> UpdateQueue<T> {
-    /// Creates a queue holding at most `capacity` updates (`B` in the paper).
+    /// Creates a queue holding at most `capacity` updates (`B` in the
+    /// paper). Allocates nothing.
     pub fn new(capacity: usize) -> Self {
         assert!(capacity >= 1, "queue capacity must be positive");
         UpdateQueue {
-            items: std::collections::VecDeque::with_capacity(capacity),
+            runs: VecDeque::new(),
+            items: VecDeque::new(),
             capacity,
             arrived: 0,
             dropped: 0,
@@ -45,28 +58,51 @@ impl<T> UpdateQueue<T> {
 
     /// Offers an update arriving at `now_s`. A full queue drops it (tail
     /// drop) and returns `false` — the server-actuated shedding the paper
-    /// argues against.
+    /// argues against. An admitted update joins the newest run when
+    /// `now_s` has that run's bits (so −0.0 and NaN come back as
+    /// offered), and starts a run otherwise.
     pub fn offer_at(&mut self, now_s: f64, item: T) -> bool {
         self.arrived += 1;
         self.window_arrived += 1;
         if self.items.len() >= self.capacity {
             self.dropped += 1;
-            false
-        } else {
-            self.items.push_back((now_s, item));
-            true
+            return false;
         }
+        self.items.push_back(item);
+        if let Some((time, count)) = self.runs.back_mut() {
+            if time.to_bits() == now_s.to_bits() {
+                *count += 1;
+                return true;
+            }
+        }
+        self.start_run(now_s);
+        true
+    }
+
+    /// Opens a run for an admission at a new time. Out of line: a burst
+    /// stamped by one clock read starts one run and joins it thousands
+    /// of times, and the deque's growth path inlined into every caller's
+    /// offer loop costs that loop more than the call does (≈ 4 ns an
+    /// update on the served session's `handle(Batch)`, measured on a
+    /// 2-vCPU guest).
+    #[cold]
+    #[inline(never)]
+    fn start_run(&mut self, now_s: f64) {
+        self.runs.push_back((now_s, 1));
     }
 
     /// Dequeues the first `min(n, len)` updates with their arrival
     /// timestamps (the value passed to [`Self::offer_at`]), in FIFO order
-    /// and in place: the iterator lends them out of the queue's own
+    /// and in place: the iterator lends the items out of the queue's own
     /// buffer, so a drain copies nothing. Dropping the iterator early
     /// still dequeues all of them. The caller computes queueing latency
     /// as `now − arrived_at`.
-    pub fn service_at(&mut self, n: usize) -> std::collections::vec_deque::Drain<'_, (f64, T)> {
+    pub fn service_at(&mut self, n: usize) -> Drain<'_, T> {
         let take = n.min(self.items.len());
-        self.items.drain(..take)
+        Drain {
+            runs: &mut self.runs,
+            items: self.items.drain(..take),
+        }
     }
 
     /// Lifetime arrivals.
@@ -89,6 +125,64 @@ impl<T> UpdateQueue<T> {
         let rate = self.window_arrived as f64 / window_seconds;
         self.window_arrived = 0;
         rate
+    }
+}
+
+impl UpdateQueue<()> {
+    /// The queued offer times as `(time, count)` runs, oldest first, for
+    /// a ledger whose items carry nothing: one step per run instead of
+    /// one per queued update. Dequeues nothing.
+    pub fn runs(&self) -> impl Iterator<Item = (f64, usize)> + '_ {
+        self.runs.iter().copied()
+    }
+}
+
+/// The FIFO prefix [`UpdateQueue::service_at`] dequeues: yields each
+/// update with its offer time, oldest first. Dropping it dequeues
+/// whatever it did not yield.
+#[derive(Debug)]
+pub struct Drain<'a, T> {
+    runs: &'a mut VecDeque<(f64, usize)>,
+    items: vec_deque::Drain<'a, T>,
+}
+
+impl<T> Iterator for Drain<'_, T> {
+    type Item = (f64, T);
+
+    #[inline]
+    fn next(&mut self) -> Option<(f64, T)> {
+        let item = self.items.next()?;
+        let run = self.runs.front_mut().expect("every queued item has a run");
+        let time = run.0;
+        run.1 -= 1;
+        if run.1 == 0 {
+            self.runs.pop_front();
+        }
+        Some((time, item))
+    }
+
+    #[inline]
+    fn size_hint(&self) -> (usize, Option<usize>) {
+        self.items.size_hint()
+    }
+}
+
+impl<T> ExactSizeIterator for Drain<'_, T> {}
+
+impl<T> Drop for Drain<'_, T> {
+    /// Takes the unyielded rest of the prefix off the runs, a run at a
+    /// time; the items' own drain takes the items.
+    fn drop(&mut self) {
+        let mut rest = self.items.len();
+        while rest > 0 {
+            let run = self.runs.front_mut().expect("every queued item has a run");
+            if run.1 > rest {
+                run.1 -= rest;
+                return;
+            }
+            rest -= run.1;
+            self.runs.pop_front();
+        }
     }
 }
 

@@ -1655,7 +1655,16 @@ impl UnifiedEval {
     /// `safe_until` is computed when the next round steps it anyway.
     /// `first_report` nodes are not owned by any shard yet and are
     /// claimed at the next round's integrate phase.
+    ///
+    /// An unprimed engine records nothing: its next round is a rebuild,
+    /// which places every stored node without reading the feed and
+    /// clears it. So a priming burst of a million first reports grows no
+    /// pending list (4 MB that the rebuild would discard unread and the
+    /// list would keep).
     pub(crate) fn on_ingest(&mut self, node: u32, first_report: bool) {
+        if !self.primed {
+            return;
+        }
         if first_report {
             self.pending.push(node);
         } else {
@@ -1664,9 +1673,12 @@ impl UnifiedEval {
     }
 
     /// Removal hook: the node must be re-placed (torn down) at the next
-    /// round whether or not the wheel has it due.
+    /// round whether or not the wheel has it due. Like
+    /// [`Self::on_ingest`], records nothing before a rebuild.
     pub(crate) fn on_remove(&mut self, node: u32) {
-        self.dirty.insert(node);
+        if self.primed {
+            self.dirty.insert(node);
+        }
     }
 
     /// Cumulative nodes placed or re-placed, over all shards (the sum of

@@ -24,10 +24,8 @@ mod telemetry;
 /// Convenient re-exports of the most used types.
 pub mod prelude {
     pub use crate::adaptive::{run_adaptive, AdaptiveConfig, AdaptiveReport};
-    pub use crate::metrics::{
-        evaluation_errors, FaultReport, MetricsAccumulator, MetricsReport, QueryErrors,
-    };
-    pub use crate::pipeline::{CarState, ReferenceTimeline, SimPipeline, SimSetup, TrafficTrace};
+    pub use crate::metrics::{evaluation_errors, FaultReport, MetricsAccumulator, MetricsReport};
+    pub use crate::pipeline::{ReferenceTimeline, SimPipeline, SimSetup, TrafficTrace};
     pub use crate::runner::{run_scenario, PolicyOutcome, RunReport};
     pub use lira_core::policy::Policy;
     pub use lira_core::telemetry::TelemetrySnapshot;

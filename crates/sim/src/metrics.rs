@@ -103,10 +103,9 @@ impl MetricsAccumulator {
     }
 
     /// Running totals `(Σ containment, Σ position)` over all queries and
-    /// rounds recorded so far. Diffing totals around a
-    /// [`record_round`](Self::record_round) call yields that round's
-    /// error mass — the realized-loss feedback signal for
-    /// feedback-aware shedding policies.
+    /// rounds recorded so far. Diffing totals around a recorded round
+    /// yields that round's error mass — the realized-loss feedback
+    /// signal for feedback-aware shedding policies.
     pub fn totals(&self) -> (f64, f64) {
         (
             self.containment_sums.iter().sum(),
@@ -118,7 +117,7 @@ impl MetricsAccumulator {
     /// accumulating in place — [`evaluation_errors`] followed by
     /// [`record`](Self::record) without the per-round `Vec<QueryErrors>`.
     /// This is the steady-state entry point for simulation lanes.
-    pub fn record_round(
+    pub(crate) fn record_round(
         &mut self,
         reference: &[QueryResult],
         shed: &[QueryResult],
@@ -227,7 +226,7 @@ pub struct FaultReport {
 
 impl FaultReport {
     /// Snapshot of a channel's accounting at the end of a lane.
-    pub fn from_channel(stats: ChannelStats, pending: u64) -> Self {
+    pub(crate) fn from_channel(stats: ChannelStats, pending: u64) -> Self {
         FaultReport {
             sent: stats.sent,
             transmissions: stats.transmissions,

@@ -294,7 +294,7 @@ impl TrafficTrace {
     /// [`record`](Self::record) with a hook invoked immediately before
     /// every step — the pipeline threads demand-phase switches through it
     /// (see [`PhaseSchedule::apply_due`]).
-    pub fn record_with<F: FnMut(&mut TrafficSimulator)>(
+    pub(crate) fn record_with<F: FnMut(&mut TrafficSimulator)>(
         sim: &mut TrafficSimulator,
         total_ticks: usize,
         dt: f64,

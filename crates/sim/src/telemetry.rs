@@ -160,25 +160,25 @@ impl LaneTelemetry {
 
     /// A mobile node produced a position update.
     #[inline]
-    pub fn on_sent(&self) {
+    pub(crate) fn on_sent(&self) {
         self.updates_sent.incr();
     }
 
     /// The server admitted (applied) an update.
     #[inline]
-    pub fn on_admitted(&self) {
+    pub(crate) fn on_admitted(&self) {
         self.updates_admitted.incr();
     }
 
     /// An update was shed at the input (server-actuated drop).
     #[inline]
-    pub fn on_shed(&self) {
+    pub(crate) fn on_shed(&self) {
         self.updates_shed.incr();
     }
 
     /// A run's plan lookups, one per car per tick, and how many of them
     /// found the car still in the region its previous lookup found.
-    pub fn on_plan_lookups(&self, lookups: u64, hint_hits: u64) {
+    pub(crate) fn on_plan_lookups(&self, lookups: u64, hint_hits: u64) {
         self.plan_lookups.add(lookups);
         self.plan_hint_hits.add(hint_hits);
     }
@@ -186,14 +186,20 @@ impl LaneTelemetry {
     /// One evaluation round placed or re-placed `stepped` nodes (the
     /// difference of `CqServer::stepped_nodes` across it).
     #[inline]
-    pub fn on_evaluated(&self, stepped: u64) {
+    pub(crate) fn on_evaluated(&self, stepped: u64) {
         self.stepped_nodes.record(stepped);
     }
 
     /// Records one adaptation round: wall time, the throttle in force,
     /// the partitioner/optimizer work counters, and the plan's final Δ
     /// distribution (meters, one sample per region).
-    pub fn on_adapt(&self, micros: u64, z: f64, cost: Option<AdaptCost>, plan: &SheddingPlan) {
+    pub(crate) fn on_adapt(
+        &self,
+        micros: u64,
+        z: f64,
+        cost: Option<AdaptCost>,
+        plan: &SheddingPlan,
+    ) {
         self.adapt_us.record(micros);
         self.throttle.set(z);
         if let Some(c) = cost {
@@ -214,7 +220,7 @@ impl LaneTelemetry {
     /// Records one adaptation's per-region utility scores (histogram
     /// sample per region, milli-units) and the maximum score. A no-op
     /// for policies without a utility model (`scores = None`).
-    pub fn on_utility(&self, scores: Option<&[f64]>) {
+    pub(crate) fn on_utility(&self, scores: Option<&[f64]>) {
         if COMPILED_OUT {
             return;
         }
@@ -229,7 +235,7 @@ impl LaneTelemetry {
 
     /// Flushes one plan epoch's per-region admitted/shed counts into the
     /// shed-skew histograms (one sample per region per epoch).
-    pub fn flush_regions(&self, admitted: &[u64], shed: &[u64]) {
+    pub(crate) fn flush_regions(&self, admitted: &[u64], shed: &[u64]) {
         if COMPILED_OUT {
             return;
         }
@@ -243,7 +249,7 @@ impl LaneTelemetry {
 
     /// Closed-loop handles (`queue.*`, `throtloop.*`) registered on this
     /// lane's registry, so a closed-loop lane still exports one snapshot.
-    pub fn closed_loop(&self) -> AdaptiveTelemetry {
+    pub(crate) fn closed_loop(&self) -> AdaptiveTelemetry {
         AdaptiveTelemetry::on(Arc::clone(&self.registry))
     }
 
@@ -256,7 +262,7 @@ impl LaneTelemetry {
     /// (`shard.imbalance`: σ/µ of the per-shard node counts — 0 at one
     /// shard, on an empty fleet, and whenever the stripes own equal
     /// shares).
-    pub fn on_run_end(&self, channel: Option<ChannelStats>, server: &CqServer) {
+    pub(crate) fn on_run_end(&self, channel: Option<ChannelStats>, server: &CqServer) {
         if COMPILED_OUT {
             return;
         }
@@ -324,24 +330,24 @@ impl PipelineTelemetry {
     }
 
     /// Records the setup stage's wall time (microseconds).
-    pub fn on_setup(&self, us: u64) {
+    pub(crate) fn on_setup(&self, us: u64) {
         self.setup_us.record(us);
     }
 
     /// Records the recorder's wall time, time blocked on a full channel
     /// included.
-    pub fn on_trace(&self, us: u64) {
+    pub(crate) fn on_trace(&self, us: u64) {
         self.trace_us.record(us);
     }
 
     /// Records the reference replay's wall time.
-    pub fn on_reference(&self, us: u64) {
+    pub(crate) fn on_reference(&self, us: u64) {
         self.reference_us.record(us);
     }
 
     /// Records the wall time of the whole streamed stage (recorder,
     /// reference replay and every lane).
-    pub fn on_lanes(&self, us: u64) {
+    pub(crate) fn on_lanes(&self, us: u64) {
         self.lanes_us.record(us);
     }
 
@@ -387,7 +393,7 @@ impl AdaptiveTelemetry {
     /// Records one serviced update's queueing latency (seconds; a
     /// non-finite latency is skipped).
     #[inline]
-    pub fn on_serviced(&self, latency_s: f64) {
+    pub(crate) fn on_serviced(&self, latency_s: f64) {
         if latency_s.is_finite() {
             self.queue_latency_us.record((latency_s * 1e6) as u64);
         }
@@ -397,7 +403,7 @@ impl AdaptiveTelemetry {
     /// operating point, and the step's classification. Degenerate windows
     /// (holds, overload clamps) produce `Warn` journal entries — the
     /// operator-facing signals in docs/TELEMETRY.md.
-    pub fn on_window(&self, w: &WindowDecision) {
+    pub(crate) fn on_window(&self, w: &WindowDecision) {
         let (lambda, mu) = (w.arrival_rate, w.service_rate);
         self.queue_depth.set(w.queue_len as f64);
         self.queue_overflow.add(w.dropped);

@@ -272,7 +272,7 @@ impl Scenario {
 
     /// The fleet speed class covering car `id`, by cumulative-fraction
     /// stripes over `num_cars`. `None` on a homogeneous fleet.
-    pub fn fleet_class_of(&self, id: u32) -> Option<&SpeedClass> {
+    pub(crate) fn fleet_class_of(&self, id: u32) -> Option<&SpeedClass> {
         if self.fleet.is_empty() {
             return None;
         }
