@@ -1,18 +1,16 @@
-//! `exp_shard` — scaling of the unified engine's column stripes.
+//! `exp_shard` — the unified engine against its sweep baseline.
 //!
-//! Benchmarks `EvalEngine::Unified` at shard counts 1/2/4/8 against the
-//! sweep baseline (`with_dirty_tracking(false)` — the round structure of
-//! the retired inverted engine, which walked every stored node each
-//! round; the JSON's `baseline_*` keys) on two churning populations:
+//! Benchmarks the one engine against the sweep baseline
+//! (`with_dirty_tracking(false)` — the round structure of the retired
+//! inverted engine, which walked every stored node each round; the
+//! JSON's `baseline_*` keys) on two churning populations:
 //!
 //! * **uniform** — the classic seeded scatter with uniformly placed
-//!   queries; stripes carry near-equal load;
+//!   queries;
 //! * **hotspot** — 80 % of the fleet squeezed into a drifting band a
-//!   tenth of the space wide, with Proportional query placement. The
-//!   uniform stripe boundaries (DESIGN.md §12) leave one shard with most
-//!   of the fleet here; this scenario shows what that skew costs.
+//!   tenth of the space wide, with Proportional query placement.
 //!
-//! Before timing, each scale cross-checks every shard count against the
+//! Before timing, each scale cross-checks the engine against the
 //! baseline for equal results, and the digest a served round folds
 //! (`evaluate_digest`) against `digest_round` over those results, round
 //! by round — a benchmark of a wrong engine is worthless.
@@ -30,20 +28,9 @@
 //!   100 000-node rung), for the CI perf-smoke step;
 //! * `--out PATH` — where to write the JSON report (default
 //!   `BENCH_shard.json` in the current directory);
-//! * `--assert` — exit nonzero unless (a) at every scale and scenario,
-//!   `speedup_vs_shard1` is monotone in the shard count within
-//!   [`MONO_TOL`] (each rung must keep at least that
-//!   fraction of the previous rung's speedup; the slack absorbs the
-//!   stripe-maintenance and pool wake-up overhead the 2-vCPU reference
-//!   host pays with little parallel win to offset it — measured up to
-//!   ~0.65 on the 1→2-shard rung at mid scales — and on any host it
-//!   absorbs timing noise at the sub-10 µs scales), and
-//!   (b) at the largest
-//!   scale of each scenario, unified `evaluate` at 4 shards is at least
-//!   [`MIN_SPEEDUP`]× faster than the sweep baseline, and
-//!   (c) on the advancing round the default engine (1 shard) is at least
-//!   [`MIN_SPEEDUP`]× the sweep baseline at every scale and strictly
-//!   faster at each scenario's largest.
+//! * `--assert` — exit nonzero unless, on the advancing round, the
+//!   engine is at least [`MIN_SPEEDUP`]× the sweep baseline at every
+//!   scale and strictly faster at each scenario's largest.
 //!
 //! Every round re-reports [`CHURN_FRAC`] of the fleet (the JSON's
 //! `churn_frac`).
@@ -55,33 +42,25 @@
 //! (`evaluate_ns`) is the same churn evaluated at a fixed time: only the
 //! re-reported nodes can change, a round no server pays, kept because it
 //! isolates the engine's floor (emit copy + churn). The **served**
-//! columns time the advancing round twice more for each shard count, as
-//! the two digest paths pay it: `served_ns` is `evaluate_digest` — what
-//! `lira-serve` runs per `EvalReq`, the digest folded as the member lists
-//! are written — and `replica_ns` is `evaluate_into` followed by
-//! `digest_round` over the copied results, what the benchmark's in-process
-//! replica and any client folding materialised results pay. The baseline's sweep
-//! round walks every stored node on both; the unified engine steps the
-//! re-reported nodes plus, when `t` advances, the nodes its time wheel
-//! has due (DESIGN.md §13), which is where the speedup comes from. A
-//! cell on which the engine itself swept — `advancing_stepped_per_round`
-//! at least half the fleet, a world that moves a node a good part of a
-//! cell per round (`BUSY`) — timed the baseline's own code path, and is
-//! reported as such beside its speedup.
+//! columns time the advancing round twice more, as the two digest paths
+//! pay it: `served_ns` is `evaluate_digest` — what `lira-serve` runs per
+//! `EvalReq`, the digest folded as the member lists are written — and
+//! `replica_ns` is `evaluate_into` followed by `digest_round` over the
+//! copied results, what the benchmark's in-process replica and any
+//! client folding materialised results pay. The baseline's sweep round
+//! walks every stored node on both; the engine steps the re-reported
+//! nodes plus, when `t` advances, the nodes its time wheel has due
+//! (DESIGN.md §13), which is where the speedup comes from. A cell on
+//! which the engine itself swept — `advancing_stepped_per_round` at least
+//! half the fleet, a world that moves a node a good part of a cell per
+//! round (`BUSY`) — timed the baseline's own code path, and is reported
+//! as such beside its speedup.
 //! Every rung does fixed work: [`WARMUP_ROUNDS`] untimed rounds, then
 //! [`TIMED_ROUNDS`] rounds timed one at a time, and the rung reports
-//! their median (the JSON's `*_ns` keys). So every engine of a scale runs
-//! the same rounds over the same churn, and a gate compares like with
+//! their median (the JSON's `*_ns` keys). So both engines of a scale run
+//! the same rounds over the same churn, and the gate compares like with
 //! like; a time-boxed mean would hold however many rounds fit in the box,
 //! each engine starting its advancing rung from a different world.
-//! Worker threads add parallelism on multi-core hosts but are *not*
-//! required for the win — on the 2-vCPU reference host the
-//! `speedup_vs_shard1` curve is flat or falling (≤ 1.0 in most cells)
-//! rather than monotonically rising, which the [`MONO_TOL`] gate still
-//! accepts, and on a single-core host the engine detects the core count
-//! and stays sequential. `shards = 1` measures the pure dirty-tracking
-//! gain (`speedup_vs_shard1` isolates the striping gain on top of it).
-//! Results are bit-identical across shard counts (`shard_equiv.rs`).
 //! Peak RSS per scale is the process high-water mark, cumulative up to
 //! that rung of the ladder.
 
@@ -103,14 +82,9 @@ const SPACE_M: f64 = 10_000.0;
 const REF_NODES: f64 = 10_000.0;
 /// Fraction of nodes re-reporting between evaluation rounds.
 const CHURN_FRAC: f64 = 0.05;
-/// The `--assert` floor on the 4-shard and the advancing-round speedups
-/// over the sweep baseline.
+/// The `--assert` floor on the advancing-round speedup over the sweep
+/// baseline.
 const MIN_SPEEDUP: f64 = 1.0;
-/// The `--assert` monotonicity tolerance: each shard count must keep at
-/// least this fraction of the previous one's `speedup_vs_shard1`.
-const MONO_TOL: f64 = 0.6;
-/// Shard counts under test.
-const SHARD_COUNTS: [usize; 4] = [1, 2, 4, 8];
 /// Query side length (m): small enough coverage per query that the emit
 /// copy does not drown the round-structure signal at the top scales.
 const QUERY_SIDE: f64 = 500.0;
@@ -163,43 +137,26 @@ fn space_for(num_nodes: usize) -> f64 {
     SPACE_M * (num_nodes as f64 / REF_NODES).max(1.0).sqrt()
 }
 
-fn make_server(
-    num_nodes: usize,
-    space_m: f64,
-    queries: &[RangeQuery],
-    engine: EvalEngine,
-) -> CqServer {
+fn make_server(num_nodes: usize, space_m: f64, queries: &[RangeQuery]) -> CqServer {
     let bounds = Rect::from_coords(0.0, 0.0, space_m, space_m);
-    let mut server = CqServer::new(bounds, num_nodes, 64).with_engine(engine);
+    let mut server = CqServer::new(bounds, num_nodes, 64);
     server.register_queries(queries.iter().copied());
     server
 }
 
-/// Cross-checks every shard count against the sweep baseline before
-/// timing, on the exact workload pattern the timing loop
-/// replays.
+/// Cross-checks the engine against the sweep baseline before timing, on
+/// the exact workload pattern the timing loop replays.
 fn verify_engines_agree(scen: Scen, num_nodes: usize, space_m: f64, queries: &[RangeQuery]) {
-    let mut base =
-        make_server(num_nodes, space_m, queries, EvalEngine::default()).with_dirty_tracking(false);
+    let mut base = make_server(num_nodes, space_m, queries).with_dirty_tracking(false);
     let mut w_base = scen.workload(num_nodes, space_m);
     w_base.prime(&mut base);
-    // Per shard count, a server whose rounds are materialised and one
-    // whose rounds are folded into the served digest.
-    let mut striped: Vec<(usize, [CqServer; 2], ChurnWorkload)> = SHARD_COUNTS
-        .iter()
-        .map(|&s| {
-            let mut server = make_server(
-                num_nodes,
-                space_m,
-                queries,
-                EvalEngine::Unified { shards: s },
-            );
-            let w = scen.workload(num_nodes, space_m);
-            w.prime(&mut server);
-            (s, [server.clone(), server], w)
-        })
-        .collect();
-    let (mut replica, mut served) = (vec![0; SHARD_COUNTS.len()], vec![0; SHARD_COUNTS.len()]);
+    // A server whose rounds are materialised and one whose rounds are
+    // folded into the served digest.
+    let mut server = make_server(num_nodes, space_m, queries);
+    let mut w = scen.workload(num_nodes, space_m);
+    w.prime(&mut server);
+    let mut folding = server.clone();
+    let (mut replica, mut served) = (0, 0);
     // Five same-`t` rounds, then five advancing ones.
     for round in 0..10 {
         let t = (round as f64 - 4.0).max(0.5);
@@ -208,28 +165,25 @@ fn verify_engines_agree(scen: Scen, num_nodes: usize, space_m: f64, queries: &[R
             base.ingest(id, stamp, p, v);
         });
         let want = base.evaluate(t);
-        for (k, (s, [server, folding], w)) in striped.iter_mut().enumerate() {
-            w.step_with(|id, p, v| {
-                server.ingest(id, stamp, p, v);
-                folding.ingest(id, stamp, p, v);
-            });
-            assert_eq!(
-                server.evaluate(t),
-                want,
-                "unified({s}) disagrees with the sweep baseline ({} {num_nodes} nodes, round \
-                 {round})",
-                scen.name()
-            );
-            replica[k] = digest_round(replica[k], t, &want);
-            served[k] = folding.evaluate_digest(t, served[k]);
-            assert_eq!(
-                served[k],
-                replica[k],
-                "unified({s})'s served digest disagrees with digest_round over its results ({} \
-                 {num_nodes} nodes, round {round})",
-                scen.name()
-            );
-        }
+        w.step_with(|id, p, v| {
+            server.ingest(id, stamp, p, v);
+            folding.ingest(id, stamp, p, v);
+        });
+        assert_eq!(
+            server.evaluate(t),
+            want,
+            "the engine disagrees with the sweep baseline ({} {num_nodes} nodes, round {round})",
+            scen.name()
+        );
+        replica = digest_round(replica, t, &want);
+        served = folding.evaluate_digest(t, served);
+        assert_eq!(
+            served,
+            replica,
+            "the served digest disagrees with digest_round over the results ({} {num_nodes} \
+             nodes, round {round})",
+            scen.name()
+        );
     }
 }
 
@@ -258,8 +212,6 @@ fn median_round_ns(label: String, mut round: impl FnMut() -> u64) -> f64 {
 
 /// What one server was timed at.
 struct Timed {
-    /// Stripes the server evaluated in.
-    shards: usize,
     /// Same-`t` round: churn + evaluate at a fixed time, median ns.
     ns: f64,
     /// Advancing round: churn stamped `t` + evaluate at `t`, `t += 1`,
@@ -272,8 +224,6 @@ struct Timed {
     /// and the same round copied out and then hashed (`evaluate_into` +
     /// `digest_round`), median ns; `None` for the sweep baseline.
     served: Option<(f64, f64)>,
-    /// Nodes handed from stripe to stripe over both rungs.
-    handoffs: u64,
 }
 
 /// Times both rounds (see the module docs) for one server: the same-`t`
@@ -329,14 +279,11 @@ fn bench_engine(
         });
         (served_ns, replica_ns)
     });
-    let stats = server.shard_stats();
     Timed {
-        shards: stats.len(),
         ns,
         advancing_ns,
         advancing_stepped,
         served,
-        handoffs: stats.iter().map(|st| st.handoffs).sum(),
     }
 }
 
@@ -349,16 +296,7 @@ struct ScaleResult {
     /// Sweep-baseline round times, same-`t` and advancing.
     baseline_ns: f64,
     baseline_advancing_ns: f64,
-    striped: Vec<Timed>,
-}
-
-impl ScaleResult {
-    fn shard1(&self) -> &Timed {
-        self.striped
-            .iter()
-            .find(|r| r.shards == 1)
-            .expect("1-shard cell benched")
-    }
+    engine: Timed,
 }
 
 fn bench_scale(scen: Scen, num_nodes: usize, num_queries: usize) -> ScaleResult {
@@ -380,54 +318,39 @@ fn bench_scale(scen: Scen, num_nodes: usize, num_queries: usize) -> ScaleResult 
         scen,
         num_nodes,
         space_m,
-        make_server(num_nodes, space_m, &queries, EvalEngine::default()).with_dirty_tracking(false),
+        make_server(num_nodes, space_m, &queries).with_dirty_tracking(false),
         false,
     );
     let (baseline_ns, baseline_advancing_ns) = (baseline.ns, baseline.advancing_ns);
-    let striped: Vec<Timed> = SHARD_COUNTS
-        .iter()
-        .map(|&s| {
-            let row = bench_engine(
-                &format!("unified{s}/{tag}"),
-                scen,
-                num_nodes,
-                space_m,
-                make_server(
-                    num_nodes,
-                    space_m,
-                    &queries,
-                    EvalEngine::Unified { shards: s },
-                ),
-                true,
-            );
-            println!(
-                "advancing_speedup_{0}_{num_nodes}x{num_queries}_shards{s}={1:.2} \
-                 (stepping {3:.0} nodes/round{4}) \
-                 evaluate_speedup_{0}_{num_nodes}x{num_queries}_shards{s}={2:.2}",
-                scen.name(),
-                baseline_advancing_ns / row.advancing_ns.max(1e-9),
-                baseline_ns / row.ns.max(1e-9),
-                row.advancing_stepped,
-                // `BUSY` (DESIGN.md §13): the engine gave up on the wheel.
-                if row.advancing_stepped * 2.0 >= num_nodes as f64 {
-                    ": the engine swept, both columns time one code path"
-                } else {
-                    ""
-                }
-            );
-            if let Some((served_ns, replica_ns)) = row.served {
-                println!(
-                    "served_speedup_{}_{num_nodes}x{num_queries}_shards{s}={:.2} (served {:.0} \
-                     ns, replica {:.0} ns)",
-                    scen.name(),
-                    replica_ns / served_ns.max(1e-9),
-                    served_ns,
-                    replica_ns
-                );
-            }
-            row
-        })
-        .collect();
+    let engine = bench_engine(
+        &format!("unified/{tag}"),
+        scen,
+        num_nodes,
+        space_m,
+        make_server(num_nodes, space_m, &queries),
+        true,
+    );
+    println!(
+        "advancing_speedup_{0}_{num_nodes}x{num_queries}={1:.2} (stepping {3:.0} nodes/round{4}) \
+         evaluate_speedup_{0}_{num_nodes}x{num_queries}={2:.2}",
+        scen.name(),
+        baseline_advancing_ns / engine.advancing_ns.max(1e-9),
+        baseline_ns / engine.ns.max(1e-9),
+        engine.advancing_stepped,
+        // `BUSY` (DESIGN.md §13): the engine gave up on the wheel.
+        if engine.advancing_stepped * 2.0 >= num_nodes as f64 {
+            ": the engine swept, both columns time one code path"
+        } else {
+            ""
+        }
+    );
+    let (served_ns, replica_ns) = engine.served.expect("the engine times both paths");
+    println!(
+        "served_speedup_{}_{num_nodes}x{num_queries}={:.2} (served {served_ns:.0} ns, replica \
+         {replica_ns:.0} ns)",
+        scen.name(),
+        replica_ns / served_ns.max(1e-9),
+    );
     let peak_rss = peak_rss_bytes();
     println!(
         "peak_rss_bytes_{}_{num_nodes}x{num_queries}={peak_rss}",
@@ -441,11 +364,47 @@ fn bench_scale(scen: Scen, num_nodes: usize, num_queries: usize) -> ScaleResult 
         peak_rss_bytes: peak_rss,
         baseline_ns,
         baseline_advancing_ns,
-        striped,
+        engine,
     }
 }
 
 fn report_json(mode: &str, scales: &[ScaleResult]) -> Json {
+    let scale = |s: &ScaleResult| {
+        let r = &s.engine;
+        let (served_ns, replica_ns) = r.served.expect("the engine times both paths");
+        Json::Obj(vec![
+            ("scenario".into(), Json::Str(s.scenario.into())),
+            ("nodes".into(), Json::UInt(s.nodes as u64)),
+            ("queries".into(), Json::UInt(s.queries as u64)),
+            ("space_m".into(), Json::Float(s.space_m)),
+            ("peak_rss_bytes".into(), Json::UInt(s.peak_rss_bytes)),
+            ("baseline_ns".into(), Json::Float(s.baseline_ns)),
+            (
+                "baseline_advancing_ns".into(),
+                Json::Float(s.baseline_advancing_ns),
+            ),
+            ("advancing_ns".into(), Json::Float(r.advancing_ns)),
+            (
+                "advancing_stepped_per_round".into(),
+                Json::Float(r.advancing_stepped),
+            ),
+            (
+                "advancing_speedup_vs_baseline".into(),
+                Json::Float(s.baseline_advancing_ns / r.advancing_ns.max(1e-9)),
+            ),
+            ("evaluate_ns".into(), Json::Float(r.ns)),
+            (
+                "speedup_vs_baseline".into(),
+                Json::Float(s.baseline_ns / r.ns.max(1e-9)),
+            ),
+            ("served_ns".into(), Json::Float(served_ns)),
+            ("replica_ns".into(), Json::Float(replica_ns)),
+            (
+                "served_speedup_vs_replica".into(),
+                Json::Float(replica_ns / served_ns.max(1e-9)),
+            ),
+        ])
+    };
     Json::Obj(vec![
         ("experiment".into(), Json::Str("exp_shard".into())),
         ("host".into(), host_json()),
@@ -456,140 +415,31 @@ fn report_json(mode: &str, scales: &[ScaleResult]) -> Json {
         ("timed_rounds".into(), Json::UInt(TIMED_ROUNDS as u64)),
         (
             "scales".into(),
-            Json::Arr(
-                scales
-                    .iter()
-                    .map(|s| {
-                        let shard1_ns = s.shard1().ns;
-                        Json::Obj(vec![
-                            ("scenario".into(), Json::Str(s.scenario.into())),
-                            ("nodes".into(), Json::UInt(s.nodes as u64)),
-                            ("queries".into(), Json::UInt(s.queries as u64)),
-                            ("space_m".into(), Json::Float(s.space_m)),
-                            ("peak_rss_bytes".into(), Json::UInt(s.peak_rss_bytes)),
-                            ("baseline_ns".into(), Json::Float(s.baseline_ns)),
-                            (
-                                "baseline_advancing_ns".into(),
-                                Json::Float(s.baseline_advancing_ns),
-                            ),
-                            (
-                                "sharded".into(),
-                                Json::Arr(
-                                    s.striped
-                                        .iter()
-                                        .map(|r| {
-                                            let (served_ns, replica_ns) =
-                                                r.served.expect("striped rows time both paths");
-                                            Json::Obj(vec![
-                                                ("shards".into(), Json::UInt(r.shards as u64)),
-                                                (
-                                                    "advancing_ns".into(),
-                                                    Json::Float(r.advancing_ns),
-                                                ),
-                                                (
-                                                    "advancing_stepped_per_round".into(),
-                                                    Json::Float(r.advancing_stepped),
-                                                ),
-                                                (
-                                                    "advancing_speedup_vs_baseline".into(),
-                                                    Json::Float(
-                                                        s.baseline_advancing_ns
-                                                            / r.advancing_ns.max(1e-9),
-                                                    ),
-                                                ),
-                                                ("evaluate_ns".into(), Json::Float(r.ns)),
-                                                (
-                                                    "speedup_vs_baseline".into(),
-                                                    Json::Float(s.baseline_ns / r.ns.max(1e-9)),
-                                                ),
-                                                (
-                                                    "speedup_vs_shard1".into(),
-                                                    Json::Float(shard1_ns / r.ns.max(1e-9)),
-                                                ),
-                                                ("served_ns".into(), Json::Float(served_ns)),
-                                                ("replica_ns".into(), Json::Float(replica_ns)),
-                                                (
-                                                    "served_speedup_vs_replica".into(),
-                                                    Json::Float(replica_ns / served_ns.max(1e-9)),
-                                                ),
-                                                ("handoffs".into(), Json::UInt(r.handoffs)),
-                                            ])
-                                        })
-                                        .collect(),
-                                ),
-                            ),
-                        ])
-                    })
-                    .collect(),
-            ),
+            Json::Arr(scales.iter().map(scale).collect()),
         ),
     ])
 }
 
-/// The `--assert` gates: per-scale monotonicity of `speedup_vs_shard1`
-/// within tolerance, the historical 4-shard floor against the sweep
-/// baseline at each scenario's largest scale, and the advancing round's
-/// floor for the default engine at every scale.
+/// The `--assert` gate: the advancing round's floor against the sweep
+/// baseline at every scale, strict at each scenario's largest.
 fn run_asserts(scales: &[ScaleResult]) -> Result<(), String> {
     for s in scales {
         let largest = scales
             .iter()
             .rfind(|l| l.scenario == s.scenario)
             .is_some_and(|l| std::ptr::eq(l, s));
-        let speedup = s.baseline_advancing_ns / s.shard1().advancing_ns.max(1e-9);
+        let speedup = s.baseline_advancing_ns / s.engine.advancing_ns.max(1e-9);
         if speedup < MIN_SPEEDUP || (largest && speedup <= 1.0) {
             return Err(format!(
-                "unified(1) advancing-t speedup {speedup:.2}x below required {MIN_SPEEDUP:.2}x at \
-                 {} {}x{}",
+                "advancing-t speedup {speedup:.2}x below required {MIN_SPEEDUP:.2}x at {} {}x{}",
                 s.scenario, s.nodes, s.queries
             ));
         }
         println!(
-            "PASS: unified(1) advancing-t round {speedup:.2}x the sweep baseline at {} {}x{}",
+            "PASS: advancing-t round {speedup:.2}x the sweep baseline at {} {}x{}",
             s.scenario, s.nodes, s.queries
         );
     }
-    for s in scales {
-        let shard1_ns = s.shard1().ns;
-        let mut prev: Option<(usize, f64)> = None;
-        for r in &s.striped {
-            let sp = shard1_ns / r.ns.max(1e-9);
-            if let Some((ps, psp)) = prev {
-                if sp < psp * MONO_TOL {
-                    return Err(format!(
-                        "speedup_vs_shard1 not monotone at {} {}x{}: {ps} shards {psp:.2}x → \
-                         {} shards {sp:.2}x (tolerance {MONO_TOL})",
-                        s.scenario, s.nodes, s.queries, r.shards
-                    ));
-                }
-            }
-            prev = Some((r.shards, sp));
-        }
-    }
-    for scenario in ["uniform", "hotspot"] {
-        let Some(largest) = scales.iter().rfind(|s| s.scenario == scenario) else {
-            continue;
-        };
-        let four = largest
-            .striped
-            .iter()
-            .find(|r| r.shards == 4)
-            .expect("4-shard cell benched");
-        let speedup = largest.baseline_ns / four.ns.max(1e-9);
-        if speedup < MIN_SPEEDUP {
-            return Err(format!(
-                "unified(4) evaluate speedup {speedup:.2}x below required {MIN_SPEEDUP:.2}x at \
-                 {scenario} {}x{}",
-                largest.nodes, largest.queries
-            ));
-        }
-        println!(
-            "PASS: unified(4) evaluate {speedup:.2}x faster than the sweep baseline at {scenario} \
-             {}x{}",
-            largest.nodes, largest.queries
-        );
-    }
-    println!("PASS: speedup_vs_shard1 monotone within {MONO_TOL} at every scale");
     Ok(())
 }
 
@@ -610,10 +460,8 @@ fn main() {
         }
     }
 
-    // Quick mode runs the skewed scenario only (the hard case for
-    // uniform stripes), and must keep a 100 000-node rung — below ~100k
-    // the dirty set is too small for the parallel step path to engage at
-    // all.
+    // Quick mode runs the skewed scenario only, and keeps a 100 000-node
+    // rung.
     let (mode, runs): (&str, Vec<(Scen, usize, usize)>) = if quick {
         (
             "quick",
@@ -636,10 +484,9 @@ fn main() {
         )
     };
     println!(
-        "== exp_shard: unified stripes vs sweep baseline, {mode} ladder ({} runs, shards {:?}, \
-         {:.0}% churn/round)",
+        "== exp_shard: unified engine vs sweep baseline, {mode} ladder ({} runs, {:.0}% \
+         churn/round)",
         runs.len(),
-        SHARD_COUNTS,
         CHURN_FRAC * 100.0
     );
 

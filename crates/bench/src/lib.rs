@@ -17,6 +17,8 @@
 //! EXPERIMENTS.md: ~50 km², 2 000 nodes, 240 s measured — big enough for
 //! the paper's effects, small enough that the full suite reruns in minutes.
 
+#![forbid(unsafe_code)]
+
 use lira_sim::prelude::*;
 
 pub mod sweep;

@@ -5,7 +5,7 @@ use crate::geometry::{Point, Rect};
 
 /// Side length (meters) of the default monitored space: a square of
 /// ~200 km², matching the Chamblee map used in the paper.
-pub const DEFAULT_SPACE_SIDE_M: f64 = 14_142.0;
+pub(crate) const DEFAULT_SPACE_SIDE_M: f64 = 14_142.0;
 
 /// Configuration of the LIRA load shedder.
 ///

@@ -63,6 +63,7 @@
 //! assert!((5.0..=100.0).contains(&delta));
 //! ```
 
+#![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
 pub mod config;

@@ -24,7 +24,7 @@ pub struct NodeId {
 
 impl NodeId {
     /// The root node (the whole space).
-    pub const ROOT: NodeId = NodeId {
+    pub(crate) const ROOT: NodeId = NodeId {
         level: 0,
         row: 0,
         col: 0,

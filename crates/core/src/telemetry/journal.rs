@@ -71,7 +71,7 @@ pub struct Journal {
 }
 
 /// Default maximum number of retained events per journal.
-pub const DEFAULT_JOURNAL_CAPACITY: usize = 4096;
+pub(crate) const DEFAULT_JOURNAL_CAPACITY: usize = 4096;
 
 impl Journal {
     pub(super) fn new(min_level: Level, capacity: usize) -> Self {

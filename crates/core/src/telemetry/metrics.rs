@@ -11,7 +11,7 @@ use std::sync::atomic::{AtomicU64, Ordering};
 
 /// Number of histogram buckets: one underflow bucket for the value `0`
 /// plus one bucket per power of two up to `u64::MAX`.
-pub const HISTOGRAM_BUCKETS: usize = 65;
+pub(crate) const HISTOGRAM_BUCKETS: usize = 65;
 
 /// A monotonically increasing event count.
 ///

@@ -31,12 +31,14 @@ pub mod json;
 mod metrics;
 mod snapshot;
 
-pub use journal::{Event, Journal, Level, DEFAULT_JOURNAL_CAPACITY};
-pub use metrics::{Counter, Gauge, Histogram, HISTOGRAM_BUCKETS};
+pub use journal::{Event, Journal, Level};
+pub use metrics::{Counter, Gauge, Histogram};
 pub use snapshot::{
     CounterSnapshot, EventSnapshot, GaugeSnapshot, HistogramSnapshot, SnapshotParseError,
-    TelemetrySnapshot, SNAPSHOT_SCHEMA_VERSION,
+    TelemetrySnapshot,
 };
+
+use journal::DEFAULT_JOURNAL_CAPACITY;
 
 use std::sync::{Arc, Mutex};
 

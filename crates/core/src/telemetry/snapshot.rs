@@ -14,7 +14,7 @@ use super::metrics::{bucket_upper_bound, HISTOGRAM_BUCKETS};
 
 /// Version tag written into every snapshot (`"schema"` field); bump on
 /// breaking changes to the JSON layout.
-pub const SNAPSHOT_SCHEMA_VERSION: u64 = 1;
+pub(crate) const SNAPSHOT_SCHEMA_VERSION: u64 = 1;
 
 /// Exported value of one counter.
 #[derive(Debug, Clone, PartialEq)]

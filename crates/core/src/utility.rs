@@ -12,7 +12,7 @@
 //!   predicted query-result impact: overlapping-query mass × boundary
 //!   proximity (heterogeneous per-cell query coverage means query edges
 //!   cross the region, where admitted updates decide containment) ×
-//!   staleness since the last admitted update ([`StalenessTracker`]).
+//!   staleness since the last admitted update (`StalenessTracker`).
 //! * [`UtilityGreedy`] (eSPICE-style) ranks regions by
 //!   utility-per-budget-unit and promotes them to full resolution `Δ⊢`
 //!   greedily until the THROTLOOP budget is spent; everything else runs
@@ -45,11 +45,11 @@ use crate::stats_grid::StatsGrid;
 /// Side of the fixed bookkeeping grid the staleness tracker and the loss
 /// model live on. Fixed (rather than per-plan) so learned state survives
 /// re-partitioning: plan regions change every adaptation, cells don't.
-pub const UTILITY_GRID_SIDE: usize = 8;
+pub(crate) const UTILITY_GRID_SIDE: usize = 8;
 
 /// Tuning knobs of the utility score and the gSPICE loss model.
 #[derive(Debug, Clone, Copy, PartialEq)]
-pub struct UtilityParams {
+pub(crate) struct UtilityParams {
     /// Gain of the staleness factor: the factor is
     /// `1 + staleness_gain × (rounds since an admitted update)`, capped.
     pub staleness_gain: f64,
@@ -108,7 +108,7 @@ fn for_overlapping_cells(bounds: &Rect, side: usize, area: &Rect, mut f: impl Fn
 /// Regions left dark by shedding grow stale — their cached positions
 /// drift — so their utility rises until the budget swings back to them.
 #[derive(Debug, Clone)]
-pub struct StalenessTracker {
+pub(crate) struct StalenessTracker {
     bounds: Rect,
     stale_rounds: Vec<f64>,
 }
@@ -211,7 +211,7 @@ pub(crate) fn region_utilities(
 /// The throttlers chosen by a utility allocation, plus the number of
 /// deterministic work steps taken (reported as `greedy_steps`).
 #[derive(Debug, Clone, PartialEq)]
-pub struct UtilityAllocation {
+pub(crate) struct UtilityAllocation {
     /// One throttler per input region, within `[Δ⊢, Δ⊣]`.
     pub deltas: Vec<f64>,
     /// Promotion / search steps taken (a work counter, not wall clock).
@@ -452,7 +452,7 @@ impl UtilityGreedy {
     pub const NAME: &'static str = "Utility Greedy";
 
     /// Creates the policy for a configuration and reduction model with
-    /// default [`UtilityParams`].
+    /// default `UtilityParams`.
     pub fn new(config: LiraConfig, model: ReductionModel) -> Self {
         Self::with_params(config, model, UtilityParams::default())
     }
@@ -517,7 +517,7 @@ impl UtilityModel {
     pub const NAME: &'static str = "Utility Model";
 
     /// Creates the policy for a configuration and reduction model with
-    /// default [`UtilityParams`].
+    /// default `UtilityParams`.
     pub fn new(config: LiraConfig, model: ReductionModel) -> Self {
         Self::with_params(config, model, UtilityParams::default())
     }

@@ -19,6 +19,8 @@
 //! assert_eq!(sim.cars().len(), 25);
 //! ```
 
+#![forbid(unsafe_code)]
+
 pub mod agent;
 pub mod generator;
 pub mod motion;

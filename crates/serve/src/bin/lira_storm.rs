@@ -83,6 +83,10 @@ fn main() {
         i += 1;
     }
     let Some(addr) = connect else { usage() };
+    if let Err(e) = cfg.validate() {
+        eprintln!("lira-storm: invalid configuration: {e}");
+        std::process::exit(2);
+    }
 
     let stream = match TcpStream::connect(&addr) {
         Ok(s) => s,

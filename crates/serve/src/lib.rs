@@ -11,7 +11,7 @@
 //!
 //! * [`protocol`] — the length-prefixed binary frame codec
 //!   (specified byte-by-byte in `docs/WIRE.md`, which doc-tests against
-//!   this crate via the [`wire_spec`] module);
+//!   this crate through the crate-private `wire_spec` module);
 //! * [`slices`] — `hash(id) % slices` routing, kept only for the
 //!   frozen benchmark's replica (the session routes nothing);
 //! * [`session`] — the transport-agnostic session core (engine, queue,
@@ -26,6 +26,7 @@
 //!
 //! Operational documentation lives in `docs/OPERATIONS.md`.
 
+#![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
 pub mod protocol;
@@ -39,4 +40,4 @@ pub mod storm;
 /// examples (the `Hello` frame, the 16 B/region plan broadcast) are
 /// verified against the codec on every `cargo test`.
 #[doc = include_str!("../../../docs/WIRE.md")]
-pub mod wire_spec {}
+pub(crate) mod wire_spec {}

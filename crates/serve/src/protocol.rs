@@ -21,9 +21,9 @@ use lira_core::plan::SheddingPlan;
 use lira_server::query::RangeQuery;
 
 /// Frame magic: ASCII `"RL"` read little-endian as `0x4C52` ("LR").
-pub const MAGIC: u16 = 0x4C52;
+pub(crate) const MAGIC: u16 = 0x4C52;
 /// Protocol version carried in every frame header.
-pub const VERSION: u8 = 1;
+pub(crate) const VERSION: u8 = 1;
 /// Fixed header length: magic (2) + version (1) + kind (1) + payload length (4).
 pub const HEADER_LEN: usize = 8;
 /// Hard payload cap; larger declared lengths are a protocol error. Batches
@@ -31,24 +31,22 @@ pub const HEADER_LEN: usize = 8;
 pub const MAX_PAYLOAD: usize = 8 * 1024 * 1024;
 /// Wire size of one position update: id (4) + x, y, vx, vy (4 × 8).
 pub const UPDATE_WIRE_LEN: usize = 36;
-/// Wire size of one registered query: id (4) + min-x, min-y, max-x, max-y (4 × 8).
-pub const QUERY_WIRE_LEN: usize = 36;
 /// Wire size of one plan region (the paper's format): min-x, min-y, side,
 /// throttler, each `f32` little-endian.
-pub const REGION_WIRE_LEN: usize = 16;
+pub(crate) const REGION_WIRE_LEN: usize = 16;
 
 /// `Hello.flags` bit 0: subscribe this connection to plan broadcasts.
 pub const HELLO_SUBSCRIBE_PLANS: u32 = 1;
 
 /// Error-frame code: the peer sent a frame the session cannot accept in
 /// its current state (e.g. a server-bound kind sent to a client).
-pub const ERR_UNEXPECTED: u16 = 1;
+pub(crate) const ERR_UNEXPECTED: u16 = 1;
 /// Error-frame code: a structurally valid frame carried invalid values
 /// (slice/shard out of range, malformed plan regions, …).
-pub const ERR_INVALID: u16 = 2;
+pub(crate) const ERR_INVALID: u16 = 2;
 /// Error-frame code: the byte stream itself was malformed; the server
 /// closes the connection after sending this.
-pub const ERR_PROTOCOL: u16 = 3;
+pub(crate) const ERR_PROTOCOL: u16 = 3;
 
 /// One position update as it crosses the wire (36 bytes, little-endian).
 #[derive(Debug, Clone, Copy, PartialEq)]
@@ -121,7 +119,7 @@ pub enum Frame {
         /// Always 1: the session has one admission ledger and routes
         /// nothing (the field stays until the next protocol version).
         slices: u32,
-        /// Number of engine shards (spatial stripes).
+        /// Engine stripes: always 1, the one the engine evaluates.
         shards: u32,
         /// Bounded-queue capacity `B` (updates).
         queue_capacity: u32,
@@ -239,44 +237,44 @@ pub enum Frame {
 /// Frame kind codes (the `kind` header byte).
 pub mod kind {
     /// `Hello`.
-    pub const HELLO: u8 = 1;
+    pub(crate) const HELLO: u8 = 1;
     /// `Welcome`.
-    pub const WELCOME: u8 = 2;
+    pub(crate) const WELCOME: u8 = 2;
     /// `Register`.
-    pub const REGISTER: u8 = 3;
+    pub(crate) const REGISTER: u8 = 3;
     /// `Batch`.
-    pub const BATCH: u8 = 4;
+    pub(crate) const BATCH: u8 = 4;
     /// `EvalReq`.
-    pub const EVAL_REQ: u8 = 5;
+    pub(crate) const EVAL_REQ: u8 = 5;
     /// `EvalRes`.
-    pub const EVAL_RES: u8 = 6;
+    pub(crate) const EVAL_RES: u8 = 6;
     /// `WindowClose`.
-    pub const WINDOW_CLOSE: u8 = 7;
+    pub(crate) const WINDOW_CLOSE: u8 = 7;
     /// `WindowAck`.
-    pub const WINDOW_ACK: u8 = 8;
+    pub(crate) const WINDOW_ACK: u8 = 8;
     /// `Plan`.
-    pub const PLAN: u8 = 9;
+    pub(crate) const PLAN: u8 = 9;
     /// `SetSlice`.
-    pub const SET_SLICE: u8 = 10;
+    pub(crate) const SET_SLICE: u8 = 10;
     /// `Ack`.
-    pub const ACK: u8 = 11;
+    pub(crate) const ACK: u8 = 11;
     /// `ReportReq`.
-    pub const REPORT_REQ: u8 = 12;
+    pub(crate) const REPORT_REQ: u8 = 12;
     /// `ReportRes`.
-    pub const REPORT_RES: u8 = 13;
+    pub(crate) const REPORT_RES: u8 = 13;
     /// `Bye`.
-    pub const BYE: u8 = 14;
+    pub(crate) const BYE: u8 = 14;
     /// `Error`.
-    pub const ERROR: u8 = 15;
+    pub(crate) const ERROR: u8 = 15;
 }
 
 /// A wire-protocol violation. The decoder returns these instead of
 /// panicking; the server answers with an `Error` frame and closes.
 #[derive(Debug, Clone, PartialEq)]
 pub enum WireError {
-    /// Header magic was not [`MAGIC`].
+    /// Header magic was not `MAGIC`.
     BadMagic(u16),
-    /// Header version was not [`VERSION`].
+    /// Header version was not `VERSION`.
     BadVersion(u8),
     /// Unassigned kind code.
     UnknownKind(u8),

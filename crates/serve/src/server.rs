@@ -6,7 +6,7 @@
 //!
 //! Slow-client handling: output is buffered per connection and flushed
 //! opportunistically; a client that stops reading accumulates buffer up
-//! to [`MAX_OUTBUF`] and is then disconnected (see
+//! to `MAX_OUTBUF` and is then disconnected (see
 //! `docs/OPERATIONS.md` § failure modes). A client that sends
 //! undecodable bytes gets one `Error` frame and is disconnected.
 //!
@@ -28,7 +28,7 @@ use crate::session::SessionCore;
 
 /// Per-connection outbound buffer cap; beyond this the client is deemed
 /// stuck and disconnected (a stuck subscriber must not wedge the loop).
-pub const MAX_OUTBUF: usize = 64 * 1024 * 1024;
+pub(crate) const MAX_OUTBUF: usize = 64 * 1024 * 1024;
 
 /// Bytes read from a connection at a time; the frames they complete are
 /// handled before the next read.
@@ -64,7 +64,7 @@ pub struct ServeSummary {
     pub accepted: usize,
     /// Connections force-closed for protocol violations.
     pub protocol_closes: usize,
-    /// Connections force-closed for exceeding [`MAX_OUTBUF`].
+    /// Connections force-closed for exceeding `MAX_OUTBUF`.
     pub overflow_closes: usize,
     /// The most bytes any connection's decoder held at once: read but
     /// not yet handled (module docs).

@@ -25,9 +25,8 @@ use lira_core::reduction::ReductionModel;
 use lira_core::stats_grid::StatsGrid;
 use lira_core::telemetry::json::Json;
 use lira_core::telemetry::{Counter, Gauge, Histogram, MetricSpec, Telemetry};
-use lira_server::cq_engine::{CqServer, EvalEngine};
+use lira_server::cq_engine::CqServer;
 use lira_server::governor::Governor;
-use lira_server::unified::MAX_SHARDS;
 use std::sync::Arc;
 
 use crate::protocol::{self, kind, Frame, WireUpdate};
@@ -41,10 +40,10 @@ pub struct ServeConfig {
     /// Node-id capacity of the engine: the node store is sized to this
     /// once, and a `Batch` naming an id ≥ this is rejected whole.
     pub num_nodes: usize,
-    /// Engine shards (spatial stripes of the unified engine), from 1 to
-    /// [`MAX_SHARDS`]: the host's parallelism, at most 4, by default.
-    /// Nothing in the deterministic report but its `shards` key depends
-    /// on it.
+    /// Must be 1, its default: the engine evaluates one stripe, on the
+    /// session's thread ([`Self::validate`] refuses any other count).
+    /// The field survives only because the frozen `benchmark/` crate
+    /// assigns it (ROADMAP item 11(a)).
     pub shards: usize,
     /// Ignored, like `index_side`: it sized the slice table that routed
     /// updates to per-shard queues, which are gone (the session has one
@@ -92,7 +91,7 @@ impl ServeConfig {
         ServeConfig {
             bounds: Rect::from_coords(0.0, 0.0, space_m, space_m),
             num_nodes,
-            shards: std::thread::available_parallelism().map_or(1, |n| n.get().min(4)),
+            shards: 1,
             slices: 64,
             queue_capacity: (2 * num_nodes).max(64),
             service_rate: (num_nodes as f64).max(1000.0),
@@ -119,22 +118,17 @@ impl ServeConfig {
         c
     }
 
-    /// Says why no session can run under this configuration: no engine
-    /// shard or more than the engine runs, a queue capacity `B` more
+    /// Says why no session can run under this configuration: a shard
+    /// count other than one, a queue capacity `B` more
     /// than `Welcome` can advertise, whatever [`Governor::check`]
     /// refuses (fewer than THROTLOOP's two slots, a service rate it
     /// cannot divide by), a LIRA configuration that does not validate,
     /// or a policy that sheds at the server. The binary checks before
     /// it binds; [`SessionCore::new`] panics on a refusal.
     pub fn validate(&self) -> Result<(), String> {
-        if self.shards < 1 {
-            return Err("shards must be at least 1".into());
-        }
-        if self.shards > MAX_SHARDS {
-            // The engine would clamp, and `Welcome` and the report
-            // would advertise shards it does not run.
+        if self.shards != 1 {
             return Err(format!(
-                "shards must be at most {MAX_SHARDS}, got {}",
+                "shards must be 1 (the engine evaluates one stripe), got {}",
                 self.shards
             ));
         }
@@ -172,7 +166,7 @@ impl ServeConfig {
 /// (not registry metrics): connection count is dynamic and the registry's
 /// metric names are static by design.
 #[derive(Debug, Clone, Default, PartialEq)]
-pub struct ConnStats {
+pub(crate) struct ConnStats {
     /// Session id assigned at `Hello` (connection ordinal).
     pub id: u32,
     /// Frames received from this connection.
@@ -189,7 +183,7 @@ pub struct ConnStats {
 
 /// Registry-backed aggregate metrics (component `serve`). All names are
 /// listed in `docs/TELEMETRY.md`.
-pub struct ServeTelemetry {
+pub(crate) struct ServeTelemetry {
     /// The registry itself (snapshot source).
     pub registry: Telemetry,
     rx_frames: Arc<Counter>,
@@ -303,8 +297,7 @@ impl SessionCore {
         cfg.validate().expect("valid serve config");
         let policy = cfg.shedding_policy().expect("validated above");
         let lira = cfg.lira_config();
-        let server = CqServer::new(cfg.bounds, cfg.num_nodes, cfg.index_side)
-            .with_engine(EvalEngine::Unified { shards: cfg.shards });
+        let server = CqServer::new(cfg.bounds, cfg.num_nodes, cfg.index_side);
         let mut grid = StatsGrid::new(lira.alpha, cfg.bounds).expect("alpha/bounds validated");
         grid.begin_snapshot();
         SessionCore {
@@ -399,7 +392,7 @@ impl SessionCore {
                 out.replies.push(Frame::Welcome {
                     session: conn,
                     slices: 1,
-                    shards: self.cfg.shards as u32,
+                    shards: 1,
                     queue_capacity: self.cfg.queue_capacity as u32,
                     default_delta: self.cfg.delta_min,
                     bounds: [
@@ -656,7 +649,7 @@ impl SessionCore {
                 "protocol_version".into(),
                 Json::UInt(protocol::VERSION as u64),
             ),
-            ("shards".into(), Json::UInt(self.cfg.shards as u64)),
+            ("shards".into(), Json::UInt(1)),
             (
                 "queue_capacity".into(),
                 Json::UInt(self.cfg.queue_capacity as u64),
@@ -715,7 +708,6 @@ mod tests {
 
     fn tiny() -> SessionCore {
         let mut cfg = ServeConfig::new(1000.0, 100);
-        cfg.shards = 2;
         cfg.queue_capacity = 64;
         cfg.service_rate = 50.0;
         SessionCore::new(cfg)
@@ -796,10 +788,10 @@ mod tests {
             let why = cfg.validate().expect_err(needle);
             assert!(why.contains(needle), "{why:?} should mention {needle:?}");
         };
-        refused(|c| c.shards = 0, "shards");
-        // More stripes than the engine runs: it would clamp silently
-        // while `Welcome` and the report named the unclamped count.
-        refused(|c| c.shards = MAX_SHARDS + 1, "at most 32");
+        // The engine evaluates one stripe: `Welcome` and the report
+        // would name a count it does not run.
+        refused(|c| c.shards = 0, "one stripe");
+        refused(|c| c.shards = 2, "one stripe");
         refused(|c| c.service_rate = 0.0, "service rate");
         refused(|c| c.service_rate = -5.0, "service rate");
         refused(|c| c.service_rate = f64::NAN, "service rate");
@@ -809,15 +801,12 @@ mod tests {
         refused(|c| c.queue_capacity = 0, "queue capacity");
         refused(|c| c.queue_capacity = 1, "two for THROTLOOP");
         refused(|c| c.queue_capacity = u32::MAX as usize + 1, "u32");
-        let edge = |shards, queue_capacity| ServeConfig {
-            shards,
+        let edge = |queue_capacity| ServeConfig {
             queue_capacity,
             ..base()
         };
-        assert_eq!(edge(1, 2).validate(), Ok(()));
-        assert_eq!(edge(8, 2).validate(), Ok(()));
-        assert_eq!(edge(MAX_SHARDS, 2).validate(), Ok(()));
-        assert_eq!(edge(4, u32::MAX as usize).validate(), Ok(()));
+        assert_eq!(edge(2).validate(), Ok(()));
+        assert_eq!(edge(u32::MAX as usize).validate(), Ok(()));
         // The slice count routes nothing any more, so it is not checked.
         assert_eq!(
             ServeConfig {
@@ -839,7 +828,7 @@ mod tests {
     }
 
     #[test]
-    #[should_panic(expected = "shards must be at least 1")]
+    #[should_panic(expected = "the engine evaluates one stripe")]
     fn a_session_over_zero_shards_is_refused_at_construction() {
         let mut cfg = ServeConfig::new(1000.0, 100);
         cfg.shards = 0;
@@ -930,7 +919,6 @@ mod tests {
     fn utility_policies_drive_the_plan_broadcast_path() {
         for policy in Policy::ALL {
             let mut cfg = ServeConfig::new(1000.0, 100);
-            cfg.shards = 2;
             cfg.queue_capacity = 64;
             cfg.service_rate = 50.0;
             cfg.policy = policy;
@@ -1256,11 +1244,9 @@ mod tests {
         assert_eq!(s.protocol_errors(), 0);
     }
 
-    /// The evaluation digest after `script`, run against a fresh session
-    /// at `shards`.
-    fn digest_after(shards: usize, script: &[Frame]) -> u64 {
+    /// The evaluation digest after `script`, run against a fresh session.
+    fn digest_after(script: &[Frame]) -> u64 {
         let mut cfg = ServeConfig::new(1000.0, 100);
-        cfg.shards = shards;
         cfg.queue_capacity = 1024;
         let mut s = SessionCore::new(cfg);
         let conn = s.open_conn();
@@ -1302,22 +1288,16 @@ mod tests {
                 })
                 .collect(),
         };
-        for shards in [1, 3] {
-            let script = |batch_first: bool| {
-                let mut frames = vec![register(400.0), batch(0.0), Frame::EvalReq { t: 0.0 }];
-                let (a, b) = (batch(1.0), register(600.0));
-                frames.extend(if batch_first { [a, b] } else { [b, a] });
-                frames.extend([Frame::EvalReq { t: 1.0 }, Frame::EvalReq { t: 2.5 }]);
-                frames
-            };
-            let digest = digest_after(shards, &script(true));
-            assert_ne!(digest, 0);
-            assert_eq!(
-                digest,
-                digest_after(shards, &script(false)),
-                "{shards} shards"
-            );
-        }
+        let script = |batch_first: bool| {
+            let mut frames = vec![register(400.0), batch(0.0), Frame::EvalReq { t: 0.0 }];
+            let (a, b) = (batch(1.0), register(600.0));
+            frames.extend(if batch_first { [a, b] } else { [b, a] });
+            frames.extend([Frame::EvalReq { t: 1.0 }, Frame::EvalReq { t: 2.5 }]);
+            frames
+        };
+        let digest = digest_after(&script(true));
+        assert_ne!(digest, 0);
+        assert_eq!(digest, digest_after(&script(false)));
     }
 
     /// Sends a batch and one good evaluation, then `bad`, and checks the

@@ -194,6 +194,34 @@ impl StormConfig {
             batch_cap: 50_000,
         }
     }
+
+    /// Says why the churn workload cannot be generated under this
+    /// configuration: no node, a space side that is not finite and
+    /// positive, a churn fraction outside `(0, 1]` (a fraction above one
+    /// would re-report nodes several times a round), or a round length
+    /// that is not finite and positive. The binary checks before it
+    /// connects.
+    pub fn validate(&self) -> Result<(), String> {
+        if self.nodes < 1 {
+            return Err("nodes must be at least 1".into());
+        }
+        if !(self.space_m.is_finite() && self.space_m > 0.0) {
+            return Err(format!(
+                "space must be finite and positive, got {}",
+                self.space_m
+            ));
+        }
+        if !(self.churn_frac > 0.0 && self.churn_frac <= 1.0) {
+            return Err(format!("churn must lie in (0, 1], got {}", self.churn_frac));
+        }
+        if !(self.dt.is_finite() && self.dt > 0.0) {
+            return Err(format!(
+                "round length must be finite and positive, got {}",
+                self.dt
+            ));
+        }
+        Ok(())
+    }
 }
 
 /// What one storm run measured.
@@ -613,4 +641,44 @@ pub fn run_storm_trace<T: Transport>(
         }
     }
     d.finish(started.elapsed().as_secs_f64())
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    #[test]
+    fn validate_refuses_a_workload_the_churn_generator_cannot_make() {
+        let base = || StormConfig::new(1000, 2000.0);
+        assert_eq!(base().validate(), Ok(()));
+        let refused = |edit: fn(&mut StormConfig), needle: &str| {
+            let mut cfg = base();
+            edit(&mut cfg);
+            let why = cfg.validate().expect_err(needle);
+            assert!(why.contains(needle), "{why:?} should mention {needle:?}");
+        };
+        refused(|c| c.nodes = 0, "nodes");
+        for space in [0.0, -5.0, f64::NAN, f64::INFINITY] {
+            let mut cfg = base();
+            cfg.space_m = space;
+            assert!(cfg.validate().unwrap_err().contains("space"), "{space}");
+        }
+        for churn in [0.0, -1.0, 1.5, 5.0, f64::NAN, f64::INFINITY] {
+            let mut cfg = base();
+            cfg.churn_frac = churn;
+            assert!(cfg.validate().unwrap_err().contains("churn"), "{churn}");
+        }
+        for dt in [0.0, -1.0, f64::NAN, f64::INFINITY] {
+            let mut cfg = base();
+            cfg.dt = dt;
+            assert!(cfg.validate().unwrap_err().contains("round length"), "{dt}");
+        }
+        // The edges of what runs: one node, every node every round.
+        let edge = StormConfig {
+            nodes: 1,
+            churn_frac: 1.0,
+            ..base()
+        };
+        assert_eq!(edge.validate(), Ok(()));
+    }
 }

@@ -53,20 +53,39 @@ fn the_lira_storm_table_is_its_usage() {
     assert_eq!(table, usage(env!("CARGO_BIN_EXE_lira-storm")));
 }
 
-/// A shard count the engine would clamp is refused before the server
-/// binds (OPERATIONS.md §2): `Welcome` and the report would otherwise
-/// advertise stripes that do not run.
+/// A shard count other than one is refused before the server binds
+/// (OPERATIONS.md §2): the engine evaluates one stripe, and `Welcome`
+/// and the report would otherwise advertise stripes that do not run.
+/// `--shards 1` is still accepted.
 #[test]
 fn lira_serve_refuses_more_shards_than_the_engine_runs() {
     let out = Command::new(env!("CARGO_BIN_EXE_lira-serve"))
-        .args(["--nodes", "10", "--shards", "33"])
+        .args(["--nodes", "10", "--shards", "2"])
         .output()
         .expect("the binary runs");
     let stderr = String::from_utf8_lossy(&out.stderr);
     assert_eq!(out.status.code(), Some(2), "{stderr}");
     assert!(
-        stderr.contains("invalid configuration") && stderr.contains("at most 32"),
+        stderr.contains("invalid configuration") && stderr.contains("one stripe"),
         "{stderr}"
     );
     assert!(out.stdout.is_empty(), "nothing listens");
+}
+
+/// A workload the churn generator cannot make is refused before the
+/// storm connects, with the usage error's exit status: `--nodes 0` once
+/// panicked in the generator (exit 101), and here nothing listens on the
+/// address, so a storm that tried to connect would exit 1.
+#[test]
+fn lira_storm_refuses_an_empty_fleet_before_it_connects() {
+    let out = Command::new(env!("CARGO_BIN_EXE_lira-storm"))
+        .args(["--connect", "127.0.0.1:1", "--nodes", "0"])
+        .output()
+        .expect("the binary runs");
+    let stderr = String::from_utf8_lossy(&out.stderr);
+    assert_eq!(out.status.code(), Some(2), "{stderr}");
+    assert!(
+        stderr.contains("lira-storm: invalid configuration") && stderr.contains("nodes"),
+        "{stderr}"
+    );
 }

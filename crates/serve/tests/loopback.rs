@@ -7,9 +7,9 @@
 //!
 //! The session ingests an update when its one admission ledger admits
 //! it, so the last tests hold the ingest to the queue books: under tail
-//! drop the books conserve and the wire agrees; the deterministic core
-//! does not depend on the engine's shard count, with or without tail
-//! drop; and the default queue capacity admits a default storm whole.
+//! drop the books conserve and the wire agrees; frames that change no
+//! answer move no chain, with or without tail drop; and the default
+//! queue capacity admits a default storm whole.
 //! The last one holds the socket loop to decoding as it reads: a client
 //! that writes faster than the server handles never piles up in the
 //! server's decoder.
@@ -29,7 +29,6 @@ use lira_serve::storm::{
     run_storm, run_storm_trace, InprocTransport, StormConfig, TcpTransport, TraceStormConfig,
     Transport,
 };
-use lira_server::cq_engine::EvalEngine;
 use lira_sim::pipeline::{SimPipeline, SimSetup};
 use lira_workload::catalog::NamedScenario;
 
@@ -65,7 +64,6 @@ where
 #[test]
 fn tcp_and_inproc_churn_runs_are_bit_identical() {
     let mut cfg = ServeConfig::new(2_000.0, 1_500);
-    cfg.shards = 2;
     cfg.num_regions = 49; // small adapt grids keep the test quick
     let mut storm_cfg = StormConfig::new(1_500, 2_000.0);
     storm_cfg.rounds = 18;
@@ -114,7 +112,6 @@ fn scenario_fixture(
     let eval_every = (sc.eval_period_s / sc.dt).round().max(1.0) as usize;
 
     let mut cfg = ServeConfig::new(sc.space_side, sc.num_cars);
-    cfg.shards = 2;
     cfg.num_regions = 49;
     cfg.delta_min = sc.delta_min;
     cfg.delta_max = sc.delta_max;
@@ -142,9 +139,7 @@ fn scenario_raw_replay_digest_ties_to_the_reference_timeline() {
         run_storm_trace(&mut inproc_t, &trace, queries.clone(), &tcfg).expect("inproc trace storm");
 
     // The reference pipeline on the same trace, same engine family.
-    let reference = SimPipeline::new()
-        .with_engine(EvalEngine::Unified { shards: cfg.shards })
-        .reference(&trace, &setup, &sc);
+    let reference = SimPipeline::new().reference(&trace, &setup, &sc);
     assert_eq!(
         report.updates_sent, reference.reference_updates,
         "raw mode sends exactly the reference's unshed update volume"
@@ -317,8 +312,7 @@ fn core_and_waits(server_json: &str) -> (Json, u64) {
     (core, waits.count)
 }
 
-/// Under tail drop, at one shard and at several, the books are the
-/// paper's queue books however the engine ingests: every received update
+/// Under tail drop the books are the paper's queue books however the engine ingests: every received update
 /// is admitted or dropped, each `WindowAck.depth` is what was admitted
 /// since the previous drain point, one wait sample is taken per
 /// admitted update — and TCP and in-process runs agree on all of it.
@@ -328,11 +322,10 @@ fn core_and_waits(server_json: &str) -> (Json, u64) {
 /// the engine takes the update. The `WindowAck` chain — `(z bits, λ
 /// bits, µ, lifetime drops, adapted)` per window — was captured while the
 /// session still ran its own copy of the THROTLOOP window, before it
-/// moved onto the shared governor. With one admission ledger, every
-/// shard count reads the one-shard pins.
+/// moved onto the shared governor.
 #[test]
 fn tail_drop_books_conserve_and_tcp_matches_inproc() {
-    let one_shard: AckChain = vec![
+    let pinned: AckChain = vec![
         (0x3fe0000000000000, 0x4088a20000000000, 150.0, 2641, 1),
         (0x3fd13acf914c1bad, 0x4071580000000000, 150.0, 3239, 1),
         (0x3fc9a5c003dc30c4, 0x4069180000000000, 150.0, 3530, 1),
@@ -341,132 +334,104 @@ fn tail_drop_books_conserve_and_tcp_matches_inproc() {
         (0x3fc01e3f68fcc6b9, 0x4074980000000000, 150.0, 4775, 1),
     ];
     let (digest, admitted, dropped) = ("350c5d9a72d33574", 2_838, 4_775);
-    for shards in [1, 3, 7] {
-        let mut cfg = ServeConfig::new(2_000.0, 2_000);
-        cfg.shards = shards;
-        cfg.num_regions = 49;
-        cfg.queue_capacity = 256;
-        cfg.service_rate = 150.0;
-        let mut storm_cfg = StormConfig::new(2_000, 2_000.0);
-        storm_cfg.rounds = 24;
-        storm_cfg.churn_frac = 0.2;
-        storm_cfg.eval_every = 2;
-        storm_cfg.window_every = 4;
-        storm_cfg.batch_cap = 150;
-        storm_cfg.seed = 5;
+    let mut cfg = ServeConfig::new(2_000.0, 2_000);
+    cfg.num_regions = 49;
+    cfg.queue_capacity = 256;
+    cfg.service_rate = 150.0;
+    let mut storm_cfg = StormConfig::new(2_000, 2_000.0);
+    storm_cfg.rounds = 24;
+    storm_cfg.churn_frac = 0.2;
+    storm_cfg.eval_every = 2;
+    storm_cfg.window_every = 4;
+    storm_cfg.batch_cap = 150;
+    storm_cfg.seed = 5;
 
-        let (tcp, tcp_depths, tcp_acks, tcp_digests) = run_over_tcp(cfg.clone(), |t| {
-            let mut rec = Recording::new(t, Extra::Plain);
-            let report = run_storm(&mut rec, &storm_cfg).expect("tcp storm");
-            (report, rec.depths, rec.acks, rec.digests)
-        });
-        let mut ledger = Ledger {
-            inner: InprocTransport::new(SessionCore::new(cfg)),
-            admitted_at_drain: 0,
-            expected_depths: Vec::new(),
-        };
-        let mut rec = Recording::new(&mut ledger, Extra::Plain);
-        let inproc = run_storm(&mut rec, &storm_cfg).expect("inproc storm");
-        let (depths, acks, digests) = (rec.depths, rec.acks, rec.digests);
+    let (tcp, tcp_depths, tcp_acks, tcp_digests) = run_over_tcp(cfg.clone(), |t| {
+        let mut rec = Recording::new(t, Extra::Plain);
+        let report = run_storm(&mut rec, &storm_cfg).expect("tcp storm");
+        (report, rec.depths, rec.acks, rec.digests)
+    });
+    let mut ledger = Ledger {
+        inner: InprocTransport::new(SessionCore::new(cfg)),
+        admitted_at_drain: 0,
+        expected_depths: Vec::new(),
+    };
+    let mut rec = Recording::new(&mut ledger, Extra::Plain);
+    let inproc = run_storm(&mut rec, &storm_cfg).expect("inproc storm");
+    let (depths, acks, digests) = (rec.depths, rec.acks, rec.digests);
 
-        assert_eq!(tcp.deterministic_core(), inproc.deterministic_core());
-        assert_eq!((&tcp_depths, &tcp_digests), (&depths, &digests));
-        assert_eq!(tcp_acks, acks);
-        assert_eq!(acks, one_shard, "{shards} shards");
-        assert_eq!(depths, ledger.expected_depths, "{shards} shards");
-        assert_eq!(depths.len(), 24 / 4);
-        assert_eq!(format!("{:016x}", inproc.digest), digest);
+    assert_eq!(tcp.deterministic_core(), inproc.deterministic_core());
+    assert_eq!((&tcp_depths, &tcp_digests), (&depths, &digests));
+    assert_eq!(tcp_acks, acks);
+    assert_eq!(acks, pinned);
+    assert_eq!(depths, ledger.expected_depths);
+    assert_eq!(depths.len(), 24 / 4);
+    assert_eq!(format!("{:016x}", inproc.digest), digest);
 
-        for json in [&tcp.server_json, &inproc.server_json] {
-            let (core, waits) = core_and_waits(json);
-            let field = |k: &str| core.get(k).unwrap().as_u64().unwrap();
-            assert_eq!(
-                (field("updates_admitted"), field("updates_dropped")),
-                (admitted, dropped),
-                "{shards} shards"
-            );
-            assert_eq!(field("updates_rx"), admitted + dropped);
-            assert_eq!(waits, admitted, "one wait sample per admitted update");
-            assert!(core.get("z").unwrap().as_f64().unwrap() < 1.0);
-        }
+    for json in [&tcp.server_json, &inproc.server_json] {
+        let (core, waits) = core_and_waits(json);
+        let field = |k: &str| core.get(k).unwrap().as_u64().unwrap();
+        assert_eq!(
+            (field("updates_admitted"), field("updates_dropped")),
+            (admitted, dropped)
+        );
+        assert_eq!(field("updates_rx"), admitted + dropped);
+        assert_eq!(waits, admitted, "one wait sample per admitted update");
+        assert!(core.get("z").unwrap().as_f64().unwrap() < 1.0);
     }
 }
 
 /// What one in-process storm answered: the `EvalRes` digest chain, the
-/// `WindowAck` chain, and the deterministic core without its `shards`
-/// key.
+/// `WindowAck` chain and the updates the ledger dropped.
 fn storm_record(
     cfg: ServeConfig,
     storm_cfg: &StormConfig,
     extra: Extra,
-) -> (Vec<u64>, AckChain, String) {
+) -> (Vec<u64>, AckChain, u64) {
     let mut inproc = InprocTransport::new(SessionCore::new(cfg));
     let mut rec = Recording::new(&mut inproc, extra);
     let report = run_storm(&mut rec, storm_cfg).expect("inproc storm");
-    let Json::Obj(fields) = Json::parse(&report.deterministic_core()).unwrap() else {
-        panic!("the deterministic core is an object");
-    };
-    let core = fields.into_iter().filter(|(k, _)| k != "shards").collect();
-    (rec.digests, rec.acks, Json::Obj(core).to_string())
+    let core = Json::parse(&report.deterministic_core()).unwrap();
+    let dropped = core.get("updates_dropped").unwrap().as_u64().unwrap();
+    (rec.digests, rec.acks, dropped)
 }
 
-/// The served deterministic core does not depend on the engine's shard
-/// count: over a few seeds, with `B` never binding and with a 256-slot
-/// `B` that tail-drops, and with the storm's frames alone, a `SetSlice`
-/// after every window, or a `ReportReq` after every `Batch`, the runs at
-/// 1, 2, 3, 4 and 7 shards answer the same `EvalRes` digest chain, the
-/// same `WindowAck` chain and the same core but for its `shards` key.
-/// The window is 3 s, so a λ summed over per-shard quotients would show
-/// in the last bit, and 256 slots split over 3 or 7 shards would lose
-/// slots and route drops by node.
-///
-/// Across the extra frames: a `SetSlice` is a no-op, so it moves neither
-/// chain; and with no drop an extra drain point moves only the books'
-/// timing, so the `ReportReq` run's chains are the plain run's too.
+/// Frames that change no answer move no chain: over a few seeds, with
+/// `B` never binding and with a 256-slot `B` that tail-drops, a
+/// `SetSlice` after every window (a no-op) leaves the `EvalRes` digest
+/// chain and the `WindowAck` chain as the storm's frames alone make
+/// them; and with no drop, so does a `ReportReq` after every `Batch`
+/// (an extra drain point, which moves only the books' timing).
 #[test]
-fn deterministic_core_is_independent_of_shards() {
+fn set_slice_and_report_frames_move_no_chain() {
     for seed in [5, 11, 23] {
         for queue_capacity in [1 << 20, 256] {
-            let mut plain = None;
-            for extra in [
-                Extra::Plain,
-                Extra::SetSliceAfterWindows,
-                Extra::ReportAfterBatches,
-            ] {
-                let mut storm_cfg = StormConfig::new(1_000, 2_000.0);
-                storm_cfg.rounds = 12;
-                storm_cfg.churn_frac = 0.3;
-                storm_cfg.eval_every = 2;
-                storm_cfg.window_every = 3;
-                // Above B, so a 256-slot ledger drops even when every
-                // `Batch` is followed by a drain point.
-                storm_cfg.batch_cap = 400;
-                storm_cfg.seed = seed;
-                let run = |shards| {
-                    let mut cfg = ServeConfig::new(2_000.0, 1_000);
-                    cfg.shards = shards;
-                    cfg.num_regions = 49;
-                    cfg.queue_capacity = queue_capacity;
-                    cfg.service_rate = 150.0;
-                    storm_record(cfg, &storm_cfg, extra)
-                };
-                let (digests, acks, core) = run(1);
-                let case = format!("seed {seed}, B {queue_capacity}, {extra:?}");
-                assert_eq!(digests.len(), 12 / 2, "{case}");
-                assert_eq!(acks.len(), 12 / 3, "{case}");
-                let parsed = Json::parse(&core).unwrap();
-                let dropped = parsed.get("updates_dropped").unwrap().as_u64().unwrap();
-                assert_eq!(dropped > 0, queue_capacity == 256, "{case}");
-                for shards in [2, 3, 4, 7] {
-                    let (d, a, c) = run(shards);
-                    assert_eq!(d, digests, "{case}, {shards} shards");
-                    assert_eq!(a, acks, "{case}, {shards} shards");
-                    assert_eq!(c, core, "{case}, {shards} shards");
-                }
-                let plain = plain.get_or_insert((digests.clone(), acks.clone()));
-                if extra == Extra::SetSliceAfterWindows || dropped == 0 {
-                    assert_eq!((&digests, &acks), (&plain.0, &plain.1), "{case}");
-                }
+            let mut storm_cfg = StormConfig::new(1_000, 2_000.0);
+            storm_cfg.rounds = 12;
+            storm_cfg.churn_frac = 0.3;
+            storm_cfg.eval_every = 2;
+            storm_cfg.window_every = 3;
+            // Above B, so a 256-slot ledger drops even when every
+            // `Batch` is followed by a drain point.
+            storm_cfg.batch_cap = 400;
+            storm_cfg.seed = seed;
+            let run = |extra| {
+                let mut cfg = ServeConfig::new(2_000.0, 1_000);
+                cfg.num_regions = 49;
+                cfg.queue_capacity = queue_capacity;
+                cfg.service_rate = 150.0;
+                storm_record(cfg, &storm_cfg, extra)
+            };
+            let case = format!("seed {seed}, B {queue_capacity}");
+            let plain = run(Extra::Plain);
+            assert_eq!(plain.0.len(), 12 / 2, "{case}");
+            assert_eq!(plain.1.len(), 12 / 3, "{case}");
+            assert_eq!(plain.2 > 0, queue_capacity == 256, "{case}");
+            assert_eq!(run(Extra::SetSliceAfterWindows), plain, "{case}, SetSlice");
+            let (digests, acks, dropped) = run(Extra::ReportAfterBatches);
+            assert_eq!(dropped > 0, queue_capacity == 256, "{case}, ReportReq");
+            if dropped == 0 {
+                assert_eq!((digests, acks), (plain.0, plain.1), "{case}, ReportReq");
             }
         }
     }
@@ -500,7 +465,6 @@ fn default_queue_capacity_admits_a_default_storm() {
 fn a_fast_writer_is_decoded_as_it_is_read() {
     let nodes = 50_000u32;
     let mut cfg = ServeConfig::new(2_000.0, nodes as usize);
-    cfg.shards = 1;
     cfg.num_regions = 49;
     cfg.queue_capacity = 1 << 20;
     let per_batch = 2_000u32;

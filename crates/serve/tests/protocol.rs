@@ -11,7 +11,7 @@ use lira_serve::protocol::{
     decode_plan, digest_round, plan_frame, Decoder, Frame, WireError, WireQuery, WireUpdate,
     HEADER_LEN,
 };
-use lira_server::cq_engine::{CqServer, EvalEngine};
+use lira_server::cq_engine::CqServer;
 use lira_server::query::RangeQuery;
 use proptest::prelude::*;
 
@@ -335,8 +335,7 @@ proptest! {
     /// The served digest is folded by the engine as it writes its member
     /// lists (`evaluate_digest`); the frozen benchmark replica folds
     /// materialised results (`digest_round` over `evaluate_into`). Both
-    /// chains must agree round for round, at every shard count, over
-    /// random query sets, churn that empties lists and refills them, a
+    /// chains must agree round for round, over random query sets, churn that empties lists and refills them, a
     /// query set replaced mid-run, and same-`t` and advancing rounds.
     #[test]
     fn evaluate_digest_folds_the_bytes_digest_round_folds(
@@ -345,42 +344,39 @@ proptest! {
         history in digest_history(),
     ) {
         let (queries, others) = (folded(&rects), folded(&others));
-        for shards in [1, 3, 7] {
-            let mut server = CqServer::new(Rect::from_coords(0.0, 0.0, 1000.0, 1000.0), 200, 0)
-                .with_engine(EvalEngine::Unified { shards });
-            server.register_queries(queries.iter().copied());
-            let mut twin = server.clone();
-            let (mut t, mut folded, mut copied) = (0.0, 0, 0);
-            let mut materialised = Vec::new();
-            for (r, (reports, wipe, requery, dt)) in history.iter().enumerate() {
-                for both in [&mut server, &mut twin] {
-                    if *wipe {
-                        (0..200).for_each(|id| {
-                            both.remove_node(id);
-                        });
-                    }
-                    if *requery {
-                        let next = if r % 2 == 0 { &others } else { &queries };
-                        both.replace_queries(next.iter().copied());
-                    }
-                    for &(id, x, y, vx, vy, remove) in reports {
-                        if remove {
-                            both.remove_node(id);
-                        } else {
-                            both.ingest(id, t, Point::new(x, y), (vx, vy));
-                        }
+        let mut server = CqServer::new(Rect::from_coords(0.0, 0.0, 1000.0, 1000.0), 200, 0);
+        server.register_queries(queries.iter().copied());
+        let mut twin = server.clone();
+        let (mut t, mut folded, mut copied) = (0.0, 0, 0);
+        let mut materialised = Vec::new();
+        for (r, (reports, wipe, requery, dt)) in history.iter().enumerate() {
+            for both in [&mut server, &mut twin] {
+                if *wipe {
+                    (0..200).for_each(|id| {
+                        both.remove_node(id);
+                    });
+                }
+                if *requery {
+                    let next = if r % 2 == 0 { &others } else { &queries };
+                    both.replace_queries(next.iter().copied());
+                }
+                for &(id, x, y, vx, vy, remove) in reports {
+                    if remove {
+                        both.remove_node(id);
+                    } else {
+                        both.ingest(id, t, Point::new(x, y), (vx, vy));
                     }
                 }
-                t += dt;
-                twin.evaluate_into(t, &mut materialised);
-                copied = digest_round(copied, t, &materialised);
-                folded = server.evaluate_digest(t, folded);
-                prop_assert_eq!(folded, copied, "{} shards, round {}, t = {}", shards, r, t);
             }
-            // The member lists the fold left behind are the results.
-            let mut after = Vec::new();
-            server.evaluate_into(t, &mut after);
-            prop_assert_eq!(after, materialised);
+            t += dt;
+            twin.evaluate_into(t, &mut materialised);
+            copied = digest_round(copied, t, &materialised);
+            folded = server.evaluate_digest(t, folded);
+            prop_assert_eq!(folded, copied, "round {}, t = {}", r, t);
         }
+        // The member lists the fold left behind are the results.
+        let mut after = Vec::new();
+        server.evaluate_into(t, &mut after);
+        prop_assert_eq!(after, materialised);
     }
 }

@@ -9,42 +9,28 @@ use std::collections::BinaryHeap;
 use lira_core::geometry::{Point, Rect};
 
 use crate::node_store::NodeStore;
-use crate::qindex::{side_for, QueryIndex};
+use crate::qindex::QueryIndex;
 use crate::query::{QueryResult, RangeQuery, UncertainResult};
 use crate::unified::{ShardStats, UnifiedEval};
 
-/// How many stripes [`CqServer`]'s engine evaluates in.
+/// A name for [`CqServer`]'s one engine, which [`CqServer::with_engine`]
+/// ignores.
 ///
-/// There is one engine; the enum and its single variant survive only
-/// because the frozen `benchmark/` crate names
-/// `EvalEngine::Unified { shards }` — to be reduced to a plain shard
-/// count by the next `benchmark` PR (ROADMAP item 11). Results are
-/// identical at every shard count (`tests/eval_equiv.rs` and
-/// `tests/shard_equiv.rs` hold them to brute force property-style).
+/// There is one engine (`crate::unified`; DESIGN.md §13), evaluated on
+/// the calling thread: a cell→queries index with per-query member sets
+/// maintained incrementally across rounds; a round steps only the nodes
+/// that re-reported and the nodes a time wheel has due at the new `t`
+/// (those about to cross a cell or query edge), not the fleet. The enum
+/// and its single variant survive only because the frozen `benchmark/`
+/// crate names `EvalEngine::Unified { shards }` — to be deleted by the
+/// next `benchmark` PR (ROADMAP item 11(a)).
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum EvalEngine {
-    /// The engine (`crate::unified`; DESIGN.md §13): a cell→queries
-    /// index with per-query member sets maintained incrementally across
-    /// rounds; a round steps only the nodes that re-reported and the
-    /// nodes a time wheel has due at the new `t` (those about to cross a
-    /// cell or query edge), not the fleet; cut into `shards` contiguous
-    /// column stripes evaluated on a persistent worker pool.
-    /// `shards = 1` is the degenerate single-stripe case and runs
-    /// entirely on the calling thread with no pool. Results are
-    /// bit-identical at every shard count. `shards` is clamped to
-    /// `1..=`[`MAX_SHARDS`](crate::unified::MAX_SHARDS).
+    /// The engine. `shards` is ignored.
     Unified {
-        /// Number of spatial stripes; stripes are evaluated on
-        /// `shards − 1` worker threads plus the calling thread.
+        /// Ignored.
         shards: usize,
     },
-}
-
-impl Default for EvalEngine {
-    /// The unified engine in its degenerate single-stripe form.
-    fn default() -> Self {
-        EvalEngine::Unified { shards: 1 }
-    }
 }
 
 /// A mobile CQ server instance: the node store, the registered queries
@@ -55,16 +41,10 @@ pub struct CqServer {
     store: NodeStore,
     queries: Vec<RangeQuery>,
     evaluations: u64,
-    /// Engine state (boxed: it carries per-shard state, global per-node
-    /// arrays and a lazily-created worker pool).
+    /// Engine state (boxed: it carries the member lists, the index and
+    /// the per-node arrays).
     unified: Box<UnifiedEval>,
-    /// Force evaluation rounds onto the calling thread (no worker pool);
-    /// see [`CqServer::with_sequential_eval`].
-    sequential_eval: bool,
-    /// Whether unified rounds may skip the nodes whose answer cannot
-    /// have changed; see [`CqServer::with_dirty_tracking`].
-    dirty_tracking: bool,
-    /// The full-width Δ⊣-expanded cover
+    /// The Δ⊣-expanded cover
     /// [`evaluate_uncertain_into`](CqServer::evaluate_uncertain_into)
     /// scans against, keyed by the bits of the Δ⊣ it was built for;
     /// dropped when the query set changes.
@@ -122,30 +102,16 @@ impl CqServer {
             store: NodeStore::new(num_nodes),
             queries: Vec::new(),
             evaluations: 0,
-            unified: Box::new(UnifiedEval::new(bounds, 1)),
-            sequential_eval: false,
-            dirty_tracking: true,
+            unified: Box::new(UnifiedEval::new(bounds)),
             uncertain_cover: None,
         }
     }
 
-    /// Selects the shard count (builder-style; the default is one shard).
-    pub fn with_engine(mut self, engine: EvalEngine) -> Self {
-        let EvalEngine::Unified { shards } = engine;
-        self.unified = Box::new(UnifiedEval::new(self.bounds, shards));
-        self.unified.set_dirty_tracking(self.dirty_tracking);
-        self
-    }
-
-    /// Forces evaluation rounds to run every shard on the
-    /// calling thread, in shard order, with no worker pool
-    /// (builder-style). The state transitions are identical, so results
-    /// stay bit-identical: it is the path a one-core host takes anyway,
-    /// and `shard_equiv.rs` holds the pooled engine to it. (At
-    /// `shards = 1` rounds are pool-free already.) `pub` for that
-    /// integration test, its one caller.
-    pub fn with_sequential_eval(mut self, sequential: bool) -> Self {
-        self.sequential_eval = sequential;
+    /// Returns the server unchanged: `_engine` is ignored, like
+    /// [`new`](Self::new)'s `_index_side`. The method survives only
+    /// because the frozen `benchmark/` crate calls it (ROADMAP item
+    /// 11(a)).
+    pub fn with_engine(self, _engine: EvalEngine) -> Self {
         self
     }
 
@@ -159,7 +125,6 @@ impl CqServer {
     /// equivalence batteries compare the default against, round for
     /// round. Results are bit-identical either way.
     pub fn with_dirty_tracking(mut self, enabled: bool) -> Self {
-        self.dirty_tracking = enabled;
         self.unified.set_dirty_tracking(enabled);
         self
     }
@@ -246,21 +211,20 @@ impl CqServer {
     pub fn evaluate_into(&mut self, t: f64, out: &mut Vec<QueryResult>) {
         self.evaluations += 1;
         self.unified
-            .evaluate_into(&self.queries, &self.store, t, out, self.sequential_eval);
+            .evaluate_into(&self.queries, &self.store, t, out);
     }
 
     /// The same round as [`evaluate_into`](Self::evaluate_into), folded
     /// onto the digest chain `prev` (0 starts one) instead of copied out:
     /// returns exactly what
     /// [`digest_round`](crate::digest::digest_round)`(prev, t, &results)`
-    /// returns for the round's results. Nothing is materialised — at one
-    /// shard the engine hashes each member list as it applies the round's
-    /// edits to it. For callers that only fingerprint a round: the served
-    /// digest.
+    /// returns for the round's results. Nothing is materialised — the
+    /// engine hashes each member list as it applies the round's edits to
+    /// it. For callers that only fingerprint a round: the served digest.
     pub fn evaluate_digest(&mut self, t: f64, prev: u64) -> u64 {
         self.evaluations += 1;
         self.unified
-            .evaluate_digest(&self.queries, &self.store, t, prev, self.sequential_eval)
+            .evaluate_digest(&self.queries, &self.store, t, prev)
     }
 
     /// Evaluates every query at time `t` with three-valued membership:
@@ -277,8 +241,7 @@ impl CqServer {
     ///
     /// One ascending pass over the store against a Δ⊣-expanded cover of
     /// the queries, like [`nearest`](Self::nearest) and unlike
-    /// [`evaluate`](Self::evaluate) stateless and independent of the
-    /// shard count: `delta_of` is called on the calling thread, in
+    /// [`evaluate`](Self::evaluate) stateless: `delta_of` is called in
     /// ascending node order, at most once per node, and never for a node
     /// whose cell no expanded query reaches.
     pub fn evaluate_uncertain(
@@ -315,8 +278,7 @@ impl CqServer {
         // also depends on the node's own Δ, so it always takes the exact
         // tests.
         let (_, cover) = self.uncertain_cover.get_or_insert_with(|| {
-            let cols = 0..side_for(self.queries.len());
-            let cover = QueryIndex::build_cols(&self.bounds, &self.queries, max_delta, false, cols);
+            let cover = QueryIndex::build(&self.bounds, &self.queries, max_delta, false);
             (key, cover)
         });
         out.resize_with(self.queries.len(), UncertainResult::default);
@@ -405,22 +367,20 @@ impl CqServer {
         self.evaluations
     }
 
-    /// Per-shard telemetry of the engine — node count, columns,
-    /// cumulative round wall time, handoffs, nodes stepped and wheel
-    /// entries fired / dropped stale per stripe (one entry at
-    /// `shards = 1`). Empty until the first evaluation builds the
-    /// stripes.
-    pub fn shard_stats(&self) -> Vec<ShardStats> {
+    /// The engine's telemetry — placed nodes, cumulative round wall
+    /// time, nodes stepped and wheel entries fired / dropped stale. All
+    /// zero until the first evaluation.
+    pub fn shard_stats(&self) -> ShardStats {
         self.unified.stats()
     }
 
-    /// Cumulative nodes the engine has placed or re-placed — the sum of
+    /// Cumulative nodes the engine has placed or re-placed —
     /// [`ShardStats::stepped`] — so the difference across one
     /// [`evaluate_into`](Self::evaluate_into) is what that round stepped:
     /// the fleet in a rebuild or a sweep, the re-reported and due nodes
     /// in a kinetic round.
     pub fn stepped_nodes(&self) -> u64 {
-        self.unified.stepped()
+        self.unified.stats().stepped
     }
 }
 

@@ -18,6 +18,8 @@
 //! assert_eq!(results[0].nodes, vec![2]);
 //! ```
 
+#![forbid(unsafe_code)]
+
 pub mod base_station;
 pub mod channel;
 pub mod cq_engine;
@@ -41,12 +43,12 @@ pub mod prelude {
         ChannelStats, DelayModel, Delivery, FaultProfile, FaultyChannel, LossModel, Outage,
         RetryPolicy,
     };
-    pub use crate::cq_engine::{CqServer, EvalEngine};
+    pub use crate::cq_engine::CqServer;
     pub use crate::governor::{Governor, StepClass, WindowDecision};
     pub use crate::history::HistoryStore;
     pub use crate::mobile::MobileShedder;
     pub use crate::node_store::NodeStore;
     pub use crate::query::{sorted_difference_count, QueryResult, RangeQuery, UncertainResult};
     pub use crate::queue::UpdateQueue;
-    pub use crate::unified::{ShardStats, MAX_SHARDS};
+    pub use crate::unified::ShardStats;
 }

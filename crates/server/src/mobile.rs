@@ -8,7 +8,7 @@ use lira_core::plan::PlanRegion;
 
 /// Side cell count of the on-device lookup grid (the paper's "tiny 5×5
 /// grid index on the mobile node side").
-pub const LOCAL_GRID_SIDE: usize = 5;
+pub(crate) const LOCAL_GRID_SIDE: usize = 5;
 
 /// The shedding state installed on one mobile node.
 #[derive(Debug, Clone)]

@@ -3,12 +3,7 @@
 //! queries covering it, in CSR layout (see DESIGN.md §11/§13).
 //!
 //! One monotone clamped map ([`axis_cell`]) places both points and query
-//! covers, which makes the cover argument exact with no epsilon; the
-//! unified engine partitions space along this same map into contiguous
-//! column stripes ([`QueryIndex::build_cols`]) and reuses the argument
-//! unchanged per stripe.
-
-use std::ops::Range;
+//! covers, which makes the cover argument exact with no epsilon.
 
 use lira_core::geometry::{Point, Rect};
 
@@ -55,18 +50,12 @@ pub(crate) struct QueryIndex {
     /// Cell width and height, `extent / side`.
     cw: f64,
     ch: f64,
-    /// First grid column this index stores (0 for a full-width index).
-    col_lo: usize,
-    /// Number of stored columns (`side` for a full-width index). The
-    /// unified engine builds one index per contiguous column stripe;
-    /// storage covers `side` rows × `stripe_w` columns.
-    stripe_w: usize,
-    /// CSR offsets into `full_ids`, `side · stripe_w + 1` entries.
+    /// CSR offsets into `full_ids`, `side² + 1` entries.
     full_off: Vec<u32>,
     /// Concatenated per-cell lists of query positions (indices into the
     /// server's query vector) fully covering each cell, ascending.
     full_ids: Vec<u32>,
-    /// CSR offsets into `partial_ids`, `side · stripe_w + 1` entries.
+    /// CSR offsets into `partial_ids`, `side² + 1` entries.
     partial_off: Vec<u32>,
     /// Concatenated per-cell lists of query positions overlapping but not
     /// covering each cell, ascending.
@@ -83,8 +72,6 @@ impl QueryIndex {
             side: 1,
             cw: 1.0,
             ch: 1.0,
-            col_lo: 0,
-            stripe_w: 1,
             full_off: vec![0; 2],
             full_ids: Vec::new(),
             partial_off: vec![0; 2],
@@ -92,33 +79,22 @@ impl QueryIndex {
         }
     }
 
-    /// Builds an index restricted to the grid columns in `cols` (storage
-    /// and per-cell lists cover only that stripe; pass `0..side_for(len)`
-    /// for the full width). Each query's range is grown by `expand` on
-    /// every side (0 for exact evaluation; `Δ⊣` for the uncertain path).
-    /// When `classify_full` is false every covered cell goes to the
-    /// `partial` list (the uncertain path always needs exact tests, since
-    /// membership also depends on the node's own Δ).
-    ///
-    /// The per-cell lists are *identical* to the corresponding cells of
-    /// the full-width index: each query's closed cell cover is simply
-    /// clipped to the stripe, so cover membership of an in-stripe cell
-    /// never depends on the stripe bounds. The border rule likewise stays
-    /// global (`col == 0` / `col == side-1`, not the stripe edges):
-    /// clamped out-of-bounds points land only in *grid*-border cells.
-    pub(crate) fn build_cols(
+    /// Builds the index of `queries` over `bounds`. Each query's range
+    /// is grown by `expand` on every side (0 for exact evaluation; `Δ⊣`
+    /// for the uncertain path). When `classify_full` is false every
+    /// covered cell goes to the `partial` list (the uncertain path always
+    /// needs exact tests, since membership also depends on the node's own
+    /// Δ).
+    pub(crate) fn build(
         bounds: &Rect,
         queries: &[RangeQuery],
         expand: f64,
         classify_full: bool,
-        cols: Range<usize>,
     ) -> Self {
         let side = side_for(queries.len());
-        debug_assert!(cols.start <= cols.end && cols.end <= side);
-        let stripe_w = cols.end - cols.start;
         // Build into per-cell vectors (cold path), then flatten to CSR.
-        let mut full = vec![Vec::new(); side * stripe_w];
-        let mut partial = vec![Vec::new(); side * stripe_w];
+        let mut full = vec![Vec::new(); side * side];
+        let mut partial = vec![Vec::new(); side * side];
         let mut index = QueryIndex {
             min: bounds.min,
             width: bounds.width(),
@@ -126,8 +102,6 @@ impl QueryIndex {
             side,
             cw: bounds.width() / side as f64,
             ch: bounds.height() / side as f64,
-            col_lo: cols.start,
-            stripe_w,
             full_off: Vec::new(),
             full_ids: Vec::new(),
             partial_off: Vec::new(),
@@ -150,23 +124,14 @@ impl QueryIndex {
             // every point of the *closed* rect [r.min, r.max] — and hence
             // every point of the half-open range, and every clamped
             // out-of-bounds point the range can contain — lands in
-            // [cell(min), cell(max)] on each axis. Columns outside the
-            // stripe are clipped away, nothing else changes.
-            let c0 = axis_cell(r.min.x, index.min.x, index.width, side).max(cols.start);
+            // [cell(min), cell(max)] on each axis.
+            let c0 = axis_cell(r.min.x, index.min.x, index.width, side);
             let c1 = axis_cell(r.max.x, index.min.x, index.width, side);
-            let c1 = if cols.end == 0 {
-                0
-            } else {
-                c1.min(cols.end - 1)
-            };
             let r0 = axis_cell(r.min.y, index.min.y, index.height, side);
             let r1 = axis_cell(r.max.y, index.min.y, index.height, side);
-            if c0 > c1 || stripe_w == 0 {
-                continue;
-            }
             for row in r0..=r1 {
                 for col in c0..=c1 {
-                    let slot = row * stripe_w + (col - cols.start);
+                    let slot = row * side + col;
                     // Border cells receive clamped out-of-bounds points,
                     // so membership there can never follow from the cell.
                     let border = row == 0 || row == side - 1 || col == 0 || col == side - 1;
@@ -191,25 +156,19 @@ impl QueryIndex {
         index
     }
 
-    /// Cells per side of the underlying (global) grid.
-    #[inline]
-    pub(crate) fn side(&self) -> usize {
-        self.side
-    }
-
     /// The distance by which a computed cell or query edge may differ
     /// from where [`axis_cell`] and the range comparisons actually break:
     /// a cell corner is `min + k·extent/side` in floating point, an ulp or
     /// so off the true breakpoint, and this margin is millions of ulps at
     /// the scale of the space. Every closed form that must err to one
-    /// side (the full-cover test in [`build_cols`](Self::build_cols), the
+    /// side (the full-cover test in [`build`](Self::build), the
     /// unified engine's `safe_until`) shrinks by it.
     #[inline]
     pub(crate) fn edge_margin(&self) -> f64 {
         1e-9 * (self.width + self.height)
     }
 
-    /// The edge coordinates `(x0, x1, y0, y1)` of global cell
+    /// The edge coordinates `(x0, x1, y0, y1)` of cell
     /// `(row, col)`, from the same `min + k·extent/side` breakpoints
     /// [`axis_cell`] floors at (to within [`edge_margin`](Self::edge_margin)).
     /// The outer edges of grid-border cells are ±∞: `axis_cell` clamps,
@@ -233,7 +192,7 @@ impl QueryIndex {
         )
     }
 
-    /// The `(row, col)` of the *global* grid cell a predicted position
+    /// The `(row, col)` of the grid cell a predicted position
     /// belongs to (clamped into the grid).
     #[inline]
     pub(crate) fn rc_of(&self, p: &Point) -> (usize, usize) {
@@ -243,18 +202,10 @@ impl QueryIndex {
         )
     }
 
-    /// Storage slot of global cell `(row, col)`; the caller must ensure
-    /// `col` lies inside this index's stripe.
+    /// Storage slot of cell `(row, col)`: its flat id `row·side + col`.
     #[inline]
     pub(crate) fn slot(&self, row: usize, col: usize) -> usize {
-        debug_assert!((self.col_lo..self.col_lo + self.stripe_w).contains(&col));
-        row * self.stripe_w + (col - self.col_lo)
-    }
-
-    /// Storage slot of a flat global cell id (`row·side + col`).
-    #[inline]
-    pub(crate) fn slot_of_cell(&self, cell: usize) -> usize {
-        self.slot(cell / self.side, cell % self.side)
+        row * self.side + col
     }
 
     /// The queries fully covering the cell at storage `slot`, ascending.

@@ -1,9 +1,8 @@
 //! Property-based equivalence suite for the CQ evaluation engine:
 //! kinetic (the default) ≡ its sweep-every-round twin
 //! (`with_dirty_tracking(false)`) ≡ brute force (`common::World`), for
-//! `evaluate`, `evaluate_uncertain`, and `nearest`. Both servers run at
-//! the shard count the CI matrix selects via `LIRA_TEST_SHARDS` (default
-//! 1, the degenerate single-stripe case).
+//! `evaluate`, `evaluate_uncertain`, and `nearest`, and for the uncertain
+//! path's cached cover and call order.
 //!
 //! Every generated coordinate is a multiple of 62.5 m (exactly
 //! representable in binary) over a 1 km² space with 8×8 index cells of
@@ -36,13 +35,15 @@ fn updates(max: usize) -> impl Strategy<Value = Vec<Update>> {
             0u32..5,
             -2i32..19,
             -2i32..19,
-            -2i32..3,
+            -4i32..5,
             -2i32..3,
         )
             .prop_map(|(node, k, i, j, vi, vj)| Update {
                 node,
                 t: k as f64,
                 pos: Point::new(i as f64 * U, j as f64 * U),
+                // x-velocities reach ±25 m/s, so nodes cross cell edges
+                // between rounds.
                 vel: (vi as f64 * 6.25, vj as f64 * 6.25),
             }),
         1..max,
@@ -59,8 +60,7 @@ struct Pair {
 impl Pair {
     fn new(queries: &[RangeQuery]) -> Self {
         let server = || {
-            let mut s =
-                CqServer::new(bounds(), NUM_NODES, 8).with_engine(common::unified_from_env(1));
+            let mut s = CqServer::new(bounds(), NUM_NODES, 8);
             s.register_queries(queries.iter().copied());
             s
         };
@@ -169,24 +169,16 @@ proptest! {
 
     /// The same histories over cells with more than 64 partial covers
     /// (two hit words a node), swapping with an ordinary query set (one
-    /// word) and back, at 1, 3 and 7 shards whatever the CI leg.
+    /// word) and back.
     #[test]
-    fn wide_cell_histories_equivalent_across_engines_and_shards(
+    fn wide_cell_histories_equivalent_across_engines(
         steps in common::history(120),
         qs in wide_query_set(),
         qs2 in common::query_set(5),
     ) {
-        let mut subjects = Vec::new();
-        for shards in [1, 3, 7] {
-            let server = || {
-                CqServer::new(bounds(), NUM_NODES, 8).with_engine(EvalEngine::Unified { shards })
-            };
-            subjects.push(common::Subject::new(format!("kinetic/{shards}"), server()));
-            subjects.push(common::Subject::new(
-                format!("sweep/{shards}"),
-                server().with_dirty_tracking(false),
-            ));
-        }
+        let mut subjects = Pair::new(&[])
+            .servers
+            .map(|(label, server)| common::Subject::new(label, server));
         common::replay(&steps, &qs, &qs2, &mut subjects);
     }
 
@@ -213,6 +205,46 @@ proptest! {
                     &want, "{} t={}", label, t
                 );
             }
+        }
+    }
+
+    /// The Δ⊣-expanded cover is cached between calls: a call with a
+    /// different Δ⊣, and a call after the query set changed, must both
+    /// answer from a cover built for what they were asked.
+    #[test]
+    fn uncertain_cover_follows_max_delta_and_the_query_set(
+        ups in updates(50),
+        qs in query_set(6),
+        qs2 in query_set(5),
+        dmax_steps in (1i32..5, 1i32..5),
+    ) {
+        let narrow = dmax_steps.0 as f64 * 31.25;
+        let wide = narrow + dmax_steps.1 as f64 * 31.25;
+        // Per-node Δ up to the wider Δ⊣, so the narrower one clamps.
+        let delta_of = |n: u32, _p: Point| (n % 9) as f64 * 31.25;
+        let mut pair = Pair::new(&qs);
+        for u in &ups {
+            pair.ingest(u);
+        }
+        let t = 2.25;
+        for max_delta in [narrow, wide, narrow] {
+            let want = pair.world.evaluate_uncertain(&qs, t, max_delta, delta_of);
+            for (label, s) in &mut pair.servers {
+                prop_assert_eq!(
+                    &s.evaluate_uncertain(t, max_delta, delta_of),
+                    &want, "{} Δ⊣={}", label, max_delta
+                );
+            }
+        }
+        // Same Δ⊣ as the last call: only the query-set change can tell
+        // the server its cover is stale.
+        let want = pair.world.evaluate_uncertain(&qs2, t, narrow, delta_of);
+        for (label, s) in &mut pair.servers {
+            s.replace_queries(qs2.iter().copied());
+            prop_assert_eq!(
+                &s.evaluate_uncertain(t, narrow, delta_of),
+                &want, "{} after swap", label
+            );
         }
     }
 
@@ -291,5 +323,117 @@ fn border_points_resolve_identically_on_every_engine() {
         let p = world.predict(n as usize, 0.0).unwrap();
         assert!(!range.contains(&p));
         assert_eq!(range.distance_to_point(&p), 0.0, "node {n} at {p:?}");
+    }
+}
+
+/// Four queries make `side_for(4) = 8` grid columns of 125 m; the nodes
+/// below sit *exactly* on column edges (x ∈ {125·k}) and move one cell
+/// width a round, so every moving node lands on the next edge round after
+/// round, crossing cells in both directions.
+#[test]
+fn cell_edge_traffic_resolves_exactly() {
+    let qs: Vec<RangeQuery> = [
+        Rect::from_coords(0.0, 0.0, 250.0, 1000.0),
+        Rect::from_coords(250.0, 0.0, 625.0, 1000.0), // edges on cell edges
+        Rect::from_coords(625.0, 0.0, 1000.0, 1000.0),
+        Rect::from_coords(125.0, 250.0, 875.0, 750.0), // spans every column
+    ]
+    .into_iter()
+    .enumerate()
+    .map(|(id, range)| RangeQuery {
+        id: id as u32,
+        range,
+    })
+    .collect();
+    let mut pair = Pair::new(&qs);
+    for n in 0..NUM_NODES as u32 {
+        pair.ingest(&Update {
+            node: n,
+            t: 0.0,
+            pos: Point::new(125.0 * (n % 9) as f64, 62.5 * (n % 16) as f64),
+            vel: (if n % 2 == 0 { 125.0 } else { -125.0 }, 6.25),
+        });
+    }
+    for round in 0..8 {
+        let t = round as f64;
+        let want = pair.world.evaluate(&qs, t);
+        let wantu = pair.world.evaluate_uncertain(&qs, t, 125.0, delta_of);
+        for (label, s) in &mut pair.servers {
+            assert_eq!(s.evaluate(t), want, "{label} t={t}");
+            common::assert_placed(label, s, &pair.world, t);
+            assert_eq!(
+                s.evaluate_uncertain(t, 125.0, delta_of),
+                wantu,
+                "{label} uncertain t={t}"
+            );
+        }
+    }
+}
+
+/// `evaluate_uncertain` is one ascending pass over the store: `delta_of`
+/// (a stateful, non-`Sync` closure here) is called once per node some
+/// Δ⊣-expanded query's cover reaches, in ascending id order, and never
+/// for a node nothing can reach or one that has not reported.
+#[test]
+fn uncertain_is_one_ascending_pass() {
+    use std::cell::RefCell;
+    // Four queries: an 8 × 8 grid of 125 m cells. All of them lie west
+    // of x = 500, so expanded by Δ⊣ = 62.5 they reach no cell east of
+    // column 4.
+    let qs: Vec<RangeQuery> = [
+        Rect::from_coords(125.0, 125.0, 375.0, 375.0),
+        Rect::from_coords(0.0, 500.0, 250.0, 750.0),
+        Rect::from_coords(250.0, 250.0, 437.5, 500.0),
+        Rect::from_coords(62.5, 62.5, 125.0, 125.0),
+    ]
+    .into_iter()
+    .enumerate()
+    .map(|(id, range)| RangeQuery {
+        id: id as u32,
+        range,
+    })
+    .collect();
+    let max_delta = 62.5;
+    let mut pair = Pair::new(&qs);
+    // Odd nodes report, descending so ingest order is not id order: most
+    // on a diagonal through the queries, nodes 19 and 23 far to the east
+    // where no expanded query reaches. Even nodes never report.
+    for n in (1..NUM_NODES as u32).rev().step_by(2) {
+        let pos = if n == 19 || n == 23 {
+            Point::new(937.5, 62.5 * (n % 16) as f64)
+        } else {
+            Point::new(31.25 * n as f64, 31.25 * n as f64)
+        };
+        pair.ingest(&Update {
+            node: n,
+            t: 0.0,
+            pos,
+            vel: (0.0, 0.0),
+        });
+    }
+    let t = 1.0;
+    let want = pair.world.evaluate_uncertain(&qs, t, max_delta, delta_of);
+    for (label, s) in &mut pair.servers {
+        let calls = RefCell::new(Vec::new());
+        let got = s.evaluate_uncertain(t, max_delta, |n, p| {
+            calls.borrow_mut().push(n);
+            delta_of(n, p)
+        });
+        assert_eq!(got, want, "{label}");
+        let calls = calls.into_inner();
+        assert!(!calls.is_empty(), "the diagonal crosses the queries");
+        assert!(
+            calls.windows(2).all(|w| w[0] < w[1]),
+            "{label}: calls {calls:?} not strictly ascending"
+        );
+        assert!(
+            calls.iter().all(|n| n % 2 == 1 && ![19, 23].contains(n)),
+            "{label}: called for an unreported or unreachable node: {calls:?}"
+        );
+        for r in &got {
+            for n in r.must.iter().chain(&r.maybe) {
+                assert!(calls.contains(n), "{label}: node {n} reported uncalled");
+            }
+        }
     }
 }

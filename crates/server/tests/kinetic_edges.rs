@@ -35,14 +35,10 @@ fn four_queries() -> Vec<RangeQuery> {
     .collect()
 }
 
-/// `(stepped, due_fired, due_stale)` summed over the shards.
+/// `(stepped, due_fired, due_stale)`.
 fn counts(server: &CqServer) -> (u64, u64, u64) {
-    let stats = server.shard_stats();
-    (
-        stats.iter().map(|s| s.stepped).sum(),
-        stats.iter().map(|s| s.due_fired).sum(),
-        stats.iter().map(|s| s.due_stale).sum(),
-    )
+    let st = server.shard_stats();
+    (st.stepped, st.due_fired, st.due_stale)
 }
 
 /// The kinetic engine, its sweeping twin and the brute-force world, fed
@@ -57,12 +53,8 @@ struct Trio {
 
 impl Trio {
     fn new(num_nodes: usize, queries: Vec<RangeQuery>) -> Self {
-        Trio::with_engine(num_nodes, queries, common::unified_from_env(1))
-    }
-
-    fn with_engine(num_nodes: usize, queries: Vec<RangeQuery>, engine: EvalEngine) -> Self {
         let server = || {
-            let mut s = CqServer::new(bounds(), num_nodes, 8).with_engine(engine);
+            let mut s = CqServer::new(bounds(), num_nodes, 8);
             s.register_queries(queries.iter().copied());
             s
         };
@@ -347,20 +339,9 @@ fn a_cloned_server_continues_bit_identically() {
     trio.eval(0.0);
     trio.run(0.0, 1.0, 15);
     let mut twin = trio.kinetic.clone();
-    let shape = |s: &CqServer| -> Vec<(usize, usize, u64, u64, u64, u64)> {
-        s.shard_stats()
-            .iter()
-            .map(|st| {
-                (
-                    st.shard,
-                    st.nodes,
-                    st.handoffs,
-                    st.stepped,
-                    st.due_fired,
-                    st.due_stale,
-                )
-            })
-            .collect()
+    let shape = |s: &CqServer| {
+        let st = s.shard_stats();
+        (st.nodes, st.stepped, st.due_fired, st.due_stale)
     };
     let mut t = 15.0;
     for round in 0..80 {
@@ -474,11 +455,10 @@ fn a_dense_random_world_stays_identical_round_for_round() {
 /// row 20 — so every cell on the squares' outline is partially covered by
 /// all seventy queries, and a node's hit bits there take two words
 /// (module docs of `unified`, *Hit bits*). Nodes cross those cells one
-/// edge every half second or so, into and out of columns 14 and 22 —
-/// stripe boundaries at seven and at three shards — and through the
-/// corners, among parked nodes that keep the rounds kinetic; some turn
-/// back, some leave and come back. At 1, 3 and 7 shards: kinetic ≡ sweep
-/// ≡ brute force, round for round.
+/// edge every half second or so, into and out of columns 14 and 22 and
+/// through the corners, among parked nodes that keep the rounds kinetic;
+/// some turn back, some leave and come back. Kinetic ≡ sweep ≡ brute
+/// force, round for round.
 #[test]
 fn a_cell_with_more_than_64_partial_covers_keeps_two_hit_words_exact() {
     let w = 1000.0 / 34.0;
@@ -506,71 +486,69 @@ fn a_cell_with_more_than_64_partial_covers_keeps_two_hit_words_exact() {
 
     let (moving, parked) = (48u32, 120u32);
     let num = (moving + parked) as usize;
-    for shards in [1, 3, 7] {
-        let mut trio = Trio::with_engine(num, squares.clone(), EvalEngine::Unified { shards });
-        let mut rng = SmallRng::seed_from_u64(32);
-        // Four lanes: rightwards through the left edges, rightwards out
-        // through the right edges, diagonally through the bottom-left
-        // corner, and up through the top edges.
-        let lane = |n: u32, rng: &mut SmallRng| -> (Point, (f64, f64)) {
-            let jitter = rng.gen_range(-0.2..0.2);
-            let speed = rng.gen_range(0.5..1.5);
-            match n % 4 {
-                0 => (
-                    Point::new(rng.gen_range(380.0..405.0), rng.gen_range(300.0..580.0)),
-                    (speed, jitter),
-                ),
-                1 => (
-                    Point::new(rng.gen_range(630.0..650.0), rng.gen_range(300.0..580.0)),
-                    (speed, jitter),
-                ),
-                2 => {
-                    let d = rng.gen_range(0.0..15.0);
-                    (Point::new(395.0 + d, 250.0 + d), (speed, speed + jitter))
-                }
-                _ => (
-                    Point::new(rng.gen_range(450.0..600.0), rng.gen_range(575.0..590.0)),
-                    (jitter, speed),
-                ),
+    let mut trio = Trio::new(num, squares);
+    let mut rng = SmallRng::seed_from_u64(32);
+    // Four lanes: rightwards through the left edges, rightwards out
+    // through the right edges, diagonally through the bottom-left
+    // corner, and up through the top edges.
+    let lane = |n: u32, rng: &mut SmallRng| -> (Point, (f64, f64)) {
+        let jitter = rng.gen_range(-0.2..0.2);
+        let speed = rng.gen_range(0.5..1.5);
+        match n % 4 {
+            0 => (
+                Point::new(rng.gen_range(380.0..405.0), rng.gen_range(300.0..580.0)),
+                (speed, jitter),
+            ),
+            1 => (
+                Point::new(rng.gen_range(630.0..650.0), rng.gen_range(300.0..580.0)),
+                (speed, jitter),
+            ),
+            2 => {
+                let d = rng.gen_range(0.0..15.0);
+                (Point::new(395.0 + d, 250.0 + d), (speed, speed + jitter))
             }
-        };
-        for n in 0..moving {
-            let (p, v) = lane(n, &mut rng);
-            trio.report(n, 0.0, p, v);
+            _ => (
+                Point::new(rng.gen_range(450.0..600.0), rng.gen_range(575.0..590.0)),
+                (jitter, speed),
+            ),
         }
-        for n in moving..moving + parked {
-            // Inside the outline cells (two words of bits held still),
-            // inside the squares, and away from them.
-            let p = match n % 3 {
-                0 => Point::new(rng.gen_range(412.0..441.0), rng.gen_range(270.0..610.0)),
-                1 => Point::new(rng.gen_range(450.0..640.0), rng.gen_range(300.0..580.0)),
-                _ => Point::new(rng.gen_range(0.0..1000.0), rng.gen_range(700.0..1000.0)),
-            };
-            trio.report(n, 0.0, p, (0.0, 0.0));
-        }
-        trio.eval(0.0);
-        let mut t = 0.0;
-        let mut stepped = 0;
-        for round in 0..90 {
-            if round % 10 == 9 {
-                // Some turn back across the edges they just crossed;
-                // one leaves, and one that left comes back.
-                for n in (round % 4..moving).step_by(9) {
-                    if let Some(p) = trio.world.predict(n as usize, t) {
-                        let v = (rng.gen_range(-1.5..-0.5), rng.gen_range(-1.0..1.0));
-                        trio.report(n, t, p, v);
-                    }
-                }
-                trio.remove(round % moving);
-                let (p, v) = lane(round + 1, &mut rng);
-                trio.report((round + 1) % moving, t, p, v);
-            }
-            t += if round % 15 == 14 { 0.25 } else { 1.0 };
-            stepped += trio.eval(t);
-        }
-        assert!(
-            stepped < 90 * num as u64 / 2,
-            "{shards} shards: mostly kinetic rounds, {stepped} steps"
-        );
+    };
+    for n in 0..moving {
+        let (p, v) = lane(n, &mut rng);
+        trio.report(n, 0.0, p, v);
     }
+    for n in moving..moving + parked {
+        // Inside the outline cells (two words of bits held still),
+        // inside the squares, and away from them.
+        let p = match n % 3 {
+            0 => Point::new(rng.gen_range(412.0..441.0), rng.gen_range(270.0..610.0)),
+            1 => Point::new(rng.gen_range(450.0..640.0), rng.gen_range(300.0..580.0)),
+            _ => Point::new(rng.gen_range(0.0..1000.0), rng.gen_range(700.0..1000.0)),
+        };
+        trio.report(n, 0.0, p, (0.0, 0.0));
+    }
+    trio.eval(0.0);
+    let mut t = 0.0;
+    let mut stepped = 0;
+    for round in 0..90 {
+        if round % 10 == 9 {
+            // Some turn back across the edges they just crossed;
+            // one leaves, and one that left comes back.
+            for n in (round % 4..moving).step_by(9) {
+                if let Some(p) = trio.world.predict(n as usize, t) {
+                    let v = (rng.gen_range(-1.5..-0.5), rng.gen_range(-1.0..1.0));
+                    trio.report(n, t, p, v);
+                }
+            }
+            trio.remove(round % moving);
+            let (p, v) = lane(round + 1, &mut rng);
+            trio.report((round + 1) % moving, t, p, v);
+        }
+        t += if round % 15 == 14 { 0.25 } else { 1.0 };
+        stepped += trio.eval(t);
+    }
+    assert!(
+        stepped < 90 * num as u64 / 2,
+        "mostly kinetic rounds, {stepped} steps"
+    );
 }

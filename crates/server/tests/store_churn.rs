@@ -9,8 +9,7 @@
 //! freshly-allocated ones.
 //!
 //! Coordinates use the binary-exact 62.5 m lattice from `eval_equiv.rs`
-//! so removals and re-insertions land exactly on cell and stripe
-//! boundaries.
+//! so removals and re-insertions land exactly on cell boundaries.
 
 use lira_core::geometry::{Point, Rect};
 use lira_server::prelude::*;
@@ -76,14 +75,10 @@ proptest! {
         qs in query_set(7),
     ) {
         let b = bounds();
-        // Unified at 1 and 3 shards plus the sweep-every-round twin;
-        // output buffers created once and reused across every round below.
+        // The engine and its sweep-every-round twin; output buffers
+        // created once and reused across every round below.
         let mut servers: Vec<(String, CqServer)> = vec![
-            ("unified(1)".into(), CqServer::new(b, NUM_NODES, 8)),
-            (
-                "unified(3)".into(),
-                CqServer::new(b, NUM_NODES, 8).with_engine(EvalEngine::Unified { shards: 3 }),
-            ),
+            ("unified".into(), CqServer::new(b, NUM_NODES, 8)),
             (
                 "sweep".into(),
                 CqServer::new(b, NUM_NODES, 8).with_dirty_tracking(false),
@@ -149,25 +144,18 @@ proptest! {
     /// Advancing-`t` histories (see `common`), removal-heavy: a removed
     /// node's wheel entry goes stale, a re-registered one files afresh,
     /// a rejected stale report must not disturb either — with the result
-    /// buffers reused across every round. The default engine (at the CI
-    /// leg's shard count and at 3) and its sweep-every-round twin
-    /// against brute force.
+    /// buffers reused across every round. The default engine and its
+    /// sweep-every-round twin against brute force.
     #[test]
     fn advancing_t_histories_with_removals_match_the_oracle(
         steps in common::history(160),
         qs in common::query_set(7),
         qs2 in common::query_set(4),
     ) {
-        let b = bounds();
-        let server =
-            |engine: EvalEngine| CqServer::new(b, common::NUM_NODES, 8).with_engine(engine);
+        let server = || CqServer::new(bounds(), common::NUM_NODES, 8);
         let mut subjects = [
-            common::Subject::new("unified(env)", server(common::unified_from_env(1))),
-            common::Subject::new("unified(3)", server(EvalEngine::Unified { shards: 3 })),
-            common::Subject::new(
-                "unified(env) sweep",
-                server(common::unified_from_env(1)).with_dirty_tracking(false),
-            ),
+            common::Subject::new("unified", server()),
+            common::Subject::new("unified sweep", server().with_dirty_tracking(false)),
         ];
         common::replay(&steps, &qs, &qs2, &mut subjects);
     }
@@ -177,8 +165,8 @@ proptest! {
 /// west half's base stations are dark (`[10, 20)`), every west-side
 /// report is silently lost on the uplink, some of those same nodes are
 /// removed server-side, and after the window they re-register through
-/// the recovered channel. The engine at 1 and 3 shards and its
-/// sweep-every-round twin must agree bit for bit at every round — losses arriving
+/// the recovered channel. The engine and its sweep-every-round twin must
+/// agree bit for bit at every round — losses arriving
 /// as *gaps* (a removal with no subsequent report) exercise a different
 /// store path than the usual stale-rejection churn.
 #[test]
@@ -193,11 +181,7 @@ fn churn_across_a_regional_outage_window_stays_engine_identical() {
     let mut ch: FaultyChannel<(u32, f64, Point, (f64, f64))> = FaultyChannel::new(profile, 3);
 
     let mut servers: Vec<(String, CqServer)> = vec![
-        ("unified(1)".into(), CqServer::new(bounds(), NUM_NODES, 8)),
-        (
-            "unified(3)".into(),
-            CqServer::new(bounds(), NUM_NODES, 8).with_engine(EvalEngine::Unified { shards: 3 }),
-        ),
+        ("unified".into(), CqServer::new(bounds(), NUM_NODES, 8)),
         (
             "sweep".into(),
             CqServer::new(bounds(), NUM_NODES, 8).with_dirty_tracking(false),
@@ -292,32 +276,29 @@ fn churn_across_a_regional_outage_window_stays_engine_identical() {
 
 /// A remove → re-ingest → evaluate sequence within a single round must
 /// re-register the node exactly once (the pending/dirty overlap path),
-/// at every shard count, including with reused buffers across the
-/// transition.
+/// including with reused buffers across the transition.
 #[test]
 fn remove_then_reingest_within_one_round() {
     let qs = [RangeQuery {
         id: 0,
         range: Rect::from_coords(0.0, 0.0, 1000.0, 1000.0),
     }];
-    for shards in [1usize, 2, 4] {
-        let mut s = CqServer::new(bounds(), 4, 8).with_engine(EvalEngine::Unified { shards });
-        s.register_queries(qs);
-        let mut buf = Vec::new();
-        s.ingest(0, 0.0, Point::new(100.0, 100.0), (0.0, 0.0));
-        s.ingest(1, 0.0, Point::new(900.0, 100.0), (0.0, 0.0));
-        s.evaluate_into(0.5, &mut buf);
-        assert_eq!(buf[0].nodes, vec![0, 1], "shards={shards}");
-        // Same-t: remove node 0, re-ingest it elsewhere, remove node 1.
-        assert!(s.remove_node(0));
-        s.ingest(0, 0.25, Point::new(500.0, 500.0), (0.0, 0.0));
-        assert!(s.remove_node(1));
-        s.evaluate_into(0.5, &mut buf);
-        assert_eq!(buf[0].nodes, vec![0], "shards={shards} after churn");
-        // Double-remove is a no-op and nothing reappears.
-        assert!(!s.remove_node(1));
-        s.evaluate_into(0.5, &mut buf);
-        assert_eq!(buf[0].nodes, vec![0], "shards={shards} idempotent");
-        assert_eq!(s.store().reported_count(), 1);
-    }
+    let mut s = CqServer::new(bounds(), 4, 8);
+    s.register_queries(qs);
+    let mut buf = Vec::new();
+    s.ingest(0, 0.0, Point::new(100.0, 100.0), (0.0, 0.0));
+    s.ingest(1, 0.0, Point::new(900.0, 100.0), (0.0, 0.0));
+    s.evaluate_into(0.5, &mut buf);
+    assert_eq!(buf[0].nodes, vec![0, 1]);
+    // Same-t: remove node 0, re-ingest it elsewhere, remove node 1.
+    assert!(s.remove_node(0));
+    s.ingest(0, 0.25, Point::new(500.0, 500.0), (0.0, 0.0));
+    assert!(s.remove_node(1));
+    s.evaluate_into(0.5, &mut buf);
+    assert_eq!(buf[0].nodes, vec![0], "after churn");
+    // Double-remove is a no-op and nothing reappears.
+    assert!(!s.remove_node(1));
+    s.evaluate_into(0.5, &mut buf);
+    assert_eq!(buf[0].nodes, vec![0], "idempotent");
+    assert_eq!(s.store().reported_count(), 1);
 }

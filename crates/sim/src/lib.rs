@@ -15,6 +15,8 @@
 //! println!("LIRA containment error: {:.4}", lira.metrics.mean_containment);
 //! ```
 
+#![forbid(unsafe_code)]
+
 pub mod adaptive;
 pub mod metrics;
 pub mod pipeline;
@@ -29,7 +31,6 @@ pub mod prelude {
     pub use crate::runner::{run_scenario, PolicyOutcome, RunReport};
     pub use lira_core::policy::Policy;
     pub use lira_core::telemetry::TelemetrySnapshot;
-    pub use lira_server::cq_engine::EvalEngine;
     pub use lira_workload::catalog::NamedScenario;
     pub use lira_workload::scenario::{DemandPhase, PhaseSchedule, Scenario, SpeedClass};
 }

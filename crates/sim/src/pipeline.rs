@@ -31,8 +31,7 @@
 //! There is one lane loop under two controls: [`SimPipeline::run`] holds
 //! `z` fixed and re-plans on the scenario's adaptation period;
 //! [`SimPipeline::run_adaptive`] puts a bounded queue, a finite service
-//! rate and THROTLOOP in front of the same lane (Section 3.4). The
-//! pipeline is also the only place an engine option is named: every
+//! rate and THROTLOOP in front of the same lane (Section 3.4). Every
 //! server of a run comes from [`SimPipeline::server`].
 //!
 //! Lane results are deterministic regardless of scheduling: each lane
@@ -57,7 +56,7 @@ use lira_mobility::generator::{generate_network, NetworkConfig};
 use lira_mobility::motion::DeadReckoner;
 use lira_mobility::simulator::{TrafficConfig, TrafficSimulator};
 use lira_server::channel::FaultyChannel;
-use lira_server::cq_engine::{CqServer, EvalEngine};
+use lira_server::cq_engine::CqServer;
 use lira_server::governor::{Governor, WindowDecision};
 use lira_server::query::{QueryResult, RangeQuery};
 use lira_workload::scenario::{PhaseSchedule, Scenario};
@@ -939,31 +938,18 @@ impl PolicyLane {
 /// The composed pipeline: setup, then the streamed stage (recorder →
 /// reference replay → policy lanes).
 #[derive(Debug, Clone, Copy, Default)]
-pub struct SimPipeline {
-    engine: EvalEngine,
-}
+pub struct SimPipeline;
 
 impl SimPipeline {
-    /// A pipeline on the default engine.
+    /// The pipeline.
     pub fn new() -> Self {
-        SimPipeline::default()
+        SimPipeline
     }
 
-    /// Selects the shard count of the CQ engine in the reference server
-    /// and every policy lane. Every shard count yields bit-identical
-    /// reports (asserted by `tests/pipeline.rs`).
-    #[must_use]
-    pub fn with_engine(mut self, engine: EvalEngine) -> Self {
-        self.engine = engine;
-        self
-    }
-
-    /// A CQ server over `setup`'s space with the workload registered,
-    /// under this pipeline's engine — the reference server and every
-    /// lane's server come from here. Every shard count leaves results
-    /// bit-identical (`tests/pipeline.rs`).
+    /// A CQ server over `setup`'s space with the workload registered —
+    /// the reference server and every lane's server come from here.
     pub fn server(&self, setup: &SimSetup, sc: &Scenario) -> CqServer {
-        let mut s = CqServer::new(setup.bounds, sc.num_cars, 64).with_engine(self.engine);
+        let mut s = CqServer::new(setup.bounds, sc.num_cars, 64);
         s.register_queries(setup.queries.iter().copied());
         s
     }

@@ -61,23 +61,16 @@ const CHANNEL_LOST: MetricSpec = MetricSpec::new("channel.lost", "server.channel
 const CHANNEL_DUPLICATES: MetricSpec =
     MetricSpec::new("channel.duplicates", "server.channel", "updates");
 
-// Per-stripe engine metrics (component "server.sharded", the historical
-// name kept for schema stability): end-of-run per-shard accounting,
-// recorded once per run for the unified engine at any shard count (one
-// entry at shards = 1). One histogram sample per shard; `shard.round_ns`
-// is wall clock, hence excluded from the determinism contract like the
-// pipeline stage timers.
+// Engine metrics (component "server.sharded", the historical name kept
+// for schema stability): end-of-run accounting, recorded once per run.
+// One histogram sample per run; `shard.round_ns` is wall clock, hence
+// excluded from the determinism contract like the pipeline stage timers.
 const SHARD_NODES: MetricSpec = MetricSpec::new("shard.nodes", "server.sharded", "nodes");
 const SHARD_ROUND_NS: MetricSpec = MetricSpec::new("shard.round_ns", "server.sharded", "ns");
-const SHARD_HANDOFFS: MetricSpec = MetricSpec::new("shard.handoffs", "server.sharded", "nodes");
 const SHARD_STEPPED_NODES: MetricSpec =
     MetricSpec::new("shard.stepped_nodes", "server.sharded", "nodes");
 const SHARD_DUE_FIRED: MetricSpec = MetricSpec::new("shard.due_fired", "server.sharded", "entries");
 const SHARD_DUE_STALE: MetricSpec = MetricSpec::new("shard.due_stale", "server.sharded", "entries");
-// End-of-run ownership imbalance: the coefficient of variation (σ/µ) of
-// the per-shard node counts, 0 when the stripes own equal shares.
-const SHARD_IMBALANCE: MetricSpec =
-    MetricSpec::new("shard.imbalance", "server.sharded", "fraction");
 
 // Closed-loop metrics.
 const QUEUE_DEPTH: MetricSpec = MetricSpec::new("queue.depth", "server.queue", "updates");
@@ -105,11 +98,11 @@ const STAGE_REFERENCE_US: MetricSpec =
 const STAGE_LANES_US: MetricSpec = MetricSpec::new("pipeline.lanes_us", "sim.pipeline", "us");
 
 /// Journal target for the closed-loop controller.
-pub const TARGET_ADAPTIVE: &str = "sim.adaptive";
+pub(crate) const TARGET_ADAPTIVE: &str = "sim.adaptive";
 
 /// Pre-registered handles for one policy lane. Creation locks the
 /// registry once; every recording after that is lock-free.
-pub struct LaneTelemetry {
+pub(crate) struct LaneTelemetry {
     registry: Arc<Telemetry>,
     updates_sent: Arc<Counter>,
     updates_admitted: Arc<Counter>,
@@ -254,14 +247,10 @@ impl LaneTelemetry {
     }
 
     /// Copies the end-of-run accounting into the registry: the uplink
-    /// channel's counters (lanes with a faulty uplink only), and for the
-    /// unified engine one `shard.nodes` / `shard.round_ns` sample per
-    /// shard (final ownership, cumulative round wall time), the total
-    /// cross-stripe handoff count and wheel entries fired / dropped
-    /// stale, and how lopsided the final ownership is
-    /// (`shard.imbalance`: σ/µ of the per-shard node counts — 0 at one
-    /// shard, on an empty fleet, and whenever the stripes own equal
-    /// shares).
+    /// channel's counters (lanes with a faulty uplink only), and the
+    /// engine's one `shard.nodes` / `shard.round_ns` sample (final placed
+    /// nodes, cumulative round wall time) and its wheel entries fired /
+    /// dropped stale.
     pub(crate) fn on_run_end(&self, channel: Option<ChannelStats>, server: &CqServer) {
         if COMPILED_OUT {
             return;
@@ -274,28 +263,11 @@ impl LaneTelemetry {
             r.counter(CHANNEL_LOST).add(stats.lost);
             r.counter(CHANNEL_DUPLICATES).add(stats.duplicates);
         }
-        let nodes = r.histogram(SHARD_NODES);
-        let round_ns = r.histogram(SHARD_ROUND_NS);
-        let handoffs = r.counter(SHARD_HANDOFFS);
-        let due_fired = r.counter(SHARD_DUE_FIRED);
-        let due_stale = r.counter(SHARD_DUE_STALE);
         let stats = server.shard_stats();
-        for s in &stats {
-            nodes.record(s.nodes as u64);
-            round_ns.record(s.round_ns);
-            handoffs.add(s.handoffs);
-            due_fired.add(s.due_fired);
-            due_stale.add(s.due_stale);
-        }
-        let shards = stats.len().max(1) as f64;
-        let mean = stats.iter().map(|s| s.nodes as f64).sum::<f64>() / shards;
-        let var = stats
-            .iter()
-            .map(|s| (s.nodes as f64 - mean) * (s.nodes as f64 - mean))
-            .sum::<f64>()
-            / shards;
-        r.gauge(SHARD_IMBALANCE)
-            .set(if mean > 0.0 { var.sqrt() / mean } else { 0.0 });
+        r.histogram(SHARD_NODES).record(stats.nodes as u64);
+        r.histogram(SHARD_ROUND_NS).record(stats.round_ns);
+        r.counter(SHARD_DUE_FIRED).add(stats.due_fired);
+        r.counter(SHARD_DUE_STALE).add(stats.due_stale);
     }
 
     /// Exports the lane's snapshot labelled `component` (conventionally
@@ -308,7 +280,7 @@ impl LaneTelemetry {
 /// Wall-time accounting for the pipeline: setup, then the streamed stage
 /// and the recorder and reference replay inside it. One sample per key
 /// per run; the last three overlap, so they do not sum to the job.
-pub struct PipelineTelemetry {
+pub(crate) struct PipelineTelemetry {
     registry: Telemetry,
     setup_us: Arc<Histogram>,
     trace_us: Arc<Histogram>,
@@ -359,7 +331,7 @@ impl PipelineTelemetry {
 
 /// Pre-registered handles for the closed loop's queue and controller,
 /// on the registry of the lane it controls ([`LaneTelemetry::closed_loop`]).
-pub struct AdaptiveTelemetry {
+pub(crate) struct AdaptiveTelemetry {
     registry: Arc<Telemetry>,
     queue_depth: Arc<Gauge>,
     queue_overflow: Arc<Counter>,

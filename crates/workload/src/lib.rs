@@ -25,6 +25,7 @@
 //! assert_eq!(queries.len(), 5);
 //! ```
 
+#![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
 use lira_core::geometry::{Point, Rect};

@@ -21,8 +21,8 @@ fn main() {
     // --- Boot a server on an ephemeral port, two connections' worth. --
     let cfg = ServeConfig::new(2_000.0, 5_000);
     println!(
-        "== lira-serve: {}×{} m, {} shards, queue B = {}, µ = {}/s\n",
-        cfg.bounds.max.x, cfg.bounds.max.y, cfg.shards, cfg.queue_capacity, cfg.service_rate
+        "== lira-serve: {}×{} m, queue B = {}, µ = {}/s\n",
+        cfg.bounds.max.x, cfg.bounds.max.y, cfg.queue_capacity, cfg.service_rate
     );
     let listener = TcpListener::bind("127.0.0.1:0").expect("bind");
     let addr = listener.local_addr().expect("addr");

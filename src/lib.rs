@@ -23,6 +23,8 @@
 //! `EXPERIMENTS.md` for the paper-vs-measured results of every figure and
 //! table in the paper's evaluation.
 
+#![forbid(unsafe_code)]
+
 pub use lira_core as core;
 pub use lira_mobility as mobility;
 pub use lira_server as server;

@@ -114,29 +114,6 @@ fn parallel_lanes_match_sequential_under_faults() {
 }
 
 #[test]
-fn striped_engine_matches_single_stripe_under_faults() {
-    // Striping must not perturb a fault-injected run either: delayed,
-    // duplicated, and lost updates exercise the dirty-round and handoff
-    // paths with stale ingests, and the report must still match the
-    // shards = 1 degenerate case bit for bit.
-    let sc = base_scenario(101).with_faults(stormy_profile());
-    let baseline = SimPipeline::new()
-        .with_engine(EvalEngine::Unified { shards: 1 })
-        .run(&sc, &Policy::ALL);
-    let striped = SimPipeline::new()
-        .with_engine(EvalEngine::Unified { shards: 4 })
-        .run(&sc, &Policy::ALL);
-    assert_eq!(baseline.reference_updates, striped.reference_updates);
-    for (oi, os) in baseline.outcomes.iter().zip(&striped.outcomes) {
-        assert_outcomes_identical(oi, os, oi.policy.name());
-        assert_eq!(oi.faults, os.faults, "{}: fault books", oi.policy.name());
-    }
-    // The profile actually bit.
-    let f = &striped.outcomes[0].faults;
-    assert!(f.lost + f.retries + f.duplicates > 0, "{f:?}");
-}
-
-#[test]
 fn fault_accounting_is_conserved_across_policies() {
     let sc = base_scenario(31).with_faults(stormy_profile());
     let report = run_scenario(&sc, &Policy::ALL);

@@ -320,60 +320,11 @@ fn run_report_matches_the_pre_deletion_goldens() {
 }
 
 #[test]
-fn shard_counts_yield_bit_identical_run_reports() {
-    // The acceptance bar for the striped unified engine: the whole
-    // multi-policy report must match the shards = 1 degenerate case bit
-    // for bit at every shard count, including one (3) that leaves
-    // stripes of unequal width.
-    let mut sc = Scenario::small(41);
-    sc.duration_s = 90.0;
-    let baseline = SimPipeline::new()
-        .with_engine(EvalEngine::Unified { shards: 1 })
-        .run(&sc, &Policy::ALL);
-
-    for shards in [2usize, 3, 4, 8] {
-        let striped = SimPipeline::new()
-            .with_engine(EvalEngine::Unified { shards })
-            .run(&sc, &Policy::ALL);
-        assert_eq!(striped.reference_updates, baseline.reference_updates);
-        assert_eq!(striped.num_queries, baseline.num_queries);
-        assert_eq!(striped.outcomes.len(), baseline.outcomes.len());
-        for (s, i) in striped.outcomes.iter().zip(&baseline.outcomes) {
-            assert_eq!(s.policy, i.policy);
-            assert_eq!(
-                s.updates_sent, i.updates_sent,
-                "{shards} {:?} sent",
-                s.policy
-            );
-            assert_eq!(
-                s.updates_processed, i.updates_processed,
-                "{shards} {:?} processed",
-                s.policy
-            );
-            assert_eq!(
-                s.plan_regions, i.plan_regions,
-                "{shards} {:?} regions",
-                s.policy
-            );
-            assert_eq!(s.faults, i.faults, "{shards} {:?} faults", s.policy);
-            assert_eq!(s.metrics, i.metrics, "{shards} {:?} metrics", s.policy);
-            assert_eq!(
-                s.processed_fraction.to_bits(),
-                i.processed_fraction.to_bits(),
-                "{shards} {:?} processed fraction",
-                s.policy
-            );
-        }
-    }
-}
-
-#[test]
 fn adaptive_report_is_bit_identical_across_engines() {
     // Same bar for the closed loop: THROTLOOP's whole trajectory (window
     // stats, final throttle, drop fraction) and the accuracy metrics must
     // match the run captured at commit 9438966 (PR 17, where the unified
-    // engine and the since-deleted legacy evaluator agreed on it), and
-    // must not move with the shard count.
+    // engine and the since-deleted legacy evaluator agreed on it).
     let mut sc = Scenario::small(37);
     sc.num_cars = 200;
     sc.duration_s = 120.0;
@@ -382,13 +333,7 @@ fn adaptive_report_is_bit_identical_across_engines() {
         queue_capacity: 300,
         control_period_s: 20.0,
     };
-    let with_shards = |shards| {
-        SimPipeline::new()
-            .with_engine(EvalEngine::Unified { shards })
-            .run_adaptive(&sc, &cfg, Policy::Lira)
-    };
-    let unified = with_shards(1);
-    let striped = with_shards(4);
+    let unified = SimPipeline::new().run_adaptive(&sc, &cfg, Policy::Lira);
 
     // At μ = 60 /s this world never overloads: six windows at z = 1 with
     // an empty queue, told apart by their arrival rates.
@@ -416,18 +361,6 @@ fn adaptive_report_is_bit_identical_across_engines() {
     assert_eq!(unified.drop_fraction, 0.0);
     assert_eq!(unified.metrics, MetricsReport::default());
     assert_eq!(unified.faults, FaultReport::default());
-
-    assert_eq!(striped.windows, unified.windows);
-    assert_eq!(
-        striped.final_throttle.to_bits(),
-        unified.final_throttle.to_bits()
-    );
-    assert_eq!(
-        striped.drop_fraction.to_bits(),
-        unified.drop_fraction.to_bits()
-    );
-    assert_eq!(striped.metrics, unified.metrics);
-    assert_eq!(striped.faults, unified.faults);
 }
 
 #[test]

@@ -1,8 +1,8 @@
 //! Paper-scale stress tests. Ignored by default (`cargo test -- --ignored`
 //! runs them); each finishes in tens of seconds on a modern machine.
-//! The shard-determinism tests at the bottom are *not* ignored: they
-//! are the stress leg of the unified engine's acceptance battery and run
-//! on a compact scenario.
+//! The first two tests are *not* ignored: they are the stress leg of
+//! the unified engine's acceptance battery and run on a compact
+//! scenario.
 
 use lira::prelude::*;
 
@@ -23,12 +23,11 @@ fn assert_outcomes_identical(a: &PolicyOutcome, b: &PolicyOutcome, ctx: &str) {
 }
 
 #[test]
-fn unified_runs_are_deterministic_across_repeats_and_shard_counts() {
-    // Same seed, run twice at shards = 1 and twice at shards = 8, under
-    // fault injection (delays, duplicates, loss) that stresses the
-    // dirty-round and handoff machinery with stale out-of-order ingests.
-    // All four reports must be bit-identical: repeat-determinism within a
-    // shard count, and shard-count-independence across them.
+fn unified_runs_are_deterministic_across_repeats() {
+    // Same seed, run three times, under fault injection (delays,
+    // duplicates, loss) that stresses the dirty rounds and the wheel
+    // with stale out-of-order ingests. All three reports must be
+    // bit-identical.
     let mut sc = Scenario::small(113);
     sc.num_cars = 150;
     sc.warmup_s = 20.0;
@@ -47,12 +46,8 @@ fn unified_runs_are_deterministic_across_repeats_and_shard_counts() {
         },
     });
     let policies = [Policy::Lira, Policy::RandomDrop];
-    let run = |shards: usize| {
-        SimPipeline::new()
-            .with_engine(EvalEngine::Unified { shards })
-            .run(&sc, &policies)
-    };
-    let reports = [run(1), run(1), run(8), run(8)];
+    let run = || SimPipeline::new().run(&sc, &policies);
+    let reports = [run(), run(), run()];
     let first = &reports[0];
     for (i, r) in reports.iter().enumerate().skip(1) {
         assert_eq!(first.reference_updates, r.reference_updates, "run {i}");
@@ -60,11 +55,11 @@ fn unified_runs_are_deterministic_across_repeats_and_shard_counts() {
             assert_outcomes_identical(oa, ob, &format!("run {i} {:?}", oa.policy));
         }
     }
-    // The per-shard handoff counter is deterministic, so the two
-    // shards = 8 runs must agree on it exactly (telemetry permitting).
-    let handoffs = |r: &RunReport| r.outcomes[0].telemetry.counter("shard.handoffs");
-    if reports[2].outcomes[0].telemetry.enabled {
-        assert_eq!(handoffs(&reports[2]), handoffs(&reports[3]));
+    // The wheel's fired-entry counter is deterministic, so the runs
+    // must agree on it exactly (telemetry permitting).
+    let fired = |r: &RunReport| r.outcomes[0].telemetry.counter("shard.due_fired");
+    if first.outcomes[0].telemetry.enabled {
+        assert!(reports.iter().all(|r| fired(r) == fired(first)));
     }
 }
 
@@ -73,12 +68,11 @@ fn crossing_heavy_traffic_conserves_memberships_across_stripes() {
     // A tiling query partition over the whole space: every in-bounds
     // node belongs to exactly one tile, so summed tile memberships are a
     // conservation law. Fast horizontal traffic shuttles nodes across
-    // stripe boundaries round after round; a lost or duplicated handoff
-    // would break the count immediately.
+    // cell and tile edges round after round; a lost or duplicated
+    // membership edit would break the count immediately.
     const NUM: usize = 64;
     let bounds = Rect::from_coords(0.0, 0.0, 1000.0, 1000.0);
-    // 4×4 tiles of 250 m: 16 queries make a 16-column evaluation grid,
-    // so 8 shards own two columns each.
+    // 4×4 tiles of 250 m: 16 queries make a 16-column evaluation grid.
     let queries: Vec<RangeQuery> = (0..16)
         .map(|id| {
             let (i, j) = (id % 4, id / 4);
@@ -93,7 +87,7 @@ fn crossing_heavy_traffic_conserves_memberships_across_stripes() {
             }
         })
         .collect();
-    let mut server = CqServer::new(bounds, NUM, 8).with_engine(EvalEngine::Unified { shards: 8 });
+    let mut server = CqServer::new(bounds, NUM, 8);
     server.register_queries(queries.iter().copied());
     for n in 0..NUM as u32 {
         let x = 100.0 + (n as f64 * 37.0) % 700.0;
@@ -104,7 +98,7 @@ fn crossing_heavy_traffic_conserves_memberships_across_stripes() {
     for round in 0..9 {
         let t = round as f64 * 0.5;
         // Mid-run re-report wave: a third of the fleet reverses course,
-        // exercising the dirty-round claim/unclaim path mid-traffic.
+        // exercising the dirty-round path mid-traffic.
         if round == 4 {
             for n in (0..NUM as u32).step_by(3) {
                 let p = server.predict(n, t).unwrap();
@@ -126,10 +120,11 @@ fn crossing_heavy_traffic_conserves_memberships_across_stripes() {
         );
     }
     let stats = server.shard_stats();
-    let owned: usize = stats.iter().map(|s| s.nodes).sum();
-    assert_eq!(owned, NUM, "every node owned by exactly one shard");
-    let handoffs: u64 = stats.iter().map(|s| s.handoffs).sum();
-    assert!(handoffs > 0, "crossing traffic must hand nodes off");
+    assert_eq!(stats.nodes, NUM, "every node placed exactly once");
+    assert!(
+        stats.due_fired > 0,
+        "crossing traffic comes due on the wheel"
+    );
 }
 
 #[test]
