@@ -18,6 +18,7 @@
 use std::time::Instant;
 
 use lira_core::config::LiraConfig;
+use lira_core::error::LiraError;
 use lira_core::geometry::{Point, Rect};
 use lira_core::plan::SheddingPlan;
 use lira_core::policy::{Policy, SheddingPolicy};
@@ -118,7 +119,8 @@ impl ServeConfig {
         c
     }
 
-    /// Says why no session can run under this configuration: a shard
+    /// Says why no session can run under this configuration: no node
+    /// capacity (every `Batch` would name an id past it), a shard
     /// count other than one, a queue capacity `B` more
     /// than `Welcome` can advertise, whatever [`Governor::check`]
     /// refuses (fewer than THROTLOOP's two slots, a service rate it
@@ -126,6 +128,9 @@ impl ServeConfig {
     /// or a policy that sheds at the server. The binary checks before
     /// it binds; [`SessionCore::new`] panics on a refusal.
     pub fn validate(&self) -> Result<(), String> {
+        if self.num_nodes < 1 {
+            return Err("nodes must be at least 1 (every Batch id must be below it)".into());
+        }
         if self.shards != 1 {
             return Err(format!(
                 "shards must be 1 (the engine evaluates one stripe), got {}",
@@ -149,7 +154,11 @@ impl ServeConfig {
     /// server-side drop stage, which rules out Random Drop).
     pub(crate) fn shedding_policy(&self) -> Result<Box<dyn SheddingPolicy>, String> {
         let lira = self.lira_config();
-        lira.validate().map_err(|e| e.to_string())?;
+        // The bare reason: the binary prefixes "invalid configuration".
+        lira.validate().map_err(|e| match e {
+            LiraError::InvalidConfig(why) => why,
+            other => other.to_string(),
+        })?;
         let model = ReductionModel::analytic(self.delta_min, self.delta_max, lira.kappa());
         let policy = self.policy.build(&lira, &model);
         if policy.admission(0.5) < 1.0 {
@@ -776,6 +785,28 @@ mod tests {
         }
         // Node 1 is inside the query, node 2 outside.
         assert_eq!(s.server.evaluate(0.0)[0].nodes, vec![1]);
+    }
+
+    #[test]
+    fn validate_refuses_a_session_with_no_nodes() {
+        // Every id is at least a capacity of 0, so such a server would
+        // answer each `Batch` with a protocol error.
+        let why = ServeConfig::new(1000.0, 0)
+            .validate()
+            .expect_err("no nodes");
+        assert!(why.contains("nodes must be at least 1"), "{why}");
+        assert_eq!(ServeConfig::new(1000.0, 1).validate(), Ok(()));
+    }
+
+    #[test]
+    fn a_refused_lira_configuration_is_not_prefixed_twice() {
+        // The binary prints "invalid configuration: " before the reason,
+        // so the reason must not carry `LiraError`'s own prefix.
+        let mut cfg = ServeConfig::new(1000.0, 100);
+        cfg.num_regions = 5;
+        let why = cfg.validate().expect_err("l = 5");
+        assert!(why.contains("l mod 3"), "{why}");
+        assert!(!why.contains("invalid configuration"), "{why}");
     }
 
     #[test]

@@ -89,3 +89,51 @@ fn lira_storm_refuses_an_empty_fleet_before_it_connects() {
         "{stderr}"
     );
 }
+
+/// A server with no node capacity is refused before it binds: every id
+/// is at least 0, so it would answer each `Batch` with a protocol error.
+#[test]
+fn lira_serve_refuses_an_empty_fleet_before_it_binds() {
+    let out = Command::new(env!("CARGO_BIN_EXE_lira-serve"))
+        .args(["--nodes", "0"])
+        .output()
+        .expect("the binary runs");
+    let stderr = String::from_utf8_lossy(&out.stderr);
+    assert_eq!(out.status.code(), Some(2), "{stderr}");
+    assert!(
+        stderr.contains("lira-serve: invalid configuration") && stderr.contains("nodes"),
+        "{stderr}"
+    );
+    assert!(out.stdout.is_empty(), "nothing listens");
+}
+
+/// A refusal names "invalid configuration" once, whichever check made
+/// it, although the LIRA configuration's own error carries the prefix
+/// the binary adds.
+#[test]
+fn lira_serve_names_an_invalid_configuration_once() {
+    for args in [
+        ["--space", "nan"],
+        ["--space", "0"],
+        ["--space", "-100"],
+        ["--regions", "5"],
+        ["--shards", "2"],
+    ] {
+        let out = Command::new(env!("CARGO_BIN_EXE_lira-serve"))
+            .args(["--nodes", "10"])
+            .args(args)
+            .output()
+            .expect("the binary runs");
+        let stderr = String::from_utf8_lossy(&out.stderr);
+        assert_eq!(out.status.code(), Some(2), "{args:?}: {stderr}");
+        assert_eq!(
+            stderr.matches("invalid configuration").count(),
+            1,
+            "{args:?}: {stderr}"
+        );
+        assert!(
+            stderr.starts_with("lira-serve: invalid configuration: "),
+            "{stderr}"
+        );
+    }
+}

@@ -14,11 +14,16 @@ use crate::query::RangeQuery;
 /// point placement and query cover computation — using one monotone map
 /// for both is what makes the cover argument exact (no epsilon is needed:
 /// `lo <= x <= hi` implies `cell(lo) <= cell(x) <= cell(hi)`).
+///
+/// The cell is `floor(x)` clamped into `[0, side − 1]`, for `x = (v − lo)
+/// / extent · side`. It is computed as `x` clamped into that range, then
+/// truncated: the same integer for every `x` (below 0 both give 0, from
+/// `side − 1` up both give `side − 1`, in between truncation is floor, and
+/// a NaN gives 0 either way), without a call to `floor`, which the
+/// baseline x86-64 target has no instruction for.
 #[inline]
 pub(crate) fn axis_cell(v: f64, lo: f64, extent: f64, side: usize) -> usize {
-    ((v - lo) / extent * side as f64)
-        .floor()
-        .clamp(0.0, (side - 1) as f64) as usize
+    ((v - lo) / extent * side as f64).clamp(0.0, (side - 1) as f64) as usize
 }
 
 /// Grid resolution for a query set: ~4·√Q cells per side. The incremental
@@ -162,7 +167,7 @@ impl QueryIndex {
     /// so off the true breakpoint, and this margin is millions of ulps at
     /// the scale of the space. Every closed form that must err to one
     /// side (the full-cover test in [`build`](Self::build), the
-    /// unified engine's `safe_until`) shrinks by it.
+    /// unified engine's safe-until proposal) shrinks by it.
     #[inline]
     pub(crate) fn edge_margin(&self) -> f64 {
         1e-9 * (self.width + self.height)
@@ -170,7 +175,7 @@ impl QueryIndex {
 
     /// The edge coordinates `(x0, x1, y0, y1)` of cell
     /// `(row, col)`, from the same `min + k·extent/side` breakpoints
-    /// [`axis_cell`] floors at (to within [`edge_margin`](Self::edge_margin)).
+    /// [`axis_cell`] breaks at (to within [`edge_margin`](Self::edge_margin)).
     /// The outer edges of grid-border cells are ±∞: `axis_cell` clamps,
     /// so a point never leaves the grid through them.
     #[inline]
@@ -263,5 +268,65 @@ pub(crate) fn remove_member(members: &mut [Vec<u32>], q: u32, n: u32) {
         list.remove(pos);
     } else {
         debug_assert!(false, "node {n} was not a member of query slot {q}");
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use proptest::prelude::*;
+
+    /// The reference: `floor`, then clamp.
+    fn floored(v: f64, lo: f64, extent: f64, side: usize) -> usize {
+        ((v - lo) / extent * side as f64)
+            .floor()
+            .clamp(0.0, (side - 1) as f64) as usize
+    }
+
+    #[test]
+    fn axis_cell_is_the_clamped_floor_at_the_edges() {
+        let cell = 1000.0 / 7.0;
+        let mut vs = vec![
+            0.0,
+            -0.0,
+            -1e-300,
+            1000.0,
+            999.999_999_999,
+            1e300,
+            -1e300,
+            f64::INFINITY,
+            f64::NEG_INFINITY,
+            f64::NAN,
+        ];
+        for k in 0..=8 {
+            let e = k as f64 * cell;
+            // The neighbouring doubles of a (non-negative) edge.
+            let (below, above) = (e.to_bits().saturating_sub(1), e.to_bits() + 1);
+            vs.extend([
+                e,
+                f64::from_bits(below),
+                f64::from_bits(above),
+                e - 1e-9,
+                e + 1e-9,
+            ]);
+        }
+        for side in [1, 2, 7, 256] {
+            for &v in &vs {
+                let want = floored(v, 0.0, 1000.0, side);
+                assert_eq!(axis_cell(v, 0.0, 1000.0, side), want, "{v} on {side}");
+            }
+        }
+    }
+
+    proptest! {
+        #[test]
+        fn axis_cell_is_the_clamped_floor(
+            v in -3000.0f64..3000.0,
+            lo in -100.0f64..100.0,
+            extent in 1e-3f64..5000.0,
+            side in 1usize..257,
+        ) {
+            prop_assert_eq!(axis_cell(v, lo, extent, side), floored(v, lo, extent, side));
+        }
     }
 }

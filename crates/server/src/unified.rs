@@ -9,9 +9,10 @@
 //!
 //! 1. **Step** — re-place the nodes whose answer may have changed (see
 //!    *The one skip rule* below) in ascending id order, or sweep every
-//!    owned node when the rule cannot name them.
+//!    owned node when the rule cannot name them: 64 nodes at a time, in
+//!    passes (*The step in passes* below).
 //! 2. **Claim** — place the nodes whose first report arrived since the
-//!    last round.
+//!    last round, through the same passes.
 //! 3. **Flush** — apply the member-list edits both phases queued, per
 //!    list, in one merge pass. A caller that only hashes the round — the
 //!    served digest — takes
@@ -33,9 +34,10 @@
 //! — the nodes whose model changed (or vanished) since they were placed,
 //! and the nodes whose model did not but whose prediction has moved far
 //! enough. `due(t)` comes from a bucketed time wheel (`Wheel`): whenever a
-//! node is placed, `Shard::safe_until` gives a conservative instant up to
-//! which its pair provably stays what it is, and the node is filed under
-//! that instant's tick. The invariant the engine holds between rounds:
+//! node is placed, the step's propose and check passes (`Shard::propose`,
+//! `Shard::check`) give a conservative instant up to which its pair
+//! provably stays what it is, and the node is filed under that instant's
+//! tick. The invariant the engine holds between rounds:
 //!
 //! > *the stored pair is exact for every owned node that has not
 //! > re-reported and whose `safe_until ≥ t`.*
@@ -43,26 +45,27 @@
 //! So a round drains the ticks up to `t`'s, steps what it finds, and
 //! leaves everyone else untouched; at `t == last_t` nothing is due, which
 //! is the old "same evaluation time" shortcut as a special case rather
-//! than a separate path. Stepping goes through `Shard::replace`, the
-//! single exact arbiter, whatever the reason a node was stepped: a wheel
-//! entry that fires early finds nothing changed and re-files. Correctness
-//! therefore never depends on the closed form being *right*, only on it
-//! being *early*, and it is early by construction:
+//! than a separate path. Stepping goes through the membership pass
+//! (`Shard::sync`), the single exact arbiter, whatever the reason a node
+//! was stepped: a wheel entry that fires early finds nothing changed and
+//! re-files. Correctness therefore never depends on the closed form being
+//! *right*, only on it being *early*, and it is early by construction:
 //!
 //! * The floating-point chain from `t` to the pair — `predict`
 //!   (`fl(t − t₀)`, times `v`, plus the origin), `axis_cell` (minus
-//!   `lo`, over the extent, times `side`, floor, clamp) and the range
+//!   `lo`, over the extent, times `side`, clamp, truncate) and the range
 //!   comparisons — is monotone in `t` stage by stage, per axis. A
 //!   monotone step function that reads the same at both ends of an
 //!   interval is constant on it.
-//! * `safe_until` proposes an instant from real arithmetic — distance to
-//!   the nearest cell or query edge ahead, shrunk by the same
+//! * The propose pass computes an instant from real arithmetic — distance
+//!   to the nearest cell or query edge ahead, shrunk by the same
 //!   `1e-9·(w+h)` margin the full-cover test uses, over the speed — and
-//!   then *checks* it with that very chain: same cell, nearest edge on
-//!   each axis not reached. It returns the proposal only if the check
-//!   passes, and `t` itself (due at every later round) otherwise. The
-//!   margin is what makes the check pass instead of landing within an
-//!   ulp of an edge; it can only make a node fire early.
+//!   the check pass *checks* it with that very chain: same cell, nearest
+//!   edge on each axis not reached. The proposal stands only if the check
+//!   passes, and the node gets `t` itself (due at every later round)
+//!   otherwise. The margin is what makes the check pass instead of
+//!   landing within an ulp of an edge; it can only make a node fire
+//!   early.
 //! * Ticks order entries through one monotone function of time, and a
 //!   round drains the whole tick `t` falls in, so `safe_until < t`
 //!   implies "drained".
@@ -81,6 +84,44 @@
 //! `CqServer::with_dirty_tracking(false)`, every round: the benchmarks'
 //! baseline and the in-tree oracle the equivalence batteries hold the
 //! kinetic rounds to.
+//!
+//! # The step in passes
+//!
+//! Stepping one node is one dependent chain — predict, divide into a
+//! cell, load the cell's lists, compare, branch — and a core cannot run
+//! far into the next node's chain while this one's branches resolve. So
+//! the step takes up to 64 nodes at a time (`CHUNK`: a chunk of the
+//! dirty scan, of `owned`, or of the pending first reports) and runs
+//! each stage over all of them before the next. Every pass is a loop
+//! over independent nodes, whose loads and divisions overlap, and hands
+//! the next pass what it computed through the chunk's `Lanes`:
+//!
+//! 1. *place* (`Shard::place`) — predict at `t` and find the cell; read
+//!    the stored cell, hit words and tick word;
+//! 2. *membership* (`Shard::sync`) — the containment bits of the new
+//!    cell's partial covers, as bit operations with no branch. A node
+//!    that stays in its cell queues one edit per set bit of
+//!    `old ^ new`; one that moves gathers its old and new query slots
+//!    into two reused buffers and queues their symmetric difference in
+//!    one loop; a first report has no old slots; a node gone from the
+//!    store leaves every slot it held;
+//! 3. *propose* (`Shard::propose`) — the closed form of the safe-until
+//!    instant;
+//! 4. *check* (`Shard::check`) — the floating-point chain at that
+//!    instant;
+//! 5. *file* (`Shard::file`) — the tick.
+//!
+//! The edits of a round are sorted before any flush, so the order in
+//! which a chunk queues them is free, and every member list, tick word
+//! and work counter is the one the step gave when it took one node at a
+//! time: the unit test `the_passes_step_each_node_as_the_scalar_step_does`
+//! holds the passes to that step, node by node, and
+//! `tests/work_pin.rs` pins the work counters of three churn histories.
+//! On a 2-vCPU Xeon guest, in-process runs alternating with the
+//! one-node-at-a-time engine put a kinetic step at ≈ 170–210 ns a node
+//! against ≈ 290–310 in a `serve_paced`-shaped world (100 k nodes, 10 %
+//! re-reporting a round, 1 000 queries), and at ≈ 210–220 ns against
+//! ≈ 360–380 at a million nodes (1 % re-reporting).
 //!
 //! # Hit bits
 //!
@@ -155,10 +196,6 @@ const BUSY: (usize, usize) = (2, 5);
 /// gives up, so a world near the threshold does not flip back and forth
 /// paying for a whole-fleet filing each time.
 const CALM: (usize, usize) = (1, 5);
-/// Nodes a kinetic round steps between two warm-up passes (see
-/// `Shard::dirty_round`): enough for their misses to overlap, few
-/// enough that the lines are still in L1/L2 when the steps read them.
-const WARM_CHUNK: usize = 64;
 /// A drained wheel bucket keeps its buffer if it holds at most this many
 /// entries (a small world then never allocates in a round); a larger one
 /// is freed, and buckets grow by at least this much.
@@ -329,6 +366,69 @@ impl Wheel {
     }
 }
 
+/// Nodes the step takes one pass at a time (module docs, *The step in
+/// passes*): enough for the scattered per-node reads of one pass to
+/// overlap, few enough that their lines are still in L1/L2 when the next
+/// pass reads them.
+const CHUNK: usize = 64;
+
+/// What one chunk of the step carries from pass to pass (module docs,
+/// *The step in passes*), by position in the chunk. The [`Shard`] holds
+/// it, so a round allocates nothing for it.
+#[derive(Debug, Clone)]
+struct Lanes {
+    len: usize,
+    node: [u32; CHUNK],
+    /// The cell the node was placed in (`UNOWNED` for a first report),
+    /// and, in a round that files, its tick word.
+    old: [u32; CHUNK],
+    tick: [u32; CHUNK],
+    /// The node's prediction at `t`, and the cell's row, column and slot
+    /// it falls in. The slot is `UNOWNED` when the store has no model for
+    /// the node any more.
+    p: [Point; CHUNK],
+    row: [u32; CHUNK],
+    col: [u32; CHUNK],
+    slot: [u32; CHUNK],
+    /// Per axis, the nearest coordinate ahead at which a comparison can
+    /// flip, and the node's safe-until instant
+    /// ([`Shard::propose`], [`Shard::check`]).
+    ex: [f64; CHUNK],
+    ey: [f64; CHUNK],
+    s: [f64; CHUNK],
+    /// `words` words per node: the hit bits stored before the step, and
+    /// the ones the node has at `t`.
+    held: Vec<u64>,
+    hits: Vec<u64>,
+}
+
+impl Lanes {
+    fn new() -> Self {
+        Lanes {
+            len: 0,
+            node: [0; CHUNK],
+            old: [UNOWNED; CHUNK],
+            tick: [NO_TICK; CHUNK],
+            p: [Point::default(); CHUNK],
+            row: [0; CHUNK],
+            col: [0; CHUNK],
+            slot: [UNOWNED; CHUNK],
+            ex: [0.0; CHUNK],
+            ey: [0.0; CHUNK],
+            s: [0.0; CHUNK],
+            held: Vec::new(),
+            hits: Vec::new(),
+        }
+    }
+
+    /// Adds node `n` to the chunk; true once the chunk is full.
+    fn push(&mut self, n: u32) -> bool {
+        self.node[self.len] = n;
+        self.len += 1;
+        self.len == CHUNK
+    }
+}
+
 /// The evaluation state: the per-query member lists, the owned-node
 /// list, the index they are classified against and the per-node arrays.
 #[derive(Debug, Clone)]
@@ -353,9 +453,14 @@ struct Shard {
     /// ([`NO_TICK`] when it has none). Empty until the wheel is first
     /// scheduled, and only read in a round that files.
     tick: Vec<u32>,
-    /// The hit words `replace` computes before it compares them with
-    /// the stored ones (`words` of them).
-    hits_scratch: Vec<u64>,
+    /// The chunk the step is working on.
+    lanes: Lanes,
+    /// A moving node's query slots before and after its step, ascending
+    /// (see [`memberships`]).
+    old_set: Vec<u32>,
+    new_set: Vec<u32>,
+    /// Nodes the step tore down, for the caller to drop from `owned`.
+    gone: Vec<u32>,
     /// Member-list edits the round's steps and claims asked for, as
     /// [`member_op`] words; [`flush_ops`](Self::flush_ops) (or, in a
     /// hashed round, [`flush_digest`](Self::flush_digest)) applies them
@@ -389,7 +494,10 @@ impl Shard {
             words: 1,
             pos: Vec::new(),
             tick: Vec::new(),
-            hits_scratch: Vec::new(),
+            lanes: Lanes::new(),
+            old_set: Vec::new(),
+            new_set: Vec::new(),
+            gone: Vec::new(),
             ops: Vec::new(),
             ops_scratch: Vec::new(),
             filed: Vec::new(),
@@ -401,10 +509,22 @@ impl Shard {
         }
     }
 
-    /// Node `n`'s hit words.
-    #[inline]
-    fn hits_of(hits: &mut [u64], words: usize, n: usize) -> &mut [u64] {
-        &mut hits[n * words..(n + 1) * words]
+    /// Builds the index for `queries` over `bounds` and sizes the member
+    /// lists and per-node arrays for it and `num_nodes` nodes.
+    fn build(&mut self, bounds: &Rect, queries: &[RangeQuery], num_nodes: usize) {
+        self.qindex = QueryIndex::build(bounds, queries, 0.0, true);
+        self.members.resize_with(queries.len(), Vec::new);
+        self.members.truncate(queries.len());
+        // One bit per entry of the widest partial list: a property of
+        // the query set, fixed until it changes.
+        self.words = self.qindex.widest_partial().div_ceil(64).max(1);
+        self.lanes.held.resize(CHUNK * self.words, 0);
+        self.lanes.hits.resize(CHUNK * self.words, 0);
+        self.cell.resize(num_nodes, UNOWNED);
+        // The words are laid out anew: the rebuild that must follow
+        // zeroes them.
+        self.hits.resize(num_nodes * self.words, 0);
+        self.pos.resize(num_nodes, UNOWNED);
     }
 
     /// Full build: place every reported node with one ascending store
@@ -428,6 +548,7 @@ impl Shard {
             pos,
             ..
         } = self;
+        let w = *words;
         for n in 0..store.len() {
             let Some(p) = store.predict(n as u32, t) else {
                 continue;
@@ -437,12 +558,11 @@ impl Shard {
             for &q in qindex.full_at(slot) {
                 members[q as usize].push(n as u32);
             }
-            let hits = Self::hits_of(hits, *words, n);
-            for (i, &q) in qindex.partial_at(slot).iter().enumerate() {
-                if queries[q as usize].range.contains(&p) {
-                    members[q as usize].push(n as u32);
-                    set_bit(hits, i);
-                }
+            let bits = &mut hits[n * w..(n + 1) * w];
+            let partial = qindex.partial_at(slot);
+            hit_words(bits, partial, queries, &p);
+            for q in hit_queries(bits, partial) {
+                members[q as usize].push(n as u32);
             }
             cell[n] = slot as u32;
             pos[n] = owned.len() as u32;
@@ -462,16 +582,15 @@ impl Shard {
         t: f64,
         filing: Option<&Filing>,
     ) {
-        self.stepped += self.owned.len() as u64;
-        let mut k = 0;
-        while k < self.owned.len() {
-            let n = self.owned[k] as usize;
-            if self.step_node(n, queries, store, t, filing) {
-                k += 1;
-            } else {
-                self.unown_at(k);
-            }
+        // `owned` stays as it is until the sweep is over: the nodes it
+        // tears down are dropped from it afterwards.
+        for k in (0..self.owned.len()).step_by(CHUNK) {
+            let chunk = &self.owned[k..(k + CHUNK).min(self.owned.len())];
+            self.lanes.len = chunk.len();
+            self.lanes.node[..chunk.len()].copy_from_slice(chunk);
+            self.step_chunk(queries, store, t, filing);
         }
+        self.unown_gone();
     }
 
     /// Work-skipping round: `dirty` holds the nodes whose stored answer
@@ -490,339 +609,311 @@ impl Shard {
         filing: Option<&Filing>,
     ) {
         let mut ids = dirty.iter();
-        let mut chunk = [0u32; WARM_CHUNK];
         loop {
-            let mut len = 0;
+            self.lanes.len = 0;
             for n in ids.by_ref() {
-                if self.cell[n as usize] != UNOWNED {
-                    chunk[len] = n;
-                    len += 1;
-                    if len == WARM_CHUNK {
-                        break;
-                    }
+                if self.cell[n as usize] != UNOWNED && self.lanes.push(n) {
+                    break;
                 }
             }
-            if len == 0 {
+            if self.lanes.len == 0 {
                 break;
             }
-            let chunk = &chunk[..len];
-            self.stepped += len as u64;
-            // A step reads eight scattered cache lines of per-node state
-            // (five store columns, cell, hit words, tick) and is too
-            // branchy for the core to run ahead into the next node's.
-            // Reading one word of each first, in a loop with nothing
-            // else in it, lets those misses overlap: a third off the
-            // round at a million nodes.
-            let mut touched = 0u64;
-            for &n in chunk {
-                let n = n as usize;
-                touched ^= store
-                    .predict(n as u32, t)
-                    .map_or(0, |p| p.x.to_bits() ^ p.y.to_bits())
-                    ^ self.cell[n] as u64
-                    ^ self.hits[n * self.words];
-                if filing.is_some() {
-                    touched ^= self.tick[n] as u64;
-                }
-            }
-            std::hint::black_box(touched);
-            for &n in chunk {
-                let n = n as usize;
-                if !self.step_node(n, queries, store, t, filing) {
-                    self.unown_at(self.pos[n] as usize);
-                }
-            }
+            self.step_chunk(queries, store, t, filing);
         }
+        self.unown_gone();
     }
 
-    /// Drops the owned entry at position `k`, keeping `pos` exact.
-    fn unown_at(&mut self, k: usize) {
-        let n = self.owned.swap_remove(k) as usize;
-        self.pos[n] = UNOWNED;
-        if let Some(&moved) = self.owned.get(k) {
-            self.pos[moved as usize] = k as u32;
-        }
-    }
-
-    /// Re-places one placed node at time `t`, and files it when the
-    /// round files. Returns false when the node was removed from the
-    /// store since: its memberships are then torn down and its wheel
-    /// entry, if any, goes stale.
-    fn step_node(
+    /// Places the nodes whose first report arrived since the last round,
+    /// through the same passes as a step. Skips nodes that are already
+    /// placed (a node can be pending *and* re-placed in the step phase
+    /// after a remove/re-ingest pair, or be pending twice) or were
+    /// removed again before the round.
+    fn claim_round(
         &mut self,
-        n: usize,
+        pending: &[u32],
         queries: &[RangeQuery],
         store: &NodeStore,
         t: f64,
         filing: Option<&Filing>,
-    ) -> bool {
-        debug_assert_ne!(self.cell[n], UNOWNED, "stepping an unplaced node");
-        let Some(p) = store.predict(n as u32, t) else {
-            self.tear_down(n, filing);
-            return false;
-        };
-        let (row, col) = self.qindex.rc_of(&p);
-        self.changed += self.replace(n, &p, row, col, queries) as u64;
-        if let Some(f) = filing {
-            self.file(n, &p, row, col, queries, store, t, f);
+    ) {
+        let mut ids = pending.iter();
+        loop {
+            self.lanes.len = 0;
+            for &n in ids.by_ref() {
+                if self.pos[n as usize] != UNOWNED || !store.has(n) {
+                    continue;
+                }
+                debug_assert_eq!(self.cell[n as usize], UNOWNED, "node {n} half placed");
+                self.pos[n as usize] = self.owned.len() as u32;
+                self.owned.push(n);
+                if self.lanes.push(n) {
+                    break;
+                }
+            }
+            if self.lanes.len == 0 {
+                break;
+            }
+            self.step_chunk(queries, store, t, filing);
         }
-        true
     }
 
-    /// Removes every membership node `n` holds and marks it unplaced.
-    fn tear_down(&mut self, n: usize, filing: Option<&Filing>) {
-        self.changed += 1;
-        if filing.is_some() {
-            self.tick[n] = NO_TICK;
-        }
-        let Shard {
-            qindex,
-            ops,
-            cell,
-            hits,
-            words,
-            ..
-        } = self;
-        let old_slot = cell[n] as usize;
-        let hits = Self::hits_of(hits, *words, n);
-        let held = qindex.full_at(old_slot).iter().copied();
-        for q in held.chain(hit_queries(hits, qindex.partial_at(old_slot))) {
-            ops.push(member_op(q, n as u32, false));
-        }
-        hits.fill(0);
-        cell[n] = UNOWNED;
-    }
-
-    /// Moves placed node `n`'s memberships to what position `p` in cell
-    /// `(row, col)` implies. This is the single exact arbiter of a
-    /// node's answer: whatever made the node step — a report, a sweep, a
-    /// wheel entry firing early — the stored `(cell, hit bits)`
-    /// afterwards is the one `p` has. Returns whether that differs from
-    /// what was stored.
-    fn replace(
-        &mut self,
-        n: usize,
-        p: &Point,
-        row: usize,
-        col: usize,
-        queries: &[RangeQuery],
-    ) -> bool {
-        let Shard {
-            qindex,
-            ops,
-            cell,
-            hits,
-            words,
-            hits_scratch,
-            ..
-        } = self;
-        let slot = qindex.slot(row, col);
-        let old_slot = cell[n] as usize;
-        let partial = qindex.partial_at(slot);
-        if slot == old_slot && partial.is_empty() {
-            // Full-cover membership depends on the cell alone: nothing
-            // can have changed for this node.
-            return false;
-        }
-        hits_scratch.fill(0);
-        for (i, &q) in partial.iter().enumerate() {
-            if queries[q as usize].range.contains(p) {
-                set_bit(hits_scratch, i);
+    /// Drops the nodes the step tore down from `owned`, keeping `pos`
+    /// exact.
+    fn unown_gone(&mut self) {
+        for n in self.gone.drain(..) {
+            let k = self.pos[n as usize] as usize;
+            self.owned.swap_remove(k);
+            self.pos[n as usize] = UNOWNED;
+            if let Some(&moved) = self.owned.get(k) {
+                self.pos[moved as usize] = k as u32;
             }
         }
-        let old_hits = Self::hits_of(hits, *words, n);
-        if slot == old_slot && *hits_scratch == *old_hits {
-            return false;
-        }
-        // A node's memberships are its cell's full covers plus its
-        // partial hits; only the difference touches a member list. A
-        // node that crosses between two cells the same query covers —
-        // most crossings — stays where it is in that query's list.
-        sync_members(
-            ops,
-            n as u32,
-            merged(
-                qindex.full_at(old_slot).iter().copied(),
-                hit_queries(old_hits, qindex.partial_at(old_slot)),
-            ),
-            merged(
-                qindex.full_at(slot).iter().copied(),
-                hit_queries(hits_scratch, partial),
-            ),
-        );
-        old_hits.copy_from_slice(hits_scratch);
-        cell[n] = slot as u32;
-        true
     }
 
-    /// A conservative `safe_until` for node `n`, just placed at `p` in
-    /// cell `(row, col)` at time `t`: an instant up to which its
-    /// floating-point `(cell, hit bits)` provably equals what is
-    /// stored now. `+∞` for a node that can reach nothing; `t` itself
-    /// when nothing better can be proved (the node is then due at every
-    /// later `t`).
-    ///
-    /// The closed form only *proposes*: per axis, the distance to the
-    /// nearest coordinate ahead at which any comparison can flip — the
-    /// cell edge, and each edge line of each partial-cover query of the
-    /// cell, whether or not the node will be inside the query's other
-    /// axis when it gets there — shrunk by [`QueryIndex::edge_margin`],
-    /// over the speed. The floating-point chain *disposes*: the node is
-    /// predicted at the proposed instant with the very `predict` /
-    /// `axis_cell` / `<` a step would use, and the proposal stands only
-    /// if the cell is the same and neither nearest coordinate has been
-    /// reached. Each stage of that chain is monotone in `t`
-    /// (`fl(t − t₀)`, times a constant, plus a constant, minus `lo`,
-    /// over a positive extent, floor, clamp, compare against a
-    /// constant), so a comparison that reads the same at both ends of
-    /// an interval reads the same throughout, and the farther edges
-    /// cannot flip before the nearest. The margin is therefore not what
-    /// makes the bound sound — it is what makes the check pass instead
-    /// of landing within an ulp of the edge — and erring by it only
-    /// ever fires a node early.
-    #[allow(clippy::too_many_arguments)]
-    fn safe_until(
-        &self,
-        n: usize,
-        p: &Point,
-        row: usize,
-        col: usize,
+    /// Steps the chunk in `lanes` to time `t`, and files it when the
+    /// round files: one pass after another over the chunk's nodes
+    /// (module docs, *The step in passes*). A node whose stored cell is
+    /// `UNOWNED` is a first report, placed from nothing; a placed node
+    /// the store no longer has is torn down and left in `gone`.
+    fn step_chunk(
+        &mut self,
         queries: &[RangeQuery],
         store: &NodeStore,
         t: f64,
-    ) -> f64 {
-        let (vx, vy) = store.velocity(n as u32);
-        let (x0, x1, y0, y1) = self.qindex.cell_edges(row, col);
-        // The nearest flip coordinate ahead on each axis. A coordinate
-        // moving up can only flip `p < e` for `e > p`; moving down, for
-        // `e ≤ p` (both `min ≤ p` and `p < max` are functions of `p < e`).
-        let mut ex = if vx > 0.0 { x1 } else { x0 };
-        let mut ey = if vy > 0.0 { y1 } else { y0 };
-        let nearer = |near: &mut f64, e: f64, p: f64, v: f64| {
-            if v > 0.0 && e > p {
-                *near = near.min(e);
-            } else if v < 0.0 && e <= p {
-                *near = near.max(e);
-            }
-        };
-        for &q in self.qindex.partial_at(self.qindex.slot(row, col)) {
-            let r = &queries[q as usize].range;
-            nearer(&mut ex, r.min.x, p.x, vx);
-            nearer(&mut ex, r.max.x, p.x, vx);
-            nearer(&mut ey, r.min.y, p.y, vy);
-            nearer(&mut ey, r.max.y, p.y, vy);
-        }
-        let eps = self.qindex.edge_margin();
-        let time_to = |e: f64, p: f64, v: f64| {
-            if v == 0.0 {
-                f64::INFINITY
-            } else {
-                ((e - p).abs() - eps) / v.abs()
-            }
-        };
-        let dt = time_to(ex, p.x, vx).min(time_to(ey, p.y, vy));
-        if dt == f64::INFINITY {
-            return f64::INFINITY;
-        }
-        let s = t + dt;
-        // No headroom, an overflow, or a NaN from non-finite inputs.
-        if s.is_nan() || s <= t || s == f64::INFINITY {
-            return t;
-        }
-        let Some(ps) = store.predict(n as u32, s) else {
-            return t;
-        };
-        let unchanged = self.qindex.rc_of(&ps) == (row, col)
-            && (ps.x < ex) == (p.x < ex)
-            && (ps.y < ey) == (p.y < ey);
-        if unchanged {
-            s
-        } else {
-            t
+        filing: Option<&Filing>,
+    ) {
+        self.stepped += self.lanes.len as u64;
+        self.place(store, t, filing.is_some());
+        self.sync(queries, filing.is_some());
+        if let Some(f) = filing {
+            self.propose(queries, store, t);
+            self.check(store, t);
+            self.file(f);
         }
     }
 
-    /// Files node `n`, just placed at `p`, under the tick of its
-    /// [`safe_until`](Self::safe_until) — lazily: a live entry at an
+    /// Pass 1, *place*: predicts every node of the chunk at `t`, finds
+    /// the cell that falls in, and reads what is stored for the node.
+    fn place(&mut self, store: &NodeStore, t: f64, filing: bool) {
+        let Shard {
+            qindex,
+            cell,
+            hits,
+            words,
+            tick,
+            lanes: l,
+            ..
+        } = self;
+        let w = *words;
+        for i in 0..l.len {
+            let n = l.node[i] as usize;
+            l.old[i] = cell[n];
+            if filing {
+                l.tick[i] = tick[n];
+            }
+            copy_words(&mut l.held[i * w..(i + 1) * w], &hits[n * w..(n + 1) * w]);
+            l.slot[i] = match store.predict(n as u32, t) {
+                Some(p) => {
+                    let (row, col) = qindex.rc_of(&p);
+                    (l.p[i], l.row[i], l.col[i]) = (p, row as u32, col as u32);
+                    qindex.slot(row, col) as u32
+                }
+                None => UNOWNED,
+            };
+        }
+    }
+
+    /// Pass 2, *membership*: moves every node of the chunk to the
+    /// `(cell, hit bits)` its position at `t` has, queueing one member
+    /// edit per query slot it enters or leaves. This is the single exact
+    /// arbiter of a node's answer: whatever made the node step — a
+    /// report, a sweep, a wheel entry firing early — the stored pair
+    /// afterwards is the one its position has. A node gone from the
+    /// store leaves every slot it held.
+    fn sync(&mut self, queries: &[RangeQuery], filing: bool) {
+        let Shard {
+            qindex,
+            ops,
+            cell,
+            hits,
+            words,
+            tick,
+            lanes: l,
+            old_set,
+            new_set,
+            gone,
+            changed,
+            ..
+        } = self;
+        let w = *words;
+        for i in 0..l.len {
+            let n = l.node[i];
+            let (old, slot) = (l.old[i] as usize, l.slot[i] as usize);
+            let held = &l.held[i * w..(i + 1) * w];
+            let stored = &mut hits[n as usize * w..(n as usize + 1) * w];
+            if l.slot[i] == UNOWNED {
+                let was = memberships(old_set, qindex, old, held);
+                ops.extend(was.iter().map(|&q| member_op(q, n, false)));
+                stored.fill(0);
+                cell[n as usize] = UNOWNED;
+                if filing {
+                    tick[n as usize] = NO_TICK;
+                }
+                gone.push(n);
+                *changed += 1;
+                continue;
+            }
+            let partial = qindex.partial_at(slot);
+            if slot == old && partial.is_empty() {
+                // Full covers follow from the cell alone.
+                continue;
+            }
+            let new = &mut l.hits[i * w..(i + 1) * w];
+            hit_words(new, partial, queries, &l.p[i]);
+            if slot == old {
+                // Only partial hits can differ: one edit per flipped bit.
+                let mut flipped = 0;
+                for (k, (&was, &now)) in held.iter().zip(new.iter()).enumerate() {
+                    let mut diff = was ^ now;
+                    flipped |= diff;
+                    while diff != 0 {
+                        let b = diff.trailing_zeros();
+                        diff &= diff - 1;
+                        let q = partial[k * 64 + b as usize];
+                        ops.push(member_op(q, n, now >> b & 1 == 1));
+                    }
+                }
+                if flipped == 0 {
+                    continue;
+                }
+            } else {
+                // A node that crosses between two cells the same query
+                // covers — most crossings — stays where it is in that
+                // query's list.
+                let was = if l.old[i] == UNOWNED {
+                    &[]
+                } else {
+                    memberships(old_set, qindex, old, held)
+                };
+                let now = memberships(new_set, qindex, slot, new);
+                queue_moves(ops, n, was, now);
+                cell[n as usize] = slot as u32;
+            }
+            // A first report changes nothing that was stored.
+            *changed += (l.old[i] != UNOWNED) as u64;
+            copy_words(stored, new);
+        }
+    }
+
+    /// Pass 3, *propose*: for every placed node of the chunk, an instant
+    /// up to which its floating-point `(cell, hit bits)` is claimed to
+    /// stay what pass 2 stored: `+∞` for a node that can reach nothing,
+    /// `t` itself when no headroom is left (the node is then due at every
+    /// later `t`), and otherwise a proposal that pass 4 checks.
+    ///
+    /// Per axis, the proposal is the distance to the nearest coordinate
+    /// ahead at which any comparison can flip — the cell edge, and each
+    /// edge line of each partial-cover query of the cell, whether or not
+    /// the node will be inside the query's other axis when it gets there
+    /// — shrunk by [`QueryIndex::edge_margin`], over the speed.
+    fn propose(&mut self, queries: &[RangeQuery], store: &NodeStore, t: f64) {
+        let Shard {
+            qindex, lanes: l, ..
+        } = self;
+        let eps = qindex.edge_margin();
+        for i in 0..l.len {
+            if l.slot[i] == UNOWNED {
+                continue;
+            }
+            let p = l.p[i];
+            let (vx, vy) = store.velocity(l.node[i]);
+            let (x0, x1, y0, y1) = qindex.cell_edges(l.row[i] as usize, l.col[i] as usize);
+            let mut ex = if vx > 0.0 { x1 } else { x0 };
+            let mut ey = if vy > 0.0 { y1 } else { y0 };
+            for &q in qindex.partial_at(l.slot[i] as usize) {
+                let r = &queries[q as usize].range;
+                ex = nearer(nearer(ex, r.min.x, p.x, vx), r.max.x, p.x, vx);
+                ey = nearer(nearer(ey, r.min.y, p.y, vy), r.max.y, p.y, vy);
+            }
+            let dt = time_to(ex, p.x, vx, eps).min(time_to(ey, p.y, vy, eps));
+            let s = t + dt;
+            l.s[i] = if dt == f64::INFINITY {
+                f64::INFINITY
+            } else if s.is_nan() || s <= t || s == f64::INFINITY {
+                // No headroom, an overflow, or a NaN from non-finite
+                // inputs.
+                t
+            } else {
+                s
+            };
+            (l.ex[i], l.ey[i]) = (ex, ey);
+        }
+    }
+
+    /// Pass 4, *check*: the closed form of pass 3 only proposes; the
+    /// floating-point chain disposes. Each proposal `s` in `(t, ∞)` is
+    /// predicted with the very `predict` / `axis_cell` / `<` a step would
+    /// use, and stands only if the cell is the same and neither nearest
+    /// coordinate has been reached; otherwise the node gets `t`. Each
+    /// stage of that chain is monotone in time (`fl(s − t₀)`, times a
+    /// constant, plus a constant, minus `lo`, over a positive extent,
+    /// clamp, truncate, compare against a constant), so a comparison that
+    /// reads the same at both ends of an interval reads the same
+    /// throughout, and the farther edges cannot flip before the nearest.
+    /// The margin of pass 3 is therefore not what makes the bound sound
+    /// — it is what makes the check pass instead of landing within an
+    /// ulp of the edge — and erring by it only ever fires a node early.
+    fn check(&mut self, store: &NodeStore, t: f64) {
+        let Shard {
+            qindex, lanes: l, ..
+        } = self;
+        for i in 0..l.len {
+            let s = l.s[i];
+            if l.slot[i] == UNOWNED || !(s > t && s < f64::INFINITY) {
+                continue;
+            }
+            let Some(ps) = store.predict(l.node[i], s) else {
+                l.s[i] = t;
+                continue;
+            };
+            let (p, ex, ey) = (l.p[i], l.ex[i], l.ey[i]);
+            let (row, col) = qindex.rc_of(&ps);
+            let unchanged = (row as u32, col as u32) == (l.row[i], l.col[i])
+                && (ps.x < ex) == (p.x < ex)
+                && (ps.y < ey) == (p.y < ey);
+            l.s[i] = if unchanged { s } else { t };
+        }
+    }
+
+    /// Pass 5, *file*: files every placed node of the chunk under the
+    /// tick of its safe-until instant — lazily: a live entry at an
     /// earlier tick is left to fire early (it finds nothing changed and
     /// re-files), so a node that re-reports every round still has one
     /// entry, not one per report. Only a node whose safe time moved
     /// *earlier* gets a second entry, and the first goes stale.
-    #[allow(clippy::too_many_arguments)]
-    fn file(
-        &mut self,
-        n: usize,
-        p: &Point,
-        row: usize,
-        col: usize,
-        queries: &[RangeQuery],
-        store: &NodeStore,
-        t: f64,
-        filing: &Filing,
-    ) {
-        let s = self.safe_until(n, p, row, col, queries, store, t);
-        let k = filing.tick_for(s, n);
-        // Covers "live entry at or before `k`" and "none wanted, none
-        // there" (`NO_TICK` is the largest word).
-        if self.tick[n] <= k {
-            return;
-        }
-        self.tick[n] = k;
-        if !filing.bulk {
-            self.filed.push(n as u32);
-        }
-    }
-
-    /// Places a node whose first report arrived since the last round.
-    /// Skips nodes that are already placed (a node can be pending *and*
-    /// re-placed in the step phase after a remove/re-ingest pair, or be
-    /// pending twice) or were removed again before the round.
-    fn claim_pending(
-        &mut self,
-        n: usize,
-        queries: &[RangeQuery],
-        store: &NodeStore,
-        t: f64,
-        filing: Option<&Filing>,
-    ) {
-        if self.cell[n] != UNOWNED {
-            return;
-        }
-        let Some(p) = store.predict(n as u32, t) else {
-            return;
-        };
-        let (row, col) = self.qindex.rc_of(&p);
-        self.stepped += 1;
+    fn file(&mut self, filing: &Filing) {
         let Shard {
-            qindex,
-            ops,
-            owned,
-            cell,
-            hits,
-            words,
-            pos,
+            tick,
+            filed,
+            lanes: l,
             ..
         } = self;
-        let slot = qindex.slot(row, col);
-        for &q in qindex.full_at(slot) {
-            ops.push(member_op(q, n as u32, true));
-        }
-        let hits = Self::hits_of(hits, *words, n);
-        debug_assert!(
-            hits.iter().all(|&w| w == 0),
-            "claimed node carries stale hit bits"
-        );
-        for (i, &q) in qindex.partial_at(slot).iter().enumerate() {
-            if queries[q as usize].range.contains(&p) {
-                ops.push(member_op(q, n as u32, true));
-                set_bit(hits, i);
+        for i in 0..l.len {
+            if l.slot[i] == UNOWNED {
+                continue;
             }
-        }
-        cell[n] = slot as u32;
-        pos[n] = owned.len() as u32;
-        owned.push(n as u32);
-        if let Some(f) = filing {
-            self.file(n, &p, row, col, queries, store, t, f);
+            let n = l.node[i];
+            let k = filing.tick_for(l.s[i], n as usize);
+            // Covers "live entry at or before `k`" and "none wanted, none
+            // there" (`NO_TICK` is the largest word).
+            if l.tick[i] <= k {
+                continue;
+            }
+            tick[n as usize] = k;
+            if !filing.bulk {
+                filed.push(n);
+            }
         }
     }
 
@@ -986,12 +1077,6 @@ fn merge_fold(
     h
 }
 
-/// Sets bit `i` of a node's hit words.
-#[inline]
-fn set_bit(words: &mut [u64], i: usize) {
-    words[i / 64] |= 1 << (i % 64);
-}
-
 /// The positions of the set bits of `words`, ascending: bit `i` of word
 /// `w` is position `64·w + i`.
 #[inline]
@@ -1059,19 +1144,6 @@ impl NodeSet {
     }
 }
 
-/// The ascending union of two ascending, disjoint id sequences.
-fn merged(a: impl Iterator<Item = u32>, b: impl Iterator<Item = u32>) -> impl Iterator<Item = u32> {
-    let (mut a, mut b) = (a.peekable(), b.peekable());
-    std::iter::from_fn(move || match (a.peek(), b.peek()) {
-        (Some(&x), Some(&y)) if y < x => {
-            debug_assert_ne!(x, y);
-            b.next()
-        }
-        (Some(_), _) => a.next(),
-        (None, _) => b.next(),
-    })
-}
-
 /// One deferred member-list edit as a sortable word: query slot, then
 /// node, then remove (0) before insert (1). A round steps or claims a
 /// node at most once, so a `(slot, node)` pair occurs at most once among
@@ -1081,32 +1153,122 @@ fn member_op(q: u32, n: u32, insert: bool) -> u64 {
     (q as u64) << 33 | (n as u64) << 1 | insert as u64
 }
 
+/// Sets bit `i` of `bits` iff the `i`-th query of the cell's `partial`
+/// list contains `p`, and clears the rest: `Rect::contains`'s
+/// comparisons, joined without its branches.
+#[inline]
+fn hit_words(bits: &mut [u64], partial: &[u32], queries: &[RangeQuery], p: &Point) {
+    let inside = |q: u32| {
+        let r = &queries[q as usize].range;
+        (p.x >= r.min.x) & (p.x < r.max.x) & (p.y >= r.min.y) & (p.y < r.max.y)
+    };
+    // One word — every benchmark workload — is built in a register.
+    if let [word] = bits {
+        *word = 0;
+        for (i, &q) in partial.iter().enumerate() {
+            *word |= (inside(q) as u64) << i;
+        }
+        return;
+    }
+    bits.fill(0);
+    for (i, &q) in partial.iter().enumerate() {
+        bits[i / 64] |= (inside(q) as u64) << (i % 64);
+    }
+}
+
+/// Copies one node's hit words: a plain move when there is one word, not
+/// a `memcpy` call.
+#[inline]
+fn copy_words(to: &mut [u64], from: &[u64]) {
+    if let ([to], [from]) = (&mut *to, from) {
+        *to = *from;
+    } else {
+        to.copy_from_slice(from);
+    }
+}
+
+/// The query slots a node holds in the cell at `slot` with hit bits
+/// `bits`, ascending: the cell's full covers, as they lie in the index
+/// when no bit is set, or else merged with the hit partial covers (two
+/// disjoint ascending lists) into `out`.
+fn memberships<'a>(
+    out: &'a mut Vec<u32>,
+    qindex: &'a QueryIndex,
+    slot: usize,
+    bits: &[u64],
+) -> &'a [u32] {
+    let (full, partial) = (qindex.full_at(slot), qindex.partial_at(slot));
+    if bits.iter().all(|&word| word == 0) {
+        return full;
+    }
+    out.clear();
+    let mut f = 0;
+    for (k, &word) in bits.iter().enumerate() {
+        let mut word = word;
+        while word != 0 {
+            let q = partial[k * 64 + word.trailing_zeros() as usize];
+            word &= word - 1;
+            while f < full.len() && full[f] < q {
+                out.push(full[f]);
+                f += 1;
+            }
+            out.push(q);
+        }
+    }
+    out.extend_from_slice(&full[f..]);
+    out
+}
+
 /// Queues the edits that move node `n` from the query slots in `old` to
 /// those in `new` (both ascending): one per slot in exactly one of them.
-fn sync_members(
-    ops: &mut Vec<u64>,
-    n: u32,
-    old: impl Iterator<Item = u32>,
-    new: impl Iterator<Item = u32>,
-) {
-    let (mut old, mut new) = (old.peekable(), new.peekable());
-    loop {
-        match (old.peek().copied(), new.peek().copied()) {
-            (None, None) => break,
-            (Some(a), Some(b)) if a == b => {
-                old.next();
-                new.next();
+fn queue_moves(ops: &mut Vec<u64>, n: u32, old: &[u32], new: &[u32]) {
+    let (mut i, mut j) = (0, 0);
+    while i < old.len() && j < new.len() {
+        match old[i].cmp(&new[j]) {
+            Ordering::Equal => (i, j) = (i + 1, j + 1),
+            Ordering::Less => {
+                ops.push(member_op(old[i], n, false));
+                i += 1;
             }
-            (Some(a), b) if b.is_none_or(|b| a < b) => {
-                ops.push(member_op(a, n, false));
-                old.next();
+            Ordering::Greater => {
+                ops.push(member_op(new[j], n, true));
+                j += 1;
             }
-            (_, Some(b)) => {
-                ops.push(member_op(b, n, true));
-                new.next();
-            }
-            (Some(_), None) => unreachable!("covered by the guard above"),
         }
+    }
+    ops.extend(old[i..].iter().map(|&q| member_op(q, n, false)));
+    ops.extend(new[j..].iter().map(|&q| member_op(q, n, true)));
+}
+
+/// `near`, the nearest coordinate ahead of a node at `p` moving at `v`
+/// along one axis at which a comparison can flip, or `e` if that is
+/// nearer. A coordinate moving up can only flip `p < e` for `e > p`;
+/// moving down, for `e ≤ p` (both `min ≤ p` and `p < max` are functions
+/// of `p < e`). An edge behind the node enters as ±∞, so the choice has
+/// no branch.
+#[inline]
+fn nearer(near: f64, e: f64, p: f64, v: f64) -> f64 {
+    let up = near.min(if e > p { e } else { f64::INFINITY });
+    let down = near.max(if e <= p { e } else { f64::NEG_INFINITY });
+    // Both candidates, then a select: the direction of travel differs
+    // from node to node, and a branch on it would miss half the time.
+    if v > 0.0 {
+        up
+    } else if v < 0.0 {
+        down
+    } else {
+        near
+    }
+}
+
+/// The time a node at `p` moving at `v` takes to come within `eps` of
+/// `e` along one axis (`+∞` at rest).
+#[inline]
+fn time_to(e: f64, p: f64, v: f64, eps: f64) -> f64 {
+    if v == 0.0 {
+        f64::INFINITY
+    } else {
+        ((e - p).abs() - eps) / v.abs()
     }
 }
 
@@ -1221,19 +1383,7 @@ impl UnifiedEval {
     /// (Re)builds the index and sizes the member lists and per-node
     /// arrays for the current query set.
     fn build_indexes(&mut self, queries: &[RangeQuery], num_nodes: usize) {
-        let shard = &mut self.shard;
-        shard.qindex = QueryIndex::build(&self.bounds, queries, 0.0, true);
-        shard.members.resize_with(queries.len(), Vec::new);
-        shard.members.truncate(queries.len());
-        // One bit per entry of the widest partial list: a property of
-        // the query set, fixed until it changes.
-        shard.words = shard.qindex.widest_partial().div_ceil(64).max(1);
-        shard.hits_scratch.resize(shard.words, 0);
-        shard.cell.resize(num_nodes, UNOWNED);
-        // The words are laid out anew: the rebuild that must follow
-        // zeroes them.
-        shard.hits.resize(num_nodes * shard.words, 0);
-        shard.pos.resize(num_nodes, UNOWNED);
+        self.shard.build(&self.bounds, queries, num_nodes);
         self.dirty.grow(num_nodes);
         self.indexed = true;
         self.primed = false;
@@ -1383,9 +1533,7 @@ impl UnifiedEval {
             } else {
                 shard.sweep_round(queries, store, t, filing);
             }
-            for &n in &self.pending {
-                shard.claim_pending(n as usize, queries, store, t, filing);
-            }
+            shard.claim_round(&self.pending, queries, store, t, filing);
         }
         // Every edit the two phases queued lands in the member lists
         // now, before anything reads them — unless the caller folds them
@@ -1425,6 +1573,344 @@ const _: () = {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use proptest::prelude::*;
+    use std::collections::BTreeSet;
+
+    /// The one-node-at-a-time step the passes replaced, kept as their
+    /// oracle: `replace` and `safe_until` as they were, with the
+    /// branching `Rect::contains` and the membership difference taken
+    /// between two `BTreeSet`s.
+    mod scalar {
+        use super::*;
+
+        /// The query slots node `n` holds in `slot` under hit words `bits`.
+        fn held(shard: &Shard, slot: usize, bits: &[u64]) -> BTreeSet<u32> {
+            let partial = shard.qindex.partial_at(slot);
+            let hit = (0..partial.len()).filter(|&i| bits[i / 64] >> (i % 64) & 1 == 1);
+            shard
+                .qindex
+                .full_at(slot)
+                .iter()
+                .copied()
+                .chain(hit.map(|i| partial[i]))
+                .collect()
+        }
+
+        /// Moves placed (or, from `UNOWNED`, first-reporting) node `n` to
+        /// what `p` in `(row, col)` implies; returns whether that differs
+        /// from what was stored.
+        pub(super) fn replace(
+            shard: &mut Shard,
+            n: usize,
+            p: &Point,
+            row: usize,
+            col: usize,
+            queries: &[RangeQuery],
+        ) -> bool {
+            let w = shard.words;
+            let slot = shard.qindex.slot(row, col);
+            let old_slot = shard.cell[n] as usize;
+            let mut bits = vec![0u64; w];
+            for (i, &q) in shard.qindex.partial_at(slot).iter().enumerate() {
+                if queries[q as usize].range.contains(p) {
+                    bits[i / 64] |= 1 << (i % 64);
+                }
+            }
+            let old_bits = shard.hits[n * w..(n + 1) * w].to_vec();
+            if slot == old_slot && bits == old_bits {
+                return false;
+            }
+            let was = if shard.cell[n] == UNOWNED {
+                BTreeSet::new()
+            } else {
+                held(shard, old_slot, &old_bits)
+            };
+            let now = held(shard, slot, &bits);
+            for &q in was.difference(&now) {
+                shard.ops.push(member_op(q, n as u32, false));
+            }
+            for &q in now.difference(&was) {
+                shard.ops.push(member_op(q, n as u32, true));
+            }
+            shard.hits[n * w..(n + 1) * w].copy_from_slice(&bits);
+            shard.cell[n] = slot as u32;
+            true
+        }
+
+        /// Removes every membership placed node `n` holds.
+        pub(super) fn tear_down(shard: &mut Shard, n: usize) {
+            let w = shard.words;
+            let old_bits = shard.hits[n * w..(n + 1) * w].to_vec();
+            for q in held(shard, shard.cell[n] as usize, &old_bits) {
+                shard.ops.push(member_op(q, n as u32, false));
+            }
+            shard.hits[n * w..(n + 1) * w].fill(0);
+            shard.cell[n] = UNOWNED;
+        }
+
+        #[allow(clippy::too_many_arguments)]
+        pub(super) fn safe_until(
+            shard: &Shard,
+            n: usize,
+            p: &Point,
+            row: usize,
+            col: usize,
+            queries: &[RangeQuery],
+            store: &NodeStore,
+            t: f64,
+        ) -> f64 {
+            let (vx, vy) = store.velocity(n as u32);
+            let (x0, x1, y0, y1) = shard.qindex.cell_edges(row, col);
+            let mut ex = if vx > 0.0 { x1 } else { x0 };
+            let mut ey = if vy > 0.0 { y1 } else { y0 };
+            let nearer = |near: &mut f64, e: f64, p: f64, v: f64| {
+                if v > 0.0 && e > p {
+                    *near = near.min(e);
+                } else if v < 0.0 && e <= p {
+                    *near = near.max(e);
+                }
+            };
+            for &q in shard.qindex.partial_at(shard.qindex.slot(row, col)) {
+                let r = &queries[q as usize].range;
+                nearer(&mut ex, r.min.x, p.x, vx);
+                nearer(&mut ex, r.max.x, p.x, vx);
+                nearer(&mut ey, r.min.y, p.y, vy);
+                nearer(&mut ey, r.max.y, p.y, vy);
+            }
+            let eps = shard.qindex.edge_margin();
+            let time_to = |e: f64, p: f64, v: f64| {
+                if v == 0.0 {
+                    f64::INFINITY
+                } else {
+                    ((e - p).abs() - eps) / v.abs()
+                }
+            };
+            let dt = time_to(ex, p.x, vx).min(time_to(ey, p.y, vy));
+            if dt == f64::INFINITY {
+                return f64::INFINITY;
+            }
+            let s = t + dt;
+            if s.is_nan() || s <= t || s == f64::INFINITY {
+                return t;
+            }
+            let Some(ps) = store.predict(n as u32, s) else {
+                return t;
+            };
+            let unchanged = shard.qindex.rc_of(&ps) == (row, col)
+                && (ps.x < ex) == (p.x < ex)
+                && (ps.y < ey) == (p.y < ey);
+            if unchanged {
+                s
+            } else {
+                t
+            }
+        }
+    }
+
+    /// One generated node of a chunk: its model (none: gone from the
+    /// store), where it was placed (none: a first report) with the hit
+    /// words stored for it, and its tick word.
+    #[derive(Clone, Debug)]
+    struct Node {
+        model: Option<(f64, Point, (f64, f64))>,
+        placed: Option<(Placed, [u64; 2])>,
+        tick: u32,
+    }
+
+    /// The cell a generated node was placed in.
+    #[derive(Clone, Copy, Debug)]
+    enum Placed {
+        /// The cell its prediction at `t` falls in — a step that can only
+        /// flip hit bits.
+        Same,
+        /// Some cell, as a number to reduce modulo the cell count.
+        Any(usize),
+    }
+
+    /// A coordinate on the 62.5 m lattice of the equivalence batteries,
+    /// nudged off it by one of a few offsets (none, an ulp-sized one, an
+    /// arbitrary one, one just below).
+    fn coord(i: i32, nudge: u32) -> f64 {
+        i as f64 * 62.5 + [0.0, 1e-9, 13.37, -0.001][nudge as usize % 4]
+    }
+
+    fn queries() -> impl Strategy<Value = Vec<RangeQuery>> {
+        // A crowded set shares one corner cell, so that cell's partial
+        // list can run past 64 and a node's hits take two words.
+        (
+            prop::collection::vec((-1i32..17, -1i32..17, 1i32..8, 1i32..8, 0u32..4), 1..140),
+            any::<bool>(),
+        )
+            .prop_map(|(rects, crowd)| {
+                rects
+                    .into_iter()
+                    .enumerate()
+                    .map(|(id, (i, j, w, h, nudge))| {
+                        let (i, j) = if crowd { (4, 4) } else { (i, j) };
+                        let (x, y) = (coord(i, nudge), coord(j, nudge + id as u32));
+                        RangeQuery {
+                            id: id as u32,
+                            range: Rect::from_coords(
+                                x,
+                                y,
+                                x + w as f64 * 62.5,
+                                y + h as f64 * 41.0,
+                            ),
+                        }
+                    })
+                    .collect()
+            })
+    }
+
+    fn nodes() -> impl Strategy<Value = Vec<Node>> {
+        prop::collection::vec(
+            (
+                (
+                    0u32..8,
+                    (-2i32..19, -2i32..19),
+                    (-4i32..5, -4i32..5),
+                    0u32..4,
+                ),
+                (0u32..4, 0usize..100_000, any::<u64>(), any::<u64>()),
+                0u32..6,
+            )
+                .prop_map(|((m, (i, j), (vi, vj), nudge), (c, slot, w0, w1), k)| {
+                    let model = (m != 0).then(|| {
+                        // Now and then a node far off the grid on one axis,
+                        // where a prediction at the proposed instant rounds
+                        // by metres, or one fast enough to cross it in a
+                        // round.
+                        let far = |axis| if m == axis { 1e16 } else { 0.0 };
+                        let (x, y) = (coord(i, nudge) - far(5), coord(j, nudge + 1) - far(6));
+                        let scale = if m == 7 { 1e4 } else { 6.25 };
+                        (
+                            [0.0, 0.5, 1.0, 3.0][m as usize % 4],
+                            Point::new(x, y),
+                            (vi as f64 * scale, vj as f64 * scale),
+                        )
+                    });
+                    let placed = match c {
+                        // A first report must have a model to be claimed.
+                        0 if model.is_some() => None,
+                        1 => Some(Placed::Any(slot)),
+                        _ => Some(Placed::Same),
+                    };
+                    Node {
+                        model,
+                        placed: placed.map(|at| (at, [w0, w1])),
+                        tick: [NO_TICK, 0, 3, 40, 500, 4000][k as usize],
+                    }
+                }),
+            1..=CHUNK,
+        )
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(200))]
+
+        /// The staged passes against the scalar step, node by node: the
+        /// same member edits (as a multiset), the same stored `(cell, hit
+        /// words)`, the same safe-until bits, the same tick words and
+        /// filing order, and the same nodes torn down and counted changed.
+        #[test]
+        fn the_passes_step_each_node_as_the_scalar_step_does(
+            qs in queries(),
+            chunk in nodes(),
+            (ti, width, bulk, filing) in (0usize..6, 0usize..3, any::<bool>(), any::<bool>()),
+        ) {
+            let t = [0.0, 0.5, 1.0, 2.25, 7.0, 1e-9][ti];
+            let bounds = Rect::from_coords(0.0, 0.0, 1000.0, 1000.0);
+            let mut store = NodeStore::new(chunk.len());
+            let mut shard = Shard::new();
+            shard.build(&bounds, &qs, chunk.len());
+            shard.tick.resize(chunk.len(), NO_TICK);
+            let far = shard.qindex.rc_of(&Point::new(f64::MAX, f64::MAX));
+            let cells = shard.qindex.slot(far.0, far.1) + 1;
+            let w = shard.words;
+            for (n, node) in chunk.iter().enumerate() {
+                if let Some((time, origin, v)) = node.model {
+                    store.apply(n as u32, time, origin, v);
+                }
+                if let Some((at, words)) = node.placed {
+                    let slot = match (at, store.predict(n as u32, t)) {
+                        (Placed::Same, Some(p)) => {
+                            let (row, col) = shard.qindex.rc_of(&p);
+                            shard.qindex.slot(row, col)
+                        }
+                        (Placed::Any(slot), _) => slot % cells,
+                        (Placed::Same, None) => 0,
+                    };
+                    // Only bits below the cell's partial count can be set.
+                    let width = shard.qindex.partial_at(slot).len();
+                    for (k, word) in shard.hits[n * w..(n + 1) * w].iter_mut().enumerate() {
+                        let bits = width.saturating_sub(64 * k).min(64);
+                        *word = words[k % 2] & u64::MAX.checked_shr(64 - bits as u32).unwrap_or(0);
+                    }
+                    shard.cell[n] = slot as u32;
+                }
+                shard.tick[n] = node.tick;
+            }
+            let filing = filing.then(|| {
+                let base = Filing { origin: -1.0, width: [0.125, 1.0, 1e-3][width], first: 0, bulk };
+                Filing { first: base.tick_of(t), ..base }
+            });
+            let filing = filing.as_ref();
+
+            let mut want = shard.clone();
+            let mut want_s = vec![None; chunk.len()];
+            for (n, want_s) in want_s.iter_mut().enumerate() {
+                want.stepped += 1;
+                let Some(p) = store.predict(n as u32, t) else {
+                    scalar::tear_down(&mut want, n);
+                    want.changed += 1;
+                    if filing.is_some() {
+                        want.tick[n] = NO_TICK;
+                    }
+                    want.gone.push(n as u32);
+                    continue;
+                };
+                let (row, col) = want.qindex.rc_of(&p);
+                let placed = want.cell[n] != UNOWNED;
+                let changed = scalar::replace(&mut want, n, &p, row, col, &qs);
+                want.changed += (placed && changed) as u64;
+                if let Some(f) = filing {
+                    let s = scalar::safe_until(&want, n, &p, row, col, &qs, &store, t);
+                    *want_s = Some(s.to_bits());
+                    let k = f.tick_for(s, n);
+                    if want.tick[n] > k {
+                        want.tick[n] = k;
+                        if !f.bulk {
+                            want.filed.push(n as u32);
+                        }
+                    }
+                }
+            }
+
+            shard.lanes.len = chunk.len();
+            for n in 0..chunk.len() {
+                shard.lanes.node[n] = n as u32;
+            }
+            shard.step_chunk(&qs, &store, t, filing);
+            for (n, &s) in want_s.iter().enumerate() {
+                if let Some(s) = s {
+                    prop_assert_eq!(shard.lanes.s[n].to_bits(), s, "safe-until of node {}", n);
+                }
+            }
+            let (mut got_ops, mut want_ops) = (shard.ops.clone(), want.ops.clone());
+            got_ops.sort_unstable();
+            want_ops.sort_unstable();
+            prop_assert_eq!(got_ops, want_ops);
+            prop_assert_eq!(&shard.cell, &want.cell);
+            prop_assert_eq!(&shard.hits, &want.hits);
+            prop_assert_eq!(&shard.tick, &want.tick);
+            prop_assert_eq!(&shard.filed, &want.filed);
+            prop_assert_eq!(&shard.gone, &want.gone);
+            prop_assert_eq!(
+                (shard.changed, shard.stepped),
+                (want.changed, want.stepped)
+            );
+        }
+    }
 
     #[test]
     fn a_move_queues_only_the_membership_difference() {
@@ -1433,12 +1919,12 @@ mod tests {
         // are left alone (a remove-then-insert there rebuilds them for
         // nothing).
         let mut ops = Vec::new();
-        sync_members(&mut ops, 42, [1, 3, 5].into_iter(), [3, 5, 7].into_iter());
+        queue_moves(&mut ops, 42, &[1, 3, 5], &[3, 5, 7]);
         assert_eq!(ops, vec![member_op(1, 42, false), member_op(7, 42, true)]);
         ops.clear();
-        sync_members(&mut ops, 9, [2, 4].into_iter(), [2, 4].into_iter());
+        queue_moves(&mut ops, 9, &[2, 4], &[2, 4]);
         assert!(ops.is_empty());
-        sync_members(&mut ops, 9, [].into_iter(), [0, 6].into_iter());
+        queue_moves(&mut ops, 9, &[], &[0, 6]);
         assert_eq!(ops, vec![member_op(0, 9, true), member_op(6, 9, true)]);
     }
 

@@ -13,7 +13,10 @@
 #
 # `--check` runs the suite in a scratch directory (the tracked files are
 # left alone) and fails if its output differs from the record anywhere
-# but the `=== fig14 ===` section, whose table is wall time.
+# but the `=== fig14 ===` section, whose table is wall time, or if the
+# `counters` of any `results/telemetry/<id>.json` snapshot differ from the
+# fresh run's (with `jq`; the histograms are left out, since some of
+# their keys are wall time: `shard.round_ns`, `*_us`).
 set -euo pipefail
 
 ROOT=$(cd "$(dirname "$0")/.." && pwd)
@@ -50,6 +53,13 @@ without_fig14() {
     awk '/^=== / { skip = ($2 == "fig14") } !skip' "$1"
 }
 
+TELEMETRY=(fig04 fig06 fig07)
+
+# Every snapshot's label and counters of one telemetry file, one per line.
+counters_of() {
+    jq -c '.[] | {label: .label, counters: .snapshot.counters}' "$1"
+}
+
 if [ "$check" -eq 1 ]; then
     scratch=$(mktemp -d)
     trap 'rm -rf "$scratch"' EXIT
@@ -60,6 +70,14 @@ if [ "$check" -eq 1 ]; then
         echo "standard suite differs from $RECORD: re-run bash results/regenerate.sh" >&2
         exit 1
     fi
+    for id in "${TELEMETRY[@]}"; do
+        file=results/telemetry/$id.json
+        if ! diff -u <(counters_of "$file") <(counters_of "$scratch/$file"); then
+            echo "telemetry counters differ from $file: re-run bash results/regenerate.sh" >&2
+            exit 1
+        fi
+    done
+    echo "telemetry counters match results/telemetry/{$(IFS=,; echo "${TELEMETRY[*]}")}.json"
     exit 0
 fi
 

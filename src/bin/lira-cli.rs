@@ -129,11 +129,13 @@ impl Options {
                 other => return Err(format!("unknown option --{other}")),
             }
         }
+        // A `LiraError` already says "invalid configuration: ".
         sc.lira_config()
             .validate()
             .and_then(|()| sc.validate())
-            .map_err(|e| e.to_string())
-            .and_then(|()| adaptive.validate())
+            .map_err(|e| e.to_string())?;
+        adaptive
+            .validate()
             .map_err(|e| format!("invalid configuration: {e}"))?;
         Ok(Options {
             scenario: sc,
@@ -304,6 +306,24 @@ mod tests {
             );
         }
         assert!(parse_args(&["--scale", "small", "--duration", "60"]).is_ok());
+    }
+
+    #[test]
+    fn an_invalid_configuration_is_named_once() {
+        // A refusal from the scenario (a `LiraError`, which carries the
+        // prefix itself) and one from the closed loop (a bare reason).
+        for (flag, value) in [("--duration", "nan"), ("--l", "3"), ("--capacity", "1")] {
+            let err = parse_args(&["--scale", "small", flag, value]).expect_err(value);
+            assert!(
+                err.starts_with("invalid configuration: "),
+                "{flag} {value}: {err}"
+            );
+            assert_eq!(
+                err.matches("invalid configuration").count(),
+                1,
+                "{flag} {value}: {err}"
+            );
+        }
     }
 
     #[test]
