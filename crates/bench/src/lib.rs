@@ -137,31 +137,6 @@ fn usage(msg: &str) -> ! {
     std::process::exit(2);
 }
 
-/// Peak resident set size of this process in bytes (`VmHWM` from
-/// `/proc/self/status`), or 0 where that interface does not exist.
-/// The kernel reports a process-lifetime high-water mark, so within one
-/// run the value is monotone: a ladder's per-scale readings record the
-/// peak *up to and including* that scale.
-pub fn peak_rss_bytes() -> u64 {
-    #[cfg(target_os = "linux")]
-    {
-        if let Ok(status) = std::fs::read_to_string("/proc/self/status") {
-            for line in status.lines() {
-                if let Some(rest) = line.strip_prefix("VmHWM:") {
-                    let kb: u64 = rest
-                        .trim()
-                        .trim_end_matches("kB")
-                        .trim()
-                        .parse()
-                        .unwrap_or(0);
-                    return kb * 1024;
-                }
-            }
-        }
-    }
-    0
-}
-
 /// The `host` block a `BENCH_*.json` carries so its numbers can be read
 /// against the machine and the code that produced them: logical cores,
 /// CPU model, `rustc -V`, the commit of the checkout in the current
@@ -287,8 +262,10 @@ pub fn ratio(v: f64, base: f64) -> String {
 }
 
 /// Shared implementation of the throttle-fraction sweeps (Figures 4–7):
-/// every policy in the roster across `z` values, reporting the chosen
-/// error metric absolutely and relative to LIRA.
+/// every policy in the roster across `z` values, reporting both error
+/// metrics absolutely and relative to LIRA, and beside them the fraction
+/// of the reference's updates each policy processed (`proc:`), which
+/// says whether the policies spent the same budget.
 pub fn z_sweep_experiment(id: &str, title: &str, distribution: lira_workload::QueryDistribution) {
     let args = ExpArgs::parse();
     let base = args.base_scenario();
@@ -328,6 +305,10 @@ pub fn z_sweep_experiment(id: &str, title: &str, distribution: lira_workload::Qu
             .iter()
             .map(|(_, o)| fmt(o.mean_containment, lira_con, false))
             .collect();
+        let proc_row: Vec<String> = outcomes
+            .iter()
+            .map(|(_, o)| format!("{:.3}", o.processed_fraction))
+            .collect();
         let join = |row: &[String]| {
             row[1..]
                 .iter()
@@ -336,6 +317,7 @@ pub fn z_sweep_experiment(id: &str, title: &str, distribution: lira_workload::Qu
         };
         println!("{z:>6.2} | E^P: {:>17}{}", pos_row[0], join(&pos_row));
         println!("       | E^C: {:>17}{}", con_row[0], join(&con_row));
+        println!("       | proc: {:>16}{}", proc_row[0], join(&proc_row));
     }
     println!();
     println!("paper shape to check: LIRA best everywhere; Random Drop worst by orders of");

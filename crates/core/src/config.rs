@@ -7,6 +7,17 @@ use crate::geometry::{Point, Rect};
 /// ~200 km², matching the Chamblee map used in the paper.
 pub(crate) const DEFAULT_SPACE_SIDE_M: f64 = 14_142.0;
 
+/// The most piecewise-linear segments [`LiraConfig::validate`] admits,
+/// κ = ⌈(Δ⊣ − Δ⊢)/c_Δ⌉. The reduction model holds κ + 1 knots and
+/// precomputes a secant for every pair of them, O(κ²) once per model,
+/// and GREEDYINCREMENT may take κ steps per region. At 4 000 that is
+/// 8·10⁶ pairs, about 0.1 s on a 2-vCPU host for the two models
+/// `lira-serve` builds at start-up (10 000 took 1.3 s): forty times the
+/// paper's κ = 95, and twice the largest the experiments run (the
+/// ablation's Δ⊣ = 2 000 m, κ = 1 995). Without a bound a 1 m increment
+/// under Δ⊣ = 10⁹ m asks for 8 GB of knots.
+const MAX_KAPPA: usize = 4_000;
+
 /// Configuration of the LIRA load shedder.
 ///
 /// Field names follow the paper's notation (Table 2):
@@ -119,6 +130,19 @@ impl LiraConfig {
                 self.throttle
             )));
         }
+        // `∞` passes the ordering tests below (`c_Δ ≤ ∞ − Δ⊢` holds), and
+        // NaN slips past a refusal written as `x < 0`.
+        for (name, v) in [
+            ("delta_max", self.delta_max),
+            ("increment c_delta", self.increment),
+            ("fairness threshold", self.fairness),
+        ] {
+            if !v.is_finite() {
+                return Err(LiraError::InvalidConfig(format!(
+                    "{name} = {v} must be finite"
+                )));
+            }
+        }
         if !(self.delta_min > 0.0 && self.delta_min < self.delta_max) {
             return Err(LiraError::InvalidConfig(format!(
                 "need 0 < delta_min ({}) < delta_max ({})",
@@ -129,6 +153,13 @@ impl LiraConfig {
             return Err(LiraError::InvalidConfig(format!(
                 "increment c_delta = {} must be in (0, delta_max - delta_min]",
                 self.increment
+            )));
+        }
+        let segments = (self.delta_max - self.delta_min) / self.increment;
+        if segments > MAX_KAPPA as f64 {
+            return Err(LiraError::InvalidConfig(format!(
+                "(delta_max - delta_min) / increment = {segments} segments, \
+                 more than the {MAX_KAPPA} the reduction model holds"
             )));
         }
         if self.fairness < 0.0 {
@@ -267,6 +298,41 @@ mod tests {
         c = LiraConfig::default();
         c.fairness = -1.0;
         assert!(c.validate().is_err());
+    }
+
+    #[test]
+    fn rejects_non_finite_deltas_increment_and_fairness() {
+        let inf = f64::INFINITY;
+        for needle in ["delta_max", "increment", "fairness"] {
+            for v in [inf, -inf, f64::NAN] {
+                let mut c = LiraConfig::default();
+                *match needle {
+                    "delta_max" => &mut c.delta_max,
+                    "increment" => &mut c.increment,
+                    _ => &mut c.fairness,
+                } = v;
+                let why = c.validate().expect_err("refused").to_string();
+                assert!(why.contains(needle), "{needle} = {v}: {why:?}");
+            }
+        }
+    }
+
+    #[test]
+    fn kappa_is_bounded() {
+        let mut c = LiraConfig::default();
+        c.delta_max = c.delta_min + MAX_KAPPA as f64;
+        c.fairness = 0.0;
+        c.validate().expect("κ at the bound");
+        assert_eq!(c.kappa(), MAX_KAPPA);
+        for (delta_max, increment) in [(c.delta_max + 0.5, 1.0), (1e9, 1.0), (100.0, 1e-3)] {
+            c.delta_max = delta_max;
+            c.increment = increment;
+            let why = c.validate().expect_err("κ past the bound").to_string();
+            assert!(
+                why.contains("segments"),
+                "Δ⊣ {delta_max}, c_Δ {increment}: {why}"
+            );
+        }
     }
 
     #[test]

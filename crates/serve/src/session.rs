@@ -1399,6 +1399,78 @@ mod tests {
     }
 
     #[test]
+    fn window_close_with_a_bad_window_is_rejected() {
+        for window_s in [0.0, -1.0, f64::NAN, f64::INFINITY] {
+            assert_request_rejected(Frame::WindowClose { t: 1.0, window_s });
+        }
+    }
+
+    /// Every server→client kind a client sends is refused with
+    /// `ERR_UNEXPECTED`, changes nothing, and the session carries on.
+    #[test]
+    fn a_server_to_client_kind_from_a_client_is_unexpected() {
+        let frames = [
+            Frame::Welcome {
+                session: 0,
+                slices: 1,
+                shards: 1,
+                queue_capacity: 64,
+                default_delta: 5.0,
+                bounds: [0.0, 0.0, 1000.0, 1000.0],
+            },
+            Frame::EvalRes {
+                t: 0.0,
+                round: 1,
+                results: 0,
+                digest: 0,
+            },
+            Frame::WindowAck {
+                t: 0.0,
+                z: 1.0,
+                lambda: 0.0,
+                mu: 50.0,
+                depth: 0,
+                dropped: 0,
+                adapted: 0,
+            },
+            Frame::Plan {
+                epoch: 1,
+                t: 0.0,
+                default_delta: 5.0,
+                regions: Vec::new(),
+            },
+            Frame::Ack { of: kind::HELLO },
+            Frame::ReportRes { json: "{}".into() },
+            Frame::Error {
+                code: protocol::ERR_INVALID,
+                message: String::new(),
+            },
+        ];
+        let mut s = tiny();
+        let conn = s.open_conn();
+        s.handle(conn, Frame::Hello { flags: 0 });
+        let updates = vec![upd(1, 100.0, 100.0)];
+        s.handle(conn, Frame::Batch { t: 0.0, updates });
+        let before = s.deterministic_json();
+        for (k, frame) in frames.into_iter().enumerate() {
+            let out = s.handle(conn, frame);
+            let [Frame::Error { code, .. }] = &out.replies[..] else {
+                panic!("expected one Error reply, got {:?}", out.replies);
+            };
+            assert_eq!(*code, protocol::ERR_UNEXPECTED);
+            assert!(out.broadcast.is_empty());
+            assert_eq!(s.protocol_errors(), k as u64 + 1);
+        }
+        let after = Json::parse(&s.deterministic_json()).unwrap();
+        let before = Json::parse(&before).unwrap();
+        for k in ["eval_rounds", "digest", "windows", "updates_rx"] {
+            assert_eq!(after.get(k), before.get(k), "{k} moved");
+        }
+        let out = s.handle(conn, Frame::EvalReq { t: 0.0 });
+        assert!(matches!(out.replies[0], Frame::EvalRes { round: 1, .. }));
+    }
+
+    #[test]
     fn deterministic_report_is_frame_sequence_function() {
         let run = || {
             let mut s = tiny();

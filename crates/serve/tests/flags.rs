@@ -137,3 +137,26 @@ fn lira_serve_names_an_invalid_configuration_once() {
         );
     }
 }
+
+/// A Δ⊣ the reduction model cannot hold is refused before the server
+/// binds: `--delta-max inf` once panicked with "capacity overflow"
+/// (exit 101), and a finite Δ⊣ past the κ bound would ask for a knot per
+/// increment of it. `--conns 0` makes a server that wrongly binds exit
+/// at once instead of listening.
+#[test]
+fn lira_serve_refuses_a_delta_max_the_reduction_model_cannot_hold() {
+    for (delta_max, needle) in [("inf", "must be finite"), ("20000", "segments")] {
+        let out = Command::new(env!("CARGO_BIN_EXE_lira-serve"))
+            .args(["--port", "0", "--conns", "0", "--nodes", "100"])
+            .args(["--delta-max", delta_max])
+            .output()
+            .expect("the binary runs");
+        let stderr = String::from_utf8_lossy(&out.stderr);
+        assert_eq!(out.status.code(), Some(2), "{delta_max}: {stderr}");
+        assert!(
+            stderr.starts_with("lira-serve: invalid configuration: ") && stderr.contains(needle),
+            "{delta_max}: {stderr}"
+        );
+        assert!(out.stdout.is_empty(), "nothing listens");
+    }
+}

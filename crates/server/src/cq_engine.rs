@@ -115,20 +115,6 @@ impl CqServer {
         self
     }
 
-    /// Enables or disables the engine's work skipping
-    /// (builder-style; on by default): with it on, a round re-places
-    /// only the nodes whose answer can have changed — re-reported ones,
-    /// and the ones whose `safe_until` the evaluation time has passed.
-    /// With it off, every round re-places every owned node — the retired
-    /// inverted engine's incremental round, kept reachable as the
-    /// benchmark baseline (`exp_shard`) and as the oracle the
-    /// equivalence batteries compare the default against, round for
-    /// round. Results are bit-identical either way.
-    pub fn with_dirty_tracking(mut self, enabled: bool) -> Self {
-        self.unified.set_dirty_tracking(enabled);
-        self
-    }
-
     /// The monitored space.
     #[inline]
     pub fn bounds(&self) -> &Rect {

@@ -11,9 +11,9 @@
 //! that a prediction is five plain loads at one index — no
 //! `Option<StoredModel>` tag or padding to stride over — which the
 //! engine's place pass issues for a whole chunk before it uses any of
-//! them, so the misses overlap. The sweeps that remain (a rebuild, the
-//! fallback when the wheel cannot name the due nodes, the sweep baseline)
-//! still read each column in order. The "has this node reported?" bit
+//! them, so the misses overlap. The sweeps that remain (a rebuild, and
+//! the fallback when the wheel cannot name the due nodes) still read
+//! each column in order. The "has this node reported?" bit
 //! needs no sixth column: a NaN report time is the never-reported (or
 //! removed) sentinel, and NaN's comparison semantics make the staleness
 //! check below accept any first report for free.

@@ -80,10 +80,7 @@
 //! whenever the wheel cannot name the due nodes (`t < last_t`, a jump
 //! past the ring) or would name too many of them to be worth asking
 //! (`BUSY`, `CALM`: a world that moves a node a good part of a cell per
-//! round sweeps as it always did) — and, with
-//! `CqServer::with_dirty_tracking(false)`, every round: the benchmarks'
-//! baseline and the in-tree oracle the equivalence batteries hold the
-//! kinetic rounds to.
+//! round sweeps as it always did).
 //!
 //! # The step in passes
 //!
@@ -227,8 +224,8 @@ pub struct ShardStats {
 
 /// What the engine needs to file the nodes it places in a round at `t`
 /// into the [`Wheel`]: the wheel's time base and the tick `t` falls in.
-/// `None` in a round that does not file (a rebuild, a sweep with dirty
-/// tracking off, a same-`t` round on an unscheduled engine).
+/// `None` in a round that does not file (a rebuild, a sweep of a busy
+/// world, a same-`t` round on an unscheduled engine).
 #[derive(Clone, Copy)]
 struct Filing {
     /// Time of tick 0.
@@ -283,7 +280,7 @@ struct Wheel {
     /// Whether the wheel covers every placed node: each has a live entry
     /// at or before the tick of its `safe_until`, or is safe forever.
     /// False until the first advancing round after a rebuild (which is a
-    /// sweep that files), and whenever dirty tracking is off.
+    /// sweep that files), and after a sweep that does not file.
     scheduled: bool,
     /// Time of tick 0 and seconds per tick, set when scheduled.
     origin: f64,
@@ -572,9 +569,8 @@ impl Shard {
     }
 
     /// Incremental sweep over every placed node: the fallback when the
-    /// wheel cannot say which nodes are due (module docs), and every
-    /// round of the dirty-tracking-off baseline. With a `filing` it also
-    /// (re)schedules every node it places.
+    /// wheel cannot say which nodes are due (module docs). With a
+    /// `filing` it also (re)schedules every node it places.
     fn sweep_round(
         &mut self,
         queries: &[RangeQuery],
@@ -1283,10 +1279,6 @@ pub(crate) struct UnifiedEval {
     primed: bool,
     /// The last exact round's evaluation time.
     last_t: f64,
-    /// Whether a round may skip the nodes whose answer cannot have
-    /// changed (true in production; false sweeps every placed node every
-    /// round — the benchmarks' baseline and the in-tree oracle).
-    dirty_tracking: bool,
     /// The kinetic schedule: which placed nodes come due when.
     wheel: Wheel,
     /// Whether the next sweep should (re)schedule the wheel: true after a
@@ -1315,20 +1307,11 @@ impl UnifiedEval {
             indexed: false,
             primed: false,
             last_t: 0.0,
-            dirty_tracking: true,
             wheel: Wheel::default(),
             calm: true,
             dirty: NodeSet::default(),
             pending: Vec::new(),
         }
-    }
-
-    /// Enables or disables work skipping (see the module docs; off is
-    /// the benchmarking baseline and the oracle). Sweeps with it off do
-    /// not maintain the wheel, so it starts over unscheduled.
-    pub(crate) fn set_dirty_tracking(&mut self, enabled: bool) {
-        self.dirty_tracking = enabled;
-        self.wheel.scheduled = false;
     }
 
     /// Marks every derived structure stale (query-set change).
@@ -1503,7 +1486,7 @@ impl UnifiedEval {
         let rebuild = !self.primed;
         // The one skip rule: step only the nodes whose answer can have
         // changed, whenever the wheel can name them.
-        let kinetic = !rebuild && self.dirty_tracking && self.collect_due(t);
+        let kinetic = !rebuild && self.collect_due(t);
         let filing = if rebuild {
             // A rebuild files nothing, so set-up pays nothing for the
             // wheel: the next advancing round is a sweep that files.
@@ -1512,7 +1495,7 @@ impl UnifiedEval {
             None
         } else if kinetic {
             self.wheel.filing(t)
-        } else if self.dirty_tracking && self.calm {
+        } else if self.calm {
             self.wheel
                 .reschedule(self.last_t, t, &mut self.shard.tick, store.len())
         } else {

@@ -1,8 +1,7 @@
-//! Property-based equivalence suite for the CQ evaluation engine:
-//! kinetic (the default) ≡ its sweep-every-round twin
-//! (`with_dirty_tracking(false)`) ≡ brute force (`common::World`), for
-//! `evaluate`, `evaluate_uncertain`, and `nearest`, and for the uncertain
-//! path's cached cover and call order.
+//! Property-based equivalence suite for the CQ evaluation engine: the
+//! kinetic engine ≡ brute force (`common::World`), for `evaluate`,
+//! `evaluate_uncertain`, and `nearest`, and for the uncertain path's
+//! cached cover and call order.
 //!
 //! Every generated coordinate is a multiple of 62.5 m (exactly
 //! representable in binary) over a 1 km² space with 8×8 index cells of
@@ -50,33 +49,24 @@ fn updates(max: usize) -> impl Strategy<Value = Vec<Update>> {
     )
 }
 
-/// The two configurations under test, fed identically, with the
-/// brute-force world they are held to.
+/// The server under test, fed as the brute-force world it is held to.
 struct Pair {
-    servers: [(&'static str, CqServer); 2],
+    server: CqServer,
     world: World,
 }
 
 impl Pair {
     fn new(queries: &[RangeQuery]) -> Self {
-        let server = || {
-            let mut s = CqServer::new(bounds(), NUM_NODES, 8);
-            s.register_queries(queries.iter().copied());
-            s
-        };
+        let mut server = CqServer::new(bounds(), NUM_NODES, 8);
+        server.register_queries(queries.iter().copied());
         Pair {
-            servers: [
-                ("kinetic", server()),
-                ("sweep", server().with_dirty_tracking(false)),
-            ],
+            server,
             world: World::new(NUM_NODES),
         }
     }
 
     fn ingest(&mut self, u: &Update) {
-        for (_, s) in &mut self.servers {
-            s.ingest(u.node, u.t, u.pos, u.vel);
-        }
+        self.server.ingest(u.node, u.t, u.pos, u.vel);
         self.world.report(u.node, u.t, u.pos, u.vel);
     }
 }
@@ -113,7 +103,7 @@ fn wide_query_set() -> impl Strategy<Value = Vec<RangeQuery>> {
         })
 }
 
-/// The deterministic per-node Δ both the servers and the oracle use in
+/// The deterministic per-node Δ both the server and the oracle use in
 /// uncertain evaluation (binary-exact multiples of U/4).
 fn delta_of(n: u32, _p: Point) -> f64 {
     (n % 4) as f64 * 15.625
@@ -137,33 +127,26 @@ proptest! {
             }
             let t = round as f64 + 0.5;
             let want = pair.world.evaluate(&qs, t);
-            for (label, s) in &mut pair.servers {
-                prop_assert_eq!(&s.evaluate(t), &want, "{} t={}", label, t);
-            }
+            prop_assert_eq!(&pair.server.evaluate(t), &want, "t={}", t);
         }
         // Workload swap: the query index must invalidate and rebuild.
         let t = 9.0;
         let want = pair.world.evaluate(&qs2, t);
-        for (label, s) in &mut pair.servers {
-            s.replace_queries(qs2.iter().copied());
-            prop_assert_eq!(&s.evaluate(t), &want, "{} after swap", label);
-        }
+        pair.server.replace_queries(qs2.iter().copied());
+        prop_assert_eq!(&pair.server.evaluate(t), &want, "after swap");
     }
 
-    /// Advancing-`t` histories (see `common`): the default engine steps
-    /// only re-reported and due nodes, and must agree round for round
-    /// with the sweep-every-round baseline and brute force — through
-    /// churn, removals, query swaps, `dt = 0`, jumps past the wheel and
-    /// time running backwards.
+    /// Advancing-`t` histories (see `common`): the engine steps only
+    /// re-reported and due nodes, and must agree round for round with
+    /// brute force — through churn, removals, query swaps, `dt = 0`,
+    /// jumps past the wheel and time running backwards.
     #[test]
     fn advancing_t_histories_equivalent_across_engines(
         steps in common::history(120),
         qs in common::query_set(8),
         qs2 in common::query_set(5),
     ) {
-        let mut subjects = Pair::new(&[])
-            .servers
-            .map(|(label, server)| common::Subject::new(label, server));
+        let mut subjects = [common::Subject::new("kinetic", Pair::new(&[]).server)];
         common::replay(&steps, &qs, &qs2, &mut subjects);
     }
 
@@ -176,9 +159,7 @@ proptest! {
         qs in wide_query_set(),
         qs2 in common::query_set(5),
     ) {
-        let mut subjects = Pair::new(&[])
-            .servers
-            .map(|(label, server)| common::Subject::new(label, server));
+        let mut subjects = [common::Subject::new("kinetic", Pair::new(&[]).server)];
         common::replay(&steps, &qs, &qs2, &mut subjects);
     }
 
@@ -199,12 +180,10 @@ proptest! {
             }
             let t = round as f64 + 0.25;
             let want = pair.world.evaluate_uncertain(&qs, t, max_delta, delta_of);
-            for (label, s) in &mut pair.servers {
-                prop_assert_eq!(
-                    &s.evaluate_uncertain(t, max_delta, delta_of),
-                    &want, "{} t={}", label, t
-                );
-            }
+            prop_assert_eq!(
+                &pair.server.evaluate_uncertain(t, max_delta, delta_of),
+                &want, "t={}", t
+            );
         }
     }
 
@@ -229,23 +208,19 @@ proptest! {
         let t = 2.25;
         for max_delta in [narrow, wide, narrow] {
             let want = pair.world.evaluate_uncertain(&qs, t, max_delta, delta_of);
-            for (label, s) in &mut pair.servers {
-                prop_assert_eq!(
-                    &s.evaluate_uncertain(t, max_delta, delta_of),
-                    &want, "{} Δ⊣={}", label, max_delta
-                );
-            }
+            prop_assert_eq!(
+                &pair.server.evaluate_uncertain(t, max_delta, delta_of),
+                &want, "Δ⊣={}", max_delta
+            );
         }
         // Same Δ⊣ as the last call: only the query-set change can tell
         // the server its cover is stale.
         let want = pair.world.evaluate_uncertain(&qs2, t, narrow, delta_of);
-        for (label, s) in &mut pair.servers {
-            s.replace_queries(qs2.iter().copied());
-            prop_assert_eq!(
-                &s.evaluate_uncertain(t, narrow, delta_of),
-                &want, "{} after swap", label
-            );
-        }
+        pair.server.replace_queries(qs2.iter().copied());
+        prop_assert_eq!(
+            &pair.server.evaluate_uncertain(t, narrow, delta_of),
+            &want, "after swap"
+        );
     }
 
     #[test]
@@ -263,9 +238,7 @@ proptest! {
         }
         let t = 4.0;
         let want = pair.world.nearest(center, k, t);
-        for (label, s) in &mut pair.servers {
-            prop_assert_eq!(&s.nearest(center, k, t), &want, "{}", label);
-        }
+        prop_assert_eq!(&pair.server.nearest(center, k, t), &want);
     }
 }
 
@@ -295,30 +268,21 @@ fn border_points_resolve_identically_on_every_engine() {
         };
         pair.ingest(&u);
     }
-    let Pair { servers, world } = &mut pair;
-    let want = world.evaluate(&qs, 0.0);
-    for (label, s) in servers.iter_mut() {
-        assert_eq!(s.evaluate(0.0), want, "{label}");
-    }
+    let Pair { server, world } = &mut pair;
+    assert_eq!(server.evaluate(0.0), world.evaluate(&qs, 0.0));
     // Nodes sitting at distance exactly Δ from the range must classify
     // identically too (the maybe-boundary).
-    let want = world.evaluate_uncertain(&qs, 0.0, 62.5, |_, _| 62.5);
-    for (label, s) in servers.iter_mut() {
-        assert_eq!(
-            s.evaluate_uncertain(0.0, 62.5, |_, _| 62.5),
-            want,
-            "{label}"
-        );
-    }
+    assert_eq!(
+        server.evaluate_uncertain(0.0, 62.5, |_, _| 62.5),
+        world.evaluate_uncertain(&qs, 0.0, 62.5, |_, _| 62.5)
+    );
     // Zero Δ degenerates to exact evaluation for `must`; `maybe` shrinks
     // to exactly the nodes sitting *on* the closed boundary (distance 0
     // but outside the half-open rect).
     let exact = world.evaluate(&qs, 0.0);
     let zero = world.evaluate_uncertain(&qs, 0.0, 0.0, |_, _| 0.0);
     assert_eq!(zero[0].must, exact[0].nodes);
-    for (label, s) in servers.iter_mut() {
-        assert_eq!(s.evaluate_uncertain(0.0, 0.0, |_, _| 0.0), zero, "{label}");
-    }
+    assert_eq!(server.evaluate_uncertain(0.0, 0.0, |_, _| 0.0), zero);
     for &n in &zero[0].maybe {
         let p = world.predict(n as usize, 0.0).unwrap();
         assert!(!range.contains(&p));
@@ -358,15 +322,14 @@ fn cell_edge_traffic_resolves_exactly() {
         let t = round as f64;
         let want = pair.world.evaluate(&qs, t);
         let wantu = pair.world.evaluate_uncertain(&qs, t, 125.0, delta_of);
-        for (label, s) in &mut pair.servers {
-            assert_eq!(s.evaluate(t), want, "{label} t={t}");
-            common::assert_placed(label, s, &pair.world, t);
-            assert_eq!(
-                s.evaluate_uncertain(t, 125.0, delta_of),
-                wantu,
-                "{label} uncertain t={t}"
-            );
-        }
+        let s = &mut pair.server;
+        assert_eq!(s.evaluate(t), want, "t={t}");
+        common::assert_placed("kinetic", s, &pair.world, t);
+        assert_eq!(
+            s.evaluate_uncertain(t, 125.0, delta_of),
+            wantu,
+            "uncertain t={t}"
+        );
     }
 }
 
@@ -413,27 +376,25 @@ fn uncertain_is_one_ascending_pass() {
     }
     let t = 1.0;
     let want = pair.world.evaluate_uncertain(&qs, t, max_delta, delta_of);
-    for (label, s) in &mut pair.servers {
-        let calls = RefCell::new(Vec::new());
-        let got = s.evaluate_uncertain(t, max_delta, |n, p| {
-            calls.borrow_mut().push(n);
-            delta_of(n, p)
-        });
-        assert_eq!(got, want, "{label}");
-        let calls = calls.into_inner();
-        assert!(!calls.is_empty(), "the diagonal crosses the queries");
-        assert!(
-            calls.windows(2).all(|w| w[0] < w[1]),
-            "{label}: calls {calls:?} not strictly ascending"
-        );
-        assert!(
-            calls.iter().all(|n| n % 2 == 1 && ![19, 23].contains(n)),
-            "{label}: called for an unreported or unreachable node: {calls:?}"
-        );
-        for r in &got {
-            for n in r.must.iter().chain(&r.maybe) {
-                assert!(calls.contains(n), "{label}: node {n} reported uncalled");
-            }
+    let calls = RefCell::new(Vec::new());
+    let got = pair.server.evaluate_uncertain(t, max_delta, |n, p| {
+        calls.borrow_mut().push(n);
+        delta_of(n, p)
+    });
+    assert_eq!(got, want);
+    let calls = calls.into_inner();
+    assert!(!calls.is_empty(), "the diagonal crosses the queries");
+    assert!(
+        calls.windows(2).all(|w| w[0] < w[1]),
+        "calls {calls:?} not strictly ascending"
+    );
+    assert!(
+        calls.iter().all(|n| n % 2 == 1 && ![19, 23].contains(n)),
+        "called for an unreported or unreachable node: {calls:?}"
+    );
+    for r in &got {
+        for n in r.must.iter().chain(&r.maybe) {
+            assert!(calls.contains(n), "node {n} reported uncalled");
         }
     }
 }

@@ -34,7 +34,7 @@ enum Op {
     Remove { node: u32 },
     /// Evaluate everything at the *last* round time again (dirty round).
     EvalSame,
-    /// Evaluate everything at an advanced time (sweep round).
+    /// Evaluate everything at an advanced time (kinetic round).
     EvalAdvance,
 }
 
@@ -74,40 +74,23 @@ proptest! {
         script in ops(80),
         qs in query_set(7),
     ) {
-        let b = bounds();
-        // The engine and its sweep-every-round twin; output buffers
-        // created once and reused across every round below.
-        let mut servers: Vec<(String, CqServer)> = vec![
-            ("unified".into(), CqServer::new(b, NUM_NODES, 8)),
-            (
-                "sweep".into(),
-                CqServer::new(b, NUM_NODES, 8).with_dirty_tracking(false),
-            ),
-        ];
-        for (_, s) in &mut servers {
-            s.register_queries(qs.iter().copied());
-        }
+        // The output buffer is created once and reused across every
+        // round below.
+        let mut s = CqServer::new(bounds(), NUM_NODES, 8);
+        s.register_queries(qs.iter().copied());
         let mut oracle = World::new(NUM_NODES);
-        let mut bufs: Vec<Vec<QueryResult>> = vec![Vec::new(); servers.len()];
+        let mut buf: Vec<QueryResult> = Vec::new();
         let mut t = 0.5;
         let mut rounds = 0u32;
         for op in &script {
             match op {
                 Op::Report { node, t, pos, vel } => {
-                    for (_, s) in &mut servers {
-                        s.ingest(*node, *t, *pos, *vel);
-                    }
+                    s.ingest(*node, *t, *pos, *vel);
                     oracle.report(*node, *t, *pos, *vel);
                 }
                 Op::Remove { node } => {
-                    let removed: Vec<bool> = servers
-                        .iter_mut()
-                        .map(|(_, s)| s.remove_node(*node))
-                        .collect();
-                    prop_assert!(
-                        removed.iter().all(|&r| r == removed[0]),
-                        "engines disagree on removal of {}", node
-                    );
+                    let had = oracle.predict(*node as usize, t).is_some();
+                    prop_assert_eq!(s.remove_node(*node), had, "removal of {}", node);
                     oracle.remove(*node);
                 }
                 Op::EvalSame | Op::EvalAdvance => {
@@ -115,26 +98,17 @@ proptest! {
                         t += 1.0;
                     }
                     rounds += 1;
-                    let want = oracle.evaluate(&qs, t);
-                    for ((label, s), buf) in servers.iter_mut().zip(&mut bufs) {
-                        s.evaluate_into(t, buf);
-                        prop_assert_eq!(&*buf, &want, "{} t={} round={}", label, t, rounds);
-                    }
+                    s.evaluate_into(t, &mut buf);
+                    prop_assert_eq!(&buf, &oracle.evaluate(&qs, t), "t={} round={}", t, rounds);
                 }
             }
         }
-        // Final settling round into the same reused buffers.
+        // Final settling round into the same reused buffer.
         t += 1.0;
-        let want = oracle.evaluate(&qs, t);
-        for ((label, s), buf) in servers.iter_mut().zip(&mut bufs) {
-            s.evaluate_into(t, buf);
-            prop_assert_eq!(&*buf, &want, "{} final", label);
-        }
+        s.evaluate_into(t, &mut buf);
+        prop_assert_eq!(&buf, &oracle.evaluate(&qs, t), "final");
         // And the store agrees with the oracle on who exists.
-        let alive = oracle.reported_count();
-        for (label, s) in &servers {
-            prop_assert_eq!(s.store().reported_count(), alive, "{} reported_count", label);
-        }
+        prop_assert_eq!(s.store().reported_count(), oracle.reported_count());
     }
 }
 
@@ -144,19 +118,18 @@ proptest! {
     /// Advancing-`t` histories (see `common`), removal-heavy: a removed
     /// node's wheel entry goes stale, a re-registered one files afresh,
     /// a rejected stale report must not disturb either — with the result
-    /// buffers reused across every round. The default engine and its
-    /// sweep-every-round twin against brute force.
+    /// buffers reused across every round. The engine against brute
+    /// force.
     #[test]
     fn advancing_t_histories_with_removals_match_the_oracle(
         steps in common::history(160),
         qs in common::query_set(7),
         qs2 in common::query_set(4),
     ) {
-        let server = || CqServer::new(bounds(), common::NUM_NODES, 8);
-        let mut subjects = [
-            common::Subject::new("unified", server()),
-            common::Subject::new("unified sweep", server().with_dirty_tracking(false)),
-        ];
+        let mut subjects = [common::Subject::new(
+            "unified",
+            CqServer::new(bounds(), common::NUM_NODES, 8),
+        )];
         common::replay(&steps, &qs, &qs2, &mut subjects);
     }
 }
@@ -165,10 +138,11 @@ proptest! {
 /// west half's base stations are dark (`[10, 20)`), every west-side
 /// report is silently lost on the uplink, some of those same nodes are
 /// removed server-side, and after the window they re-register through
-/// the recovered channel. The engine and its sweep-every-round twin must
-/// agree bit for bit at every round — losses arriving
-/// as *gaps* (a removal with no subsequent report) exercise a different
-/// store path than the usual stale-rejection churn.
+/// the recovered channel. The engine must agree bit for bit at every
+/// round with the brute-force world fed the same deliveries and
+/// removals — losses arriving as *gaps* (a removal with no subsequent
+/// report) exercise a different store path than the usual
+/// stale-rejection churn.
 #[test]
 fn churn_across_a_regional_outage_window_stays_engine_identical() {
     let west = Rect::from_coords(0.0, 0.0, 500.0, 1000.0);
@@ -180,13 +154,8 @@ fn churn_across_a_regional_outage_window_stays_engine_identical() {
     // so the whole test is deterministic for any seed.
     let mut ch: FaultyChannel<(u32, f64, Point, (f64, f64))> = FaultyChannel::new(profile, 3);
 
-    let mut servers: Vec<(String, CqServer)> = vec![
-        ("unified".into(), CqServer::new(bounds(), NUM_NODES, 8)),
-        (
-            "sweep".into(),
-            CqServer::new(bounds(), NUM_NODES, 8).with_dirty_tracking(false),
-        ),
-    ];
+    let mut s = CqServer::new(bounds(), NUM_NODES, 8);
+    let mut world = World::new(NUM_NODES);
     let qs = [
         RangeQuery {
             id: 0,
@@ -197,10 +166,8 @@ fn churn_across_a_regional_outage_window_stays_engine_identical() {
             range: Rect::from_coords(250.0, 0.0, 1000.0, 1000.0),
         },
     ];
-    for (_, s) in &mut servers {
-        s.register_queries(qs);
-    }
-    let mut bufs: Vec<Vec<QueryResult>> = vec![Vec::new(); servers.len()];
+    s.register_queries(qs);
+    let mut buf: Vec<QueryResult> = Vec::new();
 
     // Node i lives at a fixed lattice position; the west half is
     // ids 0..8, the east half 8..16.
@@ -221,37 +188,32 @@ fn churn_across_a_regional_outage_window_stays_engine_identical() {
         if (12..16).contains(&step) {
             let west_node = step - 12; // 0..4
             let east_node = 8 + (step - 12);
-            for (label, s) in &mut servers {
-                assert!(s.remove_node(west_node), "{label} remove {west_node}");
-                assert!(s.remove_node(east_node), "{label} remove {east_node}");
+            for node in [west_node, east_node] {
+                assert!(s.remove_node(node), "remove {node}");
+                world.remove(node);
             }
         }
         for d in ch.poll(t) {
             let (node, rt, p, v) = d.payload;
-            for (_, s) in &mut servers {
-                s.ingest(node, rt, p, v);
-            }
+            s.ingest(node, rt, p, v);
+            world.report(node, rt, p, v);
         }
-        // Evaluate every tick; all three servers must agree exactly.
-        for ((_, s), buf) in servers.iter_mut().zip(&mut bufs) {
-            s.evaluate_into(t + 0.5, buf);
-        }
-        let (first, rest) = bufs.split_first().expect("three servers");
-        for ((label, _), buf) in servers.iter().skip(1).zip(rest) {
-            assert_eq!(buf, first, "{label} diverged at t = {t}");
-        }
+        // Evaluate every tick; the engine and the world must agree
+        // exactly.
+        s.evaluate_into(t + 0.5, &mut buf);
+        assert_eq!(buf, world.evaluate(&qs, t + 0.5), "diverged at t = {t}");
         // Spot-check the semantics at the window edges: while the outage
         // holds, removed west nodes stay gone (their re-reports are being
         // lost), removed east nodes reappear next tick.
         if step == 17 {
-            let west_ids = &bufs[0][0].nodes;
+            let west_ids = &buf[0].nodes;
             for removed in 0..4u32 {
                 assert!(
                     !west_ids.contains(&removed),
                     "west node {removed} resurrected mid-outage: {west_ids:?}"
                 );
             }
-            let east_ids = &bufs[0][1].nodes;
+            let east_ids = &buf[1].nodes;
             for removed in 8..12u32 {
                 assert!(
                     east_ids.contains(&removed),
@@ -261,14 +223,14 @@ fn churn_across_a_regional_outage_window_stays_engine_identical() {
         }
     }
     // After the window every node is back.
-    for ((label, s), buf) in servers.iter_mut().zip(&mut bufs) {
-        s.evaluate_into(30.5, buf);
-        let mut all: Vec<u32> = buf[0].nodes.iter().chain(&buf[1].nodes).copied().collect();
-        all.sort_unstable();
-        all.dedup();
-        assert_eq!(all.len(), NUM_NODES, "{label}: someone never recovered");
-        assert_eq!(s.store().reported_count(), NUM_NODES, "{label}");
-    }
+    s.evaluate_into(30.5, &mut buf);
+    assert_eq!(buf, world.evaluate(&qs, 30.5));
+    let mut all: Vec<u32> = buf[0].nodes.iter().chain(&buf[1].nodes).copied().collect();
+    all.sort_unstable();
+    all.dedup();
+    assert_eq!(all.len(), NUM_NODES, "someone never recovered");
+    assert_eq!(s.store().reported_count(), NUM_NODES);
+    assert_eq!(world.reported_count(), NUM_NODES);
     // The outage actually bit: 8 west nodes x 10 seconds of lost reports.
     assert_eq!(ch.stats().lost, 80);
     assert_eq!(ch.stats().rng_draws, 0, "zero-draw fault profile");

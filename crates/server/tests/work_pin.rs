@@ -1,8 +1,10 @@
-//! The engine's work, pinned: after three seeded churn histories, the
+//! The engine's work, pinned: after four seeded churn histories, the
 //! cumulative [`ShardStats`] work counters (`stepped`, `due_fired`,
 //! `due_stale`) and the served digest chain must read exactly the values
-//! recorded before the per-node step was rewritten as passes over a
-//! chunk. The equivalence batteries hold *what* the engine answers; this
+//! recorded on an engine known to answer right: the first three before
+//! the per-node step was rewritten as passes over a chunk, the band
+//! history before the engine's sweep switch was deleted. The equivalence
+//! batteries hold *what* the engine answers; this
 //! holds *how much work* it does to answer it, so a change that keeps
 //! every answer but steps, fires or re-files one node more or less — a
 //! `safe_until` that moved by an ulp, a tick filed one bucket off — fails
@@ -14,7 +16,15 @@
 //! * *sweeping* — every node re-reports each round, past the wheel's
 //!   busy threshold, so rounds sweep;
 //! * *removals* — 5 % re-report, 1 % are removed and 1 % re-ingested
-//!   (first reports again) each round.
+//!   (first reports again) each round;
+//! * *band* — 80 % of the fleet rides a band a tenth of the space wide
+//!   that drifts each round, queries are centred on node positions, and
+//!   5 % re-report each round.
+//!
+//! This file is also the engine's work gate against a sweep: a sweep
+//! steps every node every round, `ROUNDS × NODES` in all, and the
+//! kinetic and band histories must step fewer than half of that. The
+//! count is exact, so the gate reads the same on every run and host.
 
 use lira_core::geometry::{Point, Rect};
 use lira_server::prelude::*;
@@ -56,6 +66,36 @@ struct Churn {
     report: usize,
     remove: usize,
     reingest: usize,
+    /// Nodes `0..hot` of each thousand ride the drifting [`Band`]; 0
+    /// scatters the whole fleet and its queries uniformly.
+    hot: usize,
+}
+
+/// The band history's skew: each hot node keeps a fixed x offset inside
+/// a band `SIDE / 10` wide whose west edge rides a triangle wave across
+/// the space, a hundredth of a crossing per round. A hot node's x
+/// velocity is 0; the band moves it when it re-reports.
+struct Band {
+    offsets: Vec<f64>,
+}
+
+impl Band {
+    const WIDTH: f64 = SIDE / 10.0;
+    const DRIFT: f64 = 0.01;
+
+    /// Where a hot node sits in `round`, or `None` for a cold node.
+    fn x(&self, node: usize, round: usize) -> Option<f64> {
+        let u = (round as f64 * Self::DRIFT) % 2.0;
+        let tri = if u <= 1.0 { u } else { 2.0 - u };
+        let shift = tri * (SIDE - Self::WIDTH);
+        self.offsets.get(node).map(|&o| o + shift)
+    }
+}
+
+fn uniform_query(rng: &mut Mix) -> Rect {
+    let (x, y) = (rng.unit() * SIDE, rng.unit() * SIDE);
+    let (w, h) = (200.0 + rng.unit() * 1_500.0, 200.0 + rng.unit() * 1_500.0);
+    Rect::from_coords(x, y, x + w, y + h)
 }
 
 /// `(stepped, due_fired, due_stale, digest)` after `ROUNDS` served rounds.
@@ -63,17 +103,48 @@ fn run(seed: u64, churn: Churn) -> (u64, u64, u64, u64) {
     let mut rng = Mix(seed);
     let bounds = Rect::from_coords(0.0, 0.0, SIDE, SIDE);
     let mut server = CqServer::new(bounds, NODES, 0);
-    server.register_queries((0..QUERIES as u32).map(|id| {
-        let (x, y) = (rng.unit() * SIDE, rng.unit() * SIDE);
-        let (w, h) = (200.0 + rng.unit() * 1_500.0, 200.0 + rng.unit() * 1_500.0);
-        RangeQuery {
-            id,
-            range: Rect::from_coords(x, y, x + w, y + h),
+    // A uniform history draws its queries before its nodes; a band
+    // history centres its queries on the nodes, so draws them after.
+    let mut ranges: Vec<Rect> = if churn.hot == 0 {
+        (0..QUERIES).map(|_| uniform_query(&mut rng)).collect()
+    } else {
+        Vec::new()
+    };
+    let mut nodes: Vec<(Point, (f64, f64))> = (0..NODES)
+        .map(|_| {
+            let p = Point::new(rng.unit() * SIDE, rng.unit() * SIDE);
+            (p, rng.velocity())
+        })
+        .collect();
+    let band = Band {
+        offsets: nodes[..NODES * churn.hot / 1000]
+            .iter()
+            .map(|(p, _)| p.x / SIDE * Band::WIDTH)
+            .collect(),
+    };
+    for (n, (p, v)) in nodes.iter_mut().enumerate() {
+        if let Some(x) = band.x(n, 0) {
+            p.x = x;
+            v.0 = 0.0;
         }
-    }));
-    for n in 0..NODES as u32 {
-        let p = Point::new(rng.unit() * SIDE, rng.unit() * SIDE);
-        server.ingest(n, 0.0, p, rng.velocity());
+    }
+    if churn.hot != 0 {
+        ranges = (0..QUERIES)
+            .map(|_| {
+                let c = nodes[rng.below(NODES)].0;
+                let (w, h) = (200.0 + rng.unit() * 1_500.0, 200.0 + rng.unit() * 1_500.0);
+                Rect::from_coords(c.x - w / 2.0, c.y - h / 2.0, c.x + w / 2.0, c.y + h / 2.0)
+            })
+            .collect();
+    }
+    server.register_queries(
+        ranges
+            .into_iter()
+            .zip(0..)
+            .map(|(range, id)| RangeQuery { id, range }),
+    );
+    for (n, (p, v)) in nodes.into_iter().enumerate() {
+        server.ingest(n as u32, 0.0, p, v);
     }
     let mut removed = Vec::new();
     let mut h = server.evaluate_digest(0.0, 0);
@@ -81,8 +152,12 @@ fn run(seed: u64, churn: Churn) -> (u64, u64, u64, u64) {
         let t = round as f64;
         for _ in 0..NODES * churn.report / 1000 {
             let n = rng.below(NODES) as u32;
-            let v = rng.velocity();
-            if let Some(p) = server.predict(n, t) {
+            let mut v = rng.velocity();
+            if let Some(mut p) = server.predict(n, t) {
+                if let Some(x) = band.x(n as usize, round) {
+                    p.x = x;
+                    v.0 = 0.0;
+                }
                 server.ingest(n, t, p, v);
             }
         }
@@ -103,6 +178,16 @@ fn run(seed: u64, churn: Churn) -> (u64, u64, u64, u64) {
     (s.stepped, s.due_fired, s.due_stale, h)
 }
 
+/// The engine's advantage over a sweep, as a count: fewer than half of
+/// the `ROUNDS × NODES` node steps a sweep of every round would take.
+fn assert_below_half_a_sweep(stepped: u64) {
+    let sweep = (ROUNDS * NODES) as u64;
+    assert!(
+        stepped < sweep / 2,
+        "stepped {stepped} nodes, a sweep steps {sweep}"
+    );
+}
+
 #[test]
 fn kinetic_churn_does_the_recorded_work() {
     let got = run(
@@ -111,8 +196,10 @@ fn kinetic_churn_does_the_recorded_work() {
             report: 10,
             remove: 0,
             reingest: 0,
+            hot: 0,
         },
     );
+    assert_below_half_a_sweep(got.0);
     assert_eq!(got, (25_049, 16_051, 287, 0xf61e_a381_7445_f7b6));
 }
 
@@ -124,6 +211,7 @@ fn sweeping_churn_does_the_recorded_work() {
             report: 1000,
             remove: 0,
             reingest: 0,
+            hot: 0,
         },
     );
     assert_eq!(got, (124_000, 8_259, 0, 0xe0f4_9d3c_85ae_ee53));
@@ -137,7 +225,23 @@ fn churn_with_removals_does_the_recorded_work() {
             report: 50,
             remove: 10,
             reingest: 10,
+            hot: 0,
         },
     );
     assert_eq!(got, (31_512, 17_806, 1_550, 0xec04_caeb_28fc_0537));
+}
+
+#[test]
+fn band_churn_does_the_recorded_work() {
+    let got = run(
+        4,
+        Churn {
+            report: 50,
+            remove: 0,
+            reingest: 0,
+            hot: 800,
+        },
+    );
+    assert_below_half_a_sweep(got.0);
+    assert_eq!(got, (30_104, 17_224, 939, 0x0464_89ee_91eb_b086));
 }

@@ -205,7 +205,7 @@ fn uniform_point<R: Rng>(bounds: &Rect, rng: &mut R) -> Point {
 /// Convenient re-exports.
 pub mod prelude {
     pub use crate::catalog::NamedScenario;
-    pub use crate::churn::{ChurnWorkload, HotspotSpec};
+    pub use crate::churn::ChurnWorkload;
     pub use crate::scenario::{DemandPhase, PhaseSchedule, Scenario, SpeedClass};
     pub use crate::{generate_queries, QueryDistribution, WorkloadConfig};
 }
