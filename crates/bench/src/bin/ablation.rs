@@ -12,7 +12,7 @@
 //!   LIRA deliver updates almost only where queries are, mimicking
 //!   query-aware distributed CQ systems.
 
-use lira_bench::{print_header, run_averaged, ExpArgs};
+use lira_bench::{print_header, run_averaged, snapshot_grid, ExpArgs};
 use lira_core::prelude::*;
 use lira_mobility::prelude::*;
 use lira_sim::prelude::*;
@@ -298,15 +298,7 @@ fn scenario_grid(sc: &Scenario) -> (StatsGrid, ReductionModel) {
             sc.seed,
         ),
     );
-    let mut grid = StatsGrid::new(sc.alpha, bounds).unwrap();
-    grid.begin_snapshot();
-    for car in sim.cars() {
-        grid.observe_node(&car.position(), car.speed(), 1.0);
-    }
-    for q in &queries {
-        grid.observe_query(&q.range);
-    }
-    grid.commit_snapshot();
+    let grid = snapshot_grid(sc.alpha, bounds, &sim, &queries);
     let model = ReductionModel::analytic(sc.delta_min, sc.delta_max, sc.lira_config().kappa());
     (grid, model)
 }

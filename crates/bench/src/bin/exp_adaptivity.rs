@@ -9,7 +9,7 @@
 //! post-churn halves — the frozen plan should match the adaptive one before
 //! the churn and degrade after it.
 
-use lira_bench::{print_header, ExpArgs};
+use lira_bench::{print_header, snapshot_grid, ExpArgs};
 use lira_core::prelude::*;
 use lira_mobility::prelude::*;
 use lira_server::prelude::*;
@@ -92,25 +92,14 @@ fn run_churn(sc: &Scenario, adaptive: bool) -> (f64, f64) {
     let mut ref_reckoners = vec![DeadReckoner::new(); sc.num_cars];
     let mut shed_reckoners = vec![DeadReckoner::new(); sc.num_cars];
     let shedder = LiraShedder::new(config.clone()).unwrap();
-    let mut grid = StatsGrid::new(config.alpha, bounds).unwrap();
-
-    let adapt = |grid: &mut StatsGrid,
-                 sim: &TrafficSimulator,
-                 queries: &[lira_server::query::RangeQuery]| {
-        grid.begin_snapshot();
-        for car in sim.cars() {
-            grid.observe_node(&car.position(), car.speed(), 1.0);
-        }
-        for q in queries {
-            grid.observe_query(&q.range);
-        }
-        grid.commit_snapshot();
+    let adapt = |sim: &TrafficSimulator, queries: &[RangeQuery]| {
+        let grid = snapshot_grid(config.alpha, bounds, sim, queries);
         shedder
-            .adapt_with_throttle(grid, sc.throttle)
+            .adapt_with_throttle(&grid, sc.throttle)
             .expect("adaptation succeeds")
             .plan
     };
-    let mut plan = adapt(&mut grid, &sim, &queries);
+    let mut plan = adapt(&sim, &queries);
 
     let mut pre = MetricsAccumulator::new(queries.len());
     let mut post = MetricsAccumulator::new(queries.len());
@@ -131,7 +120,7 @@ fn run_churn(sc: &Scenario, adaptive: bool) -> (f64, f64) {
             shed.replace_queries(queries.iter().copied());
         }
         if adaptive && tick % ADAPT_EVERY == 0 {
-            plan = adapt(&mut grid, &sim, &queries);
+            plan = adapt(&sim, &queries);
         }
 
         for (i, car) in sim.cars().iter().enumerate() {

@@ -1,85 +1,9 @@
-//! Accuracy under an imperfect uplink: loss rate × policy sweep.
-//!
-//! The paper evaluates LIRA over a perfect channel; real mobile uplinks
-//! lose, delay, and repeat messages. This experiment re-runs the policy
-//! comparison with the deterministic fault-injection channel
-//! (`FaultyChannel`) between the dead-reckoners and the server: i.i.d.
-//! loss at a swept rate, a small bounded delivery delay, and a two-shot
-//! retry budget.
-//!
-//! The shape to check: every policy degrades as loss grows (the server
-//! coasts longer on stale motion models), but the *source-side* policies
-//! degrade gracefully — each lost update is one dead-reckoning threshold
-//! of extra error — while Random Drop starts from a much worse baseline
-//! and stays worst throughout. Region-aware shedding keeps its relative
-//! advantage at every loss rate; losing the channel does not lose the
-//! argument for LIRA.
-
-use lira_bench::{print_header, ratio, run_sweep, ExpArgs};
-use lira_server::prelude::{DelayModel, FaultProfile, LossModel, RetryPolicy};
-use lira_sim::prelude::*;
-
+//! Accuracy under an imperfect uplink: the policy roster across an
+//! i.i.d. loss rate, through the deterministic fault-injection channel
+//! (`FaultyChannel`) with a small bounded delivery delay and a two-shot
+//! retry budget. The shape to check: every policy degrades as loss grows,
+//! but the source-side policies degrade gracefully while Random Drop
+//! starts worst and stays worst. A row of `lira_bench::figures`.
 fn main() {
-    let args = ExpArgs::parse();
-    let base = args.base_scenario();
-    print_header(
-        "exp_faults",
-        "policy accuracy vs uplink loss rate (faulty channel, 2-shot retry)",
-        &args,
-        &base,
-    );
-
-    let losses = [0.0, 0.1, 0.2, 0.4, 0.6];
-    println!("containment error E^C: absolute value (relative to LIRA)");
-    print!("  loss |");
-    for p in Policy::ALL {
-        print!(" {:>22} |", p.name());
-    }
-    println!(" delivered | staleness");
-    println!("{}", "-".repeat(8 + 4 * 25 + 24));
-
-    let rows = run_sweep(&args.seeds, &Policy::ALL, &losses, |&loss, seed| {
-        let mut sc = base.clone();
-        sc.seed = seed;
-        if loss > 0.0 {
-            sc = sc.with_faults(FaultProfile {
-                loss: LossModel::Iid { p: loss },
-                delay: DelayModel::Uniform {
-                    min_s: 0.0,
-                    max_s: 0.5,
-                },
-                duplicate_prob: 0.0,
-                outages: Vec::new(),
-                retry: RetryPolicy {
-                    max_retries: 2,
-                    backoff_s: 0.5,
-                },
-            });
-        }
-        sc
-    });
-
-    for (loss, outcomes) in losses.iter().zip(&rows) {
-        let lira = outcomes[0].1.mean_containment;
-        print!("{loss:>6.2} |");
-        for (_, o) in outcomes {
-            print!(
-                " {:>14.4} ({:>4}) |",
-                o.mean_containment,
-                ratio(o.mean_containment, lira)
-            );
-        }
-        // Delivery accounting is policy-independent up to shed volume;
-        // report LIRA's lane (the first).
-        let o = &outcomes[0].1;
-        println!(
-            " {:>8.1}% | {:>6.2} s",
-            (1.0 - o.loss_fraction) * 100.0,
-            o.mean_staleness_s
-        );
-    }
-    println!();
-    println!("paper shape to check: errors grow with loss for every policy, but the ordering");
-    println!("is preserved — LIRA stays best, Random Drop worst. The retry budget recovers");
-    println!("most single losses (delivered stays high until the loss rate swamps 3 shots).");
+    lira_bench::figures::run("exp_faults");
 }

@@ -1,10 +1,4 @@
-//! Figure 6: mean containment error E^C_rr vs throttle fraction z for the
-//! Inverse query distribution.
-
+//! Figure 6: E^C_rr vs z, Inverse queries (row `fig06` of `lira_bench::figures`).
 fn main() {
-    lira_bench::z_sweep_experiment(
-        "fig06",
-        "E^C_rr vs z — Inverse query distribution",
-        lira_workload::QueryDistribution::Inverse,
-    );
+    lira_bench::figures::run("fig06");
 }

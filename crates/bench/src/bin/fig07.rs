@@ -1,10 +1,4 @@
-//! Figure 7: mean containment error E^C_rr vs throttle fraction z for the
-//! Random query distribution.
-
+//! Figure 7: E^C_rr vs z, Random queries (row `fig07` of `lira_bench::figures`).
 fn main() {
-    lira_bench::z_sweep_experiment(
-        "fig07",
-        "E^C_rr vs z — Random query distribution",
-        lira_workload::QueryDistribution::Random,
-    );
+    lira_bench::figures::run("fig07");
 }

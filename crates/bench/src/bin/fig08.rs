@@ -1,69 +1,4 @@
-//! Figure 8: mean containment error of Lira-Grid *relative to LIRA* as a
-//! function of the number of shedding regions l, for the three query
-//! distributions, at z = 0.5.
-//!
-//! Paper shape: ratios above 1 (up to ~1.35), most pronounced for the
-//! Inverse distribution and smallest for Proportional, converging toward 1
-//! as l grows large enough that the plain grid reaches sufficient
-//! granularity.
-
-use lira_bench::{print_header, run_sweep, ExpArgs};
-use lira_sim::prelude::*;
-use lira_workload::QueryDistribution;
-
+//! Figure 8: Lira-Grid's E^C_rr relative to LIRA vs l (row `fig08` of `lira_bench::figures`).
 fn main() {
-    let args = ExpArgs::parse();
-    let base = args.base_scenario();
-    print_header(
-        "fig08",
-        "Lira-Grid E^C_rr relative to LIRA vs l (z = 0.5)",
-        &args,
-        &base,
-    );
-
-    let ls: &[usize] = if args.full {
-        &[16, 64, 100, 250, 400]
-    } else {
-        &[16, 40, 100, 169, 256]
-    };
-    let points: Vec<(usize, QueryDistribution)> = ls
-        .iter()
-        .flat_map(|&l| QueryDistribution::ALL.map(|dist| (l, dist)))
-        .collect();
-    let rows = run_sweep(
-        &args.seeds,
-        &[Policy::Lira, Policy::LiraGrid],
-        &points,
-        |&(l, dist), seed| {
-            let mut sc = base.clone().with_regions(l);
-            sc.seed = seed;
-            sc.throttle = 0.5;
-            sc.query_distribution = dist;
-            sc
-        },
-    );
-    println!("     l | Proportional | Inverse | Random");
-    println!("-------+--------------+---------+-------");
-    for (i, &l) in ls.iter().enumerate() {
-        let row: Vec<f64> = rows[i * QueryDistribution::ALL.len()..]
-            .iter()
-            .take(QueryDistribution::ALL.len())
-            .map(|outcomes| {
-                let lira = outcomes[0].1.mean_containment;
-                let grid = outcomes[1].1.mean_containment;
-                if lira > 0.0 {
-                    grid / lira
-                } else {
-                    f64::NAN
-                }
-            })
-            .collect();
-        println!(
-            "{l:>6} | {:>12.3} | {:>7.3} | {:>6.3}",
-            row[0], row[1], row[2]
-        );
-    }
-    println!();
-    println!("paper shape to check: ratios ≥ ~1 at moderate l, shrinking toward 1 at large l");
-    println!("(the equal grid eventually reaches sufficient granularity).");
+    lira_bench::figures::run("fig08");
 }

@@ -1,45 +1,4 @@
-//! Figure 9: LIRA's mean containment error as a function of the number of
-//! shedding regions l, for different throttle fractions z.
-//!
-//! Paper shape: error decreases with l and stabilizes (diminishing returns
-//! once the partitioning is granular enough); the reduction is more
-//! pronounced for larger z, and the default l = 250 is conservative.
-
-use lira_bench::{print_header, run_sweep, ExpArgs};
-use lira_sim::prelude::*;
-
+//! Figure 9: LIRA's E^C_rr vs l for different z (row `fig09` of `lira_bench::figures`).
 fn main() {
-    let args = ExpArgs::parse();
-    let base = args.base_scenario();
-    print_header("fig09", "LIRA E^C_rr vs l for different z", &args, &base);
-
-    let ls: &[usize] = if args.full {
-        &[4, 16, 64, 100, 250, 400]
-    } else {
-        &[4, 16, 40, 100, 169, 256]
-    };
-    let zs = [0.4, 0.5, 0.6, 0.75];
-    let points: Vec<(usize, f64)> = ls.iter().flat_map(|&l| zs.map(|z| (l, z))).collect();
-    let rows = run_sweep(&args.seeds, &[Policy::Lira], &points, |&(l, z), seed| {
-        let mut sc = base.clone().with_regions(l);
-        sc.seed = seed;
-        sc.throttle = z;
-        sc
-    });
-    print!("     l |");
-    for z in zs {
-        print!(" z = {z:<4} |");
-    }
-    println!();
-    println!("{}", "-".repeat(8 + zs.len() * 11));
-    for (i, &l) in ls.iter().enumerate() {
-        print!("{l:>6} |");
-        for j in 0..zs.len() {
-            print!(" {:>8.4} |", rows[i * zs.len() + j][0].1.mean_containment);
-        }
-        println!();
-    }
-    println!();
-    println!("paper shape to check: each column decreases in l then flattens; larger z");
-    println!("columns benefit more from extra regions (more placement freedom to exploit).");
+    lira_bench::figures::run("fig09");
 }

@@ -1,55 +1,4 @@
-//! Figure 10: fairness in query-result accuracy — standard deviation
-//! `D^C_ev` and coefficient of variance `C^C_ov` of the containment error
-//! for LIRA vs Uniform Δ, as a function of the fairness threshold `Δ⇔`,
-//! at z = 0.75.
-//!
-//! Paper shape: LIRA's `D^C_ev` *decreases* with larger `Δ⇔` (relaxed
-//! constraints → smaller errors overall) and stays below Uniform Δ's;
-//! LIRA's `C^C_ov` *increases* with `Δ⇔`, and Uniform Δ is the more fair
-//! policy by that normalized measure. Uniform Δ ignores `Δ⇔`, so its row
-//! is constant.
-
-use lira_bench::{print_header, run_sweep, ExpArgs};
-use lira_sim::prelude::*;
-
+//! Figure 10: fairness, D^C_ev and C^C_ov vs Δ⇔ (row `fig10` of `lira_bench::figures`).
 fn main() {
-    let args = ExpArgs::parse();
-    let base = args.base_scenario();
-    print_header(
-        "fig10",
-        "fairness: D^C_ev and C^C_ov vs Δ⇔ (z = 0.75)",
-        &args,
-        &base,
-    );
-
-    let fairness_values = [5.0, 10.0, 25.0, 50.0, 75.0, 95.0];
-    let rows = run_sweep(
-        &args.seeds,
-        &[Policy::Lira, Policy::UniformDelta],
-        &fairness_values,
-        |&fairness, seed| {
-            let mut sc = base.clone();
-            sc.seed = seed;
-            sc.throttle = 0.75;
-            sc.fairness = fairness;
-            sc
-        },
-    );
-    println!("   Δ⇔ |   LIRA D^C_ev |  LIRA C^C_ov | Uniform D^C_ev | Uniform C^C_ov");
-    println!("-------+---------------+--------------+----------------+---------------");
-    for (fairness, outcomes) in fairness_values.iter().zip(&rows) {
-        let lira = &outcomes[0].1;
-        let uni = &outcomes[1].1;
-        println!(
-            "{fairness:>6.0} | {:>13.4} | {:>12.3} | {:>14.4} | {:>14.3}",
-            lira.stddev_containment,
-            lira.cov_containment,
-            uni.stddev_containment,
-            uni.cov_containment
-        );
-    }
-    println!();
-    println!("paper shape to check: LIRA's D^C_ev falls as Δ⇔ grows and stays below");
-    println!("Uniform Δ's; LIRA's C^C_ov grows with Δ⇔ (absolute errors shrink faster");
-    println!("than their spread), so Uniform Δ wins on the normalized fairness measure.");
+    lira_bench::figures::run("fig10");
 }

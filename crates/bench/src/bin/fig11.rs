@@ -1,62 +1,4 @@
-//! Figure 11: impact of the fairness threshold `Δ⇔` on the mean position
-//! error `E^P_rr`, for different throttle fractions z.
-//!
-//! Paper shape: for z near the convergence point (~0.3) and near 1 (~0.9)
-//! the error is almost insensitive to `Δ⇔`; for intermediate z the error
-//! falls as `Δ⇔` relaxes (the optimizer gains freedom it actually needs).
-
-use lira_bench::{print_header, run_sweep, ExpArgs};
-use lira_sim::prelude::*;
-
+//! Figure 11: LIRA's E^P_rr vs Δ⇔ for different z (row `fig11` of `lira_bench::figures`).
 fn main() {
-    let args = ExpArgs::parse();
-    let base = args.base_scenario();
-    print_header("fig11", "LIRA E^P_rr vs Δ⇔ for different z", &args, &base);
-
-    let fairness_values = [5.0, 10.0, 25.0, 50.0, 75.0, 95.0];
-    let zs = [0.3, 0.5, 0.7, 0.9];
-    let points: Vec<(f64, f64)> = fairness_values
-        .iter()
-        .flat_map(|&fairness| zs.map(|z| (fairness, z)))
-        .collect();
-    let results = run_sweep(
-        &args.seeds,
-        &[Policy::Lira],
-        &points,
-        |&(fairness, z), seed| {
-            let mut sc = base.clone();
-            sc.seed = seed;
-            sc.throttle = z;
-            sc.fairness = fairness;
-            sc
-        },
-    );
-    print!("   Δ⇔ |");
-    for z in zs {
-        print!("  z = {z:<4} |");
-    }
-    println!();
-    println!("{}", "-".repeat(8 + zs.len() * 12));
-    let mut table = Vec::new();
-    for (i, &fairness) in fairness_values.iter().enumerate() {
-        let row: Vec<f64> = (0..zs.len())
-            .map(|j| results[i * zs.len() + j][0].1.mean_position)
-            .collect();
-        print!("{fairness:>6.0} |");
-        for v in &row {
-            print!(" {v:>9.3} |");
-        }
-        println!();
-        table.push(row);
-    }
-    // Sensitivity summary: range across fairness per z column.
-    println!("\nsensitivity to Δ⇔ (max/min over the column):");
-    for (j, z) in zs.iter().enumerate() {
-        let col: Vec<f64> = table.iter().map(|r| r[j]).collect();
-        let max = col.iter().cloned().fold(f64::MIN, f64::max);
-        let min = col.iter().cloned().fold(f64::MAX, f64::min).max(1e-12);
-        println!("  z = {z}: {:.2}x", max / min);
-    }
-    println!("\npaper shape to check: columns at the extreme z values are the least");
-    println!("sensitive; intermediate z columns respond most to relaxing Δ⇔.");
+    lira_bench::figures::run("fig11");
 }

@@ -1,65 +1,4 @@
-//! Figure 12: impact of the query-to-node ratio m/n — Uniform Δ's mean
-//! containment error relative to LIRA, vs the number of shedding regions l,
-//! for m/n ∈ {0.01, 0.1}, at z = 0.5.
-//!
-//! Paper shape: the relative error is about an order of magnitude larger
-//! for m/n = 0.01 than for m/n = 0.1 (fewer queries → more query-free
-//! regions for LIRA to shed from), yet LIRA still roughly halves the error
-//! even at m/n = 0.1.
-
-use lira_bench::{print_header, run_sweep, ExpArgs};
-use lira_sim::prelude::*;
-
+//! Figure 12: Uniform Δ E^C_rr relative to LIRA vs l and m/n (`lira_bench::figures`).
 fn main() {
-    let args = ExpArgs::parse();
-    let base = args.base_scenario();
-    print_header(
-        "fig12",
-        "Uniform Δ E^C_rr relative to LIRA vs l, m/n ∈ {0.01, 0.1} (z = 0.5)",
-        &args,
-        &base,
-    );
-
-    let ls: &[usize] = if args.full {
-        &[16, 64, 250]
-    } else {
-        &[16, 64, 169]
-    };
-    let ratios = [0.01, 0.1];
-    let points: Vec<(usize, f64)> = ls.iter().flat_map(|&l| ratios.map(|mn| (l, mn))).collect();
-    let results = run_sweep(
-        &args.seeds,
-        &[Policy::Lira, Policy::UniformDelta],
-        &points,
-        |&(l, mn), seed| {
-            let mut sc = base.clone().with_regions(l);
-            sc.seed = seed;
-            sc.throttle = 0.5;
-            sc.query_ratio = mn;
-            sc
-        },
-    );
-    println!("     l | m/n = 0.01 (rel E^C) | m/n = 0.1 (rel E^C)");
-    println!("-------+----------------------+--------------------");
-    let mut by_ratio = [Vec::new(), Vec::new()];
-    for (i, &l) in ls.iter().enumerate() {
-        let mut row = Vec::new();
-        for ri in 0..ratios.len() {
-            let outcomes = &results[i * ratios.len() + ri];
-            let lira = outcomes[0].1.mean_containment;
-            let uni = outcomes[1].1.mean_containment;
-            let rel = if lira > 0.0 { uni / lira } else { f64::NAN };
-            row.push(rel);
-            by_ratio[ri].push(rel);
-        }
-        println!("{l:>6} | {:>20.2} | {:>19.2}", row[0], row[1]);
-    }
-    let avg = |v: &[f64]| v.iter().sum::<f64>() / v.len() as f64;
-    println!(
-        "\naverage relative error: {:.2}x at m/n = 0.01 vs {:.2}x at m/n = 0.1",
-        avg(&by_ratio[0]),
-        avg(&by_ratio[1])
-    );
-    println!("paper shape to check: the advantage over Uniform Δ is far larger at the");
-    println!("small query ratio, but LIRA still wins clearly at m/n = 0.1.");
+    lira_bench::figures::run("fig12");
 }

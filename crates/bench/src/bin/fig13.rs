@@ -1,62 +1,4 @@
-//! Figure 13: impact of the query side length w on LIRA's mean position
-//! error and mean containment error, at z = 0.5.
-//!
-//! Paper shape: the two metrics move in opposite directions — `E^P_rr`
-//! grows with w (bigger queries cover more space, so updates cannot be cut
-//! without touching result positions), while `E^C_rr` falls with w (result
-//! sets grow, and containment is a set-ratio metric).
-
-use lira_bench::{print_header, run_sweep, ExpArgs};
-use lira_sim::prelude::*;
-
+//! Figure 13: LIRA's E^P_rr and E^C_rr vs query side length w (row `fig13` of `lira_bench::figures`).
 fn main() {
-    let args = ExpArgs::parse();
-    let base = args.base_scenario();
-    print_header(
-        "fig13",
-        "LIRA E^P_rr and E^C_rr vs query side length w (z = 0.5)",
-        &args,
-        &base,
-    );
-
-    let ws: &[f64] = if args.quick {
-        &[200.0, 400.0, 800.0]
-    } else {
-        &[250.0, 500.0, 1000.0, 2000.0, 3000.0]
-    };
-    let rows = run_sweep(&args.seeds, &[Policy::Lira], ws, |&w, seed| {
-        let mut sc = base.clone();
-        sc.seed = seed;
-        sc.throttle = 0.5;
-        sc.query_side = w;
-        sc
-    });
-    println!("  w (m) | E^P_rr (m) | E^C_rr");
-    println!("--------+------------+-------");
-    let mut pos = Vec::new();
-    let mut con = Vec::new();
-    for (w, outcomes) in ws.iter().zip(&rows) {
-        let o = &outcomes[0].1;
-        println!(
-            "{w:>7.0} | {:>10.3} | {:>6.4}",
-            o.mean_position, o.mean_containment
-        );
-        pos.push(o.mean_position);
-        con.push(o.mean_containment);
-    }
-    println!();
-    println!(
-        "trend: E^P_rr {} with w, E^C_rr {} with w",
-        if pos[pos.len() - 1] > pos[0] {
-            "rises"
-        } else {
-            "falls"
-        },
-        if con[con.len() - 1] < con[0] {
-            "falls"
-        } else {
-            "rises"
-        },
-    );
-    println!("paper shape to check: position error increasing, containment error decreasing.");
+    lira_bench::figures::run("fig13");
 }

@@ -13,17 +13,25 @@
 //!   and 202; `N` takes the first `N` of 17, 101, 202, then `17 + 85·i`);
 //! * `--nodes N`, `--duration S` — explicit overrides.
 //!
-//! The default (no flags) is the *standard* scale recorded in
-//! EXPERIMENTS.md: ~50 km², 2 000 nodes, 240 s measured — big enough for
-//! the paper's effects, small enough that the full suite reruns in minutes.
+//! The default (no flags) is the *standard* scale: ~50 km², 2 000 nodes,
+//! 300 s measured — big enough for the paper's effects, small enough that
+//! the suite reruns in about a minute. `bash results/regenerate.sh` writes
+//! each standard-suite binary's output into its record block in
+//! EXPERIMENTS.md, and `--check` diffs a fresh run against the blocks.
+//!
+//! The nine sweep figures (`fig04`, `fig06`–`fig13`) and `exp_faults` are
+//! rows of one table in [`figures`], printed by one renderer over the
+//! sweep driver; each of those binaries is one call to [`figures::run`].
 
 #![forbid(unsafe_code)]
 
 use lira_sim::prelude::*;
 
+pub mod figures;
 pub mod sweep;
 
-pub use sweep::{run_averaged, run_sweep, AveragedOutcome};
+pub(crate) use sweep::run_sweep;
+pub use sweep::{run_averaged, AveragedOutcome};
 
 /// Command-line options shared by all experiment binaries.
 #[derive(Debug, Clone)]
@@ -258,84 +266,6 @@ pub fn ratio(v: f64, base: f64) -> String {
         format!("{:.2}", v / base)
     } else {
         "-".to_string()
-    }
-}
-
-/// Shared implementation of the throttle-fraction sweeps (Figures 4–7):
-/// every policy in the roster across `z` values, reporting both error
-/// metrics absolutely and relative to LIRA, and beside them the fraction
-/// of the reference's updates each policy processed (`proc:`), which
-/// says whether the policies spent the same budget.
-pub fn z_sweep_experiment(id: &str, title: &str, distribution: lira_workload::QueryDistribution) {
-    let args = ExpArgs::parse();
-    let base = args.base_scenario();
-    print_header(id, title, &args, &base);
-
-    let zs = [0.25, 0.3, 0.4, 0.5, 0.6, 0.75, 0.9];
-    println!("metric columns: absolute value (relative to LIRA)");
-    print!("     z |");
-    for p in Policy::ALL {
-        print!(" {:>22} |", p.name());
-    }
-    println!();
-    println!("{}", "-".repeat(8 + Policy::ALL.len() * 25));
-    let fmt = |v: f64, base: f64, position: bool| -> String {
-        let abs = if position {
-            format!("{v:.3} m")
-        } else {
-            format!("{v:.4}")
-        };
-        format!("{abs} ({})", ratio(v, base))
-    };
-    let rows = run_sweep(&args.seeds, &Policy::ALL, &zs, |&z, seed| {
-        let mut sc = base.clone();
-        sc.seed = seed;
-        sc.throttle = z;
-        sc.query_distribution = distribution;
-        sc
-    });
-    for (z, outcomes) in zs.iter().zip(&rows) {
-        let lira_pos = outcomes[0].1.mean_position;
-        let lira_con = outcomes[0].1.mean_containment;
-        let pos_row: Vec<String> = outcomes
-            .iter()
-            .map(|(_, o)| fmt(o.mean_position, lira_pos, true))
-            .collect();
-        let con_row: Vec<String> = outcomes
-            .iter()
-            .map(|(_, o)| fmt(o.mean_containment, lira_con, false))
-            .collect();
-        let proc_row: Vec<String> = outcomes
-            .iter()
-            .map(|(_, o)| format!("{:.3}", o.processed_fraction))
-            .collect();
-        let join = |row: &[String]| {
-            row[1..]
-                .iter()
-                .map(|c| format!(" | {c:>22}"))
-                .collect::<String>()
-        };
-        println!("{z:>6.2} | E^P: {:>17}{}", pos_row[0], join(&pos_row));
-        println!("       | E^C: {:>17}{}", con_row[0], join(&con_row));
-        println!("       | proc: {:>16}{}", proc_row[0], join(&proc_row));
-    }
-    println!();
-    println!("paper shape to check: LIRA best everywhere; Random Drop worst by orders of");
-    println!("magnitude near z = 1; all threshold policies converge at small z (≈ 0.25).");
-
-    // Telemetry rides along: one merged snapshot per (z, policy) cell.
-    let entries: Vec<(String, &TelemetrySnapshot)> = zs
-        .iter()
-        .zip(&rows)
-        .flat_map(|(z, outcomes)| {
-            outcomes
-                .iter()
-                .map(move |(p, o)| (format!("z={z} {}", p.name()), &o.telemetry))
-        })
-        .collect();
-    match write_telemetry_json(id, &entries) {
-        Ok(path) => println!("telemetry: {}", path.display()),
-        Err(e) => eprintln!("telemetry: not written ({e})"),
     }
 }
 

@@ -88,7 +88,7 @@ pub(crate) fn average_outcomes(
 /// Runs the full `points × seeds` grid — `make(point, seed)` builds each
 /// cell's scenario — and returns one averaged outcome row per point, in
 /// point order.
-pub fn run_sweep<P: Sync>(
+pub(crate) fn run_sweep<P: Sync>(
     seeds: &[u64],
     policies: &[Policy],
     points: &[P],

@@ -18,6 +18,17 @@ pub(crate) const DEFAULT_SPACE_SIDE_M: f64 = 14_142.0;
 /// under Δ⊣ = 10⁹ m asks for 8 GB of knots.
 const MAX_KAPPA: usize = 4_000;
 
+/// Refuses a real that is not finite and positive, naming the field:
+/// `"<name> must be finite and positive, got <value>"`. NaN is refused
+/// too; a refusal written as `value <= 0.0` lets it through.
+pub fn finite_positive(name: &str, value: f64) -> std::result::Result<(), String> {
+    if value.is_finite() && value > 0.0 {
+        Ok(())
+    } else {
+        Err(format!("{name} must be finite and positive, got {value}"))
+    }
+}
+
 /// Configuration of the LIRA load shedder.
 ///
 /// Field names follow the paper's notation (Table 2):
@@ -132,16 +143,13 @@ impl LiraConfig {
         }
         // `∞` passes the ordering tests below (`c_Δ ≤ ∞ − Δ⊢` holds), and
         // NaN slips past a refusal written as `x < 0`.
-        for (name, v) in [
-            ("delta_max", self.delta_max),
-            ("increment c_delta", self.increment),
-            ("fairness threshold", self.fairness),
-        ] {
-            if !v.is_finite() {
-                return Err(LiraError::InvalidConfig(format!(
-                    "{name} = {v} must be finite"
-                )));
-            }
+        finite_positive("delta_max", self.delta_max).map_err(LiraError::InvalidConfig)?;
+        finite_positive("increment c_delta", self.increment).map_err(LiraError::InvalidConfig)?;
+        if !(self.fairness.is_finite() && self.fairness >= 0.0) {
+            return Err(LiraError::InvalidConfig(format!(
+                "fairness threshold must be finite and >= 0, got {}",
+                self.fairness
+            )));
         }
         if !(self.delta_min > 0.0 && self.delta_min < self.delta_max) {
             return Err(LiraError::InvalidConfig(format!(
@@ -161,11 +169,6 @@ impl LiraConfig {
                 "(delta_max - delta_min) / increment = {segments} segments, \
                  more than the {MAX_KAPPA} the reduction model holds"
             )));
-        }
-        if self.fairness < 0.0 {
-            return Err(LiraError::InvalidConfig(
-                "fairness threshold must be >= 0".into(),
-            ));
         }
         Ok(())
     }

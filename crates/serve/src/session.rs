@@ -128,6 +128,12 @@ impl ServeConfig {
     /// or a policy that sheds at the server. The binary checks before
     /// it binds; [`SessionCore::new`] panics on a refusal.
     pub fn validate(&self) -> Result<(), String> {
+        self.checked_policy().map(drop)
+    }
+
+    /// Makes [`Self::validate`]'s checks and builds the shedding policy,
+    /// once: the build holds the reduction model's O(κ²) secant table.
+    fn checked_policy(&self) -> Result<Box<dyn SheddingPolicy>, String> {
         if self.num_nodes < 1 {
             return Err("nodes must be at least 1 (every Batch id must be below it)".into());
         }
@@ -145,7 +151,7 @@ impl ServeConfig {
             ));
         }
         Governor::<()>::check(self.queue_capacity, self.service_rate)?;
-        self.shedding_policy().map(drop)
+        self.shedding_policy()
     }
 
     /// Builds the configured shedding policy, or says why this session
@@ -303,8 +309,7 @@ impl SessionCore {
     /// Builds a session core. Panics on invalid configuration (the
     /// binaries validate flags first; tests construct valid configs).
     pub fn new(cfg: ServeConfig) -> Self {
-        cfg.validate().expect("valid serve config");
-        let policy = cfg.shedding_policy().expect("validated above");
+        let policy = cfg.checked_policy().expect("valid serve config");
         let lira = cfg.lira_config();
         let server = CqServer::new(cfg.bounds, cfg.num_nodes, cfg.index_side);
         let mut grid = StatsGrid::new(lira.alpha, cfg.bounds).expect("alpha/bounds validated");

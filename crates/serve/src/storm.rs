@@ -15,6 +15,7 @@ use std::io::{Read, Write};
 use std::net::TcpStream;
 use std::time::Instant;
 
+use lira_core::config::finite_positive;
 use lira_core::geometry::{Point, Rect};
 use lira_core::plan::SheddingPlan;
 use lira_mobility::motion::DeadReckoner;
@@ -205,22 +206,11 @@ impl StormConfig {
         if self.nodes < 1 {
             return Err("nodes must be at least 1".into());
         }
-        if !(self.space_m.is_finite() && self.space_m > 0.0) {
-            return Err(format!(
-                "space must be finite and positive, got {}",
-                self.space_m
-            ));
-        }
+        finite_positive("space", self.space_m)?;
         if !(self.churn_frac > 0.0 && self.churn_frac <= 1.0) {
             return Err(format!("churn must lie in (0, 1], got {}", self.churn_frac));
         }
-        if !(self.dt.is_finite() && self.dt > 0.0) {
-            return Err(format!(
-                "round length must be finite and positive, got {}",
-                self.dt
-            ));
-        }
-        Ok(())
+        finite_positive("round length", self.dt)
     }
 }
 

@@ -7,6 +7,7 @@
 //! body: how long a window is (`window_s`), when and how much they
 //! service (`service_at`), and which clock stamps an offer.
 
+use lira_core::config::finite_positive;
 use lira_core::throt_loop::{QueueObservation, ThrotLoop};
 
 use crate::queue::{Drain, UpdateQueue};
@@ -78,12 +79,7 @@ impl<T> Governor<T> {
                 "queue capacity must be at least 2 (two for THROTLOOP), got {capacity}"
             ));
         }
-        if !(service_rate.is_finite() && service_rate > 0.0) {
-            return Err(format!(
-                "service rate must be positive and finite, got {service_rate}"
-            ));
-        }
-        Ok(())
+        finite_positive("service rate", service_rate)
     }
 
     /// A queue of `capacity` slots (THROTLOOP's `B`), steering toward

@@ -184,9 +184,9 @@ const TICKS_PER_ROUND: f64 = 8.0;
 /// fleet (`BUSY.0 / BUSY.1`) falls back to the sweep. A step through the
 /// wheel costs about three of a sweep's — it also computes a
 /// `safe_until`, and it walks the node arrays in gaps rather than in
-/// order — and the churn ladder of EXPERIMENTS.md (*PR 17*) puts the
-/// break-even between 31 % of the fleet (still 1.2× ahead) and 47 %
-/// (0.7×).
+/// order — and the churn ladder of docs/PERF_LOG.md (*kinetic evaluation,
+/// before and after*) puts the break-even between 31 % of the fleet (still
+/// 1.2× ahead) and 47 % (0.7×).
 const BUSY: (usize, usize) = (2, 5);
 /// A sweep schedules the wheel only if the sweep before it changed less
 /// than this share of the fleet — half the rate at which a kinetic round

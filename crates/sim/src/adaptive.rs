@@ -12,6 +12,7 @@
 //! ([`SimPipeline::run_adaptive`]) around a one-queue
 //! [`Governor`]; this module holds the capacity model and the report.
 
+use lira_core::config::finite_positive;
 use lira_core::policy::Policy;
 use lira_server::governor::{Governor, WindowDecision};
 use lira_workload::scenario::Scenario;
@@ -47,13 +48,7 @@ impl AdaptiveConfig {
     /// finite. [`SimPipeline::run_adaptive`] panics on a refusal.
     pub fn validate(&self) -> Result<(), String> {
         Governor::<()>::check(self.queue_capacity, self.service_rate)?;
-        if !(self.control_period_s.is_finite() && self.control_period_s > 0.0) {
-            return Err(format!(
-                "control period must be positive and finite, got {}",
-                self.control_period_s
-            ));
-        }
-        Ok(())
+        finite_positive("control period", self.control_period_s)
     }
 }
 

@@ -4,7 +4,7 @@
 //! (time-varying) traffic demand, heterogeneous fleet speed classes with
 //! per-class `Δ⊣` caps, and dead zones carved out of the road network.
 
-use lira_core::config::LiraConfig;
+use lira_core::config::{finite_positive, LiraConfig};
 use lira_core::error::{LiraError, Result};
 use lira_core::geometry::Rect;
 use lira_mobility::simulator::TrafficSimulator;
@@ -335,11 +335,7 @@ impl Scenario {
             ("eval_period_s", self.eval_period_s),
             ("adapt_period_s", self.adapt_period_s),
         ] {
-            if !(value.is_finite() && value > 0.0) {
-                return Err(LiraError::InvalidConfig(format!(
-                    "{name} must be finite and positive, got {value}"
-                )));
-            }
+            finite_positive(name, value).map_err(LiraError::InvalidConfig)?;
         }
         if !(self.warmup_s.is_finite() && self.warmup_s >= 0.0) {
             return Err(LiraError::InvalidConfig(format!(

@@ -1,22 +1,29 @@
 #!/usr/bin/env bash
-# Regenerates the standard-scale record of the paper's figures.
+# Regenerates the standard-scale record of the paper's figures, which
+# lives in EXPERIMENTS.md.
 #
-#   bash results/regenerate.sh          # rewrite the record
-#   bash results/regenerate.sh --check  # re-run and diff against it
+#   bash results/regenerate.sh          # rewrite the record blocks
+#   bash results/regenerate.sh --check  # re-run and diff against them
 #
 # Runs the 20 standard-suite binaries of `lira-bench` in the order below
-# and writes their output, each under a `=== <binary> ===` header, to
-# `results/experiments_standard.txt`. The commit, host and wall time go to
-# `results/experiments_standard.stamp`, so the record itself holds only
-# what the code prints. `fig04` (Figures 4 and 5), `fig06` and `fig07`
-# also rewrite `results/telemetry/<id>.json`.
+# and writes each one's output, fenced, between its
+#
+#   <!-- record:<binary> -->
+#   <!-- /record -->
+#
+# markers in EXPERIMENTS.md, leaving every line outside the blocks as it
+# is. Each binary has exactly one block (`tests/record.rs` holds the
+# markers to `BINS`). The commit, host and wall time go to
+# `results/record.stamp`, so the blocks hold only what the code prints.
+# `fig04` (Figures 4 and 5), `fig06` and `fig07` also rewrite
+# `results/telemetry/<id>.json`.
 #
 # `--check` runs the suite in a scratch directory (the tracked files are
-# left alone) and fails if its output differs from the record anywhere
-# but the `=== fig14 ===` section, whose table is wall time, or if the
-# `counters` of any `results/telemetry/<id>.json` snapshot differ from the
-# fresh run's (with `jq`; the histograms are left out, since some of
-# their keys are wall time: `shard.round_ns`, `*_us`).
+# left alone) and fails if a block would change anywhere but in `fig14`'s,
+# whose table is wall time, or if the `counters` of any
+# `results/telemetry/<id>.json` snapshot differ from the fresh run's
+# (with `jq`; the histograms are left out, since some of their keys are
+# wall time: `shard.round_ns`, `*_us`).
 set -euo pipefail
 
 ROOT=$(cd "$(dirname "$0")/.." && pwd)
@@ -25,8 +32,8 @@ cd "$ROOT"
 BINS=(fig01 tab01 fig03 fig04 fig06 fig07 fig08 fig09 fig10 fig11 fig12
       fig13 fig14 tab03 ablation exp_history exp_messaging exp_motion_models
       exp_adaptivity exp_knn)
-RECORD=results/experiments_standard.txt
-STAMP=results/experiments_standard.stamp
+DOC=EXPERIMENTS.md
+STAMP=results/record.stamp
 
 check=0
 case "${1:-}" in
@@ -38,19 +45,37 @@ esac
 cargo build --offline --release -p lira-bench --bins
 
 # Runs the suite with `$1` as the working directory (the telemetry files
-# land under its `results/telemetry/`) and prints the record.
+# land under its `results/telemetry/`), each binary's output to
+# `$2/<binary>.txt`.
 run_suite() {
-    local dir=$1
+    local dir=$1 out=$2
     for bin in "${BINS[@]}"; do
-        echo "=== $bin ==="
-        (cd "$dir" && "$ROOT/target/release/$bin")
-        echo
+        (cd "$dir" && "$ROOT/target/release/$bin") > "$out/$bin.txt"
     done
 }
 
-# The record without its wall-time section.
+# Prints EXPERIMENTS.md with each record block's body replaced by the
+# fenced output in `$1/<binary>.txt`.
+render() {
+    awk -v out="$1" '
+        /^<!-- \/record -->$/ { skip = 0 }
+        skip { next }
+        { print }
+        /^<!-- record:[A-Za-z0-9_]+ -->$/ {
+            file = out "/" substr($0, 13, length($0) - 16) ".txt"
+            print "```text"
+            while ((status = (getline line < file)) > 0) print line
+            if (status < 0) { print "no output " file > "/dev/stderr"; exit 1 }
+            close(file)
+            print "```"
+            skip = 1
+        }
+    ' "$DOC"
+}
+
+# The document without the body of the wall-time block.
 without_fig14() {
-    awk '/^=== / { skip = ($2 == "fig14") } !skip' "$1"
+    awk '/^<!-- \/record -->$/ { skip = 0 } !skip; /^<!-- record:fig14 -->$/ { skip = 1 }' "$1"
 }
 
 TELEMETRY=(fig04 fig06 fig07)
@@ -60,14 +85,17 @@ counters_of() {
     jq -c '.[] | {label: .label, counters: .snapshot.counters}' "$1"
 }
 
+scratch=$(mktemp -d)
+trap 'rm -rf "$scratch"' EXIT
+mkdir "$scratch/out"
+
 if [ "$check" -eq 1 ]; then
-    scratch=$(mktemp -d)
-    trap 'rm -rf "$scratch"' EXIT
-    run_suite "$scratch" > "$scratch/run.txt"
-    if diff -u <(without_fig14 "$RECORD") <(without_fig14 "$scratch/run.txt"); then
-        echo "standard suite matches $RECORD (fig14 skipped)"
+    run_suite "$scratch" "$scratch/out"
+    render "$scratch/out" > "$scratch/$DOC"
+    if diff -u <(without_fig14 "$DOC") <(without_fig14 "$scratch/$DOC"); then
+        echo "standard suite matches the record blocks of $DOC (fig14 skipped)"
     else
-        echo "standard suite differs from $RECORD: re-run bash results/regenerate.sh" >&2
+        echo "standard suite differs from $DOC: re-run bash results/regenerate.sh" >&2
         exit 1
     fi
     for id in "${TELEMETRY[@]}"; do
@@ -82,8 +110,9 @@ if [ "$check" -eq 1 ]; then
 fi
 
 start=$(date +%s)
-run_suite "$ROOT" > "$RECORD.tmp"
-mv "$RECORD.tmp" "$RECORD"
+run_suite "$ROOT" "$scratch/out"
+render "$scratch/out" > "$scratch/$DOC"
+mv "$scratch/$DOC" "$DOC"
 {
     echo "commit: $(git rev-parse HEAD 2>/dev/null || echo unknown)"
     if [ -n "$(git status --porcelain 2>/dev/null)" ]; then
@@ -97,4 +126,4 @@ mv "$RECORD.tmp" "$RECORD"
     echo "rustc: $(rustc -V)"
     echo "wall_s: $(($(date +%s) - start))"
 } > "$STAMP"
-echo "wrote $RECORD and $STAMP"
+echo "wrote the record blocks of $DOC and $STAMP"
