@@ -284,14 +284,19 @@ proptest! {
     }
 }
 
-/// One evaluation round of a digest history: the reports that precede
-/// it, `(node, x, y, vx, vy)`, and how far `t` advances.
 /// One round of a digest history: the reports ingested before it
-/// (`remove` forgets the node instead), whether every node is removed
-/// first (so lists empty, and refill as reports return), whether the
-/// query set is replaced before it (the round is then a rebuild), and
-/// the step in `t` (0 is a same-`t` round).
+/// (`park` sends the node to [`PARKED`] instead), whether every node is
+/// parked first (so lists empty, and refill as reports return), whether
+/// the query set is replaced before it (the round is then a rebuild),
+/// and the step in `t` (0 is a same-`t` round).
 type Round = (Vec<(u32, f64, f64, f64, f64, bool)>, bool, bool, f64);
+
+/// West and south of every [`folded`] query, which start at 0: a node
+/// reported here at rest is in no list.
+const PARKED: Point = Point {
+    x: -100.0,
+    y: -100.0,
+};
 
 fn digest_history() -> impl Strategy<Value = Vec<Round>> {
     let report = (
@@ -352,17 +357,17 @@ proptest! {
         for (r, (reports, wipe, requery, dt)) in history.iter().enumerate() {
             for both in [&mut server, &mut twin] {
                 if *wipe {
-                    (0..200).for_each(|id| {
-                        both.remove_node(id);
-                    });
+                    for id in 0..200 {
+                        both.ingest(id, t, PARKED, (0.0, 0.0));
+                    }
                 }
                 if *requery {
                     let next = if r % 2 == 0 { &others } else { &queries };
                     both.replace_queries(next.iter().copied());
                 }
-                for &(id, x, y, vx, vy, remove) in reports {
-                    if remove {
-                        both.remove_node(id);
+                for &(id, x, y, vx, vy, park) in reports {
+                    if park {
+                        both.ingest(id, t, PARKED, (0.0, 0.0));
                     } else {
                         both.ingest(id, t, Point::new(x, y), (vx, vy));
                     }

@@ -166,20 +166,6 @@ impl CqServer {
         }
     }
 
-    /// Removes `node` from the server (the node deregistered or timed
-    /// out): its model is forgotten and it disappears from every query
-    /// result at the next round. Returns whether the node had a model.
-    /// A later report re-registers the node from scratch (even one
-    /// time-stamped before the removed model — removal forgets history).
-    pub fn remove_node(&mut self, node: u32) -> bool {
-        if self.store.remove(node) {
-            self.unified.on_remove(node);
-            true
-        } else {
-            false
-        }
-    }
-
     /// Evaluates every registered query at time `t` against the predicted
     /// node positions. Results are sorted by node id. Any `t` is legal;
     /// rounds at a `t` at or after the previous one are the cheap ones

@@ -14,15 +14,17 @@
 //! them, so the misses overlap. The sweeps that remain (a rebuild, and
 //! the fallback when the wheel cannot name the due nodes) still read
 //! each column in order. The "has this node reported?" bit
-//! needs no sixth column: a NaN report time is the never-reported (or
-//! removed) sentinel, and NaN's comparison semantics make the staleness
-//! check below accept any first report for free.
+//! needs no sixth column: a NaN report time is the never-reported
+//! sentinel, and NaN's comparison semantics make the staleness check
+//! below accept any first report for free. The fleet is fixed and a
+//! model is only ever replaced, so a node that has reported keeps a
+//! model from then on.
 
 use lira_core::geometry::Point;
 
 /// A reported linear motion model, mirrored from the mobile node side.
 #[derive(Debug, Clone, Copy, PartialEq)]
-pub struct StoredModel {
+pub(crate) struct StoredModel {
     /// Report time (seconds).
     pub time: f64,
     /// Reported position.
@@ -47,7 +49,7 @@ impl StoredModel {
 /// layout (see the module docs).
 #[derive(Debug, Clone)]
 pub struct NodeStore {
-    /// Report time per node; NaN = never reported (or removed).
+    /// Report time per node; NaN = never reported.
     time: Vec<f64>,
     ox: Vec<f64>,
     oy: Vec<f64>,
@@ -83,8 +85,7 @@ impl NodeStore {
         self.time.is_empty()
     }
 
-    /// Whether `node` currently has a model (has reported and was not
-    /// removed since).
+    /// Whether `node` has a model (has reported).
     #[inline]
     pub fn has(&self, node: u32) -> bool {
         !self.time[node as usize].is_nan()
@@ -94,10 +95,12 @@ impl NodeStore {
     /// model are ignored (wireless delivery can reorder packets; a stale
     /// motion model must never overwrite a fresher one) — returns whether
     /// the update was applied. A NaN stored time (never reported) compares
-    /// false against anything, so first reports always apply.
+    /// false against anything, so first reports always apply. A NaN
+    /// `time` never applies: it would leave the node reading as never
+    /// reported.
     pub fn apply(&mut self, node: u32, time: f64, origin: Point, velocity: (f64, f64)) -> bool {
         let n = node as usize;
-        if self.time[n] > time {
+        if self.time[n] > time || time.is_nan() {
             return false;
         }
         if self.time[n].is_nan() {
@@ -112,52 +115,24 @@ impl NodeStore {
         true
     }
 
-    /// Forgets `node`'s model (the node deregistered or timed out).
-    /// Returns whether there was a model to remove. Removal also forgets
-    /// the report history: a later update re-registers the node even if
-    /// its timestamp predates the removed model's.
-    pub fn remove(&mut self, node: u32) -> bool {
-        let n = node as usize;
-        if self.time[n].is_nan() {
-            return false;
-        }
-        self.time[n] = f64::NAN;
-        self.reported -= 1;
-        true
-    }
-
-    /// The node's last reported model, if any (by value: the model is
-    /// assembled from the SoA columns).
-    #[inline]
-    pub fn model(&self, node: u32) -> Option<StoredModel> {
-        let n = node as usize;
-        if self.time[n].is_nan() {
-            return None;
-        }
-        Some(StoredModel {
-            time: self.time[n],
-            origin: Point::new(self.ox[n], self.oy[n]),
-            velocity: (self.vx[n], self.vy[n]),
-        })
-    }
-
     /// The node's predicted position at time `t` (`None` until it
     /// reports). Bit-identical to `StoredModel::predict` — same
-    /// expression, same operation order. Always inlined: the engine's
-    /// step calls it in two tight loops over a chunk of nodes, where a
-    /// call returning the `Option` through memory cost ≈ 7 % of a
-    /// `serve_paced`-shaped round.
+    /// expression, same operation order.
     #[inline(always)]
     pub fn predict(&self, node: u32, t: f64) -> Option<Point> {
+        self.has(node).then(|| self.position(node, t))
+    }
+
+    /// [`predict`](Self::predict) for a node known to have reported
+    /// (NaN coordinates until it has). Always inlined: the engine's step
+    /// calls it in two tight loops over a chunk of nodes, where a call
+    /// returning an `Option` through memory cost ≈ 7 % of a
+    /// `serve_paced`-shaped round.
+    #[inline(always)]
+    pub(crate) fn position(&self, node: u32, t: f64) -> Point {
         let n = node as usize;
-        if self.time[n].is_nan() {
-            return None;
-        }
         let dt = t - self.time[n];
-        Some(Point::new(
-            self.ox[n] + self.vx[n] * dt,
-            self.oy[n] + self.vy[n] * dt,
-        ))
+        Point::new(self.ox[n] + self.vx[n] * dt, self.oy[n] + self.vy[n] * dt)
     }
 
     /// The node's last reported velocity (m/s per axis); meaningless
@@ -191,7 +166,6 @@ mod tests {
         assert!(!s.is_empty());
         assert_eq!(s.reported_count(), 0);
         assert!(s.predict(0, 10.0).is_none());
-        assert!(s.model(0).is_none());
         assert!(!s.has(0));
         assert!(NodeStore::new(0).is_empty());
     }
@@ -204,8 +178,13 @@ mod tests {
         assert_eq!(s.updates_applied(), 1);
         let p = s.predict(1, 8.0).unwrap();
         assert_eq!(p, Point::new(130.0, -6.0));
-        // The assembled model predicts identically (bit-for-bit).
-        let m = s.model(1).unwrap();
+        // The same model as a `StoredModel` predicts identically
+        // (bit-for-bit).
+        let m = StoredModel {
+            time: 5.0,
+            origin: Point::new(100.0, 0.0),
+            velocity: (10.0, -2.0),
+        };
         assert_eq!(m.predict(8.0), p);
         // Node 0 still unknown.
         assert!(s.predict(0, 8.0).is_none());
@@ -235,17 +214,13 @@ mod tests {
     }
 
     #[test]
-    fn remove_forgets_model_and_history() {
+    fn a_nan_time_never_applies() {
         let mut s = NodeStore::new(2);
-        assert!(!s.remove(0), "nothing to remove before the first report");
-        assert!(s.apply(0, 10.0, Point::new(50.0, 50.0), (0.0, 0.0)));
-        assert!(s.remove(0));
-        assert_eq!(s.reported_count(), 0);
-        assert!(s.predict(0, 10.0).is_none());
-        assert!(!s.remove(0), "double remove is a no-op");
-        // Removal forgets history: an *older*-stamped report re-registers.
-        assert!(s.apply(0, 3.0, Point::new(1.0, 2.0), (0.0, 0.0)));
-        assert_eq!(s.predict(0, 3.0).unwrap(), Point::new(1.0, 2.0));
-        assert_eq!(s.reported_count(), 1);
+        assert!(!s.apply(0, f64::NAN, Point::new(1.0, 2.0), (0.0, 0.0)));
+        assert!(!s.has(0));
+        assert!(s.apply(1, 4.0, Point::new(1.0, 2.0), (0.0, 0.0)));
+        assert!(!s.apply(1, f64::NAN, Point::new(9.0, 9.0), (0.0, 0.0)));
+        assert_eq!(s.predict(1, 4.0), Some(Point::new(1.0, 2.0)));
+        assert_eq!((s.reported_count(), s.updates_applied()), (1, 1));
     }
 }

@@ -3,14 +3,15 @@
 //! rounds, on the calling thread (DESIGN.md §13).
 //!
 //! The engine owns the cell grid of `QueryIndex` and one `Shard`: the
-//! per-query member lists, the owned-node list and the per-node arrays
-//! (current cell, hit bits, owned-list position, wheel tick). A round at
-//! `t` is straight-line code:
+//! per-query member lists and the per-node arrays (current cell, hit
+//! bits, wheel tick). The fleet is fixed and a node, once it reports,
+//! always has a model, so a node stays placed from the round after its
+//! first report on. A round at `t` is straight-line code:
 //!
 //! 1. **Step** — re-place the nodes whose answer may have changed (see
-//!    *The one skip rule* below) in ascending id order, or sweep every
-//!    owned node when the rule cannot name them: 64 nodes at a time, in
-//!    passes (*The step in passes* below).
+//!    *The one skip rule* below), or sweep every placed node when the
+//!    rule cannot name them, in ascending id order: 64 nodes at a time,
+//!    in passes (*The step in passes* below).
 //! 2. **Claim** — place the nodes whose first report arrived since the
 //!    last round, through the same passes.
 //! 3. **Flush** — apply the member-list edits both phases queued, per
@@ -31,7 +32,7 @@
 //!
 //! > *re-reported ∪ pending ∪ due(t)*
 //!
-//! — the nodes whose model changed (or vanished) since they were placed,
+//! — the nodes whose model changed since they were placed,
 //! and the nodes whose model did not but whose prediction has moved far
 //! enough. `due(t)` comes from a bucketed time wheel (`Wheel`): whenever a
 //! node is placed, the step's propose and check passes (`Shard::propose`,
@@ -39,7 +40,7 @@
 //! provably stays what it is, and the node is filed under that instant's
 //! tick. The invariant the engine holds between rounds:
 //!
-//! > *the stored pair is exact for every owned node that has not
+//! > *the stored pair is exact for every placed node that has not
 //! > re-reported and whose `safe_until ≥ t`.*
 //!
 //! So a round drains the ticks up to `t`'s, steps what it finds, and
@@ -88,8 +89,8 @@
 //! cell, load the cell's lists, compare, branch — and a core cannot run
 //! far into the next node's chain while this one's branches resolve. So
 //! the step takes up to 64 nodes at a time (`CHUNK`: a chunk of the
-//! dirty scan, of `owned`, or of the pending first reports) and runs
-//! each stage over all of them before the next. Every pass is a loop
+//! dirty scan, of the placed ids, or of the pending first reports) and
+//! runs each stage over all of them before the next. Every pass is a loop
 //! over independent nodes, whose loads and divisions overlap, and hands
 //! the next pass what it computed through the chunk's `Lanes`:
 //!
@@ -100,8 +101,7 @@
 //!    that stays in its cell queues one edit per set bit of
 //!    `old ^ new`; one that moves gathers its old and new query slots
 //!    into two reused buffers and queues their symmetric difference in
-//!    one loop; a first report has no old slots; a node gone from the
-//!    store leaves every slot it held;
+//!    one loop; a first report has no old slots;
 //! 3. *propose* (`Shard::propose`) — the closed form of the safe-until
 //!    instant;
 //! 4. *check* (`Shard::check`) — the floating-point chain at that
@@ -113,7 +113,7 @@
 //! and work counter is the one the step gave when it took one node at a
 //! time: the unit test `the_passes_step_each_node_as_the_scalar_step_does`
 //! holds the passes to that step, node by node, and
-//! `tests/work_pin.rs` pins the work counters of three churn histories.
+//! `tests/work_pin.rs` pins the work counters of four churn histories.
 //! On a 2-vCPU Xeon guest, in-process runs alternating with the
 //! one-node-at-a-time engine put a kinetic step at ≈ 170–210 ns a node
 //! against ≈ 290–310 in a `serve_paced`-shaped world (100 k nodes, 10 %
@@ -136,7 +136,7 @@
 //! and writes the new words against the new one.
 //!
 //! The round's change feed is a bitmap too: one bit a node, set by the
-//! ingest and removal hooks and by the wheel, so a node is marked once
+//! ingest hook and by the wheel, so a node is marked once
 //! however often it re-reports, and scanning the words yields the dirty
 //! nodes in ascending id order with nothing sorted.
 //!
@@ -165,13 +165,14 @@ use crate::qindex::{insert_member, remove_member, QueryIndex};
 use crate::query::{QueryResult, RangeQuery};
 
 /// Sentinel for "this node is placed in no cell" in the per-node arrays
-/// (`side ≤ 256`, so real cell ids stay far below it).
+/// (`side ≤ 256`, so real cell ids stay far below it): it has not
+/// reported, or its first report waits for the next round's claim.
 const UNOWNED: u32 = u32::MAX;
 
 /// Buckets in the kinetic time wheel's ring, and so how many ticks
 /// ahead a node can be filed. A node that stays safe past the horizon is
 /// filed inside it and re-files when it fires (nothing changed, one step),
-/// which costs `owned / (WHEEL_TICKS / TICKS_PER_ROUND)` spurious steps a
+/// which costs `placed / (WHEEL_TICKS / TICKS_PER_ROUND)` spurious steps a
 /// round at worst.
 const WHEEL_TICKS: u64 = 4096;
 /// A tick is this fraction of the evaluation period seen when the wheel
@@ -198,7 +199,7 @@ const CALM: (usize, usize) = (1, 5);
 /// is freed, and buckets grow by at least this much.
 const BUCKET_KEEP: usize = 32;
 /// Sentinel in the per-node tick word for "no live wheel entry": never
-/// filed, already fired, torn down, or safe forever.
+/// filed, already fired, or safe forever.
 const NO_TICK: u32 = u32::MAX;
 
 /// A snapshot of the engine's telemetry, exposed through
@@ -218,7 +219,7 @@ pub struct ShardStats {
     /// through a step (DESIGN.md §13).
     pub due_fired: u64,
     /// Cumulative wheel entries dropped on pop because the node had been
-    /// re-filed or removed since.
+    /// re-filed since.
     pub due_stale: u64,
 }
 
@@ -381,8 +382,7 @@ struct Lanes {
     old: [u32; CHUNK],
     tick: [u32; CHUNK],
     /// The node's prediction at `t`, and the cell's row, column and slot
-    /// it falls in. The slot is `UNOWNED` when the store has no model for
-    /// the node any more.
+    /// it falls in.
     p: [Point; CHUNK],
     row: [u32; CHUNK],
     col: [u32; CHUNK],
@@ -409,7 +409,7 @@ impl Lanes {
             p: [Point::default(); CHUNK],
             row: [0; CHUNK],
             col: [0; CHUNK],
-            slot: [UNOWNED; CHUNK],
+            slot: [0; CHUNK],
             ex: [0.0; CHUNK],
             ey: [0.0; CHUNK],
             s: [0.0; CHUNK],
@@ -426,16 +426,16 @@ impl Lanes {
     }
 }
 
-/// The evaluation state: the per-query member lists, the owned-node
-/// list, the index they are classified against and the per-node arrays.
+/// The evaluation state: the per-query member lists, the index they are
+/// classified against and the per-node arrays.
 #[derive(Debug, Clone)]
 struct Shard {
     /// Cell→queries index for exact evaluation.
     qindex: QueryIndex,
     /// Per query slot: sorted ids of member nodes.
     members: Vec<Vec<u32>>,
-    /// Placed node ids (unordered; `pos` maps node → position here).
-    owned: Vec<u32>,
+    /// How many nodes are placed: those whose `cell` is set.
+    placed: usize,
     /// Per node: the cell its prediction occupied at the last round
     /// (`UNOWNED` when it is not placed).
     cell: Vec<u32>,
@@ -444,8 +444,6 @@ struct Shard {
     /// *Hit bits*).
     hits: Vec<u64>,
     words: usize,
-    /// Per node: its position in `owned` (`UNOWNED` when not placed).
-    pos: Vec<u32>,
     /// Per node: the tick its live wheel entry is filed under
     /// ([`NO_TICK`] when it has none). Empty until the wheel is first
     /// scheduled, and only read in a round that files.
@@ -456,8 +454,6 @@ struct Shard {
     /// (see [`memberships`]).
     old_set: Vec<u32>,
     new_set: Vec<u32>,
-    /// Nodes the step tore down, for the caller to drop from `owned`.
-    gone: Vec<u32>,
     /// Member-list edits the round's steps and claims asked for, as
     /// [`member_op`] words; [`flush_ops`](Self::flush_ops) (or, in a
     /// hashed round, [`flush_digest`](Self::flush_digest)) applies them
@@ -470,8 +466,8 @@ struct Shard {
     /// the wheel's buckets after the round.
     filed: Vec<u32>,
     /// Cumulative steps that found a node's `(cell, hit bits)`
-    /// different from what was stored, or the node gone: over a sweep,
-    /// how much of the fleet a round at this cadence really changes.
+    /// different from what was stored: over a sweep, how much of the
+    /// fleet a round at this cadence really changes.
     changed: u64,
     /// Cumulative counts behind [`ShardStats`].
     round_ns: u64,
@@ -485,16 +481,14 @@ impl Shard {
         Shard {
             qindex: QueryIndex::unbuilt(),
             members: Vec::new(),
-            owned: Vec::new(),
+            placed: 0,
             cell: Vec::new(),
             hits: Vec::new(),
             words: 1,
-            pos: Vec::new(),
             tick: Vec::new(),
             lanes: Lanes::new(),
             old_set: Vec::new(),
             new_set: Vec::new(),
-            gone: Vec::new(),
             ops: Vec::new(),
             ops_scratch: Vec::new(),
             filed: Vec::new(),
@@ -521,7 +515,6 @@ impl Shard {
         // The words are laid out anew: the rebuild that must follow
         // zeroes them.
         self.hits.resize(num_nodes * self.words, 0);
-        self.pos.resize(num_nodes, UNOWNED);
     }
 
     /// Full build: place every reported node with one ascending store
@@ -531,21 +524,18 @@ impl Shard {
         for list in &mut self.members {
             list.clear();
         }
-        self.owned.clear();
         self.cell.fill(UNOWNED);
-        self.pos.fill(UNOWNED);
         self.hits.fill(0);
         let Shard {
             qindex,
             members,
-            owned,
             cell,
             hits,
             words,
-            pos,
             ..
         } = self;
         let w = *words;
+        let mut placed = 0;
         for n in 0..store.len() {
             let Some(p) = store.predict(n as u32, t) else {
                 continue;
@@ -562,116 +552,50 @@ impl Shard {
                 members[q as usize].push(n as u32);
             }
             cell[n] = slot as u32;
-            pos[n] = owned.len() as u32;
-            owned.push(n as u32);
+            placed += 1;
         }
-        self.stepped += self.owned.len() as u64;
+        self.placed = placed;
+        self.stepped += placed as u64;
     }
 
-    /// Incremental sweep over every placed node: the fallback when the
-    /// wheel cannot say which nodes are due (module docs). With a
-    /// `filing` it also (re)schedules every node it places.
-    fn sweep_round(
+    /// Steps the nodes `ids` yields to time `t`, a chunk at a time, and
+    /// files them when the round files. With `claim` they are the first
+    /// reports of the round, none of them placed yet; without, only the
+    /// placed ones are stepped — a sweep feeds every id, a kinetic round
+    /// the dirty ones, and a node whose first report (and perhaps a
+    /// re-report too) arrived since the last round is left to the claim.
+    fn step_ids(
         &mut self,
+        mut ids: impl Iterator<Item = u32>,
+        claim: bool,
         queries: &[RangeQuery],
         store: &NodeStore,
         t: f64,
         filing: Option<&Filing>,
     ) {
-        // `owned` stays as it is until the sweep is over: the nodes it
-        // tears down are dropped from it afterwards.
-        for k in (0..self.owned.len()).step_by(CHUNK) {
-            let chunk = &self.owned[k..(k + CHUNK).min(self.owned.len())];
-            self.lanes.len = chunk.len();
-            self.lanes.node[..chunk.len()].copy_from_slice(chunk);
-            self.step_chunk(queries, store, t, filing);
-        }
-        self.unown_gone();
-    }
-
-    /// Work-skipping round: `dirty` holds the nodes whose stored answer
-    /// may be wrong at `t` — they re-reported or were removed since the
-    /// last round, or their wheel entry came due. Everyone else has the
-    /// same model and a `safe_until ≥ t`, hence the same cell and the
-    /// same memberships. Dirty nodes that are not placed (first reports
-    /// still pending, or removed before any round placed them) are
-    /// skipped.
-    fn dirty_round(
-        &mut self,
-        dirty: &NodeSet,
-        queries: &[RangeQuery],
-        store: &NodeStore,
-        t: f64,
-        filing: Option<&Filing>,
-    ) {
-        let mut ids = dirty.iter();
         loop {
             self.lanes.len = 0;
             for n in ids.by_ref() {
-                if self.cell[n as usize] != UNOWNED && self.lanes.push(n) {
+                let placed = self.cell[n as usize] != UNOWNED;
+                debug_assert!(!(claim && placed), "node {n} claimed twice");
+                if (claim || placed) && self.lanes.push(n) {
                     break;
                 }
             }
             if self.lanes.len == 0 {
                 break;
             }
-            self.step_chunk(queries, store, t, filing);
-        }
-        self.unown_gone();
-    }
-
-    /// Places the nodes whose first report arrived since the last round,
-    /// through the same passes as a step. Skips nodes that are already
-    /// placed (a node can be pending *and* re-placed in the step phase
-    /// after a remove/re-ingest pair, or be pending twice) or were
-    /// removed again before the round.
-    fn claim_round(
-        &mut self,
-        pending: &[u32],
-        queries: &[RangeQuery],
-        store: &NodeStore,
-        t: f64,
-        filing: Option<&Filing>,
-    ) {
-        let mut ids = pending.iter();
-        loop {
-            self.lanes.len = 0;
-            for &n in ids.by_ref() {
-                if self.pos[n as usize] != UNOWNED || !store.has(n) {
-                    continue;
-                }
-                debug_assert_eq!(self.cell[n as usize], UNOWNED, "node {n} half placed");
-                self.pos[n as usize] = self.owned.len() as u32;
-                self.owned.push(n);
-                if self.lanes.push(n) {
-                    break;
-                }
-            }
-            if self.lanes.len == 0 {
-                break;
+            if claim {
+                self.placed += self.lanes.len;
             }
             self.step_chunk(queries, store, t, filing);
-        }
-    }
-
-    /// Drops the nodes the step tore down from `owned`, keeping `pos`
-    /// exact.
-    fn unown_gone(&mut self) {
-        for n in self.gone.drain(..) {
-            let k = self.pos[n as usize] as usize;
-            self.owned.swap_remove(k);
-            self.pos[n as usize] = UNOWNED;
-            if let Some(&moved) = self.owned.get(k) {
-                self.pos[moved as usize] = k as u32;
-            }
         }
     }
 
     /// Steps the chunk in `lanes` to time `t`, and files it when the
     /// round files: one pass after another over the chunk's nodes
     /// (module docs, *The step in passes*). A node whose stored cell is
-    /// `UNOWNED` is a first report, placed from nothing; a placed node
-    /// the store no longer has is torn down and left in `gone`.
+    /// `UNOWNED` is a first report, placed from nothing.
     fn step_chunk(
         &mut self,
         queries: &[RangeQuery],
@@ -681,7 +605,7 @@ impl Shard {
     ) {
         self.stepped += self.lanes.len as u64;
         self.place(store, t, filing.is_some());
-        self.sync(queries, filing.is_some());
+        self.sync(queries);
         if let Some(f) = filing {
             self.propose(queries, store, t);
             self.check(store, t);
@@ -709,14 +633,10 @@ impl Shard {
                 l.tick[i] = tick[n];
             }
             copy_words(&mut l.held[i * w..(i + 1) * w], &hits[n * w..(n + 1) * w]);
-            l.slot[i] = match store.predict(n as u32, t) {
-                Some(p) => {
-                    let (row, col) = qindex.rc_of(&p);
-                    (l.p[i], l.row[i], l.col[i]) = (p, row as u32, col as u32);
-                    qindex.slot(row, col) as u32
-                }
-                None => UNOWNED,
-            };
+            let p = store.position(n as u32, t);
+            let (row, col) = qindex.rc_of(&p);
+            (l.p[i], l.row[i], l.col[i]) = (p, row as u32, col as u32);
+            l.slot[i] = qindex.slot(row, col) as u32;
         }
     }
 
@@ -725,20 +645,17 @@ impl Shard {
     /// edit per query slot it enters or leaves. This is the single exact
     /// arbiter of a node's answer: whatever made the node step — a
     /// report, a sweep, a wheel entry firing early — the stored pair
-    /// afterwards is the one its position has. A node gone from the
-    /// store leaves every slot it held.
-    fn sync(&mut self, queries: &[RangeQuery], filing: bool) {
+    /// afterwards is the one its position has.
+    fn sync(&mut self, queries: &[RangeQuery]) {
         let Shard {
             qindex,
             ops,
             cell,
             hits,
             words,
-            tick,
             lanes: l,
             old_set,
             new_set,
-            gone,
             changed,
             ..
         } = self;
@@ -748,18 +665,6 @@ impl Shard {
             let (old, slot) = (l.old[i] as usize, l.slot[i] as usize);
             let held = &l.held[i * w..(i + 1) * w];
             let stored = &mut hits[n as usize * w..(n as usize + 1) * w];
-            if l.slot[i] == UNOWNED {
-                let was = memberships(old_set, qindex, old, held);
-                ops.extend(was.iter().map(|&q| member_op(q, n, false)));
-                stored.fill(0);
-                cell[n as usize] = UNOWNED;
-                if filing {
-                    tick[n as usize] = NO_TICK;
-                }
-                gone.push(n);
-                *changed += 1;
-                continue;
-            }
             let partial = qindex.partial_at(slot);
             if slot == old && partial.is_empty() {
                 // Full covers follow from the cell alone.
@@ -802,7 +707,7 @@ impl Shard {
         }
     }
 
-    /// Pass 3, *propose*: for every placed node of the chunk, an instant
+    /// Pass 3, *propose*: for every node of the chunk, an instant
     /// up to which its floating-point `(cell, hit bits)` is claimed to
     /// stay what pass 2 stored: `+∞` for a node that can reach nothing,
     /// `t` itself when no headroom is left (the node is then due at every
@@ -819,9 +724,6 @@ impl Shard {
         } = self;
         let eps = qindex.edge_margin();
         for i in 0..l.len {
-            if l.slot[i] == UNOWNED {
-                continue;
-            }
             let p = l.p[i];
             let (vx, vy) = store.velocity(l.node[i]);
             let (x0, x1, y0, y1) = qindex.cell_edges(l.row[i] as usize, l.col[i] as usize);
@@ -866,13 +768,10 @@ impl Shard {
         } = self;
         for i in 0..l.len {
             let s = l.s[i];
-            if l.slot[i] == UNOWNED || !(s > t && s < f64::INFINITY) {
+            if !(s > t && s < f64::INFINITY) {
                 continue;
             }
-            let Some(ps) = store.predict(l.node[i], s) else {
-                l.s[i] = t;
-                continue;
-            };
+            let ps = store.position(l.node[i], s);
             let (p, ex, ey) = (l.p[i], l.ex[i], l.ey[i]);
             let (row, col) = qindex.rc_of(&ps);
             let unchanged = (row as u32, col as u32) == (l.row[i], l.col[i])
@@ -882,7 +781,7 @@ impl Shard {
         }
     }
 
-    /// Pass 5, *file*: files every placed node of the chunk under the
+    /// Pass 5, *file*: files every node of the chunk under the
     /// tick of its safe-until instant — lazily: a live entry at an
     /// earlier tick is left to fire early (it finds nothing changed and
     /// re-files), so a node that re-reports every round still has one
@@ -896,9 +795,6 @@ impl Shard {
             ..
         } = self;
         for i in 0..l.len {
-            if l.slot[i] == UNOWNED {
-                continue;
-            }
             let n = l.node[i];
             let k = filing.tick_for(l.s[i], n as usize);
             // Covers "live entry at or before `k`" and "none wanted, none
@@ -1289,9 +1185,9 @@ pub(crate) struct UnifiedEval {
     /// fast for the wheel to pay — long evaluation periods, tiny cells,
     /// everyone re-reporting — just sweeps, as it always did.
     calm: bool,
-    /// Nodes that re-reported (or were removed) since the last exact
-    /// round — plus, from `collect_due` to the end of a kinetic round,
-    /// the nodes the wheel fired.
+    /// Nodes that re-reported since the last exact round — plus, from
+    /// `collect_due` to the end of a kinetic round, the nodes the wheel
+    /// fired.
     dirty: NodeSet,
     /// Nodes whose *first* report arrived since the last exact round —
     /// not yet placed.
@@ -1342,20 +1238,11 @@ impl UnifiedEval {
         }
     }
 
-    /// Removal hook: the node must be re-placed (torn down) at the next
-    /// round whether or not the wheel has it due. Like
-    /// [`Self::on_ingest`], records nothing before a rebuild.
-    pub(crate) fn on_remove(&mut self, node: u32) {
-        if self.primed {
-            self.dirty.insert(node);
-        }
-    }
-
     /// The telemetry snapshot.
     pub(crate) fn stats(&self) -> ShardStats {
         let shard = &self.shard;
         ShardStats {
-            nodes: shard.owned.len(),
+            nodes: shard.placed,
             round_ns: shard.round_ns,
             stepped: shard.stepped,
             due_fired: shard.due_fired,
@@ -1427,7 +1314,7 @@ impl UnifiedEval {
         // cadence `t` now moves at (they were sized from one long step),
         // or the fleet really does change that fast. The sweep does not
         // re-file; a later one does once the world has calmed down.
-        self.calm = self.dirty.len() * BUSY.1 <= shard.owned.len() * BUSY.0;
+        self.calm = self.dirty.len() * BUSY.1 <= shard.placed * BUSY.0;
         if !self.calm {
             self.wheel.scheduled = false;
         }
@@ -1512,11 +1399,12 @@ impl UnifiedEval {
             shard.rebuild(queries, store, t);
         } else {
             if kinetic {
-                shard.dirty_round(&self.dirty, queries, store, t, filing);
+                shard.step_ids(self.dirty.iter(), false, queries, store, t, filing);
             } else {
-                shard.sweep_round(queries, store, t, filing);
+                shard.step_ids(0..store.len() as u32, false, queries, store, t, filing);
             }
-            shard.claim_round(&self.pending, queries, store, t, filing);
+            let pending = self.pending.iter().copied();
+            shard.step_ids(pending, true, queries, store, t, filing);
         }
         // Every edit the two phases queued lands in the member lists
         // now, before anything reads them — unless the caller folds them
@@ -1529,7 +1417,7 @@ impl UnifiedEval {
         if !rebuild && !kinetic {
             // What a sweep saw decides whether the next one files.
             let changed = (shard.changed - changed_before) as usize;
-            self.calm = changed * CALM.1 <= shard.owned.len() * CALM.0;
+            self.calm = changed * CALM.1 <= shard.placed * CALM.0;
         }
         // Move what the round filed into the wheel's buckets.
         if filing.is_some_and(|f| f.bulk) {
@@ -1620,17 +1508,6 @@ mod tests {
             true
         }
 
-        /// Removes every membership placed node `n` holds.
-        pub(super) fn tear_down(shard: &mut Shard, n: usize) {
-            let w = shard.words;
-            let old_bits = shard.hits[n * w..(n + 1) * w].to_vec();
-            for q in held(shard, shard.cell[n] as usize, &old_bits) {
-                shard.ops.push(member_op(q, n as u32, false));
-            }
-            shard.hits[n * w..(n + 1) * w].fill(0);
-            shard.cell[n] = UNOWNED;
-        }
-
         #[allow(clippy::too_many_arguments)]
         pub(super) fn safe_until(
             shard: &Shard,
@@ -1676,9 +1553,9 @@ mod tests {
             if s.is_nan() || s <= t || s == f64::INFINITY {
                 return t;
             }
-            let Some(ps) = store.predict(n as u32, s) else {
-                return t;
-            };
+            let ps = store
+                .predict(n as u32, s)
+                .expect("a stepped node has a model");
             let unchanged = shard.qindex.rc_of(&ps) == (row, col)
                 && (ps.x < ex) == (p.x < ex)
                 && (ps.y < ey) == (p.y < ey);
@@ -1690,12 +1567,12 @@ mod tests {
         }
     }
 
-    /// One generated node of a chunk: its model (none: gone from the
-    /// store), where it was placed (none: a first report) with the hit
-    /// words stored for it, and its tick word.
+    /// One generated node of a chunk: its model, where it was placed
+    /// (none: a first report) with the hit words stored for it, and its
+    /// tick word.
     #[derive(Clone, Debug)]
     struct Node {
-        model: Option<(f64, Point, (f64, f64))>,
+        model: (f64, Point, (f64, f64)),
         placed: Option<(Placed, [u64; 2])>,
         tick: u32,
     }
@@ -1758,23 +1635,19 @@ mod tests {
                 0u32..6,
             )
                 .prop_map(|((m, (i, j), (vi, vj), nudge), (c, slot, w0, w1), k)| {
-                    let model = (m != 0).then(|| {
-                        // Now and then a node far off the grid on one axis,
-                        // where a prediction at the proposed instant rounds
-                        // by metres, or one fast enough to cross it in a
-                        // round.
-                        let far = |axis| if m == axis { 1e16 } else { 0.0 };
-                        let (x, y) = (coord(i, nudge) - far(5), coord(j, nudge + 1) - far(6));
-                        let scale = if m == 7 { 1e4 } else { 6.25 };
-                        (
-                            [0.0, 0.5, 1.0, 3.0][m as usize % 4],
-                            Point::new(x, y),
-                            (vi as f64 * scale, vj as f64 * scale),
-                        )
-                    });
+                    // Now and then a node far off the grid on one axis,
+                    // where a prediction at the proposed instant rounds by
+                    // metres, or one fast enough to cross it in a round.
+                    let far = |axis| if m == axis { 1e16 } else { 0.0 };
+                    let (x, y) = (coord(i, nudge) - far(5), coord(j, nudge + 1) - far(6));
+                    let scale = if m == 7 { 1e4 } else { 6.25 };
+                    let model = (
+                        [0.0, 0.5, 1.0, 3.0][m as usize % 4],
+                        Point::new(x, y),
+                        (vi as f64 * scale, vj as f64 * scale),
+                    );
                     let placed = match c {
-                        // A first report must have a model to be claimed.
-                        0 if model.is_some() => None,
+                        0 => None,
                         1 => Some(Placed::Any(slot)),
                         _ => Some(Placed::Same),
                     };
@@ -1794,7 +1667,7 @@ mod tests {
         /// The staged passes against the scalar step, node by node: the
         /// same member edits (as a multiset), the same stored `(cell, hit
         /// words)`, the same safe-until bits, the same tick words and
-        /// filing order, and the same nodes torn down and counted changed.
+        /// filing order, and the same nodes counted changed.
         #[test]
         fn the_passes_step_each_node_as_the_scalar_step_does(
             qs in queries(),
@@ -1811,17 +1684,15 @@ mod tests {
             let cells = shard.qindex.slot(far.0, far.1) + 1;
             let w = shard.words;
             for (n, node) in chunk.iter().enumerate() {
-                if let Some((time, origin, v)) = node.model {
-                    store.apply(n as u32, time, origin, v);
-                }
+                let (time, origin, v) = node.model;
+                store.apply(n as u32, time, origin, v);
                 if let Some((at, words)) = node.placed {
-                    let slot = match (at, store.predict(n as u32, t)) {
-                        (Placed::Same, Some(p)) => {
-                            let (row, col) = shard.qindex.rc_of(&p);
+                    let slot = match at {
+                        Placed::Same => {
+                            let (row, col) = shard.qindex.rc_of(&store.position(n as u32, t));
                             shard.qindex.slot(row, col)
                         }
-                        (Placed::Any(slot), _) => slot % cells,
-                        (Placed::Same, None) => 0,
+                        Placed::Any(slot) => slot % cells,
                     };
                     // Only bits below the cell's partial count can be set.
                     let width = shard.qindex.partial_at(slot).len();
@@ -1843,15 +1714,7 @@ mod tests {
             let mut want_s = vec![None; chunk.len()];
             for (n, want_s) in want_s.iter_mut().enumerate() {
                 want.stepped += 1;
-                let Some(p) = store.predict(n as u32, t) else {
-                    scalar::tear_down(&mut want, n);
-                    want.changed += 1;
-                    if filing.is_some() {
-                        want.tick[n] = NO_TICK;
-                    }
-                    want.gone.push(n as u32);
-                    continue;
-                };
+                let p = store.predict(n as u32, t).expect("every generated node reported");
                 let (row, col) = want.qindex.rc_of(&p);
                 let placed = want.cell[n] != UNOWNED;
                 let changed = scalar::replace(&mut want, n, &p, row, col, &qs);
@@ -1887,7 +1750,6 @@ mod tests {
             prop_assert_eq!(&shard.hits, &want.hits);
             prop_assert_eq!(&shard.tick, &want.tick);
             prop_assert_eq!(&shard.filed, &want.filed);
-            prop_assert_eq!(&shard.gone, &want.gone);
             prop_assert_eq!(
                 (shard.changed, shard.stepped),
                 (want.changed, want.stepped)

@@ -1,14 +1,13 @@
 //! The advancing-`t` history every equivalence battery replays (`eval_equiv`,
-//! `kinetic_edges`, `store_churn`): random interleavings of reports (fresh and
-//! stale), removals, re-registrations and query-set replacement with
-//! evaluation rounds at `t += dt`, where `dt` is drawn from the steps a
-//! kinetic engine can get wrong — none, one ulp-ish, one period, a jump past
-//! many events, a jump past the whole time wheel, and backwards. Every server
-//! under test is compared, round for round, against a brute-force [`World`]
-//! with the node store's exact staleness and removal rules — the one oracle
-//! of every battery, for `evaluate`, `evaluate_uncertain` and `nearest` —
-//! and, after every round, for how many nodes the engine holds placed
-//! ([`assert_placed`]).
+//! `kinetic_edges`, `store_churn`): random interleavings of reports (first,
+//! fresh and stale) and query-set replacement with evaluation rounds at
+//! `t += dt`, where `dt` is drawn from the steps a kinetic engine can get
+//! wrong — none, one ulp-ish, one period, a jump past many events, a jump
+//! past the whole time wheel, and backwards. Every server under test is
+//! compared, round for round, against a brute-force [`World`] with the node
+//! store's exact staleness rule — the one oracle of every battery, for
+//! `evaluate`, `evaluate_uncertain` and `nearest` — and, after every round,
+//! for how many nodes the engine holds placed ([`assert_placed`]).
 //!
 //! Coordinates are multiples of 62.5 m (binary-exact) over a 1 km² space
 //! and velocities multiples of 6.25 m/s, so nodes sit *exactly* on cell
@@ -50,8 +49,6 @@ pub enum Step {
         pos: Point,
         vel: (f64, f64),
     },
-    /// `node` deregisters (no-op if it never reported).
-    Remove { node: u32 },
     /// Evaluate everything at `t += dt` and compare.
     Eval { dt: f64 },
     /// Swap the registered query set for the other one.
@@ -59,8 +56,8 @@ pub enum Step {
 }
 
 pub fn history(max: usize) -> impl Strategy<Value = Vec<Step>> {
-    // Selector 0..20 — 9 parts report, 2 remove, 8 evaluate, 1 query
-    // swap (the vendored proptest has no `prop_oneof`).
+    // Selector 0..20 — 11 parts report, 8 evaluate, 1 query swap (the
+    // vendored proptest has no `prop_oneof`).
     prop::collection::vec(
         (
             0u32..20,
@@ -71,13 +68,12 @@ pub fn history(max: usize) -> impl Strategy<Value = Vec<Step>> {
             0usize..DTS.len(),
         )
             .prop_map(|(sel, node, age, (i, j), (vi, vj), dt)| match sel {
-                0..=8 => Step::Report {
+                0..=10 => Step::Report {
                     node,
                     age: age as f64 * 0.5,
                     pos: Point::new(i as f64 * U, j as f64 * U),
                     vel: (vi as f64 * 6.25, vj as f64 * 6.25),
                 },
-                9 | 10 => Step::Remove { node },
                 18 => Step::ReplaceQueries,
                 _ => Step::Eval { dt: DTS[dt] },
             }),
@@ -113,9 +109,8 @@ pub fn query_set(max: usize) -> impl Strategy<Value = Vec<RangeQuery>> {
 type Model = (f64, Point, (f64, f64));
 
 /// The brute-force oracle: last-writer-wins motion models with the node
-/// store's exact rules (reject strictly older reports, accept ties;
-/// removal forgets history) and the same prediction arithmetic,
-/// evaluated by full scans.
+/// store's exact rule (reject strictly older reports, accept ties) and
+/// the same prediction arithmetic, evaluated by full scans.
 #[derive(Clone)]
 pub struct World {
     models: Vec<Option<Model>>,
@@ -134,10 +129,6 @@ impl World {
             return;
         }
         *slot = Some((t, pos, vel));
-    }
-
-    pub fn remove(&mut self, node: u32) {
-        self.models[node as usize] = None;
     }
 
     pub fn predict(&self, node: usize, t: f64) -> Option<Point> {
@@ -221,7 +212,8 @@ pub fn assert_placed(label: &str, server: &CqServer, world: &World, t: f64) {
 }
 
 /// One server under test with the result buffer it reuses across rounds
-/// (a node that vanishes must vanish from the reused vectors too).
+/// (a node that leaves a query must leave the reused vectors too).
+#[derive(Clone)]
 pub struct Subject {
     pub label: String,
     pub server: CqServer,
@@ -245,7 +237,109 @@ impl Subject {
 /// result, its `k` nearest nodes to a lattice point that moves with the
 /// round, and its placed-node count equal the world's. Returns the
 /// number of rounds compared.
+///
+/// The vendored `proptest` does not shrink, so a failing history is
+/// shrunk here: [`minimise`] replays sub-histories against copies of the
+/// subjects as they were passed in, and the panic names the first
+/// failure and the 1-minimal history that still fails.
 pub fn replay(
+    steps: &[Step],
+    qs: &[RangeQuery],
+    qs2: &[RangeQuery],
+    subjects: &mut [Subject],
+) -> usize {
+    let fresh = subjects.to_vec();
+    let run = |steps: &[Step], subjects: &mut [Subject]| {
+        quietly(|| replay_once(steps, qs, qs2, subjects))
+    };
+    let cause = match run(steps, subjects) {
+        Ok(rounds) => return rounds,
+        Err(cause) => cause,
+    };
+    // Every input the predicate accepts becomes the shrink's current one,
+    // so the last failure it sees is the core's.
+    let mut last = cause.clone();
+    let core = minimise(steps, |steps| {
+        run(steps, &mut fresh.clone())
+            .map_err(|e| last = e)
+            .is_err()
+    });
+    panic!(
+        "{cause}\nshrunk from {} to {} steps, which fail with: {last}\n{core:?}",
+        steps.len(),
+        core.len()
+    );
+}
+
+/// Runs `f`, turning a panic into its message, and keeps the default
+/// hook from printing it: a shrink panics hundreds of times.
+fn quietly<R>(f: impl FnOnce() -> R) -> Result<R, String> {
+    use std::cell::Cell;
+    use std::panic::{self, AssertUnwindSafe};
+    use std::sync::Once;
+    thread_local!(static QUIET: Cell<bool> = const { Cell::new(false) });
+    static HOOK: Once = Once::new();
+    HOOK.call_once(|| {
+        let noisy = panic::take_hook();
+        panic::set_hook(Box::new(move |info| {
+            if !QUIET.with(Cell::get) {
+                noisy(info);
+            }
+        }));
+    });
+    QUIET.with(|q| q.set(true));
+    let result = panic::catch_unwind(AssertUnwindSafe(f));
+    QUIET.with(|q| q.set(false));
+    result.map_err(|cause| {
+        cause
+            .downcast_ref::<String>()
+            .cloned()
+            .or_else(|| cause.downcast_ref::<&str>().map(|s| s.to_string()))
+            .unwrap_or_else(|| "a panic with no message".into())
+    })
+}
+
+/// Delta debugging (ddmin): shrinks `input` to a sub-sequence on which
+/// `fails` still holds and from which no single element can be dropped
+/// without it ceasing to — a 1-minimal failing input. Splits the input
+/// into halves, then quarters and so on; keeps one chunk alone, or
+/// everything but one chunk, whenever that still fails, and re-splits
+/// what is left. `fails(input)` must hold.
+pub fn minimise<T: Clone>(input: &[T], mut fails: impl FnMut(&[T]) -> bool) -> Vec<T> {
+    let mut cur = input.to_vec();
+    let mut parts = 2;
+    while !cur.is_empty() {
+        let size = cur.len().div_ceil(parts.min(cur.len()));
+        let chunks: Vec<(usize, usize)> = (0..cur.len())
+            .step_by(size)
+            .map(|start| (start, (start + size).min(cur.len())))
+            .collect();
+        // One chunk alone (when there are two or more).
+        if chunks.len() > 1 {
+            if let Some(&(a, b)) = chunks.iter().find(|&&(a, b)| fails(&cur[a..b])) {
+                cur = cur[a..b].to_vec();
+                parts = 2;
+                continue;
+            }
+        }
+        // Everything but one chunk.
+        let without = |cur: &[T], (a, b): (usize, usize)| [&cur[..a], &cur[b..]].concat();
+        if let Some(&chunk) = chunks.iter().find(|&&c| fails(&without(&cur, c))) {
+            cur = without(&cur, chunk);
+            parts = (chunks.len() - 1).max(2);
+            continue;
+        }
+        if size == 1 {
+            // Every single element was dropped in turn: 1-minimal.
+            break;
+        }
+        parts = chunks.len() * 2;
+    }
+    cur
+}
+
+/// [`replay`] without the shrink.
+fn replay_once(
     steps: &[Step],
     qs: &[RangeQuery],
     qs2: &[RangeQuery],
@@ -274,18 +368,6 @@ pub fn replay(
                 world.report(*node, t - age, *pos, *vel);
                 for s in subjects.iter_mut() {
                     s.server.ingest(*node, t - age, *pos, *vel);
-                }
-            }
-            Step::Remove { node } => {
-                let had = world.models[*node as usize].is_some();
-                world.remove(*node);
-                for s in subjects.iter_mut() {
-                    assert_eq!(
-                        s.server.remove_node(*node),
-                        had,
-                        "{} remove {node}",
-                        s.label
-                    );
                 }
             }
             Step::ReplaceQueries => {

@@ -138,7 +138,7 @@ proptest! {
 
     /// Advancing-`t` histories (see `common`): the engine steps only
     /// re-reported and due nodes, and must agree round for round with
-    /// brute force — through churn, removals, query swaps, `dt = 0`,
+    /// brute force — through churn, first reports, query swaps, `dt = 0`,
     /// jumps past the wheel and time running backwards.
     #[test]
     fn advancing_t_histories_equivalent_across_engines(
@@ -397,4 +397,33 @@ fn uncertain_is_one_ascending_pass() {
             assert!(calls.contains(n), "node {n} reported uncalled");
         }
     }
+}
+
+/// `common::minimise`, the shrinker behind `common::replay`: a predicate
+/// that fails while three marked elements are all present reduces a
+/// hundred to exactly those three, in order; one that fails on any ten
+/// elements keeps ten, none of which can go; one that always fails
+/// reduces to nothing.
+#[test]
+fn the_minimiser_reduces_a_failing_input_to_its_core() {
+    let input: Vec<u32> = (0..100).collect();
+    let mut calls = 0;
+    let core = common::minimise(&input, |s| {
+        calls += 1;
+        [13, 42, 77].iter().all(|n| s.contains(n))
+    });
+    assert_eq!(core, vec![13, 42, 77]);
+    assert!(calls < 200, "{calls} predicate runs");
+
+    let long = |s: &[u32]| s.len() >= 10;
+    let core = common::minimise(&input, long);
+    assert_eq!(core.len(), 10);
+    assert!(core.windows(2).all(|w| w[0] < w[1]), "order kept: {core:?}");
+    for i in 0..core.len() {
+        let mut less = core.clone();
+        less.remove(i);
+        assert!(!long(&less), "1-minimal");
+    }
+
+    assert!(common::minimise(&input, |_| true).is_empty());
 }

@@ -66,9 +66,12 @@ impl Pair {
         self.world.report(node, t, pos, vel);
     }
 
-    fn remove(&mut self, node: u32) {
-        self.kinetic.remove_node(node);
-        self.world.remove(node);
+    /// Parks `node` where it is at `t`: a zero-velocity re-report, after
+    /// which it can reach nothing.
+    fn park(&mut self, node: u32, t: f64) {
+        if let Some(p) = self.world.predict(node as usize, t) {
+            self.report(node, t, p, (0.0, 0.0));
+        }
     }
 
     /// One round on both; returns how many nodes the kinetic engine
@@ -82,7 +85,7 @@ impl Pair {
 
     /// Rounds at `t0 + dt, t0 + 2·dt, …`; returns the last `t` and how
     /// many nodes the kinetic engine stepped over all of them (a sweep
-    /// would step `rounds × owned`).
+    /// would step `rounds × placed`).
     fn run(&mut self, t0: f64, dt: f64, rounds: usize) -> (f64, u64) {
         let mut stepped = 0;
         let mut t = t0;
@@ -183,9 +186,9 @@ fn a_node_outside_the_bounds_is_clamped_into_a_border_cell_and_re_enters() {
     assert!(stepped < 119 * 4 / 2, "mostly skipping: {stepped} steps");
     // A border cell's outer edge is at infinity: left alone, the node
     // heading away east can reach nothing and never fires again.
-    pair.remove(0);
-    pair.remove(1);
-    pair.remove(3);
+    pair.park(0, 120.0);
+    pair.park(1, 120.0);
+    pair.park(3, 120.0);
     pair.run(120.0, 1.0, 20);
     let fired = counts(&pair.kinetic).1;
     let (_, stepped) = pair.run(140.0, 1.0, 700);
@@ -248,10 +251,14 @@ fn a_re_report_between_filing_and_firing_leaves_a_stale_entry() {
     let (_, fired, stale) = counts(&pair.kinetic);
     assert!(stale >= 1, "the superseded entry is dropped on pop");
     assert!(fired >= 2, "the live ones fired");
-    // Removal also leaves the entry behind to be dropped.
-    pair.remove(0);
-    pair.run(t, 1.0, 600);
-    assert!(counts(&pair.kinetic).2 > stale);
+    // Parked, the node steps for the re-report, its live entry fires
+    // once more and finds it safe forever, and nothing is filed again.
+    pair.park(0, t);
+    let (t, stepped) = pair.run(t, 1.0, 600);
+    assert!((1..=2).contains(&stepped), "{stepped} steps");
+    let parked = counts(&pair.kinetic);
+    assert_eq!(pair.run(t, 1.0, 600).1, 0);
+    assert_eq!(counts(&pair.kinetic), parked);
 }
 
 #[test]
@@ -265,7 +272,7 @@ fn time_running_backwards_and_a_jump_past_the_ring_take_the_sweep() {
     pair.eval(1.0); // schedules
     let (t, stepped) = pair.run(1.0, 1.0, 20);
     assert!(stepped < 20 * 8 / 2, "kinetic rounds: {stepped} steps");
-    assert_eq!(pair.eval(t - 7.5), 8, "backwards: every owned node steps");
+    assert_eq!(pair.eval(t - 7.5), 8, "backwards: every placed node steps");
     let (t, stepped) = pair.run(t - 7.5, 1.0, 20);
     assert!(
         stepped < 20 * 8 / 2,
@@ -423,7 +430,7 @@ fn a_dense_random_world_stays_identical_round_for_round() {
         for _ in 0..30 {
             let n = rng.gen_range(0..num as u32);
             if rng.gen_range(0..10) == 0 {
-                pair.remove(n);
+                pair.park(n, t);
             } else {
                 let (p, v) = fresh(&mut rng);
                 pair.report(n, t, p, v);
@@ -523,15 +530,15 @@ fn a_cell_with_more_than_64_partial_covers_keeps_two_hit_words_exact() {
     let mut stepped = 0;
     for round in 0..90 {
         if round % 10 == 9 {
-            // Some turn back across the edges they just crossed;
-            // one leaves, and one that left comes back.
+            // Some turn back across the edges they just crossed; one
+            // parks, and one is sent down a lane again.
             for n in (round % 4..moving).step_by(9) {
                 if let Some(p) = pair.world.predict(n as usize, t) {
                     let v = (rng.gen_range(-1.5..-0.5), rng.gen_range(-1.0..1.0));
                     pair.report(n, t, p, v);
                 }
             }
-            pair.remove(round % moving);
+            pair.park(round % moving, t);
             let (p, v) = lane(round + 1, &mut rng);
             pair.report((round + 1) % moving, t, p, v);
         }

@@ -1,30 +1,34 @@
 //! The engine's work, pinned: after four seeded churn histories, the
 //! cumulative [`ShardStats`] work counters (`stepped`, `due_fired`,
 //! `due_stale`) and the served digest chain must read exactly the values
-//! recorded on an engine known to answer right: the first three before
-//! the per-node step was rewritten as passes over a chunk, the band
-//! history before the engine's sweep switch was deleted. The equivalence
-//! batteries hold *what* the engine answers; this
-//! holds *how much work* it does to answer it, so a change that keeps
-//! every answer but steps, fires or re-files one node more or less — a
-//! `safe_until` that moved by an ulp, a tick filed one bucket off — fails
-//! here instead of passing as "bit for bit".
+//! recorded on an engine known to answer right: the kinetic and sweeping
+//! histories before the per-node step was rewritten as passes over a
+//! chunk, the band history before the engine's sweep switch was deleted,
+//! and the late joiners before the engine stopped keeping a list of its
+//! placed nodes. The equivalence batteries hold *what* the engine
+//! answers; this holds *how much work* it does to answer it, so a change
+//! that keeps every answer but steps, fires or re-files one node more or
+//! less — a `safe_until` that moved by an ulp, a tick filed one bucket
+//! off — fails here instead of passing as "bit for bit".
 //!
 //! The histories (all at `t += 1` per round, so the wheel stays
 //! scheduled unless the churn makes it give up):
 //! * *kinetic* — 1 % of the fleet re-reports each round;
 //! * *sweeping* — every node re-reports each round, past the wheel's
 //!   busy threshold, so rounds sweep;
-//! * *removals* — 5 % re-report, 1 % are removed and 1 % re-ingested
-//!   (first reports again) each round;
+//! * *late joiners* — a quarter of the fleet is held back from the
+//!   priming ingest and first-reports at 1 % of the fleet a round, among
+//!   5 % re-reports, so the first 25 rounds each claim nodes that were
+//!   never placed (some of them re-reported before the round, too);
 //! * *band* — 80 % of the fleet rides a band a tenth of the space wide
 //!   that drifts each round, queries are centred on node positions, and
 //!   5 % re-report each round.
 //!
 //! This file is also the engine's work gate against a sweep: a sweep
 //! steps every node every round, `ROUNDS × NODES` in all, and the
-//! kinetic and band histories must step fewer than half of that. The
-//! count is exact, so the gate reads the same on every run and host.
+//! kinetic, late-joiner and band histories must step fewer than half of
+//! that. The count is exact, so the gate reads the same on every run and
+//! host.
 
 use lira_core::geometry::{Point, Rect};
 use lira_server::prelude::*;
@@ -64,8 +68,10 @@ impl Mix {
 /// Per-round churn of one history, in parts per thousand of the fleet.
 struct Churn {
     report: usize,
-    remove: usize,
-    reingest: usize,
+    /// Nodes held back from the priming ingest, and how many of them
+    /// first-report each round (in random order, before the re-reports).
+    late: usize,
+    join: usize,
     /// Nodes `0..hot` of each thousand ride the drifting [`Band`]; 0
     /// scatters the whole fleet and its queries uniformly.
     hot: usize,
@@ -143,13 +149,19 @@ fn run(seed: u64, churn: Churn) -> (u64, u64, u64, u64) {
             .zip(0..)
             .map(|(range, id)| RangeQuery { id, range }),
     );
-    for (n, (p, v)) in nodes.into_iter().enumerate() {
+    let primed = NODES - NODES * churn.late / 1000;
+    for (n, &(p, v)) in nodes[..primed].iter().enumerate() {
         server.ingest(n as u32, 0.0, p, v);
     }
-    let mut removed = Vec::new();
+    let mut held: Vec<u32> = (primed as u32..NODES as u32).collect();
     let mut h = server.evaluate_digest(0.0, 0);
     for round in 1..=ROUNDS {
         let t = round as f64;
+        for _ in 0..(NODES * churn.join / 1000).min(held.len()) {
+            let n = held.swap_remove(rng.below(held.len()));
+            let (p, v) = nodes[n as usize];
+            server.ingest(n, t, p, v);
+        }
         for _ in 0..NODES * churn.report / 1000 {
             let n = rng.below(NODES) as u32;
             let mut v = rng.velocity();
@@ -160,17 +172,6 @@ fn run(seed: u64, churn: Churn) -> (u64, u64, u64, u64) {
                 }
                 server.ingest(n, t, p, v);
             }
-        }
-        for _ in 0..NODES * churn.remove / 1000 {
-            let n = rng.below(NODES) as u32;
-            if server.remove_node(n) {
-                removed.push(n);
-            }
-        }
-        for _ in 0..(NODES * churn.reingest / 1000).min(removed.len()) {
-            let n = removed.swap_remove(rng.below(removed.len()));
-            let p = Point::new(rng.unit() * SIDE, rng.unit() * SIDE);
-            server.ingest(n, t, p, rng.velocity());
         }
         h = server.evaluate_digest(t, h);
     }
@@ -194,8 +195,8 @@ fn kinetic_churn_does_the_recorded_work() {
         1,
         Churn {
             report: 10,
-            remove: 0,
-            reingest: 0,
+            late: 0,
+            join: 0,
             hot: 0,
         },
     );
@@ -209,8 +210,8 @@ fn sweeping_churn_does_the_recorded_work() {
         2,
         Churn {
             report: 1000,
-            remove: 0,
-            reingest: 0,
+            late: 0,
+            join: 0,
             hot: 0,
         },
     );
@@ -218,17 +219,18 @@ fn sweeping_churn_does_the_recorded_work() {
 }
 
 #[test]
-fn churn_with_removals_does_the_recorded_work() {
+fn late_joiners_do_the_recorded_work() {
     let got = run(
         3,
         Churn {
             report: 50,
-            remove: 10,
-            reingest: 10,
+            late: 250,
+            join: 10,
             hot: 0,
         },
     );
-    assert_eq!(got, (31_512, 17_806, 1_550, 0xec04_caeb_28fc_0537));
+    assert_below_half_a_sweep(got.0);
+    assert_eq!(got, (26_915, 15_691, 1_107, 0xc3c0_606e_1ad8_1186));
 }
 
 #[test]
@@ -237,8 +239,8 @@ fn band_churn_does_the_recorded_work() {
         4,
         Churn {
             report: 50,
-            remove: 0,
-            reingest: 0,
+            late: 0,
+            join: 0,
             hot: 800,
         },
     );

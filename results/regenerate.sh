@@ -15,11 +15,14 @@
 # is. Each binary has exactly one block (`tests/record.rs` holds the
 # markers to `BINS`). The commit, host and wall time go to
 # `results/record.stamp`, so the blocks hold only what the code prints.
-# `fig04` (Figures 4 and 5), `fig06` and `fig07` also rewrite
-# `results/telemetry/<id>.json`.
+# The suite runs in a scratch directory. `fig04` (Figures 4 and 5),
+# `fig06` and `fig07` also write a `results/telemetry/<id>.json` there,
+# which is copied over the committed one only when its `counters` differ
+# (with `jq`): the histograms hold wall time, so copying every run's
+# would rewrite the files with nothing changed.
 #
-# `--check` runs the suite in a scratch directory (the tracked files are
-# left alone) and fails if a block would change anywhere but in `fig14`'s,
+# `--check` leaves the tracked files alone and fails if a block would
+# change anywhere but in `fig14`'s,
 # whose table is wall time, or if the `counters` of any
 # `results/telemetry/<id>.json` snapshot differ from the fresh run's
 # (with `jq`; the histograms are left out, since some of their keys are
@@ -110,9 +113,16 @@ if [ "$check" -eq 1 ]; then
 fi
 
 start=$(date +%s)
-run_suite "$ROOT" "$scratch/out"
+run_suite "$scratch" "$scratch/out"
 render "$scratch/out" > "$scratch/$DOC"
 mv "$scratch/$DOC" "$DOC"
+for id in "${TELEMETRY[@]}"; do
+    file=results/telemetry/$id.json
+    if [ ! -f "$file" ] || ! diff -q <(counters_of "$file") <(counters_of "$scratch/$file") >/dev/null; then
+        cp "$scratch/$file" "$file"
+        echo "telemetry counters moved: rewrote $file"
+    fi
+done
 {
     echo "commit: $(git rev-parse HEAD 2>/dev/null || echo unknown)"
     if [ -n "$(git status --porcelain 2>/dev/null)" ]; then
