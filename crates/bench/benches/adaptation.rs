@@ -15,7 +15,6 @@ use lira_mobility::traffic::TrafficDemand;
 use lira_server::cq_engine::CqServer;
 use lira_server::queue::UpdateQueue;
 use lira_workload::churn::ChurnWorkload;
-use lira_workload::{generate_queries, QueryDistribution, WorkloadConfig};
 use rand::rngs::SmallRng;
 use rand::{Rng, SeedableRng};
 
@@ -158,40 +157,16 @@ fn bench_plan_lookup(c: &mut Criterion) {
     });
 }
 
-/// Regression tripwire for the two `CqServer` operations that are plain
-/// scans of the node store and have no ladder of their own: `nearest`
-/// (k = 10) and `evaluate_uncertain` (Δ⊣ = 320 m, per-node Δ read off a
-/// 16-region plan through `max_throttler_within`), each after a 10 %
-/// churn step, on 100 000 nodes × 3 000 one-kilometre queries at the
+/// Regression tripwire for `CqServer::nearest` (k = 10), a plain scan
+/// of the node store with no ladder of its own, on 100 000 nodes at the
 /// paper's 100 nodes/km².
 fn bench_cq_server(c: &mut Criterion) {
     const NODES: usize = 100_000;
-    const MAX_DELTA: f64 = 320.0;
     let space_m = 10_000.0 * (NODES as f64 / 10_000.0).sqrt();
     let bounds = Rect::from_coords(0.0, 0.0, space_m, space_m);
-    let mut workload = ChurnWorkload::new(NODES, 7, 0.10, space_m);
-    let cfg = WorkloadConfig {
-        distribution: QueryDistribution::Random,
-        count: 3_000,
-        side_length: 1_000.0,
-        seed: 11,
-    };
+    let workload = ChurnWorkload::new(NODES, 7, 0.10, space_m);
     let mut server = CqServer::new(bounds, NODES, 64);
-    server.register_queries(generate_queries(&bounds, &workload.positions, &cfg));
     workload.prime(&mut server);
-    // A 4×4 tiling with varied throttlers, so the Δ lookup crosses real
-    // region borders instead of a uniform plan's trivial answer.
-    let cell = space_m / 4.0;
-    let regions = (0..16)
-        .map(|i| PlanRegion {
-            area: Rect::square(
-                Point::new((i % 4) as f64 * cell, (i / 4) as f64 * cell),
-                cell,
-            ),
-            throttler: 20.0 * (i % 5 + 1) as f64,
-        })
-        .collect();
-    let plan = SheddingPlan::new(bounds, regions, 20.0);
 
     let mut group = c.benchmark_group("cq_server");
     group.sample_size(20);
@@ -201,19 +176,6 @@ fn bench_cq_server(c: &mut Criterion) {
         b.iter(|| {
             i = (i + 1) % centers.len();
             black_box(server.nearest(black_box(centers[i]), 10, 0.5).len())
-        })
-    });
-    let mut results = Vec::new();
-    group.bench_function("evaluate_uncertain_100k", |b| {
-        b.iter(|| {
-            workload.step(&mut server);
-            server.evaluate_uncertain_into(
-                0.5,
-                MAX_DELTA,
-                |_, p| plan.max_throttler_within(&p, MAX_DELTA),
-                &mut results,
-            );
-            black_box(results.len())
         })
     });
     group.finish();

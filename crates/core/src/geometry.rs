@@ -184,24 +184,10 @@ impl Rect {
     }
 
     /// Minimum distance from `p` to the rectangle (0 when inside).
-    pub fn distance_to_point(&self, p: &Point) -> f64 {
+    pub(crate) fn distance_to_point(&self, p: &Point) -> f64 {
         let dx = (self.min.x - p.x).max(0.0).max(p.x - self.max.x);
         let dy = (self.min.y - p.y).max(0.0).max(p.y - self.max.y);
         (dx * dx + dy * dy).sqrt()
-    }
-
-    /// How deep inside the rectangle `p` sits: the minimum distance from
-    /// `p` to the boundary when inside, 0 when outside. A point with
-    /// positional uncertainty `Δ ≤ interior_depth(p)` is *guaranteed* to
-    /// truly lie in the rectangle.
-    pub fn interior_depth(&self, p: &Point) -> f64 {
-        if !self.contains(p) {
-            return 0.0;
-        }
-        (p.x - self.min.x)
-            .min(self.max.x - p.x)
-            .min(p.y - self.min.y)
-            .min(self.max.y - p.y)
     }
 
     /// The rectangle grown by `margin` on every side.
@@ -380,12 +366,8 @@ mod tests {
     }
 
     #[test]
-    fn interior_depth_and_expand() {
+    fn rect_expand() {
         let r = Rect::from_coords(0.0, 0.0, 10.0, 20.0);
-        assert_eq!(r.interior_depth(&Point::new(5.0, 10.0)), 5.0);
-        assert_eq!(r.interior_depth(&Point::new(1.0, 10.0)), 1.0);
-        assert_eq!(r.interior_depth(&Point::new(5.0, 19.0)), 1.0);
-        assert_eq!(r.interior_depth(&Point::new(-1.0, 10.0)), 0.0);
         let e = r.expand(2.0);
         assert_eq!(e, Rect::from_coords(-2.0, -2.0, 12.0, 22.0));
     }

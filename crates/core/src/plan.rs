@@ -45,7 +45,7 @@ pub struct SheddingPlan {
     /// covers the cell, ascending, in CSR layout: cell `c`'s regions are
     /// `cell_regions[cell_regions_offsets[c]..cell_regions_offsets[c+1]]`.
     /// Backs the exact-scan fallback of [`Self::region_at`] and the
-    /// grid-accelerated [`Self::max_throttler_within`].
+    /// [`Self::region_from`] hint's `alone` bits.
     cell_regions_offsets: Vec<u32>,
     cell_regions: Vec<u32>,
     /// Per region, whether no other region's closed area meets its open
@@ -127,10 +127,8 @@ impl SheddingPlan {
         // Cell → covering regions, using the same cell map as `region_at`
         // so the lists are exact for clamped lookups. The cover is over
         // the *closed* region rect: any point a region can match — via
-        // `contains`, `contains_closed`, or `Circle::intersects_rect`
-        // (whose closest rect point lies on the closed boundary) — maps
-        // into one of the covered cells, even after out-of-bounds points
-        // clamp into border cells.
+        // `contains` or `contains_closed` — maps into one of the covered
+        // cells, even after out-of-bounds points clamp into border cells.
         let mut cell_lists: Vec<Vec<u32>> = vec![Vec::new(); lookup_side * lookup_side];
         let (w, h) = (bounds.width(), bounds.height());
         for (idx, region) in regions.iter().enumerate() {
@@ -282,47 +280,6 @@ impl SheddingPlan {
             }
         }
         self.region_at(p)
-    }
-
-    /// A sound upper bound on the throttler a node *predicted* at `p` may
-    /// actually be using: the node's true position is within its (unknown)
-    /// threshold of `p`, so taking the maximum throttler over all regions
-    /// within `radius` (pass `Δ⊣`) of `p` is conservative. Used by
-    /// uncertainty-aware query evaluation.
-    /// Grid-accelerated: only the lookup cells overlapping the disk's
-    /// bounding box are scanned (this is on the per-node hot path of
-    /// uncertainty-aware evaluation). Exact — the closest rect point to
-    /// `p` of any intersecting region lies both on the region's closed
-    /// boundary and inside the disk's bbox, so the region appears in a
-    /// scanned cell's cover list; the result is the same maximum the old
-    /// linear scan computed.
-    pub fn max_throttler_within(&self, p: &Point, radius: f64) -> f64 {
-        let disk = Circle::new(*p, radius.max(0.0));
-        let side = self.lookup_side;
-        let (w, h) = (self.bounds.width(), self.bounds.height());
-        let c0 = axis_cell(p.x - disk.radius, self.bounds.min.x, w, side);
-        let c1 = axis_cell(p.x + disk.radius, self.bounds.min.x, w, side);
-        let r0 = axis_cell(p.y - disk.radius, self.bounds.min.y, h, side);
-        let r1 = axis_cell(p.y + disk.radius, self.bounds.min.y, h, side);
-        let mut best = self.default_delta;
-        for row in r0..=r1 {
-            for col in c0..=c1 {
-                let cell = row * side + col;
-                let (lo, hi) = (
-                    self.cell_regions_offsets[cell] as usize,
-                    self.cell_regions_offsets[cell + 1] as usize,
-                );
-                for &ri in &self.cell_regions[lo..hi] {
-                    let r = &self.regions[ri as usize];
-                    // Cheap threshold test first; regions covering many
-                    // cells are re-visited, but a max is idempotent.
-                    if r.throttler > best && disk.intersects_rect(&r.area) {
-                        best = r.throttler;
-                    }
-                }
-            }
-        }
-        best
     }
 
     /// The subset of regions a base station with the given coverage area
@@ -530,32 +487,6 @@ mod tests {
     }
 
     #[test]
-    fn max_throttler_grid_matches_linear_scan() {
-        for plan in [quad_plan(), misaligned_plan()] {
-            let linear = |p: &Point, radius: f64| {
-                let disk = Circle::new(*p, radius.max(0.0));
-                plan.regions
-                    .iter()
-                    .filter(|r| disk.intersects_rect(&r.area))
-                    .map(|r| r.throttler)
-                    .fold(plan.default_delta, f64::max)
-            };
-            for i in -3..24 {
-                for j in -3..24 {
-                    let p = Point::new(i as f64 * 4.7, j as f64 * 4.3);
-                    for radius in [0.0, 2.5, 10.0, 44.0, 500.0] {
-                        assert_eq!(
-                            plan.max_throttler_within(&p, radius),
-                            linear(&p, radius),
-                            "at {p} radius {radius}"
-                        );
-                    }
-                }
-            }
-        }
-    }
-
-    #[test]
     fn uniform_plan() {
         let bounds = Rect::from_coords(0.0, 0.0, 10.0, 10.0);
         let p = SheddingPlan::uniform(bounds, 42.0);
@@ -578,17 +509,6 @@ mod tests {
         // A circle at the center touches all four.
         let c = Circle::new(Point::new(50.0, 50.0), 5.0);
         assert_eq!(p.subset_for(&c).len(), 4);
-    }
-
-    #[test]
-    fn max_throttler_within_is_conservative() {
-        let p = quad_plan();
-        // Far inside SW (delta 10), radius small: only SW matters.
-        assert_eq!(p.max_throttler_within(&Point::new(10.0, 10.0), 5.0), 10.0);
-        // Near the center, radius reaches all four quadrants: max 40.
-        assert_eq!(p.max_throttler_within(&Point::new(49.0, 49.0), 5.0), 40.0);
-        // Radius zero degenerates to the containing region's throttler.
-        assert_eq!(p.max_throttler_within(&Point::new(10.0, 10.0), 0.0), 10.0);
     }
 
     #[test]

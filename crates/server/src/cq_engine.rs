@@ -9,8 +9,7 @@ use std::collections::BinaryHeap;
 use lira_core::geometry::{Point, Rect};
 
 use crate::node_store::NodeStore;
-use crate::qindex::QueryIndex;
-use crate::query::{QueryResult, RangeQuery, UncertainResult};
+use crate::query::{QueryResult, RangeQuery};
 use crate::unified::{ShardStats, UnifiedEval};
 
 /// A name for [`CqServer`]'s one engine, which [`CqServer::with_engine`]
@@ -44,11 +43,6 @@ pub struct CqServer {
     /// Engine state (boxed: it carries the member lists, the index and
     /// the per-node arrays).
     unified: Box<UnifiedEval>,
-    /// The Δ⊣-expanded cover
-    /// [`evaluate_uncertain_into`](CqServer::evaluate_uncertain_into)
-    /// scans against, keyed by the bits of the Δ⊣ it was built for;
-    /// dropped when the query set changes.
-    uncertain_cover: Option<(u64, QueryIndex)>,
 }
 
 // The simulation pipeline moves whole servers into per-policy lane
@@ -103,7 +97,6 @@ impl CqServer {
             queries: Vec::new(),
             evaluations: 0,
             unified: Box::new(UnifiedEval::new(bounds)),
-            uncertain_cover: None,
         }
     }
 
@@ -121,22 +114,10 @@ impl CqServer {
         &self.bounds
     }
 
-    /// Registers one continual range query.
-    pub fn register_query(&mut self, query: RangeQuery) {
-        self.queries.push(query);
-        self.invalidate_engines();
-    }
-
     /// Registers many continual range queries.
     pub fn register_queries<Q: IntoIterator<Item = RangeQuery>>(&mut self, queries: Q) {
         self.queries.extend(queries);
-        self.invalidate_engines();
-    }
-
-    /// Marks the engine's derived query structures stale.
-    fn invalidate_engines(&mut self) {
         self.unified.invalidate();
-        self.uncertain_cover = None;
     }
 
     /// The registered queries.
@@ -150,7 +131,7 @@ impl CqServer {
     pub fn replace_queries<Q: IntoIterator<Item = RangeQuery>>(&mut self, queries: Q) {
         self.queries.clear();
         self.queries.extend(queries);
-        self.invalidate_engines();
+        self.unified.invalidate();
     }
 
     /// Ingests one position update (a new motion model for `node`). Stale
@@ -197,87 +178,6 @@ impl CqServer {
         self.evaluations += 1;
         self.unified
             .evaluate_digest(&self.queries, &self.store, t, prev)
-    }
-
-    /// Evaluates every query at time `t` with three-valued membership:
-    /// `delta_of(node, predicted_position)` supplies an *upper bound* on
-    /// the node's current inaccuracy threshold, and `max_delta` caps it
-    /// (`Δ⊣`). Dead reckoning guarantees `|true − predicted| ≤ Δ`, so with
-    /// a sound bound every node in `must` is certainly in the range, and
-    /// every node truly in the range appears in `must ∪ maybe`.
-    ///
-    /// Note the node's threshold is looked up at its *true* position,
-    /// which the server only knows to within Δ — use
-    /// [`SheddingPlan::max_throttler_within`](lira_core::plan::SheddingPlan::max_throttler_within)
-    /// with radius `Δ⊣` for a sound bound near region borders.
-    ///
-    /// One ascending pass over the store against a Δ⊣-expanded cover of
-    /// the queries, like [`nearest`](Self::nearest) and unlike
-    /// [`evaluate`](Self::evaluate) stateless: `delta_of` is called in
-    /// ascending node order, at most once per node, and never for a node
-    /// whose cell no expanded query reaches.
-    pub fn evaluate_uncertain(
-        &mut self,
-        t: f64,
-        max_delta: f64,
-        delta_of: impl Fn(u32, Point) -> f64,
-    ) -> Vec<UncertainResult> {
-        let mut results = Vec::with_capacity(self.queries.len());
-        self.evaluate_uncertain_into(t, max_delta, delta_of, &mut results);
-        results
-    }
-
-    /// Like [`evaluate_uncertain`](Self::evaluate_uncertain), but writes
-    /// into `out`, reusing its allocations.
-    pub fn evaluate_uncertain_into(
-        &mut self,
-        t: f64,
-        max_delta: f64,
-        delta_of: impl Fn(u32, Point) -> f64,
-        out: &mut Vec<UncertainResult>,
-    ) {
-        assert!(max_delta >= 0.0);
-        self.evaluations += 1;
-        let key = max_delta.to_bits();
-        if self
-            .uncertain_cover
-            .as_ref()
-            .is_some_and(|(k, _)| *k != key)
-        {
-            self.uncertain_cover = None;
-        }
-        // Every covered cell goes to the cover's `partial` list: membership
-        // also depends on the node's own Δ, so it always takes the exact
-        // tests.
-        let (_, cover) = self.uncertain_cover.get_or_insert_with(|| {
-            let cover = QueryIndex::build(&self.bounds, &self.queries, max_delta, false);
-            (key, cover)
-        });
-        out.resize_with(self.queries.len(), UncertainResult::default);
-        for (slot, query) in out.iter_mut().zip(&self.queries) {
-            slot.query = query.id;
-            slot.must.clear();
-            slot.maybe.clear();
-        }
-        for node in 0..self.store.len() as u32 {
-            let Some(p) = self.store.predict(node, t) else {
-                continue;
-            };
-            let (row, col) = cover.rc_of(&p);
-            let reaching = cover.partial_at(cover.slot(row, col));
-            if reaching.is_empty() {
-                continue;
-            }
-            let delta = delta_of(node, p).clamp(0.0, max_delta);
-            for &q in reaching {
-                let range = &self.queries[q as usize].range;
-                if range.contains(&p) && range.interior_depth(&p) >= delta {
-                    out[q as usize].must.push(node);
-                } else if range.distance_to_point(&p) <= delta {
-                    out[q as usize].maybe.push(node);
-                }
-            }
-        }
     }
 
     /// The `k` nodes nearest to `center` at time `t` (by predicted
@@ -367,10 +267,10 @@ mod tests {
     #[test]
     fn evaluate_on_reported_positions() {
         let mut s = server();
-        s.register_query(RangeQuery {
+        s.register_queries([RangeQuery {
             id: 0,
             range: Rect::from_coords(0.0, 0.0, 100.0, 100.0),
-        });
+        }]);
         s.ingest(0, 0.0, Point::new(50.0, 50.0), (0.0, 0.0));
         s.ingest(1, 0.0, Point::new(500.0, 500.0), (0.0, 0.0));
         let r = s.evaluate(0.0);
@@ -382,10 +282,10 @@ mod tests {
     #[test]
     fn evaluation_uses_predicted_positions() {
         let mut s = server();
-        s.register_query(RangeQuery {
+        s.register_queries([RangeQuery {
             id: 0,
             range: Rect::from_coords(90.0, 0.0, 200.0, 50.0),
-        });
+        }]);
         // Node reported at x=50 moving +10 m/s in x: enters the range at
         // t=4 (x=90 is the inclusive min edge... half-open: x >= 90).
         s.ingest(0, 0.0, Point::new(50.0, 10.0), (10.0, 0.0));
@@ -398,10 +298,10 @@ mod tests {
     #[test]
     fn unreported_nodes_are_invisible() {
         let mut s = server();
-        s.register_query(RangeQuery {
+        s.register_queries([RangeQuery {
             id: 3,
             range: Rect::from_coords(0.0, 0.0, 1000.0, 1000.0),
-        });
+        }]);
         let r = s.evaluate(1.0);
         assert!(r[0].nodes.is_empty());
         s.ingest(4, 1.0, Point::new(10.0, 10.0), (0.0, 0.0));
@@ -432,10 +332,10 @@ mod tests {
     #[test]
     fn replace_queries_swaps_workload() {
         let mut s = server();
-        s.register_query(RangeQuery {
+        s.register_queries([RangeQuery {
             id: 0,
             range: Rect::from_coords(0.0, 0.0, 100.0, 100.0),
-        });
+        }]);
         s.ingest(0, 0.0, Point::new(50.0, 50.0), (0.0, 0.0));
         assert_eq!(s.evaluate(0.0).len(), 1);
         s.replace_queries([
@@ -456,48 +356,12 @@ mod tests {
     }
 
     #[test]
-    fn uncertain_evaluation_three_valued_membership() {
-        let mut s = server();
-        s.register_query(RangeQuery {
-            id: 0,
-            range: Rect::from_coords(100.0, 100.0, 300.0, 300.0),
-        });
-        // Deep inside (depth 100 > delta 20): must.
-        s.ingest(0, 0.0, Point::new(200.0, 200.0), (0.0, 0.0));
-        // Near the inner edge (depth 5 < delta 20): maybe.
-        s.ingest(1, 0.0, Point::new(105.0, 200.0), (0.0, 0.0));
-        // Just outside (distance 10 < delta 20): maybe.
-        s.ingest(2, 0.0, Point::new(90.0, 200.0), (0.0, 0.0));
-        // Far outside (distance 100 > delta 20): neither.
-        s.ingest(3, 0.0, Point::new(0.0, 200.0), (0.0, 0.0));
-        let r = s.evaluate_uncertain(0.0, 100.0, |_, _| 20.0);
-        assert_eq!(r[0].must, vec![0]);
-        assert_eq!(r[0].maybe, vec![1, 2]);
-    }
-
-    #[test]
-    fn uncertain_with_zero_delta_equals_exact() {
-        let mut s = server();
-        s.register_query(RangeQuery {
-            id: 0,
-            range: Rect::from_coords(0.0, 0.0, 500.0, 500.0),
-        });
-        for i in 0..6u32 {
-            s.ingest(i, 0.0, Point::new(i as f64 * 150.0, 100.0), (0.0, 0.0));
-        }
-        let exact = s.evaluate(0.0);
-        let uncertain = s.evaluate_uncertain(0.0, 100.0, |_, _| 0.0);
-        assert_eq!(uncertain[0].must, exact[0].nodes);
-        assert!(uncertain[0].maybe.is_empty());
-    }
-
-    #[test]
     fn stale_updates_do_not_corrupt_results() {
         let mut s = server();
-        s.register_query(RangeQuery {
+        s.register_queries([RangeQuery {
             id: 0,
             range: Rect::from_coords(0.0, 0.0, 100.0, 100.0),
-        });
+        }]);
         assert!(s.ingest(0, 10.0, Point::new(50.0, 50.0), (0.0, 0.0)));
         // A delayed packet placing the node far away at an earlier time.
         assert!(!s.ingest(0, 2.0, Point::new(900.0, 900.0), (0.0, 0.0)));
@@ -600,7 +464,7 @@ mod tests {
     fn results_exact_versus_brute_force() {
         let mut s = server();
         let q = Rect::from_coords(200.0, 300.0, 700.0, 650.0);
-        s.register_query(RangeQuery { id: 0, range: q });
+        s.register_queries([RangeQuery { id: 0, range: q }]);
         let positions = [
             (0u32, Point::new(199.9, 400.0)),
             (1, Point::new(200.0, 300.0)),

@@ -12,7 +12,7 @@
 //! use lira_core::geometry::{Point, Rect};
 //!
 //! let mut server = CqServer::new(Rect::from_coords(0.0, 0.0, 100.0, 100.0), 4, 8);
-//! server.register_query(RangeQuery { id: 0, range: Rect::from_coords(0.0, 0.0, 50.0, 50.0) });
+//! server.register_queries([RangeQuery { id: 0, range: Rect::from_coords(0.0, 0.0, 50.0, 50.0) }]);
 //! server.ingest(2, 0.0, Point::new(10.0, 10.0), (1.0, 0.0));
 //! let results = server.evaluate(0.0);
 //! assert_eq!(results[0].nodes, vec![2]);
@@ -48,7 +48,7 @@ pub mod prelude {
     pub use crate::history::HistoryStore;
     pub use crate::mobile::MobileShedder;
     pub use crate::node_store::NodeStore;
-    pub use crate::query::{sorted_difference_count, QueryResult, RangeQuery, UncertainResult};
+    pub use crate::query::{sorted_difference_count, QueryResult, RangeQuery};
     pub use crate::queue::UpdateQueue;
     pub use crate::unified::ShardStats;
 }

@@ -84,18 +84,8 @@ impl QueryIndex {
         }
     }
 
-    /// Builds the index of `queries` over `bounds`. Each query's range
-    /// is grown by `expand` on every side (0 for exact evaluation; `Δ⊣`
-    /// for the uncertain path). When `classify_full` is false every
-    /// covered cell goes to the `partial` list (the uncertain path always
-    /// needs exact tests, since membership also depends on the node's own
-    /// Δ).
-    pub(crate) fn build(
-        bounds: &Rect,
-        queries: &[RangeQuery],
-        expand: f64,
-        classify_full: bool,
-    ) -> Self {
+    /// Builds the index of `queries` over `bounds`.
+    pub(crate) fn build(bounds: &Rect, queries: &[RangeQuery]) -> Self {
         let side = side_for(queries.len());
         // Build into per-cell vectors (cold path), then flatten to CSR.
         let mut full = vec![Vec::new(); side * side];
@@ -120,11 +110,7 @@ impl QueryIndex {
         // would be unsound).
         let eps = index.edge_margin();
         for (qi, q) in queries.iter().enumerate() {
-            let r = if expand > 0.0 {
-                q.range.expand(expand)
-            } else {
-                q.range
-            };
+            let r = &q.range;
             // Closed cell cover: `axis_cell` is monotone and clamped, so
             // every point of the *closed* rect [r.min, r.max] — and hence
             // every point of the half-open range, and every clamped
@@ -140,13 +126,13 @@ impl QueryIndex {
                     // Border cells receive clamped out-of-bounds points,
                     // so membership there can never follow from the cell.
                     let border = row == 0 || row == side - 1 || col == 0 || col == side - 1;
-                    let covers = classify_full && !border && {
+                    let covers = !border && {
                         let x0 = index.min.x + col as f64 * cw;
                         let y0 = index.min.y + row as f64 * ch;
-                        q.range.min.x <= x0 - eps
-                            && q.range.max.x >= x0 + cw + eps
-                            && q.range.min.y <= y0 - eps
-                            && q.range.max.y >= y0 + ch + eps
+                        r.min.x <= x0 - eps
+                            && r.max.x >= x0 + cw + eps
+                            && r.min.y <= y0 - eps
+                            && r.max.y >= y0 + ch + eps
                     };
                     if covers {
                         full[slot].push(qi as u32);

@@ -27,21 +27,6 @@ impl QueryResult {
     }
 }
 
-/// An uncertainty-aware query result: with per-node inaccuracy bounds Δ,
-/// dead reckoning guarantees the true position is within Δ of the
-/// prediction, so membership can be three-valued.
-#[derive(Debug, Clone, PartialEq, Default)]
-pub struct UncertainResult {
-    /// Query this result belongs to.
-    pub query: u32,
-    /// Nodes whose true position is *guaranteed* inside the range
-    /// (prediction deeper inside than their Δ), ascending.
-    pub must: Vec<u32>,
-    /// Nodes that *may* be inside (prediction within Δ of the range but
-    /// not deep enough to guarantee membership), ascending.
-    pub maybe: Vec<u32>,
-}
-
 /// Number of elements of sorted `a` not present in sorted `b`.
 pub fn sorted_difference_count(a: &[u32], b: &[u32]) -> usize {
     let mut count = 0;

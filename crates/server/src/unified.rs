@@ -503,7 +503,7 @@ impl Shard {
     /// Builds the index for `queries` over `bounds` and sizes the member
     /// lists and per-node arrays for it and `num_nodes` nodes.
     fn build(&mut self, bounds: &Rect, queries: &[RangeQuery], num_nodes: usize) {
-        self.qindex = QueryIndex::build(bounds, queries, 0.0, true);
+        self.qindex = QueryIndex::build(bounds, queries);
         self.members.resize_with(queries.len(), Vec::new);
         self.members.truncate(queries.len());
         // One bit per entry of the widest partial list: a property of

@@ -6,7 +6,7 @@
 //! past the whole time wheel, and backwards. Every server under test is
 //! compared, round for round, against a brute-force [`World`] with the node
 //! store's exact staleness rule — the one oracle of every battery, for
-//! `evaluate`, `evaluate_uncertain` and `nearest` — and, after every round,
+//! `evaluate` and `nearest` — and, after every round,
 //! for how many nodes the engine holds placed ([`assert_placed`]).
 //!
 //! Coordinates are multiples of 62.5 m (binary-exact) over a 1 km² space
@@ -56,8 +56,8 @@ pub enum Step {
 }
 
 pub fn history(max: usize) -> impl Strategy<Value = Vec<Step>> {
-    // Selector 0..20 — 11 parts report, 8 evaluate, 1 query swap (the
-    // vendored proptest has no `prop_oneof`).
+    // Selector 0..20 — 11 parts report, 7 evaluate, 1 query swap and 1
+    // the shape below (the vendored proptest has no `prop_oneof`).
     prop::collection::vec(
         (
             0u32..20,
@@ -67,18 +67,33 @@ pub fn history(max: usize) -> impl Strategy<Value = Vec<Step>> {
             (-4i32..5, -4i32..5),
             0usize..DTS.len(),
         )
-            .prop_map(|(sel, node, age, (i, j), (vi, vj), dt)| match sel {
-                0..=10 => Step::Report {
+            .prop_map(|(sel, node, age, (i, j), (vi, vj), dt)| {
+                let report = Step::Report {
                     node,
                     age: age as f64 * 0.5,
                     pos: Point::new(i as f64 * U, j as f64 * U),
                     vel: (vi as f64 * 6.25, vj as f64 * 6.25),
-                },
-                18 => Step::ReplaceQueries,
-                _ => Step::Eval { dt: DTS[dt] },
+                };
+                match sel {
+                    0..=10 => vec![report],
+                    18 => vec![Step::ReplaceQueries],
+                    // A sweep that does not file, a node re-reported into
+                    // it, then rounds one period apart: the jump past the
+                    // ring moves most of the fleet, so the backwards sweep
+                    // after it does not file, and the wheel it leaves has
+                    // no entry for the re-reported node. A round that
+                    // trusted that wheel would miss the node's crossings.
+                    19 => {
+                        let mut shape = vec![Step::Eval { dt: 5000.0 }, report];
+                        shape.extend([-2.5, 1.0, 1.0, 1.0, 1.0].map(|dt| Step::Eval { dt }));
+                        shape
+                    }
+                    _ => vec![Step::Eval { dt: DTS[dt] }],
+                }
             }),
         1..max,
     )
+    .prop_map(|blocks| blocks.concat())
 }
 
 pub fn query_set(max: usize) -> impl Strategy<Value = Vec<RangeQuery>> {
@@ -147,41 +162,6 @@ impl World {
                     .filter(|&n| self.predict(n, t).is_some_and(|p| q.range.contains(&p)))
                     .map(|n| n as u32)
                     .collect(),
-            })
-            .collect()
-    }
-
-    /// The uncertain-membership specification: `must` ⇔ the prediction is
-    /// inside with interior depth ≥ the node's Δ; `maybe` ⇔ not must but
-    /// within Δ of the range.
-    pub fn evaluate_uncertain(
-        &self,
-        queries: &[RangeQuery],
-        t: f64,
-        max_delta: f64,
-        delta_of: impl Fn(u32, Point) -> f64,
-    ) -> Vec<UncertainResult> {
-        queries
-            .iter()
-            .map(|q| {
-                let mut must = Vec::new();
-                let mut maybe = Vec::new();
-                for n in 0..self.models.len() {
-                    let Some(p) = self.predict(n, t) else {
-                        continue;
-                    };
-                    let delta = delta_of(n as u32, p).clamp(0.0, max_delta);
-                    if q.range.contains(&p) && q.range.interior_depth(&p) >= delta {
-                        must.push(n as u32);
-                    } else if q.range.distance_to_point(&p) <= delta {
-                        maybe.push(n as u32);
-                    }
-                }
-                UncertainResult {
-                    query: q.id,
-                    must,
-                    maybe,
-                }
             })
             .collect()
     }

@@ -50,8 +50,11 @@ if git -C "$tree" rev-parse --is-inside-work-tree >/dev/null 2>&1; then
     echo "MUTANTS_DIR must lie outside any git work tree: $scratch" >&2
     exit 2
 fi
+# `-m` stamps every file with the current time: with the files' own
+# (older) times, cargo would take a reused `target/` built from the last
+# mutant for up to date.
 git ls-files -z --cached --others --exclude-standard |
-    tar --null --ignore-failed-read -T - -c | tar -x -C "$tree"
+    tar --null --ignore-failed-read -T - -c | tar -x -m -C "$tree"
 
 # The `Test:` line of a patch, as `package target name`.
 test_of() {

@@ -394,97 +394,6 @@ fn table3_region_counts_grow_with_radius() {
     assert!(large > 2.0 * small, "1 km: {small}, 5 km: {large}");
 }
 
-#[test]
-fn uncertain_evaluation_guarantees_hold_end_to_end() {
-    // Drive real traffic through dead reckoning under a LIRA plan and
-    // check the three-valued membership guarantees against the TRUE
-    // positions: `must` nodes are truly inside; every truly-inside node is
-    // in `must ∪ maybe`.
-    let net = generate_network(&NetworkConfig::small(47));
-    let bounds = *net.bounds();
-    let demand = TrafficDemand::random_hotspots(&bounds, 2, 47);
-    let mut sim = TrafficSimulator::new(
-        net,
-        &demand,
-        TrafficConfig {
-            num_cars: 120,
-            seed: 47,
-        },
-    );
-    for _ in 0..45 {
-        sim.step(1.0);
-    }
-
-    // A LIRA plan over the warmed statistics.
-    let mut config = LiraConfig::default();
-    config.bounds = bounds;
-    config = config.with_regions(13);
-    let mut grid = StatsGrid::new(config.alpha, bounds).unwrap();
-    grid.begin_snapshot();
-    for car in sim.cars() {
-        grid.observe_node(&car.position(), car.speed(), 1.0);
-    }
-    grid.observe_query(&Rect::from_coords(400.0, 400.0, 1200.0, 1200.0));
-    grid.commit_snapshot();
-    let shedder = LiraShedder::new(config.clone()).unwrap();
-    let plan = shedder.adapt_with_throttle(&grid, 0.4).unwrap().plan;
-
-    let mut server = CqServer::new(bounds, 120, 16);
-    server.register_queries([
-        RangeQuery {
-            id: 0,
-            range: Rect::from_coords(400.0, 400.0, 1200.0, 1200.0),
-        },
-        RangeQuery {
-            id: 1,
-            range: Rect::from_coords(0.0, 1000.0, 900.0, 2000.0),
-        },
-    ]);
-    let queries = server.queries().to_vec();
-    let mut reckoners = vec![DeadReckoner::new(); 120];
-
-    for tick in 0..240 {
-        sim.step(1.0);
-        let t = sim.time();
-        for (i, car) in sim.cars().iter().enumerate() {
-            let delta = plan.throttler_at(&car.position());
-            if let Some(rep) =
-                reckoners[i].observe(i as u32, t, car.position(), car.velocity(), delta)
-            {
-                server.ingest(rep.node, t, rep.model.origin, rep.model.velocity);
-            }
-        }
-        if tick % 20 != 0 {
-            continue;
-        }
-        // The node's threshold comes from its *true* region, which the
-        // server does not know; the sound bound is the max throttler of any
-        // region within Δ⊣ of the prediction.
-        let results = server.evaluate_uncertain(t, config.delta_max, |_, p| {
-            plan.max_throttler_within(&p, config.delta_max)
-        });
-        for (q, r) in queries.iter().zip(&results) {
-            for &n in &r.must {
-                let truth = sim.cars()[n as usize].position();
-                assert!(
-                    q.range.expand(1e-6).contains_closed(&truth),
-                    "tick {tick}: must-node {n} truly at {truth}, outside {:?}",
-                    q.range
-                );
-            }
-            for (n, car) in sim.cars().iter().enumerate() {
-                if q.range.contains(&car.position()) {
-                    let n = n as u32;
-                    assert!(
-                        r.must.binary_search(&n).is_ok() || r.maybe.binary_search(&n).is_ok(),
-                        "tick {tick}: node {n} truly inside but in neither must nor maybe"
-                    );
-                }
-            }
-        }
-    }
-}
-
 /// The stormy profile of `tests/faults.rs`: every fault model at once.
 fn stormy_profile() -> FaultProfile {
     FaultProfile {
