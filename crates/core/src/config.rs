@@ -98,12 +98,15 @@ impl LiraConfig {
         }
         // An infinite square passes both the area test above and the
         // squareness test below (`∞ − ∞` is NaN, which compares false).
-        if ![b.min.x, b.min.y, b.max.x, b.max.y]
+        // So does a finite one whose area overflows (a side past about
+        // 1.3e154): GREEDYINCREMENT's gains then turn NaN, and it panics
+        // on the first adaptation.
+        if ![b.min.x, b.min.y, b.max.x, b.max.y, b.area()]
             .iter()
             .all(|c| c.is_finite())
         {
             return Err(LiraError::InvalidConfig(format!(
-                "bounds must be finite: ({}, {}) to ({}, {})",
+                "bounds must be finite, with a finite area: ({}, {}) to ({}, {})",
                 b.min.x, b.min.y, b.max.x, b.max.y
             )));
         }

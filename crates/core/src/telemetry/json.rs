@@ -7,7 +7,7 @@
 //! - `u64` integers round-trip exactly (kept distinct from floats);
 //! - `f64` uses Rust's shortest-round-trip `Display` formatting, so a
 //!   parse of the emitted text recovers the identical bit pattern for
-//!   all finite values (non-finite gauges are never emitted);
+//!   all finite values, and a non-finite one is written `null`;
 //! - object keys keep insertion order;
 //! - strings escape `"`‚ `\` and control characters.
 

@@ -1,18 +1,20 @@
-//! Zero-overhead telemetry: lock-free metrics and a structured event
-//! journal.
+//! Zero-overhead telemetry: lock-free metrics and a bounded record of
+//! THROTLOOP's window decisions.
 //!
 //! # Architecture
 //!
 //! A [`Telemetry`] registry hands out [`Arc`] handles to three metric
-//! kinds — [`Counter`], [`Gauge`] and log-scale [`Histogram`] — plus a
-//! bounded [`Journal`] of structured events. Registration (name lookup,
-//! allocation) takes a mutex and happens once per run; *recording* is a
-//! single relaxed atomic RMW per call, wait-free and allocation-free, so
-//! handles can be hammered from every pipeline lane thread concurrently.
+//! kinds — [`Counter`], [`Gauge`] and log-scale [`Histogram`] — and
+//! keeps a ring of the newest [`WindowDecision`]s a control loop closed
+//! ([`Telemetry::record_window`]). Registration (name lookup,
+//! allocation) takes a mutex and happens once per run; *recording* a
+//! metric is a single relaxed atomic RMW per call, wait-free and
+//! allocation-free, so handles can be hammered from every pipeline lane
+//! thread concurrently.
 //!
-//! The registry reads no clock. Sim time is threaded explicitly (journal
-//! events are stamped with sim seconds, never wall-clock), keeping
-//! instrumented simulations bit-deterministic. A wall timing is an
+//! The registry reads no clock. A window decision carries the caller's
+//! clock (sim seconds in the simulator), keeping instrumented
+//! simulations bit-deterministic. A wall timing is an
 //! [`std::time::Instant`] its caller reads and records into a histogram
 //! documented as nondeterministic.
 //!
@@ -26,21 +28,24 @@
 //! Snapshots ([`TelemetrySnapshot`]) serialize to JSON; the schema is
 //! documented in `docs/TELEMETRY.md`.
 
-mod journal;
 pub mod json;
 mod metrics;
 mod snapshot;
 
-pub use journal::{Event, Journal, Level};
 pub use metrics::{Counter, Gauge, Histogram};
 pub use snapshot::{
-    CounterSnapshot, EventSnapshot, GaugeSnapshot, HistogramSnapshot, SnapshotParseError,
-    TelemetrySnapshot,
+    CounterSnapshot, GaugeSnapshot, HistogramSnapshot, SnapshotParseError, TelemetrySnapshot,
 };
 
-use journal::DEFAULT_JOURNAL_CAPACITY;
-
+use std::collections::VecDeque;
 use std::sync::{Arc, Mutex};
+
+use crate::throt_loop::WindowDecision;
+
+/// How many window decisions a registry keeps: the newest, the older
+/// ones evicted and counted.
+#[cfg_attr(feature = "telemetry-off", allow(dead_code))]
+const WINDOW_CAPACITY: usize = 4096;
 
 /// `true` when this crate was built with the `telemetry-off` feature,
 /// i.e. every recording body is a no-op. Downstream crates consult this
@@ -53,7 +58,7 @@ pub const COMPILED_OUT: bool = cfg!(feature = "telemetry-off");
 /// returns the existing handle (the first spec wins).
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct MetricSpec {
-    /// Dotted metric name, unique per registry (e.g. `"queue.depth"`).
+    /// Dotted metric name, unique per registry (e.g. `"queue.overflow_drops"`).
     pub name: &'static str,
     /// Owning component (e.g. `"server.queue"`).
     pub component: &'static str,
@@ -72,7 +77,8 @@ impl MetricSpec {
     }
 }
 
-/// A registry of metrics and events for one run, lane or component.
+/// A registry of metrics and window decisions for one run, lane or
+/// component.
 ///
 /// Cheap to create (a few empty `Vec`s); intended to be instantiated
 /// per pipeline lane so snapshots are naturally per-policy. All handles
@@ -81,7 +87,9 @@ pub struct Telemetry {
     counters: Mutex<Vec<(MetricSpec, Arc<Counter>)>>,
     gauges: Mutex<Vec<(MetricSpec, Arc<Gauge>)>>,
     histograms: Mutex<Vec<(MetricSpec, Arc<Histogram>)>>,
-    journal: Journal,
+    /// The newest window decisions, oldest first, and how many older
+    /// ones were evicted. Grows as it fills, up to [`WINDOW_CAPACITY`].
+    windows: Mutex<(VecDeque<WindowDecision>, u64)>,
 }
 
 impl std::fmt::Debug for Telemetry {
@@ -91,13 +99,13 @@ impl std::fmt::Debug for Telemetry {
 }
 
 impl Telemetry {
-    /// A registry with the default journal capacity at [`Level::Debug`].
+    /// An empty registry.
     pub fn new() -> Self {
         Self {
             counters: Mutex::new(Vec::new()),
             gauges: Mutex::new(Vec::new()),
             histograms: Mutex::new(Vec::new()),
-            journal: Journal::new(Level::Debug, DEFAULT_JOURNAL_CAPACITY),
+            windows: Mutex::new((VecDeque::new(), 0)),
         }
     }
 
@@ -134,9 +142,23 @@ impl Telemetry {
         h
     }
 
-    /// Records a journal event stamped with *sim* time (seconds).
-    pub fn event(&self, level: Level, target: &'static str, sim_time_s: f64, message: String) {
-        self.journal.record(level, target, sim_time_s, message);
+    /// Records one closed window's decision. Takes a mutex, so it is
+    /// not for the per-update hot path: a control loop calls it once a
+    /// window. Once 4 096 decisions are held, the oldest is evicted and
+    /// counted.
+    pub fn record_window(&self, decision: &WindowDecision) {
+        #[cfg(not(feature = "telemetry-off"))]
+        {
+            let mut guard = self.windows.lock().unwrap();
+            let (ring, evicted) = &mut *guard;
+            if ring.len() == WINDOW_CAPACITY {
+                ring.pop_front();
+                *evicted += 1;
+            }
+            ring.push_back(*decision);
+        }
+        #[cfg(feature = "telemetry-off")]
+        let _ = decision;
     }
 
     /// Exports everything into a plain-data [`TelemetrySnapshot`]
@@ -190,19 +212,18 @@ impl Telemetry {
                 }
             })
             .collect();
+        let (windows, windows_dropped) = {
+            let guard = self.windows.lock().unwrap();
+            (guard.0.iter().copied().collect(), guard.1)
+        };
         TelemetrySnapshot {
             component: component.to_string(),
             enabled: !COMPILED_OUT,
             counters,
             gauges,
             histograms,
-            events: self
-                .journal
-                .events()
-                .iter()
-                .map(EventSnapshot::from)
-                .collect(),
-            events_dropped: self.journal.dropped(),
+            windows,
+            windows_dropped,
         }
     }
 }
@@ -216,6 +237,21 @@ impl Default for Telemetry {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::throt_loop::StepClass;
+
+    fn window(time: f64) -> WindowDecision {
+        WindowDecision {
+            time,
+            arrival_rate: 10.0,
+            throttle: 0.5,
+            queue_len: 3,
+            dropped: 0,
+            service_rate: 20.0,
+            throttle_before: 1.0,
+            step: StepClass::Tracked,
+            adapt_due: true,
+        }
+    }
 
     #[cfg(not(feature = "telemetry-off"))]
     #[test]
@@ -227,13 +263,34 @@ mod tests {
         c.add(3);
         g.set(0.5);
         h.record(9);
-        tel.event(Level::Info, "test", 1.0, "hello".into());
+        tel.record_window(&window(1.0));
         let snap = tel.snapshot("unit");
         assert!(snap.enabled);
         assert_eq!(snap.counter("a.count"), Some(3));
         assert_eq!(snap.gauge("a.level"), Some(0.5));
         assert_eq!(snap.histogram("a.lat").unwrap().count, 1);
-        assert_eq!(snap.events.len(), 1);
+        assert_eq!(snap.windows, [window(1.0)]);
+        assert_eq!(snap.windows_dropped, 0);
+    }
+
+    #[test]
+    fn the_window_ring_keeps_the_newest_and_counts_the_evicted() {
+        let tel = Telemetry::new();
+        let extra = 5;
+        for i in 0..WINDOW_CAPACITY + extra {
+            tel.record_window(&window(i as f64));
+        }
+        let snap = tel.snapshot("unit");
+        if COMPILED_OUT {
+            assert!(snap.windows.is_empty());
+            assert_eq!(snap.windows_dropped, 0);
+            return;
+        }
+        assert_eq!(snap.windows.len(), WINDOW_CAPACITY);
+        assert_eq!(snap.windows_dropped, extra as u64);
+        let times: Vec<f64> = snap.windows.iter().map(|w| w.time).collect();
+        let newest: Vec<f64> = (extra..WINDOW_CAPACITY + extra).map(|i| i as f64).collect();
+        assert_eq!(times, newest, "the oldest are evicted, in order");
     }
 
     #[test]

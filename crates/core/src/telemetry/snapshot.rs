@@ -1,20 +1,28 @@
 //! Point-in-time export of a [`super::Telemetry`] registry.
 //!
 //! A [`TelemetrySnapshot`] is plain data: it owns copies of every metric
-//! value plus the journal, serializes to/from JSON (schema documented in
-//! `docs/TELEMETRY.md`, version [`SNAPSHOT_SCHEMA_VERSION`]), and merges
-//! with snapshots from other runs (counters and histograms accumulate;
-//! gauges are last-write-wins). Snapshots of a `telemetry-off` build
+//! value plus the window decisions, serializes to/from JSON (schema
+//! documented in `docs/TELEMETRY.md`, version [`SNAPSHOT_SCHEMA_VERSION`]),
+//! and merges with snapshots from other runs (counters and histograms
+//! accumulate; gauges are last-write-wins; windows concatenate). Snapshots of a `telemetry-off` build
 //! read zero but are still valid JSON, so downstream tooling never
 //! branches on the feature.
 
-use super::journal::{Event, Level};
 use super::json::{Json, JsonError};
 use super::metrics::{bucket_upper_bound, HISTOGRAM_BUCKETS};
+use crate::throt_loop::{StepClass, WindowDecision};
 
 /// Version tag written into every snapshot (`"schema"` field); bump on
 /// breaking changes to the JSON layout.
-pub(crate) const SNAPSHOT_SCHEMA_VERSION: u64 = 1;
+pub(crate) const SNAPSHOT_SCHEMA_VERSION: u64 = 2;
+
+/// A window's `step` as its JSON name.
+const STEP_NAMES: [(StepClass, &str); 4] = [
+    (StepClass::Tracked, "tracked"),
+    (StepClass::Clamped, "clamped"),
+    (StepClass::Held, "held"),
+    (StepClass::Overload, "overload"),
+];
 
 /// Exported value of one counter.
 #[derive(Debug, Clone, PartialEq)]
@@ -99,31 +107,6 @@ impl HistogramSnapshot {
     }
 }
 
-/// Exported journal entry (owned; `target` is a `String` after a JSON
-/// round-trip).
-#[derive(Debug, Clone, PartialEq)]
-pub struct EventSnapshot {
-    /// Severity.
-    pub level: Level,
-    /// Emitting component target.
-    pub target: String,
-    /// Simulation time in seconds.
-    pub sim_time_s: f64,
-    /// Message text.
-    pub message: String,
-}
-
-impl From<&Event> for EventSnapshot {
-    fn from(e: &Event) -> Self {
-        Self {
-            level: e.level,
-            target: e.target.to_string(),
-            sim_time_s: e.sim_time_s,
-            message: e.message.clone(),
-        }
-    }
-}
-
 /// A complete, serializable export of one telemetry registry.
 #[derive(Debug, Clone, PartialEq, Default)]
 pub struct TelemetrySnapshot {
@@ -139,10 +122,11 @@ pub struct TelemetrySnapshot {
     pub gauges: Vec<GaugeSnapshot>,
     /// All registered histograms, in registration order.
     pub histograms: Vec<HistogramSnapshot>,
-    /// Journal events, in emission order (bounded by journal capacity).
-    pub events: Vec<EventSnapshot>,
-    /// Events the journal rejected because it was full.
-    pub events_dropped: u64,
+    /// The newest window decisions, oldest first (at most 4 096 per
+    /// registry; a merge concatenates them).
+    pub windows: Vec<WindowDecision>,
+    /// Older window decisions the registry evicted to keep the newest.
+    pub windows_dropped: u64,
 }
 
 impl TelemetrySnapshot {
@@ -166,7 +150,7 @@ impl TelemetrySnapshot {
 
     /// Folds `other` into `self`: counters add, histograms add
     /// bucket-wise (min/max widen), gauges take `other`'s value
-    /// (last-write-wins), events concatenate. Metrics present only in
+    /// (last-write-wins), windows concatenate. Metrics present only in
     /// `other` are appended. Used to aggregate across seeds in sweeps.
     pub fn merge(&mut self, other: &TelemetrySnapshot) {
         self.enabled |= other.enabled;
@@ -206,8 +190,8 @@ impl TelemetrySnapshot {
                 None => self.histograms.push(oh.clone()),
             }
         }
-        self.events.extend(other.events.iter().cloned());
-        self.events_dropped += other.events_dropped;
+        self.windows.extend_from_slice(&other.windows);
+        self.windows_dropped += other.windows_dropped;
     }
 
     /// Serializes to the compact JSON schema documented in
@@ -266,15 +250,22 @@ impl TelemetrySnapshot {
                 Json::Obj(members)
             })
             .collect();
-        let events = self
-            .events
+        // A non-finite rate is written `null` and read back as NaN.
+        let windows = self
+            .windows
             .iter()
-            .map(|e| {
+            .map(|w| {
+                let step = STEP_NAMES.iter().find(|(c, _)| *c == w.step).unwrap().1;
                 Json::Obj(vec![
-                    ("level".into(), Json::Str(e.level.as_str().into())),
-                    ("target".into(), Json::Str(e.target.clone())),
-                    ("t".into(), Json::Float(e.sim_time_s)),
-                    ("message".into(), Json::Str(e.message.clone())),
+                    ("t".into(), Json::Float(w.time)),
+                    ("lambda".into(), Json::Float(w.arrival_rate)),
+                    ("mu".into(), Json::Float(w.service_rate)),
+                    ("z_before".into(), Json::Float(w.throttle_before)),
+                    ("z".into(), Json::Float(w.throttle)),
+                    ("queue".into(), Json::UInt(w.queue_len as u64)),
+                    ("dropped".into(), Json::UInt(w.dropped)),
+                    ("step".into(), Json::Str(step.into())),
+                    ("adapt".into(), Json::Bool(w.adapt_due)),
                 ])
             })
             .collect();
@@ -285,8 +276,8 @@ impl TelemetrySnapshot {
             ("counters".into(), Json::Arr(counters)),
             ("gauges".into(), Json::Arr(gauges)),
             ("histograms".into(), Json::Arr(histograms)),
-            ("events".into(), Json::Arr(events)),
-            ("events_dropped".into(), Json::UInt(self.events_dropped)),
+            ("windows".into(), Json::Arr(windows)),
+            ("windows_dropped".into(), Json::UInt(self.windows_dropped)),
         ])
         .to_string()
     }
@@ -306,7 +297,7 @@ impl TelemetrySnapshot {
         let mut snap = TelemetrySnapshot {
             component,
             enabled,
-            events_dropped: field_u64(&root, "events_dropped")?,
+            windows_dropped: field_u64(&root, "windows_dropped")?,
             ..Default::default()
         };
         for c in field_array(&root, "counters")? {
@@ -356,14 +347,28 @@ impl TelemetrySnapshot {
                 buckets,
             });
         }
-        for e in field_array(&root, "events")? {
-            let level =
-                Level::parse(field_str(e, "level")?).ok_or(SnapshotParseError::Missing("level"))?;
-            snap.events.push(EventSnapshot {
-                level,
-                target: field_str(e, "target")?.to_string(),
-                sim_time_s: field_f64(e, "t")?,
-                message: field_str(e, "message")?.to_string(),
+        for w in field_array(&root, "windows")? {
+            let step = field_str(w, "step")?;
+            let step = STEP_NAMES
+                .iter()
+                .find(|(_, name)| *name == step)
+                .ok_or(SnapshotParseError::Missing("step"))?
+                .0;
+            let queue_len = usize::try_from(field_u64(w, "queue")?)
+                .map_err(|_| SnapshotParseError::Missing("queue"))?;
+            snap.windows.push(WindowDecision {
+                time: field_real(w, "t")?,
+                arrival_rate: field_real(w, "lambda")?,
+                throttle: field_real(w, "z")?,
+                queue_len,
+                dropped: field_u64(w, "dropped")?,
+                service_rate: field_real(w, "mu")?,
+                throttle_before: field_real(w, "z_before")?,
+                step,
+                adapt_due: w
+                    .get("adapt")
+                    .and_then(Json::as_bool)
+                    .ok_or(SnapshotParseError::Missing("adapt"))?,
             });
         }
         Ok(snap)
@@ -380,6 +385,14 @@ fn field_f64(v: &Json, key: &'static str) -> Result<f64, SnapshotParseError> {
     v.get(key)
         .and_then(Json::as_f64)
         .ok_or(SnapshotParseError::Missing(key))
+}
+
+/// A real that may have been written non-finite: `null` reads as NaN.
+fn field_real(v: &Json, key: &'static str) -> Result<f64, SnapshotParseError> {
+    match v.get(key) {
+        Some(Json::Null) => Ok(f64::NAN),
+        _ => field_f64(v, key),
+    }
 }
 
 fn field_str<'a>(v: &'a Json, key: &'static str) -> Result<&'a str, SnapshotParseError> {
@@ -455,13 +468,18 @@ mod tests {
                 max: Some(400),
                 buckets: vec![(7, 1), (8, 1), (9, 1)],
             }],
-            events: vec![EventSnapshot {
-                level: Level::Warn,
-                target: "throt_loop".into(),
-                sim_time_s: 12.5,
-                message: "step clamped".into(),
+            windows: vec![WindowDecision {
+                time: 12.5,
+                arrival_rate: 400.0,
+                throttle: 0.5,
+                queue_len: 64,
+                dropped: 7,
+                service_rate: 100.0,
+                throttle_before: 1.0,
+                step: StepClass::Clamped,
+                adapt_due: true,
             }],
-            events_dropped: 1,
+            windows_dropped: 1,
         }
     }
 
@@ -479,11 +497,35 @@ mod tests {
         assert_eq!(back, snap);
     }
 
+    /// A held window saw no signal: its λ is NaN, which the JSON writes
+    /// as `null` and the parse reads back as NaN.
+    #[test]
+    fn a_held_window_with_a_nan_rate_round_trips() {
+        let mut snap = sample();
+        let w = &mut snap.windows[0];
+        (w.arrival_rate, w.step, w.throttle) = (f64::NAN, StepClass::Held, w.throttle_before);
+        let text = snap.to_json();
+        assert!(text.contains("\"lambda\":null"), "{text}");
+        let back = TelemetrySnapshot::from_json(&text).unwrap();
+        let (w, b) = (snap.windows[0], back.windows[0]);
+        assert!(b.arrival_rate.is_nan());
+        assert_eq!(
+            WindowDecision {
+                arrival_rate: 0.0,
+                ..b
+            },
+            WindowDecision {
+                arrival_rate: 0.0,
+                ..w
+            }
+        );
+    }
+
     #[test]
     fn rejects_wrong_schema_version() {
         let text = sample()
             .to_json()
-            .replacen("\"schema\":1", "\"schema\":999", 1);
+            .replacen("\"schema\":2", "\"schema\":999", 1);
         assert!(matches!(
             TelemetrySnapshot::from_json(&text),
             Err(SnapshotParseError::Schema(999))
@@ -512,8 +554,8 @@ mod tests {
         assert_eq!(h.min, Some(50));
         assert_eq!(h.max, Some(400));
         assert_eq!(h.buckets, vec![(7, 2), (8, 2), (9, 2)]);
-        assert_eq!(a.events.len(), 2);
-        assert_eq!(a.events_dropped, 2);
+        assert_eq!(a.windows, [sample().windows[0]; 2]);
+        assert_eq!(a.windows_dropped, 2);
     }
 
     #[test]

@@ -45,6 +45,52 @@ pub struct QueueObservation {
     pub service_rate: f64,
 }
 
+/// How THROTLOOP classified one window's step; the first that applies,
+/// in the order overload, held, clamped.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub enum StepClass {
+    /// `z` followed the observed utilisation (an idle window resets it
+    /// to 1).
+    Tracked,
+    /// The raw step factor fell outside `[1/2, 2]` and was clamped.
+    Clamped,
+    /// No signal (a NaN rate, or ∞/∞): `z` held.
+    Held,
+    /// No service capacity (`µ ≤ 0`) while updates arrived: `z` stepped
+    /// down at the clamp.
+    Overload,
+}
+
+/// What one closed window decided, and the books it was decided on: the
+/// one record of a THROTLOOP step, built by the input-queue governor
+/// (`lira_server::governor::Governor::close_window`) and kept by both
+/// control loops and their telemetry.
+#[derive(Debug, Clone, Copy, PartialEq)]
+pub struct WindowDecision {
+    /// The caller's clock at the close.
+    pub time: f64,
+    /// Observed arrival rate λ (updates/s): the window's arrivals divided
+    /// by `window_s`.
+    pub arrival_rate: f64,
+    /// Throttle fraction in force after the window.
+    pub throttle: f64,
+    /// Queued updates at the close, before any service the caller does
+    /// after it.
+    pub queue_len: usize,
+    /// Updates tail-dropped during the window.
+    pub dropped: u64,
+    /// The declared service rate µ (updates/s).
+    pub service_rate: f64,
+    /// Throttle fraction in force before the window.
+    pub throttle_before: f64,
+    /// THROTLOOP's step classification.
+    pub step: StepClass,
+    /// Whether the caller should re-plan now: this is every
+    /// `adapt_every_windows`-th window, and updates were admitted since
+    /// the last re-plan.
+    pub adapt_due: bool,
+}
+
 impl ThrotLoop {
     /// Creates a controller for an input queue of maximum size `B ≥ 2`.
     /// `z` starts at 1 (no shedding).

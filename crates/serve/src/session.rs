@@ -25,7 +25,7 @@ use lira_core::policy::{Policy, SheddingPolicy};
 use lira_core::reduction::ReductionModel;
 use lira_core::stats_grid::StatsGrid;
 use lira_core::telemetry::json::Json;
-use lira_core::telemetry::{Counter, Gauge, Histogram, MetricSpec, Telemetry};
+use lira_core::telemetry::{Counter, Histogram, MetricSpec, Telemetry};
 use lira_server::cq_engine::CqServer;
 use lira_server::governor::Governor;
 use std::sync::Arc;
@@ -209,8 +209,6 @@ pub(crate) struct ServeTelemetry {
     plan_broadcasts: Arc<Counter>,
     plan_bytes: Arc<Counter>,
     protocol_errors: Arc<Counter>,
-    ctl_z: Arc<Gauge>,
-    queue_depth: Arc<Gauge>,
     queue_wait_us: Arc<Histogram>,
     eval_us: Arc<Histogram>,
     eval_stepped: Arc<Histogram>,
@@ -246,8 +244,6 @@ impl ServeTelemetry {
                 "serve",
                 "errors",
             )),
-            ctl_z: registry.gauge(MetricSpec::new("serve.ctl.z", "serve", "fraction")),
-            queue_depth: registry.gauge(MetricSpec::new("serve.queue.depth", "serve", "updates")),
             queue_wait_us: registry.histogram(MetricSpec::new(
                 "serve.queue.wait_us",
                 "serve",
@@ -534,8 +530,7 @@ impl SessionCore {
                 }
                 let decision = self.governor.close_window(t, window_s);
                 self.drain();
-                self.tel.ctl_z.set(decision.throttle);
-                self.tel.queue_depth.set(decision.queue_len as f64);
+                self.tel.registry.record_window(&decision);
                 let mut adapted = 0u8;
                 if decision.adapt_due {
                     let t0 = Instant::now();
@@ -861,6 +856,49 @@ mod tests {
             |c| c.bounds.max = Point::new(f64::INFINITY, f64::INFINITY),
             "finite",
         );
+        // `--space 1e308`: a finite side whose area overflows. The session
+        // started, and GREEDYINCREMENT panicked ("NaN is not orderable")
+        // on its first adapting window. The largest side with a finite
+        // area still runs.
+        refused(|c| c.bounds.max = Point::new(1e308, 1e308), "finite area");
+        refused(|c| c.bounds.max = Point::new(1e160, 1e160), "finite area");
+        assert_eq!(ServeConfig::new(1.3e154, 100).validate(), Ok(()));
+    }
+
+    /// The two edge values OPERATIONS.md gives a meaning: `--adapt-every
+    /// 0` never re-plans (THROTLOOP still steps `z`), and `--regions 1`
+    /// plans one region, a uniform Δ.
+    #[test]
+    fn adapt_every_zero_never_replans_and_one_region_plans_one() {
+        for (adapt_every_windows, num_regions) in [(0, 250), (1, 1)] {
+            let mut cfg = ServeConfig::new(1000.0, 100);
+            (cfg.adapt_every_windows, cfg.num_regions) = (adapt_every_windows, num_regions);
+            cfg.service_rate = 50.0;
+            assert_eq!(cfg.validate(), Ok(()));
+            let mut s = SessionCore::new(cfg);
+            let conn = s.open_conn();
+            for w in 0..3 {
+                let t = w as f64 + 1.0;
+                let updates = (0..100)
+                    .map(|i| {
+                        upd(
+                            i,
+                            (i % 10) as f64 * 100.0 + 5.0,
+                            (i / 10) as f64 * 100.0 + 5.0,
+                        )
+                    })
+                    .collect();
+                s.handle(conn, Frame::Batch { t, updates });
+                let out = s.handle(conn, Frame::WindowClose { t, window_s: 1.0 });
+                let Frame::WindowAck { z, adapted, .. } = out.replies[0] else {
+                    panic!("unexpected {:?}", out.replies[0]);
+                };
+                assert!(z < 1.0, "λ = 100/s against µ = 50/s must throttle");
+                assert_eq!(adapted == 1, adapt_every_windows > 0);
+                assert_eq!(out.broadcast.len(), usize::from(adapted));
+            }
+            assert_eq!(s.plan().len(), 1);
+        }
     }
 
     #[test]
@@ -1100,12 +1138,69 @@ mod tests {
         let (admitted, dropped) = (field("updates_admitted"), field("updates_dropped"));
         assert!(dropped > 0, "the queues must overflow");
         assert_eq!(admitted + dropped, field("updates_rx"));
+        assert_eq!(s.governor.depth(), 0, "every admitted update was drained");
+        if lira_core::telemetry::COMPILED_OUT {
+            return;
+        }
         let snap = s.telemetry_snapshot();
         assert_eq!(snap.counter("serve.queue.admitted"), Some(admitted));
         assert_eq!(snap.counter("serve.queue.dropped"), Some(dropped));
-        assert_eq!(s.governor.depth(), 0, "every admitted update was drained");
         let waits = snap.histogram("serve.queue.wait_us").unwrap();
         assert_eq!(waits.count, admitted);
+    }
+
+    /// The telemetry's window ring holds what each `WindowAck` said, one
+    /// entry per acknowledged window; a refused `WindowClose` leaves no
+    /// entry.
+    #[test]
+    fn the_window_ring_matches_the_window_acks() {
+        let mut s = tiny(); // capacity 64, µ = 50/s
+        let conn = s.open_conn();
+        let mut acks = Vec::new();
+        for (w, arrivals) in [120u32, 0, 30, 90, 10].into_iter().enumerate() {
+            let t = w as f64 + 1.0;
+            let updates = (0..arrivals).map(|i| upd(i % 100, 10.0, 10.0)).collect();
+            s.handle(conn, Frame::Batch { t, updates });
+            let refused = s.handle(
+                conn,
+                Frame::WindowClose {
+                    t: f64::NAN,
+                    window_s: 1.0,
+                },
+            );
+            assert!(matches!(refused.replies[0], Frame::Error { .. }));
+            let out = s.handle(conn, Frame::WindowClose { t, window_s: 0.5 });
+            match out.replies[0] {
+                Frame::WindowAck {
+                    t,
+                    z,
+                    lambda,
+                    mu,
+                    depth,
+                    ..
+                } => acks.push((t, z, lambda, mu, depth)),
+                ref other => panic!("unexpected {other:?}"),
+            }
+        }
+        let snap = s.telemetry_snapshot();
+        if lira_core::telemetry::COMPILED_OUT {
+            assert!(snap.windows.is_empty());
+            return;
+        }
+        let ring: Vec<_> = snap
+            .windows
+            .iter()
+            .map(|w| {
+                let depth = w.queue_len as u64;
+                (w.time, w.throttle, w.arrival_rate, w.service_rate, depth)
+            })
+            .collect();
+        assert_eq!(ring, acks);
+        assert_eq!(snap.windows_dropped, 0);
+        assert!(
+            snap.windows.iter().any(|w| w.dropped > 0),
+            "window 1 overflows"
+        );
     }
 
     #[test]

@@ -199,12 +199,22 @@ impl StormConfig {
     /// Says why the churn workload cannot be generated under this
     /// configuration: no node, a space side that is not finite and
     /// positive, a churn fraction outside `(0, 1]` (a fraction above one
-    /// would re-report nodes several times a round), or a round length
-    /// that is not finite and positive. The binary checks before it
+    /// would re-report nodes several times a round), a round length
+    /// that is not finite and positive, or a count of 0 where one is due:
+    /// rounds, rounds between evaluations or between windows, updates per
+    /// `Batch` (the storm would run no round, never evaluate, never close
+    /// a window, or take a cap of 0 for 1). The binary checks before it
     /// connects.
     pub fn validate(&self) -> Result<(), String> {
-        if self.nodes < 1 {
-            return Err("nodes must be at least 1".into());
+        let counts = [
+            ("nodes", self.nodes),
+            ("rounds", self.rounds),
+            ("eval-every", self.eval_every),
+            ("window-every", self.window_every),
+            ("batch cap", self.batch_cap),
+        ];
+        if let Some((name, _)) = counts.iter().find(|(_, n)| *n < 1) {
+            return Err(format!("{name} must be at least 1"));
         }
         finite_positive("space", self.space_m)?;
         if !(self.churn_frac > 0.0 && self.churn_frac <= 1.0) {
@@ -648,6 +658,10 @@ mod tests {
             assert!(why.contains(needle), "{why:?} should mention {needle:?}");
         };
         refused(|c| c.nodes = 0, "nodes");
+        refused(|c| c.rounds = 0, "rounds");
+        refused(|c| c.eval_every = 0, "eval-every");
+        refused(|c| c.window_every = 0, "window-every");
+        refused(|c| c.batch_cap = 0, "batch cap");
         for space in [0.0, -5.0, f64::NAN, f64::INFINITY] {
             let mut cfg = base();
             cfg.space_m = space;
@@ -663,10 +677,16 @@ mod tests {
             cfg.dt = dt;
             assert!(cfg.validate().unwrap_err().contains("round length"), "{dt}");
         }
-        // The edges of what runs: one node, every node every round.
+        // The edges of what runs: one node, every node every round, one
+        // round, a window and an evaluation every round, one update a
+        // `Batch`.
         let edge = StormConfig {
             nodes: 1,
             churn_frac: 1.0,
+            rounds: 1,
+            eval_every: 1,
+            window_every: 1,
+            batch_cap: 1,
             ..base()
         };
         assert_eq!(edge.validate(), Ok(()));

@@ -376,7 +376,9 @@ fn tail_drop_books_conserve_and_tcp_matches_inproc() {
             (admitted, dropped)
         );
         assert_eq!(field("updates_rx"), admitted + dropped);
-        assert_eq!(waits, admitted, "one wait sample per admitted update");
+        if !lira_core::telemetry::COMPILED_OUT {
+            assert_eq!(waits, admitted, "one wait sample per admitted update");
+        }
         assert!(core.get("z").unwrap().as_f64().unwrap() < 1.0);
     }
 }

@@ -44,11 +44,12 @@ pub mod prelude {
         RetryPolicy,
     };
     pub use crate::cq_engine::CqServer;
-    pub use crate::governor::{Governor, StepClass, WindowDecision};
+    pub use crate::governor::Governor;
     pub use crate::history::HistoryStore;
     pub use crate::mobile::MobileShedder;
     pub use crate::node_store::NodeStore;
     pub use crate::query::{sorted_difference_count, QueryResult, RangeQuery};
     pub use crate::queue::UpdateQueue;
     pub use crate::unified::ShardStats;
+    pub use lira_core::throt_loop::{StepClass, WindowDecision};
 }

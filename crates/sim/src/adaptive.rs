@@ -14,7 +14,8 @@
 
 use lira_core::config::finite_positive;
 use lira_core::policy::Policy;
-use lira_server::governor::{Governor, WindowDecision};
+use lira_core::throt_loop::WindowDecision;
+use lira_server::governor::Governor;
 use lira_workload::scenario::Scenario;
 
 use crate::metrics::{FaultReport, MetricsReport};
@@ -65,9 +66,11 @@ pub struct AdaptiveReport {
     pub metrics: MetricsReport,
     /// Uplink delivery accounting (zeros on the perfect channel).
     pub faults: FaultReport,
-    /// Controller/queue telemetry snapshot (per-window λ, μ, ρ, z,
-    /// clamp/hold classification, queue depth and service latency);
-    /// schema in docs/TELEMETRY.md.
+    /// Controller/queue telemetry snapshot (the ring of the newest window
+    /// decisions, the overflow and step-class counters and the service
+    /// latency); schema in docs/TELEMETRY.md. Its `windows` equal
+    /// [`Self::windows`] in a recording build and are empty under
+    /// `telemetry-off`.
     pub telemetry: lira_core::telemetry::TelemetrySnapshot,
 }
 

@@ -52,12 +52,13 @@ use lira_core::plan::SheddingPlan;
 use lira_core::policy::{Policy, RoundFeedback, SheddingPolicy};
 use lira_core::reduction::ReductionModel;
 use lira_core::stats_grid::StatsGrid;
+use lira_core::throt_loop::WindowDecision;
 use lira_mobility::generator::{generate_network, NetworkConfig};
 use lira_mobility::motion::DeadReckoner;
 use lira_mobility::simulator::{TrafficConfig, TrafficSimulator};
 use lira_server::channel::FaultyChannel;
 use lira_server::cq_engine::CqServer;
-use lira_server::governor::{Governor, WindowDecision};
+use lira_server::governor::Governor;
 use lira_server::query::{QueryResult, RangeQuery};
 use lira_workload::scenario::{PhaseSchedule, Scenario};
 use lira_workload::{generate_queries, WorkloadConfig};

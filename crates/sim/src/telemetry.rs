@@ -18,11 +18,11 @@ use std::sync::Arc;
 use lira_core::plan::SheddingPlan;
 use lira_core::policy::AdaptCost;
 use lira_core::telemetry::{
-    Counter, Gauge, Histogram, Level, MetricSpec, Telemetry, TelemetrySnapshot, COMPILED_OUT,
+    Counter, Gauge, Histogram, MetricSpec, Telemetry, TelemetrySnapshot, COMPILED_OUT,
 };
+use lira_core::throt_loop::{StepClass, WindowDecision};
 use lira_server::channel::ChannelStats;
 use lira_server::cq_engine::CqServer;
-use lira_server::governor::{StepClass, WindowDecision};
 
 // Lane metrics (component "sim.lane").
 const LANE_UPDATES_SENT: MetricSpec = MetricSpec::new("lane.updates_sent", "sim.lane", "updates");
@@ -72,17 +72,12 @@ const SHARD_STEPPED_NODES: MetricSpec =
 const SHARD_DUE_FIRED: MetricSpec = MetricSpec::new("shard.due_fired", "server.sharded", "entries");
 const SHARD_DUE_STALE: MetricSpec = MetricSpec::new("shard.due_stale", "server.sharded", "entries");
 
-// Closed-loop metrics.
-const QUEUE_DEPTH: MetricSpec = MetricSpec::new("queue.depth", "server.queue", "updates");
+// Closed-loop metrics; each window's operating point is in the
+// registry's window ring, not on gauges.
 const QUEUE_OVERFLOW: MetricSpec =
     MetricSpec::new("queue.overflow_drops", "server.queue", "updates");
 const QUEUE_LATENCY_US: MetricSpec =
     MetricSpec::new("queue.service_latency_us", "server.queue", "us");
-const THROT_LAMBDA: MetricSpec =
-    MetricSpec::new("throtloop.lambda", "core.throt_loop", "updates/s");
-const THROT_MU: MetricSpec = MetricSpec::new("throtloop.mu", "core.throt_loop", "updates/s");
-const THROT_RHO: MetricSpec = MetricSpec::new("throtloop.rho", "core.throt_loop", "fraction");
-const THROT_Z: MetricSpec = MetricSpec::new("throtloop.z", "core.throt_loop", "fraction");
 const THROT_CLAMPED: MetricSpec =
     MetricSpec::new("throtloop.clamped_steps", "core.throt_loop", "steps");
 const THROT_HELD: MetricSpec = MetricSpec::new("throtloop.held_steps", "core.throt_loop", "steps");
@@ -96,9 +91,6 @@ const STAGE_TRACE_US: MetricSpec = MetricSpec::new("pipeline.trace_us", "sim.pip
 const STAGE_REFERENCE_US: MetricSpec =
     MetricSpec::new("pipeline.reference_us", "sim.pipeline", "us");
 const STAGE_LANES_US: MetricSpec = MetricSpec::new("pipeline.lanes_us", "sim.pipeline", "us");
-
-/// Journal target for the closed-loop controller.
-pub(crate) const TARGET_ADAPTIVE: &str = "sim.adaptive";
 
 /// Pre-registered handles for one policy lane. Creation locks the
 /// registry once; every recording after that is lock-free.
@@ -333,13 +325,8 @@ impl PipelineTelemetry {
 /// on the registry of the lane it controls ([`LaneTelemetry::closed_loop`]).
 pub(crate) struct AdaptiveTelemetry {
     registry: Arc<Telemetry>,
-    queue_depth: Arc<Gauge>,
     queue_overflow: Arc<Counter>,
     queue_latency_us: Arc<Histogram>,
-    lambda: Arc<Gauge>,
-    mu: Arc<Gauge>,
-    rho: Arc<Gauge>,
-    z: Arc<Gauge>,
     clamped: Arc<Counter>,
     held: Arc<Counter>,
     overload: Arc<Counter>,
@@ -348,13 +335,8 @@ pub(crate) struct AdaptiveTelemetry {
 impl AdaptiveTelemetry {
     fn on(registry: Arc<Telemetry>) -> Self {
         AdaptiveTelemetry {
-            queue_depth: registry.gauge(QUEUE_DEPTH),
             queue_overflow: registry.counter(QUEUE_OVERFLOW),
             queue_latency_us: registry.histogram(QUEUE_LATENCY_US),
-            lambda: registry.gauge(THROT_LAMBDA),
-            mu: registry.gauge(THROT_MU),
-            rho: registry.gauge(THROT_RHO),
-            z: registry.gauge(THROT_Z),
             clamped: registry.counter(THROT_CLAMPED),
             held: registry.counter(THROT_HELD),
             overload: registry.counter(THROT_OVERLOAD),
@@ -371,56 +353,17 @@ impl AdaptiveTelemetry {
         }
     }
 
-    /// Records one control window: queue state, the `(λ, μ, ρ, z)`
-    /// operating point, and the step's classification. Degenerate windows
-    /// (holds, overload clamps) produce `Warn` journal entries — the
-    /// operator-facing signals in docs/TELEMETRY.md.
+    /// Records one control window: the decision into the registry's
+    /// window ring, its drops and step class onto the cumulative
+    /// counters.
     pub(crate) fn on_window(&self, w: &WindowDecision) {
-        let (lambda, mu) = (w.arrival_rate, w.service_rate);
-        self.queue_depth.set(w.queue_len as f64);
+        self.registry.record_window(w);
         self.queue_overflow.add(w.dropped);
-        self.lambda.set(lambda);
-        self.mu.set(mu);
-        self.rho
-            .set(if mu > 0.0 { lambda / mu } else { f64::INFINITY });
-        self.z.set(w.throttle);
         // An overload step is also a clamped one.
         let clamped = matches!(w.step, StepClass::Clamped | StepClass::Overload);
         self.clamped.add(u64::from(clamped));
         self.held.add(u64::from(w.step == StepClass::Held));
         self.overload.add(u64::from(w.step == StepClass::Overload));
-        if COMPILED_OUT {
-            return;
-        }
-        let event = match w.step {
-            StepClass::Overload => Some((
-                Level::Warn,
-                format!(
-                    "overload window: mu <= 0, z stepped at clamp (z = {:.4})",
-                    w.throttle
-                ),
-            )),
-            StepClass::Held => Some((
-                Level::Warn,
-                "degenerate window held: non-finite rate observation".to_string(),
-            )),
-            StepClass::Clamped => Some((
-                Level::Info,
-                format!("step factor clamped (z = {:.4})", w.throttle),
-            )),
-            StepClass::Tracked => None,
-        };
-        if let Some((level, message)) = event {
-            self.registry.event(level, TARGET_ADAPTIVE, w.time, message);
-        }
-        if w.dropped > 0 {
-            self.registry.event(
-                Level::Warn,
-                TARGET_ADAPTIVE,
-                w.time,
-                format!("queue overflow: {} updates tail-dropped", w.dropped),
-            );
-        }
     }
 }
 
@@ -489,14 +432,11 @@ mod tests {
         assert_eq!(snap.counter("throtloop.clamped_steps"), Some(1));
         assert_eq!(snap.counter("throtloop.held_steps"), Some(1));
         assert_eq!(snap.counter("queue.overflow_drops"), Some(2));
-        assert_eq!(snap.gauge("throtloop.z"), Some(0.75));
-        let messages: Vec<&str> = snap.events.iter().map(|e| e.message.as_str()).collect();
-        assert!(messages[0].starts_with("overload window"), "{messages:?}");
-        assert!(messages[1].starts_with("queue overflow: 2"), "{messages:?}");
-        assert!(
-            messages[2].starts_with("degenerate window held"),
-            "{messages:?}"
+        let steps: Vec<StepClass> = snap.windows.iter().map(|w| w.step).collect();
+        assert_eq!(
+            steps,
+            [StepClass::Overload, StepClass::Tracked, StepClass::Held]
         );
-        assert_eq!(messages.len(), 3);
+        assert_eq!(snap.windows[2].throttle, 0.75);
     }
 }

@@ -3,7 +3,8 @@
 //! Runs one policy-comparison scenario and one deliberately starved
 //! closed loop, then reads the story back from the telemetry snapshots
 //! alone — partitioner work, per-adaptation cost, the plan's Δ spread,
-//! shed-skew, queue latency quantiles, and the controller's journal.
+//! shed-skew, queue latency quantiles, and the controller's window
+//! decisions.
 //! Metric names and the operator's guide: docs/TELEMETRY.md.
 //!
 //! Run with: `cargo run --release --example telemetry_tour`
@@ -73,7 +74,7 @@ fn main() {
         }
     }
 
-    // --- Closed loop, starved on purpose: the journal tells the story. -
+    // --- Closed loop, starved on purpose: the windows tell the story. -
     let cfg = AdaptiveConfig {
         service_rate: 60.0,
         queue_capacity: 100,
@@ -85,13 +86,15 @@ fn main() {
     );
     let adaptive = run_adaptive(&sc, &cfg);
     let t = &adaptive.telemetry;
-    println!(
-        "final operating point: λ = {:.1}/s  ρ = {:.2}  z = {:.3}  queue = {:.0}",
-        t.gauge("throtloop.lambda").unwrap_or(f64::NAN),
-        t.gauge("throtloop.rho").unwrap_or(f64::NAN),
-        t.gauge("throtloop.z").unwrap_or(f64::NAN),
-        t.gauge("queue.depth").unwrap_or(f64::NAN),
-    );
+    if let Some(w) = t.windows.last() {
+        println!(
+            "final operating point: λ = {:.1}/s  ρ = {:.2}  z = {:.3}  queue = {}",
+            w.arrival_rate,
+            w.arrival_rate / w.service_rate,
+            w.throttle,
+            w.queue_len,
+        );
+    }
     if let Some(h) = t.histogram("queue.service_latency_us") {
         println!(
             "queue latency: p50 {:?} µs  p99 {:?} µs  ({} serviced; {} overflow drops)",
@@ -107,14 +110,26 @@ fn main() {
         t.counter("throtloop.held_steps").unwrap_or(0),
         t.counter("throtloop.overload_steps").unwrap_or(0),
     );
-    if !t.events.is_empty() {
-        println!("\njournal ({} events):", t.events.len());
-        for e in t.events.iter().take(8) {
+    let shown = t.windows.len().min(6);
+    if shown > 0 {
+        println!(
+            "\nlast {shown} of {} windows:",
+            t.windows.len() as u64 + t.windows_dropped
+        );
+        println!(
+            "  {:>5} | {:>6} | {:>8} → {:<8} | {:>5} | {:>7} | step",
+            "t", "λ", "z before", "z", "queue", "dropped"
+        );
+        for w in &t.windows[t.windows.len() - shown..] {
             println!(
-                "  [{:>5.0}s] {:<5} {}",
-                e.sim_time_s,
-                e.level.as_str(),
-                e.message
+                "  {:>5.0} | {:>6.1} | {:>8.3} → {:<8.3} | {:>5} | {:>7} | {:?}",
+                w.time,
+                w.arrival_rate,
+                w.throttle_before,
+                w.throttle,
+                w.queue_len,
+                w.dropped,
+                w.step
             );
         }
     }
@@ -122,7 +137,7 @@ fn main() {
     // Every snapshot is JSON; this is what --telemetry-json writes.
     let json = adaptive.telemetry.to_json();
     println!(
-        "\nsnapshot JSON: {} bytes (schema v1, docs/TELEMETRY.md §3)",
+        "\nsnapshot JSON: {} bytes (schema v2, docs/TELEMETRY.md §3)",
         json.len()
     );
 }

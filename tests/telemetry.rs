@@ -8,7 +8,7 @@
 use std::collections::BTreeSet;
 
 use lira::prelude::*;
-use lira_core::telemetry::{Level, COMPILED_OUT};
+use lira_core::telemetry::COMPILED_OUT;
 
 fn tiny(seed: u64) -> Scenario {
     let mut sc = Scenario::small(seed);
@@ -79,9 +79,11 @@ fn lane_snapshots_round_trip_and_reconcile() {
     }
 }
 
-/// The closed-loop runner exports controller and queue telemetry, and an
-/// overloaded configuration leaves operator-visible traces (gauges set,
-/// latency samples, journal events) exactly as docs/TELEMETRY.md claims.
+/// The closed-loop runner exports controller and queue telemetry: its
+/// window ring is the report's window timeline bit for bit, and an
+/// overloaded configuration leaves operator-visible traces (latency
+/// samples, overflow drops on the counter and in the ring) exactly as
+/// docs/TELEMETRY.md claims.
 #[test]
 fn adaptive_run_exports_controller_telemetry() {
     let mut sc = tiny(47);
@@ -98,24 +100,42 @@ fn adaptive_run_exports_controller_telemetry() {
     assert_eq!(&back, snap);
     assert_eq!(snap.component, "adaptive");
     if COMPILED_OUT {
+        // The ring records nothing; the report keeps its own timeline.
+        assert!(snap.windows.is_empty() && !report.windows.is_empty());
         return;
     }
-    // The final control window's operating point is on the gauges.
-    assert_eq!(snap.gauge("throtloop.z"), Some(report.final_throttle));
-    assert!(snap.gauge("throtloop.lambda").is_some());
-    assert!(snap.gauge("queue.depth").is_some());
+    let bits = |w: &WindowDecision| {
+        let reals = [
+            w.time,
+            w.arrival_rate,
+            w.service_rate,
+            w.throttle_before,
+            w.throttle,
+        ];
+        (
+            reals.map(f64::to_bits),
+            w.queue_len,
+            w.dropped,
+            w.step,
+            w.adapt_due,
+        )
+    };
+    assert_eq!(
+        snap.windows.iter().map(bits).collect::<Vec<_>>(),
+        report.windows.iter().map(bits).collect::<Vec<_>>(),
+        "the ring holds the report's windows"
+    );
+    assert_eq!(snap.windows_dropped, 0);
+    // The last window's z is the run's final throttle.
+    let last = snap.windows.last().expect("a window closed");
+    assert_eq!(last.throttle.to_bits(), report.final_throttle.to_bits());
     // Serviced updates left latency samples.
     assert!(snap.histogram("queue.service_latency_us").unwrap().count > 0);
-    // The starved queue overflowed, and the overflow is visible both as
-    // a counter and as warn-level journal events.
-    let dropped: u64 = report.windows.iter().map(|w| w.dropped).sum();
+    // The starved queue overflowed, and the overflow is visible both on
+    // the counter and in the windows that dropped.
+    let dropped: u64 = snap.windows.iter().map(|w| w.dropped).sum();
+    assert!(dropped > 0, "the starved queue must overflow");
     assert_eq!(snap.counter("queue.overflow_drops"), Some(dropped));
-    if dropped > 0 {
-        assert!(snap
-            .events
-            .iter()
-            .any(|e| e.level == Level::Warn && e.message.contains("queue overflow")));
-    }
 }
 
 /// Seed-merged sweep telemetry accumulates counters across seeds.
