@@ -14,7 +14,6 @@
 
 use lira_bench::{print_header, run_averaged, snapshot_grid, ExpArgs};
 use lira_core::prelude::*;
-use lira_mobility::prelude::*;
 use lira_sim::prelude::*;
 use lira_workload::prelude::*;
 
@@ -262,45 +261,11 @@ fn ablation_partitioner(args: &ExpArgs, base: &Scenario) {
     );
 }
 
-/// Builds the scenario's statistics grid (same construction as the runner).
+/// Builds the scenario's statistics grid over the runner's warmed-up world.
 fn scenario_grid(sc: &Scenario) -> (StatsGrid, ReductionModel) {
-    let bounds = sc.bounds();
-    let network = generate_network(&NetworkConfig {
-        bounds,
-        spacing: sc.road_spacing,
-        arterial_period: sc.arterial_period,
-        expressway_period: sc.expressway_period,
-        jitter_frac: 0.2,
-        dead_zones: sc.dead_zones.clone(),
-        seed: sc.seed,
-    });
-    let demand = TrafficDemand::random_hotspots(&bounds, sc.hotspots, sc.seed);
-    let mut sim = TrafficSimulator::new(
-        network,
-        &demand,
-        TrafficConfig {
-            num_cars: sc.num_cars,
-            seed: sc.seed,
-        },
-    );
-    for _ in 0..(sc.warmup_s as usize) {
-        sim.step(1.0);
-    }
-    let positions: Vec<Point> = sim.cars().iter().map(|c| c.position()).collect();
-    let queries = generate_queries(
-        &bounds,
-        &positions,
-        &WorkloadConfig::from_ratio(
-            sc.query_distribution,
-            sc.num_cars,
-            sc.query_ratio,
-            sc.query_side,
-            sc.seed,
-        ),
-    );
-    let grid = snapshot_grid(sc.alpha, bounds, &sim, &queries);
-    let model = ReductionModel::analytic(sc.delta_min, sc.delta_max, sc.lira_config().kappa());
-    (grid, model)
+    let setup = SimSetup::build(sc, false);
+    let grid = snapshot_grid(sc.alpha, setup.bounds, &setup.sim, &setup.queries);
+    (grid, setup.model)
 }
 
 fn greedy_params(sc: &Scenario) -> GreedyParams {

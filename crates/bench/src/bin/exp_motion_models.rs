@@ -13,11 +13,10 @@
 //!    model can actuate the shedding.
 
 use lira_bench::{print_header, ExpArgs};
-use lira_mobility::generator::{generate_network, NetworkConfig};
 use lira_mobility::motion::DeadReckoner;
 use lira_mobility::route_motion::RouteReckoner;
-use lira_mobility::simulator::{TrafficConfig, TrafficSimulator};
-use lira_mobility::traffic::TrafficDemand;
+use lira_sim::pipeline::SimSetup;
+use lira_workload::scenario::Scenario;
 
 fn main() {
     let args = ExpArgs::parse();
@@ -31,24 +30,12 @@ fn main() {
 
     let cars = sc.num_cars.min(600);
     let duration = sc.duration_s.max(240.0) as usize;
-    let network = generate_network(&NetworkConfig {
-        bounds: sc.bounds(),
-        spacing: sc.road_spacing,
-        arterial_period: sc.arterial_period,
-        expressway_period: sc.expressway_period,
-        jitter_frac: 0.2,
-        dead_zones: sc.dead_zones.clone(),
-        seed: sc.seed,
-    });
-    let demand = TrafficDemand::random_hotspots(&sc.bounds(), sc.hotspots, sc.seed);
-    let mut sim = TrafficSimulator::new(
-        network,
-        &demand,
-        TrafficConfig {
-            num_cars: cars,
-            seed: sc.seed,
-        },
-    );
+    let world = Scenario {
+        num_cars: cars,
+        warmup_s: 0.0,
+        ..sc.clone()
+    };
+    let mut sim = SimSetup::build(&world, false).sim;
     println!("{cars} nodes × {duration} s, both reckoners running side by side\n");
 
     let deltas = [5.0, 10.0, 25.0, 50.0, 100.0];

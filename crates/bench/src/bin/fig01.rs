@@ -1,17 +1,15 @@
 //! Figure 1: reduction in the number of location updates received with
 //! different inaccuracy thresholds — the empirical `f(Δ)` curve.
 //!
-//! Records a trace of the standard scenario's traffic and replays it
-//! through dead reckoning at a sweep of thresholds, printing the update
-//! counts relative to `Δ⊢ = 5 m`, alongside the analytic model the
-//! optimizers use by default.
+//! Runs dead reckoning over the standard scenario's traffic at a sweep of
+//! thresholds in one pass, printing the update counts relative to
+//! `Δ⊢ = 5 m`, alongside the analytic model the optimizers use by default.
 
 use lira_bench::{print_header, ExpArgs};
 use lira_core::reduction::ReductionModel;
-use lira_mobility::generator::{generate_network, NetworkConfig};
-use lira_mobility::simulator::{TrafficConfig, TrafficSimulator};
-use lira_mobility::trace::Trace;
-use lira_mobility::traffic::TrafficDemand;
+use lira_mobility::motion::count_reports;
+use lira_sim::pipeline::SimSetup;
+use lira_workload::scenario::Scenario;
 
 fn main() {
     let args = ExpArgs::parse();
@@ -23,33 +21,20 @@ fn main() {
         &sc,
     );
 
-    // Record one trace at the scenario's scale (fewer cars suffice: the
-    // reduction factor is a per-node ratio).
+    // Meter the scenario's traffic from its first tick (fewer cars
+    // suffice: the reduction factor is a per-node ratio).
     let cars = sc.num_cars.min(if args.full { 2000 } else { 600 });
-    let net = generate_network(&NetworkConfig {
-        bounds: sc.bounds(),
-        spacing: sc.road_spacing,
-        arterial_period: sc.arterial_period,
-        expressway_period: sc.expressway_period,
-        jitter_frac: 0.2,
-        dead_zones: sc.dead_zones.clone(),
-        seed: sc.seed,
-    });
-    let demand = TrafficDemand::random_hotspots(&sc.bounds(), sc.hotspots, sc.seed);
-    let mut sim = TrafficSimulator::new(
-        net,
-        &demand,
-        TrafficConfig {
-            num_cars: cars,
-            seed: sc.seed,
-        },
-    );
+    let world = Scenario {
+        num_cars: cars,
+        warmup_s: 0.0,
+        ..sc.clone()
+    };
+    let mut sim = SimSetup::build(&world, false).sim;
     let duration = sc.duration_s.max(240.0);
-    let trace = Trace::record(&mut sim, duration, sc.dt);
     println!(
         "trace: {} nodes × {} ticks ({} s at {} Hz)",
-        trace.num_nodes(),
-        trace.ticks(),
+        cars,
+        (duration / sc.dt).round() as usize + 1,
         duration,
         1.0 / sc.dt
     );
@@ -57,7 +42,11 @@ fn main() {
     let deltas: Vec<f64> = vec![
         5.0, 7.5, 10.0, 15.0, 20.0, 25.0, 30.0, 40.0, 50.0, 60.0, 70.0, 80.0, 90.0, 100.0,
     ];
-    let measured = trace.measure_reduction(&deltas);
+    let measured: Vec<(f64, f64)> = deltas
+        .iter()
+        .zip(count_reports(&mut sim, duration, sc.dt, &deltas))
+        .map(|(&d, c)| (d, c as f64))
+        .collect();
     let base = measured[0].1;
     let analytic = ReductionModel::analytic(sc.delta_min, sc.delta_max, sc.lira_config().kappa());
 

@@ -103,8 +103,9 @@ impl ReductionModel {
     }
 
     /// Calibrates the model from empirical measurements: `samples` are
-    /// `(Δ, update_count)` pairs obtained by replaying a trace through dead
-    /// reckoning at several thresholds (this is how Figure 1 is produced).
+    /// `(Δ, update_count)` pairs counted by running dead reckoning over
+    /// traffic at several thresholds (`lira_mobility::motion::count_reports`;
+    /// this is how Figure 1 is produced).
     ///
     /// Counts are normalized by the count at the smallest sampled `Δ`
     /// (which should be `Δ⊢`), linearly interpolated onto `κ + 1` knots and

@@ -105,6 +105,7 @@ pub struct Histogram {
 }
 
 /// Index of the bucket that holds `v`: 0 for 0, else `64 - leading_zeros`.
+#[cfg(any(test, not(feature = "telemetry-off")))]
 #[inline]
 pub(crate) fn bucket_index(v: u64) -> usize {
     (64 - v.leading_zeros()) as usize

@@ -2,8 +2,8 @@
 //!
 //! Mobility substrate for the LIRA reproduction: a synthetic hierarchical
 //! road network (expressways / arterials / collectors), demand-driven
-//! traffic simulation, linear motion modeling with dead reckoning, and
-//! trace recording with empirical `f(Δ)` calibration.
+//! traffic simulation, and linear motion modeling with dead reckoning,
+//! whose report counts calibrate an empirical `f(Δ)`.
 //!
 //! This crate regenerates the paper's evaluation workload: "an hour long
 //! car position trace generated from real-world road networks ... and
@@ -28,7 +28,6 @@ pub mod road;
 pub mod route_motion;
 pub mod router;
 pub mod simulator;
-pub mod trace;
 
 /// Convenient re-exports of the most used types.
 pub mod prelude {
@@ -38,7 +37,6 @@ pub mod prelude {
     pub use crate::route_motion::RouteReckoner;
     pub use crate::router::shortest_path;
     pub use crate::simulator::{TrafficConfig, TrafficSimulator};
-    pub use crate::trace::Trace;
     pub use crate::traffic::{Hotspot, TrafficDemand};
 }
 

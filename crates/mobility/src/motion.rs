@@ -6,8 +6,16 @@
 //! model; the node sends a new report only when the *actual* position
 //! deviates from the prediction by more than its inaccuracy threshold `Δ` —
 //! LIRA's control knob.
+//!
+//! [`count_reports`] runs dead reckoning over simulated traffic at several
+//! thresholds in one pass — exactly how Figure 1 of the paper measures the
+//! update-reduction function — and [`calibrate_reduction`] turns those
+//! counts into a [`ReductionModel`].
 
 use lira_core::geometry::Point;
+use lira_core::reduction::ReductionModel;
+
+use crate::simulator::TrafficSimulator;
 
 /// A piece-wise linear motion model: position + velocity at a reference time.
 #[derive(Debug, Clone, Copy, PartialEq)]
@@ -97,9 +105,176 @@ impl DeadReckoner {
     }
 }
 
+/// Steps `sim` for `duration_s` seconds at `dt`-second ticks and counts the
+/// reports one [`DeadReckoner`] per car sends under each threshold in
+/// `deltas`, all in one pass. The starting state is tick 0 and tick `k` is
+/// observed at time `k·dt`; states are rounded through `f32`, the precision
+/// the recorded Figure 1 and every calibrated model were measured at. Each
+/// car's first report is not counted, so the counts reflect the threshold's
+/// effect only.
+pub fn count_reports(
+    sim: &mut TrafficSimulator,
+    duration_s: f64,
+    dt: f64,
+    deltas: &[f64],
+) -> Vec<u64> {
+    assert!(dt > 0.0 && duration_s >= dt);
+    let ticks = (duration_s / dt).round() as usize + 1;
+    let per_car = deltas.len();
+    let mut reckoners = vec![DeadReckoner::new(); sim.cars().len() * per_car];
+    for tick in 0..ticks {
+        if tick > 0 {
+            sim.step(dt);
+        }
+        let t = tick as f64 * dt;
+        for (node, car) in sim.cars().iter().enumerate() {
+            let (p, v) = (car.position(), car.velocity());
+            let position = Point::new(p.x as f32 as f64, p.y as f32 as f64);
+            let velocity = (v.0 as f32 as f64, v.1 as f32 as f64);
+            let bank = &mut reckoners[node * per_car..(node + 1) * per_car];
+            for (reckoner, &delta) in bank.iter_mut().zip(deltas) {
+                reckoner.observe(node as u32, t, position, velocity, delta);
+            }
+        }
+    }
+    let mut counts = vec![0u64; per_car];
+    for (i, reckoner) in reckoners.iter().enumerate() {
+        counts[i % per_car] += reckoner.reports() - 1;
+    }
+    counts
+}
+
+/// Calibrates a piecewise-linear [`ReductionModel`] from [`count_reports`]
+/// at `num_samples` thresholds spread over `[Δ⊢, Δ⊣]` (geometric spacing:
+/// the curve bends hardest near `Δ⊢`).
+pub fn calibrate_reduction(
+    sim: &mut TrafficSimulator,
+    duration_s: f64,
+    dt: f64,
+    delta_min: f64,
+    delta_max: f64,
+    kappa: usize,
+    num_samples: usize,
+) -> lira_core::error::Result<ReductionModel> {
+    assert!(num_samples >= 2);
+    let ratio = delta_max / delta_min;
+    let deltas: Vec<f64> = (0..num_samples)
+        .map(|i| delta_min * ratio.powf(i as f64 / (num_samples - 1) as f64))
+        .collect();
+    let counts = count_reports(sim, duration_s, dt, &deltas);
+    let samples: Vec<(f64, f64)> = deltas
+        .iter()
+        .zip(counts)
+        .map(|(&d, c)| (d, c as f64))
+        .collect();
+    ReductionModel::from_samples(delta_min, delta_max, kappa, &samples)
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::generator::{generate_network, NetworkConfig};
+    use crate::simulator::TrafficConfig;
+    use crate::traffic::TrafficDemand;
+    use lira_core::geometry::Rect;
+
+    /// 40 cars on `network`'s roads, metered for 120 s at 1 Hz.
+    fn world(network: NetworkConfig) -> TrafficSimulator {
+        let net = generate_network(&network);
+        let demand = TrafficDemand::random_hotspots(net.bounds(), 2, 31);
+        let cfg = TrafficConfig {
+            num_cars: 40,
+            seed: 31,
+        };
+        TrafficSimulator::new(net, &demand, cfg)
+    }
+
+    fn small_world() -> TrafficSimulator {
+        world(NetworkConfig::small(31))
+    }
+
+    #[test]
+    fn meter_reproduces_the_stored_trace_replay() {
+        // Captured from the stored-trace replay this meter replaced: a
+        // change to tick timing, rounding or first-report counting moves
+        // them.
+        let counts = count_reports(
+            &mut small_world(),
+            120.0,
+            1.0,
+            &[5.0, 10.0, 25.0, 50.0, 100.0],
+        );
+        assert_eq!(counts, [1108, 743, 477, 350, 269]);
+        let model = calibrate_reduction(&mut small_world(), 120.0, 1.0, 5.0, 100.0, 19, 8).unwrap();
+        let bits: Vec<u64> = model.knots().iter().map(|k| k.to_bits()).collect();
+        assert_eq!(
+            bits,
+            [
+                0x3ff0000000000000,
+                0x3fe627f62a0bc4df,
+                0x3fe1adb56d45b6ea,
+                0x3fde64db05578814,
+                0x3fdb28c552d212af,
+                0x3fd8db7cd5e63181,
+                0x3fd7a59dcb1eee1e,
+                0x3fd66fbec057aabc,
+                0x3fd57698d4863477,
+                0x3fd4b9a498d9e591,
+                0x3fd3fcb05d2d96aa,
+                0x3fd33fbc218147c4,
+                0x3fd282c7e5d4f8de,
+                0x3fd2138442c2dee2,
+                0x3fd1a736eb8afabd,
+                0x3fd13ae994531698,
+                0x3fd0ce9c3d1b3272,
+                0x3fd0624ee5e34e4d,
+                0x3fcfec031d56d44e,
+                0x3fcf13686ee70c04,
+            ]
+        );
+        // As wide as the paper's space, `f32` rounding flips reports at the
+        // finest thresholds; the small world is too narrow to show it.
+        let wide = NetworkConfig {
+            bounds: Rect::from_coords(0.0, 0.0, 14_142.0, 14_142.0),
+            spacing: 1000.0,
+            ..NetworkConfig::small(31)
+        };
+        let counts = count_reports(&mut world(wide), 120.0, 1.0, &[5.0, 7.5, 10.0]);
+        assert_eq!(counts, [878, 646, 525]);
+    }
+
+    #[test]
+    fn update_counts_decrease_with_delta() {
+        let counts = count_reports(
+            &mut small_world(),
+            120.0,
+            1.0,
+            &[5.0, 10.0, 25.0, 50.0, 100.0],
+        );
+        for w in counts.windows(2) {
+            assert!(w[1] <= w[0], "non-monotone counts {counts:?}");
+        }
+        assert!(counts[0] > 0, "no updates at the finest threshold");
+        assert!(
+            counts[4] < counts[0],
+            "coarse threshold did not shed: {counts:?}"
+        );
+    }
+
+    #[test]
+    fn calibrated_model_is_valid_and_matches_measurements() {
+        let model = calibrate_reduction(&mut small_world(), 120.0, 1.0, 5.0, 100.0, 19, 8).unwrap();
+        assert!((model.f(5.0) - 1.0).abs() < 1e-9);
+        assert!(model.f(100.0) < 1.0);
+        // The model approximates the directly measured ratio at a midpoint.
+        let counts = count_reports(&mut small_world(), 120.0, 1.0, &[5.0, 50.0]);
+        let measured = counts[1] as f64 / counts[0] as f64;
+        assert!(
+            (model.f(50.0) - measured).abs() < 0.15,
+            "model {} vs measured {measured}",
+            model.f(50.0)
+        );
+    }
 
     #[test]
     fn linear_prediction() {

@@ -270,6 +270,30 @@ mod tests {
     }
 
     #[test]
+    fn consecutive_positions_are_continuous() {
+        let net = generate_network(&NetworkConfig::small(31));
+        let demand = TrafficDemand::random_hotspots(net.bounds(), 2, 31);
+        let cfg = TrafficConfig {
+            num_cars: 40,
+            seed: 31,
+        };
+        let mut sim = TrafficSimulator::new(net, &demand, cfg);
+        let mut last: Vec<Point> = sim.cars().iter().map(|c| c.position()).collect();
+        for tick in 1..=120 {
+            sim.step(1.0);
+            for (node, (car, a)) in sim.cars().iter().zip(&mut last).enumerate() {
+                let b = car.position();
+                assert!(
+                    a.distance(&b) <= 45.0,
+                    "node {node} jumped {} m at tick {tick}",
+                    a.distance(&b)
+                );
+                *a = b;
+            }
+        }
+    }
+
+    #[test]
     fn positions_stay_in_bounds() {
         let mut sim = small_sim(40, 12);
         for _ in 0..300 {

@@ -6,9 +6,9 @@
 //!
 //! 1. **Replay determinism** — a `(network, demand, config)` seed tuple
 //!    reproduces every car's kinematic state bit for bit, tick by tick,
-//!    and [`Trace::record`] captures it identically.
-//! 2. **Spatial containment** — simulated cars and recorded trace
-//!    samples never leave the network's bounds.
+//!    and [`count_reports`] meters it identically.
+//! 2. **Spatial containment** — simulated cars never leave the network's
+//!    bounds.
 //! 3. **Pinned goldens** — an FNV-1a digest of every car's kinematic
 //!    state after N ticks, captured while the simulator still ran one
 //!    point-to-point `shortest_path` per trip: a routing or stepping
@@ -20,6 +20,7 @@
 //!    reports.
 
 use lira_core::geometry::{Point, Rect};
+use lira_mobility::motion::count_reports;
 use lira_mobility::prelude::*;
 use rand::rngs::SmallRng;
 use rand::SeedableRng;
@@ -119,38 +120,39 @@ fn cars_stay_inside_network_bounds() {
 }
 
 #[test]
-fn trace_recording_is_deterministic_and_in_bounds() {
+fn metered_traffic_is_deterministic_and_in_bounds() {
     let mut a = build_sim(17, 50);
     let mut b = build_sim(17, 50);
     let bounds = a.network().bounds().expand(1e-6);
-    let ta = Trace::record(&mut a, 90.0, 1.0);
-    let tb = Trace::record(&mut b, 90.0, 1.0);
-    assert_eq!(ta.num_nodes(), tb.num_nodes());
-    assert_eq!(ta.ticks(), tb.ticks());
-    assert_eq!(ta.dt().to_bits(), tb.dt().to_bits());
-    for tick in 0..ta.ticks() {
-        for node in 0..ta.num_nodes() {
-            let (sa, sb) = (ta.sample(tick, node), tb.sample(tick, node));
-            let (pa, pb) = (sa.position(), sb.position());
+    for tick in 0..=90 {
+        if tick > 0 {
+            a.step(1.0);
+            b.step(1.0);
+        }
+        assert_eq!(a.cars().len(), b.cars().len());
+        for (node, (ca, cb)) in a.cars().iter().zip(b.cars()).enumerate() {
+            let (pa, pb) = (ca.position(), cb.position());
             assert_eq!(
                 (pa.x.to_bits(), pa.y.to_bits()),
                 (pb.x.to_bits(), pb.y.to_bits()),
                 "tick {tick} node {node}"
             );
-            assert_eq!(sa.velocity(), sb.velocity(), "tick {tick} node {node}");
-            assert!(bounds.contains_closed(&pa), "sample {pa} out of bounds");
+            let (va, vb) = (ca.velocity(), cb.velocity());
+            assert_eq!(
+                (va.0.to_bits(), va.1.to_bits()),
+                (vb.0.to_bits(), vb.1.to_bits()),
+                "tick {tick} node {node}"
+            );
+            assert!(bounds.contains_closed(&pa), "car {pa} out of bounds");
         }
     }
     // Derived statistics inherit the determinism: identical update
     // counts at every threshold, monotonically fewer as Δ grows.
     let deltas = [5.0, 25.0, 100.0];
-    let counts: Vec<u64> = deltas.iter().map(|&d| ta.count_updates(d)).collect();
+    let counts = count_reports(&mut build_sim(17, 50), 90.0, 1.0, &deltas);
     assert_eq!(
         counts,
-        deltas
-            .iter()
-            .map(|&d| tb.count_updates(d))
-            .collect::<Vec<_>>()
+        count_reports(&mut build_sim(17, 50), 90.0, 1.0, &deltas)
     );
     assert!(counts.windows(2).all(|w| w[0] >= w[1]), "{counts:?}");
     assert!(counts[0] > 0, "some node must have moved");

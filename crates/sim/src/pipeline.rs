@@ -54,7 +54,7 @@ use lira_core::reduction::ReductionModel;
 use lira_core::stats_grid::StatsGrid;
 use lira_core::throt_loop::WindowDecision;
 use lira_mobility::generator::{generate_network, NetworkConfig};
-use lira_mobility::motion::DeadReckoner;
+use lira_mobility::motion::{calibrate_reduction, DeadReckoner};
 use lira_mobility::simulator::{TrafficConfig, TrafficSimulator};
 use lira_server::channel::FaultyChannel;
 use lira_server::cq_engine::CqServer;
@@ -87,7 +87,7 @@ fn measured_ticks(sc: &Scenario) -> usize {
 }
 
 /// Stage 1: everything the measured window depends on — validated config,
-/// reduction model (analytic or trace-calibrated), warmed-up traffic, and
+/// reduction model (analytic or probe-calibrated), warmed-up traffic, and
 /// the query workload.
 pub struct SimSetup {
     /// Validated LIRA configuration derived from the scenario.
@@ -150,15 +150,16 @@ impl SimSetup {
         }
 
         let model = if calibrate {
-            let mut probe = sim.clone();
-            let trace = lira_mobility::trace::Trace::record(
-                &mut probe,
+            calibrate_reduction(
+                &mut sim.clone(),
                 180.0_f64.min(sc.duration_s),
                 sc.dt,
-            );
-            trace
-                .calibrate_reduction(sc.delta_min, sc.delta_max, config.kappa(), 10)
-                .expect("calibration trace produces updates")
+                sc.delta_min,
+                sc.delta_max,
+                config.kappa(),
+                10,
+            )
+            .expect("calibration probe produces updates")
         } else {
             model
         };

@@ -9,8 +9,7 @@
 //!   GREEDYINCREMENT throttler setting, THROTLOOP budget control, shedding
 //!   plans, and the Uniform Δ / Lira-Grid baselines;
 //! * [`lira_mobility`] (`mobility`) — synthetic road networks, demand-driven
-//!   traffic simulation, dead reckoning, trace recording and `f(Δ)`
-//!   calibration;
+//!   traffic simulation, dead reckoning and `f(Δ)` calibration;
 //! * [`lira_server`] (`server`) — the mobile CQ server: node store, grid
 //!   index, range CQ engine, bounded update queue, base stations, and the
 //!   mobile-node-side shedder;

@@ -155,36 +155,15 @@ fn fairness_threshold_bounds_plan_spread() {
     let report = run_scenario(&sc, &[Policy::Lira]);
     assert!(report.outcome(Policy::Lira).is_some());
     // Rebuild the plan directly to inspect the throttlers.
-    let config = sc.lira_config();
-    let bounds = sc.bounds();
-    let network = generate_network(&NetworkConfig {
-        bounds,
-        spacing: sc.road_spacing,
-        arterial_period: sc.arterial_period,
-        expressway_period: sc.expressway_period,
-        jitter_frac: 0.2,
-        dead_zones: sc.dead_zones.clone(),
-        seed: sc.seed,
-    });
-    let demand = TrafficDemand::random_hotspots(&bounds, sc.hotspots, sc.seed);
-    let mut sim = TrafficSimulator::new(
-        network,
-        &demand,
-        TrafficConfig {
-            num_cars: sc.num_cars,
-            seed: sc.seed,
-        },
-    );
-    for _ in 0..60 {
-        sim.step(1.0);
-    }
-    let mut grid = StatsGrid::new(config.alpha, bounds).unwrap();
+    sc.warmup_s = 60.0;
+    let setup = SimSetup::build(&sc, false);
+    let mut grid = StatsGrid::new(setup.config.alpha, setup.bounds).unwrap();
     grid.begin_snapshot();
-    for car in sim.cars() {
+    for car in setup.sim.cars() {
         grid.observe_node(&car.position(), car.speed(), 1.0);
     }
     grid.commit_snapshot();
-    let shedder = LiraShedder::new(config).unwrap();
+    let shedder = LiraShedder::new(setup.config).unwrap();
     let plan = shedder.adapt_with_throttle(&grid, 0.3).unwrap().plan;
     let max = plan
         .regions()
