@@ -274,3 +274,265 @@ fn the_metric_reference_is_the_registered_keys() {
         "registered but missing from TELEMETRY.md §2"
     );
 }
+
+/// A snapshot's layout, one `kind name component unit` line per metric
+/// in snapshot order.
+fn layout(snap: &TelemetrySnapshot) -> Vec<String> {
+    let line =
+        |kind, name: &str, component: &str, unit: &str| format!("{kind} {name} {component} {unit}");
+    let counters = (snap.counters.iter()).map(|m| line("counter", &m.name, &m.component, &m.unit));
+    let gauges = (snap.gauges.iter()).map(|m| line("gauge", &m.name, &m.component, &m.unit));
+    let histograms =
+        (snap.histograms.iter()).map(|m| line("histogram", &m.name, &m.component, &m.unit));
+    counters.chain(gauges).chain(histograms).collect()
+}
+
+/// The four snapshot shapes: a fixed lane of every policy over a faulty
+/// channel, a starved closed lane, the pipeline, and a served session
+/// after a short overloaded storm and one refused frame.
+fn pinned_snapshots() -> Vec<TelemetrySnapshot> {
+    use lira_serve::protocol::Frame;
+    use lira_serve::session::{ServeConfig, SessionCore};
+    use lira_serve::storm::{run_storm, InprocTransport, StormConfig, Transport};
+
+    let sc = tiny(59).with_faults(FaultProfile::iid_loss(0.1));
+    let report = run_scenario(&sc, &Policy::ALL);
+    let mut snaps: Vec<_> = report.outcomes.into_iter().map(|o| o.telemetry).collect();
+    snaps.push(report.pipeline_telemetry);
+    let mut closed = tiny(61);
+    closed.num_cars = 200;
+    closed.duration_s = 120.0;
+    let cfg = AdaptiveConfig {
+        service_rate: 20.0,
+        queue_capacity: 64,
+        control_period_s: 10.0,
+    };
+    snaps.push(run_adaptive(&closed, &cfg).telemetry);
+
+    let mut serve = ServeConfig::new(1000.0, 200);
+    serve.num_regions = 49;
+    serve.queue_capacity = 48;
+    let mut storm = StormConfig::new(200, 1000.0);
+    storm.rounds = 12;
+    storm.eval_every = 3;
+    storm.window_every = 3;
+    storm.batch_cap = 64;
+    let mut t = InprocTransport::new(SessionCore::new(serve));
+    run_storm(&mut t, &storm).expect("in-process storm");
+    t.send(&Frame::EvalReq { t: f64::NAN }).unwrap();
+    assert!(matches!(t.recv().unwrap(), Frame::Error { .. }));
+    snaps.push(t.session().telemetry_snapshot());
+    snaps
+}
+
+/// A fixed lane's layout in a recording build.
+const FIXED_LANE: [&str; 27] = [
+    "counter lane.updates_sent sim.lane updates",
+    "counter lane.updates_admitted sim.lane updates",
+    "counter lane.updates_shed sim.lane updates",
+    "counter lane.plan_lookups sim.lane lookups",
+    "counter lane.plan_hint_hits sim.lane lookups",
+    "counter grid_reduce.cells_visited core.grid_reduce cells",
+    "counter grid_reduce.gain_evals core.grid_reduce evals",
+    "counter grid_reduce.heap_pops core.grid_reduce pops",
+    "counter grid_reduce.regions_emitted core.grid_reduce regions",
+    "counter greedy.steps core.greedy_increment steps",
+    "counter channel.rng_draws server.channel draws",
+    "counter channel.transmissions server.channel sends",
+    "counter channel.retries server.channel sends",
+    "counter channel.lost server.channel updates",
+    "counter channel.duplicates server.channel updates",
+    "counter shard.due_fired server.sharded entries",
+    "counter shard.due_stale server.sharded entries",
+    "gauge lane.throttle sim.lane fraction",
+    "gauge utility.score_max core.utility score",
+    "histogram lane.adapt_us sim.lane us",
+    "histogram plan.delta_m core.plan m",
+    "histogram lane.region_admitted sim.lane updates",
+    "histogram lane.region_shed sim.lane updates",
+    "histogram utility.score core.utility milli",
+    "histogram shard.stepped_nodes server.sharded nodes",
+    "histogram shard.nodes server.sharded nodes",
+    "histogram shard.round_ns server.sharded ns",
+];
+
+/// The closed lane's layout in a recording build (its uplink is perfect).
+const CLOSED_LANE: [&str; 27] = [
+    "counter lane.updates_sent sim.lane updates",
+    "counter lane.updates_admitted sim.lane updates",
+    "counter lane.updates_shed sim.lane updates",
+    "counter lane.plan_lookups sim.lane lookups",
+    "counter lane.plan_hint_hits sim.lane lookups",
+    "counter grid_reduce.cells_visited core.grid_reduce cells",
+    "counter grid_reduce.gain_evals core.grid_reduce evals",
+    "counter grid_reduce.heap_pops core.grid_reduce pops",
+    "counter grid_reduce.regions_emitted core.grid_reduce regions",
+    "counter greedy.steps core.greedy_increment steps",
+    "counter queue.overflow_drops server.queue updates",
+    "counter throtloop.clamped_steps core.throt_loop steps",
+    "counter throtloop.held_steps core.throt_loop steps",
+    "counter throtloop.overload_steps core.throt_loop steps",
+    "counter shard.due_fired server.sharded entries",
+    "counter shard.due_stale server.sharded entries",
+    "gauge lane.throttle sim.lane fraction",
+    "gauge utility.score_max core.utility score",
+    "histogram lane.adapt_us sim.lane us",
+    "histogram plan.delta_m core.plan m",
+    "histogram lane.region_admitted sim.lane updates",
+    "histogram lane.region_shed sim.lane updates",
+    "histogram utility.score core.utility milli",
+    "histogram shard.stepped_nodes server.sharded nodes",
+    "histogram queue.service_latency_us server.queue us",
+    "histogram shard.nodes server.sharded nodes",
+    "histogram shard.round_ns server.sharded ns",
+];
+
+const PIPELINE: [&str; 4] = [
+    "histogram pipeline.setup_us sim.pipeline us",
+    "histogram pipeline.trace_us sim.pipeline us",
+    "histogram pipeline.reference_us sim.pipeline us",
+    "histogram pipeline.lanes_us sim.pipeline us",
+];
+
+const SESSION: [&str; 13] = [
+    "counter serve.rx.frames serve frames",
+    "counter serve.rx.bytes serve bytes",
+    "counter serve.rx.updates serve updates",
+    "counter serve.queue.admitted serve updates",
+    "counter serve.queue.dropped serve updates",
+    "counter serve.plan.broadcasts serve frames",
+    "counter serve.plan.bytes serve bytes",
+    "counter serve.protocol.errors serve errors",
+    "histogram serve.queue.wait_us serve us",
+    "histogram serve.eval.round_us serve us",
+    "histogram serve.eval.stepped_nodes serve nodes",
+    "histogram serve.adapt.us serve us",
+    "histogram serve.rx.batch_updates serve updates",
+];
+
+/// The keys a lane exports only at the end of a recording run: a
+/// `telemetry-off` snapshot leaves them out.
+const END_OF_RUN: [&str; 9] = [
+    "channel.rng_draws",
+    "channel.transmissions",
+    "channel.retries",
+    "channel.lost",
+    "channel.duplicates",
+    "shard.due_fired",
+    "shard.due_stale",
+    "shard.nodes",
+    "shard.round_ns",
+];
+
+/// Each pinned snapshot: component, recording-build layout, counter
+/// values, gauge values, windows kept. A `telemetry-off` build keeps the
+/// layout less [`END_OF_RUN`] and reads zero everywhere.
+type Pin = (
+    &'static str,
+    &'static [&'static str],
+    &'static [u64],
+    &'static [f64],
+    usize,
+);
+
+const PINS: [Pin; 9] = [
+    (
+        "lane:LIRA",
+        &FIXED_LANE,
+        &[
+            803, 725, 0, 4800, 4549, 345, 341, 4, 13, 310, 803, 803, 0, 78, 0, 91, 0,
+        ],
+        &[0.5, 0.0],
+        0,
+    ),
+    (
+        "lane:Lira-Grid",
+        &FIXED_LANE,
+        &[
+            766, 692, 0, 4800, 4581, 1024, 0, 0, 9, 214, 766, 766, 0, 74, 0, 92, 0,
+        ],
+        &[0.5, 0.0],
+        0,
+    ),
+    (
+        "lane:Uniform Delta",
+        &FIXED_LANE,
+        &[
+            750, 685, 0, 4800, 4680, 0, 0, 0, 0, 0, 750, 750, 0, 65, 0, 92, 0,
+        ],
+        &[0.5, 0.0],
+        0,
+    ),
+    (
+        "lane:Random Drop",
+        &FIXED_LANE,
+        &[
+            1226, 553, 536, 4800, 4680, 0, 0, 0, 0, 0, 1226, 1226, 0, 137, 0, 85, 0,
+        ],
+        &[0.5, 0.0],
+        0,
+    ),
+    (
+        "lane:Utility Greedy",
+        &FIXED_LANE,
+        &[
+            792, 704, 0, 4800, 4581, 1024, 0, 0, 9, 4, 792, 792, 0, 88, 0, 87, 0,
+        ],
+        &[0.5, 3.9999999999999987],
+        0,
+    ),
+    (
+        "lane:Utility Model",
+        &FIXED_LANE,
+        &[
+            805, 721, 0, 4800, 4581, 1024, 0, 0, 9, 386, 805, 805, 0, 84, 0, 81, 0,
+        ],
+        &[0.5, 3.9999999999999987],
+        0,
+    ),
+    ("pipeline", &PIPELINE, &[], &[], 0),
+    (
+        "adaptive",
+        &CLOSED_LANE,
+        &[
+            2838, 2400, 0, 24000, 21119, 4140, 4092, 48, 156, 5102, 421, 1, 0, 0, 119, 0,
+        ],
+        &[0.331855552887794, 0.0],
+        12,
+    ),
+    (
+        "serve",
+        &SESSION,
+        &[28, 15528, 415, 192, 223, 4, 3280, 1],
+        &[],
+        4,
+    ),
+];
+
+/// Every snapshot keeps its metrics' order, names, components and units,
+/// and every counter and gauge value, in both builds.
+#[test]
+fn the_snapshot_layouts_and_values_are_pinned() {
+    let snaps = pinned_snapshots();
+    assert_eq!(snaps.len(), PINS.len());
+    for (snap, &(component, keys, counters, gauges, windows)) in snaps.iter().zip(&PINS) {
+        assert_eq!(snap.component, component);
+        assert_eq!(snap.enabled, !COMPILED_OUT, "{component}");
+        let kept =
+            |line: &str| !COMPILED_OUT || !END_OF_RUN.contains(&line.split(' ').nth(1).unwrap());
+        let expected: Vec<&str> = keys.iter().copied().filter(|l| kept(l)).collect();
+        assert_eq!(layout(snap), expected, "{component}");
+        let values: Vec<u64> = snap.counters.iter().map(|c| c.value).collect();
+        let levels: Vec<f64> = snap.gauges.iter().map(|g| g.value).collect();
+        let kept_windows = (snap.windows.len(), snap.windows_dropped);
+        if COMPILED_OUT {
+            assert!(values.iter().all(|&v| v == 0), "{component}: {values:?}");
+            assert!(levels.iter().all(|&v| v == 0.0), "{component}: {levels:?}");
+            assert_eq!(kept_windows, (0, 0), "{component}");
+        } else {
+            assert_eq!(values, counters, "{component}");
+            assert_eq!(levels, gauges, "{component}");
+            assert_eq!(kept_windows, (windows, 0), "{component}");
+        }
+    }
+}
