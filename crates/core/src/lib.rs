@@ -96,9 +96,7 @@ pub mod prelude {
     pub use crate::reduction::ReductionModel;
     pub use crate::shedder::LiraShedder;
     pub use crate::stats_grid::{CellStats, StatsGrid};
-    pub use crate::telemetry::{
-        Counter, Gauge, Histogram, MetricSpec, Telemetry, TelemetrySnapshot,
-    };
+    pub use crate::telemetry::{Histogram, MetricSpec, TelemetrySnapshot};
     pub use crate::throt_loop::{QueueObservation, ThrotLoop};
     pub use crate::utility::{UtilityGreedy, UtilityModel};
 }

@@ -1,4 +1,4 @@
-//! Point-in-time export of a [`super::Telemetry`] registry.
+//! Point-in-time export of one recorder's telemetry.
 //!
 //! A [`TelemetrySnapshot`] is plain data: it owns copies of every metric
 //! value plus the window decisions, serializes to/from JSON (schema
@@ -10,6 +10,7 @@
 
 use super::json::{Json, JsonError};
 use super::metrics::{bucket_upper_bound, HISTOGRAM_BUCKETS};
+use super::{Histogram, MetricSpec, WindowRing, COMPILED_OUT};
 use crate::throt_loop::{StepClass, WindowDecision};
 
 /// Version tag written into every snapshot (`"schema"` field); bump on
@@ -107,29 +108,66 @@ impl HistogramSnapshot {
     }
 }
 
-/// A complete, serializable export of one telemetry registry.
+/// A complete, serializable export of one recorder's telemetry.
 #[derive(Debug, Clone, PartialEq, Default)]
 pub struct TelemetrySnapshot {
     /// Label of the run or lane this snapshot describes (e.g. a policy
     /// name like `"lira"`, or `"run"` for pipeline-level telemetry).
     pub component: String,
-    /// Whether the registry was recording: `false` only in a
+    /// Whether the recorder was recording: `false` only in a
     /// `telemetry-off` build, whose metrics all read zero.
     pub enabled: bool,
-    /// All registered counters, in registration order.
+    /// All counters, in the order their owner lists them.
     pub counters: Vec<CounterSnapshot>,
-    /// All registered gauges, in registration order.
+    /// All gauges, in the order their owner lists them.
     pub gauges: Vec<GaugeSnapshot>,
-    /// All registered histograms, in registration order.
+    /// All histograms, in the order their owner lists them.
     pub histograms: Vec<HistogramSnapshot>,
     /// The newest window decisions, oldest first (at most 4 096 per
-    /// registry; a merge concatenates them).
+    /// recorder; a merge concatenates them).
     pub windows: Vec<WindowDecision>,
-    /// Older window decisions the registry evicted to keep the newest.
+    /// Older window decisions the recorder evicted to keep the newest.
     pub windows_dropped: u64,
 }
 
 impl TelemetrySnapshot {
+    /// A snapshot labelled `component` of `(name, component, unit,
+    /// value)` entries, kept in the order given, and of a window ring.
+    /// Under `telemetry-off` every counter and gauge reads zero (the
+    /// histograms and the ring recorded nothing), and the keys stay.
+    pub fn from_entries(
+        component: &str,
+        counters: &[(MetricSpec, u64)],
+        gauges: &[(MetricSpec, f64)],
+        histograms: &[(MetricSpec, &Histogram)],
+        windows: &WindowRing,
+    ) -> Self {
+        let live = !COMPILED_OUT;
+        TelemetrySnapshot {
+            component: component.to_string(),
+            enabled: live,
+            counters: (counters.iter())
+                .map(|&(s, value)| CounterSnapshot {
+                    name: s.name.to_string(),
+                    component: s.component.to_string(),
+                    unit: s.unit.to_string(),
+                    value: if live { value } else { 0 },
+                })
+                .collect(),
+            gauges: (gauges.iter())
+                .map(|&(s, value)| GaugeSnapshot {
+                    name: s.name.to_string(),
+                    component: s.component.to_string(),
+                    unit: s.unit.to_string(),
+                    value: if live { value } else { 0.0 },
+                })
+                .collect(),
+            histograms: histograms.iter().map(|&(s, h)| h.snapshot(s)).collect(),
+            windows: windows.kept.iter().copied().collect(),
+            windows_dropped: windows.evicted,
+        }
+    }
+
     /// Looks up a counter value by metric name.
     pub fn counter(&self, name: &str) -> Option<u64> {
         self.counters

@@ -25,10 +25,9 @@ use lira_core::policy::{Policy, SheddingPolicy};
 use lira_core::reduction::ReductionModel;
 use lira_core::stats_grid::StatsGrid;
 use lira_core::telemetry::json::Json;
-use lira_core::telemetry::{Counter, Histogram, MetricSpec, Telemetry};
+use lira_core::telemetry::{Histogram, MetricSpec, TelemetrySnapshot, WindowRing};
 use lira_server::cq_engine::CqServer;
 use lira_server::governor::Governor;
-use std::sync::Arc;
 
 use crate::protocol::{self, kind, Frame, WireUpdate};
 
@@ -177,9 +176,8 @@ impl ServeConfig {
     }
 }
 
-/// Per-connection counters, surfaced in the session report. Plain fields
-/// (not registry metrics): connection count is dynamic and the registry's
-/// metric names are static by design.
+/// Per-connection counters, surfaced in the session report and summed
+/// into the telemetry's `serve.rx.frames` and `serve.rx.bytes`.
 #[derive(Debug, Clone, Default, PartialEq)]
 pub(crate) struct ConnStats {
     /// Session id assigned at `Hello` (connection ordinal).
@@ -196,74 +194,30 @@ pub(crate) struct ConnStats {
     pub errors: u64,
 }
 
-/// Registry-backed aggregate metrics (component `serve`). All names are
-/// listed in `docs/TELEMETRY.md`.
-pub(crate) struct ServeTelemetry {
-    /// The registry itself (snapshot source).
-    pub registry: Telemetry,
-    rx_frames: Arc<Counter>,
-    rx_bytes: Arc<Counter>,
-    rx_updates: Arc<Counter>,
-    queue_admitted: Arc<Counter>,
-    queue_dropped: Arc<Counter>,
-    plan_broadcasts: Arc<Counter>,
-    plan_bytes: Arc<Counter>,
-    protocol_errors: Arc<Counter>,
-    queue_wait_us: Arc<Histogram>,
-    eval_us: Arc<Histogram>,
-    eval_stepped: Arc<Histogram>,
-    adapt_us: Arc<Histogram>,
-    batch_updates: Arc<Histogram>,
-}
+const RX_FRAMES: MetricSpec = MetricSpec::new("serve.rx.frames", "serve", "frames");
+const RX_BYTES: MetricSpec = MetricSpec::new("serve.rx.bytes", "serve", "bytes");
+const RX_UPDATES: MetricSpec = MetricSpec::new("serve.rx.updates", "serve", "updates");
+const QUEUE_ADMITTED: MetricSpec = MetricSpec::new("serve.queue.admitted", "serve", "updates");
+const QUEUE_DROPPED: MetricSpec = MetricSpec::new("serve.queue.dropped", "serve", "updates");
+const PLAN_BROADCASTS: MetricSpec = MetricSpec::new("serve.plan.broadcasts", "serve", "frames");
+const PLAN_BYTES: MetricSpec = MetricSpec::new("serve.plan.bytes", "serve", "bytes");
+const PROTOCOL_ERRORS: MetricSpec = MetricSpec::new("serve.protocol.errors", "serve", "errors");
+const QUEUE_WAIT_US: MetricSpec = MetricSpec::new("serve.queue.wait_us", "serve", "us");
+const EVAL_ROUND_US: MetricSpec = MetricSpec::new("serve.eval.round_us", "serve", "us");
+const EVAL_STEPPED: MetricSpec = MetricSpec::new("serve.eval.stepped_nodes", "serve", "nodes");
+const ADAPT_US: MetricSpec = MetricSpec::new("serve.adapt.us", "serve", "us");
+const BATCH_UPDATES: MetricSpec = MetricSpec::new("serve.rx.batch_updates", "serve", "updates");
 
-impl ServeTelemetry {
-    fn new() -> Self {
-        let registry = Telemetry::new();
-        ServeTelemetry {
-            rx_frames: registry.counter(MetricSpec::new("serve.rx.frames", "serve", "frames")),
-            rx_bytes: registry.counter(MetricSpec::new("serve.rx.bytes", "serve", "bytes")),
-            rx_updates: registry.counter(MetricSpec::new("serve.rx.updates", "serve", "updates")),
-            queue_admitted: registry.counter(MetricSpec::new(
-                "serve.queue.admitted",
-                "serve",
-                "updates",
-            )),
-            queue_dropped: registry.counter(MetricSpec::new(
-                "serve.queue.dropped",
-                "serve",
-                "updates",
-            )),
-            plan_broadcasts: registry.counter(MetricSpec::new(
-                "serve.plan.broadcasts",
-                "serve",
-                "frames",
-            )),
-            plan_bytes: registry.counter(MetricSpec::new("serve.plan.bytes", "serve", "bytes")),
-            protocol_errors: registry.counter(MetricSpec::new(
-                "serve.protocol.errors",
-                "serve",
-                "errors",
-            )),
-            queue_wait_us: registry.histogram(MetricSpec::new(
-                "serve.queue.wait_us",
-                "serve",
-                "us",
-            )),
-            eval_us: registry.histogram(MetricSpec::new("serve.eval.round_us", "serve", "us")),
-            eval_stepped: registry.histogram(MetricSpec::new(
-                "serve.eval.stepped_nodes",
-                "serve",
-                "nodes",
-            )),
-            adapt_us: registry.histogram(MetricSpec::new("serve.adapt.us", "serve", "us")),
-            batch_updates: registry.histogram(MetricSpec::new(
-                "serve.rx.batch_updates",
-                "serve",
-                "updates",
-            )),
-            registry,
-        }
-    }
+/// The distributions the session records (component `serve`); its
+/// counts are read off the session's own books when a snapshot is
+/// taken. All names are listed in `docs/TELEMETRY.md`.
+#[derive(Default)]
+struct ServeTelemetry {
+    queue_wait_us: Histogram,
+    eval_us: Histogram,
+    eval_stepped: Histogram,
+    adapt_us: Histogram,
+    batch_updates: Histogram,
 }
 
 /// What [`SessionCore::handle`] produced: frames to send back to the
@@ -295,9 +249,10 @@ pub struct SessionCore {
     batches_rx: u64,
     plan_broadcasts: u64,
     plan_bytes: u64,
-    protocol_errors: u64,
     conns: Vec<ConnStats>,
     tel: ServeTelemetry,
+    /// The newest THROTLOOP decisions, one per acknowledged window.
+    windows: WindowRing,
     started: Instant,
 }
 
@@ -327,9 +282,9 @@ impl SessionCore {
             batches_rx: 0,
             plan_broadcasts: 0,
             plan_bytes: 0,
-            protocol_errors: 0,
             conns: Vec::new(),
-            tel: ServeTelemetry::new(),
+            tel: ServeTelemetry::default(),
+            windows: WindowRing::default(),
             server,
             started: Instant::now(),
             cfg,
@@ -342,17 +297,37 @@ impl SessionCore {
     }
 
     /// Total protocol errors charged so far (wire violations + semantic
-    /// rejections).
+    /// rejections), summed over the connection books.
     pub fn protocol_errors(&self) -> u64 {
-        self.protocol_errors
+        self.conns.iter().map(|c| c.errors).sum()
     }
 
-    /// A snapshot of the session's telemetry registry (component
-    /// `serve`; plain data, safe to ship across threads). Harnesses read
-    /// service-latency percentiles from the `serve.queue.wait_us`
-    /// histogram here.
-    pub fn telemetry_snapshot(&self) -> lira_core::telemetry::TelemetrySnapshot {
-        self.tel.registry.snapshot("serve")
+    /// A snapshot of the session's telemetry (component `serve`; plain
+    /// data, safe to ship across threads): its histograms and windows,
+    /// and the counts the connection books, the admission ledger and the
+    /// session keep for the report. Harnesses read service-latency
+    /// percentiles from the `serve.queue.wait_us` histogram here.
+    pub fn telemetry_snapshot(&self) -> TelemetrySnapshot {
+        let g = &self.governor;
+        let counters = [
+            (RX_FRAMES, self.conns.iter().map(|c| c.frames).sum()),
+            (RX_BYTES, self.conns.iter().map(|c| c.bytes).sum()),
+            (RX_UPDATES, g.arrived()),
+            (QUEUE_ADMITTED, g.admitted()),
+            (QUEUE_DROPPED, g.dropped()),
+            (PLAN_BROADCASTS, self.plan_broadcasts),
+            (PLAN_BYTES, self.plan_bytes),
+            (PROTOCOL_ERRORS, self.protocol_errors()),
+        ];
+        let t = &self.tel;
+        let histograms = [
+            (QUEUE_WAIT_US, &t.queue_wait_us),
+            (EVAL_ROUND_US, &t.eval_us),
+            (EVAL_STEPPED, &t.eval_stepped),
+            (ADAPT_US, &t.adapt_us),
+            (BATCH_UPDATES, &t.batch_updates),
+        ];
+        TelemetrySnapshot::from_entries("serve", &counters, &[], &histograms, &self.windows)
     }
 
     /// Registers a new connection; returns its session id.
@@ -376,16 +351,12 @@ impl SessionCore {
             c.batches += 1;
             c.updates += updates.len() as u64;
         }
-        self.tel.rx_frames.incr();
-        self.tel.rx_bytes.add(wire_len as u64);
     }
 
     /// Charges a wire-protocol violation (undecodable bytes) to a
     /// connection. The transport closes the connection afterwards.
     pub(crate) fn note_protocol_error(&mut self, conn: u32) {
         self.conns[conn as usize].errors += 1;
-        self.protocol_errors += 1;
-        self.tel.protocol_errors.incr();
     }
 
     /// Seconds of wall clock since the session started (feeds latency
@@ -464,26 +435,20 @@ impl SessionCore {
                         .push(self.reject(conn, protocol::ERR_INVALID, why));
                     return out;
                 }
-                let sent = updates.len() as u64;
                 self.batches_rx += 1;
-                self.tel.rx_updates.add(sent);
-                self.tel.batch_updates.record(sent);
+                self.tel.batch_updates.record(updates.len() as u64);
                 // Ingest on admission: the ledger decides, and an admitted
                 // update goes straight into the engine and the stats
                 // grid, in arrival order.
                 let wall = self.wall();
-                let mut admitted = 0u64;
                 for u in updates {
                     if self.governor.offer_at(wall, ()) {
                         let origin = Point::new(u.x, u.y);
                         let speed = (u.vx * u.vx + u.vy * u.vy).sqrt();
                         self.server.ingest(u.id, t, origin, (u.vx, u.vy));
                         self.grid.observe_node(&origin, speed, 1.0);
-                        admitted += 1;
                     }
                 }
-                self.tel.queue_admitted.add(admitted);
-                self.tel.queue_dropped.add(sent - admitted);
             }
             Frame::EvalReq { t } => {
                 // A non-finite `t` would place every node at a NaN
@@ -530,7 +495,7 @@ impl SessionCore {
                 }
                 let decision = self.governor.close_window(t, window_s);
                 self.drain();
-                self.tel.registry.record_window(&decision);
+                self.windows.push(&decision);
                 let mut adapted = 0u8;
                 if decision.adapt_due {
                     let t0 = Instant::now();
@@ -552,8 +517,6 @@ impl SessionCore {
                             let bytes = frame.encode().len() as u64;
                             self.plan_broadcasts += 1;
                             self.plan_bytes += bytes;
-                            self.tel.plan_broadcasts.incr();
-                            self.tel.plan_bytes.add(bytes);
                             out.broadcast.push(frame);
                         }
                         Err(_) => {
@@ -609,8 +572,6 @@ impl SessionCore {
     /// Builds an `Error` reply and charges it to the connection.
     fn reject(&mut self, conn: u32, code: u16, message: String) -> Frame {
         self.conns[conn as usize].errors += 1;
-        self.protocol_errors += 1;
-        self.tel.protocol_errors.incr();
         Frame::Error { code, message }
     }
 
@@ -690,7 +651,7 @@ impl SessionCore {
                 "registered_queries".into(),
                 Json::UInt(self.server.queries().len() as u64),
             ),
-            ("protocol_errors".into(), Json::UInt(self.protocol_errors)),
+            ("protocol_errors".into(), Json::UInt(self.protocol_errors())),
             ("connections".into(), Json::Arr(conns)),
         ])
         .to_string()
@@ -700,7 +661,7 @@ impl SessionCore {
     /// snapshot (whose wall-clock histograms are *not* deterministic).
     pub fn report_json(&self) -> String {
         let core = Json::parse(&self.deterministic_json()).expect("own JSON parses");
-        let snapshot = self.tel.registry.snapshot("serve");
+        let snapshot = self.telemetry_snapshot();
         let tel = Json::parse(&snapshot.to_json()).expect("snapshot JSON parses");
         Json::Obj(vec![
             ("deterministic".into(), core),
@@ -1108,8 +1069,9 @@ mod tests {
         assert_eq!(parsed.get("updates_admitted").unwrap().as_u64(), Some(64));
     }
 
-    /// The batched telemetry charges (one `Counter::add` per frame, one
-    /// `record_n` per run of equal waits) count what the report counts.
+    /// The queue counters, read off the admission ledger, and the batched
+    /// wait charges (one `record_n` per run of equal waits) count what the
+    /// report counts.
     #[test]
     fn queue_telemetry_agrees_with_the_report_under_overload() {
         let mut s = tiny(); // capacity 64

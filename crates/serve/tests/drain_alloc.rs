@@ -145,7 +145,7 @@ fn a_session_ledger_slot_costs_nothing() {
     let _turn = SERIAL.lock().unwrap_or_else(|e| e.into_inner());
     let slots = 1 << 24;
     // A small fleet: the session's fixed cost (node store, grids,
-    // registry) is ≈ 32 KB at 100 nodes, which leaves the budget to B.
+    // telemetry) is ≈ 32 KB at 100 nodes, which leaves the budget to B.
     let mut cfg = ServeConfig::new(10_000.0, 100);
     cfg.queue_capacity = slots;
     let before = ALLOCATED.load(Ordering::Relaxed);

@@ -68,7 +68,7 @@ use rand::{Rng, SeedableRng};
 use crate::adaptive::{AdaptiveConfig, AdaptiveReport};
 use crate::metrics::{FaultReport, MetricsAccumulator};
 use crate::runner::{PolicyOutcome, RunReport};
-use crate::telemetry::{AdaptiveTelemetry, LaneTelemetry, PipelineTelemetry};
+use crate::telemetry::{LaneTelemetry, PipelineTelemetry};
 
 /// Ticks a consumer may fall behind the recorder before the recorder
 /// blocks. The recorder steps a tick in less time than a lane takes to
@@ -467,7 +467,6 @@ enum Control {
         /// fractional `µ·dt` still drains at the declared rate.
         credit: f64,
         windows: Vec<WindowDecision>,
-        tel: AdaptiveTelemetry,
     },
 }
 
@@ -571,7 +570,6 @@ impl PolicyLane {
         sc: &Scenario,
         closed: Option<&AdaptiveConfig>,
     ) -> Self {
-        let tel = LaneTelemetry::new();
         let plan = SheddingPlan::uniform(setup.bounds, sc.delta_min);
         PolicyLane {
             policy,
@@ -586,7 +584,6 @@ impl PolicyLane {
                     cfg: *cfg,
                     credit: 0.0,
                     windows: Vec::new(),
-                    tel: tel.closed_loop(),
                 },
             },
             server: pipeline.server(setup, sc),
@@ -603,7 +600,7 @@ impl PolicyLane {
             adapt_micros: Vec::new(),
             accumulator: MetricsAccumulator::new(setup.queries.len()),
             shed_results: Vec::new(),
-            tel,
+            tel: LaneTelemetry::default(),
             // The default plan's one region: feedback before the first
             // adaptation is indexed by it.
             region_admitted: vec![0; plan.len()],
@@ -702,7 +699,7 @@ impl PolicyLane {
     fn arrive(&mut self, now: f64, sent_at: f64, update: UplinkPayload) {
         let (_, origin, _, region) = update;
         if self.admission < 1.0 && !self.drop_rng.gen_bool(self.admission) {
-            self.tel.on_shed();
+            self.tel.updates_shed += 1;
             Self::bump_region(&mut self.region_shed, region);
             self.bump_skew_cell(&origin);
             return;
@@ -731,7 +728,6 @@ impl PolicyLane {
         let applied = self.server.ingest(node, sent_at, origin, velocity);
         if applied {
             self.updates_processed += 1;
-            self.tel.on_admitted();
         }
         applied
     }
@@ -785,7 +781,6 @@ impl PolicyLane {
                     self.reckoners[i].observe(i as u32, t, car.position, car.velocity, delta)
                 {
                     self.updates_sent += 1;
-                    self.tel.on_sent();
                     let update = (rep.node, rep.model.origin, rep.model.velocity, region);
                     match &mut channel {
                         None => self.arrive(t, t, update),
@@ -808,7 +803,6 @@ impl PolicyLane {
                 governor,
                 cfg,
                 credit,
-                tel,
                 ..
             } = &mut self.control
             {
@@ -817,7 +811,10 @@ impl PolicyLane {
                 *credit -= n;
                 let due: Vec<_> = governor.service_at(n as usize).collect();
                 for (arrived_at, _) in &due {
-                    tel.on_serviced(t - arrived_at);
+                    let latency_s = t - arrived_at;
+                    if latency_s.is_finite() {
+                        self.tel.service_latency_us.record((latency_s * 1e6) as u64);
+                    }
                 }
                 for (_, (sent_at, update)) in due {
                     self.ingest(sent_at, update);
@@ -832,11 +829,9 @@ impl PolicyLane {
                         governor,
                         cfg,
                         windows,
-                        tel,
                         ..
                     } => {
                         let decision = governor.close_window(t, cfg.control_period_s);
-                        tel.on_window(&decision);
                         windows.push(decision);
                         decision.adapt_due.then_some(decision.throttle)
                     }
@@ -853,7 +848,9 @@ impl PolicyLane {
                 assert_eq!(frame.tick, tick, "reference frame out of step");
                 let stepped = self.server.stepped_nodes();
                 self.server.evaluate_into(t, &mut self.shed_results);
-                self.tel.on_evaluated(self.server.stepped_nodes() - stepped);
+                self.tel
+                    .stepped_nodes
+                    .record(self.server.stepped_nodes() - stepped);
                 let server = &self.server;
                 self.accumulator.record_round(
                     &frame.results,
@@ -879,7 +876,7 @@ impl PolicyLane {
 
         self.tel
             .flush_regions(&self.region_admitted, &self.region_shed);
-        self.tel.on_plan_lookups(lookups, hint_hits);
+        (self.tel.plan_lookups, self.tel.plan_hint_hits) = (lookups, hint_hits);
         self.flush_shed_skew();
         if let Some(ch) = &channel {
             self.faults = FaultReport::from_channel(ch.stats(), ch.pending());
@@ -894,7 +891,12 @@ impl PolicyLane {
             policy: self.policy,
             metrics: self.accumulator.report(),
             faults: self.faults,
-            telemetry: self.tel.snapshot(&format!("lane:{}", self.policy.name())),
+            telemetry: self.tel.snapshot(
+                &format!("lane:{}", self.policy.name()),
+                self.updates_sent,
+                self.updates_processed,
+                None,
+            ),
             updates_sent: self.updates_sent,
             updates_processed: self.updates_processed,
             processed_fraction: if reference_updates > 0 {
@@ -926,13 +928,19 @@ impl PolicyLane {
         else {
             unreachable!("adaptive_report is only called on a lane built with a closed loop");
         };
+        let telemetry = self.tel.snapshot(
+            "adaptive",
+            self.updates_sent,
+            self.updates_processed,
+            Some(&windows),
+        );
         AdaptiveReport {
             final_throttle: windows.last().map_or(sc.throttle, |w| w.throttle),
             windows,
             drop_fraction: governor.drop_fraction(),
             metrics: self.accumulator.report(),
             faults: self.faults,
-            telemetry: self.tel.snapshot("adaptive"),
+            telemetry,
         }
     }
 }
@@ -983,7 +991,7 @@ impl SimPipeline {
         setup: &mut SimSetup,
         sc: &Scenario,
         lanes: &mut [PolicyLane],
-        ptel: &PipelineTelemetry,
+        ptel: &mut PipelineTelemetry,
     ) -> u64 {
         let replay = ReferenceReplay::new(self, setup, sc);
         let (feeds, mut tick_rxs): (Vec<SyncSender<Tick>>, Vec<_>) = (0..=lanes.len())
@@ -1022,18 +1030,18 @@ impl SimPipeline {
                 reference.join().expect("reference replay panicked"),
             )
         });
-        ptel.on_trace(trace_us);
-        ptel.on_reference(reference_us);
+        ptel.trace_us.record(trace_us);
+        ptel.reference_us.record(reference_us);
         reference_updates
     }
 
     /// Runs the scenario for the given policies at the fixed throttle
     /// fraction `sc.throttle` and reports the comparison.
     pub fn run(&self, sc: &Scenario, policies: &[Policy]) -> RunReport {
-        let ptel = PipelineTelemetry::new();
+        let mut ptel = PipelineTelemetry::default();
         let stage = Instant::now();
         let mut setup = SimSetup::build(sc, sc.calibrate_model);
-        ptel.on_setup(stage.elapsed().as_micros() as u64);
+        ptel.setup_us.record(stage.elapsed().as_micros() as u64);
 
         let mut lanes: Vec<PolicyLane> = policies
             .iter()
@@ -1041,8 +1049,8 @@ impl SimPipeline {
             .map(|(i, &policy)| PolicyLane::new(self, policy, i, &setup, sc, None))
             .collect();
         let stage = Instant::now();
-        let reference_updates = self.stream(&mut setup, sc, &mut lanes, &ptel);
-        ptel.on_lanes(stage.elapsed().as_micros() as u64);
+        let reference_updates = self.stream(&mut setup, sc, &mut lanes, &mut ptel);
+        ptel.lanes_us.record(stage.elapsed().as_micros() as u64);
 
         RunReport {
             reference_updates,
@@ -1079,7 +1087,7 @@ impl SimPipeline {
             &mut setup,
             sc,
             std::slice::from_mut(&mut lane),
-            &PipelineTelemetry::new(),
+            &mut PipelineTelemetry::default(),
         );
         lane.adaptive_report(sc)
     }

@@ -1,28 +1,27 @@
-//! Telemetry wiring for the simulation harness: pre-registered metric
-//! handles for the hot paths of a policy lane and, registered on the
-//! same lane registry, of the closed loop's queue and controller.
+//! Telemetry for the simulation harness: the plain fields a policy lane
+//! and the pipeline keep as they run, and the snapshots read off them
+//! and off the lane's own books.
 //!
 //! The core algorithms stay telemetry-free — they return plain counters
 //! ([`GridReduceStats`](lira_core::grid_reduce::GridReduceStats),
-//! [`AdaptCost`], the governor's [`WindowDecision`]) that this module
-//! copies into per-lane [`Telemetry`] registries at adaptation
-//! boundaries. Recording is a relaxed atomic per call, compiled out with
-//! the `telemetry-off` feature of `lira-core`; policy outcomes are
-//! bit-identical in both builds (every golden holds in each).
+//! [`AdaptCost`], the governor's [`WindowDecision`]) that a lane adds
+//! into its [`LaneTelemetry`] at adaptation boundaries. What the lane
+//! already counts for its outcome (updates sent and applied, a closed
+//! lane's windows) is read there when the snapshot is taken. Recording
+//! is compiled out with the `telemetry-off` feature of `lira-core`;
+//! policy outcomes are bit-identical in both builds (every golden holds
+//! in each).
 //!
 //! Metric names, units and firing points are documented in
 //! `docs/TELEMETRY.md`.
 
-use std::sync::Arc;
-
 use lira_core::plan::SheddingPlan;
 use lira_core::policy::AdaptCost;
-use lira_core::telemetry::{
-    Counter, Gauge, Histogram, MetricSpec, Telemetry, TelemetrySnapshot, COMPILED_OUT,
-};
+use lira_core::telemetry::{Histogram, MetricSpec, TelemetrySnapshot, WindowRing, COMPILED_OUT};
 use lira_core::throt_loop::{StepClass, WindowDecision};
 use lira_server::channel::ChannelStats;
 use lira_server::cq_engine::CqServer;
+use lira_server::unified::ShardStats;
 
 // Lane metrics (component "sim.lane").
 const LANE_UPDATES_SENT: MetricSpec = MetricSpec::new("lane.updates_sent", "sim.lane", "updates");
@@ -72,8 +71,9 @@ const SHARD_STEPPED_NODES: MetricSpec =
 const SHARD_DUE_FIRED: MetricSpec = MetricSpec::new("shard.due_fired", "server.sharded", "entries");
 const SHARD_DUE_STALE: MetricSpec = MetricSpec::new("shard.due_stale", "server.sharded", "entries");
 
-// Closed-loop metrics; each window's operating point is in the
-// registry's window ring, not on gauges.
+// Closed-loop metrics, read off the lane's windows except the latency;
+// each window's operating point is in the snapshot's windows, not on
+// gauges.
 const QUEUE_OVERFLOW: MetricSpec =
     MetricSpec::new("queue.overflow_drops", "server.queue", "updates");
 const QUEUE_LATENCY_US: MetricSpec =
@@ -92,107 +92,56 @@ const STAGE_REFERENCE_US: MetricSpec =
     MetricSpec::new("pipeline.reference_us", "sim.pipeline", "us");
 const STAGE_LANES_US: MetricSpec = MetricSpec::new("pipeline.lanes_us", "sim.pipeline", "us");
 
-/// Pre-registered handles for one policy lane. Creation locks the
-/// registry once; every recording after that is lock-free.
+/// One policy lane's telemetry: plain data on the lane's thread.
+#[derive(Default)]
 pub(crate) struct LaneTelemetry {
-    registry: Arc<Telemetry>,
-    updates_sent: Arc<Counter>,
-    updates_admitted: Arc<Counter>,
-    updates_shed: Arc<Counter>,
-    plan_lookups: Arc<Counter>,
-    plan_hint_hits: Arc<Counter>,
-    adapt_us: Arc<Histogram>,
-    throttle: Arc<Gauge>,
-    grid_cells_visited: Arc<Counter>,
-    grid_gain_evals: Arc<Counter>,
-    grid_heap_pops: Arc<Counter>,
-    grid_regions_emitted: Arc<Counter>,
-    greedy_steps: Arc<Counter>,
-    delta_m: Arc<Histogram>,
-    region_admitted: Arc<Histogram>,
-    region_shed: Arc<Histogram>,
-    utility_score: Arc<Histogram>,
-    utility_score_max: Arc<Gauge>,
-    stepped_nodes: Arc<Histogram>,
+    /// Updates shed at the input (server-actuated drops).
+    pub updates_shed: u64,
+    /// A run's plan lookups, one per car per tick, and how many of them
+    /// found the car still in the region its previous lookup found.
+    pub plan_lookups: u64,
+    pub plan_hint_hits: u64,
+    /// Nodes each evaluation round placed or re-placed (the difference
+    /// of `CqServer::stepped_nodes` across it).
+    pub stepped_nodes: Histogram,
+    /// A closed lane's queueing latency, one sample per serviced update.
+    pub service_latency_us: Histogram,
+    adapt_us: Histogram,
+    throttle: f64,
+    work: AdaptCost,
+    delta_m: Histogram,
+    region_admitted: Histogram,
+    region_shed: Histogram,
+    utility_score: Histogram,
+    utility_score_max: f64,
+    /// The end-of-run accounting, a recording build's only: the uplink
+    /// channel's counters (lanes with a faulty uplink only) and the
+    /// engine's.
+    run_end: Option<(Option<ChannelStats>, ShardStats)>,
 }
 
 impl LaneTelemetry {
-    /// Creates the lane's registry.
-    pub fn new() -> Self {
-        let registry = Arc::new(Telemetry::new());
-        LaneTelemetry {
-            updates_sent: registry.counter(LANE_UPDATES_SENT),
-            updates_admitted: registry.counter(LANE_UPDATES_ADMITTED),
-            updates_shed: registry.counter(LANE_UPDATES_SHED),
-            plan_lookups: registry.counter(LANE_PLAN_LOOKUPS),
-            plan_hint_hits: registry.counter(LANE_PLAN_HINT_HITS),
-            adapt_us: registry.histogram(LANE_ADAPT_US),
-            throttle: registry.gauge(LANE_THROTTLE),
-            grid_cells_visited: registry.counter(GRID_CELLS_VISITED),
-            grid_gain_evals: registry.counter(GRID_GAIN_EVALS),
-            grid_heap_pops: registry.counter(GRID_HEAP_POPS),
-            grid_regions_emitted: registry.counter(GRID_REGIONS_EMITTED),
-            greedy_steps: registry.counter(GREEDY_STEPS),
-            delta_m: registry.histogram(PLAN_DELTA_M),
-            region_admitted: registry.histogram(REGION_ADMITTED),
-            region_shed: registry.histogram(REGION_SHED),
-            utility_score: registry.histogram(UTILITY_SCORE),
-            utility_score_max: registry.gauge(UTILITY_SCORE_MAX),
-            stepped_nodes: registry.histogram(SHARD_STEPPED_NODES),
-            registry,
-        }
-    }
-
-    /// A mobile node produced a position update.
-    #[inline]
-    pub(crate) fn on_sent(&self) {
-        self.updates_sent.incr();
-    }
-
-    /// The server admitted (applied) an update.
-    #[inline]
-    pub(crate) fn on_admitted(&self) {
-        self.updates_admitted.incr();
-    }
-
-    /// An update was shed at the input (server-actuated drop).
-    #[inline]
-    pub(crate) fn on_shed(&self) {
-        self.updates_shed.incr();
-    }
-
-    /// A run's plan lookups, one per car per tick, and how many of them
-    /// found the car still in the region its previous lookup found.
-    pub(crate) fn on_plan_lookups(&self, lookups: u64, hint_hits: u64) {
-        self.plan_lookups.add(lookups);
-        self.plan_hint_hits.add(hint_hits);
-    }
-
-    /// One evaluation round placed or re-placed `stepped` nodes (the
-    /// difference of `CqServer::stepped_nodes` across it).
-    #[inline]
-    pub(crate) fn on_evaluated(&self, stepped: u64) {
-        self.stepped_nodes.record(stepped);
-    }
-
     /// Records one adaptation round: wall time, the throttle in force,
     /// the partitioner/optimizer work counters, and the plan's final Δ
     /// distribution (meters, one sample per region).
     pub(crate) fn on_adapt(
-        &self,
+        &mut self,
         micros: u64,
         z: f64,
         cost: Option<AdaptCost>,
         plan: &SheddingPlan,
     ) {
         self.adapt_us.record(micros);
-        self.throttle.set(z);
+        if z.is_finite() {
+            self.throttle = z;
+        }
         if let Some(c) = cost {
-            self.grid_cells_visited.add(c.partitioner.cells_visited);
-            self.grid_gain_evals.add(c.partitioner.gain_evals);
-            self.grid_heap_pops.add(c.partitioner.heap_pops);
-            self.grid_regions_emitted.add(c.partitioner.regions_emitted);
-            self.greedy_steps.add(c.greedy_steps);
+            let (sum, part) = (&mut self.work.partitioner, &c.partitioner);
+            sum.cells_visited += part.cells_visited;
+            sum.gain_evals += part.gain_evals;
+            sum.heap_pops += part.heap_pops;
+            sum.regions_emitted += part.regions_emitted;
+            self.work.greedy_steps += c.greedy_steps;
         }
         if COMPILED_OUT {
             return; // skip the per-region walk entirely when compiled out
@@ -205,7 +154,7 @@ impl LaneTelemetry {
     /// Records one adaptation's per-region utility scores (histogram
     /// sample per region, milli-units) and the maximum score. A no-op
     /// for policies without a utility model (`scores = None`).
-    pub(crate) fn on_utility(&self, scores: Option<&[f64]>) {
+    pub(crate) fn on_utility(&mut self, scores: Option<&[f64]>) {
         if COMPILED_OUT {
             return;
         }
@@ -215,12 +164,14 @@ impl LaneTelemetry {
             self.utility_score.record((s * 1000.0).round() as u64);
             max = max.max(s);
         }
-        self.utility_score_max.set(max);
+        if max.is_finite() {
+            self.utility_score_max = max;
+        }
     }
 
     /// Flushes one plan epoch's per-region admitted/shed counts into the
     /// shed-skew histograms (one sample per region per epoch).
-    pub(crate) fn flush_regions(&self, admitted: &[u64], shed: &[u64]) {
+    pub(crate) fn flush_regions(&mut self, admitted: &[u64], shed: &[u64]) {
         if COMPILED_OUT {
             return;
         }
@@ -232,138 +183,124 @@ impl LaneTelemetry {
         }
     }
 
-    /// Closed-loop handles (`queue.*`, `throtloop.*`) registered on this
-    /// lane's registry, so a closed-loop lane still exports one snapshot.
-    pub(crate) fn closed_loop(&self) -> AdaptiveTelemetry {
-        AdaptiveTelemetry::on(Arc::clone(&self.registry))
-    }
-
-    /// Copies the end-of-run accounting into the registry: the uplink
-    /// channel's counters (lanes with a faulty uplink only), and the
-    /// engine's one `shard.nodes` / `shard.round_ns` sample (final placed
-    /// nodes, cumulative round wall time) and its wheel entries fired /
+    /// Keeps the end-of-run accounting: the uplink channel's counters
+    /// (lanes with a faulty uplink only), and the engine's final placed
+    /// nodes, cumulative round wall time and wheel entries fired /
     /// dropped stale.
-    pub(crate) fn on_run_end(&self, channel: Option<ChannelStats>, server: &CqServer) {
-        if COMPILED_OUT {
-            return;
+    pub(crate) fn on_run_end(&mut self, channel: Option<ChannelStats>, server: &CqServer) {
+        if !COMPILED_OUT {
+            self.run_end = Some((channel, server.shard_stats()));
         }
-        let r = &self.registry;
-        if let Some(stats) = channel {
-            r.counter(CHANNEL_RNG_DRAWS).add(stats.rng_draws);
-            r.counter(CHANNEL_TRANSMISSIONS).add(stats.transmissions);
-            r.counter(CHANNEL_RETRIES).add(stats.retries);
-            r.counter(CHANNEL_LOST).add(stats.lost);
-            r.counter(CHANNEL_DUPLICATES).add(stats.duplicates);
-        }
-        let stats = server.shard_stats();
-        r.histogram(SHARD_NODES).record(stats.nodes as u64);
-        r.histogram(SHARD_ROUND_NS).record(stats.round_ns);
-        r.counter(SHARD_DUE_FIRED).add(stats.due_fired);
-        r.counter(SHARD_DUE_STALE).add(stats.due_stale);
     }
 
-    /// Exports the lane's snapshot labelled `component` (conventionally
-    /// `"lane:<policy name>"`).
-    pub fn snapshot(&self, component: &str) -> TelemetrySnapshot {
-        self.registry.snapshot(component)
+    /// The lane's snapshot labelled `component` (conventionally
+    /// `"lane:<policy name>"`), with the lane's own `sent` and
+    /// `admitted` counts and, for a closed lane, its windows and service
+    /// latency: the drops and step classes are counted off the windows,
+    /// and the snapshot keeps the newest 4 096 of them.
+    pub(crate) fn snapshot(
+        &self,
+        component: &str,
+        sent: u64,
+        admitted: u64,
+        closed: Option<&[WindowDecision]>,
+    ) -> TelemetrySnapshot {
+        let one_sample = |v| {
+            let mut h = Histogram::default();
+            h.record(v);
+            h
+        };
+        let shard_samples = (self.run_end)
+            .map(|(_, shard)| [one_sample(shard.nodes as u64), one_sample(shard.round_ns)]);
+        let part = &self.work.partitioner;
+        let mut counters = vec![
+            (LANE_UPDATES_SENT, sent),
+            (LANE_UPDATES_ADMITTED, admitted),
+            (LANE_UPDATES_SHED, self.updates_shed),
+            (LANE_PLAN_LOOKUPS, self.plan_lookups),
+            (LANE_PLAN_HINT_HITS, self.plan_hint_hits),
+            (GRID_CELLS_VISITED, part.cells_visited),
+            (GRID_GAIN_EVALS, part.gain_evals),
+            (GRID_HEAP_POPS, part.heap_pops),
+            (GRID_REGIONS_EMITTED, part.regions_emitted),
+            (GREEDY_STEPS, self.work.greedy_steps),
+        ];
+        let mut histograms = vec![
+            (LANE_ADAPT_US, &self.adapt_us),
+            (PLAN_DELTA_M, &self.delta_m),
+            (REGION_ADMITTED, &self.region_admitted),
+            (REGION_SHED, &self.region_shed),
+            (UTILITY_SCORE, &self.utility_score),
+            (SHARD_STEPPED_NODES, &self.stepped_nodes),
+        ];
+        let mut ring = WindowRing::default();
+        if let Some(windows) = closed {
+            let steps = |classes: &[StepClass]| {
+                windows.iter().filter(|w| classes.contains(&w.step)).count() as u64
+            };
+            counters.extend([
+                (QUEUE_OVERFLOW, windows.iter().map(|w| w.dropped).sum()),
+                // An overload step is also a clamped one.
+                (
+                    THROT_CLAMPED,
+                    steps(&[StepClass::Clamped, StepClass::Overload]),
+                ),
+                (THROT_HELD, steps(&[StepClass::Held])),
+                (THROT_OVERLOAD, steps(&[StepClass::Overload])),
+            ]);
+            histograms.push((QUEUE_LATENCY_US, &self.service_latency_us));
+            windows.iter().for_each(|w| ring.push(w));
+        }
+        if let Some((channel, shard)) = self.run_end {
+            if let Some(c) = channel {
+                counters.extend([
+                    (CHANNEL_RNG_DRAWS, c.rng_draws),
+                    (CHANNEL_TRANSMISSIONS, c.transmissions),
+                    (CHANNEL_RETRIES, c.retries),
+                    (CHANNEL_LOST, c.lost),
+                    (CHANNEL_DUPLICATES, c.duplicates),
+                ]);
+            }
+            counters.extend([
+                (SHARD_DUE_FIRED, shard.due_fired),
+                (SHARD_DUE_STALE, shard.due_stale),
+            ]);
+        }
+        if let Some([nodes, round_ns]) = &shard_samples {
+            histograms.extend([(SHARD_NODES, nodes), (SHARD_ROUND_NS, round_ns)]);
+        }
+        let gauges = [
+            (LANE_THROTTLE, self.throttle),
+            (UTILITY_SCORE_MAX, self.utility_score_max),
+        ];
+        TelemetrySnapshot::from_entries(component, &counters, &gauges, &histograms, &ring)
     }
 }
 
 /// Wall-time accounting for the pipeline: setup, then the streamed stage
 /// and the recorder and reference replay inside it. One sample per key
 /// per run; the last three overlap, so they do not sum to the job.
+#[derive(Default)]
 pub(crate) struct PipelineTelemetry {
-    registry: Telemetry,
-    setup_us: Arc<Histogram>,
-    trace_us: Arc<Histogram>,
-    reference_us: Arc<Histogram>,
-    lanes_us: Arc<Histogram>,
+    pub setup_us: Histogram,
+    /// The recorder's wall time, time blocked on a full channel included.
+    pub trace_us: Histogram,
+    pub reference_us: Histogram,
+    /// The whole streamed stage: recorder, reference replay and every
+    /// lane.
+    pub lanes_us: Histogram,
 }
 
 impl PipelineTelemetry {
-    /// Creates the pipeline's registry.
-    pub fn new() -> Self {
-        let registry = Telemetry::new();
-        PipelineTelemetry {
-            setup_us: registry.histogram(STAGE_SETUP_US),
-            trace_us: registry.histogram(STAGE_TRACE_US),
-            reference_us: registry.histogram(STAGE_REFERENCE_US),
-            lanes_us: registry.histogram(STAGE_LANES_US),
-            registry,
-        }
-    }
-
-    /// Records the setup stage's wall time (microseconds).
-    pub(crate) fn on_setup(&self, us: u64) {
-        self.setup_us.record(us);
-    }
-
-    /// Records the recorder's wall time, time blocked on a full channel
-    /// included.
-    pub(crate) fn on_trace(&self, us: u64) {
-        self.trace_us.record(us);
-    }
-
-    /// Records the reference replay's wall time.
-    pub(crate) fn on_reference(&self, us: u64) {
-        self.reference_us.record(us);
-    }
-
-    /// Records the wall time of the whole streamed stage (recorder,
-    /// reference replay and every lane).
-    pub(crate) fn on_lanes(&self, us: u64) {
-        self.lanes_us.record(us);
-    }
-
-    /// Exports the pipeline's snapshot.
+    /// The pipeline's snapshot.
     pub fn snapshot(&self) -> TelemetrySnapshot {
-        self.registry.snapshot("pipeline")
-    }
-}
-
-/// Pre-registered handles for the closed loop's queue and controller,
-/// on the registry of the lane it controls ([`LaneTelemetry::closed_loop`]).
-pub(crate) struct AdaptiveTelemetry {
-    registry: Arc<Telemetry>,
-    queue_overflow: Arc<Counter>,
-    queue_latency_us: Arc<Histogram>,
-    clamped: Arc<Counter>,
-    held: Arc<Counter>,
-    overload: Arc<Counter>,
-}
-
-impl AdaptiveTelemetry {
-    fn on(registry: Arc<Telemetry>) -> Self {
-        AdaptiveTelemetry {
-            queue_overflow: registry.counter(QUEUE_OVERFLOW),
-            queue_latency_us: registry.histogram(QUEUE_LATENCY_US),
-            clamped: registry.counter(THROT_CLAMPED),
-            held: registry.counter(THROT_HELD),
-            overload: registry.counter(THROT_OVERLOAD),
-            registry,
-        }
-    }
-
-    /// Records one serviced update's queueing latency (seconds; a
-    /// non-finite latency is skipped).
-    #[inline]
-    pub(crate) fn on_serviced(&self, latency_s: f64) {
-        if latency_s.is_finite() {
-            self.queue_latency_us.record((latency_s * 1e6) as u64);
-        }
-    }
-
-    /// Records one control window: the decision into the registry's
-    /// window ring, its drops and step class onto the cumulative
-    /// counters.
-    pub(crate) fn on_window(&self, w: &WindowDecision) {
-        self.registry.record_window(w);
-        self.queue_overflow.add(w.dropped);
-        // An overload step is also a clamped one.
-        let clamped = matches!(w.step, StepClass::Clamped | StepClass::Overload);
-        self.clamped.add(u64::from(clamped));
-        self.held.add(u64::from(w.step == StepClass::Held));
-        self.overload.add(u64::from(w.step == StepClass::Overload));
+        let histograms = [
+            (STAGE_SETUP_US, &self.setup_us),
+            (STAGE_TRACE_US, &self.trace_us),
+            (STAGE_REFERENCE_US, &self.reference_us),
+            (STAGE_LANES_US, &self.lanes_us),
+        ];
+        TelemetrySnapshot::from_entries("pipeline", &[], &[], &histograms, &WindowRing::default())
     }
 }
 
@@ -375,7 +312,7 @@ mod tests {
 
     #[test]
     fn lane_telemetry_records_adapt_cost() {
-        let tel = LaneTelemetry::new();
+        let mut tel = LaneTelemetry::default();
         let plan = SheddingPlan::uniform(Rect::from_coords(0.0, 0.0, 100.0, 100.0), 12.0);
         let cost = AdaptCost {
             partitioner: GridReduceStats {
@@ -386,57 +323,73 @@ mod tests {
             },
             greedy_steps: 7,
         };
-        tel.on_sent();
-        tel.on_admitted();
         tel.on_adapt(42, 0.5, Some(cost), &plan);
-        let snap = tel.snapshot("lane:test");
+        tel.on_adapt(40, 0.25, Some(cost), &plan);
+        let snap = tel.snapshot("lane:test", 3, 2, None);
         if COMPILED_OUT {
             assert!(!snap.enabled);
             return;
         }
-        assert_eq!(snap.counter("lane.updates_sent"), Some(1));
-        assert_eq!(snap.counter("grid_reduce.cells_visited"), Some(10));
-        assert_eq!(snap.counter("greedy.steps"), Some(7));
-        assert_eq!(snap.gauge("lane.throttle"), Some(0.5));
+        assert_eq!(snap.counter("lane.updates_sent"), Some(3));
+        assert_eq!(snap.counter("lane.updates_admitted"), Some(2));
+        assert_eq!(snap.counter("grid_reduce.cells_visited"), Some(20));
+        assert_eq!(snap.counter("greedy.steps"), Some(14));
+        assert_eq!(snap.gauge("lane.throttle"), Some(0.25));
         let deltas = snap.histogram("plan.delta_m").unwrap();
-        assert_eq!(deltas.count, 1);
-        assert_eq!(deltas.sum, 12);
+        assert_eq!(deltas.count, 2);
+        assert_eq!(deltas.sum, 24);
     }
 
-    #[test]
-    fn adaptive_windows_are_recorded_by_their_step_class() {
-        let lane = LaneTelemetry::new();
-        let tel = lane.closed_loop();
-        let window = |time, step, throttle, queue_len, dropped, lambda, mu| WindowDecision {
+    fn window(time: f64, step: StepClass, dropped: u64) -> WindowDecision {
+        WindowDecision {
             time,
-            arrival_rate: lambda,
-            throttle,
-            queue_len,
+            arrival_rate: 10.0,
+            throttle: 0.75,
+            queue_len: 0,
             dropped,
-            service_rate: mu,
+            service_rate: 100.0,
             throttle_before: 1.0,
             step,
             adapt_due: true,
-        };
-        // Overload window: mu = 0 counts as overload + clamp.
-        tel.on_window(&window(20.0, StepClass::Overload, 0.5, 3, 2, 50.0, 0.0));
-        // Healthy window: no new degenerate steps.
-        tel.on_window(&window(40.0, StepClass::Tracked, 0.75, 0, 0, 10.0, 100.0));
-        tel.on_window(&window(60.0, StepClass::Held, 0.75, 0, 0, f64::NAN, 100.0));
-        let snap = lane.snapshot("adaptive");
+        }
+    }
+
+    #[test]
+    fn a_closed_lane_counts_its_windows_by_step_class() {
+        let lane = LaneTelemetry::default();
+        let windows = [
+            // Overload (µ = 0) counts as overload and as a clamp.
+            window(20.0, StepClass::Overload, 2),
+            window(40.0, StepClass::Tracked, 0),
+            window(60.0, StepClass::Held, 0),
+        ];
+        let snap = lane.snapshot("adaptive", 0, 0, Some(&windows));
         if COMPILED_OUT {
-            assert!(!snap.enabled);
+            assert!(!snap.enabled && snap.windows.is_empty());
             return;
         }
         assert_eq!(snap.counter("throtloop.overload_steps"), Some(1));
         assert_eq!(snap.counter("throtloop.clamped_steps"), Some(1));
         assert_eq!(snap.counter("throtloop.held_steps"), Some(1));
         assert_eq!(snap.counter("queue.overflow_drops"), Some(2));
-        let steps: Vec<StepClass> = snap.windows.iter().map(|w| w.step).collect();
-        assert_eq!(
-            steps,
-            [StepClass::Overload, StepClass::Tracked, StepClass::Held]
-        );
-        assert_eq!(snap.windows[2].throttle, 0.75);
+        assert_eq!(snap.windows, windows);
+    }
+
+    /// A closed lane's counters count every window, and its snapshot
+    /// keeps the newest 4 096 and counts the rest as dropped.
+    #[test]
+    fn a_long_closed_lane_keeps_the_newest_windows_and_counts_them_all() {
+        let windows: Vec<WindowDecision> = (0..4096 + 3)
+            .map(|i| window(i as f64, StepClass::Clamped, 1))
+            .collect();
+        let lane = LaneTelemetry::default();
+        let snap = lane.snapshot("adaptive", 0, 0, Some(&windows));
+        if COMPILED_OUT {
+            return;
+        }
+        assert_eq!(snap.windows, windows[3..]);
+        assert_eq!(snap.windows_dropped, 3);
+        assert_eq!(snap.counter("queue.overflow_drops"), Some(4099));
+        assert_eq!(snap.counter("throtloop.clamped_steps"), Some(4099));
     }
 }
